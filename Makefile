@@ -8,9 +8,10 @@ GO ?= go
 RACE_PKGS := ./internal/compute ./internal/hadr ./internal/simdisk \
              ./internal/cluster ./internal/xlog ./internal/pageserver \
              ./internal/obs ./internal/netmux ./internal/rbio \
-             ./internal/frontdoor
+             ./internal/frontdoor ./internal/btree ./internal/fcb \
+             ./internal/rbpex ./internal/engine
 
-.PHONY: all lint fmt vet test race chaos bench bench-obs bench-mux bench-waits bench-commit bench-router cover vet-baseline clean
+.PHONY: all lint fmt vet test race chaos allocs bench bench-probes bench-obs bench-mux bench-waits bench-commit bench-router cover vet-baseline clean
 
 all: lint test
 
@@ -49,8 +50,20 @@ chaos:
 	$(GO) test -race -count=1 -run TestChaos ./internal/chaos/
 	$(GO) test -tags chaosfault -count=1 ./internal/chaos/
 
+# Hot-path allocation contracts (AllocsPerRun budgets; they skip themselves
+# under -race) and a short fuzz of the B-tree node view against the decoded
+# node it replaced.
+allocs:
+	$(GO) test -count=1 -run 'Allocs$$' ./internal/btree ./internal/pageserver ./internal/compute ./internal/netmux
+	$(GO) test -run '^$$' -fuzz=FuzzNodeView -fuzztime=10s ./internal/btree
+
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
+
+# The standalone layer probes of bench/ (btree get/put, page and WAL codecs,
+# RBPEX, landing zone, netmux, rbio, pageserver.GetPage) as Benchmark*.
+bench-probes:
+	$(GO) test -run '^$$' -bench . -benchmem ./bench
 
 # Regenerate the observability-plane overhead seed (flight recorder on/off
 # A/B on the group-commit path; see BENCH_pr3.json).

@@ -1,60 +1,53 @@
 package btree
 
 import (
+	"bytes"
 	"fmt"
 
 	"socrates/internal/page"
 	"socrates/internal/wal"
 )
 
-// Apply performs redo of one page-mutation record against the page,
-// in place. It is the single convergence point for secondaries, page
-// servers, and restart recovery.
+// Apply performs redo of one page-mutation record against the page. It is
+// the single convergence point for secondaries, page servers, and restart
+// recovery.
 //
-// Redo is idempotent: records at or below the page's LSN are skipped, so a
-// consumer may safely replay overlapping log ranges. Apply returns whether
-// the record mutated the page.
-func Apply(pg *page.Page, rec *wal.Record) (bool, error) {
+// Pages are immutable (DESIGN §16): pg is never modified. When the record
+// applies, Apply returns a fresh page around the new payload — two
+// allocations per record — and readers still holding pg keep a whole,
+// consistent older version.
+//
+// Redo is idempotent: records at or below the page's LSN are skipped (pg
+// itself comes back, applied false), so a consumer may safely replay
+// overlapping log ranges.
+func Apply(pg *page.Page, rec *wal.Record) (next *page.Page, applied bool, err error) {
 	if !rec.IsPageOp() {
-		return false, fmt.Errorf("btree: record %v is not a page op", rec.Kind)
+		return pg, false, fmt.Errorf("btree: record %v is not a page op", rec.Kind)
 	}
 	if rec.Page != pg.ID {
-		return false, fmt.Errorf("btree: record for page %d applied to page %d", rec.Page, pg.ID)
+		return pg, false, fmt.Errorf("btree: record for page %d applied to page %d", rec.Page, pg.ID)
 	}
 	if rec.LSN.AtMost(pg.LSN) {
-		return false, nil // already reflected
+		return pg, false, nil // already reflected
 	}
-	switch rec.Kind {
-	case wal.KindPageImage:
-		pg.Type = rec.PageType
-		pg.Data = append([]byte(nil), rec.Value...)
-	case wal.KindCellPut:
-		n, err := decodeNode(pg.Data)
-		if err != nil {
-			return false, fmt.Errorf("btree: redo cell-put on page %d: %w", pg.ID, err)
-		}
-		n.put(append([]byte(nil), rec.Key...), append([]byte(nil), rec.Value...))
-		data, err := n.encode()
-		if err != nil {
-			return false, fmt.Errorf("btree: redo cell-put on page %d: %w", pg.ID, err)
-		}
-		pg.Data = data
-	case wal.KindCellDelete:
-		n, err := decodeNode(pg.Data)
-		if err != nil {
-			return false, fmt.Errorf("btree: redo cell-delete on page %d: %w", pg.ID, err)
-		}
-		n.remove(rec.Key)
-		data, err := n.encode()
-		if err != nil {
-			return false, fmt.Errorf("btree: redo cell-delete on page %d: %w", pg.ID, err)
-		}
-		pg.Data = data
-	default:
-		return false, fmt.Errorf("btree: unknown page op %v", rec.Kind)
+	if rec.Kind == wal.KindPageImage {
+		next, err := NewFormatted(rec)
+		return next, err == nil, err
 	}
-	pg.LSN = rec.LSN
-	return true, nil
+	v, err := parseView(pg.Data)
+	if err != nil {
+		return pg, false, fmt.Errorf("btree: redo %v on page %d: %w", rec.Kind, pg.ID, err)
+	}
+	var data []byte
+	if rec.Kind == wal.KindCellPut {
+		data, err = v.put(rec.Key, rec.Value)
+	} else {
+		data, _, err = v.remove(rec.Key)
+	}
+	if err != nil {
+		return pg, false, fmt.Errorf("btree: redo %v on page %d: %w", rec.Kind, pg.ID, err)
+	}
+	return &page.Page{ID: pg.ID, LSN: rec.LSN, Type: pg.Type, Data: data}, true, nil
 }
 
 // NewFormatted builds a page directly from a page-image record — used when
@@ -68,6 +61,6 @@ func NewFormatted(rec *wal.Record) (*page.Page, error) {
 		ID:   rec.Page,
 		LSN:  rec.LSN,
 		Type: rec.PageType,
-		Data: append([]byte(nil), rec.Value...),
+		Data: bytes.Clone(rec.Value),
 	}, nil
 }

@@ -46,7 +46,7 @@ func Create(pager Pager, log wal.Logger, txn uint64) (*Tree, error) {
 		return nil, err
 	}
 	t := &Tree{pager: pager, log: log, root: pg.ID}
-	if err := t.writeImage(txn, pg, &node{}, page.TypeLeaf); err != nil {
+	if err := t.writeImage(txn, pg.ID, page.TypeLeaf, EmptyNodePayload()); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -60,78 +60,96 @@ func Open(pager Pager, log wal.Logger, root page.ID) *Tree {
 // Root reports the root page ID.
 func (t *Tree) Root() page.ID { return t.root }
 
-// writeImage logs a whole-page image and installs it.
-func (t *Tree) writeImage(txn uint64, pg *page.Page, n *node, ty page.Type) error {
-	data, err := n.encode()
-	if err != nil {
-		return err
-	}
-	pg.Type = ty
-	pg.Data = data
-	lsn := t.log.Append(&wal.Record{
-		Txn: txn, Kind: wal.KindPageImage, Page: pg.ID, PageType: ty, Value: data,
-	})
-	pg.LSN = lsn
-	return t.pager.Write(pg)
+// install hands the pager the next version of a page. Pages are immutable
+// once read or written (DESIGN §16), so every change is a fresh Page around
+// the new payload, never an edit of the one the tree read.
+func (t *Tree) install(id page.ID, ty page.Type, lsn page.LSN, data []byte) error {
+	return t.pager.Write(&page.Page{ID: id, LSN: lsn, Type: ty, Data: data})
 }
 
-// writeCellPut logs a single cell upsert and installs the updated node.
-func (t *Tree) writeCellPut(txn uint64, pg *page.Page, n *node, key, value []byte) error {
+// writeImage logs a whole-page image and installs it.
+func (t *Tree) writeImage(txn uint64, id page.ID, ty page.Type, data []byte) error {
+	lsn := t.log.Append(&wal.Record{
+		Txn: txn, Kind: wal.KindPageImage, Page: id, PageType: ty, Value: data,
+	})
+	return t.install(id, ty, lsn, data)
+}
+
+// writeNode encodes a decoded node and logs and installs it as a page image.
+func (t *Tree) writeNode(txn uint64, id page.ID, ty page.Type, n *node) error {
 	data, err := n.encode()
 	if err != nil {
 		return err
 	}
-	pg.Data = data
+	return t.writeImage(txn, id, ty, data)
+}
+
+// writeCellPut logs a single cell upsert and installs data, the payload
+// that already reflects it.
+func (t *Tree) writeCellPut(txn uint64, pg *page.Page, data, key, value []byte) error {
 	lsn := t.log.Append(&wal.Record{
 		Txn: txn, Kind: wal.KindCellPut, Page: pg.ID, PageType: pg.Type,
 		Key: key, Value: value,
 	})
-	pg.LSN = lsn
-	return t.pager.Write(pg)
+	return t.install(pg.ID, pg.Type, lsn, data)
 }
 
-// writeCellDelete logs a cell removal and installs the updated node.
-func (t *Tree) writeCellDelete(txn uint64, pg *page.Page, n *node, key []byte) error {
-	data, err := n.encode()
-	if err != nil {
-		return err
-	}
-	pg.Data = data
+// writeCellDelete logs a cell removal and installs data, the payload that
+// already reflects it.
+func (t *Tree) writeCellDelete(txn uint64, pg *page.Page, data, key []byte) error {
 	lsn := t.log.Append(&wal.Record{
 		Txn: txn, Kind: wal.KindCellDelete, Page: pg.ID, PageType: pg.Type, Key: key,
 	})
-	pg.LSN = lsn
-	return t.pager.Write(pg)
+	return t.install(pg.ID, pg.Type, lsn, data)
 }
 
-// Get returns the value stored under key.
-func (t *Tree) Get(key []byte) ([]byte, bool, error) {
+// errNotCovered is the fence violation of a point traversal. Outlined so
+// Get's hot path carries no formatting.
+func errNotCovered(id page.ID) error {
+	return fmt.Errorf("%w: page %d does not cover key", ErrInconsistent, id)
+}
+
+// leafFor descends from the root to the leaf covering key, validating
+// fences on the way, and returns the leaf with its view.
+//
+//socrates:hotpath the descent of every Get and Delete; TestTreeGetAllocs
+func (t *Tree) leafFor(key []byte) (*page.Page, view, error) {
 	id := t.root
 	for {
 		pg, err := t.pager.Read(id)
 		if err != nil {
-			return nil, false, err
+			return nil, view{}, err
 		}
-		n, err := decodeNode(pg.Data)
+		v, err := parseView(pg.Data)
 		if err != nil {
-			return nil, false, err
+			return nil, view{}, err
 		}
-		if !n.covers(key) {
-			return nil, false, fmt.Errorf("%w: page %d does not cover key", ErrInconsistent, id)
+		if !v.covers(key) {
+			return nil, view{}, errNotCovered(id)
 		}
-		if pg.Type == page.TypeInternal {
-			id, err = n.childFor(key)
-			if err != nil {
-				return nil, false, err
-			}
-			continue
+		if pg.Type != page.TypeInternal {
+			return pg, v, nil
 		}
-		i, found := n.find(key)
-		if !found {
-			return nil, false, nil
+		if id, err = v.childFor(key); err != nil {
+			return nil, view{}, err
 		}
-		return append([]byte(nil), n.cells[i].value...), true, nil
 	}
+}
+
+// Get returns the value stored under key. The value is the caller's own
+// copy — the one allocation a lookup makes.
+//
+//socrates:hotpath every point read and every commit-time validation; TestTreeGetAllocs
+func (t *Tree) Get(key []byte) ([]byte, bool, error) {
+	_, v, err := t.leafFor(key)
+	if err != nil {
+		return nil, false, err
+	}
+	val, _, _, found, err := v.find(key)
+	if err != nil || !found {
+		return nil, false, err
+	}
+	return bytes.Clone(val), true, nil
 }
 
 // splitResult propagates a child split up the insertion path.
@@ -163,12 +181,12 @@ func (t *Tree) putRec(txn uint64, id page.ID, key, value []byte) (*splitResult, 
 	if err != nil {
 		return nil, err
 	}
-	n, err := decodeNode(pg.Data)
+	v, err := parseView(pg.Data)
 	if err != nil {
 		return nil, err
 	}
 	if pg.Type == page.TypeInternal {
-		child, err := n.childFor(key)
+		child, err := v.childFor(key)
 		if err != nil {
 			return nil, err
 		}
@@ -177,53 +195,43 @@ func (t *Tree) putRec(txn uint64, id page.ID, key, value []byte) (*splitResult, 
 			return nil, err
 		}
 		// Install the separator for the new right sibling.
-		n.put(split.key, encodeChild(split.right))
-		if n.encodedSize() <= page.MaxData {
-			if err := t.writeCellPut(txn, pg, n, split.key, encodeChild(split.right)); err != nil {
-				return nil, err
-			}
-			return nil, nil
-		}
-		return t.splitNode(txn, pg, n)
+		key, value = split.key, encodeChild(split.right)
 	}
-	// Leaf.
-	n.put(key, value)
-	if n.encodedSize() <= page.MaxData {
-		if err := t.writeCellPut(txn, pg, n, key, value); err != nil {
-			return nil, err
-		}
-		return nil, nil
+	data, err := v.put(key, value)
+	if err == nil {
+		return nil, t.writeCellPut(txn, pg, data, key, value)
 	}
-	return t.splitNode(txn, pg, n)
+	if !errors.Is(err, errOverflow) {
+		return nil, err
+	}
+	return t.splitNode(txn, pg, key, value)
 }
 
-// splitNode splits an overflowing node (already containing the new entry)
-// into the original page (left half) and a fresh right sibling, logging
-// page images for both.
-func (t *Tree) splitNode(txn uint64, pg *page.Page, n *node) (*splitResult, error) {
+// splitNode splits a node that key→value overflows into the original page
+// (left half) and a fresh right sibling, logging page images for both. This
+// is the one path that still materializes the node: both halves are encoded
+// afresh anyway.
+func (t *Tree) splitNode(txn uint64, pg *page.Page, key, value []byte) (*splitResult, error) {
+	n, err := decodeNode(pg.Data)
+	if err != nil {
+		return nil, err
+	}
+	n.put(key, value)
 	mid := splitPoint(n)
-	sep := append([]byte(nil), n.cells[mid].key...)
+	sep := n.cells[mid].key
 
-	right := &node{
-		lo:    sep,
-		hi:    n.hi,
-		cells: append([]cell(nil), n.cells[mid:]...),
-	}
-	left := &node{
-		lo:    n.lo,
-		hi:    sep,
-		cells: n.cells[:mid],
-	}
+	right := &node{lo: sep, hi: n.hi, cells: n.cells[mid:]}
+	left := &node{lo: n.lo, hi: sep, cells: n.cells[:mid]}
 	rpg, err := t.pager.Allocate(pg.Type)
 	if err != nil {
 		return nil, err
 	}
 	// Order matters for replicas applying a prefix: the right sibling must
 	// exist before the (rewritten) left half stops covering its keys.
-	if err := t.writeImage(txn, rpg, right, pg.Type); err != nil {
+	if err := t.writeNode(txn, rpg.ID, pg.Type, right); err != nil {
 		return nil, err
 	}
-	if err := t.writeImage(txn, pg, left, pg.Type); err != nil {
+	if err := t.writeNode(txn, pg.ID, pg.Type, left); err != nil {
 		return nil, err
 	}
 	return &splitResult{key: sep, right: rpg.ID}, nil
@@ -256,15 +264,12 @@ func (t *Tree) growRoot(txn uint64, split *splitResult) error {
 	if err != nil {
 		return err
 	}
-	leftNode, err := decodeNode(rootPg.Data)
-	if err != nil {
-		return err
-	}
 	leftPg, err := t.pager.Allocate(rootPg.Type)
 	if err != nil {
 		return err
 	}
-	if err := t.writeImage(txn, leftPg, leftNode, rootPg.Type); err != nil {
+	// The left half keeps its payload byte for byte; only its page changes.
+	if err := t.writeImage(txn, leftPg.ID, rootPg.Type, rootPg.Data); err != nil {
 		return err
 	}
 	newRoot := &node{
@@ -273,44 +278,26 @@ func (t *Tree) growRoot(txn uint64, split *splitResult) error {
 			{key: split.key, value: encodeChild(split.right)},
 		},
 	}
-	return t.writeImage(txn, rootPg, newRoot, page.TypeInternal)
+	return t.writeNode(txn, t.root, page.TypeInternal, newRoot)
 }
 
 // Delete removes key, reporting whether it was present. Underfull nodes are
 // not merged; space is reclaimed when pages are rewritten by later splits.
 func (t *Tree) Delete(txn uint64, key []byte) (bool, error) {
-	id := t.root
-	for {
-		pg, err := t.pager.Read(id)
-		if err != nil {
-			return false, err
-		}
-		n, err := decodeNode(pg.Data)
-		if err != nil {
-			return false, err
-		}
-		if !n.covers(key) {
-			return false, fmt.Errorf("%w: page %d does not cover key", ErrInconsistent, id)
-		}
-		if pg.Type == page.TypeInternal {
-			id, err = n.childFor(key)
-			if err != nil {
-				return false, err
-			}
-			continue
-		}
-		if !n.remove(key) {
-			return false, nil
-		}
-		if err := t.writeCellDelete(txn, pg, n, key); err != nil {
-			return false, err
-		}
-		return true, nil
+	pg, v, err := t.leafFor(key)
+	if err != nil {
+		return false, err
 	}
+	data, found, err := v.remove(key)
+	if err != nil || !found {
+		return false, err
+	}
+	return true, t.writeCellDelete(txn, pg, data, key)
 }
 
 // Scan streams entries with lo <= key < hi (nil hi = unbounded) in key
-// order until fn returns false.
+// order until fn returns false. The slices passed to fn alias the page and
+// must not be modified; copy what outlives the call.
 func (t *Tree) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	_, err := t.scanRec(t.root, lo, hi, fn)
 	return err
@@ -321,58 +308,66 @@ func (t *Tree) scanRec(id page.ID, lo, hi []byte, fn func(k, v []byte) bool) (bo
 	if err != nil {
 		return false, err
 	}
-	n, err := decodeNode(pg.Data)
+	v, err := parseView(pg.Data)
 	if err != nil {
 		return false, err
 	}
 	// Fence validation: the node must be able to contain the start of the
 	// requested range (clipped to the node's own lo).
 	start := lo
-	if bytes.Compare(n.lo, start) > 0 {
-		start = n.lo
+	if bytes.Compare(v.lo, start) > 0 {
+		start = v.lo
 	}
-	if len(start) > 0 && !n.covers(start) {
+	if len(start) > 0 && !v.covers(start) {
 		return false, fmt.Errorf("%w: page %d fence violation in scan", ErrInconsistent, id)
 	}
+	it := v.iter()
 	if pg.Type != page.TypeInternal {
-		for _, c := range n.cells {
-			if lo != nil && bytes.Compare(c.key, lo) < 0 {
+		for {
+			k, val, ok, err := it.next()
+			if err != nil || !ok {
+				return err == nil, err
+			}
+			if lo != nil && bytes.Compare(k, lo) < 0 {
 				continue
 			}
-			if hi != nil && bytes.Compare(c.key, hi) >= 0 {
+			if hi != nil && bytes.Compare(k, hi) >= 0 {
 				return false, nil
 			}
-			if !fn(c.key, c.value) {
+			if !fn(k, val) {
 				return false, nil
 			}
 		}
-		return true, nil
 	}
-	for i, c := range n.cells {
-		// Child i covers [c.key, nextKey).
-		var next []byte
-		if i+1 < len(n.cells) {
-			next = n.cells[i+1].key
-		} else {
-			next = n.hi
-		}
-		if hi != nil && len(c.key) > 0 && bytes.Compare(c.key, hi) >= 0 {
-			return false, nil
-		}
-		if lo != nil && len(next) > 0 && bytes.Compare(next, lo) <= 0 {
-			continue
-		}
-		child, err := decodeChild(c.value)
+	k, c, ok, err := it.next()
+	if err != nil {
+		return false, err
+	}
+	for ok {
+		// The child under k covers [k, next): next is the following cell's
+		// key, or the node's own hi fence for the last cell.
+		nk, nc, nok, err := it.next()
 		if err != nil {
 			return false, err
 		}
-		cont, err := t.scanRec(child, lo, hi, fn)
-		if err != nil {
-			return false, err
+		next := v.hi
+		if nok {
+			next = nk
 		}
-		if !cont {
+		if hi != nil && len(k) > 0 && bytes.Compare(k, hi) >= 0 {
 			return false, nil
 		}
+		if lo == nil || len(next) == 0 || bytes.Compare(next, lo) > 0 {
+			child, err := decodeChild(c)
+			if err != nil {
+				return false, err
+			}
+			cont, err := t.scanRec(child, lo, hi, fn)
+			if err != nil || !cont {
+				return false, err
+			}
+		}
+		k, c, ok = nk, nc, nok
 	}
 	return true, nil
 }

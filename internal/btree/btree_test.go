@@ -262,10 +262,11 @@ func TestReplicaConvergesViaApply(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Apply(pg, rec); err != nil {
+		npg, _, err := Apply(pg, rec)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := replica.Write(pg); err != nil {
+		if err := replica.Write(npg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -324,10 +325,11 @@ func TestApplyIsIdempotent(t *testing.T) {
 			} else if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := Apply(pg, rec); err != nil {
+			npg, _, err := Apply(pg, rec)
+			if err != nil {
 				t.Fatal(err)
 			}
-			_ = replica.Write(pg)
+			_ = replica.Write(npg)
 		}
 	}
 	replay()
@@ -344,10 +346,10 @@ func TestApplyIsIdempotent(t *testing.T) {
 func TestApplyRejectsWrongPage(t *testing.T) {
 	pg := page.New(1, page.TypeLeaf)
 	rec := &wal.Record{LSN: 5, Kind: wal.KindCellPut, Page: 2, Key: []byte("k")}
-	if _, err := Apply(pg, rec); err == nil {
+	if _, _, err := Apply(pg, rec); err == nil {
 		t.Fatal("cross-page apply accepted")
 	}
-	if _, err := Apply(pg, &wal.Record{LSN: 5, Kind: wal.KindTxnCommit, Page: 1}); err == nil {
+	if _, _, err := Apply(pg, &wal.Record{LSN: 5, Kind: wal.KindTxnCommit, Page: 1}); err == nil {
 		t.Fatal("non-page op accepted")
 	}
 }
@@ -357,8 +359,8 @@ func TestApplySkipsOldRecords(t *testing.T) {
 	data, _ := n.encode()
 	pg := &page.Page{ID: 1, LSN: 100, Type: page.TypeLeaf, Data: data}
 	rec := &wal.Record{LSN: 50, Kind: wal.KindCellPut, Page: 1, Key: []byte("k"), Value: []byte("v")}
-	applied, err := Apply(pg, rec)
-	if err != nil || applied {
+	npg, applied, err := Apply(pg, rec)
+	if err != nil || applied || npg != pg {
 		t.Fatalf("old record applied: %v %v", applied, err)
 	}
 	if pg.LSN != 100 {
@@ -397,8 +399,7 @@ func TestFenceViolationDetected(t *testing.T) {
 	n.hi = mid
 	n.cells = n.cells[:len(n.cells)/2]
 	data, _ := n.encode()
-	victim.Data = data
-	_ = pager.Write(victim)
+	_ = pager.Write(&page.Page{ID: victim.ID, LSN: victim.LSN, Type: victim.Type, Data: data})
 
 	_, _, err := tree.Get(probe)
 	if !errors.Is(err, ErrInconsistent) {

@@ -1,6 +1,8 @@
 package btree
 
 import (
+	"bytes"
+
 	"socrates/internal/page"
 )
 
@@ -9,61 +11,53 @@ import (
 // cells keyed by slot number, so its pages replicate through the very same
 // redo path as B-tree pages).
 
-// LookupCell returns the value stored under key in the page's cell area.
+// LookupCell returns a copy of the value stored under key in the page's
+// cell area.
 func LookupCell(pg *page.Page, key []byte) ([]byte, bool, error) {
-	n, err := decodeNode(pg.Data)
+	v, err := parseView(pg.Data)
 	if err != nil {
 		return nil, false, err
 	}
-	i, found := n.find(key)
-	if !found {
-		return nil, false, nil
+	val, _, _, found, err := v.find(key)
+	if err != nil || !found {
+		return nil, false, err
 	}
-	return append([]byte(nil), n.cells[i].value...), true, nil
+	return bytes.Clone(val), true, nil
 }
 
 // CellCount reports how many cells the page holds.
 func CellCount(pg *page.Page) (int, error) {
-	n, err := decodeNode(pg.Data)
-	if err != nil {
-		return 0, err
-	}
-	return len(n.cells), nil
+	v, err := parseView(pg.Data)
+	return v.count, err
 }
 
 // PayloadSize reports the encoded size of the page's cell area, used to
 // decide when an append-structured page is full.
 func PayloadSize(pg *page.Page) (int, error) {
-	n, err := decodeNode(pg.Data)
-	if err != nil {
-		return 0, err
-	}
-	return n.encodedSize(), nil
+	_, err := parseView(pg.Data)
+	return len(pg.Data), err
 }
 
 // EmptyNodePayload returns the encoding of an empty, unbounded node — the
 // initial payload for a freshly formatted cell-structured page.
 func EmptyNodePayload() []byte {
-	data, err := (&node{}).encode()
-	if err != nil {
-		panic("btree: empty node must encode: " + err.Error())
-	}
-	return data
+	return make([]byte, 6) // loLen 0 | hiLen 0 | count 0
 }
 
 // CellOverhead is the per-cell encoding overhead beyond key and value bytes.
 const CellOverhead = 6
 
 // RangeCells calls fn for each cell in key order until fn returns false.
+// The slices passed to fn alias the page and must not be modified.
 func RangeCells(pg *page.Page, fn func(key, value []byte) bool) error {
-	n, err := decodeNode(pg.Data)
+	v, err := parseView(pg.Data)
 	if err != nil {
 		return err
 	}
-	for _, c := range n.cells {
-		if !fn(c.key, c.value) {
-			return nil
+	for it := v.iter(); ; {
+		k, val, ok, err := it.next()
+		if err != nil || !ok || !fn(k, val) {
+			return err
 		}
 	}
-	return nil
 }

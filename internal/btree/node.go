@@ -37,32 +37,20 @@ type cell struct {
 	value []byte
 }
 
-// node is the decoded form of a B-tree page payload.
+// node is the decoded form of a B-tree page payload. Reads, cell edits and
+// redo work on the encoded payload through a view; a node is materialized
+// only where a page is rebuilt from its cells (splits, the new root) — and
+// by tests, which use this codec as the oracle for the view.
 type node struct {
 	lo, hi []byte // fence keys: node covers [lo, hi); empty hi = +infinity
 	cells  []cell // sorted by key
-}
-
-// hiUnbounded reports whether the node's range extends to +infinity.
-func (n *node) hiUnbounded() bool { return len(n.hi) == 0 }
-
-// covers reports whether key falls inside the node's fence interval.
-// An empty lo fence means -infinity.
-func (n *node) covers(key []byte) bool {
-	if len(n.lo) > 0 && bytes.Compare(key, n.lo) < 0 {
-		return false
-	}
-	if !n.hiUnbounded() && bytes.Compare(key, n.hi) >= 0 {
-		return false
-	}
-	return true
 }
 
 // encodedSize reports the payload size encode will produce.
 func (n *node) encodedSize() int {
 	size := 2 + len(n.lo) + 2 + len(n.hi) + 2
 	for _, c := range n.cells {
-		size += 2 + len(c.key) + 4 + len(c.value)
+		size += CellOverhead + len(c.key) + len(c.value)
 	}
 	return size
 }
@@ -83,10 +71,7 @@ func (n *node) encode() ([]byte, error) {
 	buf = append(buf, n.hi...)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(n.cells)))
 	for _, c := range n.cells {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(c.key)))
-		buf = append(buf, c.key...)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.value)))
-		buf = append(buf, c.value...)
+		buf = appendCell(buf, c.key, c.value)
 	}
 	return buf, nil
 }
@@ -169,32 +154,6 @@ func (n *node) put(key, value []byte) {
 	n.cells = append(n.cells, cell{})
 	copy(n.cells[i+1:], n.cells[i:])
 	n.cells[i] = cell{key: key, value: value}
-}
-
-// remove deletes key, reporting whether it was present.
-func (n *node) remove(key []byte) bool {
-	i, found := n.find(key)
-	if !found {
-		return false
-	}
-	n.cells = append(n.cells[:i], n.cells[i+1:]...)
-	return true
-}
-
-// childFor returns the child page an internal node routes key to. The
-// first cell of an internal node always has an empty key (covers -inf).
-func (n *node) childFor(key []byte) (page.ID, error) {
-	if len(n.cells) == 0 {
-		return page.InvalidID, fmt.Errorf("%w: empty internal node", ErrCorrupt)
-	}
-	// Last cell whose key <= search key.
-	i := sort.Search(len(n.cells), func(i int) bool {
-		return bytes.Compare(n.cells[i].key, key) > 0
-	})
-	if i == 0 {
-		return page.InvalidID, fmt.Errorf("%w: key below first separator", ErrCorrupt)
-	}
-	return decodeChild(n.cells[i-1].value)
 }
 
 func encodeChild(id page.ID) []byte {

@@ -121,7 +121,8 @@ func (f *RemotePageFile) minLSN(id page.ID) page.LSN {
 	return f.floor()
 }
 
-// Read returns the page from cache, or fetches it via GetPage@LSN.
+// Read returns the page from cache, or fetches it via GetPage@LSN. Either
+// way the page is the cache's own: shared and immutable (DESIGN §16).
 func (f *RemotePageFile) Read(id page.ID) (*page.Page, error) {
 	return f.ReadContext(context.Background(), id)
 }
@@ -203,7 +204,7 @@ func (f *RemotePageFile) fetch(ctx context.Context, id page.ID) (*page.Page, err
 	f.pending[id] = nil
 	f.mu.Unlock()
 	for _, rec := range queued {
-		if _, err := btree.Apply(pg, rec); err != nil {
+		if pg, _, err = btree.Apply(pg, rec); err != nil {
 			return nil, err
 		}
 	}
@@ -324,8 +325,8 @@ func (f *RemotePageFile) OffloadScanContext(ctx context.Context, start page.ID, 
 	return pageserver.DecodeScanResult(resp.Payload)
 }
 
-// Write installs a page version in the local cache (the durable copy is
-// the log; page servers converge by applying it).
+// Write installs a page version in the local cache, which takes ownership
+// of it (the durable copy is the log; page servers converge by applying it).
 func (f *RemotePageFile) Write(pg *page.Page) error {
 	return f.cache.Put(pg)
 }
@@ -360,14 +361,11 @@ func (f *RemotePageFile) ApplyIfCached(rec *wal.Record) (bool, error) {
 		}
 		return false, nil
 	}
-	applied, err := btree.Apply(pg, rec)
-	if err != nil {
+	next, applied, err := btree.Apply(pg, rec)
+	if err != nil || !applied {
 		return false, err
 	}
-	if applied {
-		return true, f.cache.Put(pg)
-	}
-	return false, nil
+	return true, f.cache.Put(next)
 }
 
 var _ fcb.PageFile = (*RemotePageFile)(nil)

@@ -145,13 +145,11 @@ func Create(cfg Config) (*Engine, error) {
 	e.next = uint64(MetaPage) + 1
 
 	// Format the catalog page.
-	meta := page.New(MetaPage, page.TypeMeta)
 	payload := btree.EmptyNodePayload()
 	rec := &wal.Record{Kind: wal.KindPageImage, Page: MetaPage,
 		PageType: page.TypeMeta, Value: payload}
 	lsn := cfg.Log.Append(rec)
-	meta.Data = payload
-	meta.LSN = lsn
+	meta := &page.Page{ID: MetaPage, LSN: lsn, Type: page.TypeMeta, Data: payload}
 	if err := cfg.Pages.Write(meta); err != nil {
 		return nil, err
 	}
@@ -289,10 +287,11 @@ func (e *Engine) metaPutLocked(key string, val uint64) error {
 	rec := &wal.Record{Kind: wal.KindCellPut, Page: MetaPage,
 		PageType: page.TypeMeta, Key: []byte(key), Value: buf[:]}
 	e.cfg.Log.Append(rec)
-	if _, err := btree.Apply(meta, rec); err != nil {
+	next, _, err := btree.Apply(meta, rec)
+	if err != nil {
 		return err
 	}
-	return e.cfg.Pages.Write(meta)
+	return e.cfg.Pages.Write(next)
 }
 
 func lookupU64(meta *page.Page, key string) (uint64, bool, error) {

@@ -478,7 +478,8 @@ func TestReplicaConvergence(t *testing.T) {
 			} else if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := btree.Apply(pg, rec); err != nil {
+			pg, _, err = btree.Apply(pg, rec)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if err := replicaPages.Write(pg); err != nil {

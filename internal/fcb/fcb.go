@@ -24,6 +24,11 @@ import (
 var ErrNotFound = errors.New("fcb: page not found")
 
 // PageFile is the engine's view of page storage.
+//
+// Pages crossing this interface are immutable (page.Page, DESIGN §16): Read
+// may return the very page a cache holds, shared with every other reader,
+// and Write takes ownership of the page it is given. To change a page, build
+// a new one and Write it.
 type PageFile interface {
 	// Read returns the current version of the page. Implementations
 	// backed by remote storage block until they can serve a version at
@@ -45,7 +50,7 @@ func NewMemFile() *MemFile {
 	return &MemFile{pages: make(map[page.ID]*page.Page)}
 }
 
-// Read returns a copy of the page.
+// Read returns the stored page itself, shared and immutable.
 func (f *MemFile) Read(id page.ID) (*page.Page, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -53,14 +58,14 @@ func (f *MemFile) Read(id page.ID) (*page.Page, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: page %d", ErrNotFound, id)
 	}
-	return pg.Clone(), nil
+	return pg, nil
 }
 
-// Write stores a copy of the page.
+// Write takes ownership of the page and stores it.
 func (f *MemFile) Write(pg *page.Page) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.pages[pg.ID] = pg.Clone()
+	f.pages[pg.ID] = pg
 	return nil
 }
 
@@ -76,7 +81,7 @@ func (f *MemFile) Range(fn func(*page.Page) bool) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	for _, pg := range f.pages {
-		if !fn(pg.Clone()) {
+		if !fn(pg) {
 			return
 		}
 	}

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"testing"
 
+	"socrates/internal/btree"
 	"socrates/internal/page"
 	"socrates/internal/simdisk"
+	"socrates/internal/wal"
 )
 
 func TestMemFileRoundTrip(t *testing.T) {
@@ -30,19 +32,48 @@ func TestMemFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMemFileIsolation(t *testing.T) {
-	f := NewMemFile()
-	pg := &page.Page{ID: 1, Type: page.TypeLeaf, Data: []byte("abc")}
-	_ = f.Write(pg)
-	pg.Data[0] = 'X'
-	got, _ := f.Read(1)
-	if got.Data[0] != 'a' {
-		t.Fatal("Write aliased caller buffer")
+// TestCachePagesImmutable is the ownership rule (DESIGN §16) at the FCB
+// layer: a page held from Read keeps its bytes and LSN while redo installs
+// newer versions of the same ID, on the in-memory and the disk-backed file.
+func TestCachePagesImmutable(t *testing.T) {
+	disk, err := OpenDisk(simdisk.New(simdisk.Instant))
+	if err != nil {
+		t.Fatal(err)
 	}
-	got.Data[0] = 'Y'
-	again, _ := f.Read(1)
-	if again.Data[0] != 'a' {
-		t.Fatal("Read leaked internal buffer")
+	for name, f := range map[string]PageFile{"mem": NewMemFile(), "disk": disk} {
+		first := &page.Page{ID: 7, LSN: 1, Type: page.TypeLeaf, Data: btree.EmptyNodePayload()}
+		if err := f.Write(first); err != nil {
+			t.Fatal(err)
+		}
+		held, err := f.Read(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "mem" && held != first {
+			t.Fatal("MemFile.Read did not return the stored page")
+		}
+		want := held.Clone()
+		for i := 0; i < 50; i++ {
+			cur, err := f.Read(7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := &wal.Record{LSN: cur.LSN.Next(), Kind: wal.KindCellPut, Page: 7,
+				Key: []byte{byte('a' + i%20)}, Value: []byte{byte(i)}}
+			next, applied, err := btree.Apply(cur, rec)
+			if err != nil || !applied {
+				t.Fatalf("%s: redo %d: %v %v", name, i, applied, err)
+			}
+			if err := f.Write(next); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if held.LSN != want.LSN || !bytes.Equal(held.Data, want.Data) {
+			t.Fatalf("%s: held page changed under redo: lsn %d -> %d", name, want.LSN, held.LSN)
+		}
+		if cur, _ := f.Read(7); cur.LSN != 51 {
+			t.Fatalf("%s: current version at lsn %d, want 51", name, cur.LSN)
+		}
 	}
 }
 

@@ -41,29 +41,30 @@ func newBufferedFile(dev *simdisk.Device) (*bufferedFile, error) {
 	return f, nil
 }
 
-// Read serves from memory (the full copy), falling back to disk once.
+// Read serves from memory (the full copy), falling back to disk once. The
+// page is the stored one, shared and immutable (DESIGN §16).
 func (f *bufferedFile) Read(id page.ID) (*page.Page, error) {
 	f.mu.Lock()
-	if pg, ok := f.mem[id]; ok {
-		c := pg.Clone()
-		f.mu.Unlock()
-		return c, nil
-	}
+	pg, ok := f.mem[id]
 	f.mu.Unlock()
+	if ok {
+		return pg, nil
+	}
 	pg, err := f.disk.Read(id)
 	if err != nil {
 		return nil, err
 	}
 	f.mu.Lock()
-	f.mem[id] = pg.Clone()
+	f.mem[id] = pg
 	f.mu.Unlock()
 	return pg, nil
 }
 
-// Write installs the page in memory and schedules the disk write-back.
+// Write takes ownership of the page, installs it in memory and schedules
+// the disk write-back.
 func (f *bufferedFile) Write(pg *page.Page) error {
 	f.mu.Lock()
-	f.mem[pg.ID] = pg.Clone()
+	f.mem[pg.ID] = pg
 	f.dirty[pg.ID] = struct{}{}
 	f.mu.Unlock()
 	return nil
@@ -95,7 +96,7 @@ func (f *bufferedFile) flushOnce() error {
 	batch := make([]*page.Page, 0, len(f.dirty))
 	for id := range f.dirty {
 		if pg, ok := f.mem[id]; ok {
-			batch = append(batch, pg.Clone())
+			batch = append(batch, pg)
 		}
 		delete(f.dirty, id)
 	}

@@ -358,9 +358,9 @@ func (n *Node) applyBlock(b *wal.Block) {
 			} else if err != nil {
 				continue
 			}
-			if applied, err := btree.Apply(pg, rec); err == nil && applied {
+			if next, applied, err := btree.Apply(pg, rec); err == nil && applied {
 				//socrates:ignore-err bufferedFile.Write is an in-memory install that cannot fail; disk write-back errors are retried by its flusher
-				_ = n.pages.Write(pg)
+				_ = n.pages.Write(next)
 			}
 		}
 	}

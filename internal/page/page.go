@@ -152,6 +152,13 @@ func checksum(buf []byte, n int) uint32 {
 }
 
 // Page is the in-memory representation of one database page.
+//
+// Ownership (DESIGN §16): a page is immutable from the moment it is handed
+// to a Write/Put or returned by a Read/Get. Caches and page files store and
+// return the same pointer, so any number of readers may hold a page while a
+// writer installs its successor; whoever changes a page builds a new Page
+// around a new payload. Only a page its creator has not yet published may
+// be filled in field by field.
 type Page struct {
 	ID   ID
 	LSN  LSN
@@ -164,7 +171,8 @@ func New(id ID, t Type) *Page {
 	return &Page{ID: id, Type: t}
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy, for the rare caller that wants a page it may
+// edit; the page path itself never clones.
 func (p *Page) Clone() *Page {
 	c := *p
 	c.Data = append([]byte(nil), p.Data...)
@@ -217,7 +225,9 @@ func (p *Page) AppendEncode(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// Decode parses and verifies a page image produced by Encode.
+// Decode parses and verifies a page image produced by Encode. The page's
+// payload aliases buf — one buffer from the device or the wire to the
+// reader — so the caller gives buf up: it must not be written again.
 func Decode(buf []byte) (*Page, error) {
 	if len(buf) != Size {
 		return nil, fmt.Errorf("page: image is %d bytes, want %d", len(buf), Size)
@@ -238,7 +248,7 @@ func Decode(buf []byte) (*Page, error) {
 		ID:   ID(binary.LittleEndian.Uint64(buf[4:12])),
 		LSN:  LSN(binary.LittleEndian.Uint64(buf[12:20])),
 		Type: Type(buf[20]),
-		Data: append([]byte(nil), buf[HeaderSize:HeaderSize+n]...),
+		Data: buf[HeaderSize : HeaderSize+n : HeaderSize+n],
 	}
 	return p, nil
 }

@@ -46,8 +46,8 @@ func TestGetPageAllocs(t *testing.T) {
 // TestApplyFeedAllocs is the allocation contract for the per-record apply
 // path. The touched map and target page are warm — exactly the state of a
 // batch coalescing many records onto one hot page — so the measured cost
-// is btree redo itself (node decode, cell copy, re-encode), not batch
-// bookkeeping.
+// is btree redo itself (the spliced payload and the new page around it),
+// not batch bookkeeping.
 func TestApplyFeedAllocs(t *testing.T) {
 	testutil.SkipIfRace(t)
 
@@ -86,9 +86,7 @@ func TestApplyFeedAllocs(t *testing.T) {
 		}
 		i++
 	})
-	// Redo currently re-decodes and re-encodes the node per record; the
-	// budget pins that cost so it cannot silently grow.
-	const budget = 16
+	const budget = 4
 	t.Logf("apply record: %.1f allocs/op (budget %d)", avg, budget)
 	if avg > budget {
 		t.Fatalf("apply record: %.1f allocs/op, budget %d", avg, budget)

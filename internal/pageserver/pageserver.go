@@ -421,9 +421,11 @@ func (s *Server) applyRecordTo(touched map[page.ID]*page.Page, rec *wal.Record) 
 			}
 			pg = fetched
 		}
-		touched[rec.Page] = pg
 	}
-	_, err := btree.Apply(pg, rec)
+	// Redo never edits pg — a GetPage@LSN reader may hold it — but yields
+	// the next version, which replaces it in the batch.
+	next, _, err := btree.Apply(pg, rec)
+	touched[rec.Page] = next
 	return err
 }
 

@@ -82,9 +82,14 @@ type Cache struct {
 	cfg  Config
 	meta *hekaton.Table
 
-	mu       sync.Mutex
-	mem      map[page.ID]*memEntry
-	memLRU   *list.List // front = most recent; values are page.ID
+	mu     sync.Mutex
+	mem    map[page.ID]*memEntry
+	memLRU *list.List // front = most recent; values are page.ID
+	// demoting holds pages that left the memory tier and whose SSD write is
+	// still in flight. Until it lands the SSD slot holds an older image (or
+	// none), so Get serves these from here: a reader must never promote that
+	// older image over the version being written.
+	demoting map[page.ID]*page.Page
 	ssd      map[page.ID]*ssdEntry
 	ssdLRU   *list.List // sparse mode only
 	free     []int
@@ -105,11 +110,12 @@ func Open(cfg Config) (*Cache, error) {
 		return nil, errors.New("rbpex: covering cache needs SSDPages")
 	}
 	c := &Cache{
-		cfg:    cfg,
-		mem:    make(map[page.ID]*memEntry),
-		memLRU: list.New(),
-		ssd:    make(map[page.ID]*ssdEntry),
-		ssdLRU: list.New(),
+		cfg:      cfg,
+		mem:      make(map[page.ID]*memEntry),
+		memLRU:   list.New(),
+		demoting: make(map[page.ID]*page.Page),
+		ssd:      make(map[page.ID]*ssdEntry),
+		ssdLRU:   list.New(),
 	}
 	if cfg.SSDPages > 0 {
 		if cfg.SSD == nil || cfg.Meta == nil {
@@ -181,14 +187,21 @@ func decodeMetaKey(key string) (page.ID, bool) {
 // slotFor computes the SSD slot for a page in covering mode.
 func (c *Cache) slotFor(id page.ID) int { return int(id - c.cfg.Base) }
 
-// Get returns a copy of the cached page and whether it was found. Memory
-// hits cost nothing; SSD hits pay one SSD read and promote the page to the
+// Get returns the cached page and whether it was found. The page is the
+// cache's own, shared with every other reader and immutable (DESIGN §16):
+// a memory hit hands out the stored pointer and copies nothing. SSD hits
+// pay one SSD read, decode in that buffer, and promote the page to the
 // memory tier.
 func (c *Cache) Get(id page.ID) (*page.Page, bool) {
 	c.mu.Lock()
 	if e, ok := c.mem[id]; ok {
 		c.memLRU.MoveToFront(e.elt)
-		pg := e.pg.Clone()
+		pg := e.pg
+		c.mu.Unlock()
+		c.memHits.Inc()
+		return pg, true
+	}
+	if pg, ok := c.demoting[id]; ok {
 		c.mu.Unlock()
 		c.memHits.Inc()
 		return pg, true
@@ -222,7 +235,7 @@ func (c *Cache) Get(id page.ID) (*page.Page, bool) {
 		return nil, false
 	}
 	c.ssdHits.Inc()
-	c.promote(pg.Clone())
+	c.promote(pg)
 	return pg, true
 }
 
@@ -248,18 +261,34 @@ func (c *Cache) Contains(id page.ID) bool {
 	return inMem || inSSD
 }
 
-// Put inserts or updates the page in the memory tier (storing a private
-// copy), evicting as needed.
-func (c *Cache) Put(pg *page.Page) error {
-	return c.put(pg.Clone())
-}
+// Put inserts or updates the page in the memory tier, evicting as needed.
+// The cache takes ownership: the caller must not modify pg afterwards.
+func (c *Cache) Put(pg *page.Page) error { return c.put(pg, false) }
 
 // promote is Put for pages read back from the SSD tier.
 //
 //socrates:ignore-err promotion only refreshes the memory tier; the SSD copy just read remains authoritative, so a failed promote costs one re-read
-func (c *Cache) promote(pg *page.Page) { _ = c.put(pg) }
+func (c *Cache) promote(pg *page.Page) { _ = c.put(pg, true) }
 
-func (c *Cache) put(pg *page.Page) error {
+// supersededLocked reports whether the cache already holds the page in a
+// version at least as new as the SSD image pg. The SSD read behind a
+// promotion runs without the lock, so a newer version may meanwhile have
+// been Put (resident), evicted again (in flight to SSD), or landed on SSD;
+// installing pg then would shadow it in the memory tier. Caller holds c.mu.
+func (c *Cache) supersededLocked(pg *page.Page) bool {
+	if _, resident := c.mem[pg.ID]; resident {
+		return true
+	}
+	if _, inFlight := c.demoting[pg.ID]; inFlight {
+		return true
+	}
+	e, onSSD := c.ssd[pg.ID]
+	return onSSD && e.lsn.After(pg.LSN)
+}
+
+// put installs pg in the memory tier; a promotion that lost the race to a
+// newer version is dropped (the reader keeps its older, consistent image).
+func (c *Cache) put(pg *page.Page, promotion bool) error {
 	// Covering caches are dense: the SSD tier holds every page at all
 	// times (range reads and recovery depend on it), so puts write
 	// through. demote skips the I/O when the SSD copy is already current.
@@ -270,6 +299,10 @@ func (c *Cache) put(pg *page.Page) error {
 	}
 	var evicted []*page.Page
 	c.mu.Lock()
+	if promotion && c.supersededLocked(pg) {
+		c.mu.Unlock()
+		return nil
+	}
 	if e, ok := c.mem[pg.ID]; ok {
 		e.pg = pg
 		c.memLRU.MoveToFront(e.elt)
@@ -285,22 +318,29 @@ func (c *Cache) put(pg *page.Page) error {
 			delete(c.mem, id)
 			// Record the eviction atomically with the removal from the
 			// memory tier — even when the page is headed for the SSD
-			// tier, because it is unfindable while the demotion I/O is
-			// in flight and a concurrent miss must still learn its LSN
-			// ("the highest LSN for every page evicted", §4.4).
+			// tier, because a failed demotion write drops it from the
+			// cache and a later miss must still learn its LSN ("the
+			// highest LSN for every page evicted", §4.4).
 			c.notifyEvictLocked(id, ve.pg.LSN)
 			if c.cfg.SSDPages > 0 || c.cfg.Covering {
 				evicted = append(evicted, ve.pg)
+				c.demoting[id] = ve.pg
 			}
 		}
 	}
 	c.mu.Unlock()
+	var err error
 	for _, v := range evicted {
-		if err := c.demote(v); err != nil {
-			return err
+		if err == nil {
+			err = c.demote(v)
 		}
+		c.mu.Lock()
+		if c.demoting[v.ID] == v {
+			delete(c.demoting, v.ID)
+		}
+		c.mu.Unlock()
 	}
-	return nil
+	return err
 }
 
 // demote moves a page evicted from memory into the SSD tier (or out of the
@@ -415,7 +455,7 @@ func (c *Cache) Seed(pg *page.Page) error {
 	if c.cfg.SSDPages == 0 {
 		return errors.New("rbpex: Seed requires an SSD tier")
 	}
-	return c.demote(pg.Clone())
+	return c.demote(pg)
 }
 
 // FlushAll demotes every memory-tier page to the SSD tier (clean shutdown),
@@ -457,14 +497,13 @@ func (c *Cache) ReadRange(start page.ID, n int) ([]*page.Page, error) {
 	for i := 0; i < n; i++ {
 		id := start + page.ID(i)
 		c.mu.Lock()
-		me, inMem := c.mem[id]
-		var memCopy *page.Page
-		if inMem {
-			memCopy = me.pg.Clone()
+		var hot *page.Page
+		if me, ok := c.mem[id]; ok {
+			hot = me.pg
 		}
 		c.mu.Unlock()
-		if inMem {
-			out = append(out, memCopy)
+		if hot != nil {
+			out = append(out, hot)
 			continue
 		}
 		pg, err := page.Decode(buf[i*page.Size : (i+1)*page.Size])
@@ -505,14 +544,13 @@ func (c *Cache) ReadRangeAvailable(start page.ID, n int) ([]*page.Page, error) {
 	for i := 0; i < n; i++ {
 		id := start + page.ID(i)
 		c.mu.Lock()
-		me, inMem := c.mem[id]
-		var memCopy *page.Page
-		if inMem {
-			memCopy = me.pg.Clone()
+		var hot *page.Page
+		if me, ok := c.mem[id]; ok {
+			hot = me.pg
 		}
 		c.mu.Unlock()
-		if inMem {
-			out = append(out, memCopy)
+		if hot != nil {
+			out = append(out, hot)
 			continue
 		}
 		pg, err := page.Decode(buf[i*page.Size : (i+1)*page.Size])

@@ -1,12 +1,15 @@
 package rbpex
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 
+	"socrates/internal/btree"
 	"socrates/internal/page"
 	"socrates/internal/simdisk"
+	"socrates/internal/wal"
 )
 
 func mkPage(id page.ID, lsn page.LSN, marker byte) *page.Page {
@@ -56,19 +59,103 @@ func TestMiss(t *testing.T) {
 	}
 }
 
-func TestPutStoresCopy(t *testing.T) {
-	c, _ := sparseCache(t, 4, 0)
-	pg := mkPage(1, 1, 'a')
-	_ = c.Put(pg)
-	pg.Data[0] = 'Z' // caller mutates after Put
-	got, _ := c.Get(1)
-	if got.Data[0] != 'a' {
-		t.Fatal("cache aliased caller's page")
+// TestCachePagesImmutable is the ownership rule (DESIGN §16) from the
+// reader's side: a page held from Get keeps its bytes and LSN while redo,
+// eviction to SSD and promotion churn the same page ID underneath it. The
+// memory tier hands out its own pointer, so under -race any in-place edit
+// anywhere on the path is also a reported data race with the holders.
+func TestCachePagesImmutable(t *testing.T) {
+	c, _ := sparseCache(t, 2, 8)
+	const id = page.ID(1)
+	if err := c.Put(&page.Page{ID: id, LSN: 1, Type: page.TypeLeaf, Data: btree.EmptyNodePayload()}); err != nil {
+		t.Fatal(err)
 	}
-	got.Data[0] = 'Y' // reader mutates the returned copy
-	again, _ := c.Get(1)
-	if again.Data[0] != 'a' {
-		t.Fatal("Get leaked internal page")
+	first, ok := c.Get(id)
+	if !ok {
+		t.Fatal("page missing after Put")
+	}
+	if again, _ := c.Get(id); again != first {
+		t.Fatal("memory hit did not return the stored page")
+	}
+
+	// hold takes the current version and returns a check that it is still
+	// what it was.
+	hold := func() func() {
+		pg, ok := c.Get(id)
+		if !ok {
+			t.Error("page vanished from a cache with an SSD tier")
+			return func() {}
+		}
+		want := pg.Clone()
+		return func() {
+			if pg.LSN != want.LSN || !bytes.Equal(pg.Data, want.Data) {
+				t.Errorf("held page changed: lsn %d -> %d", want.LSN, pg.LSN)
+			}
+		}
+	}
+	checkFirst := hold()
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var checks []func()
+			for {
+				select {
+				case <-stop:
+					for _, check := range checks {
+						check()
+					}
+					return
+				default:
+					checks = append(checks, hold())
+				}
+			}
+		}()
+	}
+	// One writer, as on every tier: redo onto the page, then traffic on
+	// other IDs that pushes it out to the SSD tier and back.
+	for i := 0; i < 300; i++ {
+		cur, ok := c.Get(id) // promotes when the page sits on SSD
+		if !ok {
+			t.Fatal("page vanished")
+		}
+		rec := &wal.Record{LSN: cur.LSN.Next(), Kind: wal.KindCellPut, Page: id,
+			Key: []byte(fmt.Sprintf("k%03d", i%40)), Value: []byte(fmt.Sprintf("v%d", i))}
+		next, applied, err := btree.Apply(cur, rec)
+		if err != nil || !applied || next == cur {
+			t.Fatalf("redo %d: applied %v err %v", i, applied, err)
+		}
+		if err := c.Put(next); err != nil {
+			t.Fatal(err)
+		}
+		for other := page.ID(2); other <= 4; other++ {
+			if err := c.Put(mkPage(other, page.LSN(i+1), byte(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	checkFirst()
+	if first.LSN != 1 || !bytes.Equal(first.Data, btree.EmptyNodePayload()) {
+		t.Fatalf("the first version changed: lsn %d, %d payload bytes", first.LSN, len(first.Data))
+	}
+	if cur, _ := c.Get(id); cur.LSN != 301 {
+		t.Fatalf("current version at lsn %d, want 301", cur.LSN)
+	}
+}
+
+// TestPromoteKeepsNewerResident: the SSD read of a promotion runs without
+// the lock, so a Put may land first; the stale image must not shadow it.
+func TestPromoteKeepsNewerResident(t *testing.T) {
+	c, _ := sparseCache(t, 4, 8)
+	_ = c.Put(mkPage(1, 20, 'n'))
+	c.promote(mkPage(1, 10, 'o'))
+	if pg, _ := c.Get(1); pg.LSN != 20 || pg.Data[0] != 'n' {
+		t.Fatalf("promotion displaced the resident page: %+v", pg)
 	}
 }
 

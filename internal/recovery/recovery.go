@@ -71,13 +71,13 @@ func (r *Replayer) ApplyRecord(rec *wal.Record, stopLSN page.LSN) error {
 		} else if err != nil {
 			return err
 		}
-		applied, err := btree.Apply(pg, rec)
+		next, applied, err := btree.Apply(pg, rec)
 		if err != nil {
 			return fmt.Errorf("recovery: redo at LSN %d: %w", rec.LSN, err)
 		}
 		if applied {
 			r.records++
-			if err := r.pages.Write(pg); err != nil {
+			if err := r.pages.Write(next); err != nil {
 				return err
 			}
 		}

@@ -303,7 +303,7 @@ func (r *Replicated) Reconcile() (repaired int64, err error) {
 			}
 			buf := make([]byte, e.end-e.off)
 			r.replicas[src].mu.Lock()
-			copy(buf, r.replicas[src].data[e.off:e.end])
+			r.replicas[src].copyOut(buf, e.off)
 			r.replicas[src].mu.Unlock()
 			// writeRaw respects outage injection: a still-dark replica
 			// refuses the repair and the miss stays recorded.

@@ -166,8 +166,12 @@ type Device struct {
 	bucket  *tokenBucket      // nil when uncapped
 	waits   *obs.WaitRecorder // disk.read / disk.write lanes; may be nil
 
-	mu      sync.Mutex
-	data    []byte
+	mu sync.Mutex
+	// The volume is a table of fixed-size chunks allocated on first write:
+	// growing it never copies or reserves ahead, and a chunk nobody wrote
+	// reads as zeros.
+	chunks  []*[chunkSize]byte
+	size    int64
 	rng     *rand.Rand
 	outage  bool
 	failOne error // returned by the next call, then cleared
@@ -177,6 +181,9 @@ type Device struct {
 	bytesR metrics.Counter
 	bytesW metrics.Counter
 }
+
+// chunkSize is the allocation unit of a device's backing store.
+const chunkSize = 64 << 10
 
 // Option configures a Device.
 type Option func(*Device)
@@ -257,7 +264,7 @@ func (d *Device) Stats() (reads, writes, bytesRead, bytesWritten int64) {
 func (d *Device) Size() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return int64(len(d.data))
+	return d.size
 }
 
 // checkFailure consumes injected failures; returns a non-nil error if the
@@ -313,13 +320,28 @@ func (d *Device) ReadAt(p []byte, off int64) error {
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if off < 0 || off+int64(len(p)) > int64(len(d.data)) {
-		return fmt.Errorf("%w: off=%d len=%d size=%d", ErrOutOfRange, off, len(p), len(d.data))
+	if off < 0 || off+int64(len(p)) > d.size {
+		return fmt.Errorf("%w: off=%d len=%d size=%d", ErrOutOfRange, off, len(p), d.size)
 	}
-	copy(p, d.data[off:])
+	d.copyOut(p, off)
 	d.reads.Inc()
 	d.bytesR.Add(int64(len(p)))
 	return nil
+}
+
+// copyOut fills p from offset off. Caller holds d.mu and has checked that
+// the range lies inside the volume.
+func (d *Device) copyOut(p []byte, off int64) {
+	for n := 0; n < len(p); {
+		ci, co := (off+int64(n))/chunkSize, (off+int64(n))%chunkSize
+		span := p[n:min(len(p), n+int(chunkSize-co))]
+		if c := d.chunks[ci]; c != nil {
+			copy(span, c[co:])
+		} else {
+			clear(span) // never written: zeros
+		}
+		n += len(span)
+	}
 }
 
 // WriteAt stores p at offset off, growing the volume as needed. The call
@@ -355,54 +377,50 @@ func (d *Device) writeRaw(p []byte, off int64) (time.Duration, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.growTo(off + int64(len(p)))
-	copy(d.data[off:], p)
+	for n := 0; n < len(p); {
+		ci, co := (off+int64(n))/chunkSize, (off+int64(n))%chunkSize
+		if d.chunks[ci] == nil {
+			d.chunks[ci] = new([chunkSize]byte)
+		}
+		n += copy(d.chunks[ci][co:], p[n:])
+	}
 	d.writes.Inc()
 	d.bytesW.Add(int64(len(p)))
 	return lat, nil
 }
 
-// growTo extends the volume to end bytes with amortized O(1) reallocation
-// (append-only devices — logs, blob stores — would otherwise copy the whole
-// volume on every write). Caller holds d.mu.
+// growTo extends the volume to end bytes. Only the chunk table grows; the
+// new range has no chunks yet and reads as zeros. Caller holds d.mu.
 func (d *Device) growTo(end int64) {
-	if end <= int64(len(d.data)) {
+	if end <= d.size {
 		return
 	}
-	if end <= int64(cap(d.data)) {
-		old := len(d.data)
-		d.data = d.data[:end]
-		// Zero the re-exposed region: a shrink may have left stale bytes
-		// in the spare capacity.
-		for i := old; i < int(end); i++ {
-			d.data[i] = 0
-		}
-		return
+	d.size = end
+	if need := int((end + chunkSize - 1) / chunkSize); need > len(d.chunks) {
+		d.chunks = append(d.chunks, make([]*[chunkSize]byte, need-len(d.chunks))...)
 	}
-	newCap := int64(cap(d.data)) * 2
-	if newCap < end {
-		newCap = end
-	}
-	if newCap < 64<<10 {
-		newCap = 64 << 10
-	}
-	grown := make([]byte, end, newCap)
-	copy(grown, d.data)
-	d.data = grown
 }
 
 // Truncate shrinks or grows the volume to n bytes without I/O latency
-// (a metadata operation).
+// (a metadata operation). Bytes cut off are gone: growing again exposes
+// zeros.
 func (d *Device) Truncate(n int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if n < 0 {
 		n = 0
 	}
-	if n <= int64(len(d.data)) {
-		d.data = d.data[:n]
+	if n >= d.size {
+		d.growTo(n)
 		return
 	}
-	d.growTo(n)
+	d.size = n
+	keep := int((n + chunkSize - 1) / chunkSize)
+	clear(d.chunks[keep:])
+	d.chunks = d.chunks[:keep]
+	if co := n % chunkSize; co != 0 && d.chunks[keep-1] != nil {
+		clear(d.chunks[keep-1][co:])
+	}
 }
 
 // sleep pauses for d, skipping the syscall for sub-resolution waits so the

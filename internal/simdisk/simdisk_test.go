@@ -3,6 +3,7 @@ package simdisk
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -352,5 +353,59 @@ func TestQuorumWaitsForSecondFastest(t *testing.T) {
 	}
 	if e := time.Since(start); e < 4*time.Millisecond {
 		t.Fatalf("quorum write returned in %v, faster than one replica write", e)
+	}
+}
+
+// TestChunkedStoreMatchesSliceModel drives writes, truncates and reads that
+// straddle chunk boundaries and leave whole chunks unwritten, against the
+// single-slice model the device used to be: same size, same bytes, zeros
+// wherever nothing was written — also after a shrink and regrow.
+func TestChunkedStoreMatchesSliceModel(t *testing.T) {
+	d := New(Instant)
+	var model []byte
+	resize := func(n int) {
+		if n <= len(model) {
+			model = model[:n]
+			return
+		}
+		model = append(model, make([]byte, n-len(model))...)
+	}
+	r := rand.New(rand.NewSource(16))
+	const span = 5 * chunkSize
+	for i := 0; i < 400; i++ {
+		switch r.Intn(5) {
+		case 0:
+			n := r.Intn(span)
+			d.Truncate(int64(n))
+			resize(n)
+		default:
+			// Offsets cluster around chunk boundaries.
+			off := r.Intn(5)*chunkSize + r.Intn(2048) - 1024
+			if off < 0 {
+				off = 0
+			}
+			data := make([]byte, 1+r.Intn(3*chunkSize/2))
+			r.Read(data)
+			if err := d.WriteAt(data, int64(off)); err != nil {
+				t.Fatal(err)
+			}
+			if off+len(data) > len(model) {
+				resize(off + len(data))
+			}
+			copy(model[off:], data)
+		}
+		if d.Size() != int64(len(model)) {
+			t.Fatalf("op %d: size %d, model %d", i, d.Size(), len(model))
+		}
+		got := make([]byte, len(model))
+		if err := d.ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, model) {
+			t.Fatalf("op %d: device image differs from the slice model", i)
+		}
+	}
+	if err := d.ReadAt(make([]byte, 1), d.Size()); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("read past the extent: %v", err)
 	}
 }

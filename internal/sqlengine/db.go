@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -487,7 +488,8 @@ func rowEnv(sc *schema, vals []Value) func(string) (Value, error) {
 }
 
 // scanMatching streams decoded rows matching the WHERE clause, using a
-// point lookup when the predicate pins the primary key.
+// point lookup when the predicate pins the primary key and a bounded scan
+// when it only confines it.
 func (db *DB) scanMatching(tx *engine.Tx, name string, sc *schema, where Expr,
 	fn func(key []byte, vals []Value) (bool, error)) error {
 	// Plan: PK equality → point lookup.
@@ -511,9 +513,12 @@ func (db *DB) scanMatching(tx *engine.Tx, name string, sc *schema, where Expr,
 		_, err = fn(key, vals)
 		return err
 	}
-	// Full scan with residual filter.
+	// Plan: PK inequalities → scan of that key range. Without any, both
+	// bounds are nil and this is the full scan. Either way the whole WHERE
+	// stays on as the residual filter.
+	lo, hi := pkBounds(where, sc)
 	var inner error
-	err := tx.Scan(name, nil, nil, func(k, raw []byte) bool {
+	err := tx.Scan(name, lo, hi, func(k, raw []byte) bool {
 		vals, err := decodeRow(raw, len(sc.Columns))
 		if err != nil {
 			inner = err
@@ -570,6 +575,82 @@ func pkEquality(e Expr, sc *schema) (Value, bool) {
 		}
 	}
 	return Value{}, false
+}
+
+// pkBounds derives the key range [lo, hi) that the top-level AND conjuncts
+// of e confine the primary key to (nil = unbounded on that side). Only
+// `pk <op> constant` comparisons whose constant has the key column's own
+// type contribute, because only then does encodeKey order the constant
+// among the stored keys; any other conjunct — a mixed-type constant, an OR,
+// an expression over the key — is simply left to the residual filter.
+func pkBounds(e Expr, sc *schema) (lo, hi []byte) {
+	ex, ok := e.(*BinaryExpr)
+	if !ok {
+		return nil, nil
+	}
+	if ex.Op == "AND" {
+		llo, lhi := pkBounds(ex.L, sc)
+		rlo, rhi := pkBounds(ex.R, sc)
+		if bytes.Compare(rlo, llo) > 0 {
+			llo = rlo
+		}
+		if lhi == nil || (rhi != nil && bytes.Compare(rhi, lhi) < 0) {
+			lhi = rhi
+		}
+		return llo, lhi
+	}
+	op, col, lit := ex.Op, ex.L, ex.R
+	if _, isCol := col.(*ColumnRef); !isCol {
+		// literal <op> pk: mirror the comparison.
+		col, lit = lit, col
+		switch op {
+		case "<":
+			op = ">"
+		case "<=":
+			op = ">="
+		case ">":
+			op = "<"
+		case ">=":
+			op = "<="
+		}
+	}
+	ref, isCol := col.(*ColumnRef)
+	if !isCol {
+		return nil, nil
+	}
+	if idx, found := sc.colIndex(ref.Name); !found || idx != sc.pkIdx {
+		return nil, nil
+	}
+	v, err := evalExpr(lit, nil) // constants only: a column reference errors
+	if err != nil || !kindMatches(v.Kind, sc.Columns[sc.pkIdx].Type) {
+		return nil, nil
+	}
+	if v.Kind == KindFloat && v.F == 0 {
+		return nil, nil // 0.0 and -0.0 compare equal but encode apart
+	}
+	key, err := encodeKey(v)
+	if err != nil {
+		return nil, nil
+	}
+	// key+0x00 is the smallest key greater than key.
+	switch op {
+	case ">=":
+		return key, nil
+	case ">":
+		return append(key, 0), nil
+	case "<":
+		return nil, key
+	case "<=":
+		return nil, append(key, 0)
+	}
+	return nil, nil
+}
+
+// kindMatches reports whether a value of kind k is stored as-is (without
+// coercion) in a column of type t.
+func kindMatches(k ValueKind, t ColType) bool {
+	return (k == KindInt && t == TypeInt) || (k == KindFloat && t == TypeFloat) ||
+		(k == KindText && t == TypeText)
 }
 
 func (db *DB) runSelect(tx *engine.Tx, st *SelectStmt) (*Result, error) {

@@ -38,7 +38,7 @@ var keywords = map[string]bool{
 	"DESC": true, "LIMIT": true, "INT": true, "FLOAT": true, "TEXT": true,
 	"BEGIN": true, "COMMIT": true, "ROLLBACK": true, "COUNT": true,
 	"SUM": true, "AVG": true, "MIN": true, "MAX": true, "NULL": true,
-	"AS": true, "SHOW": true, "TABLES": true,
+	"AS": true, "SHOW": true, "TABLES": true, "BETWEEN": true,
 }
 
 type lexer struct {

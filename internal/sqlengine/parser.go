@@ -446,6 +446,24 @@ func (p *parser) comparison() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	if p.keyword("BETWEEN") {
+		// x BETWEEN a AND b is x >= a AND x <= b; the bounds bind tighter
+		// than the AND between them.
+		lo, err := p.addExpr()
+		if err != nil {
+			return nil, err
+		}
+		if !p.keyword("AND") {
+			return nil, fmt.Errorf("sql: BETWEEN needs AND at %d", p.peek().pos)
+		}
+		hi, err := p.addExpr()
+		if err != nil {
+			return nil, err
+		}
+		return &BinaryExpr{Op: "AND",
+			L: &BinaryExpr{Op: ">=", L: l, R: lo},
+			R: &BinaryExpr{Op: "<=", L: l, R: hi}}, nil
+	}
 	t := p.peek()
 	if t.kind == tkSymbol {
 		switch t.text {

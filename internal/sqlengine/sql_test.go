@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"socrates/internal/engine"
 	"socrates/internal/fcb"
+	"socrates/internal/page"
 )
 
 func newDB(t *testing.T) *DB {
@@ -525,5 +527,174 @@ func TestMultiRowInsertAndExpressionInValues(t *testing.T) {
 	got := rowsToStrings(mustExec(t, db, `SELECT v FROM m`))
 	if fmt.Sprint(got) != "[5 40 -5]" {
 		t.Fatalf("values = %v", got)
+	}
+}
+
+// countingPages counts page reads, so a test can tell a bounded scan from
+// a full one.
+type countingPages struct {
+	*fcb.MemFile
+	reads atomic.Int64
+}
+
+func (c *countingPages) Read(id page.ID) (*page.Page, error) {
+	c.reads.Add(1)
+	return c.MemFile.Read(id)
+}
+
+// rangeTable loads r(id INT PRIMARY KEY, v TEXT) with ids lo..hi-1.
+func rangeTable(t *testing.T, lo, hi int) (*DB, *countingPages) {
+	t.Helper()
+	pages := &countingPages{MemFile: fcb.NewMemFile()}
+	eng, err := engine.Create(engine.Config{Pages: pages, Log: engine.NewMemPipeline()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := New(eng)
+	mustExec(t, db, `CREATE TABLE r (id INT PRIMARY KEY, v TEXT)`)
+	s := db.Session()
+	if _, err := s.Exec("BEGIN"); err != nil {
+		t.Fatal(err)
+	}
+	for i := lo; i < hi; i++ {
+		if _, err := s.Exec(fmt.Sprintf(`INSERT INTO r VALUES (%d, 'v%d')`, i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Exec("COMMIT"); err != nil {
+		t.Fatal(err)
+	}
+	return db, pages
+}
+
+// TestPKRangeBounds checks every bound shape against a brute-force filter
+// over ids -300..299: inclusive and exclusive ends, mirrored operands,
+// BETWEEN, negative literals, several conjuncts on the key, a residual
+// predicate, empty ranges, and shapes that must fall back to the full scan.
+func TestPKRangeBounds(t *testing.T) {
+	db, _ := rangeTable(t, -300, 300)
+	cases := []struct {
+		where   string
+		match   func(id int) bool
+		bounded bool
+	}{
+		{`id > 250`, func(id int) bool { return id > 250 }, true},
+		{`id >= 250`, func(id int) bool { return id >= 250 }, true},
+		{`id < -250`, func(id int) bool { return id < -250 }, true},
+		{`id <= -250`, func(id int) bool { return id <= -250 }, true},
+		{`10 < id AND 20 >= id`, func(id int) bool { return 10 < id && 20 >= id }, true},
+		{`id >= -5 AND id < 5`, func(id int) bool { return id >= -5 && id < 5 }, true},
+		{`id BETWEEN 7 AND 11`, func(id int) bool { return id >= 7 && id <= 11 }, true},
+		{`id BETWEEN -3 AND 2 AND v != 'v0'`, func(id int) bool { return id >= -3 && id <= 2 && id != 0 }, true},
+		{`id > 0 AND id > 100 AND id < 200 AND id <= 150`, func(id int) bool { return id > 100 && id <= 150 }, true},
+		{`id > 50 AND id < 40`, func(id int) bool { return false }, true},
+		{`id >= 299`, func(id int) bool { return id >= 299 }, true},
+		{`id > 299`, func(id int) bool { return false }, true},
+		{`id < 10 OR id > 290`, func(id int) bool { return id < 10 || id > 290 }, false},
+		{`id + 0 > 295`, func(id int) bool { return id > 295 }, false},
+		// Mixed-type literal: FLOAT against the INT key encodes under another
+		// tag, so it must not become a bound — and must still filter.
+		{`id > 296.5`, func(id int) bool { return float64(id) > 296.5 }, false},
+		{`id > 296.5 AND id < 299`, func(id int) bool { return id >= 297 && id < 299 }, true},
+	}
+	sc, err := db.schema(db.phys("r"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		st, err := Parse(`SELECT id FROM r WHERE ` + c.where)
+		if err != nil {
+			t.Fatalf("%s: %v", c.where, err)
+		}
+		lo, hi := pkBounds(st.(*SelectStmt).Where, sc)
+		if got := lo != nil || hi != nil; got != c.bounded {
+			t.Errorf("%s: bounded = %v, want %v", c.where, got, c.bounded)
+		}
+		var want []string
+		for id := -300; id < 300; id++ {
+			if c.match(id) {
+				want = append(want, fmt.Sprint(id))
+			}
+		}
+		got := rowsToStrings(mustExec(t, db, `SELECT id FROM r WHERE `+c.where))
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: got %v, want %v", c.where, got, want)
+		}
+	}
+}
+
+// TestPKRangeReadsOnlyItsPages: a 20-row range over a many-leaf table reads
+// a root-to-leaf path, not every leaf.
+func TestPKRangeReadsOnlyItsPages(t *testing.T) {
+	db, pages := rangeTable(t, 0, 4000)
+	before := pages.reads.Load()
+	full := mustExec(t, db, `SELECT id FROM r WHERE v = 'v17'`)
+	fullReads := pages.reads.Load() - before
+	before = pages.reads.Load()
+	ranged := mustExec(t, db, `SELECT id FROM r WHERE id >= 2000 AND id < 2020`)
+	rangeReads := pages.reads.Load() - before
+	if len(full.Rows) != 1 || len(ranged.Rows) != 20 {
+		t.Fatalf("rows: full %d, range %d", len(full.Rows), len(ranged.Rows))
+	}
+	if rangeReads > 8 || fullReads < 5*rangeReads {
+		t.Fatalf("range read %d pages, full scan %d", rangeReads, fullReads)
+	}
+}
+
+func TestPKRangeTextKeys(t *testing.T) {
+	db := newDB(t)
+	mustExec(t, db, `CREATE TABLE n (name TEXT PRIMARY KEY)`)
+	mustExec(t, db, `INSERT INTO n VALUES ('ann'), ('bo'), ('bob'), ('boc'), ('cy'), ('')`)
+	for where, want := range map[string]string{
+		`name > 'bo'`:                 "[bob boc cy]",
+		`name >= 'bo' AND name < 'c'`: "[bo bob boc]",
+		`name <= 'ann'`:               "[ ann]",
+		`name BETWEEN 'b' AND 'bob'`:  "[bo bob]",
+	} {
+		got := fmt.Sprint(rowsToStrings(mustExec(t, db, `SELECT name FROM n WHERE `+where)))
+		if got != want {
+			t.Errorf("%s: got %s, want %s", where, got, want)
+		}
+	}
+}
+
+// TestPKRangeSeesOwnWrites: inside a transaction the bounded scan overlays
+// the session's own inserts, updates and deletes that fall in the range, and
+// none that fall outside it.
+func TestPKRangeSeesOwnWrites(t *testing.T) {
+	db, _ := rangeTable(t, 0, 100)
+	s := db.Session()
+	for _, q := range []string{
+		"BEGIN",
+		`DELETE FROM r WHERE id = 42`,
+		`UPDATE r SET v = 'mine' WHERE id = 44`,
+		`DELETE FROM r WHERE id = 45`,
+		`INSERT INTO r VALUES (45, 'again')`,
+		`INSERT INTO r VALUES (1000, 'outside')`,
+		`DELETE FROM r WHERE id = 10`,
+	} {
+		if _, err := s.Exec(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	res, err := s.Exec(`SELECT id, v FROM r WHERE id > 40 AND id <= 46`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "[41|v41 43|v43 44|mine 45|again 46|v46]"
+	if got := fmt.Sprint(rowsToStrings(res)); got != want {
+		t.Fatalf("in tx: got %s, want %s", got, want)
+	}
+	// Another session still sees the committed rows.
+	other := rowsToStrings(mustExec(t, db, `SELECT id FROM r WHERE id > 40 AND id <= 46`))
+	if fmt.Sprint(other) != "[41 42 43 44 45 46]" {
+		t.Fatalf("other session: %v", other)
+	}
+	if _, err := s.Exec("COMMIT"); err != nil {
+		t.Fatal(err)
+	}
+	res = mustExec(t, db, `SELECT id FROM r WHERE id BETWEEN 999 AND 1001`)
+	if fmt.Sprint(rowsToStrings(res)) != "[1000]" {
+		t.Fatalf("after commit: %v", rowsToStrings(res))
 	}
 }

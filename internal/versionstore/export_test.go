@@ -7,6 +7,6 @@ import (
 )
 
 // applyRecord lets tests replay redo through the same path replicas use.
-func applyRecord(pg *page.Page, rec *wal.Record) (bool, error) {
+func applyRecord(pg *page.Page, rec *wal.Record) (*page.Page, bool, error) {
 	return btree.Apply(pg, rec)
 }

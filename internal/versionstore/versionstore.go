@@ -174,10 +174,11 @@ func (s *Store) Append(txn uint64, v *Version) (Ptr, error) {
 	if err != nil {
 		return Ptr{}, err
 	}
-	if _, err := btree.Apply(pg, rec); err != nil {
+	next, _, err := btree.Apply(pg, rec)
+	if err != nil {
 		return Ptr{}, err
 	}
-	if err := s.pager.Write(pg); err != nil {
+	if err := s.pager.Write(next); err != nil {
 		return Ptr{}, err
 	}
 	s.curSlots++
@@ -197,10 +198,8 @@ func (s *Store) newPageLocked(txn uint64) error {
 		PageType: page.TypeVersion, Value: payload,
 	}
 	lsn := s.log.Append(rec)
-	pg.Type = page.TypeVersion
-	pg.Data = payload
-	pg.LSN = lsn
-	if err := s.pager.Write(pg); err != nil {
+	err = s.pager.Write(&page.Page{ID: pg.ID, LSN: lsn, Type: page.TypeVersion, Data: payload})
+	if err != nil {
 		return err
 	}
 	s.cur = pg.ID

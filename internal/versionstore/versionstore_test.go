@@ -249,7 +249,8 @@ func TestReplicationThroughLog(t *testing.T) {
 		} else if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := applyRecord(pg, rec); err != nil {
+		pg, _, err = applyRecord(pg, rec)
+		if err != nil {
 			t.Fatal(err)
 		}
 		_ = replicaPages.Write(pg)

@@ -175,18 +175,17 @@ func (c *blockCache) put(start page.LSN, enc []byte) {
 	}
 
 	c.mu.Lock()
-	// Invalidate any resident entry overwritten by this write.
-	for lsn, ext := range c.index {
-		if ext.off < off+n && off < ext.off+ext.length {
-			delete(c.index, lsn)
-			c.used -= ext.length
-			for i, o := range c.order {
-				if o == lsn {
-					c.order = append(c.order[:i], c.order[i+1:]...)
-					break
-				}
-			}
+	// Invalidate any resident entry overwritten by this write. Extents are
+	// carved from the ring in insertion order, so the overwritten ones are
+	// the oldest: a prefix of order.
+	for len(c.order) > 0 {
+		ext := c.index[c.order[0]]
+		if ext.off >= off+n || off >= ext.off+ext.length {
+			break
 		}
+		delete(c.index, c.order[0])
+		c.order = c.order[1:]
+		c.used -= ext.length
 	}
 	c.index[start] = cacheExtent{off: off, length: n}
 	c.order = append(c.order, start)
