@@ -181,11 +181,11 @@ func (c *Cluster) ScaleCompute(memPages, ssdPages int) (time.Duration, error) {
 func (c *Cluster) AddPageServerReplica(part page.PartitionID) error {
 	// Make sure the checkpoint covers the current state so seeding is
 	// complete.
-	if err := c.flushPartition(part); err != nil {
+	resume, err := c.flushPartition(part)
+	if err != nil {
 		return err
 	}
-	resume := c.partitionResume(part)
-	_, err := c.startPageServer(part, 0, 0, true, resume)
+	_, err = c.startPageServer(part, 0, 0, true, resume)
 	return err
 }
 
@@ -194,10 +194,10 @@ func (c *Cluster) AddPageServerReplica(part page.PartitionID) error {
 // mean-time-to-recovery (§6). Existing servers of the partition are
 // retired once the halves are live.
 func (c *Cluster) SplitPageServer(part page.PartitionID) error {
-	if err := c.flushPartition(part); err != nil {
+	resume, err := c.flushPartition(part)
+	if err != nil {
 		return err
 	}
-	resume := c.partitionResume(part)
 
 	var lo, hi page.ID
 	found := false
@@ -273,35 +273,28 @@ func (c *Cluster) retireRanges(part page.PartitionID, lo, hi, mid page.ID) {
 	}
 }
 
-// flushPartition forces a full checkpoint on every server of the partition.
-func (c *Cluster) flushPartition(part page.PartitionID) error {
-	for _, srv := range c.PageServers() {
-		if srv.Partition() == part {
-			if _, err := srv.FlushForBackup(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// partitionResume reports the minimum applied LSN across the partition's
-// servers — a safe log resume point for a seeded newcomer.
-func (c *Cluster) partitionResume(part page.PartitionID) page.LSN {
-	var min page.LSN
-	first := true
+// flushPartition forces a full checkpoint on every server of the partition
+// and returns the log position a seeded newcomer resumes from: the lowest
+// checkpoint LSN, below which everything is in XStore. The servers' applied
+// LSN is not such a point — apply keeps running after the flush, and what
+// it applies then is in no checkpoint yet. A partition with no live server
+// resumes from the start of the log (redo over the checkpoint is
+// idempotent).
+func (c *Cluster) flushPartition(part page.PartitionID) (page.LSN, error) {
+	resume, found := page.LSN(1), false
 	for _, srv := range c.PageServers() {
 		if srv.Partition() != part {
 			continue
 		}
-		if lsn := srv.AppliedLSN(); first || lsn.Before(min) {
-			min, first = lsn, false
+		lsn, err := srv.FlushForBackup()
+		if err != nil {
+			return 0, err
+		}
+		if !found || lsn.Before(resume) {
+			resume, found = lsn, true
 		}
 	}
-	if first {
-		return 1
-	}
-	return min
+	return resume, nil
 }
 
 // Backup takes a named, constant-time backup: every page server flushes its

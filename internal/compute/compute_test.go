@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"socrates/internal/btree"
 	"socrates/internal/page"
 	"socrates/internal/rbio"
 	"socrates/internal/rbpex"
@@ -214,6 +215,56 @@ func TestRemoteFilePendingQueueProtocol(t *testing.T) {
 	f.mu.Unlock()
 	if queued != 1 {
 		t.Fatalf("queued = %d", queued)
+	}
+}
+
+// TestFetchInstallOwnership pins the two halves of the §4.5 hand-over. The
+// fetch that registered a page drains the queue, installs the page, and
+// unregisters only once the queue is empty — so records arriving while it
+// installs are applied too. A fetch that overlaps it installs nothing and
+// leaves the owner's queue alone.
+func TestFetchInstallOwnership(t *testing.T) {
+	f := newRemoteFile(t, &pageServerStub{lsn: 10}, 1)
+	cellPut := func(lsn page.LSN, key string) *wal.Record {
+		return &wal.Record{LSN: lsn, Kind: wal.KindCellPut, Page: 3, Key: []byte(key), Value: []byte("v")}
+	}
+
+	// An overlapping fetch: page 3 is registered by someone else.
+	f.mu.Lock()
+	f.pending[3] = nil
+	f.mu.Unlock()
+	if !f.QueueIfPending(cellPut(11, "a")) {
+		t.Fatal("record not queued behind the registered fetch")
+	}
+	if pg, err := f.Read(3); err != nil || pg.LSN != 10 {
+		t.Fatalf("overlapping read: %+v %v", pg, err)
+	}
+	f.mu.Lock()
+	queued, registered := f.pending[3]
+	f.mu.Unlock()
+	if f.Cache().Contains(3) || !registered || len(queued) != 1 {
+		t.Fatalf("overlapping fetch interfered: cached %v registered %v queued %d",
+			f.Cache().Contains(3), registered, len(queued))
+	}
+
+	// The owner installs: the queued record is applied, the registration is
+	// gone, and the next record finds the page cached.
+	fetched := &page.Page{ID: 3, LSN: 10, Type: page.TypeLeaf, Data: btree.EmptyNodePayload()}
+	pg, err := f.install(fetched)
+	if err != nil || pg.LSN != 11 {
+		t.Fatalf("install: %+v %v", pg, err)
+	}
+	if f.QueueIfPending(cellPut(12, "b")) {
+		t.Fatal("registration outlived the install")
+	}
+	if applied, err := f.ApplyIfCached(cellPut(12, "b")); err != nil || !applied {
+		t.Fatalf("record after install: %v %v", applied, err)
+	}
+	if lsn, _ := f.Cache().GetLSN(3); lsn != 12 {
+		t.Fatalf("cached LSN = %d, want 12", lsn)
+	}
+	if fetched.LSN != 10 || len(fetched.Data) != len(btree.EmptyNodePayload()) {
+		t.Fatal("install edited the fetched page")
 	}
 }
 

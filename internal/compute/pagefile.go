@@ -137,20 +137,28 @@ func (f *RemotePageFile) ReadContext(ctx context.Context, id page.ID) (*page.Pag
 
 func (f *RemotePageFile) fetch(ctx context.Context, id page.ID) (*page.Page, error) {
 	// Register before calling (§4.5), so concurrent log apply queues
-	// records for this page instead of ignoring them.
+	// records for this page instead of ignoring them. The first fetch of a
+	// page to register owns the registration: it alone drains the queue and
+	// installs the page, so a second, overlapping fetch can neither take
+	// queued records away from it nor put a copy without them over its.
 	f.mu.Lock()
 	_, already := f.pending[id]
-	if !already {
+	owner := !already
+	if owner {
 		f.pending[id] = nil
 	}
 	f.mu.Unlock()
-	if !already {
-		defer func() {
+	// registered: this fetch still has to end the registration itself — true
+	// on every error path, false once install has ended it (by then a later
+	// fetch may own a new registration of the same page).
+	registered := owner
+	defer func() {
+		if registered {
 			f.mu.Lock()
 			delete(f.pending, id)
 			f.mu.Unlock()
-		}()
-	}
+		}
+	}()
 
 	sel, err := f.resolve(id)
 	if err != nil {
@@ -196,22 +204,42 @@ func (f *RemotePageFile) fetch(ctx context.Context, id page.ID) (*page.Page, err
 	if err != nil || len(pages) != 1 {
 		return nil, fmt.Errorf("compute: GetPage(%d): bad payload (%d pages, %v)", id, len(pages), err)
 	}
-	pg := pages[0]
+	if !owner {
+		// The owning fetch installs the page. This reader asked for a
+		// version at least minLSN, and the response is one.
+		return pages[0], nil
+	}
+	pg, err := f.install(pages[0])
+	registered = err != nil
+	return pg, err
+}
 
-	// Apply any records queued while the fetch was in flight.
-	f.mu.Lock()
-	queued := f.pending[id]
-	f.pending[id] = nil
-	f.mu.Unlock()
-	for _, rec := range queued {
-		if pg, _, err = btree.Apply(pg, rec); err != nil {
+// install applies the records queued while the fetch was in flight, puts
+// the page in the cache, and ends the §4.5 registration — repeating the
+// first two for records that arrive meanwhile, so that the registration is
+// dropped only in the same critical section that found the queue empty:
+// from then on the apply thread finds the page cached.
+func (f *RemotePageFile) install(pg *page.Page) (*page.Page, error) {
+	for installed := false; ; installed = true {
+		f.mu.Lock()
+		queued := f.pending[pg.ID]
+		f.pending[pg.ID] = nil
+		if installed && len(queued) == 0 {
+			delete(f.pending, pg.ID)
+			f.mu.Unlock()
+			return pg, nil
+		}
+		f.mu.Unlock()
+		for _, rec := range queued {
+			var err error
+			if pg, _, err = btree.Apply(pg, rec); err != nil {
+				return nil, err
+			}
+		}
+		if err := f.cache.Put(pg); err != nil {
 			return nil, err
 		}
 	}
-	if err := f.cache.Put(pg); err != nil {
-		return nil, err
-	}
-	return pg, nil
 }
 
 // rangeFanout bounds how many per-page requests of one range read are in

@@ -21,6 +21,11 @@ type bufferedFile struct {
 	mem   map[page.ID]*page.Page
 	dirty map[page.ID]struct{}
 
+	// flushMu serializes write-back passes: a caller of FlushAll or Range
+	// must not return while the ticker's pass still holds pages it has
+	// taken off the dirty set but not yet written.
+	flushMu sync.Mutex
+
 	done chan struct{}
 	wg   sync.WaitGroup
 }
@@ -92,6 +97,8 @@ func (f *bufferedFile) flushLoop() {
 // are re-marked dirty so the next pass retries them, and the first error is
 // returned.
 func (f *bufferedFile) flushOnce() error {
+	f.flushMu.Lock()
+	defer f.flushMu.Unlock()
 	f.mu.Lock()
 	batch := make([]*page.Page, 0, len(f.dirty))
 	for id := range f.dirty {

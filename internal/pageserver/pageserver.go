@@ -107,10 +107,15 @@ type Server struct {
 	mu          sync.Mutex
 	applied     page.LSN // next LSN to pull (everything below is applied)
 	appliedCond *sync.Cond
-	dirty       map[page.ID]struct{}
+	dirty       map[page.ID]page.LSN // newest un-checkpointed version per page
 	seeding     bool
 	ckptLSN     page.LSN // resume LSN persisted with the last checkpoint
 	xstoreDown  bool     // observed outage: checkpointing deferred
+
+	// ckptMu serializes checkpoint sweeps (the ticker's and a backup
+	// flush's): a slow sweep finishing after a later one would put the older
+	// page versions it read, and its older resume LSN, over the newer ones.
+	ckptMu sync.Mutex
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -168,7 +173,7 @@ func New(cfg Config) (*Server, error) {
 		cache: cache,
 		lo:    lo,
 		hi:    hi,
-		dirty: make(map[page.ID]struct{}),
+		dirty: make(map[page.ID]page.LSN),
 		done:  make(chan struct{}),
 	}
 	s.appliedCond = sync.NewCond(&s.mu)
@@ -362,7 +367,7 @@ func (s *Server) pullOnce() bool {
 	for _, pg := range touched {
 		s.applies.Inc()
 		s.cfg.Metrics.Counter("pageserver.apply.pages").Inc()
-		s.markDirty(pg.ID)
+		s.markDirty(pg)
 		if err := s.cache.Put(pg); err != nil {
 			s.cfg.Flight.Record(obs.TierPageServer, "ps.apply_error",
 				uint64(from), time.Since(start),
@@ -374,12 +379,14 @@ func (s *Server) pullOnce() bool {
 		return false
 	}
 	s.cfg.Metrics.Histogram("pageserver.apply.latency").Since(start)
+	// The ladder rung first: a checkpoint sweep publishes the s.applied it
+	// reads as its own rung, which must never show above this one.
+	s.cfg.Watermarks.Watermark(obs.WMApplied, s.cfg.Name).Publish(uint64(next))
 	//socrates:wait-ok watermark-publish latch; GetPage@LSN waiters account their own blocked time as page.miss
 	s.mu.Lock()
 	s.applied = next
 	s.appliedCond.Broadcast()
 	s.mu.Unlock()
-	s.cfg.Watermarks.Watermark(obs.WMApplied, s.cfg.Name).Publish(uint64(next))
 	//socrates:alloc-ok per-batch flight-recorder note, not a per-record cost
 	s.cfg.Flight.Record(obs.TierPageServer, "ps.apply", uint64(next),
 		time.Since(start), fmt.Sprintf("%s: pages=%d", s.cfg.Name, len(touched)))
@@ -429,9 +436,10 @@ func (s *Server) applyRecordTo(touched map[page.ID]*page.Page, rec *wal.Record) 
 	return err
 }
 
-func (s *Server) markDirty(id page.ID) {
+// markDirty records that pg's version still has to reach XStore.
+func (s *Server) markDirty(pg *page.Page) {
 	s.mu.Lock()
-	s.dirty[id] = struct{}{}
+	s.dirty[pg.ID] = page.MaxLSN(s.dirty[pg.ID], pg.LSN)
 	s.mu.Unlock()
 }
 
@@ -513,6 +521,8 @@ func (s *Server) checkpointLoop() {
 // were written in RBPEX but not in XStore are remembered") and the
 // checkpoint resumes when XStore is back (§4.6).
 func (s *Server) checkpointOnce() error {
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
 	// Occupancy gauges ride the checkpoint cadence: cheap, periodic, and
 	// visible on /metrics without touching the apply hot path.
 	s.cfg.Metrics.Gauge(key("pageserver.rbpex.pages", s.cfg.Name)).Set(int64(s.cache.Len()))
@@ -532,17 +542,20 @@ func (s *Server) checkpointOnce() error {
 
 	// Write aggregation: pages go out in one sweep; the xstore ingest
 	// limiter sees a large sequential burst rather than scattered I/Os.
-	written := make([]page.ID, 0, len(batch))
+	written := make([]*page.Page, 0, len(batch))
 	for _, id := range batch {
 		pg, ok := s.cache.Get(id)
 		if !ok {
-			written = append(written, id) // vanished: nothing to persist
+			// Marked dirty but its Put has not landed yet (the apply loop
+			// marks first): it stays dirty for the next sweep. Its records
+			// lie at or above resume, so the resume point is still good.
 			continue
 		}
 		buf, err := pg.Encode()
 		if err != nil {
 			return err
 		}
+		//socrates:lock-ok ckptMu exists to keep a second sweep out while this one's XStore writes are in flight; no reader or the apply loop ever takes it
 		if err := s.cfg.Store.Put(s.pageBlob(id), buf); err != nil {
 			s.noteOutage(true)
 			s.clearDirty(written)
@@ -550,7 +563,7 @@ func (s *Server) checkpointOnce() error {
 				time.Since(ckptStart), s.cfg.Name+": checkpoint put: "+err.Error())
 			return err // keep the remainder dirty; retry next tick
 		}
-		written = append(written, id)
+		written = append(written, pg)
 	}
 	if err := s.writeMeta(resume); err != nil {
 		s.noteOutage(true)
@@ -579,10 +592,16 @@ func key(name, replica string) string {
 	return name + "/" + replica
 }
 
-func (s *Server) clearDirty(ids []page.ID) {
+// clearDirty drops the dirty marks the persisted versions satisfy. A page
+// the apply loop changed again while the sweep was writing it carries a
+// newer mark and stays dirty — clearing by ID alone would leave that version
+// out of every later checkpoint while the resume LSN moves past it.
+func (s *Server) clearDirty(written []*page.Page) {
 	s.mu.Lock()
-	for _, id := range ids {
-		delete(s.dirty, id)
+	for _, pg := range written {
+		if s.dirty[pg.ID].AtMost(pg.LSN) {
+			delete(s.dirty, pg.ID)
+		}
 	}
 	s.mu.Unlock()
 }

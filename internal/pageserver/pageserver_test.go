@@ -366,3 +366,54 @@ func TestApplyLagTimesOut(t *testing.T) {
 		t.Fatal("waitApplied returned for unreachable LSN")
 	}
 }
+
+// TestCheckpointKeepsNewerDirtyMark: the apply loop marks a page dirty
+// before its Put lands, so a sweep can read (and persist) the version
+// before. The mark must survive that sweep — cleared by page ID alone, the
+// newer version would miss every later checkpoint while the resume LSN
+// moves past it, and a server seeded from XStore would never see it.
+func TestCheckpointKeepsNewerDirtyMark(t *testing.T) {
+	r := newRig(t, page.Partitioning{})
+	srv := r.server(t, Config{CheckpointEvery: time.Hour}) // sweeps only when called
+	end := r.emit(t, imageRec(5, 'a'), wal.NewCommit(1, 1))
+	if !srv.WaitApplied(end.Prev(), 5*time.Second) {
+		t.Fatal("apply watermark never reached the emitted batch")
+	}
+	v1, ok := srv.cache.Get(5)
+	if !ok {
+		t.Fatal("page 5 not cached after apply")
+	}
+	stored := func() page.LSN {
+		buf, err := r.store.Get(srv.pageBlob(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsn, err := page.PeekLSN(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lsn
+	}
+
+	// The next version is marked, its Put still in flight: the sweep sees v1.
+	v2 := &page.Page{ID: 5, LSN: v1.LSN.Add(10), Type: page.TypeLeaf, Data: []byte{'b'}}
+	srv.markDirty(v2)
+	if err := srv.checkpointOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if stored() != v1.LSN || srv.DirtyPages() != 1 {
+		t.Fatalf("after the early sweep: stored lsn %d (want %d), dirty %d (want 1)",
+			stored(), v1.LSN, srv.DirtyPages())
+	}
+	// The Put lands; the next sweep persists v2 and only then clears the mark.
+	if err := srv.cache.Put(v2); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.checkpointOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if stored() != v2.LSN || srv.DirtyPages() != 0 {
+		t.Fatalf("after the second sweep: stored lsn %d (want %d), dirty %d (want 0)",
+			stored(), v2.LSN, srv.DirtyPages())
+	}
+}
