@@ -82,6 +82,12 @@ func TestWatchdogStallTripFreezesFlightDump(t *testing.T) {
 	}
 	c := newFastCluster(t, cfg)
 	seedRows(t, c, "t", 100)
+	// Let apply reach the log's end first: a server wedged before it ever
+	// applied a batch has published no applied watermark, and the watchdog
+	// only watches followers that are on the ladder.
+	if err := c.WaitForCatchUp(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, srv := range c.PageServers() {
 		srv.CacheDevice().SetOutage(true)

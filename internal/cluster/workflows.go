@@ -48,6 +48,10 @@ func (c *Cluster) addSecondary(name string, delay time.Duration) (*compute.Secon
 	}
 	c.mu.Unlock()
 
+	// The primary's harden reports are asynchronous: promote the XLOG
+	// watermark to the landing zone's durable end first, so the secondary
+	// starts with every commit acknowledged before it existed visible.
+	c.XLOG.ReportHardened(context.Background(), c.LZ.HardenedEnd())
 	sec, err := compute.NewSecondary(compute.SecondaryConfig{
 		Name:          name,
 		XLOG:          c.xlogClient(),

@@ -638,10 +638,12 @@ func (d *Watchdog) evaluate(edge ladderEdge, replica string, cur, leader, lag ui
 	}
 	d.mu.Unlock()
 	if trip != nil {
-		d.tripCount.Add(1)
-		d.reg.Counter("obs.watchdog.trips").Inc()
+		// Callbacks first: whoever sees the count move also sees what the
+		// callbacks did (the frozen flight dump, for one).
 		for _, fn := range callbacks {
 			fn(*trip)
 		}
+		d.tripCount.Add(1)
+		d.reg.Counter("obs.watchdog.trips").Inc()
 	}
 }
