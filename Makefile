@@ -11,7 +11,7 @@ RACE_PKGS := ./internal/compute ./internal/hadr ./internal/simdisk \
              ./internal/frontdoor ./internal/btree ./internal/fcb \
              ./internal/rbpex ./internal/engine
 
-.PHONY: all lint fmt vet test race chaos allocs bench bench-probes bench-obs bench-mux bench-waits bench-commit bench-router cover vet-baseline clean
+.PHONY: all lint fmt vet test race chaos chaos-stress allocs bench bench-probes bench-obs bench-mux bench-waits bench-commit bench-router cover vet-baseline clean
 
 all: lint test
 
@@ -50,11 +50,18 @@ chaos:
 	$(GO) test -race -count=1 -run TestChaos ./internal/chaos/
 	$(GO) test -tags chaosfault -count=1 ./internal/chaos/
 
+# The chaos matrix is a set of races: a window that opens in one run out of
+# ten hides from a single pass. Rerun every seed and scenario 25 times; any
+# oracle violation in any run fails. Slow (tens of minutes on a small host) —
+# run it before merging anything that touches apply, fetch or failover order.
+chaos-stress:
+	$(GO) test -count=25 -timeout 120m -run 'TestChaosSeedMatrix|TestChaosScenarios|TestChaosCommitQuorum' ./internal/chaos/
+
 # Hot-path allocation contracts (AllocsPerRun budgets; they skip themselves
 # under -race) and a short fuzz of the B-tree node view against the decoded
 # node it replaced.
 allocs:
-	$(GO) test -count=1 -run 'Allocs$$' ./internal/btree ./internal/pageserver ./internal/compute ./internal/netmux
+	$(GO) test -count=1 -run 'Allocs$$' ./internal/btree ./internal/engine ./internal/pageserver ./internal/compute ./internal/netmux
 	$(GO) test -run '^$$' -fuzz=FuzzNodeView -fuzztime=10s ./internal/btree
 
 bench:

@@ -26,6 +26,23 @@ type Pager interface {
 	Allocate(t page.Type) (*page.Page, error)
 }
 
+// Prefetcher is the read-ahead side of a Pager, implemented by pagers whose
+// Read may block on remote storage. Prefetch advises that the caller is about
+// to Read ids. It is a hint and nothing else: it never blocks, may be
+// repeated, may be dropped, and reports nothing — the Read that follows
+// returns the same page with or without it, only sooner. A tree over a pager
+// without it reads one page at a time, as before.
+type Prefetcher interface {
+	Prefetch(ids []page.ID)
+}
+
+// ReadAhead is how many pages ahead of its position a range scan hints, and
+// how many pages Warm hints at once: the one read-ahead constant. A bounded
+// scan hints only pages it goes on to read, so the window bounds just what an
+// early-terminated or unbounded scan can waste. Measured insensitive between
+// 4 and 32 (DESIGN §17), hence a constant and not a setting.
+const ReadAhead = 16
+
 // Tree is a B-tree rooted at a fixed page. The root page ID never changes
 // (root splits rewrite the root in place), so catalogs can reference it.
 //
@@ -34,6 +51,7 @@ type Pager interface {
 // apply on replicas and report ErrInconsistent when they race a split.
 type Tree struct {
 	pager Pager
+	hint  Prefetcher // pager's read-ahead side; nil when it has none
 	log   wal.Logger
 	root  page.ID
 }
@@ -45,7 +63,7 @@ func Create(pager Pager, log wal.Logger, txn uint64) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{pager: pager, log: log, root: pg.ID}
+	t := Open(pager, log, pg.ID)
 	if err := t.writeImage(txn, pg.ID, page.TypeLeaf, EmptyNodePayload()); err != nil {
 		return nil, err
 	}
@@ -54,7 +72,8 @@ func Create(pager Pager, log wal.Logger, txn uint64) (*Tree, error) {
 
 // Open attaches to an existing tree rooted at root.
 func Open(pager Pager, log wal.Logger, root page.ID) *Tree {
-	return &Tree{pager: pager, log: log, root: root}
+	hint, _ := pager.(Prefetcher)
+	return &Tree{pager: pager, hint: hint, log: log, root: root}
 }
 
 // Root reports the root page ID.
@@ -298,11 +317,25 @@ func (t *Tree) Delete(txn uint64, key []byte) (bool, error) {
 // Scan streams entries with lo <= key < hi (nil hi = unbounded) in key
 // order until fn returns false. The slices passed to fn alias the page and
 // must not be modified; copy what outlives the call.
+//
+// Over a pager with Prefetch the scan reads ahead: at every internal node it
+// keeps the next ReadAhead in-range children hinted while it reads the
+// current one (readahead.go).
 func (t *Tree) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	_, err := t.scanRec(t.root, lo, hi, fn)
 	return err
 }
 
+// errScanFence is the fence violation of a range traversal, outlined like
+// errNotCovered.
+func errScanFence(id page.ID) error {
+	return fmt.Errorf("%w: page %d fence violation in scan", ErrInconsistent, id)
+}
+
+// scanRec scans the subtree under id and reports whether the scan goes on
+// after it: false once fn declined a row or a key at or beyond hi was seen.
+//
+//socrates:hotpath once per page of every range scan; TestTreeScanAllocs
 func (t *Tree) scanRec(id page.ID, lo, hi []byte, fn func(k, v []byte) bool) (bool, error) {
 	pg, err := t.pager.Read(id)
 	if err != nil {
@@ -319,57 +352,27 @@ func (t *Tree) scanRec(id page.ID, lo, hi []byte, fn func(k, v []byte) bool) (bo
 		start = v.lo
 	}
 	if len(start) > 0 && !v.covers(start) {
-		return false, fmt.Errorf("%w: page %d fence violation in scan", ErrInconsistent, id)
+		return false, errScanFence(id)
+	}
+	if pg.Type == page.TypeInternal {
+		return t.scanChildren(&v, lo, hi, fn)
 	}
 	it := v.iter()
-	if pg.Type != page.TypeInternal {
-		for {
-			k, val, ok, err := it.next()
-			if err != nil || !ok {
-				return err == nil, err
-			}
-			if lo != nil && bytes.Compare(k, lo) < 0 {
-				continue
-			}
-			if hi != nil && bytes.Compare(k, hi) >= 0 {
-				return false, nil
-			}
-			if !fn(k, val) {
-				return false, nil
-			}
+	for {
+		k, val, ok, err := it.next()
+		if err != nil || !ok {
+			return err == nil, err
 		}
-	}
-	k, c, ok, err := it.next()
-	if err != nil {
-		return false, err
-	}
-	for ok {
-		// The child under k covers [k, next): next is the following cell's
-		// key, or the node's own hi fence for the last cell.
-		nk, nc, nok, err := it.next()
-		if err != nil {
-			return false, err
+		if lo != nil && bytes.Compare(k, lo) < 0 {
+			continue
 		}
-		next := v.hi
-		if nok {
-			next = nk
-		}
-		if hi != nil && len(k) > 0 && bytes.Compare(k, hi) >= 0 {
+		if hi != nil && bytes.Compare(k, hi) >= 0 {
 			return false, nil
 		}
-		if lo == nil || len(next) == 0 || bytes.Compare(next, lo) > 0 {
-			child, err := decodeChild(c)
-			if err != nil {
-				return false, err
-			}
-			cont, err := t.scanRec(child, lo, hi, fn)
-			if err != nil || !cont {
-				return false, err
-			}
+		if !fn(k, val) {
+			return false, nil
 		}
-		k, c, ok = nk, nc, nok
 	}
-	return true, nil
 }
 
 // Count returns the number of entries (a full scan).

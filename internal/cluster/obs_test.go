@@ -161,42 +161,57 @@ func TestWatchdogStallTripFreezesFlightDump(t *testing.T) {
 }
 
 // TestQuorumDegradedTripFreezesCommitWaits is the wait-stats integration
-// test for a quorum-loss window: one of the three LZ replicas goes dark
-// (the write quorum holds on the remaining two, so every commit now pays
-// the slower replica's latency), concurrent committers push the hardened
-// watermark past the lag threshold, and the watchdog trip that fires
-// mid-window must freeze commit.quorum and commit.harden in its top-3 —
-// the trip names WHY the landing zone fell behind, not just that it did.
+// test for a quorum-loss window: one of the three LZ replicas goes dark (the
+// write quorum holds on the remaining two), committers push the commit
+// frontier past the lag threshold while hardening is held, and the watchdog
+// trip that fires mid-window must freeze commit.quorum and commit.harden in
+// its top-3 with a commit wait on top — the trip names WHY the landing zone
+// fell behind, not just that it did.
+//
+// Nothing here races the host. The lag is driven by holding hardening: the
+// landing zone's devices take lzHold per write, with no jitter and no tail,
+// so for that long after a flush starts the hardened watermark cannot move
+// however slowly the committers are scheduled. And the committers go through
+// the commit latch one at a time — each starts when the one before has
+// appended its commit record and parked on hardening — so nobody ever waits
+// for the latch and lock.latch, which used to outweigh the commit waits in
+// one run out of three when sixteen committers raced for it, records nothing.
+// What is left in the trip window is nested by construction: a committer's
+// commit.harden wait contains the log writer's commit.quorum wait, which
+// contains the deciding replica's disk.write.
 func TestQuorumDegradedTripFreezesCommitWaits(t *testing.T) {
+	const lzHold = 100 * time.Millisecond
 	cfg := fastConfig("wm-quorum")
-	// Real XIO quorum writes (2.8ms base) so commit waits are genuine
-	// wall-clock time and dwarf every other class in the trip window.
-	cfg.LZProfile = simdisk.XIO
-	// Tight ticks; the lag threshold sits well above the transient lag of
-	// the serial warm-up batches (~55 LSNs) and well below the 16-way
-	// degraded window's backlog (~400 LSNs).
+	cfg.LZProfile = simdisk.Profile{Name: "held-lz", ReadBase: time.Millisecond, WriteBase: lzHold}
+	// Tight ticks. The lag threshold sits above one 25-row transaction in
+	// flight (~55 LSNs) and below three. The trip window (StallTicks ticks)
+	// reaches back over the serial commits of phase 1.
 	cfg.Watchdog = obs.WatchdogConfig{
-		Interval:  2 * time.Millisecond,
-		MaxLagLSN: 120,
+		Interval:   2 * time.Millisecond,
+		MaxLagLSN:  120,
+		StallTicks: int(4 * lzHold / (2 * time.Millisecond)),
 	}
 	c := newFastCluster(t, cfg)
 	seedRows(t, c, "t", 100)
 
-	waitConverged := func(msg string) {
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			commit := c.Watermarks.Watermark(obs.WMCommit, "").Value()
-			hardened := c.Watermarks.Watermark(obs.WMHardened, "").Value()
-			if commit > 0 && hardened >= commit {
-				return
-			}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
 			if time.Now().After(deadline) {
-				t.Fatalf("%s: ladder never converged (commit=%d hardened=%d)", msg, commit, hardened)
+				t.Fatalf("still waiting for %s (commit=%d hardened=%d)", what,
+					c.Watermarks.Watermark(obs.WMCommit, "").Value(),
+					c.Watermarks.Watermark(obs.WMHardened, "").Value())
 			}
-			time.Sleep(2 * time.Millisecond) //socrates:sleep-ok test polling for harden convergence
+			time.Sleep(time.Millisecond) //socrates:sleep-ok deadline-bounded test poll on the watermark ladder
 		}
 	}
-	waitConverged("after seeding")
+	commitLSN := func() uint64 { return c.Watermarks.Watermark(obs.WMCommit, "").Value() }
+	converged := func() bool {
+		commit := commitLSN()
+		return commit > 0 && c.Watermarks.Watermark(obs.WMHardened, "").Value() >= commit
+	}
+	waitFor("the ladder to converge after seeding", converged)
 	// Let the watchdog observe lag 0 so the edge-triggered lag rule is
 	// armed for the fault window.
 	time.Sleep(10 * time.Millisecond) //socrates:sleep-ok watchdog must tick on the converged ladder before the fault is injected
@@ -208,55 +223,58 @@ func TestQuorumDegradedTripFreezesCommitWaits(t *testing.T) {
 	reps[0].SetOutage(true)
 	defer reps[0].SetOutage(false)
 
-	// Phase 1 — fill the watchdog's wait window while degraded: serial
-	// commits keep the lag far below the threshold (one txn in flight,
-	// ~26 LSNs) but each one blocks milliseconds in WaitHarden on the
-	// 2-of-3 quorum, so the ring's last StallTicks snapshots accumulate
-	// genuine commit-wait deltas before the trip can fire.
 	e := c.Primary().Engine
-	for n := 0; n < 8; n++ {
+	commit25 := func(prefix string) error {
 		tx := e.Begin()
 		for i := 0; i < 25; i++ {
-			if err := tx.Put("t", []byte(fmt.Sprintf("w%02d-%03d", n, i)), []byte("v")); err != nil {
-				t.Fatalf("degraded serial put: %v", err)
+			if err := tx.Put("t", []byte(fmt.Sprintf("%s-%03d", prefix, i)), []byte("v")); err != nil {
+				tx.Abort()
+				return err
 			}
 		}
-		if err := tx.Commit(); err != nil {
+		return tx.Commit()
+	}
+
+	// Phase 1 — fill the trip window while degraded: serial commits keep
+	// the lag below the threshold (one transaction in flight) but each one
+	// blocks lzHold in WaitHarden on the 2-of-3 quorum, so the window holds
+	// completed commit waits before the trip can fire. (A wait is recorded
+	// when it ends; the committers parked when the trip fires are not in it.)
+	const serial = 2
+	for n := 0; n < serial; n++ {
+		if err := commit25(fmt.Sprintf("w%02d", n)); err != nil {
 			t.Fatalf("degraded serial commit: %v", err)
 		}
 	}
 
-	// Phase 2 — 16 committers × 6 transactions × 25 rows: the commit
-	// frontier runs hundreds of LSNs ahead of the hardened watermark
-	// while every flush waits on the two-replica quorum, crossing the
-	// lag threshold with the window full of commit waits.
+	// Phase 2 — committers enter one by one and park: the commit frontier
+	// moves ~55 LSNs with each while the first flush is still held.
+	const committers = 6
 	var wg sync.WaitGroup
-	errs := make(chan error, 16)
-	for g := 0; g < 16; g++ {
+	errs := make(chan error, committers)
+	for g := 0; g < committers; g++ {
+		before := commitLSN()
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for n := 0; n < 6; n++ {
-				tx := e.Begin()
-				for i := 0; i < 25; i++ {
-					if err := tx.Put("t", []byte(fmt.Sprintf("q%02d-%02d-%03d", g, n, i)),
-						[]byte("v")); err != nil {
-						tx.Abort()
-						errs <- err
-						return
-					}
-				}
-				if err := tx.Commit(); err != nil {
-					errs <- err
-					return
-				}
-			}
+			errs <- commit25(fmt.Sprintf("q%02d", g))
 		}(g)
+		waitFor("the committer to append its commit record", func() bool { return commitLSN() > before })
 	}
+	waitFor("the lag trip", func() bool {
+		for _, tr := range c.Watchdog.Trips() {
+			if tr.Follower == obs.WMHardened {
+				return true
+			}
+		}
+		return false
+	})
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		t.Fatalf("commit during the degraded-quorum window: %v", err)
+		if err != nil {
+			t.Fatalf("commit during the degraded-quorum window: %v", err)
+		}
 	}
 	if failed, cause := e.Failed(); failed {
 		t.Fatalf("engine poisoned by a minority replica outage: %v", cause)
@@ -299,6 +317,6 @@ func TestQuorumDegradedTripFreezesCommitWaits(t *testing.T) {
 
 	// Heal, converge, and verify nothing was lost through the window.
 	reps[0].SetOutage(false)
-	waitConverged("after healing")
-	verifyRows(t, e, "t", 100+8*25+16*6*25, "after the degraded-quorum window")
+	waitFor("the ladder to converge after healing", converged)
+	verifyRows(t, e, "t", 100+(serial+committers)*25, "after the degraded-quorum window")
 }

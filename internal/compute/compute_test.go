@@ -204,14 +204,12 @@ func TestRemoteFilePendingQueueProtocol(t *testing.T) {
 	// Register a fetch manually through the public path: start a Read and
 	// interleave a record while it is in flight. The instant network makes
 	// true interleaving racy to arrange, so exercise the queue directly:
-	f.mu.Lock()
-	f.pending[3] = nil
-	f.mu.Unlock()
+	reg, _ := f.register(3)
 	if !f.QueueIfPending(rec) {
 		t.Fatal("pending fetch did not queue the record")
 	}
 	f.mu.Lock()
-	queued := len(f.pending[3])
+	queued := len(reg.queued)
 	f.mu.Unlock()
 	if queued != 1 {
 		t.Fatalf("queued = %d", queued)
@@ -230,9 +228,10 @@ func TestFetchInstallOwnership(t *testing.T) {
 	}
 
 	// An overlapping fetch: page 3 is registered by someone else.
-	f.mu.Lock()
-	f.pending[3] = nil
-	f.mu.Unlock()
+	reg, owner := f.register(3)
+	if !owner {
+		t.Fatal("first registration of the page does not own it")
+	}
 	if !f.QueueIfPending(cellPut(11, "a")) {
 		t.Fatal("record not queued behind the registered fetch")
 	}
@@ -240,17 +239,17 @@ func TestFetchInstallOwnership(t *testing.T) {
 		t.Fatalf("overlapping read: %+v %v", pg, err)
 	}
 	f.mu.Lock()
-	queued, registered := f.pending[3]
+	registered, queued := f.pending[3] == reg, len(reg.queued)
 	f.mu.Unlock()
-	if f.Cache().Contains(3) || !registered || len(queued) != 1 {
+	if f.Cache().Contains(3) || !registered || queued != 1 {
 		t.Fatalf("overlapping fetch interfered: cached %v registered %v queued %d",
-			f.Cache().Contains(3), registered, len(queued))
+			f.Cache().Contains(3), registered, queued)
 	}
 
 	// The owner installs: the queued record is applied, the registration is
 	// gone, and the next record finds the page cached.
 	fetched := &page.Page{ID: 3, LSN: 10, Type: page.TypeLeaf, Data: btree.EmptyNodePayload()}
-	pg, err := f.install(fetched)
+	pg, err := f.install(reg, fetched)
 	if err != nil || pg.LSN != 11 {
 		t.Fatalf("install: %+v %v", pg, err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"socrates/internal/btree"
@@ -16,7 +17,6 @@ import (
 	"socrates/internal/pageserver"
 	"socrates/internal/rbio"
 	"socrates/internal/rbpex"
-	"socrates/internal/socerr"
 	"socrates/internal/wal"
 )
 
@@ -33,6 +33,9 @@ type Resolver func(id page.ID) (*rbio.Selector, error)
 // registers the page as pending before the remote call, so the log-apply
 // thread queues (rather than drops) records for in-flight pages; the queued
 // records are applied to the fetched page before it enters the cache.
+//
+// Prefetch starts the same fetch in the background for pages a scan or a
+// commit is about to read, so that their round trips overlap (DESIGN §17).
 type RemotePageFile struct {
 	cache   *rbpex.Cache
 	resolve Resolver
@@ -42,14 +45,31 @@ type RemotePageFile struct {
 
 	mu      sync.Mutex
 	evicted map[page.ID]page.LSN
-	pending map[page.ID][]*wal.Record // §4.5 registration (secondaries)
+	pending map[page.ID]*registration // §4.5: pages with a fetch in flight
+	// unread holds the pages read-ahead brought in that no Read has asked
+	// for yet; the first Read of one counts as a read-ahead hit. An entry
+	// leaves with that Read or with the page's eviction from memory.
+	unread map[page.ID]struct{}
+	closed bool
 
-	fetches  metrics.Counter
-	rangeOps metrics.Counter
+	// unreadN is len(unread), kept where a cache hit can see it without mu:
+	// with nothing read ahead, a hit costs one atomic load more than before.
+	unreadN atomic.Int64
+
+	fetches metrics.Counter
 
 	// coal coalesces concurrent GetPage@LSN misses for the same page
-	// into one wire RPC (netmux singleflight).
+	// into one wire RPC (netmux singleflight). It is also what pairs a
+	// reader with the read-ahead fetch of the page it asks for.
 	coal *netmux.Coalescer
+
+	// Read-ahead fetches run on goroutines of their own: bounded by ahead
+	// (cancelled by Close), at most rangeFanout at a time (window), and
+	// waited for by Close (aheadWG).
+	ahead     context.Context
+	stopAhead context.CancelFunc
+	window    chan struct{}
+	aheadWG   sync.WaitGroup
 
 	tracer *obs.Tracer
 	obsReg *obs.Registry
@@ -57,10 +77,60 @@ type RemotePageFile struct {
 	waits  *obs.WaitRecorder
 }
 
+// registration is the §4.5 registration of one page: from the moment a fetch
+// of the page is decided to the moment its image is in the cache. The fetch
+// that created it owns it; overlapping fetches of the page only read it.
+type registration struct {
+	// queued is the redo that arrived for the page meanwhile (under
+	// RemotePageFile.mu); the owner applies it before the page is cached.
+	queued []*wal.Record
+	// resp is the page server's answer to the first request made for the
+	// page under this registration, asked for at respLSN (under
+	// RemotePageFile.mu). See request.
+	resp    *rbio.Response
+	respLSN page.LSN
+	// readahead marks a registration made by Prefetch: nobody is blocked
+	// on its fetch unless a reader joins it — joined, under
+	// RemotePageFile.mu, says one has.
+	readahead, joined bool
+	// got is closed once the owner has its page, or has failed: pg is then
+	// that page — the image fetched, with the redo queued during the flight
+	// applied — or nil. Readers that shared the owner's flight take it.
+	got chan struct{}
+	pg  *page.Page
+}
+
+func newRegistration(readahead bool) *registration {
+	return &registration{readahead: readahead, got: make(chan struct{})}
+}
+
+// publish hands the owner's page (nil: it has none) to the readers waiting
+// for it. Owner only; only the first call counts.
+func (r *registration) publish(pg *page.Page) {
+	select {
+	case <-r.got:
+	default:
+		r.pg = pg
+		close(r.got)
+	}
+}
+
+// await returns the page the owning fetch got, or nil if that fetch failed
+// or ctx ended first.
+func (r *registration) await(ctx context.Context) *page.Page {
+	select {
+	case <-r.got:
+		return r.pg
+	case <-ctx.Done():
+		return nil
+	}
+}
+
 // SetObs wires a tracer and metrics registry: a remote GetPage@LSN miss
 // under a traced request becomes a "compute.getpage" span, and every miss
 // records compute.getpage.* metrics. The miss coalescer's hit/miss
-// counters (netmux.coalesce.*) land on the same registry.
+// counters (netmux.coalesce.*) and the read-ahead counters
+// (compute.readahead.*) land on the same registry.
 func (f *RemotePageFile) SetObs(t *obs.Tracer, r *obs.Registry) {
 	f.tracer, f.obsReg = t, r
 	f.coal = netmux.NewCoalescer(netmux.NewMetrics(r))
@@ -70,33 +140,51 @@ func (f *RemotePageFile) SetObs(t *obs.Tracer, r *obs.Registry) {
 // fetches) and evictions drop compact events into the ring.
 func (f *RemotePageFile) SetFlight(fr *obs.FlightRecorder) { f.flight = fr }
 
-// SetWaits wires wait-event accounting: the wire portion of a GetPage@LSN
-// miss (coalesced or not) records under page.remote, attributed to the
-// request's profile and getpage span.
+// SetWaits wires wait-event accounting: the time a reader is blocked on a
+// GetPage@LSN miss (its own RPC, a coalesced one, or the rest of a
+// read-ahead flight it joined) records under page.remote, attributed to the
+// request's profile and getpage span. A read-ahead fetch blocks nobody and
+// records nothing.
 func (f *RemotePageFile) SetWaits(wr *obs.WaitRecorder) { f.waits = wr }
 
-// NewRemotePageFile builds the cache-fronted page file.
+// NewRemotePageFile builds the cache-fronted page file. Close releases it.
 func NewRemotePageFile(cfg rbpex.Config, resolve Resolver, floor func() page.LSN) (*RemotePageFile, error) {
 	f := &RemotePageFile{
 		resolve: resolve,
 		floor:   floor,
 		evicted: make(map[page.ID]page.LSN),
-		pending: make(map[page.ID][]*wal.Record),
+		pending: make(map[page.ID]*registration),
+		unread:  make(map[page.ID]struct{}),
 		coal:    netmux.NewCoalescer(nil),
+		window:  make(chan struct{}, rangeFanout),
 	}
+	f.ahead, f.stopAhead = context.WithCancel(context.Background())
 	cfg.OnEvict = f.noteEvicted
 	cache, err := rbpex.Open(cfg)
 	if err != nil {
+		f.stopAhead()
 		return nil, err
 	}
 	f.cache = cache
 	return f, nil
 }
 
+// Close ends read-ahead: fetches in flight are cancelled and waited for, and
+// later hints are ignored. Reads and writes keep working — a node's page
+// file outlives the node's shutdown in the hands of its last transactions.
+func (f *RemotePageFile) Close() {
+	f.mu.Lock()
+	f.closed = true
+	f.mu.Unlock()
+	f.stopAhead()
+	f.aheadWG.Wait()
+}
+
 // Cache exposes the underlying RBPEX (hit-rate experiments).
 func (f *RemotePageFile) Cache() *rbpex.Cache { return f.cache }
 
-// Fetches reports remote GetPage calls issued.
+// Fetches reports remote GetPage calls issued: one per page requested from a
+// page server, however many readers and hints shared the request.
 func (f *RemotePageFile) Fetches() int64 { return f.fetches.Load() }
 
 func (f *RemotePageFile) noteEvicted(id page.ID, lsn page.LSN) {
@@ -104,9 +192,18 @@ func (f *RemotePageFile) noteEvicted(id page.ID, lsn page.LSN) {
 	if lsn.After(f.evicted[id]) {
 		f.evicted[id] = lsn
 	}
+	f.forgetUnreadLocked(id)
 	f.mu.Unlock()
 	f.flight.Record(obs.TierCompute, "compute.evict", uint64(lsn), 0,
 		"page "+strconv.FormatUint(uint64(id), 10))
+}
+
+// evictedLSN reports the newest version of the page known to have left the
+// cache, zero if none. The cache calls it under its lock (rbpex.PutFetched).
+func (f *RemotePageFile) evictedLSN(id page.ID) page.LSN {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.evicted[id]
 }
 
 // minLSN computes the GetPage@LSN argument for a page: its evicted LSN if
@@ -130,41 +227,72 @@ func (f *RemotePageFile) Read(id page.ID) (*page.Page, error) {
 // ReadContext is Read bounded by (and traced through) ctx.
 func (f *RemotePageFile) ReadContext(ctx context.Context, id page.ID) (*page.Page, error) {
 	if pg, ok := f.cache.Get(id); ok {
+		if f.unreadN.Load() > 0 {
+			f.noteReadAheadHit(id)
+		}
 		return pg, nil
 	}
-	return f.fetch(ctx, id)
+	reg, owner := f.register(id)
+	return f.fetch(ctx, id, reg, owner)
 }
 
-func (f *RemotePageFile) fetch(ctx context.Context, id page.ID) (*page.Page, error) {
-	// Register before calling (§4.5), so concurrent log apply queues
-	// records for this page instead of ignoring them. The first fetch of a
-	// page to register owns the registration: it alone drains the queue and
-	// installs the page, so a second, overlapping fetch can neither take
-	// queued records away from it nor put a copy without them over its.
+// register finds the page's registration or makes one (§4.5), before the
+// remote call, so that concurrent log apply queues records for the page
+// instead of ignoring them. The first fetch of a page to register owns the
+// registration: it alone drains the queue and installs the page, so a
+// second, overlapping fetch can neither take queued records away from it nor
+// put a copy without them over its.
+func (f *RemotePageFile) register(id page.ID) (reg *registration, owner bool) {
 	f.mu.Lock()
-	_, already := f.pending[id]
-	owner := !already
-	if owner {
-		f.pending[id] = nil
-	}
-	f.mu.Unlock()
-	// registered: this fetch still has to end the registration itself — true
-	// on every error path, false once install has ended it (by then a later
-	// fetch may own a new registration of the same page).
-	registered := owner
-	defer func() {
-		if registered {
-			f.mu.Lock()
-			delete(f.pending, id)
-			f.mu.Unlock()
+	defer f.mu.Unlock()
+	if reg, ok := f.pending[id]; ok {
+		if reg.readahead && !reg.joined {
+			reg.joined = true
+			f.forgetUnreadLocked(id)
+			f.obsReg.Counter("compute.readahead.joined").Inc()
 		}
-	}()
+		return reg, false
+	}
+	reg = newRegistration(false)
+	f.pending[id] = reg
+	return reg, true
+}
+
+// fetch gets the page from its page server. The owner of the registration
+// also installs it in the cache and ends the registration.
+func (f *RemotePageFile) fetch(ctx context.Context, id page.ID, reg *registration, owner bool) (*page.Page, error) {
+	if owner {
+		defer func() {
+			// install ended the registration if it got that far (by now a
+			// later fetch may own a new one of the same page); every error
+			// path ends it here.
+			f.mu.Lock()
+			if f.pending[id] == reg {
+				delete(f.pending, id)
+			}
+			f.mu.Unlock()
+			reg.publish(nil)
+		}()
+		// Between the miss that sent the owner here and its registration,
+		// an earlier fetch of the page may have installed it and ended its
+		// own registration. The page is then current but for what was
+		// queued since; there is nothing to ask the page server.
+		if f.cache.Contains(id) {
+			if pg, ok := f.cache.Get(id); ok {
+				if !reg.readahead && f.unreadN.Load() > 0 {
+					f.noteReadAheadHit(id)
+				}
+				return f.install(reg, pg)
+			}
+		}
+	}
+	// background: this is a read-ahead fetch, with no reader behind it.
+	background := owner && reg.readahead
 
 	sel, err := f.resolve(id)
 	if err != nil {
 		return nil, err
 	}
-	f.fetches.Inc()
 	start := time.Now()
 	// A GetPage@LSN miss is itself a request worth tracing (§7 Table 4
 	// reads its latency breakdown off this span tree): join the caller's
@@ -172,156 +300,180 @@ func (f *RemotePageFile) fetch(ctx context.Context, id page.ID) (*page.Page, err
 	// by cache capacity — unlike continuous polls (xlog.pull, log feeds),
 	// they cannot flood the tracer's retention ring.
 	ctx, span := f.tracer.StartSpan(ctx, obs.TierCompute, "compute.getpage")
-	span.SetAttr("page", strconv.FormatUint(uint64(id), 10))
+	pageNo := strconv.FormatUint(uint64(id), 10)
+	span.SetAttr("page", pageNo)
 	defer span.End()
+	note := "page " + pageNo
+	if background {
+		span.SetAttr("readahead", "true")
+		note += " readahead"
+	}
 	f.obsReg.Counter("compute.getpage.remote").Inc()
 	minLSN := f.minLSN(id)
+	// page.remote is the time a reader is blocked here, whoever holds the
+	// RPC: its own call, a coalesced one, or what was left of a read-ahead
+	// flight when it joined. Read-ahead itself blocks nobody; recording its
+	// flight time too would count the same milliseconds twice.
+	var region obs.WaitRegion
+	if !background {
+		region = f.waits.Begin(ctx, obs.WaitPageRemote)
+	}
 	// Coalesce with any in-flight fetch of the same page at a compatible
-	// LSN: concurrent misses share one wire RPC (netmux singleflight).
-	// page.remote covers the whole wire wait, shared or not — a coalesced
-	// caller is just as blocked as the one holding the RPC.
-	region := f.waits.Begin(ctx, obs.WaitPageRemote)
+	// LSN: concurrent misses — a reader and the read-ahead of its page
+	// among them — share one wire RPC (netmux singleflight).
 	resp, shared, err := f.coal.Do(ctx, id, minLSN, func() (*rbio.Response, error) {
-		return sel.Call(ctx, &rbio.Request{Type: rbio.MsgGetPage, Page: id, LSN: minLSN})
+		return f.request(ctx, sel, reg, id, minLSN)
 	})
+	var pg *page.Page
+	switch {
+	case err != nil:
+	case owner:
+		pg, err = f.receive(reg, resp)
+	case shared:
+		// The flight this reader shared is, as a rule, the owner's. Take
+		// the owner's page rather than the bare response: it has the redo
+		// queued during the flight applied, so every reader of one flight
+		// sees the version the cache is about to.
+		if pg = reg.await(ctx); pg == nil {
+			pg, err = decodePage(resp)
+		}
+	default:
+		// The owning fetch installs the page. This reader asked for a
+		// version at least minLSN, and the response is one.
+		pg, err = decodePage(resp)
+	}
 	region.End()
 	if shared {
 		span.SetAttr("coalesced", "true")
 	}
 	f.obsReg.Histogram("compute.getpage.latency").Observe(time.Since(start))
 	f.flight.RecordTrace(obs.TierCompute, "compute.getpage", uint64(minLSN),
-		span.Context().TraceID, time.Since(start),
-		"page "+strconv.FormatUint(uint64(id), 10))
+		span.Context().TraceID, time.Since(start), note)
 	if err != nil {
 		span.SetError(err)
 		return nil, fmt.Errorf("compute: GetPage(%d): %w", id, err)
 	}
+	if !owner {
+		return pg, nil
+	}
+	return f.install(reg, pg)
+}
+
+// request asks the page server for the page — once for a registration. The
+// response stays with the registration, and a fetch that comes to lead a
+// flight of its own later has it from there: the read-ahead whose reader
+// overtook it, the reader that arrives between the owner's flight and the
+// end of its install. It will do for them if it was asked for at their
+// minLSN or above; a fetch that needs a newer version than that (a
+// secondary's floor has moved) asks again.
+func (f *RemotePageFile) request(ctx context.Context, sel *rbio.Selector, reg *registration, id page.ID, minLSN page.LSN) (*rbio.Response, error) {
+	f.mu.Lock()
+	resp := reg.resp
+	if resp != nil && reg.respLSN.Before(minLSN) {
+		resp = nil
+	}
+	f.mu.Unlock()
+	if resp != nil {
+		return resp, nil
+	}
+	f.fetches.Inc()
+	resp, err := sel.Call(ctx, &rbio.Request{Type: rbio.MsgGetPage, Page: id, LSN: minLSN})
+	if err == nil && resp.Err() == nil {
+		f.mu.Lock()
+		if reg.resp == nil || reg.respLSN.Before(minLSN) {
+			reg.resp, reg.respLSN = resp, minLSN
+		}
+		f.mu.Unlock()
+	}
+	return resp, err
+}
+
+// decodePage reads the page out of a GetPage response.
+func decodePage(resp *rbio.Response) (*page.Page, error) {
 	if err := resp.Err(); err != nil {
-		span.SetError(err)
-		return nil, fmt.Errorf("compute: GetPage(%d): %w", id, err)
+		return nil, err
 	}
 	pages, err := pageserver.DecodePages(resp.Payload)
 	if err != nil || len(pages) != 1 {
-		return nil, fmt.Errorf("compute: GetPage(%d): bad payload (%d pages, %v)", id, len(pages), err)
+		return nil, fmt.Errorf("bad payload (%d pages, %v)", len(pages), err)
 	}
-	if !owner {
-		// The owning fetch installs the page. This reader asked for a
-		// version at least minLSN, and the response is one.
-		return pages[0], nil
-	}
-	pg, err := f.install(pages[0])
-	registered = err != nil
-	return pg, err
+	return pages[0], nil
 }
 
-// install applies the records queued while the fetch was in flight, puts
-// the page in the cache, and ends the §4.5 registration — repeating the
-// first two for records that arrive meanwhile, so that the registration is
-// dropped only in the same critical section that found the queue empty:
-// from then on the apply thread finds the page cached.
-func (f *RemotePageFile) install(pg *page.Page) (*page.Page, error) {
-	for installed := false; ; installed = true {
-		f.mu.Lock()
-		queued := f.pending[pg.ID]
-		f.pending[pg.ID] = nil
-		if installed && len(queued) == 0 {
-			delete(f.pending, pg.ID)
-			f.mu.Unlock()
-			return pg, nil
-		}
-		f.mu.Unlock()
-		for _, rec := range queued {
-			var err error
-			if pg, _, err = btree.Apply(pg, rec); err != nil {
-				return nil, err
-			}
-		}
-		if err := f.cache.Put(pg); err != nil {
+// receive makes the owner's page out of the response to its fetch: decoded,
+// the redo queued so far applied, and published to the readers who shared
+// the flight — they go on from here, while the owner goes on to install.
+func (f *RemotePageFile) receive(reg *registration, resp *rbio.Response) (*page.Page, error) {
+	pg, err := decodePage(resp)
+	if err != nil {
+		return nil, err
+	}
+	f.mu.Lock()
+	queued := reg.queued
+	reg.queued = nil
+	f.mu.Unlock()
+	if pg, err = applyAll(pg, queued); err != nil {
+		return nil, err
+	}
+	reg.publish(pg)
+	return pg, nil
+}
+
+func applyAll(pg *page.Page, recs []*wal.Record) (*page.Page, error) {
+	for _, rec := range recs {
+		var err error
+		if pg, _, err = btree.Apply(pg, rec); err != nil {
 			return nil, err
 		}
 	}
+	return pg, nil
 }
 
-// rangeFanout bounds how many per-page requests of one range read are in
-// flight at once. It sits below the netmux pool's in-flight cap so one
-// bulk range read cannot trip backpressure for latency-sensitive misses.
-const rangeFanout = 16
-
-// ReadRange fetches count consecutive pages, bypassing the sparse cache
-// (scan offloading, §4.1.5).
-func (f *RemotePageFile) ReadRange(start page.ID, count int) ([]*page.Page, error) {
-	return f.ReadRangeContext(context.Background(), start, count)
-}
-
-// ReadRangeContext is ReadRange bounded by (and traced through) ctx.
+// install puts the owner's page in the cache and ends the §4.5 registration
+// — first applying the records queued meanwhile, and again for those that
+// arrive while it does, so that the registration is dropped only in the same
+// critical section that found the queue empty: from then on the apply thread
+// finds the page cached.
 //
-// The range is pipelined as scattered per-page GetPage@LSN requests —
-// the mux fabric keeps up to rangeFanout of them in flight on the wire
-// at once — and reassembled in order. Pages resolve individually, so a
-// range spanning a partition split boundary scatters to the right
-// owners. A mid-range failure returns the successful prefix plus a
-// socerr.ErrPartial-classified error, so warmup/scan callers keep the
-// progress they paid for.
-func (f *RemotePageFile) ReadRangeContext(ctx context.Context, start page.ID, count int) ([]*page.Page, error) {
-	if count <= 0 {
-		return nil, nil
-	}
-	f.rangeOps.Inc()
-	floor := f.floor()
-	type res struct {
-		pg  *page.Page
-		err error
-	}
-	results := make([]res, count)
-	sem := make(chan struct{}, rangeFanout)
-	var wg sync.WaitGroup
-	for i := 0; i < count; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := ctx.Err(); err != nil {
-				results[i].err = socerr.FromContext(err)
-				return
-			}
-			id := start + page.ID(i)
-			sel, err := f.resolve(id)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			resp, err := sel.Call(ctx, &rbio.Request{Type: rbio.MsgGetPage, Page: id, LSN: floor})
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			if err := resp.Err(); err != nil {
-				results[i].err = err
-				return
-			}
-			pages, err := pageserver.DecodePages(resp.Payload)
-			if err != nil || len(pages) != 1 {
-				results[i].err = fmt.Errorf("compute: range page %d: bad payload (%d pages, %v)",
-					id, len(pages), err)
-				return
-			}
-			results[i].pg = pages[0]
-		}(i)
-	}
-	wg.Wait()
-	out := make([]*page.Page, 0, count)
-	for i := range results {
-		if results[i].err != nil {
-			if len(out) == 0 {
-				return nil, results[i].err
-			}
-			return out, socerr.Partialf("compute: range [%d,+%d): %d pages then page %d: %v",
-				start, count, len(out), start+page.ID(i), results[i].err)
+// The put is LSN-monotone (rbpex.PutFetched). On a primary the flight may
+// have been in the air while a commit read the page some other way, edited
+// it and wrote the new version; the image fetched is then the older one, and
+// caching it would have the next commit redo onto a page that lost an
+// update. It is handed to its reader — who began before that commit did —
+// and not cached. On a secondary nothing else can put a page that is
+// registered here, and the rule never fires.
+func (f *RemotePageFile) install(reg *registration, pg *page.Page) (*page.Page, error) {
+	id := pg.ID
+	for installed := false; ; installed = true {
+		f.mu.Lock()
+		queued := reg.queued
+		reg.queued = nil
+		if installed && len(queued) == 0 {
+			delete(f.pending, id)
+			f.mu.Unlock()
+			return pg, nil
 		}
-		out = append(out, results[i].pg)
+		// Read-ahead that no reader has joined marks its page unread, and
+		// before the put: the page can be hit the moment it is in.
+		unread := reg.readahead && !reg.joined
+		if unread {
+			f.markUnreadLocked(id)
+		}
+		f.mu.Unlock()
+		var err error
+		cached := false
+		if pg, err = applyAll(pg, queued); err == nil {
+			cached, err = f.cache.PutFetched(pg, f.evictedLSN)
+		}
+		if unread && !cached {
+			f.mu.Lock()
+			f.forgetUnreadLocked(id)
+			f.mu.Unlock()
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	return out, nil
 }
 
 // OffloadScan pushes a cell-filtering scan of count pages starting at
@@ -366,10 +518,11 @@ func (f *RemotePageFile) Write(pg *page.Page) error {
 func (f *RemotePageFile) QueueIfPending(rec *wal.Record) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if _, ok := f.pending[rec.Page]; !ok {
+	reg, ok := f.pending[rec.Page]
+	if !ok {
 		return false
 	}
-	f.pending[rec.Page] = append(f.pending[rec.Page], rec)
+	reg.queued = append(reg.queued, rec)
 	return true
 }
 

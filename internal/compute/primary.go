@@ -129,13 +129,14 @@ func NewPrimary(cfg PrimaryConfig) (*Primary, error) {
 		eng, err = engine.Open(ecfg)
 	}
 	if err != nil {
+		pages.Close()
 		writer.Close()
 		return nil, err
 	}
 	p := &Primary{Engine: eng, writer: writer, pages: pages, meter: cfg.Meter}
 	if !cfg.Bootstrap && cfg.XLOG != nil {
 		if err := p.recoverVisibility(cfg.XLOG); err != nil {
-			writer.Close()
+			p.Crash()
 			return nil, err
 		}
 	}
@@ -174,10 +175,12 @@ func (p *Primary) HardenedEnd() page.LSN { return p.writer.HardenedEnd() }
 func (p *Primary) Close() {
 	//socrates:ignore-err compute is stateless (§4.2); the cache flush is a best-effort warm-restart aid, and a failed destage only costs refetches
 	_ = p.pages.Cache().FlushAll()
+	p.pages.Close()
 	p.writer.Close()
 }
 
 // Crash abandons the node without flushing anything — for failover tests.
 func (p *Primary) Crash() {
+	p.pages.Close()
 	p.writer.Close()
 }

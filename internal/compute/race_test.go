@@ -81,7 +81,7 @@ func TestLogWriterConcurrentAppendAndWatermarks(t *testing.T) {
 func TestRemotePageFileConcurrentEvictTracking(t *testing.T) {
 	f := &RemotePageFile{
 		evicted: make(map[page.ID]page.LSN),
-		pending: make(map[page.ID][]*wal.Record),
+		pending: make(map[page.ID]*registration),
 		floor:   func() page.LSN { return 7 },
 	}
 	var wg sync.WaitGroup

@@ -144,6 +144,7 @@ func NewSecondary(cfg SecondaryConfig) (*Secondary, error) {
 		},
 	})
 	if err != nil {
+		pages.Close()
 		return nil, err
 	}
 	eng.Clock().Publish(cfg.StartTS)
@@ -218,6 +219,7 @@ func (s *Secondary) Stop() {
 	}
 	close(s.done)
 	s.wg.Wait()
+	s.pages.Close()
 }
 
 func (s *Secondary) applyLoop() {
@@ -274,17 +276,12 @@ func (s *Secondary) pullOnce() bool {
 			return false
 		}
 		payload = payload[n:]
-		for _, rec := range b.Records {
-			s.applyRecord(rec)
-		}
+		s.applyBlock(b)
 	}
 	if resp.LSN == from {
 		return false
 	}
-	s.mu.Lock()
-	s.applied = resp.LSN
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	s.advanceApplied(resp.LSN)
 	s.wms.Watermark(obs.WMSecondary, s.name).Publish(uint64(resp.LSN))
 	s.flight.Record(obs.TierCompute, "sec.apply", uint64(resp.LSN), 0,
 		s.name+": batch applied")
@@ -294,27 +291,57 @@ func (s *Secondary) pullOnce() bool {
 	return true
 }
 
-// applyRecord applies one redo record from the log feed.
+// applyBlock applies one log block in three steps whose order is the node's
+// read contract: the page operations, then the applied watermark, then the
+// block's commit timestamps. A snapshot can therefore never show a commit
+// whose LSN is at or above AppliedLSN — and a fetch by a reader who sees the
+// commit asks the page server (floor) for at least the block that holds it.
+// Publishing as the records went by, with the watermark moving once per
+// pull, let a snapshot taken mid-pull read ahead of the watermark — the
+// chaos oracle's "read from the future".
+func (s *Secondary) applyBlock(b *wal.Block) {
+	var visible uint64 // highest commit timestamp in the block; they rise in log order
+	for _, rec := range b.Records {
+		if rec.Kind == wal.KindTxnCommit {
+			visible = max(visible, rec.CommitTS())
+			continue
+		}
+		s.applyRecord(rec)
+	}
+	s.advanceApplied(b.End)
+	s.Engine.Clock().Publish(visible)
+}
+
+// advanceApplied moves the applied watermark up to lsn and wakes whoever
+// waits on it.
+func (s *Secondary) advanceApplied(lsn page.LSN) {
+	s.mu.Lock()
+	if lsn.After(s.applied) {
+		s.applied = lsn
+		s.cond.Broadcast()
+	}
+	s.mu.Unlock()
+}
+
+// applyRecord applies one redo page operation from the log feed; other
+// records pass through.
 //
 //socrates:hotpath runs once per record in the secondary's apply feed; budget enforced by TestApplyFeedAllocs
 func (s *Secondary) applyRecord(rec *wal.Record) {
-	switch {
-	case rec.Kind == wal.KindTxnCommit:
-		// Visibility advances exactly in log order.
-		s.Engine.Clock().Publish(rec.CommitTS())
-	case rec.IsPageOp():
-		if s.pages.QueueIfPending(rec) {
-			s.queuedRecs.Inc()
-			return
-		}
-		applied, err := s.pages.ApplyIfCached(rec)
-		if err != nil {
-			return
-		}
-		if applied {
-			s.appliedRecs.Inc()
-		} else {
-			s.ignored.Inc()
-		}
+	if !rec.IsPageOp() {
+		return
+	}
+	if s.pages.QueueIfPending(rec) {
+		s.queuedRecs.Inc()
+		return
+	}
+	applied, err := s.pages.ApplyIfCached(rec)
+	if err != nil {
+		return
+	}
+	if applied {
+		s.appliedRecs.Inc()
+	} else {
+		s.ignored.Inc()
 	}
 }

@@ -129,8 +129,23 @@ type Engine struct {
 
 	vs *versionstore.Store
 
+	// pager is the engine as its B-trees see it: the engine itself, or —
+	// over a page file that takes read-ahead hints — the engine plus the
+	// file's Prefetch (hintingPager).
+	pager btree.Pager
+
 	mu     sync.Mutex
 	tables map[string]*btree.Tree
+}
+
+// hintingPager is the pager the engine hands its B-trees when cfg.Pages
+// implements btree.Prefetcher (a compute node's RemotePageFile does; MemFile,
+// DiskFile and HADR's buffered file read locally and do not): the engine's
+// Read/Write/Allocate with the page file's Prefetch passed straight through,
+// which is what makes the trees read ahead.
+type hintingPager struct {
+	*Engine
+	btree.Prefetcher
 }
 
 // Create bootstraps a fresh database into cfg.Pages and returns the engine.
@@ -207,12 +222,17 @@ func Open(cfg Config) (*Engine, error) {
 }
 
 func newEngine(cfg Config) *Engine {
-	return &Engine{
+	e := &Engine{
 		cfg:    cfg,
 		clock:  txn.NewClock(),
 		locks:  txn.NewLockTable(),
 		tables: make(map[string]*btree.Tree),
 	}
+	e.pager = e
+	if hint, ok := cfg.Pages.(btree.Prefetcher); ok {
+		e.pager = hintingPager{e, hint}
+	}
+	return e
 }
 
 // nopLog satisfies LogPipeline for read-only engines that never append.
@@ -338,7 +358,7 @@ func (e *Engine) CreateTableContext(ctx context.Context, name string) error {
 		e.commitMu.Unlock()
 		return fmt.Errorf("%w: %q", ErrTableExists, name)
 	}
-	tree, err := btree.Create(e, e.cfg.Log, 0)
+	tree, err := btree.Create(e.pager, e.cfg.Log, 0)
 	if err != nil {
 		e.commitMu.Unlock()
 		return err
@@ -390,7 +410,7 @@ func (e *Engine) tableTree(name string) (*btree.Tree, error) {
 	if log == nil {
 		log = nopLog{}
 	}
-	t := btree.Open(e, log, page.ID(root))
+	t := btree.Open(e.pager, log, page.ID(root))
 	e.mu.Lock()
 	e.tables[name] = t
 	e.mu.Unlock()

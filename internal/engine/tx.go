@@ -348,6 +348,12 @@ func (tx *Tx) Commit() error {
 	span.SetAttr("txn", strconv.FormatUint(tx.id, 10))
 	defer span.End()
 
+	// Pre-read the write set before the latch: whatever it misses is
+	// fetched now, side by side, while other commits proceed — not one page
+	// after another inside the critical section every commit shares.
+	order := sortedWriteIndexes(tx)
+	tx.warmWriteSet(order)
+
 	// lock.latch: the single-writer commit latch. Recorded only when the
 	// latch is contended — an uncontended TryLock is free and must not
 	// inflate the wait count.
@@ -365,7 +371,6 @@ func (tx *Tx) Commit() error {
 	// commit must fail — otherwise it would silently overwrite an update
 	// it never saw (lost update). Validation runs before any page is
 	// touched, so a conflicting transaction aborts for free.
-	order := sortedWriteIndexes(tx)
 	for _, i := range order {
 		op := tx.writes[i]
 		if err := e.validateWriteLocked(tx.snapshot, op); err != nil {
@@ -426,6 +431,29 @@ func (tx *Tx) Commit() error {
 	e.cfg.Metrics.Histogram("compute.commit.latency").Observe(time.Since(start))
 	e.cfg.Metrics.Counter("compute.commit.count").Inc()
 	return nil
+}
+
+// warmWriteSet walks the B-tree paths of the write set (order: its indexes by
+// table and key), one Tree.Warm per table. Purely a cache warmer: it runs
+// outside the latch, so a page may be evicted or a node split before the
+// commit gets there, and its errors are dropped — validateWriteLocked and
+// applyWriteLocked read every page again under the latch and remain the
+// authority on what the commit sees. Over a page file without Prefetch,
+// Warm does nothing.
+func (tx *Tx) warmWriteSet(order []int) {
+	var one [1][]byte // a one-row write set warms without allocating
+	keys := one[:0]
+	for n, i := range order {
+		op := tx.writes[i]
+		keys = append(keys, op.key)
+		if n+1 < len(order) && tx.writes[order[n+1]].table == op.table {
+			continue
+		}
+		if tree, err := tx.e.tableTree(op.table); err == nil {
+			_ = tree.Warm(keys)
+		}
+		keys = keys[:0]
+	}
 }
 
 // sortedWriteIndexes returns the latest write per key in key order, which

@@ -252,56 +252,80 @@ func (c *Cache) GetLSN(id page.ID) (page.LSN, bool) {
 	return 0, false
 }
 
-// Contains reports whether the page is cached in either tier.
+// Contains reports whether the page is cached, in either tier or on its way
+// from one to the other. Unlike Get it reads nothing and counts nothing.
 func (c *Cache) Contains(id page.ID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	_, inMem := c.mem[id]
+	_, inFlight := c.demoting[id]
 	_, inSSD := c.ssd[id]
-	return inMem || inSSD
+	return inMem || inFlight || inSSD
 }
 
 // Put inserts or updates the page in the memory tier, evicting as needed.
-// The cache takes ownership: the caller must not modify pg afterwards.
-func (c *Cache) Put(pg *page.Page) error { return c.put(pg, false) }
+// The cache takes ownership: the caller must not modify pg afterwards. Put
+// is for the newest version there is — a page just written, or redo applied
+// to the cached one; an image that was read somewhere else a while ago goes
+// through PutFetched.
+func (c *Cache) Put(pg *page.Page) error {
+	_, err := c.put(pg, false, nil)
+	return err
+}
+
+// PutFetched is Put for an image fetched from another copy of the database
+// (GetPage@LSN) while this cache stayed in use: it must never move a page
+// backwards. The image is dropped — installed reports false, and the caller
+// keeps pg for the reader that asked for it — when the cache already holds a
+// version at least as new (supersededLocked), or when evictedLSN, the
+// caller's record of the newest version of each page that has left the cache
+// entirely (Config.OnEvict), names a newer one. evictedLSN runs under the
+// cache lock like OnEvict, so the answer cannot go stale before the install,
+// and like OnEvict it must not call back into the cache.
+func (c *Cache) PutFetched(pg *page.Page, evictedLSN func(page.ID) page.LSN) (installed bool, err error) {
+	return c.put(pg, true, evictedLSN)
+}
 
 // promote is Put for pages read back from the SSD tier.
 //
 //socrates:ignore-err promotion only refreshes the memory tier; the SSD copy just read remains authoritative, so a failed promote costs one re-read
-func (c *Cache) promote(pg *page.Page) { _ = c.put(pg, true) }
+func (c *Cache) promote(pg *page.Page) { _, _ = c.put(pg, true, nil) }
 
 // supersededLocked reports whether the cache already holds the page in a
-// version at least as new as the SSD image pg. The SSD read behind a
-// promotion runs without the lock, so a newer version may meanwhile have
-// been Put (resident), evicted again (in flight to SSD), or landed on SSD;
-// installing pg then would shadow it in the memory tier. Caller holds c.mu.
+// version at least as new as pg, an image that was read without the lock —
+// from the SSD tier (promotion) or from a page server (PutFetched). A newer
+// version may meanwhile have been Put (resident), evicted again (in flight
+// to SSD), or landed on SSD; installing pg then would shadow it in the
+// memory tier. Caller holds c.mu.
 func (c *Cache) supersededLocked(pg *page.Page) bool {
-	if _, resident := c.mem[pg.ID]; resident {
-		return true
+	if e, resident := c.mem[pg.ID]; resident {
+		return e.pg.LSN.AtLeast(pg.LSN)
 	}
-	if _, inFlight := c.demoting[pg.ID]; inFlight {
-		return true
+	if d, inFlight := c.demoting[pg.ID]; inFlight {
+		return d.LSN.AtLeast(pg.LSN)
 	}
 	e, onSSD := c.ssd[pg.ID]
 	return onSSD && e.lsn.After(pg.LSN)
 }
 
-// put installs pg in the memory tier; a promotion that lost the race to a
-// newer version is dropped (the reader keeps its older, consistent image).
-func (c *Cache) put(pg *page.Page, promotion bool) error {
+// put installs pg in the memory tier. With readUnlocked set pg is an image
+// that was read without the lock (promote, PutFetched); one that lost the
+// race to a newer version is dropped — the reader keeps its older, consistent
+// image and the cache keeps the newer one.
+func (c *Cache) put(pg *page.Page, readUnlocked bool, evictedLSN func(page.ID) page.LSN) (installed bool, err error) {
 	// Covering caches are dense: the SSD tier holds every page at all
 	// times (range reads and recovery depend on it), so puts write
 	// through. demote skips the I/O when the SSD copy is already current.
 	if c.cfg.Covering {
 		if err := c.demote(pg); err != nil {
-			return err
+			return false, err
 		}
 	}
 	var evicted []*page.Page
 	c.mu.Lock()
-	if promotion && c.supersededLocked(pg) {
+	if readUnlocked && (c.supersededLocked(pg) || (evictedLSN != nil && evictedLSN(pg.ID).After(pg.LSN))) {
 		c.mu.Unlock()
-		return nil
+		return false, nil
 	}
 	if e, ok := c.mem[pg.ID]; ok {
 		e.pg = pg
@@ -329,7 +353,6 @@ func (c *Cache) put(pg *page.Page, promotion bool) error {
 		}
 	}
 	c.mu.Unlock()
-	var err error
 	for _, v := range evicted {
 		if err == nil {
 			err = c.demote(v)
@@ -340,7 +363,7 @@ func (c *Cache) put(pg *page.Page, promotion bool) error {
 		}
 		c.mu.Unlock()
 	}
-	return err
+	return true, err
 }
 
 // demote moves a page evicted from memory into the SSD tier (or out of the

@@ -159,6 +159,72 @@ func TestPromoteKeepsNewerResident(t *testing.T) {
 	}
 }
 
+// TestPutFetchedNeverMovesPageBackwards: an image fetched from another copy
+// of the database is installed only if the cache knows of no newer version —
+// resident, on its way to the SSD tier, on it, or gone from the cache
+// altogether and remembered by the caller's evicted-LSN record.
+func TestPutFetchedNeverMovesPageBackwards(t *testing.T) {
+	c, _ := sparseCache(t, 2, 8)
+	evicted := map[page.ID]page.LSN{}
+	put := func(pg *page.Page) bool {
+		t.Helper()
+		installed, err := c.PutFetched(pg, func(id page.ID) page.LSN { return evicted[id] })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return installed
+	}
+	holds := func(id page.ID, lsn page.LSN, marker byte) {
+		t.Helper()
+		if pg, ok := c.Get(id); !ok || pg.LSN != lsn || pg.Data[0] != marker {
+			t.Fatalf("page %d = %+v %v, want lsn %d %q", id, pg, ok, lsn, marker)
+		}
+	}
+
+	// Resident: an older image is dropped, the same version changes
+	// nothing, a newer one replaces it.
+	_ = c.Put(mkPage(1, 20, 'n'))
+	if put(mkPage(1, 10, 'o')) || put(mkPage(1, 20, 'x')) {
+		t.Fatal("a fetched image no newer than the resident page was installed")
+	}
+	holds(1, 20, 'n')
+	if !put(mkPage(1, 30, 'f')) {
+		t.Fatal("a fetched image newer than the resident page was dropped")
+	}
+	holds(1, 30, 'f')
+
+	// On the SSD tier only: pages 2 and 3 push page 1 out of memory.
+	_ = c.Put(mkPage(2, 21, 'b'))
+	_ = c.Put(mkPage(3, 22, 'c'))
+	if put(mkPage(1, 25, 'o')) {
+		t.Fatal("a fetched image older than the SSD copy was installed")
+	}
+	holds(1, 30, 'f')
+
+	// In flight to the SSD tier.
+	c.mu.Lock()
+	c.demoting[7] = mkPage(7, 40, 'd')
+	c.mu.Unlock()
+	if !c.Contains(7) || put(mkPage(7, 35, 'o')) {
+		t.Fatal("a page on its way to the SSD tier does not count as cached")
+	}
+	holds(7, 40, 'd')
+
+	// Gone from the cache: only the caller's record knows.
+	evicted[9] = 50
+	if put(mkPage(9, 45, 'o')) || c.Contains(9) {
+		t.Fatal("a fetched image older than the page's evicted version was installed")
+	}
+	if !put(mkPage(9, 50, 'e')) {
+		t.Fatal("the evicted version itself was dropped")
+	}
+	holds(9, 50, 'e')
+
+	// Put stays unconditional: it is for the version the caller just made.
+	_ = c.Put(mkPage(9, 48, 'w'))
+	holds(9, 48, 'w')
+}
+
 func TestMemEvictionToSSD(t *testing.T) {
 	c, _ := sparseCache(t, 2, 8)
 	for i := 1; i <= 3; i++ {
