@@ -9,7 +9,7 @@ RACE_PKGS := ./internal/compute ./internal/hadr ./internal/simdisk \
              ./internal/cluster ./internal/xlog ./internal/pageserver \
              ./internal/obs ./internal/netmux ./internal/rbio \
              ./internal/frontdoor ./internal/btree ./internal/fcb \
-             ./internal/rbpex ./internal/engine
+             ./internal/rbpex ./internal/engine ./internal/hekaton
 
 .PHONY: all lint fmt vet test race chaos chaos-stress allocs bench bench-probes bench-obs bench-mux bench-waits bench-commit bench-router cover vet-baseline clean
 
@@ -61,7 +61,7 @@ chaos-stress:
 # under -race) and a short fuzz of the B-tree node view against the decoded
 # node it replaced.
 allocs:
-	$(GO) test -count=1 -run 'Allocs$$' ./internal/btree ./internal/engine ./internal/pageserver ./internal/compute ./internal/netmux
+	$(GO) test -count=1 -run 'Allocs$$' ./internal/btree ./internal/engine ./internal/pageserver ./internal/compute ./internal/netmux ./internal/rbpex
 	$(GO) test -run '^$$' -fuzz=FuzzNodeView -fuzztime=10s ./internal/btree
 
 bench:

@@ -150,8 +150,13 @@ func (l *DeadlockLint) RunProgram(pkgs []*Package) []Diagnostic {
 			addEdge(e)
 		}
 		for _, c := range ff.calls {
-			// Transitive ordering edges: held × locks the callee acquires.
+			// Transitive ordering edges: held × locks the callee acquires —
+			// unless the call site is a reviewed exception (a callee that
+			// only starts the goroutine which takes the lock, say).
 			for v := range trans[c.callee] {
+				if c.pkg.DirectiveAt("lock-ok", c.node) {
+					break
+				}
 				for _, h := range c.held {
 					addEdge(lockEdge{from: h, to: v,
 						pos: c.pkg.Fset.Position(c.node.Pos()),

@@ -50,3 +50,34 @@ func (a *A) SendReviewed(req []byte) []byte {
 	//socrates:lock-ok fixture loopback call cannot block on a remote peer
 	return Call(req)
 }
+
+// Q is a queue with a drainer: round is always taken before mu.
+type Q struct {
+	round sync.Mutex
+	mu    sync.Mutex
+	n     int
+}
+
+func (q *Q) drain() {
+	q.round.Lock()
+	defer q.round.Unlock()
+	q.mu.Lock()
+	q.n = 0
+	q.mu.Unlock()
+}
+
+// pushLocked starts the drainer; its caller holds mu.
+func (q *Q) pushLocked() {
+	q.n++
+	go q.drain()
+}
+
+// Push holds mu across a call that reaches round's acquisition only through
+// a go statement. The call graph cannot tell starting from running, so the
+// call site carries the reviewed exception.
+func (q *Q) Push() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	//socrates:lock-ok pushLocked only starts the drainer; round is taken on the drainer's goroutine
+	q.pushLocked()
+}

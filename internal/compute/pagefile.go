@@ -129,11 +129,13 @@ func (r *registration) await(ctx context.Context) *page.Page {
 // SetObs wires a tracer and metrics registry: a remote GetPage@LSN miss
 // under a traced request becomes a "compute.getpage" span, and every miss
 // records compute.getpage.* metrics. The miss coalescer's hit/miss
-// counters (netmux.coalesce.*) and the read-ahead counters
-// (compute.readahead.*) land on the same registry.
+// counters (netmux.coalesce.*), the read-ahead counters
+// (compute.readahead.*) and the cache's write-behind counters
+// (compute.rbpex.writebehind.*) land on the same registry.
 func (f *RemotePageFile) SetObs(t *obs.Tracer, r *obs.Registry) {
 	f.tracer, f.obsReg = t, r
 	f.coal = netmux.NewCoalescer(netmux.NewMetrics(r))
+	f.cache.Instrument(r, "compute.rbpex.writebehind")
 }
 
 // SetFlight wires the flight recorder: cache misses (remote GetPage@LSN

@@ -68,7 +68,12 @@ type Secondary struct {
 
 	mu      sync.Mutex
 	applied page.LSN
-	cond    *sync.Cond
+	// fetchFloor is the end of the block being applied, set before its first
+	// record is handled: a fetch that registers mid-block asks the page
+	// server for the whole block, records that went by before it registered
+	// (ignored: the page was not cached) included.
+	fetchFloor page.LSN
+	cond       *sync.Cond
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -111,17 +116,13 @@ func NewSecondary(cfg SecondaryConfig) (*Secondary, error) {
 	}
 	s.cond = sync.NewCond(&s.mu)
 
-	// The freshness floor for never-seen pages: every record below the
-	// node's applied watermark — i.e. LSNs up to applied-1 — may have
-	// touched the page, so the page server must have applied that far.
-	floor := func() page.LSN { return s.AppliedLSN().Prev() }
 	pages, err := NewRemotePageFile(rbpex.Config{
 		MemPages: cfg.CacheMemPages,
 		SSDPages: cfg.CacheSSDPages,
 		SSD:      cfg.CacheSSD,
 		Meta:     cfg.CacheMeta,
 		Waits:    cfg.Waits,
-	}, cfg.Resolve, floor)
+	}, cfg.Resolve, s.floor)
 	if err != nil {
 		return nil, err
 	}
@@ -166,6 +167,18 @@ func (s *Secondary) AppliedLSN() page.LSN {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.applied
+}
+
+// floor is the freshness floor for pages this node does not hold: every
+// record below the applied watermark, and every record of the block being
+// applied, may have touched the page and gone by ignored — so the page server
+// must have applied up to the LSN before the higher of the two. Redo queued
+// for the fetch meanwhile (§4.5) may then repeat what the image has; it is
+// LSN-idempotent.
+func (s *Secondary) floor() page.LSN {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return page.MaxLSN(s.applied, s.fetchFloor).Prev()
 }
 
 // Stats reports records applied, ignored (uncached policy), and queued for
@@ -298,8 +311,13 @@ func (s *Secondary) pullOnce() bool {
 // commit asks the page server (floor) for at least the block that holds it.
 // Publishing as the records went by, with the watermark moving once per
 // pull, let a snapshot taken mid-pull read ahead of the watermark — the
-// chaos oracle's "read from the future".
+// chaos oracle's "read from the future". Before any of it the fetch floor
+// moves to the block's end: a page fetched while the block is being applied
+// comes with all of the block, whichever of its records had gone by already.
 func (s *Secondary) applyBlock(b *wal.Block) {
+	s.mu.Lock()
+	s.fetchFloor = b.End
+	s.mu.Unlock()
 	var visible uint64 // highest commit timestamp in the block; they rise in log order
 	for _, rec := range b.Records {
 		if rec.Kind == wal.KindTxnCommit {

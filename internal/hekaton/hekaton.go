@@ -41,6 +41,11 @@ type Table struct {
 	dev    *simdisk.Device
 	rows   map[string][]byte
 	logEnd int64 // append offset in dev
+	// scratch and touched are Apply's working space, reused under mu: the
+	// encoded batch (the device copies what it is given) and the keys the
+	// batch has changed so far.
+	scratch []byte
+	touched map[string]bool
 }
 
 // header layout at offset 0:
@@ -56,7 +61,7 @@ const tableMagic = 0x48454B31 // "HEK1"
 // Open loads (or initializes) a table backed by dev. After a crash, replay
 // stops at the first torn entry: everything durable before it is recovered.
 func Open(dev *simdisk.Device) (*Table, error) {
-	t := &Table{dev: dev, rows: make(map[string][]byte)}
+	t := &Table{dev: dev, rows: make(map[string][]byte), touched: make(map[string]bool)}
 	size := dev.Size()
 	if size == 0 {
 		// Fresh device: write an empty header.
@@ -126,15 +131,14 @@ func (t *Table) writeHeader(snapLen int64) error {
 }
 
 // entry layout: op u8 | klen u16 | vlen u32 | key | val | crc u32
-func encodeEntry(op byte, key string, val []byte) []byte {
-	buf := make([]byte, 0, 11+len(key)+len(val))
+func appendEntry(buf []byte, op byte, key string, val []byte) []byte {
+	start := len(buf)
 	buf = append(buf, op)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(key)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(val)))
 	buf = append(buf, key...)
 	buf = append(buf, val...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
-	return buf
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start:], crcTable))
 }
 
 func decodeEntry(buf []byte) (n int, op byte, key, val []byte, err error) {
@@ -159,36 +163,70 @@ func decodeEntry(buf []byte) (n int, op byte, key, val []byte, err error) {
 	return total, op, key, val, nil
 }
 
+// Op is one change to the table: store Key→Val, or remove Key.
+type Op struct {
+	Key    string
+	Val    []byte
+	Delete bool
+}
+
 // Put durably stores key→val.
-//
-//socrates:lock-ok the durable log append is intentionally serialized under the table lock: per-key entry order in the log must match the in-memory apply order
 func (t *Table) Put(key string, val []byte) error {
-	entry := encodeEntry(opPut, key, val)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.dev.WriteAt(entry, t.logEnd); err != nil {
-		return err
-	}
-	t.logEnd += int64(len(entry))
-	t.rows[key] = append([]byte(nil), val...)
-	return nil
+	return t.Apply([]Op{{Key: key, Val: val}})
 }
 
 // Delete durably removes key. Deleting an absent key is a no-op.
+func (t *Table) Delete(key string) error {
+	return t.Apply([]Op{{Key: key, Delete: true}})
+}
+
+// Apply makes the changes durable with one append to the log — one device
+// write however many there are — and then applies them to the table, in
+// order: the result is that of calling Put or Delete for each. Every change
+// is its own checksummed log entry, so a crash that tears the append
+// recovers some prefix of the batch. A Delete of a key that is absent at
+// that point of the batch logs nothing.
 //
 //socrates:lock-ok the durable log append is intentionally serialized under the table lock: per-key entry order in the log must match the in-memory apply order
-func (t *Table) Delete(key string) error {
+func (t *Table) Apply(ops []Op) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.rows[key]; !ok {
+	// touched answers "is the key there at this point of the batch" for the
+	// keys the batch has changed so far.
+	clear(t.touched)
+	buf := t.scratch[:0]
+	for _, op := range ops {
+		if op.Delete {
+			there, changed := t.touched[op.Key]
+			if !changed {
+				_, there = t.rows[op.Key]
+			}
+			if !there {
+				continue
+			}
+			buf = appendEntry(buf, opDelete, op.Key, nil)
+		} else {
+			buf = appendEntry(buf, opPut, op.Key, op.Val)
+		}
+		if len(ops) > 1 {
+			t.touched[op.Key] = !op.Delete
+		}
+	}
+	t.scratch = buf
+	if len(buf) == 0 {
 		return nil
 	}
-	entry := encodeEntry(opDelete, key, nil)
-	if err := t.dev.WriteAt(entry, t.logEnd); err != nil {
+	if err := t.dev.WriteAt(buf, t.logEnd); err != nil {
 		return err
 	}
-	t.logEnd += int64(len(entry))
-	delete(t.rows, key)
+	t.logEnd += int64(len(buf))
+	for _, op := range ops {
+		if op.Delete {
+			delete(t.rows, op.Key)
+		} else {
+			t.rows[op.Key] = append([]byte(nil), op.Val...)
+		}
+	}
 	return nil
 }
 
@@ -232,7 +270,7 @@ func (t *Table) Checkpoint() error {
 	defer t.mu.Unlock()
 	var snap []byte
 	for k, v := range t.rows {
-		snap = append(snap, encodeEntry(opPut, k, v)...)
+		snap = appendEntry(snap, opPut, k, v)
 	}
 	// Write snapshot first, then the header that activates it. If we crash
 	// between the two writes, the old header still describes a consistent

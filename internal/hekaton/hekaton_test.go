@@ -208,12 +208,16 @@ func TestConcurrentWriters(t *testing.T) {
 }
 
 // Property: after any op sequence and a restart, the table matches a map.
+// Batch marks an op that joins the Apply batch being collected instead of
+// going through Put or Delete on its own; the batch is applied when the next
+// unmarked op (or the end) comes.
 func TestRecoveryModelEquivalence(t *testing.T) {
 	type op struct {
 		Key    uint8
 		Val    []byte
 		Delete bool
 		Ckpt   bool
+		Batch  bool
 	}
 	f := func(ops []op) bool {
 		dev := newDev()
@@ -222,41 +226,177 @@ func TestRecoveryModelEquivalence(t *testing.T) {
 			return false
 		}
 		model := map[string][]byte{}
+		var batch []Op
+		flush := func() bool {
+			defer func() { batch = nil }()
+			return tb.Apply(batch) == nil
+		}
 		for _, o := range ops {
 			key := fmt.Sprintf("k%d", o.Key%8)
+			if !o.Batch && !flush() {
+				return false
+			}
 			switch {
 			case o.Ckpt:
-				if tb.Checkpoint() != nil {
+				if !flush() || tb.Checkpoint() != nil {
 					return false
 				}
 			case o.Delete:
-				if tb.Delete(key) != nil {
+				if o.Batch {
+					batch = append(batch, Op{Key: key, Delete: true})
+				} else if tb.Delete(key) != nil {
 					return false
 				}
 				delete(model, key)
 			default:
-				if tb.Put(key, o.Val) != nil {
+				if o.Batch {
+					batch = append(batch, Op{Key: key, Val: o.Val})
+				} else if tb.Put(key, o.Val) != nil {
 					return false
 				}
 				model[key] = append([]byte(nil), o.Val...)
 			}
 		}
-		re, err := Open(dev)
-		if err != nil {
+		if !flush() {
 			return false
 		}
-		if re.Len() != len(model) {
-			return false
-		}
-		for k, want := range model {
-			got, ok := re.Get(k)
-			if !ok || !bytes.Equal(got, want) {
+		for _, table := range []*Table{tb, reopen(t, dev)} {
+			if table.Len() != len(model) {
 				return false
+			}
+			for k, want := range model {
+				got, ok := table.Get(k)
+				if !ok || !bytes.Equal(got, want) {
+					return false
+				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func reopen(t *testing.T, dev *simdisk.Device) *Table {
+	t.Helper()
+	tb, err := Open(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
+
+func rowsOf(tb *Table) map[string]string {
+	out := map[string]string{}
+	tb.Range(func(k string, v []byte) bool { out[k] = string(v); return true })
+	return out
+}
+
+// TestApplyIsOneDeviceWrite: a batch reaches the log as one append, whatever
+// its size, and a batch that changes nothing writes nothing.
+func TestApplyIsOneDeviceWrite(t *testing.T) {
+	dev := newDev()
+	tb := reopen(t, dev)
+	var ops []Op
+	for i := 0; i < 16; i++ {
+		ops = append(ops, Op{Key: fmt.Sprintf("k%02d", i), Val: []byte{byte(i)}})
+	}
+	ops = append(ops, Op{Key: "k03", Delete: true}, Op{Key: "absent", Delete: true})
+	_, before, _, _ := dev.Stats()
+	if err := tb.Apply(ops); err != nil {
+		t.Fatal(err)
+	}
+	if _, after, _, _ := dev.Stats(); after-before != 1 {
+		t.Fatalf("a batch of %d changes took %d device writes, want 1", len(ops), after-before)
+	}
+	if tb.Len() != 15 {
+		t.Fatalf("rows = %d, want 15", tb.Len())
+	}
+	_, before, _, _ = dev.Stats()
+	end := tb.LogBytes()
+	if err := tb.Apply([]Op{{Key: "absent", Delete: true}, {Key: "k03", Delete: true}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, after, _, _ := dev.Stats(); after != before || tb.LogBytes() != end {
+		t.Fatal("deleting absent keys wrote to the log")
+	}
+	if err := tb.Apply(nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestApplySameKeyTwice: the batch means what its changes mean one after
+// another, also when two of them name one key — in memory and after replay.
+func TestApplySameKeyTwice(t *testing.T) {
+	dev := newDev()
+	tb := reopen(t, dev)
+	_ = tb.Put("kept", []byte("old"))
+	_ = tb.Put("gone", []byte("old"))
+	err := tb.Apply([]Op{
+		{Key: "kept", Delete: true}, {Key: "kept", Val: []byte("new")}, // delete, then put
+		{Key: "gone", Val: []byte("new")}, {Key: "gone", Delete: true}, // put, then delete
+		{Key: "fresh", Val: []byte("1")}, {Key: "fresh", Delete: true}, {Key: "fresh", Delete: true},
+		{Key: "twice", Val: []byte("1")}, {Key: "twice", Val: []byte("2")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"kept": "new", "twice": "2"}
+	for name, table := range map[string]*Table{"live": tb, "recovered": reopen(t, dev)} {
+		if got := rowsOf(table); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s table = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestApplyTornBatchRecoversPrefix: every entry of a batch carries its own
+// checksum, so cutting the append anywhere recovers the changes that were
+// whole, in order, and nothing of the rest.
+func TestApplyTornBatchRecoversPrefix(t *testing.T) {
+	dev := newDev()
+	tb := reopen(t, dev)
+	_ = tb.Put("victim", []byte("v"))
+	start := tb.LogBytes()
+	batch := []Op{
+		{Key: "victim", Delete: true},
+		{Key: "a", Val: []byte("1")},
+		{Key: "b", Val: []byte("2")},
+		{Key: "a", Val: []byte("3")},
+	}
+	if err := tb.Apply(batch); err != nil {
+		t.Fatal(err)
+	}
+	end := tb.LogBytes()
+	image := make([]byte, end)
+	if err := dev.ReadAt(image, 0); err != nil {
+		t.Fatal(err)
+	}
+	// The states a prefix of the batch can leave, by the number of whole
+	// entries recovered.
+	states := []string{
+		fmt.Sprint(map[string]string{"victim": "v"}),
+		fmt.Sprint(map[string]string{}),
+		fmt.Sprint(map[string]string{"a": "1"}),
+		fmt.Sprint(map[string]string{"a": "1", "b": "2"}),
+		fmt.Sprint(map[string]string{"a": "3", "b": "2"}),
+	}
+	reached := 0
+	for cut := start; cut <= end; cut++ {
+		torn := newDev()
+		if err := torn.WriteAt(image[:cut], 0); err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprint(rowsOf(reopen(t, torn)))
+		for reached+1 < len(states) && got == states[reached+1] {
+			reached++
+		}
+		if got != states[reached] {
+			t.Fatalf("cut at byte %d of [%d,%d]: rows %s, want %s (a prefix of the batch)",
+				cut, start, end, got, states[reached])
+		}
+	}
+	if reached != len(states)-1 {
+		t.Fatalf("the whole batch recovered only to state %d of %d", reached, len(states)-1)
 	}
 }

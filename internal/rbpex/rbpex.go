@@ -16,6 +16,11 @@
 // tier: only the log records newer than each cached page's LSN need to be
 // replayed, instead of refetching the whole working set from remote
 // servers. That is the mean-time-to-recovery win the paper describes.
+//
+// A sparse cache demotes write-behind (DESIGN §18): a page that leaves the
+// memory tier is parked where every reader still finds it and queued for one
+// background drainer, which writes slots in batches and makes a batch's
+// metadata durable with one append. A Put never waits for the SSD.
 package rbpex
 
 import (
@@ -55,7 +60,8 @@ type Config struct {
 	Meta *simdisk.Device
 	// Waits, if set, receives a page.miss wait for every memory-tier miss
 	// served from the SSD tier (the time the caller spent blocked on the
-	// slot read). Nil disables recording.
+	// slot read), and a backpressure wait for every put that found the
+	// write-behind backlog full. Nil disables recording.
 	Waits *obs.WaitRecorder
 	// OnEvict, if set, is called when a page leaves the cache entirely,
 	// with the page's last cached LSN. It runs atomically with the
@@ -75,6 +81,80 @@ type ssdEntry struct {
 	slot int
 	lsn  page.LSN
 	elt  *list.Element // nil in covering mode
+	// pins counts the demotions that have chosen to rewrite this entry's
+	// slot in place and have not published yet. A pinned entry is not an
+	// eviction candidate: its slot is being written.
+	pins int
+}
+
+// backlogPages bounds the write-behind backlog — pages that have left the
+// memory tier and are not on the SSD tier yet. One read-ahead window
+// (btree.ReadAhead): a scan's installs never wait for the drainer, and the
+// backlog holds 128 KB at most. A put that has to evict with the backlog
+// full waits for the drainer.
+const backlogPages = 16
+
+// demotion is one page on its way from the memory tier to the SSD tier.
+type demotion struct {
+	// id and lsn are the page's as captured when it left the memory tier;
+	// all bookkeeping goes by them, never by pg's fields.
+	id  page.ID
+	lsn page.LSN
+	pg  *page.Page
+	// seq orders evictions (from 1); zero marks a synchronous demotion, which
+	// was never queued. Of two queued versions of one page the higher seq is
+	// the one that counts.
+	seq uint64
+
+	// What chooseSlotsLocked decided, for writeSlots and publishLocked.
+	skip      bool // nothing to write: overtaken in the queue, or the SSD copy is current
+	pinned    bool // holds a pin on the page's SSD entry until the batch is published
+	slot      int
+	inPlace   bool // rewrites the slot of its (pinned) SSD entry; no metadata row changes
+	hasVictim bool // took the slot of victim, whose row the batch deletes
+	victim    page.ID
+}
+
+// WriteBehindStats counts the work of the write-behind queue since Open.
+type WriteBehindStats struct {
+	Queued      int64 // pages queued for the drainer
+	Written     int64 // of those, written to the SSD tier
+	Superseded  int64 // skipped: a newer version of the page was queued behind, or the SSD copy had caught up
+	Dropped     int64 // lost from the cache because a device write failed
+	Batches     int64 // drainer rounds: one vectored slot write and at most one metadata append each
+	BlockedPuts int64 // puts that found the backlog full and waited for the drainer
+}
+
+// wbCounter is one WriteBehindStats field (under Cache.mu), mirrored onto a
+// registry counter when the cache is instrumented.
+type wbCounter struct {
+	n   int64
+	reg *obs.Counter
+}
+
+func (w *wbCounter) inc() {
+	w.n++
+	w.reg.Inc()
+}
+
+// slotWriter is the working space of one run of the batch routine
+// (carry): the batch, its encoded images and its metadata changes.
+type slotWriter struct {
+	batch  []demotion
+	images []byte
+	bufs   [][]byte
+	offs   []int64
+	ops    []hekaton.Op
+	vals   []byte // the batch's metadata row values, 16 bytes each
+}
+
+var slotWriters = sync.Pool{New: func() any { return new(slotWriter) }}
+
+// done returns the working space to the pool, without the pages of its last
+// batch.
+func (w *slotWriter) done() {
+	clear(w.batch[:cap(w.batch)])
+	slotWriters.Put(w)
 }
 
 // Cache is one RBPEX instance.
@@ -82,18 +162,38 @@ type Cache struct {
 	cfg  Config
 	meta *hekaton.Table
 
+	// round serializes runs of the batch routine on a sparse cache: slots
+	// are chosen by one writer at a time — the drainer, or a synchronous
+	// Seed/FlushAll. Covering slots are fixed by the layout and need none.
+	round sync.Mutex
+
 	mu     sync.Mutex
 	mem    map[page.ID]*memEntry
 	memLRU *list.List // front = most recent; values are page.ID
-	// demoting holds pages that left the memory tier and whose SSD write is
-	// still in flight. Until it lands the SSD slot holds an older image (or
-	// none), so Get serves these from here: a reader must never promote that
-	// older image over the version being written.
-	demoting map[page.ID]*page.Page
+	// demoting holds the newest version of every page that has left the
+	// memory tier and is not published on the SSD tier yet: queued, or being
+	// written. Until then the SSD slot holds an older image (or none), so Get
+	// serves these from here: a reader must never promote that older image
+	// over the version on its way.
+	demoting map[page.ID]demotion
+	// queue is the write-behind backlog in eviction order; backlog counts it
+	// plus the batch the drainer is writing. The drainer runs while the
+	// queue is non-empty (draining) and signals wake whenever the backlog
+	// shrinks — to puts waiting for room and to Sync.
+	queue    []demotion
+	backlog  int
+	evictSeq uint64
+	draining bool
+	wake     *sync.Cond
 	ssd      map[page.ID]*ssdEntry
 	ssdLRU   *list.List // sparse mode only
 	free     []int
 	nextSlot int
+	// claimed counts fresh slots chosen for demotions that have not
+	// published yet: they fill the tier like entries do.
+	claimed int
+
+	queued, written, superseded, dropped, batches, blockedPuts wbCounter
 
 	memHits metrics.Counter
 	ssdHits metrics.Counter
@@ -113,10 +213,12 @@ func Open(cfg Config) (*Cache, error) {
 		cfg:      cfg,
 		mem:      make(map[page.ID]*memEntry),
 		memLRU:   list.New(),
-		demoting: make(map[page.ID]*page.Page),
+		demoting: make(map[page.ID]demotion),
+		queue:    make([]demotion, 0, backlogPages),
 		ssd:      make(map[page.ID]*ssdEntry),
 		ssdLRU:   list.New(),
 	}
+	c.wake = sync.NewCond(&c.mu)
 	if cfg.SSDPages > 0 {
 		if cfg.SSD == nil || cfg.Meta == nil {
 			return nil, errors.New("rbpex: SSD tier requires SSD and Meta devices")
@@ -201,10 +303,10 @@ func (c *Cache) Get(id page.ID) (*page.Page, bool) {
 		c.memHits.Inc()
 		return pg, true
 	}
-	if pg, ok := c.demoting[id]; ok {
+	if d, ok := c.demoting[id]; ok {
 		c.mu.Unlock()
 		c.memHits.Inc()
-		return pg, true
+		return d.pg, true
 	}
 	e, ok := c.ssd[id]
 	if !ok {
@@ -239,12 +341,16 @@ func (c *Cache) Get(id page.ID) (*page.Page, bool) {
 	return pg, true
 }
 
-// GetLSN reports the LSN of the cached copy, if any, without reading data.
+// GetLSN reports the LSN of the cached copy — the one Get would return —
+// if any, without reading data.
 func (c *Cache) GetLSN(id page.ID) (page.LSN, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.mem[id]; ok {
 		return e.pg.LSN, true
+	}
+	if d, ok := c.demoting[id]; ok {
+		return d.lsn, true
 	}
 	if e, ok := c.ssd[id]; ok {
 		return e.lsn, true
@@ -302,7 +408,7 @@ func (c *Cache) supersededLocked(pg *page.Page) bool {
 		return e.pg.LSN.AtLeast(pg.LSN)
 	}
 	if d, inFlight := c.demoting[pg.ID]; inFlight {
-		return d.LSN.AtLeast(pg.LSN)
+		return d.lsn.AtLeast(pg.LSN)
 	}
 	e, onSSD := c.ssd[pg.ID]
 	return onSSD && e.lsn.After(pg.LSN)
@@ -321,147 +427,385 @@ func (c *Cache) put(pg *page.Page, readUnlocked bool, evictedLSN func(page.ID) p
 			return false, err
 		}
 	}
-	var evicted []*page.Page
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if readUnlocked && (c.supersededLocked(pg) || (evictedLSN != nil && evictedLSN(pg.ID).After(pg.LSN))) {
-		c.mu.Unlock()
 		return false, nil
 	}
 	if e, ok := c.mem[pg.ID]; ok {
 		e.pg = pg
 		c.memLRU.MoveToFront(e.elt)
-	} else {
-		e := &memEntry{pg: pg}
-		e.elt = c.memLRU.PushFront(pg.ID)
-		c.mem[pg.ID] = e
-		for len(c.mem) > c.cfg.MemPages {
-			victim := c.memLRU.Back()
-			id := victim.Value.(page.ID)
-			ve := c.mem[id]
-			c.memLRU.Remove(victim)
-			delete(c.mem, id)
-			// Record the eviction atomically with the removal from the
-			// memory tier — even when the page is headed for the SSD
-			// tier, because a failed demotion write drops it from the
-			// cache and a later miss must still learn its LSN ("the
-			// highest LSN for every page evicted", §4.4).
-			c.notifyEvictLocked(id, ve.pg.LSN)
-			if c.cfg.SSDPages > 0 || c.cfg.Covering {
-				evicted = append(evicted, ve.pg)
-				c.demoting[id] = ve.pg
-			}
+		return true, nil
+	}
+	e := &memEntry{pg: pg}
+	e.elt = c.memLRU.PushFront(pg.ID)
+	c.mem[pg.ID] = e
+	for len(c.mem) > c.cfg.MemPages {
+		//socrates:lock-ok evictLocked starts the drainer, it does not run it: round is taken on the drainer's own goroutine, and nothing takes round while holding mu
+		if !c.evictLocked() {
+			c.awaitDrainerLocked()
 		}
 	}
-	c.mu.Unlock()
-	for _, v := range evicted {
-		if err == nil {
-			err = c.demote(v)
-		}
-		c.mu.Lock()
-		if c.demoting[v.ID] == v {
-			delete(c.demoting, v.ID)
-		}
-		c.mu.Unlock()
-	}
-	return true, err
+	return true, nil
 }
 
-// demote moves a page evicted from memory into the SSD tier (or out of the
-// cache entirely when there is no SSD tier or the page loses the SSD LRU).
-func (c *Cache) demote(pg *page.Page) error {
-	if c.cfg.SSDPages == 0 && !c.cfg.Covering {
+// evictLocked takes the LRU page out of the memory tier. With an SSD tier
+// the page stays cached: it is parked in demoting and queued for the
+// drainer, and nobody waits for the device. It reports false, having done
+// nothing, when the page has to be queued and the backlog is full. Caller
+// holds c.mu.
+//
+//socrates:hotpath once per Put that evicts, on the read path (install) and under the commit latch (Write); budget enforced by TestPutEvictAllocs
+func (c *Cache) evictLocked() bool {
+	victim := c.memLRU.Back()
+	id := victim.Value.(page.ID)
+	pg := c.mem[id].pg
+	lsn := pg.LSN
+	tiered := c.cfg.SSDPages > 0
+	// A page whose SSD copy is already current is not queued; its recency
+	// on the SSD tier is refreshed now, as a demotion would have.
+	queue := tiered && !c.ssdCurrentLocked(id, lsn)
+	if queue && c.backlog >= backlogPages {
+		return false
+	}
+	c.memLRU.Remove(victim)
+	delete(c.mem, id)
+	// Record the eviction atomically with the removal from the memory
+	// tier — even when the page is headed for the SSD tier, because a
+	// failed demotion write drops it from the cache and a later miss must
+	// still learn its LSN ("the highest LSN for every page evicted", §4.4).
+	c.notifyEvictLocked(id, lsn)
+	if !queue {
+		return true
+	}
+	c.evictSeq++
+	d := demotion{id: id, lsn: lsn, pg: pg, seq: c.evictSeq}
+	c.demoting[id] = d
+	//socrates:alloc-ok the queue's backing array has room for the whole backlog from Open on
+	c.queue = append(c.queue, d)
+	c.backlog++
+	c.queued.inc()
+	if !c.draining {
+		c.draining = true
+		// The drainer ends itself when it finds the queue empty; a cache
+		// nobody uses any more has none, and needs no Close.
+		go c.drain()
+	}
+	return true
+}
+
+// ssdCurrentLocked reports whether the SSD tier holds the page at lsn or
+// newer, and if so refreshes the copy's recency. Caller holds c.mu.
+func (c *Cache) ssdCurrentLocked(id page.ID, lsn page.LSN) bool {
+	e, ok := c.ssd[id]
+	if !ok || e.lsn.Before(lsn) {
+		return false
+	}
+	if !c.cfg.Covering {
+		c.ssdLRU.MoveToFront(e.elt)
+	}
+	return true
+}
+
+// awaitDrainerLocked blocks a put that must evict while the backlog is full
+// until the drainer has made room. Caller holds c.mu.
+func (c *Cache) awaitDrainerLocked() {
+	c.blockedPuts.inc()
+	region := c.cfg.Waits.Begin(nil, obs.WaitBackpressure)
+	for c.backlog >= backlogPages {
+		c.wake.Wait()
+	}
+	region.End()
+}
+
+// Sync returns when the write-behind backlog is empty: every page evicted
+// from the memory tier so far is on the SSD tier (or, after a device
+// failure, out of the cache).
+func (c *Cache) Sync() {
+	c.mu.Lock()
+	for c.backlog > 0 {
+		c.wake.Wait()
+	}
+	c.mu.Unlock()
+}
+
+// drain is the write-behind drainer: one goroutine, alive while the queue is
+// non-empty, carrying the whole queue to the SSD tier one batch per round.
+func (c *Cache) drain() {
+	w := slotWriters.Get().(*slotWriter)
+	defer w.done()
+	for {
 		c.mu.Lock()
-		c.notifyEvictLocked(pg.ID, pg.LSN)
-		c.mu.Unlock()
-		return nil
-	}
-	c.mu.Lock()
-	e, exists := c.ssd[pg.ID]
-	if exists && e.lsn.AtLeast(pg.LSN) {
-		// SSD already has this version or newer; just refresh recency.
-		if !c.cfg.Covering {
-			c.ssdLRU.MoveToFront(e.elt)
+		if len(c.queue) == 0 {
+			c.draining = false
+			c.mu.Unlock()
+			return
 		}
 		c.mu.Unlock()
-		return nil
+		//socrates:ignore-err write-behind has no caller to tell; carry has already dropped the batch's pages from the cache and counted them (WriteBehindStats.Dropped), and their evictions were recorded when they left the memory tier
+		_ = c.carry(w, true)
 	}
-	var slot int
-	var ssdVictim *struct {
-		id  page.ID
-		lsn page.LSN
+}
+
+// demote writes one page through to the SSD tier and returns when it is
+// there: the batch routine with a batch of one. Covering puts, Seed and
+// FlushAll use it.
+func (c *Cache) demote(pg *page.Page) error {
+	w := slotWriters.Get().(*slotWriter)
+	defer w.done()
+	w.batch = append(w.batch[:0], demotion{id: pg.ID, lsn: pg.LSN, pg: pg})
+	return c.carry(w, false)
+}
+
+// carry is the batch routine: it moves a batch of demotions — the whole
+// queue (fromQueue) or the one page in w.batch — into the SSD tier. Slots
+// are chosen for all of them in one critical section, the images are written
+// side by side, one append makes the batch's metadata rows durable, and only
+// then are the pages published as SSD entries and released from demoting. A
+// slot is thus written before any durable row names it, and nothing the tier
+// claims to hold is missing from it. If a device write fails the batch's
+// pages leave the cache.
+func (c *Cache) carry(w *slotWriter, fromQueue bool) error {
+	if !c.cfg.Covering {
+		c.round.Lock()
+		defer c.round.Unlock()
 	}
-	switch {
-	case exists:
-		slot = e.slot
-	case c.cfg.Covering:
-		slot = c.slotFor(pg.ID)
-	case len(c.free) > 0:
-		slot = c.free[len(c.free)-1]
-		c.free = c.free[:len(c.free)-1]
-	case len(c.ssd) < c.cfg.SSDPages:
-		slot = c.nextSlot
-		c.nextSlot++
-	default:
-		// SSD full: evict the SSD LRU victim and reuse its slot. The
-		// eviction is recorded before the lock drops, so a concurrent
-		// miss always sees the evicted-LSN entry.
-		back := c.ssdLRU.Back()
-		vid := back.Value.(page.ID)
-		ve := c.ssd[vid]
-		c.ssdLRU.Remove(back)
-		delete(c.ssd, vid)
-		slot = ve.slot
-		ssdVictim = &struct {
-			id  page.ID
-			lsn page.LSN
-		}{vid, ve.lsn}
-		c.notifyEvictLocked(vid, ve.lsn)
+	c.mu.Lock()
+	if fromQueue {
+		w.batch = append(w.batch[:0], c.queue...)
 	}
+	n := c.chooseSlotsLocked(w.batch)
+	if fromQueue {
+		// What found no slot this round stays queued, in order.
+		rest := copy(c.queue, c.queue[n:])
+		clear(c.queue[rest:]) // the queue must not keep written pages alive
+		c.queue = c.queue[:rest]
+		c.batches.inc()
+	}
+	w.batch = w.batch[:n]
 	c.mu.Unlock()
 
-	buf, err := pg.Encode()
+	err := c.writeSlots(w)
+	rowsGone := err != nil && c.deleteRows(w)
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if err != nil {
-		return err
-	}
-	if err := c.cfg.SSD.WriteAt(buf, int64(slot)*page.Size); err != nil {
-		return err
-	}
-	if ssdVictim != nil {
-		if err := c.meta.Delete(metaKey(ssdVictim.id)); err != nil {
-			return err
-		}
-	}
-	// Persist metadata only when the page takes a (new) slot. Refreshing
-	// the recorded LSN on every rewrite would double the SSD traffic for
-	// nothing: a stale recorded LSN merely means a little extra idempotent
-	// redo after recovery, while the slot mapping is what correctness
-	// needs. The page image itself always carries its true LSN.
-	if !exists {
-		val := make([]byte, 16)
-		binary.LittleEndian.PutUint64(val[0:8], uint64(slot))
-		binary.LittleEndian.PutUint64(val[8:16], pg.LSN.Uint64())
-		if err := c.meta.Put(metaKey(pg.ID), val); err != nil {
-			return err
-		}
-	}
-
-	c.mu.Lock()
-	if e, ok := c.ssd[pg.ID]; ok {
-		e.lsn = pg.LSN
-		e.slot = slot
-		if !c.cfg.Covering {
-			c.ssdLRU.MoveToFront(e.elt)
-		}
+		c.abandonLocked(w.batch, rowsGone)
 	} else {
-		ne := &ssdEntry{slot: slot, lsn: pg.LSN}
-		if !c.cfg.Covering {
-			ne.elt = c.ssdLRU.PushFront(pg.ID)
-		}
-		c.ssd[pg.ID] = ne
+		c.publishLocked(w.batch)
 	}
-	c.mu.Unlock()
+	c.wake.Broadcast() // the backlog shrank: puts waiting for room, Sync
+	return err
+}
 
-	return nil
+// chooseSlotsLocked decides, for the demotions of batch in order, what each
+// writes where, and returns how many it got to: the SSD LRU can run out of
+// victims mid-batch, and the rest then waits for the next round, whose
+// victims are this round's pages. The first demotion of a round always gets
+// its slot. Caller holds c.mu.
+//
+// The choices are those the demotions would make one after another, each
+// published before the next begins. What stands in for the publication is
+// the pin: an entry whose slot is being rewritten in place is no victim for
+// the demotions behind it (published, it would sit at the front of the LRU).
+func (c *Cache) chooseSlotsLocked(batch []demotion) int {
+	for i := range batch {
+		d := &batch[i]
+		e, exists := c.ssd[d.id]
+		// A newer version of the page is queued behind this one: nothing to
+		// write, but the page's SSD copy stays put for the newer version to
+		// overwrite, as if this one had been written first.
+		overtaken := d.seq != 0 && c.demoting[d.id].seq != d.seq
+		if !overtaken && c.ssdCurrentLocked(d.id, d.lsn) {
+			d.skip = true
+			continue
+		}
+		if exists {
+			e.pins++
+			d.pinned = true
+		}
+		if overtaken {
+			d.skip = true
+			continue
+		}
+		if exists {
+			d.slot, d.inPlace = e.slot, true
+			continue
+		}
+		switch {
+		case c.cfg.Covering:
+			d.slot = c.slotFor(d.id)
+		case len(c.free) > 0:
+			d.slot = c.free[len(c.free)-1]
+			c.free = c.free[:len(c.free)-1]
+		case len(c.ssd)+c.claimed < c.cfg.SSDPages:
+			d.slot = c.nextSlot
+			c.nextSlot++
+		default:
+			// SSD full: evict the SSD LRU victim and reuse its slot. The
+			// eviction is recorded before the lock drops, so a concurrent
+			// miss always sees the evicted-LSN entry.
+			back := c.ssdLRU.Back()
+			for back != nil && c.ssd[back.Value.(page.ID)].pins > 0 {
+				back = back.Prev()
+			}
+			if back == nil {
+				return i
+			}
+			vid := back.Value.(page.ID)
+			ve := c.ssd[vid]
+			c.ssdLRU.Remove(back)
+			delete(c.ssd, vid)
+			d.slot, d.victim, d.hasVictim = ve.slot, vid, true
+			c.notifyEvictLocked(vid, ve.lsn)
+		}
+		c.claimed++
+	}
+	return len(batch)
+}
+
+// writeSlots does the batch's device I/O, without the lock: the page images
+// in one vectored write, then — only then — the metadata changes in one
+// append.
+func (c *Cache) writeSlots(w *slotWriter) error {
+	w.images, w.bufs, w.offs, w.ops = w.images[:0], w.bufs[:0], w.offs[:0], w.ops[:0]
+	if need := 16 * len(w.batch); cap(w.vals) < need {
+		w.vals = make([]byte, need)
+	}
+	for i := range w.batch {
+		d := &w.batch[i]
+		if d.skip {
+			continue
+		}
+		var err error
+		if w.images, err = d.pg.AppendEncode(w.images); err != nil {
+			return err
+		}
+		w.offs = append(w.offs, int64(d.slot)*page.Size)
+		if d.hasVictim {
+			w.ops = append(w.ops, hekaton.Op{Key: metaKey(d.victim), Delete: true})
+		}
+		// Persist metadata only when the page takes a (new) slot. Refreshing
+		// the recorded LSN on every rewrite would double the SSD traffic for
+		// nothing: a stale recorded LSN merely means a little extra idempotent
+		// redo after recovery, while the slot mapping is what correctness
+		// needs. The page image itself always carries its true LSN.
+		if !d.inPlace {
+			val := w.vals[16*i : 16*i+16]
+			binary.LittleEndian.PutUint64(val[0:8], uint64(d.slot))
+			binary.LittleEndian.PutUint64(val[8:16], d.lsn.Uint64())
+			w.ops = append(w.ops, hekaton.Op{Key: metaKey(d.id), Val: val})
+		}
+	}
+	for i := range w.offs {
+		w.bufs = append(w.bufs, w.images[i*page.Size:(i+1)*page.Size])
+	}
+	if err := c.cfg.SSD.WriteVec(w.bufs, w.offs); err != nil {
+		return err
+	}
+	return c.meta.Apply(w.ops)
+}
+
+// publishLocked makes a written batch visible: each page becomes (or
+// refreshes) its SSD entry, at the front of the LRU in batch order, and
+// leaves demoting unless a newer version has been parked there meanwhile.
+// Caller holds c.mu.
+func (c *Cache) publishLocked(batch []demotion) {
+	for i := range batch {
+		d := &batch[i]
+		switch {
+		case d.pinned:
+			// Written in place — or overtaken, and its turn passes as if it
+			// had been: the SSD copy is the most recent of the tier now.
+			e := c.ssd[d.id]
+			e.pins--
+			if d.inPlace {
+				e.lsn = d.lsn
+			}
+			if !c.cfg.Covering {
+				c.ssdLRU.MoveToFront(e.elt)
+			}
+		case d.skip:
+		default:
+			c.claimed--
+			e := &ssdEntry{slot: d.slot, lsn: d.lsn}
+			if !c.cfg.Covering {
+				e.elt = c.ssdLRU.PushFront(d.id)
+			}
+			c.ssd[d.id] = e
+		}
+		c.releaseLocked(d, &c.written)
+	}
+}
+
+// releaseLocked ends a queued demotion's stay in the backlog, counting it
+// under outcome unless it was skipped. Caller holds c.mu.
+func (c *Cache) releaseLocked(d *demotion, outcome *wbCounter) {
+	if d.seq == 0 {
+		return // synchronous: never queued
+	}
+	if d.skip {
+		outcome = &c.superseded
+	}
+	outcome.inc()
+	if c.demoting[d.id].seq == d.seq {
+		delete(c.demoting, d.id)
+	}
+	c.backlog--
+}
+
+// deleteRows is the first half of giving up a batch whose device I/O failed,
+// done without the lock: the durable rows that name the batch's slots — those
+// of the victims, and of the SSD copies that were being overwritten in place
+// and may now be torn — are deleted, best effort. It reports whether they are
+// gone. A covering cache's rows stay: its layout is fixed.
+func (c *Cache) deleteRows(w *slotWriter) bool {
+	if c.cfg.Covering {
+		return false
+	}
+	w.ops = w.ops[:0]
+	for i := range w.batch {
+		d := &w.batch[i]
+		switch {
+		case d.skip:
+		case d.inPlace:
+			w.ops = append(w.ops, hekaton.Op{Key: metaKey(d.id), Delete: true})
+		case d.hasVictim:
+			w.ops = append(w.ops, hekaton.Op{Key: metaKey(d.victim), Delete: true})
+		}
+	}
+	return c.meta.Apply(w.ops) == nil
+}
+
+// abandonLocked is the second half: the batch's pages leave the cache — their
+// evictions were recorded when they left the memory tier — and so do the SSD
+// copies they were overwriting. A slot goes back to the free list only if no
+// durable row names it any more; otherwise it stays out of use, as the row
+// would claim it after a restart. A covering cache keeps its entries and
+// reports the error to the Put that wrote through. Caller holds c.mu.
+func (c *Cache) abandonLocked(batch []demotion, rowsGone bool) {
+	for i := range batch {
+		d := &batch[i]
+		if d.pinned {
+			c.ssd[d.id].pins--
+		}
+		switch {
+		case d.skip:
+		case d.inPlace:
+			if e := c.ssd[d.id]; e.pins == 0 && !c.cfg.Covering {
+				c.ssdLRU.Remove(e.elt)
+				delete(c.ssd, d.id)
+			}
+		default:
+			c.claimed--
+		}
+		rowNamesSlot := (d.inPlace || d.hasVictim) && !rowsGone
+		if !d.skip && !c.cfg.Covering && !rowNamesSlot {
+			c.free = append(c.free, d.slot)
+		}
+		c.releaseLocked(d, &c.dropped)
+	}
 }
 
 // notifyEvictLocked fires the eviction hook; caller holds c.mu.
@@ -482,8 +826,13 @@ func (c *Cache) Seed(pg *page.Page) error {
 }
 
 // FlushAll demotes every memory-tier page to the SSD tier (clean shutdown),
-// so a reopened cache starts with the complete hot set on SSD.
+// after whatever was on its way there already, so a reopened cache starts
+// with the complete hot set on SSD.
 func (c *Cache) FlushAll() error {
+	if c.cfg.SSDPages == 0 {
+		return nil
+	}
+	c.Sync()
 	c.mu.Lock()
 	pages := make([]*page.Page, 0, len(c.mem))
 	for _, e := range c.mem {
@@ -495,10 +844,7 @@ func (c *Cache) FlushAll() error {
 			return err
 		}
 	}
-	if c.meta != nil {
-		return c.meta.Checkpoint()
-	}
-	return nil
+	return c.meta.Checkpoint()
 }
 
 // ReadRange reads n consecutive pages starting at start with a single SSD
@@ -617,7 +963,41 @@ func (c *Cache) Len() int {
 			n++
 		}
 	}
+	for id := range c.demoting {
+		_, onSSD := c.ssd[id]
+		if _, inMem := c.mem[id]; !onSSD && !inMem {
+			n++
+		}
+	}
 	return n
+}
+
+// WriteBehind reports the write-behind queue's counters.
+func (c *Cache) WriteBehind() WriteBehindStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return WriteBehindStats{
+		Queued:      c.queued.n,
+		Written:     c.written.n,
+		Superseded:  c.superseded.n,
+		Dropped:     c.dropped.n,
+		Batches:     c.batches.n,
+		BlockedPuts: c.blockedPuts.n,
+	}
+}
+
+// Instrument mirrors the write-behind counters, from now on, onto counters
+// of r named prefix + ".queued", ".written", ".superseded", ".dropped",
+// ".batches" and ".blocked_puts". Caches instrumented under one prefix add up.
+func (c *Cache) Instrument(r *obs.Registry, prefix string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.queued.reg = r.Counter(prefix + ".queued")
+	c.written.reg = r.Counter(prefix + ".written")
+	c.superseded.reg = r.Counter(prefix + ".superseded")
+	c.dropped.reg = r.Counter(prefix + ".dropped")
+	c.batches.reg = r.Counter(prefix + ".batches")
+	c.blockedPuts.reg = r.Counter(prefix + ".blocked_puts")
 }
 
 // MinSSDLSN reports the oldest LSN among SSD-tier pages and whether the

@@ -1,0 +1,942 @@
+package rbpex
+
+import (
+	"container/list"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+	"time"
+
+	"socrates/internal/page"
+	"socrates/internal/simdisk"
+	"socrates/internal/testutil"
+)
+
+// hangGuard bounds the waits of these tests. None of them measures time: a
+// wait that runs into the guard is a hang.
+const hangGuard = 30 * time.Second
+
+// within fails the test if fn has not returned inside the hang guard.
+func within(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { defer close(done); fn() }()
+	select {
+	case <-done:
+	case <-time.After(hangGuard):
+		t.Fatalf("hang: %s", what)
+	}
+}
+
+// until polls cond — an event another goroutine brings about — inside the
+// hang guard.
+func until(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(hangGuard)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("hang: %s", what)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// version builds the page's image at lsn; the payload is a function of both,
+// so equal versions are equal bytes wherever they were made.
+func version(id page.ID, lsn page.LSN) *page.Page {
+	data := make([]byte, 16)
+	binary.LittleEndian.PutUint64(data[0:8], uint64(id))
+	binary.LittleEndian.PutUint64(data[8:16], uint64(lsn))
+	return &page.Page{ID: id, LSN: lsn, Type: page.TypeLeaf, Data: data}
+}
+
+type evictRec struct {
+	ID  page.ID
+	LSN page.LSN
+}
+
+// --- the reference: the inline demotion this package had before write-behind ---
+
+type refRow struct {
+	Slot int
+	LSN  page.LSN
+}
+
+type refSSD struct {
+	slot int
+	lsn  page.LSN
+	elt  *list.Element
+}
+
+// refCache is the sparse cache as it was when put ran demote inline: evict
+// the memory victim, choose its slot, write it, change the metadata rows,
+// publish — one page at a time, everything done when Put returns. Devices are
+// maps. The write-behind cache must be indistinguishable from it whenever its
+// backlog is empty.
+type refCache struct {
+	memPages, ssdPages int
+
+	mem    map[page.ID]*page.Page
+	memLRU *list.List
+	ssd    map[page.ID]*refSSD
+	ssdLRU *list.List
+	free   []int
+	next   int
+
+	slots map[int]*page.Page // the SSD device
+	rows  map[page.ID]refRow // the metadata table
+
+	memHits, ssdHits, misses int64
+	evictions                []evictRec
+}
+
+func newRefCache(memPages, ssdPages int) *refCache {
+	return &refCache{
+		memPages: memPages, ssdPages: ssdPages,
+		mem: map[page.ID]*page.Page{}, memLRU: list.New(),
+		ssd: map[page.ID]*refSSD{}, ssdLRU: list.New(),
+		slots: map[int]*page.Page{}, rows: map[page.ID]refRow{},
+	}
+}
+
+func (r *refCache) notifyEvict(id page.ID, lsn page.LSN) {
+	r.evictions = append(r.evictions, evictRec{id, lsn})
+}
+
+func (r *refCache) evictedLSN(id page.ID) page.LSN { return newestEvicted(r.evictions)[id] }
+
+func (r *refCache) lruElt(l *list.List, id page.ID) *list.Element {
+	for e := l.Front(); e != nil; e = e.Next() {
+		if e.Value.(page.ID) == id {
+			return e
+		}
+	}
+	return nil
+}
+
+func (r *refCache) get(id page.ID) (*page.Page, bool) {
+	if pg, ok := r.mem[id]; ok {
+		r.memLRU.MoveToFront(r.lruElt(r.memLRU, id))
+		r.memHits++
+		return pg, true
+	}
+	e, ok := r.ssd[id]
+	if !ok {
+		r.misses++
+		return nil, false
+	}
+	r.ssdLRU.MoveToFront(e.elt)
+	pg := r.slots[e.slot]
+	r.ssdHits++
+	r.put(pg, true, false)
+	return pg, true
+}
+
+func (r *refCache) superseded(pg *page.Page) bool {
+	if cur, resident := r.mem[pg.ID]; resident {
+		return cur.LSN.AtLeast(pg.LSN)
+	}
+	e, onSSD := r.ssd[pg.ID]
+	return onSSD && e.lsn.After(pg.LSN)
+}
+
+func (r *refCache) put(pg *page.Page, readUnlocked, fetched bool) bool {
+	if readUnlocked && (r.superseded(pg) || (fetched && r.evictedLSN(pg.ID).After(pg.LSN))) {
+		return false
+	}
+	if _, ok := r.mem[pg.ID]; ok {
+		r.mem[pg.ID] = pg
+		r.memLRU.MoveToFront(r.lruElt(r.memLRU, pg.ID))
+		return true
+	}
+	r.memLRU.PushFront(pg.ID)
+	r.mem[pg.ID] = pg
+	for len(r.mem) > r.memPages {
+		victim := r.memLRU.Back()
+		id := victim.Value.(page.ID)
+		v := r.mem[id]
+		r.memLRU.Remove(victim)
+		delete(r.mem, id)
+		r.notifyEvict(id, v.LSN)
+		r.demote(v)
+	}
+	return true
+}
+
+func (r *refCache) demote(pg *page.Page) {
+	e, exists := r.ssd[pg.ID]
+	if exists && e.lsn.AtLeast(pg.LSN) {
+		r.ssdLRU.MoveToFront(e.elt)
+		return
+	}
+	var slot int
+	switch {
+	case exists:
+		slot = e.slot
+	case len(r.free) > 0:
+		slot = r.free[len(r.free)-1]
+		r.free = r.free[:len(r.free)-1]
+	case len(r.ssd) < r.ssdPages:
+		slot = r.next
+		r.next++
+	default:
+		back := r.ssdLRU.Back()
+		vid := back.Value.(page.ID)
+		ve := r.ssd[vid]
+		r.ssdLRU.Remove(back)
+		delete(r.ssd, vid)
+		slot = ve.slot
+		r.notifyEvict(vid, ve.lsn)
+		delete(r.rows, vid)
+	}
+	r.slots[slot] = pg
+	if !exists {
+		r.rows[pg.ID] = refRow{slot, pg.LSN}
+		r.ssd[pg.ID] = &refSSD{slot: slot, lsn: pg.LSN, elt: r.ssdLRU.PushFront(pg.ID)}
+		return
+	}
+	e.lsn = pg.LSN
+	r.ssdLRU.MoveToFront(e.elt)
+}
+
+// cacheState is everything the two caches are compared by.
+type cacheState struct {
+	MemLRU, SSDLRU           []page.ID // front first
+	MemLSN                   map[page.ID]page.LSN
+	SSD                      map[page.ID]refRow // slot and LSN of the entry
+	Free                     []int
+	Next                     int
+	Rows                     map[page.ID]refRow // durable metadata
+	MemHits, SSDHits, Misses int64
+	Evictions                []evictRec
+}
+
+func lruIDs(l *list.List) []page.ID {
+	out := []page.ID{}
+	for e := l.Front(); e != nil; e = e.Next() {
+		out = append(out, e.Value.(page.ID))
+	}
+	return out
+}
+
+func (r *refCache) state() cacheState {
+	s := cacheState{MemLRU: lruIDs(r.memLRU), SSDLRU: lruIDs(r.ssdLRU),
+		MemLSN: map[page.ID]page.LSN{}, SSD: map[page.ID]refRow{},
+		Free: append([]int{}, r.free...), Next: r.next, Rows: map[page.ID]refRow{},
+		MemHits: r.memHits, SSDHits: r.ssdHits, Misses: r.misses,
+		Evictions: append([]evictRec{}, r.evictions...)}
+	for id, pg := range r.mem {
+		s.MemLSN[id] = pg.LSN
+	}
+	for id, e := range r.ssd {
+		s.SSD[id] = refRow{e.slot, e.lsn}
+	}
+	for id, row := range r.rows {
+		s.Rows[id] = row
+	}
+	return s
+}
+
+// stateOf reads the same out of a drained cache, and checks on the way that
+// the backlog is empty and that every SSD entry's slot holds that page at
+// that LSN.
+func stateOf(t *testing.T, c *Cache, evictions []evictRec) cacheState {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.backlog != 0 || len(c.queue) != 0 || len(c.demoting) != 0 || c.claimed != 0 {
+		t.Fatalf("drained cache has backlog %d, queue %d, demoting %d, claimed %d",
+			c.backlog, len(c.queue), len(c.demoting), c.claimed)
+	}
+	s := cacheState{MemLRU: lruIDs(c.memLRU), SSDLRU: lruIDs(c.ssdLRU),
+		MemLSN: map[page.ID]page.LSN{}, SSD: map[page.ID]refRow{},
+		Free: append([]int{}, c.free...), Next: c.nextSlot, Rows: map[page.ID]refRow{},
+		Evictions: append([]evictRec{}, evictions...)}
+	s.MemHits, s.SSDHits, s.Misses = c.Stats()
+	for id, e := range c.mem {
+		s.MemLSN[id] = e.pg.LSN
+	}
+	buf := make([]byte, page.Size)
+	for id, e := range c.ssd {
+		if e.pins != 0 {
+			t.Fatalf("page %d is still pinned in a drained cache", id)
+		}
+		s.SSD[id] = refRow{e.slot, e.lsn}
+		if err := c.cfg.SSD.ReadAt(buf, int64(e.slot)*page.Size); err != nil {
+			t.Fatalf("reading slot %d of page %d: %v", e.slot, id, err)
+		}
+		pg, err := page.Decode(append([]byte(nil), buf...))
+		if err != nil || pg.ID != id || pg.LSN != e.lsn {
+			t.Fatalf("slot %d should hold page %d at LSN %d, holds %+v (%v)", e.slot, id, e.lsn, pg, err)
+		}
+	}
+	c.meta.Range(func(key string, val []byte) bool {
+		id, _ := decodeMetaKey(key)
+		s.Rows[id] = refRow{int(binary.LittleEndian.Uint64(val[0:8])), page.LSN(binary.LittleEndian.Uint64(val[8:16]))}
+		return true
+	})
+	return s
+}
+
+// observedCache opens a sparse cache on Instant devices that logs its
+// evictions.
+func observedCache(t *testing.T, memPages, ssdPages int) (*Cache, *[]evictRec) {
+	t.Helper()
+	evictions := &[]evictRec{}
+	c, err := Open(Config{MemPages: memPages, SSDPages: ssdPages,
+		SSD: simdisk.New(simdisk.Instant), Meta: simdisk.New(simdisk.Instant),
+		OnEvict: func(id page.ID, lsn page.LSN) { *evictions = append(*evictions, evictRec{id, lsn}) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, evictions
+}
+
+// TestWriteBehindMatchesInlineModel: random Get/Put/PutFetched traces, the
+// backlog drained after every operation — the cache is then, operation for
+// operation, the one that demoted inline: same hits and misses, same pages
+// in the same LRU order in both tiers, same slots, same free list, same
+// durable rows, same evictions in the same order.
+func TestWriteBehindMatchesInlineModel(t *testing.T) {
+	ops := 1500
+	if testing.Short() || testutil.RaceEnabled {
+		ops = 300 // the comparison reads every slot back after every operation
+	}
+	for seed := int64(1); seed <= 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		memPages, ssdPages := 1+rng.Intn(8), 1+rng.Intn(24)
+		universe := 1 + rng.Intn(2*(memPages+ssdPages)+4)
+		c, evictions := observedCache(t, memPages, ssdPages)
+		ref := newRefCache(memPages, ssdPages)
+		latest := map[page.ID]page.LSN{}
+		var clock page.LSN
+		zipf := rand.NewZipf(rng, 1.2, 2, uint64(universe-1))
+		for i := 0; i < ops; i++ {
+			id := page.ID(1 + zipf.Uint64())
+			what := ""
+			switch k := rng.Intn(10); {
+			case k < 5:
+				what = fmt.Sprintf("Get(%d)", id)
+				got, ok := c.Get(id)
+				want, wantOK := ref.get(id)
+				if ok != wantOK || (ok && (got.LSN != want.LSN || got.ID != id)) {
+					t.Fatalf("seed %d op %d %s = %+v %v, inline model %+v %v", seed, i, what, got, ok, want, wantOK)
+				}
+			case k < 8:
+				clock++
+				latest[id] = clock
+				what = fmt.Sprintf("Put(%d@%d)", id, clock)
+				if err := c.Put(version(id, clock)); err != nil {
+					t.Fatal(err)
+				}
+				ref.put(version(id, clock), false, false)
+			default:
+				// An image fetched somewhere else: the page's newest version,
+				// or (a flight that was overtaken) an older one.
+				lsn := latest[id]
+				if lsn == 0 {
+					clock++
+					lsn, latest[id] = clock, clock
+				} else if rng.Intn(3) == 0 {
+					lsn = 1 + page.LSN(rng.Intn(int(lsn)))
+				}
+				what = fmt.Sprintf("PutFetched(%d@%d)", id, lsn)
+				installed, err := c.PutFetched(version(id, lsn), func(id page.ID) page.LSN {
+					return newestEvicted(*evictions)[id]
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := ref.put(version(id, lsn), true, true); installed != want {
+					t.Fatalf("seed %d op %d %s installed %v, inline model %v", seed, i, what, installed, want)
+				}
+			}
+			within(t, "Sync", c.Sync)
+			if got, want := stateOf(t, c, *evictions), ref.state(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d (%d+%d pages) after op %d %s:\nwrite-behind %+v\ninline model %+v",
+					seed, memPages, ssdPages, i, what, got, want)
+			}
+		}
+	}
+}
+
+// holdDevices holds the writes of both cache devices and returns the two
+// releases.
+func holdDevices(c *Cache) (releaseSSD, releaseMeta func()) {
+	return c.cfg.SSD.HoldWrites(), c.cfg.Meta.HoldWrites()
+}
+
+// TestNothingWaitsForTheDevice: with SSD and metadata devices whose writes
+// never come back, puts that evict, fetched installs and SSD hits all return;
+// every evicted page reads back at its newest version out of the backlog;
+// the put that finds the backlog full — and only that one — waits, until the
+// devices write again. (The inline demotion hangs at the first eviction.)
+func TestNothingWaitsForTheDevice(t *testing.T) {
+	c, _ := sparseCache(t, 2, 64)
+	// Ten pages on the SSD tier for the SSD hits further down.
+	for id := page.ID(101); id <= 112; id++ {
+		_ = c.Put(version(id, 1))
+	}
+	within(t, "Sync on working devices", c.Sync)
+	c.ResetStats()
+	base := c.WriteBehind()
+
+	releaseSSD, releaseMeta := holdDevices(c)
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			releaseSSD()
+			releaseMeta()
+		}
+	}
+	defer release()
+
+	newest := map[page.ID]page.LSN{}
+	lsn := page.LSN(10)
+	put := func(id page.ID, fetched bool) {
+		lsn++
+		newest[id] = lsn
+		if !fetched {
+			if err := c.Put(version(id, lsn)); err != nil {
+				t.Error(err)
+			}
+		} else if installed, err := c.PutFetched(version(id, lsn), nil); err != nil || !installed {
+			t.Errorf("PutFetched(%d@%d) = %v, %v", id, lsn, installed, err)
+		}
+	}
+	backlog := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.backlog
+	}
+	within(t, "puts, fetched installs and SSD hits against devices that never answer", func() {
+		// Three kinds of eviction, over five pages so that versions overtake
+		// each other in the queue, until the backlog is three short of full.
+		for i := 0; backlog() < backlogPages-3; i++ {
+			switch i % 3 {
+			case 0:
+				put(page.ID(1+i%5), false)
+			case 1:
+				put(page.ID(1+i%5), true)
+			default:
+				hit := page.ID(101 + i%10)
+				if pg, ok := c.Get(hit); !ok || pg.ID != hit {
+					t.Errorf("Get(%d) = %+v, %v", hit, pg, ok)
+				}
+			}
+		}
+		// Pages that are nowhere on SSD fill the rest: each put queues one.
+		for id := page.ID(201); backlog() < backlogPages; id++ {
+			put(id, false)
+		}
+	})
+	if _, ssdHits, _ := c.Stats(); ssdHits == 0 {
+		t.Fatal("the trace was meant to include SSD hits")
+	}
+	if wb := c.WriteBehind(); wb.Written != base.Written || wb.BlockedPuts != 0 || wb.Queued != base.Queued+backlogPages {
+		t.Fatalf("with the backlog just full: %+v (before the hold: %+v)", wb, base)
+	}
+	readBack := func(when string) {
+		t.Helper()
+		for id, want := range newest {
+			if got, ok := c.GetLSN(id); !ok || got != want || !c.Contains(id) {
+				t.Fatalf("%s page %d: GetLSN %d %v, Contains %v; want LSN %d", when, id, got, ok, c.Contains(id), want)
+			}
+		}
+	}
+	readBack("from the backlog")
+	for id, want := range newest {
+		if _, resident := c.mem[id]; resident {
+			continue
+		}
+		if pg, ok := c.Get(id); !ok || pg.LSN != want {
+			t.Fatalf("page %d reads back from the backlog as %+v %v, want its newest version, LSN %d", id, pg, ok, want)
+		}
+	}
+
+	// The next eviction has to wait.
+	blocked := make(chan struct{})
+	go func() { defer close(blocked); put(301, false) }()
+	until(t, "the put that finds the backlog full to wait", func() bool { return c.WriteBehind().BlockedPuts == 1 })
+	select {
+	case <-blocked:
+		t.Fatal("a put went through a full backlog")
+	default:
+	}
+	release()
+	select {
+	case <-blocked:
+	case <-time.After(hangGuard):
+		t.Fatal("hang: the waiting put after the devices wrote again")
+	}
+	within(t, "Sync after release", c.Sync)
+	wb := c.WriteBehind()
+	if wb.Queued != wb.Written+wb.Superseded || wb.Dropped != 0 || wb.Superseded == 0 || wb.BlockedPuts != 1 {
+		t.Fatalf("after the drain: %+v; want every queued page written or overtaken, some overtaken", wb)
+	}
+	readBack("after the drain")
+}
+
+// TestChooseSlotsOneSlotOneWriter drives the slot choice directly: batches
+// that need in-place rewrites and fresh victims together, on caches so small
+// that the victims run out. No slot is handed to two pages of a batch, an
+// entry being rewritten is nobody's victim, and what finds no victim waits.
+func TestChooseSlotsOneSlotOneWriter(t *testing.T) {
+	for _, ssdPages := range []int{1, 3} {
+		c, _ := sparseCache(t, 1, ssdPages)
+		// Fill the SSD tier: pages 1..ssdPages, page 1 least recent.
+		for id := page.ID(1); id <= page.ID(ssdPages)+1; id++ {
+			_ = c.Put(version(id, 1))
+		}
+		within(t, "Sync", c.Sync)
+
+		// The hot page rewritten in place at the head of the batch, then more
+		// new pages than the tier has other entries, then the hot page's
+		// neighbour in place.
+		batch := []demotion{{id: 1, lsn: 9, pg: version(1, 9)}}
+		for id := page.ID(50); id < 50+page.ID(ssdPages)+2; id++ {
+			batch = append(batch, demotion{id: id, lsn: 9, pg: version(id, 9)})
+		}
+		batch = append(batch, demotion{id: page.ID(ssdPages), lsn: 9, pg: version(page.ID(ssdPages), 9)})
+
+		c.mu.Lock()
+		n := c.chooseSlotsLocked(batch)
+		slots := map[int]page.ID{}
+		for _, d := range batch[:n] {
+			if d.skip {
+				continue
+			}
+			if other, taken := slots[d.slot]; taken {
+				t.Fatalf("%d SSD pages: slot %d handed to pages %d and %d of one batch", ssdPages, d.slot, other, d.id)
+			}
+			slots[d.slot] = d.id
+			if d.hasVictim && d.victim == 1 {
+				t.Fatalf("%d SSD pages: page %d took the slot that page 1 is being rewritten in", ssdPages, d.id)
+			}
+		}
+		if !batch[0].inPlace || batch[0].slot != c.ssd[1].slot || c.ssd[1].pins != 1 {
+			t.Fatalf("%d SSD pages: the hot page: %+v, entry %+v", ssdPages, batch[0], c.ssd[1])
+		}
+		// All other entries can be taken, one each; then the batch stops.
+		if want := 1 + (ssdPages - 1); n != want {
+			t.Fatalf("%d SSD pages: %d of the batch got slots, want %d (then the victims run out)", ssdPages, n, want)
+		}
+		if _, stillThere := c.ssd[1]; !stillThere || len(c.ssd) != 1 {
+			t.Fatalf("%d SSD pages: entries after the choice: %d, page 1 there: %v", ssdPages, len(c.ssd), stillThere)
+		}
+		c.publishLocked(batch[:n])
+		c.mu.Unlock()
+	}
+}
+
+// TestBatchesMatchInlineModel: pure eviction traffic, with the drainer held
+// so that real multi-page batches form — in-place rewrites, fresh victims,
+// versions overtaking each other, victims running out on 1+1 and 1+3 caches.
+// Drained, the cache holds what the inline model holds after the same puts:
+// same pages, versions and LRU order in both tiers, same evictions per tier
+// in the same order. (Which slot a page sits in may differ: a skipped
+// version takes none.) stateOf checks that every slot holds its page.
+func TestBatchesMatchInlineModel(t *testing.T) {
+	shapes := [][2]int{{1, 1}, {1, 3}, {2, 5}, {4, 24}}
+	rounds := 60
+	if testing.Short() {
+		rounds = 10
+	}
+	for si, shape := range shapes {
+		memPages, ssdPages := shape[0], shape[1]
+		rng := rand.New(rand.NewSource(int64(100 + si)))
+		c, evictions := observedCache(t, memPages, ssdPages)
+		ref := newRefCache(memPages, ssdPages)
+		universe := memPages + ssdPages + 3
+		var clock page.LSN
+		for round := 0; round < rounds; round++ {
+			release := c.cfg.SSD.HoldWrites()
+			burst := 1 + rng.Intn(backlogPages-1) // fewer evictions than the bound: no put waits
+			within(t, "a burst of puts against a held SSD", func() {
+				for i := 0; i < burst; i++ {
+					clock++
+					id := page.ID(1 + rng.Intn(universe))
+					if err := c.Put(version(id, clock)); err != nil {
+						t.Error(err)
+					}
+					ref.put(version(id, clock), false, false)
+				}
+			})
+			release()
+			within(t, "Sync", c.Sync)
+
+			got, want := stateOf(t, c, nil), ref.state()
+			slotsOf := func(s cacheState) (lsns map[page.ID]page.LSN, slots []int) {
+				lsns = map[page.ID]page.LSN{}
+				for id, e := range s.SSD {
+					lsns[id] = e.LSN
+					slots = append(slots, e.Slot)
+				}
+				slots = append(slots, s.Free...)
+				sort.Ints(slots)
+				return lsns, slots
+			}
+			gotLSNs, gotSlots := slotsOf(got)
+			wantLSNs, _ := slotsOf(want)
+			if !reflect.DeepEqual(got.MemLRU, want.MemLRU) || !reflect.DeepEqual(got.MemLSN, want.MemLSN) ||
+				!reflect.DeepEqual(got.SSDLRU, want.SSDLRU) || !reflect.DeepEqual(gotLSNs, wantLSNs) {
+				t.Fatalf("%d+%d pages, round %d (burst %d):\nwrite-behind %+v\ninline model %+v",
+					memPages, ssdPages, round, burst, got, want)
+			}
+			for i, slot := range gotSlots {
+				if slot != i {
+					t.Fatalf("%d+%d pages, round %d: slots in use or free are %v, want each of 0..%d once",
+						memPages, ssdPages, round, gotSlots, got.Next-1)
+				}
+			}
+			if len(gotSlots) != got.Next || got.Next > ssdPages {
+				t.Fatalf("%d+%d pages, round %d: %d slots accounted for, %d handed out", memPages, ssdPages, round, len(gotSlots), got.Next)
+			}
+			// The memory tier's evictions happen at the puts, the SSD tier's
+			// when the drainer chooses slots: interleaved differently, but
+			// each tier's in the inline order. A version that was overtaken
+			// in the queue never reached the SSD tier, where the inline model
+			// wrote it: the model may evict an SSD copy this cache kept
+			// pinned for the newer version, or evict a page at a newer LSN
+			// than this cache ever wrote. So the SSD tier's evictions are, by
+			// page, a subsequence of the model's — and the newest evicted
+			// version of every page, which is all that GetPage@LSN asks of
+			// the record, is the same.
+			g, w := byTier(*evictions), byTier(ref.evictions)
+			if !reflect.DeepEqual(g[0], w[0]) || !subsequence(g[1], w[1]) || !reflect.DeepEqual(newestEvicted(*evictions), newestEvicted(ref.evictions)) {
+				t.Fatalf("%d+%d pages, round %d: evictions (memory tier, then SSD tier)\nwrite-behind %v\ninline model %v",
+					memPages, ssdPages, round, g, w)
+			}
+		}
+		if wb := c.WriteBehind(); wb.Superseded == 0 || wb.Batches >= wb.Queued {
+			t.Fatalf("%d+%d pages: %+v; the bursts were meant to form multi-page batches with overtaken versions", memPages, ssdPages, wb)
+		}
+	}
+}
+
+// byTier splits an eviction log into the memory tier's evictions and the SSD
+// tier's, each in order. Where every put makes a new version, a version
+// leaves the memory tier once and the SSD tier later or never: the first
+// occurrence of a (page, LSN) pair is the memory tier's, a second one the SSD
+// tier's.
+func byTier(log []evictRec) [2][]evictRec {
+	var out [2][]evictRec
+	seen := map[evictRec]bool{}
+	for _, e := range log {
+		tier := 0
+		if seen[e] {
+			tier = 1
+		}
+		seen[e] = true
+		out[tier] = append(out[tier], e)
+	}
+	return out
+}
+
+// subsequence reports whether the pages of sub occur, in order, among those
+// of of.
+func subsequence(sub, of []evictRec) bool {
+	for _, e := range of {
+		if len(sub) > 0 && sub[0].ID == e.ID {
+			sub = sub[1:]
+		}
+	}
+	return len(sub) == 0
+}
+
+func newestEvicted(log []evictRec) map[page.ID]page.LSN {
+	out := map[page.ID]page.LSN{}
+	for _, e := range log {
+		out[e.ID] = page.MaxLSN(out[e.ID], e.LSN)
+	}
+	return out
+}
+
+// cloneDevice copies a device's bytes, cut off at size, onto a fresh one: the
+// state a crash at this moment leaves behind.
+func cloneDevice(t *testing.T, d *simdisk.Device, size int64) *simdisk.Device {
+	t.Helper()
+	out := simdisk.New(simdisk.Instant)
+	if size == 0 {
+		return out
+	}
+	buf := make([]byte, size)
+	if err := d.ReadAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := out.WriteAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// checkReopened opens a cache on the devices a crash left behind and checks
+// what it recovered: no slot is in use twice or both in use and free; every
+// row leads to its page, at the recorded LSN or newer, or to a slot that now
+// holds another page (a miss); and a page that reads back is no older than
+// floor says — the newest version the crashed cache had published.
+func checkReopened(t *testing.T, what string, cfg Config, floor map[page.ID]page.LSN) {
+	t.Helper()
+	cfg.OnEvict = nil
+	re, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("%s: reopening: %v", what, err)
+	}
+	re.mu.Lock()
+	used := map[int]page.ID{}
+	rows := map[page.ID]refRow{}
+	for id, e := range re.ssd {
+		rows[id] = refRow{e.slot, e.lsn}
+		if other, twice := used[e.slot]; twice {
+			t.Fatalf("%s: slot %d belongs to pages %d and %d", what, e.slot, other, id)
+		}
+		used[e.slot] = id
+	}
+	for _, slot := range re.free {
+		if other, twice := used[slot]; twice {
+			t.Fatalf("%s: slot %d is free and belongs to page %d (0: free twice)", what, slot, other)
+		}
+		used[slot] = 0
+	}
+	if len(used) != re.nextSlot {
+		t.Fatalf("%s: %d slots accounted for, %d handed out", what, len(used), re.nextSlot)
+	}
+	re.mu.Unlock()
+	for id, row := range rows {
+		pg, ok := re.Get(id)
+		if !ok {
+			continue
+		}
+		if pg.ID != id || pg.LSN.Before(row.LSN) {
+			t.Fatalf("%s: row of page %d (slot %d, LSN %d) reads back %+v", what, id, row.Slot, row.LSN, pg)
+		}
+		if pg.LSN.Before(floor[id]) {
+			t.Fatalf("%s: page %d recovered at LSN %d, older than the published LSN %d", what, id, pg.LSN, floor[id])
+		}
+	}
+	within(t, what+": Sync of the reopened cache", re.Sync)
+}
+
+// publishedLSNs is the newest version of each page the cache has on SSD as
+// of its last publication: what a crash may not go back behind.
+func publishedLSNs(c *Cache) map[page.ID]page.LSN {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := map[page.ID]page.LSN{}
+	for id, e := range c.ssd {
+		out[id] = e.lsn
+	}
+	return out
+}
+
+// TestCrashAtEveryPointOfABatch cuts the run at each step of a multi-page
+// batch — before its slot writes, between the slot writes and the metadata
+// append, at every byte of the append — and reopens the cache on what the
+// devices held at that moment (checkReopened).
+func TestCrashAtEveryPointOfABatch(t *testing.T) {
+	c, cfg := sparseCache(t, 1, 4)
+	crashed := func(metaSize int64) Config {
+		cut := cfg
+		cut.SSD = cloneDevice(t, cfg.SSD, cfg.SSD.Size())
+		cut.Meta = cloneDevice(t, cfg.Meta, metaSize)
+		return cut
+	}
+	var clock page.LSN
+	put := func(ids ...page.ID) {
+		for _, id := range ids {
+			clock++
+			if err := c.Put(version(id, clock)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	batches := func() int64 { return c.WriteBehind().Batches }
+	ssdWrites := func() int64 { _, w, _, _ := cfg.SSD.Stats(); return w }
+
+	// Fill the SSD tier and rewrite two of its pages, so that their recorded
+	// LSNs are stale: {1@5, 2@6, 3@3, 4@4}, 5@7 in memory.
+	put(1, 2, 3, 4, 1, 2, 5)
+	within(t, "Sync", c.Sync)
+	before := batches()
+
+	// Behind a held SSD the first eviction goes out as a batch of its own
+	// and waits at the device ...
+	releaseSSD := cfg.SSD.HoldWrites()
+	put(8)
+	until(t, "the drainer to take the first eviction", func() bool { return batches() == before+1 })
+	// ... and the rest queue up behind it: a new page (8), an in-place
+	// rewrite (1), a version that is overtaken in the queue (6@10), another
+	// new page (7), another rewrite (2), and 6 again — for which the tier
+	// has no victim left in this batch.
+	put(1, 6, 7, 2, 6, 6, 9)
+	// Let the one-page batch through to the metadata device, hold the SSD
+	// again behind it, and let it finish: the drainer chooses the big batch
+	// and stops at the SSD.
+	releaseMeta := cfg.Meta.HoldWrites()
+	written := ssdWrites()
+	releaseSSD()
+	until(t, "the first batch's slot write", func() bool { return ssdWrites() == written+1 })
+	releaseSSD = cfg.SSD.HoldWrites()
+	releaseMeta()
+	until(t, "the second batch to be chosen", func() bool { return batches() == before+2 })
+	releaseMeta = cfg.Meta.HoldWrites()
+	floor := publishedLSNs(c)
+	metaBefore := cfg.Meta.Size()
+
+	checkReopened(t, "before the slot writes", crashed(metaBefore), floor)
+
+	written = ssdWrites()
+	releaseSSD()
+	until(t, "the second batch's four slot writes", func() bool { return ssdWrites() == written+4 })
+	releaseSSD = cfg.SSD.HoldWrites() // the third batch (6@14) stops here
+	checkReopened(t, "between the slot writes and the append", crashed(metaBefore), floor)
+
+	releaseMeta()
+	until(t, "the second batch to publish and the third to be chosen", func() bool { return batches() == before+3 })
+	metaAfter := cfg.Meta.Size()
+	if metaAfter <= metaBefore {
+		t.Fatalf("the batch appended nothing (%d -> %d bytes)", metaBefore, metaAfter)
+	}
+	for cut := metaBefore; cut <= metaAfter; cut++ {
+		checkReopened(t, fmt.Sprintf("append torn at byte %d of [%d,%d]", cut, metaBefore, metaAfter), crashed(cut), floor)
+	}
+	checkReopened(t, "after the batch", crashed(metaAfter), publishedLSNs(c))
+
+	releaseSSD()
+	within(t, "Sync", c.Sync)
+	checkReopened(t, "drained", crashed(cfg.Meta.Size()), publishedLSNs(c))
+	if got, want := publishedLSNs(c), (map[page.ID]page.LSN{1: 9, 7: 11, 2: 12, 6: 14}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("SSD tier after the drain: %v, want %v", got, want)
+	}
+}
+
+// TestDeviceFailureDropsTheBatch: write-behind has no caller to report a
+// failed device write to. The batch's pages leave the cache — a later Get
+// misses rather than reading an older copy — the failure is counted, the
+// eviction record still names the lost version, and the tier's slot
+// accounting stays whole, in the running cache and in one reopened on the
+// same devices.
+func TestDeviceFailureDropsTheBatch(t *testing.T) {
+	c, evictions := observedCache(t, 1, 3)
+	cfg := c.cfg
+	put := func(id page.ID, lsn page.LSN) {
+		t.Helper()
+		if err := c.Put(version(id, lsn)); err != nil {
+			t.Fatalf("Put reported the drainer's trouble: %v", err)
+		}
+	}
+	gone := func(when string, id page.ID, lost page.LSN, dropped int64) {
+		t.Helper()
+		within(t, "Sync", c.Sync)
+		if wb := c.WriteBehind(); wb.Dropped != dropped {
+			t.Fatalf("%s: %+v, want %d dropped", when, wb, dropped)
+		}
+		if pg, ok := c.Get(id); ok {
+			t.Fatalf("%s: page %d reads back as %+v after version %d of it was lost", when, id, pg, lost)
+		}
+		if got := newestEvicted(*evictions)[id]; got != lost {
+			t.Fatalf("%s: page %d's eviction is recorded at LSN %d, want %d", when, id, got, lost)
+		}
+	}
+	// SSD {1, 3, 2} (front first), 4 in memory; then 1 again, at LSN 7.
+	put(2, 1)
+	put(3, 1)
+	put(1, 1)
+	put(4, 1)
+	put(1, 7) // 4 takes the slot of 2
+	within(t, "Sync", c.Sync)
+
+	// An in-place rewrite fails at the SSD: the old copy must go with it.
+	cfg.SSD.FailNext(fmt.Errorf("injected slot write failure"))
+	put(5, 8) // evicts 1@7 into the failing write
+	gone("slot write failed", 1, 7, 1)
+
+	// A new page fails at the metadata append, its slot already written and
+	// its victim already gone.
+	put(6, 9) // 5 takes the freed slot: SSD {5, 4, 3}
+	within(t, "Sync", c.Sync)
+	cfg.Meta.FailNext(fmt.Errorf("injected append failure"))
+	put(7, 10) // evicts 6@9, which takes the slot of 3
+	gone("append failed", 6, 9, 2)
+	if c.Contains(3) {
+		t.Fatal("the victim of a dropped page came back")
+	}
+
+	// The metadata device stays down: the victim's row cannot be deleted, so
+	// its slot stays out of use — the row would claim it after a restart.
+	put(8, 11) // 7 takes the slot freed above: SSD {7, 5, 4}
+	within(t, "Sync", c.Sync)
+	cfg.Meta.SetOutage(true)
+	put(9, 12) // evicts 8@11, which takes the slot of 4
+	gone("metadata device down", 8, 11, 3)
+	cfg.Meta.SetOutage(false)
+
+	// The cache goes on working on the slots it has left.
+	for i := 0; i < 20; i++ {
+		put(page.ID(20+i%6), page.LSN(100+i))
+	}
+	within(t, "Sync", c.Sync)
+	stateOf(t, c, nil)
+	checkReopened(t, "after the failures", cfg, publishedLSNs(c))
+}
+
+// TestPutReusedPagePointer is bench/probes.go's rbpex.put_evict: one Page
+// value, its ID rewritten before every Put — against the ownership rule, but
+// it must not wedge the queue: the bookkeeping goes by the ID and LSN
+// captured at eviction.
+func TestPutReusedPagePointer(t *testing.T) {
+	testutil.SkipIfRace(t) // the probe's rewrites race the drainer's reads by construction
+	c, _ := sparseCache(t, 64, 256)
+	pg := &page.Page{LSN: 1, Type: page.TypeLeaf, Data: make([]byte, 4096)}
+	within(t, "20,000 puts of one reused page", func() {
+		for i := 0; i < 20000; i++ {
+			pg.ID = page.ID(1 + i)
+			if err := c.Put(pg); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	within(t, "Sync", c.Sync)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.demoting) != 0 || c.backlog != 0 || len(c.ssd) > 256 {
+		t.Fatalf("after the probe: %d pages in demoting, backlog %d, %d SSD entries", len(c.demoting), c.backlog, len(c.ssd))
+	}
+}
+
+// TestPutEvictAllocs is the allocation contract of the evicting Put on a
+// sparse cache, drainer included (it runs inside the measured window: each
+// run ends with a Sync). In steady state — memory and SSD tiers full, every
+// Put pushing one page out of each — a page costs its two tier entries with
+// their LRU elements and its metadata row; the batch, its images and its
+// metadata changes live in pooled space, and nothing is allocated per page
+// to run the drainer.
+func TestPutEvictAllocs(t *testing.T) {
+	testutil.SkipIfRace(t)
+	c, _ := sparseCache(t, 8, 32)
+	const runs = 500
+	pages := make([]*page.Page, 0, runs+200)
+	for i := 0; i < cap(pages); i++ {
+		pages = append(pages, version(page.ID(1+i), page.LSN(1+i)))
+	}
+	next := 0
+	for ; next < 150; next++ { // fill both tiers, grow the maps and the pooled buffers
+		_ = c.Put(pages[next])
+		c.Sync()
+	}
+	avg := testing.AllocsPerRun(runs, func() {
+		_ = c.Put(pages[next])
+		next++
+		c.Sync()
+	})
+	const budget = 9
+	t.Logf("evicting put: %.2f allocs/op (budget %d)", avg, budget)
+	if avg > budget {
+		t.Fatalf("evicting put: %.2f allocs/op, budget %d", avg, budget)
+	}
+}

@@ -174,7 +174,8 @@ type Device struct {
 	size    int64
 	rng     *rand.Rand
 	outage  bool
-	failOne error // returned by the next call, then cleared
+	failOne error         // returned by the next call, then cleared
+	held    chan struct{} // non-nil while writes are held (HoldWrites)
 
 	reads  metrics.Counter
 	writes metrics.Counter
@@ -254,6 +255,27 @@ func (d *Device) FailNext(err error) {
 	d.mu.Unlock()
 }
 
+// HoldWrites stalls the device's write path: every write that arrives from
+// now on blocks, before it takes effect, until release is called. Reads go
+// through. It is the write that never comes back, for tests that pin down
+// who waits for the device and who must not; holding a held device panics.
+func (d *Device) HoldWrites() (release func()) {
+	gate := make(chan struct{})
+	d.mu.Lock()
+	if d.held != nil {
+		d.mu.Unlock()
+		panic("simdisk: HoldWrites on a device that is already held")
+	}
+	d.held = gate
+	d.mu.Unlock()
+	return func() {
+		d.mu.Lock()
+		d.held = nil
+		d.mu.Unlock()
+		close(gate)
+	}
+}
+
 // Stats reports cumulative operation and byte counts: reads, writes,
 // bytes read, bytes written.
 func (d *Device) Stats() (reads, writes, bytesRead, bytesWritten int64) {
@@ -268,10 +290,16 @@ func (d *Device) Size() int64 {
 }
 
 // checkFailure consumes injected failures; returns a non-nil error if the
-// call should fail.
-func (d *Device) checkFailure() error {
+// call should fail. A write first waits out a hold (HoldWrites).
+func (d *Device) checkFailure(write bool) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	for write && d.held != nil {
+		gate := d.held
+		d.mu.Unlock()
+		<-gate
+		d.mu.Lock()
+	}
 	if d.outage {
 		return ErrOutage
 	}
@@ -307,7 +335,7 @@ func (d *Device) charge(cpu time.Duration) {
 // ReadAt fills p from offset off. Reading past the written extent returns
 // ErrOutOfRange; short reads do not occur.
 func (d *Device) ReadAt(p []byte, off int64) error {
-	if err := d.checkFailure(); err != nil {
+	if err := d.checkFailure(false); err != nil {
 		return err
 	}
 	ioStart := time.Now()
@@ -357,12 +385,33 @@ func (d *Device) WriteAt(p []byte, off int64) error {
 	return nil
 }
 
+// WriteVec issues the writes bufs[i] at offs[i] side by side — a device
+// queue deep enough for all of them — and returns when the slowest has
+// completed. Each is a device call like WriteAt's: its own latency draw, CPU
+// charge, throughput tokens, disk.write observation and count in Stats; one
+// sleep stands for the overlapping waits, as in Replicated.WriteAt. It stops
+// at the first write that fails: those before it are on the device, those
+// after it were not issued.
+func (d *Device) WriteVec(bufs [][]byte, offs []int64) error {
+	var slowest time.Duration
+	for i, p := range bufs {
+		lat, err := d.writeRaw(p, offs[i])
+		if err != nil {
+			return err
+		}
+		d.waits.Observe(nil, obs.WaitDiskWrite, lat)
+		slowest = max(slowest, lat)
+	}
+	sleep(slowest)
+	return nil
+}
+
 // writeRaw stores p at off, charging CPU and consuming throughput tokens
 // but NOT sleeping; it returns the latency the write would have cost.
 // Replicated quorum writes use it to pay one combined sleep for the whole
 // replica set.
 func (d *Device) writeRaw(p []byte, off int64) (time.Duration, error) {
-	if err := d.checkFailure(); err != nil {
+	if err := d.checkFailure(true); err != nil {
 		return 0, err
 	}
 	if off < 0 {

@@ -409,3 +409,71 @@ func TestChunkedStoreMatchesSliceModel(t *testing.T) {
 		t.Fatalf("read past the extent: %v", err)
 	}
 }
+
+// TestWriteVec: a vectored write is its writes — each lands where it was
+// aimed, counts as a device call and is charged as one — and it stops at the
+// first that fails.
+func TestWriteVec(t *testing.T) {
+	var meter metrics.CPUMeter
+	d := New(Profile{Name: "charged", WriteCPU: 5 * time.Microsecond}, WithCPU(&meter))
+	bufs := [][]byte{[]byte("aaaa"), []byte("bb"), []byte("cccccc")}
+	offs := []int64{100, 0, 50}
+	if err := d.WriteVec(bufs, offs); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range bufs {
+		got := make([]byte, len(want))
+		if err := d.ReadAt(got, offs[i]); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("piece %d: read %q, %v; want %q", i, got, err, want)
+		}
+	}
+	if _, writes, _, written := d.Stats(); writes != 3 || written != 12 {
+		t.Fatalf("stats: %d writes, %d bytes; want 3 and 12", writes, written)
+	}
+	if got := meter.Busy(); got != 15*time.Microsecond {
+		t.Fatalf("charged %v, want 3 x 5µs", got)
+	}
+	if err := d.WriteVec(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	boom := errors.New("boom")
+	d.FailNext(boom)
+	if err := d.WriteVec([][]byte{[]byte("x"), []byte("y")}, []int64{200, 201}); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the injected failure", err)
+	}
+	if d.Size() != 104 {
+		t.Fatalf("size = %d after a vectored write that failed at its first piece, want 104", d.Size())
+	}
+}
+
+// TestHoldWrites: a held device takes no write until it is released; reads
+// go through meanwhile.
+func TestHoldWrites(t *testing.T) {
+	d := New(Instant)
+	if err := d.WriteAt([]byte("old"), 0); err != nil {
+		t.Fatal(err)
+	}
+	release := d.HoldWrites()
+	done := make(chan error, 1)
+	go func() { done <- d.WriteAt([]byte("new"), 0) }()
+	got := make([]byte, 3)
+	for i := 0; i < 100; i++ {
+		if err := d.ReadAt(got, 0); err != nil || string(got) != "old" {
+			t.Fatalf("read under a hold: %q, %v", got, err)
+		}
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("a write got through a held device (err %v)", err)
+	default:
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ReadAt(got, 0); err != nil || string(got) != "new" {
+		t.Fatalf("after release: %q, %v", got, err)
+	}
+	d.HoldWrites()() // a released device can be held again
+}

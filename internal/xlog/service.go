@@ -303,9 +303,15 @@ func (s *Service) ReportHardened(ctx context.Context, lsn page.LSN) {
 
 // promoteTo moves hardened blocks from the pending area into the broker in
 // LSN order, reading the LZ to fill gaps left by the lossy feed.
+//
+// A block is pullable the moment it is in the broker, so the promoted rung
+// of the ladder is published in the critical section that advanced it —
+// before every unlock, on every way out: a consumer must never be able to
+// apply, and publish its own rung, above a rung XLOG has not published.
 func (s *Service) promoteTo(lsn page.LSN) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	defer s.publishPromotedLocked()
 	for s.promoted.Before(lsn) {
 		e, ok := s.pending[s.promoted]
 		if !ok {
@@ -315,6 +321,7 @@ func (s *Service) promoteTo(lsn page.LSN) {
 			// in-flight LZ write), so another promoteTo may run while we
 			// are off the lock.
 			at := s.promoted
+			s.publishPromotedLocked()
 			s.mu.Unlock()
 			lb, found, err := s.lz.Read(at)
 			s.mu.Lock()
@@ -358,6 +365,10 @@ func (s *Service) promoteTo(lsn page.LSN) {
 			delete(s.pending, start)
 		}
 	}
+}
+
+// publishPromotedLocked publishes the promoted rung; caller holds s.mu.
+func (s *Service) publishPromotedLocked() {
 	s.wms.Watermark(obs.WMPromoted, "").Publish(uint64(s.promoted))
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"socrates/internal/obs"
 	"socrates/internal/page"
 	"socrates/internal/rbio"
 	"socrates/internal/simdisk"
@@ -292,6 +293,39 @@ func TestGapFillFromLZ(t *testing.T) {
 	_, _, gaps := r.svc.Stats()
 	if gaps != 3 {
 		t.Fatalf("gap fills = %d, want 3", gaps)
+	}
+}
+
+// TestPromotedRungPublishedWithTheBlocks: blocks are pullable the moment
+// promotion appends them to the broker, so the promoted rung must be
+// published before promoteTo gives up the lock — also when it leaves early.
+// Exact step: two fed blocks, then a gap the landing zone cannot fill yet.
+// Promotion stops at the gap; what it promoted is published.
+func TestPromotedRungPublishedWithTheBlocks(t *testing.T) {
+	lz, _ := newLZ(t, 4<<20)
+	wms := obs.NewWatermarkSet()
+	svc, err := New(Config{LZ: lz, LT: xstore.New(xstore.Config{Profile: simdisk.Instant}),
+		LTBlob: "lt/db1", Watermarks: wms})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	blocks := mkBlocks(4, func(int) page.ID { return 1 }, page.Partitioning{})
+	svc.Feed(context.Background(), blocks[0])
+	svc.Feed(context.Background(), blocks[1])
+	// The harden report runs ahead of what XLOG can see: block 2 was neither
+	// fed nor, as far as a read of the landing zone can tell, written.
+	svc.promoteTo(blocks[3].End)
+
+	if got := svc.HardenedEnd(); got != blocks[1].End {
+		t.Fatalf("promoted to %d, want the end of the second block, %d", got, blocks[1].End)
+	}
+	payload, next, err := svc.Pull(context.Background(), 1, -1, 0)
+	if err != nil || len(decodeAll(t, payload)) != 2 || next != blocks[1].End {
+		t.Fatalf("pull: %d bytes, next %d, err %v; want both promoted blocks", len(payload), next, err)
+	}
+	if rung := page.LSN(wms.Watermark(obs.WMPromoted, "").Value()); rung != svc.HardenedEnd() {
+		t.Fatalf("xlog.promoted_lsn is published as %d while consumers can pull up to %d", rung, svc.HardenedEnd())
 	}
 }
 
