@@ -11,7 +11,7 @@ RACE_PKGS := ./internal/compute ./internal/hadr ./internal/simdisk \
              ./internal/frontdoor ./internal/btree ./internal/fcb \
              ./internal/rbpex ./internal/engine ./internal/hekaton
 
-.PHONY: all lint fmt vet test race chaos chaos-stress allocs bench bench-probes bench-obs bench-mux bench-waits bench-commit bench-router cover vet-baseline clean
+.PHONY: all lint fmt vet test race chaos chaos-stress allocs bench bench-probes bench-obs bench-waits bench-router cover vet-baseline clean
 
 all: lint test
 
@@ -77,24 +77,11 @@ bench-probes:
 bench-obs:
 	$(GO) run ./cmd/socrates-bench -exp obs -measure 2s -warmup 500ms -json BENCH_pr3.json
 
-# Regenerate the netmux transport seed: 32 concurrent GetPage@LSN readers
-# at simulated >=0.5 ms RTT, sequential-v2 vs mux-v3 over the same server
-# (see BENCH_pr5.json).
-bench-mux:
-	$(GO) run ./cmd/socrates-bench -exp mux -measure 2s -warmup 500ms -json BENCH_pr5.json
-
 # Regenerate the wait-accounting seed: sketch overhead on the CDB default
 # mix (enabled vs disabled, interleaved pairs) plus per-request attribution
 # coverage on commit-bound INSERTs (see BENCH_pr8.json).
 bench-waits:
 	$(GO) run ./cmd/socrates-bench -exp waits -measure 2s -warmup 500ms -json BENCH_pr8.json
-
-# Regenerate the commit-path seed: adaptive group commit + flexible 2-of-3
-# LZ quorum vs the round-trip/fixed-set baseline, CDB MaxLog mix at equal
-# simulated RTT (see BENCH_pr9.json). Longer windows than the other seeds:
-# p99 is a tail statistic and needs the quorum-tail events sampled.
-bench-commit:
-	$(GO) run ./cmd/socrates-bench -exp commit -measure 6s -warmup 1s -json BENCH_pr9.json
 
 # Regenerate the multi-tenant isolation seed: victim p99 on a shared
 # bandwidth-capped pool — quiet vs flooded vs flooded-with-admission

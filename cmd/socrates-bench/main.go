@@ -32,7 +32,7 @@ import (
 var results = map[string]any{}
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1..table7, figure4, cache, obs, mux, waits, commit, router, or all")
+	exp := flag.String("exp", "all", "experiment: table1..table7, figure4, cache, obs, waits, router, or all")
 	measure := flag.Duration("measure", 2*time.Second, "measurement window per data point")
 	warmup := flag.Duration("warmup", 500*time.Millisecond, "warm-up before each measurement")
 	sf := flag.Int("sf", 2000, "CDB scale factor (rows per scaled table)")
@@ -84,9 +84,7 @@ func main() {
 	run("figure4", func() error { return runFigure4(o) })
 	run("table7", func() error { return runTable7(o) })
 	run("obs", func() error { return runObs(o) })
-	run("mux", func() error { return runMux(o) })
 	run("waits", func() error { return runWaits(o) })
-	run("commit", func() error { return runCommit(o) })
 	run("router", func() error { return runRouter(o) })
 
 	if *jsonOut != "" {
@@ -276,49 +274,6 @@ func runWaits(o experiments.Options) error {
 	}
 	if r.AttributedPct < 80 {
 		fmt.Fprintln(w, "WARNING: attribution coverage below the 80% target on this host")
-	}
-	return w.Flush()
-}
-
-func runMux(o experiments.Options) error {
-	r, err := experiments.Mux(o)
-	if err != nil {
-		return err
-	}
-	results["mux"] = r
-	w := tw()
-	fmt.Fprintf(w, "GetPage@LSN, %d readers, %d conns, %d us simulated RTT\n",
-		r.Readers, r.Conns, r.RTTMicros)
-	fmt.Fprintln(w, "Transport\tOps\tTPS")
-	fmt.Fprintf(w, "sequential v2\t%d\t%.0f\n", r.SeqOps, r.SeqTPS)
-	fmt.Fprintf(w, "mux v3\t%d\t%.0f\n", r.MuxOps, r.MuxTPS)
-	fmt.Fprintf(w, "\nmux/sequential speedup: %.1fx (target: >=3x)\n", r.Speedup)
-	fmt.Fprintf(w, "coalescer: %d hits / %d misses (%.1f%% hit rate)\n",
-		r.CoalesceHits, r.CoalesceMisses, r.CoalesceHitPct)
-	if r.Speedup < 3 {
-		fmt.Fprintln(w, "WARNING: speedup below the 3x target on this host")
-	}
-	return w.Flush()
-}
-
-func runCommit(o experiments.Options) error {
-	r, err := experiments.Commit(o)
-	if err != nil {
-		return err
-	}
-	results["commit"] = r
-	w := tw()
-	fmt.Fprintf(w, "MaxLog commit latency, %d clients, %s landing zone (%d us write), equal simulated RTT\n",
-		r.Threads, r.Profile, r.LZWriteUs)
-	fmt.Fprintln(w, "Commit path\tQuorum\tOps\tBlocks\tp50 (us)\tp99 (us)")
-	fmt.Fprintf(w, "round-trip baseline\t%d/3\t%d\t%d\t%d\t%d\n",
-		r.BaseQuorum, r.BaseOps, r.BaseBlocks, r.BaseP50Us, r.BaseP99Us)
-	fmt.Fprintf(w, "adaptive group commit\t%d/3\t%d\t%d\t%d\t%d\n",
-		r.AdaptQuorum, r.AdaptOps, r.AdaptBlocks, r.AdaptP50Us, r.AdaptP99Us)
-	fmt.Fprintf(w, "\ncommit p99 drop: %.1fx (target: >=2x); p50: %.2fx; %d records coalesced\n",
-		r.P99Ratio, r.P50Ratio, r.AdaptCoalesced)
-	if r.P99Ratio < 2 {
-		fmt.Fprintln(w, "WARNING: p99 drop below the 2x target on this host")
 	}
 	return w.Flush()
 }

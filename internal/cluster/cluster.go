@@ -43,11 +43,6 @@ type Config struct {
 	LZProfile simdisk.Profile
 	// LZReplicas / LZQuorum configure landing-zone replication (3 / 2).
 	LZReplicas, LZQuorum int
-	// LegacyCommitPath pins the primary's pre-adaptive log pipeline (fixed
-	// batching window, round-trip harden reports). Paired with LZQuorum ==
-	// LZReplicas it reconstructs the round-trip/fixed-set baseline the
-	// `commit` experiment measures the adaptive path against.
-	LegacyCommitPath bool
 	// LZCapacity bounds the landing-zone ring (default 8 MiB).
 	LZCapacity int64
 	// XStore overrides the simulated XStore account configuration.
@@ -429,8 +424,6 @@ func (c *Cluster) primaryConfig(bootstrap bool) compute.PrimaryConfig {
 		Watermarks:    c.Watermarks,
 		Flight:        c.Flight,
 		Waits:         c.Waits.Tier("compute"),
-
-		LegacyCommitPath: c.cfg.LegacyCommitPath,
 	}
 }
 

@@ -95,8 +95,6 @@ type LogWriter struct {
 	gapEWMA    float64
 	writeEWMA  float64
 	lastCommit time.Time
-	// legacy pins the pre-adaptive commit path (WithLegacyCommitPath).
-	legacy bool
 
 	wg       sync.WaitGroup
 	ioWG     sync.WaitGroup
@@ -154,16 +152,6 @@ func WithEpoch(epoch uint64) LogWriterOption {
 // testutil.FakeClock and drive the adaptive window by hand.
 func WithClock(c Clock) LogWriterOption {
 	return func(w *LogWriter) { w.clock = c }
-}
-
-// WithLegacyCommitPath reverts the writer to the pre-adaptive commit path:
-// a fixed 150µs/4KiB batching window, no record coalescing, and a full
-// round trip for every harden report. It exists as the baseline arm of the
-// `commit` experiment (BENCH_pr9.json), so the adaptive path is always
-// measured against the shape it replaced at identical simulated latencies.
-// The landing-zone quorum width is configured on the volume, not here.
-func WithLegacyCommitPath() LogWriterOption {
-	return func(w *LogWriter) { w.legacy = true }
 }
 
 // NewLogWriter starts a writer whose next record receives startLSN.
@@ -307,10 +295,6 @@ func (w *LogWriter) pendingBoundaryBytes() int {
 func (w *LogWriter) batchPlan() (wait time.Duration, target int) {
 	if w.inflightCnt == 0 {
 		return 0, 0
-	}
-	if w.legacy {
-		// Baseline arm: the fixed window the adaptive policy replaced.
-		return 150 * time.Microsecond, 4 << 10
 	}
 	wr := time.Duration(w.writeEWMA)
 	if wr <= 0 {
@@ -469,10 +453,7 @@ func (w *LogWriter) flushLoop() {
 		// landing zone's contiguity check and the hardened-prefix math see
 		// the same stream with or without coalescing.
 		start, end := recs[0].LSN, recs[len(recs)-1].LSN.Next()
-		var squashed int
-		if !w.legacy {
-			recs, squashed = coalesceBatch(recs)
-		}
+		recs, squashed := coalesceBatch(recs)
 		if squashed > 0 {
 			w.recsCoalesced.Add(int64(squashed))
 			w.obsReg.Counter("lz.batch.coalesced").Add(uint64(squashed))
@@ -504,7 +485,7 @@ func (w *LogWriter) flushLoop() {
 		// Every traced commit in the block gets its own "lz.write" span,
 		// so a group-committed block attributes the quorum write to each
 		// commit's trace. The first commit's identity also rides the feed
-		// and harden-report frames (v2 headers) into the XLOG tier.
+		// and harden-report frames (their trace headers) into the XLOG tier.
 		var commitSCs []obs.SpanContext
 		for _, r := range recs {
 			if r.Kind == wal.KindTxnCommit && r.TraceID != 0 {
@@ -601,28 +582,24 @@ func (w *LogWriter) flushLoop() {
 			idle := w.inflightCnt == 1 && w.boundary == 0
 			w.mu.Unlock()
 
-			// Hardening report: off the critical path, one-way over the mux
-			// fabric when the peer speaks it (Notify falls back to a
-			// round-trip call toward v2 peers). Reports may arrive out of
-			// order; the watermark is monotone, so a stale report is a
-			// no-op at the XLOG service. The trailing report of a burst is
-			// sent as a reliable round trip instead: a lossy fabric may
-			// drop any intermediate report (the next one supersedes it),
-			// but dropping the last would strand the consumers' watermark
-			// until the next commit.
+			// Hardening report: off the critical path, one-way over the
+			// fabric. Reports may arrive out of order; the watermark is
+			// monotone, so a stale report is a no-op at the XLOG service.
+			// The trailing report of a burst is sent as a reliable round
+			// trip instead: a lossy fabric may drop any intermediate report
+			// (the next one supersedes it), but dropping the last would
+			// strand the consumers' watermark until the next commit.
 			// The idle case reports even without having advanced the
 			// watermark itself: the burst's advancing report may have been
 			// an earlier completion's one-way frame, already lost.
-			if w.feed != nil && (advanced || idle || w.legacy) {
+			if w.feed != nil && (advanced || idle) {
 				req := &rbio.Request{Type: rbio.MsgHardenReport, LSN: report}
-				if idle || w.legacy {
-					// The legacy arm round-trips every report — the pre-mux
-					// commit path the `commit` experiment baselines against.
+				if idle {
 					//socrates:ignore-err watermark report; consumers poll state as a further backstop
 					_, _ = w.feed.Call(ioCtx, req)
 				} else {
 					//socrates:ignore-err an intermediate report is superseded by the burst's trailing reliable report
-					_ = w.feed.Notify(ioCtx, req)
+					_ = w.feed.Send(ioCtx, req)
 				}
 			}
 		}(block, res, commitSCs)

@@ -56,10 +56,6 @@ type PrimaryConfig struct {
 	// commit.harden/commit.quorum on the log pipeline, page.remote and
 	// page.miss on the page path, lock.latch/lock.row in the engine.
 	Waits *obs.WaitRecorder
-	// LegacyCommitPath pins the pre-adaptive log pipeline (fixed batching
-	// window, round-trip harden reports) — the baseline arm of the commit
-	// experiment. Production deployments leave it false.
-	LegacyCommitPath bool
 }
 
 // Primary is the read-write compute node: it is the single log producer and
@@ -86,16 +82,11 @@ func NewPrimary(cfg PrimaryConfig) (*Primary, error) {
 	}
 
 	startLSN := cfg.LZ.HardenedEnd()
-	wopts := []LogWriterOption{
+	writer := NewLogWriter(cfg.LZ, cfg.XLOG, cfg.Partitioning, startLSN,
 		WithObs(cfg.Tracer, cfg.Metrics),
 		WithPlane(cfg.Watermarks, cfg.Flight),
 		WithWaits(cfg.Waits),
-		WithEpoch(cfg.Epoch),
-	}
-	if cfg.LegacyCommitPath {
-		wopts = append(wopts, WithLegacyCommitPath())
-	}
-	writer := NewLogWriter(cfg.LZ, cfg.XLOG, cfg.Partitioning, startLSN, wopts...)
+		WithEpoch(cfg.Epoch))
 
 	// The GetPage@LSN floor for pages this node has never seen: everything
 	// in the database is at most as new as the hardened end at attach time.

@@ -245,53 +245,3 @@ func TestTable1Runs(t *testing.T) {
 		}
 	}
 }
-
-// TestCommitShape pins the direction of the commit-path A/B at test scale.
-// p99 is a tail statistic — at a 250 ms window the baseline's quorum-tail
-// stalls are a Poisson handful and the quantile is noise — so the test
-// asserts the stable signals: the adaptive arm's median commit beats the
-// round-trip baseline's (flexible 2-of-3 quorum + no fixed hold window),
-// and the coalescer did real work. The >=2x p99 target is asserted on
-// quiet hosts via `make bench-commit` (BENCH_pr9.json).
-func TestCommitShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment")
-	}
-	r, err := Commit(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.BaseOps <= 0 || r.AdaptOps <= 0 {
-		t.Fatalf("no commits: %+v", r)
-	}
-	if r.AdaptP50Us >= r.BaseP50Us {
-		t.Fatalf("adaptive median %dus >= baseline %dus; commit-path win lost", r.AdaptP50Us, r.BaseP50Us)
-	}
-	if r.AdaptCoalesced == 0 {
-		t.Fatalf("coalescer never engaged under the MaxLog mix: %+v", r)
-	}
-	if r.BaseQuorum != 3 || r.AdaptQuorum != 2 {
-		t.Fatalf("quorum configuration drifted: %+v", r)
-	}
-}
-
-func TestMuxShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment")
-	}
-	r, err := Mux(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.SeqTPS <= 0 || r.MuxTPS <= 0 {
-		t.Fatalf("zero throughput: %+v", r)
-	}
-	// The full >=3x target is asserted on quiet hosts via `make bench-mux`
-	// (BENCH_pr5.json); at test scale we pin the direction only.
-	if r.MuxTPS <= r.SeqTPS {
-		t.Fatalf("mux-v3 no faster than sequential-v2: %+v", r)
-	}
-	if r.CoalesceHits == 0 {
-		t.Fatalf("coalescer never hit under a 32-reader hot set: %+v", r)
-	}
-}

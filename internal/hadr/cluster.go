@@ -299,7 +299,7 @@ type writer struct {
 
 	// secAcks holds each secondary's cumulative harden-ack watermark, fed
 	// by one-way MsgHardenReport frames on the writer's ack endpoint (or
-	// by round-trip ship responses from pre-mux peers). The hardened
+	// by the response of a round-trip ship or retransmit). The hardened
 	// watermark is the highest LSN covered by local durability plus any
 	// Quorum-1 of these — a flexible quorum with no designated ack set.
 	secAcks map[string]page.LSN
@@ -609,12 +609,12 @@ func (w *writer) flushLoop() {
 }
 
 // ship hardens the block locally, fires it at every secondary as a one-way
-// mux frame, and waits for the flexible quorum to cover it. Cumulative acks
+// frame, and waits for the flexible quorum to cover it. Cumulative acks
 // arrive on the writer's ack endpoint (one ack frame covers every pipelined
-// block below its LSN); peers negotiated below the mux protocol get the
-// classic round-trip ship whose response carries the same cumulative ack.
-// A one-way frame lost to a conn teardown is recovered by the retransmit
-// loop, so loss costs latency, never a commit.
+// block below its LSN); a send that fails outright is repeated as a round
+// trip whose response carries the same cumulative ack. A one-way frame lost
+// to a conn teardown is recovered by the retransmit loop, so loss costs
+// latency, never a commit.
 func (w *writer) ship(block *wal.Block) error {
 	prim := w.c.Primary()
 	if err := prim.harden(block); err != nil {
@@ -657,13 +657,11 @@ func (w *writer) ship(block *wal.Block) error {
 			defer cancel()
 			cl := w.shipClient(name)
 			req := &rbio.Request{Type: rbio.MsgFeedBlock, Payload: payload}
-			if cl.SpeaksOneway(ctx) {
-				if err := cl.Send(ctx, req); err == nil {
-					return // cumulative ack arrives on the ack endpoint
-				}
+			if err := cl.Send(ctx, req); err == nil {
+				return // cumulative ack arrives on the ack endpoint
 			}
-			// Pre-mux peer, or the one-way send failed outright: round-trip
-			// ship; the response carries the same cumulative ack.
+			// The one-way send failed outright: round-trip ship; the
+			// response carries the same cumulative ack.
 			resp, err := cl.Call(ctx, req)
 			if err == nil {
 				err = resp.Err()

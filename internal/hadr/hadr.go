@@ -250,8 +250,10 @@ func (n *Node) reportHarden(cum page.LSN) {
 	if ack == nil {
 		return
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), shipTimeout)
+	defer cancel()
 	//socrates:ignore-err lossy cumulative ack; the primary's retransmit path recovers
-	_ = ack.Notify(context.Background(), &rbio.Request{
+	_ = ack.Send(ctx, &rbio.Request{
 		Type:     rbio.MsgHardenReport,
 		LSN:      cum,
 		Consumer: n.name,

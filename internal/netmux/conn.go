@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -21,22 +22,23 @@ type muxResult struct {
 }
 
 // MuxConn multiplexes many concurrent RPCs over one stream. It
-// implements rbio.Conn, so rbio.Client's negotiation/retry/QoS layers
-// work unchanged on top.
+// implements rbio.Conn, so rbio.Client's stamping/retry/QoS layers work
+// unchanged on top.
 //
 // Lifecycle of a call: assign a request ID, register a waiter, write a
 // FrameMuxCall, park on the waiter channel. The demux goroutine reads
 // response frames and delivers each to the waiter registered under its
 // ID. Cancellation deregisters the waiter and returns immediately — the
 // response, when it eventually arrives, finds no waiter and is dropped
-// (counted in Metrics.LateDrops). The connection stays healthy: unlike
-// the sequential transport there is nothing a late response could be
+// (counted in Metrics.LateDrops). The connection stays healthy: a late
+// response carries its request ID, so there is nothing it could be
 // mispaired with.
 //
 // The connection dies only on torn framing: a read error, an
-// undecodable response, an unexpected frame kind, or a failed/partial
-// write. Then every parked waiter fails with rbio.ErrUnavailable and
-// future calls fail fast so the pool evicts the conn.
+// undecodable response, an unexpected frame kind, or a write that failed
+// after part of a frame reached the stream. Then every parked waiter
+// fails with rbio.ErrUnavailable and future calls fail fast so the pool
+// evicts the conn.
 type MuxConn struct {
 	conn net.Conn
 	addr string
@@ -50,9 +52,8 @@ type MuxConn struct {
 	err     error                     // first fatal error, set once
 }
 
-// NewMuxConn wraps an established stream whose peer has already proven
-// (via hello) that it accepts mux framing. It takes ownership of conn
-// and starts the demux goroutine. m may be nil.
+// NewMuxConn wraps an established stream. It takes ownership of conn and
+// starts the demux goroutine. m may be nil.
 func NewMuxConn(conn net.Conn, addr string, m *Metrics) *MuxConn {
 	c := &MuxConn{
 		conn:    conn,
@@ -151,22 +152,32 @@ func (c *MuxConn) fail(err error) {
 }
 
 // writeFrame emits one frame under the write mutex, bounding the write
-// by the context deadline if one is set. A write error is fatal for the
-// whole connection: the frame may be torn mid-stream.
+// by the context deadline if one is set. The socket is shared, so a caller
+// whose context ended while it queued for the mutex leaves without
+// touching it, and a deadline that cut the write off before its first byte
+// is that caller's timeout alone. Any other write error is fatal for the
+// whole connection: the stream is broken, or ends in a torn frame.
 func (c *MuxConn) writeFrame(ctx context.Context, kind byte, payload []byte) error {
 	c.writeMu.Lock()
+	if err := ctx.Err(); err != nil {
+		c.writeMu.Unlock()
+		return socerr.FromContext(err)
+	}
 	if d, ok := ctx.Deadline(); ok {
 		_ = c.conn.SetWriteDeadline(d)
 	} else {
 		_ = c.conn.SetWriteDeadline(time.Time{})
 	}
-	err := rbio.WriteFrame(c.conn, kind, payload)
+	n, err := rbio.WriteFrame(c.conn, kind, payload)
 	c.writeMu.Unlock()
-	if err != nil {
-		c.fail(fmt.Errorf("netmux: torn write: %w", err))
-		return fmt.Errorf("%w: %s: %v", rbio.ErrUnavailable, c.addr, err)
+	if err == nil {
+		return nil
 	}
-	return nil
+	if n == 0 && errors.Is(err, os.ErrDeadlineExceeded) {
+		return socerr.FromContext(context.DeadlineExceeded)
+	}
+	c.fail(fmt.Errorf("netmux: torn write: %w", err))
+	return fmt.Errorf("%w: %s: %v", rbio.ErrUnavailable, c.addr, err)
 }
 
 // muxFramePool recycles the [id][request] staging buffers for the call
@@ -281,40 +292,16 @@ func (c *MuxConn) demux() {
 	}
 }
 
-// DialTimeout bounds the TCP connect and hello exchange in DialTCP.
+// DialTimeout bounds the TCP connect in DialTCP.
 const DialTimeout = 5 * time.Second
 
-// DialTCP connects to an RBIO endpoint and upgrades to mux framing when
-// the peer supports it. The hello is a fixed v1-layout MsgPing in
-// sequential framing — a frame every protocol version decodes — and the
-// response header, layout-stable across versions, advertises the peer's
-// build. Peers ≥ rbio.VersionMux get a MuxConn; older peers keep the
-// same socket with sequential framing, so downgrade costs one round
-// trip and zero reconnects. m may be nil.
+// DialTCP connects to an RBIO endpoint and wraps the socket in a MuxConn.
+// Nothing is exchanged at connect time: every request carries the protocol
+// version and the server answers a mismatch per request. m may be nil.
 func DialTCP(addr string, m *Metrics) (rbio.Conn, error) {
 	raw, err := net.DialTimeout("tcp", addr, DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", rbio.ErrUnavailable, err)
 	}
-	_ = raw.SetDeadline(time.Now().Add(DialTimeout))
-	hello := &rbio.Request{Version: rbio.VersionMin, Type: rbio.MsgPing}
-	if err := rbio.WriteFrame(raw, rbio.FrameCall, rbio.EncodeRequest(hello)); err != nil {
-		_ = raw.Close()
-		return nil, fmt.Errorf("%w: hello: %v", rbio.ErrUnavailable, err)
-	}
-	_, frame, err := rbio.ReadFrame(raw)
-	if err != nil {
-		_ = raw.Close()
-		return nil, fmt.Errorf("%w: hello: %v", rbio.ErrUnavailable, err)
-	}
-	resp, err := rbio.DecodeResponse(frame)
-	if err != nil {
-		_ = raw.Close()
-		return nil, fmt.Errorf("%w: hello: %v", rbio.ErrUnavailable, err)
-	}
-	_ = raw.SetDeadline(time.Time{})
-	if resp.Version >= rbio.VersionMux {
-		return NewMuxConn(raw, addr, m), nil
-	}
-	return rbio.NewSequentialConn(raw, addr), nil
+	return NewMuxConn(raw, addr, m), nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,59 +15,8 @@ import (
 	"socrates/internal/socerr"
 )
 
-// startSequentialV2Server runs a raw TCP server that speaks ONLY the
-// sequential v2 framing — one request, one response, in order, never
-// mux. It models a pre-mux peer for downgrade interop tests.
-func startSequentialV2Server(t *testing.T, h rbio.Handler) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				for {
-					kind, frame, err := rbio.ReadFrame(conn)
-					if err != nil {
-						return
-					}
-					if kind != rbio.FrameCall && kind != rbio.FrameOneway {
-						// A v2 peer has never heard of mux frames:
-						// torn stream, hang up.
-						return
-					}
-					req, err := rbio.DecodeRequest(frame)
-					if err != nil {
-						return
-					}
-					if kind == rbio.FrameOneway {
-						h(context.Background(), req)
-						continue
-					}
-					resp := h(context.Background(), req)
-					if resp == nil {
-						resp = rbio.Ok()
-					}
-					resp.Version = 2 // advertise v2: mux-incapable
-					if err := rbio.WriteFrame(conn, rbio.FrameCall, rbio.EncodeResponse(resp)); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// startMuxServer runs a current-build RBIO TCP server (speaks mux) with
-// the given handler and returns its address.
+// startMuxServer runs an RBIO TCP server with the given handler and
+// returns its address.
 func startMuxServer(t *testing.T, h rbio.Handler) string {
 	t.Helper()
 	srv, err := rbio.ServeTCP("127.0.0.1:0", h)
@@ -87,7 +35,7 @@ func dialMux(t *testing.T, addr string) *MuxConn {
 	}
 	mc, ok := conn.(*MuxConn)
 	if !ok {
-		t.Fatalf("DialTCP returned %T, want *MuxConn (server should speak v%d)", conn, rbio.Version)
+		t.Fatalf("DialTCP returned %T, want *MuxConn", conn)
 	}
 	t.Cleanup(func() { _ = mc.Close() })
 	return mc
@@ -141,11 +89,9 @@ func TestMuxOutOfOrderResponses(t *testing.T) {
 	}
 }
 
-// TestMuxTimeoutDoesNotPoisonConn is the regression test for the retired
-// self-poisoning workaround: on the sequential transport a timed-out
-// call poisoned the connection and forced a redial; on mux the late
-// response is dropped by request ID and the SAME connection keeps
-// working.
+// TestMuxTimeoutDoesNotPoisonConn: a timed-out call costs the caller its
+// call and nothing else — the late response is dropped by request ID and
+// the SAME connection keeps working.
 func TestMuxTimeoutDoesNotPoisonConn(t *testing.T) {
 	var slow atomic.Bool
 	slow.Store(true)
@@ -270,27 +216,39 @@ func TestMuxConcurrentCallsShareOneConn(t *testing.T) {
 	}
 }
 
-// TestDialDowngradesToSequential: a pre-mux peer (a genuine sequential
-// TCP server) must get a sequential conn on the SAME socket — wire
-// compatibility costs a hello, not a reconnect.
-func TestDialDowngradesToSequential(t *testing.T) {
-	addr := startSequentialV2Server(t, func(_ context.Context, req *rbio.Request) *rbio.Response {
-		resp := &rbio.Response{Version: 2, Status: rbio.StatusOK, LSN: req.LSN + 1}
+// TestMuxExpiredCallerLeavesSharedConnAlone: a caller whose deadline passed
+// while it queued for the write mutex has put nothing on the stream, so it
+// times out alone — the connection, shared with every other caller, lives.
+func TestMuxExpiredCallerLeavesSharedConnAlone(t *testing.T) {
+	addr := startMuxServer(t, func(_ context.Context, req *rbio.Request) *rbio.Response {
+		resp := rbio.Ok()
+		resp.LSN = req.LSN
 		return resp
 	})
-	conn, err := DialTCP(addr, nil)
-	if err != nil {
-		t.Fatal(err)
+	mc := dialMux(t, addr)
+
+	mc.writeMu.Lock() // another caller's frame is going out
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := mc.Call(ctx, &rbio.Request{Version: rbio.Version, Type: rbio.MsgPing, LSN: 1})
+		done <- err
+	}()
+	<-ctx.Done()
+	mc.writeMu.Unlock()
+
+	if err := <-done; !errors.Is(err, socerr.ErrTimeout) {
+		t.Fatalf("err = %v, want socerr.ErrTimeout", err)
 	}
-	defer conn.Close()
-	if _, ok := conn.(*MuxConn); ok {
-		t.Fatal("DialTCP returned a MuxConn for a v2 peer")
+	if !mc.Healthy() {
+		t.Fatal("a caller that wrote nothing tore the shared connection down")
 	}
-	resp, err := conn.Call(context.Background(), &rbio.Request{Version: 2, Type: rbio.MsgPing, LSN: 5})
-	if err != nil {
-		t.Fatal(err)
+	resp, err := mc.Call(context.Background(), &rbio.Request{Version: rbio.Version, Type: rbio.MsgPing, LSN: 2})
+	if err != nil || resp.LSN != 2 {
+		t.Fatalf("next call on the same conn: resp=%+v err=%v", resp, err)
 	}
-	if resp.LSN != 6 {
-		t.Fatalf("resp.LSN = %d, want 6", resp.LSN)
+	if mc.Pending() != 0 {
+		t.Fatalf("%d waiters leaked", mc.Pending())
 	}
 }

@@ -1,8 +1,8 @@
 // Package netmux is the multiplexed, pipelined RPC fabric all
-// inter-tier Socrates traffic rides on. It fixes the two performance
-// sins of the original transport — one outstanding RPC per connection,
-// and connection poisoning on timeout — that left the GetPage@LSN
-// (§4.4) and log-feed (§4.2/§4.3) wires mostly idle.
+// inter-tier Socrates traffic rides on: many calls in flight per
+// connection, and a timeout that costs the caller its call, never the
+// connection — which is what keeps the GetPage@LSN (§4.4) and log-feed
+// (§4.2/§4.3) wires busy.
 //
 // The pieces, bottom-up:
 //
@@ -26,12 +26,9 @@
 //     Concurrent misses for the same page at compatible LSNs share one
 //     wire RPC.
 //
-//   - DialTCP: hello-first negotiation. A fixed v1-layout MsgPing goes
-//     out in sequential framing (every protocol version decodes it); if
-//     the peer's advertised version is ≥ rbio.VersionMux the socket
-//     switches to mux framing, otherwise the same socket is kept with
-//     the old sequential framing — wire compatibility with v2/v1 peers
-//     costs one round trip, never a reconnect.
+//   - DialTCP: connect and wrap the socket in a MuxConn. The protocol
+//     version travels in every request (rbio.Version) and a mismatch is
+//     answered per request, so there is nothing to exchange first.
 //
 // The package is zero-dependency (stdlib + the repo's own rbio/obs/
 // page/socerr) and transport-agnostic: a Pool works equally over TCP

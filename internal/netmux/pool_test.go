@@ -24,10 +24,8 @@ func tcpDialer(m *Metrics) Dialer {
 // socerr.ErrBackpressure — not queue unboundedly, not hang.
 func TestPoolBackpressureFailFast(t *testing.T) {
 	release := make(chan struct{})
-	addr := startMuxServer(t, func(_ context.Context, req *rbio.Request) *rbio.Response {
-		if req.Version != rbio.VersionMin { // let the dial hello through
-			<-release
-		}
+	addr := startMuxServer(t, func(context.Context, *rbio.Request) *rbio.Response {
+		<-release
 		return rbio.Ok()
 	})
 
@@ -83,10 +81,8 @@ func TestPoolBackpressureFailFast(t *testing.T) {
 // must abandon its spot when its ctx expires.
 func TestPoolQueuedCallerHonorsContext(t *testing.T) {
 	release := make(chan struct{})
-	addr := startMuxServer(t, func(_ context.Context, req *rbio.Request) *rbio.Response {
-		if req.Version != rbio.VersionMin { // let the dial hello through
-			<-release
-		}
+	addr := startMuxServer(t, func(context.Context, *rbio.Request) *rbio.Response {
+		<-release
 		return rbio.Ok()
 	})
 

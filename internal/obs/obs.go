@@ -11,7 +11,7 @@
 //   - A Tracer owns bounded per-trace storage; finished spans are
 //     retrievable as a tree (Trace) or flat list.
 //   - SpanContext (TraceID, SpanID) travels inside context.Context and —
-//     across process-shaped boundaries — inside RBIO v2 frame headers.
+//     across process-shaped boundaries — inside RBIO trace headers.
 //   - A Registry holds named counters, gauges, and bounded
 //     exponential-bucket histograms that every tier registers into.
 //
@@ -50,7 +50,7 @@ type TraceID uint64
 // SpanID identifies one span within a trace.
 type SpanID uint64
 
-// SpanContext is the wire-size identity of a span: what RBIO v2 carries
+// SpanContext is the wire-size identity of a span: what RBIO carries
 // in its frame header and what context.Context carries between tiers.
 type SpanContext struct {
 	TraceID TraceID
@@ -311,7 +311,7 @@ func (t *Tracer) JoinSpan(ctx context.Context, tier, name string) (context.Conte
 }
 
 // StartRemoteSpan begins a span whose parent identity arrived over the
-// wire (an RBIO v2 header) rather than through a context.
+// wire (an RBIO trace header) rather than through a context.
 func (t *Tracer) StartRemoteSpan(parent SpanContext, tier, name string) (context.Context, *Span) {
 	if t == nil {
 		return context.Background(), nil

@@ -689,7 +689,7 @@ func (s *Server) waitApplied(ctx context.Context, lsn page.LSN, timeout time.Dur
 
 // GetPage serves one page at an LSN at least minLSN (the §4.4 protocol).
 // The context carries the calling compute node's span identity (decoded
-// from the RBIO v2 frame), so the page-server read shows up inside the
+// from the RBIO frame), so the page-server read shows up inside the
 // caller's GetPage@LSN trace.
 //
 //socrates:hotpath the paper's defining latency path; warm-cache budget enforced by TestGetPageAllocs

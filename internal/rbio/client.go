@@ -9,14 +9,13 @@ import (
 	"socrates/internal/socerr"
 )
 
-// Client wraps a Conn with protocol-version negotiation, transient-failure
+// Client wraps a Conn with version and trace stamping, transient-failure
 // retry, and QoS latency tracking for best-replica selection.
 type Client struct {
 	conn     Conn
 	retries  int
 	backoff  time.Duration
 	mu       sync.Mutex
-	ver      uint16  // negotiated protocol version; 0 = not yet negotiated
 	ewma     float64 // nanoseconds; 0 = no samples yet
 	failures int     // consecutive failures (reset on success)
 }
@@ -30,18 +29,7 @@ func WithRetries(n int) ClientOption { return func(c *Client) { c.retries = n } 
 // WithBackoff sets the base backoff between retries (linear).
 func WithBackoff(d time.Duration) ClientOption { return func(c *Client) { c.backoff = d } }
 
-// NewClient wraps conn. The protocol version is negotiated lazily with a
-// hello exchange before the first frame goes out: the client sends a
-// fixed v1-layout MsgPing — a frame every protocol version decodes — and
-// reads the server's build version from the response header, whose layout
-// is identical in all versions. It then speaks min(Version, server's).
-//
-// A v2-layout frame is therefore never put on the wire toward a peer
-// that has not proven it decodes v2. This matters because the v2 trace
-// header sits mid-frame: a genuine v1 build's strict decoder would
-// misparse every later field and drop the connection before it could
-// answer StatusVersion, so downgrade-on-rejection alone cannot provide
-// backward compatibility.
+// NewClient wraps conn.
 func NewClient(conn Conn, opts ...ClientOption) *Client {
 	c := &Client{conn: conn, retries: 5, backoff: 500 * time.Microsecond}
 	for _, o := range opts {
@@ -50,74 +38,11 @@ func NewClient(conn Conn, opts ...ClientOption) *Client {
 	return c
 }
 
-// ProtocolVersion reports the negotiated protocol version, or 0 before
-// the first hello exchange completes.
-func (c *Client) ProtocolVersion() uint16 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ver
-}
-
-// negotiate returns the protocol version to stamp on the next frame,
-// running the hello exchange on first use. If the hello fails (peer down,
-// ctx expired) it returns VersionMin — safe on any wire — and leaves the
-// client unnegotiated so a later call re-probes.
-func (c *Client) negotiate(ctx context.Context) uint16 {
-	c.mu.Lock()
-	v := c.ver
-	c.mu.Unlock()
-	if v != 0 {
-		return v
-	}
-	// The hello's status is irrelevant (even an error reply carries the
-	// server's version); only a transport failure aborts negotiation.
-	resp, err := c.conn.Call(ctx, &Request{Version: VersionMin, Type: MsgPing})
-	if err != nil || resp.Version < VersionMin {
-		return VersionMin
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ver == 0 {
-		c.ver = min(Version, resp.Version)
-	}
-	return c.ver
-}
-
-// stamp prepares req for the wire at the negotiated version: v2 frames
-// carry the span identity from ctx, v1 frames must not carry one.
-func (c *Client) stamp(ctx context.Context, req *Request) {
-	req.Version = c.negotiate(ctx)
-	if req.Version >= 2 {
-		req.StampTrace(ctx)
-	} else {
-		req.TraceID, req.SpanID = 0, 0
-	}
-}
-
-// downgrade steps down after a StatusVersion response — a belt-and-braces
-// path for peers that reject the negotiated version anyway (e.g. the
-// server restarted into an older build after the hello). The response
-// header's Version field is layout-stable across all protocol versions,
-// so the client steps exactly to what the peer advertises (v3→v2 keeps
-// the trace header; only a genuine v1 peer costs it), falling back to
-// VersionMin when the advertisement is unusable. It reports whether the
-// call should be retried (false once no lower version remains).
-func (c *Client) downgrade(advertised uint16) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cur := c.ver
-	if cur == 0 {
-		cur = Version
-	}
-	if cur == VersionMin {
-		return false
-	}
-	to := advertised
-	if to < VersionMin || to >= cur {
-		to = VersionMin
-	}
-	c.ver = to
-	return true
+// stamp prepares req for the wire: the protocol version and the span
+// identity from ctx.
+func stamp(ctx context.Context, req *Request) {
+	req.Version = Version
+	req.StampTrace(ctx)
 }
 
 // Addr reports the remote endpoint.
@@ -164,10 +89,11 @@ func (c *Client) Failures() int {
 }
 
 // Call issues the request, retrying transport errors and StatusRetry
-// responses with linear backoff, and downgrading the protocol version
-// once if the peer only speaks v1. Terminal errors return immediately; a
-// cancelled or expired context returns a socerr-classified error.
+// responses with linear backoff. Every other status — StatusVersion
+// included — is terminal and returns after one attempt; a cancelled or
+// expired context returns a socerr-classified error.
 func (c *Client) Call(ctx context.Context, req *Request) (*Response, error) {
+	stamp(ctx, req)
 	var lastErr error
 	for attempt := 0; attempt < c.retries; attempt++ {
 		if attempt > 0 && c.backoff > 0 {
@@ -178,7 +104,6 @@ func (c *Client) Call(ctx context.Context, req *Request) (*Response, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, socerr.FromContext(err)
 		}
-		c.stamp(ctx, req)
 		start := time.Now()
 		resp, err := c.conn.Call(ctx, req)
 		if err != nil {
@@ -189,23 +114,11 @@ func (c *Client) Call(ctx context.Context, req *Request) (*Response, error) {
 			}
 			return nil, err
 		}
-		switch resp.Status {
-		case StatusRetry:
-			c.observe(time.Since(start), true)
-			lastErr = resp.Err()
-			continue
-		case StatusVersion:
-			c.observe(time.Since(start), true)
-			if c.downgrade(resp.Version) {
-				lastErr = resp.Err()
-				attempt-- // version negotiation is not a failure
-				continue
-			}
-			return resp, nil
-		default:
-			c.observe(time.Since(start), true)
+		c.observe(time.Since(start), true)
+		if resp.Status != StatusRetry {
 			return resp, nil
 		}
+		lastErr = resp.Err()
 	}
 	return nil, lastErr
 }
@@ -226,33 +139,8 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // Send delivers a fire-and-forget request (no retry: the path is lossy by
 // contract and the caller compensates, as XLOG's pending area does).
 func (c *Client) Send(ctx context.Context, req *Request) error {
-	c.stamp(ctx, req)
+	stamp(ctx, req)
 	return c.conn.Send(ctx, req)
-}
-
-// SpeaksOneway reports whether the peer's negotiated protocol carries
-// one-way frames (≥ VersionMux), running the hello exchange on first use.
-// Callers with their own acknowledgement channel (HADR's cumulative harden
-// acks) use it to pick between a fire-and-forget Send and a round-trip
-// Call toward older peers.
-func (c *Client) SpeaksOneway(ctx context.Context) bool {
-	return c.negotiate(ctx) >= VersionMux
-}
-
-// Notify delivers a one-way notification whose loss the caller tolerates
-// only because a later notification supersedes it (cumulative harden
-// acks). Toward a peer that speaks the mux fabric (≥ VersionMux) it is a
-// single FrameMuxOneway — no round trip on the ack path. Toward an older
-// peer it degrades to a full Call: the v1/v2 sequential framing keeps its
-// round-trip ack contract, byte-identical to what those builds always
-// spoke, so a genuine v2 peer still sees request/response pairs.
-func (c *Client) Notify(ctx context.Context, req *Request) error {
-	if c.negotiate(ctx) >= VersionMux {
-		c.stamp(ctx, req)
-		return c.conn.Send(ctx, req)
-	}
-	_, err := c.Call(ctx, req)
-	return err
 }
 
 // Selector routes calls to the fastest healthy endpoint among a replica

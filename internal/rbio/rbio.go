@@ -7,18 +7,19 @@
 //
 //   - strongly typed: requests and responses are structured messages with a
 //     fixed binary codec, not raw byte blobs;
-//   - automatic versioning: every frame carries the protocol version and
-//     servers reject incompatible callers;
+//   - automatic versioning: every message carries the protocol version and
+//     a server answers any other version with StatusVersion;
 //   - resilient to transient failures: clients retry retryable statuses and
 //     transport errors with backoff;
 //   - QoS support for best-replica selection: clients track an EWMA of
 //     per-endpoint latency and a Selector routes each call to the currently
 //     fastest healthy endpoint.
 //
-// Two transports are provided: an in-process transport with a simulated
-// network latency profile (used by single-process clusters and tests, with
-// optional lossy fire-and-forget semantics for the XLOG feed), and a TCP
-// transport with length-prefixed frames (used by cmd/socratesd).
+// One message layout rides two transports: an in-process fabric with a
+// simulated network latency profile (single-process clusters and tests,
+// with optional lossy fire-and-forget semantics for the XLOG feed), and TCP
+// with length-prefixed, request-ID-tagged frames (see internal/netmux for
+// the client side).
 package rbio
 
 import (
@@ -32,32 +33,10 @@ import (
 	"socrates/internal/socerr"
 )
 
-// Version is the protocol version spoken by this build. v2 adds a
-// TraceID/SpanID trace header to request frames so one request tree can
-// be stitched together across tiers. v3 changes nothing in the message
-// layout (a v3 message is byte-identical to v2) but advertises that the
-// peer understands multiplexed framing: request-ID-tagged frames that
-// allow many outstanding RPCs per connection with out-of-order responses
-// (see internal/netmux and the FrameMux* kinds). Servers accept any
-// version in [VersionMin, Version].
-//
-// Because the v2 header sits mid-frame, a genuine v1 decoder would
-// misparse every field after it — it cannot even recognise the frame
-// well enough to answer StatusVersion. Clients therefore discover the
-// peer's version with a fixed v1-layout MsgPing hello (see
-// Client.negotiate) before ever emitting a v2-layout frame; the response
-// layout is identical across versions and its Version field advertises
-// the server's build. netmux reuses the same hello to decide whether the
-// peer accepts mux framing (version ≥ VersionMux) before the first
-// request-ID frame goes out.
-const (
-	Version    uint16 = 3
-	VersionMin uint16 = 1
-
-	// VersionMux is the lowest protocol version whose TCP servers accept
-	// multiplexed framing (FrameMuxCall/FrameMuxResp/FrameMuxOneway).
-	VersionMux uint16 = 3
-)
+// Version is the one protocol version this build speaks. Clients stamp it
+// on every request and servers answer any other value with StatusVersion
+// (see checkVersion); there is no negotiation.
+const Version uint16 = 3
 
 // MsgType identifies an RBIO operation.
 type MsgType uint8
@@ -143,8 +122,8 @@ func (s Status) String() string {
 type Request struct {
 	Version   uint16
 	Type      MsgType
-	TraceID   uint64   // v2 trace header: request-tree identity (0 = untraced)
-	SpanID    uint64   // v2 trace header: caller's span (0 = untraced)
+	TraceID   uint64   // trace header: request-tree identity (0 = untraced)
+	SpanID    uint64   // trace header: caller's span (0 = untraced)
 	Page      page.ID  // MsgGetPage
 	LSN       page.LSN // MsgGetPage (min LSN), MsgPullBlocks (from), reports
 	Partition int32    // MsgPullBlocks filter; -1 = unfiltered (secondaries)
@@ -159,8 +138,7 @@ func (r *Request) SpanContext() obs.SpanContext {
 }
 
 // StampTrace copies the span identity carried by ctx into the trace
-// header. v1 peers never see these fields: the client zeroes them when
-// the negotiated version is v1, and the v1 codec does not encode them.
+// header.
 func (r *Request) StampTrace(ctx context.Context) {
 	sc := obs.SpanFromContext(ctx)
 	r.TraceID, r.SpanID = uint64(sc.TraceID), uint64(sc.SpanID)
@@ -267,17 +245,10 @@ func appendBytes(buf []byte, b []byte) []byte {
 	return append(buf, b...)
 }
 
-// EncodeRequest serializes a request. Frames whose Version is ≥2 carry
-// the 16-byte TraceID/SpanID header after the type byte; v1 frames use
-// the original layout, so a downgraded client is byte-compatible with a
-// v1 server.
-func EncodeRequest(r *Request) []byte {
-	return AppendRequest(make([]byte, 0, 48+len(r.Consumer)+len(r.Payload)), r)
-}
-
 // AppendRequest appends the encoded request to dst and returns the
-// extended slice — the allocation-free form of EncodeRequest for callers
-// (netmux framing, the GetPage fan-out) that own a reusable buffer.
+// extended slice, so callers that own a reusable buffer (netmux framing,
+// the GetPage fan-out) encode without allocating. The layout is the same
+// for every value of the Version field.
 //
 //socrates:hotpath per-RPC encode on every inter-tier call
 //socrates:alloc-ok every append amortizes into the caller's reusable buffer; TestMuxCallAllocs enforces the steady-state budget
@@ -285,10 +256,8 @@ func AppendRequest(dst []byte, r *Request) []byte {
 	buf := dst
 	buf = binary.LittleEndian.AppendUint16(buf, r.Version)
 	buf = append(buf, byte(r.Type))
-	if r.Version >= 2 {
-		buf = binary.LittleEndian.AppendUint64(buf, r.TraceID)
-		buf = binary.LittleEndian.AppendUint64(buf, r.SpanID)
-	}
+	buf = binary.LittleEndian.AppendUint64(buf, r.TraceID)
+	buf = binary.LittleEndian.AppendUint64(buf, r.SpanID)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Page))
 	buf = binary.LittleEndian.AppendUint64(buf, r.LSN.Uint64())
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Partition))
@@ -298,30 +267,23 @@ func AppendRequest(dst []byte, r *Request) []byte {
 	return buf
 }
 
-// DecodeRequest parses a request frame of either protocol version.
+// DecodeRequest parses a request frame.
 func DecodeRequest(buf []byte) (*Request, error) {
-	const fixedV1 = 2 + 1 + 8 + 8 + 4 + 4 + 2
-	if len(buf) < fixedV1 {
+	const fixed = 2 + 1 + 8 + 8 + 8 + 8 + 4 + 4 + 2
+	if len(buf) < fixed {
 		return nil, errors.New("rbio: short request frame")
 	}
 	r := &Request{
-		Version: binary.LittleEndian.Uint16(buf[0:2]),
-		Type:    MsgType(buf[2]),
+		Version:   binary.LittleEndian.Uint16(buf[0:2]),
+		Type:      MsgType(buf[2]),
+		TraceID:   binary.LittleEndian.Uint64(buf[3:11]),
+		SpanID:    binary.LittleEndian.Uint64(buf[11:19]),
+		Page:      page.ID(binary.LittleEndian.Uint64(buf[19:27])),
+		LSN:       page.LSN(binary.LittleEndian.Uint64(buf[27:35])),
+		Partition: int32(binary.LittleEndian.Uint32(buf[35:39])),
+		MaxBytes:  int32(binary.LittleEndian.Uint32(buf[39:43])),
 	}
-	pos := 3
-	if r.Version >= 2 {
-		if len(buf) < fixedV1+16 {
-			return nil, errors.New("rbio: short v2 request frame")
-		}
-		r.TraceID = binary.LittleEndian.Uint64(buf[pos : pos+8])
-		r.SpanID = binary.LittleEndian.Uint64(buf[pos+8 : pos+16])
-		pos += 16
-	}
-	r.Page = page.ID(binary.LittleEndian.Uint64(buf[pos : pos+8]))
-	r.LSN = page.LSN(binary.LittleEndian.Uint64(buf[pos+8 : pos+16]))
-	r.Partition = int32(binary.LittleEndian.Uint32(buf[pos+16 : pos+20]))
-	r.MaxBytes = int32(binary.LittleEndian.Uint32(buf[pos+20 : pos+24]))
-	pos += 24
+	pos := 43
 	slen := int(binary.LittleEndian.Uint16(buf[pos : pos+2]))
 	pos += 2
 	if len(buf) < pos+slen+4 {
@@ -340,14 +302,9 @@ func DecodeRequest(buf []byte) (*Request, error) {
 	return r, nil
 }
 
-// EncodeResponse serializes a response.
-func EncodeResponse(r *Response) []byte {
-	return AppendResponse(make([]byte, 0, 24+len(r.Error)+len(r.Payload)), r)
-}
-
 // AppendResponse appends the encoded response to dst and returns the
-// extended slice — the allocation-free form of EncodeResponse for the
-// server-side mux write path.
+// extended slice, so the server's frame write path encodes without
+// allocating.
 //
 //socrates:hotpath per-RPC encode on every inter-tier response
 //socrates:alloc-ok every append amortizes into the caller's reusable buffer; TestMuxCallAllocs enforces the steady-state budget
@@ -391,18 +348,17 @@ func DecodeResponse(buf []byte) (*Response, error) {
 	return r, nil
 }
 
-// checkVersion wraps a handler with protocol version enforcement (any
-// version in [VersionMin, Version] is accepted, so v2 servers keep
-// serving v1 callers) and with trace-header decoding: the handler's
+// checkVersion wraps a handler with protocol version enforcement — a
+// request of any version but Version is answered StatusVersion and never
+// reaches the handler — and with trace-header decoding: the handler's
 // context carries exactly the span identity from the frame — ambient
 // in-process values are overwritten, so both transports propagate traces
 // the same way.
 func checkVersion(h Handler) Handler {
 	return func(ctx context.Context, req *Request) *Response {
-		if req.Version < VersionMin || req.Version > Version {
+		if req.Version != Version {
 			return &Response{Version: Version, Status: StatusVersion,
-				Error: fmt.Sprintf("server speaks v%d..v%d, caller sent v%d",
-					VersionMin, Version, req.Version)}
+				Error: fmt.Sprintf("server speaks v%d, caller sent v%d", Version, req.Version)}
 		}
 		resp := h(obs.ContextWithSpan(ctx, req.SpanContext()), req)
 		if resp == nil {

@@ -2,14 +2,15 @@ package rbio
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"socrates/internal/obs"
 	"socrates/internal/page"
 )
 
@@ -19,7 +20,7 @@ func TestRequestCodecRoundTrip(t *testing.T) {
 		Partition: -1, MaxBytes: 1 << 20, Consumer: "secondary-1",
 		Payload: []byte{1, 2, 3},
 	}
-	got, err := DecodeRequest(EncodeRequest(r))
+	got, err := DecodeRequest(AppendRequest(nil, r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestRequestCodecRoundTrip(t *testing.T) {
 func TestResponseCodecRoundTrip(t *testing.T) {
 	r := &Response{Version: Version, Status: StatusRetry, Error: "seeding",
 		LSN: 1234, Payload: []byte("blockdata")}
-	got, err := DecodeResponse(EncodeResponse(r))
+	got, err := DecodeResponse(AppendResponse(nil, r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,13 +42,13 @@ func TestResponseCodecRoundTrip(t *testing.T) {
 }
 
 func TestCodecTruncation(t *testing.T) {
-	req := EncodeRequest(&Request{Type: MsgPing, Consumer: "c", Payload: []byte("xy")})
+	req := AppendRequest(nil, &Request{Type: MsgPing, Consumer: "c", Payload: []byte("xy")})
 	for cut := 0; cut < len(req); cut++ {
 		if _, err := DecodeRequest(req[:cut]); err == nil {
 			t.Fatalf("request truncation at %d undetected", cut)
 		}
 	}
-	resp := EncodeResponse(&Response{Status: StatusOK, Error: "e", Payload: []byte("z")})
+	resp := AppendResponse(nil, &Response{Status: StatusOK, Error: "e", Payload: []byte("z")})
 	for cut := 0; cut < len(resp); cut++ {
 		if _, err := DecodeResponse(resp[:cut]); err == nil {
 			t.Fatalf("response truncation at %d undetected", cut)
@@ -66,11 +67,43 @@ func TestRequestCodecProperty(t *testing.T) {
 		if len(payload) > 0 {
 			r.Payload = payload
 		}
-		got, err := DecodeRequest(EncodeRequest(r))
+		got, err := DecodeRequest(AppendRequest(nil, r))
 		return err == nil && reflect.DeepEqual(got, r)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestCodecCarriesTraceHeader(t *testing.T) {
+	r := &Request{Version: Version, Type: MsgGetPage, TraceID: 0xdeadbeef, SpanID: 42,
+		Page: 9, LSN: 100, Consumer: "sec", Payload: []byte("p")}
+	got, err := DecodeRequest(AppendRequest(nil, r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, r) {
+		t.Fatalf("got %+v, want %+v", got, r)
+	}
+}
+
+// TestWireLayoutGolden locks the message layout: the literals are what the
+// v3 encoder produced at commit e145259, so a change to either encoder
+// that moves a byte fails here.
+func TestWireLayoutGolden(t *testing.T) {
+	req := &Request{Version: 3, Type: MsgGetPage, TraceID: 0x1122334455667788, SpanID: 0x99aabbccddeeff00,
+		Page: 4711, LSN: 123456, Partition: -1, MaxBytes: 1 << 20, Consumer: "secondary-1",
+		Payload: []byte{0xde, 0xad, 0xbe, 0xef}}
+	const wantReq = "030001887766554433221100ffeeddccbbaa99671200000000000040e2010000000000" +
+		"ffffffff000010000b007365636f6e646172792d3104000000deadbeef"
+	if got := hex.EncodeToString(AppendRequest(nil, req)); got != wantReq {
+		t.Fatalf("request layout moved:\n got %s\nwant %s", got, wantReq)
+	}
+	resp := &Response{Version: 3, Status: StatusPartial, Error: "page 81 behind", LSN: 900,
+		Payload: []byte("prefix")}
+	const wantResp = "03000584030000000000000e007061676520383120626568696e6406000000707265666978"
+	if got := hex.EncodeToString(AppendResponse(nil, resp)); got != wantResp {
+		t.Fatalf("response layout moved:\n got %s\nwant %s", got, wantResp)
 	}
 }
 
@@ -91,6 +124,20 @@ func TestResponseErr(t *testing.T) {
 	}
 	if Errorf("boom").Err() == nil {
 		t.Fatal("error should map to non-nil")
+	}
+}
+
+func TestResponseErrorTyped(t *testing.T) {
+	resp := &Response{Status: StatusNotFound, Error: "page 9 gone"}
+	var re *ResponseError
+	if !errors.As(resp.Err(), &re) {
+		t.Fatal("Err() should be a *ResponseError")
+	}
+	if re.Status != StatusNotFound || re.Msg != "page 9 gone" {
+		t.Fatalf("re = %+v", re)
+	}
+	if !errors.Is(resp.Err(), ErrNotFound) {
+		t.Fatal("typed error should still match the sentinel")
 	}
 }
 
@@ -117,14 +164,84 @@ func TestInprocCallRoundTrip(t *testing.T) {
 
 func TestInprocVersionEnforcement(t *testing.T) {
 	net := NewInstantNetwork()
-	net.Serve("x", func(context.Context, *Request) *Response { return Ok() })
+	var served atomic.Int32
+	net.Serve("x", func(context.Context, *Request) *Response {
+		served.Add(1)
+		return Ok()
+	})
 	conn := net.Dial("x")
-	resp, err := conn.Call(context.Background(), &Request{Version: 999, Type: MsgPing})
-	if err != nil {
+	for _, v := range []uint16{0, 1, 2, 77} {
+		resp, err := conn.Call(context.Background(), &Request{Version: v, Type: MsgPing})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != StatusVersion || resp.Version != Version {
+			t.Fatalf("v%d caller: status = %v from v%d, want version mismatch from v%d",
+				v, resp.Status, resp.Version, Version)
+		}
+	}
+	if served.Load() != 0 {
+		t.Fatalf("handler reached by %d mismatched requests", served.Load())
+	}
+}
+
+// flakyConn fails its first Call as an unreachable endpoint would, answers
+// the rest OK, and keeps each request as it arrived.
+type flakyConn struct {
+	Conn
+	seen []Request
+}
+
+func (c *flakyConn) Call(_ context.Context, req *Request) (*Response, error) {
+	c.seen = append(c.seen, *req)
+	if len(c.seen) == 1 {
+		return nil, ErrUnavailable
+	}
+	return Ok(), nil
+}
+
+// A failed first contact changes nothing about what goes out next.
+func TestRetriedRequestKeepsVersionAndTrace(t *testing.T) {
+	conn := &flakyConn{}
+	c := NewClient(conn, WithRetries(3), WithBackoff(0))
+	ctx := obs.ContextWithSpan(context.Background(), obs.SpanContext{TraceID: 7, SpanID: 8})
+	if _, err := c.Call(ctx, &Request{Type: MsgGetPage}); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status != StatusVersion {
-		t.Fatalf("status = %v, want version mismatch", resp.Status)
+	if len(conn.seen) != 2 {
+		t.Fatalf("%d wire attempts, want 2", len(conn.seen))
+	}
+	if r := conn.seen[1]; r.Version != Version || r.TraceID != 7 || r.SpanID != 8 {
+		t.Fatalf("retry went out as v%d trace %d/%d, want v%d trace 7/8", r.Version, r.TraceID, r.SpanID, Version)
+	}
+}
+
+func TestHandlerSeesFrameTraceNotCallerValues(t *testing.T) {
+	net := NewInstantNetwork()
+	var seen obs.SpanContext
+	net.Serve("ps", func(ctx context.Context, _ *Request) *Response {
+		seen = obs.SpanFromContext(ctx)
+		return Ok()
+	})
+	c := NewClient(net.Dial("ps"))
+	want := obs.SpanContext{TraceID: 21, SpanID: 34}
+	ctx := obs.ContextWithSpan(context.Background(), want)
+	if _, err := c.Call(ctx, &Request{Type: MsgPing}); err != nil {
+		t.Fatal(err)
+	}
+	if seen != want {
+		t.Fatalf("handler saw %+v, want %+v", seen, want)
+	}
+}
+
+func TestCallHonorsCancelledContext(t *testing.T) {
+	net := NewInstantNetwork()
+	net.Serve("s", func(context.Context, *Request) *Response { return Ok() })
+	c := NewClient(net.Dial("s"))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.Call(ctx, &Request{Type: MsgPing}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
@@ -170,34 +287,35 @@ func TestClientExhaustsRetries(t *testing.T) {
 	}
 }
 
+// A terminal status — a peer's version refusal included — costs one wire
+// attempt and reaches the caller as the response it is.
 func TestClientDoesNotRetryTerminalError(t *testing.T) {
-	net := NewInstantNetwork()
-	var calls atomic.Int32
-	net.Serve("s", func(context.Context, *Request) *Response {
-		calls.Add(1)
-		return Errorf("terminal")
-	})
-	c := NewClient(net.Dial("s"), WithRetries(5), WithBackoff(0))
-	resp, err := c.Call(context.Background(), &Request{Type: MsgPing})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two handler invocations: the one-time version hello plus the call
-	// itself — the terminal error must not be retried.
-	if resp.Status != StatusError || calls.Load() != 2 {
-		t.Fatalf("status=%v calls=%d", resp.Status, calls.Load())
+	for _, terminal := range []*Response{Errorf("terminal"), {Status: StatusVersion, Error: "server speaks v2"}} {
+		net := NewInstantNetwork()
+		var calls atomic.Int32
+		net.Serve("s", func(context.Context, *Request) *Response {
+			calls.Add(1)
+			return terminal
+		})
+		c := NewClient(net.Dial("s"), WithRetries(5), WithBackoff(0))
+		resp, err := c.Call(context.Background(), &Request{Type: MsgPing})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != terminal.Status || calls.Load() != 1 {
+			t.Fatalf("status=%v calls=%d, want %v after 1 call", resp.Status, calls.Load(), terminal.Status)
+		}
+		if terminal.Status == StatusVersion && !errors.Is(resp.Err(), ErrVersion) {
+			t.Fatalf("resp.Err() = %v, want ErrVersion", resp.Err())
+		}
 	}
 }
 
 func TestLossySendDrops(t *testing.T) {
 	net := NewInstantNetwork()
 	var received atomic.Int32
-	net.Serve("xlog", func(_ context.Context, req *Request) *Response {
-		// Ignore the client's version hello (a reliable Call); only the
-		// lossy feed sends count.
-		if req.Type == MsgFeedBlock {
-			received.Add(1)
-		}
+	net.Serve("xlog", func(context.Context, *Request) *Response {
+		received.Add(1)
 		return Ok()
 	})
 	net.SetLoss(1.0) // drop everything
@@ -287,118 +405,6 @@ func TestSelectorEmpty(t *testing.T) {
 	if sel.Len() != 1 {
 		t.Fatal("Add failed")
 	}
-}
-
-func TestTCPRoundTrip(t *testing.T) {
-	srv, err := ServeTCP("127.0.0.1:0", func(_ context.Context, req *Request) *Response {
-		resp := Ok()
-		resp.LSN = req.LSN + 1
-		resp.Payload = append([]byte("echo:"), req.Payload...)
-		return resp
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	conn, err := DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	c := NewClient(conn)
-	resp, err := c.Call(context.Background(), &Request{Type: MsgGetPage, LSN: 10, Payload: []byte("hi")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.LSN != 11 || string(resp.Payload) != "echo:hi" {
-		t.Fatalf("resp %+v", resp)
-	}
-}
-
-func TestTCPOnewayFrame(t *testing.T) {
-	var got atomic.Int32
-	srv, err := ServeTCP("127.0.0.1:0", func(_ context.Context, req *Request) *Response {
-		if req.Type == MsgFeedBlock {
-			got.Add(1)
-		}
-		return Ok()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	conn, err := DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := conn.Send(context.Background(), &Request{Version: Version, Type: MsgFeedBlock}); err != nil {
-		t.Fatal(err)
-	}
-	// A subsequent call on the same conn proves frame boundaries are intact.
-	c := NewClient(conn)
-	if _, err := c.Call(context.Background(), &Request{Type: MsgPing}); err != nil {
-		t.Fatal(err)
-	}
-	if got.Load() != 1 {
-		t.Fatalf("oneway frames received = %d", got.Load())
-	}
-}
-
-func TestTCPVersionMismatch(t *testing.T) {
-	srv, err := ServeTCP("127.0.0.1:0", func(context.Context, *Request) *Response { return Ok() })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	conn, err := DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	resp, err := conn.Call(context.Background(), &Request{Version: 77, Type: MsgPing})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != StatusVersion {
-		t.Fatalf("status = %v", resp.Status)
-	}
-}
-
-func TestTCPConcurrentClients(t *testing.T) {
-	srv, err := ServeTCP("127.0.0.1:0", func(_ context.Context, req *Request) *Response {
-		resp := Ok()
-		resp.LSN = req.LSN
-		return resp
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			conn, err := DialTCP(srv.Addr())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer conn.Close()
-			c := NewClient(conn)
-			for j := 0; j < 30; j++ {
-				want := page.LSN(n*1000 + j)
-				resp, err := c.Call(context.Background(), &Request{Type: MsgPing, LSN: want})
-				if err != nil || resp.LSN != want {
-					t.Errorf("worker %d: %v %v", n, resp, err)
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
 }
 
 func TestEWMAPenalizesFailures(t *testing.T) {

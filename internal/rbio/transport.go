@@ -17,8 +17,8 @@ import (
 // Conn is one client connection to an RBIO endpoint.
 type Conn interface {
 	// Call sends a request and waits for the response. The context
-	// bounds the wait; its span identity travels in the frame header
-	// (v2), never as an in-process value.
+	// bounds the wait; its span identity travels in the request's trace
+	// header, never as an in-process value.
 	Call(ctx context.Context, req *Request) (*Response, error)
 	// Send delivers a request fire-and-forget: no response, no delivery
 	// guarantee. The lossy primary→XLOG feed uses this path (§4.3).
@@ -192,25 +192,19 @@ func (c *inprocConn) Close() error { return nil }
 
 // --- TCP transport ---
 
-// Frame kinds on the wire. The sequential kinds (FrameCall/FrameOneway)
-// are the v1/v2 protocol: one outstanding call per connection, responses
-// in request order. The mux kinds are the v3 fabric (internal/netmux):
-// the frame payload starts with an 8-byte little-endian request ID so
-// many calls can be in flight per connection and responses pair by ID,
-// out of order. A server decides per frame, so one connection can carry
-// a sequential hello followed by mux traffic, and one server serves v1,
-// v2, and v3 clients simultaneously. Clients must never emit a mux frame
-// before a hello proves the peer is ≥ VersionMux: pre-mux servers treat
-// every frame as sequential and would misparse the ID prefix.
+// Frame kinds on the wire. Every frame's payload starts with an 8-byte
+// little-endian request ID, so many calls can be in flight per connection
+// and responses pair by ID, out of order. Kinds 0 and 1 are retired: they
+// are never to be reassigned, and a server drops a connection that sends
+// one, as it does for any kind it does not know.
 const (
-	FrameCall      = 0 // sequential call: expects one FrameCall response
-	FrameOneway    = 1 // fire-and-forget, no response
 	FrameMuxCall   = 2 // [8-byte id][request]: expects FrameMuxResp with same id
 	FrameMuxResp   = 3 // [8-byte id][response]
 	FrameMuxOneway = 4 // [8-byte id][request]: no response, id ignored
 )
 
-// MaxFrame bounds a frame to defend against corrupt length prefixes.
+// MaxFrame is the largest payload ReadFrame accepts; a longer length prefix
+// is an error, so a corrupt one cannot ask for the allocation.
 const MaxFrame = 64 << 20
 
 // TCPServer serves RBIO over TCP with length-prefixed binary frames.
@@ -259,18 +253,18 @@ func (s *TCPServer) acceptLoop() {
 	}
 }
 
-// serveConn runs one accepted connection. Sequential frames are handled
-// inline (the v1/v2 contract: responses in request order). Mux frames
-// spawn a handler goroutine each, so many requests from one v3 client
-// run concurrently; a write mutex keeps their response frames whole. A
-// context per connection cancels in-flight mux handlers when the peer
-// goes away, so an abandoned GetPage does not hold server resources.
+// serveConn runs one accepted connection. Each request frame spawns a
+// handler goroutine, so many requests from one client run concurrently; a
+// write mutex keeps their response frames whole. A context per connection
+// cancels in-flight handlers when the peer goes away, so an abandoned
+// GetPage does not hold server resources. A frame that cannot be decoded,
+// or whose kind is not a request kind, drops the connection.
 func (s *TCPServer) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var wmu sync.Mutex // serializes response frames from mux handlers
+	var wmu sync.Mutex // serializes response frames
 	var inflight sync.WaitGroup
 	defer inflight.Wait()
 	for {
@@ -278,55 +272,38 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		switch kind {
-		case FrameCall, FrameOneway:
-			req, err := DecodeRequest(frame)
-			if err != nil {
-				return
-			}
-			resp := s.handler(ctx, req)
-			if kind == FrameOneway {
-				continue
-			}
-			wmu.Lock()
-			err = WriteFrame(conn, FrameCall, EncodeResponse(resp))
-			wmu.Unlock()
-			if err != nil {
-				return
-			}
-		case FrameMuxCall, FrameMuxOneway:
-			if len(frame) < 8 {
-				return // torn mux frame: drop the connection
-			}
-			id := binary.LittleEndian.Uint64(frame[:8])
-			req, err := DecodeRequest(frame[8:])
-			if err != nil {
-				return
-			}
-			inflight.Add(1)
-			go func(kind byte, id uint64, req *Request) {
-				defer inflight.Done()
-				resp := s.handler(ctx, req)
-				if kind == FrameMuxOneway {
-					return
-				}
-				// Stage [id][response] in a pooled buffer: this path runs
-				// once per RPC served.
-				bp := frameBufPool.Get().(*[]byte)
-				buf := binary.LittleEndian.AppendUint64((*bp)[:0], id)
-				buf = AppendResponse(buf, resp)
-				wmu.Lock()
-				err := WriteFrame(conn, FrameMuxResp, buf)
-				wmu.Unlock()
-				*bp = buf[:0]
-				frameBufPool.Put(bp)
-				if err != nil {
-					conn.Close() // unblocks the read loop; conn is done
-				}
-			}(kind, id, req)
-		default:
-			return // unknown frame kind: protocol error, drop the conn
+		if kind != FrameMuxCall && kind != FrameMuxOneway {
+			return // not a request kind: protocol error, drop the conn
 		}
+		if len(frame) < 8 {
+			return // torn frame: drop the connection
+		}
+		id := binary.LittleEndian.Uint64(frame[:8])
+		req, err := DecodeRequest(frame[8:])
+		if err != nil {
+			return
+		}
+		inflight.Add(1)
+		go func(kind byte, id uint64, req *Request) {
+			defer inflight.Done()
+			resp := s.handler(ctx, req)
+			if kind == FrameMuxOneway {
+				return
+			}
+			// Stage [id][response] in a pooled buffer: this path runs
+			// once per RPC served.
+			bp := frameBufPool.Get().(*[]byte)
+			buf := binary.LittleEndian.AppendUint64((*bp)[:0], id)
+			buf = AppendResponse(buf, resp)
+			wmu.Lock()
+			_, err := WriteFrame(conn, FrameMuxResp, buf)
+			wmu.Unlock()
+			*bp = buf[:0]
+			frameBufPool.Put(bp)
+			if err != nil {
+				conn.Close() // unblocks the read loop; conn is done
+			}
+		}(kind, id, req)
 	}
 }
 
@@ -338,27 +315,30 @@ var frameBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 4096); return &b },
 }
 
-// WriteFrame writes one length-prefixed frame: [len u32 LE][kind u8][payload].
-// Concurrent writers on one conn must serialize externally. The frame is
-// staged in one pooled buffer and written with one Write call, so a
-// frame is either whole on the stream or not written at all (absent a
-// partial-write error, which poisons the connection at the caller).
+// WriteFrame writes one length-prefixed frame, [len u32 LE][kind u8][payload],
+// and reports how many bytes of it reached w. Concurrent writers on one
+// conn must serialize externally. The frame is staged in one pooled buffer
+// and written with one Write call; on an error a count of zero means the
+// stream is untouched, any other count that it now ends in a torn frame
+// and cannot carry another.
 //
 //socrates:hotpath every inter-tier frame funnels through here
-func WriteFrame(w io.Writer, kind byte, payload []byte) error {
+func WriteFrame(w io.Writer, kind byte, payload []byte) (int, error) {
 	bp := frameBufPool.Get().(*[]byte)
 	//socrates:alloc-ok pooled staging buffer; growth beyond 4KiB amortizes across the pool
 	buf := append((*bp)[:0], 0, 0, 0, 0, kind)
 	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
 	//socrates:alloc-ok pooled staging buffer; growth beyond 4KiB amortizes across the pool
 	buf = append(buf, payload...)
-	_, err := w.Write(buf)
+	n, err := w.Write(buf)
 	*bp = buf[:0]
 	frameBufPool.Put(bp)
-	return err
+	return n, err
 }
 
-// ReadFrame reads one length-prefixed frame written by WriteFrame.
+// ReadFrame reads one frame written by WriteFrame. An error — a short
+// read, or a length prefix beyond MaxFrame — leaves the stream at an
+// unknown offset, so the caller must drop the connection.
 func ReadFrame(r io.Reader) (kind byte, payload []byte, err error) {
 	head := make([]byte, 5)
 	if _, err := io.ReadFull(r, head); err != nil {
@@ -374,90 +354,3 @@ func ReadFrame(r io.Reader) (kind byte, payload []byte, err error) {
 	}
 	return head[4], payload, nil
 }
-
-type tcpConn struct {
-	mu     sync.Mutex
-	conn   net.Conn
-	addr   string
-	broken bool // stream poisoned by a timeout or I/O error; see poison
-}
-
-// DialTCP connects to an RBIO TCP endpoint with sequential framing.
-// Calls on one connection are serialized; open several connections for
-// parallelism, or prefer netmux.DialTCP, which upgrades to multiplexed
-// framing when the peer supports it.
-func DialTCP(addr string) (Conn, error) {
-	c, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrUnavailable, err)
-	}
-	return &tcpConn{conn: c, addr: addr}, nil
-}
-
-// NewSequentialConn wraps an already-established stream in the sequential
-// v1/v2 framing (one outstanding call, responses in request order).
-// netmux uses it to keep the socket it opened when the hello shows the
-// peer predates mux framing.
-func NewSequentialConn(c net.Conn, addr string) Conn {
-	return &tcpConn{conn: c, addr: addr}
-}
-
-// poison marks the stream unusable and closes it. The sequential wire
-// protocol has no request IDs, so after a timeout or partial write the
-// stream can hold a late response (which would pair with the NEXT
-// request) or torn framing (which would desync the server). Reuse is
-// never safe; subsequent calls fail fast with ErrUnavailable so the
-// caller's retry/selector logic redials a fresh connection.
-//
-// This cost is specific to the sequential framing kept for v1/v2 peers.
-// The mux framing (internal/netmux, protocol ≥ VersionMux) removes it:
-// a late response is dropped by request ID and the connection survives a
-// timeout untouched; only genuinely torn frames kill a mux connection.
-// All inter-tier traffic runs on netmux pools, so this path now serves
-// only downgraded connections to old peers.
-// Caller holds c.mu.
-func (c *tcpConn) poison() {
-	c.broken = true
-	_ = c.conn.Close()
-}
-
-func (c *tcpConn) Call(ctx context.Context, req *Request) (*Response, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, socerr.FromContext(err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.broken {
-		return nil, fmt.Errorf("%w: %s: connection poisoned by earlier timeout", ErrUnavailable, c.addr)
-	}
-	if d, ok := ctx.Deadline(); ok {
-		_ = c.conn.SetDeadline(d)
-		defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
-	}
-	if err := WriteFrame(c.conn, FrameCall, EncodeRequest(req)); err != nil {
-		c.poison()
-		return nil, fmt.Errorf("%w: %v", ErrUnavailable, err)
-	}
-	_, frame, err := ReadFrame(c.conn)
-	if err != nil {
-		c.poison()
-		return nil, fmt.Errorf("%w: %v", ErrUnavailable, err)
-	}
-	return DecodeResponse(frame)
-}
-
-func (c *tcpConn) Send(_ context.Context, req *Request) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.broken {
-		return fmt.Errorf("%w: %s: connection poisoned by earlier timeout", ErrUnavailable, c.addr)
-	}
-	if err := WriteFrame(c.conn, FrameOneway, EncodeRequest(req)); err != nil {
-		c.poison()
-		return fmt.Errorf("%w: %v", ErrUnavailable, err)
-	}
-	return nil
-}
-
-func (c *tcpConn) Addr() string { return c.addr }
-func (c *tcpConn) Close() error { return c.conn.Close() }

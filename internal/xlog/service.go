@@ -209,7 +209,7 @@ func (s *Service) Close() {
 // area. Blocks below the promoted watermark are stale duplicates. The
 // encoded form is retained alongside so dissemination never re-encodes;
 // pass nil to have it computed. The context carries the originating
-// commit's span identity when the block arrived over RBIO v2.
+// commit's span identity when the block arrived over RBIO.
 func (s *Service) Feed(ctx context.Context, b *wal.Block) { s.FeedEncoded(ctx, b, nil) }
 
 // FeedEncoded is Feed with the block's already-encoded bytes. It accepts
