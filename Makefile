@@ -9,7 +9,8 @@ RACE_PKGS := ./internal/compute ./internal/hadr ./internal/simdisk \
              ./internal/cluster ./internal/xlog ./internal/pageserver \
              ./internal/obs ./internal/netmux ./internal/rbio \
              ./internal/frontdoor ./internal/btree ./internal/fcb \
-             ./internal/rbpex ./internal/engine ./internal/hekaton
+             ./internal/rbpex ./internal/engine ./internal/hekaton \
+             ./internal/xstore
 
 .PHONY: all lint fmt vet test race chaos chaos-stress allocs bench bench-probes bench-obs bench-waits bench-router cover vet-baseline clean
 
@@ -90,10 +91,10 @@ bench-waits:
 bench-router:
 	$(GO) run ./cmd/socrates-bench -exp router -measure 3s -warmup 1500ms -json BENCH_pr10.json
 
-# Coverage floors for the commit-path packages (mirrors the CI cover job):
-# future commit-path changes cannot land untested.
+# Coverage floors for the commit-path and checkpoint-path packages (mirrors
+# the CI cover job): future changes there cannot land untested.
 cover:
-	$(GO) test -cover ./internal/compute ./internal/hadr ./internal/xlog ./internal/frontdoor
+	$(GO) test -cover ./internal/compute ./internal/hadr ./internal/xlog ./internal/frontdoor ./internal/pageserver ./internal/xstore
 
 clean:
 	$(GO) clean ./...

@@ -59,7 +59,8 @@ type Config struct {
 	PSPullBytes int
 	// PrimaryCores / node core counts for the simulated CPU meters.
 	PrimaryCores int
-	// CheckpointEvery is the page-server checkpoint cadence.
+	// CheckpointEvery is how often each page server evaluates its
+	// checkpoint policy (pageserver.Config.CheckpointEvery).
 	CheckpointEvery time.Duration
 	// LocalSSD is the device class for node-local caches (default
 	// simdisk.LocalSSD; tests use simdisk.Instant).

@@ -69,8 +69,9 @@ func TestClusterWatermarkLadderLive(t *testing.T) {
 
 // TestWatchdogStallTripFreezesFlightDump wedges every page server's cache
 // SSD (apply batches fail, the applied watermark freezes while promotion
-// keeps moving) and asserts the watchdog detects the stall and freezes a
-// non-empty JSONL flight dump for the postmortem.
+// keeps moving) and asserts the watchdog detects the stall on that rung with
+// the apply errors in the flight ring, and that a trip freezes a non-empty
+// JSONL flight dump for the postmortem.
 func TestWatchdogStallTripFreezesFlightDump(t *testing.T) {
 	cfg := fastConfig("wm-stall")
 	// Tight ticks so the stall is detected quickly; lag trips disabled so
@@ -89,42 +90,48 @@ func TestWatchdogStallTripFreezesFlightDump(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The trip this test is about is the one on the rung it stalls. On a busy
+	// host another rung (the landing zone's, say) can stall three 2 ms ticks
+	// first, so "whichever trip comes first" is not it: catch the applied
+	// rung's own trip, with the flight ring as it stood at that moment.
+	type stalled struct {
+		trip obs.Trip
+		ring []byte
+	}
+	applyStall := make(chan stalled, 1)
+	c.Watchdog.OnTrip(func(tr obs.Trip) {
+		if tr.Kind != obs.TripStall || !strings.HasPrefix(tr.Follower, obs.WMApplied) {
+			return
+		}
+		var buf bytes.Buffer
+		_ = c.Flight.Dump(&buf)
+		select {
+		case applyStall <- stalled{tr, buf.Bytes()}:
+		default: // only the first
+		}
+	})
+
 	for _, srv := range c.PageServers() {
 		srv.CacheDevice().SetOutage(true)
 	}
 	// Keep committing: promotion advances while apply is wedged.
 	seedRows(t, c, "t2", 100)
 
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Watchdog.TripCount() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("watchdog never tripped on a stalled page server")
-		}
-		time.Sleep(2 * time.Millisecond) //socrates:sleep-ok test polling for the watchdog trip
+	var stall stalled
+	select {
+	case stall = <-applyStall:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("watchdog never tripped on the stalled page server: %+v", c.Watchdog.Trips())
+	}
+	if stall.trip.Leader != obs.WMPromoted || stall.trip.LagLSN == 0 {
+		t.Fatalf("stall trip shape wrong: %+v", stall.trip)
 	}
 
-	var stall *obs.Trip
-	for _, tr := range c.Watchdog.Trips() {
-		if tr.Kind == obs.TripStall && strings.HasPrefix(tr.Follower, obs.WMApplied) {
-			stall = &tr
-			break
-		}
-	}
-	if stall == nil {
-		t.Fatalf("no stall trip on %s: %+v", obs.WMApplied, c.Watchdog.Trips())
-	}
-	if stall.Leader != obs.WMPromoted || stall.LagLSN == 0 {
-		t.Fatalf("stall trip shape wrong: %+v", stall)
-	}
-
-	// The first trip froze a flight dump; it must be non-empty, parseable
-	// JSONL, and contain the apply errors that explain the stall.
-	dump := c.TripDump()
-	if len(dump) == 0 {
-		t.Fatal("trip did not freeze a flight dump")
-	}
+	// The ring at that trip must be non-empty, parseable JSONL, and contain
+	// the apply errors that explain the stall; and the cluster froze a dump
+	// at its first trip, whichever rung that was.
 	sawApplyError := false
-	for _, line := range bytes.Split(bytes.TrimSpace(dump), []byte("\n")) {
+	for _, line := range bytes.Split(bytes.TrimSpace(stall.ring), []byte("\n")) {
 		var e obs.FlightEvent
 		if err := json.Unmarshal(line, &e); err != nil {
 			t.Fatalf("dump line %q not valid JSON: %v", line, err)
@@ -134,29 +141,55 @@ func TestWatchdogStallTripFreezesFlightDump(t *testing.T) {
 		}
 	}
 	if !sawApplyError {
-		t.Fatalf("frozen dump has no ps.apply_error events:\n%s", dump)
+		t.Fatalf("flight ring at the stall trip has no ps.apply_error events:\n%s", stall.ring)
+	}
+	if len(c.TripDump()) == 0 {
+		t.Fatal("the first trip did not freeze a flight dump")
 	}
 
 	// Recovery: the outage clears, apply resumes, and the plane converges.
 	for _, srv := range c.PageServers() {
 		srv.CacheDevice().SetOutage(false)
 	}
-	promoted := c.Watermarks.Watermark(obs.WMPromoted, "").Value()
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		caught := true
-		for _, rep := range c.Watermarks.Replicas(obs.WMApplied) {
-			if c.Watermarks.Watermark(obs.WMApplied, rep).Value() < promoted {
-				caught = false
-			}
+	if err := c.WaitForCatchUp(5 * time.Second); err != nil {
+		t.Fatalf("apply never caught up after the outage cleared: %v", err)
+	}
+}
+
+// TestCheckpointInstrumentsOnMetrics: the checkpoint policy and XStore's
+// space accounting are on the registry, and so on /metrics, under the names
+// the dashboards are told.
+func TestCheckpointInstrumentsOnMetrics(t *testing.T) {
+	c := newFastCluster(t, fastConfig("ckpt-metrics"))
+	seedRows(t, c, "t", 500)
+	if err := c.WaitForCatchUp(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WaitCheckpointDrain(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := c.Metrics.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, family := range []string{
+		"socrates_pageserver_redo_distance_lsn_ps_1_p0 ",
+		"socrates_pageserver_ckpt_sweep_pages_seconds_count ",
+		"socrates_xstore_footprint_bytes ",
+		"socrates_xstore_garbage_bytes ",
+		"socrates_xstore_reclaimed_bytes ",
+		"socrates_xstore_write_ops ",
+	} {
+		if !bytes.Contains(buf.Bytes(), []byte("\n"+family)) {
+			t.Errorf("/metrics has no %q", family)
 		}
-		if caught {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("apply never caught up after the outage cleared")
-		}
-		time.Sleep(2 * time.Millisecond) //socrates:sleep-ok test polling for apply recovery
+	}
+	snap := c.Metrics.Snapshot()
+	if h := snap.Histograms["pageserver.ckpt.sweep_pages"]; h.Count == 0 || h.Max < time.Microsecond {
+		t.Errorf("pageserver.ckpt.sweep_pages after a drain: %+v", h)
+	}
+	if snap.Gauges["xstore.footprint_bytes"] != c.Store.FootprintBytes() {
+		t.Errorf("xstore.footprint_bytes = %d, store says %d", snap.Gauges["xstore.footprint_bytes"], c.Store.FootprintBytes())
 	}
 }
 

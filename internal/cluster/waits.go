@@ -6,10 +6,12 @@ import (
 )
 
 // This file holds the deadline-bounded condition waits tests and the
-// chaos harness lean on instead of fixed wall-clock sleeps: each polls a
-// cluster-visible condition (a watermark rung, a seeding flag, a dirty
-// counter) and fails loudly with the observed state on timeout, so a
-// slow CI machine stretches the wait instead of flaking the test.
+// chaos harness lean on instead of fixed wall-clock sleeps: each waits on a
+// cluster-visible condition — polling it (a watermark rung, a seeding
+// flag) or, where the tier signals it itself (a page server's drained dirty
+// set), on that signal — and fails loudly with the observed state on
+// timeout, so a slow CI machine stretches the wait instead of flaking the
+// test.
 
 const waitPollInterval = time.Millisecond
 
@@ -37,20 +39,14 @@ func (c *Cluster) WaitPageServersSeeded(timeout time.Duration) error {
 
 // WaitCheckpointDrain blocks until every page server's dirty set has been
 // checkpointed to XStore (the checkpoint rung of the watermark ladder has
-// caught its applied rung) or the timeout elapses.
+// caught its applied rung) or the timeout elapses. Each server is asked to
+// drain and waited for on its own signal; nothing here polls.
 func (c *Cluster) WaitCheckpointDrain(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	for {
-		dirty := 0
-		for _, srv := range c.PageServers() {
-			dirty += srv.DirtyPages()
+	for _, srv := range c.PageServers() {
+		if err := srv.WaitCheckpointDrain(time.Until(deadline)); err != nil {
+			return fmt.Errorf("cluster: checkpoint drain: %w", err)
 		}
-		if dirty == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("cluster: %d dirty page(s) never checkpointed after %v", dirty, timeout)
-		}
-		time.Sleep(waitPollInterval) //socrates:sleep-ok deadline-bounded poll for checkpoint drain
 	}
+	return nil
 }

@@ -174,6 +174,12 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.mu.Unlock()
 }
 
+// ObserveCount records a size — pages in a sweep, records in a batch — in
+// the same power-of-two buckets, one unit to the microsecond: a summary's
+// P50 of 300µs reads as 300, and the Prometheus family, named _seconds like
+// every histogram here, carries it scaled by 1e-6.
+func (h *Histogram) ObserveCount(n int) { h.Observe(time.Duration(n) * time.Microsecond) }
+
 // Since is shorthand for Observe(time.Since(start)).
 func (h *Histogram) Since(start time.Time) { h.Observe(time.Since(start)) }
 

@@ -7,9 +7,11 @@
 //     applied LSN passes the requested LSN so it can never return a stale
 //     page (§4.4), and serving multi-page range reads from the covering,
 //     stride-preserving RBPEX with a single I/O;
-//  3. checkpoint modified pages to XStore (with write aggregation and
-//     insulation from transient XStore outages) so backups are XStore
-//     snapshots and the "truth" of the database is always in cheap storage.
+//  3. checkpoint modified pages to XStore — when the log a restart would
+//     have to redo, or the dirty set, reaches its budget, as one aggregated
+//     write, insulated from transient XStore outages — so backups are
+//     XStore snapshots and the "truth" of the database is always in cheap
+//     storage.
 //
 // Page servers are stateless in the durability sense: a lost page server is
 // rebuilt from the last XStore checkpoint plus the log tail, and a new
@@ -21,6 +23,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -74,7 +77,9 @@ type Config struct {
 	PullBytes int
 	// Meter, if set, is charged simulated CPU for page-server work.
 	Meter *metrics.CPUMeter
-	// CheckpointEvery is the checkpoint cadence (default 50 ms).
+	// CheckpointEvery is how often the checkpoint policy is evaluated
+	// (default 50 ms) — not how often a checkpoint is taken; see
+	// checkpointLoop.
 	CheckpointEvery time.Duration
 	// Seed, if true, seeds the cache from the XStore checkpoint
 	// asynchronously at startup (new server / replica / restart without
@@ -108,15 +113,17 @@ type Server struct {
 	applied     page.LSN // next LSN to pull (everything below is applied)
 	appliedCond *sync.Cond
 	dirty       map[page.ID]page.LSN // newest un-checkpointed version per page
+	clean       chan struct{}        // closed while dirty is empty
+	drains      int                  // callers waiting for dirty to empty
 	seeding     bool
 	ckptLSN     page.LSN // resume LSN persisted with the last checkpoint
-	xstoreDown  bool     // observed outage: checkpointing deferred
+	ckptErr     error    // the last sweep's failure (an XStore outage: checkpointing deferred), nil if it landed
 
-	// ckptMu serializes checkpoint sweeps (the ticker's and a backup
-	// flush's): a slow sweep finishing after a later one would put the older
-	// page versions it read, and its older resume LSN, over the newer ones.
-	ckptMu sync.Mutex
-
+	// kick wakes the checkpoint loop between ticks. Only that loop sweeps
+	// (and Stop, once the loop has exited): a slow sweep finishing after a
+	// later one would put the older page versions it read, and its older
+	// resume LSN, over the newer ones.
+	kick chan struct{}
 	done chan struct{}
 	wg   sync.WaitGroup
 
@@ -174,8 +181,11 @@ func New(cfg Config) (*Server, error) {
 		lo:    lo,
 		hi:    hi,
 		dirty: make(map[page.ID]page.LSN),
+		clean: make(chan struct{}),
+		kick:  make(chan struct{}, 1),
 		done:  make(chan struct{}),
 	}
+	close(s.clean)
 	s.appliedCond = sync.NewCond(&s.mu)
 
 	// Decide the apply resume point: persisted checkpoint meta (if any),
@@ -210,7 +220,7 @@ func (s *Server) Stop() {
 	close(s.done)
 	s.wg.Wait()
 	//socrates:ignore-err the shutdown checkpoint is best-effort; the dirty set is re-derivable by redo from the persisted resume LSN
-	_ = s.checkpointOnce()
+	_, _ = s.sweep()
 }
 
 // Partition reports the owned partition.
@@ -282,12 +292,6 @@ func (s *Server) readMeta() (page.LSN, error) {
 		return 0, errors.New("pageserver: short meta blob")
 	}
 	return page.LSN(binary.LittleEndian.Uint64(buf)), nil
-}
-
-func (s *Server) writeMeta(lsn page.LSN) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], lsn.Uint64())
-	return s.cfg.Store.Put(s.metaBlob(), buf[:])
 }
 
 // --- log apply ---
@@ -439,6 +443,9 @@ func (s *Server) applyRecordTo(touched map[page.ID]*page.Page, rec *wal.Record) 
 // markDirty records that pg's version still has to reach XStore.
 func (s *Server) markDirty(pg *page.Page) {
 	s.mu.Lock()
+	if len(s.dirty) == 0 {
+		s.clean = make(chan struct{})
+	}
 	s.dirty[pg.ID] = page.MaxLSN(s.dirty[pg.ID], pg.LSN)
 	s.mu.Unlock()
 }
@@ -500,50 +507,113 @@ func (s *Server) seedLoop() {
 
 // --- checkpointing ---
 
+// The checkpoint policy's budgets (DESIGN §19 derives them).
+const (
+	// redoBudgetLSN bounds the log a restart replays: a sweep is due when
+	// the apply watermark is this many records past the checkpoint's resume
+	// LSN.
+	redoBudgetLSN = 65536
+	// dirtyBudgetPages bounds one sweep's write: a sweep is due when this
+	// many pages are waiting (32 MiB of images).
+	dirtyBudgetPages = 4096
+	// quietTicks is the idle rule: with pages dirty and the apply watermark
+	// still for this many evaluations in a row, the server drains on its
+	// own, so that once traffic stops the truth is in XStore.
+	quietTicks = 4
+)
+
+// checkpointLoop evaluates the checkpoint policy every CheckpointEvery, and
+// at once when a drain asks. The tick is not the cadence of checkpoints: a
+// sweep is taken only when sweepDue says the redo a restart would face, or
+// the write the sweep would make, has reached its budget, when the server
+// has gone quiet with pages dirty, or while someone waits for a drain —
+// pages a workload keeps changing are written once per budget, not once per
+// tick.
 func (s *Server) checkpointLoop() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.cfg.CheckpointEvery)
 	defer ticker.Stop()
+	var last page.LSN // the apply watermark at the previous tick
+	quiet := 0        // ticks in a row it has not moved
 	for {
-		//socrates:wait-ok checkpoint cadence tick, not a stall
+		//socrates:wait-ok checkpoint policy tick, not a stall
 		select {
 		case <-s.done:
 			return
+		case <-s.kick:
 		case <-ticker.C:
-			//socrates:ignore-err an XStore outage keeps the batch dirty and sets xstoreDown; the next tick retries (§4.6)
-			_ = s.checkpointOnce()
+			if applied := s.AppliedLSN(); applied == last {
+				quiet++
+			} else {
+				last, quiet = applied, 0
+			}
+		}
+		// A sweep that wrote pages may leave the policy still asking (a drain
+		// with pages re-dirtied meanwhile); one that wrote none, or failed —
+		// an XStore outage keeps the batch dirty (§4.6) — waits for the next
+		// tick. Quiet is this tick's reading: it is good for one sweep.
+		for idle := quiet >= quietTicks; s.sweepDue(idle); idle = false {
+			if wrote, err := s.sweep(); err != nil || wrote == 0 {
+				break
+			}
 		}
 	}
 }
 
-// checkpointOnce ships the current dirty set to XStore and persists the
-// resume LSN. On an XStore outage the dirty set is retained ("pages that
-// were written in RBPEX but not in XStore are remembered") and the
-// checkpoint resumes when XStore is back (§4.6).
-func (s *Server) checkpointOnce() error {
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
-	// Occupancy gauges ride the checkpoint cadence: cheap, periodic, and
-	// visible on /metrics without touching the apply hot path.
+// sweepDue is the trigger rule; quiet says the apply watermark has stood
+// still for quietTicks evaluations. The occupancy gauges ride the evaluation
+// cadence: cheap, periodic, and visible on /metrics without touching the
+// apply hot path.
+func (s *Server) sweepDue(quiet bool) bool {
 	s.cfg.Metrics.Gauge(key("pageserver.rbpex.pages", s.cfg.Name)).Set(int64(s.cache.Len()))
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	redo := s.applied.Distance(s.ckptLSN)
+	s.cfg.Metrics.Gauge(key("pageserver.redo_distance_lsn", s.cfg.Name)).Set(int64(redo))
 	s.cfg.Metrics.Gauge(key("pageserver.dirty_pages", s.cfg.Name)).Set(int64(len(s.dirty)))
-	if len(s.dirty) == 0 {
-		s.mu.Unlock()
-		return nil
+	if redo >= redoBudgetLSN {
+		// Even with nothing dirty: the log other partitions fill moves the
+		// watermark too, and the resume LSN has to follow it.
+		return true
 	}
+	return len(s.dirty) > 0 && (quiet || s.drains > 0 || len(s.dirty) >= dirtyBudgetPages)
+}
+
+// sweep ships the whole dirty set to XStore as one batch — the page images
+// and, last, the meta blob with the resume LSN — and reports how many pages
+// it wrote. The batch lands whole or not at all: on an XStore outage every
+// page stays dirty ("pages that were written in RBPEX but not in XStore are
+// remembered") and the resume LSN stays where it was, and the checkpoint
+// resumes when XStore is back (§4.6).
+func (s *Server) sweep() (int, error) {
+	s.mu.Lock()
+	// Everything below the apply watermark is in the cache and, if not yet
+	// in XStore, in the dirty set this sweep takes whole: redo can resume here.
 	resume := s.applied
-	ckptStart := time.Now()
-	batch := make([]page.ID, 0, len(s.dirty))
+	if len(s.dirty) == 0 && resume == s.ckptLSN {
+		s.mu.Unlock()
+		return 0, nil // nothing a checkpoint would change
+	}
+	ids := make([]page.ID, 0, len(s.dirty))
 	for id := range s.dirty {
-		batch = append(batch, id)
+		ids = append(ids, id)
 	}
 	s.mu.Unlock()
+	ckptStart := time.Now()
+	// In page-ID order: pages allocated together tend to go cold together
+	// (a split's new siblings, a load's tail), and XStore gives a segment
+	// back only when every image in it has been superseded — a batch in map
+	// order would leave a few cold pages pinning each of its segments.
+	slices.Sort(ids)
 
-	// Write aggregation: pages go out in one sweep; the xstore ingest
-	// limiter sees a large sequential burst rather than scattered I/Os.
-	written := make([]*page.Page, 0, len(batch))
-	for _, id := range batch {
+	// One buffer for the whole batch, sized exactly and not kept: sweeps are
+	// rare by design, and megabytes held between them are megabytes of
+	// resident memory for nothing.
+	buf := make([]byte, 0, len(ids)*page.Size+8)
+	blobs := make([]xstore.BatchBlob, 0, len(ids)+1)
+	lsns := make([]page.LSN, 0, len(ids))
+	wrote := 0 // ids[:wrote] are the pages in the batch, lsns their versions
+	for _, id := range ids {
 		pg, ok := s.cache.Get(id)
 		if !ok {
 			// Marked dirty but its Put has not landed yet (the apply loop
@@ -551,36 +621,36 @@ func (s *Server) checkpointOnce() error {
 			// lie at or above resume, so the resume point is still good.
 			continue
 		}
-		buf, err := pg.Encode()
-		if err != nil {
-			return err
+		var err error
+		if buf, err = pg.AppendEncode(buf); err != nil {
+			return 0, err
 		}
-		//socrates:lock-ok ckptMu exists to keep a second sweep out while this one's XStore writes are in flight; no reader or the apply loop ever takes it
-		if err := s.cfg.Store.Put(s.pageBlob(id), buf); err != nil {
-			s.noteOutage(true)
-			s.clearDirty(written)
-			s.cfg.Flight.Record(obs.TierXStore, "xstore.outage", uint64(resume),
-				time.Since(ckptStart), s.cfg.Name+": checkpoint put: "+err.Error())
-			return err // keep the remainder dirty; retry next tick
-		}
-		written = append(written, pg)
+		blobs = append(blobs, xstore.BatchBlob{Name: s.pageBlob(id), Len: page.Size})
+		ids[wrote] = id
+		lsns = append(lsns, pg.LSN)
+		wrote++
 	}
-	if err := s.writeMeta(resume); err != nil {
-		s.noteOutage(true)
-		s.clearDirty(written)
-		s.cfg.Flight.Record(obs.TierXStore, "xstore.outage", uint64(resume),
-			time.Since(ckptStart), s.cfg.Name+": checkpoint meta: "+err.Error())
-		return err
-	}
-	s.noteOutage(false)
-	s.clearDirty(written)
+	buf = binary.LittleEndian.AppendUint64(buf, resume.Uint64())
+	blobs = append(blobs, xstore.BatchBlob{Name: s.metaBlob(), Len: 8})
+	err := s.cfg.Store.PutBatch(buf, blobs)
+
 	s.mu.Lock()
-	s.ckptLSN = resume
+	s.ckptErr = err
+	if err == nil {
+		s.ckptLSN = resume
+		s.clearDirty(ids[:wrote], lsns)
+	}
 	s.mu.Unlock()
+	if err != nil {
+		s.cfg.Flight.Record(obs.TierXStore, "xstore.outage", uint64(resume),
+			time.Since(ckptStart), s.cfg.Name+": checkpoint batch: "+err.Error())
+		return 0, err
+	}
+	s.cfg.Metrics.Histogram("pageserver.ckpt.sweep_pages").ObserveCount(wrote)
 	s.cfg.Watermarks.Watermark(obs.WMCheckpoint, s.cfg.Name).Publish(uint64(resume))
 	s.cfg.Flight.Record(obs.TierPageServer, "ps.checkpoint", uint64(resume),
-		time.Since(ckptStart), fmt.Sprintf("%s: pages=%d", s.cfg.Name, len(written)))
-	return nil
+		time.Since(ckptStart), fmt.Sprintf("%s: pages=%d", s.cfg.Name, wrote))
+	return wrote, nil
 }
 
 // key joins an instrument name with a replica label the way the rest of
@@ -592,31 +662,28 @@ func key(name, replica string) string {
 	return name + "/" + replica
 }
 
-// clearDirty drops the dirty marks the persisted versions satisfy. A page
-// the apply loop changed again while the sweep was writing it carries a
-// newer mark and stays dirty — clearing by ID alone would leave that version
-// out of every later checkpoint while the resume LSN moves past it.
-func (s *Server) clearDirty(written []*page.Page) {
-	s.mu.Lock()
-	for _, pg := range written {
-		if s.dirty[pg.ID].AtMost(pg.LSN) {
-			delete(s.dirty, pg.ID)
+// clearDirty drops the dirty marks the persisted versions (page ids[i] at
+// lsns[i]) satisfy. A page the apply loop changed again while the sweep was
+// writing it carries a newer mark and stays dirty — clearing by ID alone
+// would leave that version out of every later checkpoint while the resume
+// LSN moves past it. Caller holds s.mu.
+func (s *Server) clearDirty(ids []page.ID, lsns []page.LSN) {
+	was := len(s.dirty)
+	for i, id := range ids {
+		if s.dirty[id].AtMost(lsns[i]) {
+			delete(s.dirty, id)
 		}
 	}
-	s.mu.Unlock()
-}
-
-func (s *Server) noteOutage(down bool) {
-	s.mu.Lock()
-	s.xstoreDown = down
-	s.mu.Unlock()
+	if was > 0 && len(s.dirty) == 0 {
+		close(s.clean)
+	}
 }
 
 // XStoreDown reports whether the last checkpoint attempt hit an outage.
 func (s *Server) XStoreDown() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.xstoreDown
+	return s.ckptErr != nil
 }
 
 // DirtyPages reports the size of the un-checkpointed dirty set.
@@ -626,37 +693,54 @@ func (s *Server) DirtyPages() int {
 	return len(s.dirty)
 }
 
-// FlushForBackup forces a full checkpoint so an XStore snapshot taken right
-// after captures every applied page. Returns the resume LSN captured.
-func (s *Server) FlushForBackup() (page.LSN, error) {
-	// ckpt.drain: backup progress is gated on the checkpoint sweep
-	// catching the apply feed. Aggregate-only; backups carry no request
+// WaitCheckpointDrain asks the checkpoint loop for sweeps until the dirty
+// set is empty and waits, up to timeout, on the server's own signal that it
+// is: every page applied so far is then in XStore.
+func (s *Server) WaitCheckpointDrain(timeout time.Duration) error {
+	// ckpt.drain: the caller's progress is gated on the checkpoint sweep
+	// catching the apply feed. Aggregate-only; drains carry no request
 	// context.
 	region := s.cfg.Waits.Begin(nil, obs.WaitCkptDrain)
 	defer region.End()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		err := s.checkpointOnce()
-		if err == nil && s.DirtyPages() == 0 {
-			s.mu.Lock()
-			lsn := s.ckptLSN
-			s.mu.Unlock()
-			return lsn, nil
-		}
-		if time.Now().After(deadline) {
-			if err == nil {
-				err = errors.New("pageserver: dirty set did not drain")
-			}
-			return 0, err
-		}
-		// More log arrived between checkpoint sweeps; give the apply loop a
-		// beat and retry, but bail out if the server stops underneath us.
-		select {
-		case <-s.done:
-			return 0, errors.New("pageserver: stopped during backup flush")
-		case <-time.After(time.Millisecond):
-		}
+	s.mu.Lock()
+	s.drains++
+	clean := s.clean
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		s.drains--
+		s.mu.Unlock()
+	}()
+	select {
+	case s.kick <- struct{}{}:
+	default: // a wake-up is already pending
 	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	select {
+	case <-clean:
+		return nil
+	case <-s.done:
+		return ErrStopped
+	case <-timer.C:
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.ckptErr != nil {
+			return fmt.Errorf("pageserver: checkpoint drain: %w", s.ckptErr)
+		}
+		return fmt.Errorf("pageserver: %d dirty page(s) did not drain in %v", len(s.dirty), timeout)
+	}
+}
+
+// FlushForBackup forces a full checkpoint so an XStore snapshot taken right
+// after captures every applied page. Returns the resume LSN captured.
+func (s *Server) FlushForBackup() (page.LSN, error) {
+	if err := s.WaitCheckpointDrain(5 * time.Second); err != nil {
+		return 0, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ckptLSN, nil
 }
 
 // --- GetPage@LSN ---

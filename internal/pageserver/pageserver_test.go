@@ -1,7 +1,9 @@
 package pageserver
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -216,21 +218,230 @@ func TestXStoreOutageInsulation(t *testing.T) {
 	if err != nil || pg.Data[0] != 'q' {
 		t.Fatalf("serve during outage: %+v %v", pg, err)
 	}
-	time.Sleep(10 * time.Millisecond)
-	if srv.DirtyPages() == 0 {
-		t.Fatal("dirty set lost during outage")
+	// A drain asks for sweeps; each fails at XStore and the page stays
+	// remembered. The error names the outage, not just the timeout.
+	if err := srv.WaitCheckpointDrain(20 * time.Millisecond); !errors.Is(err, simdisk.ErrOutage) {
+		t.Fatalf("drain during the outage: %v, want the outage", err)
+	}
+	if srv.DirtyPages() == 0 || !srv.XStoreDown() {
+		t.Fatalf("after a failed drain: dirty %d, xstoreDown %v", srv.DirtyPages(), srv.XStoreDown())
 	}
 	// Outage clears: checkpointing resumes and catches up.
 	r.store.SetOutage(false)
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.DirtyPages() > 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	if err := srv.WaitCheckpointDrain(5 * time.Second); err != nil {
+		t.Fatalf("checkpoint did not resume after outage: %v", err)
 	}
-	if srv.DirtyPages() != 0 {
-		t.Fatal("checkpoint did not resume after outage")
+	if srv.DirtyPages() != 0 || srv.XStoreDown() {
+		t.Fatalf("after the drain: dirty %d, xstoreDown %v", srv.DirtyPages(), srv.XStoreDown())
 	}
 	if !r.store.Exists("db/page/9") {
 		t.Fatal("page never reached XStore")
+	}
+}
+
+// storedLSN reads the LSN of a page's checkpoint image in XStore.
+func storedLSN(t *testing.T, r *rig, srv *Server, id page.ID) page.LSN {
+	t.Helper()
+	buf, err := r.store.Get(srv.pageBlob(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsn, err := page.PeekLSN(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lsn
+}
+
+func (s *Server) checkpointLSN() page.LSN {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ckptLSN
+}
+
+// TestOutageMidSweepKeepsTheWholeBatchDirty: a sweep whose write XStore
+// refuses persists nothing — no page image, no resume LSN — and forgets
+// nothing; the sweep after the outage writes the versions current then.
+func TestOutageMidSweepKeepsTheWholeBatchDirty(t *testing.T) {
+	r := newRig(t, page.Partitioning{})
+	srv := r.server(t, Config{BlobPrefix: "db/", CheckpointEvery: time.Hour}) // sweeps only when called
+	end := r.emit(t, imageRec(1, 'a'), imageRec(2, 'a'), imageRec(3, 'a'), wal.NewCommit(1, 1))
+	if !srv.WaitApplied(end.Prev(), 5*time.Second) {
+		t.Fatal("apply watermark never reached the emitted batch")
+	}
+	before := srv.checkpointLSN()
+
+	r.store.SetOutage(true)
+	if wrote, err := srv.sweep(); !errors.Is(err, simdisk.ErrOutage) || wrote != 0 {
+		t.Fatalf("sweep into an outage: wrote %d, err %v", wrote, err)
+	}
+	r.store.SetOutage(false)
+	if srv.DirtyPages() != 3 || srv.checkpointLSN() != before || !srv.XStoreDown() {
+		t.Fatalf("after the failed sweep: dirty %d (want 3), ckptLSN %d (want %d), xstoreDown %v",
+			srv.DirtyPages(), srv.checkpointLSN(), before, srv.XStoreDown())
+	}
+	if blobs := r.store.List("db/"); len(blobs) != 0 {
+		t.Fatalf("the failed sweep left %v in XStore", blobs)
+	}
+
+	// Two of the pages move on before the next sweep.
+	end = r.emit(t, imageRec(1, 'b'), imageRec(2, 'b'), wal.NewCommit(2, 2))
+	if !srv.WaitApplied(end.Prev(), 5*time.Second) {
+		t.Fatal("apply watermark never reached the second batch")
+	}
+	if wrote, err := srv.sweep(); err != nil || wrote != 3 {
+		t.Fatalf("sweep after the outage: wrote %d, err %v", wrote, err)
+	}
+	for id := page.ID(1); id <= 3; id++ {
+		pg, _ := srv.cache.Get(id)
+		if got := storedLSN(t, r, srv, id); got != pg.LSN {
+			t.Fatalf("page %d stored at lsn %d, newest is %d", id, got, pg.LSN)
+		}
+	}
+	if srv.DirtyPages() != 0 || srv.checkpointLSN() != end || srv.XStoreDown() {
+		t.Fatalf("after the good sweep: dirty %d, ckptLSN %d (want %d), xstoreDown %v",
+			srv.DirtyPages(), srv.checkpointLSN(), end, srv.XStoreDown())
+	}
+	if resume, err := srv.readMeta(); err != nil || resume != end {
+		t.Fatalf("persisted resume LSN %d (%v), want %d", resume, err, end)
+	}
+}
+
+// TestPageRedirtiedDuringSweepStaysDirty: a page the apply loop changes
+// while the batch holding its previous version is on its way to XStore keeps
+// its (newer) dirty mark when that batch lands, and the next sweep writes it.
+func TestPageRedirtiedDuringSweepStaysDirty(t *testing.T) {
+	r := newRig(t, page.Partitioning{})
+	srv := r.server(t, Config{CheckpointEvery: time.Hour}) // sweeps only when called
+	end := r.emit(t, imageRec(5, 'a'), imageRec(6, 'a'), wal.NewCommit(1, 1))
+	if !srv.WaitApplied(end.Prev(), 5*time.Second) {
+		t.Fatal("apply watermark never reached the emitted batch")
+	}
+	v1, _ := srv.cache.Get(5)
+
+	release := r.store.HoldWrites()
+	logBefore := r.store.LogBytes()
+	swept := make(chan error, 1)
+	go func() {
+		_, err := srv.sweep()
+		swept <- err
+	}()
+	// The batch is encoded and has its place in the log (the log archive's
+	// few bytes cannot add up to it); its write waits at the device.
+	deadline := time.Now().Add(5 * time.Second)
+	for r.store.LogBytes() < logBefore+2*page.Size {
+		if time.Now().After(deadline) {
+			t.Fatal("the sweep never reached the device")
+		}
+		time.Sleep(50 * time.Microsecond) //socrates:sleep-ok deadline-bounded poll for the sweep goroutine to reach the held device
+	}
+	end = r.emit(t, imageRec(5, 'b'), wal.NewCommit(2, 2))
+	if !srv.WaitApplied(end.Prev(), 5*time.Second) {
+		t.Fatal("apply watermark never reached the second batch")
+	}
+	v2, _ := srv.cache.Get(5)
+	release()
+	if err := <-swept; err != nil {
+		t.Fatal(err)
+	}
+	if got := storedLSN(t, r, srv, 5); got != v1.LSN || srv.DirtyPages() != 1 {
+		t.Fatalf("after the sweep in flight: stored lsn %d (want %d), dirty %d (want 1: page 5 again)",
+			got, v1.LSN, srv.DirtyPages())
+	}
+	if resume := srv.checkpointLSN(); resume.After(v2.LSN) {
+		t.Fatalf("resume LSN %d moved past the version (lsn %d) XStore does not have", resume, v2.LSN)
+	}
+	if _, err := srv.sweep(); err != nil {
+		t.Fatal(err)
+	}
+	if got := storedLSN(t, r, srv, 5); got != v2.LSN || srv.DirtyPages() != 0 {
+		t.Fatalf("after the next sweep: stored lsn %d (want %d), dirty %d (want 0)", got, v2.LSN, srv.DirtyPages())
+	}
+}
+
+// TestQuietServerDrainsOnItsOwn: nobody asks, no budget is reached, and a
+// server whose feed has gone still checkpoints what it has.
+func TestQuietServerDrainsOnItsOwn(t *testing.T) {
+	r := newRig(t, page.Partitioning{})
+	srv := r.server(t, Config{BlobPrefix: "db/", CheckpointEvery: time.Millisecond})
+	end := r.emit(t, imageRec(4, 'z'), wal.NewCommit(1, 1))
+	if !srv.WaitApplied(end.Prev(), 5*time.Second) {
+		t.Fatal("apply watermark never reached the emitted batch")
+	}
+	srv.mu.Lock()
+	clean := srv.clean
+	srv.mu.Unlock()
+	select {
+	case <-clean:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a quiet server with a dirty page never swept")
+	}
+	if !r.store.Exists("db/page/4") || srv.checkpointLSN() != end {
+		t.Fatalf("after the quiet sweep: blob %v, ckptLSN %d (want %d)", r.store.Exists("db/page/4"), srv.checkpointLSN(), end)
+	}
+}
+
+// TestRestartReplaysAtMostTheRedoBudget drives the trigger rule by hand,
+// one evaluation after every block as the loop's tick would make it: no
+// sweep before the redo distance reaches the budget, one when it does, so
+// the distance never exceeds the budget by more than the log between two
+// evaluations. Then the server dies with XStore out of reach, and its
+// replacement — same name, empty disks — resumes from the persisted LSN,
+// replays no more than that, and serves the same pages.
+func TestRestartReplaysAtMostTheRedoBudget(t *testing.T) {
+	r := newRig(t, page.Partitioning{})
+	srv := r.server(t, Config{BlobPrefix: "db/", CheckpointEvery: time.Hour})
+	const perBlock, pages = 1024, 48
+	blocks := 5 * redoBudgetLSN / (2 * perBlock) // two and a half budgets of log
+	var end page.LSN
+	sweeps := 0
+	for b := 0; b < blocks; b++ {
+		recs := make([]*wal.Record, perBlock)
+		for i := range recs {
+			recs[i] = imageRec(page.ID(1+(b*perBlock+i)%pages), byte(b))
+		}
+		end = r.emit(t, recs...)
+		if !srv.WaitApplied(end.Prev(), 10*time.Second) {
+			t.Fatalf("block %d never applied", b)
+		}
+		if srv.sweepDue(false) {
+			if _, err := srv.sweep(); err != nil {
+				t.Fatal(err)
+			}
+			sweeps++
+		}
+		if redo := srv.AppliedLSN().Distance(srv.checkpointLSN()); redo >= redoBudgetLSN {
+			t.Fatalf("after block %d: redo distance %d with a budget of %d", b, redo, redoBudgetLSN)
+		}
+	}
+	if sweeps != 2 {
+		t.Fatalf("%d sweeps over 2.5 budgets of log, want 2", sweeps)
+	}
+
+	r.store.SetOutage(true) // the final checkpoint of Stop goes nowhere: a crash
+	srv.Stop()
+	r.store.SetOutage(false)
+	persisted, err := srv.readMeta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replay := end.Distance(persisted); replay == 0 || replay >= redoBudgetLSN {
+		t.Fatalf("a restart would replay %d records, want some and fewer than the budget of %d", replay, redoBudgetLSN)
+	}
+
+	srv2 := r.server(t, Config{BlobPrefix: "db/", Seed: true, CheckpointEvery: time.Hour})
+	if srv2.checkpointLSN() != persisted {
+		t.Fatalf("restart resumes from %d, persisted %d", srv2.checkpointLSN(), persisted)
+	}
+	for id := page.ID(1); id <= pages; id++ {
+		want, _ := srv.cache.Get(id)
+		got, err := srv2.GetPage(context.Background(), id, end.Prev())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.LSN != want.LSN || !bytes.Equal(got.Data, want.Data) {
+			t.Fatalf("page %d after restart: lsn %d data %q, want lsn %d data %q", id, got.LSN, got.Data, want.LSN, want.Data)
+		}
 	}
 }
 
@@ -383,22 +594,12 @@ func TestCheckpointKeepsNewerDirtyMark(t *testing.T) {
 	if !ok {
 		t.Fatal("page 5 not cached after apply")
 	}
-	stored := func() page.LSN {
-		buf, err := r.store.Get(srv.pageBlob(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		lsn, err := page.PeekLSN(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return lsn
-	}
+	stored := func() page.LSN { return storedLSN(t, r, srv, 5) }
 
 	// The next version is marked, its Put still in flight: the sweep sees v1.
 	v2 := &page.Page{ID: 5, LSN: v1.LSN.Add(10), Type: page.TypeLeaf, Data: []byte{'b'}}
 	srv.markDirty(v2)
-	if err := srv.checkpointOnce(); err != nil {
+	if _, err := srv.sweep(); err != nil {
 		t.Fatal(err)
 	}
 	if stored() != v1.LSN || srv.DirtyPages() != 1 {
@@ -409,7 +610,7 @@ func TestCheckpointKeepsNewerDirtyMark(t *testing.T) {
 	if err := srv.cache.Put(v2); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.checkpointOnce(); err != nil {
+	if _, err := srv.sweep(); err != nil {
 		t.Fatal(err)
 	}
 	if stored() != v2.LSN || srv.DirtyPages() != 0 {

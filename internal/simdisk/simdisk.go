@@ -37,6 +37,10 @@ var ErrOutage = errors.New("simdisk: device outage")
 // ErrOutOfRange is returned for reads beyond the written extent.
 var ErrOutOfRange = errors.New("simdisk: read out of range")
 
+// ErrDiscarded is returned for reads that touch a range given back with
+// Discard.
+var ErrDiscarded = errors.New("simdisk: read of a discarded range")
+
 // Profile describes the performance model of a device class.
 type Profile struct {
 	Name string
@@ -163,13 +167,13 @@ func (p Profile) Scaled(f float64) Profile {
 type Device struct {
 	profile Profile
 	cpu     *metrics.CPUMeter // may be nil
-	bucket  *tokenBucket      // nil when uncapped
+	bucket  *TokenBucket      // nil when uncapped
 	waits   *obs.WaitRecorder // disk.read / disk.write lanes; may be nil
 
 	mu sync.Mutex
 	// The volume is a table of fixed-size chunks allocated on first write:
 	// growing it never copies or reserves ahead, and a chunk nobody wrote
-	// reads as zeros.
+	// reads as zeros. A chunk given back with Discard points at discarded.
 	chunks  []*[chunkSize]byte
 	size    int64
 	rng     *rand.Rand
@@ -183,8 +187,16 @@ type Device struct {
 	bytesW metrics.Counter
 }
 
-// chunkSize is the allocation unit of a device's backing store.
-const chunkSize = 64 << 10
+// ChunkSize is the allocation unit of a device's backing store, and so the
+// unit Discard frees storage in: a log-structured store on a Device cuts its
+// log into segments that are a multiple of it.
+const ChunkSize = 64 << 10
+
+const chunkSize = ChunkSize
+
+// discarded stands in the chunk table for a chunk Discard gave back. Unlike
+// a chunk nobody wrote, reading it is an error: its bytes are gone, not zero.
+var discarded = new([chunkSize]byte)
 
 // Option configures a Device.
 type Option func(*Device)
@@ -229,7 +241,7 @@ func New(p Profile, opts ...Option) *Device {
 		rng:     rand.New(rand.NewSource(1)),
 	}
 	if p.ThroughputMBps > 0 {
-		d.bucket = newTokenBucket(p.ThroughputMBps * 1024 * 1024)
+		d.bucket = NewTokenBucket(p.ThroughputMBps * 1024 * 1024)
 	}
 	for _, o := range opts {
 		o(d)
@@ -340,7 +352,7 @@ func (d *Device) ReadAt(p []byte, off int64) error {
 	}
 	ioStart := time.Now()
 	if d.bucket != nil {
-		d.bucket.acquire(len(p))
+		d.bucket.Acquire(len(p))
 	}
 	sleep(d.latency(d.profile.ReadBase, len(p)))
 	d.waits.Observe(nil, obs.WaitDiskRead, time.Since(ioStart))
@@ -350,6 +362,11 @@ func (d *Device) ReadAt(p []byte, off int64) error {
 	defer d.mu.Unlock()
 	if off < 0 || off+int64(len(p)) > d.size {
 		return fmt.Errorf("%w: off=%d len=%d size=%d", ErrOutOfRange, off, len(p), d.size)
+	}
+	for ci := off / chunkSize; ci*chunkSize < off+int64(len(p)); ci++ {
+		if d.chunks[ci] == discarded {
+			return fmt.Errorf("%w: off=%d len=%d", ErrDiscarded, off, len(p))
+		}
 	}
 	d.copyOut(p, off)
 	d.reads.Inc()
@@ -418,7 +435,7 @@ func (d *Device) writeRaw(p []byte, off int64) (time.Duration, error) {
 		return 0, fmt.Errorf("simdisk: negative offset %d", off)
 	}
 	if d.bucket != nil {
-		d.bucket.acquire(len(p))
+		d.bucket.Acquire(len(p))
 	}
 	lat := d.latency(d.profile.WriteBase, len(p))
 	d.charge(d.profile.WriteCPU)
@@ -428,7 +445,7 @@ func (d *Device) writeRaw(p []byte, off int64) (time.Duration, error) {
 	d.growTo(off + int64(len(p)))
 	for n := 0; n < len(p); {
 		ci, co := (off+int64(n))/chunkSize, (off+int64(n))%chunkSize
-		if d.chunks[ci] == nil {
+		if c := d.chunks[ci]; c == nil || c == discarded {
 			d.chunks[ci] = new([chunkSize]byte)
 		}
 		n += copy(d.chunks[ci][co:], p[n:])
@@ -467,8 +484,22 @@ func (d *Device) Truncate(n int64) {
 	keep := int((n + chunkSize - 1) / chunkSize)
 	clear(d.chunks[keep:])
 	d.chunks = d.chunks[:keep]
-	if co := n % chunkSize; co != 0 && d.chunks[keep-1] != nil {
+	if co := n % chunkSize; co != 0 && d.chunks[keep-1] != nil && d.chunks[keep-1] != discarded {
 		clear(d.chunks[keep-1][co:])
+	}
+}
+
+// Discard gives back the storage of every whole chunk inside [off, off+n) —
+// the volume's TRIM, a metadata operation like Truncate. The volume keeps
+// its size. A later read that touches a discarded chunk fails with
+// ErrDiscarded rather than inventing zeros; a write into one brings it back.
+// A chunk the range covers only in part keeps its bytes.
+func (d *Device) Discard(off, n int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	end := min((off+n)/chunkSize, int64(len(d.chunks)))
+	for ci := (max(off, 0) + chunkSize - 1) / chunkSize; ci < end; ci++ {
+		d.chunks[ci] = discarded
 	}
 }
 
@@ -595,24 +626,42 @@ func (h *waiterHeap) pop() waiter {
 	return top
 }
 
-// tokenBucket rate-limits bytes/second with a one-second burst.
-type tokenBucket struct {
+// TokenBucket rate-limits bytes/second with a one-second burst: the
+// device throughput caps here and XStore's ingest and egress caps.
+type TokenBucket struct {
 	mu     sync.Mutex
 	rate   float64 // bytes per second
 	tokens float64
 	last   time.Time
+
+	// The clock, so a test can run the bucket on a fake one.
+	now   func() time.Time
+	sleep func(time.Duration)
 }
 
-func newTokenBucket(bytesPerSec float64) *tokenBucket {
-	return &tokenBucket{rate: bytesPerSec, tokens: bytesPerSec, last: time.Now()}
+// NewTokenBucket returns a full bucket refilling at bytesPerSec.
+func NewTokenBucket(bytesPerSec float64) *TokenBucket {
+	return &TokenBucket{rate: bytesPerSec, tokens: bytesPerSec, last: time.Now(),
+		now: time.Now, sleep: time.Sleep}
 }
 
-// acquire blocks until n byte-tokens are available.
-func (b *tokenBucket) acquire(n int) {
-	need := float64(n)
+// Acquire blocks until n byte-tokens have been taken. The bucket never
+// holds more than one second of rate, so a larger request is taken in
+// instalments of at most that: asked for in one piece it would wait for a
+// level the bucket cannot reach.
+func (b *TokenBucket) Acquire(n int) {
+	for left := float64(n); left > 0; {
+		part := min(left, b.rate)
+		b.take(part)
+		left -= part
+	}
+}
+
+// take blocks until need tokens (at most one burst) are available.
+func (b *TokenBucket) take(need float64) {
 	for {
 		b.mu.Lock()
-		now := time.Now()
+		now := b.now()
 		b.tokens += now.Sub(b.last).Seconds() * b.rate
 		if b.tokens > b.rate { // burst cap: one second of tokens
 			b.tokens = b.rate
@@ -629,6 +678,6 @@ func (b *tokenBucket) acquire(n int) {
 		if wait < 100*time.Microsecond {
 			wait = 100 * time.Microsecond
 		}
-		time.Sleep(wait)
+		b.sleep(wait)
 	}
 }

@@ -477,3 +477,72 @@ func TestHoldWrites(t *testing.T) {
 	}
 	d.HoldWrites()() // a released device can be held again
 }
+
+// TestDiscard: Discard frees the whole chunks inside its range and nothing
+// else; the volume keeps its size, a read that touches a freed chunk fails
+// instead of inventing zeros, and a write brings the chunk back.
+func TestDiscard(t *testing.T) {
+	d := New(Instant)
+	data := bytes.Repeat([]byte{0xAB}, 4*chunkSize)
+	if err := d.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	// Chunks 1 and 2 lie wholly inside [100, 3*chunkSize+100); 0 and 3 only
+	// in part.
+	d.Discard(100, 3*chunkSize)
+	if d.Size() != int64(len(data)) {
+		t.Fatalf("size = %d after Discard, want %d", d.Size(), len(data))
+	}
+	got := make([]byte, chunkSize)
+	for _, ci := range []int64{0, 3} {
+		if err := d.ReadAt(got, ci*chunkSize); err != nil || !bytes.Equal(got, data[:chunkSize]) {
+			t.Fatalf("chunk %d, covered in part, did not keep its bytes: %v", ci, err)
+		}
+	}
+	for _, off := range []int64{chunkSize, 2 * chunkSize, chunkSize - 1, 3*chunkSize - 1} {
+		if err := d.ReadAt(got[:2], off); !errors.Is(err, ErrDiscarded) {
+			t.Fatalf("read at %d touching a discarded chunk: err = %v, want ErrDiscarded", off, err)
+		}
+	}
+	if err := d.WriteAt([]byte("back"), chunkSize+10); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ReadAt(got[:4], chunkSize+10); err != nil || string(got[:4]) != "back" {
+		t.Fatalf("rewritten chunk reads %q, %v", got[:4], err)
+	}
+	if err := d.ReadAt(got[:4], 2*chunkSize); !errors.Is(err, ErrDiscarded) {
+		t.Fatalf("the other discarded chunk came back too: %v", err)
+	}
+	d.Discard(-5, 1<<40) // clamps to the volume
+	if err := d.ReadAt(got[:1], 0); !errors.Is(err, ErrDiscarded) {
+		t.Fatalf("whole-volume discard: err = %v", err)
+	}
+}
+
+// TestTokenBucketLargerThanOneBurst: a request for more than a second of
+// rate is served in instalments and costs exactly the time the extra tokens
+// take to refill. The bucket runs on a fake clock: asked for in one piece,
+// the request would wait for a level the bucket caps below, forever.
+func TestTokenBucketLargerThanOneBurst(t *testing.T) {
+	now := time.Unix(0, 0)
+	var slept time.Duration
+	b := NewTokenBucket(1000)
+	b.last = now
+	b.now = func() time.Time { return now }
+	b.sleep = func(d time.Duration) {
+		if slept += d; slept > time.Minute {
+			t.Fatalf("still waiting after %v of fake time", slept)
+		}
+		now = now.Add(d)
+	}
+	// Fake time is exact up to float rounding in the refill arithmetic.
+	near := func(want time.Duration) bool { return (slept - want).Abs() < time.Millisecond }
+	b.Acquire(3500) // 1000 from the full bucket, 2500 at 1000/s
+	if !near(2500 * time.Millisecond) {
+		t.Fatalf("slept %v for 3500 tokens at 1000/s from a full bucket, want 2.5s", slept)
+	}
+	b.Acquire(10) // the bucket was left empty
+	if !near(2510 * time.Millisecond) {
+		t.Fatalf("slept %v in all, want 2.51s", slept)
+	}
+}

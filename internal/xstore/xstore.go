@@ -14,6 +14,16 @@
 //     the snapshotted extents; copy-on-write falls out because new writes
 //     always append fresh extents.
 //
+// The log is cut into fixed segments, and the store counts per segment the
+// bytes some blob version still lists — a live blob's, a snapshot's, or one a
+// read in flight has pinned. A segment no longer written to whose count
+// reaches zero is given back to the device whole; Compact, the cleaner, moves
+// what is left in sparse segments away so they can go too. Two streams write
+// the log, each filling segments of its own: blob versions (Put, PutBatch),
+// which the next version supersedes, and archives (Append), which nothing
+// does — sharing segments, every checkpoint generation would stay pinned by
+// the few bytes of log archive that landed between its pages.
+//
 // Throughput is capped by the HDD device profile plus optional ingest and
 // egress limits — the ingest limit is what throttles HADR's log backup in
 // the paper's Table 5 experiment.
@@ -34,23 +44,30 @@ import (
 // ErrNotFound is returned when a blob or snapshot does not exist.
 var ErrNotFound = errors.New("xstore: not found")
 
-// extent is a contiguous run of bytes in the store's log.
+// segSize is the unit the log is accounted and reclaimed in: four of the
+// device's chunks, so a discarded segment frees exactly the memory it held.
+// Small on purpose — a segment lives as long as its longest-lived byte.
+const segSize = 4 * simdisk.ChunkSize
+
+// cleanBelow is the cleaner's policy: Compact empties a segment no stream
+// writes to any more when less than one byte in cleanBelow of those written
+// into it is still live.
+const cleanBelow = 4
+
+// extent is a contiguous run of bytes in the store's log. Its position never
+// changes; blob versions share it by pointer, and refs counts the versions
+// that list it (live blobs, snapshots, reads in flight). Guarded by Store.mu.
 type extent struct {
 	off    int64
 	length int64
+	refs   int
 }
 
 // blobMeta describes one blob version as a list of extents.
 type blobMeta struct {
-	extents []extent
+	extents []*extent
 	size    int64
 	modSeq  uint64 // logical time of last modification
-}
-
-func (b *blobMeta) clone() *blobMeta {
-	c := &blobMeta{size: b.size, modSeq: b.modSeq}
-	c.extents = append([]extent(nil), b.extents...)
-	return c
 }
 
 // snapshot is a frozen view of the blob namespace at a logical time.
@@ -77,22 +94,46 @@ type Config struct {
 // use.
 type Store struct {
 	dev    *simdisk.Device
-	ingest *limiter
-	egress *limiter
+	ingest *simdisk.TokenBucket
+	egress *simdisk.TokenBucket
 
 	metrics *obs.Registry // nil-safe; set via SetMetrics
+	// The space accounting's instruments, looked up once: addLive moves
+	// them under s.mu, once per extent let go.
+	footprintBytes, garbageBytes *obs.Gauge
+	reclaimedBytes               *obs.Counter
 
 	mu        sync.Mutex
-	head      int64 // next append offset in the log
 	seq       uint64
 	blobs     map[string]*blobMeta
 	snapshots map[string]*snapshot
+	// Segment i covers log addresses [i*segSize, (i+1)*segSize).
+	segs              []segment
+	versions, archive stream
+	written           int64 // bytes appended, ever
+	live              int64 // sum of segs[i].live
+	reclaimed         int64 // written bytes of the segments given back
 }
 
+// segment is the accounting of one segment: how many bytes were written
+// into it, and how many of them an extent with refs > 0, or a write in
+// flight, still holds.
+type segment struct{ written, live int64 }
+
+// stream is one of the log's append points: [next, limit) is what is left
+// of the run of whole segments it is filling.
+type stream struct{ next, limit int64 }
+
 // SetMetrics attaches a per-tier metrics registry. The store records write
-// and read latency/volume under the "xstore." namespace. Safe to call once
-// at wiring time, before concurrent use; a nil registry disables recording.
-func (s *Store) SetMetrics(r *obs.Registry) { s.metrics = r }
+// and read latency/volume and its space accounting under the "xstore."
+// namespace. Safe to call once at wiring time, before concurrent use; a nil
+// registry disables recording.
+func (s *Store) SetMetrics(r *obs.Registry) {
+	s.metrics = r
+	s.footprintBytes = r.Gauge("xstore.footprint_bytes")
+	s.garbageBytes = r.Gauge("xstore.garbage_bytes")
+	s.reclaimedBytes = r.Counter("xstore.reclaimed.bytes")
+}
 
 // New creates an empty store.
 func New(cfg Config) *Store {
@@ -110,10 +151,10 @@ func New(cfg Config) *Store {
 		snapshots: make(map[string]*snapshot),
 	}
 	if cfg.IngestMBps > 0 {
-		s.ingest = newLimiter(cfg.IngestMBps * 1024 * 1024)
+		s.ingest = simdisk.NewTokenBucket(cfg.IngestMBps * 1024 * 1024)
 	}
 	if cfg.EgressMBps > 0 {
-		s.egress = newLimiter(cfg.EgressMBps * 1024 * 1024)
+		s.egress = simdisk.NewTokenBucket(cfg.EgressMBps * 1024 * 1024)
 	}
 	return s
 }
@@ -121,6 +162,11 @@ func New(cfg Config) *Store {
 // SetOutage injects or clears a sticky outage on the underlying device.
 // Used to exercise the page-server insulation path (§4.6).
 func (s *Store) SetOutage(on bool) { s.dev.SetOutage(on) }
+
+// HoldWrites stalls the underlying device's write path until the returned
+// release is called (simdisk.Device.HoldWrites): the write in flight, for
+// tests that pin down what a checkpoint does while one is.
+func (s *Store) HoldWrites() (release func()) { return s.dev.HoldWrites() }
 
 // Seq reports the store's logical clock (advances on every mutation).
 func (s *Store) Seq() uint64 {
@@ -134,43 +180,193 @@ func (s *Store) Stats() (reads, writes, bytesRead, bytesWritten int64) {
 	return s.dev.Stats()
 }
 
-// appendLog writes data at the head of the log and returns its extent.
-// Callers must not hold s.mu (device I/O sleeps).
-func (s *Store) appendLog(data []byte) (extent, error) {
+// reserve gives n bytes of st's run to a write, opening a new run of whole
+// segments at the end of the log when they do not fit what is left of the
+// current one (which is then never written). The bytes count as live from
+// here on — a segment must not be given back with a write into it in flight.
+// Caller holds s.mu.
+func (s *Store) reserve(st *stream, n int64) int64 {
+	if st.next+n > st.limit {
+		left, abandoned := st.next < st.limit, st.next/segSize
+		st.next = int64(len(s.segs)) * segSize
+		s.segs = append(s.segs, make([]segment, (n+segSize-1)/segSize)...)
+		st.limit = int64(len(s.segs)) * segSize
+		if left {
+			// The segment the stream leaves unfinished may have emptied
+			// while it was still being filled.
+			s.reclaim(abandoned)
+		}
+	}
+	off := st.next
+	st.next += n
+	s.written += n
+	eachSegment(off, n, func(seg, part int64) { s.segs[seg].written += part })
+	s.addLive(off, n)
+	return off
+}
+
+// eachSegment visits the segments log bytes [off, off+n) lie in, with how
+// many of the bytes lie in each.
+func eachSegment(off, n int64, visit func(seg, part int64)) {
+	for end := off + n; off < end; {
+		seg := off / segSize
+		part := min(end, (seg+1)*segSize) - off
+		visit(seg, part)
+		off += part
+	}
+}
+
+// open reports whether a stream may still write into segment seg. Caller
+// holds s.mu.
+func (s *Store) open(seg int64) bool {
+	in := func(st stream) bool { return seg*segSize < st.limit && st.next < (seg+1)*segSize }
+	return in(s.versions) || in(s.archive)
+}
+
+// reclaim gives segment seg back to the device if nothing holds a byte of
+// it and no stream will write to it again. Caller holds s.mu.
+func (s *Store) reclaim(seg int64) {
+	g := &s.segs[seg]
+	if g.live != 0 || g.written == 0 || s.open(seg) {
+		return
+	}
+	s.dev.Discard(seg*segSize, segSize)
+	s.reclaimed += g.written
+	s.reclaimedBytes.Add(uint64(g.written))
+	g.written = 0
+}
+
+// addLive moves the live count of log bytes [off, off+n) by n's sign: up
+// when a write reserves them, down when the last version listing them goes —
+// which may be what empties their segment. Caller holds s.mu.
+func (s *Store) addLive(off, n int64) {
+	sign := int64(1)
+	if n < 0 {
+		sign, n = -1, -n
+	}
+	s.live += sign * n
+	eachSegment(off, n, func(seg, part int64) {
+		s.segs[seg].live += sign * part
+		if sign < 0 {
+			s.reclaim(seg)
+		}
+	})
+	footprint := s.written - s.reclaimed
+	s.footprintBytes.Set(footprint)
+	s.garbageBytes.Set(footprint - s.live)
+}
+
+// hold returns a second listing of b's extents — a snapshot's copy, a
+// restored blob, the pin of a read in flight. Caller holds s.mu.
+func (s *Store) hold(b *blobMeta) *blobMeta {
+	c := &blobMeta{size: b.size, modSeq: b.modSeq}
+	c.extents = append([]*extent(nil), b.extents...)
+	for _, e := range c.extents {
+		e.refs++
+	}
+	return c
+}
+
+// drop ends a version's listing of its extents; the bytes of an extent
+// nothing lists any more stop being live. Caller holds s.mu.
+func (s *Store) drop(b *blobMeta) {
+	for _, e := range b.extents {
+		s.unref(e)
+	}
+}
+
+func (s *Store) unref(e *extent) {
+	if e.refs--; e.refs == 0 {
+		s.addLive(e.off, -e.length)
+	}
+}
+
+// install makes b the live version of the named blob. The bytes of b's
+// extents are already live (their write reserved them), so dropping the
+// version it replaces can empty a segment without touching them. Caller
+// holds s.mu.
+func (s *Store) install(name string, b *blobMeta) {
+	if old := s.blobs[name]; old != nil {
+		s.drop(old)
+	}
+	s.blobs[name] = b
+}
+
+// appendLog writes data at st's end of the log and returns where. The bytes
+// are live from the moment they are reserved, so the caller owes them an
+// extent (or addLive(off, -len) if it has none to give). Callers must not
+// hold s.mu (device I/O sleeps).
+func (s *Store) appendLog(st *stream, data []byte) (int64, error) {
 	start := time.Now()
+	n := int64(len(data))
 	if s.ingest != nil {
-		s.ingest.acquire(len(data))
+		s.ingest.Acquire(len(data))
 	}
 	s.mu.Lock()
-	off := s.head
-	s.head += int64(len(data))
+	off := s.reserve(st, n)
 	s.mu.Unlock()
 	if err := s.dev.WriteAt(data, off); err != nil {
-		return extent{}, err
+		s.mu.Lock()
+		s.addLive(off, -n)
+		s.mu.Unlock()
+		return 0, err
 	}
 	s.metrics.Histogram("xstore.write.latency").Since(start)
-	s.metrics.Counter("xstore.write.bytes").Add(uint64(len(data)))
+	s.metrics.Counter("xstore.write.bytes").Add(uint64(n))
 	s.metrics.Counter("xstore.write.ops").Inc()
-	return extent{off: off, length: int64(len(data))}, nil
+	return off, nil
+}
+
+// BatchBlob names one blob of a PutBatch and the length of its image.
+type BatchBlob struct {
+	Name string
+	Len  int
+}
+
+// PutBatch stores complete new versions of several blobs as one write: buf
+// holds their images back to back in the order of blobs. It costs one ingest
+// acquire and one device write, and the blob map switches for the whole
+// batch in one critical section after that write succeeds — a snapshot, a
+// reader or an outage sees every blob of the batch at its new version or
+// none. This is the page servers' checkpoint write (§4.6).
+func (s *Store) PutBatch(buf []byte, blobs []BatchBlob) error {
+	total := 0
+	for _, b := range blobs {
+		total += b.Len
+	}
+	if total != len(buf) {
+		return fmt.Errorf("xstore: batch of %d bytes names %d", len(buf), total)
+	}
+	off, err := s.appendLog(&s.versions, buf)
+	if err != nil {
+		return err
+	}
+	// One slab each for the batch's versions, extents and extent lists.
+	metas := make([]blobMeta, len(blobs))
+	exts := make([]extent, len(blobs))
+	lists := make([]*extent, len(blobs))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.seq++
+	for i, b := range blobs {
+		exts[i] = extent{off: off, length: int64(b.Len), refs: 1}
+		lists[i] = &exts[i]
+		metas[i] = blobMeta{extents: lists[i : i+1 : i+1], size: int64(b.Len), modSeq: s.seq}
+		s.install(b.Name, &metas[i])
+		off += int64(b.Len)
+	}
+	return nil
 }
 
 // Put stores data as a complete new version of the named blob.
 func (s *Store) Put(name string, data []byte) error {
-	ext, err := s.appendLog(data)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.seq++
-	s.blobs[name] = &blobMeta{extents: []extent{ext}, size: ext.length, modSeq: s.seq}
-	return nil
+	return s.PutBatch(data, []BatchBlob{{Name: name, Len: len(data)}})
 }
 
 // Append adds data to the end of the named blob, creating it if absent.
 // This is the LT log-archive write path: destaging appends log ranges.
 func (s *Store) Append(name string, data []byte) error {
-	ext, err := s.appendLog(data)
+	off, err := s.appendLog(&s.archive, data)
 	if err != nil {
 		return err
 	}
@@ -182,35 +378,50 @@ func (s *Store) Append(name string, data []byte) error {
 		b = &blobMeta{}
 		s.blobs[name] = b
 	}
-	b.extents = append(b.extents, ext)
-	b.size += ext.length
+	b.extents = append(b.extents, &extent{off: off, length: int64(len(data)), refs: 1})
+	b.size += int64(len(data))
 	b.modSeq = s.seq
 	return nil
+}
+
+// pin looks a blob version up and holds its extents for the length of a
+// read, so that an overwrite or the cleaner cannot give its segments back
+// under the device reads; unpin lets go.
+func (s *Store) pin(blobs map[string]*blobMeta, name string) (*blobMeta, bool) {
+	b, ok := blobs[name]
+	if !ok {
+		return nil, false
+	}
+	return s.hold(b), true
+}
+
+func (s *Store) unpin(b *blobMeta) {
+	s.mu.Lock()
+	s.drop(b)
+	s.mu.Unlock()
 }
 
 // Get returns the full contents of the named blob.
 func (s *Store) Get(name string) ([]byte, error) {
 	s.mu.Lock()
-	b, ok := s.blobs[name]
+	meta, ok := s.pin(s.blobs, name)
+	s.mu.Unlock()
 	if !ok {
-		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: blob %q", ErrNotFound, name)
 	}
-	meta := b.clone()
-	s.mu.Unlock()
+	defer s.unpin(meta)
 	return s.readMeta(meta, 0, meta.size)
 }
 
 // ReadAt reads length bytes from the blob starting at off.
 func (s *Store) ReadAt(name string, off, length int64) ([]byte, error) {
 	s.mu.Lock()
-	b, ok := s.blobs[name]
+	meta, ok := s.pin(s.blobs, name)
+	s.mu.Unlock()
 	if !ok {
-		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: blob %q", ErrNotFound, name)
 	}
-	meta := b.clone()
-	s.mu.Unlock()
+	defer s.unpin(meta)
 	if off < 0 || off+length > meta.size {
 		return nil, fmt.Errorf("xstore: read [%d,%d) beyond blob %q size %d",
 			off, off+length, name, meta.size)
@@ -218,7 +429,7 @@ func (s *Store) ReadAt(name string, off, length int64) ([]byte, error) {
 	return s.readMeta(meta, off, length)
 }
 
-// readMeta gathers [off, off+length) across the blob's extents.
+// readMeta gathers [off, off+length) across the extents of a pinned version.
 func (s *Store) readMeta(b *blobMeta, off, length int64) ([]byte, error) {
 	start := time.Now()
 	defer func() {
@@ -227,7 +438,7 @@ func (s *Store) readMeta(b *blobMeta, off, length int64) ([]byte, error) {
 	}()
 	s.metrics.Counter("xstore.read.bytes").Add(uint64(length))
 	if s.egress != nil {
-		s.egress.acquire(int(length))
+		s.egress.Acquire(int(length))
 	}
 	out := make([]byte, 0, length)
 	pos := int64(0)
@@ -274,15 +485,17 @@ func (s *Store) Size(name string) (int64, error) {
 }
 
 // Delete removes the named blob. Snapshots referencing it are unaffected:
-// the extents stay in the log.
+// the extents they list stay in the log.
 func (s *Store) Delete(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.blobs[name]; !ok {
+	b, ok := s.blobs[name]
+	if !ok {
 		return fmt.Errorf("%w: blob %q", ErrNotFound, name)
 	}
 	s.seq++
 	delete(s.blobs, name)
+	s.drop(b)
 	return nil
 }
 
@@ -317,7 +530,7 @@ func (s *Store) Snapshot(name string) error {
 	s.seq++
 	snap := &snapshot{seq: s.seq, taken: time.Now(), blobs: make(map[string]*blobMeta, len(s.blobs))}
 	for n, b := range s.blobs {
-		snap.blobs[n] = b.clone()
+		snap.blobs[n] = s.hold(b)
 	}
 	s.snapshots[name] = snap
 	s.metrics.Counter("xstore.snapshot.count").Inc()
@@ -349,14 +562,19 @@ func (s *Store) Snapshots() []string {
 	return names
 }
 
-// DeleteSnapshot removes a snapshot (its extents stay until Compact).
+// DeleteSnapshot removes a snapshot; segments only it was keeping go back
+// to the device.
 func (s *Store) DeleteSnapshot(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.snapshots[name]; !ok {
+	snap, ok := s.snapshots[name]
+	if !ok {
 		return fmt.Errorf("%w: snapshot %q", ErrNotFound, name)
 	}
 	delete(s.snapshots, name)
+	for _, b := range snap.blobs {
+		s.drop(b)
+	}
 	return nil
 }
 
@@ -373,9 +591,9 @@ func (s *Store) Restore(snapName, dstPrefix string) error {
 	}
 	s.seq++
 	for n, b := range snap.blobs {
-		nb := b.clone()
+		nb := s.hold(b)
 		nb.modSeq = s.seq
-		s.blobs[dstPrefix+n] = nb
+		s.install(dstPrefix+n, nb)
 	}
 	return nil
 }
@@ -388,13 +606,12 @@ func (s *Store) GetFromSnapshot(snapName, blobName string) ([]byte, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: snapshot %q", ErrNotFound, snapName)
 	}
-	b, ok := snap.blobs[blobName]
+	meta, ok := s.pin(snap.blobs, blobName)
+	s.mu.Unlock()
 	if !ok {
-		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: blob %q in snapshot %q", ErrNotFound, blobName, snapName)
 	}
-	meta := b.clone()
-	s.mu.Unlock()
+	defer s.unpin(meta)
 	return s.readMeta(meta, 0, meta.size)
 }
 
@@ -427,57 +644,96 @@ func (s *Store) LiveBytes() int64 {
 	return total
 }
 
-// LogBytes reports the total size of the append log, including garbage.
+// LogBytes reports how many bytes the log has taken, garbage and segments
+// since given back included.
 func (s *Store) LogBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.head
+	return s.written
 }
 
-// Compact rewrites all live data (current blobs and every snapshot's blobs)
-// into a fresh log, dropping unreferenced extents. This models the LT blob
-// cleanup job (§4.3). It is an O(live data) background task.
-func (s *Store) Compact() error {
-	// Phase 1: under the lock, capture every blob version to keep.
+// FootprintBytes reports the log bytes the device still holds: LogBytes
+// less what was in the segments given back.
+func (s *Store) FootprintBytes() int64 {
 	s.mu.Lock()
-	type item struct {
-		meta  *blobMeta
-		apply func(ext extent)
-	}
-	var items []item
+	defer s.mu.Unlock()
+	return s.written - s.reclaimed
+}
+
+// eachVersion visits every blob version the store keeps: the live blobs and
+// each snapshot's. Caller holds s.mu.
+func (s *Store) eachVersion(visit func(*blobMeta)) {
 	for _, b := range s.blobs {
-		b := b
-		items = append(items, item{meta: b.clone(), apply: func(ext extent) {
-			b.extents = []extent{ext}
-		}})
+		visit(b)
 	}
 	for _, snap := range s.snapshots {
 		for _, b := range snap.blobs {
-			b := b
-			items = append(items, item{meta: b.clone(), apply: func(ext extent) {
-				b.extents = []extent{ext}
-			}})
+			visit(b)
 		}
 	}
+}
+
+// Compact is the cleaner (Rosenblum/Ousterhout's, as the LT blob cleanup job
+// of §4.3 needs it): every extent that touches a sparse segment (cleanBelow)
+// is copied to the end of the archive stream — what outlived its neighbours
+// is cold — the versions listing it are switched to the copy, and the
+// segment, now empty, goes back to the device. It costs O(survivors) I/O,
+// not O(live data); a store with no sparse segment is left alone.
+func (s *Store) Compact() error {
+	// Phase 1: under the lock, pin the extents to move.
+	s.mu.Lock()
+	sparse := func(e *extent) (found bool) {
+		eachSegment(e.off, e.length, func(seg, _ int64) {
+			g := s.segs[seg]
+			found = found || g.live*cleanBelow < g.written && !s.open(seg)
+		})
+		return found
+	}
+	moved := make(map[*extent]*extent)
+	s.eachVersion(func(b *blobMeta) {
+		for _, e := range b.extents {
+			if _, seen := moved[e]; !seen && sparse(e) {
+				e.refs++
+				moved[e] = nil
+			}
+		}
+	})
 	s.mu.Unlock()
 
-	// Phase 2: read each version and rewrite it contiguously. Concurrent
-	// writers keep appending beyond the captured head; their extents are
-	// untouched. We rewrite into the existing log head (append), then drop
-	// nothing physically — the simulated device reclaims space via
-	// Truncate only when the store is otherwise idle, which tests arrange.
-	for _, it := range items {
-		data, err := s.readMeta(it.meta, 0, it.meta.size)
-		if err != nil {
-			return err
+	// Phase 2: copy each to the head. Writers keep appending around the
+	// copies and readers keep reading the originals, which the pins hold.
+	var err error
+	for e := range moved {
+		buf := make([]byte, e.length)
+		if err = s.dev.ReadAt(buf, e.off); err != nil {
+			break
 		}
-		ext, err := s.appendLog(data)
-		if err != nil {
-			return err
+		var off int64
+		if off, err = s.appendLog(&s.archive, buf); err != nil {
+			break
 		}
-		s.mu.Lock()
-		it.apply(ext)
-		s.mu.Unlock()
+		moved[e] = &extent{off: off, length: e.length}
 	}
-	return nil
+
+	// Phase 3: switch every version that lists a copied extent — whoever
+	// took a snapshot or restored one meanwhile included — and let the
+	// originals go. A copy nothing lists any more gives its bytes back.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.eachVersion(func(b *blobMeta) {
+		for i, e := range b.extents {
+			if ne := moved[e]; ne != nil {
+				ne.refs++
+				b.extents[i] = ne
+				s.unref(e)
+			}
+		}
+	})
+	for e, ne := range moved {
+		s.unref(e)
+		if ne != nil && ne.refs == 0 {
+			s.addLive(ne.off, -ne.length)
+		}
+	}
+	return err
 }

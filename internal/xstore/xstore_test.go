@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"socrates/internal/obs"
 	"socrates/internal/simdisk"
 )
 
@@ -424,5 +425,317 @@ func TestSnapshotImmutabilityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// batchOf builds a PutBatch of n page-sized blobs named prefix+i, each
+// filled with its fill byte.
+func batchOf(prefix string, n, size int, fill byte) ([]byte, []BatchBlob) {
+	buf := bytes.Repeat([]byte{fill}, n*size)
+	blobs := make([]BatchBlob, n)
+	for i := range blobs {
+		blobs[i] = BatchBlob{Name: fmt.Sprintf("%s%d", prefix, i), Len: size}
+	}
+	return buf, blobs
+}
+
+// TestPutBatchIsOneWriteAndAllOrNothing: a batch costs one device write
+// however many blobs it names, and a batch whose write fails changes no
+// blob — the versions before it stay readable.
+func TestPutBatchIsOneWriteAndAllOrNothing(t *testing.T) {
+	s := newFast()
+	buf, blobs := batchOf("p", 64, 512, 'a')
+	_, w0, _, _ := s.Stats()
+	if err := s.PutBatch(buf, blobs); err != nil {
+		t.Fatal(err)
+	}
+	if _, w1, _, _ := s.Stats(); w1-w0 != 1 {
+		t.Fatalf("a 64-blob batch cost %d device writes, want 1", w1-w0)
+	}
+	seq := s.Seq()
+
+	s.SetOutage(true)
+	buf2, _ := batchOf("p", 64, 512, 'b')
+	if err := s.PutBatch(buf2, blobs); err == nil {
+		t.Fatal("batch during an outage reported success")
+	}
+	s.SetOutage(false)
+	if s.Seq() != seq {
+		t.Fatal("a failed batch moved the store's clock")
+	}
+	for _, b := range blobs {
+		got, err := s.Get(b.Name)
+		if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{'a'}, 512)) {
+			t.Fatalf("%s after the failed batch: %v, %q...", b.Name, err, got[:4])
+		}
+	}
+	if err := s.PutBatch(buf2[:100], blobs); err == nil {
+		t.Fatal("a batch whose lengths do not add up to its buffer was accepted")
+	}
+}
+
+// TestSnapshotSeesWholeBatches: snapshots taken while batches land hold
+// every blob of a batch at the same version.
+func TestSnapshotSeesWholeBatches(t *testing.T) {
+	s := newFast()
+	const rounds = 50
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for r := 0; r < rounds; r++ {
+			buf, blobs := batchOf("p", 16, 64, byte(r))
+			if err := s.PutBatch(buf, blobs); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		snap := fmt.Sprintf("s%d", i)
+		if err := s.Snapshot(snap); err != nil {
+			t.Fatal(err)
+		}
+		names, _ := s.ListFromSnapshot(snap, "p")
+		var version []byte
+		for _, n := range names {
+			got, err := s.GetFromSnapshot(snap, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if version == nil {
+				version = got
+			} else if !bytes.Equal(got, version) {
+				t.Fatalf("snapshot %s holds %s at version %d next to version %d", snap, n, got[0], version[0])
+			}
+		}
+	}
+	wg.Wait()
+}
+
+// TestDeadSegmentsGoBack: overwriting blobs leaves the store holding about
+// one generation of them, not every generation ever written; what it keeps
+// reads back whole, and LogBytes still counts everything appended.
+func TestDeadSegmentsGoBack(t *testing.T) {
+	s := newFast()
+	const n, size, rounds = 64, 8192, 20
+	for r := 0; r < rounds; r++ {
+		buf, blobs := batchOf("p", n, size, byte(r))
+		if err := s.PutBatch(buf, blobs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	generation := int64(n * size)
+	if s.LogBytes() != rounds*generation {
+		t.Fatalf("log = %d, want %d", s.LogBytes(), rounds*generation)
+	}
+	if s.LiveBytes() != generation {
+		t.Fatalf("live = %d, want %d", s.LiveBytes(), generation)
+	}
+	// The newest generation, the one before it while the head was inside
+	// its last segment, and a segment of slack.
+	if max := 2*generation + segSize; s.FootprintBytes() > max {
+		t.Fatalf("footprint = %d after %d generations of %d, want <= %d", s.FootprintBytes(), rounds, generation, max)
+	}
+	for i := 0; i < n; i++ {
+		got, err := s.Get(fmt.Sprintf("p%d", i))
+		if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{rounds - 1}, size)) {
+			t.Fatalf("p%d: %v", i, err)
+		}
+	}
+}
+
+// TestSnapshotPinsSegments: segments a snapshot still lists stay, and read
+// back the old images, through any number of overwrites; they go when the
+// snapshot and the blobs restored from it do. Delete gives back likewise.
+func TestSnapshotPinsSegments(t *testing.T) {
+	s := newFast()
+	const n, size = 64, 8192
+	generation := int64(n * size)
+	buf, blobs := batchOf("p", n, size, 'o')
+	if err := s.PutBatch(buf, blobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Snapshot("old"); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 10; r++ {
+		buf, _ := batchOf("p", n, size, byte(r))
+		if err := s.PutBatch(buf, blobs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.FootprintBytes() >= s.LogBytes() {
+		t.Fatal("ten overwritten generations and no segment went back")
+	}
+	if err := s.Restore("old", "r/"); err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Repeat([]byte{'o'}, size)
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("p%d", i)
+		if got, err := s.GetFromSnapshot("old", name); err != nil || !bytes.Equal(got, old) {
+			t.Fatalf("snapshot read of %s: %v", name, err)
+		}
+		if got, err := s.Get("r/" + name); err != nil || !bytes.Equal(got, old) {
+			t.Fatalf("restored read of %s: %v", name, err)
+		}
+	}
+	pinned := s.FootprintBytes()
+	if err := s.DeleteSnapshot("old"); err != nil {
+		t.Fatal(err)
+	}
+	if s.FootprintBytes() != pinned {
+		t.Fatal("deleting the snapshot freed segments the restored blobs still list")
+	}
+	for i := 0; i < n; i++ {
+		if err := s.Delete(fmt.Sprintf("r/p%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if freed := pinned - s.FootprintBytes(); freed < generation-2*segSize {
+		t.Fatalf("dropping the last listing of the old generation freed %d bytes, want about %d", freed, generation)
+	}
+}
+
+// TestCompactEmptiesSparseSegments: with one long-lived blob left in every
+// segment of a dead generation, nothing can go back until the cleaner moves
+// the survivors — which costs I/O for the survivors, not for the live data.
+func TestCompactEmptiesSparseSegments(t *testing.T) {
+	s := newFast()
+	const perSeg = segSize / 8192
+	const n = 16 * perSeg
+	buf, blobs := batchOf("p", n, 8192, 'a')
+	if err := s.PutBatch(buf, blobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Snapshot("keep"); err != nil { // pins every survivor's old image too
+		t.Fatal(err)
+	}
+	// Overwrite all but the first blob of each segment.
+	var hot []BatchBlob
+	for i, b := range blobs {
+		if i%perSeg != 0 {
+			hot = append(hot, b)
+		}
+	}
+	if err := s.PutBatch(bytes.Repeat([]byte{'b'}, len(hot)*8192), hot); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DeleteSnapshot("keep"); err != nil {
+		t.Fatal(err)
+	}
+	before := s.FootprintBytes()
+	_, w0, _, bw0 := s.Stats()
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	_, w1, _, bw1 := s.Stats()
+	if w1-w0 != 16 || bw1-bw0 != 16*8192 {
+		t.Fatalf("cleaner wrote %d extents, %d bytes; want the 16 survivors, %d bytes", w1-w0, bw1-bw0, 16*8192)
+	}
+	if freed := before - s.FootprintBytes(); freed < 15*segSize {
+		t.Fatalf("cleaner freed %d bytes, want about %d", freed, 16*segSize)
+	}
+	for i, b := range blobs {
+		want := byte('b')
+		if i%perSeg == 0 {
+			want = 'a'
+		}
+		if got, err := s.Get(b.Name); err != nil || got[0] != want || got[8191] != want {
+			t.Fatalf("%s after Compact: %v", b.Name, err)
+		}
+	}
+	_, w2, _, _ := s.Stats()
+	if err := s.Compact(); err != nil || func() bool { _, w3, _, _ := s.Stats(); return w3 != w2 }() {
+		t.Fatalf("a second Compact, with no sparse segment left, wrote again (err %v)", err)
+	}
+}
+
+// TestReadsPinWhatTheyRead: readers racing overwrites (and the cleaner)
+// never find a segment gone from under them.
+func TestReadsPinWhatTheyRead(t *testing.T) {
+	s := newFast()
+	const n, size = 32, 8192
+	buf, blobs := batchOf("p", n, size, 0)
+	if err := s.PutBatch(buf, blobs); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				got, err := s.Get(fmt.Sprintf("p%d", (g+i)%n))
+				if err != nil || got[0] != got[size-1] {
+					t.Errorf("read racing an overwrite: err %v", err)
+					return
+				}
+			}
+		}(g)
+	}
+	for r := 1; r <= 100; r++ {
+		buf, _ := batchOf("p", n, size, byte(r))
+		if err := s.PutBatch(buf, blobs); err != nil {
+			t.Fatal(err)
+		}
+		if r%10 == 0 {
+			if err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestIngestCapServesMoreThanOneSecondOfRate: a write larger than a second
+// of the ingest cap — a checkpoint batch under Table 5's throttle — is let
+// through in instalments instead of waiting forever for a full bucket that
+// could never hold it.
+func TestIngestCapServesMoreThanOneSecondOfRate(t *testing.T) {
+	s := New(Config{Profile: simdisk.Instant, IngestMBps: 0.01}) // ~10 KiB/s
+	buf, blobs := batchOf("p", 3, 3600, 'x')                     // 10,800 B: the burst and a little more
+	done := make(chan error, 1)
+	go func() { done <- s.PutBatch(buf, blobs) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("a batch larger than one second of the ingest cap never returned")
+	}
+}
+
+// TestSpaceInstruments: the store's space accounting is on the registry.
+func TestSpaceInstruments(t *testing.T) {
+	s := newFast()
+	reg := obs.NewRegistry()
+	s.SetMetrics(reg)
+	buf, blobs := batchOf("p", 64, 8192, 'a')
+	for r := 0; r < 4; r++ {
+		if err := s.PutBatch(buf, blobs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := reg.Snapshot()
+	footprint, garbage := snap.Gauges["xstore.footprint_bytes"], snap.Gauges["xstore.garbage_bytes"]
+	reclaimed := int64(snap.Counters["xstore.reclaimed.bytes"])
+	if footprint != s.FootprintBytes() || footprint+reclaimed != s.LogBytes() {
+		t.Fatalf("footprint %d + reclaimed %d, store says footprint %d of log %d", footprint, reclaimed, s.FootprintBytes(), s.LogBytes())
+	}
+	if reclaimed == 0 || garbage != footprint-s.LiveBytes() {
+		t.Fatalf("reclaimed %d, garbage %d with footprint %d and live %d", reclaimed, garbage, footprint, s.LiveBytes())
+	}
+	if snap.Counters["xstore.write.ops"] != 4 || snap.Counters["xstore.write.bytes"] != uint64(s.LogBytes()) {
+		t.Fatalf("write.ops %d, write.bytes %d for 4 batches of %d", snap.Counters["xstore.write.ops"], snap.Counters["xstore.write.bytes"], len(buf))
 	}
 }
