@@ -4,7 +4,13 @@ GO ?= go
 
 # Packages whose -race runs are fast and deterministic; the experiments
 # package replays paper-scale workloads and is exercised separately via
-# `make bench` / cmd/socrates-bench.
+# `make bench` / cmd/socrates-bench. Anything that touches cache admission,
+# the ahead area or the install path (DESIGN §20) also wants
+# `go test -race -count=3 ./internal/rbpex ./internal/compute`: the
+# write-behind batches and the read-ahead installs are races by construction,
+# and one pass sees one interleaving. The policy's own tests —
+# TestReplayAdmissionPolicies (the offline replay the 3/4 split comes from)
+# and TestScanDoesNotEvictHotSet — are pure and fast, and run with `make test`.
 RACE_PKGS := ./internal/compute ./internal/hadr ./internal/simdisk \
              ./internal/cluster ./internal/xlog ./internal/pageserver \
              ./internal/obs ./internal/netmux ./internal/rbio \
@@ -59,8 +65,9 @@ chaos-stress:
 	$(GO) test -count=25 -timeout 120m -run 'TestChaosSeedMatrix|TestChaosScenarios|TestChaosCommitQuorum' ./internal/chaos/
 
 # Hot-path allocation contracts (AllocsPerRun budgets; they skip themselves
-# under -race) and a short fuzz of the B-tree node view against the decoded
-# node it replaced.
+# under -race; rbpex: a memory hit 0 — segment moves included — and an
+# evicting Put <= 9) and a short fuzz of the B-tree node view against the
+# decoded node it replaced.
 allocs:
 	$(GO) test -count=1 -run 'Allocs$$' ./internal/btree ./internal/engine ./internal/pageserver ./internal/compute ./internal/netmux ./internal/rbpex
 	$(GO) test -run '^$$' -fuzz=FuzzNodeView -fuzztime=10s ./internal/btree

@@ -169,10 +169,13 @@ func TestRemoteFileUsesEvictedLSN(t *testing.T) {
 	if _, err := f.Read(7); err != nil {
 		t.Fatal(err)
 	}
-	// Write a newer version and force it out of the cache.
+	// Write a newer version and force it out of the cache: read and written,
+	// the page is protected (DESIGN §20.2), and leaves only after another
+	// page has been referenced twice.
 	_ = f.Write(&page.Page{ID: 7, LSN: 60, Type: page.TypeLeaf, Data: []byte{2}})
 	_ = f.Write(&page.Page{ID: 8, LSN: 61, Type: page.TypeLeaf})
-	_ = f.Write(&page.Page{ID: 9, LSN: 62, Type: page.TypeLeaf}) // evicts 7
+	_ = f.Write(&page.Page{ID: 8, LSN: 62, Type: page.TypeLeaf}) // 8 protected, 7 back on probation
+	_ = f.Write(&page.Page{ID: 9, LSN: 63, Type: page.TypeLeaf}) // evicts 7
 	stub.lsn = 60
 	if _, err := f.Read(7); err != nil {
 		t.Fatal(err)

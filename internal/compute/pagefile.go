@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"socrates/internal/btree"
@@ -46,15 +45,7 @@ type RemotePageFile struct {
 	mu      sync.Mutex
 	evicted map[page.ID]page.LSN
 	pending map[page.ID]*registration // §4.5: pages with a fetch in flight
-	// unread holds the pages read-ahead brought in that no Read has asked
-	// for yet; the first Read of one counts as a read-ahead hit. An entry
-	// leaves with that Read or with the page's eviction from memory.
-	unread map[page.ID]struct{}
-	closed bool
-
-	// unreadN is len(unread), kept where a cache hit can see it without mu:
-	// with nothing read ahead, a hit costs one atomic load more than before.
-	unreadN atomic.Int64
+	closed  bool
 
 	fetches metrics.Counter
 
@@ -130,12 +121,14 @@ func (r *registration) await(ctx context.Context) *page.Page {
 // under a traced request becomes a "compute.getpage" span, and every miss
 // records compute.getpage.* metrics. The miss coalescer's hit/miss
 // counters (netmux.coalesce.*), the read-ahead counters
-// (compute.readahead.*) and the cache's write-behind counters
-// (compute.rbpex.writebehind.*) land on the same registry.
+// (compute.readahead.*) and the cache's own (compute.rbpex.writebehind.*,
+// compute.rbpex.ahead.*) land on the same registry. compute.readahead.joined
+// counts the hints that met their reader: in flight (register), or parked in
+// the cache — which the cache counts, at the page's first read.
 func (f *RemotePageFile) SetObs(t *obs.Tracer, r *obs.Registry) {
 	f.tracer, f.obsReg = t, r
 	f.coal = netmux.NewCoalescer(netmux.NewMetrics(r))
-	f.cache.Instrument(r, "compute.rbpex.writebehind")
+	f.cache.Instrument(r, "compute.rbpex", r.Counter("compute.readahead.joined"))
 }
 
 // SetFlight wires the flight recorder: cache misses (remote GetPage@LSN
@@ -156,7 +149,6 @@ func NewRemotePageFile(cfg rbpex.Config, resolve Resolver, floor func() page.LSN
 		floor:   floor,
 		evicted: make(map[page.ID]page.LSN),
 		pending: make(map[page.ID]*registration),
-		unread:  make(map[page.ID]struct{}),
 		coal:    netmux.NewCoalescer(nil),
 		window:  make(chan struct{}, rangeFanout),
 	}
@@ -194,7 +186,6 @@ func (f *RemotePageFile) noteEvicted(id page.ID, lsn page.LSN) {
 	if lsn.After(f.evicted[id]) {
 		f.evicted[id] = lsn
 	}
-	f.forgetUnreadLocked(id)
 	f.mu.Unlock()
 	f.flight.Record(obs.TierCompute, "compute.evict", uint64(lsn), 0,
 		"page "+strconv.FormatUint(uint64(id), 10))
@@ -229,9 +220,6 @@ func (f *RemotePageFile) Read(id page.ID) (*page.Page, error) {
 // ReadContext is Read bounded by (and traced through) ctx.
 func (f *RemotePageFile) ReadContext(ctx context.Context, id page.ID) (*page.Page, error) {
 	if pg, ok := f.cache.Get(id); ok {
-		if f.unreadN.Load() > 0 {
-			f.noteReadAheadHit(id)
-		}
 		return pg, nil
 	}
 	reg, owner := f.register(id)
@@ -250,7 +238,6 @@ func (f *RemotePageFile) register(id page.ID) (reg *registration, owner bool) {
 	if reg, ok := f.pending[id]; ok {
 		if reg.readahead && !reg.joined {
 			reg.joined = true
-			f.forgetUnreadLocked(id)
 			f.obsReg.Counter("compute.readahead.joined").Inc()
 		}
 		return reg, false
@@ -281,9 +268,6 @@ func (f *RemotePageFile) fetch(ctx context.Context, id page.ID, reg *registratio
 		// queued since; there is nothing to ask the page server.
 		if f.cache.Contains(id) {
 			if pg, ok := f.cache.Get(id); ok {
-				if !reg.readahead && f.unreadN.Load() > 0 {
-					f.noteReadAheadHit(id)
-				}
 				return f.install(reg, pg)
 			}
 		}
@@ -435,7 +419,12 @@ func applyAll(pg *page.Page, recs []*wal.Record) (*page.Page, error) {
 // — first applying the records queued meanwhile, and again for those that
 // arrive while it does, so that the registration is dropped only in the same
 // critical section that found the queue empty: from then on the apply thread
-// finds the page cached.
+// finds the page cached. The page of a read-ahead that no reader has joined
+// goes to the cache's ahead area (rbpex.PutHinted, DESIGN §20.1) — cached for
+// the apply thread and for its reader, in nobody's way until one of them
+// comes. A reader that joins while the page is being parked has it from the
+// flight, not from the cache: the registration then ends with one more put,
+// as that reader's, which takes the page out of the area.
 //
 // The put is LSN-monotone (rbpex.PutFetched). On a primary the flight may
 // have been in the air while a commit read the page some other way, edited
@@ -446,35 +435,30 @@ func applyAll(pg *page.Page, recs []*wal.Record) (*page.Page, error) {
 // registered here, and the rule never fires.
 func (f *RemotePageFile) install(reg *registration, pg *page.Page) (*page.Page, error) {
 	id := pg.ID
-	for installed := false; ; installed = true {
+	installed, parked := false, false
+	for {
 		f.mu.Lock()
 		queued := reg.queued
 		reg.queued = nil
-		if installed && len(queued) == 0 {
+		unjoined := reg.readahead && !reg.joined
+		if installed && len(queued) == 0 && parked == unjoined {
 			delete(f.pending, id)
 			f.mu.Unlock()
 			return pg, nil
 		}
-		// Read-ahead that no reader has joined marks its page unread, and
-		// before the put: the page can be hit the moment it is in.
-		unread := reg.readahead && !reg.joined
-		if unread {
-			f.markUnreadLocked(id)
-		}
 		f.mu.Unlock()
-		var err error
-		cached := false
-		if pg, err = applyAll(pg, queued); err == nil {
-			cached, err = f.cache.PutFetched(pg, f.evictedLSN)
+		put := f.cache.PutFetched
+		if unjoined {
+			put = f.cache.PutHinted
 		}
-		if unread && !cached {
-			f.mu.Lock()
-			f.forgetUnreadLocked(id)
-			f.mu.Unlock()
+		var err error
+		if pg, err = applyAll(pg, queued); err == nil {
+			_, err = put(pg, f.evictedLSN)
 		}
 		if err != nil {
 			return nil, err
 		}
+		installed, parked = true, unjoined
 	}
 }
 

@@ -64,38 +64,3 @@ func (f *RemotePageFile) readAhead(id page.ID, reg *registration) {
 	// and reports the error, if there still is one, to somebody who asked.
 	_, _ = f.fetch(f.ahead, id, reg, true)
 }
-
-// The unread set is how compute.readahead.joined counts the hints that paid
-// off after their fetch had landed: a page read-ahead put in the cache is
-// marked, and the first Read to hit it takes the mark and counts. (A Read
-// that comes while the fetch is still in the air counts in register.) A page
-// evicted from memory unread loses its mark — if it is read after all, from
-// the SSD tier or by another fetch, read-ahead did not save that reader much.
-
-// markUnreadLocked marks a page read-ahead has just cached; caller holds f.mu.
-func (f *RemotePageFile) markUnreadLocked(id page.ID) {
-	if _, ok := f.unread[id]; !ok {
-		f.unread[id] = struct{}{}
-		f.unreadN.Add(1)
-	}
-}
-
-// forgetUnreadLocked drops the page's mark, if any; caller holds f.mu.
-func (f *RemotePageFile) forgetUnreadLocked(id page.ID) {
-	if _, ok := f.unread[id]; ok {
-		delete(f.unread, id)
-		f.unreadN.Add(-1)
-	}
-}
-
-// noteReadAheadHit counts the first Read of a page that read-ahead brought
-// into the cache.
-func (f *RemotePageFile) noteReadAheadHit(id page.ID) {
-	f.mu.Lock()
-	_, hit := f.unread[id]
-	f.forgetUnreadLocked(id)
-	f.mu.Unlock()
-	if hit {
-		f.obsReg.Counter("compute.readahead.joined").Inc()
-	}
-}

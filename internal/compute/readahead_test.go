@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -368,9 +369,10 @@ func TestReadAheadQueuedRedoReachesJoinerAndCache(t *testing.T) {
 	}
 }
 
-// TestReadAheadHitCountsOnce: a page read-ahead brought in counts as joined
-// at its first Read and never again; a hint that failed costs its reader
-// nothing but the fetch.
+// TestReadAheadHitCountsOnce: a page read-ahead brought in waits in the
+// cache's ahead area, counts as joined at its first Read — which is a memory
+// hit, and the cache's own count of it — and never again; a hint that failed
+// costs its reader nothing but the fetch.
 func TestReadAheadHitCountsOnce(t *testing.T) {
 	srv := newFakePageServer()
 	_ = srv.store.Write(&page.Page{ID: 3, LSN: 10, Type: page.TypeLeaf, Data: btree.EmptyNodePayload()})
@@ -382,10 +384,13 @@ func TestReadAheadHitCountsOnce(t *testing.T) {
 	f.Prefetch([]page.ID{3, 4})
 	within(t, "the failing read-ahead", func() { (<-arrived) <- errors.New("page server hiccup") })
 	within(t, "read-ahead to land", func() {
-		for !f.Cache().Contains(3) || f.unreadN.Load() != 1 {
+		for f.Cache().Ahead().Parked != 1 {
 			time.Sleep(50 * time.Microsecond) //socrates:sleep-ok deadline-bounded poll for the background install
 		}
 	})
+	if !f.Cache().Contains(3) || joined.Value() != 0 {
+		t.Fatalf("parked page: Contains %v, joined %d; want it cached and not yet counted", f.Cache().Contains(3), joined.Value())
+	}
 	for i := 0; i < 3; i++ {
 		if _, err := f.Read(3); err != nil {
 			t.Fatal(err)
@@ -394,6 +399,15 @@ func TestReadAheadHitCountsOnce(t *testing.T) {
 	if joined.Value() != 1 || pageRemoteWaits(waits) != 0 {
 		t.Fatalf("joined = %d, page.remote waits = %d; want 1 and 0: three hits on one page read ahead",
 			joined.Value(), pageRemoteWaits(waits))
+	}
+	if memHits, _, misses := f.Cache().Stats(); memHits != 3 || misses != 0 {
+		t.Fatalf("%d memory hits, %d misses; want 3 and 0: the first read of a parked page is a memory hit", memHits, misses)
+	}
+	if ahead := f.Cache().Ahead(); ahead != (rbpex.AheadStats{Parked: 1, Read: 1}) ||
+		reg.Counter("compute.rbpex.ahead.parked").Value() != 1 || reg.Counter("compute.rbpex.ahead.read").Value() != 1 ||
+		reg.Counter("compute.rbpex.ahead.displaced").Value() != 0 {
+		t.Fatalf("ahead area: %+v, registry parked %d read %d", ahead,
+			reg.Counter("compute.rbpex.ahead.parked").Value(), reg.Counter("compute.rbpex.ahead.read").Value())
 	}
 	// The failed hint left nothing behind: its reader fetches and succeeds.
 	within(t, "read after a failed hint", func() {
@@ -412,6 +426,50 @@ func TestReadAheadHitCountsOnce(t *testing.T) {
 	})
 	if joined.Value() != 1 || srv.seen(4) != 2 {
 		t.Fatalf("joined = %d, page 4 requested %d times; want 1 and 2", joined.Value(), srv.seen(4))
+	}
+}
+
+// TestRedoReachesParkedPageBeforeItsReader is §4.5 for a page in the cache's
+// ahead area, step by step: the read-ahead has installed the page and ended
+// its registration, nobody has read it; redo for it arrives. The page is
+// cached — the apply thread must not ignore the record, as it does for pages
+// the node does not hold — so the record is applied to the parked image, and
+// the reader that comes next sees it, without asking the page server again.
+func TestRedoReachesParkedPageBeforeItsReader(t *testing.T) {
+	srv := newFakePageServer()
+	_ = srv.store.Write(&page.Page{ID: 3, LSN: 10, Type: page.TypeLeaf, Data: btree.EmptyNodePayload()})
+	f, reg, _ := srv.remoteFile(t, 16, nil)
+
+	f.Prefetch([]page.ID{3})
+	within(t, "the read-ahead to park its page", func() {
+		for f.Cache().Ahead().Parked != 1 {
+			time.Sleep(50 * time.Microsecond) //socrates:sleep-ok deadline-bounded poll for the background install
+		}
+	})
+	f.Close() // the registration is over when the fetch's goroutine is
+
+	// What Secondary.applyRecord does with a page operation.
+	rec := &wal.Record{LSN: 11, Kind: wal.KindCellPut, Page: 3, Key: []byte("k"), Value: []byte("v")}
+	if f.QueueIfPending(rec) {
+		t.Fatal("the registration outlived the read-ahead's install")
+	}
+	if applied, err := f.ApplyIfCached(rec); err != nil || !applied {
+		t.Fatalf("redo for a parked page: applied %v, err %v; the page is cached", applied, err)
+	}
+
+	pg, err := f.Read(3)
+	if err != nil || pg.LSN != 11 {
+		t.Fatalf("read after the redo: %+v %v, want the page at LSN 11", pg, err)
+	}
+	if v, found, err := btree.LookupCell(pg, []byte("k")); err != nil || !found || string(v) != "v" {
+		t.Fatalf("the reader's page lacks the redo: %q %v %v", v, found, err)
+	}
+	if srv.seen(3) != 1 || f.Fetches() != 1 {
+		t.Fatalf("page requested %d times, Fetches() = %d; want the read-ahead's one request", srv.seen(3), f.Fetches())
+	}
+	// The apply thread's was the page's first read: the hint is counted once.
+	if joined := reg.Counter("compute.readahead.joined").Value(); joined != 1 {
+		t.Fatalf("joined = %d, want 1", joined)
 	}
 }
 
@@ -684,6 +742,77 @@ func TestCommitWarmsWriteSetTogether(t *testing.T) {
 	got, found, err := e.BeginRO().Get("t", keys[0])
 	if err != nil || !found || string(got) != "after" {
 		t.Fatalf("row = %q %v %v, want the last commit's value", got, found, err)
+	}
+}
+
+// TestCommitLeavesItsWriteSetProtected: the leaves of an 8-row commit are
+// parked in the cache's ahead area, hinted and unread, when the commit
+// begins. Its pre-read takes them from there — every hint meets its reader,
+// none is displaced, none is fetched again — and under commitMu they are read
+// once more and written: referenced twice, they stay where they are while a
+// pass of cold pages twice the memory tier's size goes through it.
+func TestCommitLeavesItsWriteSetProtected(t *testing.T) {
+	const memPages = 64
+	srv := newFakePageServer()
+	log := engine.NewMemPipeline()
+	srv.buildDatabase(t, log, 600)
+	var keys [][]byte
+	var leaves []page.ID
+	for i := 0; i < 600 && len(keys) < 8; i++ {
+		if leaf := srv.leafOf(t, rowKey(i)); !slices.Contains(leaves, leaf) {
+			leaves = append(leaves, leaf)
+			keys = append(keys, rowKey(i))
+		}
+	}
+	var cold []page.ID
+	for id := page.ID(100000); id < 100000+2*memPages; id++ {
+		_ = srv.store.Write(&page.Page{ID: id, LSN: 5, Type: page.TypeLeaf, Data: btree.EmptyNodePayload()})
+		cold = append(cold, id)
+	}
+
+	f, reg, _ := srv.remoteFile(t, memPages, nil)
+	e, err := engine.Open(engine.Config{Pages: f, Log: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Clock().Publish(1000) // what recoverVisibility does on a real node
+	f.Prefetch(leaves)
+	within(t, "the hinted leaves to land", func() {
+		for f.Cache().Ahead().Parked != int64(len(leaves)) {
+			time.Sleep(50 * time.Microsecond) //socrates:sleep-ok deadline-bounded poll for the background installs
+		}
+	})
+
+	tx := e.Begin()
+	for _, k := range keys {
+		if err := tx.Put("t", k, []byte("protected")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	joined := reg.Counter("compute.readahead.joined").Value()
+	if ahead := f.Cache().Ahead(); joined != uint64(len(leaves)) || ahead.Read != ahead.Parked || ahead.Displaced != 0 {
+		t.Fatalf("joined %d; ahead area %+v; want each of the %d parked leaves read once", joined, ahead, len(leaves))
+	}
+
+	for _, id := range cold {
+		if _, err := f.Read(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Cache().ResetStats()
+	for _, leaf := range leaves {
+		if _, err := f.Read(leaf); err != nil {
+			t.Fatal(err)
+		}
+		if n := srv.seen(leaf); n != 1 {
+			t.Errorf("leaf %d requested %d times; a pass of cold pages pushed it out", leaf, n)
+		}
+	}
+	if mem, _, misses := f.Cache().Stats(); mem != int64(len(leaves)) || misses != 0 {
+		t.Fatalf("the write set after %d cold pages: %d memory hits, %d misses; want %d and 0", len(cold), mem, misses, len(leaves))
 	}
 }
 

@@ -4,8 +4,8 @@
 // it; only the policy differs:
 //
 //   - sparse (compute nodes): the cache holds the hottest pages; both tiers
-//     evict LRU, and a page falling out entirely triggers the OnEvict hook
-//     (which feeds the primary's evicted-LSN map for GetPage@LSN).
+//     evict from a segmented LRU, and a page falling out entirely triggers the
+//     OnEvict hook (which feeds the primary's evicted-LSN map for GetPage@LSN).
 //   - covering (page servers): the SSD tier holds every page of the
 //     partition in a stride-preserving layout — slot k holds page base+k —
 //     so a multi-page range read from a compute node translates into a
@@ -21,13 +21,18 @@
 // memory tier is parked where every reader still finds it and queued for one
 // background drainer, which writes slots in batches and makes a batch's
 // metadata durable with one append. A Put never waits for the SSD.
+//
+// Admission is scan-resistant (DESIGN §20): both tiers keep the pages that
+// were referenced twice apart from those that were referenced once (segLRU),
+// and what read-ahead brings in waits outside the tiers, in the ahead area,
+// until somebody reads it.
 package rbpex
 
 import (
-	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"socrates/internal/hekaton"
@@ -73,14 +78,14 @@ type Config struct {
 }
 
 type memEntry struct {
-	pg  *page.Page
-	elt *list.Element
+	node
+	pg *page.Page
 }
 
 type ssdEntry struct {
+	node // unlinked in covering mode
 	slot int
 	lsn  page.LSN
-	elt  *list.Element // nil in covering mode
 	// pins counts the demotions that have chosen to rewrite this entry's
 	// slot in place and have not published yet. A pinned entry is not an
 	// eviction candidate: its slot is being written.
@@ -89,10 +94,16 @@ type ssdEntry struct {
 
 // backlogPages bounds the write-behind backlog — pages that have left the
 // memory tier and are not on the SSD tier yet. One read-ahead window
-// (btree.ReadAhead): a scan's installs never wait for the drainer, and the
-// backlog holds 128 KB at most. A put that has to evict with the backlog
-// full waits for the drainer.
+// (btree.ReadAhead), 128 KB at most: the evictions of a window's reads never
+// wait for the drainer. A put that has to evict with the backlog full waits
+// for the drainer.
 const backlogPages = 16
+
+// aheadPages bounds the ahead area: one read-ahead window and the page its
+// scan is on — before a scan reads child i it has hinted children i+1 … i+16,
+// and child i, hinted earlier, may still be waiting there. One scan's hints
+// therefore never displace each other.
+const aheadPages = backlogPages + 1
 
 // demotion is one page on its way from the memory tier to the SSD tier.
 type demotion struct {
@@ -101,13 +112,17 @@ type demotion struct {
 	id  page.ID
 	lsn page.LSN
 	pg  *page.Page
+	// hot says the page had been protected in the memory tier: it is
+	// protected in the SSD tier.
+	hot bool
 	// seq orders evictions (from 1); zero marks a synchronous demotion, which
 	// was never queued. Of two queued versions of one page the higher seq is
 	// the one that counts.
 	seq uint64
 
 	// What chooseSlotsLocked decided, for writeSlots and publishLocked.
-	skip      bool // nothing to write: overtaken in the queue, or the SSD copy is current
+	skip      bool // nothing to write: the SSD copy is current, or the page had a turn in this round already (again)
+	again     bool
 	pinned    bool // holds a pin on the page's SSD entry until the batch is published
 	slot      int
 	inPlace   bool // rewrites the slot of its (pinned) SSD entry; no metadata row changes
@@ -125,8 +140,17 @@ type WriteBehindStats struct {
 	BlockedPuts int64 // puts that found the backlog full and waited for the drainer
 }
 
-// wbCounter is one WriteBehindStats field (under Cache.mu), mirrored onto a
-// registry counter when the cache is instrumented.
+// AheadStats counts what became of the pages read-ahead installed
+// (PutHinted) since Open. Parked − Read − Displaced are still parked, or were
+// superseded by a put of the page.
+type AheadStats struct {
+	Parked    int64 // pages that entered the ahead area
+	Read      int64 // of those, read while parked: moved into the memory tier by their first Get
+	Displaced int64 // left the cache unread, pushed out by newer read-ahead
+}
+
+// wbCounter is one WriteBehindStats or AheadStats field (under Cache.mu),
+// mirrored onto a registry counter when the cache is instrumented.
 type wbCounter struct {
 	n   int64
 	reg *obs.Counter
@@ -169,7 +193,14 @@ type Cache struct {
 
 	mu     sync.Mutex
 	mem    map[page.ID]*memEntry
-	memLRU *list.List // front = most recent; values are page.ID
+	memLRU segLRU
+	// ahead is the ahead area, oldest first: pages installed by read-ahead
+	// that nobody has read yet (DESIGN §20.1). They are in the cache for
+	// every lookup and in no tier: arriving, one evicts nothing but the
+	// oldest of its kind; its first Get moves it into the memory tier; pushed
+	// out unread it leaves the cache without ever being queued for the SSD
+	// tier. A parked page is nowhere else in the cache.
+	ahead []*page.Page
 	// demoting holds the newest version of every page that has left the
 	// memory tier and is not published on the SSD tier yet: queued, or being
 	// written. Until then the SSD slot holds an older image (or none), so Get
@@ -186,7 +217,7 @@ type Cache struct {
 	draining bool
 	wake     *sync.Cond
 	ssd      map[page.ID]*ssdEntry
-	ssdLRU   *list.List // sparse mode only
+	ssdLRU   segLRU // sparse mode only
 	free     []int
 	nextSlot int
 	// claimed counts fresh slots chosen for demotions that have not
@@ -194,6 +225,8 @@ type Cache struct {
 	claimed int
 
 	queued, written, superseded, dropped, batches, blockedPuts wbCounter
+	parked, aheadRead, displaced                               wbCounter
+	firstRead                                                  *obs.Counter // see Instrument
 
 	memHits metrics.Counter
 	ssdHits metrics.Counter
@@ -212,12 +245,13 @@ func Open(cfg Config) (*Cache, error) {
 	c := &Cache{
 		cfg:      cfg,
 		mem:      make(map[page.ID]*memEntry),
-		memLRU:   list.New(),
+		ahead:    make([]*page.Page, 0, aheadPages),
 		demoting: make(map[page.ID]demotion),
 		queue:    make([]demotion, 0, backlogPages),
 		ssd:      make(map[page.ID]*ssdEntry),
-		ssdLRU:   list.New(),
 	}
+	c.memLRU.init(cfg.MemPages)
+	c.ssdLRU.init(cfg.SSDPages)
 	c.wake = sync.NewCond(&c.mu)
 	if cfg.SSDPages > 0 {
 		if cfg.SSD == nil || cfg.Meta == nil {
@@ -252,9 +286,9 @@ func Open(cfg Config) (*Cache, error) {
 		})
 		used := make(map[int]bool)
 		for _, r := range rows {
-			e := &ssdEntry{slot: r.slot, lsn: r.lsn}
+			e := &ssdEntry{node: node{id: r.id}, slot: r.slot, lsn: r.lsn}
 			if !cfg.Covering {
-				e.elt = c.ssdLRU.PushBack(r.id)
+				c.ssdLRU.admit(&e.node, false)
 			}
 			c.ssd[r.id] = e
 			used[r.slot] = true
@@ -291,14 +325,26 @@ func (c *Cache) slotFor(id page.ID) int { return int(id - c.cfg.Base) }
 
 // Get returns the cached page and whether it was found. The page is the
 // cache's own, shared with every other reader and immutable (DESIGN §16):
-// a memory hit hands out the stored pointer and copies nothing. SSD hits
-// pay one SSD read, decode in that buffer, and promote the page to the
-// memory tier.
+// a memory hit hands out the stored pointer and copies nothing. The first Get
+// of a page read-ahead parked is a memory hit too, and moves the page into
+// the memory tier. SSD hits pay one SSD read, decode in that buffer, and
+// promote the page to the memory tier.
+//
+//socrates:hotpath every page read of either user starts here, and on a warm node ends at the first return; budget enforced by TestGetHitAllocs
 func (c *Cache) Get(id page.ID) (*page.Page, bool) {
 	c.mu.Lock()
 	if e, ok := c.mem[id]; ok {
-		c.memLRU.MoveToFront(e.elt)
+		c.memLRU.touch(&e.node)
 		pg := e.pg
+		c.mu.Unlock()
+		c.memHits.Inc()
+		return pg, true
+	}
+	if pg := c.unparkLocked(id); pg != nil {
+		c.aheadRead.inc()
+		c.firstRead.Inc()
+		//socrates:lock-ok evictLocked starts the drainer, it does not run it: round is taken on the drainer's own goroutine, and nothing takes round while holding mu
+		c.admitLocked(id, pg, false)
 		c.mu.Unlock()
 		c.memHits.Inc()
 		return pg, true
@@ -316,10 +362,16 @@ func (c *Cache) Get(id page.ID) (*page.Page, bool) {
 	}
 	slot := e.slot
 	if !c.cfg.Covering {
-		c.ssdLRU.MoveToFront(e.elt)
+		c.ssdLRU.touch(&e.node)
 	}
 	c.mu.Unlock()
+	return c.readSlot(id, slot)
+}
 
+// readSlot is the rest of an SSD hit: the slot read, without the lock, and the
+// promotion — into the protected segment of the memory tier, this being a
+// second reference to the page.
+func (c *Cache) readSlot(id page.ID, slot int) (*page.Page, bool) {
 	// page.miss: the memory tier missed and the caller blocks on the SSD
 	// slot read. Aggregate-only; cache reads carry no request context.
 	region := c.cfg.Waits.Begin(nil, obs.WaitPageMiss)
@@ -337,8 +389,48 @@ func (c *Cache) Get(id page.ID) (*page.Page, bool) {
 		return nil, false
 	}
 	c.ssdHits.Inc()
-	c.promote(pg)
+	//socrates:ignore-err promotion only refreshes the memory tier; the SSD copy just read remains authoritative, so a failed promote costs one re-read
+	_, _ = c.put(pg, promoted, nil)
 	return pg, true
+}
+
+// aheadIndexLocked finds the page in the ahead area (-1: not parked). At most
+// aheadPages entries, looked through only when the memory tier has missed.
+// Caller holds c.mu.
+func (c *Cache) aheadIndexLocked(id page.ID) int {
+	for i, pg := range c.ahead {
+		if pg.ID == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// unparkLocked takes the page out of the ahead area, if it is there. Caller
+// holds c.mu.
+func (c *Cache) unparkLocked(id page.ID) *page.Page {
+	i := c.aheadIndexLocked(id)
+	if i < 0 {
+		return nil
+	}
+	pg := c.ahead[i]
+	c.ahead = slices.Delete(c.ahead, i, i+1)
+	return pg
+}
+
+// parkLocked puts a page read-ahead fetched in the ahead area. It evicts
+// nothing from either tier: with the area full the oldest page in it, which
+// nobody came to read, leaves the cache — recorded like any eviction, written
+// nowhere. Caller holds c.mu.
+func (c *Cache) parkLocked(pg *page.Page) {
+	if len(c.ahead) == aheadPages {
+		old := c.ahead[0]
+		c.ahead = slices.Delete(c.ahead, 0, 1)
+		c.displaced.inc()
+		c.notifyEvictLocked(old.ID, old.LSN)
+	}
+	c.ahead = append(c.ahead, pg)
+	c.parked.inc()
 }
 
 // GetLSN reports the LSN of the cached copy — the one Get would return —
@@ -349,6 +441,9 @@ func (c *Cache) GetLSN(id page.ID) (page.LSN, bool) {
 	if e, ok := c.mem[id]; ok {
 		return e.pg.LSN, true
 	}
+	if i := c.aheadIndexLocked(id); i >= 0 {
+		return c.ahead[i].LSN, true
+	}
 	if d, ok := c.demoting[id]; ok {
 		return d.lsn, true
 	}
@@ -358,11 +453,18 @@ func (c *Cache) GetLSN(id page.ID) (page.LSN, bool) {
 	return 0, false
 }
 
-// Contains reports whether the page is cached, in either tier or on its way
-// from one to the other. Unlike Get it reads nothing and counts nothing.
+// Contains reports whether the page is cached: in either tier, on its way
+// from one to the other, or in the ahead area. Unlike Get it reads nothing,
+// moves nothing and counts nothing.
 func (c *Cache) Contains(id page.ID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.tieredLocked(id) || c.aheadIndexLocked(id) >= 0
+}
+
+// tieredLocked reports whether the page is in a tier or between the two.
+// Caller holds c.mu.
+func (c *Cache) tieredLocked(id page.ID) bool {
 	_, inMem := c.mem[id]
 	_, inFlight := c.demoting[id]
 	_, inSSD := c.ssd[id]
@@ -375,7 +477,7 @@ func (c *Cache) Contains(id page.ID) bool {
 // to the cached one; an image that was read somewhere else a while ago goes
 // through PutFetched.
 func (c *Cache) Put(pg *page.Page) error {
-	_, err := c.put(pg, false, nil)
+	_, err := c.put(pg, written, nil)
 	return err
 }
 
@@ -389,13 +491,29 @@ func (c *Cache) Put(pg *page.Page) error {
 // cache lock like OnEvict, so the answer cannot go stale before the install,
 // and like OnEvict it must not call back into the cache.
 func (c *Cache) PutFetched(pg *page.Page, evictedLSN func(page.ID) page.LSN) (installed bool, err error) {
-	return c.put(pg, true, evictedLSN)
+	return c.put(pg, fetched, evictedLSN)
 }
 
-// promote is Put for pages read back from the SSD tier.
-//
-//socrates:ignore-err promotion only refreshes the memory tier; the SSD copy just read remains authoritative, so a failed promote costs one re-read
-func (c *Cache) promote(pg *page.Page) { _, _ = c.put(pg, true, nil) }
+// PutHinted is PutFetched for an image nobody is waiting for: read-ahead
+// fetched it on a hint. Under the same rule — it never moves a page backwards
+// — the image is parked in the ahead area instead of the memory tier, unless
+// the cache holds an older version of the page somewhere: then it takes that
+// version's place, as PutFetched would have it. (A PutFetched of a parked page,
+// in the parked version or a newer one, takes it out of the area: a reader
+// has it now.)
+func (c *Cache) PutHinted(pg *page.Page, evictedLSN func(page.ID) page.LSN) (installed bool, err error) {
+	return c.put(pg, hinted, evictedLSN)
+}
+
+// origin says where the image handed to put comes from.
+type origin int
+
+const (
+	written  origin = iota // Put: the newest version there is
+	fetched                // PutFetched: read from another copy of the database
+	hinted                 // PutHinted: fetched, and nobody has asked for it yet
+	promoted               // read back from the SSD tier by a Get
+)
 
 // supersededLocked reports whether the cache already holds the page in a
 // version at least as new as pg, an image that was read without the lock —
@@ -403,9 +521,15 @@ func (c *Cache) promote(pg *page.Page) { _, _ = c.put(pg, true, nil) }
 // version may meanwhile have been Put (resident), evicted again (in flight
 // to SSD), or landed on SSD; installing pg then would shadow it in the
 // memory tier. Caller holds c.mu.
-func (c *Cache) supersededLocked(pg *page.Page) bool {
+func (c *Cache) supersededLocked(pg *page.Page, from origin) bool {
 	if e, resident := c.mem[pg.ID]; resident {
 		return e.pg.LSN.AtLeast(pg.LSN)
+	}
+	if i := c.aheadIndexLocked(pg.ID); i >= 0 {
+		// The parked version itself, fetched for a reader, is not
+		// superseded: somebody has read the page now, and the put takes it
+		// into the memory tier.
+		return c.ahead[i].LSN.After(pg.LSN) || (from != fetched && c.ahead[i].LSN == pg.LSN)
 	}
 	if d, inFlight := c.demoting[pg.ID]; inFlight {
 		return d.lsn.AtLeast(pg.LSN)
@@ -414,11 +538,11 @@ func (c *Cache) supersededLocked(pg *page.Page) bool {
 	return onSSD && e.lsn.After(pg.LSN)
 }
 
-// put installs pg in the memory tier. With readUnlocked set pg is an image
-// that was read without the lock (promote, PutFetched); one that lost the
-// race to a newer version is dropped — the reader keeps its older, consistent
-// image and the cache keeps the newer one.
-func (c *Cache) put(pg *page.Page, readUnlocked bool, evictedLSN func(page.ID) page.LSN) (installed bool, err error) {
+// put installs pg: in the ahead area if it is hinted and new to the cache, in
+// the memory tier otherwise. An image that was read without the lock (every
+// origin but written) and lost the race to a newer version is dropped — the
+// reader keeps its older, consistent image and the cache keeps the newer one.
+func (c *Cache) put(pg *page.Page, from origin, evictedLSN func(page.ID) page.LSN) (installed bool, err error) {
 	// Covering caches are dense: the SSD tier holds every page at all
 	// times (range reads and recovery depend on it), so puts write
 	// through. demote skips the I/O when the SSD copy is already current.
@@ -429,27 +553,43 @@ func (c *Cache) put(pg *page.Page, readUnlocked bool, evictedLSN func(page.ID) p
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if readUnlocked && (c.supersededLocked(pg) || (evictedLSN != nil && evictedLSN(pg.ID).After(pg.LSN))) {
+	if from != written && (c.supersededLocked(pg, from) || (evictedLSN != nil && evictedLSN(pg.ID).After(pg.LSN))) {
 		return false, nil
 	}
 	if e, ok := c.mem[pg.ID]; ok {
 		e.pg = pg
-		c.memLRU.MoveToFront(e.elt)
+		c.memLRU.touch(&e.node)
 		return true, nil
 	}
-	e := &memEntry{pg: pg}
-	e.elt = c.memLRU.PushFront(pg.ID)
-	c.mem[pg.ID] = e
+	switch i := c.aheadIndexLocked(pg.ID); {
+	case i >= 0 && from == hinted:
+		c.ahead[i] = pg // the same flight's image again, with the redo that arrived since
+		return true, nil
+	case i >= 0:
+		c.ahead = slices.Delete(c.ahead, i, i+1) // superseded unread
+	case from == hinted && !c.tieredLocked(pg.ID):
+		c.parkLocked(pg)
+		return true, nil
+	}
+	//socrates:lock-ok evictLocked starts the drainer, it does not run it: round is taken on the drainer's own goroutine, and nothing takes round while holding mu
+	c.admitLocked(pg.ID, pg, from == promoted)
+	return true, nil
+}
+
+// admitLocked gives the page an entry in the memory tier — on probation, or
+// protected — and evicts to make room for it. Caller holds c.mu.
+func (c *Cache) admitLocked(id page.ID, pg *page.Page, protected bool) {
+	e := &memEntry{node: node{id: id}, pg: pg}
+	c.mem[id] = e
+	c.memLRU.admit(&e.node, protected)
 	for len(c.mem) > c.cfg.MemPages {
-		//socrates:lock-ok evictLocked starts the drainer, it does not run it: round is taken on the drainer's own goroutine, and nothing takes round while holding mu
 		if !c.evictLocked() {
 			c.awaitDrainerLocked()
 		}
 	}
-	return true, nil
 }
 
-// evictLocked takes the LRU page out of the memory tier. With an SSD tier
+// evictLocked takes the memory tier's victim out of it. With an SSD tier
 // the page stays cached: it is parked in demoting and queued for the
 // drainer, and nobody waits for the device. It reports false, having done
 // nothing, when the page has to be queued and the backlog is full. Caller
@@ -457,18 +597,18 @@ func (c *Cache) put(pg *page.Page, readUnlocked bool, evictedLSN func(page.ID) p
 //
 //socrates:hotpath once per Put that evicts, on the read path (install) and under the commit latch (Write); budget enforced by TestPutEvictAllocs
 func (c *Cache) evictLocked() bool {
-	victim := c.memLRU.Back()
-	id := victim.Value.(page.ID)
+	victim := c.memLRU.victim(nil)
+	id, hot := victim.id, victim.wasProtected
 	pg := c.mem[id].pg
 	lsn := pg.LSN
 	tiered := c.cfg.SSDPages > 0
 	// A page whose SSD copy is already current is not queued; its recency
 	// on the SSD tier is refreshed now, as a demotion would have.
-	queue := tiered && !c.ssdCurrentLocked(id, lsn)
+	queue := tiered && !c.ssdCurrentLocked(id, lsn, hot)
 	if queue && c.backlog >= backlogPages {
 		return false
 	}
-	c.memLRU.Remove(victim)
+	c.memLRU.remove(victim)
 	delete(c.mem, id)
 	// Record the eviction atomically with the removal from the memory
 	// tier — even when the page is headed for the SSD tier, because a
@@ -479,7 +619,7 @@ func (c *Cache) evictLocked() bool {
 		return true
 	}
 	c.evictSeq++
-	d := demotion{id: id, lsn: lsn, pg: pg, seq: c.evictSeq}
+	d := demotion{id: id, lsn: lsn, pg: pg, seq: c.evictSeq, hot: hot}
 	c.demoting[id] = d
 	//socrates:alloc-ok the queue's backing array has room for the whole backlog from Open on
 	c.queue = append(c.queue, d)
@@ -496,15 +636,27 @@ func (c *Cache) evictLocked() bool {
 
 // ssdCurrentLocked reports whether the SSD tier holds the page at lsn or
 // newer, and if so refreshes the copy's recency. Caller holds c.mu.
-func (c *Cache) ssdCurrentLocked(id page.ID, lsn page.LSN) bool {
+func (c *Cache) ssdCurrentLocked(id page.ID, lsn page.LSN, hot bool) bool {
 	e, ok := c.ssd[id]
 	if !ok || e.lsn.Before(lsn) {
 		return false
 	}
-	if !c.cfg.Covering {
-		c.ssdLRU.MoveToFront(e.elt)
-	}
+	c.redemotedLocked(e, hot)
 	return true
+}
+
+// redemotedLocked is what a demotion does to the replacement order of the SSD
+// tier when the tier holds the page already: a page that had been protected
+// in memory is protected here, any other moves to the head of its segment.
+// Caller holds c.mu.
+func (c *Cache) redemotedLocked(e *ssdEntry, hot bool) {
+	switch {
+	case c.cfg.Covering:
+	case hot:
+		c.ssdLRU.touch(&e.node)
+	default:
+		c.ssdLRU.refresh(&e.node)
+	}
 }
 
 // awaitDrainerLocked blocks a put that must evict while the backlog is full
@@ -600,7 +752,7 @@ func (c *Cache) carry(w *slotWriter, fromQueue bool) error {
 }
 
 // chooseSlotsLocked decides, for the demotions of batch in order, what each
-// writes where, and returns how many it got to: the SSD LRU can run out of
+// writes where, and returns how many it got to: the SSD tier can run out of
 // victims mid-batch, and the rest then waits for the next round, whose
 // victims are this round's pages. The first demotion of a round always gets
 // its slot. Caller holds c.mu.
@@ -608,29 +760,32 @@ func (c *Cache) carry(w *slotWriter, fromQueue bool) error {
 // The choices are those the demotions would make one after another, each
 // published before the next begins. What stands in for the publication is
 // the pin: an entry whose slot is being rewritten in place is no victim for
-// the demotions behind it (published, it would sit at the front of the LRU).
+// the demotions behind it (published, it would sit at the head of its
+// segment). And the round takes no victim from the protected segment while
+// probation, had its own pages been published already, would not be empty:
+// published, the round's probationers — or the one pinned there — would be
+// the victims.
 func (c *Cache) chooseSlotsLocked(batch []demotion) int {
+	onProbation := false // the round has given a slot to a page that will enter on probation
 	for i := range batch {
 		d := &batch[i]
 		e, exists := c.ssd[d.id]
-		// A newer version of the page is queued behind this one: nothing to
-		// write, but the page's SSD copy stays put for the newer version to
-		// overwrite, as if this one had been written first.
-		overtaken := d.seq != 0 && c.demoting[d.id].seq != d.seq
-		if !overtaken && c.ssdCurrentLocked(d.id, d.lsn) {
-			d.skip = true
-			continue
+		// Of the versions of a page queued behind one another, the newest is
+		// written, at the turn of the first: there the page takes its place
+		// in the tier, as if that version had been written, and the turns
+		// behind it in the round move it in the replacement order and
+		// nothing else — like the turn of a page whose SSD copy is current.
+		d.again = d.seq != 0 && slices.ContainsFunc(batch[:i], func(b demotion) bool { return b.id == d.id })
+		if newest := c.demoting[d.id]; d.seq != 0 && newest.seq != d.seq {
+			d.lsn, d.pg = newest.lsn, newest.pg
 		}
+		d.skip = d.again || (exists && e.lsn.AtLeast(d.lsn))
 		if exists {
 			e.pins++
 			d.pinned = true
+			d.slot, d.inPlace = e.slot, !d.skip
 		}
-		if overtaken {
-			d.skip = true
-			continue
-		}
-		if exists {
-			d.slot, d.inPlace = e.slot, true
+		if exists || d.skip {
 			continue
 		}
 		switch {
@@ -643,24 +798,25 @@ func (c *Cache) chooseSlotsLocked(batch []demotion) int {
 			d.slot = c.nextSlot
 			c.nextSlot++
 		default:
-			// SSD full: evict the SSD LRU victim and reuse its slot. The
+			// SSD full: evict the tier's victim and reuse its slot. The
 			// eviction is recorded before the lock drops, so a concurrent
 			// miss always sees the evicted-LSN entry.
-			back := c.ssdLRU.Back()
-			for back != nil && c.ssd[back.Value.(page.ID)].pins > 0 {
-				back = back.Prev()
+			v, pinned := c.ssdLRU.victim(nil), false
+			for v != nil && c.ssd[v.id].pins > 0 {
+				pinned = pinned || !v.protected
+				v = c.ssdLRU.victim(v)
 			}
-			if back == nil {
+			if v == nil || (v.protected && (pinned || onProbation)) {
 				return i
 			}
-			vid := back.Value.(page.ID)
-			ve := c.ssd[vid]
-			c.ssdLRU.Remove(back)
-			delete(c.ssd, vid)
-			d.slot, d.victim, d.hasVictim = ve.slot, vid, true
-			c.notifyEvictLocked(vid, ve.lsn)
+			ve := c.ssd[v.id]
+			c.ssdLRU.remove(v)
+			delete(c.ssd, v.id)
+			d.slot, d.victim, d.hasVictim = ve.slot, v.id, true
+			c.notifyEvictLocked(v.id, ve.lsn)
 		}
 		c.claimed++
+		onProbation = onProbation || !d.hot
 	}
 	return len(batch)
 }
@@ -708,7 +864,7 @@ func (c *Cache) writeSlots(w *slotWriter) error {
 }
 
 // publishLocked makes a written batch visible: each page becomes (or
-// refreshes) its SSD entry, at the front of the LRU in batch order, and
+// refreshes) its SSD entry, at the head of its segment in batch order, and
 // leaves demoting unless a newer version has been parked there meanwhile.
 // Caller holds c.mu.
 func (c *Cache) publishLocked(batch []demotion) {
@@ -716,22 +872,23 @@ func (c *Cache) publishLocked(batch []demotion) {
 		d := &batch[i]
 		switch {
 		case d.pinned:
-			// Written in place — or overtaken, and its turn passes as if it
-			// had been: the SSD copy is the most recent of the tier now.
+			// Written in place, or a further turn of a page the tier held.
 			e := c.ssd[d.id]
 			e.pins--
 			if d.inPlace {
 				e.lsn = d.lsn
 			}
-			if !c.cfg.Covering {
-				c.ssdLRU.MoveToFront(e.elt)
-			}
+			c.redemotedLocked(e, d.hot)
+		case d.again:
+			// A further turn of a page whose first turn, just published, made
+			// its entry.
+			c.redemotedLocked(c.ssd[d.id], d.hot)
 		case d.skip:
 		default:
 			c.claimed--
-			e := &ssdEntry{slot: d.slot, lsn: d.lsn}
+			e := &ssdEntry{node: node{id: d.id}, slot: d.slot, lsn: d.lsn}
 			if !c.cfg.Covering {
-				e.elt = c.ssdLRU.PushFront(d.id)
+				c.ssdLRU.admit(&e.node, d.hot)
 			}
 			c.ssd[d.id] = e
 		}
@@ -794,7 +951,7 @@ func (c *Cache) abandonLocked(batch []demotion, rowsGone bool) {
 		case d.skip:
 		case d.inPlace:
 			if e := c.ssd[d.id]; e.pins == 0 && !c.cfg.Covering {
-				c.ssdLRU.Remove(e.elt)
+				c.ssdLRU.remove(&e.node)
 				delete(c.ssd, d.id)
 			}
 		default:
@@ -969,7 +1126,7 @@ func (c *Cache) Len() int {
 			n++
 		}
 	}
-	return n
+	return n + len(c.ahead)
 }
 
 // WriteBehind reports the write-behind queue's counters.
@@ -986,18 +1143,33 @@ func (c *Cache) WriteBehind() WriteBehindStats {
 	}
 }
 
-// Instrument mirrors the write-behind counters, from now on, onto counters
-// of r named prefix + ".queued", ".written", ".superseded", ".dropped",
-// ".batches" and ".blocked_puts". Caches instrumented under one prefix add up.
-func (c *Cache) Instrument(r *obs.Registry, prefix string) {
+// Ahead reports what became of the pages read-ahead installed.
+func (c *Cache) Ahead() AheadStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.queued.reg = r.Counter(prefix + ".queued")
-	c.written.reg = r.Counter(prefix + ".written")
-	c.superseded.reg = r.Counter(prefix + ".superseded")
-	c.dropped.reg = r.Counter(prefix + ".dropped")
-	c.batches.reg = r.Counter(prefix + ".batches")
-	c.blockedPuts.reg = r.Counter(prefix + ".blocked_puts")
+	return AheadStats{Parked: c.parked.n, Read: c.aheadRead.n, Displaced: c.displaced.n}
+}
+
+// Instrument mirrors the cache's counters, from now on, onto counters of r:
+// the write-behind queue's under prefix + ".writebehind" (".queued",
+// ".written", ".superseded", ".dropped", ".batches", ".blocked_puts"), the
+// ahead area's under prefix + ".ahead" (".parked", ".read", ".displaced").
+// Caches instrumented under one prefix add up. firstRead, if not nil, counts
+// with ".ahead.read": the reads that found their page because read-ahead had
+// parked it.
+func (c *Cache) Instrument(r *obs.Registry, prefix string, firstRead *obs.Counter) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.queued.reg = r.Counter(prefix + ".writebehind.queued")
+	c.written.reg = r.Counter(prefix + ".writebehind.written")
+	c.superseded.reg = r.Counter(prefix + ".writebehind.superseded")
+	c.dropped.reg = r.Counter(prefix + ".writebehind.dropped")
+	c.batches.reg = r.Counter(prefix + ".writebehind.batches")
+	c.blockedPuts.reg = r.Counter(prefix + ".writebehind.blocked_puts")
+	c.parked.reg = r.Counter(prefix + ".ahead.parked")
+	c.aheadRead.reg = r.Counter(prefix + ".ahead.read")
+	c.displaced.reg = r.Counter(prefix + ".ahead.displaced")
+	c.firstRead = firstRead
 }
 
 // MinSSDLSN reports the oldest LSN among SSD-tier pages and whether the

@@ -153,7 +153,7 @@ func TestCachePagesImmutable(t *testing.T) {
 func TestPromoteKeepsNewerResident(t *testing.T) {
 	c, _ := sparseCache(t, 4, 8)
 	_ = c.Put(mkPage(1, 20, 'n'))
-	c.promote(mkPage(1, 10, 'o'))
+	_, _ = c.put(mkPage(1, 10, 'o'), promoted, nil)
 	if pg, _ := c.Get(1); pg.LSN != 20 || pg.Data[0] != 'n' {
 		t.Fatalf("promotion displaced the resident page: %+v", pg)
 	}
