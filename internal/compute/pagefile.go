@@ -514,9 +514,14 @@ func (f *RemotePageFile) QueueIfPending(rec *wal.Record) bool {
 
 // ApplyIfCached applies a redo record iff the page is cached (the §4.5
 // "ignore log records for uncached pages" policy). Reports whether the
-// record was applied.
+// record was applied. A page read-ahead parked stays parked, in its new
+// version: log apply is not the reader it is waiting for.
 func (f *RemotePageFile) ApplyIfCached(rec *wal.Record) (bool, error) {
-	pg, ok := f.cache.Get(rec.Page)
+	pg, parked := f.cache.Parked(rec.Page)
+	ok := parked
+	if !parked {
+		pg, ok = f.cache.Get(rec.Page)
+	}
 	if !ok {
 		if rec.Kind == wal.KindPageImage {
 			// A page being created: cheap to admit (it arrives complete).
@@ -531,6 +536,10 @@ func (f *RemotePageFile) ApplyIfCached(rec *wal.Record) (bool, error) {
 	next, applied, err := btree.Apply(pg, rec)
 	if err != nil || !applied {
 		return false, err
+	}
+	if parked {
+		_, err = f.cache.PutHinted(next, nil)
+		return true, err
 	}
 	return true, f.cache.Put(next)
 }

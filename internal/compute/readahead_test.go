@@ -384,7 +384,7 @@ func TestReadAheadHitCountsOnce(t *testing.T) {
 	f.Prefetch([]page.ID{3, 4})
 	within(t, "the failing read-ahead", func() { (<-arrived) <- errors.New("page server hiccup") })
 	within(t, "read-ahead to land", func() {
-		for f.Cache().Ahead().Parked != 1 {
+		for reg.Counter("compute.rbpex.ahead.parked").Value() != 1 {
 			time.Sleep(50 * time.Microsecond) //socrates:sleep-ok deadline-bounded poll for the background install
 		}
 	})
@@ -403,11 +403,9 @@ func TestReadAheadHitCountsOnce(t *testing.T) {
 	if memHits, _, misses := f.Cache().Stats(); memHits != 3 || misses != 0 {
 		t.Fatalf("%d memory hits, %d misses; want 3 and 0: the first read of a parked page is a memory hit", memHits, misses)
 	}
-	if ahead := f.Cache().Ahead(); ahead != (rbpex.AheadStats{Parked: 1, Read: 1}) ||
-		reg.Counter("compute.rbpex.ahead.parked").Value() != 1 || reg.Counter("compute.rbpex.ahead.read").Value() != 1 ||
-		reg.Counter("compute.rbpex.ahead.displaced").Value() != 0 {
-		t.Fatalf("ahead area: %+v, registry parked %d read %d", ahead,
-			reg.Counter("compute.rbpex.ahead.parked").Value(), reg.Counter("compute.rbpex.ahead.read").Value())
+	if parked, read, displaced := reg.Counter("compute.rbpex.ahead.parked").Value(), reg.Counter("compute.rbpex.ahead.read").Value(),
+		reg.Counter("compute.rbpex.ahead.displaced").Value(); parked != 1 || read != 1 || displaced != 0 {
+		t.Fatalf("ahead area: parked %d read %d displaced %d; want 1, 1 and 0", parked, read, displaced)
 	}
 	// The failed hint left nothing behind: its reader fetches and succeeds.
 	within(t, "read after a failed hint", func() {
@@ -442,7 +440,7 @@ func TestRedoReachesParkedPageBeforeItsReader(t *testing.T) {
 
 	f.Prefetch([]page.ID{3})
 	within(t, "the read-ahead to park its page", func() {
-		for f.Cache().Ahead().Parked != 1 {
+		for reg.Counter("compute.rbpex.ahead.parked").Value() != 1 {
 			time.Sleep(50 * time.Microsecond) //socrates:sleep-ok deadline-bounded poll for the background install
 		}
 	})
@@ -456,6 +454,12 @@ func TestRedoReachesParkedPageBeforeItsReader(t *testing.T) {
 	if applied, err := f.ApplyIfCached(rec); err != nil || !applied {
 		t.Fatalf("redo for a parked page: applied %v, err %v; the page is cached", applied, err)
 	}
+	// Log apply is not the reader the page waits for: it stays parked, in
+	// the new version, and the hint is not counted yet.
+	parked, stillParked := f.Cache().Parked(3)
+	if joined := reg.Counter("compute.readahead.joined").Value(); !stillParked || parked.LSN != 11 || joined != 0 {
+		t.Fatalf("after the redo: parked %v (%+v), joined %d; want the page parked at LSN 11 and no hint counted", stillParked, parked, joined)
+	}
 
 	pg, err := f.Read(3)
 	if err != nil || pg.LSN != 11 {
@@ -467,7 +471,7 @@ func TestRedoReachesParkedPageBeforeItsReader(t *testing.T) {
 	if srv.seen(3) != 1 || f.Fetches() != 1 {
 		t.Fatalf("page requested %d times, Fetches() = %d; want the read-ahead's one request", srv.seen(3), f.Fetches())
 	}
-	// The apply thread's was the page's first read: the hint is counted once.
+	// The reader's was the page's first read: the hint is counted once.
 	if joined := reg.Counter("compute.readahead.joined").Value(); joined != 1 {
 		t.Fatalf("joined = %d, want 1", joined)
 	}
@@ -778,7 +782,7 @@ func TestCommitLeavesItsWriteSetProtected(t *testing.T) {
 	e.Clock().Publish(1000) // what recoverVisibility does on a real node
 	f.Prefetch(leaves)
 	within(t, "the hinted leaves to land", func() {
-		for f.Cache().Ahead().Parked != int64(len(leaves)) {
+		for reg.Counter("compute.rbpex.ahead.parked").Value() != uint64(len(leaves)) {
 			time.Sleep(50 * time.Microsecond) //socrates:sleep-ok deadline-bounded poll for the background installs
 		}
 	})
@@ -792,9 +796,9 @@ func TestCommitLeavesItsWriteSetProtected(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
-	joined := reg.Counter("compute.readahead.joined").Value()
-	if ahead := f.Cache().Ahead(); joined != uint64(len(leaves)) || ahead.Read != ahead.Parked || ahead.Displaced != 0 {
-		t.Fatalf("joined %d; ahead area %+v; want each of the %d parked leaves read once", joined, ahead, len(leaves))
+	joined, displaced := reg.Counter("compute.readahead.joined").Value(), reg.Counter("compute.rbpex.ahead.displaced").Value()
+	if read := reg.Counter("compute.rbpex.ahead.read").Value(); joined != uint64(len(leaves)) || read != joined || displaced != 0 {
+		t.Fatalf("joined %d, read in the ahead area %d, displaced %d; want each of the %d parked leaves read once", joined, read, displaced, len(leaves))
 	}
 
 	for _, id := range cold {

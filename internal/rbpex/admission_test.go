@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"socrates/internal/page"
+	"socrates/internal/simdisk"
 	"socrates/internal/testutil"
 )
 
@@ -216,6 +217,38 @@ func TestScanDoesNotEvictHotSet(t *testing.T) {
 	if _, ssd, misses := c.Stats(); ssd != 10 || misses != 0 {
 		t.Fatalf("SSD tier's hot set after the scan: %d SSD hits, %d misses; want 10 and 0", ssd, misses)
 	}
+
+	// A covering cache (page server): its SSD tier holds every page, so a
+	// page read from there has been referenced once, not twice. The
+	// checkpoint sweep reads every dirty page once, with Get.
+	const partition = 10 * memPages
+	cov, err := Open(Config{MemPages: memPages, SSDPages: partition, Covering: true, Base: 1,
+		SSD: simdisk.New(simdisk.Instant), Meta: simdisk.New(simdisk.Instant)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := page.ID(1); id <= partition; id++ {
+		if err := cov.Seed(version(id, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pass := 0; pass < 2; pass++ {
+		for id := page.ID(1); id <= 6; id++ {
+			cov.Get(id)
+		}
+	}
+	for id := page.ID(7); id <= partition; id++ {
+		if _, ok := cov.Get(id); !ok {
+			t.Fatalf("covering cache misses page %d", id)
+		}
+	}
+	cov.ResetStats()
+	for id := page.ID(1); id <= 6; id++ {
+		cov.Get(id)
+	}
+	if mem, ssd, _ := cov.Stats(); mem != 6 || ssd != 0 {
+		t.Fatalf("covering cache's hot set after the sweep: %d memory hits, %d SSD hits; want 6 and 0", mem, ssd)
+	}
 }
 
 // TestAheadArea is the ahead area's contract (DESIGN §20.1): in the cache for
@@ -267,7 +300,7 @@ func TestAheadArea(t *testing.T) {
 	if c.Contains(1) || !reflect.DeepEqual(*evictions, []evictRec{{1, 5}}) || ssdWrites() != 0 || c.WriteBehind().Queued != 0 {
 		t.Fatalf("one hint more: page 1 cached %v, evictions %v, %d SSD writes, %+v", c.Contains(1), *evictions, ssdWrites(), c.WriteBehind())
 	}
-	if got, want := c.Ahead(), (AheadStats{Parked: aheadPages + 1, Displaced: 1}); got != want {
+	if got, want := c.aheadCounts(), (aheadCounts{Parked: aheadPages + 1, Displaced: 1}); got != want {
 		t.Fatalf("ahead area: %+v, want %+v", got, want)
 	}
 
@@ -279,8 +312,8 @@ func TestAheadArea(t *testing.T) {
 			t.Fatalf("Get %d of a parked page: %+v %v, in the memory tier %v", i, pg, ok, resident(2))
 		}
 	}
-	if mem, ssd, misses := c.Stats(); mem != 2 || ssd != 0 || misses != 0 || c.Ahead().Read != 1 {
-		t.Fatalf("two Gets of a parked page: %d/%d/%d hits, %+v; want two memory hits, one first read", mem, ssd, misses, c.Ahead())
+	if mem, ssd, misses := c.Stats(); mem != 2 || ssd != 0 || misses != 0 || c.aheadCounts().Read != 1 {
+		t.Fatalf("two Gets of a parked page: %d/%d/%d hits, %+v; want two memory hits, one first read", mem, ssd, misses, c.aheadCounts())
 	}
 
 	// Never backwards: older than the parked image, than the resident one,
@@ -291,19 +324,29 @@ func TestAheadArea(t *testing.T) {
 	if installed, _ := c.PutFetched(version(3, 4), evictedLSN); installed {
 		t.Fatal("a fetched image older than the parked one was installed")
 	}
-	// The same flight's image with redo applied replaces the parked one where
-	// it is.
-	if !hint(3, 6) || c.Ahead().Parked != aheadPages+1 {
-		t.Fatalf("a newer image of a parked page: %+v", c.Ahead())
+	// Log apply looks at a parked page without reading it (Parked), and the
+	// image with the redo applied replaces the parked one where it is.
+	mem0, ssd0, misses0 := c.Stats()
+	if pg, ok := c.Parked(3); !ok || pg.LSN != 5 {
+		t.Fatalf("Parked(3) = %+v %v, want the page at LSN 5", pg, ok)
+	}
+	if _, ok := c.Parked(100); ok {
+		t.Fatal("Parked reports a page of the memory tier")
+	}
+	if !hint(3, 6) || c.aheadCounts() != (aheadCounts{Parked: aheadPages + 1, Read: 1, Displaced: 1}) {
+		t.Fatalf("a newer image of a parked page: %+v", c.aheadCounts())
 	}
 	if lsn, _ := c.GetLSN(3); lsn != 6 || resident(3) {
 		t.Fatalf("parked page 3 at LSN %d, in the memory tier %v; want 6, still parked", lsn, resident(3))
 	}
+	if mem, ssd, misses := c.Stats(); mem != mem0 || ssd != ssd0 || misses != misses0 {
+		t.Fatalf("looking at a parked page counted: %d/%d/%d hits and misses, before %d/%d/%d", mem, ssd, misses, mem0, ssd0, misses0)
+	}
 
 	// Fetched for a reader, the parked version moves into the memory tier: it
 	// has been read, though not from here.
-	if installed, _ := c.PutFetched(version(5, 5), evictedLSN); !installed || !resident(5) || c.Ahead().Read != 1 {
-		t.Fatalf("PutFetched of the parked version: installed %v, in the memory tier %v, %+v", installed, resident(5), c.Ahead())
+	if installed, _ := c.PutFetched(version(5, 5), evictedLSN); !installed || !resident(5) || c.aheadCounts().Read != 1 {
+		t.Fatalf("PutFetched of the parked version: installed %v, in the memory tier %v, %+v", installed, resident(5), c.aheadCounts())
 	}
 
 	// A Put of a parked page supersedes it: no eviction, no first read.
@@ -320,8 +363,8 @@ func TestAheadArea(t *testing.T) {
 			t.Fatalf("the Put of a parked page recorded its eviction: %v", e)
 		}
 	}
-	if stillParked || c.Ahead().Read != 1 {
-		t.Fatalf("page 4 after its Put: still parked %v, %+v", stillParked, c.Ahead())
+	if stillParked || c.aheadCounts().Read != 1 {
+		t.Fatalf("page 4 after its Put: still parked %v, %+v", stillParked, c.aheadCounts())
 	}
 
 	// A page the tiers hold in an older version is no stranger: the hinted

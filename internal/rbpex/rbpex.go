@@ -121,8 +121,9 @@ type demotion struct {
 	seq uint64
 
 	// What chooseSlotsLocked decided, for writeSlots and publishLocked.
-	skip      bool // nothing to write: the SSD copy is current, or the page had a turn in this round already (again)
+	skip      bool // nothing to write: the SSD copy is current, the page had a turn in this round already (again), or the turn is passed
 	again     bool
+	passed    bool // overtaken before the page had any place in the tier: the turn leaves no trace
 	pinned    bool // holds a pin on the page's SSD entry until the batch is published
 	slot      int
 	inPlace   bool // rewrites the slot of its (pinned) SSD entry; no metadata row changes
@@ -140,17 +141,8 @@ type WriteBehindStats struct {
 	BlockedPuts int64 // puts that found the backlog full and waited for the drainer
 }
 
-// AheadStats counts what became of the pages read-ahead installed
-// (PutHinted) since Open. Parked − Read − Displaced are still parked, or were
-// superseded by a put of the page.
-type AheadStats struct {
-	Parked    int64 // pages that entered the ahead area
-	Read      int64 // of those, read while parked: moved into the memory tier by their first Get
-	Displaced int64 // left the cache unread, pushed out by newer read-ahead
-}
-
-// wbCounter is one WriteBehindStats or AheadStats field (under Cache.mu),
-// mirrored onto a registry counter when the cache is instrumented.
+// wbCounter is one WriteBehindStats field or ahead-area count (under
+// Cache.mu), mirrored onto a registry counter when the cache is instrumented.
 type wbCounter struct {
 	n   int64
 	reg *obs.Counter
@@ -225,8 +217,12 @@ type Cache struct {
 	claimed int
 
 	queued, written, superseded, dropped, batches, blockedPuts wbCounter
-	parked, aheadRead, displaced                               wbCounter
-	firstRead                                                  *obs.Counter // see Instrument
+	// What became of the pages PutHinted put in the ahead area (parked): read
+	// there — moved into the memory tier by their first Get — or displaced,
+	// pushed out unread by newer read-ahead. The rest are still parked, or a
+	// put of the page superseded them.
+	parked, aheadRead, displaced wbCounter
+	firstRead                    *obs.Counter // see Instrument
 
 	memHits metrics.Counter
 	ssdHits metrics.Counter
@@ -369,8 +365,8 @@ func (c *Cache) Get(id page.ID) (*page.Page, bool) {
 }
 
 // readSlot is the rest of an SSD hit: the slot read, without the lock, and the
-// promotion — into the protected segment of the memory tier, this being a
-// second reference to the page.
+// promotion — on a sparse cache into the protected segment of the memory
+// tier, this being a second reference to the page.
 func (c *Cache) readSlot(id page.ID, slot int) (*page.Page, bool) {
 	// page.miss: the memory tier missed and the caller blocks on the SSD
 	// slot read. Aggregate-only; cache reads carry no request context.
@@ -431,6 +427,19 @@ func (c *Cache) parkLocked(pg *page.Page) {
 	}
 	c.ahead = append(c.ahead, pg)
 	c.parked.inc()
+}
+
+// Parked returns the page if it is waiting in the ahead area, and leaves it
+// there: a look, not the read the page is waiting for. Log apply brings a
+// parked page up to date with it — PutHinted puts the next version in the
+// place of this one — without becoming the page's reader.
+func (c *Cache) Parked(id page.ID) (*page.Page, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if i := c.aheadIndexLocked(id); i >= 0 {
+		return c.ahead[i], true
+	}
+	return nil, false
 }
 
 // GetLSN reports the LSN of the cached copy — the one Get would return —
@@ -571,8 +580,10 @@ func (c *Cache) put(pg *page.Page, from origin, evictedLSN func(page.ID) page.LS
 		c.parkLocked(pg)
 		return true, nil
 	}
+	// Read back from a sparse SSD tier the page is referenced a second time.
+	// A covering tier holds every page: being there says nothing.
 	//socrates:lock-ok evictLocked starts the drainer, it does not run it: round is taken on the drainer's own goroutine, and nothing takes round while holding mu
-	c.admitLocked(pg.ID, pg, from == promoted)
+	c.admitLocked(pg.ID, pg, from == promoted && !c.cfg.Covering)
 	return true, nil
 }
 
@@ -762,9 +773,10 @@ func (c *Cache) carry(w *slotWriter, fromQueue bool) error {
 // the pin: an entry whose slot is being rewritten in place is no victim for
 // the demotions behind it (published, it would sit at the head of its
 // segment). And the round takes no victim from the protected segment while
-// probation, had its own pages been published already, would not be empty:
-// published, the round's probationers — or the one pinned there — would be
-// the victims.
+// probation, had its own pages been published already, might not be empty:
+// published, the round's probationers would be the victims, or a pinned
+// entry — one on probation, or one that a page entering protected earlier in
+// the round would have pushed there.
 func (c *Cache) chooseSlotsLocked(batch []demotion) int {
 	onProbation := false // the round has given a slot to a page that will enter on probation
 	for i := range batch {
@@ -775,8 +787,22 @@ func (c *Cache) chooseSlotsLocked(batch []demotion) int {
 		// in the tier, as if that version had been written, and the turns
 		// behind it in the round move it in the replacement order and
 		// nothing else — like the turn of a page whose SSD copy is current.
-		d.again = d.seq != 0 && slices.ContainsFunc(batch[:i], func(b demotion) bool { return b.id == d.id })
-		if newest := c.demoting[d.id]; d.seq != 0 && newest.seq != d.seq {
+		d.again = d.seq != 0 && slices.ContainsFunc(batch[:i], func(b demotion) bool { return b.id == d.id && !b.passed })
+		newest := c.demoting[d.id]
+		overtaken := d.seq != 0 && newest.seq != d.seq
+		// Except where the tier does not hold the page and the overtaken
+		// version would enter on probation: that turn is passed, and the page
+		// enters at a later one. Written, the version would have waited on
+		// probation for the next, or fallen out before it came: the tier
+		// would have taken its victims one turn earlier and be the same tier
+		// after the later turn, for a slot write and a metadata row more. (A
+		// version that enters protected is not passed: there and then it
+		// pushes a protected page onto probation.)
+		if d.passed = overtaken && !exists && !d.again && !d.hot; d.passed {
+			d.skip = true
+			continue
+		}
+		if overtaken {
 			d.lsn, d.pg = newest.lsn, newest.pg
 		}
 		d.skip = d.again || (exists && e.lsn.AtLeast(d.lsn))
@@ -803,7 +829,7 @@ func (c *Cache) chooseSlotsLocked(batch []demotion) int {
 			// miss always sees the evicted-LSN entry.
 			v, pinned := c.ssdLRU.victim(nil), false
 			for v != nil && c.ssd[v.id].pins > 0 {
-				pinned = pinned || !v.protected
+				pinned = true
 				v = c.ssdLRU.victim(v)
 			}
 			if v == nil || (v.protected && (pinned || onProbation)) {
@@ -1141,13 +1167,6 @@ func (c *Cache) WriteBehind() WriteBehindStats {
 		Batches:     c.batches.n,
 		BlockedPuts: c.blockedPuts.n,
 	}
-}
-
-// Ahead reports what became of the pages read-ahead installed.
-func (c *Cache) Ahead() AheadStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return AheadStats{Parked: c.parked.n, Read: c.aheadRead.n, Displaced: c.displaced.n}
 }
 
 // Instrument mirrors the cache's counters, from now on, onto counters of r:

@@ -311,8 +311,17 @@ type cacheState struct {
 	Next                               int
 	Rows                               map[page.ID]refRow // durable metadata
 	MemHits, SSDHits, Misses           int64
-	Parked                             AheadStats
+	Parked                             aheadCounts
 	Evictions                          []evictRec
+}
+
+// aheadCounts is what became of the pages PutHinted parked.
+type aheadCounts struct{ Parked, Read, Displaced int64 }
+
+func (c *Cache) aheadCounts() aheadCounts {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return aheadCounts{Parked: c.parked.n, Read: c.aheadRead.n, Displaced: c.displaced.n}
 }
 
 func aheadOf(pages []*page.Page) []evictRec {
@@ -329,7 +338,7 @@ func (r *refCache) state() cacheState {
 		MemLSN: map[page.ID]page.LSN{}, MemHot: map[page.ID]bool{}, Ahead: aheadOf(r.ahead), SSD: map[page.ID]refRow{},
 		Free: append([]int{}, r.free...), Next: r.next, Rows: map[page.ID]refRow{},
 		MemHits: r.memHits, SSDHits: r.ssdHits, Misses: r.misses,
-		Parked:    AheadStats{Parked: r.parked, Read: r.read, Displaced: r.displaced},
+		Parked:    aheadCounts{Parked: r.parked, Read: r.read, Displaced: r.displaced},
 		Evictions: append([]evictRec{}, r.evictions...)}
 	for id, pg := range r.mem {
 		s.MemLSN[id] = pg.LSN
@@ -383,7 +392,7 @@ func stateOf(t *testing.T, c *Cache, evictions []evictRec) cacheState {
 	}
 	s := cacheState{MemLSN: map[page.ID]page.LSN{}, MemHot: map[page.ID]bool{}, Ahead: aheadOf(c.ahead),
 		SSD: map[page.ID]refRow{}, Free: append([]int{}, c.free...), Next: c.nextSlot, Rows: map[page.ID]refRow{},
-		Parked:    AheadStats{Parked: c.parked.n, Read: c.aheadRead.n, Displaced: c.displaced.n},
+		Parked:    aheadCounts{Parked: c.parked.n, Read: c.aheadRead.n, Displaced: c.displaced.n},
 		Evictions: append([]evictRec{}, evictions...)}
 	s.MemProt, s.MemProb = segments(t, &c.memLRU)
 	s.SSDProt, s.SSDProb = segments(t, &c.ssdLRU)
@@ -686,11 +695,16 @@ func TestChooseSlotsOneSlotOneWriter(t *testing.T) {
 // version takes none.) stateOf checks that every slot holds its page.
 func TestBatchesMatchInlineModel(t *testing.T) {
 	shapes := [][2]int{{1, 1}, {1, 3}, {2, 5}, {4, 24}}
-	rounds := 60
+	rounds, streams := 60, 40
 	if testing.Short() {
-		rounds = 10
+		rounds, streams = 10, 8
 	}
-	for si, shape := range shapes {
+	// Each shape runs one long stream of uniformly drawn pages and then short
+	// ones in which a quarter of the puts go to three pages: those are put
+	// while resident, leave the memory tier hot, and enter the SSD tier
+	// protected in the middle of a batch.
+	for si := 0; si < len(shapes)*(1+streams); si++ {
+		shape, skewed := shapes[si%len(shapes)], si >= len(shapes)
 		memPages, ssdPages := shape[0], shape[1]
 		rng := rand.New(rand.NewSource(int64(100 + si)))
 		c, evictions := observedCache(t, memPages, ssdPages)
@@ -698,12 +712,18 @@ func TestBatchesMatchInlineModel(t *testing.T) {
 		universe := memPages + ssdPages + 3
 		var clock page.LSN
 		for round := 0; round < rounds; round++ {
+			if skewed && round == rounds/3 {
+				break
+			}
 			release := c.cfg.SSD.HoldWrites()
 			burst := 1 + rng.Intn(backlogPages-1) // fewer evictions than the bound: no put waits
 			within(t, "a burst of puts against a held SSD", func() {
 				for i := 0; i < burst; i++ {
 					clock++
 					id := page.ID(1 + rng.Intn(universe))
+					if skewed && rng.Intn(4) == 0 {
+						id = page.ID(1 + rng.Intn(3))
+					}
 					if err := c.Put(version(id, clock)); err != nil {
 						t.Error(err)
 					}
@@ -759,9 +779,11 @@ func TestBatchesMatchInlineModel(t *testing.T) {
 			}
 		}
 		wb := c.WriteBehind()
+		if skewed {
+			continue
+		}
 		t.Logf("%d+%d pages: %+v", memPages, ssdPages, wb)
-		// (A tier of one page is every round's only victim: one page a round.)
-		if ssdPages > 1 && (wb.Superseded == 0 || wb.Batches >= wb.Queued) {
+		if wb.Superseded == 0 || wb.Batches >= wb.Queued {
 			t.Fatalf("%d+%d pages: %+v; the bursts were meant to form multi-page batches with overtaken versions", memPages, ssdPages, wb)
 		}
 	}
@@ -919,9 +941,8 @@ func TestCrashAtEveryPointOfABatch(t *testing.T) {
 	until(t, "the drainer to take the first eviction", func() bool { return batches() == before+1 })
 	// ... and the rest queue up behind it: a new page (8), an in-place
 	// rewrite (1), a version that is overtaken in the queue (6@10, whose turn
-	// writes 6@14 and takes the slot of 2), another new page (7), and 2 again
-	// — for which the tier has no victim left in this batch — with the
-	// further turns of 6 behind it.
+	// is passed), another new page (7, which takes the slot of 2), 2 again,
+	// and 6@14 — for which the tier has no victim left in this batch.
 	put(1, 6, 7, 2, 6, 6, 9)
 	// Let the one-page batch through to the metadata device, hold the SSD
 	// again behind it, and let it finish: the drainer chooses the big batch
@@ -942,7 +963,7 @@ func TestCrashAtEveryPointOfABatch(t *testing.T) {
 	written = ssdWrites()
 	releaseSSD()
 	until(t, "the second batch's four slot writes", func() bool { return ssdWrites() == written+4 })
-	releaseSSD = cfg.SSD.HoldWrites() // the third batch (2@12) stops here
+	releaseSSD = cfg.SSD.HoldWrites() // the third batch (6@14) stops here
 	checkReopened(t, "between the slot writes and the append", crashed(metaBefore), floor)
 
 	releaseMeta()
