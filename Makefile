@@ -3,8 +3,8 @@
 GO ?= go
 
 # Packages whose -race runs are fast and deterministic; the experiments
-# package replays paper-scale workloads and is exercised separately via
-# `make bench` / cmd/socrates-bench. Anything that touches cache admission,
+# package replays paper-scale workloads and runs without -race in `make
+# test` (its TestShapes), `make bench` and cmd/socrates-bench. Anything that touches cache admission,
 # the ahead area or the install path (DESIGN §20) also wants
 # `go test -race -count=3 ./internal/rbpex ./internal/compute`: the
 # write-behind batches and the read-ahead installs are races by construction,
@@ -18,7 +18,7 @@ RACE_PKGS := ./internal/compute ./internal/hadr ./internal/simdisk \
              ./internal/rbpex ./internal/engine ./internal/hekaton \
              ./internal/xstore
 
-.PHONY: all lint fmt vet test race chaos chaos-stress allocs bench bench-probes bench-obs bench-waits bench-router cover vet-baseline clean
+.PHONY: all lint fmt vet test race chaos chaos-stress allocs bench bench-probes cover vet-baseline clean
 
 all: lint test
 
@@ -72,6 +72,8 @@ allocs:
 	$(GO) test -count=1 -run 'Allocs$$' ./internal/btree ./internal/engine ./internal/pageserver ./internal/compute ./internal/netmux ./internal/rbpex
 	$(GO) test -run '^$$' -fuzz=FuzzNodeView -fuzztime=10s ./internal/btree
 
+# Every experiment of internal/experiments (the paper's tables and figure,
+# the three A/Bs) once, at reduced scale, as BenchmarkPaper/<name>.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
@@ -79,24 +81,6 @@ bench:
 # RBPEX, landing zone, netmux, rbio, pageserver.GetPage) as Benchmark*.
 bench-probes:
 	$(GO) test -run '^$$' -bench . -benchmem ./bench
-
-# Regenerate the observability-plane overhead seed (flight recorder on/off
-# A/B on the group-commit path; see BENCH_pr3.json).
-bench-obs:
-	$(GO) run ./cmd/socrates-bench -exp obs -measure 2s -warmup 500ms -json BENCH_pr3.json
-
-# Regenerate the wait-accounting seed: sketch overhead on the CDB default
-# mix (enabled vs disabled, interleaved pairs) plus per-request attribution
-# coverage on commit-bound INSERTs (see BENCH_pr8.json).
-bench-waits:
-	$(GO) run ./cmd/socrates-bench -exp waits -measure 2s -warmup 500ms -json BENCH_pr8.json
-
-# Regenerate the multi-tenant isolation seed: victim p99 on a shared
-# bandwidth-capped pool — quiet vs flooded vs flooded-with-admission
-# (see BENCH_pr10.json). The flood must out-demand the landing zone's
-# bandwidth cap for seconds, so the windows are wide.
-bench-router:
-	$(GO) run ./cmd/socrates-bench -exp router -measure 3s -warmup 1500ms -json BENCH_pr10.json
 
 # Coverage floors for the commit-path and checkpoint-path packages (mirrors
 # the CI cover job): future changes there cannot land untested.

@@ -1,22 +1,12 @@
-// Benchmarks regenerating the paper's evaluation: one benchmark per table
-// and figure (§7 and Appendix A). Each runs the corresponding experiment in
-// internal/experiments at a reduced scale and reports the paper's columns
-// as custom benchmark metrics, so
+// BenchmarkPaper regenerates the paper's evaluation (§7 and Appendix A): one
+// sub-benchmark per entry of experiments.All, each run at a reduced scale
+// with the experiment's named values reported as custom benchmark metrics
+// and its table logged, so
 //
 //	go test -bench=. -benchmem
 //
 // prints the whole evaluation. cmd/socrates-bench runs the same experiments
-// at larger scale with paper-style table output.
-//
-// Shapes to look for (paper values in parentheses):
-//
-//	Table2: Socrates total TPS slightly below HADR (0.95x)
-//	Table3: ~50% hit rate at a 15% cache (52%)
-//	Table4: ~30% hit rate at a ~1% cache (32%)
-//	Table5: Socrates log MB/s above HADR's backup-throttled rate (1.6x)
-//	Table6: XIO commit median several times DD's (4.1x)
-//	Figure4: TPS grows with threads; DD above XIO at every point
-//	Table7: XIO needs more threads and more CPU per MB/s (8x, ~3x)
+// at larger scale.
 package socrates
 
 import (
@@ -26,149 +16,32 @@ import (
 	"socrates/internal/experiments"
 )
 
-// benchOptions keeps every benchmark bounded; socrates-bench uses larger
-// windows for tighter numbers.
-func benchOptions() experiments.Options {
-	return experiments.Options{
+func BenchmarkPaper(b *testing.B) {
+	// Bounded windows; socrates-bench uses larger ones for tighter numbers.
+	o := experiments.Options{
 		Measure: 800 * time.Millisecond,
 		WarmUp:  200 * time.Millisecond,
 		SF:      600,
 		Threads: 32,
 	}
-}
-
-func BenchmarkTable1_Goals(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table1(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.Logf("%-16s | today: %-48s | socrates: %s", r.Metric, r.HADR, r.Socrates)
-			}
-		}
-	}
-}
-
-func BenchmarkTable2_CDBDefaultMix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h, s, err := experiments.Table2(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(h.TotalTPS, "hadr-tps")
-			b.ReportMetric(s.TotalTPS, "socrates-tps")
-			b.ReportMetric(h.CPUPct, "hadr-cpu%")
-			b.ReportMetric(s.CPUPct, "socrates-cpu%")
-			b.ReportMetric(s.TotalTPS/h.TotalTPS, "socrates/hadr")
-			b.Logf("HADR: cpu %.1f%% write %.0f read %.0f total %.0f",
-				h.CPUPct, h.WriteTPS, h.ReadTPS, h.TotalTPS)
-			b.Logf("Socrates: cpu %.1f%% write %.0f read %.0f total %.0f",
-				s.CPUPct, s.WriteTPS, s.ReadTPS, s.TotalTPS)
-		}
-	}
-}
-
-func BenchmarkTable3_CacheHitCDB(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table3(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(r.HitPct, "hit%")
-			b.ReportMetric(r.CacheRatio*100, "cache-ratio%")
-			b.Logf("CDB: %d data pages, %d cache pages (%.1f%%), hit %.1f%% (paper: 52%%)",
-				r.DataPages, r.CachePages, r.CacheRatio*100, r.HitPct)
-		}
-	}
-}
-
-func BenchmarkTable4_CacheHitTPCE(b *testing.B) {
-	o := benchOptions()
-	o.SF = 300 // customers = 3x this; the TPC-E load dominates runtime
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table4(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(r.HitPct, "hit%")
-			b.ReportMetric(r.CacheRatio*100, "cache-ratio%")
-			b.Logf("TPC-E: %d data pages, %d cache pages (%.1f%%), hit %.1f%% (paper: 32%%)",
-				r.DataPages, r.CachePages, r.CacheRatio*100, r.HitPct)
-		}
-	}
-}
-
-func BenchmarkTable5_LogThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h, s, err := experiments.Table5(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(h.LogMBps, "hadr-MB/s")
-			b.ReportMetric(s.LogMBps, "socrates-MB/s")
-			b.ReportMetric(s.LogMBps/h.LogMBps, "socrates/hadr")
-			b.Logf("HADR %.2f MB/s (cpu %.1f%%) vs Socrates %.2f MB/s (cpu %.1f%%) — paper ratio 1.58",
-				h.LogMBps, h.CPUPct, s.LogMBps, s.CPUPct)
-		}
-	}
-}
-
-func BenchmarkTable6_CommitLatencyXIOvsDD(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		xio, dd, err := experiments.Table6(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(xio.Stats.Median.Microseconds()), "xio-median-us")
-			b.ReportMetric(float64(dd.Stats.Median.Microseconds()), "dd-median-us")
-			b.ReportMetric(float64(xio.Stats.Median)/float64(dd.Stats.Median), "xio/dd")
-			b.Logf("XIO: %v (paper: min 2518 / median 3300 / max 36864 us)", xio.Stats)
-			b.Logf("DD:  %v (paper: min 484 / median 800 / max 39857 us)", dd.Stats)
-		}
-	}
-}
-
-func BenchmarkFigure4_ThroughputVsThreads(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		points, err := experiments.Figure4(benchOptions(), []int{1, 4, 16, 64})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, p := range points {
-				b.Logf("%-4s threads=%-3d tps=%.0f", p.Service, p.Threads, p.TPS)
-				if p.Service == "DD" && p.Threads == 1 {
-					b.ReportMetric(p.TPS, "dd-1thread-tps")
+	for _, e := range experiments.All {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rep, err := e.Run(o)
+				if err != nil {
+					b.Fatal(err)
 				}
-				if p.Service == "XIO" && p.Threads == 1 {
-					b.ReportMetric(p.TPS, "xio-1thread-tps")
+				if i > 0 {
+					continue
+				}
+				for _, v := range rep.Values {
+					b.ReportMetric(v.V, v.Name)
+				}
+				b.Logf("\n%s", rep)
+				if rep.Shape != nil {
+					b.Errorf("shape lost: %v", rep.Shape)
 				}
 			}
-		}
-	}
-}
-
-func BenchmarkTable7_CPUPerLogRate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		xio, dd, err := experiments.Table7(benchOptions(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(xio.Threads), "xio-threads")
-			b.ReportMetric(float64(dd.Threads), "dd-threads")
-			b.ReportMetric(xio.CPUPct, "xio-cpu%")
-			b.ReportMetric(dd.CPUPct, "dd-cpu%")
-			b.Logf("XIO: %d threads for %.2f MB/s at %.1f%% CPU", xio.Threads, xio.LogMBps, xio.CPUPct)
-			b.Logf("DD:  %d threads for %.2f MB/s at %.1f%% CPU (paper: XIO needs 8x threads, ~3x CPU)",
-				dd.Threads, dd.LogMBps, dd.CPUPct)
-		}
+		})
 	}
 }

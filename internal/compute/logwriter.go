@@ -9,9 +9,9 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"socrates/internal/metrics"
 	"socrates/internal/obs"
 	"socrates/internal/page"
 	"socrates/internal/rbio"
@@ -103,9 +103,9 @@ type LogWriter struct {
 	// heuristic); guarded by mu.
 	inflightCnt int
 
-	blocksFlushed metrics.Counter
-	bytesFlushed  metrics.Counter
-	recsCoalesced metrics.Counter
+	blocksFlushed atomic.Int64
+	bytesFlushed  atomic.Int64
+	recsCoalesced atomic.Int64
 
 	tracer *obs.Tracer
 	obsReg *obs.Registry
@@ -548,7 +548,7 @@ func (w *LogWriter) flushLoop() {
 			w.obsReg.Histogram("lz.write.latency").Observe(time.Since(start))
 			w.obsReg.Counter("lz.write.blocks").Inc()
 			w.obsReg.Counter("lz.write.bytes").Add(uint64(len(res.Payload())))
-			w.blocksFlushed.Inc()
+			w.blocksFlushed.Add(1)
 			w.bytesFlushed.Add(int64(len(res.Payload())))
 
 			var traceID obs.TraceID

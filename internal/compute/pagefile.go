@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"socrates/internal/btree"
 	"socrates/internal/fcb"
-	"socrates/internal/metrics"
 	"socrates/internal/netmux"
 	"socrates/internal/obs"
 	"socrates/internal/page"
@@ -47,7 +47,7 @@ type RemotePageFile struct {
 	pending map[page.ID]*registration // §4.5: pages with a fetch in flight
 	closed  bool
 
-	fetches metrics.Counter
+	fetches atomic.Int64
 
 	// coal coalesces concurrent GetPage@LSN misses for the same page
 	// into one wire RPC (netmux singleflight). It is also what pairs a
@@ -362,7 +362,7 @@ func (f *RemotePageFile) request(ctx context.Context, sel *rbio.Selector, reg *r
 	if resp != nil {
 		return resp, nil
 	}
-	f.fetches.Inc()
+	f.fetches.Add(1)
 	resp, err := sel.Call(ctx, &rbio.Request{Type: rbio.MsgGetPage, Page: id, LSN: minLSN})
 	if err == nil && resp.Err() == nil {
 		f.mu.Lock()

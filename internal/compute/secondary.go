@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"socrates/internal/engine"
@@ -78,9 +79,9 @@ type Secondary struct {
 	done chan struct{}
 	wg   sync.WaitGroup
 
-	ignored     metrics.Counter
-	appliedRecs metrics.Counter
-	queuedRecs  metrics.Counter
+	ignored     atomic.Int64
+	appliedRecs atomic.Int64
+	queuedRecs  atomic.Int64
 	pullBytes   int
 	applyDelay  time.Duration
 
@@ -350,7 +351,7 @@ func (s *Secondary) applyRecord(rec *wal.Record) {
 		return
 	}
 	if s.pages.QueueIfPending(rec) {
-		s.queuedRecs.Inc()
+		s.queuedRecs.Add(1)
 		return
 	}
 	applied, err := s.pages.ApplyIfCached(rec)
@@ -358,8 +359,8 @@ func (s *Secondary) applyRecord(rec *wal.Record) {
 		return
 	}
 	if applied {
-		s.appliedRecs.Inc()
+		s.appliedRecs.Add(1)
 	} else {
-		s.ignored.Inc()
+		s.ignored.Add(1)
 	}
 }

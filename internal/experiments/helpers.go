@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"socrates/internal/cdb"
 	"socrates/internal/cluster"
 	"socrates/internal/engine"
 	"socrates/internal/fcb"
@@ -31,27 +32,30 @@ func estimateTPCEDataPages(customers int) int {
 	return pages()
 }
 
-// runTPCECache loads the TPC-E workload onto the deployment and measures
-// the primary's cache hit rate.
-func runTPCECache(s *cluster.Cluster, customers, dataPages, cachePages int, o Options) (CacheRow, error) {
+// estimateCDBDataPages sizes a CDB database by loading it into a throwaway
+// in-memory engine and reading the allocator cursor.
+func estimateCDBDataPages(sf int) int {
+	e, pages := scratchEngine()
+	w := cdb.New(sf)
+	if err := w.Setup(e); err != nil {
+		return 64
+	}
+	return pages()
+}
+
+// tpceHitPct loads the TPC-E workload onto the deployment, drives it, and
+// reports the primary's cache hit rate in percent.
+func tpceHitPct(s *cluster.Cluster, customers int, o Options) (float64, error) {
 	w := tpce.New(customers)
 	if err := w.Setup(s.Primary().Engine); err != nil {
-		return CacheRow{}, err
+		return 0, err
 	}
-	s.Primary().Pages().Cache().ResetStats()
-	_ = workload.Drive(func(id int) workload.Runner {
+	cache := s.Primary().Pages().Cache()
+	cache.ResetStats()
+	cfg := o.window(16)
+	cfg.Meter = s.PrimaryMeter
+	workload.Drive(func(id int) workload.Runner {
 		return w.NewClient(s.Primary().Engine, s.PrimaryMeter, id)
-	}, workload.Config{
-		Threads:  16,
-		Duration: o.Measure,
-		WarmUp:   o.WarmUp,
-		Meter:    s.PrimaryMeter,
-	})
-	return CacheRow{
-		Workload:   "TPC-E",
-		DataPages:  dataPages,
-		CachePages: cachePages,
-		CacheRatio: float64(cachePages) / float64(dataPages),
-		HitPct:     100 * s.Primary().Pages().Cache().HitRate(),
-	}, nil
+	}, cfg)
+	return 100 * cache.HitRate(), poisoned("t4-soc", s.Primary().Engine)
 }

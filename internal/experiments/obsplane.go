@@ -5,96 +5,118 @@ import (
 	"sort"
 
 	"socrates/internal/cdb"
+	"socrates/internal/cluster"
 	"socrates/internal/simdisk"
 )
 
-// FlightOverheadRow reports the cost of the always-on flight recorder on the
-// group-commit path: the same commit-heavy workload is run on identical
-// Socrates deployments with the flight ring recording vs gated off, in
-// interleaved enabled/disabled pairs, and the median of the per-pair
-// throughput deltas is the recorder's overhead. Interleaving plus a median
-// is needed because run-to-run TPS noise on a loaded host (~±10%) swamps the
-// effect being measured; the plane's budget is <5% (ISSUE 3), and the ring
-// records per-flush and per-batch events (not per-commit), so the true cost
-// is expected to be noise-level.
-type FlightOverheadRow struct {
-	// EnabledTPS / DisabledTPS are the median total committed transactions
-	// per second across pairs with the flight recorder on (the default) and
-	// off.
-	EnabledTPS  float64 `json:"enabled_tps"`
-	DisabledTPS float64 `json:"disabled_tps"`
-	// OverheadPct is the median over pairs of (disabled-enabled)/disabled in
-	// percent; negative values mean run-to-run noise exceeded the recorder's
-	// cost.
-	OverheadPct float64 `json:"overhead_pct"`
-	// Pairs is the number of enabled/disabled pairs measured.
-	Pairs int `json:"pairs"`
-	// Events is the number of flight events recorded during the last enabled
-	// run (including any evicted by ring wraparound) — evidence the ring was
-	// live while we measured.
-	Events uint64 `json:"events"`
-	// Watermarks is the number of distinct LSN watermarks the enabled runs
-	// published — evidence the ladder was live while we measured.
-	Watermarks int `json:"watermarks"`
-}
+// abPairs is how many enabled/disabled pairs an on/off A/B measures.
+const abPairs = 3
 
-// FlightOverhead measures the observability plane's cost on the group-commit
-// path (flight recorder enabled vs the ring gated off). Both arms keep the
-// watermark ladder live — watermark publication is a handful of atomics and
-// is not gateable — so the row isolates the flight ring specifically.
-func FlightOverhead(o Options) (FlightOverheadRow, error) {
-	o = o.defaults()
-	row := FlightOverheadRow{Pairs: 3}
-
-	run := func(name string, enabled bool) (float64, uint64, int, error) {
-		s, err := newSocrates(name, simdisk.XIO, 16, 256, 512)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		defer s.Close()
-		s.Flight.SetEnabled(enabled)
-		w := cdb.New(o.SF / 2)
-		if err := w.Setup(s.Primary().Engine); err != nil {
-			return 0, 0, 0, err
-		}
-		m := driveCDB(s.Primary().Engine, w, cdb.MaxLogMix, o.Threads, 16, s.PrimaryMeter, o)
-		if failed, cause := s.Primary().Engine.Failed(); failed {
-			return 0, 0, 0, fmt.Errorf("flight-overhead: engine poisoned: %w", cause)
-		}
-		return m.TotalTPS(), s.Flight.Recorded(), len(s.Watermarks.Snapshot()), nil
+// onOff measures what a plane that can be gated off costs in throughput: the
+// same CDB mix runs on identical Socrates deployments with the plane on and
+// off, in interleaved pairs, and the median of the per-pair throughput
+// deltas, (off-on)/off in percent, is the plane's overhead. Interleaving
+// plus a median is needed because run-to-run TPS noise on a loaded host
+// (~±10%) swamps the effect being measured; a negative overhead means noise
+// exceeded the cost. gate sets the plane's switch on a fresh deployment;
+// seen runs after each enabled drive, to collect the evidence that the
+// plane was live while we measured.
+func onOff(name string, mix cdb.Mix, o Options, gate func(*cluster.Cluster, bool), seen func(*cluster.Cluster)) (onTPS, offTPS, overheadPct float64, err error) {
+	run := func(pair int, enabled bool) (tps float64, err error) {
+		err = withSocrates(fmt.Sprintf("%s-%d-%v", name, pair, enabled), simdisk.XIO, 16, 256, 512, o.SF/2,
+			func(s *cluster.Cluster, w *cdb.Workload) error {
+				gate(s, enabled)
+				tps = driveCDB(s.Primary().Engine, w, mix, 16, s.PrimaryMeter, o.window(o.Threads)).TotalTPS()
+				if enabled {
+					seen(s)
+				}
+				return nil
+			})
+		return tps, err
 	}
-
-	var onTPS, offTPS, deltas []float64
-	for i := 0; i < row.Pairs; i++ {
+	var on, off, deltas []float64
+	for i := 0; i < abPairs; i++ {
 		// Alternate which arm goes first within each pair so host warm-up
 		// and drift bias neither arm systematically.
-		order := []bool{false, true}
+		order := [2]bool{false, true}
 		if i%2 == 1 {
-			order = []bool{true, false}
+			order = [2]bool{true, false}
 		}
 		var pairOn, pairOff float64
 		for _, enabled := range order {
-			tps, events, wms, err := run(fmt.Sprintf("obs-%d-%v", i, enabled), enabled)
+			tps, err := run(i, enabled)
 			if err != nil {
-				return row, err
+				return 0, 0, 0, err
 			}
 			if enabled {
-				pairOn, row.Events, row.Watermarks = tps, events, wms
+				pairOn = tps
 			} else {
 				pairOff = tps
 			}
 		}
-		onTPS = append(onTPS, pairOn)
-		offTPS = append(offTPS, pairOff)
+		on, off = append(on, pairOn), append(off, pairOff)
 		if pairOff > 0 {
 			deltas = append(deltas, 100*(pairOff-pairOn)/pairOff)
 		}
 	}
+	return median(on), median(off), median(deltas), nil
+}
 
-	row.EnabledTPS = median(onTPS)
-	row.DisabledTPS = median(offTPS)
-	row.OverheadPct = median(deltas)
-	return row, nil
+// onOffReport lays out an on/off A/B: one row per arm, the overhead against
+// its budget as a note, and a warning — never a failure — when this host's
+// run exceeds the budget.
+func onOffReport(plane string, onTPS, offTPS, overheadPct, budgetPct float64) Report {
+	rep := Report{Header: []string{plane, "Total TPS"}}
+	rep.rowf("disabled\t%.0f", offTPS)
+	rep.rowf("enabled\t%.0f", onTPS)
+	rep.value("enabled-tps", onTPS)
+	rep.value("disabled-tps", offTPS)
+	rep.value("overhead%", overheadPct)
+	rep.notef("Overhead: %.1f%% (target < %.0f%%), median of %d interleaved pairs", overheadPct, budgetPct, abPairs)
+	if overheadPct >= budgetPct {
+		rep.notef("WARNING: overhead exceeds the %.0f%% budget on this host", budgetPct)
+	}
+	if onTPS <= 0 || offTPS <= 0 {
+		rep.Shape = fmt.Errorf("zero throughput: enabled %.0f, disabled %.0f", onTPS, offTPS)
+	}
+	return rep
+}
+
+// flightOverhead measures the observability plane's cost on the group-commit
+// path: the max-log mix with the flight recorder enabled vs the ring gated
+// off. Both arms keep the watermark ladder live — watermark publication is
+// a handful of atomics and is not gateable — so the A/B isolates the flight
+// ring specifically. The plane's budget is <5%; the ring records per-flush
+// and per-batch events (not per-commit), so the true cost is expected to be
+// noise-level.
+func flightOverhead(o Options) (Report, error) {
+	o = o.defaults()
+	// events counts what the last enabled run recorded (including any
+	// evicted by ring wraparound) and watermarks the distinct LSN
+	// watermarks it published.
+	var events uint64
+	var watermarks int
+	on, off, overhead, err := onOff("obs", cdb.MaxLogMix, o,
+		func(s *cluster.Cluster, enabled bool) { s.Flight.SetEnabled(enabled) },
+		func(s *cluster.Cluster) { events, watermarks = s.Flight.Recorded(), len(s.Watermarks.Snapshot()) })
+	if err != nil {
+		return Report{}, err
+	}
+	rep := onOffReport("Flight recorder", on, off, overhead, 5)
+	rep.value("events", float64(events))
+	rep.value("watermarks", float64(watermarks))
+	rep.notef("%d events recorded, %d watermarks live", events, watermarks)
+	// The enabled arm must actually have been observing: flight events
+	// recorded and the LSN ladder populated (commit, hardened, promoted,
+	// destaged, archived, truncated, applied, checkpoint at minimum).
+	switch {
+	case rep.Shape != nil: // zero throughput: already said
+	case events == 0:
+		rep.Shape = fmt.Errorf("flight recorder recorded nothing")
+	case watermarks < 5:
+		rep.Shape = fmt.Errorf("watermark ladder too sparse (%d names)", watermarks)
+	}
+	return rep, nil
 }
 
 // median returns the middle value (lower median for even counts), or 0 for

@@ -2,55 +2,19 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"errors"
 	"socrates/internal/cluster"
 	"socrates/internal/frontdoor"
 	"socrates/internal/simdisk"
 	"socrates/internal/socerr"
 	"socrates/internal/xstore"
 )
-
-// RouterRow is the multi-tenant isolation experiment (BENCH_pr10.json):
-// a victim and a noisy neighbor share one elastic pool whose landing
-// zone has a hard bandwidth cap, and the noisy tenant floods it with fat
-// writes. Three arms on identical deployments: quiet (noisy idle, the
-// victim's baseline), open (no admission control — the flood saturates
-// the shared log device and the victim's commits queue behind it), and
-// admission (the front door's per-tenant token bucket caps the noisy
-// tenant at the door, before its writes ever reach the shared log).
-// The headline is the victim's p99 relative to quiet: >= 2x degraded
-// with the door open, <= 1.25x with admission on.
-type RouterRow struct {
-	Pools      int     `json:"pools"`
-	LZMBps     float64 `json:"lz_mbps"`      // shared landing-zone bandwidth cap
-	NoisyBytes int     `json:"noisy_bytes"`  // noisy write payload
-	NoisyRate  float64 `json:"noisy_rate"`   // admission cap, ops/sec (admission arm)
-	QuietP50Us int64   `json:"quiet_p50_us"` // victim alone
-	QuietP99Us int64   `json:"quiet_p99_us"`
-	QuietOps   int64   `json:"quiet_ops"`
-
-	OpenP50Us int64 `json:"open_p50_us"` // flood, no admission control
-	OpenP99Us int64 `json:"open_p99_us"`
-	OpenOps   int64 `json:"open_ops"`
-	OpenNoisy int64 `json:"open_noisy_ops"`
-
-	AdmitP50Us   int64 `json:"admit_p50_us"` // flood, admission on
-	AdmitP99Us   int64 `json:"admit_p99_us"`
-	AdmitOps     int64 `json:"admit_ops"`
-	AdmitNoisy   int64 `json:"admit_noisy_ops"`
-	AdmitRejects int64 `json:"admit_rejects"`
-
-	// OpenRatio is open p99 / quiet p99 (the damage, target >= 2x);
-	// AdmitRatio is admission p99 / quiet p99 (the cure, target <= 1.25x).
-	OpenRatio  float64 `json:"open_ratio"`
-	AdmitRatio float64 `json:"admit_ratio"`
-}
 
 const (
 	routerLZMBps        = 2.0  // shared LZ bandwidth cap, MB/s
@@ -191,63 +155,80 @@ func routerDrive(o Options, noisyThreads int, noisyRate float64) (routerArm, err
 	return arm, nil
 }
 
-// Router measures tenant isolation at the front door: the victim's
-// commit p99 with the pool quiet, flooded without admission control,
-// and flooded with the noisy tenant capped at the door.
-func Router(o Options) (RouterRow, error) {
+// router is the multi-tenant isolation experiment: a victim and a noisy
+// neighbor share one elastic pool whose landing zone has a hard bandwidth
+// cap, and the noisy tenant floods it with fat writes. Three arms on
+// identical deployments: quiet (noisy idle, the victim's baseline), open
+// (no admission control — the flood saturates the shared log device and the
+// victim's commits queue behind it), and admission (the front door's
+// per-tenant token bucket caps the noisy tenant at the door, before its
+// writes ever reach the shared log). The headline is the victim's commit
+// p99 relative to quiet: >= 2x degraded with the door open, <= 1.25x with
+// admission on.
+func router(o Options) (Report, error) {
 	o = o.defaults()
 	// The LZ device's burst allowance is one second of bandwidth; the
-	// flood must drain it during warm-up or the cap never bites.
+	// flood must drain it during warm-up or the cap never bites, and then
+	// out-demand the cap for long enough to queue the victim behind it.
 	if o.WarmUp < 1200*time.Millisecond {
 		o.WarmUp = 1200 * time.Millisecond
 	}
+	if o.Measure < 800*time.Millisecond {
+		o.Measure = 800 * time.Millisecond
+	}
 	quiet, err := routerDrive(o, 0, 0)
 	if err != nil {
-		return RouterRow{}, fmt.Errorf("quiet arm: %w", err)
+		return Report{}, fmt.Errorf("quiet arm: %w", err)
 	}
 	open, err := routerDrive(o, routerNoisyThreads, 0)
 	if err != nil {
-		return RouterRow{}, fmt.Errorf("open arm: %w", err)
+		return Report{}, fmt.Errorf("open arm: %w", err)
 	}
 	admit, err := routerDrive(o, routerNoisyThreads, routerNoisyRate)
 	if err != nil {
-		return RouterRow{}, fmt.Errorf("admission arm: %w", err)
+		return Report{}, fmt.Errorf("admission arm: %w", err)
 	}
-	// Floor: quantiles over a handful of commits are noise, not a result.
+
+	rep := Report{Header: []string{"Arm", "Victim ops", "p50 (us)", "p99 (us)", "Noisy ops", "Rejects"}}
+	for _, a := range []struct {
+		key, label string
+		arm        routerArm
+	}{
+		{"quiet", "quiet", quiet},
+		{"open", "no admission", open},
+		{"admit", fmt.Sprintf("admission %.0f/s", routerNoisyRate), admit},
+	} {
+		rep.rowf("%s\t%d\t%d\t%d\t%d\t%d", a.label, a.arm.victimOps,
+			a.arm.p50.Microseconds(), a.arm.p99.Microseconds(), a.arm.noisyOps, a.arm.rejects)
+		rep.value(a.key+"-p50-us", float64(a.arm.p50.Microseconds()))
+		rep.value(a.key+"-p99-us", float64(a.arm.p99.Microseconds()))
+		rep.value(a.key+"-ops", float64(a.arm.victimOps))
+		rep.value(a.key+"-noisy-ops", float64(a.arm.noisyOps))
+	}
+	rep.value("admit-rejects", float64(admit.rejects))
+	// The damage (open p99 / quiet p99) and the cure (admission / quiet).
+	openRatio := float64(open.p99) / float64(quiet.p99)
+	admitRatio := float64(admit.p99) / float64(quiet.p99)
+	rep.value("open/quiet", openRatio)
+	rep.value("admit/quiet", admitRatio)
+	rep.notef("Victim vs noisy neighbor, one pool, %.0f MB/s landing zone, %d B noisy writes", routerLZMBps, routerNoisyBytes)
+	rep.notef("victim p99 vs quiet: %.2fx flooded (target >= 2x), %.2fx with admission (target <= 1.25x)", openRatio, admitRatio)
+	if openRatio < 2 {
+		rep.notef("WARNING: the flood did not degrade the victim 2x on this host")
+	}
+	if admitRatio > 1.25 {
+		rep.notef("WARNING: admission control left more than 1.25x degradation on this host")
+	}
+	// Quantiles over a handful of commits are noise, not a result.
 	const minOps = 50
 	if quiet.victimOps < minOps || open.victimOps < minOps || admit.victimOps < minOps {
-		return RouterRow{}, fmt.Errorf(
-			"router: too few victim ops for stable quantiles (quiet %d, open %d, admission %d, floor %d); widen -measure",
-			quiet.victimOps, open.victimOps, admit.victimOps, minOps)
+		rep.notef("WARNING: too few victim ops for stable quantiles (floor %d); widen -measure", minOps)
 	}
-	if open.noisyOps == 0 {
-		return RouterRow{}, fmt.Errorf("router: the flood never landed a write; the open arm measured nothing")
+	switch {
+	case open.noisyOps == 0:
+		rep.Shape = fmt.Errorf("the flood never landed a write; the open arm measured nothing")
+	case admit.rejects == 0:
+		rep.Shape = fmt.Errorf("admission control rejected nothing; the admission arm measured nothing")
 	}
-	if admit.rejects == 0 {
-		return RouterRow{}, fmt.Errorf("router: admission control rejected nothing; the admission arm measured nothing")
-	}
-	return RouterRow{
-		Pools:      1,
-		LZMBps:     routerLZMBps,
-		NoisyBytes: routerNoisyBytes,
-		NoisyRate:  routerNoisyRate,
-
-		QuietP50Us: quiet.p50.Microseconds(),
-		QuietP99Us: quiet.p99.Microseconds(),
-		QuietOps:   quiet.victimOps,
-
-		OpenP50Us: open.p50.Microseconds(),
-		OpenP99Us: open.p99.Microseconds(),
-		OpenOps:   open.victimOps,
-		OpenNoisy: open.noisyOps,
-
-		AdmitP50Us:   admit.p50.Microseconds(),
-		AdmitP99Us:   admit.p99.Microseconds(),
-		AdmitOps:     admit.victimOps,
-		AdmitNoisy:   admit.noisyOps,
-		AdmitRejects: admit.rejects,
-
-		OpenRatio:  float64(open.p99) / float64(quiet.p99),
-		AdmitRatio: float64(admit.p99) / float64(quiet.p99),
-	}, nil
+	return rep, nil
 }

@@ -5,273 +5,175 @@ import (
 	"time"
 
 	"socrates/internal/cdb"
+	"socrates/internal/cluster"
+	"socrates/internal/hadr"
 	"socrates/internal/page"
 	"socrates/internal/simdisk"
 )
 
-// Table1Row is one goal line of Table 1: the measured value for the old
-// architecture ("Today" = HADR) and for Socrates.
-type Table1Row struct {
-	Metric   string
-	HADR     string
-	Socrates string
-}
-
-// Table1 measures the goal metrics of the paper's Table 1 on both stacks:
-// up/downsize cost scaling, storage copies, recovery time, commit latency,
-// and log throughput. (Max DB size and availability are design properties,
-// reported from configuration.)
-func Table1(o Options) ([]Table1Row, error) {
+// table1 measures the goal metrics of the paper's Table 1 on both stacks
+// ("Today" = HADR): up/downsize cost scaling, storage copies, recovery
+// time, commit latency, and log throughput. (Max DB size and availability
+// are design properties, reported from configuration.)
+func table1(o Options) (Report, error) {
 	o = o.defaults()
 	short := o
 	if short.Measure > time.Second {
 		short.Measure = time.Second
 	}
-	var rows []Table1Row
+	rep := Report{Header: []string{"Metric", "Today (HADR)", "Socrates"}}
 
 	// --- Up/downsize: O(data) reseed vs O(1) reattach ---
-	smallSeed, largeSeed, err := hadrReseedCost(o.SF/4, o.SF)
-	if err != nil {
-		return nil, err
+	sizes := []int{o.SF / 4, o.SF}
+	var seed, scale [2]time.Duration
+	for i, sf := range sizes {
+		var err error
+		if seed[i], err = hadrReseedCost(i, sf); err != nil {
+			return Report{}, err
+		}
+		if scale[i], err = socratesScaleCost(i, sf); err != nil {
+			return Report{}, err
+		}
 	}
-	socSmall, socLarge, err := socratesScaleCost(o.SF/4, o.SF)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, Table1Row{
-		Metric: "Upsize/downsize",
-		HADR: fmt.Sprintf("O(data): %.0fms @%d rows -> %.0fms @%d rows",
-			ms(smallSeed), o.SF/4, ms(largeSeed), o.SF),
-		Socrates: fmt.Sprintf("O(1): %.0fms @%d rows -> %.0fms @%d rows",
-			ms(socSmall), o.SF/4, ms(socLarge), o.SF),
-	})
+	rep.rowf("Upsize/downsize\tO(data): %.0fms @%d rows -> %.0fms @%d rows\tO(1): %.0fms @%d rows -> %.0fms @%d rows",
+		ms(seed[0]), sizes[0], ms(seed[1]), sizes[1], ms(scale[0]), sizes[0], ms(scale[1]), sizes[1])
+	rep.value("hadr-reseed-small-ms", ms(seed[0]))
+	rep.value("hadr-reseed-large-ms", ms(seed[1]))
+	rep.value("socrates-scale-small-ms", ms(scale[0]))
+	rep.value("socrates-scale-large-ms", ms(scale[1]))
 
 	// --- Storage impact: copies of the database ---
 	hadrCopies, socCopies, err := storageCopies(o.SF / 2)
 	if err != nil {
-		return nil, err
+		return Report{}, err
 	}
-	rows = append(rows, Table1Row{
-		Metric:   "Storage impact",
-		HADR:     fmt.Sprintf("%.1fx copies (+log backup)", hadrCopies),
-		Socrates: fmt.Sprintf("%.1fx copies (+snapshots)", socCopies),
-	})
+	rep.rowf("Storage impact\t%.1fx copies (+log backup)\t%.1fx copies (+snapshots)", hadrCopies, socCopies)
+	rep.value("hadr-copies", hadrCopies)
+	rep.value("socrates-copies", socCopies)
 
 	// --- Commit latency: HADR quorum vs Socrates landing zone ---
-	hadrLat, socXIOLat, socDDLat, err := commitLatencies(short)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, Table1Row{
-		Metric: "Commit latency",
-		HADR:   fmt.Sprintf("%.2fms (AZ quorum)", ms(hadrLat)),
-		Socrates: fmt.Sprintf("%.2fms on DD (%.2fms on XIO)",
-			ms(socDDLat), ms(socXIOLat)),
+	var hadrLat time.Duration
+	err = withHADR("t1-hadr-lat", 8, 0, hadrLagBudget, short.SF/4, func(h *hadr.Cluster, w *cdb.Workload) error {
+		m := driveCDB(h.Primary().Engine(), w, cdb.UpdateLiteMix, 0, h.PrimaryMeter, short.window(1))
+		hadrLat = m.WriteLatency.Median()
+		return nil
 	})
+	if err != nil {
+		return Report{}, err
+	}
+	lz, err := measureTable6(short)
+	if err != nil {
+		return Report{}, err
+	}
+	rep.rowf("Commit latency\t%.2fms (AZ quorum)\t%.2fms on DD (%.2fms on XIO)",
+		ms(hadrLat), ms(lz[1].Median), ms(lz[0].Median))
+	rep.value("hadr-commit-ms", ms(hadrLat))
+	rep.value("socrates-dd-commit-ms", ms(lz[1].Median))
+	rep.value("socrates-xio-commit-ms", ms(lz[0].Median))
 
 	// --- Log throughput (the Table 5 result, summarized) ---
-	hadrLog, socLog, err := Table5(short)
+	hadrLog, socLog, err := measureTable5(short)
 	if err != nil {
-		return nil, err
+		return Report{}, err
 	}
-	rows = append(rows, Table1Row{
-		Metric:   "Log throughput",
-		HADR:     fmt.Sprintf("%.1f MB/s (backup-throttled)", hadrLog.LogMBps),
-		Socrates: fmt.Sprintf("%.1f MB/s", socLog.LogMBps),
-	})
+	rep.rowf("Log throughput\t%.1f MB/s (backup-throttled)\t%.1f MB/s", hadrLog.logMBps, socLog.logMBps)
+	rep.value("hadr-MB/s", hadrLog.logMBps)
+	rep.value("socrates-MB/s", socLog.logMBps)
 
 	// --- Recovery: failover to availability ---
 	hadrRec, socRec, err := recoveryTimes(o.SF / 2)
 	if err != nil {
-		return nil, err
+		return Report{}, err
 	}
-	rows = append(rows, Table1Row{
-		Metric:   "Recovery",
-		HADR:     fmt.Sprintf("O(1): %.0fms", ms(hadrRec)),
-		Socrates: fmt.Sprintf("O(1): %.0fms", ms(socRec)),
-	})
+	rep.rowf("Recovery\tO(1): %.0fms\tO(1): %.0fms", ms(hadrRec), ms(socRec))
+	rep.value("hadr-recovery-ms", ms(hadrRec))
+	rep.value("socrates-recovery-ms", ms(socRec))
 
 	// Design properties (not measured).
-	rows = append(rows,
-		Table1Row{Metric: "Max DB size", HADR: "bounded by one machine",
-			Socrates: "bounded by page-server count (grows on demand)"},
-	)
-	return rows, nil
+	rep.rowf("Max DB size\tbounded by one machine\tbounded by page-server count (grows on demand)")
+	return rep, nil
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// hadrReseedCost measures HADR's add-replica time at two database sizes.
-func hadrReseedCost(smallSF, largeSF int) (small, large time.Duration, err error) {
-	for i, sf := range []int{smallSF, largeSF} {
-		h, err := newHADR(fmt.Sprintf("t1-hadr-seed%d", i), 8, 0, 64<<20)
-		if err != nil {
-			return 0, 0, err
-		}
-		w := cdb.New(sf)
-		if err := w.Setup(h.Primary().Engine()); err != nil {
-			h.Close()
-			return 0, 0, err
-		}
-		_, _, elapsed, err := h.SeedNewReplica(fmt.Sprintf("t1-new-%d", i))
-		h.Close()
-		if err != nil {
-			return 0, 0, err
-		}
-		if i == 0 {
-			small = elapsed
-		} else {
-			large = elapsed
-		}
-	}
-	return small, large, nil
+// hadrReseedCost measures HADR's add-replica time at one database size.
+func hadrReseedCost(i, sf int) (elapsed time.Duration, err error) {
+	err = withHADR(fmt.Sprintf("t1-hadr-seed%d", i), 8, 0, hadrLagBudget, sf, func(h *hadr.Cluster, _ *cdb.Workload) error {
+		_, _, elapsed, err = h.SeedNewReplica(fmt.Sprintf("t1-new-%d", i))
+		return err
+	})
+	return elapsed, err
 }
 
-// socratesScaleCost measures Socrates compute scale-up time at two sizes.
-func socratesScaleCost(smallSF, largeSF int) (small, large time.Duration, err error) {
-	for i, sf := range []int{smallSF, largeSF} {
-		s, err := newSocrates(fmt.Sprintf("t1-soc-scale%d", i), simdisk.DirectDrive, 8, 64, 128)
-		if err != nil {
-			return 0, 0, err
-		}
-		w := cdb.New(sf)
-		if err := w.Setup(s.Primary().Engine); err != nil {
-			s.Close()
-			return 0, 0, err
-		}
+// socratesScaleCost measures Socrates compute scale-up time at one size.
+func socratesScaleCost(i, sf int) (elapsed time.Duration, err error) {
+	err = withSocrates(fmt.Sprintf("t1-soc-scale%d", i), simdisk.DirectDrive, 8, 64, 128, sf, func(s *cluster.Cluster, _ *cdb.Workload) error {
 		if err := s.WaitForCatchUp(30 * time.Second); err != nil {
-			s.Close()
-			return 0, 0, err
+			return err
 		}
-		elapsed, err := s.ScaleCompute(128, 256)
-		s.Close()
-		if err != nil {
-			return 0, 0, err
-		}
-		if i == 0 {
-			small = elapsed
-		} else {
-			large = elapsed
-		}
-	}
-	return small, large, nil
+		elapsed, err = s.ScaleCompute(128, 256)
+		return err
+	})
+	return elapsed, err
 }
 
 // storageCopies measures how many copies of the database each architecture
 // stores in its fast+durable tiers.
 func storageCopies(sf int) (hadrCopies, socCopies float64, err error) {
-	h, err := newHADR("t1-hadr-store", 8, 0, 64<<20)
-	if err != nil {
-		return 0, 0, err
-	}
-	w := cdb.New(sf)
-	if err := w.Setup(h.Primary().Engine()); err != nil {
-		h.Close()
-		return 0, 0, err
-	}
-	end := h.Writer().HardenedEnd()
-	for _, sec := range h.Secondaries() {
-		sec.WaitApplied(end, 10*time.Second)
-	}
-	primBytes := h.Primary().DataBytes()
-	if primBytes > 0 {
-		hadrCopies = float64(h.TotalDataBytes()) / float64(primBytes)
-	}
-	h.Close()
-
-	s, err := newSocrates("t1-soc-store", simdisk.DirectDrive, 8, 64, 0)
-	if err != nil {
-		return 0, 0, err
-	}
-	sw := cdb.New(sf)
-	if err := sw.Setup(s.Primary().Engine); err != nil {
-		s.Close()
-		return 0, 0, err
-	}
-	if err := s.WaitForCatchUp(30 * time.Second); err != nil {
-		s.Close()
-		return 0, 0, err
-	}
-	for _, srv := range s.PageServers() {
-		if _, err := srv.FlushForBackup(); err != nil {
-			s.Close()
-			return 0, 0, err
+	err = withHADR("t1-hadr-store", 8, 0, hadrLagBudget, sf, func(h *hadr.Cluster, _ *cdb.Workload) error {
+		end := h.Writer().HardenedEnd()
+		for _, sec := range h.Secondaries() {
+			sec.WaitApplied(end, 10*time.Second)
 		}
-	}
-	dbBytes := int64(s.Primary().Engine.AllocatedPages()) * page.Size
-	var psBytes int64
-	for _, srv := range s.PageServers() {
-		psBytes += int64(srv.Cache().Len()) * page.Size
-	}
-	// XStore checkpoint copy ≈ one copy; page servers ≈ one copy. The log
-	// archive is excluded from both (it is backup, like HADR's).
-	var checkpointBytes int64
-	for _, name := range s.Store.List("t1-soc-store/page/") {
-		if sz, err := s.Store.Size(name); err == nil {
-			checkpointBytes += sz
+		if primBytes := h.Primary().DataBytes(); primBytes > 0 {
+			hadrCopies = float64(h.TotalDataBytes()) / float64(primBytes)
 		}
-	}
-	if dbBytes > 0 {
-		socCopies = float64(psBytes+checkpointBytes) / float64(dbBytes)
-	}
-	s.Close()
-	return hadrCopies, socCopies, nil
-}
-
-// commitLatencies measures single-client UpdateLite commit latency on all
-// three configurations.
-func commitLatencies(o Options) (hadrMed, socXIO, socDD time.Duration, err error) {
-	h, err := newHADR("t1-hadr-lat", 8, 0, 64<<20)
+		return nil
+	})
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
-	w := cdb.New(o.SF / 4)
-	if err := w.Setup(h.Primary().Engine()); err != nil {
-		h.Close()
-		return 0, 0, 0, err
-	}
-	hm := driveCDB(h.Primary().Engine(), w, cdb.UpdateLiteMix, 1, 0, h.PrimaryMeter, o)
-	hadrMed = hm.WriteLatency.Median()
-	h.Close()
-
-	xio, dd, err := Table6(o)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return hadrMed, xio.Stats.Median, dd.Stats.Median, nil
+	err = withSocrates("t1-soc-store", simdisk.DirectDrive, 8, 64, 0, sf, func(s *cluster.Cluster, _ *cdb.Workload) error {
+		if err := s.WaitForCatchUp(30 * time.Second); err != nil {
+			return err
+		}
+		// Page servers ≈ one copy; the XStore checkpoint ≈ one copy. The log
+		// archive is excluded from both (it is backup, like HADR's).
+		var stored int64
+		for _, srv := range s.PageServers() {
+			if _, err := srv.FlushForBackup(); err != nil {
+				return err
+			}
+			stored += int64(srv.Cache().Len()) * page.Size
+		}
+		for _, name := range s.Store.List("t1-soc-store/page/") {
+			if sz, err := s.Store.Size(name); err == nil {
+				stored += sz
+			}
+		}
+		if dbBytes := int64(s.Primary().Engine.AllocatedPages()) * page.Size; dbBytes > 0 {
+			socCopies = float64(stored) / float64(dbBytes)
+		}
+		return nil
+	})
+	return hadrCopies, socCopies, err
 }
 
 // recoveryTimes measures failover-to-availability on both stacks.
 func recoveryTimes(sf int) (hadrRec, socRec time.Duration, err error) {
-	h, err := newHADR("t1-hadr-rec", 8, 0, 64<<20)
+	err = withHADR("t1-hadr-rec", 8, 0, hadrLagBudget, sf, func(h *hadr.Cluster, _ *cdb.Workload) error {
+		_, hadrRec, err = h.Failover()
+		return err
+	})
 	if err != nil {
 		return 0, 0, err
 	}
-	w := cdb.New(sf)
-	if err := w.Setup(h.Primary().Engine()); err != nil {
-		h.Close()
-		return 0, 0, err
-	}
-	_, hadrRec, err = h.Failover()
-	h.Close()
-	if err != nil {
-		return 0, 0, err
-	}
-
-	s, err := newSocrates("t1-soc-rec", simdisk.DirectDrive, 8, 64, 128)
-	if err != nil {
-		return 0, 0, err
-	}
-	sw := cdb.New(sf)
-	if err := sw.Setup(s.Primary().Engine); err != nil {
-		s.Close()
-		return 0, 0, err
-	}
-	if err := s.WaitForCatchUp(30 * time.Second); err != nil {
-		s.Close()
-		return 0, 0, err
-	}
-	_, socRec, err = s.Failover()
-	s.Close()
+	err = withSocrates("t1-soc-rec", simdisk.DirectDrive, 8, 64, 128, sf, func(s *cluster.Cluster, _ *cdb.Workload) error {
+		if err := s.WaitForCatchUp(30 * time.Second); err != nil {
+			return err
+		}
+		_, socRec, err = s.Failover()
+		return err
+	})
 	return hadrRec, socRec, err
 }

@@ -6,111 +6,58 @@ import (
 	"time"
 
 	"socrates/internal/cdb"
+	"socrates/internal/cluster"
 	"socrates/internal/simdisk"
 	"socrates/internal/sqlengine"
 )
 
-// WaitOverheadRow reports what the wait-stats plane costs and what it
-// buys. The cost side mirrors FlightOverheadRow: the CDB default mix runs
-// on identical deployments with the wait sketches recording vs gated off,
-// in interleaved enabled/disabled pairs, and the median per-pair
-// throughput delta is the accounting's overhead (budget <3% — every
-// WaitPoint is a pair of time.Now calls plus a few atomics, so the true
-// cost should be noise-level). The benefit side is per-request
-// attribution: the share of a committing statement's wall-clock latency
-// its own wait breakdown explains (target >=80% — on an XIO landing zone a
-// commit is almost entirely commit.harden).
-type WaitOverheadRow struct {
-	// EnabledTPS / DisabledTPS are the median total committed transactions
-	// per second across pairs with wait recording on (the default) and off.
-	EnabledTPS  float64 `json:"enabled_tps"`
-	DisabledTPS float64 `json:"disabled_tps"`
-	// OverheadPct is the median over pairs of (disabled-enabled)/disabled
-	// in percent; negative values mean run-to-run noise exceeded the
-	// accounting's cost.
-	OverheadPct float64 `json:"overhead_pct"`
-	// Pairs is the number of enabled/disabled pairs measured.
-	Pairs int `json:"pairs"`
-	// Classes is the number of distinct wait classes the last enabled
-	// run's global sketch recorded — evidence the taxonomy was live while
-	// we measured.
-	Classes int `json:"classes"`
-	// TopClass is the class with the most total blocked time in the last
-	// enabled run (on this commit-heavy mix: commit.harden).
-	TopClass string `json:"top_class"`
-	// AttributedPct is the median share of a traced INSERT's wall-clock
-	// latency explained by its per-request wait breakdown.
-	AttributedPct float64 `json:"attributed_pct"`
-}
-
-// WaitOverhead measures the wait-accounting plane: sketch overhead on the
-// CDB default mix (enabled vs disabled, interleaved pairs) plus
-// per-request attribution coverage on a commit-bound statement stream.
-// Per-request profiles stay live in both arms — SetEnabled gates only the
-// sketches, matching the production knob.
-func WaitOverhead(o Options) (WaitOverheadRow, error) {
+// waitOverhead measures what the wait-stats plane costs and what it buys.
+// The cost side is an on/off A/B on the CDB default mix with the wait
+// sketches recording vs gated off (budget <3% — every WaitPoint is a pair of
+// time.Now calls plus a few atomics, so the true cost should be
+// noise-level); per-request profiles stay live in both arms — SetEnabled
+// gates only the sketches, matching the production knob. The benefit side
+// is per-request attribution: the share of a committing statement's
+// wall-clock latency its own wait breakdown explains (target >=80% — on an
+// XIO landing zone a commit is almost entirely commit.harden).
+func waitOverhead(o Options) (Report, error) {
 	o = o.defaults()
-	row := WaitOverheadRow{Pairs: 3}
-
-	run := func(name string, enabled bool) (float64, int, string, error) {
-		s, err := newSocrates(name, simdisk.XIO, 16, 256, 512)
-		if err != nil {
-			return 0, 0, "", err
-		}
-		defer s.Close()
-		s.Waits.SetEnabled(enabled)
-		w := cdb.New(o.SF / 2)
-		if err := w.Setup(s.Primary().Engine); err != nil {
-			return 0, 0, "", err
-		}
-		m := driveCDB(s.Primary().Engine, w, cdb.DefaultMix, o.Threads, 16, s.PrimaryMeter, o)
-		if failed, cause := s.Primary().Engine.Failed(); failed {
-			return 0, 0, "", fmt.Errorf("wait-overhead: engine poisoned: %w", cause)
-		}
-		rep := s.Waits.Report()
-		top := ""
-		if len(rep.Global) > 0 {
-			top = rep.Global[0].Class
-		}
-		return m.TotalTPS(), len(rep.Global), top, nil
-	}
-
-	var onTPS, offTPS, deltas []float64
-	for i := 0; i < row.Pairs; i++ {
-		// Alternate which arm goes first within each pair so host warm-up
-		// and drift bias neither arm systematically.
-		order := []bool{false, true}
-		if i%2 == 1 {
-			order = []bool{true, false}
-		}
-		var pairOn, pairOff float64
-		for _, enabled := range order {
-			tps, classes, top, err := run(fmt.Sprintf("waits-%d-%v", i, enabled), enabled)
-			if err != nil {
-				return row, err
+	// classes is the number of distinct wait classes the last enabled run's
+	// global sketch recorded, top the one with the most total blocked time.
+	var classes int
+	var top string
+	on, off, overhead, err := onOff("waits", cdb.DefaultMix, o,
+		func(s *cluster.Cluster, enabled bool) { s.Waits.SetEnabled(enabled) },
+		func(s *cluster.Cluster) {
+			if global := s.Waits.Report().Global; len(global) > 0 {
+				classes, top = len(global), global[0].Class
 			}
-			if enabled {
-				pairOn, row.Classes, row.TopClass = tps, classes, top
-			} else {
-				pairOff = tps
-			}
-		}
-		onTPS = append(onTPS, pairOn)
-		offTPS = append(offTPS, pairOff)
-		if pairOff > 0 {
-			deltas = append(deltas, 100*(pairOff-pairOn)/pairOff)
-		}
-	}
-	row.EnabledTPS = median(onTPS)
-	row.DisabledTPS = median(offTPS)
-	row.OverheadPct = median(deltas)
-
-	att, err := waitAttribution()
+		})
 	if err != nil {
-		return row, err
+		return Report{}, err
 	}
-	row.AttributedPct = att
-	return row, nil
+	attributed, err := waitAttribution()
+	if err != nil {
+		return Report{}, err
+	}
+	rep := onOffReport("Wait accounting", on, off, overhead, 3)
+	rep.value("classes", float64(classes))
+	rep.value("attributed%", attributed)
+	rep.notef("%d wait classes live, dominant: %s", classes, top)
+	rep.notef("Per-request attribution: %.0f%% of commit latency explained (target >= 80%%)", attributed)
+	if attributed < 80 {
+		rep.notef("WARNING: attribution coverage below the 80%% target on this host")
+	}
+	// The enabled arm must have been accounting, and a commit must have
+	// been charged some wait at all.
+	switch {
+	case rep.Shape != nil: // zero throughput: already said
+	case classes == 0:
+		rep.Shape = fmt.Errorf("wait sketches recorded no class")
+	case attributed <= 0:
+		rep.Shape = fmt.Errorf("per-request profiles attributed no wait to a commit")
+	}
+	return rep, nil
 }
 
 // waitAttribution drives single-statement INSERTs through the SQL front

@@ -319,9 +319,9 @@ type writer struct {
 	wg            sync.WaitGroup
 	ioWG          sync.WaitGroup
 	inflight      chan struct{}
-	bytesFlushed  metrics.Counter
-	blocksFlushed metrics.Counter
-	throttles     metrics.Counter
+	bytesFlushed  atomic.Int64
+	blocksFlushed atomic.Int64
+	throttles     atomic.Int64
 }
 
 // tailBlock is one retained shipped block, kept for retransmission until
@@ -555,7 +555,7 @@ func (w *writer) flushLoop() {
 		if w.unbackedLen > w.c.cfg.BackupLagBudget && !w.closed {
 			stallStart := time.Now()
 			for w.unbackedLen > w.c.cfg.BackupLagBudget && !w.closed {
-				w.throttles.Inc()
+				w.throttles.Add(1)
 				waker := time.AfterFunc(time.Millisecond, w.cond.Broadcast)
 				//socrates:wait-ok charged below as backpressure via a running total per throttle episode
 				w.cond.Wait()
@@ -595,7 +595,7 @@ func (w *writer) flushLoop() {
 				return
 			}
 			size := int64(block.EncodedSize())
-			w.blocksFlushed.Inc()
+			w.blocksFlushed.Add(1)
 			w.bytesFlushed.Add(size)
 
 			w.mu.Lock()

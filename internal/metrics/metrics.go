@@ -1,8 +1,10 @@
-// Package metrics provides the measurement primitives used throughout the
-// Socrates reproduction: a simulated CPU meter (so experiments can report the
-// paper's CPU% columns deterministically), latency histograms with the
-// min/median/max/stdev statistics the paper's Table 6 reports, and plain
-// counters.
+// Package metrics holds the two measurement primitives the experiments need
+// and the obs registry does not provide: a simulated CPU meter (so experiments
+// report the paper's CPU% columns deterministically) and a sample-keeping
+// latency Histogram with the exact min/median/max/stdev order statistics the
+// paper's Table 6 reports. Named, always-on instruments (counters, gauges,
+// bucketed histograms) are obs.Counter/Gauge/Histogram; a tier's private
+// event counts are plain atomic.Int64 fields.
 //
 // The CPU meter models a node with a fixed number of cores. Code paths charge
 // the meter with the simulated CPU cost of the work they represent (for
@@ -94,9 +96,8 @@ func (m *CPUMeter) UtilizationOver(wall time.Duration) float64 {
 // cap every sample is kept and order statistics are exact. At or above the
 // cap, new samples displace stored ones via Vitter's Algorithm R, so the
 // retained set stays a uniform random sample of everything observed and
-// quantiles remain statistically faithful while memory stays bounded — the
-// observability plane keeps histograms alive for the process lifetime, so
-// "keep everything" is no longer an option.
+// quantiles remain statistically faithful while memory stays bounded: a
+// workload.Drive window of any length holds at most this many samples.
 const reservoirCap = 1 << 16
 
 // Histogram collects duration samples and reports order statistics.
@@ -106,7 +107,7 @@ const reservoirCap = 1 << 16
 // until reservoirCap samples have been observed, after which they are
 // computed over a uniform reservoir of reservoirCap samples (Algorithm R).
 // Experiment windows are far shorter than the cap, so the paper's tables are
-// unaffected; only long-lived always-on histograms ever sample.
+// unaffected.
 type Histogram struct {
 	mu      sync.Mutex
 	samples []time.Duration
@@ -303,38 +304,3 @@ func (s Summary) String() string {
 		s.Count, s.Min.Microseconds(), s.Median.Microseconds(),
 		s.Max.Microseconds(), s.Stdev.Microseconds())
 }
-
-// Counter is a concurrency-safe monotonic counter.
-type Counter struct{ v atomic.Int64 }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Load reports the current value.
-func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.v.Store(0) }
-
-// Rate divides the counter by a wall-clock window, yielding events/second.
-func (c *Counter) Rate(window time.Duration) float64 {
-	if window <= 0 {
-		return 0
-	}
-	return float64(c.v.Load()) / window.Seconds()
-}
-
-// Gauge is a concurrency-safe instantaneous value.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Load reports the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
-// Add adjusts the value by delta (may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }

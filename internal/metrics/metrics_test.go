@@ -335,31 +335,3 @@ func TestHistogramResetClearsAggregates(t *testing.T) {
 			h.Mean(), h.Stdev(), h.Min(), h.Max())
 	}
 }
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(9)
-	if c.Load() != 10 {
-		t.Fatalf("counter = %d, want 10", c.Load())
-	}
-	if got := c.Rate(2 * time.Second); got != 5 {
-		t.Fatalf("rate = %v, want 5", got)
-	}
-	if got := c.Rate(0); got != 0 {
-		t.Fatalf("rate over zero window = %v, want 0", got)
-	}
-	c.Reset()
-	if c.Load() != 0 {
-		t.Fatalf("counter after reset = %d, want 0", c.Load())
-	}
-}
-
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(7)
-	g.Add(-3)
-	if g.Load() != 4 {
-		t.Fatalf("gauge = %d, want 4", g.Load())
-	}
-}

@@ -127,7 +127,8 @@ func (g *Gauge) Value() int64 {
 // Histogram records durations into bounded exponential buckets:
 // bucket i covers [2^i µs, 2^(i+1) µs), i in [0, histBuckets), with an
 // underflow bucket for <1µs. Memory is O(1) regardless of sample count,
-// unlike metrics.Histogram which retains every sample.
+// unlike the experiments' sample-keeping histogram (internal/metrics), which
+// holds raw samples for exact order statistics.
 const histBuckets = 32 // 1µs .. ~4295s
 
 type Histogram struct {

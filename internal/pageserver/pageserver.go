@@ -26,6 +26,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"socrates/internal/btree"
@@ -131,10 +132,10 @@ type Server struct {
 	// apply loop touches it, so no lock guards it.
 	applyScratch map[page.ID]*page.Page
 
-	served   metrics.Counter
-	waits    metrics.Counter
-	applies  metrics.Counter
-	rangeIOs metrics.Counter
+	served   atomic.Int64
+	waits    atomic.Int64
+	applies  atomic.Int64
+	rangeIOs atomic.Int64
 }
 
 // New builds (and starts) a page server. If the local cache devices hold a
@@ -369,7 +370,7 @@ func (s *Server) pullOnce() bool {
 		}
 	}
 	for _, pg := range touched {
-		s.applies.Inc()
+		s.applies.Add(1)
 		s.cfg.Metrics.Counter("pageserver.apply.pages").Inc()
 		s.markDirty(pg)
 		if err := s.cache.Put(pg); err != nil {
@@ -758,7 +759,7 @@ func (s *Server) waitApplied(ctx context.Context, lsn page.LSN, timeout time.Dur
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for s.applied.AtMost(lsn) {
-		s.waits.Inc()
+		s.waits.Add(1)
 		if time.Now().After(deadline) {
 			return false
 		}
@@ -803,7 +804,7 @@ func (s *Server) GetPage(ctx context.Context, id page.ID, minLSN page.LSN) (*pag
 	}
 	s.charge(6 * time.Microsecond)
 	if pg, ok := s.cache.Get(id); ok {
-		s.served.Inc()
+		s.served.Add(1)
 		return pg, nil
 	}
 	// Covering cache miss: only possible while seeding — fetch on demand.
@@ -822,7 +823,7 @@ func (s *Server) GetPage(ctx context.Context, id page.ID, minLSN page.LSN) (*pag
 	//socrates:alloc-ok covering-cache miss happens only while seeding; the warm path returned above
 	s.cfg.Flight.Record(obs.TierPageServer, "ps.miss", uint64(minLSN),
 		time.Since(fetchStart), fmt.Sprintf("%s: page %d seeded from xstore", s.cfg.Name, id))
-	s.served.Inc()
+	s.served.Add(1)
 	return pg, nil
 }
 
@@ -853,7 +854,7 @@ func (s *Server) GetPageRange(ctx context.Context, start page.ID, count int, min
 	if !s.waitApplied(ctx, minLSN, 5*time.Second) {
 		return nil, socerr.Timeoutf("pageserver: apply lag on range read")
 	}
-	s.rangeIOs.Inc()
+	s.rangeIOs.Add(1)
 	pages, err := s.cache.ReadRange(start, clamped)
 	if err != nil {
 		// Mid-range tear or miss: assemble the longest successful prefix

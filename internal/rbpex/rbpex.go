@@ -34,9 +34,9 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"socrates/internal/hekaton"
-	"socrates/internal/metrics"
 	"socrates/internal/obs"
 	"socrates/internal/page"
 	"socrates/internal/simdisk"
@@ -224,9 +224,9 @@ type Cache struct {
 	parked, aheadRead, displaced wbCounter
 	firstRead                    *obs.Counter // see Instrument
 
-	memHits metrics.Counter
-	ssdHits metrics.Counter
-	misses  metrics.Counter
+	memHits atomic.Int64
+	ssdHits atomic.Int64
+	misses  atomic.Int64
 }
 
 // Open creates or recovers a cache. If the metadata device already holds a
@@ -333,7 +333,7 @@ func (c *Cache) Get(id page.ID) (*page.Page, bool) {
 		c.memLRU.touch(&e.node)
 		pg := e.pg
 		c.mu.Unlock()
-		c.memHits.Inc()
+		c.memHits.Add(1)
 		return pg, true
 	}
 	if pg := c.unparkLocked(id); pg != nil {
@@ -342,18 +342,18 @@ func (c *Cache) Get(id page.ID) (*page.Page, bool) {
 		//socrates:lock-ok evictLocked starts the drainer, it does not run it: round is taken on the drainer's own goroutine, and nothing takes round while holding mu
 		c.admitLocked(id, pg, false)
 		c.mu.Unlock()
-		c.memHits.Inc()
+		c.memHits.Add(1)
 		return pg, true
 	}
 	if d, ok := c.demoting[id]; ok {
 		c.mu.Unlock()
-		c.memHits.Inc()
+		c.memHits.Add(1)
 		return d.pg, true
 	}
 	e, ok := c.ssd[id]
 	if !ok {
 		c.mu.Unlock()
-		c.misses.Inc()
+		c.misses.Add(1)
 		return nil, false
 	}
 	slot := e.slot
@@ -374,17 +374,17 @@ func (c *Cache) readSlot(id page.ID, slot int) (*page.Page, bool) {
 	buf := make([]byte, page.Size)
 	if err := c.cfg.SSD.ReadAt(buf, int64(slot)*page.Size); err != nil {
 		region.End()
-		c.misses.Inc()
+		c.misses.Add(1)
 		return nil, false
 	}
 	region.End()
 	pg, err := page.Decode(buf)
 	if err != nil || pg.ID != id {
 		// Torn or stale slot: treat as a miss; the caller refetches.
-		c.misses.Inc()
+		c.misses.Add(1)
 		return nil, false
 	}
-	c.ssdHits.Inc()
+	c.ssdHits.Add(1)
 	//socrates:ignore-err promotion only refreshes the memory tier; the SSD copy just read remains authoritative, so a failed promote costs one re-read
 	_, _ = c.put(pg, promoted, nil)
 	return pg, true
@@ -1131,9 +1131,9 @@ func (c *Cache) HitRate() float64 {
 
 // ResetStats zeroes the hit/miss counters (measurement windows).
 func (c *Cache) ResetStats() {
-	c.memHits.Reset()
-	c.ssdHits.Reset()
-	c.misses.Reset()
+	c.memHits.Store(0)
+	c.ssdHits.Store(0)
+	c.misses.Store(0)
 }
 
 // Len reports the number of distinct pages cached across both tiers.

@@ -25,6 +25,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"socrates/internal/metrics"
@@ -181,10 +182,10 @@ type Device struct {
 	failOne error         // returned by the next call, then cleared
 	held    chan struct{} // non-nil while writes are held (HoldWrites)
 
-	reads  metrics.Counter
-	writes metrics.Counter
-	bytesR metrics.Counter
-	bytesW metrics.Counter
+	reads  atomic.Int64
+	writes atomic.Int64
+	bytesR atomic.Int64
+	bytesW atomic.Int64
 }
 
 // ChunkSize is the allocation unit of a device's backing store, and so the
@@ -369,7 +370,7 @@ func (d *Device) ReadAt(p []byte, off int64) error {
 		}
 	}
 	d.copyOut(p, off)
-	d.reads.Inc()
+	d.reads.Add(1)
 	d.bytesR.Add(int64(len(p)))
 	return nil
 }
@@ -450,7 +451,7 @@ func (d *Device) writeRaw(p []byte, off int64) (time.Duration, error) {
 		}
 		n += copy(d.chunks[ci][co:], p[n:])
 	}
-	d.writes.Inc()
+	d.writes.Add(1)
 	d.bytesW.Add(int64(len(p)))
 	return lat, nil
 }
@@ -627,7 +628,7 @@ func (h *waiterHeap) pop() waiter {
 }
 
 // TokenBucket rate-limits bytes/second with a one-second burst: the
-// device throughput caps here and XStore's ingest and egress caps.
+// device throughput caps here and XStore's ingest cap.
 type TokenBucket struct {
 	mu     sync.Mutex
 	rate   float64 // bytes per second

@@ -42,11 +42,11 @@ type Service struct {
 	lt  *lt
 	ssd *blockCache
 
-	tracer  *obs.Tracer
-	metrics *obs.Registry
-	wms     *obs.WatermarkSet
-	flight  *obs.FlightRecorder
-	waits   *obs.WaitRecorder
+	tracer *obs.Tracer
+	reg    *obs.Registry
+	wms    *obs.WatermarkSet
+	flight *obs.FlightRecorder
+	waits  *obs.WaitRecorder
 
 	mu          sync.Mutex
 	pending     map[page.LSN]entry // by Start; not yet hardened
@@ -169,7 +169,7 @@ func build(cfg Config) (*Service, error) {
 	s := &Service{
 		lz:          cfg.LZ,
 		tracer:      cfg.Tracer,
-		metrics:     cfg.Metrics,
+		reg:         cfg.Metrics,
 		wms:         cfg.Watermarks,
 		flight:      cfg.Flight,
 		waits:       cfg.Waits,
@@ -236,17 +236,17 @@ func (s *Service) FeedEncodedFrom(ctx context.Context, epoch uint64, b *wal.Bloc
 	}
 	s.mu.Lock()
 	s.feedReceived++
-	s.metrics.Counter("xlog.feed.blocks").Inc()
+	s.reg.Counter("xlog.feed.blocks").Inc()
 	if epoch != s.producerEpoch {
 		s.feedWrongEpoch++
-		s.metrics.Counter("xlog.feed.wrong_epoch").Inc()
+		s.reg.Counter("xlog.feed.wrong_epoch").Inc()
 		s.mu.Unlock()
 		sp.SetAttr("wrong_epoch", "true")
 		return
 	}
 	if b.End.AtMost(s.promoted) {
 		s.feedStale++
-		s.metrics.Counter("xlog.feed.stale").Inc()
+		s.reg.Counter("xlog.feed.stale").Inc()
 		s.mu.Unlock()
 		sp.SetAttr("stale", "true")
 		return
@@ -293,7 +293,7 @@ func (s *Service) ReportHardened(ctx context.Context, lsn page.LSN) {
 	_, sp := s.tracer.JoinSpan(ctx, obs.TierXLOG, "xlog.promote")
 	start := time.Now()
 	s.promoteTo(lsn)
-	s.metrics.Histogram("xlog.promote.latency").Since(start)
+	s.reg.Histogram("xlog.promote.latency").Since(start)
 	sp.End()
 	select {
 	case s.destageKick <- struct{}{}:
@@ -436,8 +436,8 @@ func (s *Service) destageOnce() {
 	s.lz.ReleaseUpTo(end)
 	s.wms.Watermark(obs.WMTruncated, "").Publish(uint64(end))
 	s.trimBroker()
-	s.metrics.Histogram("xlog.destage.latency").Since(destageStart)
-	s.metrics.Counter("xlog.destage.blocks").Add(uint64(len(batch)))
+	s.reg.Histogram("xlog.destage.latency").Since(destageStart)
+	s.reg.Counter("xlog.destage.blocks").Add(uint64(len(batch)))
 	s.flight.Record(obs.TierXLOG, "xlog.destage", uint64(end),
 		time.Since(destageStart), fmt.Sprintf("blocks=%d bytes=%d", len(batch), len(ltBuf)))
 }
@@ -480,7 +480,7 @@ func (s *Service) Pull(ctx context.Context, fromLSN page.LSN, partition int32, m
 	_, sp := s.tracer.JoinSpan(ctx, obs.TierXLOG, "xlog.pull")
 	defer sp.End()
 	start := time.Now()
-	defer s.metrics.Histogram("xlog.pull.latency").Since(start)
+	defer s.reg.Histogram("xlog.pull.latency").Since(start)
 	if maxBytes <= 0 {
 		maxBytes = 1 << 20
 	}

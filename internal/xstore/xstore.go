@@ -24,9 +24,9 @@
 // does — sharing segments, every checkpoint generation would stay pinned by
 // the few bytes of log archive that landed between its pages.
 //
-// Throughput is capped by the HDD device profile plus optional ingest and
-// egress limits — the ingest limit is what throttles HADR's log backup in
-// the paper's Table 5 experiment.
+// Throughput is capped by the HDD device profile plus an optional ingest
+// limit on writes into the store — what throttles HADR's log backup in the
+// paper's Table 5 experiment.
 package xstore
 
 import (
@@ -84,8 +84,6 @@ type Config struct {
 	// IngestMBps caps write bandwidth into the store (0 = uncapped).
 	// This is the knob that throttles HADR log backups (Table 5).
 	IngestMBps float64
-	// EgressMBps caps read bandwidth out of the store (0 = uncapped).
-	EgressMBps float64
 	// Seed fixes device jitter for reproducible runs.
 	Seed int64
 }
@@ -95,9 +93,8 @@ type Config struct {
 type Store struct {
 	dev    *simdisk.Device
 	ingest *simdisk.TokenBucket
-	egress *simdisk.TokenBucket
 
-	metrics *obs.Registry // nil-safe; set via SetMetrics
+	reg *obs.Registry // nil-safe; set via SetMetrics
 	// The space accounting's instruments, looked up once: addLive moves
 	// them under s.mu, once per extent let go.
 	footprintBytes, garbageBytes *obs.Gauge
@@ -129,7 +126,7 @@ type stream struct{ next, limit int64 }
 // namespace. Safe to call once at wiring time, before concurrent use; a nil
 // registry disables recording.
 func (s *Store) SetMetrics(r *obs.Registry) {
-	s.metrics = r
+	s.reg = r
 	s.footprintBytes = r.Gauge("xstore.footprint_bytes")
 	s.garbageBytes = r.Gauge("xstore.garbage_bytes")
 	s.reclaimedBytes = r.Counter("xstore.reclaimed.bytes")
@@ -152,9 +149,6 @@ func New(cfg Config) *Store {
 	}
 	if cfg.IngestMBps > 0 {
 		s.ingest = simdisk.NewTokenBucket(cfg.IngestMBps * 1024 * 1024)
-	}
-	if cfg.EgressMBps > 0 {
-		s.egress = simdisk.NewTokenBucket(cfg.EgressMBps * 1024 * 1024)
 	}
 	return s
 }
@@ -311,9 +305,9 @@ func (s *Store) appendLog(st *stream, data []byte) (int64, error) {
 		s.mu.Unlock()
 		return 0, err
 	}
-	s.metrics.Histogram("xstore.write.latency").Since(start)
-	s.metrics.Counter("xstore.write.bytes").Add(uint64(n))
-	s.metrics.Counter("xstore.write.ops").Inc()
+	s.reg.Histogram("xstore.write.latency").Since(start)
+	s.reg.Counter("xstore.write.bytes").Add(uint64(n))
+	s.reg.Counter("xstore.write.ops").Inc()
 	return off, nil
 }
 
@@ -433,13 +427,10 @@ func (s *Store) ReadAt(name string, off, length int64) ([]byte, error) {
 func (s *Store) readMeta(b *blobMeta, off, length int64) ([]byte, error) {
 	start := time.Now()
 	defer func() {
-		s.metrics.Histogram("xstore.read.latency").Since(start)
-		s.metrics.Counter("xstore.read.ops").Inc()
+		s.reg.Histogram("xstore.read.latency").Since(start)
+		s.reg.Counter("xstore.read.ops").Inc()
 	}()
-	s.metrics.Counter("xstore.read.bytes").Add(uint64(length))
-	if s.egress != nil {
-		s.egress.Acquire(int(length))
-	}
+	s.reg.Counter("xstore.read.bytes").Add(uint64(length))
 	out := make([]byte, 0, length)
 	pos := int64(0)
 	for _, e := range b.extents {
@@ -533,7 +524,7 @@ func (s *Store) Snapshot(name string) error {
 		snap.blobs[n] = s.hold(b)
 	}
 	s.snapshots[name] = snap
-	s.metrics.Counter("xstore.snapshot.count").Inc()
+	s.reg.Counter("xstore.snapshot.count").Inc()
 	return nil
 }
 

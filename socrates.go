@@ -455,11 +455,10 @@ func (db *DB) FlightEvents() []FlightEvent { return db.cluster.Flight.Events() }
 // WatchdogTrips lists lag/stall watchdog firings so far, oldest first.
 func (db *DB) WatchdogTrips() []Trip { return db.cluster.Watchdog.Trips() }
 
-// Stats reports headline deployment metrics.
-//
-// Deprecated: Stats predates the per-tier metrics registry and survives as
-// a thin shim. New code should use MetricsSnapshot, which exposes the
-// commit-path and GetPage@LSN latency histograms for every tier.
+// Stats reports headline deployment metrics: the shape of the deployment
+// (page servers, secondaries), the primary's cache hit rate, remote fetches
+// and simulated CPU. MetricsSnapshot carries none of those; it has the
+// per-tier latency histograms and counters instead.
 type Stats struct {
 	HardenedLSN    uint64  // durable log end
 	LogBytes       int64   // bytes flushed to the landing zone
