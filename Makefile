@@ -18,7 +18,7 @@ RACE_PKGS := ./internal/compute ./internal/hadr ./internal/simdisk \
              ./internal/rbpex ./internal/engine ./internal/hekaton \
              ./internal/xstore
 
-.PHONY: all lint fmt vet test race chaos chaos-stress allocs bench bench-probes cover vet-baseline clean
+.PHONY: all lint fmt vet test race chaos chaos-stress repl-stress allocs bench bench-probes cover vet-baseline clean
 
 all: lint test
 
@@ -63,6 +63,16 @@ chaos:
 # run it before merging anything that touches apply, fetch or failover order.
 chaos-stress:
 	$(GO) test -count=25 -timeout 120m -run 'TestChaosSeedMatrix|TestChaosScenarios|TestChaosCommitQuorum' ./internal/chaos/
+
+# The replication-order tests of both stacks, 200 times: a replica applies a
+# log prefix in LSN order (hadr: DESIGN §14.3) and WaitApplied means applied
+# and visible (compute.Secondary). What they pin was a 1-in-40 loss of
+# acknowledged writes; run it before merging anything that touches ship,
+# hardenFeed, Failover or a secondary's apply order.
+repl-stress:
+	$(GO) test -count=200 -run 'TestApplyFollowsLogOrder|TestFailoverPromotesSecondary|TestSecondariesReplicate|TestStragglerCatchesUpOrLeaves' ./internal/hadr
+	$(GO) test -count=200 -run 'TestSecondaryServesSnapshotReads' ./internal/cluster
+	$(GO) test -count=200 -run 'TestSecondaryWaitAppliedMeansVisible|TestSecondaryAppliedBeforeVisible' ./internal/compute
 
 # Hot-path allocation contracts (AllocsPerRun budgets; they skip themselves
 # under -race; rbpex: a memory hit 0 — segment moves included — and an

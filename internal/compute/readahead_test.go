@@ -894,10 +894,80 @@ func TestSecondaryAppliedBeforeVisible(t *testing.T) {
 	if !sec.WaitApplied(b2.End, hangGuard) {
 		t.Fatalf("applied = %d, want %d", sec.AppliedLSN(), b2.End)
 	}
-	// Visible is published after the watermark; it follows at once.
-	within(t, "the second block's commit to become visible", func() {
-		for clock.Visible() < 102 {
-			time.Sleep(50 * time.Microsecond) //socrates:sleep-ok deadline-bounded poll for the publish that follows the watermark
+	// Visible is published after the applied watermark and before
+	// WaitApplied's own.
+	if vis := clock.Visible(); vis != 102 {
+		t.Fatalf("WaitApplied(%d) returned with visible %d, want 102", b2.End, vis)
+	}
+}
+
+// TestSecondaryWaitAppliedMeansVisible stops the apply thread between a
+// block's applied watermark and the publish of its commit timestamp. At that
+// instant AppliedLSN covers the block — a snapshot must never show a commit at
+// or above it — but a caller of WaitApplied must not be let through: the
+// snapshot it is about to begin would miss the block's transaction.
+func TestSecondaryWaitAppliedMeansVisible(t *testing.T) {
+	srv := newFakePageServer()
+	srv.buildDatabase(t, engine.NewMemPipeline(), 4)
+
+	const start = page.LSN(1000)
+	bld := wal.NewBuilder(start, page.Partitioning{})
+	bld.Append(&wal.Record{Txn: 8, Kind: wal.KindCellPut, Page: 2, PageType: page.TypeLeaf,
+		Key: []byte("k"), Value: []byte("v")})
+	bld.Append(wal.NewCommit(8, 102))
+	b := bld.Flush()
+
+	var serve atomic.Bool
+	net := rbio.NewInstantNetwork()
+	net.Serve("ps", srv.handler())
+	net.Serve("xlog", func(_ context.Context, req *rbio.Request) *rbio.Response {
+		resp := rbio.Ok()
+		resp.LSN = req.LSN
+		if req.Type == rbio.MsgPullBlocks && req.LSN == start && serve.Load() {
+			resp.LSN, resp.Payload = b.End, b.Encode()
 		}
+		return resp
 	})
+	sel := rbio.NewSelector(rbio.NewClient(net.Dial("ps")))
+	sec, err := NewSecondary(SecondaryConfig{
+		Name:     "sec",
+		XLOG:     rbio.NewClient(net.Dial("xlog")),
+		Resolve:  func(page.ID) (*rbio.Selector, error) { return sel, nil },
+		StartLSN: start,
+		StartTS:  100,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sec.Stop()
+	clock := sec.Engine.Clock()
+
+	reached, release := make(chan struct{}), make(chan struct{})
+	sec.holdBeforePublish = func() {
+		close(reached)
+		<-release
+	}
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
+	serve.Store(true)
+	within(t, "the apply thread to reach the publish", func() { <-reached })
+
+	if applied, vis := sec.AppliedLSN(), clock.Visible(); applied != b.End || vis != 100 {
+		t.Fatalf("held before publish: applied %d, visible %d; want %d and 100", applied, vis, b.End)
+	}
+	if sec.WaitApplied(b.End, time.Millisecond) {
+		t.Fatalf("WaitApplied(%d) let a caller through with visible %d: its snapshot misses the commit at 102", b.End, clock.Visible())
+	}
+	close(release)
+	if !sec.WaitApplied(b.End, hangGuard) {
+		t.Fatalf("WaitApplied(%d) never returned", b.End)
+	}
+	if vis := clock.Visible(); vis != 102 {
+		t.Fatalf("WaitApplied(%d) returned with visible %d, want 102", b.End, vis)
+	}
 }

@@ -69,6 +69,11 @@ type Secondary struct {
 
 	mu      sync.Mutex
 	applied page.LSN
+	// visibleTo follows applied: it moves once the commit timestamps of
+	// everything below it are published. A snapshot begun after visibleTo
+	// reached an LSN sees every commit below that LSN; one begun after
+	// applied did may not yet.
+	visibleTo page.LSN
 	// fetchFloor is the end of the block being applied, set before its first
 	// record is handled: a fetch that registers mid-block asks the page
 	// server for the whole block, records that went by before it registered
@@ -84,6 +89,9 @@ type Secondary struct {
 	queuedRecs  atomic.Int64
 	pullBytes   int
 	applyDelay  time.Duration
+	// holdBeforePublish, set by a test before the feed starts, runs on the
+	// apply thread between a block's applied watermark and its publish.
+	holdBeforePublish func()
 
 	wms    *obs.WatermarkSet
 	flight *obs.FlightRecorder
@@ -108,6 +116,7 @@ func NewSecondary(cfg SecondaryConfig) (*Secondary, error) {
 		name:       cfg.Name,
 		xlog:       cfg.XLOG,
 		applied:    cfg.StartLSN,
+		visibleTo:  cfg.StartLSN,
 		done:       make(chan struct{}),
 		pullBytes:  cfg.PullBytes,
 		applyDelay: cfg.ApplyDelay,
@@ -188,7 +197,9 @@ func (s *Secondary) Stats() (applied, ignored, queued int64) {
 	return s.appliedRecs.Load(), s.ignored.Load(), s.queuedRecs.Load()
 }
 
-// WaitApplied blocks until the apply watermark reaches lsn.
+// WaitApplied blocks until the node has applied the log below lsn and made
+// its commits visible: a snapshot begun after it returns true reads every
+// transaction that committed below lsn.
 func (s *Secondary) WaitApplied(lsn page.LSN, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	// xlog.feed: the caller is blocked behind this node's log-apply
@@ -198,7 +209,7 @@ func (s *Secondary) WaitApplied(lsn page.LSN, timeout time.Duration) bool {
 	defer func() { region.EndIf(waited) }()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.applied.Before(lsn) {
+	for s.visibleTo.Before(lsn) {
 		if time.Now().After(deadline) {
 			return false
 		}
@@ -295,7 +306,8 @@ func (s *Secondary) pullOnce() bool {
 	if resp.LSN == from {
 		return false
 	}
-	s.advanceApplied(resp.LSN)
+	s.advance(&s.applied, resp.LSN)
+	s.advance(&s.visibleTo, resp.LSN) // the blocks below published theirs; the rest of the range holds none
 	s.wms.Watermark(obs.WMSecondary, s.name).Publish(uint64(resp.LSN))
 	s.flight.Record(obs.TierCompute, "sec.apply", uint64(resp.LSN), 0,
 		s.name+": batch applied")
@@ -305,11 +317,13 @@ func (s *Secondary) pullOnce() bool {
 	return true
 }
 
-// applyBlock applies one log block in three steps whose order is the node's
+// applyBlock applies one log block in four steps whose order is the node's
 // read contract: the page operations, then the applied watermark, then the
-// block's commit timestamps. A snapshot can therefore never show a commit
-// whose LSN is at or above AppliedLSN — and a fetch by a reader who sees the
-// commit asks the page server (floor) for at least the block that holds it.
+// block's commit timestamps, then the visible watermark WaitApplied waits on.
+// A snapshot can therefore never show a commit whose LSN is at or above
+// AppliedLSN — and a fetch by a reader who sees the commit asks the page
+// server (floor) for at least the block that holds it — while a caller told
+// the block is applied never begins a snapshot that misses its commits.
 // Publishing as the records went by, with the watermark moving once per
 // pull, let a snapshot taken mid-pull read ahead of the watermark — the
 // chaos oracle's "read from the future". Before any of it the fetch floor
@@ -327,16 +341,21 @@ func (s *Secondary) applyBlock(b *wal.Block) {
 		}
 		s.applyRecord(rec)
 	}
-	s.advanceApplied(b.End)
+	s.advance(&s.applied, b.End)
+	if s.holdBeforePublish != nil {
+		s.holdBeforePublish()
+	}
 	s.Engine.Clock().Publish(visible)
+	s.advance(&s.visibleTo, b.End)
 }
 
-// advanceApplied moves the applied watermark up to lsn and wakes whoever
+// advance moves one of the node's watermarks — applied, or visibleTo once the
+// commit timestamps below lsn are published — up to lsn and wakes whoever
 // waits on it.
-func (s *Secondary) advanceApplied(lsn page.LSN) {
+func (s *Secondary) advance(mark *page.LSN, lsn page.LSN) {
 	s.mu.Lock()
-	if lsn.After(s.applied) {
-		s.applied = lsn
+	if lsn.After(*mark) {
+		*mark = lsn
 		s.cond.Broadcast()
 	}
 	s.mu.Unlock()

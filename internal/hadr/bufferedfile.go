@@ -21,7 +21,7 @@ type bufferedFile struct {
 	mem   map[page.ID]*page.Page
 	dirty map[page.ID]struct{}
 
-	// flushMu serializes write-back passes: a caller of FlushAll or Range
+	// flushMu serializes write-back passes: a caller of flushOnce or Range
 	// must not return while the ticker's pass still holds pages it has
 	// taken off the dirty set but not yet written.
 	flushMu sync.Mutex
@@ -122,22 +122,12 @@ func (f *bufferedFile) flushOnce() error {
 	return firstErr
 }
 
-// FlushAll drains the dirty set to disk.
-func (f *bufferedFile) FlushAll() error { return f.flushOnce() }
-
 // Range iterates the durable on-disk copy (after draining dirty pages) —
 // the O(size-of-data) path used by replica seeding.
 func (f *bufferedFile) Range(fn func(*page.Page) bool) {
 	//socrates:ignore-err pages that failed the drain stay dirty and reach the replica through log apply instead of the seed copy
 	_ = f.flushOnce()
 	f.disk.Range(fn)
-}
-
-// Len reports the page count of the in-memory copy.
-func (f *bufferedFile) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.mem)
 }
 
 // close stops the flusher after a final drain.

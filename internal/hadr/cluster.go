@@ -2,6 +2,7 @@ package hadr
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -52,6 +53,7 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	prim.waits = cfg.Waits
+	prim.primary = true
 	c.primary = prim
 	for i := 1; i < cfg.Replicas; i++ {
 		sec, err := newNode(fmt.Sprintf("%s-%d", cfg.Name, i), cfg.DiskProfile, nil)
@@ -64,10 +66,7 @@ func New(cfg Config) (*Cluster, error) {
 		c.secondaries = append(c.secondaries, sec)
 	}
 
-	c.writer = newWriter(c, 1)
-	for _, sec := range c.secondaries {
-		sec.setAckClient(rbio.NewClient(c.Net.Dial(c.writer.ackAddr())))
-	}
+	c.writer = newWriter(c, prim, c.secondaries)
 	eng, err := engine.Create(engine.Config{
 		Pages: c.primary.pages,
 		Log:   c.writer,
@@ -141,66 +140,92 @@ func (c *Cluster) TotalDataBytes() int64 {
 	return total
 }
 
-// Failover promotes the most caught-up secondary to primary. Recovery time
-// includes draining its apply queue; because each node already has a full
-// copy, no pages move — but a *replacement* replica to restore fault
-// tolerance costs O(size-of-data) (SeedNewReplica).
+// evict removes a secondary from the replica set: its prefix ends before
+// the primary's retained log begins, so no block the primary can send
+// extends it. Restoring the replica count is SeedNewReplica's full copy.
+func (c *Cluster) evict(name string) {
+	c.mu.Lock()
+	var gone *Node
+	kept := make([]*Node, 0, len(c.secondaries))
+	for _, s := range c.secondaries {
+		if s.name == name {
+			gone = s
+			continue
+		}
+		kept = append(kept, s)
+	}
+	c.secondaries = kept
+	c.mu.Unlock()
+	if gone != nil {
+		c.Net.Unserve(name)
+		gone.stop()
+	}
+}
+
+// Failover promotes the secondary that holds the longest log prefix.
+// Recovery time includes draining its apply queue; because each node already
+// has a full copy, no pages move — but a *replacement* replica to restore
+// fault tolerance costs O(size-of-data) (SeedNewReplica). The new writer
+// continues the log at the promoted node's prefix; a remaining secondary
+// that holds less is fed the rest from the promoted node's tail when it
+// answers its first ship, or leaves the replica set if the tail is too short.
 func (c *Cluster) Failover() (*Node, time.Duration, error) {
 	start := time.Now()
 	c.mu.Lock()
 	oldWriter := c.writer
 	old := c.primary
-	if len(c.secondaries) == 0 {
-		c.mu.Unlock()
+	candidates := len(c.secondaries)
+	c.mu.Unlock()
+	if candidates == 0 {
 		return nil, 0, fmt.Errorf("hadr: no secondary to promote")
 	}
-	// Most caught-up secondary wins.
-	best := c.secondaries[0]
-	for _, s := range c.secondaries[1:] {
-		if s.AppliedLSN().After(best.AppliedLSN()) {
-			best = s
+	oldWriter.Close() // its last ships land, its last stragglers leave
+	old.stop()
+	hardened := oldWriter.HardenedEnd()
+
+	// Elect by what is durable, not by what is applied: the promoted node's
+	// prefix becomes the log. Every acknowledged commit lies below the old
+	// writer's hardened end, so a prefix short of it would lose one.
+	secs := c.Secondaries()
+	var best *Node
+	var prefix page.LSN
+	for _, s := range secs {
+		if p := s.HardenedTo(); p.After(prefix) {
+			best, prefix = s, p
 		}
 	}
-	rest := make([]*Node, 0, len(c.secondaries)-1)
-	for _, s := range c.secondaries {
+	if prefix.Before(hardened) {
+		return nil, 0, fmt.Errorf("%w: no secondary holds the log through %d (longest prefix %d)",
+			ErrNoQuorum, hardened, prefix)
+	}
+	rest := make([]*Node, 0, len(secs)-1)
+	for _, s := range secs {
 		if s != best {
 			rest = append(rest, s)
 		}
 	}
-	c.mu.Unlock()
 
-	oldWriter.Close()
-	old.stop()
-	hardened := oldWriter.HardenedEnd()
-
-	// The promoted node drains its queue to the hardened end.
-	if !best.WaitApplied(hardened, 10*time.Second) {
+	// The promoted node drains its queue: everything below its prefix is
+	// already there, in order.
+	if !best.WaitApplied(prefix, 10*time.Second) {
 		return nil, 0, fmt.Errorf("hadr: promoted node stuck at %d, need %d",
-			best.AppliedLSN(), hardened)
+			best.AppliedLSN(), prefix)
 	}
 	c.Net.Unserve(best.name)
+	best.newTerm(true)
+	for _, s := range rest {
+		s.newTerm(false)
+	}
 
 	// Construct the writer (it spawns flush/backup loops that reach the
 	// fabric) before taking the lock: deadlocklint, and a failover that
 	// cannot convoy behind a slow dial.
-	w := newWriter(c, hardened)
+	w := newWriter(c, best, rest)
 	c.mu.Lock()
 	c.primary = best
 	c.secondaries = rest
 	c.writer = w
 	c.mu.Unlock()
-
-	// Straggler reconciliation at promotion: blocks below the hardened
-	// watermark reached quorum cluster-wide, but a secondary outside that
-	// quorum may have gaps. Fast-forward its cumulative ack floor so its
-	// acks re-enter the flexible quorum instead of wedging behind a gap
-	// the new primary no longer retains, and point its ack channel at the
-	// new writer's endpoint.
-	best.setAckClient(nil)
-	for _, s := range rest {
-		s.setAckClient(rbio.NewClient(c.Net.Dial(w.ackAddr())))
-		s.setAckFloor(hardened)
-	}
 
 	visible := uint64(0)
 	if best.engine != nil {
@@ -208,7 +233,7 @@ func (c *Cluster) Failover() (*Node, time.Duration, error) {
 	}
 	eng, err := engine.Open(engine.Config{
 		Pages: best.pages,
-		Log:   c.writer,
+		Log:   w,
 		Meter: c.PrimaryMeter,
 	})
 	if err != nil {
@@ -230,6 +255,10 @@ func (c *Cluster) SeedNewReplica(name string) (*Node, int64, time.Duration, erro
 		return nil, 0, 0, err
 	}
 
+	// Read the primary's prefix before the copy: the engine writes a page
+	// before its record hardens, so every page copied from here on reflects
+	// at least the log below it, and replaying from it is idempotent.
+	prefix := prim.HardenedTo()
 	var copied int64
 	var copyErr error
 	prim.pages.Range(func(pg *page.Page) bool {
@@ -243,18 +272,15 @@ func (c *Cluster) SeedNewReplica(name string) (*Node, int64, time.Duration, erro
 	if copyErr != nil {
 		return nil, 0, 0, copyErr
 	}
-	// Read the hardened end before taking the node lock: Writer() takes
-	// Cluster.mu, and Failover acquires Node.mu while holding Cluster.mu —
-	// nesting them here in the opposite order is a lock-order cycle.
-	w := c.Writer()
-	hardened := w.HardenedEnd()
+	// The one place a prefix moves without its blocks: the copy stands for
+	// the log below it. The node holds none of that log, so its own tail
+	// starts here.
 	sec.mu.Lock()
-	sec.applied = hardened
-	sec.hardenedTo = hardened // the seed copy covers everything below
+	sec.applied = prefix
+	sec.hardenedTo = prefix
 	sec.mu.Unlock()
 	sec.startApply()
 	c.Net.Serve(sec.name, sec.handler())
-	sec.setAckClient(rbio.NewClient(c.Net.Dial(w.ackAddr())))
 	if err := sec.openSecondaryEngine(); err != nil {
 		return nil, 0, 0, err
 	}
@@ -263,17 +289,19 @@ func (c *Cluster) SeedNewReplica(name string) (*Node, int64, time.Duration, erro
 	}
 	c.mu.Lock()
 	c.secondaries = append(c.secondaries, sec)
+	w := c.writer
 	c.mu.Unlock()
+	w.join(name, prefix)
 	return sec, copied, time.Since(start), nil
 }
 
-// Range exposes the primary page file's Range for seeding (test support).
-func (n *Node) Range(fn func(*page.Page) bool) { n.pages.Range(fn) }
-
-// writer is the HADR primary's log pipeline: local log write plus quorum
-// log shipping, with backup-lag throttling.
+// writer is the HADR primary's log pipeline: it cuts the log into blocks,
+// extends the primary node's prefix with each, ships it to every secondary,
+// and reports a commit hardened once a quorum of prefixes covers it. It
+// throttles on backup lag.
 type writer struct {
-	c *Cluster
+	c    *Cluster
+	node *Node // the primary; its prefix is the writer's local durability
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -281,40 +309,23 @@ type writer struct {
 	boundary int
 	nextLSN  page.LSN
 	hardened page.LSN
-	err      error
-	closed   bool
+	// lostTo is the end of the highest block whose quorum round failed. Its
+	// committers are told ErrNoQuorum; the block stays in the primary's
+	// prefix and hardens with a later one if the replicas come back.
+	lostTo page.LSN
+	err    error
+	closed bool
 
-	// Backup bookkeeping: [backedUp, hardened) is not yet in XStore; its
-	// size is capped by BackupLagBudget.
-	backedUp    page.LSN
+	// Backup bookkeeping: unbackedLen bytes of log are not yet in XStore,
+	// capped by BackupLagBudget; toBackup of them await the next backup run.
 	unbackedLen int64
-	blockSizes  map[page.LSN]int64 // start LSN → encoded size (until backup)
-	blockOrder  []page.LSN
+	toBackup    int64
 
-	// completed tracks out-of-order local harden completions so
-	// localDurable stays a prefix (ships are pipelined); the quorum
-	// watermark can never pass local durability.
-	completed    map[page.LSN]page.LSN
-	localDurable page.LSN
-
-	// secAcks holds each secondary's cumulative harden-ack watermark, fed
-	// by one-way MsgHardenReport frames on the writer's ack endpoint (or
-	// by the response of a round-trip ship or retransmit). The hardened
-	// watermark is the highest LSN covered by local durability plus any
-	// Quorum-1 of these — a flexible quorum with no designated ack set.
-	secAcks map[string]page.LSN
-
-	// tail retains recently shipped encoded blocks until evicted by count,
-	// so a one-way ship frame lost to a conn teardown can be retransmitted
-	// round-trip. Bounded: tailMax blocks.
-	tail      map[page.LSN]tailBlock
-	tailOrder []page.LSN
-
-	// shipPools holds one persistent netmux-pooled client per secondary,
-	// so replication reuses warm multiplexed connections instead of
-	// dialing a fresh one per shipped block.
-	shipMu    sync.Mutex
-	shipPools map[string]*rbio.Client
+	// peers is what the writer knows of each secondary. The hardened
+	// watermark is the highest LSN covered by the primary's prefix and the
+	// prefixes of any Quorum-1 secondaries — a flexible quorum with no
+	// designated ack set.
+	peers map[string]*peer
 
 	wg            sync.WaitGroup
 	ioWG          sync.WaitGroup
@@ -324,95 +335,92 @@ type writer struct {
 	throttles     atomic.Int64
 }
 
-// tailBlock is one retained shipped block, kept for retransmission until
-// evicted from the writer's bounded tail.
-type tailBlock struct {
-	end     page.LSN
-	payload []byte
+// peer is one secondary as the writer sees it.
+type peer struct {
+	name string
+	// client is netmux-pooled: replication reuses warm multiplexed
+	// connections instead of dialing one per shipped block.
+	client *rbio.Client
+	acked  page.LSN // its prefix, as its last response reported it
+	// needTo is the end of the highest block that did not reach it with its
+	// own ship. While acked is below it the secondary has a hole that only
+	// the primary's tail can fill (feed); above it, ships alone suffice.
+	needTo   page.LSN
+	catching bool // a feed is running
+	out      int  // ships to it not yet answered or failed
 }
 
-// tailMax bounds how many shipped blocks the writer retains for
-// retransmission to laggards.
-const tailMax = 512
+// stalled reports whether the secondary cannot come to cover end by itself:
+// it has a hole below, nobody is filling it, and no ship is out whose answer
+// would start that.
+func (p *peer) stalled(end page.LSN) bool {
+	return p.acked.Before(end) && p.acked.Before(p.needTo) && !p.catching && p.out == 0
+}
 
-// retransmitAfter is how long a shipped block may sit without quorum
-// coverage before the writer re-ships it round-trip to every laggard.
-// Comfortably above the cross-AZ round trip (~2.6 ms), so a healthy
-// deployment never retransmits.
-const retransmitAfter = 4 * time.Millisecond
-
-func newWriter(c *Cluster, startLSN page.LSN) *writer {
+// newWriter continues the log at the end of node's prefix. A secondary
+// whose prefix is shorter starts out needing the difference from the tail.
+func newWriter(c *Cluster, node *Node, secs []*Node) *writer {
+	start := node.HardenedTo()
 	w := &writer{
-		c:            c,
-		nextLSN:      startLSN,
-		hardened:     startLSN,
-		backedUp:     startLSN,
-		localDurable: startLSN,
-		blockSizes:   make(map[page.LSN]int64),
-		completed:    make(map[page.LSN]page.LSN),
-		secAcks:      make(map[string]page.LSN),
-		tail:         make(map[page.LSN]tailBlock),
-		inflight:     make(chan struct{}, 8),
-		shipPools:    make(map[string]*rbio.Client),
+		c:        c,
+		node:     node,
+		nextLSN:  start,
+		hardened: start,
+		peers:    make(map[string]*peer),
+		inflight: make(chan struct{}, 8),
+	}
+	for _, s := range secs {
+		w.peers[s.name] = w.newPeer(s.name, s.HardenedTo(), start)
 	}
 	w.cond = sync.NewCond(&w.mu)
-	c.Net.Serve(w.ackAddr(), w.ackHandler())
 	w.wg.Add(2)
 	go w.flushLoop()
 	go w.backupLoop()
 	return w
 }
 
-// ackAddr is the fabric address of the writer's harden-ack endpoint.
-func (w *writer) ackAddr() string { return w.c.cfg.Name + "-ack" }
-
-// ackHandler serves the writer's ack endpoint: cumulative one-way harden
-// reports from secondaries, one frame acknowledging every block at or
-// below its LSN.
-func (w *writer) ackHandler() rbio.Handler {
-	return func(_ context.Context, req *rbio.Request) *rbio.Response {
-		switch req.Type {
-		case rbio.MsgPing:
-			return rbio.Ok()
-		case rbio.MsgHardenReport:
-			w.recordAck(req.Consumer, req.LSN)
-			return rbio.Ok()
-		default:
-			return rbio.Errorf("hadr: unsupported ack message %v", req.Type)
-		}
-	}
-}
-
-// recordAck merges one secondary's cumulative harden watermark and
-// re-derives the quorum watermark. Acks are monotone; stale or duplicate
-// reports are no-ops.
-func (w *writer) recordAck(name string, lsn page.LSN) {
-	if name == "" {
-		return
-	}
+// join admits a freshly seeded secondary whose copy stands for the log below
+// prefix. Blocks cut before this moment were not addressed to it; it gets
+// them from the tail.
+func (w *writer) join(name string, prefix page.LSN) {
+	p := w.newPeer(name, prefix, 0)
 	w.mu.Lock()
-	if lsn.After(w.secAcks[name]) {
-		w.secAcks[name] = lsn
-		w.advanceLocked()
-	}
+	p.needTo = w.nextLSN
+	w.peers[name] = p
+	w.advanceLocked()
 	w.mu.Unlock()
 }
 
+func (w *writer) newPeer(name string, acked, needTo page.LSN) *peer {
+	pool := netmux.NewPool(name,
+		func(a string) (rbio.Conn, error) { return w.c.Net.Dial(a), nil },
+		netmux.Options{})
+	return &peer{name: name, client: rbio.NewClient(pool), acked: acked, needTo: needTo}
+}
+
+// ackLocked merges a secondary's reported prefix and re-derives the quorum
+// watermark. Prefixes are monotone; a stale report is a no-op.
+func (w *writer) ackLocked(p *peer, prefix page.LSN) {
+	if prefix.After(p.acked) {
+		p.acked = prefix
+		w.advanceLocked()
+	}
+}
+
 // advanceLocked recomputes the quorum-hardened watermark: the highest LSN
-// that is locally durable (as a prefix) and cumulatively acked by any
-// Quorum-1 secondaries — a flexible quorum in the Taurus style, where any
-// quorum-sized subset of replicas may harden a given block. Caller holds
-// w.mu.
+// below the primary's prefix and the prefixes of any Quorum-1 secondaries —
+// a flexible quorum in the Taurus style, where any quorum-sized subset of
+// replicas may harden a given block. Caller holds w.mu.
 func (w *writer) advanceLocked() {
 	need := w.c.cfg.Quorum - 1 // the local copy counts toward quorum
-	cand := w.localDurable
+	cand := w.node.HardenedTo()
 	if need > 0 {
-		if len(w.secAcks) < need {
+		if len(w.peers) < need {
 			return
 		}
-		acks := make([]page.LSN, 0, len(w.secAcks))
-		for _, l := range w.secAcks {
-			acks = append(acks, l)
+		acks := make([]page.LSN, 0, len(w.peers))
+		for _, p := range w.peers {
+			acks = append(acks, p.acked)
 		}
 		sort.Slice(acks, func(i, j int) bool { return acks[i].After(acks[j]) })
 		if acks[need-1].Before(cand) {
@@ -462,7 +470,7 @@ func (w *writer) WaitHarden(ctx context.Context, lsn page.LSN) error {
 	defer func() { region.EndIf(waited) }()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.hardened.AtMost(lsn) && w.err == nil && !w.closed {
+	for w.hardened.AtMost(lsn) && !lsn.Before(w.lostTo) && w.err == nil && !w.closed {
 		if err := ctx.Err(); err != nil {
 			return socerr.FromContext(err)
 		}
@@ -501,40 +509,18 @@ func (w *writer) Close() {
 	w.cond.Broadcast()
 	w.mu.Unlock()
 	w.wg.Wait()
-	w.ioWG.Wait() // drain in-flight quorum rounds
-	w.c.Net.Unserve(w.ackAddr())
-	w.shipMu.Lock()
-	for _, cl := range w.shipPools {
+	w.ioWG.Wait() // drain in-flight quorum rounds and the ships still out
+	w.mu.Lock()
+	for _, p := range w.peers {
 		//socrates:ignore-err teardown of replication clients on writer close; the pools own no durable state
-		_ = cl.Close()
+		_ = p.client.Close()
 	}
-	w.shipPools = nil
-	w.shipMu.Unlock()
+	w.mu.Unlock()
 }
 
-// shipTimeout bounds one replication RPC to a secondary: an unreachable
-// replica must not wedge a quorum round forever.
+// shipTimeout bounds one replication round trip to a secondary: an
+// unreachable replica must not wedge a quorum round forever.
 const shipTimeout = 10 * time.Second
-
-// shipClient returns the persistent pooled client for secondary name,
-// creating it on first use. The pool keeps warm multiplexed connections
-// across shipped blocks, evicting and redialing only on failure.
-func (w *writer) shipClient(name string) *rbio.Client {
-	w.shipMu.Lock()
-	defer w.shipMu.Unlock()
-	if cl, ok := w.shipPools[name]; ok {
-		return cl
-	}
-	if w.shipPools == nil {
-		w.shipPools = make(map[string]*rbio.Client)
-	}
-	pool := netmux.NewPool(name,
-		func(a string) (rbio.Conn, error) { return w.c.Net.Dial(a), nil },
-		netmux.Options{})
-	cl := rbio.NewClient(pool)
-	w.shipPools[name] = cl
-	return cl
-}
 
 func (w *writer) flushLoop() {
 	defer w.wg.Done()
@@ -585,188 +571,154 @@ func (w *writer) flushLoop() {
 		go func(block *wal.Block) {
 			defer w.ioWG.Done()
 			defer func() { <-w.inflight }()
-			if err := w.ship(block); err != nil {
+			size, err := w.ship(block)
+			if err != nil {
 				w.mu.Lock()
-				if w.err == nil {
+				if errors.Is(err, ErrNoQuorum) {
+					w.lostTo = page.MaxLSN(w.lostTo, block.End)
+				} else if w.err == nil {
 					w.err = err
 				}
 				w.cond.Broadcast()
 				w.mu.Unlock()
 				return
 			}
-			size := int64(block.EncodedSize())
 			w.blocksFlushed.Add(1)
 			w.bytesFlushed.Add(size)
 
 			w.mu.Lock()
-			w.blockSizes[block.Start] = size
-			w.blockOrder = append(w.blockOrder, block.Start)
 			w.unbackedLen += size
+			w.toBackup += size
 			w.cond.Broadcast()
 			w.mu.Unlock()
 		}(block)
 	}
 }
 
-// ship hardens the block locally, fires it at every secondary as a one-way
-// frame, and waits for the flexible quorum to cover it. Cumulative acks
-// arrive on the writer's ack endpoint (one ack frame covers every pipelined
-// block below its LSN); a send that fails outright is repeated as a round
-// trip whose response carries the same cumulative ack. A one-way frame lost
-// to a conn teardown is recovered by the retransmit loop, so loss costs
-// latency, never a commit.
-func (w *writer) ship(block *wal.Block) error {
-	prim := w.c.Primary()
-	if err := prim.harden(block); err != nil {
-		return err
-	}
-	secs := w.c.Secondaries()
-	need := w.c.cfg.Quorum - 1 // local copy already hardened
-	if need > len(secs) {
-		return ErrNoQuorum
-	}
+// ship extends the primary's prefix with the block, sends it to every
+// secondary as a round trip whose response carries that secondary's prefix,
+// and waits for the flexible quorum to cover it. Ships are pipelined, so a
+// response usually acknowledges less than this block; the ships before it
+// deliver the rest. It returns the block's encoded size.
+func (w *writer) ship(block *wal.Block) (int64, error) {
 	payload := block.Encode()
-
+	if _, err := w.node.hardenFeed(block, payload); err != nil {
+		return 0, err
+	}
+	need := w.c.cfg.Quorum - 1 // the primary's prefix already holds it
 	w.mu.Lock()
-	// Local durability advances as a prefix (ships are pipelined and local
-	// hardens complete out of order); the quorum watermark never passes it.
-	w.completed[block.Start] = block.End
-	for {
-		end, ok := w.completed[w.localDurable]
-		if !ok {
-			break
-		}
-		delete(w.completed, w.localDurable)
-		w.localDurable = end
-	}
-	// Retain the encoded block for retransmission until evicted.
-	w.tail[block.Start] = tailBlock{end: block.End, payload: payload}
-	w.tailOrder = append(w.tailOrder, block.Start)
-	for len(w.tailOrder) > tailMax {
-		delete(w.tail, w.tailOrder[0])
-		w.tailOrder = w.tailOrder[1:]
-	}
+	defer w.mu.Unlock()
 	w.advanceLocked()
-	w.mu.Unlock()
-
-	var fails atomic.Int32
 	qstart := time.Now()
-	for _, sec := range secs {
-		go func(name string) {
-			ctx, cancel := context.WithTimeout(context.Background(), shipTimeout)
-			defer cancel()
-			cl := w.shipClient(name)
-			req := &rbio.Request{Type: rbio.MsgFeedBlock, Payload: payload}
-			if err := cl.Send(ctx, req); err == nil {
-				return // cumulative ack arrives on the ack endpoint
-			}
-			// The one-way send failed outright: round-trip ship; the
-			// response carries the same cumulative ack.
-			resp, err := cl.Call(ctx, req)
-			if err == nil {
-				err = resp.Err()
-			}
-			if err != nil {
-				fails.Add(1)
-				return
-			}
-			w.recordAck(name, resp.LSN)
-		}(sec.name)
+	peers := make([]*peer, 0, len(w.peers))
+	for _, p := range w.peers {
+		peers = append(peers, p)
+		p.out++
+		w.ioWG.Add(1)
+		go func() {
+			defer w.ioWG.Done()
+			w.shipTo(p, block.End, payload)
+		}()
 	}
 
-	// commit.quorum: wait until the flexible quorum covers this block,
-	// retransmitting round-trip to laggards whose cumulative ack stalls.
-	deadline := time.Now().Add(shipTimeout)
-	next := time.Now().Add(retransmitAfter)
-	w.mu.Lock()
+	// commit.quorum: every ship ends in an acknowledgement or in a hole
+	// recorded on its peer, and both wake this loop.
 	for w.hardened.Before(block.End) && w.err == nil {
-		if int(fails.Load()) > len(secs)-need {
-			n := fails.Load()
-			w.mu.Unlock()
-			return fmt.Errorf("%w: %d/%d secondaries failed", ErrNoQuorum, n, len(secs))
-		}
-		now := time.Now()
-		if now.After(deadline) {
-			w.mu.Unlock()
-			return ErrNoQuorum
-		}
-		if now.After(next) {
-			laggards := make([]string, 0, len(secs))
-			for _, sec := range secs {
-				if w.secAcks[sec.name].Before(block.End) {
-					laggards = append(laggards, sec.name)
-				}
+		able := 0
+		for _, p := range peers {
+			if !p.stalled(block.End) {
+				able++
 			}
-			w.mu.Unlock()
-			roundFails := 0
-			for _, name := range laggards {
-				if !w.retransmit(name, block.End, deadline) {
-					roundFails++
-				}
-			}
-			if len(secs)-roundFails < need {
-				return fmt.Errorf("%w: %d/%d secondaries unreachable", ErrNoQuorum, roundFails, len(secs))
-			}
-			next = time.Now().Add(retransmitAfter)
-			w.mu.Lock()
-			continue
 		}
-		waker := time.AfterFunc(time.Millisecond, func() {
-			w.mu.Lock()
-			defer w.mu.Unlock()
-			w.cond.Broadcast()
-		})
+		if able < need {
+			return 0, fmt.Errorf("%w: %d of %d secondaries can cover block %d", ErrNoQuorum, able, len(peers), block.Start)
+		}
 		//socrates:wait-ok charged as commit.quorum via the qstart running total once the flexible quorum acks
 		w.cond.Wait()
-		waker.Stop()
 	}
-	covered := !w.hardened.Before(block.End)
-	err := w.err
-	w.mu.Unlock()
-	if !covered {
-		if err != nil {
-			return err
-		}
-		return ErrNoQuorum
+	if w.hardened.Before(block.End) {
+		return 0, w.err
 	}
 	w.c.cfg.Waits.Observe(nil, obs.WaitCommitQuorum, time.Since(qstart))
-	return nil
+	return int64(len(payload)), nil
 }
 
-// retransmit re-ships, round-trip, every retained block below upTo that
-// the laggard has not yet cumulatively acked, oldest first. This is the
-// loss-recovery half of the one-way ship contract: a frame dropped by a
-// conn teardown is re-delivered here, and the secondary's dedupe makes
-// re-delivery idempotent. Reports whether the laggard was reachable.
-func (w *writer) retransmit(name string, upTo page.LSN, deadline time.Time) bool {
+// call delivers one encoded block to a secondary and returns its prefix.
+func (p *peer) call(payload []byte) (page.LSN, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), shipTimeout)
+	defer cancel()
+	resp, err := p.client.Call(ctx, &rbio.Request{Type: rbio.MsgFeedBlock, Payload: payload})
+	if err == nil {
+		err = resp.Err()
+	}
+	if err != nil {
+		return 0, err
+	}
+	return resp.LSN, nil
+}
+
+// shipTo sends the block ending at end to one secondary. A failed ship
+// leaves a hole there; the first ship it answers after that feeds it the
+// tail — from the writer in office or from the one a Failover installed.
+func (w *writer) shipTo(p *peer, end page.LSN, payload []byte) {
+	prefix, err := p.call(payload)
 	w.mu.Lock()
-	from := w.secAcks[name]
-	starts := make([]page.LSN, 0, 4)
-	for s, tb := range w.tail {
-		if s.Before(upTo) && tb.end.After(from) {
-			starts = append(starts, s)
+	p.out--
+	behind := false
+	if err != nil {
+		p.needTo = page.MaxLSN(p.needTo, end)
+	} else {
+		w.ackLocked(p, prefix)
+		behind = p.acked.Before(p.needTo) && !p.catching && w.peers[p.name] == p
+		if behind {
+			p.catching = true // one feed per secondary at a time
 		}
 	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i].Before(starts[j]) })
-	payloads := make([][]byte, len(starts))
-	for i, s := range starts {
-		payloads[i] = w.tail[s].payload
-	}
+	w.cond.Broadcast() // the ships waiting on this one look again
 	w.mu.Unlock()
-	cl := w.shipClient(name)
-	for _, p := range payloads {
-		ctx, cancel := context.WithDeadline(context.Background(), deadline)
-		resp, err := cl.Call(ctx, &rbio.Request{Type: rbio.MsgFeedBlock, Payload: p})
-		cancel()
-		if err == nil {
-			err = resp.Err()
-		}
-		if err != nil {
-			return false
-		}
-		w.recordAck(name, resp.LSN)
+	if behind {
+		w.feed(p)
 	}
-	return true
+}
+
+// feed sends a secondary the blocks of the primary's prefix it lacks, from
+// the primary node's tail, in order, one round trip each, until it holds the
+// prefix or stops answering. It is the only way a secondary that missed a
+// ship gets it. A secondary whose prefix ends before the tail begins cannot
+// be fed and leaves the replica set. The caller has set p.catching.
+func (w *writer) feed(p *peer) {
+	w.mu.Lock()
+	from := p.acked
+	w.mu.Unlock()
+	var err error
+	for {
+		var payload []byte
+		if payload, err = w.node.tailAt(from); err != nil || payload == nil {
+			break // the tail no longer reaches it, or it holds the prefix
+		}
+		var prefix page.LSN
+		if prefix, err = p.call(payload); err != nil || !prefix.After(from) {
+			break // it stopped answering, or its own ship is writing that block there and will report it
+		}
+		from = prefix
+		w.mu.Lock()
+		w.ackLocked(p, prefix)
+		w.mu.Unlock()
+	}
+
+	gone := errors.Is(err, errTailGone)
+	if gone {
+		w.c.evict(p.name) // before the ships waiting on it learn of it
+	}
+	w.mu.Lock()
+	p.catching = false
+	if gone {
+		delete(w.peers, p.name)
+		//socrates:ignore-err the secondary has left the replica set; its pool owns no durable state
+		_ = p.client.Close()
+	}
+	w.cond.Broadcast()
+	w.mu.Unlock()
 }
 
 // backupLoop ships the un-backed-up log range to XStore on a cadence. Its
@@ -792,38 +744,25 @@ func (w *writer) backupLoop() {
 
 func (w *writer) backupOnce() {
 	w.mu.Lock()
-	if len(w.blockOrder) == 0 {
-		w.mu.Unlock()
+	total := w.toBackup
+	w.toBackup = 0
+	w.mu.Unlock()
+	if total == 0 {
 		return
 	}
-	starts := w.blockOrder
-	w.blockOrder = nil
-	var total int64
-	for _, s := range starts {
-		total += w.blockSizes[s]
-		delete(w.blockSizes, s)
-	}
-	w.mu.Unlock()
 
 	// The backup payload is a synthetic run of the same size as the log
 	// range: what matters is the egress it consumes at XStore.
-	if err := w.c.Store.Append(w.c.cfg.Name+"/logbackup", make([]byte, total)); err != nil {
-		// XStore unavailable: re-queue so the lag budget keeps throttling.
-		w.mu.Lock()
-		for _, s := range starts {
-			w.blockSizes[s] = 0 // sizes merged into the front entry below
-		}
-		w.blockSizes[starts[0]] = total
-		w.blockOrder = append(starts, w.blockOrder...)
-		w.mu.Unlock()
-		return
-	}
+	err := w.c.Store.Append(w.c.cfg.Name+"/logbackup", make([]byte, total))
 	w.mu.Lock()
-	w.unbackedLen -= total
-	if w.unbackedLen < 0 {
-		w.unbackedLen = 0
+	if err != nil {
+		// XStore unavailable: the bytes wait for the next run and the lag
+		// budget keeps throttling.
+		w.toBackup += total
+	} else {
+		w.unbackedLen -= total
+		w.cond.Broadcast()
 	}
-	w.cond.Broadcast()
 	w.mu.Unlock()
 }
 

@@ -12,12 +12,24 @@
 //     throttles — the bottleneck behind Table 5;
 //   - every operational workflow is O(size-of-data): seeding a new replica
 //     copies the whole database, and scale-up is a reseed (Table 1).
+//
+// One invariant carries the replication: a replica is a log prefix. Every
+// node durably holds the blocks of [1, hardenedTo), applies them in LSN
+// order (applied <= hardenedTo), and acknowledges exactly hardenedTo. A
+// prefix moves in two ways only: the node received the blocks
+// (Node.hardenFeed), or the node was seeded from a full copy of the database
+// (Cluster.SeedNewReplica). A node that missed a block is fed it again from
+// the primary's recent log, or leaves the replica set; it is never declared
+// whole. Redo is idempotent only when records reach a page in log order
+// (the page-LSN test drops an older record that arrives late), which is why
+// order is part of the invariant and not an optimisation.
 package hadr
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -113,34 +125,54 @@ type Node struct {
 	logDev *simdisk.Device
 	logEnd int64
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []*wal.Block // hardened locally, not yet applied
+	mu   sync.Mutex
+	cond *sync.Cond
+
+	// The prefix. [1, hardenedTo) is in the local log; only hardenFeed and
+	// SeedNewReplica move it. future is the reorder buffer: blocks hardened
+	// above the prefix (ships are pipelined and arrive in any order), keyed
+	// by start LSN, released as the prefix reaches them. feeding marks
+	// blocks being written to the local log right now, so a block delivered
+	// twice is appended once.
+	hardenedTo page.LSN
+	future     map[page.LSN]heldBlock
+	feeding    map[page.LSN]bool
+	// tail is the node's recent log: the encoded blocks at the end of the
+	// prefix, in order, at most tailMax of them. The primary feeds a
+	// lagging secondary from it, and a promoted node brings its own.
+	tail []tailBlock
+
+	// primary marks the node whose engine writes the pages before the log
+	// hardens: its blocks join the prefix and the tail but are not applied.
+	primary bool
+	queue   []*wal.Block // released from the prefix in LSN order, not yet applied
 	applied page.LSN
 	maxTS   uint64         // highest applied commit timestamp
 	engine  *engine.Engine // read-only while secondary; nil until first open
-
-	// One-way replication bookkeeping: hardenedTo is the contiguous
-	// locally-hardened prefix (the cumulative ack watermark — one ack
-	// frame carrying it acknowledges every block below). future holds
-	// blocks hardened above the prefix (one-way ships can reorder or lose
-	// frames), keyed by start LSN; feeding marks ships being hardened
-	// right now, so a retransmitted duplicate never double-appends to the
-	// local log.
-	hardenedTo page.LSN
-	future     map[page.LSN]page.LSN
-	feeding    map[page.LSN]bool
-
-	// ack carries cumulative one-way harden acks back to the primary's
-	// ack endpoint. Lossy by contract: the primary retransmits un-acked
-	// blocks round-trip, so a dropped ack costs latency, never a commit.
-	ack *rbio.Client
 
 	waits *obs.WaitRecorder
 
 	done chan struct{}
 	wg   sync.WaitGroup
 }
+
+// heldBlock is a block hardened above the prefix, waiting in Node.future.
+type heldBlock struct {
+	block   *wal.Block
+	payload []byte
+}
+
+// tailBlock is one encoded block of a node's recent log.
+type tailBlock struct {
+	start   page.LSN
+	payload []byte
+}
+
+// tailMax bounds a node's recent log. A secondary whose prefix ends before
+// the primary's tail begins cannot be fed and leaves the replica set.
+const tailMax = 512
+
+var errTailGone = errors.New("hadr: prefix older than the primary's retained log")
 
 func newNode(name string, diskProfile simdisk.Profile, meter *metrics.CPUMeter) (*Node, error) {
 	var opts []simdisk.Option
@@ -159,7 +191,7 @@ func newNode(name string, diskProfile simdisk.Profile, meter *metrics.CPUMeter) 
 		logDev:     simdisk.New(diskProfile, opts...),
 		applied:    1,
 		hardenedTo: 1,
-		future:     make(map[page.LSN]page.LSN),
+		future:     make(map[page.LSN]heldBlock),
 		feeding:    make(map[page.LSN]bool),
 		done:       make(chan struct{}),
 	}
@@ -180,131 +212,85 @@ func (n *Node) AppliedLSN() page.LSN {
 // Engine returns the node's engine (read-only on secondaries).
 func (n *Node) Engine() *engine.Engine { return n.engine }
 
-// harden persists a block to the node's local log. It is the durability
-// half of the replicated state machine.
-func (n *Node) harden(b *wal.Block) error {
-	enc := b.Encode()
-	n.mu.Lock()
-	off := n.logEnd
-	n.logEnd += int64(len(enc))
-	n.mu.Unlock()
-	return n.logDev.WriteAt(enc, off)
-}
-
-// HardenedTo reports the node's contiguous locally-hardened prefix — the
-// cumulative ack watermark it reports to the primary.
+// HardenedTo reports the end of the node's prefix: every block below it is
+// in the local log. It is what the node acknowledges.
 func (n *Node) HardenedTo() page.LSN {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.hardenedTo
 }
 
-// hardenFeed ingests one shipped block: it drops duplicates (one-way ship
-// retransmits re-deliver blocks), hardens fresh blocks to the local log,
-// queues them for apply, and advances the contiguous ack watermark. The
-// returned LSN is the cumulative watermark — acknowledging it acknowledges
-// every block below it, so one ack frame covers a whole pipelined batch.
-func (n *Node) hardenFeed(b *wal.Block) (page.LSN, error) {
+// hardenFeed takes delivery of one block, payload being its encoding: a
+// block the node already holds (below the prefix, in the reorder buffer, or
+// being written) is dropped; a new one is written to the local log, then
+// every block the prefix now reaches joins it in LSN order — onto the tail
+// and, on a secondary, onto the apply queue. It returns the prefix, which is
+// the acknowledgement: it covers every block below it. The primary hardens
+// its own blocks here too; its prefix is its local durability.
+func (n *Node) hardenFeed(b *wal.Block, payload []byte) (page.LSN, error) {
 	n.mu.Lock()
-	if !b.End.After(n.hardenedTo) || n.future[b.Start] != 0 || n.feeding[b.Start] {
-		// Duplicate delivery (a retransmit raced the original, or the
-		// original's ack was lost): the block is already durable here.
-		// Re-report the watermark; never re-append to the local log.
-		cum := n.hardenedTo
+	if _, held := n.future[b.Start]; held || n.feeding[b.Start] || !b.End.After(n.hardenedTo) {
+		prefix := n.hardenedTo
 		n.mu.Unlock()
-		return cum, nil
+		return prefix, nil
 	}
 	n.feeding[b.Start] = true
+	off := n.logEnd
+	n.logEnd += int64(len(payload))
 	n.mu.Unlock()
 
-	err := n.harden(b)
+	err := n.logDev.WriteAt(payload, off)
+
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	delete(n.feeding, b.Start)
 	if err != nil {
-		cum := n.hardenedTo
-		n.mu.Unlock()
-		return cum, err
+		return n.hardenedTo, err
 	}
-	n.future[b.Start] = b.End
+	n.future[b.Start] = heldBlock{block: b, payload: payload}
 	for {
-		end, ok := n.future[n.hardenedTo]
+		next, ok := n.future[n.hardenedTo]
 		if !ok {
 			break
 		}
 		delete(n.future, n.hardenedTo)
-		n.hardenedTo = end
-	}
-	cum := n.hardenedTo
-	n.mu.Unlock()
-	n.enqueue(b)
-	return cum, nil
-}
-
-// reportHarden fires a cumulative one-way harden ack at the primary. Loss
-// is tolerable by contract: a later ack supersedes it, and the primary
-// retransmits any block whose ack never arrives.
-func (n *Node) reportHarden(cum page.LSN) {
-	n.mu.Lock()
-	ack := n.ack
-	n.mu.Unlock()
-	if ack == nil {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), shipTimeout)
-	defer cancel()
-	//socrates:ignore-err lossy cumulative ack; the primary's retransmit path recovers
-	_ = ack.Send(ctx, &rbio.Request{
-		Type:     rbio.MsgHardenReport,
-		LSN:      cum,
-		Consumer: n.name,
-	})
-}
-
-// setAckClient wires the node's cumulative-ack channel to the primary's
-// ack endpoint.
-func (n *Node) setAckClient(c *rbio.Client) {
-	n.mu.Lock()
-	old := n.ack
-	n.ack = c
-	n.mu.Unlock()
-	if old != nil {
-		//socrates:ignore-err teardown of the superseded one-way ack channel; the replacement client carries all future acks
-		old.Close()
-	}
-}
-
-// setAckFloor fast-forwards the ack watermark to the cluster-durable
-// prefix — the straggler-reconciliation step at promotion. Blocks below
-// floor reached quorum cluster-wide; a secondary that missed some of them
-// (it was outside the quorum) must not wedge its cumulative acks behind a
-// gap the new primary no longer retains.
-func (n *Node) setAckFloor(floor page.LSN) {
-	n.mu.Lock()
-	if floor.After(n.hardenedTo) {
-		n.hardenedTo = floor
-	}
-	for start, end := range n.future {
-		if !end.After(n.hardenedTo) {
-			delete(n.future, start)
+		n.hardenedTo = next.block.End
+		n.tail = append(n.tail, tailBlock{start: next.block.Start, payload: next.payload})
+		if len(n.tail) > tailMax {
+			n.tail = n.tail[1:]
+		}
+		if !n.primary {
+			n.queue = append(n.queue, next.block)
 		}
 	}
-	// A stashed future block may now be contiguous with the new floor.
-	for {
-		end, ok := n.future[n.hardenedTo]
-		if !ok {
-			break
-		}
-		delete(n.future, n.hardenedTo)
-		n.hardenedTo = end
-	}
-	n.mu.Unlock()
-}
-
-// enqueue schedules a hardened block for (async) apply.
-func (n *Node) enqueue(b *wal.Block) {
-	n.mu.Lock()
-	n.queue = append(n.queue, b)
 	n.cond.Broadcast()
+	return n.hardenedTo, nil
+}
+
+// tailAt returns the encoded block of the node's prefix that starts at lsn:
+// nil when lsn is the end of the prefix (nothing to feed), errTailGone when
+// the block has left the tail.
+func (n *Node) tailAt(lsn page.LSN) ([]byte, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !lsn.Before(n.hardenedTo) {
+		return nil, nil
+	}
+	i := sort.Search(len(n.tail), func(i int) bool { return !n.tail[i].start.Before(lsn) })
+	if i == len(n.tail) || n.tail[i].start != lsn {
+		return nil, errTailGone
+	}
+	return n.tail[i].payload, nil
+}
+
+// newTerm prepares the node for a new writer. Blocks still in the reorder
+// buffer came from the writer that is gone: those above the promoted prefix
+// would pass for what the new writer cuts at the same LSNs, those below it
+// come again from the promoted node's tail. Dropping them moves no prefix.
+func (n *Node) newTerm(primary bool) {
+	n.mu.Lock()
+	clear(n.future)
+	n.primary = primary
 	n.mu.Unlock()
 }
 
@@ -338,7 +324,8 @@ func (n *Node) startApply() {
 }
 
 // applyBlock applies every record of the block to the local full copy. In
-// HADR every node has every page, so nothing is ever skipped.
+// HADR every node has every page, so nothing is ever skipped. Blocks come
+// off the queue in LSN order, so a page's records reach it in log order.
 func (n *Node) applyBlock(b *wal.Block) {
 	for _, rec := range b.Records {
 		switch {
@@ -367,9 +354,7 @@ func (n *Node) applyBlock(b *wal.Block) {
 		}
 	}
 	n.mu.Lock()
-	if b.End.After(n.applied) {
-		n.applied = b.End
-	}
+	n.applied = b.End // the queue is the prefix in LSN order
 	n.cond.Broadcast()
 	n.mu.Unlock()
 }
@@ -411,36 +396,24 @@ func (n *Node) waitApplyProgress(timeout time.Duration) {
 	n.mu.Unlock()
 }
 
-// handler serves replication traffic: a feed block is hardened to the local
-// log, queued for apply, and acknowledged.
+// handler serves replication traffic: a shipped block is hardened to the
+// local log and answered with the node's prefix.
 func (n *Node) handler() rbio.Handler {
 	return func(_ context.Context, req *rbio.Request) *rbio.Response {
-		switch req.Type {
-		case rbio.MsgPing:
-			return rbio.Ok()
-		case rbio.MsgFeedBlock:
-			b, _, err := wal.DecodeBlock(req.Payload)
-			if err != nil {
-				return rbio.Errorf("bad block: %v", err)
-			}
-			cum, err := n.hardenFeed(b)
-			if err != nil {
-				return rbio.Errorf("harden: %v", err)
-			}
-			// Push the cumulative watermark on the one-way ack channel (a
-			// one-way ship gets no response frame) and mirror it in the
-			// response for round-trip ships from older peers.
-			n.reportHarden(cum)
-			resp := rbio.Ok()
-			resp.LSN = cum
-			return resp
-		case rbio.MsgReadState:
-			resp := rbio.Ok()
-			resp.LSN = n.AppliedLSN()
-			return resp
-		default:
+		if req.Type != rbio.MsgFeedBlock {
 			return rbio.Errorf("hadr: unsupported message %v", req.Type)
 		}
+		b, size, err := wal.DecodeBlock(req.Payload)
+		if err != nil {
+			return rbio.Errorf("bad block: %v", err)
+		}
+		prefix, err := n.hardenFeed(b, req.Payload[:size])
+		if err != nil {
+			return rbio.Errorf("harden: %v", err)
+		}
+		resp := rbio.Ok()
+		resp.LSN = prefix
+		return resp
 	}
 }
 
@@ -455,21 +428,13 @@ func (n *Node) stop() {
 	n.cond.Broadcast()
 	n.wg.Wait()
 	n.pages.close()
-	n.mu.Lock()
-	ack := n.ack
-	n.ack = nil
-	n.mu.Unlock()
-	if ack != nil {
-		//socrates:ignore-err node shutdown; acks are advisory progress reports and the primary tolerates a vanished secondary
-		ack.Close()
-	}
 }
 
 // DataBytes reports the bytes of the node's full local copy (after
 // draining the write-back queue so the disk shadow is complete).
 func (n *Node) DataBytes() int64 {
 	//socrates:ignore-err this is a size probe; an incomplete drain undercounts the shadow but corrupts nothing
-	_ = n.pages.FlushAll()
+	_ = n.pages.flushOnce()
 	return n.disk.Size()
 }
 
@@ -493,5 +458,3 @@ func (n *Node) openSecondaryEngine() error {
 	n.mu.Unlock()
 	return nil
 }
-
-var _ = fmt.Sprintf

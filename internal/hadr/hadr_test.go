@@ -111,6 +111,21 @@ func TestQuorumToleratesOneSecondaryDown(t *testing.T) {
 	if got := countRows(t, c.Primary().Engine(), "t2"); got != 50 {
 		t.Fatalf("rows = %d", got)
 	}
+	// The flexible quorum's invariant: what the writer calls hardened is
+	// held by the primary and by at least Quorum-1 secondaries.
+	end := c.Writer().HardenedEnd()
+	if c.Primary().HardenedTo().Before(end) {
+		t.Fatalf("hardened end %d past the primary's prefix %d", end, c.Primary().HardenedTo())
+	}
+	covered := 0
+	for _, sec := range c.Secondaries() {
+		if !sec.HardenedTo().Before(end) {
+			covered++
+		}
+	}
+	if need := c.cfg.Quorum - 1; covered < need {
+		t.Fatalf("hardened end %d covered by %d secondaries, need %d", end, covered, need)
+	}
 }
 
 func TestQuorumLossBlocksCommits(t *testing.T) {
