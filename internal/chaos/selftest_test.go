@@ -5,12 +5,13 @@ package chaos
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // This file validates the oracle itself. The chaosfault build tag plants
-// two known bugs: it swaps the engine's commit-harden wait for a stub
-// that returns immediately (the classic "ack before harden" durability
-// bug), and it drops simdisk.Replicated's effective write quorum to 1
+// two known bugs: it swaps the engine's commit-harden wait for one that
+// returns before the write hardens (the classic "ack before harden"
+// durability bug), and it drops simdisk.Replicated's effective write quorum to 1
 // (acks backed by a single copy — the flexible-quorum bug). A harness
 // whose oracle stays silent against a known-planted bug tests nothing.
 //
@@ -32,10 +33,18 @@ func TestOracleCatchesPlantedBug(t *testing.T) {
 	defer r.close()
 
 	r.oracle.SetStep(0)
+	// The plant acks before the write, not instead of it: a planted commit's
+	// block still reaches the landing zone — XLOG destages it — with only
+	// the plant's own wait on the writer.
+	r.put(keyName(0))
+	if err := r.c.XLOG.WaitDestaged(r.lastAcked.Next(), 5*time.Second); err != nil {
+		t.Fatalf("planted commit's block never reached the landing zone: %v", err)
+	}
+	ackedBefore := r.res.Acked
 	if err := r.quorumLoss(0); err != nil {
 		t.Fatalf("quorum-loss step: %v", err)
 	}
-	if r.res.Acked == 0 {
+	if r.res.Acked == ackedBefore {
 		t.Fatalf("planted bug did not bite: no commit was acked during the quorum-loss window")
 	}
 	r.oracle.SetStep(1)

@@ -32,6 +32,11 @@ func (c *Cluster) AuditTail(fromLSN page.LSN, max int) ([]AuditEvent, page.LSN, 
 	if fromLSN == 0 {
 		fromLSN = 1
 	}
+	// XLOG serves what it has promoted, and the primary's harden reports
+	// are asynchronous: promote to the landing zone's durable end first, so
+	// a commit acknowledged before the call is in the tail (as addSecondary
+	// does for a new secondary's start).
+	c.XLOG.ReportHardened(context.Background(), c.LZ.HardenedEnd())
 	if max <= 0 {
 		max = 1000
 	}

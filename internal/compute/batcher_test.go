@@ -198,18 +198,23 @@ func setBatcherState(w *LogWriter, inflight int, writeEWMA, gapEWMA time.Duratio
 	w.mu.Unlock()
 }
 
-// waitForArmedTimer polls until the flusher parks in the batching window
-// (its waker timer is armed). The poll is deadline-bounded and waits FOR a
-// condition — it cannot pass spuriously.
-func waitForArmedTimer(t *testing.T, clk *testutil.FakeClock) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for clk.Pending() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("flusher never armed the batching-window timer")
-		}
-		time.Sleep(100 * time.Microsecond) //socrates:sleep-ok deadline-bounded poll for the flusher to park; no timing assertion rides on it
-	}
+// armClock is a FakeClock that reports every timer armed, so a test steps
+// to "the leader is holding its window" by receiving, not by polling. The
+// leader arms under w.mu and waits right after, so once the arm is received
+// an Append's signal reaches it.
+type armClock struct {
+	*testutil.FakeClock
+	armed chan time.Duration
+}
+
+func newArmClock() armClock {
+	return armClock{testutil.NewFakeClock(), make(chan time.Duration, 16)}
+}
+
+func (c armClock) AfterFunc(d time.Duration, f func()) func() bool {
+	stop := c.FakeClock.AfterFunc(d, f)
+	c.armed <- d
+	return stop
 }
 
 func TestSoloCommitCutsWithoutTimer(t *testing.T) {
@@ -231,7 +236,7 @@ func TestSoloCommitCutsWithoutTimer(t *testing.T) {
 
 func TestBatchWindowHoldsUntilTimerFires(t *testing.T) {
 	lz := newLZ(t)
-	clk := testutil.NewFakeClock()
+	clk := newArmClock()
 	w := NewLogWriter(lz, nil, page.Partitioning{}, 1, WithClock(clk))
 	defer w.Close()
 	// A busy pipeline with an 800µs write estimate: the plan holds small
@@ -239,16 +244,27 @@ func TestBatchWindowHoldsUntilTimerFires(t *testing.T) {
 	setBatcherState(w, 1, 800*time.Microsecond, 0)
 
 	lsn := w.Append(wal.NewCommit(1, 1))
-	waitForArmedTimer(t, clk)
+	led := make(chan error, 1)
+	go func() { led <- w.WaitHarden(context.Background(), lsn) }()
+	if d := <-clk.armed; d != 200*time.Microsecond {
+		t.Fatalf("leader armed a %v window, want 200µs", d)
+	}
 	if got := lz.HardenedEnd(); got != 1 {
 		t.Fatalf("batch cut before the window expired: hardened=%d", got)
 	}
-	// A second commit joins the open batch while the window holds.
+	// A second commit joins the open batch while the window holds: the
+	// leader re-checks its byte target and re-arms for what is left.
 	lsn2 := w.Append(wal.NewCommit(2, 2))
+	if d := <-clk.armed; d != 200*time.Microsecond {
+		t.Fatalf("leader re-armed a %v window on a frozen clock, want 200µs", d)
+	}
 	// Fire the window: one block must carry both commits.
 	clk.Advance(200 * time.Microsecond)
-	if err := w.WaitHarden(context.Background(), lsn); err != nil {
+	if err := <-led; err != nil {
 		t.Fatal(err)
+	}
+	if got := w.HardenedEnd(); got != lsn2+1 {
+		t.Fatalf("leader returned with hardened=%d, want %d", got, lsn2+1)
 	}
 	if err := w.WaitHarden(context.Background(), lsn2); err != nil {
 		t.Fatal(err)

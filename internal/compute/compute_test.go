@@ -29,12 +29,14 @@ func TestLogWriterFlushesAtTxnBoundaries(t *testing.T) {
 	w := NewLogWriter(lz, nil, page.Partitioning{}, 1)
 	defer w.Close()
 
-	// Page records without a commit are never flushed alone.
+	// Page records without a commit are never flushed alone: a waiter on
+	// one of them has no group to lead.
 	w.Append(&wal.Record{Kind: wal.KindCellPut, Page: 1, Key: []byte("k")})
-	w.Append(&wal.Record{Kind: wal.KindCellPut, Page: 2, Key: []byte("k")})
-	time.Sleep(5 * time.Millisecond) //socrates:sleep-ok negative check: give the flusher a window to (wrongly) flush a commit-less group
-	if got := lz.HardenedEnd(); got != 1 {
-		t.Fatalf("hardened = %d before any commit", got)
+	first := w.Append(&wal.Record{Kind: wal.KindCellPut, Page: 2, Key: []byte("k")})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	if err := w.WaitHarden(ctx, first); err == nil || lz.HardenedEnd() != 1 {
+		t.Fatalf("commit-less group: WaitHarden=%v hardened=%d", err, lz.HardenedEnd())
 	}
 	// The commit record completes the group.
 	lsn := w.Append(wal.NewCommit(1, 1))

@@ -10,7 +10,7 @@ import (
 
 // TestCommitAppendAllocs is the allocation contract for LogWriter.Append,
 // the stage every committed record passes through. Only non-boundary
-// records are staged, so the flusher never wakes and the measurement sees
+// records are staged, so nothing is flushable and the measurement sees
 // the pure staging cost: after warmup has grown the pending slice, an
 // append is LSN assignment plus a slot store — zero allocations.
 func TestCommitAppendAllocs(t *testing.T) {

@@ -41,8 +41,8 @@ func (realClock) AfterFunc(d time.Duration, f func()) func() bool {
 	return time.AfterFunc(d, f).Stop
 }
 
-// Adaptive group-commit tuning (§4.3, after BtrLog): the flusher holds a
-// small batch open for a window proportional to the observed landing-zone
+// Adaptive group-commit tuning (§4.3, after BtrLog): a group's leader holds
+// a small batch open for a window proportional to the observed landing-zone
 // write latency — waiting a quarter of a write adds little to p99 while
 // multiplying records per quorum write — and cuts immediately when commits
 // arrive slower than the window (batching would only add latency) or when
@@ -58,28 +58,31 @@ const (
 	// period does not poison the arrival estimate for minutes afterward.
 	gapClamp  = 10 * time.Millisecond
 	ewmaAlpha = 0.2
+	// maxInflight bounds the landing-zone writes in flight, the group a
+	// leader is cutting included.
+	maxInflight = 8
 )
 
 // LogWriter is the primary's log pipeline (§4.3, upper-left of Figure 3):
-// records accumulate in memory; the flusher cuts blocks at transaction
-// boundaries (so a hardened prefix never splits a transaction), writes them
-// synchronously to the landing zone for durability, sends them
-// fire-and-forget to the XLOG process for availability, and reports the
-// hardened watermark so XLOG promotes them to consumers.
+// records accumulate in memory; blocks are cut at transaction boundaries
+// (so a hardened prefix never splits a transaction), written synchronously
+// to the landing zone for durability, sent fire-and-forget to the XLOG
+// process for availability, and the hardened watermark is reported so XLOG
+// promotes them to consumers.
 //
-// Group commit falls out naturally: while one block's quorum write is in
-// flight, later transactions keep appending, and the next block carries all
-// of them — one landing-zone write per group.
+// Group commit is leader-based: the committers write the log themselves
+// (WaitHarden), one landing-zone write per group, up to maxInflight groups
+// in flight, with no goroutine hand-off between a commit and its write.
 type LogWriter struct {
 	lz    *xlog.LandingZone
 	feed  *rbio.Client // XLOG service: lossy feed + harden reports
 	pt    page.Partitioning
 	epoch string // producer epoch stamped on feed frames (see WithEpoch)
-
 	clock Clock
 
 	mu       sync.Mutex
-	cond     *sync.Cond
+	cond     *sync.Cond // followers: hardened, err, closed, a free slot
+	hold     *sync.Cond // the leader's batching window: appends, its timer, Close
 	pending  []*wal.Record
 	boundary int // records [0, boundary) form complete transaction groups
 	nextLSN  page.LSN
@@ -87,21 +90,22 @@ type LogWriter struct {
 	reported page.LSN // highest LSN already harden-reported to XLOG
 	err      error
 	closed   bool
+	// cutting: a leader holds, cuts and Reserves its group — one at a
+	// time, so ring space is reserved in LSN order. inflightCnt counts
+	// Reserved writes not yet complete; with cutting, ≤ maxInflight.
+	cutting     bool
+	inflightCnt int
+	reporting   bool // reportTrailing is running
 
 	// Adaptive batching state, guarded by mu. gapEWMA smooths the
 	// inter-commit arrival gap (fed by Append on boundary records);
-	// writeEWMA smooths the landing-zone quorum-write latency (fed by the
-	// completion goroutine). Both in nanoseconds; 0 = no samples yet.
+	// writeEWMA smooths the landing-zone quorum-write latency (fed by each
+	// leader's completion). Both in nanoseconds; 0 = no samples yet.
 	gapEWMA    float64
 	writeEWMA  float64
 	lastCommit time.Time
 
-	wg       sync.WaitGroup
-	ioWG     sync.WaitGroup
-	inflight chan struct{} // bounds concurrent landing-zone writes
-	// inflightCnt tracks dispatched-but-incomplete writes (batching
-	// heuristic); guarded by mu.
-	inflightCnt int
+	ioWG sync.WaitGroup // leaders from claim to landing, trailing reports
 
 	blocksFlushed atomic.Int64
 	bytesFlushed  atomic.Int64
@@ -133,9 +137,9 @@ func WithPlane(ws *obs.WatermarkSet, fr *obs.FlightRecorder) LogWriterOption {
 }
 
 // WithWaits wires wait-event accounting into the writer: commit.harden
-// covers the time a committer blocks in WaitHarden, commit.quorum the
-// landing-zone quorum write itself (attributed to the lz.write span of
-// every commit the block hardens).
+// covers the time a committer spends in WaitHarden, following or leading,
+// commit.quorum the landing-zone quorum write itself (attributed to the
+// lz.write span of every commit the block hardens).
 func WithWaits(wr *obs.WaitRecorder) LogWriterOption {
 	return func(w *LogWriter) { w.waits = wr }
 }
@@ -154,25 +158,26 @@ func WithClock(c Clock) LogWriterOption {
 	return func(w *LogWriter) { w.clock = c }
 }
 
-// NewLogWriter starts a writer whose next record receives startLSN.
+// NewLogWriter returns a writer whose next record receives startLSN. It
+// starts no goroutine: the committers write the log (see WaitHarden).
 func NewLogWriter(lz *xlog.LandingZone, feed *rbio.Client, pt page.Partitioning, startLSN page.LSN, opts ...LogWriterOption) *LogWriter {
 	w := &LogWriter{
 		lz: lz, feed: feed, pt: pt,
 		nextLSN: startLSN, hardened: startLSN, reported: startLSN,
-		inflight: make(chan struct{}, 8),
-		clock:    realClock{},
+		clock: realClock{},
 	}
 	for _, o := range opts {
 		o(w)
 	}
 	w.cond = sync.NewCond(&w.mu)
-	w.wg.Add(1)
-	go w.flushLoop()
+	w.hold = sync.NewCond(&w.mu)
 	return w
 }
 
 // Append stages a record, assigning its LSN. Transaction-boundary records
-// (commit, abort, checkpoint) make the pending prefix flushable.
+// (commit, abort, checkpoint) make the pending prefix flushable. Append
+// writes nothing: a boundary record is written by the first caller that
+// waits on it (WaitHarden), or by Close.
 //
 //socrates:hotpath the commit path stages every record here; budget enforced by TestCommitAppendAllocs
 func (w *LogWriter) Append(rec *wal.Record) page.LSN {
@@ -201,7 +206,9 @@ func (w *LogWriter) Append(rec *wal.Record) page.LSN {
 			}
 		}
 		w.lastCommit = now
-		w.cond.Broadcast()
+		if w.cutting {
+			w.hold.Signal() // a holding leader re-checks its byte target
+		}
 	}
 	lsn := rec.LSN
 	w.mu.Unlock()
@@ -210,25 +217,30 @@ func (w *LogWriter) Append(rec *wal.Record) page.LSN {
 
 // WaitHarden blocks until the record at lsn is durable in the landing zone
 // or ctx is done.
+//
+// The caller writes the log itself: if its record is in the flushable group,
+// no other leader is cutting and a pipeline slot is free, it leads — holds
+// the group for batchPlan's window, cuts it, Reserves, feeds XLOG, performs
+// the quorum write and hardens. Otherwise it follows: waits for the write
+// covering its record, or for a slot to lead its group in. ctx is honoured
+// while following and before leading; a leader returns only after its own
+// device write does, bounded by one LZ write (a lost quorum fails at once).
 func (w *LogWriter) WaitHarden(ctx context.Context, lsn page.LSN) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	// A cancelled ctx must break the cond wait: AfterFunc pokes every
-	// waiter, and the loop below re-checks ctx before sleeping again.
-	// The callback must take w.mu (see the context.AfterFunc docs):
-	// broadcasting without the lock can fire between our ctx.Err() check
-	// and cond.Wait() registering, waking nobody — a missed wakeup that
-	// leaves WaitHarden stuck on a quiescent log.
+	// waiter, under w.mu — without it the broadcast could fall between the
+	// ctx.Err() check and cond.Wait() registering, waking nobody.
 	stop := context.AfterFunc(ctx, func() {
 		w.mu.Lock()
 		defer w.mu.Unlock()
 		w.cond.Broadcast()
 	})
 	defer stop()
-	// commit.harden: the committer's view of group-commit latency. Only
-	// recorded when the loop actually blocks — an already-hardened LSN
-	// must not inflate the wait count.
+	// commit.harden: the committer's view of group-commit latency, leading
+	// or following. Only recorded when the caller actually waits — an
+	// already-hardened LSN must not inflate the wait count.
 	region := w.waits.Begin(ctx, obs.WaitCommitHarden)
 	waited := false
 	defer func() { region.EndIf(waited) }()
@@ -239,7 +251,36 @@ func (w *LogWriter) WaitHarden(ctx context.Context, lsn page.LSN) error {
 			return socerr.FromContext(err)
 		}
 		waited = true
-		w.cond.Wait()
+		if w.cutting || w.inflightCnt >= maxInflight || w.boundary == 0 || w.pending[0].LSN.After(lsn) {
+			w.cond.Wait()
+			continue
+		}
+		w.cutting = true
+		w.ioWG.Add(1)
+		// Adaptive batching (batchPlan): a solo commit on an idle pipeline
+		// cuts at once (Table 6); otherwise the leader holds its group,
+		// re-checking the byte target on every append, so a burst cuts as
+		// soon as the batch is big enough rather than when the timer fires.
+		if wait, target := w.batchPlan(); wait > 0 && w.pendingBoundaryBytes() < target {
+			holdStart := w.clock.Now()
+			deadline := holdStart.Add(wait)
+			for left := wait; left > 0 && !w.closed && w.err == nil &&
+				w.pendingBoundaryBytes() < target; left = deadline.Sub(w.clock.Now()) {
+				// The waker signals under w.mu: without the lock it could
+				// fire between a predicate check and Wait registering.
+				disarm := w.clock.AfterFunc(left, func() {
+					w.mu.Lock()
+					defer w.mu.Unlock()
+					w.hold.Signal()
+				})
+				w.hold.Wait()
+				disarm()
+			}
+			w.obsReg.Histogram("lz.batch.wait").Observe(w.clock.Now().Sub(holdStart))
+		}
+		w.mu.Unlock()
+		w.flush()
+		w.mu.Lock()
 	}
 	if w.err != nil {
 		return w.err
@@ -264,13 +305,6 @@ func (w *LogWriter) NextLSN() page.LSN {
 	return w.nextLSN
 }
 
-// trackInflight adjusts the dispatched-write count (batching heuristic).
-func (w *LogWriter) trackInflight(delta int) {
-	w.mu.Lock()
-	w.inflightCnt += delta
-	w.mu.Unlock()
-}
-
 // pendingBoundaryBytes estimates the encoded size of the flushable prefix.
 // Caller holds w.mu.
 func (w *LogWriter) pendingBoundaryBytes() int {
@@ -281,8 +315,8 @@ func (w *LogWriter) pendingBoundaryBytes() int {
 	return n
 }
 
-// batchPlan decides how long the flusher may hold a small batch open and
-// the byte size at which it cuts regardless. Caller holds w.mu.
+// batchPlan decides how long a leader may hold a small batch open and the
+// byte size at which it cuts regardless. Caller holds w.mu.
 //
 // The policy adapts on two axes. The wait window tracks the landing-zone
 // write latency (a quarter of a write, clamped): while a write is slow,
@@ -372,7 +406,9 @@ func (w *LogWriter) Stats() (blocks, bytes int64) {
 // Coalesced reports how many records intra-batch coalescing has squashed.
 func (w *LogWriter) Coalesced() int64 { return w.recsCoalesced.Load() }
 
-// Close flushes remaining complete groups and stops the flusher.
+// Close ends the writer. Callers still following return ErrWriterClosed;
+// writes already led land first, then Close leads what is left — complete
+// groups nobody waited on — and drains, trailing harden report included.
 func (w *LogWriter) Close() {
 	w.mu.Lock()
 	if w.closed {
@@ -381,227 +417,191 @@ func (w *LogWriter) Close() {
 	}
 	w.closed = true
 	w.cond.Broadcast()
+	w.hold.Signal() // a holding leader cuts now
 	w.mu.Unlock()
-	w.wg.Wait()
-	w.ioWG.Wait() // drain in-flight landing-zone writes
+	w.ioWG.Wait()
+
+	w.mu.Lock()
+	lead := w.boundary > 0 && w.err == nil
+	if lead {
+		w.cutting = true
+		w.ioWG.Add(1)
+	}
+	w.mu.Unlock()
+	if lead {
+		w.flush()
+	}
+	w.ioWG.Wait()
 }
 
-func (w *LogWriter) flushLoop() {
-	defer w.wg.Done()
-	for {
-		w.mu.Lock()
-		for w.boundary == 0 && !w.closed && w.err == nil {
-			//socrates:wait-ok idle flusher waiting for work is not a stall; recording it would drown real commit waits
-			w.cond.Wait()
-		}
-		if w.err != nil || (w.closed && w.boundary == 0) {
-			w.mu.Unlock()
-			return
-		}
-		w.mu.Unlock()
-
-		// Adaptive group-commit batching: claim the in-flight slot BEFORE
-		// cutting the block, so while the pipeline is saturated later
-		// commits keep joining the pending group; then hold a small group
-		// open for the adaptive window (see batchPlan). A solo commit
-		// (idle pipeline) cuts immediately — single-client latency is
-		// unaffected (Table 6). The window loop re-checks the byte target
-		// after every wakeup, so a burst cuts as soon as the batch is big
-		// enough rather than when the timer fires.
-		w.inflight <- struct{}{}
-		w.mu.Lock()
-		if wait, target := w.batchPlan(); wait > 0 && !w.closed &&
-			w.pendingBoundaryBytes() < target {
-			holdStart := w.clock.Now()
-			deadline := holdStart.Add(wait)
-			for !w.closed && w.err == nil && w.pendingBoundaryBytes() < target {
-				remaining := deadline.Sub(w.clock.Now())
-				if remaining <= 0 {
-					break
-				}
-				// The waker broadcasts under w.mu: without the lock it
-				// could fire between a predicate check and cond.Wait
-				// registering, waking nobody.
-				stop := w.clock.AfterFunc(remaining, func() {
-					w.mu.Lock()
-					defer w.mu.Unlock()
-					w.cond.Broadcast()
-				})
-				//socrates:wait-ok deliberate adaptive batching pause, not a stall; committers' time here already lands in commit.harden
-				w.cond.Wait()
-				stop()
-			}
-			w.obsReg.Histogram("lz.batch.wait").Observe(w.clock.Now().Sub(holdStart))
-		}
-		if w.boundary == 0 {
-			// Everything was consumed elsewhere or we closed: release.
-			closed := w.closed
-			w.mu.Unlock()
-			<-w.inflight
-			if closed {
-				return
-			}
-			continue
-		}
-		recs := append([]*wal.Record(nil), w.pending[:w.boundary]...)
-		w.pending = w.pending[w.boundary:]
-		w.boundary = 0
-		w.mu.Unlock()
-
-		// The block's LSN range is fixed before coalescing: squashed
-		// records leave holes inside [Start, End), never shrink it, so the
-		// landing zone's contiguity check and the hardened-prefix math see
-		// the same stream with or without coalescing.
-		start, end := recs[0].LSN, recs[len(recs)-1].LSN.Next()
-		recs, squashed := coalesceBatch(recs)
-		if squashed > 0 {
-			w.recsCoalesced.Add(int64(squashed))
-			w.obsReg.Counter("lz.batch.coalesced").Add(uint64(squashed))
-		}
-		w.obsReg.Counter("lz.batch.flushes").Inc()
-		w.obsReg.Counter("lz.batch.records").Add(uint64(len(recs)))
-		block := &wal.Block{
-			Start:      start,
-			End:        end,
-			Partitions: wal.ComputePartitions(recs, w.pt),
-			Records:    recs,
-		}
-		// Reserve ring space in LSN order, then complete the quorum write
-		// concurrently: several landing-zone writes stay in flight, which
-		// is where Socrates' log throughput comes from (Table 5). The
-		// hardened watermark is the LZ's durable *prefix*, so a commit is
-		// never acknowledged over a hole.
-		res, err := w.lz.Reserve(block)
-		if err != nil {
-			w.flight.Record(obs.TierLZ, "lz.error", uint64(block.Start), 0,
-				"reserve failed: "+err.Error())
-			<-w.inflight
-			w.mu.Lock()
-			w.err = err
-			w.cond.Broadcast()
-			w.mu.Unlock()
-			return
-		}
-		// Every traced commit in the block gets its own "lz.write" span,
-		// so a group-committed block attributes the quorum write to each
-		// commit's trace. The first commit's identity also rides the feed
-		// and harden-report frames (their trace headers) into the XLOG tier.
-		var commitSCs []obs.SpanContext
-		for _, r := range recs {
-			if r.Kind == wal.KindTxnCommit && r.TraceID != 0 {
-				commitSCs = append(commitSCs, obs.SpanContext{
-					TraceID: obs.TraceID(r.TraceID), SpanID: obs.SpanID(r.SpanID)})
-			}
-		}
-		w.trackInflight(1)
-		w.ioWG.Add(1)
-		go func(block *wal.Block, res *xlog.Reservation, commitSCs []obs.SpanContext) {
-			defer w.ioWG.Done()
-			defer func() { w.trackInflight(-1); <-w.inflight }()
-			ioCtx := context.Background()
-			var spans []*obs.Span
-			for _, sc := range commitSCs {
-				c, s := w.tracer.StartRemoteSpan(sc, obs.TierLZ, "lz.write")
-				s.SetAttr("records", fmt.Sprint(len(block.Records)))
-				spans = append(spans, s)
-				ioCtx = c // last traced commit's identity stamps the frames
-			}
-			start := time.Now()
-			// Availability path (fire-and-forget, lossy) in parallel with
-			// the durability path: "The Primary writes log blocks into the
-			// LZ and to the XLOG process in parallel."
-			if w.feed != nil {
-				//socrates:ignore-err the XLOG feed is lossy by design (§4.3); a dropped block is gap-filled from the LZ during promotion
-				_ = w.feed.Send(ioCtx, &rbio.Request{Type: rbio.MsgFeedBlock,
-					Consumer: w.epoch, Payload: res.Payload()})
-			}
-			qstart := time.Now()
-			if err := w.lz.Complete(res); err != nil {
-				w.flight.Record(obs.TierLZ, "lz.error", uint64(block.Start),
-					time.Since(start), "quorum write failed: "+err.Error())
-				for _, s := range spans {
-					s.SetError(err)
-					s.End()
-				}
-				w.mu.Lock()
-				if w.err == nil {
-					w.err = err
-				}
-				w.cond.Broadcast()
-				w.mu.Unlock()
-				return
-			}
-			// commit.quorum: the landing-zone quorum write itself, attributed
-			// to the lz.write span (ioCtx carries the last one started).
-			qlat := time.Since(qstart)
-			w.waits.Observe(ioCtx, obs.WaitCommitQuorum, qlat)
-			w.mu.Lock()
-			if w.writeEWMA == 0 {
-				w.writeEWMA = float64(qlat)
-			} else {
-				w.writeEWMA = ewmaAlpha*float64(qlat) + (1-ewmaAlpha)*w.writeEWMA
-			}
-			w.mu.Unlock()
-			for _, s := range spans {
-				s.End()
-			}
-			w.obsReg.Histogram("lz.write.latency").Observe(time.Since(start))
-			w.obsReg.Counter("lz.write.blocks").Inc()
-			w.obsReg.Counter("lz.write.bytes").Add(uint64(len(res.Payload())))
-			w.blocksFlushed.Add(1)
-			w.bytesFlushed.Add(int64(len(res.Payload())))
-
-			var traceID obs.TraceID
-			if len(commitSCs) > 0 {
-				traceID = commitSCs[len(commitSCs)-1].TraceID
-			}
-			w.flight.RecordTrace(obs.TierLZ, "lz.flush", uint64(block.End), traceID,
-				time.Since(start),
-				fmt.Sprintf("records=%d bytes=%d", len(block.Records), len(res.Payload())))
-
-			hardened := w.lz.HardenedEnd()
-			w.wms.Watermark(obs.WMHardened, "").Publish(uint64(hardened))
-			w.mu.Lock()
-			if hardened.After(w.hardened) {
-				w.hardened = hardened
-			}
-			w.cond.Broadcast()
-			// Coalesce harden reports: the watermark is cumulative, so one
-			// frame carrying the highest-hardened LSN acknowledges every
-			// batch below it. A completion that did not advance the
-			// watermark (out-of-order quorum writes) sends nothing — the
-			// report that advanced it already covered this block.
-			advanced := hardened.After(w.reported)
-			if advanced {
-				w.reported = hardened
-			}
-			report := w.reported
-			// This completion is the pipeline's last in flight (its own
-			// inflight slot is still held here) with nothing flushable
-			// queued: if its report drops, no successor supersedes it.
-			idle := w.inflightCnt == 1 && w.boundary == 0
-			w.mu.Unlock()
-
-			// Hardening report: off the critical path, one-way over the
-			// fabric. Reports may arrive out of order; the watermark is
-			// monotone, so a stale report is a no-op at the XLOG service.
-			// The trailing report of a burst is sent as a reliable round
-			// trip instead: a lossy fabric may drop any intermediate report
-			// (the next one supersedes it), but dropping the last would
-			// strand the consumers' watermark until the next commit.
-			// The idle case reports even without having advanced the
-			// watermark itself: the burst's advancing report may have been
-			// an earlier completion's one-way frame, already lost.
-			if w.feed != nil && (advanced || idle) {
-				req := &rbio.Request{Type: rbio.MsgHardenReport, LSN: report}
-				if idle {
-					//socrates:ignore-err watermark report; consumers poll state as a further backstop
-					_, _ = w.feed.Call(ioCtx, req)
-				} else {
-					//socrates:ignore-err an intermediate report is superseded by the burst's trailing reliable report
-					_ = w.feed.Send(ioCtx, req)
-				}
-			}
-		}(block, res, commitSCs)
+// failLocked poisons the writer: every waiter returns err. Caller holds w.mu.
+func (w *LogWriter) failLocked(err error) {
+	if w.err == nil {
+		w.err = err
 	}
+	w.cond.Broadcast()
+	w.hold.Signal()
+}
+
+// flush cuts the flushable group and writes it to the landing zone as one
+// block, then hardens it, on the leader's goroutine, which has claimed the
+// slot (cutting, ioWG) and does not hold w.mu. The next leader may cut once
+// the block is Reserved.
+func (w *LogWriter) flush() {
+	defer w.ioWG.Done()
+	w.mu.Lock()
+	recs := append([]*wal.Record(nil), w.pending[:w.boundary]...)
+	w.pending = w.pending[w.boundary:]
+	w.boundary = 0
+	w.mu.Unlock()
+	// The block's LSN range is fixed before coalescing: squashed records
+	// leave holes inside [Start, End), never shrink it, so the landing
+	// zone's contiguity check and the hardened-prefix math see the same
+	// stream with or without coalescing.
+	start, end := recs[0].LSN, recs[len(recs)-1].LSN.Next()
+	recs, squashed := coalesceBatch(recs)
+	if squashed > 0 {
+		w.recsCoalesced.Add(int64(squashed))
+		w.obsReg.Counter("lz.batch.coalesced").Add(uint64(squashed))
+	}
+	w.obsReg.Counter("lz.batch.flushes").Inc()
+	w.obsReg.Counter("lz.batch.records").Add(uint64(len(recs)))
+	block := &wal.Block{
+		Start:      start,
+		End:        end,
+		Partitions: wal.ComputePartitions(recs, w.pt),
+		Records:    recs,
+	}
+	// Reserve in LSN order (cutting serializes leaders up to here), then
+	// write concurrently with the next leaders: several LZ writes in flight
+	// are Socrates' log throughput (Table 5). The hardened watermark is the
+	// LZ's durable *prefix*, so no commit is acknowledged over a hole.
+	res, err := w.lz.Reserve(block)
+	w.mu.Lock()
+	w.cutting = false
+	if err != nil {
+		w.failLocked(err)
+	} else {
+		w.inflightCnt++
+		if w.boundary > 0 {
+			w.cond.Broadcast() // a follower may lead the next group
+		}
+	}
+	w.mu.Unlock()
+	if err != nil {
+		w.flight.Record(obs.TierLZ, "lz.error", uint64(block.Start), 0,
+			"reserve failed: "+err.Error())
+		return
+	}
+	// Every traced commit in the block gets its own "lz.write" span; the
+	// last one's identity also rides the feed and harden-report frames
+	// (their trace headers) into the XLOG tier.
+	ioCtx := context.Background()
+	var spans []*obs.Span
+	var traceID obs.TraceID
+	for _, r := range recs {
+		if r.Kind == wal.KindTxnCommit && r.TraceID != 0 {
+			c, s := w.tracer.StartRemoteSpan(obs.SpanContext{
+				TraceID: obs.TraceID(r.TraceID), SpanID: obs.SpanID(r.SpanID)}, obs.TierLZ, "lz.write")
+			s.SetAttr("records", fmt.Sprint(len(recs)))
+			spans = append(spans, s)
+			ioCtx, traceID = c, obs.TraceID(r.TraceID)
+		}
+	}
+	wstart := time.Now()
+	// Availability path (lossy, one-way) first: "The Primary writes log
+	// blocks into the LZ and to the XLOG process in parallel."
+	if w.feed != nil {
+		//socrates:ignore-err the XLOG feed is lossy by design (§4.3); a dropped block is gap-filled from the LZ during promotion
+		_ = w.feed.Send(ioCtx, &rbio.Request{Type: rbio.MsgFeedBlock,
+			Consumer: w.epoch, Payload: res.Payload()})
+	}
+	qstart := time.Now()
+	if err := w.lz.Complete(res); err != nil {
+		w.flight.Record(obs.TierLZ, "lz.error", uint64(block.Start),
+			time.Since(wstart), "quorum write failed: "+err.Error())
+		for _, s := range spans {
+			s.SetError(err)
+			s.End()
+		}
+		w.mu.Lock()
+		w.inflightCnt--
+		w.failLocked(err)
+		w.mu.Unlock()
+		return
+	}
+	// commit.quorum: the landing-zone quorum write itself, attributed to
+	// the lz.write span (ioCtx carries the last one started).
+	qlat := time.Since(qstart)
+	w.waits.Observe(ioCtx, obs.WaitCommitQuorum, qlat)
+	hardened := w.lz.HardenedEnd()
+	w.wms.Watermark(obs.WMHardened, "").Publish(uint64(hardened))
+	w.mu.Lock()
+	w.inflightCnt--
+	if w.writeEWMA == 0 {
+		w.writeEWMA = float64(qlat)
+	} else {
+		w.writeEWMA = ewmaAlpha*float64(qlat) + (1-ewmaAlpha)*w.writeEWMA
+	}
+	if hardened.After(w.hardened) {
+		w.hardened = hardened
+	}
+	w.cond.Broadcast()
+	// Coalesce harden reports: the watermark is cumulative, so a completion
+	// that did not advance it (out-of-order quorum writes) sends nothing —
+	// the report that advanced it covered this block.
+	advanced := hardened.After(w.reported)
+	if advanced {
+		w.reported = hardened
+	}
+	// The pipeline's last write in flight with nothing flushable queued:
+	// if its report drops, no successor supersedes it.
+	idle := w.inflightCnt == 0 && !w.cutting && w.boundary == 0
+	spawn := idle && w.feed != nil && !w.reporting
+	if spawn {
+		w.reporting = true
+		w.ioWG.Add(1)
+	}
+	w.mu.Unlock()
+
+	for _, s := range spans {
+		s.End()
+	}
+	w.obsReg.Histogram("lz.write.latency").Observe(time.Since(wstart))
+	w.obsReg.Counter("lz.write.blocks").Inc()
+	w.obsReg.Counter("lz.write.bytes").Add(uint64(len(res.Payload())))
+	w.blocksFlushed.Add(1)
+	w.bytesFlushed.Add(int64(len(res.Payload())))
+	w.flight.RecordTrace(obs.TierLZ, "lz.flush", uint64(block.End), traceID, time.Since(wstart),
+		fmt.Sprintf("records=%d bytes=%d", len(block.Records), len(res.Payload())))
+
+	// Harden reports are one-way: the watermark is monotone, so a stale
+	// report is a no-op at XLOG and a lost one is superseded by the next.
+	// The trailing report of a burst round-trips (reportTrailing).
+	if spawn {
+		go w.reportTrailing(ioCtx)
+	} else if advanced && !idle && w.feed != nil {
+		//socrates:ignore-err an intermediate report is superseded by the burst's trailing reliable report
+		_ = w.feed.Send(ioCtx, &rbio.Request{Type: rbio.MsgHardenReport, LSN: hardened})
+	}
+}
+
+// reportTrailing sends the trailing harden report of a burst as a round
+// trip — dropping it would strand the consumers' watermark until the next
+// commit — off every committer's path, and again while the watermark moved
+// meanwhile: one round trip in flight however many bursts end. It reports
+// even if its own write did not advance the watermark: the burst's
+// advancing report may have been a lost one-way frame.
+func (w *LogWriter) reportTrailing(ctx context.Context) {
+	defer w.ioWG.Done()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for sent := page.LSN(0); sent != w.reported; {
+		sent = w.reported
+		w.mu.Unlock()
+		//socrates:ignore-err watermark report; consumers poll state as a further backstop
+		_, _ = w.feed.Call(ctx, &rbio.Request{Type: rbio.MsgHardenReport, LSN: sent})
+		w.mu.Lock()
+	}
+	w.reporting = false
 }

@@ -12,8 +12,8 @@ import (
 // TestLogWriterConcurrentAppendAndWatermarks drives the log pipeline from
 // many committers while other goroutines read every exported watermark and
 // counter. Under -race this pins the locking discipline of the hot path:
-// Append / WaitHarden vs. the async flush goroutines that advance the
-// hardened watermark out of order.
+// Append / WaitHarden vs. the leaders, up to eight at once, that advance
+// the hardened watermark out of order.
 func TestLogWriterConcurrentAppendAndWatermarks(t *testing.T) {
 	lz := newLZ(t)
 	w := NewLogWriter(lz, nil, page.Partitioning{}, 1)
@@ -24,7 +24,7 @@ func TestLogWriterConcurrentAppendAndWatermarks(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
-	// Watermark readers: HardenedEnd / NextLSN / Stats race the flushers.
+	// Watermark readers: HardenedEnd / NextLSN / Stats race the leaders.
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {

@@ -447,18 +447,6 @@ func (e *Engine) AllocatedPages() int {
 	return int(e.next) - 1
 }
 
-// WriteCheckpoint appends a checkpoint marker to the log and returns its
-// LSN (bookkeeping for recovery bounds).
-func (e *Engine) WriteCheckpoint() (page.LSN, error) {
-	if e.cfg.ReadOnly {
-		return 0, ErrReadOnly
-	}
-	e.commitMu.Lock()
-	defer e.commitMu.Unlock()
-	rec := &wal.Record{Kind: wal.KindCheckpoint}
-	return e.cfg.Log.Append(rec), nil
-}
-
 // TruncateVersions advances the version-store watermark: snapshots older
 // than beforeTS may no longer resolve (aggressive log/version reclamation).
 func (e *Engine) TruncateVersions(beforeTS uint64) { e.vs.SetWatermark(beforeTS) }

@@ -394,7 +394,7 @@ func (tx *Tx) Commit() error {
 	}
 	commitRec := wal.NewCommit(tx.id, ts)
 	if sc := obs.SpanFromContext(ctx); sc.Valid() {
-		// Annotate the commit record (in memory only) so the log flusher
+		// Annotate the commit record (in memory only) so the group commit
 		// can attribute the landing-zone write back to this commit's trace.
 		commitRec.TraceID, commitRec.SpanID = uint64(sc.TraceID), uint64(sc.SpanID)
 	}

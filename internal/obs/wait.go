@@ -388,8 +388,8 @@ func (w WaitRegion) EndIf(waited bool) {
 
 // WaitProfile accumulates one request's waits by class. It travels in
 // the context (ContextWithWaitProfile) across every tier the request
-// touches in-process; concurrent recorders (fan-out page reads, the
-// group-commit flusher) share it safely through atomics.
+// touches in-process; concurrent recorders (fan-out page reads, a
+// group-commit leader) share it safely through atomics.
 type WaitProfile struct {
 	counts [numWaitClasses]atomic.Uint64
 	totals [numWaitClasses]atomic.Uint64

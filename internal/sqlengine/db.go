@@ -137,7 +137,7 @@ func (s *Session) RunContext(ctx context.Context, stmt Statement) (*Result, erro
 	defer span.End()
 	span.SetAttr("stmt", stmtName(stmt))
 	// Per-request wait attribution: every WaitPoint the statement passes
-	// through (in any tier, including the group-commit flusher acting on
+	// through (in any tier, including the group-commit leader writing on
 	// its behalf) adds to this profile, and the Result carries the
 	// breakdown.
 	prof := obs.WaitProfileFromContext(ctx)

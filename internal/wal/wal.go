@@ -76,7 +76,7 @@ type Record struct {
 
 	// TraceID and SpanID are an in-memory-only observability annotation:
 	// a commit record appended by a traced transaction carries its span
-	// identity so the log flusher can attribute the landing-zone write
+	// identity so the group commit can attribute the landing-zone write
 	// back to the commit's span tree. They are NOT part of the log format
 	// — the codec neither encodes nor recovers them (a replayed or pulled
 	// record has no originating request to attribute to).

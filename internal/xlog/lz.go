@@ -198,8 +198,8 @@ func (lz *LandingZone) Reserve(b *wal.Block) (*Reservation, error) {
 	deadline := time.Now().Add(5 * time.Second)
 	if lz.freeLocked() < need+8 {
 		// backpressure: the ring is full and the producer stalls until
-		// destaging frees space. Aggregate-only — Reserve runs on the
-		// flusher goroutine, off any request context.
+		// destaging frees space. Aggregate-only — Reserve takes no
+		// request context (its caller is a group's leader, not a request).
 		stallStart := time.Now()
 		for lz.freeLocked() < need+8 { // +8 for a potential wrap marker
 			lz.stalls++

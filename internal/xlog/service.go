@@ -71,9 +71,8 @@ type Service struct {
 	// accepted epoch on failover and purges the dead producer's tail.
 	producerEpoch uint64
 
-	destageKick chan struct{}
-	done        chan struct{}
-	wg          sync.WaitGroup
+	done chan struct{}
+	wg   sync.WaitGroup
 
 	feedReceived, feedStale, feedWrongEpoch, gapFills int
 }
@@ -167,18 +166,17 @@ func build(cfg Config) (*Service, error) {
 		cfg.CacheBytes = 4 << 20
 	}
 	s := &Service{
-		lz:          cfg.LZ,
-		tracer:      cfg.Tracer,
-		reg:         cfg.Metrics,
-		wms:         cfg.Watermarks,
-		flight:      cfg.Flight,
-		waits:       cfg.Waits,
-		lt:          &lt{store: cfg.LT, blob: cfg.LTBlob},
-		pending:     make(map[page.LSN]entry),
-		budget:      cfg.BrokerBytes,
-		consumers:   make(map[string]*consumer),
-		destageKick: make(chan struct{}, 1),
-		done:        make(chan struct{}),
+		lz:        cfg.LZ,
+		tracer:    cfg.Tracer,
+		reg:       cfg.Metrics,
+		wms:       cfg.Watermarks,
+		flight:    cfg.Flight,
+		waits:     cfg.Waits,
+		lt:        &lt{store: cfg.LT, blob: cfg.LTBlob},
+		pending:   make(map[page.LSN]entry),
+		budget:    cfg.BrokerBytes,
+		consumers: make(map[string]*consumer),
+		done:      make(chan struct{}),
 	}
 	s.destagedCond = sync.NewCond(&s.mu)
 	if cfg.CacheDevice != nil {
@@ -288,17 +286,15 @@ func (s *Service) BeginEpoch(ctx context.Context, hardenedEnd page.LSN) uint64 {
 }
 
 // ReportHardened tells the service every block with End <= lsn is durable
-// in the LZ; they become visible to consumers (promotion).
+// in the LZ; they become visible to consumers (promotion). Destaging them
+// is the destager's next tick, not this report's: one LT append per tick
+// rather than one per hardened block.
 func (s *Service) ReportHardened(ctx context.Context, lsn page.LSN) {
 	_, sp := s.tracer.JoinSpan(ctx, obs.TierXLOG, "xlog.promote")
 	start := time.Now()
 	s.promoteTo(lsn)
 	s.reg.Histogram("xlog.promote.latency").Since(start)
 	sp.End()
-	select {
-	case s.destageKick <- struct{}{}:
-	default:
-	}
 }
 
 // promoteTo moves hardened blocks from the pending area into the broker in
@@ -379,12 +375,11 @@ func (s *Service) destageLoop() {
 	ticker := time.NewTicker(2 * time.Millisecond)
 	defer ticker.Stop()
 	for {
-		//socrates:wait-ok idle destager waiting for its cadence tick or a kick; not a stall
+		//socrates:wait-ok idle destager waiting for its cadence tick; not a stall
 		select {
 		case <-s.done:
 			s.destageOnce() // final drain
 			return
-		case <-s.destageKick:
 		case <-ticker.C:
 		}
 		s.destageOnce()
@@ -393,15 +388,12 @@ func (s *Service) destageLoop() {
 
 // destageOnce writes every promoted-but-not-destaged block to the SSD cache
 // and LT (one aggregated LT append), releases LZ space, and trims the
-// broker to its memory budget.
+// broker to its memory budget. The broker is sorted by Start, so the
+// undestaged suffix is found by binary search, as lookup does.
 func (s *Service) destageOnce() {
 	s.mu.Lock()
-	var batch []entry
-	for _, e := range s.broker {
-		if e.b.Start.AtLeast(s.destaged) {
-			batch = append(batch, e)
-		}
-	}
+	i := sort.Search(len(s.broker), func(i int) bool { return s.broker[i].b.Start.AtLeast(s.destaged) })
+	batch := append([]entry(nil), s.broker[i:]...)
 	s.mu.Unlock()
 	if len(batch) == 0 {
 		s.trimBroker()

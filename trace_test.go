@@ -108,6 +108,10 @@ func TestGetPageSpanAndMetrics(t *testing.T) {
 	if _, err := sess.ExecContext(ctx, `SELECT v FROM t WHERE id = 25`); err != nil {
 		t.Fatal(err)
 	}
+	// XStore's writes are the XLOG destager's LT appends, made on its tick.
+	if err := db.cluster.XLOG.WaitDestaged(db.cluster.LZ.HardenedEnd(), 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	snap := db.MetricsSnapshot()
 	if h := snap.Compute.Histograms["getpage.latency"]; h.Count == 0 {
