@@ -18,7 +18,7 @@ RACE_PKGS := ./internal/compute ./internal/hadr ./internal/simdisk \
              ./internal/rbpex ./internal/engine ./internal/hekaton \
              ./internal/xstore
 
-.PHONY: all lint fmt vet test race chaos chaos-stress repl-stress allocs bench bench-probes cover vet-baseline clean
+.PHONY: all lint fmt vet test race chaos chaos-stress repl-stress allocs bench bench-probes cover clean
 
 all: lint test
 
@@ -31,17 +31,10 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# go vet includes copylocks, the repo's gate against a lock copied by value
+# (socrates-vet's deadlocklint covers the rest of the lock discipline).
 vet:
 	$(GO) vet ./...
-
-# Snapshot today's socrates-vet findings into .socrates-vet-baseline.json;
-# `socrates-vet -baseline .socrates-vet-baseline.json ./...` then fails
-# only on NEW findings. Intended for ratcheting a pass onto a codebase
-# with pre-existing findings — this tree is kept clean, so the baseline
-# should normally be the empty array.
-vet-baseline:
-	$(GO) run ./cmd/socrates-vet -json ./... > .socrates-vet-baseline.json || true
-	@echo "baseline written to .socrates-vet-baseline.json"
 
 test:
 	$(GO) test ./...

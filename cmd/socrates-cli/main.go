@@ -106,10 +106,11 @@ func dotCommand(db *socrates.DB, line string) bool {
   .secondaries        list secondaries
   .exit`)
 	case ".stats":
-		s := db.Stats()
-		fmt.Printf("hardened LSN   %d\nlog bytes      %d\ncache hit rate %.1f%%\nremote fetches %d\npage servers   %d\nsecondaries    %d\nxstore live    %.2f MB\n",
-			s.HardenedLSN, s.LogBytes, 100*s.CacheHitRate, s.RemoteFetches,
-			s.PageServers, s.Secondaries, s.XStoreLiveMB)
+		s := db.MetricsSnapshot()
+		fmt.Printf("hardened LSN   %d\nlog bytes      %d\ncache hit rate %.1f%%\nremote fetches %d\npage servers   %d\nsecondaries    %d\nxstore         %.2f MB\ncpu            %.1f%%\n",
+			db.BackupLSN(), s.LandingZone.Counters["write.bytes"], 100*s.CacheHitRate, s.RemoteFetches,
+			s.PageServers, len(db.Secondaries()), float64(s.XStore.Gauges["footprint_bytes"])/(1<<20),
+			100*s.CPUUtilization)
 	case ".failover":
 		d, err := db.Failover()
 		if err != nil {

@@ -119,8 +119,7 @@ func (v *tenantView) render(snap obs.Snapshot) {
 // when the fleet has a second tenant, live-migrates the last tenant
 // between the pools every few seconds so the redirect path shows up too.
 func runTenants(n int, interval, duration time.Duration, once, jsonOut bool) {
-	reg := obs.NewRegistry()
-	tracer := obs.NewTracer()
+	router := obs.Plane{Tracer: obs.NewTracer(), Metrics: obs.NewRegistry()}
 	names := make([]string, n)
 	for i := range names {
 		names[i] = fmt.Sprintf("t%d", i)
@@ -131,8 +130,7 @@ func runTenants(n int, interval, duration time.Duration, once, jsonOut bool) {
 		AdmissionRate:  150,
 		AdmissionBurst: 25,
 		Seed:           42,
-		Tracer:         tracer,
-		Metrics:        reg,
+		Obs:            router,
 	})
 	if err != nil {
 		log.Fatalf("fleet: %v", err)
@@ -210,7 +208,7 @@ func runTenants(n int, interval, duration time.Duration, once, jsonOut bool) {
 	for {
 		//socrates:sleep-ok the refresh interval is the point of a top-style tool
 		time.Sleep(interval)
-		snap := reg.Snapshot()
+		snap := router.Metrics.Snapshot()
 		if jsonOut {
 			fmt.Println(snap.JSON())
 		} else {

@@ -1,25 +1,22 @@
 // Command socrates-vet runs the Socrates-specific static-analysis suite
-// (internal/analysis) over the repo. The suite has eight AST passes —
-// errlint, lsnlint, locklint, sleeplint, atomiclint, ctxlint, obslint,
-// muxlint — and three dataflow-aware passes built on the CFG/dataflow
-// core: alloclint (allocation budgets in declared hot paths), deadlocklint
-// (cross-package lock-ordering cycles and fabric calls under locks), and
-// leaklint (goroutine stop paths, Ticker/Timer/conn lifetimes). Each
-// encodes one of the paper's cross-tier invariants.
+// (internal/analysis) over the repo. The suite has eleven passes: seven AST
+// passes — errlint, lsnlint, sleeplint, atomiclint, ctxlint, obslint,
+// muxlint — and four dataflow-aware passes built on the CFG/dataflow core:
+// alloclint (allocation budgets in declared hot paths), deadlocklint (lock
+// discipline: cross-package lock-ordering cycles, fabric calls, sends and
+// I/O under locks, leaked critical sections), leaklint (goroutine stop
+// paths, Ticker/Timer/conn lifetimes) and waitlint (blocking sites must be
+// wait-accounted). Each encodes one of the paper's cross-tier invariants; a
+// lock copied by value is go vet's copylocks check.
 //
 // Usage:
 //
-//	socrates-vet [-passes=errlint,lsnlint,...] [-json] [-baseline file] [patterns...]
+//	socrates-vet [-passes=errlint,lsnlint,...] [-json] [patterns...]
 //
 // Patterns are package directories or "dir/..." subtrees (default "./...").
 //
 // -json emits the findings as a JSON array (machine-readable, stable
 // schema: file, line, col, pass, message) instead of file:line:col lines.
-//
-// -baseline loads a JSON findings file (produced by -json) and suppresses
-// every finding already recorded there, keyed by (file, pass, message) so
-// unrelated line drift does not un-suppress old findings. New findings
-// still fail the run; `make vet-baseline` regenerates the file.
 //
 // Exit status: 0 clean, 1 findings, 2 load/usage error.
 package main
@@ -30,7 +27,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 
 	"socrates/internal/analysis"
@@ -48,9 +44,8 @@ type jsonDiag struct {
 func main() {
 	passNames := flag.String("passes", "", "comma-separated pass subset (default: all)")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
-	baseline := flag.String("baseline", "", "JSON findings file; matching findings are suppressed")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: socrates-vet [-passes=a,b] [-json] [-baseline file] [patterns...]\n")
+		fmt.Fprintf(os.Stderr, "usage: socrates-vet [-passes=a,b] [-json] [patterns...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -117,26 +112,6 @@ func main() {
 		})
 	}
 
-	if *baseline != "" {
-		known, err := loadBaseline(*baseline)
-		if err != nil {
-			fatal(err)
-		}
-		kept := out[:0]
-		suppressed := 0
-		for _, d := range out {
-			if known[baselineKey(d)] {
-				suppressed++
-				continue
-			}
-			kept = append(kept, d)
-		}
-		out = kept
-		if suppressed > 0 {
-			fmt.Fprintf(os.Stderr, "socrates-vet: %d finding(s) suppressed by baseline\n", suppressed)
-		}
-	}
-
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -155,41 +130,13 @@ func main() {
 }
 
 // relPath shortens filename to a cwd-relative path when possible, so
-// baselines and problem-matcher output are machine-independent.
+// reports and problem-matcher output are machine-independent.
 func relPath(cwd, filename string) string {
 	rel, err := filepath.Rel(cwd, filename)
 	if err != nil || strings.HasPrefix(rel, "..") {
 		return filename
 	}
 	return rel
-}
-
-// msgPositions matches file:line positions that some passes (deadlocklint's
-// cycle sites) embed in their messages; baselineKey strips them so those
-// findings get the same line-drift immunity as everything else.
-var msgPositions = regexp.MustCompile(`\.go:\d+`)
-
-// baselineKey identifies a finding without its line/column, so editing
-// elsewhere in a file does not un-suppress baselined findings.
-func baselineKey(d jsonDiag) string {
-	return d.File + "\x00" + d.Pass + "\x00" + msgPositions.ReplaceAllString(d.Message, ".go")
-}
-
-// loadBaseline reads a -json findings file into a suppression set.
-func loadBaseline(path string) (map[string]bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	var diags []jsonDiag
-	if err := json.Unmarshal(data, &diags); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	known := make(map[string]bool, len(diags))
-	for _, d := range diags {
-		known[baselineKey(d)] = true
-	}
-	return known, nil
 }
 
 func fatal(err error) {

@@ -1,71 +1,9 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
 	"path/filepath"
 	"testing"
 )
-
-func TestBaselineRoundTrip(t *testing.T) {
-	findings := []jsonDiag{
-		{File: "internal/x/x.go", Line: 10, Col: 3, Pass: "alloclint", Message: "hot path X allocates"},
-		{File: "internal/y/y.go", Line: 4, Col: 1, Pass: "leaklint", Message: "ticker leak"},
-	}
-	data, err := json.Marshal(findings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	known, err := loadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(known) != 2 {
-		t.Fatalf("baseline entries: got %d, want 2", len(known))
-	}
-	// The same finding on a different line is still suppressed: the key
-	// deliberately excludes position-within-file.
-	moved := findings[0]
-	moved.Line = 99
-	if !known[baselineKey(moved)] {
-		t.Error("line drift un-suppressed a baselined finding")
-	}
-	// A different message is a new finding.
-	changed := findings[0]
-	changed.Message = "hot path X allocates differently"
-	if known[baselineKey(changed)] {
-		t.Error("a new message matched the old baseline entry")
-	}
-}
-
-func TestBaselineKeyStripsEmbeddedPositions(t *testing.T) {
-	a := jsonDiag{File: "a.go", Pass: "deadlocklint",
-		Message: "cycle: X→Y at internal/x/x.go:14; Y→X at internal/x/x.go:21"}
-	b := a
-	b.Message = "cycle: X→Y at internal/x/x.go:15; Y→X at internal/x/x.go:22"
-	if baselineKey(a) != baselineKey(b) {
-		t.Error("embedded site line numbers defeated line-drift immunity")
-	}
-	c := a
-	c.Message = "cycle: X→Z at internal/x/x.go:14; Z→X at internal/x/x.go:21"
-	if baselineKey(a) == baselineKey(c) {
-		t.Error("different cycles collapsed to one baseline key")
-	}
-}
-
-func TestLoadBaselineRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadBaseline(path); err == nil {
-		t.Fatal("garbage baseline loaded without error")
-	}
-}
 
 func TestRelPath(t *testing.T) {
 	if got := relPath("/repo", "/repo/internal/x/x.go"); got != filepath.Join("internal", "x", "x.go") {

@@ -182,16 +182,14 @@ func runFleet(listen, obsAddr string, tenants []string, pools int, admitRate, ad
 	for i, t := range tenants {
 		tenants[i] = strings.TrimSpace(t)
 	}
-	reg := obs.NewRegistry()
-	tracer := obs.NewTracer()
+	router := obs.Plane{Tracer: obs.NewTracer(), Metrics: obs.NewRegistry()}
 	f, err := frontdoor.NewFleet(frontdoor.FleetConfig{
 		Clusters:       pools,
 		Tenants:        tenants,
 		AdmissionRate:  admitRate,
 		AdmissionBurst: admitBurst,
 		Seed:           1,
-		Tracer:         tracer,
-		Metrics:        reg,
+		Obs:            router,
 	})
 	if err != nil {
 		log.Fatalf("starting fleet: %v", err)
@@ -200,10 +198,7 @@ func runFleet(listen, obsAddr string, tenants []string, pools int, admitRate, ad
 	log.Printf("socratesd: fleet up (pools=%d tenants=%v admit=%g/s)", pools, tenants, admitRate)
 
 	if obsAddr != "" {
-		osrv, err := obs.Serve(obsAddr, obs.NewHTTPHandler(obs.PlaneOptions{
-			Registry: reg,
-			Tracer:   tracer,
-		}))
+		osrv, err := obs.Serve(obsAddr, obs.NewHTTPHandler(router))
 		if err != nil {
 			log.Fatalf("observability listener: %v", err)
 		}

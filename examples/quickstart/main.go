@@ -55,9 +55,9 @@ func main() {
 	res = must(`SELECT SUM(balance) FROM accounts`)
 	fmt.Printf("after rollback, total is still %s\n", res.Rows[0][0])
 
-	st := db.Stats()
+	st := db.MetricsSnapshot()
 	fmt.Printf("\nunder the hood: hardened LSN %d, %d log bytes in the landing zone,\n",
-		st.HardenedLSN, st.LogBytes)
-	fmt.Printf("%d page server(s), cache hit rate %.0f%%, %.2f MB durable in XStore\n",
-		st.PageServers, 100*st.CacheHitRate, st.XStoreLiveMB)
+		db.BackupLSN(), st.LandingZone.Counters["write.bytes"])
+	fmt.Printf("%d page server(s), cache hit rate %.0f%%, %.2f MB in XStore\n",
+		st.PageServers, 100*st.CacheHitRate, float64(st.XStore.Gauges["footprint_bytes"])/(1<<20))
 }

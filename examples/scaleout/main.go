@@ -30,7 +30,7 @@ func main() {
 	if _, err := db.Exec(`CREATE TABLE events (id INT PRIMARY KEY, body TEXT)`); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("starting with %d page server(s)\n", db.Stats().PageServers)
+	fmt.Printf("starting with %d page server(s)\n", db.MetricsSnapshot().PageServers)
 
 	// Load enough wide rows to spill past partition 0; the cluster spins
 	// up page servers for new partitions as the allocator crosses each
@@ -52,7 +52,7 @@ func main() {
 			if _, err := sess.Exec("COMMIT"); err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("after %4d rows: %d page servers\n", i+1, db.Stats().PageServers)
+			fmt.Printf("after %4d rows: %d page servers\n", i+1, db.MetricsSnapshot().PageServers)
 			if _, err := sess.Exec("BEGIN"); err != nil {
 				log.Fatal(err)
 			}
@@ -63,11 +63,11 @@ func main() {
 	}
 
 	// Finer sharding: split partition 0 for a smaller mean-time-to-recovery.
-	before := db.Stats().PageServers
+	before := db.MetricsSnapshot().PageServers
 	if err := db.SplitPageServer(0); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("split partition 0: %d -> %d page servers\n", before, db.Stats().PageServers)
+	fmt.Printf("split partition 0: %d -> %d page servers\n", before, db.MetricsSnapshot().PageServers)
 
 	// Read scale-out: a secondary attaches in O(1) (no data copied) and
 	// serves snapshot reads.
@@ -93,6 +93,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("primary range count across shards: %s\n", res.Rows[0][0])
+	st := db.MetricsSnapshot()
 	fmt.Printf("final: %d page servers, %d secondaries, cache hit rate %.0f%%\n",
-		db.Stats().PageServers, db.Stats().Secondaries, 100*db.Stats().CacheHitRate)
+		st.PageServers, len(db.Secondaries()), 100*st.CacheHitRate)
 }

@@ -1,16 +1,16 @@
-// Package analysis is the socrates-vet static-analysis suite: twelve
+// Package analysis is the socrates-vet static-analysis suite: eleven
 // domain-specific passes that encode the cross-tier invariants the paper's
-// architecture depends on. Eight AST passes cover durability-before-ack,
-// LSN monotonicity, lock discipline in the caches, no sleep-polling on
-// hot paths, coherent atomics, the context-first tracing discipline, the
-// observability plane's instrument-naming contract, and the netmux fabric
-// discipline (no raw dials, deadlines at the wire). Four dataflow-aware
-// passes — alloclint (allocation budgets in //socrates:hotpath-declared
-// functions), deadlocklint (cross-package lock-ordering cycles, fabric
-// calls under locks), leaklint (goroutine stop paths, resource
-// closers on every exit path), and waitlint (blocking sites in the
-// instrumented tiers must be wait-accounted or reviewed) — build on the
-// package's CFG (cfg.go),
+// architecture depends on. Seven AST passes cover durability-before-ack,
+// LSN monotonicity, no sleep-polling on hot paths, coherent atomics, the
+// context-first tracing discipline, the observability plane's
+// instrument-naming contract, and the netmux fabric discipline (no raw
+// dials, deadlines at the wire). Four dataflow-aware passes — alloclint
+// (allocation budgets in //socrates:hotpath-declared functions),
+// deadlocklint (lock discipline: cross-package lock-ordering cycles,
+// fabric calls, sends and I/O under locks, leaked critical sections),
+// leaklint (goroutine stop paths, resource closers on every exit path),
+// and waitlint (blocking sites in the instrumented tiers must be
+// wait-accounted or reviewed) — build on the package's CFG (cfg.go),
 // generic forward dataflow solver (dataflow.go), and static call graph
 // (callgraph.go). Everything is pure stdlib — go/ast + go/types — and
 // runs over type-checked packages produced by the Loader.
@@ -240,7 +240,7 @@ var knownDirectives = map[string]bool{
 	"ignore-err": true, // errlint: intentionally dropped error
 	"lsn-helper": true, // lsnlint: function is an approved LSN-ordering helper
 	"lsn-ok":     true, // lsnlint: one approved raw-LSN expression
-	"lock-ok":    true, // locklint: reviewed lock-discipline exception
+	"lock-ok":    true, // deadlocklint: reviewed lock-discipline exception
 	"sleep-ok":   true, // sleeplint: intentional sleep (pacing, backoff, simulation)
 	"atomic-ok":  true, // atomiclint: reviewed mixed access (e.g. pre-publication init)
 	"ctx-ok":     true, // ctxlint: reviewed context-discipline exception
@@ -291,7 +291,6 @@ func AllPasses() []Pass {
 	return []Pass{
 		DefaultErrlint(),
 		NewLSNLint(),
-		NewLockLint(),
 		DefaultSleeplint(),
 		NewAtomicLint(),
 		DefaultCtxLint(),

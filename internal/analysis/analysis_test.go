@@ -77,10 +77,6 @@ func TestLSNLintFixtures(t *testing.T) {
 	runFixturePair(t, analysis.NewLSNLint(), "lsnlint", 4, "raw LSN")
 }
 
-func TestLockLintFixtures(t *testing.T) {
-	runFixturePair(t, analysis.NewLockLint(), "locklint", 4, "lock")
-}
-
 func TestSleeplintFixtures(t *testing.T) {
 	runFixturePair(t, analysis.DefaultSleeplint(), "sleeplint", 1, "time.Sleep")
 }
@@ -147,30 +143,6 @@ func TestCtxLintFindsExactSites(t *testing.T) {
 	if notFirst != 1 || todo != 1 || noCtx != 2 {
 		t.Fatalf("ctxlint check coverage: notFirst=%d todo=%d noCtx=%d\n%s",
 			notFirst, todo, noCtx, render(diags))
-	}
-}
-
-// TestLockLintFindsExactSites pins the specific locklint failure modes to
-// their fixture lines so a regression in one check cannot hide behind
-// another.
-func TestLockLintFindsExactSites(t *testing.T) {
-	loader := newLoader(t)
-	bad := loadFixture(t, loader, "locklint/bad")
-	diags := analysis.NewLockLint().Run(bad)
-	var copies, leaks, sends int
-	for _, d := range diags {
-		switch {
-		case strings.Contains(d.Message, "copies a value"):
-			copies++
-		case strings.Contains(d.Message, "never unlocked"):
-			leaks++
-		case strings.Contains(d.Message, "channel send"):
-			sends++
-		}
-	}
-	if copies < 2 || leaks < 1 || sends < 1 {
-		t.Fatalf("locklint check coverage: copies=%d leaks=%d sends=%d\n%s",
-			copies, leaks, sends, render(diags))
 	}
 }
 

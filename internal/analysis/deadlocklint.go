@@ -9,8 +9,9 @@ import (
 	"strings"
 )
 
-// DeadlockLint builds the program-wide lock-ordering graph and reports
-// the two deadlock shapes a four-tier system grows by accretion:
+// DeadlockLint is the lock-discipline pass. It builds the program-wide
+// lock-ordering graph and reports the two deadlock shapes a four-tier
+// system grows by accretion:
 //
 //  1. lock-order cycles: lock B acquired while holding A in one place and
 //     A acquired while holding B in another (possibly through a chain of
@@ -23,6 +24,20 @@ import (
 //     peer's scheduling; with backpressure (ErrBackpressure) or a peer
 //     outage in play, that is a convoy at best and a distributed deadlock
 //     at worst.
+//
+// On the same held-lock facts it reports three per-function shapes:
+//
+//  3. a lock acquired with no unlock of it in the function, inline or
+//     deferred — the hallmark of a leaked critical section;
+//  4. a channel send while a lock is held (a select's communications are
+//     scheduling points by design and exempt);
+//  5. a direct call into a (simulated-latency) I/O package from another
+//     package while a lock is held. Holding a cache mutex across a simdisk
+//     write turns a microsecond critical section into a millisecond one and
+//     is how the paper's GetPage@LSN tail latencies regress. Calls within an
+//     I/O package itself are exempt: its own mutexes guard its bookkeeping.
+//
+// A lock copied by value is go vet's copylocks check, not this pass's.
 //
 // Lock identity is the *field or variable object* (types.Var), so `s.mu`
 // names the same lock in every method of the type, across every package
@@ -42,14 +57,17 @@ type DeadlockLint struct {
 	// FabricPkgs are import-path substrings whose Call/Send entry points
 	// count as remote I/O for check 2.
 	FabricPkgs []string
+	// IOPkgs are import-path substrings whose functions count as I/O for
+	// check 5.
+	IOPkgs []string
 }
 
 // NewDeadlockLint returns the pass configured for the Socrates tree.
 func NewDeadlockLint() *DeadlockLint {
-	return &DeadlockLint{FabricPkgs: []string{
-		"socrates/internal/rbio",
-		"socrates/internal/netmux",
-	}}
+	return &DeadlockLint{
+		FabricPkgs: []string{"socrates/internal/rbio", "socrates/internal/netmux"},
+		IOPkgs:     []string{"socrates/internal/simdisk", "socrates/internal/xstore"},
+	}
 }
 
 // Name implements Pass.
@@ -74,6 +92,8 @@ type lockFacts struct {
 	// calls are call sites executed while at least one lock is held:
 	// callee → (held set snapshot, site).
 	calls []heldCall
+	// diags are the function's own findings (checks 3-5).
+	diags []Diagnostic
 }
 
 type heldCall struct {
@@ -88,6 +108,7 @@ func (l *DeadlockLint) RunProgram(pkgs []*Package) []Diagnostic {
 	g := BuildCallGraph(pkgs)
 	labels := make(map[*types.Var]string)
 	facts := make(map[*types.Func]*lockFacts)
+	var out []Diagnostic
 
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -100,7 +121,9 @@ func (l *DeadlockLint) RunProgram(pkgs []*Package) []Diagnostic {
 				if !ok {
 					continue
 				}
-				facts[obj] = l.analyzeFunc(pkg, fn, labels)
+				ff := l.analyzeFunc(pkg, fn, labels)
+				facts[obj] = ff
+				out = append(out, ff.diags...)
 			}
 		}
 	}
@@ -132,11 +155,10 @@ func (l *DeadlockLint) RunProgram(pkgs []*Package) []Diagnostic {
 	// netmux call.
 	fabric := g.Reaches(l.isFabricCall)
 
-	var out []Diagnostic
 	edges := make(map[*types.Var]map[*types.Var]lockEdge)
 	addEdge := func(e lockEdge) {
 		if e.from == e.to {
-			return // double-acquire is locklint's balance check's turf
+			return // a double acquire is no ordering
 		}
 		if edges[e.from] == nil {
 			edges[e.from] = make(map[*types.Var]lockEdge)
@@ -184,11 +206,20 @@ func (l *DeadlockLint) analyzeFunc(pkg *Package, fn *ast.FuncDecl, labels map[*t
 	ff := &lockFacts{acquires: make(map[*types.Var]bool)}
 	cfg := BuildCFG(fn.Body)
 	seenEdge := make(map[string]bool)
-	seenCall := make(map[ast.Node]bool)
+	seenSite := make(map[ast.Node]bool)
+	acquired := make(map[ast.Node]*types.Var) // check 3: acquisition sites
+	released := make(map[*types.Var]bool)
+	flag := func(node ast.Node, format string, args ...any) {
+		if !pkg.DirectiveAt("lock-ok", node) {
+			ff.diags = append(ff.diags, pkg.diag("deadlocklint", node, format, args...))
+		}
+	}
 	prob := &heldLocksProblem{
 		pkg: pkg, labels: labels,
+		commSends: selectSends(fn.Body),
 		onAcquire: func(v *types.Var, held map[*types.Var]bool, node ast.Node) {
 			ff.acquires[v] = true
+			acquired[node] = v
 			if pkg.DirectiveAt("lock-ok", node) {
 				return
 			}
@@ -201,11 +232,23 @@ func (l *DeadlockLint) analyzeFunc(pkg *Package, fn *ast.FuncDecl, labels map[*t
 				}
 			}
 		},
+		onRelease: func(v *types.Var) { released[v] = true },
+		onSend: func(held map[*types.Var]bool, node ast.Node) {
+			if len(held) > 0 && !seenSite[node] {
+				seenSite[node] = true
+				flag(node, "channel send while %s is held; release the lock first or annotate //socrates:lock-ok <reason>",
+					heldLabel(held, labels))
+			}
+		},
 		onCall: func(callee *types.Func, held map[*types.Var]bool, node ast.Node) {
-			if len(held) == 0 || seenCall[node] {
+			if len(held) == 0 || seenSite[node] {
 				return
 			}
-			seenCall[node] = true
+			seenSite[node] = true
+			if callee.Pkg() != nil && callee.Pkg().Path() != pkg.Path && l.isIOPkg(callee.Pkg().Path()) {
+				flag(node, "I/O call into %s while %s is held; release the lock first or annotate //socrates:lock-ok <reason>",
+					callee.Pkg().Path(), heldLabel(held, labels))
+			}
 			snapshot := make([]*types.Var, 0, len(held))
 			for h := range held {
 				snapshot = append(snapshot, h)
@@ -217,7 +260,50 @@ func (l *DeadlockLint) analyzeFunc(pkg *Package, fn *ast.FuncDecl, labels map[*t
 		},
 	}
 	SolveForward(cfg, prob)
+	// Deferred unlocks run on every exit path: they release too.
+	for _, d := range cfg.Defers {
+		ast.Inspect(d.Call, func(x ast.Node) bool {
+			if call, ok := x.(*ast.CallExpr); ok {
+				if v, method, ok := prob.lockVar(call); ok && (method == "Unlock" || method == "RUnlock") {
+					released[v] = true
+				}
+			}
+			return true
+		})
+	}
+	for node, v := range acquired {
+		if !released[v] {
+			flag(node, "%s is locked but never unlocked in %s; add a defer of its Unlock or annotate //socrates:lock-ok <reason>",
+				labels[v], fn.Name.Name)
+		}
+	}
 	return ff
+}
+
+// selectSends collects the sends that are a select's communications: a
+// select is a scheduling point by design, so check 4 exempts them.
+func selectSends(body *ast.BlockStmt) map[ast.Node]bool {
+	out := make(map[ast.Node]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		if cc, ok := n.(*ast.CommClause); ok {
+			if send, ok := cc.Comm.(*ast.SendStmt); ok {
+				out[send] = true
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// heldLabel names the lexically first lock of a held set.
+func heldLabel(held map[*types.Var]bool, labels map[*types.Var]string) string {
+	first := ""
+	for v := range held {
+		if l := labels[v]; first == "" || l < first {
+			first = l
+		}
+	}
+	return first
 }
 
 // heldLocksProblem is the may-hold forward dataflow: facts are sets of
@@ -228,7 +314,10 @@ func (l *DeadlockLint) analyzeFunc(pkg *Package, fn *ast.FuncDecl, labels map[*t
 type heldLocksProblem struct {
 	pkg       *Package
 	labels    map[*types.Var]string
+	commSends map[ast.Node]bool // select communications: not reported to onSend
 	onAcquire func(v *types.Var, held map[*types.Var]bool, node ast.Node)
+	onRelease func(v *types.Var)
+	onSend    func(held map[*types.Var]bool, node ast.Node)
 	onCall    func(callee *types.Func, held map[*types.Var]bool, node ast.Node)
 }
 
@@ -291,6 +380,10 @@ func (p *heldLocksProblem) Transfer(n ast.Node, f Fact) Fact {
 			return false
 		case *ast.DeferStmt:
 			return false
+		case *ast.SendStmt:
+			if !p.commSends[e] {
+				p.onSend(held, e)
+			}
 		case *ast.CallExpr:
 			if v, method, ok := p.lockVar(e); ok {
 				switch method {
@@ -298,6 +391,7 @@ func (p *heldLocksProblem) Transfer(n ast.Node, f Fact) Fact {
 					p.onAcquire(v, held, e)
 					mutate()[v] = true
 				case "Unlock", "RUnlock":
+					p.onRelease(v)
 					if held[v] {
 						delete(mutate(), v)
 					}
@@ -380,21 +474,13 @@ func (p *heldLocksProblem) lockLabel(expr ast.Expr, v *types.Var) string {
 	return v.Name()
 }
 
+// isIOPkg reports whether the import path is one of the I/O packages.
+func (l *DeadlockLint) isIOPkg(path string) bool { return containsAny(path, l.IOPkgs) }
+
 // isFabricCall reports whether the function is an RBIO/netmux fabric
 // entry point: a Call/Send/Dial in one of the fabric packages.
 func (l *DeadlockLint) isFabricCall(fn *types.Func) bool {
-	if fn.Pkg() == nil {
-		return false
-	}
-	path := fn.Pkg().Path()
-	inFabric := false
-	for _, p := range l.FabricPkgs {
-		if containsPath(path, p) {
-			inFabric = true
-			break
-		}
-	}
-	if !inFabric {
+	if fn.Pkg() == nil || !containsAny(fn.Pkg().Path(), l.FabricPkgs) {
 		return false
 	}
 	switch fn.Name() {
@@ -402,6 +488,17 @@ func (l *DeadlockLint) isFabricCall(fn *types.Func) bool {
 		return true
 	}
 	return strings.HasPrefix(fn.Name(), "Call") || strings.HasPrefix(fn.Name(), "Send")
+}
+
+// containsAny reports whether the import path contains one of the
+// patterns.
+func containsAny(path string, patterns []string) bool {
+	for _, p := range patterns {
+		if p != "" && strings.Contains(path, p) {
+			return true
+		}
+	}
+	return false
 }
 
 // reportCycles finds strongly connected components of the lock graph and

@@ -7,7 +7,6 @@
 package cluster
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -65,19 +64,6 @@ type Config struct {
 	// LocalSSD is the device class for node-local caches (default
 	// simdisk.LocalSSD; tests use simdisk.Instant).
 	LocalSSD simdisk.Profile
-	// Tracer / Metrics override the deployment's observability spine.
-	// Defaults are created by New, so every cluster is traceable.
-	Tracer  *obs.Tracer
-	Metrics *obs.Registry
-	// Watermarks / Flight override the deployment's LSN ladder and flight
-	// recorder. Defaults are created by New, so every cluster exposes the
-	// full observability plane.
-	Watermarks *obs.WatermarkSet
-	Flight     *obs.FlightRecorder
-	// Waits overrides the deployment's wait-event accounting table. The
-	// default is created by New, so every cluster tracks per-tier wait
-	// stats; SetEnabled(false) on it turns the sketches off.
-	Waits *obs.WaitSet
 	// Watchdog tunes the lag/stall watchdog (zero values take the obs
 	// defaults: 25ms ticks, 50k-LSN lag threshold, 8-tick stall window).
 	Watchdog obs.WatchdogConfig
@@ -139,27 +125,12 @@ type Cluster struct {
 	// the engine and by landing-zone device I/O).
 	PrimaryMeter *metrics.CPUMeter
 
-	// Tracer collects cross-tier span trees; Metrics holds the per-tier
-	// counter/histogram registry. Every node of the deployment shares them.
-	Tracer  *obs.Tracer
-	Metrics *obs.Registry
-
-	// Watermarks is the deployment's LSN ladder; Flight the always-on
-	// postmortem ring; Watchdog the lag/stall monitor over the ladder.
-	// Every node of the deployment shares them.
-	Watermarks *obs.WatermarkSet
-	Flight     *obs.FlightRecorder
-	Watchdog   *obs.Watchdog
-
-	// Waits is the deployment's wait-event accounting table: every blocking
-	// site of every tier records into its tier's recorder here.
-	Waits *obs.WaitSet
-
-	// tripDump holds the flight-recorder JSONL captured at the first
-	// watchdog trip (postmortems read the ring *near* the stall, so the
-	// dump is taken inside the trip callback, not at Close).
-	tripMu   sync.Mutex
-	tripDump []byte
+	// Plane is the deployment's observability, built by obs.NewPlane and
+	// shared by every node: the tracer, the metrics registry, the LSN
+	// ladder, the flight recorder, the wait-event accounting table (its
+	// SetEnabled(false) turns the sketches off) and the watchdog, whose
+	// first trip freezes the flight dump TripDump returns.
+	obs.Plane
 
 	// seedLane hands out device seed lanes when cfg.Seed != 0, so every
 	// simdisk device of the deployment gets an independent but
@@ -205,31 +176,12 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:         cfg,
 		Net:         cfg.Net,
-		Tracer:      cfg.Tracer,
-		Metrics:     cfg.Metrics,
-		Watermarks:  cfg.Watermarks,
-		Flight:      cfg.Flight,
-		Waits:       cfg.Waits,
+		Plane:       obs.NewPlane(cfg.Watchdog),
 		secondaries: make(map[string]*compute.Secondary),
 		serverAddrs: make(map[*pageserver.Server]string),
 		selectors:   make(map[string]*rbio.Selector),
 		backups:     make(map[string]backupInfo),
 		pt:          page.Partitioning{PagesPerPartition: cfg.PagesPerPartition},
-	}
-	if c.Tracer == nil {
-		c.Tracer = obs.NewTracer()
-	}
-	if c.Metrics == nil {
-		c.Metrics = obs.NewRegistry()
-	}
-	if c.Watermarks == nil {
-		c.Watermarks = obs.NewWatermarkSet()
-	}
-	if c.Flight == nil {
-		c.Flight = obs.NewFlightRecorder(0)
-	}
-	if c.Waits == nil {
-		c.Waits = obs.NewWaitSet()
 	}
 	c.muxMetrics = netmux.NewMetrics(c.Metrics)
 	// The fabric's queue/RTT waits land under their own pseudo-tier: mux
@@ -237,23 +189,6 @@ func New(cfg Config) (*Cluster, error) {
 	// caller (e.g. page.remote), while the fabric itself reports raw
 	// queue-admission and round-trip time here.
 	c.muxMetrics.Waits = c.Waits.Tier("netmux")
-	// The watchdog watches the whole ladder; its first trip freezes a copy
-	// of the flight ring (the "seconds before the stall" postmortem) and
-	// every trip lands in the ring itself.
-	c.Watchdog = obs.NewWatchdog(c.Watermarks, c.Metrics, cfg.Watchdog)
-	c.Watchdog.SetWaitSet(c.Waits)
-	c.Watchdog.OnTrip(func(t obs.Trip) {
-		c.Flight.Record("obs", "watchdog.trip", 0, t.LagTime,
-			string(t.Kind)+": "+t.Detail)
-		var buf bytes.Buffer
-		//socrates:ignore-err dumping to a bytes.Buffer cannot fail; the encoder only errors on unmarshalable values and FlightEvent is plain data
-		_ = c.Flight.Dump(&buf)
-		c.tripMu.Lock()
-		if c.tripDump == nil {
-			c.tripDump = buf.Bytes()
-		}
-		c.tripMu.Unlock()
-	})
 	c.Watchdog.Start()
 	if c.Net == nil {
 		c.Net = rbio.NewNetwork()
@@ -269,8 +204,8 @@ func New(cfg Config) (*Cluster, error) {
 			cfg.XStore.Seed = simdisk.MixSeed(cfg.Seed, -2)
 		}
 	}
+	cfg.XStore.Obs = c.Plane
 	c.Store = xstore.New(cfg.XStore)
-	c.Store.SetMetrics(c.Metrics)
 	c.PrimaryMeter = metrics.NewCPUMeter(cfg.PrimaryCores)
 
 	// Landing zone: quorum-replicated fast storage; the primary's meter is
@@ -280,7 +215,7 @@ func New(cfg Config) (*Cluster, error) {
 		lzSeed = simdisk.MixSeed(cfg.Seed, -3)
 	}
 	lzVol, err := simdisk.NewReplicatedSeeded(cfg.LZProfile, cfg.LZReplicas, cfg.LZQuorum,
-		lzSeed, simdisk.WithCPU(c.PrimaryMeter), simdisk.WithWaits(c.Waits.Tier("xlog")))
+		lzSeed, simdisk.WithCPU(c.PrimaryMeter), simdisk.WithWaits(c.Waits.Tier(obs.TierXLOG)))
 	if err != nil {
 		return nil, err
 	}
@@ -289,13 +224,10 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.LZ.SetWaits(c.Waits.Tier("xlog"))
 	c.XLOG, err = xlog.New(xlog.Config{
 		LZ: c.LZ, LT: c.Store, LTBlob: cfg.Name + "/lt",
-		CacheDevice: c.dev(cfg.LocalSSD, simdisk.WithWaits(c.Waits.Tier("xlog"))),
-		Tracer:      c.Tracer, Metrics: c.Metrics,
-		Watermarks: c.Watermarks, Flight: c.Flight,
-		Waits: c.Waits.Tier("xlog"),
+		CacheDevice: c.dev(cfg.LocalSSD, simdisk.WithWaits(c.Waits.Tier(obs.TierXLOG))),
+		Obs:         c.Plane,
 	})
 	if err != nil {
 		return nil, err
@@ -416,15 +348,11 @@ func (c *Cluster) primaryConfig(bootstrap bool) compute.PrimaryConfig {
 		Partitioning:  c.pt,
 		CacheMemPages: c.cfg.ComputeMemPages,
 		CacheSSDPages: c.cfg.ComputeSSDPages,
-		CacheSSD:      c.dev(c.cfg.LocalSSD, simdisk.WithCPU(c.PrimaryMeter), simdisk.WithWaits(c.Waits.Tier("compute"))),
+		CacheSSD:      c.dev(c.cfg.LocalSSD, simdisk.WithCPU(c.PrimaryMeter), simdisk.WithWaits(c.Waits.Tier(obs.TierCompute))),
 		CacheMeta:     c.dev(c.cfg.LocalSSD),
 		Meter:         c.PrimaryMeter,
 		Bootstrap:     bootstrap,
-		Tracer:        c.Tracer,
-		Metrics:       c.Metrics,
-		Watermarks:    c.Watermarks,
-		Flight:        c.Flight,
-		Waits:         c.Waits.Tier("compute"),
+		Obs:           c.Plane,
 	}
 }
 
@@ -447,18 +375,14 @@ func (c *Cluster) startPageServer(part page.PartitionID, rangeLo, rangeHi page.I
 		XLOG:            c.xlogClient(),
 		Store:           c.Store,
 		BlobPrefix:      c.cfg.Name + "/",
-		CacheSSD:        c.dev(c.cfg.LocalSSD, simdisk.WithWaits(c.Waits.Tier("pageserver"))),
+		CacheSSD:        c.dev(c.cfg.LocalSSD, simdisk.WithWaits(c.Waits.Tier(obs.TierPageServer))),
 		CacheMeta:       c.dev(c.cfg.LocalSSD),
 		MemPages:        c.cfg.PSMemPages,
 		PullBytes:       c.cfg.PSPullBytes,
 		StartLSN:        startLSN,
 		Seed:            seed,
 		CheckpointEvery: c.cfg.CheckpointEvery,
-		Tracer:          c.Tracer,
-		Metrics:         c.Metrics,
-		Watermarks:      c.Watermarks,
-		Flight:          c.Flight,
-		Waits:           c.Waits.Tier("pageserver"),
+		Obs:             c.Plane,
 	})
 	if err != nil {
 		return nil, err
@@ -587,15 +511,6 @@ func (c *Cluster) KillPageServer(srv *pageserver.Server) error {
 	c.Flight.Record(obs.TierPageServer, "ps.kill", uint64(srv.AppliedLSN()), 0,
 		addr+": killed")
 	return nil
-}
-
-// TripDump returns the flight-recorder JSONL frozen at the first watchdog
-// trip (nil if the watchdog never fired). This is the stall postmortem:
-// the ring's contents seconds before and at the trip.
-func (c *Cluster) TripDump() []byte {
-	c.tripMu.Lock()
-	defer c.tripMu.Unlock()
-	return append([]byte(nil), c.tripDump...)
 }
 
 // Close stops every node.

@@ -63,11 +63,7 @@ func (c *Cluster) addSecondary(name string, delay time.Duration) (*compute.Secon
 		StartLSN:      c.XLOG.HardenedEnd(),
 		StartTS:       c.XLOG.MaxCommitTS(),
 		ApplyDelay:    delay,
-		Tracer:        c.Tracer,
-		Metrics:       c.Metrics,
-		Watermarks:    c.Watermarks,
-		Flight:        c.Flight,
-		Waits:         c.Waits.Tier("compute"),
+		Obs:           c.Plane,
 	})
 	if err != nil {
 		return nil, err

@@ -51,7 +51,7 @@ type ackSample struct {
 func runBatcherProperty(t *testing.T, seed int64) {
 	lz := newLZ(t)
 	ws := obs.NewWaitSet()
-	w := NewLogWriter(lz, nil, page.Partitioning{}, 1, WithWaits(ws.Tier("compute")))
+	w := NewLogWriter(lz, nil, page.Partitioning{}, 1, WithObservability(obs.Plane{Waits: ws}))
 	defer w.Close()
 
 	const committers = 8

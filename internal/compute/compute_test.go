@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"socrates/internal/btree"
+	"socrates/internal/obs"
 	"socrates/internal/page"
 	"socrates/internal/rbio"
 	"socrates/internal/rbpex"
@@ -156,7 +157,7 @@ func newRemoteFile(t *testing.T, stub *pageServerStub, floor page.LSN) *RemotePa
 	sel := rbio.NewSelector(rbio.NewClient(net.Dial("ps")))
 	f, err := NewRemotePageFile(rbpex.Config{MemPages: 2},
 		func(page.ID) (*rbio.Selector, error) { return sel, nil },
-		func() page.LSN { return floor })
+		func() page.LSN { return floor }, obs.Plane{})
 	if err != nil {
 		t.Fatal(err)
 	}

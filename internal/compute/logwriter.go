@@ -111,37 +111,23 @@ type LogWriter struct {
 	bytesFlushed  atomic.Int64
 	recsCoalesced atomic.Int64
 
-	tracer *obs.Tracer
-	obsReg *obs.Registry
-	wms    *obs.WatermarkSet
-	flight *obs.FlightRecorder
-	waits  *obs.WaitRecorder
+	obs   obs.Plane
+	waits *obs.WaitRecorder // obs.Waits.Tier(obs.TierCompute), resolved once
 }
 
 // LogWriterOption configures a LogWriter.
 type LogWriterOption func(*LogWriter)
 
-// WithObs wires a tracer and metrics registry into the writer: each
+// WithObservability wires the writer into the observability plane. Each
 // landing-zone block write emits an "lz.write" span attributed to the
-// commits it hardens, plus lz.* counters and histograms.
-func WithObs(t *obs.Tracer, r *obs.Registry) LogWriterOption {
-	return func(w *LogWriter) { w.tracer, w.obsReg = t, r }
-}
-
-// WithPlane wires the writer into the observability plane: every quorum
-// write publishes the hardened watermark (lz.hardened_lsn) and drops an
-// "lz.flush" event into the flight recorder; flush failures are recorded
-// as "lz.error" events before the writer poisons itself.
-func WithPlane(ws *obs.WatermarkSet, fr *obs.FlightRecorder) LogWriterOption {
-	return func(w *LogWriter) { w.wms, w.flight = ws, fr }
-}
-
-// WithWaits wires wait-event accounting into the writer: commit.harden
-// covers the time a committer spends in WaitHarden, following or leading,
-// commit.quorum the landing-zone quorum write itself (attributed to the
-// lz.write span of every commit the block hardens).
-func WithWaits(wr *obs.WaitRecorder) LogWriterOption {
-	return func(w *LogWriter) { w.waits = wr }
+// commits it hardens, plus lz.* counters and histograms; every quorum write
+// publishes the hardened watermark (lz.hardened_lsn) and drops an "lz.flush"
+// flight event, and a failed one an "lz.error" event before the writer
+// poisons itself. In the compute wait tier, commit.harden covers the time a
+// committer spends in WaitHarden, following or leading, and commit.quorum
+// the quorum write itself.
+func WithObservability(p obs.Plane) LogWriterOption {
+	return func(w *LogWriter) { w.obs = p }
 }
 
 // WithEpoch stamps the producer epoch on every fed block, so the XLOG
@@ -169,6 +155,7 @@ func NewLogWriter(lz *xlog.LandingZone, feed *rbio.Client, pt page.Partitioning,
 	for _, o := range opts {
 		o(w)
 	}
+	w.waits = w.obs.Waits.Tier(obs.TierCompute)
 	w.cond = sync.NewCond(&w.mu)
 	w.hold = sync.NewCond(&w.mu)
 	return w
@@ -276,7 +263,7 @@ func (w *LogWriter) WaitHarden(ctx context.Context, lsn page.LSN) error {
 				w.hold.Wait()
 				disarm()
 			}
-			w.obsReg.Histogram("lz.batch.wait").Observe(w.clock.Now().Sub(holdStart))
+			w.obs.Metrics.Histogram("lz.batch.wait").Observe(w.clock.Now().Sub(holdStart))
 		}
 		w.mu.Unlock()
 		w.flush()
@@ -462,10 +449,10 @@ func (w *LogWriter) flush() {
 	recs, squashed := coalesceBatch(recs)
 	if squashed > 0 {
 		w.recsCoalesced.Add(int64(squashed))
-		w.obsReg.Counter("lz.batch.coalesced").Add(uint64(squashed))
+		w.obs.Metrics.Counter("lz.batch.coalesced").Add(uint64(squashed))
 	}
-	w.obsReg.Counter("lz.batch.flushes").Inc()
-	w.obsReg.Counter("lz.batch.records").Add(uint64(len(recs)))
+	w.obs.Metrics.Counter("lz.batch.flushes").Inc()
+	w.obs.Metrics.Counter("lz.batch.records").Add(uint64(len(recs)))
 	block := &wal.Block{
 		Start:      start,
 		End:        end,
@@ -489,7 +476,7 @@ func (w *LogWriter) flush() {
 	}
 	w.mu.Unlock()
 	if err != nil {
-		w.flight.Record(obs.TierLZ, "lz.error", uint64(block.Start), 0,
+		w.obs.Flight.Record(obs.TierLZ, "lz.error", uint64(block.Start), 0,
 			"reserve failed: "+err.Error())
 		return
 	}
@@ -501,7 +488,7 @@ func (w *LogWriter) flush() {
 	var traceID obs.TraceID
 	for _, r := range recs {
 		if r.Kind == wal.KindTxnCommit && r.TraceID != 0 {
-			c, s := w.tracer.StartRemoteSpan(obs.SpanContext{
+			c, s := w.obs.Tracer.StartRemoteSpan(obs.SpanContext{
 				TraceID: obs.TraceID(r.TraceID), SpanID: obs.SpanID(r.SpanID)}, obs.TierLZ, "lz.write")
 			s.SetAttr("records", fmt.Sprint(len(recs)))
 			spans = append(spans, s)
@@ -518,7 +505,7 @@ func (w *LogWriter) flush() {
 	}
 	qstart := time.Now()
 	if err := w.lz.Complete(res); err != nil {
-		w.flight.Record(obs.TierLZ, "lz.error", uint64(block.Start),
+		w.obs.Flight.Record(obs.TierLZ, "lz.error", uint64(block.Start),
 			time.Since(wstart), "quorum write failed: "+err.Error())
 		for _, s := range spans {
 			s.SetError(err)
@@ -535,7 +522,7 @@ func (w *LogWriter) flush() {
 	qlat := time.Since(qstart)
 	w.waits.Observe(ioCtx, obs.WaitCommitQuorum, qlat)
 	hardened := w.lz.HardenedEnd()
-	w.wms.Watermark(obs.WMHardened, "").Publish(uint64(hardened))
+	w.obs.Watermarks.Watermark(obs.WMHardened, "").Publish(uint64(hardened))
 	w.mu.Lock()
 	w.inflightCnt--
 	if w.writeEWMA == 0 {
@@ -567,12 +554,12 @@ func (w *LogWriter) flush() {
 	for _, s := range spans {
 		s.End()
 	}
-	w.obsReg.Histogram("lz.write.latency").Observe(time.Since(wstart))
-	w.obsReg.Counter("lz.write.blocks").Inc()
-	w.obsReg.Counter("lz.write.bytes").Add(uint64(len(res.Payload())))
+	w.obs.Metrics.Histogram("lz.write.latency").Observe(time.Since(wstart))
+	w.obs.Metrics.Counter("lz.write.blocks").Inc()
+	w.obs.Metrics.Counter("lz.write.bytes").Add(uint64(len(res.Payload())))
 	w.blocksFlushed.Add(1)
 	w.bytesFlushed.Add(int64(len(res.Payload())))
-	w.flight.RecordTrace(obs.TierLZ, "lz.flush", uint64(block.End), traceID, time.Since(wstart),
+	w.obs.Flight.RecordTrace(obs.TierLZ, "lz.flush", uint64(block.End), traceID, time.Since(wstart),
 		fmt.Sprintf("records=%d bytes=%d", len(block.Records), len(res.Payload())))
 
 	// Harden reports are one-way: the watermark is monotone, so a stale

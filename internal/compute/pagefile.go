@@ -62,10 +62,8 @@ type RemotePageFile struct {
 	window    chan struct{}
 	aheadWG   sync.WaitGroup
 
-	tracer *obs.Tracer
-	obsReg *obs.Registry
-	flight *obs.FlightRecorder
-	waits  *obs.WaitRecorder
+	obs   obs.Plane
+	waits *obs.WaitRecorder // obs.Waits.Tier(obs.TierCompute), resolved once
 }
 
 // registration is the §4.5 registration of one page: from the moment a fetch
@@ -117,48 +115,41 @@ func (r *registration) await(ctx context.Context) *page.Page {
 	}
 }
 
-// SetObs wires a tracer and metrics registry: a remote GetPage@LSN miss
-// under a traced request becomes a "compute.getpage" span, and every miss
-// records compute.getpage.* metrics. The miss coalescer's hit/miss
-// counters (netmux.coalesce.*), the read-ahead counters
-// (compute.readahead.*) and the cache's own (compute.rbpex.writebehind.*,
-// compute.rbpex.ahead.*) land on the same registry. compute.readahead.joined
-// counts the hints that met their reader: in flight (register), or parked in
-// the cache — which the cache counts, at the page's first read.
-func (f *RemotePageFile) SetObs(t *obs.Tracer, r *obs.Registry) {
-	f.tracer, f.obsReg = t, r
-	f.coal = netmux.NewCoalescer(netmux.NewMetrics(r))
-	f.cache.Instrument(r, "compute.rbpex", r.Counter("compute.readahead.joined"))
-}
-
-// SetFlight wires the flight recorder: cache misses (remote GetPage@LSN
-// fetches) and evictions drop compact events into the ring.
-func (f *RemotePageFile) SetFlight(fr *obs.FlightRecorder) { f.flight = fr }
-
-// SetWaits wires wait-event accounting: the time a reader is blocked on a
-// GetPage@LSN miss (its own RPC, a coalesced one, or the rest of a
-// read-ahead flight it joined) records under page.remote, attributed to the
-// request's profile and getpage span. A read-ahead fetch blocks nobody and
-// records nothing.
-func (f *RemotePageFile) SetWaits(wr *obs.WaitRecorder) { f.waits = wr }
-
-// NewRemotePageFile builds the cache-fronted page file. Close releases it.
-func NewRemotePageFile(cfg rbpex.Config, resolve Resolver, floor func() page.LSN) (*RemotePageFile, error) {
+// NewRemotePageFile builds the cache-fronted page file over an RBPEX cache
+// (whose Waits it sets to the compute wait tier). Close releases it.
+//
+// o wires it into the observability plane. A remote GetPage@LSN miss under
+// a traced request becomes a "compute.getpage" span, and every miss records
+// compute.getpage.* metrics and drops a flight event, as does every
+// eviction. The miss coalescer's hit/miss counters (netmux.coalesce.*), the
+// read-ahead counters (compute.readahead.*) and the cache's own
+// (compute.rbpex.writebehind.*, compute.rbpex.ahead.*) land on the same
+// registry. compute.readahead.joined counts the hints that met their reader:
+// in flight (register), or parked in the cache — which the cache counts, at
+// the page's first read. The time a reader is blocked on a miss (its own
+// RPC, a coalesced one, or the rest of a read-ahead flight it joined)
+// records under page.remote; a read-ahead fetch blocks nobody and records
+// nothing.
+func NewRemotePageFile(cfg rbpex.Config, resolve Resolver, floor func() page.LSN, o obs.Plane) (*RemotePageFile, error) {
 	f := &RemotePageFile{
 		resolve: resolve,
 		floor:   floor,
 		evicted: make(map[page.ID]page.LSN),
 		pending: make(map[page.ID]*registration),
-		coal:    netmux.NewCoalescer(nil),
+		coal:    netmux.NewCoalescer(netmux.NewMetrics(o.Metrics)),
 		window:  make(chan struct{}, rangeFanout),
+		obs:     o,
+		waits:   o.Waits.Tier(obs.TierCompute),
 	}
 	f.ahead, f.stopAhead = context.WithCancel(context.Background())
 	cfg.OnEvict = f.noteEvicted
+	cfg.Waits = f.waits
 	cache, err := rbpex.Open(cfg)
 	if err != nil {
 		f.stopAhead()
 		return nil, err
 	}
+	cache.Instrument(o.Metrics, "compute.rbpex", o.Metrics.Counter("compute.readahead.joined"))
 	f.cache = cache
 	return f, nil
 }
@@ -187,7 +178,7 @@ func (f *RemotePageFile) noteEvicted(id page.ID, lsn page.LSN) {
 		f.evicted[id] = lsn
 	}
 	f.mu.Unlock()
-	f.flight.Record(obs.TierCompute, "compute.evict", uint64(lsn), 0,
+	f.obs.Flight.Record(obs.TierCompute, "compute.evict", uint64(lsn), 0,
 		"page "+strconv.FormatUint(uint64(id), 10))
 }
 
@@ -238,7 +229,7 @@ func (f *RemotePageFile) register(id page.ID) (reg *registration, owner bool) {
 	if reg, ok := f.pending[id]; ok {
 		if reg.readahead && !reg.joined {
 			reg.joined = true
-			f.obsReg.Counter("compute.readahead.joined").Inc()
+			f.obs.Metrics.Counter("compute.readahead.joined").Inc()
 		}
 		return reg, false
 	}
@@ -285,7 +276,7 @@ func (f *RemotePageFile) fetch(ctx context.Context, id page.ID, reg *registratio
 	// trace when one is ambient, else root a fresh one. Misses are bounded
 	// by cache capacity — unlike continuous polls (xlog.pull, log feeds),
 	// they cannot flood the tracer's retention ring.
-	ctx, span := f.tracer.StartSpan(ctx, obs.TierCompute, "compute.getpage")
+	ctx, span := f.obs.Tracer.StartSpan(ctx, obs.TierCompute, "compute.getpage")
 	pageNo := strconv.FormatUint(uint64(id), 10)
 	span.SetAttr("page", pageNo)
 	defer span.End()
@@ -294,7 +285,7 @@ func (f *RemotePageFile) fetch(ctx context.Context, id page.ID, reg *registratio
 		span.SetAttr("readahead", "true")
 		note += " readahead"
 	}
-	f.obsReg.Counter("compute.getpage.remote").Inc()
+	f.obs.Metrics.Counter("compute.getpage.remote").Inc()
 	minLSN := f.minLSN(id)
 	// page.remote is the time a reader is blocked here, whoever holds the
 	// RPC: its own call, a coalesced one, or what was left of a read-ahead
@@ -332,8 +323,8 @@ func (f *RemotePageFile) fetch(ctx context.Context, id page.ID, reg *registratio
 	if shared {
 		span.SetAttr("coalesced", "true")
 	}
-	f.obsReg.Histogram("compute.getpage.latency").Observe(time.Since(start))
-	f.flight.RecordTrace(obs.TierCompute, "compute.getpage", uint64(minLSN),
+	f.obs.Metrics.Histogram("compute.getpage.latency").Observe(time.Since(start))
+	f.obs.Flight.RecordTrace(obs.TierCompute, "compute.getpage", uint64(minLSN),
 		span.Context().TraceID, time.Since(start), note)
 	if err != nil {
 		span.SetError(err)

@@ -43,19 +43,12 @@ type PrimaryConfig struct {
 	// producer). It lets XLOG reject speculative blocks from a dead
 	// predecessor whose LSNs this node reissues.
 	Epoch uint64
-	// Tracer / Metrics, if set, wire the node into the cluster's
-	// observability spine (commit spans, lz.write spans, getpage spans).
-	Tracer  *obs.Tracer
-	Metrics *obs.Registry
-	// Watermarks / Flight, if set, wire the node into the observability
-	// plane: commit + hardened rungs of the LSN ladder, flush/miss/evict
-	// flight-recorder events.
-	Watermarks *obs.WatermarkSet
-	Flight     *obs.FlightRecorder
-	// Waits, if set, wires the node into wait-event accounting:
+	// Obs wires the node into the observability plane: commit, lz.write
+	// and getpage spans; the commit and hardened rungs of the LSN ladder;
+	// flush/miss/evict flight events; and the compute wait tier —
 	// commit.harden/commit.quorum on the log pipeline, page.remote and
 	// page.miss on the page path, lock.latch/lock.row in the engine.
-	Waits *obs.WaitRecorder
+	Obs obs.Plane
 }
 
 // Primary is the read-write compute node: it is the single log producer and
@@ -83,10 +76,7 @@ func NewPrimary(cfg PrimaryConfig) (*Primary, error) {
 
 	startLSN := cfg.LZ.HardenedEnd()
 	writer := NewLogWriter(cfg.LZ, cfg.XLOG, cfg.Partitioning, startLSN,
-		WithObs(cfg.Tracer, cfg.Metrics),
-		WithPlane(cfg.Watermarks, cfg.Flight),
-		WithWaits(cfg.Waits),
-		WithEpoch(cfg.Epoch))
+		WithObservability(cfg.Obs), WithEpoch(cfg.Epoch))
 
 	// The GetPage@LSN floor for pages this node has never seen: everything
 	// in the database is at most as new as the hardened end at attach time.
@@ -101,18 +91,12 @@ func NewPrimary(cfg PrimaryConfig) (*Primary, error) {
 		SSDPages: cfg.CacheSSDPages,
 		SSD:      cfg.CacheSSD,
 		Meta:     cfg.CacheMeta,
-		Waits:    cfg.Waits,
-	}, cfg.Resolve, floor)
+	}, cfg.Resolve, floor, cfg.Obs)
 	if err != nil {
 		return nil, err
 	}
-	pages.SetObs(cfg.Tracer, cfg.Metrics)
-	pages.SetFlight(cfg.Flight)
-	pages.SetWaits(cfg.Waits)
 
-	ecfg := engine.Config{Pages: pages, Log: writer, Meter: cfg.Meter,
-		Tracer: cfg.Tracer, Metrics: cfg.Metrics, Watermarks: cfg.Watermarks,
-		Waits: cfg.Waits}
+	ecfg := engine.Config{Pages: pages, Log: writer, Meter: cfg.Meter, Obs: cfg.Obs}
 	var eng *engine.Engine
 	if cfg.Bootstrap {
 		eng, err = engine.Create(ecfg)

@@ -25,12 +25,12 @@ func (f *RemotePageFile) Prefetch(ids []page.ID) {
 		}
 		reg, dropped := f.registerAhead(id)
 		if dropped {
-			f.obsReg.Counter("compute.readahead.dropped").Inc()
+			f.obs.Metrics.Counter("compute.readahead.dropped").Inc()
 		}
 		if reg == nil {
 			continue
 		}
-		f.obsReg.Counter("compute.readahead.issued").Inc()
+		f.obs.Metrics.Counter("compute.readahead.issued").Inc()
 		go f.readAhead(id, reg)
 	}
 }

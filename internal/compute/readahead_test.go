@@ -141,15 +141,14 @@ func (s *fakePageServer) remoteFile(t *testing.T, memPages int, floor func() pag
 	if floor == nil {
 		floor = func() page.LSN { return 1 }
 	}
+	reg, waits := obs.NewRegistry(), obs.NewWaitSet()
 	f, err := NewRemotePageFile(rbpex.Config{MemPages: memPages},
-		func(page.ID) (*rbio.Selector, error) { return sel, nil }, floor)
+		func(page.ID) (*rbio.Selector, error) { return sel, nil }, floor,
+		obs.Plane{Metrics: reg, Waits: waits})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(f.Close)
-	reg, waits := obs.NewRegistry(), obs.NewWaitSet()
-	f.SetObs(nil, reg)
-	f.SetWaits(waits.Tier(obs.TierCompute))
 	return f, reg, waits
 }
 

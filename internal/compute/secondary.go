@@ -41,19 +41,13 @@ type SecondaryConfig struct {
 	// ApplyDelay adds latency before each pull — models a geo-replica
 	// consuming the log across a WAN (§6).
 	ApplyDelay time.Duration
-	// Tracer / Metrics attach the node to the deployment's observability
-	// plane (GetPage@LSN spans and cache-miss latency histograms).
-	Tracer  *obs.Tracer
-	Metrics *obs.Registry
-	// Watermarks receives this node's compute.applied_lsn rung, labeled by
-	// Name (nil = watermarks off).
-	Watermarks *obs.WatermarkSet
-	// Flight receives apply-batch flight-recorder events (nil = off).
-	Flight *obs.FlightRecorder
-	// Waits receives wait-event accounting for this node: xlog.feed when a
-	// caller blocks on apply progress, page.remote/page.miss on the page
-	// path, lock.row on visibility retries. Nil disables recording.
-	Waits *obs.WaitRecorder
+	// Obs wires the node into the observability plane: GetPage@LSN spans
+	// and cache-miss latency histograms; this node's compute.applied_lsn
+	// rung, labeled by Name; apply-batch flight events; and the compute
+	// wait tier — xlog.feed when a caller blocks on apply progress,
+	// page.remote/page.miss on the page path, lock.row on visibility
+	// retries.
+	Obs obs.Plane
 }
 
 // Secondary is a read-only compute node. It consumes the full log stream
@@ -93,9 +87,8 @@ type Secondary struct {
 	// apply thread between a block's applied watermark and its publish.
 	holdBeforePublish func()
 
-	wms    *obs.WatermarkSet
-	flight *obs.FlightRecorder
-	waits  *obs.WaitRecorder
+	obs   obs.Plane
+	waits *obs.WaitRecorder // obs.Waits.Tier(obs.TierCompute), resolved once
 }
 
 // NewSecondary builds and starts a secondary.
@@ -120,9 +113,8 @@ func NewSecondary(cfg SecondaryConfig) (*Secondary, error) {
 		done:       make(chan struct{}),
 		pullBytes:  cfg.PullBytes,
 		applyDelay: cfg.ApplyDelay,
-		wms:        cfg.Watermarks,
-		flight:     cfg.Flight,
-		waits:      cfg.Waits,
+		obs:        cfg.Obs,
+		waits:      cfg.Obs.Waits.Tier(obs.TierCompute),
 	}
 	s.cond = sync.NewCond(&s.mu)
 
@@ -131,23 +123,17 @@ func NewSecondary(cfg SecondaryConfig) (*Secondary, error) {
 		SSDPages: cfg.CacheSSDPages,
 		SSD:      cfg.CacheSSD,
 		Meta:     cfg.CacheMeta,
-		Waits:    cfg.Waits,
-	}, cfg.Resolve, s.floor)
+	}, cfg.Resolve, s.floor, cfg.Obs)
 	if err != nil {
 		return nil, err
 	}
-	pages.SetObs(cfg.Tracer, cfg.Metrics)
-	pages.SetFlight(cfg.Flight)
-	pages.SetWaits(cfg.Waits)
 	s.pages = pages
 
 	eng, err := engine.Open(engine.Config{
 		Pages:    pages,
 		ReadOnly: true,
 		Meter:    cfg.Meter,
-		Tracer:   cfg.Tracer,
-		Metrics:  cfg.Metrics,
-		Waits:    cfg.Waits,
+		Obs:      cfg.Obs,
 		WaitFresh: func() {
 			// A traversal raced log apply: pause until the apply thread
 			// makes progress, then retry (§4.5).
@@ -308,8 +294,8 @@ func (s *Secondary) pullOnce() bool {
 	}
 	s.advance(&s.applied, resp.LSN)
 	s.advance(&s.visibleTo, resp.LSN) // the blocks below published theirs; the rest of the range holds none
-	s.wms.Watermark(obs.WMSecondary, s.name).Publish(uint64(resp.LSN))
-	s.flight.Record(obs.TierCompute, "sec.apply", uint64(resp.LSN), 0,
+	s.obs.Watermarks.Watermark(obs.WMSecondary, s.name).Publish(uint64(resp.LSN))
+	s.obs.Flight.Record(obs.TierCompute, "sec.apply", uint64(resp.LSN), 0,
 		s.name+": batch applied")
 	//socrates:ignore-err applied-progress reports are advisory lease refreshes; the next pull re-reports and the watermark is monotone at the service
 	_, _ = s.xlog.Call(ctx, &rbio.Request{

@@ -209,15 +209,15 @@ func TestScansRacingEvictionsReturnTheSameRows(t *testing.T) {
 	net := rbio.NewInstantNetwork()
 	net.Serve("ps", srv.handler())
 	sel := rbio.NewSelector(rbio.NewClient(net.Dial("ps")))
+	reg := obs.NewRegistry()
 	f, err := NewRemotePageFile(rbpex.Config{MemPages: 4, SSDPages: 12,
 		SSD: simdisk.New(simdisk.Instant), Meta: simdisk.New(simdisk.Instant)},
-		func(page.ID) (*rbio.Selector, error) { return sel, nil }, func() page.LSN { return 1 })
+		func(page.ID) (*rbio.Selector, error) { return sel, nil }, func() page.LSN { return 1 },
+		obs.Plane{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	reg := obs.NewRegistry()
-	f.SetObs(nil, reg)
 
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

@@ -99,23 +99,19 @@ type Config struct {
 	WaitFresh func()
 	// Meter, if set, is charged the simulated CPU cost of operations.
 	Meter *metrics.CPUMeter
-	// Tracer, if set, records commit-path spans (tier "compute").
-	Tracer *obs.Tracer
-	// Metrics, if set, receives engine counters and latency histograms.
-	Metrics *obs.Registry
-	// Watermarks, if set, receives the commit-frontier watermark
-	// (compute.commit_lsn) plus the LSN→wall-clock stamps that let the
-	// watchdog express follower lag in milliseconds.
-	Watermarks *obs.WatermarkSet
-	// Waits, if set, receives wait-event accounting: lock.latch when a
-	// commit contends the single-writer latch, lock.row when a read blocks
-	// on log apply (visibility retry). Nil disables recording.
-	Waits *obs.WaitRecorder
+	// Obs wires the engine into the observability plane: commit-path spans
+	// (tier "compute"), engine counters and latency histograms, the
+	// commit-frontier watermark (compute.commit_lsn) plus the LSN→wall-clock
+	// stamps that let the watchdog express follower lag in milliseconds,
+	// and the compute wait tier — lock.latch when a commit contends the
+	// single-writer latch, lock.row when a read blocks on log apply.
+	Obs obs.Plane
 }
 
 // Engine is one node's database engine instance.
 type Engine struct {
 	cfg   Config
+	waits *obs.WaitRecorder // cfg.Obs.Waits.Tier(obs.TierCompute), resolved once
 	clock *txn.Clock
 	locks *txn.LockTable
 	ids   txn.IDSource
@@ -224,6 +220,7 @@ func Open(cfg Config) (*Engine, error) {
 func newEngine(cfg Config) *Engine {
 	e := &Engine{
 		cfg:    cfg,
+		waits:  cfg.Obs.Waits.Tier(obs.TierCompute),
 		clock:  txn.NewClock(),
 		locks:  txn.NewLockTable(),
 		tables: make(map[string]*btree.Tree),
@@ -250,10 +247,10 @@ func (e *Engine) Clock() *txn.Clock { return e.clock }
 
 // Tracer exposes the engine's tracer (nil when unconfigured; nil is a
 // valid no-op tracer).
-func (e *Engine) Tracer() *obs.Tracer { return e.cfg.Tracer }
+func (e *Engine) Tracer() *obs.Tracer { return e.cfg.Obs.Tracer }
 
 // Metrics exposes the engine's metrics registry (nil when unconfigured).
-func (e *Engine) Metrics() *obs.Registry { return e.cfg.Metrics }
+func (e *Engine) Metrics() *obs.Registry { return e.cfg.Obs.Metrics }
 
 // VersionStore exposes the shared version store.
 func (e *Engine) VersionStore() *versionstore.Store { return e.vs }
@@ -470,7 +467,7 @@ func (e *Engine) withReadRetry(f func() error) error {
 		// lock.row: a reader blocked behind log apply is the MVCC analogue
 		// of a row-lock wait (the row's consistent image is not yet
 		// available at this node). Aggregate-only: reads do not thread ctx.
-		region := e.cfg.Waits.Begin(nil, obs.WaitLockRow)
+		region := e.waits.Begin(nil, obs.WaitLockRow)
 		if e.cfg.WaitFresh != nil {
 			e.cfg.WaitFresh()
 		} else {

@@ -344,7 +344,7 @@ func (tx *Tx) Commit() error {
 	// Spans join a request trace; they never root one here. A commit with
 	// no ambient span (raw-engine callers, saturation benchmarks) pays
 	// only the histogram below — no allocation, no tracer traffic.
-	ctx, span := e.cfg.Tracer.JoinSpan(ctx, obs.TierCompute, "engine.commit")
+	ctx, span := e.cfg.Obs.Tracer.JoinSpan(ctx, obs.TierCompute, "engine.commit")
 	span.SetAttr("txn", strconv.FormatUint(tx.id, 10))
 	defer span.End()
 
@@ -358,7 +358,7 @@ func (tx *Tx) Commit() error {
 	// latch is contended — an uncontended TryLock is free and must not
 	// inflate the wait count.
 	if !e.commitMu.TryLock() {
-		region := e.cfg.Waits.Begin(ctx, obs.WaitLockLatch)
+		region := e.waits.Begin(ctx, obs.WaitLockLatch)
 		e.commitMu.Lock()
 		region.End()
 	}
@@ -405,7 +405,7 @@ func (tx *Tx) Commit() error {
 	// watermark ladder's top rung is "appended", and the hardened rung
 	// below it is what durability adds. Stamping here (not after
 	// WaitHarden) makes harden lag legible in time domain.
-	e.cfg.Watermarks.PublishCommit(uint64(commitLSN))
+	e.cfg.Obs.Watermarks.PublishCommit(uint64(commitLSN))
 
 	if err := waitHarden(ctx, e, commitLSN); err != nil {
 		span.SetError(err)
@@ -428,8 +428,8 @@ func (tx *Tx) Commit() error {
 		return err
 	}
 	e.clock.Publish(ts)
-	e.cfg.Metrics.Histogram("compute.commit.latency").Observe(time.Since(start))
-	e.cfg.Metrics.Counter("compute.commit.count").Inc()
+	e.cfg.Obs.Metrics.Histogram("compute.commit.latency").Observe(time.Since(start))
+	e.cfg.Obs.Metrics.Counter("compute.commit.count").Inc()
 	return nil
 }
 

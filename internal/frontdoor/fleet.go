@@ -29,10 +29,9 @@ type FleetConfig struct {
 	// fleet overrides Name and Seed. Nil gets a compact instant-profile
 	// deployment (one secondary, one page server).
 	Cluster func(i int) cluster.Config
-	// Tracer / Metrics form the router-tier observability plane. Both
-	// optional (nil-safe).
-	Tracer  *obs.Tracer
-	Metrics *obs.Registry
+	// Obs is the router tier's observability plane (Options.Obs); the
+	// pools keep planes of their own.
+	Obs obs.Plane
 }
 
 // Fleet is a booted front-door deployment: the placement service, the
@@ -55,7 +54,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	}
 	p := NewPlacement()
 	f := &Fleet{cfg: cfg, Placement: p}
-	f.Router = NewRouter(Options{Placement: p, Tracer: cfg.Tracer, Metrics: cfg.Metrics})
+	f.Router = NewRouter(Options{Placement: p, Obs: cfg.Obs})
 	for i := 0; i < cfg.Clusters; i++ {
 		var ccfg cluster.Config
 		if cfg.Cluster != nil {

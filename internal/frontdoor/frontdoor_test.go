@@ -130,12 +130,12 @@ func TestAdmissionControl(t *testing.T) {
 // surfaces to the client.
 func TestStaleRouterRedirect(t *testing.T) {
 	reg := obs.NewRegistry()
-	f := testFleet(t, FleetConfig{Clusters: 2, Tenants: []string{"t0"}, Metrics: reg})
+	f := testFleet(t, FleetConfig{Clusters: 2, Tenants: []string{"t0"}, Obs: obs.Plane{Metrics: reg}})
 	mustExec(t, f, "t0", `CREATE TABLE kv (k TEXT PRIMARY KEY, v TEXT)`)
 	mustExec(t, f, "t0", `INSERT INTO kv VALUES ('x', 'v1')`)
 
 	// A second stateless router over the same fleet, cache warmed now.
-	r2 := NewRouter(Options{Placement: f.Placement, Metrics: reg})
+	r2 := NewRouter(Options{Placement: f.Placement, Obs: obs.Plane{Metrics: reg}})
 	for _, h := range f.Hosts() {
 		r2.AddHost(h)
 	}
@@ -162,7 +162,7 @@ func TestStaleRouterRedirect(t *testing.T) {
 // series land under frontdoor.tenant.<t>.*.
 func TestTenantLabeledMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	f := testFleet(t, FleetConfig{Clusters: 1, Tenants: []string{"t0"}, Metrics: reg})
+	f := testFleet(t, FleetConfig{Clusters: 1, Tenants: []string{"t0"}, Obs: obs.Plane{Metrics: reg}})
 	mustExec(t, f, "t0", `CREATE TABLE kv (k TEXT PRIMARY KEY, v TEXT)`)
 	mustExec(t, f, "t0", `INSERT INTO kv VALUES ('x', 'v')`)
 	snap := reg.Snapshot()

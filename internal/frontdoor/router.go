@@ -12,18 +12,17 @@ import (
 	"socrates/internal/sqlengine"
 )
 
-// Options configures a Router. All observability fields are optional
-// (the obs plane is nil-safe).
+// Options configures a Router.
 type Options struct {
 	// Placement is the authoritative placement service the router pulls
 	// assignments from. Required.
 	Placement *Placement
-	// Tracer roots a "router.exec" frontdoor-tier span over every
-	// request, so per-tenant traces nest the compute tier's sql.exec.
-	Tracer *obs.Tracer
-	// Metrics receives the tenant-labeled series
+	// Obs is the router tier's observability plane (optional: the zero
+	// plane is off). Its tracer roots a "router.exec" frontdoor-tier span
+	// over every request, so per-tenant traces nest the compute tier's
+	// sql.exec; its registry receives the tenant-labeled series
 	// (frontdoor.tenant.<t>.ops/latency/rejects/redirects/wait.<class>).
-	Metrics *obs.Registry
+	Obs obs.Plane
 }
 
 // Router is the stateless front door: it resolves a tenant to a host
@@ -33,8 +32,7 @@ type Options struct {
 // freshly booted router is correct after its first cache miss.
 type Router struct {
 	placement *Placement
-	tracer    *obs.Tracer
-	reg       *obs.Registry
+	obs       obs.Plane
 
 	mu      sync.RWMutex
 	hosts   map[string]*Host
@@ -46,8 +44,7 @@ type Router struct {
 func NewRouter(o Options) *Router {
 	return &Router{
 		placement: o.Placement,
-		tracer:    o.Tracer,
-		reg:       o.Metrics,
+		obs:       o.Obs,
 		hosts:     make(map[string]*Host),
 		cache:     make(map[string]Assignment),
 	}
@@ -78,7 +75,7 @@ func (r *Router) Refresh() {
 		r.cache[a.Tenant] = a
 	}
 	r.version = ver
-	r.reg.Counter("frontdoor.placement.pulls").Inc()
+	r.obs.Metrics.Counter("frontdoor.placement.pulls").Inc()
 }
 
 // assignment resolves a tenant through the cache; refresh forces a pull
@@ -99,7 +96,7 @@ func (r *Router) assignment(tenant string, refresh bool) (Assignment, error) {
 	r.mu.Lock()
 	r.cache[tenant] = a
 	r.mu.Unlock()
-	r.reg.Counter("frontdoor.placement.pulls").Inc()
+	r.obs.Metrics.Counter("frontdoor.placement.pulls").Inc()
 	return a, nil
 }
 
@@ -109,7 +106,7 @@ func (r *Router) assignment(tenant string, refresh bool) (Assignment, error) {
 // wait breakdown lands on tenant-labeled counters — the observability
 // plane sees tenants, not just tiers.
 func (r *Router) ExecContext(ctx context.Context, tenant, sqlText string) (*sqlengine.Result, error) {
-	ctx, span := r.tracer.StartSpan(ctx, obs.TierFrontdoor, "router.exec")
+	ctx, span := r.obs.Tracer.StartSpan(ctx, obs.TierFrontdoor, "router.exec")
 	span.SetAttr("tenant", tenant)
 	defer span.End()
 	start := time.Now()
@@ -120,14 +117,14 @@ func (r *Router) ExecContext(ctx context.Context, tenant, sqlText string) (*sqle
 	if err != nil {
 		span.SetError(err)
 		if errors.Is(err, socerr.ErrAdmission) {
-			r.reg.Counter(t + ".rejects").Inc()
+			r.obs.Metrics.Counter(t + ".rejects").Inc()
 		}
 		return nil, err
 	}
-	r.reg.Counter(t + ".ops").Inc()
-	r.reg.Histogram(t + ".latency").Observe(time.Since(start))
+	r.obs.Metrics.Counter(t + ".ops").Inc()
+	r.obs.Metrics.Histogram(t + ".latency").Observe(time.Since(start))
 	for _, w := range res.Waits {
-		r.reg.Counter(t + ".wait." + w.Class).Add(w.TotalNS)
+		r.obs.Metrics.Counter(t + ".wait." + w.Class).Add(w.TotalNS)
 	}
 	return res, nil
 }
@@ -138,7 +135,7 @@ func (r *Router) ExecContext(ctx context.Context, tenant, sqlText string) (*sqle
 // operator audits must neither starve behind a noisy tenant's budget
 // nor inflate its traffic stats.
 func (r *Router) AuditContext(ctx context.Context, tenant, sqlText string) (*sqlengine.Result, error) {
-	ctx, span := r.tracer.StartSpan(ctx, obs.TierFrontdoor, "router.audit")
+	ctx, span := r.obs.Tracer.StartSpan(ctx, obs.TierFrontdoor, "router.audit")
 	span.SetAttr("tenant", tenant)
 	defer span.End()
 	res, err := r.route(ctx, tenant, sqlText, false)
@@ -177,7 +174,7 @@ func (r *Router) route(ctx context.Context, tenant, sqlText string, metered bool
 			// Stale cache: refresh from placement and retry exactly once.
 			// A second redirect means the map is churning under us; the
 			// caller sees the typed error and retries on its own clock.
-			r.reg.Counter("frontdoor.tenant." + tenant + ".redirects").Inc()
+			r.obs.Metrics.Counter("frontdoor.tenant." + tenant + ".redirects").Inc()
 			continue
 		}
 		break

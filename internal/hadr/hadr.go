@@ -424,8 +424,12 @@ func (n *Node) stop() {
 		return
 	default:
 	}
+	// Close and wake under n.mu: the apply loop checks done and parks on
+	// the cond under it, so the wake-up cannot fall between the two.
+	n.mu.Lock()
 	close(n.done)
 	n.cond.Broadcast()
+	n.mu.Unlock()
 	n.wg.Wait()
 	n.pages.close()
 }

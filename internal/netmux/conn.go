@@ -144,6 +144,7 @@ func (c *MuxConn) fail(err error) {
 	c.err = err
 	wrapped := fmt.Errorf("%w: %s: %v", rbio.ErrUnavailable, c.addr, err)
 	for _, ch := range c.pending {
+		//socrates:lock-ok buffered channel with exactly one outstanding send never blocks; sending under c.mu is what makes waiter-channel recycling race-free against abandon
 		ch <- muxResult{err: wrapped}
 	}
 	c.pending = nil

@@ -10,18 +10,6 @@ import (
 	"time"
 )
 
-// PlaneOptions names the instruments an HTTP observability plane exposes.
-// Any field may be nil; the corresponding endpoint degrades to an empty
-// (but well-formed) response.
-type PlaneOptions struct {
-	Registry   *Registry
-	Watermarks *WatermarkSet
-	Flight     *FlightRecorder
-	Tracer     *Tracer
-	Watchdog   *Watchdog
-	Waits      *WaitSet
-}
-
 // WatermarkReport is the /watermarks JSON document: the LSN ladder, the
 // derived lags, and any watchdog trips so far.
 type WatermarkReport struct {
@@ -82,13 +70,16 @@ func lagName(follower, replica string) string {
 //	/flight        the flight-recorder ring as time-ordered JSONL
 //	/traces        retained trace IDs; /traces?id=N renders one span tree
 //	/debug/pprof/  the standard Go profiling endpoints
-func NewHTTPHandler(o PlaneOptions) http.Handler {
+//
+// Any handle of the plane may be nil; its endpoint then serves an empty
+// (but well-formed) response.
+func NewHTTPHandler(o Plane) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		//socrates:ignore-err exposition write errors mean the scraper hung up; nothing to recover
-		_ = o.Registry.WritePrometheus(w)
+		_ = o.Metrics.WritePrometheus(w)
 		//socrates:ignore-err exposition write errors mean the scraper hung up; nothing to recover
 		_ = WritePrometheusWatermarks(w, o.Watermarks)
 		//socrates:ignore-err exposition write errors mean the scraper hung up; nothing to recover
@@ -106,7 +97,7 @@ func NewHTTPHandler(o PlaneOptions) http.Handler {
 	})
 
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, o.Registry.Snapshot())
+		writeJSON(w, o.Metrics.Snapshot())
 	})
 
 	mux.HandleFunc("/watermarks", func(w http.ResponseWriter, _ *http.Request) {

@@ -105,7 +105,7 @@ func publishLadder(ws *WatermarkSet, commit, hardened, promoted, destaged uint64
 func TestWatchdogLagTripEdgeTriggered(t *testing.T) {
 	ws := NewWatermarkSet()
 	reg := NewRegistry()
-	d := NewWatchdog(ws, reg, WatchdogConfig{MaxLagLSN: 100, StallTicks: 1000})
+	d := NewWatchdog(ws, reg, nil, WatchdogConfig{MaxLagLSN: 100, StallTicks: 1000})
 	var fired []Trip
 	d.OnTrip(func(tr Trip) { fired = append(fired, tr) })
 
@@ -140,7 +140,7 @@ func TestWatchdogLagTripEdgeTriggered(t *testing.T) {
 
 func TestWatchdogStallTrip(t *testing.T) {
 	ws := NewWatermarkSet()
-	d := NewWatchdog(ws, nil, WatchdogConfig{MaxLagLSN: -1, StallTicks: 3})
+	d := NewWatchdog(ws, nil, nil, WatchdogConfig{MaxLagLSN: -1, StallTicks: 3})
 
 	publishLadder(ws, 500, 500, 500, 500)
 	ws.Watermark(WMApplied, "ps-0").Publish(100) // behind and not moving
@@ -168,9 +168,61 @@ func TestWatchdogStallTrip(t *testing.T) {
 	}
 }
 
+// TestNewPlaneFreezesTheFirstTripDump drives a NewPlane's watchdog tick by
+// tick on a hand-set ladder: every trip lands in the flight ring as a
+// watchdog.trip event, and TripDump keeps the ring as it stood at the first.
+func TestNewPlaneFreezesTheFirstTripDump(t *testing.T) {
+	p := NewPlane(WatchdogConfig{MaxLagLSN: 100, StallTicks: 1000})
+	if p.Tracer == nil || p.Metrics == nil || p.Watermarks == nil ||
+		p.Flight == nil || p.Waits == nil || p.Watchdog == nil {
+		t.Fatalf("NewPlane left a handle nil: %+v", p)
+	}
+	if p.TripDump() != nil {
+		t.Fatal("a plane whose watchdog never fired has a trip dump")
+	}
+	tripEvents := func(jsonl []byte) int {
+		n := 0
+		for _, line := range bytes.Split(bytes.TrimSpace(jsonl), []byte("\n")) {
+			var e FlightEvent
+			if err := json.Unmarshal(line, &e); err != nil {
+				t.Fatalf("dump line %q: %v", line, err)
+			}
+			if e.Kind == "watchdog.trip" {
+				n++
+			}
+		}
+		return n
+	}
+
+	publishLadder(p.Watermarks, 1000, 10, 10, 10) // hardened 990 behind commit
+	p.Watchdog.Tick()
+	first := p.TripDump()
+	if p.Watchdog.TripCount() != 1 || tripEvents(first) != 1 {
+		t.Fatalf("after the first trip: trips=%d, frozen dump:\n%s", p.Watchdog.TripCount(), first)
+	}
+
+	publishLadder(p.Watermarks, 1000, 1000, 1000, 1000) // caught up: re-arms
+	p.Watchdog.Tick()
+	publishLadder(p.Watermarks, 2000, 1000, 1000, 1000) // second excursion
+	p.Watchdog.Tick()
+	if p.Watchdog.TripCount() != 2 {
+		t.Fatalf("trips = %d, want 2", p.Watchdog.TripCount())
+	}
+	var ring bytes.Buffer
+	if err := p.Flight.Dump(&ring); err != nil {
+		t.Fatal(err)
+	}
+	if n := tripEvents(ring.Bytes()); n != 2 {
+		t.Fatalf("flight ring holds %d watchdog.trip events, want 2:\n%s", n, ring.Bytes())
+	}
+	if got := p.TripDump(); !bytes.Equal(got, first) {
+		t.Fatalf("the frozen dump moved at the second trip:\n--- first ---\n%s--- now ---\n%s", first, got)
+	}
+}
+
 func TestWatchdogStartStop(t *testing.T) {
 	ws := NewWatermarkSet()
-	d := NewWatchdog(ws, nil, WatchdogConfig{Interval: time.Millisecond})
+	d := NewWatchdog(ws, nil, nil, WatchdogConfig{Interval: time.Millisecond})
 	d.Start()
 	d.Start() // idempotent
 	time.Sleep(5 * time.Millisecond)
@@ -322,6 +374,10 @@ func TestPlaneNilSafety(t *testing.T) {
 	d.Stop()
 	_ = d.Trips()
 	d.OnTrip(func(Trip) {})
+	var p Plane
+	if p.TripDump() != nil {
+		t.Fatal("the zero plane has a trip dump")
+	}
 }
 
 // --- prometheus exposition ---
@@ -379,10 +435,10 @@ func TestHTTPPlaneEndpoints(t *testing.T) {
 	fr := NewFlightRecorder(16)
 	fr.Record(TierLZ, "lz.flush", 8, time.Millisecond, "records=1")
 	tr := NewTracer()
-	d := NewWatchdog(ws, reg, WatchdogConfig{})
+	d := NewWatchdog(ws, reg, nil, WatchdogConfig{})
 
-	srv := httptest.NewServer(NewHTTPHandler(PlaneOptions{
-		Registry: reg, Watermarks: ws, Flight: fr, Tracer: tr, Watchdog: d,
+	srv := httptest.NewServer(NewHTTPHandler(Plane{
+		Metrics: reg, Watermarks: ws, Flight: fr, Tracer: tr, Watchdog: d,
 	}))
 	defer srv.Close()
 
@@ -448,7 +504,7 @@ func TestHTTPPlaneEndpoints(t *testing.T) {
 }
 
 func TestServeAndClose(t *testing.T) {
-	h := NewHTTPHandler(PlaneOptions{})
+	h := NewHTTPHandler(Plane{})
 	srv, err := Serve("127.0.0.1:0", h)
 	if err != nil {
 		t.Fatal(err)

@@ -289,9 +289,9 @@ func TestWaitsHTTPEndpoint(t *testing.T) {
 	set.Tier("compute").Observe(nil, WaitCommitHarden, 2*time.Millisecond)
 	set.Tier("compute").Observe(nil, WaitLockLatch, time.Millisecond)
 
-	srv := httptest.NewServer(NewHTTPHandler(PlaneOptions{
-		Registry: NewRegistry(),
-		Waits:    set,
+	srv := httptest.NewServer(NewHTTPHandler(Plane{
+		Metrics: NewRegistry(),
+		Waits:   set,
 	}))
 	defer srv.Close()
 
@@ -354,8 +354,7 @@ func TestWatchdogTripFreezesTopWaits(t *testing.T) {
 	// Pre-window history that must NOT appear in the trip's window delta.
 	set.Global().Record(WaitDiskRead, time.Hour)
 
-	d := NewWatchdog(ws, nil, WatchdogConfig{MaxLagLSN: -1, StallTicks: 3})
-	d.SetWaitSet(set)
+	d := NewWatchdog(ws, nil, set, WatchdogConfig{MaxLagLSN: -1, StallTicks: 3})
 
 	publishLadder(ws, 500, 500, 500, 500)
 	// Cycle the snapshot ring until every retained snapshot already

@@ -357,9 +357,9 @@ type Watchdog struct {
 	callbacks []func(Trip)
 
 	// Wait-freeze machinery: waits is the deployment's wait-accounting
-	// table (SetWaitSet); waitRing holds the last StallTicks global
-	// snapshots so a trip can report the top wait classes over its
-	// window. The ring is touched only from the tick path.
+	// table (nil: trips carry no TopWaits); waitRing holds the last
+	// StallTicks global snapshots so a trip can report the top wait classes
+	// over its window. The ring is touched only from the tick path.
 	waits    *WaitSet
 	waitRing []waitSnap
 
@@ -376,23 +376,15 @@ type waitSnap struct {
 }
 
 // NewWatchdog builds a watchdog over the given watermark set, publishing
-// derived lag gauges into reg (nil disables gauge publication).
-func NewWatchdog(ws *WatermarkSet, reg *Registry, cfg WatchdogConfig) *Watchdog {
+// derived lag gauges into reg (nil disables gauge publication) and freezing
+// the top wait classes of waits over each trip's window (nil: none).
+func NewWatchdog(ws *WatermarkSet, reg *Registry, waits *WaitSet, cfg WatchdogConfig) *Watchdog {
 	cfg.defaults()
 	return &Watchdog{
-		ws: ws, reg: reg, cfg: cfg,
+		ws: ws, reg: reg, waits: waits, cfg: cfg,
 		state: make(map[string]*followerState),
 		done:  make(chan struct{}),
 	}
-}
-
-// SetWaitSet wires the deployment's wait-accounting table so trips can
-// freeze the top wait classes over their window. Call before Start.
-func (d *Watchdog) SetWaitSet(ws *WaitSet) {
-	if d == nil {
-		return
-	}
-	d.waits = ws
 }
 
 // captureWaitSnap copies the global wait sketch.

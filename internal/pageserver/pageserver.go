@@ -86,21 +86,13 @@ type Config struct {
 	// asynchronously at startup (new server / replica / restart without
 	// intact local SSD).
 	Seed bool
-	// Tracer receives page-server-tier spans (nil = tracing off).
-	Tracer *obs.Tracer
-	// Metrics receives page-server-tier instruments (nil = metrics off).
-	Metrics *obs.Registry
-	// Watermarks receives this server's applied/checkpoint rungs of the
-	// LSN ladder, labeled by Name (nil = watermarks off).
-	Watermarks *obs.WatermarkSet
-	// Flight receives page-server flight-recorder events: apply batches,
-	// GetPage waits, seeding fetches, checkpoint sweeps, XStore outages
-	// (nil = recording off).
-	Flight *obs.FlightRecorder
-	// Waits receives wait-event accounting: xlog.feed while a GetPage@LSN
-	// blocks behind apply lag, ckpt.drain while a backup flush drains the
-	// dirty set. Nil disables recording.
-	Waits *obs.WaitRecorder
+	// Obs wires the server into the observability plane: page-server-tier
+	// spans and instruments; this server's applied/checkpoint rungs of the
+	// LSN ladder, labeled by Name; flight events for apply batches, GetPage
+	// waits, seeding fetches, checkpoint sweeps and XStore outages; and the
+	// pageserver wait tier — xlog.feed while a GetPage@LSN blocks behind
+	// apply lag, ckpt.drain while a backup flush drains the dirty set.
+	Obs obs.Plane
 }
 
 // Server is one page server.
@@ -131,6 +123,9 @@ type Server struct {
 	// applyScratch is pullOnce's reusable touched-page set; only the
 	// apply loop touches it, so no lock guards it.
 	applyScratch map[page.ID]*page.Page
+
+	// waitRec is cfg.Obs.Waits.Tier(obs.TierPageServer), resolved once.
+	waitRec *obs.WaitRecorder
 
 	served   atomic.Int64
 	waits    atomic.Int64
@@ -177,14 +172,15 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:   cfg,
-		cache: cache,
-		lo:    lo,
-		hi:    hi,
-		dirty: make(map[page.ID]page.LSN),
-		clean: make(chan struct{}),
-		kick:  make(chan struct{}, 1),
-		done:  make(chan struct{}),
+		cfg:     cfg,
+		waitRec: cfg.Obs.Waits.Tier(obs.TierPageServer),
+		cache:   cache,
+		lo:      lo,
+		hi:      hi,
+		dirty:   make(map[page.ID]page.LSN),
+		clean:   make(chan struct{}),
+		kick:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
 	}
 	close(s.clean)
 	s.appliedCond = sync.NewCond(&s.mu)
@@ -342,7 +338,7 @@ func (s *Server) pullOnce() bool {
 	if err != nil || resp.Status != rbio.StatusOK {
 		return false
 	}
-	s.cfg.Metrics.Histogram("pageserver.pull.rtt").Since(start)
+	s.cfg.Obs.Metrics.Histogram("pageserver.pull.rtt").Since(start)
 	next := resp.LSN
 	payload := resp.Payload
 	// Coalesce the batch: a page touched by many records in one pull is
@@ -371,10 +367,10 @@ func (s *Server) pullOnce() bool {
 	}
 	for _, pg := range touched {
 		s.applies.Add(1)
-		s.cfg.Metrics.Counter("pageserver.apply.pages").Inc()
+		s.cfg.Obs.Metrics.Counter("pageserver.apply.pages").Inc()
 		s.markDirty(pg)
 		if err := s.cache.Put(pg); err != nil {
-			s.cfg.Flight.Record(obs.TierPageServer, "ps.apply_error",
+			s.cfg.Obs.Flight.Record(obs.TierPageServer, "ps.apply_error",
 				uint64(from), time.Since(start),
 				s.cfg.Name+": cache put: "+err.Error())
 			return false
@@ -383,17 +379,17 @@ func (s *Server) pullOnce() bool {
 	if next == from {
 		return false
 	}
-	s.cfg.Metrics.Histogram("pageserver.apply.latency").Since(start)
+	s.cfg.Obs.Metrics.Histogram("pageserver.apply.latency").Since(start)
 	// The ladder rung first: a checkpoint sweep publishes the s.applied it
 	// reads as its own rung, which must never show above this one.
-	s.cfg.Watermarks.Watermark(obs.WMApplied, s.cfg.Name).Publish(uint64(next))
+	s.cfg.Obs.Watermarks.Watermark(obs.WMApplied, s.cfg.Name).Publish(uint64(next))
 	//socrates:wait-ok watermark-publish latch; GetPage@LSN waiters account their own blocked time as page.miss
 	s.mu.Lock()
 	s.applied = next
 	s.appliedCond.Broadcast()
 	s.mu.Unlock()
 	//socrates:alloc-ok per-batch flight-recorder note, not a per-record cost
-	s.cfg.Flight.Record(obs.TierPageServer, "ps.apply", uint64(next),
+	s.cfg.Obs.Flight.Record(obs.TierPageServer, "ps.apply", uint64(next),
 		time.Since(start), fmt.Sprintf("%s: pages=%d", s.cfg.Name, len(touched)))
 	//socrates:alloc-ok one advisory report per batch
 	//socrates:ignore-err applied-progress reports are advisory lease refreshes; the next pull re-reports and the watermark is monotone at the service
@@ -566,12 +562,12 @@ func (s *Server) checkpointLoop() {
 // cadence: cheap, periodic, and visible on /metrics without touching the
 // apply hot path.
 func (s *Server) sweepDue(quiet bool) bool {
-	s.cfg.Metrics.Gauge(key("pageserver.rbpex.pages", s.cfg.Name)).Set(int64(s.cache.Len()))
+	s.cfg.Obs.Metrics.Gauge(key("pageserver.rbpex.pages", s.cfg.Name)).Set(int64(s.cache.Len()))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	redo := s.applied.Distance(s.ckptLSN)
-	s.cfg.Metrics.Gauge(key("pageserver.redo_distance_lsn", s.cfg.Name)).Set(int64(redo))
-	s.cfg.Metrics.Gauge(key("pageserver.dirty_pages", s.cfg.Name)).Set(int64(len(s.dirty)))
+	s.cfg.Obs.Metrics.Gauge(key("pageserver.redo_distance_lsn", s.cfg.Name)).Set(int64(redo))
+	s.cfg.Obs.Metrics.Gauge(key("pageserver.dirty_pages", s.cfg.Name)).Set(int64(len(s.dirty)))
 	if redo >= redoBudgetLSN {
 		// Even with nothing dirty: the log other partitions fill moves the
 		// watermark too, and the resume LSN has to follow it.
@@ -643,13 +639,13 @@ func (s *Server) sweep() (int, error) {
 	}
 	s.mu.Unlock()
 	if err != nil {
-		s.cfg.Flight.Record(obs.TierXStore, "xstore.outage", uint64(resume),
+		s.cfg.Obs.Flight.Record(obs.TierXStore, "xstore.outage", uint64(resume),
 			time.Since(ckptStart), s.cfg.Name+": checkpoint batch: "+err.Error())
 		return 0, err
 	}
-	s.cfg.Metrics.Histogram("pageserver.ckpt.sweep_pages").ObserveCount(wrote)
-	s.cfg.Watermarks.Watermark(obs.WMCheckpoint, s.cfg.Name).Publish(uint64(resume))
-	s.cfg.Flight.Record(obs.TierPageServer, "ps.checkpoint", uint64(resume),
+	s.cfg.Obs.Metrics.Histogram("pageserver.ckpt.sweep_pages").ObserveCount(wrote)
+	s.cfg.Obs.Watermarks.Watermark(obs.WMCheckpoint, s.cfg.Name).Publish(uint64(resume))
+	s.cfg.Obs.Flight.Record(obs.TierPageServer, "ps.checkpoint", uint64(resume),
 		time.Since(ckptStart), fmt.Sprintf("%s: pages=%d", s.cfg.Name, wrote))
 	return wrote, nil
 }
@@ -701,7 +697,7 @@ func (s *Server) WaitCheckpointDrain(timeout time.Duration) error {
 	// ckpt.drain: the caller's progress is gated on the checkpoint sweep
 	// catching the apply feed. Aggregate-only; drains carry no request
 	// context.
-	region := s.cfg.Waits.Begin(nil, obs.WaitCkptDrain)
+	region := s.waitRec.Begin(nil, obs.WaitCkptDrain)
 	defer region.End()
 	s.mu.Lock()
 	s.drains++
@@ -753,7 +749,7 @@ func (s *Server) waitApplied(ctx context.Context, lsn page.LSN, timeout time.Dur
 	// xlog.feed: a reader blocked behind apply lag is waiting on the log
 	// feed pipeline (XLOG pull → redo). Recorded only when the loop
 	// actually blocks; ctx attributes the wait to the GetPage span.
-	region := s.cfg.Waits.Begin(ctx, obs.WaitXLOGFeed)
+	region := s.waitRec.Begin(ctx, obs.WaitXLOGFeed)
 	waited := false
 	defer func() { region.EndIf(waited) }()
 	s.mu.Lock()
@@ -779,10 +775,10 @@ func (s *Server) waitApplied(ctx context.Context, lsn page.LSN, timeout time.Dur
 //
 //socrates:hotpath the paper's defining latency path; warm-cache budget enforced by TestGetPageAllocs
 func (s *Server) GetPage(ctx context.Context, id page.ID, minLSN page.LSN) (*page.Page, error) {
-	ctx, sp := s.cfg.Tracer.JoinSpan(ctx, obs.TierPageServer, "pageserver.getpage")
+	ctx, sp := s.cfg.Obs.Tracer.JoinSpan(ctx, obs.TierPageServer, "pageserver.getpage")
 	defer sp.End()
 	start := time.Now()
-	defer s.cfg.Metrics.Histogram("pageserver.getpage.latency").Since(start)
+	defer s.cfg.Obs.Metrics.Histogram("pageserver.getpage.latency").Since(start)
 	if !s.Owns(id) {
 		//socrates:alloc-ok misrouted-request error path, never the warm-cache hit
 		return nil, fmt.Errorf("pageserver: page %d outside partition [%d,%d)", id, s.lo, s.hi)
@@ -794,11 +790,11 @@ func (s *Server) GetPage(ctx context.Context, id page.ID, minLSN page.LSN) (*pag
 			s.AppliedLSN(), minLSN)
 	}
 	if wait := time.Since(waitStart); wait > 0 {
-		s.cfg.Metrics.Histogram("pageserver.getpage.wait").Observe(wait)
+		s.cfg.Obs.Metrics.Histogram("pageserver.getpage.wait").Observe(wait)
 		if wait > time.Millisecond {
 			// Only material waits are worth a ring slot: a GetPage@LSN
 			// stuck behind apply lag is exactly what a postmortem reads.
-			s.cfg.Flight.Record(obs.TierPageServer, "ps.getpage_wait",
+			s.cfg.Obs.Flight.Record(obs.TierPageServer, "ps.getpage_wait",
 				uint64(minLSN), wait, s.cfg.Name+": waited for apply")
 		}
 	}
@@ -814,14 +810,14 @@ func (s *Server) GetPage(ctx context.Context, id page.ID, minLSN page.LSN) (*pag
 	if err != nil {
 		sp.SetError(err)
 		//socrates:alloc-ok xstore-fetch failure path behind a covering-cache miss
-		s.cfg.Flight.Record(obs.TierPageServer, "ps.miss", uint64(minLSN),
+		s.cfg.Obs.Flight.Record(obs.TierPageServer, "ps.miss", uint64(minLSN),
 			time.Since(fetchStart),
 			fmt.Sprintf("%s: page %d xstore fetch failed: %v", s.cfg.Name, id, err))
 		//socrates:alloc-ok same failure path as the flight record above
 		return nil, fmt.Errorf("pageserver: page %d not found: %w", id, err)
 	}
 	//socrates:alloc-ok covering-cache miss happens only while seeding; the warm path returned above
-	s.cfg.Flight.Record(obs.TierPageServer, "ps.miss", uint64(minLSN),
+	s.cfg.Obs.Flight.Record(obs.TierPageServer, "ps.miss", uint64(minLSN),
 		time.Since(fetchStart), fmt.Sprintf("%s: page %d seeded from xstore", s.cfg.Name, id))
 	s.served.Add(1)
 	return pg, nil
@@ -839,10 +835,10 @@ func (s *Server) GetPage(ctx context.Context, id page.ID, minLSN page.LSN) (*pag
 //
 //socrates:hotpath scan-offload read path; one call serves many pages
 func (s *Server) GetPageRange(ctx context.Context, start page.ID, count int, minLSN page.LSN) ([]*page.Page, error) {
-	ctx, sp := s.cfg.Tracer.JoinSpan(ctx, obs.TierPageServer, "pageserver.getpagerange")
+	ctx, sp := s.cfg.Obs.Tracer.JoinSpan(ctx, obs.TierPageServer, "pageserver.getpagerange")
 	defer sp.End()
 	t0 := time.Now()
-	defer s.cfg.Metrics.Histogram("pageserver.getpage.latency").Since(t0)
+	defer s.cfg.Obs.Metrics.Histogram("pageserver.getpage.latency").Since(t0)
 	if count <= 0 || start < s.lo || start >= s.hi {
 		//socrates:alloc-ok misrouted-range error path
 		return nil, fmt.Errorf("pageserver: range outside partition")

@@ -38,10 +38,10 @@ type ScanResult struct {
 // Non-leaf pages in the range are skipped: the caller offloads by physical
 // range, exactly how a table scan over a partition would be pushed down.
 func (s *Server) ScanCells(ctx context.Context, start page.ID, count int, lo, hi []byte, minLSN page.LSN) (ScanResult, error) {
-	ctx, sp := s.cfg.Tracer.JoinSpan(ctx, obs.TierPageServer, "pageserver.scancells")
+	ctx, sp := s.cfg.Obs.Tracer.JoinSpan(ctx, obs.TierPageServer, "pageserver.scancells")
 	defer sp.End()
 	t0 := time.Now()
-	defer s.cfg.Metrics.Histogram("pageserver.scancells.latency").Since(t0)
+	defer s.cfg.Obs.Metrics.Histogram("pageserver.scancells.latency").Since(t0)
 	var res ScanResult
 	if start < s.lo || start+page.ID(count) > s.hi {
 		return res, fmt.Errorf("pageserver: scan range outside partition")

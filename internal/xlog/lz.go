@@ -61,12 +61,10 @@ type LandingZone struct {
 	writes    int
 	stalls    int
 
-	waits *obs.WaitRecorder // ring-full stalls land under backpressure
+	// waits records ring-full stalls under backpressure: the xlog tier's
+	// recorder, set by the Service built over this landing zone.
+	waits *obs.WaitRecorder
 }
-
-// SetWaits wires wait-event accounting: a writer stalled on a full ring
-// (waiting for destaging to free space) records under backpressure.
-func (lz *LandingZone) SetWaits(wr *obs.WaitRecorder) { lz.waits = wr }
 
 type lzExtent struct {
 	off int64

@@ -42,11 +42,8 @@ type Service struct {
 	lt  *lt
 	ssd *blockCache
 
-	tracer *obs.Tracer
-	reg    *obs.Registry
-	wms    *obs.WatermarkSet
-	flight *obs.FlightRecorder
-	waits  *obs.WaitRecorder
+	obs   obs.Plane
+	waits *obs.WaitRecorder // obs.Waits.Tier(obs.TierXLOG), resolved once
 
 	mu          sync.Mutex
 	pending     map[page.LSN]entry // by Start; not yet hardened
@@ -104,20 +101,13 @@ type Config struct {
 	CacheBytes int64
 	// BrokerBytes bounds the in-memory sequence map (default 1 MiB).
 	BrokerBytes int
-	// Tracer receives XLOG-tier spans (nil = tracing off).
-	Tracer *obs.Tracer
-	// Metrics receives XLOG-tier instruments (nil = metrics off).
-	Metrics *obs.Registry
-	// Watermarks receives the promotion/destaging/archive/truncation rungs
-	// of the LSN ladder (nil = watermarks off).
-	Watermarks *obs.WatermarkSet
-	// Flight receives XLOG-tier flight-recorder events: gap fills, destage
-	// batches, LT append failures (nil = recording off).
-	Flight *obs.FlightRecorder
-	// Waits receives wait-event accounting (xlog.feed for callers blocked
-	// on destage progress; also wired into the LZ for backpressure). Nil
-	// disables recording.
-	Waits *obs.WaitRecorder
+	// Obs wires the service into the observability plane: XLOG-tier spans
+	// and instruments; the promotion/destaging/archive/truncation rungs of
+	// the LSN ladder; flight events for gap fills, destage batches and LT
+	// append failures; and the xlog wait tier — xlog.feed for callers
+	// blocked on destage progress, backpressure for the LZ's ring-full
+	// stalls.
+	Obs obs.Plane
 }
 
 // New starts an XLOG service over a fresh log.
@@ -167,11 +157,8 @@ func build(cfg Config) (*Service, error) {
 	}
 	s := &Service{
 		lz:        cfg.LZ,
-		tracer:    cfg.Tracer,
-		reg:       cfg.Metrics,
-		wms:       cfg.Watermarks,
-		flight:    cfg.Flight,
-		waits:     cfg.Waits,
+		obs:       cfg.Obs,
+		waits:     cfg.Obs.Waits.Tier(obs.TierXLOG),
 		lt:        &lt{store: cfg.LT, blob: cfg.LTBlob},
 		pending:   make(map[page.LSN]entry),
 		budget:    cfg.BrokerBytes,
@@ -179,6 +166,9 @@ func build(cfg Config) (*Service, error) {
 		done:      make(chan struct{}),
 	}
 	s.destagedCond = sync.NewCond(&s.mu)
+	cfg.LZ.mu.Lock()
+	cfg.LZ.waits = s.waits
+	cfg.LZ.mu.Unlock()
 	if cfg.CacheDevice != nil {
 		s.ssd = newBlockCache(cfg.CacheDevice, cfg.CacheBytes)
 	}
@@ -227,24 +217,24 @@ func (s *Service) FeedEncoded(ctx context.Context, b *wal.Block, enc []byte) {
 // producer's speculative bytes would disseminate transactions that are
 // not in the durable log (the feed is only a hint; the LZ is the truth).
 func (s *Service) FeedEncodedFrom(ctx context.Context, epoch uint64, b *wal.Block, enc []byte) {
-	_, sp := s.tracer.JoinSpan(ctx, obs.TierXLOG, "xlog.feed")
+	_, sp := s.obs.Tracer.JoinSpan(ctx, obs.TierXLOG, "xlog.feed")
 	defer sp.End()
 	if enc == nil {
 		enc = b.Encode()
 	}
 	s.mu.Lock()
 	s.feedReceived++
-	s.reg.Counter("xlog.feed.blocks").Inc()
+	s.obs.Metrics.Counter("xlog.feed.blocks").Inc()
 	if epoch != s.producerEpoch {
 		s.feedWrongEpoch++
-		s.reg.Counter("xlog.feed.wrong_epoch").Inc()
+		s.obs.Metrics.Counter("xlog.feed.wrong_epoch").Inc()
 		s.mu.Unlock()
 		sp.SetAttr("wrong_epoch", "true")
 		return
 	}
 	if b.End.AtMost(s.promoted) {
 		s.feedStale++
-		s.reg.Counter("xlog.feed.stale").Inc()
+		s.obs.Metrics.Counter("xlog.feed.stale").Inc()
 		s.mu.Unlock()
 		sp.SetAttr("stale", "true")
 		return
@@ -279,7 +269,7 @@ func (s *Service) BeginEpoch(ctx context.Context, hardenedEnd page.LSN) uint64 {
 		}
 	}
 	s.mu.Unlock()
-	s.flight.Record(obs.TierXLOG, "xlog.epoch", uint64(hardenedEnd), 0,
+	s.obs.Flight.Record(obs.TierXLOG, "xlog.epoch", uint64(hardenedEnd), 0,
 		fmt.Sprintf("producer epoch %d; purged %d speculative pending blocks", epoch, purged))
 	s.ReportHardened(ctx, hardenedEnd)
 	return epoch
@@ -290,10 +280,10 @@ func (s *Service) BeginEpoch(ctx context.Context, hardenedEnd page.LSN) uint64 {
 // is the destager's next tick, not this report's: one LT append per tick
 // rather than one per hardened block.
 func (s *Service) ReportHardened(ctx context.Context, lsn page.LSN) {
-	_, sp := s.tracer.JoinSpan(ctx, obs.TierXLOG, "xlog.promote")
+	_, sp := s.obs.Tracer.JoinSpan(ctx, obs.TierXLOG, "xlog.promote")
 	start := time.Now()
 	s.promoteTo(lsn)
-	s.reg.Histogram("xlog.promote.latency").Since(start)
+	s.obs.Metrics.Histogram("xlog.promote.latency").Since(start)
 	sp.End()
 }
 
@@ -332,7 +322,7 @@ func (s *Service) promoteTo(lsn page.LSN) {
 				continue
 			}
 			s.gapFills++
-			s.flight.Record(obs.TierXLOG, "xlog.gapfill", uint64(at), 0,
+			s.obs.Flight.Record(obs.TierXLOG, "xlog.gapfill", uint64(at), 0,
 				"feed lost block; filled from LZ")
 			e = entry{b: lb, enc: lb.Encode()}
 		} else {
@@ -365,7 +355,7 @@ func (s *Service) promoteTo(lsn page.LSN) {
 
 // publishPromotedLocked publishes the promoted rung; caller holds s.mu.
 func (s *Service) publishPromotedLocked() {
-	s.wms.Watermark(obs.WMPromoted, "").Publish(uint64(s.promoted))
+	s.obs.Watermarks.Watermark(obs.WMPromoted, "").Publish(uint64(s.promoted))
 }
 
 // --- destaging pipeline ---
@@ -411,7 +401,7 @@ func (s *Service) destageOnce() {
 	}
 	if err := s.lt.append(blocks, ltBuf); err != nil {
 		// LT (XStore) outage: keep blocks in LZ + broker; retry next tick.
-		s.flight.Record(obs.TierXStore, "lt.append_error",
+		s.obs.Flight.Record(obs.TierXStore, "lt.append_error",
 			uint64(batch[0].b.Start), time.Since(destageStart),
 			"retryable: "+err.Error())
 		return
@@ -423,14 +413,14 @@ func (s *Service) destageOnce() {
 		s.destagedCond.Broadcast()
 	}
 	s.mu.Unlock()
-	s.wms.Watermark(obs.WMDestaged, "").Publish(uint64(end))
-	s.wms.Watermark(obs.WMArchived, "").Publish(uint64(end))
+	s.obs.Watermarks.Watermark(obs.WMDestaged, "").Publish(uint64(end))
+	s.obs.Watermarks.Watermark(obs.WMArchived, "").Publish(uint64(end))
 	s.lz.ReleaseUpTo(end)
-	s.wms.Watermark(obs.WMTruncated, "").Publish(uint64(end))
+	s.obs.Watermarks.Watermark(obs.WMTruncated, "").Publish(uint64(end))
 	s.trimBroker()
-	s.reg.Histogram("xlog.destage.latency").Since(destageStart)
-	s.reg.Counter("xlog.destage.blocks").Add(uint64(len(batch)))
-	s.flight.Record(obs.TierXLOG, "xlog.destage", uint64(end),
+	s.obs.Metrics.Histogram("xlog.destage.latency").Since(destageStart)
+	s.obs.Metrics.Counter("xlog.destage.blocks").Add(uint64(len(batch)))
+	s.obs.Flight.Record(obs.TierXLOG, "xlog.destage", uint64(end),
 		time.Since(destageStart), fmt.Sprintf("blocks=%d bytes=%d", len(batch), len(ltBuf)))
 }
 
@@ -469,10 +459,10 @@ func (s *Service) Pull(ctx context.Context, fromLSN page.LSN, partition int32, m
 	// Pulls are polled continuously by every consumer; JoinSpan records a
 	// span only when the caller is already traced, so the steady-state poll
 	// loop never roots traces (the histogram always counts).
-	_, sp := s.tracer.JoinSpan(ctx, obs.TierXLOG, "xlog.pull")
+	_, sp := s.obs.Tracer.JoinSpan(ctx, obs.TierXLOG, "xlog.pull")
 	defer sp.End()
 	start := time.Now()
-	defer s.reg.Histogram("xlog.pull.latency").Since(start)
+	defer s.obs.Metrics.Histogram("xlog.pull.latency").Since(start)
 	if maxBytes <= 0 {
 		maxBytes = 1 << 20
 	}

@@ -305,7 +305,7 @@ func TestPromotedRungPublishedWithTheBlocks(t *testing.T) {
 	lz, _ := newLZ(t, 4<<20)
 	wms := obs.NewWatermarkSet()
 	svc, err := New(Config{LZ: lz, LT: xstore.New(xstore.Config{Profile: simdisk.Instant}),
-		LTBlob: "lt/db1", Watermarks: wms})
+		LTBlob: "lt/db1", Obs: obs.Plane{Watermarks: wms}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,6 +86,9 @@ type Config struct {
 	IngestMBps float64
 	// Seed fixes device jitter for reproducible runs.
 	Seed int64
+	// Obs wires the store into the observability plane: write and read
+	// latency/volume and the space accounting, under "xstore.".
+	Obs obs.Plane
 }
 
 // Store is a simulated XStore account. All methods are safe for concurrent
@@ -94,7 +97,7 @@ type Store struct {
 	dev    *simdisk.Device
 	ingest *simdisk.TokenBucket
 
-	reg *obs.Registry // nil-safe; set via SetMetrics
+	reg *obs.Registry // Config.Obs.Metrics; nil-safe
 	// The space accounting's instruments, looked up once: addLive moves
 	// them under s.mu, once per extent let go.
 	footprintBytes, garbageBytes *obs.Gauge
@@ -121,17 +124,6 @@ type segment struct{ written, live int64 }
 // of the run of whole segments it is filling.
 type stream struct{ next, limit int64 }
 
-// SetMetrics attaches a per-tier metrics registry. The store records write
-// and read latency/volume and its space accounting under the "xstore."
-// namespace. Safe to call once at wiring time, before concurrent use; a nil
-// registry disables recording.
-func (s *Store) SetMetrics(r *obs.Registry) {
-	s.reg = r
-	s.footprintBytes = r.Gauge("xstore.footprint_bytes")
-	s.garbageBytes = r.Gauge("xstore.garbage_bytes")
-	s.reclaimedBytes = r.Counter("xstore.reclaimed.bytes")
-}
-
 // New creates an empty store.
 func New(cfg Config) *Store {
 	p := cfg.Profile
@@ -142,10 +134,15 @@ func New(cfg Config) *Store {
 	if seed == 0 {
 		seed = 1
 	}
+	r := cfg.Obs.Metrics
 	s := &Store{
-		dev:       simdisk.New(p, simdisk.WithSeed(seed)),
-		blobs:     make(map[string]*blobMeta),
-		snapshots: make(map[string]*snapshot),
+		dev:            simdisk.New(p, simdisk.WithSeed(seed)),
+		reg:            r,
+		footprintBytes: r.Gauge("xstore.footprint_bytes"),
+		garbageBytes:   r.Gauge("xstore.garbage_bytes"),
+		reclaimedBytes: r.Counter("xstore.reclaimed.bytes"),
+		blobs:          make(map[string]*blobMeta),
+		snapshots:      make(map[string]*snapshot),
 	}
 	if cfg.IngestMBps > 0 {
 		s.ingest = simdisk.NewTokenBucket(cfg.IngestMBps * 1024 * 1024)

@@ -717,9 +717,8 @@ func TestIngestCapServesMoreThanOneSecondOfRate(t *testing.T) {
 
 // TestSpaceInstruments: the store's space accounting is on the registry.
 func TestSpaceInstruments(t *testing.T) {
-	s := newFast()
 	reg := obs.NewRegistry()
-	s.SetMetrics(reg)
+	s := New(Config{Profile: simdisk.Instant, Obs: obs.Plane{Metrics: reg}})
 	buf, blobs := batchOf("p", 64, 8192, 'a')
 	for r := 0; r < 4; r++ {
 		if err := s.PutBatch(buf, blobs); err != nil {

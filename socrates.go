@@ -322,12 +322,14 @@ type TierMetrics struct {
 	Histograms map[string]HistSummary
 }
 
-// MetricsSnapshot is a point-in-time view of the deployment's metrics
-// registry, split by tier. The commit path shows up as
-// Compute.Histograms["commit.latency"] → LandingZone.Histograms["write.latency"]
-// → XLOG.Histograms["promote.latency"]; the GetPage@LSN path as
-// Compute.Histograms["getpage.latency"] (client side, cache misses only)
-// and PageServer.Histograms["getpage.latency"] (server side).
+// MetricsSnapshot is a point-in-time view of the deployment: its metrics
+// registry, split by tier, plus the headline numbers no series carries. The
+// commit path shows up as Compute.Histograms["commit.latency"] →
+// LandingZone.Histograms["write.latency"] → XLOG.Histograms["promote.latency"];
+// the GetPage@LSN path as Compute.Histograms["getpage.latency"] (client side,
+// cache misses only) and PageServer.Histograms["getpage.latency"] (server
+// side). The hardened LSN is a rung of the ladder (Watermarks, or
+// BackupLSN); the secondaries are listed by Secondaries.
 type MetricsSnapshot struct {
 	Taken       time.Time
 	Compute     TierMetrics // SQL execution, commit path, GetPage@LSN client side
@@ -335,8 +337,12 @@ type MetricsSnapshot struct {
 	XLOG        TierMetrics // LogBroker feed, promotion, destage, pulls
 	PageServer  TierMetrics // log apply, GetPage@LSN serving, scan pushdown
 	XStore      TierMetrics // long-term storage reads/writes/snapshots
-	Frontdoor   TierMetrics // router tier: per-tenant ops, latency, rejects
-	Other       TierMetrics // anything outside the six tier namespaces
+	Other       TierMetrics // anything outside the five tier namespaces
+
+	PageServers    int     // live page servers
+	CacheHitRate   float64 // the primary's RBPEX hit rate
+	RemoteFetches  int64   // GetPage@LSN calls issued by the primary
+	CPUUtilization float64 // the primary's simulated CPU
 }
 
 // tierOf maps a metric-name prefix to the snapshot sub-struct it belongs to,
@@ -351,7 +357,6 @@ func (m *MetricsSnapshot) tierOf(name string) (*TierMetrics, string) {
 		{"xlog.", &m.XLOG},
 		{"pageserver.", &m.PageServer},
 		{"xstore.", &m.XStore},
-		{"frontdoor.", &m.Frontdoor},
 	} {
 		if rest, ok := strings.CutPrefix(name, t.prefix); ok {
 			return t.dst, rest
@@ -360,11 +365,19 @@ func (m *MetricsSnapshot) tierOf(name string) (*TierMetrics, string) {
 	return &m.Other, name
 }
 
-// MetricsSnapshot captures the per-tier metrics registry. It is cheap
-// (no device I/O) and safe to call concurrently with a running workload.
+// MetricsSnapshot captures the per-tier metrics registry and the headline
+// numbers. It is cheap (no device I/O) and safe to call concurrently with a
+// running workload.
 func (db *DB) MetricsSnapshot() MetricsSnapshot {
 	raw := db.cluster.Metrics.Snapshot()
-	out := MetricsSnapshot{Taken: raw.Taken}
+	p := db.cluster.Primary()
+	out := MetricsSnapshot{
+		Taken:          raw.Taken,
+		PageServers:    len(db.cluster.PageServers()),
+		CacheHitRate:   p.Pages().Cache().HitRate(),
+		RemoteFetches:  p.Pages().Fetches(),
+		CPUUtilization: db.cluster.PrimaryMeter.Utilization(),
+	}
 	for name, v := range raw.Counters {
 		tier, rest := out.tierOf(name)
 		if tier.Counters == nil {
@@ -429,15 +442,7 @@ func (db *DB) LastTrace() *SpanNode {
 //	               ?format=prom for Prometheus text)
 //	/debug/pprof/  the standard Go profiling endpoints
 func (db *DB) ServeObservability(addr string) (*ObsServer, error) {
-	c := db.cluster
-	return obs.Serve(addr, obs.NewHTTPHandler(obs.PlaneOptions{
-		Registry:   c.Metrics,
-		Watermarks: c.Watermarks,
-		Flight:     c.Flight,
-		Tracer:     c.Tracer,
-		Watchdog:   c.Watchdog,
-		Waits:      c.Waits,
-	}))
+	return obs.Serve(addr, obs.NewHTTPHandler(db.cluster.Plane))
 }
 
 // WaitReport snapshots the deployment's wait-event accounting: per-tier
@@ -454,37 +459,6 @@ func (db *DB) FlightEvents() []FlightEvent { return db.cluster.Flight.Events() }
 
 // WatchdogTrips lists lag/stall watchdog firings so far, oldest first.
 func (db *DB) WatchdogTrips() []Trip { return db.cluster.Watchdog.Trips() }
-
-// Stats reports headline deployment metrics: the shape of the deployment
-// (page servers, secondaries), the primary's cache hit rate, remote fetches
-// and simulated CPU. MetricsSnapshot carries none of those; it has the
-// per-tier latency histograms and counters instead.
-type Stats struct {
-	HardenedLSN    uint64  // durable log end
-	LogBytes       int64   // bytes flushed to the landing zone
-	CacheHitRate   float64 // primary RBPEX hit rate
-	RemoteFetches  int64   // GetPage@LSN calls issued by the primary
-	PageServers    int
-	Secondaries    int
-	XStoreLiveMB   float64
-	CPUUtilization float64
-}
-
-// Stats snapshots deployment metrics.
-func (db *DB) Stats() Stats {
-	p := db.cluster.Primary()
-	_, bytes := p.Writer().Stats()
-	return Stats{
-		HardenedLSN:    p.HardenedEnd().Uint64(),
-		LogBytes:       bytes,
-		CacheHitRate:   p.Pages().Cache().HitRate(),
-		RemoteFetches:  p.Pages().Fetches(),
-		PageServers:    len(db.cluster.PageServers()),
-		Secondaries:    len(db.cluster.Secondaries()),
-		XStoreLiveMB:   float64(db.cluster.Store.LiveBytes()) / (1 << 20),
-		CPUUtilization: db.cluster.PrimaryMeter.Utilization(),
-	}
-}
 
 // ErrNoBackup is returned by PointInTimeRestore for unknown backup names.
 var ErrNoBackup = cluster.ErrNoBackup

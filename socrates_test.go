@@ -144,9 +144,9 @@ func TestKVAndStats(t *testing.T) {
 	}); err != nil || count != 500 {
 		t.Fatalf("scan: %d %v", count, err)
 	}
-	st := db.Stats()
-	if st.HardenedLSN == 0 || st.LogBytes == 0 || st.PageServers == 0 {
-		t.Fatalf("stats = %+v", st)
+	st := db.MetricsSnapshot()
+	if db.BackupLSN() == 0 || st.LandingZone.Counters["write.bytes"] == 0 || st.PageServers == 0 {
+		t.Fatalf("hardened LSN %d, stats = %+v", db.BackupLSN(), st)
 	}
 	if st.RemoteFetches == 0 {
 		t.Fatal("tiny cache should have remote-fetched pages")
