@@ -14,7 +14,7 @@ GO ?= go
 RACE_PKGS := ./internal/compute ./internal/hadr ./internal/simdisk \
              ./internal/cluster ./internal/xlog ./internal/pageserver \
              ./internal/obs ./internal/netmux ./internal/rbio \
-             ./internal/frontdoor ./internal/btree ./internal/fcb \
+             ./internal/btree ./internal/fcb \
              ./internal/rbpex ./internal/engine ./internal/hekaton \
              ./internal/xstore
 
@@ -76,7 +76,7 @@ allocs:
 	$(GO) test -run '^$$' -fuzz=FuzzNodeView -fuzztime=10s ./internal/btree
 
 # Every experiment of internal/experiments (the paper's tables and figure,
-# the three A/Bs) once, at reduced scale, as BenchmarkPaper/<name>.
+# the two A/Bs) once, at reduced scale, as BenchmarkPaper/<name>.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
@@ -88,7 +88,7 @@ bench-probes:
 # Coverage floors for the commit-path and checkpoint-path packages (mirrors
 # the CI cover job): future changes there cannot land untested.
 cover:
-	$(GO) test -cover ./internal/compute ./internal/hadr ./internal/xlog ./internal/frontdoor ./internal/pageserver ./internal/xstore
+	$(GO) test -cover ./internal/compute ./internal/hadr ./internal/xlog ./internal/pageserver ./internal/xstore
 
 clean:
 	$(GO) clean ./...

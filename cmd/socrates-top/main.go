@@ -22,19 +22,6 @@
 //
 //	$ socratesd -fast -obs 127.0.0.1:7070 &
 //	$ socrates-top -addr 127.0.0.1:7070
-//
-// With -tenants N it boots an embedded multi-tenant front-door fleet
-// (two pools, N tenants, per-tenant admission budgets, a wandering
-// tenant live-migrating between the pools) and renders the per-tenant
-// router table — throughput, latency quantiles, dominant wait class,
-// admission rejects, placement redirects. Attached to a socratesd
-// -tenants deployment via -addr, the same table is derived from the
-// polled frontdoor.tenant.* series.
-//
-//	$ socrates-top -tenants 4 -interval 1s
-//	TENANT  OPS   TPS  P50     P99     TOP WAIT       REJECTS  REDIRECTS
-//	t0      912   301  410µs   1.9ms   lz.harden 2s   184      0
-//	...
 package main
 
 import (
@@ -65,15 +52,10 @@ func main() {
 	pageServers := flag.Int("pageservers", 1, "initial page servers")
 	fast := flag.Bool("fast", true, "zero-latency devices (set -fast=false for simulated Azure latencies)")
 	addr := flag.String("addr", "", "attach to a running deployment's observability plane (host:port of socratesd -obs) instead of opening an in-process cluster")
-	tenants := flag.Int("tenants", 0, "boot an embedded multi-tenant front-door fleet with N tenants and render the per-tenant router table instead of a single-tenant cluster")
 	flag.Parse()
 
 	if *addr != "" {
 		pollRemote(*addr, *interval, *duration, *once, *jsonOut, *waits)
-		return
-	}
-	if *tenants > 0 {
-		runTenants(*tenants, *interval, *duration, *once, *jsonOut)
 		return
 	}
 
@@ -147,7 +129,6 @@ func pollRemote(addr string, interval, duration time.Duration, once, jsonOut, wa
 	}
 	client := &http.Client{Timeout: 5 * time.Second}
 	wv := newWaitsView()
-	tv := newTenantView()
 	for {
 		body, err := fetch(client, url)
 		if err != nil {
@@ -162,7 +143,6 @@ func pollRemote(addr string, interval, duration time.Duration, once, jsonOut, wa
 				log.Fatalf("decoding snapshot: %v", err)
 			}
 			renderSnapshot(snap)
-			tv.render(snap)
 			if waits {
 				wbody, err := fetch(client, waitsURL)
 				if err != nil {

@@ -81,10 +81,6 @@ type runner struct {
 
 	seq       int      // global write sequence (value payloads embed it)
 	lastAcked page.LSN // highest acked commit LSN
-
-	// tf is the multi-tenant front-door fleet, booted lazily by the first
-	// tenant-* step (only the "tenants" scenario weights them).
-	tf *tenantFleet
 }
 
 // Run executes one chaos run and reports what the oracle saw. The error
@@ -96,7 +92,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer r.close()
+	defer r.c.Close()
 	return r.run()
 }
 
@@ -148,13 +144,6 @@ func newRunner(cfg Config) (*runner, error) {
 		return nil, fmt.Errorf("chaos: create table: %w", err)
 	}
 	return r, nil
-}
-
-func (r *runner) close() {
-	if r.tf != nil {
-		r.tf.f.Close()
-	}
-	r.c.Close()
 }
 
 // run executes the schedule and the final audit.
@@ -283,12 +272,6 @@ func (r *runner) execute(st Step) error {
 	case StepLZDark:
 		r.res.Faults++
 		return r.lzDark(st.Key)
-	case StepTenantBurst:
-		return r.tenantBurst(st.Key)
-	case StepTenantMigrate:
-		return r.tenantMigrate(st.Key, st.Aux)
-	case StepTenantRebalance:
-		return r.tenantRebalance()
 	}
 	return fmt.Errorf("unknown step kind %v", st.Kind)
 }
@@ -592,7 +575,7 @@ func (r *runner) restoreProbe(backup string, aux int) {
 	if aux == 1 && r.lastAcked != 0 {
 		target = r.lastAcked.Next()
 	}
-	eng, _, err := r.c.PointInTimeRestore(backup, target)
+	eng, _, err := r.c.PointInTimeRestore(context.Background(), backup, target)
 	if errors.Is(err, cluster.ErrRestoreBeforeBackup) {
 		// The last acked commit predates the backup snapshot: the typed
 		// refusal is the correct outcome (restoring "before the backup"

@@ -77,32 +77,8 @@ const (
 	// weighted only in the "commit" scenario so the fingerprints of
 	// older scenarios stay valid.
 	StepLZDark
-	// StepTenantBurst is a self-contained noisy-neighbor probe on the
-	// front-door fleet: tenant Key fires a write burst that overruns its
-	// admission token bucket (over-budget requests must fail with
-	// ErrAdmission, never ErrBackpressure), then its co-resident victim
-	// tenant runs its own ops, which must all be admitted — per-tenant
-	// isolation under load. Appended after StepLZDark (schedule-hash
-	// contract: never renumber) and weighted only in the "tenants"
-	// scenario so older fingerprints stay valid.
-	StepTenantBurst
-	// StepTenantMigrate live-migrates tenant Key%tenants to pool
-	// Aux%pools (bumped to the next pool when that is already home).
-	// Writes are injected during the live window (they exist only in the
-	// XLOG tail at cutover), and when Aux has bit 2 set the source
-	// cluster fails over mid-migration. Afterwards every acked write of
-	// the tenant is audited at the new home — acked-write loss across a
-	// cutover is the "migration" oracle violation (and exactly what the
-	// chaosfault skip-log-tail plant causes). Appended after
-	// StepTenantBurst; "tenants" scenario only.
-	StepTenantMigrate
-	// StepTenantRebalance is the pool-rebalance move: one tenant from
-	// the most-crowded pool migrates to the least-crowded one, then the
-	// full fleet (every tenant's acked history) is audited. Appended
-	// after StepTenantMigrate; "tenants" scenario only.
-	StepTenantRebalance
 
-	numStepKinds = int(StepTenantRebalance) + 1
+	numStepKinds = int(StepLZDark) + 1
 )
 
 var stepNames = [numStepKinds]string{
@@ -110,7 +86,7 @@ var stepNames = [numStepKinds]string{
 	"quorum-loss", "feed-loss", "failover", "add-secondary",
 	"remove-secondary", "ps-churn", "split", "xstore-outage",
 	"backup", "restore-probe", "catchup-probe", "mux-disturb",
-	"lz-dark", "tenant-burst", "tenant-migrate", "tenant-rebalance",
+	"lz-dark",
 }
 
 // String names the step kind.
@@ -193,18 +169,6 @@ var scenarios = map[string]Spec{
 		StepLZDark: 8, StepFeedLoss: 2, StepFailover: 1,
 		StepCatchUpProbe: 3,
 	}},
-	// tenants tortures the multi-tenant front door: noisy-neighbor
-	// bursts against per-tenant admission, live migrations with writes
-	// in flight (some racing a source failover), and pool rebalances,
-	// interleaved with the single-cluster workload so the main oracle
-	// keeps judging alongside the fleet audits. New scenario on purpose
-	// — adding the tenant kinds to an existing scenario would shift its
-	// pinned schedule fingerprints.
-	"tenants": {Name: "tenants", Weights: [numStepKinds]int{
-		StepPut: 20, StepPair: 5, StepReadPrimary: 8, StepReadSecondary: 5,
-		StepTenantBurst: 8, StepTenantMigrate: 6, StepTenantRebalance: 3,
-		StepFailover: 1, StepCatchUpProbe: 2,
-	}},
 	// mux tortures the netmux RPC fabric: heavy read/write traffic with
 	// frequent mid-flight connection severing, plus the usual fault blend
 	// so pool redials race failovers and churn. New scenario on purpose —
@@ -241,12 +205,6 @@ const (
 	// unboundedly long: the generator force-closes each window after this
 	// many steps.
 	maxOutageWindow = 8
-
-	// Tenant-fleet geometry for the "tenants" scenario: a lazily booted
-	// front-door deployment of tenantCount tenants round-robined over
-	// tenantPools clusters, living beside the main chaos cluster.
-	tenantPools = 2
-	tenantCount = 4
 )
 
 // generator produces the deterministic step stream for one (seed,
@@ -432,16 +390,6 @@ func (g *generator) Next() Step {
 		// burst, heals, and reconciles within the one step, so no fault
 		// window opens in the shadow model.
 		return Step{Kind: StepLZDark, Key: g.rng.Intn(3)}
-	case StepTenantBurst:
-		// Self-contained: burst, judge, audit within the step.
-		return Step{Kind: StepTenantBurst, Key: g.rng.Intn(tenantCount)}
-	case StepTenantMigrate:
-		// Aux bits 0-1 pick the destination pool ordinal (the runner
-		// skips past the current home); bit 2 arms a source-cluster
-		// failover racing the migration.
-		return Step{Kind: StepTenantMigrate, Key: g.rng.Intn(tenantCount), Aux: g.rng.Intn(8)}
-	case StepTenantRebalance:
-		return Step{Kind: StepTenantRebalance}
 	}
 	return Step{Kind: StepPut, Key: 0} // unreachable
 }

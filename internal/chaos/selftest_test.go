@@ -30,7 +30,7 @@ func TestOracleCatchesPlantedBug(t *testing.T) {
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}
-	defer r.close()
+	defer r.c.Close()
 
 	r.oracle.SetStep(0)
 	// The plant acks before the write, not instead of it: a planted commit's
@@ -79,7 +79,7 @@ func TestOracleCatchesQuorumPlant(t *testing.T) {
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}
-	defer r.close()
+	defer r.c.Close()
 
 	reps := r.c.LZVolume().Replicas()
 	reps[1].SetOutage(true)

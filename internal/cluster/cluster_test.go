@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -372,7 +373,7 @@ func TestBackupAndPITR(t *testing.T) {
 	})
 
 	// Restore to the backup moment: v1 visible.
-	restored, _, err := c.PointInTimeRestore("bak1", markLSN)
+	restored, _, err := c.PointInTimeRestore(context.Background(), "bak1", markLSN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,14 +383,14 @@ func TestBackupAndPITR(t *testing.T) {
 	}
 
 	// Restore to end of log: row deleted, matching the live database.
-	restoredEnd, _, err := c.PointInTimeRestore("bak1", 0)
+	restoredEnd, _, err := c.PointInTimeRestore(context.Background(), "bak1", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, found, _ := restoredEnd.BeginRO().Get("t", []byte("k")); found {
 		t.Fatal("PITR@end still sees deleted row")
 	}
-	if _, _, err := c.PointInTimeRestore("ghost", 0); !errors.Is(err, ErrNoBackup) {
+	if _, _, err := c.PointInTimeRestore(context.Background(), "ghost", 0); !errors.Is(err, ErrNoBackup) {
 		t.Fatalf("restore of unknown backup: %v", err)
 	}
 }

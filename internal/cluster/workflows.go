@@ -342,14 +342,9 @@ func (c *Cluster) BackupLSN(name string) (page.LSN, bool) {
 // copy in XStore), and the log range [backupLSN, targetLSN) is replayed on
 // top — the §4.7 PITR workflow. targetLSN of zero means "end of log". It
 // returns a read-only engine over the restored image and the visibility
-// timestamp it was restored to.
-func (c *Cluster) PointInTimeRestore(backup string, targetLSN page.LSN) (*engine.Engine, uint64, error) {
-	return c.PointInTimeRestoreContext(context.Background(), backup, targetLSN)
-}
-
-// PointInTimeRestoreContext is PointInTimeRestore bounded by ctx: a
-// cancelled context aborts the log replay between blocks.
-func (c *Cluster) PointInTimeRestoreContext(ctx context.Context, backup string, targetLSN page.LSN) (*engine.Engine, uint64, error) {
+// timestamp it was restored to. A cancelled ctx aborts the log replay
+// between blocks.
+func (c *Cluster) PointInTimeRestore(ctx context.Context, backup string, targetLSN page.LSN) (*engine.Engine, uint64, error) {
 	c.mu.Lock()
 	info, ok := c.backups[backup]
 	c.mu.Unlock()

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§7 and Appendix A) against the reproduction — Tables 1–7 and
-// Figure 4 — plus the repository's own three A/Bs (flight recorder, wait
-// accounting, tenant isolation). All is the one table of them; the root
+// Figure 4 — plus the repository's own two A/Bs (flight recorder, wait
+// accounting). All is the one table of them; the root
 // bench suite (BenchmarkPaper), cmd/socrates-bench and this package's
 // TestShapes are loops over it, so adding an experiment is one entry here.
 // EXPERIMENTS.md records paper-vs-measured.
@@ -48,7 +48,6 @@ var All = []Experiment{
 	{"table7", table7},
 	{"obs", flightOverhead},
 	{"waits", waitOverhead},
-	{"router", router},
 }
 
 // Report is one run of an experiment, in every form a driver needs.

@@ -41,7 +41,6 @@ const (
 	TierXLOG       = "xlog"
 	TierPageServer = "pageserver"
 	TierXStore     = "xstore"
-	TierFrontdoor  = "frontdoor"
 )
 
 // TraceID identifies one request tree (one commit, one GetPage@LSN, ...).

@@ -41,42 +41,7 @@ var (
 	// would only grow latency, so callers shed load or retry at their
 	// own cadence rather than piling up goroutines.
 	ErrBackpressure = errors.New("socrates: backpressure")
-
-	// ErrAdmission marks a request rejected by per-tenant admission
-	// control at the front door: the tenant's token bucket is empty.
-	// Deliberately distinct from ErrBackpressure — backpressure means
-	// the shared fabric is saturated and anyone's retry makes it worse,
-	// admission means THIS tenant exceeded its own budget while the pool
-	// has headroom. Retry layers must not re-throw admission-rejected
-	// load at the same cluster; the client backs off on its own clock.
-	ErrAdmission = errors.New("socrates: admission rejected")
-
-	// ErrTenantMoved marks a request routed with a stale placement
-	// epoch: the tenant no longer lives where the router sent it (or
-	// lives there under a newer epoch). The concrete error is a
-	// *TenantMovedError carrying the current assignment so the router
-	// can refresh its cache and retry exactly once at the new home.
-	ErrTenantMoved = errors.New("socrates: tenant moved")
 )
-
-// TenantMovedError is the typed redirect behind ErrTenantMoved. Epoch is
-// the placement epoch current at the rejecting host, and Cluster the
-// tenant's home as of that epoch ("" when the host cannot name it, e.g.
-// mid-cutover). errors.Is(err, ErrTenantMoved) matches; errors.As
-// recovers the redirect payload.
-type TenantMovedError struct {
-	Tenant  string
-	Cluster string
-	Epoch   uint64
-}
-
-func (e *TenantMovedError) Error() string {
-	return fmt.Sprintf("%v: tenant %q now at cluster %q epoch %d",
-		ErrTenantMoved, e.Tenant, e.Cluster, e.Epoch)
-}
-
-// Is makes the typed redirect match the ErrTenantMoved sentinel.
-func (e *TenantMovedError) Is(target error) bool { return target == ErrTenantMoved }
 
 // Timeoutf builds an ErrTimeout-classified error.
 func Timeoutf(format string, args ...any) error {

@@ -17,11 +17,6 @@ import (
 // schemaTable is the system table mapping table name → encoded schema.
 const schemaTable = "__schema"
 
-// SchemaTable exposes the system schema table's physical name; the
-// front-door migrator copies a tenant's schema rows out of it alongside
-// the tenant's data tables.
-const SchemaTable = schemaTable
-
 // Errors.
 var (
 	ErrNoSuchTable  = errors.New("sql: no such table")
@@ -34,10 +29,6 @@ var (
 type DB struct {
 	eng *engine.Engine
 
-	// prefix namespaces every table this DB touches (elastic pools: many
-	// tenants share one engine). "" is the single-tenant DB.
-	prefix string
-
 	mu      sync.Mutex
 	schemas map[string]*schema
 }
@@ -47,25 +38,8 @@ func New(eng *engine.Engine) *DB {
 	return &DB{eng: eng, schemas: make(map[string]*schema)}
 }
 
-// NewTenant wraps an engine with a per-tenant table namespace so many
-// logical databases share one engine (the elastic-pool arrangement).
-// Physical table names become TenantPrefix(tenant)+name; schema rows
-// share the one __schema system table under the same prefixed keys, so
-// tenants cannot see each other's tables. SQL identifiers cannot contain
-// '.', which makes the namespace collision-free against both plain-DB
-// tables and other tenants.
-func NewTenant(eng *engine.Engine, tenant string) *DB {
-	return &DB{eng: eng, prefix: TenantPrefix(tenant), schemas: make(map[string]*schema)}
-}
-
-// TenantPrefix returns the physical-name prefix for a tenant's tables.
-// The '.' separators are unreachable from SQL identifiers.
-func TenantPrefix(tenant string) string {
-	return "tnt." + strings.ToLower(tenant) + "."
-}
-
 // phys maps a SQL-visible table name to its physical engine table name.
-func (db *DB) phys(table string) string { return db.prefix + strings.ToLower(table) }
+func (db *DB) phys(table string) string { return strings.ToLower(table) }
 
 // Engine exposes the underlying storage engine.
 func (db *DB) Engine() *engine.Engine { return db.eng }
@@ -249,19 +223,6 @@ func (s *Session) showTables() (*Result, error) {
 		if n == schemaTable {
 			continue
 		}
-		if s.db.prefix == "" {
-			// The plain DB hides tenant namespaces ("tnt.<t>.*"): those
-			// tables belong to front-door tenants sharing this engine.
-			if strings.HasPrefix(n, "tnt.") {
-				continue
-			}
-		} else {
-			rest, ok := strings.CutPrefix(n, s.db.prefix)
-			if !ok {
-				continue
-			}
-			n = rest
-		}
 		res.Rows = append(res.Rows, []Value{TextValue(n)})
 	}
 	return res, nil
@@ -288,10 +249,10 @@ func (db *DB) createTable(ctx context.Context, st *CreateTableStmt) (*Result, er
 	if pkCount != 1 {
 		return nil, fmt.Errorf("sql: table must have exactly one PRIMARY KEY column, got %d", pkCount)
 	}
-	if strings.ToLower(st.Table) == schemaTable {
+	name := db.phys(st.Table)
+	if name == schemaTable {
 		return nil, errors.New("sql: reserved table name")
 	}
-	name := db.phys(st.Table)
 	if err := db.ensureSchemaTable(ctx); err != nil {
 		return nil, err
 	}

@@ -311,15 +311,17 @@ func (s *Service) promoteTo(lsn page.LSN) {
 			s.mu.Unlock()
 			lb, found, err := s.lz.Read(at)
 			s.mu.Lock()
-			if err != nil || !found {
-				return // cannot promote past the gap yet
-			}
 			if s.promoted != at {
 				// A concurrent report already promoted this block (or
 				// past it) while we read the LZ; appending our copy would
-				// duplicate it in the broker. Rescan from the new
-				// watermark.
+				// duplicate it in the broker. Checked before the read's
+				// outcome: the destager may have archived the block and
+				// released it from the LZ since, so an empty read here is
+				// no gap. Rescan from the new watermark.
 				continue
+			}
+			if err != nil || !found {
+				return // cannot promote past the gap yet
 			}
 			s.gapFills++
 			s.obs.Flight.Record(obs.TierXLOG, "xlog.gapfill", uint64(at), 0,

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -326,6 +327,54 @@ func TestPromotedRungPublishedWithTheBlocks(t *testing.T) {
 	}
 	if rung := page.LSN(wms.Watermark(obs.WMPromoted, "").Value()); rung != svc.HardenedEnd() {
 		t.Fatalf("xlog.promoted_lsn is published as %d while consumers can pull up to %d", rung, svc.HardenedEnd())
+	}
+}
+
+// TestPromoteFillsPastABlockReleasedDuringItsRead: a harden report that
+// drops the lock to fill a gap from the landing zone can find the block gone
+// when it gets there — a concurrent report promoted it, and the destager
+// archived it and released it from the LZ. That empty read is no gap: the
+// report must carry on from the new watermark to its own target. Stopping
+// there left XLOG short of the durable end, so a point-in-time restore "to
+// end of log" replayed a prefix and lost acknowledged commits.
+//
+// Exact step: the test holds the landing zone's lock, so the report's LZ read
+// waits while the test promotes the block from the feed and releases it.
+func TestPromoteFillsPastABlockReleasedDuringItsRead(t *testing.T) {
+	r := newRig(t, 1<<20)
+	blocks := mkBlocks(3, func(int) page.ID { return 1 }, page.Partitioning{})
+	for _, b := range blocks {
+		if err := r.lz.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.svc.Feed(context.Background(), blocks[0]) // blocks 1 and 2: feed lost
+
+	r.lz.mu.Lock()
+	reported := make(chan struct{})
+	go func() {
+		defer close(reported)
+		r.svc.ReportHardened(context.Background(), blocks[2].End)
+	}()
+	// The report promotes block 0 from the feed, then drops its lock to read
+	// block 1 from the LZ; HardenedEnd can take the lock only after that.
+	for r.svc.HardenedEnd() != blocks[0].End {
+		runtime.Gosched()
+	}
+	// Meanwhile block 1 arrives late on the feed and a second report
+	// promotes it; the destager archives blocks 0-1 and releases them from
+	// the LZ (what ReleaseUpTo does, under the lock the test holds).
+	r.svc.Feed(context.Background(), blocks[1])
+	r.svc.promoteTo(blocks[1].End)
+	for _, b := range blocks[:2] {
+		delete(r.lz.index, b.Start)
+	}
+	r.lz.order = r.lz.order[2:]
+	r.lz.mu.Unlock()
+	<-reported
+
+	if got := r.svc.HardenedEnd(); got != blocks[2].End {
+		t.Fatalf("harden report to %d left XLOG promoted to %d", blocks[2].End, got)
 	}
 }
 

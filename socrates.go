@@ -83,17 +83,7 @@ var (
 	ErrClosed = socerr.ErrClosed
 	// ErrNoSecondary marks operations naming an unknown secondary.
 	ErrNoSecondary = socerr.ErrNoSecondary
-	// ErrAdmission marks a request rejected by per-tenant admission
-	// control at the front door (the tenant's token bucket was empty).
-	ErrAdmission = socerr.ErrAdmission
-	// ErrTenantMoved marks a request routed with a stale placement
-	// epoch; errors.As against *TenantMovedError recovers the redirect.
-	ErrTenantMoved = socerr.ErrTenantMoved
 )
-
-// TenantMovedError is the typed redirect behind ErrTenantMoved: it
-// carries the tenant's current cluster and placement epoch.
-type TenantMovedError = socerr.TenantMovedError
 
 // LZService selects the storage service implementing the landing zone —
 // the Appendix A experiment knob. Swapping services changes no other code,
@@ -306,7 +296,7 @@ func (r *RestoredDB) Exec(sql string) (*Result, error) { return r.sql.Exec(sql) 
 // log) from a named backup: constant-time snapshot restore plus a bounded
 // log-range replay (§4.7).
 func (db *DB) PointInTimeRestore(backup string, targetLSN uint64) (*RestoredDB, error) {
-	eng, _, err := db.cluster.PointInTimeRestore(backup, page.LSN(targetLSN))
+	eng, _, err := db.cluster.PointInTimeRestore(context.Background(), backup, page.LSN(targetLSN))
 	if err != nil {
 		return nil, err
 	}
