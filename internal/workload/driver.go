@@ -132,7 +132,8 @@ func runPhase(runners []Runner, d time.Duration, count int64, m *Metrics) {
 	if d > 0 {
 		deadline = time.Now().Add(d)
 	}
-	budget := count
+	var budget atomic.Int64
+	budget.Store(count)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	for _, r := range runners {
@@ -146,7 +147,7 @@ func runPhase(runners []Runner, d time.Duration, count int64, m *Metrics) {
 				// the phase completes exactly count successful
 				// transactions. The Duration safety bound still ends a
 				// wedged drive.
-				if count > 0 && atomic.AddInt64(&budget, -1) < 0 {
+				if count > 0 && budget.Add(-1) < 0 {
 					return
 				}
 				for {
