@@ -1,8 +1,8 @@
 package analysis
 
 // Control-flow graph construction: the shared skeleton under the
-// dataflow-aware passes (alloclint's hot-path walks, leaklint's
-// all-exit-paths resource checks, deadlocklint's held-set propagation).
+// dataflow-aware passes (leaklint's all-exit-paths resource checks,
+// deadlocklint's held-set propagation, waitlint's open-region facts).
 //
 // The model follows golang.org/x/tools/go/cfg in spirit but stays inside
 // this package's pure-stdlib charter: a CFG is a set of basic blocks whose

@@ -8,7 +8,7 @@ import "fmt"
 // Table builds a slice whose flaggable call is buried two lines below the
 // statement's first line.
 func Table(id int) []string {
-	//socrates:alloc-ok reviewed continuation-line coverage fixture
+	//socrates:sleep-ok reviewed continuation-line coverage fixture
 	out := []string{
 		"head",
 		fmt.Sprintf("id-%d", id),
@@ -20,7 +20,7 @@ func Table(id int) []string {
 // a pass checking for either name sees its annotation regardless of
 // stacking order.
 func Stacked(id int) string {
-	//socrates:alloc-ok the farther directive in the stack still binds
+	//socrates:sleep-ok the farther directive in the stack still binds
 	//socrates:ignore-err stacked-directive regression fixture
 	s := fmt.Sprintf("id-%d", id)
 	return s

@@ -172,7 +172,6 @@ func (w *LogWriter) Append(rec *wal.Record) page.LSN {
 	w.mu.Lock()
 	rec.LSN = w.nextLSN
 	w.nextLSN = w.nextLSN.Next()
-	//socrates:alloc-ok pending-slice growth amortizes across appends between flushes
 	w.pending = append(w.pending, rec)
 	switch rec.Kind {
 	case wal.KindTxnCommit, wal.KindTxnAbort, wal.KindCheckpoint, wal.KindNoop:

@@ -632,7 +632,7 @@ func (c *Cache) evictLocked() bool {
 	c.evictSeq++
 	d := demotion{id: id, lsn: lsn, pg: pg, seq: c.evictSeq, hot: hot}
 	c.demoting[id] = d
-	//socrates:alloc-ok the queue's backing array has room for the whole backlog from Open on
+	// The queue's backing array has room for the whole backlog from Open on.
 	c.queue = append(c.queue, d)
 	c.backlog++
 	c.queued.inc()
