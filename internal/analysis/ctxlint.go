@@ -6,15 +6,15 @@ import (
 	"strings"
 )
 
-// CtxLint enforces the repo's context-first discipline, introduced with
-// end-to-end request tracing: every request that crosses a tier boundary
-// carries its trace identity in a context.Context, so a function that
-// accepts a context anywhere but first position (easy to miss at call
-// sites) or that manufactures a context.TODO() (a placeholder that
-// silently drops the caller's trace and cancellation) breaks the span
-// tree somewhere downstream.
+// CtxLint is the "what reaches the wire" pass. End-to-end tracing needs
+// every request that crosses a tier boundary to carry its trace identity in
+// a context.Context, and the netmux fabric needs every request to carry a
+// way to give up its in-flight slot. A context accepted anywhere but first
+// position (easy to miss at call sites), a manufactured context.TODO() (it
+// silently drops the caller's trace and cancellation), a raw socket, or an
+// RPC minted unbounded at the wire each break one of the two.
 //
-// Three checks:
+// Five checks:
 //
 //  1. ctx-first: any function or method with a context.Context parameter
 //     must take it as the first parameter (after the receiver).
@@ -25,14 +25,28 @@ import (
 //     / rbio.Conn) must accept a context.Context so trace identity can
 //     reach the wire. Background() wrappers delegating to a *Context
 //     variant are recognized and exempt.
+//  4. no-raw-dial: net.Dial* and (*net.Dialer).Dial* outside the fabric
+//     packages. A raw socket bypasses request-ID demux, pooling, health
+//     eviction and the in-flight caps — the failure modes the fabric owns.
+//  5. deadline-at-entry: a Call/Send into the fabric whose context argument
+//     is a literal context.Background() has no deadline and no
+//     cancellation: a stalled peer pins the request's slot until the pool
+//     backpressures. A ctx variable passed through is trusted (check 1
+//     forces it to be threaded), so what is caught is the root that mints
+//     an unbounded context directly at the wire; a literal TODO is check 2's.
 //
 // Reviewed exceptions are annotated //socrates:ctx-ok <reason> on the
 // line, the line above, or the function's doc comment.
 type CtxLint struct {
 	// InterTierPkgs are import-path substrings whose exported surface is
-	// held to check 3. Checks 1 and 2 apply everywhere.
+	// held to check 3. The other checks apply everywhere.
 	InterTierPkgs []string
 }
+
+// fabricPkgs are the transport: the only packages that may open raw
+// sockets (check 4), and the ones whose Call/Send methods are the wire
+// entry (check 5).
+var fabricPkgs = []string{"socrates/internal/netmux", "socrates/internal/rbio"}
 
 // DefaultCtxLint returns ctxlint configured for the Socrates tree: the
 // packages whose exported functions sit on a tier boundary.
@@ -65,13 +79,8 @@ func isContextType(t types.Type) bool {
 // Run implements Pass.
 func (c *CtxLint) Run(pkg *Package) []Diagnostic {
 	var out []Diagnostic
-	interTier := false
-	for _, p := range c.InterTierPkgs {
-		if strings.Contains(pkg.Path, p) {
-			interTier = true
-			break
-		}
-	}
+	interTier := containsAny(pkg.Path, c.InterTierPkgs)
+	inFabric := containsAny(pkg.Path, fabricPkgs)
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -88,20 +97,43 @@ func (c *CtxLint) Run(pkg *Package) []Diagnostic {
 			if !ok {
 				return true
 			}
-			obj := calleeObject(pkg.Info, call)
-			if obj == nil || obj.Pkg() == nil ||
-				obj.Pkg().Path() != "context" || obj.Name() != "TODO" {
-				return true
+			if msg := checkCall(pkg, call, inFabric); msg != "" && !pkg.DirectiveAt("ctx-ok", call) {
+				out = append(out, pkg.diag("ctxlint", call, "%s, or annotate //socrates:ctx-ok <reason>", msg))
 			}
-			if pkg.DirectiveAt("ctx-ok", call) {
-				return true
-			}
-			out = append(out, pkg.diag("ctxlint", call,
-				"context.TODO() drops the caller's trace and cancellation; thread the caller's ctx, or use context.Background() at a genuine root, or annotate //socrates:ctx-ok <reason>"))
 			return true
 		})
 	}
 	return out
+}
+
+// checkCall applies checks 2, 4 and 5 to one call and returns the
+// finding, or "" when the call is fine.
+func checkCall(pkg *Package, call *ast.CallExpr, inFabric bool) string {
+	obj := calleeObject(pkg.Info, call)
+	if obj == nil || obj.Pkg() == nil {
+		return ""
+	}
+	path, name := obj.Pkg().Path(), obj.Name()
+	switch {
+	case path == "context" && name == "TODO":
+		return "context.TODO() drops the caller's trace and cancellation; thread the caller's ctx, or use context.Background() at a genuine root"
+	case path == "net" && strings.HasPrefix(name, "Dial") && !inFabric:
+		return "raw net." + name + " bypasses the netmux fabric (no request-ID demux, pooling, health eviction, or backpressure); dial through internal/netmux or internal/rbio"
+	case (name == "Call" || name == "Send") && containsAny(path, fabricPkgs) &&
+		len(call.Args) > 0 && isBackgroundCall(pkg, call.Args[0]):
+		return "context.Background() at a fabric " + name + " site has no deadline: a stalled peer pins this request's in-flight slot until the pool backpressures; use context.WithTimeout"
+	}
+	return ""
+}
+
+// isBackgroundCall reports whether expr is a literal context.Background().
+func isBackgroundCall(pkg *Package, expr ast.Expr) bool {
+	call, ok := ast.Unparen(expr).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	obj := calleeObject(pkg.Info, call)
+	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Background"
 }
 
 // checkCtxFirst flags context.Context parameters in non-first position.
@@ -117,12 +149,10 @@ func (c *CtxLint) checkCtxFirst(pkg *Package, fn *ast.FuncDecl) []Diagnostic {
 			n = 1
 		}
 		t := pkg.Info.TypeOf(field.Type)
-		if t != nil && isContextType(t) && !(fi == 0 && pos == 0) {
-			if !pkg.DirectiveAt("ctx-ok", fn) && !FuncDirective(fn, "ctx-ok") {
-				out = append(out, pkg.diag("ctxlint", field,
-					"context.Context must be the first parameter of %s (found at position %d); callers scan position 0 for the request context, or annotate //socrates:ctx-ok <reason>",
-					fn.Name.Name, pos))
-			}
+		if t != nil && isContextType(t) && !(fi == 0 && pos == 0) && !pkg.DirectiveAt("ctx-ok", fn) {
+			out = append(out, pkg.diag("ctxlint", field,
+				"context.Context must be the first parameter of %s (found at position %d); callers scan position 0 for the request context, or annotate //socrates:ctx-ok <reason>",
+				fn.Name.Name, pos))
 		}
 		pos += n
 	}
@@ -174,8 +204,7 @@ func (c *CtxLint) checkInterTier(pkg *Package, fn *ast.FuncDecl) []Diagnostic {
 	if hit == nil {
 		return nil
 	}
-	if pkg.DirectiveAt("ctx-ok", fn) || FuncDirective(fn, "ctx-ok") ||
-		pkg.DirectiveAt("ctx-ok", hit) {
+	if pkg.DirectiveAt("ctx-ok", fn) || pkg.DirectiveAt("ctx-ok", hit) {
 		return nil
 	}
 	return []Diagnostic{pkg.diag("ctxlint", fn,

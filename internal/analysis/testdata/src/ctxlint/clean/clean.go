@@ -1,15 +1,19 @@
-// Package clean is a ctxlint fixture: the sanctioned context patterns.
+// Package clean is a ctxlint fixture: the sanctioned context and fabric
+// patterns.
 package clean
 
 import (
 	"context"
+	"time"
 
+	"socrates/internal/netmux"
 	"socrates/internal/rbio"
 )
 
-// Node wraps an RBIO client.
+// Node talks to its peers through the fabric.
 type Node struct {
 	client *rbio.Client
+	pool   *netmux.Pool
 }
 
 // LookupContext is the ctx-first form.
@@ -30,4 +34,31 @@ func (n *Node) Lookup(key string) (*rbio.Response, error) {
 func (n *Node) Drain() error {
 	_, err := n.client.Call(context.Background(), &rbio.Request{})
 	return err
+}
+
+// ping bounds the wire call with a deadline.
+func (n *Node) ping(ctx context.Context) error {
+	ctx, cancel := context.WithTimeout(ctx, time.Second)
+	defer cancel()
+	_, err := n.client.Call(ctx, &rbio.Request{Type: rbio.MsgPing})
+	return err
+}
+
+// pingPool threads the caller's (already bounded) context through.
+func (n *Node) pingPool(ctx context.Context) error {
+	_, err := n.pool.Call(ctx, &rbio.Request{Type: rbio.MsgPing})
+	return err
+}
+
+// warm is a reviewed unbounded site: boot-time warmup with no caller to
+// time it out.
+func (n *Node) warm() error {
+	//socrates:ctx-ok boot-time warmup; progress is monitored by the boot watchdog, not a per-call deadline
+	_, err := n.client.Call(context.Background(), &rbio.Request{Type: rbio.MsgPing})
+	return err
+}
+
+// dialer builds a fabric dialer — the transport does the raw dialing.
+func dialer(m *netmux.Metrics) netmux.Dialer {
+	return func(addr string) (rbio.Conn, error) { return netmux.DialTCP(addr, m) }
 }
