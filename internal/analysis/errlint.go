@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // Errlint flags discarded errors from durability-critical callees. In
@@ -28,9 +27,13 @@ type Errlint struct {
 }
 
 // DefaultErrlint returns errlint configured for the Socrates tree: every
-// tier that sits on the durability or availability path.
+// tier that sits on the durability or availability path, including the
+// compute node that holds the commit's own durability wait
+// (LogWriter.WaitHarden) and the engine above it.
 func DefaultErrlint() *Errlint {
 	return &Errlint{CriticalPkgs: []string{
+		"socrates/internal/compute",
+		"socrates/internal/engine",
 		"socrates/internal/wal",
 		"socrates/internal/xlog",
 		"socrates/internal/simdisk",
@@ -52,14 +55,7 @@ func NewErrlint(criticalPkgs []string) *Errlint {
 // Name implements Pass.
 func (e *Errlint) Name() string { return "errlint" }
 
-func (e *Errlint) critical(path string) bool {
-	for _, p := range e.CriticalPkgs {
-		if strings.Contains(path, p) {
-			return true
-		}
-	}
-	return false
-}
+func (e *Errlint) critical(path string) bool { return containsAny(path, e.CriticalPkgs) }
 
 // errResultIndexes reports which result positions of the call are typed
 // error.

@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"strings"
-)
+import "go/ast"
 
 // Sleeplint flags time.Sleep in non-test code. A sleep-poll loop either
 // wastes a full tick of latency per wakeup (page-server catch-up waits
@@ -34,10 +31,8 @@ func (s *Sleeplint) Name() string { return "sleeplint" }
 
 // Run implements Pass.
 func (s *Sleeplint) Run(pkg *Package) []Diagnostic {
-	for _, exempt := range s.ExemptPkgs {
-		if strings.Contains(pkg.Path, exempt) {
-			return nil
-		}
+	if containsAny(pkg.Path, s.ExemptPkgs) {
+		return nil
 	}
 	var out []Diagnostic
 	for _, f := range pkg.Files {

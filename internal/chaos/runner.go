@@ -355,8 +355,9 @@ func (r *runner) recoverIfPoisoned(err error) {
 	if err == nil {
 		return
 	}
+	//socrates:ignore-err the second result is the poisoning cause, which the failed commit already returned; only the flag decides recovery
 	if failed, _ := r.c.Primary().Engine.Failed(); failed {
-		//socrates:ignore-err best-effort recovery; the next step's commit surfaces persistent failure
+		// Best-effort recovery: the next step's commit surfaces persistent failure.
 		_ = r.failover()
 		return
 	}
@@ -365,8 +366,7 @@ func (r *runner) recoverIfPoisoned(err error) {
 	probe, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	if werr := r.c.Primary().Writer().WaitHarden(probe, 0); werr != nil && probe.Err() == nil {
-		//socrates:ignore-err best-effort recovery; the next step's commit surfaces persistent failure
-		_ = r.failover()
+		_ = r.failover() // best effort, as above
 	}
 }
 

@@ -60,7 +60,6 @@ func (f *RemotePageFile) registerAhead(id page.ID) (reg *registration, dropped b
 func (f *RemotePageFile) readAhead(id page.ID, reg *registration) {
 	defer f.aheadWG.Done()
 	defer func() { <-f.window }()
-	// A failed hint costs nothing: the Read it was for fetches for itself
-	// and reports the error, if there still is one, to somebody who asked.
+	//socrates:ignore-err a failed hint costs nothing: the Read it was for fetches for itself and reports the error, if there still is one, to somebody who asked
 	_, _ = f.fetch(f.ahead, id, reg, true)
 }
