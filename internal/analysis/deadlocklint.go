@@ -220,7 +220,7 @@ func (l *DeadlockLint) analyzeFunc(pkg *Package, fn *ast.FuncDecl, labels map[*t
 		onAcquire: func(v *types.Var, held map[*types.Var]bool, node ast.Node) {
 			ff.acquires[v] = true
 			acquired[node] = v
-			if pkg.DirectiveAt("lock-ok", node) {
+			if len(held) == 0 || pkg.DirectiveAt("lock-ok", node) {
 				return
 			}
 			for h := range held {

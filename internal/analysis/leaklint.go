@@ -120,6 +120,7 @@ func (l *LeakLint) checkGoroutines(pkg *Package, fn *ast.FuncDecl, decls map[*ty
 			return true
 		}
 		var body *ast.BlockStmt
+		var decl *ast.FuncDecl // the named goroutine's declaration
 		var what string
 		switch callee := ast.Unparen(g.Call.Fun).(type) {
 		case *ast.FuncLit:
@@ -129,25 +130,18 @@ func (l *LeakLint) checkGoroutines(pkg *Package, fn *ast.FuncDecl, decls map[*ty
 			if !ok {
 				return true
 			}
-			decl, ok := decls[obj]
-			if !ok {
+			if decl, ok = decls[obj]; !ok {
 				return true // body outside this package; out of scope
-			}
-			if FuncDirective(decl, "leak-ok") {
-				return true
 			}
 			body, what = decl.Body, "goroutine "+obj.Name()
 		}
-		if body == nil {
+		if body == nil || BuildCFG(body).ReachesExit() || pkg.DirectiveAt("leak-ok", g) ||
+			(decl != nil && pkg.FuncDirective(decl, "leak-ok")) {
 			return true
 		}
-		if !BuildCFG(body).ReachesExit() {
-			if !pkg.DirectiveAt("leak-ok", g) {
-				out = append(out, pkg.diag("leaklint", g,
-					"%s in %s has no reachable stop path (no route to return); add a ctx/done exit or annotate //socrates:leak-ok <reason>",
-					what, fn.Name.Name))
-			}
-		}
+		out = append(out, pkg.diag("leaklint", g,
+			"%s in %s has no reachable stop path (no route to return); add a ctx/done exit or annotate //socrates:leak-ok <reason>",
+			what, fn.Name.Name))
 		return true
 	})
 	return out

@@ -66,12 +66,9 @@ var lsnOrderOps = map[token.Token]bool{
 	token.LSS: true, token.LEQ: true, token.GTR: true, token.GEQ: true,
 }
 
-// approvedFunc reports whether fn is an approved helper: a method on the
-// LSN type or a function annotated //socrates:lsn-helper.
-func (l *LSNLint) approvedFunc(pkg *Package, fn *ast.FuncDecl) bool {
-	if FuncDirective(fn, "lsn-helper") {
-		return true
-	}
+// lsnMethod reports whether fn is a method on the LSN type: those ARE the
+// helpers.
+func (l *LSNLint) lsnMethod(pkg *Package, fn *ast.FuncDecl) bool {
 	if fn.Recv == nil || len(fn.Recv.List) == 0 {
 		return false
 	}
@@ -89,19 +86,19 @@ func (l *LSNLint) approvedFunc(pkg *Package, fn *ast.FuncDecl) bool {
 // Run implements Pass.
 func (l *LSNLint) Run(pkg *Package) []Diagnostic {
 	var out []Diagnostic
-	flag := func(node ast.Node, what, op string) {
-		if pkg.DirectiveAt("lsn-ok", node) {
-			return
-		}
-		out = append(out, pkg.diag("lsnlint", node,
-			"raw LSN %s (%s) outside an approved helper; use the page.LSN methods or annotate the helper //socrates:lsn-helper <reason>",
-			what, op))
-	}
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || l.approvedFunc(pkg, fn) {
+			if !ok || fn.Body == nil || l.lsnMethod(pkg, fn) {
 				continue
+			}
+			flag := func(node ast.Node, what, op string) {
+				if pkg.FuncDirective(fn, "lsn-helper") || pkg.DirectiveAt("lsn-ok", node) {
+					return
+				}
+				out = append(out, pkg.diag("lsnlint", node,
+					"raw LSN %s (%s) outside an approved helper; use the page.LSN methods or annotate the helper //socrates:lsn-helper <reason>",
+					what, op))
 			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				switch e := n.(type) {

@@ -88,7 +88,7 @@ func (l *WaitLint) Run(pkg *Package) []Diagnostic {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			hot := FuncDirective(fn, "hotpath")
+			hot := pkg.FuncDirective(fn, "hotpath")
 			out = append(out, l.checkBody(pkg, f, fn.Name.Name, fn.Body, hot)...)
 			// Function literals run on their own schedule (goroutines,
 			// AfterFunc callbacks): a region opened by the enclosing

@@ -70,7 +70,7 @@ func TestFailoverRacesInFlightCommits(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("only %d acks before deadline", n)
 		}
-		time.Sleep(time.Millisecond) //socrates:sleep-ok deadline-bounded poll for writer progress
+		time.Sleep(time.Millisecond) // deadline-bounded poll for writer progress
 	}
 	next, _, err := c.Failover()
 	if err != nil {

@@ -88,7 +88,7 @@ func runBatcherProperty(t *testing.T, seed int64) {
 				acks[c] = append(acks[c], ackSample{
 					lsn: lsn, lzHardened: lz.HardenedEnd(), wHardened: w.HardenedEnd()})
 				if gap := rng.Intn(200); gap > 0 {
-					time.Sleep(time.Duration(gap) * time.Microsecond) //socrates:sleep-ok randomized arrival gap drives schedule diversity; assertions are ordering-based
+					time.Sleep(time.Duration(gap) * time.Microsecond) // randomized arrival gap drives schedule diversity; assertions are ordering-based
 				}
 			}
 		}()

@@ -113,7 +113,7 @@ func TestLogWriterFeedsXLOG(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("fed=%d reports=%d", f, h)
 		}
-		time.Sleep(time.Millisecond) //socrates:sleep-ok deadline-bounded poll for async feed sends
+		time.Sleep(time.Millisecond) // deadline-bounded poll for async feed sends
 	}
 }
 

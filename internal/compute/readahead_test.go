@@ -329,7 +329,7 @@ func TestReadAheadQueuedRedoReachesJoinerAndCache(t *testing.T) {
 	// The reader is in the flight once the coalescer has counted it.
 	within(t, "the reader joining the flight", func() {
 		for reg.Counter("netmux.coalesce.hits").Value() == 0 {
-			time.Sleep(50 * time.Microsecond) //socrates:sleep-ok deadline-bounded poll for the reader goroutine to reach the coalescer
+			time.Sleep(50 * time.Microsecond) // deadline-bounded poll for the reader goroutine to reach the coalescer
 		}
 	})
 	close(rel)
@@ -384,7 +384,7 @@ func TestReadAheadHitCountsOnce(t *testing.T) {
 	within(t, "the failing read-ahead", func() { (<-arrived) <- errors.New("page server hiccup") })
 	within(t, "read-ahead to land", func() {
 		for reg.Counter("compute.rbpex.ahead.parked").Value() != 1 {
-			time.Sleep(50 * time.Microsecond) //socrates:sleep-ok deadline-bounded poll for the background install
+			time.Sleep(50 * time.Microsecond) // deadline-bounded poll for the background install
 		}
 	})
 	if !f.Cache().Contains(3) || joined.Value() != 0 {
@@ -415,7 +415,7 @@ func TestReadAheadHitCountsOnce(t *testing.T) {
 			if !pending {
 				break
 			}
-			time.Sleep(50 * time.Microsecond) //socrates:sleep-ok deadline-bounded poll for the failed background fetch to end
+			time.Sleep(50 * time.Microsecond) // deadline-bounded poll for the failed background fetch to end
 		}
 		if _, err := f.Read(4); err != nil {
 			t.Errorf("read after a failed hint: %v", err)
@@ -440,7 +440,7 @@ func TestRedoReachesParkedPageBeforeItsReader(t *testing.T) {
 	f.Prefetch([]page.ID{3})
 	within(t, "the read-ahead to park its page", func() {
 		for reg.Counter("compute.rbpex.ahead.parked").Value() != 1 {
-			time.Sleep(50 * time.Microsecond) //socrates:sleep-ok deadline-bounded poll for the background install
+			time.Sleep(50 * time.Microsecond) // deadline-bounded poll for the background install
 		}
 	})
 	f.Close() // the registration is over when the fetch's goroutine is
@@ -782,7 +782,7 @@ func TestCommitLeavesItsWriteSetProtected(t *testing.T) {
 	f.Prefetch(leaves)
 	within(t, "the hinted leaves to land", func() {
 		for reg.Counter("compute.rbpex.ahead.parked").Value() != uint64(len(leaves)) {
-			time.Sleep(50 * time.Microsecond) //socrates:sleep-ok deadline-bounded poll for the background installs
+			time.Sleep(50 * time.Microsecond) // deadline-bounded poll for the background installs
 		}
 	})
 
@@ -880,7 +880,7 @@ func TestSecondaryAppliedBeforeVisible(t *testing.T) {
 	}()
 	within(t, "the first block's commit to become visible", func() {
 		for clock.Visible() < 101 {
-			time.Sleep(50 * time.Microsecond) //socrates:sleep-ok deadline-bounded poll for the apply thread to reach the held lock
+			time.Sleep(50 * time.Microsecond) // deadline-bounded poll for the apply thread to reach the held lock
 		}
 	})
 	if vis, applied := clock.Visible(), sec.AppliedLSN(); vis != 101 || !applied.After(commit1) || applied.After(commit2) {

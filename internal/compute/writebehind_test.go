@@ -26,7 +26,7 @@ func until(t *testing.T, what string, cond func() bool) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%s: still waiting after %v", what, hangGuard)
 		}
-		time.Sleep(50 * time.Microsecond) //socrates:sleep-ok deadline-bounded poll for an event another goroutine brings about
+		time.Sleep(50 * time.Microsecond) // deadline-bounded poll for an event another goroutine brings about
 	}
 }
 

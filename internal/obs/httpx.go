@@ -78,18 +78,15 @@ func NewHTTPHandler(o Plane) http.Handler {
 
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		//socrates:ignore-err exposition write errors mean the scraper hung up; nothing to recover
+		// A write error means the scraper hung up: nothing to recover.
 		_ = o.Metrics.WritePrometheus(w)
-		//socrates:ignore-err exposition write errors mean the scraper hung up; nothing to recover
 		_ = WritePrometheusWatermarks(w, o.Watermarks)
-		//socrates:ignore-err exposition write errors mean the scraper hung up; nothing to recover
 		_ = WritePrometheusWaits(w, o.Waits)
 	})
 
 	mux.HandleFunc("/waits", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Get("format") == "prom" {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			//socrates:ignore-err exposition write errors mean the scraper hung up; nothing to recover
 			_ = WritePrometheusWaits(w, o.Waits)
 			return
 		}
@@ -111,7 +108,6 @@ func NewHTTPHandler(o Plane) http.Handler {
 
 	mux.HandleFunc("/flight", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		//socrates:ignore-err exposition write errors mean the scraper hung up; nothing to recover
 		_ = o.Flight.Dump(w)
 	})
 
@@ -160,7 +156,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	//socrates:ignore-err exposition write errors mean the scraper hung up; nothing to recover
 	_ = enc.Encode(v)
 }
 
@@ -179,7 +174,8 @@ func Serve(addr string, h http.Handler) (*HTTPServer, error) {
 	}
 	srv := &http.Server{Handler: h}
 	go func() {
-		//socrates:ignore-err http.Serve returns ErrServerClosed on Close; real accept errors end the listener, which Close surfaces
+		// Serve returns ErrServerClosed on Close; a real accept error ends the
+		// listener, which Close surfaces.
 		_ = srv.Serve(ln)
 	}()
 	return &HTTPServer{ln: ln, srv: srv}, nil

@@ -51,7 +51,8 @@ func NewPlane(cfg WatchdogConfig) Plane {
 	p.Watchdog.OnTrip(func(t Trip) {
 		p.Flight.Record("obs", "watchdog.trip", 0, t.LagTime, string(t.Kind)+": "+t.Detail)
 		var buf bytes.Buffer
-		//socrates:ignore-err dumping to a bytes.Buffer cannot fail; the encoder only errors on unmarshalable values and FlightEvent is plain data
+		// Dumping to a bytes.Buffer cannot fail: the encoder only errors on
+		// unmarshalable values, and FlightEvent is plain data.
 		_ = p.Flight.Dump(&buf)
 		p.trip.mu.Lock()
 		if p.trip.dump == nil {

@@ -327,7 +327,7 @@ func TestFlightConcurrentWritersAndDumper(t *testing.T) {
 			default:
 			}
 			_ = f.Events()
-			//socrates:ignore-err io.Discard cannot fail; this loop only exercises the reader path under race
+			// io.Discard cannot fail; this loop only exercises the reader path under race
 			_ = f.Dump(io.Discard)
 		}
 	}()
@@ -342,7 +342,7 @@ func TestFlightConcurrentWritersAndDumper(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		for f.Recorded() < 16000 {
-			time.Sleep(time.Millisecond) //socrates:sleep-ok test polling for writer completion
+			time.Sleep(time.Millisecond) // test polling for writer completion
 		}
 		close(stop)
 		close(done)

@@ -333,7 +333,7 @@ func TestPageRedirtiedDuringSweepStaysDirty(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("the sweep never reached the device")
 		}
-		time.Sleep(50 * time.Microsecond) //socrates:sleep-ok deadline-bounded poll for the sweep goroutine to reach the held device
+		time.Sleep(50 * time.Microsecond) // deadline-bounded poll for the sweep goroutine to reach the held device
 	}
 	end = r.emit(t, imageRec(5, 'b'), wal.NewCommit(2, 2))
 	if !srv.WaitApplied(end.Prev(), 5*time.Second) {
