@@ -22,6 +22,7 @@ RACE_PKGS := ./internal/compute ./internal/hadr ./internal/simdisk \
 
 all: lint test
 
+# socrates-vet: the seven passes, then every waiver that suppressed nothing.
 lint: fmt vet
 	$(GO) run ./cmd/socrates-vet ./...
 
@@ -70,7 +71,9 @@ repl-stress:
 # Hot-path allocation contracts (AllocsPerRun budgets; they skip themselves
 # under -race; rbpex: a memory hit 0 — segment moves included — and an
 # evicting Put <= 9) and a short fuzz of the B-tree node view against the
-# decoded node it replaced.
+# decoded node it replaced. The contracts are the only allocation gate:
+# every //socrates:hotpath function is reached by one, and its directive
+# names which.
 allocs:
 	$(GO) test -count=1 -run 'Allocs$$' ./internal/btree ./internal/engine ./internal/pageserver ./internal/compute ./internal/netmux ./internal/rbpex
 	$(GO) test -run '^$$' -fuzz=FuzzNodeView -fuzztime=10s ./internal/btree

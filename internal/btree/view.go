@@ -72,7 +72,7 @@ func (v *view) covers(key []byte) bool {
 // cellAt decodes the cell starting at off and returns the offset just past
 // it.
 //
-//socrates:hotpath once per cell walked
+//socrates:hotpath once per cell walked; TestTreeGetAllocs, TestTreeScanAllocs
 func (v *view) cellAt(off int) (key, value []byte, next int, err error) {
 	d := v.data
 	if len(d) < off+2 {
@@ -162,7 +162,7 @@ func (v *view) iter() cellIter { return cellIter{v: v, off: v.first} }
 
 // next returns the next cell; ok is false once the cells are exhausted.
 //
-//socrates:hotpath once per cell of every scan
+//socrates:hotpath once per cell of every scan; TestTreeScanAllocs
 func (it *cellIter) next() (key, value []byte, ok bool, err error) {
 	if it.i == it.v.count {
 		return nil, nil, false, it.v.end(it.off)

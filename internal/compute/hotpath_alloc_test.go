@@ -3,6 +3,7 @@ package compute
 import (
 	"testing"
 
+	"socrates/internal/btree"
 	"socrates/internal/page"
 	"socrates/internal/testutil"
 	"socrates/internal/wal"
@@ -41,5 +42,53 @@ func TestCommitAppendAllocs(t *testing.T) {
 	t.Logf("commit append: %.2f allocs/op (budget 0)", avg)
 	if avg > 0 {
 		t.Fatalf("commit append: %.2f allocs/op, budget 0", avg)
+	}
+}
+
+// TestSecondaryApplyAllocs is the allocation contract for
+// Secondary.applyRecord, run once per record of a secondary's apply feed. A
+// record for a page the secondary does not cache is ignored (§4.5) and
+// allocates nothing; one for a cached page costs btree redo — the spliced
+// payload and the new page around it — and nothing of its own.
+func TestSecondaryApplyAllocs(t *testing.T) {
+	testutil.SkipIfRace(t)
+
+	f := newRemoteFile(t, &pageServerStub{lsn: 1}, 1)
+	s := &Secondary{pages: f}
+	const cached, uncached = 5, 6
+	if applied, err := f.ApplyIfCached(&wal.Record{LSN: 2, Kind: wal.KindPageImage,
+		Page: cached, PageType: page.TypeLeaf, Value: btree.EmptyNodePayload()}); err != nil || !applied {
+		t.Fatalf("admitting the cached page: %v %v", applied, err)
+	}
+
+	const runs = 200
+	lsn := page.LSN(2)
+	for _, c := range []struct {
+		name   string
+		id     page.ID
+		budget float64
+	}{
+		{"ignored", uncached, 0},
+		{"cached", cached, 2},
+	} {
+		recs := make([]*wal.Record, runs+1)
+		for i := range recs {
+			lsn = lsn.Next()
+			recs[i] = &wal.Record{LSN: lsn, Kind: wal.KindCellPut, Page: c.id,
+				Key: []byte("k"), Value: []byte("v")}
+		}
+		i := 0
+		avg := testing.AllocsPerRun(runs, func() {
+			s.applyRecord(recs[i])
+			i++
+		})
+		t.Logf("secondary apply, %s page: %.1f allocs/op (budget %.0f)", c.name, avg, c.budget)
+		if avg > c.budget {
+			t.Errorf("secondary apply, %s page: %.1f allocs/op, budget %.0f", c.name, avg, c.budget)
+		}
+	}
+	if s.appliedRecs.Load() != runs+1 || s.ignored.Load() != runs+1 {
+		t.Fatalf("applied %d, ignored %d records; want %d of each",
+			s.appliedRecs.Load(), s.ignored.Load(), runs+1)
 	}
 }

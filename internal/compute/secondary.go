@@ -350,7 +350,7 @@ func (s *Secondary) advance(mark *page.LSN, lsn page.LSN) {
 // applyRecord applies one redo page operation from the log feed; other
 // records pass through.
 //
-//socrates:hotpath runs once per record in the secondary's apply feed; budget enforced by TestApplyFeedAllocs
+//socrates:hotpath runs once per record in the secondary's apply feed; budget enforced by TestSecondaryApplyAllocs
 func (s *Secondary) applyRecord(rec *wal.Record) {
 	if !rec.IsPageOp() {
 		return

@@ -313,7 +313,7 @@ type WaitRecorder struct {
 // Observe records one pre-measured wait. ctx may be nil (background
 // loops, device lanes without request context).
 //
-//socrates:hotpath the universal record path under every WaitPoint; must stay allocation-free
+//socrates:hotpath the universal record path under every WaitPoint; TestMuxCallAllocs
 func (r *WaitRecorder) Observe(ctx context.Context, class WaitClass, d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -343,7 +343,7 @@ func (r *WaitRecorder) Wait(ctx context.Context, class WaitClass, fn func()) {
 // Begin opens a wait region; End records it. WaitRegion is a value —
 // Begin/End on a hot path allocates nothing.
 //
-//socrates:hotpath region entry used inside netmux Call and GetPage budgets
+//socrates:hotpath region entry on every netmux call and GetPage; TestMuxCallAllocs, TestGetPageAllocs
 func (r *WaitRecorder) Begin(ctx context.Context, class WaitClass) WaitRegion {
 	return WaitRegion{rec: r, ctx: ctx, class: class, start: time.Now()}
 }
@@ -367,7 +367,7 @@ type WaitRegion struct {
 // End closes the region and records the wait. End on a zero WaitRegion
 // is a no-op.
 //
-//socrates:hotpath region exit used inside netmux Call and GetPage budgets
+//socrates:hotpath region exit on every netmux call; TestMuxCallAllocs
 func (w WaitRegion) End() {
 	if w.start.IsZero() {
 		return

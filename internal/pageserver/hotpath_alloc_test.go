@@ -2,52 +2,83 @@ package pageserver
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"socrates/internal/page"
+	"socrates/internal/rbio"
 	"socrates/internal/testutil"
 	"socrates/internal/wal"
 )
 
 // TestGetPageAllocs is the allocation contract for the warm-cache
-// GetPage@LSN path — the paper's defining latency path. The server is
-// stopped before measuring so the background pull and checkpoint loops
-// cannot pollute the global allocation counter; a stopped server still
-// serves cached pages (the apply watermark is already past minLSN).
+// GetPage@LSN path — the paper's defining latency path — in its three
+// forms: one page, a range of pages, and one page served over RBIO. The
+// server is stopped before measuring so the background pull and checkpoint
+// loops cannot pollute the global allocation counter; a stopped server
+// still serves cached pages (the apply watermark is already past minLSN).
 func TestGetPageAllocs(t *testing.T) {
 	testutil.SkipIfRace(t)
 
 	r := newRig(t, page.Partitioning{})
 	srv := r.server(t, Config{})
-	end := r.emit(t, imageRec(5, 'a'), wal.NewCommit(1, 1))
+	end := r.emit(t, imageRec(5, 'a'), imageRec(6, 'b'), imageRec(7, 'c'),
+		imageRec(8, 'd'), wal.NewCommit(1, 1))
 
 	ctx := context.Background()
 	minLSN := end.Prev()
-	if _, err := srv.GetPage(ctx, 5, minLSN); err != nil {
+	if _, err := srv.GetPageRange(ctx, 5, 4, minLSN); err != nil {
 		t.Fatal(err)
 	}
 	srv.Stop() // quiesce background loops; the cache stays warm
 
-	avg := testing.AllocsPerRun(200, func() {
-		if _, err := srv.GetPage(ctx, 5, minLSN); err != nil {
-			t.Fatal(err)
+	handle := srv.Handler()
+	req := &rbio.Request{Type: rbio.MsgGetPage, Page: 5, LSN: minLSN}
+	for _, c := range []struct {
+		name   string
+		budget float64
+		op     func() error
+	}{
+		// The page is served from cache without copying; with the
+		// observability plane off nothing else allocates either.
+		{"GetPage", 0, func() error {
+			_, err := srv.GetPage(ctx, 5, minLSN)
+			return err
+		}},
+		// The range read's one I/O buffer and its page slice.
+		{"GetPageRange", 2, func() error {
+			_, err := srv.GetPageRange(ctx, 5, 4, minLSN)
+			return err
+		}},
+		// The response and the one payload buffer every page image is
+		// encoded into.
+		{"Handler", 2, func() error {
+			if resp := handle(ctx, req); resp.Status != rbio.StatusOK {
+				return errors.New(resp.Error)
+			}
+			return nil
+		}},
+	} {
+		avg := testing.AllocsPerRun(200, func() {
+			if err := c.op(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("warm %s: %.1f allocs/op (budget %.0f)", c.name, avg, c.budget)
+		if avg > c.budget {
+			t.Errorf("warm %s: %.1f allocs/op, budget %.0f", c.name, avg, c.budget)
 		}
-	})
-	// Tracing spans and latency observation dominate; the page itself is
-	// served from cache without copying.
-	const budget = 8
-	t.Logf("warm GetPage: %.1f allocs/op (budget %d)", avg, budget)
-	if avg > budget {
-		t.Fatalf("warm GetPage: %.1f allocs/op, budget %d", avg, budget)
 	}
 }
 
-// TestApplyFeedAllocs is the allocation contract for the per-record apply
-// path. The touched map and target page are warm — exactly the state of a
-// batch coalescing many records onto one hot page — so the measured cost
-// is btree redo itself (the spliced payload and the new page around it),
-// not batch bookkeeping.
+// TestApplyFeedAllocs is the allocation contract for the apply feed: the
+// per-record redo path, and one pull of the batch loop. For redo, the
+// touched map and target page are warm — exactly the state of a batch
+// coalescing many records onto one hot page — so the measured cost is btree
+// redo itself (the spliced payload and the new page around it), not batch
+// bookkeeping. The pull finds the feed caught up: its cost is the request
+// to XLOG and the empty answer.
 func TestApplyFeedAllocs(t *testing.T) {
 	testutil.SkipIfRace(t)
 
@@ -90,5 +121,16 @@ func TestApplyFeedAllocs(t *testing.T) {
 	t.Logf("apply record: %.1f allocs/op (budget %d)", avg, budget)
 	if avg > budget {
 		t.Fatalf("apply record: %.1f allocs/op, budget %d", avg, budget)
+	}
+
+	avg = testing.AllocsPerRun(runs, func() {
+		if srv.pullOnce() {
+			t.Fatal("a caught-up feed applied a batch")
+		}
+	})
+	const pullBudget = 4
+	t.Logf("idle pull: %.1f allocs/op (budget %d)", avg, pullBudget)
+	if avg > pullBudget {
+		t.Fatalf("idle pull: %.1f allocs/op, budget %d", avg, pullBudget)
 	}
 }
