@@ -225,8 +225,8 @@ func TestRemoteFilePendingQueueProtocol(t *testing.T) {
 // TestFetchInstallOwnership pins the two halves of the §4.5 hand-over. The
 // fetch that registered a page drains the queue, installs the page, and
 // unregisters only once the queue is empty — so records arriving while it
-// installs are applied too. A fetch that overlaps it installs nothing and
-// leaves the owner's queue alone.
+// installs are applied too. A fetch that overlaps it waits for the owner's
+// page, takes it with the queued redo applied, and installs nothing.
 func TestFetchInstallOwnership(t *testing.T) {
 	f := newRemoteFile(t, &pageServerStub{lsn: 10}, 1)
 	cellPut := func(lsn page.LSN, key string) *wal.Record {
@@ -241,35 +241,51 @@ func TestFetchInstallOwnership(t *testing.T) {
 	if !f.QueueIfPending(cellPut(11, "a")) {
 		t.Fatal("record not queued behind the registered fetch")
 	}
-	if pg, err := f.Read(3); err != nil || pg.LSN != 10 {
-		t.Fatalf("overlapping read: %+v %v", pg, err)
+	var overlapping *page.Page
+	var overlapErr error
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		overlapping, overlapErr = f.Read(3)
+	}()
+
+	// The owner receives its image: the queued record is applied and the
+	// page published to the overlapping read.
+	fetched := &page.Page{ID: 3, LSN: 10, Type: page.TypeLeaf, Data: btree.EmptyNodePayload()}
+	pg, err := f.receive(reg, fetched)
+	if err != nil || pg.LSN != 11 {
+		t.Fatalf("receive: %+v %v", pg, err)
+	}
+	within(t, "the overlapping read", func() { <-read })
+	if overlapErr != nil || overlapping != pg {
+		t.Fatalf("overlapping read: %+v %v, want the owner's page at LSN 11", overlapping, overlapErr)
 	}
 	f.mu.Lock()
-	registered, queued := f.pending[3] == reg, len(reg.queued)
+	registered := f.pending[3] == reg
 	f.mu.Unlock()
-	if f.Cache().Contains(3) || !registered || queued != 1 {
-		t.Fatalf("overlapping fetch interfered: cached %v registered %v queued %d",
-			f.Cache().Contains(3), registered, queued)
+	if f.Cache().Contains(3) || !registered {
+		t.Fatalf("overlapping fetch interfered: cached %v registered %v", f.Cache().Contains(3), registered)
 	}
 
-	// The owner installs: the queued record is applied, the registration is
-	// gone, and the next record finds the page cached.
-	fetched := &page.Page{ID: 3, LSN: 10, Type: page.TypeLeaf, Data: btree.EmptyNodePayload()}
-	pg, err := f.install(reg, fetched)
-	if err != nil || pg.LSN != 11 {
+	// The owner installs: the record queued since is applied, the
+	// registration is gone, and the next record finds the page cached.
+	if !f.QueueIfPending(cellPut(12, "b")) {
+		t.Fatal("record not queued behind the receiving owner")
+	}
+	if pg, err = f.install(reg, pg); err != nil || pg.LSN != 12 {
 		t.Fatalf("install: %+v %v", pg, err)
 	}
-	if f.QueueIfPending(cellPut(12, "b")) {
+	if f.QueueIfPending(cellPut(13, "c")) {
 		t.Fatal("registration outlived the install")
 	}
-	if applied, err := f.ApplyIfCached(cellPut(12, "b")); err != nil || !applied {
+	if applied, err := f.ApplyIfCached(cellPut(13, "c")); err != nil || !applied {
 		t.Fatalf("record after install: %v %v", applied, err)
 	}
-	if lsn, _ := f.Cache().GetLSN(3); lsn != 12 {
-		t.Fatalf("cached LSN = %d, want 12", lsn)
+	if lsn, _ := f.Cache().GetLSN(3); lsn != 13 {
+		t.Fatalf("cached LSN = %d, want 13", lsn)
 	}
 	if fetched.LSN != 10 || len(fetched.Data) != len(btree.EmptyNodePayload()) {
-		t.Fatal("install edited the fetched page")
+		t.Fatal("receive or install edited the fetched page")
 	}
 }
 

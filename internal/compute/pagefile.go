@@ -10,12 +10,12 @@ import (
 
 	"socrates/internal/btree"
 	"socrates/internal/fcb"
-	"socrates/internal/netmux"
 	"socrates/internal/obs"
 	"socrates/internal/page"
 	"socrates/internal/pageserver"
 	"socrates/internal/rbio"
 	"socrates/internal/rbpex"
+	"socrates/internal/socerr"
 	"socrates/internal/wal"
 )
 
@@ -49,11 +49,6 @@ type RemotePageFile struct {
 
 	fetches atomic.Int64
 
-	// coal coalesces concurrent GetPage@LSN misses for the same page
-	// into one wire RPC (netmux singleflight). It is also what pairs a
-	// reader with the read-ahead fetch of the page it asks for.
-	coal *netmux.Coalescer
-
 	// Read-ahead fetches run on goroutines of their own: bounded by ahead
 	// (cancelled by Close), at most rangeFanout at a time (window), and
 	// waited for by Close (aheadWG).
@@ -67,30 +62,33 @@ type RemotePageFile struct {
 }
 
 // registration is the §4.5 registration of one page: from the moment a fetch
-// of the page is decided to the moment its image is in the cache. The fetch
-// that created it owns it; overlapping fetches of the page only read it.
+// of the page is decided to the moment its image is in the cache. It is the
+// one place concurrent misses of the page meet (DESIGN §12.3). The fetch that
+// created it owns it and alone asks the page server; an overlapping fetch
+// joins it and takes the owner's page, or asks for itself (register says
+// which).
 type registration struct {
+	// lsn is the minimum LSN the owner asks for, recorded when it registered
+	// (under RemotePageFile.mu). Every redo record the apply thread handles
+	// from then on is queued here, so the owner's page with that redo applied
+	// is current for any reader whose minimum LSN is at or below lsn.
+	lsn page.LSN
 	// queued is the redo that arrived for the page meanwhile (under
 	// RemotePageFile.mu); the owner applies it before the page is cached.
 	queued []*wal.Record
-	// resp is the page server's answer to the first request made for the
-	// page under this registration, asked for at respLSN (under
-	// RemotePageFile.mu). See request.
-	resp    *rbio.Response
-	respLSN page.LSN
 	// readahead marks a registration made by Prefetch: nobody is blocked
 	// on its fetch unless a reader joins it — joined, under
 	// RemotePageFile.mu, says one has.
 	readahead, joined bool
 	// got is closed once the owner has its page, or has failed: pg is then
 	// that page — the image fetched, with the redo queued during the flight
-	// applied — or nil. Readers that shared the owner's flight take it.
+	// applied — or nil. Readers that joined the registration take it.
 	got chan struct{}
 	pg  *page.Page
 }
 
-func newRegistration(readahead bool) *registration {
-	return &registration{readahead: readahead, got: make(chan struct{})}
+func newRegistration(lsn page.LSN, readahead bool) *registration {
+	return &registration{lsn: lsn, readahead: readahead, got: make(chan struct{})}
 }
 
 // publish hands the owner's page (nil: it has none) to the readers waiting
@@ -104,14 +102,14 @@ func (r *registration) publish(pg *page.Page) {
 	}
 }
 
-// await returns the page the owning fetch got, or nil if that fetch failed
-// or ctx ended first.
-func (r *registration) await(ctx context.Context) *page.Page {
+// await returns the page the owning fetch got — nil if that fetch failed —
+// or ctx's error if ctx ends first.
+func (r *registration) await(ctx context.Context) (*page.Page, error) {
 	select {
 	case <-r.got:
-		return r.pg
+		return r.pg, nil
 	case <-ctx.Done():
-		return nil
+		return nil, socerr.FromContext(ctx.Err())
 	}
 }
 
@@ -121,22 +119,21 @@ func (r *registration) await(ctx context.Context) *page.Page {
 // o wires it into the observability plane. A remote GetPage@LSN miss under
 // a traced request becomes a "compute.getpage" span, and every miss records
 // compute.getpage.* metrics and drops a flight event, as does every
-// eviction. The miss coalescer's hit/miss counters (netmux.coalesce.*), the
+// eviction. The registrations' hit/miss counters (netmux.coalesce.*: a
+// reader that took another fetch's page, a request put on the wire), the
 // read-ahead counters (compute.readahead.*) and the cache's own
 // (compute.rbpex.writebehind.*, compute.rbpex.ahead.*) land on the same
 // registry. compute.readahead.joined counts the hints that met their reader:
 // in flight (register), or parked in the cache — which the cache counts, at
 // the page's first read. The time a reader is blocked on a miss (its own
-// RPC, a coalesced one, or the rest of a read-ahead flight it joined)
-// records under page.remote; a read-ahead fetch blocks nobody and records
-// nothing.
+// request, or the rest of the flight it joined) records under page.remote; a
+// read-ahead fetch blocks nobody and records nothing.
 func NewRemotePageFile(cfg rbpex.Config, resolve Resolver, floor func() page.LSN, o obs.Plane) (*RemotePageFile, error) {
 	f := &RemotePageFile{
 		resolve: resolve,
 		floor:   floor,
 		evicted: make(map[page.ID]page.LSN),
 		pending: make(map[page.ID]*registration),
-		coal:    netmux.NewCoalescer(netmux.NewMetrics(o.Metrics)),
 		window:  make(chan struct{}, rangeFanout),
 		obs:     o,
 		waits:   o.Waits.Tier(obs.TierCompute),
@@ -194,9 +191,13 @@ func (f *RemotePageFile) evictedLSN(id page.ID) page.LSN {
 // known, else the node's floor.
 func (f *RemotePageFile) minLSN(id page.ID) page.LSN {
 	f.mu.Lock()
-	lsn, ok := f.evicted[id]
-	f.mu.Unlock()
-	if ok {
+	defer f.mu.Unlock()
+	return f.minLSNLocked(id)
+}
+
+// minLSNLocked is minLSN with f.mu held.
+func (f *RemotePageFile) minLSNLocked(id page.ID) page.LSN {
+	if lsn, ok := f.evicted[id]; ok {
 		return lsn
 	}
 	return f.floor()
@@ -223,23 +224,40 @@ func (f *RemotePageFile) ReadContext(ctx context.Context, id page.ID) (*page.Pag
 // registration: it alone drains the queue and installs the page, so a
 // second, overlapping fetch can neither take queued records away from it nor
 // put a copy without them over its.
+//
+// An overlapping fetch joins the registration if it needs no newer version
+// than the owner asks for; otherwise — on a primary, the page was written and
+// evicted again at a newer LSN meanwhile — it gets nil and asks for itself.
+//
+// The floor is read under f.mu, in the same critical section that inserts
+// the registration: every record the apply thread handles before it is below
+// the floor, every one after it is queued. f.mu is therefore taken before a
+// secondary's watermark lock, never after it.
 func (f *RemotePageFile) register(id page.ID) (reg *registration, owner bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	minLSN := f.minLSNLocked(id)
 	if reg, ok := f.pending[id]; ok {
+		if minLSN.After(reg.lsn) {
+			return nil, false
+		}
 		if reg.readahead && !reg.joined {
 			reg.joined = true
 			f.obs.Metrics.Counter("compute.readahead.joined").Inc()
 		}
 		return reg, false
 	}
-	reg = newRegistration(false)
+	reg = newRegistration(minLSN, false)
 	f.pending[id] = reg
 	return reg, true
 }
 
-// fetch gets the page from its page server. The owner of the registration
-// also installs it in the cache and ends the registration.
+// fetch gets the page for a miss. The owner of the registration asks the
+// page server at the registration's LSN, installs the page and ends the
+// registration. A reader that joined it takes the owner's page. Any other
+// reader — told by register to ask for itself, or whose owner failed or was
+// cancelled — asks the page server at its own minimum LSN and installs
+// nothing: the cache is the owner's to fill.
 func (f *RemotePageFile) fetch(ctx context.Context, id page.ID, reg *registration, owner bool) (*page.Page, error) {
 	if owner {
 		defer func() {
@@ -266,10 +284,6 @@ func (f *RemotePageFile) fetch(ctx context.Context, id page.ID, reg *registratio
 	// background: this is a read-ahead fetch, with no reader behind it.
 	background := owner && reg.readahead
 
-	sel, err := f.resolve(id)
-	if err != nil {
-		return nil, err
-	}
 	start := time.Now()
 	// A GetPage@LSN miss is itself a request worth tracing (§7 Table 4
 	// reads its latency breakdown off this span tree): join the caller's
@@ -286,43 +300,36 @@ func (f *RemotePageFile) fetch(ctx context.Context, id page.ID, reg *registratio
 		note += " readahead"
 	}
 	f.obs.Metrics.Counter("compute.getpage.remote").Inc()
-	minLSN := f.minLSN(id)
-	// page.remote is the time a reader is blocked here, whoever holds the
-	// RPC: its own call, a coalesced one, or what was left of a read-ahead
-	// flight when it joined. Read-ahead itself blocks nobody; recording its
-	// flight time too would count the same milliseconds twice.
+	// page.remote is the time a reader is blocked here: on its own request,
+	// or on what was left of the flight it joined. Read-ahead itself blocks
+	// nobody; recording its flight time too would count the same
+	// milliseconds twice.
 	var region obs.WaitRegion
 	if !background {
 		region = f.waits.Begin(ctx, obs.WaitPageRemote)
 	}
-	// Coalesce with any in-flight fetch of the same page at a compatible
-	// LSN: concurrent misses — a reader and the read-ahead of its page
-	// among them — share one wire RPC (netmux singleflight).
-	resp, shared, err := f.coal.Do(ctx, id, minLSN, func() (*rbio.Response, error) {
-		return f.request(ctx, sel, reg, id, minLSN)
-	})
 	var pg *page.Page
-	switch {
-	case err != nil:
-	case owner:
-		pg, err = f.receive(reg, resp)
-	case shared:
-		// The flight this reader shared is, as a rule, the owner's. Take
-		// the owner's page rather than the bare response: it has the redo
-		// queued during the flight applied, so every reader of one flight
-		// sees the version the cache is about to.
-		if pg = reg.await(ctx); pg == nil {
-			pg, err = decodePage(resp)
+	var err error
+	var minLSN page.LSN
+	if reg != nil {
+		minLSN = reg.lsn
+		if !owner {
+			if pg, err = reg.await(ctx); pg != nil {
+				// Named for the coalescer this rule replaced: bench/ reads it.
+				f.obs.Metrics.Counter("netmux.coalesce.hits").Inc()
+				span.SetAttr("coalesced", "true")
+			}
 		}
-	default:
-		// The owning fetch installs the page. This reader asked for a
-		// version at least minLSN, and the response is one.
-		pg, err = decodePage(resp)
+	}
+	if pg == nil && err == nil {
+		if !owner {
+			minLSN = f.minLSN(id)
+		}
+		if pg, err = f.request(ctx, id, minLSN); err == nil && owner {
+			pg, err = f.receive(reg, pg)
+		}
 	}
 	region.End()
-	if shared {
-		span.SetAttr("coalesced", "true")
-	}
 	f.obs.Metrics.Histogram("compute.getpage.latency").Observe(time.Since(start))
 	f.obs.Flight.RecordTrace(obs.TierCompute, "compute.getpage", uint64(minLSN),
 		span.Context().TraceID, time.Since(start), note)
@@ -336,33 +343,21 @@ func (f *RemotePageFile) fetch(ctx context.Context, id page.ID, reg *registratio
 	return f.install(reg, pg)
 }
 
-// request asks the page server for the page — once for a registration. The
-// response stays with the registration, and a fetch that comes to lead a
-// flight of its own later has it from there: the read-ahead whose reader
-// overtook it, the reader that arrives between the owner's flight and the
-// end of its install. It will do for them if it was asked for at their
-// minLSN or above; a fetch that needs a newer version than that (a
-// secondary's floor has moved) asks again.
-func (f *RemotePageFile) request(ctx context.Context, sel *rbio.Selector, reg *registration, id page.ID, minLSN page.LSN) (*rbio.Response, error) {
-	f.mu.Lock()
-	resp := reg.resp
-	if resp != nil && reg.respLSN.Before(minLSN) {
-		resp = nil
-	}
-	f.mu.Unlock()
-	if resp != nil {
-		return resp, nil
+// request asks the page server for the page at minLSN or newer: one request
+// on the wire, counted by Fetches.
+func (f *RemotePageFile) request(ctx context.Context, id page.ID, minLSN page.LSN) (*page.Page, error) {
+	sel, err := f.resolve(id)
+	if err != nil {
+		return nil, err
 	}
 	f.fetches.Add(1)
+	// Named for the coalescer this rule replaced: bench/ reads it.
+	f.obs.Metrics.Counter("netmux.coalesce.misses").Inc()
 	resp, err := sel.Call(ctx, &rbio.Request{Type: rbio.MsgGetPage, Page: id, LSN: minLSN})
-	if err == nil && resp.Err() == nil {
-		f.mu.Lock()
-		if reg.resp == nil || reg.respLSN.Before(minLSN) {
-			reg.resp, reg.respLSN = resp, minLSN
-		}
-		f.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
-	return resp, err
+	return decodePage(resp)
 }
 
 // decodePage reads the page out of a GetPage response.
@@ -377,19 +372,16 @@ func decodePage(resp *rbio.Response) (*page.Page, error) {
 	return pages[0], nil
 }
 
-// receive makes the owner's page out of the response to its fetch: decoded,
-// the redo queued so far applied, and published to the readers who shared
-// the flight — they go on from here, while the owner goes on to install.
-func (f *RemotePageFile) receive(reg *registration, resp *rbio.Response) (*page.Page, error) {
-	pg, err := decodePage(resp)
-	if err != nil {
-		return nil, err
-	}
+// receive makes the owner's page out of the image its request got: the redo
+// queued so far applied, and published to the readers who joined the
+// registration — they go on from here, while the owner goes on to install.
+func (f *RemotePageFile) receive(reg *registration, pg *page.Page) (*page.Page, error) {
 	f.mu.Lock()
 	queued := reg.queued
 	reg.queued = nil
 	f.mu.Unlock()
-	if pg, err = applyAll(pg, queued); err != nil {
+	pg, err := applyAll(pg, queued)
+	if err != nil {
 		return nil, err
 	}
 	reg.publish(pg)
@@ -451,35 +443,6 @@ func (f *RemotePageFile) install(reg *registration, pg *page.Page) (*page.Page, 
 		}
 		installed, parked = true, unjoined
 	}
-}
-
-// OffloadScan pushes a cell-filtering scan of count pages starting at
-// start down to the owning page server (§4.1.5): only the match summary
-// crosses the network, not the pages.
-func (f *RemotePageFile) OffloadScan(start page.ID, count int, keyLo, keyHi []byte) (pageserver.ScanResult, error) {
-	return f.OffloadScanContext(context.Background(), start, count, keyLo, keyHi)
-}
-
-// OffloadScanContext is OffloadScan bounded by (and traced through) ctx.
-func (f *RemotePageFile) OffloadScanContext(ctx context.Context, start page.ID, count int, keyLo, keyHi []byte) (pageserver.ScanResult, error) {
-	sel, err := f.resolve(start)
-	if err != nil {
-		return pageserver.ScanResult{}, err
-	}
-	resp, err := sel.Call(ctx, &rbio.Request{
-		Type:     rbio.MsgScanCells,
-		Page:     start,
-		MaxBytes: int32(count),
-		LSN:      f.floor(),
-		Payload:  pageserver.EncodeKeyRange(keyLo, keyHi),
-	})
-	if err != nil {
-		return pageserver.ScanResult{}, err
-	}
-	if err := resp.Err(); err != nil {
-		return pageserver.ScanResult{}, err
-	}
-	return pageserver.DecodeScanResult(resp.Payload)
 }
 
 // Write installs a page version in the local cache, which takes ownership

@@ -14,8 +14,8 @@ const rangeFanout = btree.ReadAhead
 
 // Prefetch starts fetching, in the background, those of ids that are neither
 // cached nor being fetched already (btree.Prefetcher). Each goes the way of
-// a miss — §4.5 registration, coalesced GetPage@LSN, queued redo, install —
-// so the Read that follows finds the page cached or joins its flight. It
+// a miss — §4.5 registration, GetPage@LSN, queued redo, install — so the
+// Read that follows finds the page cached or joins its registration. It
 // never blocks: with rangeFanout fetches in flight the hint is dropped, and
 // the Read fetches for itself as it always did.
 func (f *RemotePageFile) Prefetch(ids []page.ID) {
@@ -51,7 +51,7 @@ func (f *RemotePageFile) registerAhead(id page.ID) (reg *registration, dropped b
 		return nil, true
 	}
 	f.aheadWG.Add(1)
-	reg = newRegistration(true)
+	reg = newRegistration(f.minLSNLocked(id), true)
 	f.pending[id] = reg
 	return reg, false
 }

@@ -326,10 +326,10 @@ func TestReadAheadQueuedRedoReachesJoinerAndCache(t *testing.T) {
 		defer close(read)
 		got, readErr = f.Read(3)
 	}()
-	// The reader is in the flight once the coalescer has counted it.
-	within(t, "the reader joining the flight", func() {
-		for reg.Counter("netmux.coalesce.hits").Value() == 0 {
-			time.Sleep(50 * time.Microsecond) // deadline-bounded poll for the reader goroutine to reach the coalescer
+	// The reader has joined the registration once the hint is counted as met.
+	within(t, "the reader joining the registration", func() {
+		for reg.Counter("compute.readahead.joined").Value() == 0 {
+			time.Sleep(50 * time.Microsecond) // deadline-bounded poll for the reader goroutine to register
 		}
 	})
 	close(rel)

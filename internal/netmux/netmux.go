@@ -22,10 +22,6 @@
 //     queue bound fail fast with socerr.ErrBackpressure instead of
 //     piling up goroutines.
 //
-//   - Coalescer: compute-side singleflight for GetPage@LSN misses.
-//     Concurrent misses for the same page at compatible LSNs share one
-//     wire RPC.
-//
 //   - DialTCP: connect and wrap the socket in a MuxConn. The protocol
 //     version travels in every request (rbio.Version) and a mismatch is
 //     answered per request, so there is nothing to exchange first.
@@ -50,8 +46,6 @@ type Metrics struct {
 	Dials        *obs.Counter   // connections opened by pools
 	Evictions    *obs.Counter   // connections evicted (unhealthy/severed)
 	LateDrops    *obs.Counter   // responses dropped by ID after abandonment
-	CoalesceHits *obs.Counter   // GetPage misses served by a shared RPC
-	CoalesceMiss *obs.Counter   // GetPage misses that went to the wire
 
 	// Waits, if set, receives wait-event accounting: netmux.queue while a
 	// caller waits for an in-flight slot, netmux.rtt while a call is on
@@ -79,7 +73,5 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		Dials:        r.Counter("netmux.conn.dials"),
 		Evictions:    r.Counter("netmux.conn.evictions"),
 		LateDrops:    r.Counter("netmux.late.drops"),
-		CoalesceHits: r.Counter("netmux.coalesce.hits"),
-		CoalesceMiss: r.Counter("netmux.coalesce.misses"),
 	}
 }
