@@ -203,8 +203,8 @@ var zeroImage [Size]byte
 
 // AppendEncode appends the page's Size-byte image to dst and returns the
 // extended slice — the allocation-free form of Encode for callers
-// assembling multi-page payloads (the GetPageRange response) into one
-// reusable buffer.
+// assembling payloads (a GetPage response, a checkpoint batch) into one
+// buffer of their own.
 //
 //socrates:hotpath one call per page served, into the caller's payload buffer; TestGetPageAllocs (Handler)
 func (p *Page) AppendEncode(dst []byte) ([]byte, error) {

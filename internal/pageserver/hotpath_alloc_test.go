@@ -3,9 +3,12 @@ package pageserver
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"socrates/internal/btree"
+	"socrates/internal/fcb"
 	"socrates/internal/page"
 	"socrates/internal/rbio"
 	"socrates/internal/testutil"
@@ -13,22 +16,21 @@ import (
 )
 
 // TestGetPageAllocs is the allocation contract for the warm-cache
-// GetPage@LSN path — the paper's defining latency path — in its three
-// forms: one page, a range of pages, and one page served over RBIO. The
-// server is stopped before measuring so the background pull and checkpoint
-// loops cannot pollute the global allocation counter; a stopped server
-// still serves cached pages (the apply watermark is already past minLSN).
+// GetPage@LSN path — the paper's defining latency path — in its two forms:
+// one page, and one page served over RBIO. The server is stopped before
+// measuring so the background pull and checkpoint loops cannot pollute the
+// global allocation counter; a stopped server still serves cached pages (the
+// apply watermark is already past minLSN).
 func TestGetPageAllocs(t *testing.T) {
 	testutil.SkipIfRace(t)
 
 	r := newRig(t, page.Partitioning{})
 	srv := r.server(t, Config{})
-	end := r.emit(t, imageRec(5, 'a'), imageRec(6, 'b'), imageRec(7, 'c'),
-		imageRec(8, 'd'), wal.NewCommit(1, 1))
+	end := r.emit(t, imageRec(5, 'a'), wal.NewCommit(1, 1))
 
 	ctx := context.Background()
 	minLSN := end.Prev()
-	if _, err := srv.GetPageRange(ctx, 5, 4, minLSN); err != nil {
+	if _, err := srv.GetPage(ctx, 5, minLSN); err != nil {
 		t.Fatal(err)
 	}
 	srv.Stop() // quiesce background loops; the cache stays warm
@@ -46,13 +48,8 @@ func TestGetPageAllocs(t *testing.T) {
 			_, err := srv.GetPage(ctx, 5, minLSN)
 			return err
 		}},
-		// The range read's one I/O buffer and its page slice.
-		{"GetPageRange", 2, func() error {
-			_, err := srv.GetPageRange(ctx, 5, 4, minLSN)
-			return err
-		}},
-		// The response and the one payload buffer every page image is
-		// encoded into.
+		// The response and the payload buffer the page image is encoded
+		// into.
 		{"Handler", 2, func() error {
 			if resp := handle(ctx, req); resp.Status != rbio.StatusOK {
 				return errors.New(resp.Error)
@@ -86,7 +83,7 @@ func TestApplyFeedAllocs(t *testing.T) {
 	srv := r.server(t, Config{})
 	// buildLeafRecords yields a validly formatted leaf image (page 1) plus
 	// one cell-put; redo below needs a decodable node, not a toy payload.
-	imgRecs, _ := buildLeafRecords(t, 1)
+	imgRecs := buildLeafRecords(t, 1)
 	target := imgRecs[0].Page
 	end := r.emit(t, append(imgRecs, wal.NewCommit(1, 1))...)
 	if !srv.WaitApplied(end.Prev(), 5*time.Second) {
@@ -133,4 +130,33 @@ func TestApplyFeedAllocs(t *testing.T) {
 	if avg > pullBudget {
 		t.Fatalf("idle pull: %.1f allocs/op, budget %d", avg, pullBudget)
 	}
+}
+
+// buildLeafRecords constructs page-image records for leaf pages holding
+// known cells, via a real tree build on a scratch pager.
+func buildLeafRecords(t *testing.T, rows int) []*wal.Record {
+	t.Helper()
+	pager := &scratchPager{MemFile: fcb.NewMemFile()}
+	log := wal.NewMemLog()
+	tree, err := btree.Create(pager, log, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rows; i++ {
+		if err := tree.Put(0, []byte(fmt.Sprintf("k%05d", i)),
+			[]byte(fmt.Sprintf("value-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return log.Records()
+}
+
+type scratchPager struct {
+	*fcb.MemFile
+	next uint64
+}
+
+func (p *scratchPager) Allocate(t page.Type) (*page.Page, error) {
+	p.next++
+	return page.New(page.ID(p.next), t), nil
 }

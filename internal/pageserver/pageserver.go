@@ -3,10 +3,9 @@
 //
 //  1. keep its copy of the partition current by applying the (filtered) log
 //     pulled from XLOG;
-//  2. answer GetPage@LSN requests from compute nodes, waiting until its
-//     applied LSN passes the requested LSN so it can never return a stale
-//     page (§4.4), and serving multi-page range reads from the covering,
-//     stride-preserving RBPEX with a single I/O;
+//  2. answer GetPage@LSN requests from compute nodes, one page each, waiting
+//     until its applied LSN passes the requested LSN so it can never return
+//     a stale page (§4.4);
 //  3. checkpoint modified pages to XStore — when the log a restart would
 //     have to redo, or the dirty set, reaches its budget, as one aggregated
 //     write, insulated from transient XStore outages — so backups are
@@ -127,10 +126,9 @@ type Server struct {
 	// waitRec is cfg.Obs.Waits.Tier(obs.TierPageServer), resolved once.
 	waitRec *obs.WaitRecorder
 
-	served   atomic.Int64
-	waits    atomic.Int64
-	applies  atomic.Int64
-	rangeIOs atomic.Int64
+	served  atomic.Int64
+	waits   atomic.Int64
+	applies atomic.Int64
 }
 
 // New builds (and starts) a page server. If the local cache devices hold a
@@ -241,7 +239,7 @@ func (s *Server) AppliedLSN() page.LSN {
 // reports whether the watermark got there. Cluster workflows use it to wait
 // for catch-up on the apply signal instead of polling.
 func (s *Server) WaitApplied(lsn page.LSN, timeout time.Duration) bool {
-	return s.waitApplied(nil, lsn, timeout)
+	return s.waitApplied(context.Background(), lsn, timeout) == nil
 }
 
 // Seeding reports whether background seeding is still running.
@@ -259,7 +257,8 @@ func (s *Server) Cache() *rbpex.Cache { return s.cache }
 // rest of the cluster).
 func (s *Server) CacheDevice() *simdisk.Device { return s.cfg.CacheSSD }
 
-// Stats reports pages served, GetPage waits, and records applied.
+// Stats reports pages served, waits for the apply watermark that blocked, and
+// records applied.
 func (s *Server) Stats() (served, waits, applies int64) {
 	return s.served.Load(), s.waits.Load(), s.applies.Load()
 }
@@ -738,29 +737,53 @@ func (s *Server) FlushForBackup() (page.LSN, error) {
 // --- GetPage@LSN ---
 
 // waitApplied blocks until the apply watermark passes lsn (applied > lsn
-// means the record at lsn has been applied), with a timeout.
-func (s *Server) waitApplied(ctx context.Context, lsn page.LSN, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
+// means the record at lsn has been applied). It gives up with
+// socerr.ErrTimeout once timeout has elapsed, and with ctx's error once ctx
+// ends — a GetPage whose caller has gone stops waiting.
+func (s *Server) waitApplied(ctx context.Context, lsn page.LSN, timeout time.Duration) error {
 	// xlog.feed: a reader blocked behind apply lag is waiting on the log
-	// feed pipeline (XLOG pull → redo). Recorded only when the loop
-	// actually blocks; ctx attributes the wait to the GetPage span.
+	// feed pipeline (XLOG pull → redo). Recorded, and counted, only when the
+	// call blocks; ctx attributes the wait to the GetPage span.
 	region := s.waitRec.Begin(ctx, obs.WaitXLOGFeed)
 	waited := false
 	defer func() { region.EndIf(waited) }()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.applied.AtMost(lsn) {
-		s.waits.Add(1)
-		if time.Now().After(deadline) {
-			return false
-		}
-		waited = true
-		// Wake periodically to honor the deadline.
-		waker := time.AfterFunc(2*time.Millisecond, s.appliedCond.Broadcast)
-		s.appliedCond.Wait()
-		waker.Stop()
+	if s.applied.After(lsn) {
+		return nil
 	}
-	return true
+	if err := ctx.Err(); err != nil {
+		return socerr.FromContext(err)
+	}
+	waited = true
+	s.waits.Add(1)
+	// The deadline and the end of ctx each wake the wait once, broadcasting
+	// under s.mu: unlocked, a broadcast could fall between a check below
+	// and Wait registering, and wake nobody.
+	expired := false
+	timer := time.AfterFunc(timeout, func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		expired = true
+		s.appliedCond.Broadcast()
+	})
+	defer timer.Stop()
+	stop := context.AfterFunc(ctx, func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.appliedCond.Broadcast()
+	})
+	defer stop()
+	for s.applied.AtMost(lsn) {
+		if err := ctx.Err(); err != nil {
+			return socerr.FromContext(err)
+		}
+		if expired {
+			return socerr.Timeoutf("pageserver: apply lag: applied %d, need > %d", s.applied, lsn)
+		}
+		s.appliedCond.Wait()
+	}
+	return nil
 }
 
 // GetPage serves one page at an LSN at least minLSN (the §4.4 protocol).
@@ -778,9 +801,8 @@ func (s *Server) GetPage(ctx context.Context, id page.ID, minLSN page.LSN) (*pag
 		return nil, fmt.Errorf("pageserver: page %d outside partition [%d,%d)", id, s.lo, s.hi)
 	}
 	waitStart := time.Now()
-	if !s.waitApplied(ctx, minLSN, 5*time.Second) {
-		return nil, socerr.Timeoutf("pageserver: apply lag: applied %d, need > %d",
-			s.AppliedLSN(), minLSN)
+	if err := s.waitApplied(ctx, minLSN, 5*time.Second); err != nil {
+		return nil, err
 	}
 	if wait := time.Since(waitStart); wait > 0 {
 		s.cfg.Obs.Metrics.Histogram("pageserver.getpage.wait").Observe(wait)
@@ -813,66 +835,6 @@ func (s *Server) GetPage(ctx context.Context, id page.ID, minLSN page.LSN) (*pag
 	return pg, nil
 }
 
-// GetPageRange serves count consecutive pages starting at start with one
-// cache I/O (stride-preserving layout), for scan offloading.
-//
-// A mid-range problem no longer fails the whole range: the successful
-// prefix is returned together with a socerr.ErrPartial-classified error
-// naming what went wrong, so callers (RBPEX warmup, scan pushdown) make
-// progress instead of redoing work they already received. A range whose
-// tail runs past the partition end is likewise clamped and reported
-// partial. Only a range with no usable prefix at all fails outright.
-//
-//socrates:hotpath scan-offload read path, one call serves many pages; TestGetPageAllocs
-func (s *Server) GetPageRange(ctx context.Context, start page.ID, count int, minLSN page.LSN) ([]*page.Page, error) {
-	ctx, sp := s.cfg.Obs.Tracer.JoinSpan(ctx, obs.TierPageServer, "pageserver.getpagerange")
-	defer sp.End()
-	t0 := time.Now()
-	defer s.cfg.Obs.Metrics.Histogram("pageserver.getpage.latency").Since(t0)
-	if count <= 0 || start < s.lo || start >= s.hi {
-		return nil, fmt.Errorf("pageserver: range outside partition")
-	}
-	clamped := count
-	if start+page.ID(count) > s.hi {
-		clamped = int(s.hi - start)
-	}
-	if !s.waitApplied(ctx, minLSN, 5*time.Second) {
-		return nil, socerr.Timeoutf("pageserver: apply lag on range read")
-	}
-	s.rangeIOs.Add(1)
-	pages, err := s.cache.ReadRange(start, clamped)
-	if err != nil {
-		// Mid-range tear or miss: assemble the longest successful prefix
-		// page-by-page (cache first, then XStore for still-seeding slots).
-		pages = pages[:0]
-		for i := 0; i < clamped; i++ {
-			id := start + page.ID(i)
-			pg, ok := s.cache.Get(id)
-			if !ok {
-				var ferr error
-				pg, ferr = s.fetchFromStore(id)
-				if ferr != nil {
-					if len(pages) == 0 {
-						return nil, err // no usable prefix: original failure
-					}
-					s.served.Add(int64(len(pages)))
-					return pages, socerr.Partialf(
-						"pageserver: range [%d,+%d): %d pages then page %d failed: %v",
-						start, count, len(pages), id, ferr)
-				}
-			}
-			pages = append(pages, pg)
-		}
-	}
-	s.served.Add(int64(len(pages)))
-	if len(pages) < count {
-		return pages, socerr.Partialf(
-			"pageserver: range [%d,+%d) clamped at partition end %d: %d pages",
-			start, count, s.hi, len(pages))
-	}
-	return pages, nil
-}
-
 // Handler exposes the server over RBIO. The transport passes a context
 // carrying the frame's span identity, so page-server spans join the
 // calling compute node's trace.
@@ -882,31 +844,11 @@ func (s *Server) Handler() rbio.Handler {
 		case rbio.MsgPing:
 			return rbio.Ok()
 		case rbio.MsgGetPage:
-			if req.MaxBytes > 1 {
-				pages, err := s.GetPageRange(ctx, req.Page, int(req.MaxBytes), req.LSN)
-				switch {
-				case err == nil:
-					return pagesResponse(pages)
-				case errors.Is(err, socerr.ErrPartial) && len(pages) > 0:
-					// Ship the usable prefix with StatusPartial so the
-					// caller both consumes it and sees why it is short.
-					resp := pagesResponse(pages)
-					if resp.Status == rbio.StatusOK {
-						resp.Status = rbio.StatusPartial
-						resp.Error = err.Error()
-					}
-					return resp
-				default:
-					return rbio.Retryf("range: %v", err)
-				}
-			}
 			pg, err := s.GetPage(ctx, req.Page, req.LSN)
 			if err != nil {
 				return rbio.Retryf("get-page: %v", err)
 			}
 			return pagesResponse([]*page.Page{pg})
-		case rbio.MsgScanCells:
-			return s.handleScanCells(ctx, req)
 		case rbio.MsgReadState:
 			resp := rbio.Ok()
 			resp.LSN = s.AppliedLSN()
@@ -921,7 +863,7 @@ func (s *Server) Handler() rbio.Handler {
 // encoded directly into the single payload buffer (one allocation per
 // response, not one per page plus a copy).
 //
-//socrates:hotpath runs once per GetPage/GetPageRange served; TestGetPageAllocs (Handler)
+//socrates:hotpath runs once per GetPage served; TestGetPageAllocs (Handler)
 func pagesResponse(pages []*page.Page) *rbio.Response {
 	payload := make([]byte, 0, len(pages)*page.Size)
 	var err error

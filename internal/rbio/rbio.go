@@ -30,7 +30,6 @@ import (
 
 	"socrates/internal/obs"
 	"socrates/internal/page"
-	"socrates/internal/socerr"
 )
 
 // Version is the one protocol version this build speaks. Clients stamp it
@@ -41,7 +40,7 @@ const Version uint16 = 3
 // MsgType identifies an RBIO operation.
 type MsgType uint8
 
-// RBIO operations.
+// RBIO operations. A retired number is held by a blank and never reassigned.
 const (
 	MsgPing          MsgType = iota // liveness / RTT probe
 	MsgGetPage                      // GetPage@LSN: Page, LSN → page image
@@ -49,9 +48,9 @@ const (
 	MsgReportApplied                // consumer progress report: Consumer, LSN
 	MsgFeedBlock                    // lossy primary→XLOG feed: Payload = encoded block
 	MsgHardenReport                 // primary→XLOG: LSN = hardened watermark
-	MsgWritePages                   // checkpoint/seeding page transfer: Payload = page images
+	_                               // retired: write-pages
 	MsgReadState                    // introspection: current applied/hardened LSNs
-	MsgScanCells                    // pushdown: count/filter cells in a page range (§4.1.5)
+	_                               // retired: scan-cells
 )
 
 func (m MsgType) String() string {
@@ -68,12 +67,8 @@ func (m MsgType) String() string {
 		return "feed-block"
 	case MsgHardenReport:
 		return "harden-report"
-	case MsgWritePages:
-		return "write-pages"
 	case MsgReadState:
 		return "read-state"
-	case MsgScanCells:
-		return "scan-cells"
 	default:
 		return fmt.Sprintf("msg(%d)", uint8(m))
 	}
@@ -83,19 +78,15 @@ func (m MsgType) String() string {
 type Status uint8
 
 // Statuses. StatusRetry marks transient conditions the client should retry
-// (e.g. a page server still seeding); StatusError is terminal.
+// (e.g. a page server still seeding); StatusError is terminal. A retired
+// number is held by a blank and never reassigned.
 const (
 	StatusOK Status = iota
 	StatusRetry
 	StatusError
 	StatusVersion // protocol version mismatch
-	StatusNotFound
-	// StatusPartial marks a response that carries a usable prefix of the
-	// requested work plus the reason the rest is missing (e.g. a ranged
-	// GetPage where a mid-range page is not yet applied). The payload is
-	// valid; Err() classifies as socerr.ErrPartial so callers can both
-	// consume the prefix and see why it is short.
-	StatusPartial
+	_             // retired: not-found
+	_             // retired: partial
 )
 
 func (s Status) String() string {
@@ -108,10 +99,6 @@ func (s Status) String() string {
 		return "error"
 	case StatusVersion:
 		return "version-mismatch"
-	case StatusNotFound:
-		return "not-found"
-	case StatusPartial:
-		return "partial"
 	default:
 		return fmt.Sprintf("status(%d)", uint8(s))
 	}
@@ -129,7 +116,7 @@ type Request struct {
 	Partition int32    // MsgPullBlocks filter; -1 = unfiltered (secondaries)
 	MaxBytes  int32    // MsgPullBlocks budget
 	Consumer  string   // consumer identity for progress/leases
-	Payload   []byte   // MsgFeedBlock, MsgWritePages
+	Payload   []byte   // MsgFeedBlock
 }
 
 // SpanContext reads the trace header.
@@ -166,16 +153,10 @@ func Retryf(format string, args ...any) *Response {
 	return &Response{Version: Version, Status: StatusRetry, Error: fmt.Sprintf(format, args...)}
 }
 
-// Partialf builds a partial-success response: the caller attaches the
-// usable prefix to Payload and the format describes what is missing.
-func Partialf(format string, args ...any) *Response {
-	return &Response{Version: Version, Status: StatusPartial, Error: fmt.Sprintf(format, args...)}
-}
-
 // Err converts a non-OK response into a Go error (nil for StatusOK). The
 // returned error is a *ResponseError, so callers can classify with
 // errors.As, and it unwraps to the matching sentinel (ErrRetryable,
-// ErrVersion, ErrNotFound) so existing errors.Is checks keep working.
+// ErrVersion) so existing errors.Is checks keep working.
 func (r *Response) Err() error {
 	if r.Status == StatusOK {
 		return nil
@@ -209,10 +190,6 @@ func (e *ResponseError) Unwrap() error {
 		return ErrRetryable
 	case StatusVersion:
 		return ErrVersion
-	case StatusNotFound:
-		return ErrNotFound
-	case StatusPartial:
-		return socerr.ErrPartial
 	default:
 		return nil
 	}
@@ -222,7 +199,6 @@ func (e *ResponseError) Unwrap() error {
 var (
 	ErrRetryable   = errors.New("rbio: retryable")
 	ErrVersion     = errors.New("rbio: protocol version mismatch")
-	ErrNotFound    = errors.New("rbio: not found")
 	ErrUnavailable = errors.New("rbio: endpoint unavailable")
 )
 

@@ -99,7 +99,8 @@ func TestWireLayoutGolden(t *testing.T) {
 	if got := hex.EncodeToString(AppendRequest(nil, req)); got != wantReq {
 		t.Fatalf("request layout moved:\n got %s\nwant %s", got, wantReq)
 	}
-	resp := &Response{Version: 3, Status: StatusPartial, Error: "page 81 behind", LSN: 900,
+	// Status 5 is a retired number: the codec carries the byte whatever it is.
+	resp := &Response{Version: 3, Status: 5, Error: "page 81 behind", LSN: 900,
 		Payload: []byte("prefix")}
 	const wantResp = "03000584030000000000000e007061676520383120626568696e6406000000707265666978"
 	if got := hex.EncodeToString(AppendResponse(nil, resp)); got != wantResp {
@@ -118,25 +119,21 @@ func TestResponseErr(t *testing.T) {
 	if !errors.Is(vr.Err(), ErrVersion) {
 		t.Fatal("version should map to ErrVersion")
 	}
-	nf := &Response{Status: StatusNotFound, Error: "gone"}
-	if !errors.Is(nf.Err(), ErrNotFound) {
-		t.Fatal("not-found should map to ErrNotFound")
-	}
 	if Errorf("boom").Err() == nil {
 		t.Fatal("error should map to non-nil")
 	}
 }
 
 func TestResponseErrorTyped(t *testing.T) {
-	resp := &Response{Status: StatusNotFound, Error: "page 9 gone"}
+	resp := &Response{Status: StatusRetry, Error: "page 9 seeding"}
 	var re *ResponseError
 	if !errors.As(resp.Err(), &re) {
 		t.Fatal("Err() should be a *ResponseError")
 	}
-	if re.Status != StatusNotFound || re.Msg != "page 9 gone" {
+	if re.Status != StatusRetry || re.Msg != "page 9 seeding" {
 		t.Fatalf("re = %+v", re)
 	}
-	if !errors.Is(resp.Err(), ErrNotFound) {
+	if !errors.Is(resp.Err(), ErrRetryable) {
 		t.Fatal("typed error should still match the sentinel")
 	}
 }

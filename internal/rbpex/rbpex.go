@@ -7,9 +7,9 @@
 //     evict from a segmented LRU, and a page falling out entirely triggers the
 //     OnEvict hook (which feeds the primary's evicted-LSN map for GetPage@LSN).
 //   - covering (page servers): the SSD tier holds every page of the
-//     partition in a stride-preserving layout — slot k holds page base+k —
-//     so a multi-page range read from a compute node translates into a
-//     single SSD I/O (§4.6), and the SSD tier never evicts.
+//     partition at a fixed slot — slot k holds page base+k — written
+//     through on every put, so it never evicts and a restart recovers the
+//     whole partition from it.
 //
 // Cache metadata (which page sits in which SSD slot, at which LSN) lives in
 // a hekaton table on the same SSD, so Open after a crash recovers the SSD
@@ -41,9 +41,6 @@ import (
 	"socrates/internal/page"
 	"socrates/internal/simdisk"
 )
-
-// ErrNotCovered is returned by ReadRange on a sparse cache.
-var ErrNotCovered = errors.New("rbpex: range reads require a covering cache")
 
 // Config describes a cache instance.
 type Config struct {
@@ -553,8 +550,7 @@ func (c *Cache) supersededLocked(pg *page.Page, from origin) bool {
 // reader keeps its older, consistent image and the cache keeps the newer one.
 func (c *Cache) put(pg *page.Page, from origin, evictedLSN func(page.ID) page.LSN) (installed bool, err error) {
 	// Covering caches are dense: the SSD tier holds every page at all
-	// times (range reads and recovery depend on it), so puts write
-	// through. demote skips the I/O when the SSD copy is already current.
+	// times (recovery depends on it), so puts write through. demote skips the I/O when the SSD copy is already current.
 	if c.cfg.Covering {
 		if err := c.demote(pg); err != nil {
 			return false, err
@@ -1028,90 +1024,6 @@ func (c *Cache) FlushAll() error {
 		}
 	}
 	return c.meta.Checkpoint()
-}
-
-// ReadRange reads n consecutive pages starting at start with a single SSD
-// I/O. Only covering caches support it (stride-preserving layout, §4.6).
-// Pages in the range that are hotter in the memory tier are substituted in.
-func (c *Cache) ReadRange(start page.ID, n int) ([]*page.Page, error) {
-	if !c.cfg.Covering {
-		return nil, ErrNotCovered
-	}
-	slot := c.slotFor(start)
-	if slot < 0 || slot+n > c.cfg.SSDPages {
-		return nil, fmt.Errorf("rbpex: range [%d,+%d) outside partition", start, n)
-	}
-	buf := make([]byte, n*page.Size)
-	if err := c.cfg.SSD.ReadAt(buf, int64(slot)*page.Size); err != nil {
-		return nil, err
-	}
-	out := make([]*page.Page, 0, n)
-	for i := 0; i < n; i++ {
-		id := start + page.ID(i)
-		c.mu.Lock()
-		var hot *page.Page
-		if me, ok := c.mem[id]; ok {
-			hot = me.pg
-		}
-		c.mu.Unlock()
-		if hot != nil {
-			out = append(out, hot)
-			continue
-		}
-		pg, err := page.Decode(buf[i*page.Size : (i+1)*page.Size])
-		if err != nil {
-			return nil, fmt.Errorf("rbpex: decoding page %d in range: %w", id, err)
-		}
-		out = append(out, pg)
-	}
-	return out, nil
-}
-
-// ReadRangeAvailable is ReadRange clamped to the written SSD extent, with
-// never-written slots skipped — the form pushdown scans use to sweep a
-// whole partition range without tracking which pages exist.
-func (c *Cache) ReadRangeAvailable(start page.ID, n int) ([]*page.Page, error) {
-	if !c.cfg.Covering {
-		return nil, ErrNotCovered
-	}
-	slot := c.slotFor(start)
-	if slot < 0 {
-		return nil, fmt.Errorf("rbpex: range start %d below partition", start)
-	}
-	avail := int(c.cfg.SSD.Size()/page.Size) - slot
-	if avail <= 0 {
-		return nil, nil
-	}
-	if n > avail {
-		n = avail
-	}
-	if slot+n > c.cfg.SSDPages {
-		n = c.cfg.SSDPages - slot
-	}
-	buf := make([]byte, n*page.Size)
-	if err := c.cfg.SSD.ReadAt(buf, int64(slot)*page.Size); err != nil {
-		return nil, err
-	}
-	out := make([]*page.Page, 0, n)
-	for i := 0; i < n; i++ {
-		id := start + page.ID(i)
-		c.mu.Lock()
-		var hot *page.Page
-		if me, ok := c.mem[id]; ok {
-			hot = me.pg
-		}
-		c.mu.Unlock()
-		if hot != nil {
-			out = append(out, hot)
-			continue
-		}
-		pg, err := page.Decode(buf[i*page.Size : (i+1)*page.Size])
-		if err != nil {
-			continue // never-written or torn slot: not a page
-		}
-		out = append(out, pg)
-	}
-	return out, nil
 }
 
 // Stats reports memory hits, SSD hits, and misses since creation.

@@ -441,38 +441,13 @@ func TestCoveringSeedAndReadRange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	reads0, _, _, _ := c.cfg.SSD.Stats()
-	pages, err := c.ReadRange(104, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reads1, _, _, _ := c.cfg.SSD.Stats()
-	if reads1-reads0 != 1 {
-		t.Fatalf("range read used %d I/Os, want 1 (stride-preserving)", reads1-reads0)
-	}
-	if len(pages) != 8 {
-		t.Fatalf("got %d pages", len(pages))
-	}
-	for i, pg := range pages {
-		if pg.ID != 104+page.ID(i) || pg.Data[0] != byte(i+4) {
-			t.Fatalf("page %d = %+v", i, pg)
+	// The range [104, 112) reads back page by page, each from its own slot.
+	for i := 4; i < 12; i++ {
+		id := 100 + page.ID(i)
+		pg, ok := c.Get(id)
+		if !ok || pg.ID != id || pg.Data[0] != byte(i) {
+			t.Fatalf("page %d = %+v %v", id, pg, ok)
 		}
-	}
-}
-
-func TestCoveringReadRangePrefersMemTier(t *testing.T) {
-	c := coveringCache(t, 0, 8)
-	for i := 0; i < 8; i++ {
-		_ = c.Seed(mkPage(page.ID(i), 1, 0))
-	}
-	// A newer version of page 3 lives in the memory tier only.
-	_ = c.Put(mkPage(3, 9, 99))
-	pages, err := c.ReadRange(0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pages[3].LSN != 9 || pages[3].Data[0] != 99 {
-		t.Fatalf("range returned stale page 3: %+v", pages[3])
 	}
 }
 
@@ -495,23 +470,6 @@ func TestCoveringNeverEvictsSSD(t *testing.T) {
 	}
 }
 
-func TestRangeReadOnSparseFails(t *testing.T) {
-	c, _ := sparseCache(t, 2, 4)
-	if _, err := c.ReadRange(0, 2); err != ErrNotCovered {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestRangeOutsidePartitionFails(t *testing.T) {
-	c := coveringCache(t, 100, 8)
-	if _, err := c.ReadRange(99, 2); err == nil {
-		t.Fatal("below-base range should fail")
-	}
-	if _, err := c.ReadRange(104, 8); err == nil {
-		t.Fatal("overflowing range should fail")
-	}
-}
-
 func TestCoveringRecovery(t *testing.T) {
 	ssd := simdisk.New(simdisk.Instant)
 	meta := simdisk.New(simdisk.Instant)
@@ -525,13 +483,10 @@ func TestCoveringRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pages, err := re.ReadRange(50, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, pg := range pages {
-		if pg.Data[0] != byte(i) {
-			t.Fatalf("recovered page %d = %+v", i, pg)
+	for i := 0; i < 8; i++ {
+		pg, ok := re.Get(50 + page.ID(i))
+		if !ok || pg.Data[0] != byte(i) || pg.LSN != page.LSN(i+1) {
+			t.Fatalf("recovered page %d = %+v %v", 50+i, pg, ok)
 		}
 	}
 }

@@ -28,13 +28,6 @@ var (
 	// replica when none (or no matching one) exists.
 	ErrNoSecondary = errors.New("socrates: no secondary")
 
-	// ErrPartial marks an operation that completed a usable prefix of
-	// the requested work before failing (e.g. a ranged GetPage where a
-	// mid-range page was missing). Callers that can make progress with
-	// the prefix — RBPEX warmup, scan pushdown — check for it with
-	// errors.Is and consume the partial result instead of discarding it.
-	ErrPartial = errors.New("socrates: partial result")
-
 	// ErrBackpressure marks a request rejected because a netmux pool's
 	// in-flight cap and bounded wait queue were both full. It is a
 	// fail-fast signal: the fabric is saturated and queueing more work
@@ -46,11 +39,6 @@ var (
 // Timeoutf builds an ErrTimeout-classified error.
 func Timeoutf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrTimeout, fmt.Sprintf(format, args...))
-}
-
-// Partialf builds an ErrPartial-classified error.
-func Partialf(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrPartial, fmt.Sprintf(format, args...))
 }
 
 // FromContext classifies a context error: deadline expiry becomes
