@@ -366,16 +366,3 @@ func (o *Oracle) CheckLadder() {
 		check(obs.WMSecondary, rep, obs.WMPromoted, "")
 	}
 }
-
-// AckedWrites reports how many writes were acked across all keys.
-func (o *Oracle) AckedWrites() int {
-	n := 0
-	for _, h := range o.keys {
-		for _, e := range h.entries {
-			if e.acked {
-				n++
-			}
-		}
-	}
-	return n
-}

@@ -468,14 +468,6 @@ func (c *Cluster) LZVolume() *simdisk.Replicated {
 	return r
 }
 
-// PageServerAddr reports the RBIO address a live page server is registered
-// under ("" if the server is not part of this deployment).
-func (c *Cluster) PageServerAddr(srv *pageserver.Server) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.serverAddrs[srv]
-}
-
 // KillPageServer tears a page server down: its RBIO address stops
 // resolving, the endpoint leaves its range's replica selector, and the
 // server's background loops halt. Reads over the range fail over to the

@@ -252,9 +252,6 @@ func (e *Engine) Tracer() *obs.Tracer { return e.cfg.Obs.Tracer }
 // Metrics exposes the engine's metrics registry (nil when unconfigured).
 func (e *Engine) Metrics() *obs.Registry { return e.cfg.Obs.Metrics }
 
-// VersionStore exposes the shared version store.
-func (e *Engine) VersionStore() *versionstore.Store { return e.vs }
-
 func (e *Engine) charge(d time.Duration) {
 	if e.cfg.Meter != nil {
 		e.cfg.Meter.Charge(d)

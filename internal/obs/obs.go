@@ -242,9 +242,6 @@ type TracerOption func(*Tracer)
 // evicted first). Default 256.
 func WithMaxTraces(n int) TracerOption { return func(t *Tracer) { t.maxTraces = n } }
 
-// WithMaxSpans bounds how many spans one trace retains. Default 512.
-func WithMaxSpans(n int) TracerOption { return func(t *Tracer) { t.maxSpans = n } }
-
 // NewTracer builds an empty tracer.
 func NewTracer(opts ...TracerOption) *Tracer {
 	t := &Tracer{

@@ -335,15 +335,3 @@ var (
 	_ Volume = (*Device)(nil)
 	_ Volume = (*Replicated)(nil)
 )
-
-// Barrier synchronizes bursts of parallel writes in tests.
-type Barrier struct{ wg sync.WaitGroup }
-
-// Go runs f in the barrier's group.
-func (b *Barrier) Go(f func()) {
-	b.wg.Add(1)
-	go func() { defer b.wg.Done(); f() }()
-}
-
-// Wait blocks until all functions started with Go return.
-func (b *Barrier) Wait() { b.wg.Wait() }

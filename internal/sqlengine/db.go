@@ -94,9 +94,6 @@ func (s *Session) ExecContext(ctx context.Context, sql string) (*Result, error) 
 	return s.RunContext(ctx, stmt)
 }
 
-// InTx reports whether an explicit transaction is open.
-func (s *Session) InTx() bool { return s.tx != nil }
-
 // Run executes a parsed statement.
 func (s *Session) Run(stmt Statement) (*Result, error) {
 	return s.RunContext(context.Background(), stmt)

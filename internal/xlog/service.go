@@ -71,7 +71,7 @@ type Service struct {
 	done chan struct{}
 	wg   sync.WaitGroup
 
-	feedReceived, feedStale, feedWrongEpoch, gapFills int
+	feedReceived, feedStale, gapFills int
 }
 
 type consumer struct {
@@ -226,7 +226,6 @@ func (s *Service) FeedEncodedFrom(ctx context.Context, epoch uint64, b *wal.Bloc
 	s.feedReceived++
 	s.obs.Metrics.Counter("xlog.feed.blocks").Inc()
 	if epoch != s.producerEpoch {
-		s.feedWrongEpoch++
 		s.obs.Metrics.Counter("xlog.feed.wrong_epoch").Inc()
 		s.mu.Unlock()
 		sp.SetAttr("wrong_epoch", "true")
@@ -589,14 +588,6 @@ func (s *Service) MinAppliedLSN() page.LSN {
 		}
 	}
 	return min
-}
-
-// FeedWrongEpoch reports how many fed blocks were dropped because they
-// came from a superseded producer (see BeginEpoch).
-func (s *Service) FeedWrongEpoch() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.feedWrongEpoch
 }
 
 // Stats reports feed/dissemination counters: feed blocks received, stale
