@@ -325,7 +325,7 @@ type MetricsSnapshot struct {
 	Compute     TierMetrics // SQL execution, commit path, GetPage@LSN client side
 	LandingZone TierMetrics // durable log writes into the LZ
 	XLOG        TierMetrics // LogBroker feed, promotion, destage, pulls
-	PageServer  TierMetrics // log apply, GetPage@LSN serving, scan pushdown
+	PageServer  TierMetrics // log apply, GetPage@LSN serving, checkpoints
 	XStore      TierMetrics // long-term storage reads/writes/snapshots
 	Other       TierMetrics // anything outside the five tier namespaces
 
