@@ -355,7 +355,7 @@ func (d *Device) ReadAt(p []byte, off int64) error {
 	if d.bucket != nil {
 		d.bucket.Acquire(len(p))
 	}
-	sleep(d.latency(d.profile.ReadBase, len(p)))
+	SleepPrecise(d.latency(d.profile.ReadBase, len(p)))
 	d.waits.Observe(nil, obs.WaitDiskRead, time.Since(ioStart))
 	d.charge(d.profile.ReadCPU)
 
@@ -398,7 +398,7 @@ func (d *Device) WriteAt(p []byte, off int64) error {
 	if err != nil {
 		return err
 	}
-	sleep(lat)
+	SleepPrecise(lat)
 	d.waits.Observe(nil, obs.WaitDiskWrite, time.Since(ioStart))
 	return nil
 }
@@ -420,7 +420,7 @@ func (d *Device) WriteVec(bufs [][]byte, offs []int64) error {
 		d.waits.Observe(nil, obs.WaitDiskWrite, lat)
 		slowest = max(slowest, lat)
 	}
-	sleep(slowest)
+	SleepPrecise(slowest)
 	return nil
 }
 
@@ -504,17 +504,14 @@ func (d *Device) Discard(off, n int64) {
 	}
 }
 
-// sleep pauses for d, skipping the syscall for sub-resolution waits so the
-// Instant profile costs nothing.
-func sleep(d time.Duration) { SleepPrecise(d) }
-
 // SleepPrecise pauses for d with sub-millisecond accuracy. time.Sleep on
 // many hosts has ~1 ms granularity, which would flatten the latency gaps
 // the experiments depend on (an 80 µs SSD read vs a 450 µs DirectDrive
 // write). Rather than having every waiter spin — which collapses on small
 // hosts once tens of simulated I/Os are in flight — all waiters park on
 // channels and one shared dispatcher goroutine watches the clock and wakes
-// them at their deadlines.
+// them at their deadlines. Between deadlines the dispatcher parks too (park,
+// per platform) and spins only the last spinTail before each one.
 func SleepPrecise(d time.Duration) {
 	if d <= 0 {
 		return
@@ -523,12 +520,18 @@ func SleepPrecise(d time.Duration) {
 }
 
 // sleepDispatcher is the shared wake-up service: a min-heap of deadlines
-// drained by a single clock-watching goroutine.
+// drained by a single clock-watching goroutine, which exists only while the
+// heap is non-empty.
 type sleepDispatcher struct {
 	mu      sync.Mutex
 	heap    waiterHeap
 	running bool
-	wake    chan struct{}
+	// target is the deadline the dispatcher is parked, or about to park,
+	// toward; zero while it will read the heap again before it parks.
+	target time.Time
+	// word moves on whenever a push must cut the park short: park returns
+	// at once when word no longer holds the value read under mu.
+	word atomic.Uint32
 }
 
 type waiter struct {
@@ -536,7 +539,7 @@ type waiter struct {
 	ch       chan struct{}
 }
 
-var dispatcher = &sleepDispatcher{wake: make(chan struct{}, 1)}
+var dispatcher = &sleepDispatcher{}
 
 func (s *sleepDispatcher) after(deadline time.Time) chan struct{} {
 	ch := make(chan struct{})
@@ -546,12 +549,17 @@ func (s *sleepDispatcher) after(deadline time.Time) chan struct{} {
 		s.running = true
 		go s.run()
 	}
+	// Only a deadline earlier than the one the dispatcher parks toward
+	// needs it awake; once woken it reads the heap, so later pushes need
+	// no wake-up of their own.
+	wake := !s.target.IsZero() && deadline.Before(s.target)
+	if wake {
+		s.target = time.Time{}
+		s.word.Add(1)
+	}
 	s.mu.Unlock()
-	// A new (possibly earlier) deadline must interrupt a dispatcher that
-	// settled into a long real sleep.
-	select {
-	case s.wake <- struct{}{}:
-	default:
+	if wake {
+		unpark(&s.word)
 	}
 	return ch
 }
@@ -560,28 +568,33 @@ func (s *sleepDispatcher) run() {
 	for {
 		s.mu.Lock()
 		now := time.Now()
+		woke := false
 		for len(s.heap) > 0 && !s.heap[0].deadline.After(now) {
 			close(s.heap.pop().ch)
+			woke = true
 		}
+		s.target = time.Time{}
 		if len(s.heap) == 0 {
 			s.running = false
 			s.mu.Unlock()
 			return
 		}
-		next := s.heap[0].deadline.Sub(now)
+		next := s.heap[0].deadline
+		parking := next.Sub(now) > spinTail
+		if parking {
+			s.target = next
+		}
+		// Read under mu, so a push that lands between here and the park
+		// has changed it.
+		val := s.word.Load()
 		s.mu.Unlock()
-		if next > 3*time.Millisecond {
-			// Far-off deadline: a real (wakeable) sleep; its ~1 ms slack
-			// is absorbed by the spin re-check below the cutoff.
-			t := time.NewTimer(next - 2*time.Millisecond)
-			//socrates:wait-ok this IS the simulated device latency; the blocked time is charged as disk.read/disk.write at the request site
-			select {
-			case <-t.C:
-			case <-s.wake:
-			}
-			t.Stop()
-		} else {
+		if woke || !parking {
+			// Let the goroutines just woken run on this P before the
+			// dispatcher blocks; inside the tail this is the spin.
 			runtime.Gosched()
+		}
+		if parking {
+			park(&s.word, val, time.Until(next))
 		}
 	}
 }
