@@ -62,11 +62,15 @@ chaos-stress:
 # log prefix in LSN order (hadr: DESIGN §14.3) and WaitApplied means applied
 # and visible (compute.Secondary). What they pin was a 1-in-40 loss of
 # acknowledged writes; run it before merging anything that touches ship,
-# hardenFeed, Failover or a secondary's apply order.
+# hardenFeed, Failover or a secondary's apply order. Then the waits those
+# consumers sit in: XLOG's long poll and the shared bounded wait, 200 times,
+# and their two deadline stress loops (thousands of waits each) 5 times.
 repl-stress:
 	$(GO) test -count=200 -run 'TestApplyFollowsLogOrder|TestFailoverPromotesSecondary|TestSecondariesReplicate|TestStragglerCatchesUpOrLeaves' ./internal/hadr
 	$(GO) test -count=200 -run 'TestSecondaryServesSnapshotReads' ./internal/cluster
 	$(GO) test -count=200 -run 'TestSecondaryWaitAppliedMeansVisible|TestSecondaryAppliedBeforeVisible' ./internal/compute
+	$(GO) test -count=200 -run 'TestLongPoll|TestCondWait(ReadyWakesIt|CancelWakesIt|DeadlineWakesIt|FastPathRecordsNothing|NoneRecordsNothing)$$|TestFailedPullsBackOff' ./internal/xlog ./internal/obs ./internal/pageserver
+	$(GO) test -count=5 -run 'TestCondWaitDeadlineStress|TestWaitDestagedMeetsItsDeadline' ./internal/obs ./internal/xlog
 
 # Hot-path allocation contracts (AllocsPerRun budgets; they skip themselves
 # under -race; rbpex: a memory hit 0 — segment moves included — and an

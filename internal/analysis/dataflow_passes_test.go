@@ -80,10 +80,10 @@ func TestLeakLintFixtures(t *testing.T) {
 
 func TestWaitLintFixtures(t *testing.T) {
 	pass := &analysis.WaitLint{Packages: []string{"fixture/waitlint"}}
-	runFixturePair(t, pass, "waitlint", 7, "WaitPoint region")
+	runFixturePair(t, pass, "waitlint", 8, "WaitPoint region")
 }
 
-// TestWaitLintFindsExactShapes pins the seven wait shapes the bad fixture
+// TestWaitLintFindsExactShapes pins the eight wait shapes the bad fixture
 // plants, including the two region-dataflow ones: a region ended before
 // the wait, and a region opened on only one branch.
 func TestWaitLintFindsExactShapes(t *testing.T) {
@@ -91,11 +91,11 @@ func TestWaitLintFindsExactShapes(t *testing.T) {
 	bad := loadFixture(t, loader, "waitlint/bad")
 	pass := &analysis.WaitLint{Packages: []string{"fixture/waitlint"}}
 	diags := pass.Run(bad)
-	if len(diags) != 7 {
-		t.Fatalf("waitlint on bad fixture: got %d findings, want 7\n%s", len(diags), render(diags))
+	if len(diags) != 8 {
+		t.Fatalf("waitlint on bad fixture: got %d findings, want 8\n%s", len(diags), render(diags))
 	}
 	byFunc := make(map[string]int)
-	for _, fn := range []string{"Pop", "Poll", "Backoff", "Tick", "Push", "Closed", "OneArm"} {
+	for _, fn := range []string{"Pop", "Poll", "Backoff", "Tick", "Push", "Closed", "OneArm", "Unrecorded"} {
 		for _, d := range diags {
 			if strings.Contains(d.Message, " in "+fn+" ") {
 				byFunc[fn]++
@@ -104,6 +104,27 @@ func TestWaitLintFindsExactShapes(t *testing.T) {
 		if byFunc[fn] != 1 {
 			t.Errorf("waitlint findings in %s: got %d, want 1\n%s", fn, byFunc[fn], render(diags))
 		}
+	}
+}
+
+// TestWaitLintSeesTheSharedWait pins the shared bounded wait as a blocking
+// site: the bad fixture's CondWait charged to WaitNone, with no review, is
+// one finding at the call's line; the clean fixture's CondWait with a class
+// (Await) and its reviewed WaitNone one (Idle) are none.
+func TestWaitLintSeesTheSharedWait(t *testing.T) {
+	loader := newLoader(t)
+	pass := &analysis.WaitLint{Packages: []string{"fixture/waitlint"}}
+	var found []analysis.Diagnostic
+	for _, d := range pass.Run(loadFixture(t, loader, "waitlint/bad")) {
+		if strings.Contains(d.Message, "CondWait") {
+			found = append(found, d)
+		}
+	}
+	if len(found) != 1 || !strings.Contains(found[0].Message, " in Unrecorded ") || found[0].Pos.Line != 118 {
+		t.Fatalf("want one CondWait finding in Unrecorded at line 118, got:\n%s", render(found))
+	}
+	if diags := pass.Run(loadFixture(t, loader, "waitlint/clean")); len(diags) != 0 {
+		t.Fatalf("clean fixture: want no findings, got:\n%s", render(diags))
 	}
 }
 

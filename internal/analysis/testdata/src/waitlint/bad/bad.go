@@ -27,6 +27,13 @@ func (r *WaitRecorder) Begin(class string) *WaitRegion { return &WaitRegion{} }
 // Wait runs fn inside an implicit region.
 func (r *WaitRecorder) Wait(class string, fn func()) { fn() }
 
+// WaitNone is the stand-in for obs.WaitNone: the class that records nothing.
+const WaitNone = ""
+
+// CondWait is the stand-in for the shared bounded wait, which records its
+// blocked time under class.
+func (r *WaitRecorder) CondWait(class string, c *sync.Cond, ready func() bool) error { return nil }
+
 // Q is a tiny blocking queue.
 type Q struct {
 	mu   sync.Mutex
@@ -101,4 +108,12 @@ func (q *Q) OneArm(fast bool) {
 	if region != nil {
 		region.End()
 	}
+}
+
+// Unrecorded blocks in the shared wait charged to no class, unreviewed:
+// flagged, at the call.
+func (q *Q) Unrecorded() error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.rec.CondWait(WaitNone, q.cond, func() bool { return q.n > 0 })
 }

@@ -28,6 +28,13 @@ func (r *WaitRecorder) Begin(class string) *WaitRegion { return &WaitRegion{} }
 // Wait runs fn inside an implicit region.
 func (r *WaitRecorder) Wait(class string, fn func()) { fn() }
 
+// WaitNone is the stand-in for obs.WaitNone: the class that records nothing.
+const WaitNone = ""
+
+// CondWait is the stand-in for the shared bounded wait, which records its
+// blocked time under class.
+func (r *WaitRecorder) CondWait(class string, c *sync.Cond, ready func() bool) error { return nil }
+
 // Q is a tiny blocking queue.
 type Q struct {
 	mu   sync.Mutex
@@ -88,6 +95,21 @@ func (q *Q) Push(v int) {
 	q.mu.Lock()
 	q.n += v
 	q.mu.Unlock()
+}
+
+// Await blocks in the shared wait, which records under the class given.
+func (q *Q) Await() error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.rec.CondWait("xlog.feed", q.cond, func() bool { return q.n > 0 })
+}
+
+// Idle blocks in the shared wait charged to no class, reviewed.
+func (q *Q) Idle() error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	//socrates:wait-ok fixture long poll's idle wait, not a stall
+	return q.rec.CondWait(WaitNone, q.cond, func() bool { return q.n > 0 })
 }
 
 // Guarded is a hot path whose acquisition sits inside a lock.latch

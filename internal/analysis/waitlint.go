@@ -14,7 +14,7 @@ import (
 // loops, cadence ticks, waits whose time is charged elsewhere as a running
 // total).
 //
-// Three site kinds are checked:
+// Four site kinds are checked:
 //
 //  1. (*sync.Cond).Wait calls — the canonical blocking primitive behind
 //     commit hardening, apply watermarks, and backpressure throttles.
@@ -27,6 +27,10 @@ import (
 //     exist to expose, so either the acquisition sits behind a TryLock
 //     fast path inside a lock.latch region, or the annotation states why
 //     the lock cannot convoy.
+//  4. WaitRecorder.CondWait calls passing the constant WaitNone. The shared
+//     bounded wait records its blocked time under the class it is given,
+//     so a call with a class is covered; one with WaitNone blocks
+//     unrecorded, exactly like a bare Cond Wait.
 //
 // A site passes when any of these hold:
 //
@@ -211,6 +215,8 @@ func (l *WaitLint) collectSites(pkg *Package, body *ast.BlockStmt, hot bool) []w
 		case *ast.CallExpr:
 			if isCondWait(pkg, x) {
 				sites = append(sites, waitSite{node: x, what: "sync.Cond Wait"})
+			} else if isUnrecordedCondWait(pkg, x) {
+				sites = append(sites, waitSite{node: x, what: "CondWait charged to WaitNone"})
 			} else if hot && isMutexAcquire(pkg, x) {
 				sites = append(sites, waitSite{node: x, what: "lock acquisition on a declared hot path"})
 			}
@@ -282,6 +288,27 @@ func isCondWait(pkg *Package, call *ast.CallExpr) bool {
 	return recv != nil && namedIn(recv.Type(), "sync", "Cond")
 }
 
+// isUnrecordedCondWait matches a WaitRecorder.CondWait call that passes the
+// constant WaitNone as its class.
+func isUnrecordedCondWait(pkg *Package, call *ast.CallExpr) bool {
+	if !isWaitRecorderCall(pkg, call, "CondWait") {
+		return false
+	}
+	for _, arg := range call.Args {
+		var id *ast.Ident
+		switch a := ast.Unparen(arg).(type) {
+		case *ast.Ident:
+			id = a
+		case *ast.SelectorExpr:
+			id = a.Sel
+		}
+		if c, ok := pkg.Info.Uses[id].(*types.Const); ok && c.Name() == "WaitNone" {
+			return true
+		}
+	}
+	return false
+}
+
 // isMutexAcquire matches sync.Mutex/RWMutex Lock and RLock calls,
 // including promoted methods of embedded mutexes. TryLock is deliberately
 // not a site: it never blocks, and the TryLock-then-Begin-then-Lock shape
@@ -314,7 +341,7 @@ func namedIn(t types.Type, pkgPath, name string) bool {
 }
 
 // isWaitRecorderCall matches calls to a method of a type named
-// WaitRecorder (Begin or Wait). Matching by type name rather than by the
+// WaitRecorder (Begin, Wait or CondWait). Matching by type name rather than by the
 // concrete obs package keeps fixtures self-contained.
 func isWaitRecorderCall(pkg *Package, call *ast.CallExpr, method string) bool {
 	fn, ok := calleeObject(pkg.Info, call).(*types.Func)

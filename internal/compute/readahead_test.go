@@ -209,6 +209,26 @@ func within(t *testing.T, what string, fn func()) {
 	}
 }
 
+// xlogOnce is a fake XLOG that feeds a secondary one pull: the pull from
+// start waits until serve is closed and is answered with payload, up to
+// end. Any other pull finds nothing and, like XLOG's long poll, holds until
+// the puller gives up — answering it empty would spin the apply loop.
+func xlogOnce(start, end page.LSN, payload []byte, serve <-chan struct{}) rbio.Handler {
+	return func(ctx context.Context, req *rbio.Request) *rbio.Response {
+		if req.Type == rbio.MsgPullBlocks && req.LSN == start {
+			select {
+			case <-serve:
+				resp := rbio.Ok()
+				resp.LSN, resp.Payload = end, payload
+				return resp
+			case <-ctx.Done():
+			}
+		}
+		<-ctx.Done()
+		return rbio.Errorf("pull: %v", ctx.Err())
+	}
+}
+
 // TestReadAheadOverlapsScanFetches is the overlap itself. The page server
 // answers nothing until ReadAhead+1 distinct pages are in flight: a scan that
 // fetched its leaves one after another would hang on the first; with
@@ -842,17 +862,10 @@ func TestSecondaryAppliedBeforeVisible(t *testing.T) {
 	b2 := bld.Flush()
 	feed := append(b1.Encode(), b2.Encode()...)
 
-	var serve atomic.Bool
+	serve := make(chan struct{})
 	net := rbio.NewInstantNetwork()
 	net.Serve("ps", srv.handler())
-	net.Serve("xlog", func(_ context.Context, req *rbio.Request) *rbio.Response {
-		resp := rbio.Ok()
-		resp.LSN = req.LSN
-		if req.Type == rbio.MsgPullBlocks && req.LSN == start && serve.Load() {
-			resp.LSN, resp.Payload = b2.End, feed
-		}
-		return resp
-	})
+	net.Serve("xlog", xlogOnce(start, b2.End, feed, serve))
 	sel := rbio.NewSelector(rbio.NewClient(net.Dial("ps")))
 	sec, err := NewSecondary(SecondaryConfig{
 		Name:     "sec",
@@ -871,7 +884,7 @@ func TestSecondaryAppliedBeforeVisible(t *testing.T) {
 	// lock first; holding it stops the thread at block 2's first record,
 	// with block 1 behind it.
 	sec.pages.mu.Lock()
-	serve.Store(true)
+	close(serve)
 	locked := true
 	defer func() {
 		if locked {
@@ -916,17 +929,10 @@ func TestSecondaryWaitAppliedMeansVisible(t *testing.T) {
 	bld.Append(wal.NewCommit(8, 102))
 	b := bld.Flush()
 
-	var serve atomic.Bool
+	serve := make(chan struct{})
 	net := rbio.NewInstantNetwork()
 	net.Serve("ps", srv.handler())
-	net.Serve("xlog", func(_ context.Context, req *rbio.Request) *rbio.Response {
-		resp := rbio.Ok()
-		resp.LSN = req.LSN
-		if req.Type == rbio.MsgPullBlocks && req.LSN == start && serve.Load() {
-			resp.LSN, resp.Payload = b.End, b.Encode()
-		}
-		return resp
-	})
+	net.Serve("xlog", xlogOnce(start, b.End, b.Encode(), serve))
 	sel := rbio.NewSelector(rbio.NewClient(net.Dial("ps")))
 	sec, err := NewSecondary(SecondaryConfig{
 		Name:     "sec",
@@ -953,7 +959,7 @@ func TestSecondaryWaitAppliedMeansVisible(t *testing.T) {
 			close(release)
 		}
 	}()
-	serve.Store(true)
+	close(serve)
 	within(t, "the apply thread to reach the publish", func() { <-reached })
 
 	if applied, vis := sec.AppliedLSN(), clock.Visible(); applied != b.End || vis != 100 {

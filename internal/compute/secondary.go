@@ -75,8 +75,11 @@ type Secondary struct {
 	fetchFloor page.LSN
 	cond       *sync.Cond
 
-	done chan struct{}
-	wg   sync.WaitGroup
+	// ctx ends when Stop is called. The apply loop's pulls run under it,
+	// so Stop does not wait out a long poll at XLOG.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 
 	ignored     atomic.Int64
 	appliedRecs atomic.Int64
@@ -110,7 +113,6 @@ func NewSecondary(cfg SecondaryConfig) (*Secondary, error) {
 		xlog:       cfg.XLOG,
 		applied:    cfg.StartLSN,
 		visibleTo:  cfg.StartLSN,
-		done:       make(chan struct{}),
 		pullBytes:  cfg.PullBytes,
 		applyDelay: cfg.ApplyDelay,
 		obs:        cfg.Obs,
@@ -147,6 +149,7 @@ func NewSecondary(cfg SecondaryConfig) (*Secondary, error) {
 	eng.Clock().Publish(cfg.StartTS)
 	s.Engine = eng
 
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.wg.Add(1)
 	go s.applyLoop()
 	return s, nil
@@ -187,73 +190,54 @@ func (s *Secondary) Stats() (applied, ignored, queued int64) {
 // its commits visible: a snapshot begun after it returns true reads every
 // transaction that committed below lsn.
 func (s *Secondary) WaitApplied(lsn page.LSN, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	// xlog.feed: the caller is blocked behind this node's log-apply
-	// progress. Recorded only when the loop actually blocks.
-	region := s.waits.Begin(nil, obs.WaitXLOGFeed)
-	waited := false
-	defer func() { region.EndIf(waited) }()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.visibleTo.Before(lsn) {
-		if time.Now().After(deadline) {
-			return false
-		}
-		waited = true
-		waker := time.AfterFunc(time.Millisecond, s.cond.Broadcast)
-		s.cond.Wait()
-		waker.Stop()
-	}
-	return true
+	// xlog.feed: the caller is blocked behind this node's log-apply progress.
+	return s.waits.CondWait(nil, obs.WaitXLOGFeed, s.cond, time.Now().Add(timeout),
+		func() bool { return s.visibleTo.AtLeast(lsn) }) == nil
 }
 
 // waitApplyProgress blocks until applied advances or the timeout elapses.
 func (s *Secondary) waitApplyProgress(timeout time.Duration) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	start := s.applied
-	deadline := time.Now().Add(timeout)
-	for s.applied == start && time.Now().Before(deadline) {
-		waker := time.AfterFunc(200*time.Microsecond, s.cond.Broadcast)
-		//socrates:wait-ok reached only via the engine's WaitFresh hook, whose caller (withReadRetry) records the blocked time as lock.row
-		s.cond.Wait()
-		waker.Stop()
-	}
-	s.mu.Unlock()
+	//socrates:wait-ok reached only via the engine's WaitFresh hook, whose caller (withReadRetry) records the blocked time as lock.row
+	_ = s.waits.CondWait(nil, obs.WaitNone, s.cond, time.Now().Add(timeout),
+		func() bool { return s.applied != start })
 }
 
-// Stop halts log consumption.
+// Stop halts log consumption; a pull waiting at XLOG ends with it.
 func (s *Secondary) Stop() {
-	select {
-	case <-s.done:
+	if s.ctx.Err() != nil {
 		return
-	default:
 	}
-	close(s.done)
+	s.cancel()
 	s.wg.Wait()
 	s.pages.Close()
 }
 
+// pullRetry spaces the apply loop's pulls while they fail (XLOG down, or
+// answering errors), so an outage does not spin a core. An empty answer is
+// pulled again at once: XLOG answers a pull only once the log passes it, or
+// at its own cap.
+const pullRetry = 300 * time.Microsecond
+
 func (s *Secondary) applyLoop() {
 	defer s.wg.Done()
-	for {
-		select {
-		case <-s.done:
-			return
-		default:
-		}
+	for s.ctx.Err() == nil {
 		if s.applyDelay > 0 {
 			//socrates:sleep-ok applyDelay models a geo-replica's WAN propagation lag; the delay IS the semantics, not a poll
 			time.Sleep(s.applyDelay)
 		}
-		if !s.pullOnce() {
-			// Nothing new at the XLOG service. The pull model has no local
-			// condition to wait on, so back off briefly but stay killable.
-			//socrates:wait-ok idle pull backoff on an empty feed; recording it would drown real apply-lag waits
+		if err := s.pullOnce(); err != nil {
+			retry := time.NewTimer(pullRetry)
+			//socrates:wait-ok failed-pull back-off in the apply loop; nobody waits on it
 			select {
-			case <-s.done:
-				return
-			case <-time.After(300 * time.Microsecond):
+			case <-s.ctx.Done():
+			case <-retry.C:
 			}
+			retry.Stop()
 		}
 	}
 }
@@ -261,46 +245,47 @@ func (s *Secondary) applyLoop() {
 // pullTimeout bounds one secondary pull round against the XLOG service.
 const pullTimeout = 10 * time.Second
 
-func (s *Secondary) pullOnce() bool {
+// pullOnce pulls one batch from XLOG and applies it. An empty answer is no
+// error — XLOG has already waited for the log — but a failed pull is.
+func (s *Secondary) pullOnce() error {
 	s.mu.Lock()
 	from := s.applied
 	s.mu.Unlock()
 
-	// Bounded: the pull loop retries on failure, so a stalled XLOG costs
-	// one timed-out round instead of a wedged consumer goroutine.
-	ctx, cancel := context.WithTimeout(context.Background(), pullTimeout)
+	// Bounded: a stalled XLOG costs one timed-out round instead of a wedged
+	// consumer goroutine.
+	ctx, cancel := context.WithTimeout(s.ctx, pullTimeout)
 	defer cancel()
 	resp, err := s.xlog.Call(ctx, &rbio.Request{
 		Type:      rbio.MsgPullBlocks,
 		LSN:       from,
 		Partition: -1, // secondaries consume the whole stream (§4.6)
 		MaxBytes:  int32(s.pullBytes),
-		Consumer:  s.name,
 	})
-	if err != nil || resp.Status != rbio.StatusOK {
-		return false
+	if err == nil {
+		err = resp.Err()
+	}
+	if err != nil {
+		return err
 	}
 	payload := resp.Payload
 	for len(payload) > 0 {
 		b, n, err := wal.DecodeBlock(payload)
 		if err != nil {
-			return false
+			return err
 		}
 		payload = payload[n:]
 		s.applyBlock(b)
 	}
 	if resp.LSN == from {
-		return false
+		return nil
 	}
 	s.advance(&s.applied, resp.LSN)
 	s.advance(&s.visibleTo, resp.LSN) // the blocks below published theirs; the rest of the range holds none
 	s.obs.Watermarks.Watermark(obs.WMSecondary, s.name).Publish(uint64(resp.LSN))
 	s.obs.Flight.Record(obs.TierCompute, "sec.apply", uint64(resp.LSN), 0,
 		s.name+": batch applied")
-	//socrates:ignore-err applied-progress reports are advisory lease refreshes; the next pull re-reports and the watermark is monotone at the service
-	_, _ = s.xlog.Call(ctx, &rbio.Request{
-		Type: rbio.MsgReportApplied, Consumer: s.name, LSN: resp.LSN})
-	return true
+	return nil
 }
 
 // applyBlock applies one log block in four steps whose order is the node's

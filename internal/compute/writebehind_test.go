@@ -68,7 +68,7 @@ func TestSecondaryFetchFloorCoversTheBlockInFlight(t *testing.T) {
 	// block's records up to the requested LSN applied.
 	var mu sync.Mutex
 	var asked []page.LSN
-	var serve bool
+	serve := make(chan struct{})
 	net := rbio.NewInstantNetwork()
 	net.Serve("ps", func(ctx context.Context, req *rbio.Request) *rbio.Response {
 		if req.Type != rbio.MsgGetPage || req.Page != p {
@@ -95,16 +95,7 @@ func TestSecondaryFetchFloorCoversTheBlockInFlight(t *testing.T) {
 		resp.Payload = buf
 		return resp
 	})
-	net.Serve("xlog", func(_ context.Context, req *rbio.Request) *rbio.Response {
-		resp := rbio.Ok()
-		resp.LSN = req.LSN
-		mu.Lock()
-		defer mu.Unlock()
-		if req.Type == rbio.MsgPullBlocks && req.LSN == start && serve {
-			resp.LSN, resp.Payload = blk.End, blk.Encode()
-		}
-		return resp
-	})
+	net.Serve("xlog", xlogOnce(start, blk.End, blk.Encode(), serve))
 	sel := rbio.NewSelector(rbio.NewClient(net.Dial("ps")))
 	ssd, meta := simdisk.New(simdisk.Instant), simdisk.New(simdisk.Instant)
 	sec, err := NewSecondary(SecondaryConfig{
@@ -131,9 +122,7 @@ func TestSecondaryFetchFloorCoversTheBlockInFlight(t *testing.T) {
 		}
 	}
 	defer release()
-	mu.Lock()
-	serve = true
-	mu.Unlock()
+	close(serve)
 	until(t, "the apply thread to fill the write-behind backlog mid-block", func() bool {
 		return cache.WriteBehind().BlockedPuts == 1
 	})

@@ -15,7 +15,6 @@ import (
 	"socrates/internal/obs"
 	"socrates/internal/page"
 	"socrates/internal/rbio"
-	"socrates/internal/socerr"
 	"socrates/internal/wal"
 	"socrates/internal/xstore"
 )
@@ -451,31 +450,14 @@ func (w *writer) Append(rec *wal.Record) page.LSN {
 
 // WaitHarden blocks until quorum hardening reaches lsn or ctx is done.
 func (w *writer) WaitHarden(ctx context.Context, lsn page.LSN) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// The callback must take w.mu (context.AfterFunc docs): an unlocked
-	// Broadcast can fire between the ctx.Err() check and cond.Wait()
-	// registering — a missed wakeup that strands the waiter.
-	stop := context.AfterFunc(ctx, func() {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		w.cond.Broadcast()
-	})
-	defer stop()
-	// commit.harden: the committer is blocked on quorum replication of its
-	// LSN. Recorded only when the loop actually blocks.
-	region := w.c.cfg.Waits.Begin(ctx, obs.WaitCommitHarden)
-	waited := false
-	defer func() { region.EndIf(waited) }()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.hardened.AtMost(lsn) && !lsn.Before(w.lostTo) && w.err == nil && !w.closed {
-		if err := ctx.Err(); err != nil {
-			return socerr.FromContext(err)
-		}
-		waited = true
-		w.cond.Wait()
+	// commit.harden: the committer is blocked on quorum replication of its
+	// LSN. Recorded only when it actually blocks.
+	if err := w.c.cfg.Waits.CondWait(ctx, obs.WaitCommitHarden, w.cond, time.Time{}, func() bool {
+		return w.hardened.After(lsn) || lsn.Before(w.lostTo) || w.err != nil || w.closed
+	}); err != nil {
+		return err
 	}
 	if w.err != nil {
 		return w.err
@@ -539,13 +521,11 @@ func (w *writer) flushLoop() {
 		// backpressure: this stall serializes the whole log pipeline, so
 		// the blocked time is charged as one running total per episode.
 		if w.unbackedLen > w.c.cfg.BackupLagBudget && !w.closed {
+			w.throttles.Add(1)
 			stallStart := time.Now()
 			for w.unbackedLen > w.c.cfg.BackupLagBudget && !w.closed {
-				w.throttles.Add(1)
-				waker := time.AfterFunc(time.Millisecond, w.cond.Broadcast)
 				//socrates:wait-ok charged below as backpressure via a running total per throttle episode
 				w.cond.Wait()
-				waker.Stop()
 			}
 			w.c.cfg.Waits.Observe(nil, obs.WaitBackpressure, time.Since(stallStart))
 		}

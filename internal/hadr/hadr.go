@@ -308,10 +308,8 @@ func (n *Node) startApply() {
 					return
 				default:
 				}
-				waker := time.AfterFunc(time.Millisecond, n.cond.Broadcast)
 				//socrates:wait-ok idle apply loop waiting for the next shipped block; not a stall
 				n.cond.Wait()
-				waker.Stop()
 			}
 			batch := n.queue
 			n.queue = nil
@@ -361,39 +359,22 @@ func (n *Node) applyBlock(b *wal.Block) {
 
 // WaitApplied blocks until the node applied through lsn.
 func (n *Node) WaitApplied(lsn page.LSN, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	// xlog.feed: the caller is blocked behind this replica's apply
-	// progress. Recorded only when the loop actually blocks.
-	region := n.waits.Begin(nil, obs.WaitXLOGFeed)
-	waited := false
-	defer func() { region.EndIf(waited) }()
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for n.applied.Before(lsn) {
-		if time.Now().After(deadline) {
-			return false
-		}
-		waited = true
-		waker := time.AfterFunc(time.Millisecond, n.cond.Broadcast)
-		n.cond.Wait()
-		waker.Stop()
-	}
-	return true
+	// xlog.feed: the caller is blocked behind this replica's apply progress.
+	return n.waits.CondWait(nil, obs.WaitXLOGFeed, n.cond, time.Now().Add(timeout),
+		func() bool { return n.applied.AtLeast(lsn) }) == nil
 }
 
 // waitApplyProgress blocks until the apply watermark advances or the
 // timeout elapses — the WaitFresh hook for traversals racing log apply.
 func (n *Node) waitApplyProgress(timeout time.Duration) {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	start := n.applied
-	deadline := time.Now().Add(timeout)
-	for n.applied == start && time.Now().Before(deadline) {
-		waker := time.AfterFunc(200*time.Microsecond, n.cond.Broadcast)
-		//socrates:wait-ok reached only via the engine's WaitFresh hook, whose caller (withReadRetry) owns the lock.row accounting
-		n.cond.Wait()
-		waker.Stop()
-	}
-	n.mu.Unlock()
+	//socrates:wait-ok reached only via the engine's WaitFresh hook, whose caller (withReadRetry) owns the lock.row accounting
+	_ = n.waits.CondWait(nil, obs.WaitNone, n.cond, time.Now().Add(timeout),
+		func() bool { return n.applied != start })
 }
 
 // handler serves replication traffic: a shipped block is hardened to the

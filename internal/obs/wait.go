@@ -39,6 +39,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"socrates/internal/socerr"
 )
 
 // WaitClass names one cause of blocking. The taxonomy is fixed — a small
@@ -346,6 +348,74 @@ func (r *WaitRecorder) Wait(ctx context.Context, class WaitClass, fn func()) {
 //socrates:hotpath region entry on every netmux call and GetPage; TestMuxCallAllocs, TestGetPageAllocs
 func (r *WaitRecorder) Begin(ctx context.Context, class WaitClass) WaitRegion {
 	return WaitRegion{rec: r, ctx: ctx, class: class, start: time.Now()}
+}
+
+// WaitNone is the class of a CondWait charged to no class: the caller's
+// caller records the blocked time (a WaitFresh retry's lock.row), or it is
+// idle time nobody should (a long poll). waitlint treats a CondWait passing
+// it as an unrecorded blocking site, which needs a //socrates:wait-ok.
+const WaitNone WaitClass = 255
+
+// ErrDeadline is what CondWait returns when its deadline passes first. It
+// is ErrTimeout-classified; callers that want their state in the message
+// test for it and say more.
+var ErrDeadline = socerr.Timeoutf("wait deadline passed")
+
+// CondWait is the one bounded condition wait of the log path. The caller
+// holds c.L; CondWait returns, still holding it, once ready() holds (nil),
+// ctx ends (socerr.FromContext of its error) or deadline passes
+// (ErrDeadline). A zero deadline never passes; ctx may be nil.
+//
+// Whatever makes ready true must Broadcast c under c.L. The deadline timer
+// and the end of ctx broadcast under c.L too: unlocked, a broadcast could
+// fall between a check of ready and Wait registering, and wake nobody.
+//
+// The wait is recorded as one wait of class — only if it blocked; WaitNone
+// records nothing. Already ready, CondWait allocates nothing.
+func (r *WaitRecorder) CondWait(ctx context.Context, class WaitClass, c *sync.Cond, deadline time.Time, ready func() bool) error {
+	if ready() {
+		return nil
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return socerr.FromContext(err)
+	}
+	if !deadline.IsZero() && !time.Now().Before(deadline) {
+		return ErrDeadline
+	}
+	if class != WaitNone {
+		defer r.Begin(ctx, class).End()
+	}
+	expired := false
+	if !deadline.IsZero() {
+		timer := time.AfterFunc(time.Until(deadline), func() {
+			c.L.Lock()
+			defer c.L.Unlock()
+			expired = true
+			c.Broadcast()
+		})
+		defer timer.Stop()
+	}
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, func() {
+			c.L.Lock()
+			defer c.L.Unlock()
+			c.Broadcast()
+		})
+		defer stop()
+	}
+	for !ready() {
+		if err := ctx.Err(); err != nil {
+			return socerr.FromContext(err)
+		}
+		if expired {
+			return ErrDeadline
+		}
+		c.Wait()
+	}
+	return nil
 }
 
 // Wait is the package-level WaitPoint for paths with request context but

@@ -74,8 +74,9 @@ func TestGetPageAllocs(t *testing.T) {
 // touched map and target page are warm — exactly the state of a batch
 // coalescing many records onto one hot page — so the measured cost is btree
 // redo itself (the spliced payload and the new page around it), not batch
-// bookkeeping. The pull finds the feed caught up: its cost is the request
-// to XLOG and the empty answer.
+// bookkeeping. The pull runs on the stopped server, under its cancelled
+// context: its cost is building the request and giving it up. A pull on a
+// live, caught-up feed now waits at XLOG for log and measures nothing.
 func TestApplyFeedAllocs(t *testing.T) {
 	testutil.SkipIfRace(t)
 
@@ -120,15 +121,19 @@ func TestApplyFeedAllocs(t *testing.T) {
 		t.Fatalf("apply record: %.1f allocs/op, budget %d", avg, budget)
 	}
 
+	applied := srv.AppliedLSN()
 	avg = testing.AllocsPerRun(runs, func() {
-		if srv.pullOnce() {
-			t.Fatal("a caught-up feed applied a batch")
+		if err := srv.pullOnce(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("pull on a stopped server: %v, want context.Canceled", err)
 		}
 	})
+	if got := srv.AppliedLSN(); got != applied {
+		t.Fatalf("a cancelled pull moved the apply watermark %d -> %d", applied, got)
+	}
 	const pullBudget = 4
-	t.Logf("idle pull: %.1f allocs/op (budget %d)", avg, pullBudget)
+	t.Logf("cancelled pull: %.1f allocs/op (budget %d)", avg, pullBudget)
 	if avg > pullBudget {
-		t.Fatalf("idle pull: %.1f allocs/op, budget %d", avg, pullBudget)
+		t.Fatalf("cancelled pull: %.1f allocs/op, budget %d", avg, pullBudget)
 	}
 }
 

@@ -58,7 +58,7 @@ type Config struct {
 	RangeLo, RangeHi page.ID
 	// Name is this server's identity (XLOG consumer, checkpoint metadata).
 	Name string
-	// XLOG is the client to the XLOG service for pulls and progress.
+	// XLOG is the client to the XLOG service for pulls.
 	XLOG *rbio.Client
 	// Store is the XStore account holding checkpoints.
 	Store *xstore.Store
@@ -116,12 +116,19 @@ type Server struct {
 	// later one would put the older page versions it read, and its older
 	// resume LSN, over the newer ones.
 	kick chan struct{}
-	done chan struct{}
-	wg   sync.WaitGroup
+	// ctx ends when Stop is called. The background loops watch it, and the
+	// apply loop's pulls run under it, so Stop does not wait out a long
+	// poll at XLOG.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 
 	// applyScratch is pullOnce's reusable touched-page set; only the
 	// apply loop touches it, so no lock guards it.
 	applyScratch map[page.ID]*page.Page
+	// retryWait, when a test sets it before the first pull fails, stands in
+	// for the failed-pull back-off.
+	retryWait func(ctx context.Context)
 
 	// waitRec is cfg.Obs.Waits.Tier(obs.TierPageServer), resolved once.
 	waitRec *obs.WaitRecorder
@@ -178,10 +185,10 @@ func New(cfg Config) (*Server, error) {
 		dirty:   make(map[page.ID]page.LSN),
 		clean:   make(chan struct{}),
 		kick:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
 	}
 	close(s.clean)
 	s.appliedCond = sync.NewCond(&s.mu)
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 
 	// Decide the apply resume point: persisted checkpoint meta (if any),
 	// else the configured start.
@@ -207,12 +214,10 @@ func New(cfg Config) (*Server, error) {
 
 // Stop halts background work (final checkpoint attempt included).
 func (s *Server) Stop() {
-	select {
-	case <-s.done:
+	if s.ctx.Err() != nil {
 		return
-	default:
 	}
-	close(s.done)
+	s.cancel()
 	s.wg.Wait()
 	//socrates:ignore-err the shutdown checkpoint is best-effort; the dirty set is re-derivable by redo from the persisted resume LSN
 	_, _ = s.sweep()
@@ -292,51 +297,61 @@ func (s *Server) readMeta() (page.LSN, error) {
 
 // --- log apply ---
 
+// pullRetry spaces the apply loop's pulls while they fail (XLOG down, or
+// answering errors), so an outage does not spin a core. An empty answer is
+// pulled again at once: XLOG answers a pull only once the log passes it, or
+// at its own cap.
+const pullRetry = 500 * time.Microsecond
+
 func (s *Server) applyLoop() {
 	defer s.wg.Done()
-	for {
-		select {
-		case <-s.done:
-			return
-		default:
-		}
-		if !s.pullOnce() {
-			// Nothing new at the XLOG service. The pull model has no local
-			// condition to wait on, so back off briefly but stay killable.
-			//socrates:wait-ok idle pull backoff on an empty feed; recording it would drown real apply-lag waits
-			select {
-			case <-s.done:
-				return
-			case <-time.After(500 * time.Microsecond):
-			}
+	for s.ctx.Err() == nil {
+		if err := s.pullOnce(); err != nil {
+			s.backOff()
 		}
 	}
 }
 
-// pullOnce pulls and applies one batch; reports whether progress was made.
-// The apply loop is server-initiated, so each batch starts its own trace
-// rather than joining a caller's.
+// backOff waits out pullRetry after a failed pull, or until Stop.
+func (s *Server) backOff() {
+	if s.retryWait != nil {
+		s.retryWait(s.ctx)
+		return
+	}
+	retry := time.NewTimer(pullRetry)
+	defer retry.Stop()
+	//socrates:wait-ok failed-pull back-off in the apply loop; nobody waits on it
+	select {
+	case <-s.ctx.Done():
+	case <-retry.C:
+	}
+}
+
+// pullOnce pulls one batch from XLOG and applies it. An empty answer is no
+// error — XLOG has already waited for the log — but a failed pull or apply
+// is. The apply loop is server-initiated, so each batch starts its own
+// trace rather than joining a caller's.
 //
-//socrates:hotpath the apply feed's batch loop; TestApplyFeedAllocs (idle pull)
-func (s *Server) pullOnce() bool {
+//socrates:hotpath the apply feed's batch loop; TestApplyFeedAllocs (a pull under a cancelled context)
+func (s *Server) pullOnce() error {
 	//socrates:wait-ok watermark latch held for one read; readers blocked on apply lag are charged page.miss at GetPage@LSN
 	s.mu.Lock()
 	from := s.applied
 	s.mu.Unlock()
 
-	ctx := context.Background()
-	start := time.Now()
-	resp, err := s.cfg.XLOG.Call(ctx, &rbio.Request{
+	resp, err := s.cfg.XLOG.Call(s.ctx, &rbio.Request{
 		Type:      rbio.MsgPullBlocks,
 		LSN:       from,
 		Partition: int32(s.cfg.Partition),
 		MaxBytes:  int32(s.cfg.PullBytes),
-		Consumer:  s.cfg.Name,
 	})
-	if err != nil || resp.Status != rbio.StatusOK {
-		return false
+	if err == nil {
+		err = resp.Err()
 	}
-	s.cfg.Obs.Metrics.Histogram("pageserver.pull.rtt").Since(start)
+	if err != nil {
+		return err
+	}
+	start := time.Now() // after the pull: XLOG's wait for the log is no part of applying it
 	next := resp.LSN
 	payload := resp.Payload
 	// Coalesce the batch: a page touched by many records in one pull is
@@ -353,12 +368,12 @@ func (s *Server) pullOnce() bool {
 	for len(payload) > 0 {
 		b, n, err := wal.DecodeBlock(payload)
 		if err != nil {
-			return false
+			return err
 		}
 		payload = payload[n:]
 		for _, rec := range b.Records {
 			if err := s.applyRecordTo(touched, rec); err != nil {
-				return false
+				return err
 			}
 		}
 	}
@@ -370,11 +385,11 @@ func (s *Server) pullOnce() bool {
 			s.cfg.Obs.Flight.Record(obs.TierPageServer, "ps.apply_error",
 				uint64(from), time.Since(start),
 				s.cfg.Name+": cache put: "+err.Error())
-			return false
+			return err
 		}
 	}
 	if next == from {
-		return false
+		return nil
 	}
 	s.cfg.Obs.Metrics.Histogram("pageserver.apply.latency").Since(start)
 	// The ladder rung first: a checkpoint sweep publishes the s.applied it
@@ -387,10 +402,7 @@ func (s *Server) pullOnce() bool {
 	s.mu.Unlock()
 	s.cfg.Obs.Flight.Record(obs.TierPageServer, "ps.apply", uint64(next),
 		time.Since(start), fmt.Sprintf("%s: pages=%d", s.cfg.Name, len(touched)))
-	//socrates:ignore-err applied-progress reports are advisory lease refreshes; the next pull re-reports and the watermark is monotone at the service
-	_, _ = s.cfg.XLOG.Call(ctx, &rbio.Request{
-		Type: rbio.MsgReportApplied, Consumer: s.cfg.Name, LSN: next})
-	return true
+	return nil
 }
 
 // applyRecordTo applies one redo record into the batch's touched-page set;
@@ -468,7 +480,7 @@ func (s *Server) seedLoop() {
 	prefix := s.cfg.BlobPrefix + "page/"
 	for _, name := range s.cfg.Store.List(prefix) {
 		select {
-		case <-s.done:
+		case <-s.ctx.Done():
 			return
 		default:
 		}
@@ -529,7 +541,7 @@ func (s *Server) checkpointLoop() {
 	for {
 		//socrates:wait-ok checkpoint policy tick, not a stall
 		select {
-		case <-s.done:
+		case <-s.ctx.Done():
 			return
 		case <-s.kick:
 		case <-ticker.C:
@@ -711,7 +723,7 @@ func (s *Server) WaitCheckpointDrain(timeout time.Duration) error {
 	select {
 	case <-clean:
 		return nil
-	case <-s.done:
+	case <-s.ctx.Done():
 		return ErrStopped
 	case <-timer.C:
 		s.mu.Lock()
@@ -741,49 +753,21 @@ func (s *Server) FlushForBackup() (page.LSN, error) {
 // socerr.ErrTimeout once timeout has elapsed, and with ctx's error once ctx
 // ends — a GetPage whose caller has gone stops waiting.
 func (s *Server) waitApplied(ctx context.Context, lsn page.LSN, timeout time.Duration) error {
-	// xlog.feed: a reader blocked behind apply lag is waiting on the log
-	// feed pipeline (XLOG pull → redo). Recorded, and counted, only when the
-	// call blocks; ctx attributes the wait to the GetPage span.
-	region := s.waitRec.Begin(ctx, obs.WaitXLOGFeed)
-	waited := false
-	defer func() { region.EndIf(waited) }()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.applied.After(lsn) {
 		return nil
 	}
-	if err := ctx.Err(); err != nil {
-		return socerr.FromContext(err)
-	}
-	waited = true
 	s.waits.Add(1)
-	// The deadline and the end of ctx each wake the wait once, broadcasting
-	// under s.mu: unlocked, a broadcast could fall between a check below
-	// and Wait registering, and wake nobody.
-	expired := false
-	timer := time.AfterFunc(timeout, func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		expired = true
-		s.appliedCond.Broadcast()
-	})
-	defer timer.Stop()
-	stop := context.AfterFunc(ctx, func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.appliedCond.Broadcast()
-	})
-	defer stop()
-	for s.applied.AtMost(lsn) {
-		if err := ctx.Err(); err != nil {
-			return socerr.FromContext(err)
-		}
-		if expired {
-			return socerr.Timeoutf("pageserver: apply lag: applied %d, need > %d", s.applied, lsn)
-		}
-		s.appliedCond.Wait()
+	// xlog.feed: a reader blocked behind apply lag is waiting on the log
+	// feed pipeline (XLOG pull → redo); ctx attributes the wait to the
+	// GetPage span.
+	err := s.waitRec.CondWait(ctx, obs.WaitXLOGFeed, s.appliedCond, time.Now().Add(timeout),
+		func() bool { return s.applied.After(lsn) })
+	if errors.Is(err, obs.ErrDeadline) {
+		return socerr.Timeoutf("pageserver: apply lag: applied %d, need > %d", s.applied, lsn)
 	}
-	return nil
+	return err
 }
 
 // GetPage serves one page at an LSN at least minLSN (the §4.4 protocol).

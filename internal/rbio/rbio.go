@@ -1,7 +1,7 @@
 // Package rbio implements the Remote Block I/O protocol (§3.4): the typed,
 // versioned, stateless request/response protocol Socrates tiers use to talk
-// to each other. GetPage@LSN, XLOG block pulls, consumer progress reports,
-// and the lossy primary→XLOG feed all travel over RBIO.
+// to each other. GetPage@LSN, XLOG block pulls, harden reports and the
+// lossy primary→XLOG feed all travel over RBIO.
 //
 // The protocol properties the paper calls out are all present:
 //
@@ -42,15 +42,15 @@ type MsgType uint8
 
 // RBIO operations. A retired number is held by a blank and never reassigned.
 const (
-	MsgPing          MsgType = iota // liveness / RTT probe
-	MsgGetPage                      // GetPage@LSN: Page, LSN → page image
-	MsgPullBlocks                   // log consumer pull: LSN, Partition, MaxBytes → blocks
-	MsgReportApplied                // consumer progress report: Consumer, LSN
-	MsgFeedBlock                    // lossy primary→XLOG feed: Payload = encoded block
-	MsgHardenReport                 // primary→XLOG: LSN = hardened watermark
-	_                               // retired: write-pages
-	MsgReadState                    // introspection: current applied/hardened LSNs
-	_                               // retired: scan-cells
+	MsgPing         MsgType = iota // liveness / RTT probe
+	MsgGetPage                     // GetPage@LSN: Page, LSN → page image
+	MsgPullBlocks                  // log consumer pull: LSN, Partition, MaxBytes → blocks
+	_                              // retired: report-applied
+	MsgFeedBlock                   // lossy primary→XLOG feed: Payload = encoded block
+	MsgHardenReport                // primary→XLOG: LSN = hardened watermark
+	_                              // retired: write-pages
+	MsgReadState                   // introspection: current applied/hardened LSNs
+	_                              // retired: scan-cells
 )
 
 func (m MsgType) String() string {
@@ -61,8 +61,6 @@ func (m MsgType) String() string {
 		return "get-page"
 	case MsgPullBlocks:
 		return "pull-blocks"
-	case MsgReportApplied:
-		return "report-applied"
 	case MsgFeedBlock:
 		return "feed-block"
 	case MsgHardenReport:
@@ -115,7 +113,7 @@ type Request struct {
 	LSN       page.LSN // MsgGetPage (min LSN), MsgPullBlocks (from), reports
 	Partition int32    // MsgPullBlocks filter; -1 = unfiltered (secondaries)
 	MaxBytes  int32    // MsgPullBlocks budget
-	Consumer  string   // consumer identity for progress/leases
+	Consumer  string   // MsgFeedBlock: the producer epoch, in decimal
 	Payload   []byte   // MsgFeedBlock
 }
 

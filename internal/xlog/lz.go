@@ -193,24 +193,17 @@ func (lz *LandingZone) Reserve(b *wal.Block) (*Reservation, error) {
 	need := int64(len(payload)) + 8
 
 	lz.mu.Lock()
-	deadline := time.Now().Add(5 * time.Second)
-	if lz.freeLocked() < need+8 {
+	if lz.freeLocked() < need+8 { // +8 for a potential wrap marker
 		// backpressure: the ring is full and the producer stalls until
-		// destaging frees space. Aggregate-only — Reserve takes no
-		// request context (its caller is a group's leader, not a request).
-		stallStart := time.Now()
-		for lz.freeLocked() < need+8 { // +8 for a potential wrap marker
-			lz.stalls++
-			wait := time.Until(deadline)
-			if wait <= 0 {
-				lz.mu.Unlock()
-				lz.waits.Observe(nil, obs.WaitBackpressure, time.Since(stallStart))
-				return nil, ErrLZTimeout
-			}
-			// Poll: destaging releases space via ReleaseUpTo which broadcasts.
-			lz.waitWithTimeout(10 * time.Millisecond)
+		// destaging frees space (ReleaseUpTo broadcasts). Aggregate-only —
+		// Reserve takes no request context (its caller is a group's
+		// leader, not a request).
+		lz.stalls++
+		if err := lz.waits.CondWait(nil, obs.WaitBackpressure, lz.cond, time.Now().Add(5*time.Second),
+			func() bool { return lz.freeLocked() >= need+8 }); err != nil {
+			lz.mu.Unlock()
+			return nil, ErrLZTimeout
 		}
-		lz.waits.Observe(nil, obs.WaitBackpressure, time.Since(stallStart))
 	}
 	// Wrap if the entry does not fit before the end of the volume.
 	if lz.head+need > lz.capacity {
@@ -279,23 +272,6 @@ func (lz *LandingZone) Write(b *wal.Block) error {
 		return err
 	}
 	return lz.Complete(r)
-}
-
-// waitWithTimeout waits on the condition variable with a cap, so a stalled
-// destager cannot deadlock writers forever. Caller holds lz.mu.
-func (lz *LandingZone) waitWithTimeout(d time.Duration) {
-	done := make(chan struct{})
-	go func() {
-		//socrates:wait-ok waker goroutine for the bounded cond wait below, not itself a stall
-		select {
-		case <-done:
-		case <-time.After(d):
-			lz.cond.Broadcast()
-		}
-	}()
-	//socrates:wait-ok the ring-full stall is recorded as backpressure by Reserve, which brackets this poll loop with a running total
-	lz.cond.Wait()
-	close(done)
 }
 
 // freeLocked computes free ring bytes. Caller holds lz.mu.
@@ -375,7 +351,7 @@ func (lz *LandingZone) ReleaseUpTo(lsn page.LSN) {
 	lz.mu.Unlock()
 }
 
-// Stalls reports how many times writers waited for space (backpressure).
+// Stalls reports how many reservations waited for ring space (backpressure).
 func (lz *LandingZone) Stalls() int {
 	lz.mu.Lock()
 	defer lz.mu.Unlock()

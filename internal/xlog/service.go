@@ -31,8 +31,8 @@ import (
 //     the LZ space,
 //   - serves consumer pulls (secondaries unfiltered, page servers filtered
 //     by partition annotation) from, in order: sequence map, SSD cache, LZ,
-//     and LT as the last resort,
-//   - tracks consumer leases and applied-LSN progress.
+//     and LT as the last resort; over RBIO a pull is a long poll, answered
+//     once the promoted watermark passes it.
 //
 // The service keeps no authoritative state: everything is rebuilt from the
 // LZ and LT on restart (Recover), preserving the paper's "stateless XLOG
@@ -53,11 +53,13 @@ type Service struct {
 	promoted    page.LSN // end LSN of the last promoted block
 	destaged    page.LSN // end LSN of the last destaged block
 	// destagedCond (on mu) is broadcast whenever destaged advances, so
-	// WaitDestaged blocks on a signal instead of polling.
+	// WaitDestaged blocks on a signal instead of polling; promotedCond
+	// whenever promoted advances or the service closes, which answers the
+	// pulls waiting for log.
 	destagedCond *sync.Cond
+	promotedCond *sync.Cond
 	maxCommitTS  uint64 // highest commit timestamp in promoted log
-
-	consumers map[string]*consumer
+	closed       bool
 
 	// producerEpoch identifies the current log producer. A primary crash
 	// can leave speculative (fed-but-never-hardened) blocks in the pending
@@ -72,11 +74,6 @@ type Service struct {
 	wg   sync.WaitGroup
 
 	feedReceived, feedStale, gapFills int
-}
-
-type consumer struct {
-	applied  page.LSN
-	lastSeen time.Time
 }
 
 // entry pairs a block with its encoded bytes, so dissemination never
@@ -156,16 +153,16 @@ func build(cfg Config) (*Service, error) {
 		cfg.CacheBytes = 4 << 20
 	}
 	s := &Service{
-		lz:        cfg.LZ,
-		obs:       cfg.Obs,
-		waits:     cfg.Obs.Waits.Tier(obs.TierXLOG),
-		lt:        &lt{store: cfg.LT, blob: cfg.LTBlob},
-		pending:   make(map[page.LSN]entry),
-		budget:    cfg.BrokerBytes,
-		consumers: make(map[string]*consumer),
-		done:      make(chan struct{}),
+		lz:      cfg.LZ,
+		obs:     cfg.Obs,
+		waits:   cfg.Obs.Waits.Tier(obs.TierXLOG),
+		lt:      &lt{store: cfg.LT, blob: cfg.LTBlob},
+		pending: make(map[page.LSN]entry),
+		budget:  cfg.BrokerBytes,
+		done:    make(chan struct{}),
 	}
 	s.destagedCond = sync.NewCond(&s.mu)
+	s.promotedCond = sync.NewCond(&s.mu)
 	cfg.LZ.mu.Lock()
 	cfg.LZ.waits = s.waits
 	cfg.LZ.mu.Unlock()
@@ -180,13 +177,17 @@ func (s *Service) start() {
 	go s.destageLoop()
 }
 
-// Close stops the destager after a final pass. Idempotent.
+// Close stops the destager after a final pass and answers the pulls waiting
+// for log. Idempotent.
 func (s *Service) Close() {
-	select {
-	case <-s.done:
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
 		return
-	default:
 	}
+	s.closed = true
+	s.promotedCond.Broadcast()
+	s.mu.Unlock()
 	close(s.done)
 	s.wg.Wait()
 }
@@ -354,9 +355,11 @@ func (s *Service) promoteTo(lsn page.LSN) {
 	}
 }
 
-// publishPromotedLocked publishes the promoted rung; caller holds s.mu.
+// publishPromotedLocked publishes the promoted rung and wakes the pulls
+// waiting for it; caller holds s.mu.
 func (s *Service) publishPromotedLocked() {
 	s.obs.Watermarks.Watermark(obs.WMPromoted, "").Publish(uint64(s.promoted))
+	s.promotedCond.Broadcast()
 }
 
 // --- destaging pipeline ---
@@ -522,72 +525,30 @@ func (s *Service) lookup(start page.LSN) (entry, error) {
 	return entry{b: lb, enc: lb.Encode()}, nil
 }
 
-// RegisterConsumer creates or refreshes a consumer lease.
-func (s *Service) RegisterConsumer(id string) {
-	s.mu.Lock()
-	if c, ok := s.consumers[id]; ok {
-		c.lastSeen = time.Now()
-	} else {
-		s.consumers[id] = &consumer{lastSeen: time.Now()}
-	}
-	s.mu.Unlock()
-}
+// pullWaitMax caps how long a pull waits at the service for log. Over the
+// in-process fabric the consumer's context ends the wait when the consumer
+// goes; a TCP frame carries no deadline, so the service bounds the wait
+// itself — well under a consumer's 10 s pull timeout, so an idle pull comes
+// back empty rather than failed.
+const pullWaitMax = time.Second
 
-// ReportApplied records consumer progress and refreshes its lease.
-func (s *Service) ReportApplied(id string, lsn page.LSN) {
-	s.mu.Lock()
-	c, ok := s.consumers[id]
-	if !ok {
-		c = &consumer{}
-		s.consumers[id] = c
-	}
-	if lsn.After(c.applied) {
-		c.applied = lsn
-	}
-	c.lastSeen = time.Now()
-	s.mu.Unlock()
-}
-
-// ExpireLeases drops consumers silent for longer than ttl and returns how
-// many were dropped.
-func (s *Service) ExpireLeases(ttl time.Duration) int {
+// awaitLog is the long poll in front of a pull over RBIO. It returns once
+// the promoted watermark passes from, ctx ends, pullWaitMax passes (nil:
+// the pull answers with nothing) or the service closes. The wait is idle
+// time, charged to no class: a caught-up consumer is not stalled.
+func (s *Service) awaitLog(ctx context.Context, from page.LSN) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	dropped := 0
-	cutoff := time.Now().Add(-ttl)
-	for id, c := range s.consumers {
-		if c.lastSeen.Before(cutoff) {
-			delete(s.consumers, id)
-			dropped++
-		}
+	//socrates:wait-ok a caught-up consumer's idle long poll; one behind the log is answered at once
+	err := s.waits.CondWait(ctx, obs.WaitNone, s.promotedCond, time.Now().Add(pullWaitMax),
+		func() bool { return s.promoted.After(from) || s.closed })
+	switch {
+	case s.closed:
+		return fmt.Errorf("xlog: %w", socerr.ErrClosed)
+	case errors.Is(err, obs.ErrDeadline):
+		return nil
 	}
-	return dropped
-}
-
-// ConsumerProgress reports a consumer's applied LSN.
-func (s *Service) ConsumerProgress(id string) (page.LSN, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.consumers[id]
-	if !ok {
-		return 0, false
-	}
-	return c.applied, true
-}
-
-// MinAppliedLSN reports the slowest live consumer's progress (drives
-// version-store truncation and LT cleanup decisions).
-func (s *Service) MinAppliedLSN() page.LSN {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var min page.LSN
-	first := true
-	for _, c := range s.consumers {
-		if first || c.applied.Before(min) {
-			min, first = c.applied, false
-		}
-	}
-	return min
+	return err
 }
 
 // Stats reports feed/dissemination counters: feed blocks received, stale
@@ -614,28 +575,18 @@ func (s *Service) DestagedEnd() page.LSN {
 }
 
 // WaitDestaged blocks until destaging reaches lsn or the timeout elapses.
-// It waits on the destage condition variable rather than polling: every
-// watermark advance broadcasts, and a timer wakes the wait at the deadline.
 func (s *Service) WaitDestaged(lsn page.LSN, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	waker := time.AfterFunc(timeout, s.destagedCond.Broadcast)
-	defer waker.Stop()
-	// xlog.feed: the caller is blocked behind the destaging pipeline
-	// (log produced but not yet drained to SSD/LT). Aggregate-only —
-	// WaitDestaged has no request context.
-	region := s.waits.Begin(nil, obs.WaitXLOGFeed)
-	waited := false
-	defer func() { region.EndIf(waited) }()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.destaged.Before(lsn) {
-		if !time.Now().Before(deadline) {
-			return socerr.Timeoutf("xlog: destaging did not reach %d (at %d)", lsn, s.destaged)
-		}
-		waited = true
-		s.destagedCond.Wait()
+	// xlog.feed: the caller is blocked behind the destaging pipeline (log
+	// produced but not yet drained to SSD/LT). Aggregate-only —
+	// WaitDestaged has no request context.
+	err := s.waits.CondWait(nil, obs.WaitXLOGFeed, s.destagedCond, time.Now().Add(timeout),
+		func() bool { return s.destaged.AtLeast(lsn) })
+	if errors.Is(err, obs.ErrDeadline) {
+		return socerr.Timeoutf("xlog: destaging did not reach %d (at %d)", lsn, s.destaged)
 	}
-	return nil
+	return err
 }
 
 // Handler exposes the service over RBIO. The transport hands it a context
@@ -660,8 +611,8 @@ func (s *Service) Handler() rbio.Handler {
 			s.ReportHardened(ctx, req.LSN)
 			return rbio.Ok()
 		case rbio.MsgPullBlocks:
-			if req.Consumer != "" {
-				s.RegisterConsumer(req.Consumer)
+			if err := s.awaitLog(ctx, req.LSN); err != nil {
+				return rbio.Errorf("pull: %v", err)
 			}
 			payload, next, err := s.Pull(ctx, req.LSN, req.Partition, int(req.MaxBytes))
 			if err != nil {
@@ -671,9 +622,6 @@ func (s *Service) Handler() rbio.Handler {
 			resp.LSN = next
 			resp.Payload = payload
 			return resp
-		case rbio.MsgReportApplied:
-			s.ReportApplied(req.Consumer, req.LSN)
-			return rbio.Ok()
 		case rbio.MsgReadState:
 			resp := rbio.Ok()
 			resp.LSN = s.HardenedEnd()

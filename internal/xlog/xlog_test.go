@@ -538,35 +538,6 @@ func TestServiceRecovery(t *testing.T) {
 	}
 }
 
-func TestConsumerProgressAndLeases(t *testing.T) {
-	r := newRig(t, 1<<20)
-	r.svc.RegisterConsumer("sec-1")
-	r.svc.RegisterConsumer("ps-0")
-	r.svc.ReportApplied("sec-1", 100)
-	r.svc.ReportApplied("ps-0", 50)
-	if got, _ := r.svc.ConsumerProgress("sec-1"); got != 100 {
-		t.Fatalf("progress = %d", got)
-	}
-	if r.svc.MinAppliedLSN() != 50 {
-		t.Fatalf("min applied = %d", r.svc.MinAppliedLSN())
-	}
-	// Progress never regresses.
-	r.svc.ReportApplied("sec-1", 90)
-	if got, _ := r.svc.ConsumerProgress("sec-1"); got != 100 {
-		t.Fatal("progress regressed")
-	}
-	if dropped := r.svc.ExpireLeases(time.Hour); dropped != 0 {
-		t.Fatalf("dropped %d live leases", dropped)
-	}
-	time.Sleep(5 * time.Millisecond)
-	if dropped := r.svc.ExpireLeases(time.Nanosecond); dropped != 2 {
-		t.Fatalf("dropped = %d, want 2", dropped)
-	}
-	if _, ok := r.svc.ConsumerProgress("sec-1"); ok {
-		t.Fatal("expired consumer still present")
-	}
-}
-
 func TestStaleFeedDropped(t *testing.T) {
 	r := newRig(t, 1<<20)
 	blocks := mkBlocks(3, func(i int) page.ID { return 1 }, page.Partitioning{})
@@ -597,17 +568,12 @@ func TestHandlerOverRBIO(t *testing.T) {
 		t.Fatalf("harden report: %+v %v", resp, err)
 	}
 	resp, err = client.Call(context.Background(), &rbio.Request{
-		Type: rbio.MsgPullBlocks, LSN: 1, Partition: -1, Consumer: "sec-1"})
+		Type: rbio.MsgPullBlocks, LSN: 1, Partition: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(decodeAll(t, resp.Payload)) != 4 || resp.LSN != blocks[3].End {
 		t.Fatalf("pull via rbio: %d bytes, next=%d", len(resp.Payload), resp.LSN)
-	}
-	resp, err = client.Call(context.Background(), &rbio.Request{Type: rbio.MsgReportApplied,
-		Consumer: "sec-1", LSN: resp.LSN})
-	if err != nil || resp.Status != rbio.StatusOK {
-		t.Fatal("report applied failed")
 	}
 	resp, err = client.Call(context.Background(), &rbio.Request{Type: rbio.MsgReadState})
 	if err != nil || resp.LSN != blocks[3].End {
