@@ -82,8 +82,8 @@ allocs:
 	$(GO) test -count=1 -run 'Allocs$$' ./internal/btree ./internal/engine ./internal/pageserver ./internal/compute ./internal/netmux ./internal/rbpex
 	$(GO) test -run '^$$' -fuzz=FuzzNodeView -fuzztime=10s ./internal/btree
 
-# Every experiment of internal/experiments (the paper's tables and figure,
-# the two A/Bs) once, at reduced scale, as BenchmarkPaper/<name>.
+# Every experiment of internal/experiments (the paper's tables and figure)
+# once, at reduced scale, as BenchmarkPaper/<name>.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 

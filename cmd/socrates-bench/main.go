@@ -1,12 +1,12 @@
 // Command socrates-bench runs the experiments of internal/experiments — the
-// paper's evaluation tables and figures and the repository's own A/Bs — and
-// prints each in the paper's layout. `socrates-bench -h` lists them.
+// paper's evaluation tables and figure — and prints each in the paper's
+// layout. `socrates-bench -h` lists them.
 //
 // Usage:
 //
 //	socrates-bench -exp all
 //	socrates-bench -exp table5 -measure 3s -threads 64
-//	socrates-bench -exp obs,waits -json run.json
+//	socrates-bench -exp table1,table6 -json run.json
 //
 // Absolute numbers are scaled (the substrate is a simulator); the shapes —
 // who wins, by what factor, where the crossovers are — are the result. An

@@ -120,8 +120,8 @@ func TestWaitLintSeesTheSharedWait(t *testing.T) {
 			found = append(found, d)
 		}
 	}
-	if len(found) != 1 || !strings.Contains(found[0].Message, " in Unrecorded ") || found[0].Pos.Line != 118 {
-		t.Fatalf("want one CondWait finding in Unrecorded at line 118, got:\n%s", render(found))
+	if len(found) != 1 || !strings.Contains(found[0].Message, " in Unrecorded ") || found[0].Pos.Line != 115 {
+		t.Fatalf("want one CondWait finding in Unrecorded at line 115, got:\n%s", render(found))
 	}
 	if diags := pass.Run(loadFixture(t, loader, "waitlint/clean")); len(diags) != 0 {
 		t.Fatalf("clean fixture: want no findings, got:\n%s", render(diags))

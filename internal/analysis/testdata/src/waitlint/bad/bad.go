@@ -24,9 +24,6 @@ type WaitRecorder struct{}
 // Begin opens a region.
 func (r *WaitRecorder) Begin(class string) *WaitRegion { return &WaitRegion{} }
 
-// Wait runs fn inside an implicit region.
-func (r *WaitRecorder) Wait(class string, fn func()) { fn() }
-
 // WaitNone is the stand-in for obs.WaitNone: the class that records nothing.
 const WaitNone = ""
 

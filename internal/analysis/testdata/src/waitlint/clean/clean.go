@@ -25,9 +25,6 @@ type WaitRecorder struct{}
 // Begin opens a region.
 func (r *WaitRecorder) Begin(class string) *WaitRegion { return &WaitRegion{} }
 
-// Wait runs fn inside an implicit region.
-func (r *WaitRecorder) Wait(class string, fn func()) { fn() }
-
 // WaitNone is the stand-in for obs.WaitNone: the class that records nothing.
 const WaitNone = ""
 
@@ -78,13 +75,6 @@ func (q *Q) Poll(done chan struct{}) {
 	case <-done:
 	case <-time.After(time.Millisecond):
 	}
-}
-
-// Backoff wraps the timer wait in the Wait-closure form.
-func (q *Q) Backoff() {
-	q.rec.Wait("backpressure", func() {
-		<-time.After(time.Millisecond)
-	})
 }
 
 // Push is a declared hot path whose latch is reviewed.

@@ -34,8 +34,6 @@ import (
 //
 // A site passes when any of these hold:
 //
-//   - It is lexically inside the closure passed to a WaitPoint Wait(...)
-//     call (the obs.Wait / WaitRecorder.Wait form).
 //   - A WaitPoint region is open at the site on *every* control-flow path:
 //     the forward must-dataflow gens at a WaitRecorder.Begin call and
 //     kills at a direct WaitRegion End/EndIf call. A deferred End is NOT
@@ -172,14 +170,11 @@ func (l *WaitLint) checkBody(pkg *Package, file *ast.File, name string, body *as
 		if factAt[s.node] {
 			continue // region provably open on every path
 		}
-		if insideWaitClosure(pkg, file, s.node) {
-			continue
-		}
 		if pkg.DirectiveAt("wait-ok", s.node) {
 			continue
 		}
 		diags = append(diags, pkg.diag("waitlint", s.node,
-			"%s in %s is not covered by a WaitPoint region; wrap it in Begin/End (or obs.Wait) so the blocked time lands in a wait class, or annotate //socrates:wait-ok <reason>",
+			"%s in %s is not covered by a WaitPoint region; wrap it in Begin/End so the blocked time lands in a wait class, or annotate //socrates:wait-ok <reason>",
 			s.what, name))
 	}
 	return diags
@@ -376,46 +371,6 @@ func isRegionEnd(pkg *Package, call *ast.CallExpr) bool {
 	}
 	named, ok := t.(*types.Named)
 	return ok && named.Obj().Name() == "WaitRegion"
-}
-
-// insideWaitClosure reports whether the site sits inside a function
-// literal passed to a WaitPoint Wait call — either the WaitRecorder.Wait
-// method or a package-level Wait function taking (ctx, class, func()).
-// The search runs over the whole file: when the site is being judged as
-// part of a FuncLit's own body, the enclosing Wait call sits outside it.
-func insideWaitClosure(pkg *Package, file *ast.File, site ast.Node) bool {
-	found := false
-	ast.Inspect(file, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		isWait := isWaitRecorderCall(pkg, call, "Wait")
-		if !isWait {
-			// Package-level obs.Wait(ctx, class, fn).
-			if fn, ok := calleeObject(pkg.Info, call).(*types.Func); ok &&
-				fn.Name() == "Wait" && fn.Type().(*types.Signature).Recv() == nil &&
-				len(call.Args) == 3 {
-				isWait = true
-			}
-		}
-		if !isWait {
-			return true
-		}
-		for _, arg := range call.Args {
-			if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-				if lit.Pos() <= site.Pos() && site.End() <= lit.End() {
-					found = true
-					return false
-				}
-			}
-		}
-		return true
-	})
-	return found
 }
 
 // regionProblem is the must-in-region forward dataflow: the fact is "a

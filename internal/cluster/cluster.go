@@ -127,8 +127,8 @@ type Cluster struct {
 
 	// Plane is the deployment's observability, built by obs.NewPlane and
 	// shared by every node: the tracer, the metrics registry, the LSN
-	// ladder, the flight recorder, the wait-event accounting table (its
-	// SetEnabled(false) turns the sketches off) and the watchdog, whose
+	// ladder, the flight recorder, the wait-event accounting table and
+	// the watchdog, whose
 	// first trip freezes the flight dump TripDump returns.
 	obs.Plane
 

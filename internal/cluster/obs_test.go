@@ -38,6 +38,7 @@ func TestClusterWatermarkLadderLive(t *testing.T) {
 		commit := ladderValue(snap, obs.WMCommit)
 		hardened := ladderValue(snap, obs.WMHardened)
 		promoted := ladderValue(snap, obs.WMPromoted)
+		destaged := ladderValue(snap, obs.WMDestaged)
 		applied := uint64(0)
 		appliedOK := true
 		for _, st := range snap {
@@ -49,7 +50,7 @@ func TestClusterWatermarkLadderLive(t *testing.T) {
 			}
 		}
 		if commit > 0 && hardened >= commit && promoted == hardened &&
-			applied > 0 && appliedOK {
+			destaged > 0 && destaged <= promoted && applied > 0 && appliedOK {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -1,7 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§7 and Appendix A) against the reproduction — Tables 1–7 and
-// Figure 4 — plus the repository's own two A/Bs (flight recorder, wait
-// accounting). All is the one table of them; the root
+// Figure 4. All is the one table of them; the root
 // bench suite (BenchmarkPaper), cmd/socrates-bench and this package's
 // TestShapes are loops over it, so adding an experiment is one entry here.
 // EXPERIMENTS.md records paper-vs-measured.
@@ -46,8 +45,6 @@ var All = []Experiment{
 	{"table6", table6},
 	{"figure4", figure4},
 	{"table7", table7},
-	{"obs", flightOverhead},
-	{"waits", waitOverhead},
 }
 
 // Report is one run of an experiment, in every form a driver needs.
@@ -59,8 +56,8 @@ type Report struct {
 	// reports as metrics and socrates-bench -json writes.
 	Values []Value
 	// Notes are printed under the table: the paper's number beside the
-	// measured one, and warnings for targets that depend on the host (an
-	// overhead budget, a latency ratio) — those never fail a run.
+	// measured one, and warnings for targets that depend on the host (a
+	// latency ratio) — those never fail a run.
 	Notes []string
 	// Shape is nil when the run shows the paper's shape. It checks only
 	// what holds on any host at any load: orderings, work accounting, that

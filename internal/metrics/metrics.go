@@ -200,7 +200,8 @@ func (h *Histogram) Max() time.Duration {
 	return h.max
 }
 
-// Median reports the middle sample (lower median for even counts).
+// Median reports the middle sample: the upper of the two middle samples
+// for even counts, the same order statistic Summarize reports.
 func (h *Histogram) Median() time.Duration { return h.Quantile(0.5) }
 
 // Quantile reports the q-th quantile (0 <= q <= 1) by nearest-rank over the

@@ -111,6 +111,19 @@ func TestHistogramOrderStatistics(t *testing.T) {
 	if got := h.Mean(); got != 3*time.Millisecond {
 		t.Errorf("mean = %v, want 3ms", got)
 	}
+
+	// An even count reports the upper of the two middle samples, in
+	// Median and in Summarize alike.
+	even := NewHistogram()
+	for _, v := range []time.Duration{4, 1, 3, 2} {
+		even.Observe(v * time.Millisecond)
+	}
+	if got := even.Median(); got != 3*time.Millisecond {
+		t.Errorf("even median = %v, want the upper middle 3ms", got)
+	}
+	if got := even.Summarize().Median; got != 3*time.Millisecond {
+		t.Errorf("even Summarize median = %v, want 3ms", got)
+	}
 }
 
 func TestHistogramQuantileBounds(t *testing.T) {

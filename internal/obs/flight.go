@@ -22,10 +22,9 @@ import (
 // read the same atomic pointers, so a dump taken mid-flight sees each
 // slot either empty, old, or new — never torn. All methods are nil-safe.
 type FlightRecorder struct {
-	slots    []atomic.Pointer[FlightEvent]
-	mask     uint64
-	cursor   atomic.Uint64
-	disabled atomic.Bool
+	slots  []atomic.Pointer[FlightEvent]
+	mask   uint64
+	cursor atomic.Uint64
 }
 
 // FlightEvent is one ring entry. Events are small on purpose: the ring is
@@ -59,20 +58,6 @@ func NewFlightRecorder(size int) *FlightRecorder {
 	return &FlightRecorder{slots: make([]atomic.Pointer[FlightEvent], n), mask: uint64(n - 1)}
 }
 
-// SetEnabled toggles recording (the overhead-comparison knob; the
-// recorder is on by default).
-func (f *FlightRecorder) SetEnabled(on bool) {
-	if f == nil {
-		return
-	}
-	f.disabled.Store(!on)
-}
-
-// Enabled reports whether recording is active.
-func (f *FlightRecorder) Enabled() bool {
-	return f != nil && !f.disabled.Load()
-}
-
 // Record appends one event to the ring.
 func (f *FlightRecorder) Record(tier, kind string, lsn uint64, dur time.Duration, detail string) {
 	f.RecordTrace(tier, kind, lsn, 0, dur, detail)
@@ -80,7 +65,7 @@ func (f *FlightRecorder) Record(tier, kind string, lsn uint64, dur time.Duration
 
 // RecordTrace is Record with an attributed trace ID.
 func (f *FlightRecorder) RecordTrace(tier, kind string, lsn uint64, trace TraceID, dur time.Duration, detail string) {
-	if f == nil || f.disabled.Load() {
+	if f == nil {
 		return
 	}
 	e := &FlightEvent{

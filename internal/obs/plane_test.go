@@ -265,20 +265,6 @@ func TestFlightRingWraparound(t *testing.T) {
 	}
 }
 
-func TestFlightDisable(t *testing.T) {
-	f := NewFlightRecorder(8)
-	f.SetEnabled(false)
-	f.Record(TierLZ, "x", 1, 0, "")
-	if f.Recorded() != 0 || f.Enabled() {
-		t.Fatalf("disabled recorder recorded %d events", f.Recorded())
-	}
-	f.SetEnabled(true)
-	f.Record(TierLZ, "x", 1, 0, "")
-	if f.Recorded() != 1 {
-		t.Fatalf("re-enabled recorder recorded %d, want 1", f.Recorded())
-	}
-}
-
 func TestFlightDumpJSONL(t *testing.T) {
 	f := NewFlightRecorder(16)
 	f.Record(TierXLOG, "xlog.destage", 42, 3*time.Millisecond, "blocks=2")

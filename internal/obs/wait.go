@@ -17,10 +17,10 @@ package obs
 //     in the context, so span trees render "commit.harden 612µs" on the
 //     exact span that blocked.
 //
-// The API is a WaitPoint in three shapes: Wait(ctx, class, fn) wraps a
-// closure; Begin/End brackets cond-wait and channel sites where the
-// blocking region is not a closure; Observe records a pre-measured
-// duration (simulated device latency, queue-wait timestamps). WaitRegion
+// The API is a WaitPoint in two shapes: Begin/End brackets a blocking
+// region; Observe records a pre-measured duration (simulated device
+// latency, queue-wait timestamps). CondWait is the bounded condition wait
+// that records its own blocked time. WaitRegion
 // is a value type and Begin/End do not allocate, so declared hot paths
 // (netmux Call, GetPage@LSN) can afford instrumentation inside their
 // existing allocation budgets.
@@ -197,8 +197,7 @@ func (w *WaitStats) Snapshot() []WaitClassStat {
 // sketch plus one per tier, shared by every node the way the Registry
 // and WatermarkSet are. All methods are nil-safe.
 type WaitSet struct {
-	global   WaitStats
-	disabled atomic.Bool
+	global WaitStats
 
 	mu    sync.RWMutex
 	tiers map[string]*WaitStats
@@ -211,21 +210,6 @@ func NewWaitSet() *WaitSet {
 		tiers: make(map[string]*WaitStats),
 		recs:  make(map[string]*WaitRecorder),
 	}
-}
-
-// SetEnabled toggles sketch recording (the overhead-comparison knob; on
-// by default). Per-request profile and span attribution stay live — they
-// are request-scoped and cost nothing when no profile is attached.
-func (s *WaitSet) SetEnabled(on bool) {
-	if s == nil {
-		return
-	}
-	s.disabled.Store(!on)
-}
-
-// Enabled reports whether sketch recording is active.
-func (s *WaitSet) Enabled() bool {
-	return s != nil && !s.disabled.Load()
 }
 
 // Global exposes the deployment-wide sketch.
@@ -320,7 +304,7 @@ func (r *WaitRecorder) Observe(ctx context.Context, class WaitClass, d time.Dura
 	if d < 0 {
 		d = 0
 	}
-	if r != nil && r.set.Enabled() {
+	if r != nil {
 		r.tier.Record(class, d)
 		r.set.global.Record(class, d)
 	}
@@ -333,13 +317,6 @@ func (r *WaitRecorder) Observe(ctx context.Context, class WaitClass, d time.Dura
 	if sp := activeSpan(ctx); sp != nil {
 		sp.RecordWait(class, d)
 	}
-}
-
-// Wait runs fn and records its duration as one wait of the given class.
-func (r *WaitRecorder) Wait(ctx context.Context, class WaitClass, fn func()) {
-	start := time.Now()
-	fn()
-	r.Observe(ctx, class, time.Since(start))
 }
 
 // Begin opens a wait region; End records it. WaitRegion is a value —
@@ -416,14 +393,6 @@ func (r *WaitRecorder) CondWait(ctx context.Context, class WaitClass, c *sync.Co
 		c.Wait()
 	}
 	return nil
-}
-
-// Wait is the package-level WaitPoint for paths with request context but
-// no wired recorder: fn's duration is attributed to the context's
-// profile and span (no sketch recording).
-func Wait(ctx context.Context, class WaitClass, fn func()) {
-	var r *WaitRecorder
-	r.Wait(ctx, class, fn)
 }
 
 // WaitRegion is one open Begin/End bracket.
