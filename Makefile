@@ -16,7 +16,7 @@ RACE_PKGS := ./internal/compute ./internal/hadr ./internal/simdisk \
              ./internal/obs ./internal/netmux ./internal/rbio \
              ./internal/btree ./internal/fcb \
              ./internal/rbpex ./internal/engine ./internal/hekaton \
-             ./internal/xstore
+             ./internal/xstore ./internal/versionstore
 
 .PHONY: all lint fmt vet test race chaos chaos-stress repl-stress allocs bench bench-probes cover clean
 
@@ -74,12 +74,14 @@ repl-stress:
 
 # Hot-path allocation contracts (AllocsPerRun budgets; they skip themselves
 # under -race; rbpex: a memory hit 0 — segment moves included — and an
-# evicting Put <= 9) and a short fuzz of the B-tree node view against the
+# evicting Put <= 9; versionstore: a walk three versions down the chain 0;
+# engine: a point read with a visible head <= 2, a 200-row scan <= 16) and a
+# short fuzz of the B-tree node view against the
 # decoded node it replaced. The contracts are the only allocation gate:
 # every //socrates:hotpath function is reached by one, and its directive
 # names which.
 allocs:
-	$(GO) test -count=1 -run 'Allocs$$' ./internal/btree ./internal/engine ./internal/pageserver ./internal/compute ./internal/netmux ./internal/rbpex
+	$(GO) test -count=1 -run 'Allocs$$' ./internal/btree ./internal/versionstore ./internal/engine ./internal/pageserver ./internal/compute ./internal/netmux ./internal/rbpex
 	$(GO) test -run '^$$' -fuzz=FuzzNodeView -fuzztime=10s ./internal/btree
 
 # Every experiment of internal/experiments (the paper's tables and figure)
@@ -92,10 +94,10 @@ bench:
 bench-probes:
 	$(GO) test -run '^$$' -bench . -benchmem ./bench
 
-# Coverage floors for the commit-path and checkpoint-path packages (mirrors
-# the CI cover job): future changes there cannot land untested.
+# Coverage floors for the commit-path and checkpoint-path packages and the
+# engine (mirrors the CI cover job): future changes there cannot land untested.
 cover:
-	$(GO) test -cover ./internal/compute ./internal/hadr ./internal/xlog ./internal/pageserver ./internal/xstore
+	$(GO) test -cover ./internal/compute ./internal/hadr ./internal/xlog ./internal/pageserver ./internal/xstore ./internal/engine
 
 clean:
 	$(GO) clean ./...

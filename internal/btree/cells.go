@@ -1,18 +1,17 @@
 package btree
 
-import (
-	"bytes"
-
-	"socrates/internal/page"
-)
+import "socrates/internal/page"
 
 // The helpers below expose the node codec to other packages that store
 // cell-structured data in pages (the version store keeps version entries as
 // cells keyed by slot number, so its pages replicate through the very same
 // redo path as B-tree pages).
 
-// LookupCell returns a copy of the value stored under key in the page's
-// cell area.
+// LookupCell returns the value stored under key in the page's cell area. The
+// value aliases the page, capacity-capped, and must not be modified; pages
+// are immutable (DESIGN §16), so it stays valid for as long as it is held.
+//
+//socrates:hotpath once per older row version a read walks past; TestVisibleChainAllocs (versionstore)
 func LookupCell(pg *page.Page, key []byte) ([]byte, bool, error) {
 	v, err := parseView(pg.Data)
 	if err != nil {
@@ -22,7 +21,7 @@ func LookupCell(pg *page.Page, key []byte) ([]byte, bool, error) {
 	if err != nil || !found {
 		return nil, false, err
 	}
-	return bytes.Clone(val), true, nil
+	return val[:len(val):len(val)], true, nil
 }
 
 // CellCount reports how many cells the page holds.

@@ -3,7 +3,6 @@ package engine
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -120,7 +119,12 @@ func (tx *Tx) Get(table string, key []byte) ([]byte, bool, error) {
 	return tx.e.readVisible(table, key, tx.snapshot)
 }
 
-// readVisible resolves a row at a snapshot through the version chain.
+// readVisible resolves a row at a snapshot through the version chain. The
+// value is the caller's own: when the row's head is visible it is the head's
+// payload inside Tree.Get's copy of the cell, and only a version found down
+// the chain, which aliases its version page, is copied.
+//
+//socrates:hotpath every point read; TestReadVisibleAllocs
 func (e *Engine) readVisible(table string, key []byte, snapshot uint64) ([]byte, bool, error) {
 	tree, err := e.tableTree(table)
 	if err != nil {
@@ -131,25 +135,21 @@ func (e *Engine) readVisible(table string, key []byte, snapshot uint64) ([]byte,
 	err = e.withReadRetry(func() error {
 		payload, found = nil, false
 		raw, ok, err := tree.Get(key)
-		if err != nil {
+		if err != nil || !ok {
 			return err
-		}
-		if !ok {
-			return nil
 		}
 		head, err := versionstore.Decode(raw)
 		if err != nil {
 			return err
 		}
-		v, err := e.vs.Visible(head, snapshot)
-		if err != nil {
+		v, ok, err := e.vs.Visible(head, snapshot)
+		if err != nil || !ok {
 			return err
 		}
-		if v == nil {
-			return nil
+		payload, found = v.Payload, true
+		if v.CommitTS != head.CommitTS { // commit timestamps fall strictly down a chain
+			payload = bytes.Clone(v.Payload)
 		}
-		payload = append([]byte(nil), v.Payload...)
-		found = true
 		return nil
 	})
 	return payload, found, err
@@ -198,6 +198,7 @@ func (tx *Tx) write(op writeOp) error {
 
 // Scan streams rows of table with lo <= key < hi (nil hi = unbounded) at
 // the transaction's snapshot, overlaid with its own writes, in key order.
+// The rows are the caller's to keep and to modify.
 func (tx *Tx) Scan(table string, lo, hi []byte, fn func(key, value []byte) bool) error {
 	if tx.done {
 		return ErrTxDone
@@ -206,62 +207,47 @@ func (tx *Tx) Scan(table string, lo, hi []byte, fn func(key, value []byte) bool)
 	if err != nil {
 		return err
 	}
-	// Overlay the transaction's own writes in range.
-	if len(tx.writes) > 0 {
-		merged := make(map[string][]byte, len(rows))
-		order := make([]string, 0, len(rows))
-		for _, r := range rows {
-			merged[string(r.key)] = r.value
-			order = append(order, string(r.key))
-		}
-		changed := false
-		for _, i := range tx.writeIdx {
-			op := tx.writes[i]
-			if op.table != table {
-				continue
+	// Both lists are in key order: merge them, the transaction's own write
+	// replacing (or, for a delete, removing) a committed row of its key.
+	own := tx.writesInRange(table, lo, hi)
+	for len(rows) > 0 || len(own) > 0 {
+		var r kv
+		if len(own) == 0 || len(rows) > 0 && bytes.Compare(rows[0].key, own[0].key) < 0 {
+			r, rows = rows[0], rows[1:]
+		} else {
+			op := own[0]
+			own = own[1:]
+			if len(rows) > 0 && bytes.Equal(rows[0].key, op.key) {
+				rows = rows[1:]
 			}
-			if lo != nil && bytes.Compare(op.key, lo) < 0 {
-				continue
-			}
-			if hi != nil && bytes.Compare(op.key, hi) >= 0 {
-				continue
-			}
-			k := string(op.key)
 			if op.delete {
-				if _, ok := merged[k]; ok {
-					delete(merged, k)
-					changed = true
-				}
 				continue
 			}
-			if _, ok := merged[k]; !ok {
-				order = append(order, k)
-			}
-			merged[k] = op.value
-			changed = true
+			r = kv{key: bytes.Clone(op.key), value: bytes.Clone(op.value)}
 		}
-		if changed {
-			sort.Strings(order)
-			for _, k := range order {
-				v, ok := merged[k]
-				if !ok {
-					continue
-				}
-				tx.e.charge(cpuScanRow)
-				if !fn([]byte(k), v) {
-					return nil
-				}
-			}
-			return nil
-		}
-	}
-	for _, r := range rows {
 		tx.e.charge(cpuScanRow)
 		if !fn(r.key, r.value) {
 			return nil
 		}
 	}
 	return nil
+}
+
+// writesInRange returns the transaction's latest writes to table with
+// lo <= key < hi (nil hi = unbounded), in key order.
+func (tx *Tx) writesInRange(table string, lo, hi []byte) []writeOp {
+	if len(tx.writes) == 0 {
+		return nil
+	}
+	var ops []writeOp
+	for _, i := range sortedWriteIndexes(tx) {
+		op := tx.writes[i]
+		if op.table == table && (lo == nil || bytes.Compare(op.key, lo) >= 0) &&
+			(hi == nil || bytes.Compare(op.key, hi) < 0) {
+			ops = append(ops, op)
+		}
+	}
+	return ops
 }
 
 type kv struct {
@@ -271,15 +257,22 @@ type kv struct {
 
 // scanVisible collects committed rows visible at the snapshot. It buffers
 // the result so a mid-scan inconsistency (racing log apply) restarts the
-// scan without re-emitting rows to the caller.
+// scan without re-emitting rows to the caller. While the scan runs, the
+// buffered rows alias their pages, which nothing edits (DESIGN §16), so a
+// restart just drops them; at the end one arena of exactly their size takes
+// a copy of every key and value, each capacity-capped, and the caller owns
+// the rows.
+//
+//socrates:hotpath every range scan; TestScanVisibleAllocs
 func (e *Engine) scanVisible(table string, lo, hi []byte, snapshot uint64) ([]kv, error) {
 	tree, err := e.tableTree(table)
 	if err != nil {
 		return nil, err
 	}
 	var rows []kv
+	size := 0
 	err = e.withReadRetry(func() error {
-		rows = rows[:0]
+		rows, size = rows[:0], 0
 		var inner error
 		err := tree.Scan(lo, hi, func(k, raw []byte) bool {
 			head, err := versionstore.Decode(raw)
@@ -287,16 +280,14 @@ func (e *Engine) scanVisible(table string, lo, hi []byte, snapshot uint64) ([]kv
 				inner = err
 				return false
 			}
-			v, err := e.vs.Visible(head, snapshot)
+			v, ok, err := e.vs.Visible(head, snapshot)
 			if err != nil {
 				inner = err
 				return false
 			}
-			if v != nil {
-				rows = append(rows, kv{
-					key:   append([]byte(nil), k...),
-					value: append([]byte(nil), v.Payload...),
-				})
+			if ok {
+				rows = append(rows, kv{key: k, value: v.Payload})
+				size += len(k) + len(v.Payload)
 			}
 			return true
 		})
@@ -308,7 +299,20 @@ func (e *Engine) scanVisible(table string, lo, hi []byte, snapshot uint64) ([]kv
 	if err != nil {
 		return nil, err
 	}
+	arena := make([]byte, 0, size)
+	for i := range rows {
+		rows[i].key, arena = carve(arena, rows[i].key)
+		rows[i].value, arena = carve(arena, rows[i].value)
+	}
 	return rows, nil
+}
+
+// carve copies b onto the end of arena, which has room for it, and returns
+// the copy capacity-capped together with the grown arena.
+func carve(arena, b []byte) (cp, rest []byte) {
+	n := len(arena)
+	arena = append(arena, b...)
+	return arena[n:len(arena):len(arena)], arena
 }
 
 // Commit applies the write set to pages, logs it as one group ending in the
@@ -516,7 +520,7 @@ func (e *Engine) applyWriteLocked(txnID, ts uint64, op writeOp) error {
 		if err != nil {
 			return err
 		}
-		ptr, err := e.vs.Append(txnID, oldHead)
+		ptr, err := e.vs.Append(txnID, &oldHead)
 		if err != nil {
 			return err
 		}
@@ -548,5 +552,3 @@ func (tx *Tx) releaseLocks() {
 		tx.lockKeys = nil
 	}
 }
-
-var _ = errors.Is // keep errors imported for doc examples

@@ -70,12 +70,17 @@ func (v *Version) Encode() []byte {
 	return append(buf, v.Payload...)
 }
 
-// Decode parses a version produced by Encode.
-func Decode(buf []byte) (*Version, error) {
+// Decode parses a version produced by Encode. The version comes back by value
+// and its Payload aliases buf, capacity-capped: a version decoded from a page
+// cell shares the page's bytes, which nothing edits (DESIGN §16), so a caller
+// copies the payload only when it hands it out or keeps it.
+//
+//socrates:hotpath every row a read or a scan resolves; TestVisibleChainAllocs
+func Decode(buf []byte) (Version, error) {
 	if len(buf) < 21 {
-		return nil, fmt.Errorf("versionstore: version blob of %d bytes", len(buf))
+		return Version{}, fmt.Errorf("versionstore: version blob of %d bytes", len(buf))
 	}
-	v := &Version{
+	v := Version{
 		Tombstone: buf[0]&1 != 0,
 		CommitTS:  binary.LittleEndian.Uint64(buf[1:9]),
 		Prev: Ptr{
@@ -84,15 +89,17 @@ func Decode(buf []byte) (*Version, error) {
 		},
 	}
 	if len(buf) > 21 {
-		v.Payload = append([]byte(nil), buf[21:]...)
+		v.Payload = buf[21:len(buf):len(buf)]
 	}
 	return v, nil
 }
 
-func slotKey(slot uint32) []byte {
+// slotKey is the cell key of a version slot, by value so a lookup keeps it on
+// the stack.
+func slotKey(slot uint32) [4]byte {
 	var b [4]byte
 	binary.BigEndian.PutUint32(b[:], slot)
-	return b[:]
+	return b
 }
 
 // Store is one database's version store. The primary appends; every node
@@ -165,9 +172,10 @@ func (s *Store) Append(txn uint64, v *Version) (Ptr, error) {
 		}
 	}
 	slot := s.curSlots
+	key := slotKey(slot)
 	rec := &wal.Record{
 		Txn: txn, Kind: wal.KindCellPut, Page: s.cur,
-		PageType: page.TypeVersion, Key: slotKey(slot), Value: enc,
+		PageType: page.TypeVersion, Key: key[:], Value: enc,
 	}
 	s.log.Append(rec)
 	pg, err := s.pager.Read(s.cur)
@@ -212,47 +220,52 @@ func (s *Store) newPageLocked(txn uint64) error {
 	return nil
 }
 
-// Get fetches one version entry.
-func (s *Store) Get(ptr Ptr) (*Version, error) {
+// Get fetches one version entry. Its Payload aliases the version page
+// (see Decode).
+//
+//socrates:hotpath once per older version a read walks past; TestVisibleChainAllocs
+func (s *Store) Get(ptr Ptr) (Version, error) {
 	if ptr.IsNil() {
-		return nil, fmt.Errorf("%w: nil pointer", ErrNotFound)
+		return Version{}, fmt.Errorf("%w: nil pointer", ErrNotFound)
 	}
 	pg, err := s.pager.Read(ptr.Page)
 	if err != nil {
-		return nil, err
+		return Version{}, err
 	}
-	val, found, err := btree.LookupCell(pg, slotKey(ptr.Slot))
+	key := slotKey(ptr.Slot)
+	val, found, err := btree.LookupCell(pg, key[:])
 	if err != nil {
-		return nil, err
+		return Version{}, err
 	}
 	if !found {
-		return nil, fmt.Errorf("%w: page %d slot %d", ErrNotFound, ptr.Page, ptr.Slot)
+		return Version{}, fmt.Errorf("%w: page %d slot %d", ErrNotFound, ptr.Page, ptr.Slot)
 	}
 	return Decode(val)
 }
 
 // Visible walks the chain starting at head (the newest version, typically
 // decoded from a B-tree leaf row) and returns the version visible at
-// snapshot ts, or nil if the row did not exist at ts.
-func (s *Store) Visible(head *Version, ts uint64) (*Version, error) {
-	v := head
+// snapshot ts; ok is false if the row did not exist at ts or was deleted by
+// then. A version found down the chain aliases its version page (see Decode).
+//
+//socrates:hotpath every row a read or a scan resolves; TestVisibleChainAllocs
+func (s *Store) Visible(head Version, ts uint64) (v Version, ok bool, err error) {
+	v = head
 	for {
 		if v.CommitTS <= ts {
 			if v.Tombstone {
-				return nil, nil
+				return Version{}, false, nil
 			}
-			return v, nil
+			return v, true, nil
 		}
 		if v.Prev.IsNil() {
-			return nil, nil // row did not exist at ts
+			return Version{}, false, nil // row did not exist at ts
 		}
 		if wm := s.Watermark(); ts < wm {
-			return nil, fmt.Errorf("%w: snapshot %d below watermark %d", ErrTruncated, ts, wm)
+			return Version{}, false, fmt.Errorf("%w: snapshot %d below watermark %d", ErrTruncated, ts, wm)
 		}
-		var err error
-		v, err = s.Get(v.Prev)
-		if err != nil {
-			return nil, err
+		if v, err = s.Get(v.Prev); err != nil {
+			return Version{}, false, err
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"socrates/internal/fcb"
 	"socrates/internal/page"
+	"socrates/internal/testutil"
 	"socrates/internal/wal"
 )
 
@@ -108,7 +109,7 @@ func TestChainWalkVisibility(t *testing.T) {
 	// Build a chain: v@10 -> v@20 -> v@30 (newest at head).
 	p10, _ := s.Append(1, &Version{CommitTS: 10, Payload: []byte("ten")})
 	p20, _ := s.Append(1, &Version{CommitTS: 20, Prev: p10, Payload: []byte("twenty")})
-	head := &Version{CommitTS: 30, Prev: p20, Payload: []byte("thirty")}
+	head := Version{CommitTS: 30, Prev: p20, Payload: []byte("thirty")}
 
 	cases := []struct {
 		ts   uint64
@@ -124,34 +125,56 @@ func TestChainWalkVisibility(t *testing.T) {
 		{100, "thirty", false},
 	}
 	for _, c := range cases {
-		got, err := s.Visible(head, c.ts)
+		got, ok, err := s.Visible(head, c.ts)
 		if err != nil {
 			t.Fatalf("ts %d: %v", c.ts, err)
 		}
 		if c.nil_ {
-			if got != nil {
-				t.Fatalf("ts %d: got %+v, want nil", c.ts, got)
+			if ok {
+				t.Fatalf("ts %d: got %+v, want none", c.ts, got)
 			}
 			continue
 		}
-		if got == nil || string(got.Payload) != c.want {
+		if !ok || string(got.Payload) != c.want {
 			t.Fatalf("ts %d: got %+v, want %q", c.ts, got, c.want)
 		}
+	}
+}
+
+// TestVisibleChainAllocs is the allocation contract of a chain walk: a read
+// three versions down the chain decodes each one where it lies in its
+// version page and allocates nothing.
+func TestVisibleChainAllocs(t *testing.T) {
+	testutil.SkipIfRace(t)
+	s, _, _ := newStore(t)
+	p10, _ := s.Append(1, &Version{CommitTS: 10, Payload: []byte("ten")})
+	p20, _ := s.Append(1, &Version{CommitTS: 20, Prev: p10, Payload: []byte("twenty")})
+	p30, _ := s.Append(1, &Version{CommitTS: 30, Prev: p20, Payload: []byte("thirty")})
+	head := Version{CommitTS: 40, Prev: p30, Payload: []byte("forty")}
+	avg := testing.AllocsPerRun(1000, func() {
+		v, ok, err := s.Visible(head, 15)
+		if err != nil || !ok || v.CommitTS != 10 || string(v.Payload) != "ten" {
+			t.Fatal("wrong version at ts 15")
+		}
+	})
+	t.Logf("Visible, 3 versions down: %.1f allocs/op (budget 0)", avg)
+	if avg != 0 {
+		t.Fatalf("Visible, 3 versions down: %.1f allocs/op, budget 0", avg)
 	}
 }
 
 func TestTombstoneVisibility(t *testing.T) {
 	s, _, _ := newStore(t)
 	p10, _ := s.Append(1, &Version{CommitTS: 10, Payload: []byte("alive")})
-	head := &Version{CommitTS: 20, Prev: p10, Tombstone: true}
+	head := Version{CommitTS: 20, Prev: p10, Tombstone: true}
 	// At ts 25 the row is deleted.
-	got, err := s.Visible(head, 25)
-	if err != nil || got != nil {
+	got, ok, err := s.Visible(head, 25)
+	if err != nil || ok {
 		t.Fatalf("deleted row visible: %+v %v", got, err)
 	}
 	// At ts 15 the old version shows through.
-	got, err = s.Visible(head, 15)
-	if err != nil || got == nil || string(got.Payload) != "alive" {
+	got, ok, err = s.Visible(head, 15)
+	if err != nil || !ok || string(got.Payload) != "alive" {
 		t.Fatalf("pre-delete version: %+v %v", got, err)
 	}
 }
@@ -212,15 +235,15 @@ func TestRecoverAppendStateFromPage(t *testing.T) {
 func TestWatermarkBlocksAncientSnapshots(t *testing.T) {
 	s, _, _ := newStore(t)
 	p1, _ := s.Append(1, &Version{CommitTS: 10, Payload: []byte("old")})
-	head := &Version{CommitTS: 50, Prev: p1, Payload: []byte("new")}
+	head := Version{CommitTS: 50, Prev: p1, Payload: []byte("new")}
 	s.SetWatermark(40)
 	// Snapshot 20 < watermark and needs the chain: must fail loudly.
-	if _, err := s.Visible(head, 20); !errors.Is(err, ErrTruncated) {
+	if _, _, err := s.Visible(head, 20); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err = %v, want ErrTruncated", err)
 	}
 	// Snapshot 60 resolves at head without touching the chain.
-	v, err := s.Visible(head, 60)
-	if err != nil || string(v.Payload) != "new" {
+	v, ok, err := s.Visible(head, 60)
+	if err != nil || !ok || string(v.Payload) != "new" {
 		t.Fatalf("fresh snapshot: %+v %v", v, err)
 	}
 	// Watermark never regresses.
@@ -283,8 +306,8 @@ func TestManyVersionsStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Walk to an early snapshot through the full chain.
-	v, err := s.Visible(head, 3)
-	if err != nil || v == nil || string(v.Payload) != "gen-3" {
+	v, ok, err := s.Visible(head, 3)
+	if err != nil || !ok || string(v.Payload) != "gen-3" {
 		t.Fatalf("deep walk: %+v %v", v, err)
 	}
 }
