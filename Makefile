@@ -75,14 +75,17 @@ repl-stress:
 # Hot-path allocation contracts (AllocsPerRun budgets; they skip themselves
 # under -race; rbpex: a memory hit 0 — segment moves included — and an
 # evicting Put <= 9; versionstore: a walk three versions down the chain 0;
-# engine: a point read with a visible head <= 2, a 200-row scan <= 16) and a
-# short fuzz of the B-tree node view against the
-# decoded node it replaced. The contracts are the only allocation gate:
-# every //socrates:hotpath function is reached by one, and its directive
-# names which.
+# engine: a point read with a visible head <= 2, a 200-row scan <= 16;
+# wal: encoding a 64-record block exactly 1, decoding it <= 4) and short
+# fuzzes of the B-tree node view against the decoded node it replaced and
+# of the log block decoder (never panics; a decode re-encodes to the bytes
+# it consumed). The contracts are the only allocation gate: every
+# //socrates:hotpath function is reached by one, and its directive names
+# which.
 allocs:
-	$(GO) test -count=1 -run 'Allocs$$' ./internal/btree ./internal/versionstore ./internal/engine ./internal/pageserver ./internal/compute ./internal/netmux ./internal/rbpex
+	$(GO) test -count=1 -run 'Allocs$$' ./internal/wal ./internal/btree ./internal/versionstore ./internal/engine ./internal/pageserver ./internal/compute ./internal/netmux ./internal/rbpex
 	$(GO) test -run '^$$' -fuzz=FuzzNodeView -fuzztime=10s ./internal/btree
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeBlock -fuzztime=10s ./internal/wal
 
 # Every experiment of internal/experiments (the paper's tables and figure)
 # once, at reduced scale, as BenchmarkPaper/<name>.
@@ -94,10 +97,11 @@ bench:
 bench-probes:
 	$(GO) test -run '^$$' -bench . -benchmem ./bench
 
-# Coverage floors for the commit-path and checkpoint-path packages and the
-# engine (mirrors the CI cover job): future changes there cannot land untested.
+# Coverage floors for the commit-path and checkpoint-path packages, the
+# engine and the log codec (mirrors the CI cover job): future changes there
+# cannot land untested.
 cover:
-	$(GO) test -cover ./internal/compute ./internal/hadr ./internal/xlog ./internal/pageserver ./internal/xstore ./internal/engine
+	$(GO) test -cover ./internal/compute ./internal/hadr ./internal/xlog ./internal/pageserver ./internal/xstore ./internal/engine ./internal/wal
 
 clean:
 	$(GO) clean ./...

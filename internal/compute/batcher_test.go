@@ -119,7 +119,7 @@ func runBatcherProperty(t *testing.T, seed int64) {
 	seen := make(map[page.LSN]bool)
 	next := page.LSN(1)
 	for next < lz.HardenedEnd() {
-		b, found, err := lz.Read(next)
+		b, _, found, err := lz.Read(next)
 		if err != nil || !found {
 			t.Fatalf("chain broken at %d: found=%v err=%v", next, found, err)
 		}
@@ -400,7 +400,7 @@ func TestCoalescedBatchHardensWithOriginalRange(t *testing.T) {
 	if err := w.WaitHarden(context.Background(), lsn); err != nil {
 		t.Fatal(err)
 	}
-	b, found, err := lz.Read(1)
+	b, _, found, err := lz.Read(1)
 	if err != nil || !found {
 		t.Fatalf("read: %v %v", found, err)
 	}

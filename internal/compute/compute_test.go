@@ -48,7 +48,7 @@ func TestLogWriterFlushesAtTxnBoundaries(t *testing.T) {
 		t.Fatalf("hardened = %d, want %d", lz.HardenedEnd(), lsn+1)
 	}
 	// The hardened block contains the whole transaction.
-	b, found, err := lz.Read(1)
+	b, _, found, err := lz.Read(1)
 	if err != nil || !found {
 		t.Fatalf("block read: %v %v", found, err)
 	}

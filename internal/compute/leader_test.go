@@ -99,7 +99,7 @@ func TestAppendAloneWritesNothingAndTheFirstWaiterWrites(t *testing.T) {
 	if blocks, _ := w.Stats(); blocks != 1 || w.HardenedEnd() != lsn2+1 {
 		t.Fatalf("first waiter: blocks=%d hardened=%d, want 1 and %d", blocks, w.HardenedEnd(), lsn2+1)
 	}
-	b, found, err := lz.Read(1)
+	b, _, found, err := lz.Read(1)
 	if err != nil || !found || len(b.Records) != 3 {
 		t.Fatalf("group block: found=%v err=%v block=%+v", found, err, b)
 	}

@@ -20,7 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 
 	"socrates/internal/page"
 )
@@ -108,9 +108,13 @@ func NewCommit(txn, commitTS uint64) *Record {
 	return &Record{Txn: txn, Kind: KindTxnCommit, Value: v}
 }
 
+// recordFixed is the encoded size of a record with an empty key and value:
+// kind, LSN, txn, page, page type and the two length words.
+const recordFixed = 1 + 8 + 8 + 8 + 1 + 4 + 4
+
 // encodedSize reports the exact encoding size of the record.
 func (r *Record) encodedSize() int {
-	return 1 + 8 + 8 + 8 + 1 + 4 + len(r.Key) + 4 + len(r.Value)
+	return recordFixed + len(r.Key) + len(r.Value)
 }
 
 // appendTo encodes the record onto buf.
@@ -127,36 +131,39 @@ func (r *Record) appendTo(buf []byte) []byte {
 	return buf
 }
 
-// decodeRecord parses one record from buf, returning it and the bytes consumed.
-func decodeRecord(buf []byte) (*Record, int, error) {
-	const fixed = 1 + 8 + 8 + 8 + 1 + 4
+// decodeRecord parses one record from buf into r, returning the bytes
+// consumed. Key and Value alias buf, capacity-capped so that appending to
+// one cannot overwrite the bytes after it; an empty field stays nil.
+func decodeRecord(r *Record, buf []byte) (int, error) {
+	const fixed = recordFixed - 4 // up to and including the key length
 	if len(buf) < fixed {
-		return nil, 0, errors.New("wal: truncated record header")
+		return 0, errors.New("wal: truncated record header")
 	}
-	r := &Record{Kind: Kind(buf[0])}
-	r.LSN = page.LSN(binary.LittleEndian.Uint64(buf[1:9]))
-	r.Txn = binary.LittleEndian.Uint64(buf[9:17])
-	r.Page = page.ID(binary.LittleEndian.Uint64(buf[17:25]))
-	r.PageType = page.Type(buf[25])
+	*r = Record{
+		Kind:     Kind(buf[0]),
+		LSN:      page.LSN(binary.LittleEndian.Uint64(buf[1:9])),
+		Txn:      binary.LittleEndian.Uint64(buf[9:17]),
+		Page:     page.ID(binary.LittleEndian.Uint64(buf[17:25])),
+		PageType: page.Type(buf[25]),
+	}
 	klen := int(binary.LittleEndian.Uint32(buf[26:30]))
-	pos := 30
+	pos := fixed
 	if len(buf) < pos+klen+4 {
-		return nil, 0, errors.New("wal: truncated record key")
+		return 0, errors.New("wal: truncated record key")
 	}
 	if klen > 0 {
-		r.Key = append([]byte(nil), buf[pos:pos+klen]...)
+		r.Key = buf[pos : pos+klen : pos+klen]
 	}
 	pos += klen
 	vlen := int(binary.LittleEndian.Uint32(buf[pos : pos+4]))
 	pos += 4
 	if len(buf) < pos+vlen {
-		return nil, 0, errors.New("wal: truncated record value")
+		return 0, errors.New("wal: truncated record value")
 	}
 	if vlen > 0 {
-		r.Value = append([]byte(nil), buf[pos:pos+vlen]...)
+		r.Value = buf[pos : pos+vlen : pos+vlen]
 	}
-	pos += vlen
-	return r, pos, nil
+	return pos + vlen, nil
 }
 
 // Block is the unit of landing-zone writes and XLOG dissemination: a run of
@@ -185,74 +192,101 @@ var ErrBadBlock = errors.New("wal: bad block")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Encode serializes the block with a checksum.
+// blockFixed is the encoded size of a block header with no partitions:
+// magic, start, end, nrec, npart, payload length and CRC.
+const blockFixed = 4 + 8 + 8 + 4 + 2 + 4 + 4
+
+// Encode serializes the block with a checksum, into one buffer of exactly
+// EncodedSize bytes.
 //
 // Layout (little endian):
 //
 //	magic u32 | start u64 | end u64 | nrec u32 | npart u16 |
 //	partitions u32 each | payloadLen u32 | crc u32 | records...
+//
+//socrates:hotpath every flushed block is encoded once, for the LZ and the XLOG feed; budget enforced by TestBlockCodecAllocs
 func (b *Block) Encode() []byte {
-	payload := make([]byte, 0, 64)
-	for _, r := range b.Records {
-		payload = r.appendTo(payload)
-	}
-	head := make([]byte, 0, 34+4*len(b.Partitions))
-	head = binary.LittleEndian.AppendUint32(head, blockMagic)
-	head = binary.LittleEndian.AppendUint64(head, b.Start.Uint64())
-	head = binary.LittleEndian.AppendUint64(head, b.End.Uint64())
-	head = binary.LittleEndian.AppendUint32(head, uint32(len(b.Records)))
-	head = binary.LittleEndian.AppendUint16(head, uint16(len(b.Partitions)))
+	buf := make([]byte, 0, b.EncodedSize())
+	buf = binary.LittleEndian.AppendUint32(buf, blockMagic)
+	buf = binary.LittleEndian.AppendUint64(buf, b.Start.Uint64())
+	buf = binary.LittleEndian.AppendUint64(buf, b.End.Uint64())
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.Records)))
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(b.Partitions)))
 	for _, p := range b.Partitions {
-		head = binary.LittleEndian.AppendUint32(head, uint32(p))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(p))
 	}
-	head = binary.LittleEndian.AppendUint32(head, uint32(len(payload)))
-	head = binary.LittleEndian.AppendUint32(head, crc32.Checksum(payload, crcTable))
-	return append(head, payload...)
+	lenAt := len(buf)
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // payload length and CRC, filled in below
+	for _, r := range b.Records {
+		buf = r.appendTo(buf)
+	}
+	payload := buf[lenAt+8:]
+	binary.LittleEndian.PutUint32(buf[lenAt:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[lenAt+4:], crc32.Checksum(payload, crcTable))
+	return buf
 }
 
 // DecodeBlock parses a block image produced by Encode, returning the block
 // and the total bytes consumed (blocks may be concatenated in a stream).
+//
+// The records alias buf (DESIGN §16.8): each Key and Value is a
+// capacity-capped slice of the image, so the caller gives buf up and
+// holding any record keeps the whole image alive. A block costs four
+// allocations whatever its record count: the Block, its Partitions, one
+// array of Records and the pointers into it.
+//
+//socrates:hotpath every hop of a log block decodes it (XLOG feed, page-server and secondary pulls, HADR ships); budget enforced by TestBlockCodecAllocs
 func DecodeBlock(buf []byte) (*Block, int, error) {
-	if len(buf) < 26 {
+	if len(buf) < blockFixed-8 {
 		return nil, 0, fmt.Errorf("%w: short header", ErrBadBlock)
 	}
 	if binary.LittleEndian.Uint32(buf[0:4]) != blockMagic {
 		return nil, 0, fmt.Errorf("%w: bad magic", ErrBadBlock)
 	}
-	b := &Block{
-		Start: page.LSN(binary.LittleEndian.Uint64(buf[4:12])),
-		End:   page.LSN(binary.LittleEndian.Uint64(buf[12:20])),
-	}
 	nrec := int(binary.LittleEndian.Uint32(buf[20:24]))
 	npart := int(binary.LittleEndian.Uint16(buf[24:26]))
-	pos := 26
-	if len(buf) < pos+4*npart+8 {
+	partsAt := blockFixed - 8 // the partition list follows nrec and npart
+	pos := partsAt + 4*npart
+	if len(buf) < pos+8 {
 		return nil, 0, fmt.Errorf("%w: short partition list", ErrBadBlock)
 	}
-	for i := 0; i < npart; i++ {
-		b.Partitions = append(b.Partitions,
-			page.PartitionID(binary.LittleEndian.Uint32(buf[pos:pos+4])))
-		pos += 4
-	}
 	plen := int(binary.LittleEndian.Uint32(buf[pos : pos+4]))
-	pos += 4
-	wantCRC := binary.LittleEndian.Uint32(buf[pos : pos+4])
-	pos += 4
+	wantCRC := binary.LittleEndian.Uint32(buf[pos+4 : pos+8])
+	pos += 8
 	if len(buf) < pos+plen {
 		return nil, 0, fmt.Errorf("%w: short payload", ErrBadBlock)
+	}
+	// The CRC covers the payload, not nrec: bound the count by what the
+	// payload can hold before sizing anything by it.
+	if nrec > plen/recordFixed {
+		return nil, 0, fmt.Errorf("%w: %d records cannot fit the payload", ErrBadBlock, nrec)
 	}
 	payload := buf[pos : pos+plen]
 	if crc32.Checksum(payload, crcTable) != wantCRC {
 		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrBadBlock)
 	}
-	rest := payload
-	for i := 0; i < nrec; i++ {
-		r, n, err := decodeRecord(rest)
-		if err != nil {
-			return nil, 0, fmt.Errorf("%w: record %d: %v", ErrBadBlock, i, err)
+	b := &Block{
+		Start: page.LSN(binary.LittleEndian.Uint64(buf[4:12])),
+		End:   page.LSN(binary.LittleEndian.Uint64(buf[12:20])),
+	}
+	if npart > 0 {
+		b.Partitions = make([]page.PartitionID, npart)
+		for i := range b.Partitions {
+			b.Partitions[i] = page.PartitionID(binary.LittleEndian.Uint32(buf[partsAt+4*i:]))
 		}
-		b.Records = append(b.Records, r)
-		rest = rest[n:]
+	}
+	rest := payload
+	if nrec > 0 {
+		recs := make([]Record, nrec)
+		b.Records = make([]*Record, nrec)
+		for i := range recs {
+			n, err := decodeRecord(&recs[i], rest)
+			if err != nil {
+				return nil, 0, fmt.Errorf("%w: record %d: %v", ErrBadBlock, i, err)
+			}
+			b.Records[i] = &recs[i]
+			rest = rest[n:]
+		}
 	}
 	if len(rest) != 0 {
 		return nil, 0, fmt.Errorf("%w: %d trailing payload bytes", ErrBadBlock, len(rest))
@@ -262,7 +296,7 @@ func DecodeBlock(buf []byte) (*Block, int, error) {
 
 // EncodedSize reports the exact size Encode will produce.
 func (b *Block) EncodedSize() int {
-	n := 34 + 4*len(b.Partitions)
+	n := blockFixed + 4*len(b.Partitions)
 	for _, r := range b.Records {
 		n += r.encodedSize()
 	}
@@ -270,22 +304,19 @@ func (b *Block) EncodedSize() int {
 }
 
 // ComputePartitions returns the sorted set of partitions the records touch
-// under the given partitioning.
+// under the given partitioning. A block touches few partitions, so the set
+// is one sorted slice grown by insertion.
 func ComputePartitions(records []*Record, pt page.Partitioning) []page.PartitionID {
-	seen := make(map[page.PartitionID]struct{})
+	var out []page.PartitionID
 	for _, r := range records {
-		if r.IsPageOp() {
-			seen[pt.PartitionOf(r.Page)] = struct{}{}
+		if !r.IsPageOp() {
+			continue
+		}
+		p := pt.PartitionOf(r.Page)
+		if i, found := slices.BinarySearch(out, p); !found {
+			out = slices.Insert(out, i, p)
 		}
 	}
-	if len(seen) == 0 {
-		return nil
-	}
-	out := make([]page.PartitionID, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -30,14 +30,15 @@ func TestRecordRoundTrip(t *testing.T) {
 		if len(buf) != r.encodedSize() {
 			t.Fatalf("encodedSize %d != actual %d for %v", r.encodedSize(), len(buf), r.Kind)
 		}
-		got, n, err := decodeRecord(buf)
+		var got Record
+		n, err := decodeRecord(&got, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n != len(buf) {
 			t.Fatalf("consumed %d of %d", n, len(buf))
 		}
-		if !reflect.DeepEqual(got, r) {
+		if !reflect.DeepEqual(&got, r) {
 			t.Fatalf("decoded %+v, want %+v", got, r)
 		}
 	}
@@ -47,7 +48,8 @@ func TestDecodeRecordTruncation(t *testing.T) {
 	r := &Record{Kind: KindCellPut, Page: 1, Key: []byte("key"), Value: []byte("value")}
 	buf := r.appendTo(nil)
 	for cut := 0; cut < len(buf); cut++ {
-		if _, _, err := decodeRecord(buf[:cut]); err == nil {
+		var got Record
+		if _, err := decodeRecord(&got, buf[:cut]); err == nil {
 			t.Fatalf("truncation at %d undetected", cut)
 		}
 	}
@@ -227,34 +229,41 @@ func TestComputePartitionsSortedUnique(t *testing.T) {
 	}
 }
 
+// recSpec is one generated record of the codec property and fuzz seeds.
+type recSpec struct {
+	Kind  uint8
+	Txn   uint64
+	Page  uint32
+	Key   []byte
+	Value []byte
+}
+
+// specBlock builds the block the specs describe, as the primary would.
+func specBlock(specs []recSpec, startLSN uint32) *Block {
+	pt := page.Partitioning{PagesPerPartition: 64}
+	norm := func(b []byte) []byte { // decode yields nil for empty fields
+		if len(b) == 0 {
+			return nil
+		}
+		return b
+	}
+	bld := NewBuilder(page.LSN(startLSN), pt)
+	for _, s := range specs {
+		bld.Append(&Record{
+			Kind: Kind(s.Kind % 8), Txn: s.Txn, Page: page.ID(s.Page),
+			Key: norm(s.Key), Value: norm(s.Value),
+		})
+	}
+	return bld.Flush()
+}
+
 // Property: block codec round-trips arbitrary record batches.
 func TestBlockCodecProperty(t *testing.T) {
-	type recSpec struct {
-		Kind  uint8
-		Txn   uint64
-		Page  uint32
-		Key   []byte
-		Value []byte
-	}
 	f := func(specs []recSpec, startLSN uint32) bool {
 		if len(specs) == 0 {
 			return true
 		}
-		pt := page.Partitioning{PagesPerPartition: 64}
-		norm := func(b []byte) []byte { // decode yields nil for empty fields
-			if len(b) == 0 {
-				return nil
-			}
-			return b
-		}
-		bld := NewBuilder(page.LSN(startLSN), pt)
-		for _, s := range specs {
-			bld.Append(&Record{
-				Kind: Kind(s.Kind % 8), Txn: s.Txn, Page: page.ID(s.Page),
-				Key: norm(s.Key), Value: norm(s.Value),
-			})
-		}
-		b := bld.Flush()
+		b := specBlock(specs, startLSN)
 		got, n, err := DecodeBlock(b.Encode())
 		if err != nil || n != b.EncodedSize() {
 			return false

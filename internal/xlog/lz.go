@@ -290,26 +290,28 @@ func (lz *LandingZone) freeLocked() int64 {
 	return lz.tail - lz.head
 }
 
-// Read returns the block starting exactly at the given LSN, if retained.
-func (lz *LandingZone) Read(start page.LSN) (*wal.Block, bool, error) {
+// Read returns the block starting exactly at the given LSN, if retained,
+// with the encoded image it was decoded from. The block's records alias
+// the image (DESIGN §16.8), which is the caller's and is never written.
+func (lz *LandingZone) Read(start page.LSN) (b *wal.Block, enc []byte, found bool, err error) {
 	lz.mu.Lock()
 	ext, ok := lz.index[start]
 	lz.mu.Unlock()
 	if !ok {
-		return nil, false, nil
+		return nil, nil, false, nil
 	}
 	buf := make([]byte, ext.len)
 	if err := lz.vol.ReadAt(buf, ext.off); err != nil {
-		return nil, false, err
+		return nil, nil, false, err
 	}
 	if binary.LittleEndian.Uint32(buf[0:4]) != entryMagic {
-		return nil, false, fmt.Errorf("xlog: LZ entry at %d corrupted", ext.off)
+		return nil, nil, false, fmt.Errorf("xlog: LZ entry at %d corrupted", ext.off)
 	}
-	b, _, err := wal.DecodeBlock(buf[8:])
+	b, n, err := wal.DecodeBlock(buf[8:])
 	if err != nil {
-		return nil, false, err
+		return nil, nil, false, err
 	}
-	return b, true, nil
+	return b, buf[8 : 8+n], true, nil
 }
 
 // HardenedEnd reports the end LSN of the hardened log: every record below

@@ -309,7 +309,7 @@ func (s *Service) promoteTo(lsn page.LSN) {
 			at := s.promoted
 			s.publishPromotedLocked()
 			s.mu.Unlock()
-			lb, found, err := s.lz.Read(at)
+			lb, enc, found, err := s.lz.Read(at)
 			s.mu.Lock()
 			if s.promoted != at {
 				// A concurrent report already promoted this block (or
@@ -326,7 +326,7 @@ func (s *Service) promoteTo(lsn page.LSN) {
 			s.gapFills++
 			s.obs.Flight.Record(obs.TierXLOG, "xlog.gapfill", uint64(at), 0,
 				"feed lost block; filled from LZ")
-			e = entry{b: lb, enc: lb.Encode()}
+			e = entry{b: lb, enc: enc}
 		} else {
 			delete(s.pending, s.promoted)
 		}
@@ -470,9 +470,12 @@ func (s *Service) Pull(ctx context.Context, fromLSN page.LSN, partition int32, m
 	if maxBytes <= 0 {
 		maxBytes = 1 << 20
 	}
-	var out []byte
+	// Pick the blocks first, then copy their images into one buffer of
+	// exactly their size.
+	picked := make([][]byte, 0, 16)
+	size := 0
 	next := fromLSN
-	for len(out) < maxBytes {
+	for size < maxBytes {
 		s.mu.Lock()
 		promoted := s.promoted
 		s.mu.Unlock()
@@ -487,9 +490,17 @@ func (s *Service) Pull(ctx context.Context, fromLSN page.LSN, partition int32, m
 			break // gap not yet resolvable
 		}
 		if partition < 0 || e.b.Touches(page.PartitionID(partition)) {
-			out = append(out, e.enc...)
+			picked = append(picked, e.enc)
+			size += len(e.enc)
 		}
 		next = e.b.End
+	}
+	if size == 0 {
+		return nil, next, nil
+	}
+	out := make([]byte, 0, size)
+	for _, enc := range picked {
+		out = append(out, enc...)
 	}
 	return out, next, nil
 }
@@ -514,15 +525,14 @@ func (s *Service) lookup(start page.LSN) (entry, error) {
 			}
 		}
 	}
-	b, found, err := s.lz.Read(start)
-	if err == nil && found {
-		return entry{b: b, enc: b.Encode()}, nil
+	if b, enc, found, err := s.lz.Read(start); err == nil && found {
+		return entry{b: b, enc: enc}, nil
 	}
-	lb, err := s.lt.read(start)
-	if err != nil || lb == nil {
+	b, enc, err := s.lt.read(start)
+	if err != nil || b == nil {
 		return entry{}, err
 	}
-	return entry{b: lb, enc: lb.Encode()}, nil
+	return entry{b: b, enc: enc}, nil
 }
 
 // pullWaitMax caps how long a pull waits at the service for log. Over the

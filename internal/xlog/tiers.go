@@ -51,20 +51,24 @@ func (l *lt) append(batch []*wal.Block, buf []byte) error {
 	return nil
 }
 
-// read fetches one block by start LSN (nil if not archived).
-func (l *lt) read(start page.LSN) (*wal.Block, error) {
+// read fetches one block by start LSN (nil if not archived), with the
+// extent it was decoded from; the block's records alias that extent.
+func (l *lt) read(start page.LSN) (*wal.Block, []byte, error) {
 	l.mu.Lock()
 	ext, ok := l.index[start]
 	l.mu.Unlock()
 	if !ok {
-		return nil, nil
+		return nil, nil, nil
 	}
 	buf, err := l.store.ReadAt(l.blob, ext.off, ext.length)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	b, _, err := wal.DecodeBlock(buf)
-	return b, err
+	b, n, err := wal.DecodeBlock(buf)
+	if err != nil {
+		return nil, nil, err
+	}
+	return b, buf[:n], nil
 }
 
 // recover rebuilds the index by scanning the archive blob. The XStore reads

@@ -54,14 +54,14 @@ func TestLZWriteReadRoundTrip(t *testing.T) {
 	if lz.HardenedEnd() != blocks[4].End {
 		t.Fatalf("hardened = %d, want %d", lz.HardenedEnd(), blocks[4].End)
 	}
-	got, found, err := lz.Read(blocks[2].Start)
+	got, _, found, err := lz.Read(blocks[2].Start)
 	if err != nil || !found {
 		t.Fatalf("read: %v %v", found, err)
 	}
 	if got.Start != blocks[2].Start || len(got.Records) != 1 {
 		t.Fatalf("got %+v", got)
 	}
-	if _, found, _ := lz.Read(9999); found {
+	if _, _, found, _ := lz.Read(9999); found {
 		t.Fatal("phantom block")
 	}
 }
@@ -79,10 +79,10 @@ func TestLZReleaseFreesSpace(t *testing.T) {
 	if lz.Retained() != 5 {
 		t.Fatalf("retained after release = %d", lz.Retained())
 	}
-	if _, found, _ := lz.Read(blocks[2].Start); found {
+	if _, _, found, _ := lz.Read(blocks[2].Start); found {
 		t.Fatal("released block still readable")
 	}
-	if _, found, _ := lz.Read(blocks[7].Start); !found {
+	if _, _, found, _ := lz.Read(blocks[7].Start); !found {
 		t.Fatal("retained block vanished")
 	}
 }
@@ -128,7 +128,7 @@ func TestLZWraparound(t *testing.T) {
 			lz.ReleaseUpTo(b.End - 2)
 		}
 	}
-	got, found, err := lz.Read(last.Start)
+	got, _, found, err := lz.Read(last.Start)
 	if err != nil || !found || got.End != last.End {
 		t.Fatalf("after wraps: %v %v", found, err)
 	}
@@ -159,7 +159,7 @@ func TestLZRecoveryFindsHardenedEnd(t *testing.T) {
 	if re.HardenedEnd() != want {
 		t.Fatalf("recovered hardened = %d, want %d", re.HardenedEnd(), want)
 	}
-	got, found, err := re.Read(blocks[10].Start)
+	got, _, found, err := re.Read(blocks[10].Start)
 	if err != nil || !found || got.End != blocks[10].End {
 		t.Fatalf("recovered read: %v %v", found, err)
 	}
@@ -690,5 +690,79 @@ func TestBlockCachePutMatchesFullScan(t *testing.T) {
 				t.Fatalf("put %d: resident block %d was overwritten", i, lsn)
 			}
 		}
+	}
+}
+
+// decodedFrom reports whether the entry's encoding is the image its block
+// was decoded from: the first record's key lies inside it.
+func decodedFrom(e entry) bool {
+	k := e.b.Records[0].Key
+	for i := range e.enc {
+		if &e.enc[i] == &k[0] {
+			return true
+		}
+	}
+	return false
+}
+
+// TestPullServesTheBytesItRead: a block the feed lost is promoted from the
+// landing zone, and an archived block is served from the LT, each as the
+// image XLOG read — the primary's encoding byte for byte, never a
+// re-encoding of the decoded block.
+func TestPullServesTheBytesItRead(t *testing.T) {
+	lz, _ := newLZ(t, 4<<20)
+	// No SSD cache and a broker that keeps nothing destaged, so an
+	// archived block can only come from the LT; no destager, so the test
+	// destages by hand.
+	svc, err := build(Config{
+		LZ: lz, LT: xstore.New(xstore.Config{Profile: simdisk.Instant}), LTBlob: "lt/db1",
+		BrokerBytes: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	svc.promoted = lz.HardenedEnd()
+	svc.destaged = svc.promoted
+
+	blocks := mkBlocks(4, func(i int) page.ID { return page.ID(i) }, page.Partitioning{})
+	var want []byte
+	for _, b := range blocks {
+		if err := lz.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, b.Encode()...)
+	}
+	ctx := context.Background()
+	svc.ReportHardened(ctx, lz.HardenedEnd()) // every feed message lost
+	if _, _, gaps := svc.Stats(); gaps != len(blocks) {
+		t.Fatalf("gap fills = %d, want %d", gaps, len(blocks))
+	}
+	for _, e := range svc.broker {
+		if !decodedFrom(e) {
+			t.Fatalf("block %d promoted from the LZ with a re-encoded image", e.b.Start)
+		}
+	}
+	got, next, err := svc.Pull(ctx, blocks[0].Start, -1, 0)
+	if err != nil || next != blocks[3].End || !bytes.Equal(got, want) {
+		t.Fatalf("pull answered from the LZ: next=%d err=%v, bytes equal %v", next, err, bytes.Equal(got, want))
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("pull answer of %d bytes has capacity %d, want one exact-size buffer", len(got), cap(got))
+	}
+
+	svc.destageOnce()
+	if lz.Retained() != 0 || len(svc.broker) != 0 {
+		t.Fatalf("after destaging: LZ retains %d blocks, broker %d", lz.Retained(), len(svc.broker))
+	}
+	for _, b := range blocks {
+		e, err := svc.lookup(b.Start)
+		if err != nil || e.b == nil || !decodedFrom(e) {
+			t.Fatalf("block %d from the LT: err=%v, served its image %v", b.Start, err, e.b != nil && decodedFrom(e))
+		}
+	}
+	got, next, err = svc.Pull(ctx, blocks[0].Start, -1, 0)
+	if err != nil || next != blocks[3].End || !bytes.Equal(got, want) {
+		t.Fatalf("pull answered from the LT: next=%d err=%v, bytes equal %v", next, err, bytes.Equal(got, want))
 	}
 }
