@@ -16,7 +16,7 @@ RACE_PKGS := ./internal/compute ./internal/hadr ./internal/simdisk \
              ./internal/obs ./internal/netmux ./internal/rbio \
              ./internal/btree ./internal/fcb \
              ./internal/rbpex ./internal/engine ./internal/hekaton \
-             ./internal/xstore ./internal/versionstore
+             ./internal/xstore ./internal/versionstore ./internal/recovery
 
 .PHONY: all lint fmt vet test race chaos chaos-stress repl-stress allocs bench bench-probes cover clean
 
@@ -63,13 +63,14 @@ chaos-stress:
 # and visible (compute.Secondary). What they pin was a 1-in-40 loss of
 # acknowledged writes; run it before merging anything that touches ship,
 # hardenFeed, Failover or a secondary's apply order. Then the waits those
-# consumers sit in: XLOG's long poll and the shared bounded wait, 200 times,
-# and their two deadline stress loops (thousands of waits each) 5 times.
+# consumers sit in: XLOG's long poll, the shared bounded wait and the online
+# loop's failed-pull back-off (page server and secondary), 200 times, and the
+# two deadline stress loops (thousands of waits each) 5 times.
 repl-stress:
 	$(GO) test -count=200 -run 'TestApplyFollowsLogOrder|TestFailoverPromotesSecondary|TestSecondariesReplicate|TestStragglerCatchesUpOrLeaves' ./internal/hadr
 	$(GO) test -count=200 -run 'TestSecondaryServesSnapshotReads' ./internal/cluster
 	$(GO) test -count=200 -run 'TestSecondaryWaitAppliedMeansVisible|TestSecondaryAppliedBeforeVisible' ./internal/compute
-	$(GO) test -count=200 -run 'TestLongPoll|TestCondWait(ReadyWakesIt|CancelWakesIt|DeadlineWakesIt|FastPathRecordsNothing|NoneRecordsNothing)$$|TestFailedPullsBackOff' ./internal/xlog ./internal/obs ./internal/pageserver
+	$(GO) test -count=200 -run 'TestLongPoll|TestCondWait(ReadyWakesIt|CancelWakesIt|DeadlineWakesIt|FastPathRecordsNothing|NoneRecordsNothing)$$|TestFailedPullsBackOff' ./internal/xlog ./internal/obs ./internal/recovery
 	$(GO) test -count=5 -run 'TestCondWaitDeadlineStress|TestWaitDestagedMeetsItsDeadline' ./internal/obs ./internal/xlog
 
 # Hot-path allocation contracts (AllocsPerRun budgets; they skip themselves
@@ -98,10 +99,10 @@ bench-probes:
 	$(GO) test -run '^$$' -bench . -benchmem ./bench
 
 # Coverage floors for the commit-path and checkpoint-path packages, the
-# engine and the log codec (mirrors the CI cover job): future changes there
-# cannot land untested.
+# engine, the log codec and the redo cursor (mirrors the CI cover job):
+# future changes there cannot land untested.
 cover:
-	$(GO) test -cover ./internal/compute ./internal/hadr ./internal/xlog ./internal/pageserver ./internal/xstore ./internal/engine ./internal/wal
+	$(GO) test -cover ./internal/compute ./internal/hadr ./internal/xlog ./internal/pageserver ./internal/xstore ./internal/engine ./internal/wal ./internal/recovery
 
 clean:
 	$(GO) clean ./...

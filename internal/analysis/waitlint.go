@@ -60,6 +60,7 @@ func NewWaitLint() *WaitLint {
 		"socrates/internal/hadr",
 		"socrates/internal/netmux",
 		"socrates/internal/pageserver",
+		"socrates/internal/recovery",
 		"socrates/internal/simdisk",
 		"socrates/internal/xlog",
 	}}

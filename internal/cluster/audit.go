@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"context"
+	"slices"
+
 	"socrates/internal/page"
+	"socrates/internal/recovery"
 	"socrates/internal/wal"
 )
 
@@ -20,14 +23,15 @@ type AuditEvent struct {
 	// Writes counts the page mutations the transaction carried.
 	Writes int
 	// Tables is unavailable at the log layer (physiological records carry
-	// page IDs); Pages lists the distinct pages touched.
+	// page IDs); Pages lists the distinct pages touched, in log order.
 	Pages []page.ID
 }
 
 // AuditTail reads committed-transaction events from the hardened log
 // starting at fromLSN, returning at most max events and the LSN to resume
 // from. It consumes the same dissemination path as secondaries and page
-// servers, with zero impact on the primary.
+// servers, through the redo cursor's range walk (recovery.Walk), with zero
+// impact on the primary.
 func (c *Cluster) AuditTail(fromLSN page.LSN, max int) ([]AuditEvent, page.LSN, error) {
 	if fromLSN == 0 {
 		fromLSN = 1
@@ -41,52 +45,33 @@ func (c *Cluster) AuditTail(fromLSN page.LSN, max int) ([]AuditEvent, page.LSN, 
 		max = 1000
 	}
 	var events []AuditEvent
-	cursor := fromLSN
 	var cur *AuditEvent
-	pageSet := map[page.ID]struct{}{}
-	for len(events) < max {
-		payload, next, err := c.XLOG.Pull(context.Background(), cursor, -1, 256<<10)
-		if err != nil {
-			return nil, fromLSN, err
+	next, err := recovery.Walk(context.Background(), c.XLOG, fromLSN, 0, func(b *wal.Block) (bool, error) {
+		if len(events) >= max {
+			return false, nil // budget reached: resume at this (unprocessed) block
 		}
-		if next == cursor {
-			break
-		}
-		for len(payload) > 0 {
-			b, n, err := wal.DecodeBlock(payload)
-			if err != nil {
-				return nil, fromLSN, err
-			}
-			payload = payload[n:]
-			if len(events) >= max {
-				// Budget reached: resume at this (unprocessed) block.
-				return events, b.Start, nil
-			}
-			for _, rec := range b.Records {
-				switch {
-				case rec.Kind == wal.KindTxnBegin:
-					cur = &AuditEvent{Txn: rec.Txn}
-					pageSet = map[page.ID]struct{}{}
-				case rec.IsPageOp():
-					if cur != nil {
-						cur.Writes++
-						pageSet[rec.Page] = struct{}{}
-					}
-				case rec.Kind == wal.KindTxnCommit:
-					ev := AuditEvent{Txn: rec.Txn, CommitLSN: rec.LSN,
-						CommitTS: rec.CommitTS()}
-					if cur != nil && cur.Txn == rec.Txn {
-						ev.Writes = cur.Writes
-						for id := range pageSet {
-							ev.Pages = append(ev.Pages, id)
-						}
-					}
-					events = append(events, ev)
-					cur = nil
+		for _, rec := range b.Records {
+			switch {
+			case rec.Kind == wal.KindTxnBegin:
+				cur = &AuditEvent{Txn: rec.Txn}
+			case rec.IsPageOp() && cur != nil:
+				cur.Writes++
+				if !slices.Contains(cur.Pages, rec.Page) {
+					cur.Pages = append(cur.Pages, rec.Page)
 				}
+			case rec.Kind == wal.KindTxnCommit:
+				ev := AuditEvent{Txn: rec.Txn, CommitLSN: rec.LSN, CommitTS: rec.CommitTS()}
+				if cur != nil && cur.Txn == rec.Txn {
+					ev.Writes, ev.Pages = cur.Writes, cur.Pages
+				}
+				events = append(events, ev)
+				cur = nil
 			}
 		}
-		cursor = next
+		return true, nil
+	})
+	if err != nil {
+		return nil, fromLSN, err
 	}
-	return events, cursor, nil
+	return events, next, nil
 }

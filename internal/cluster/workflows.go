@@ -390,8 +390,8 @@ func (c *Cluster) PointInTimeRestore(ctx context.Context, backup string, targetL
 	if targetLSN == 0 {
 		targetLSN = c.XLOG.HardenedEnd()
 	}
-	replayer := recovery.NewReplayer(pages)
-	if _, err := replayer.ReplayRange(ctx, c.XLOG, info.lsn, targetLSN); err != nil {
+	replayer := recovery.NewReplayer(recovery.Restore{Pages: pages}, info.lsn, nil)
+	if _, err := replayer.ReplayRange(ctx, c.XLOG, targetLSN); err != nil {
 		return nil, 0, err
 	}
 

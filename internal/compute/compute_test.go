@@ -11,6 +11,7 @@ import (
 	"socrates/internal/page"
 	"socrates/internal/rbio"
 	"socrates/internal/rbpex"
+	"socrates/internal/recovery"
 	"socrates/internal/simdisk"
 	"socrates/internal/wal"
 	"socrates/internal/xlog"
@@ -164,6 +165,16 @@ func newRemoteFile(t *testing.T, stub *pageServerStub, floor page.LSN) *RemotePa
 	return f
 }
 
+// applyAsSecondary does with rec what a secondary's apply thread does: the
+// redo cursor under the node's recovery.Cached policy.
+func applyAsSecondary(t *testing.T, f *RemotePageFile, rec *wal.Record) {
+	t.Helper()
+	policy := &recovery.Cached{Pending: f, Cache: f.Cache()}
+	if err := recovery.NewReplayer(policy, 0, nil).ApplyRecord(rec, 0); err != nil {
+		t.Fatalf("secondary apply of %v: %v", rec.Kind, err)
+	}
+}
+
 func TestRemoteFileUsesEvictedLSN(t *testing.T) {
 	stub := &pageServerStub{lsn: 50}
 	f := newRemoteFile(t, stub, 5)
@@ -278,9 +289,7 @@ func TestFetchInstallOwnership(t *testing.T) {
 	if f.QueueIfPending(cellPut(13, "c")) {
 		t.Fatal("registration outlived the install")
 	}
-	if applied, err := f.ApplyIfCached(cellPut(13, "c")); err != nil || !applied {
-		t.Fatalf("record after install: %v %v", applied, err)
-	}
+	applyAsSecondary(t, f, cellPut(13, "c"))
 	if lsn, _ := f.Cache().GetLSN(3); lsn != 13 {
 		t.Fatalf("cached LSN = %d, want 13", lsn)
 	}
@@ -289,28 +298,27 @@ func TestFetchInstallOwnership(t *testing.T) {
 	}
 }
 
+// TestApplyIfCachedPolicy is a secondary's §4.5 rule on the redo cursor:
+// a record for an uncached page is ignored unless it is the page's image,
+// which admits the page; records for a cached page apply.
 func TestApplyIfCachedPolicy(t *testing.T) {
 	stub := &pageServerStub{lsn: 10}
 	f := newRemoteFile(t, stub, 1)
 
 	// Uncached page + cell record → ignored (the §4.5 policy).
-	applied, err := f.ApplyIfCached(&wal.Record{LSN: 11, Kind: wal.KindCellPut,
-		Page: 5, Key: []byte("k")})
-	if err != nil || applied {
-		t.Fatalf("uncached cell apply: %v %v", applied, err)
+	applyAsSecondary(t, f, &wal.Record{LSN: 11, Kind: wal.KindCellPut, Page: 5, Key: []byte("k")})
+	if f.Cache().Contains(5) {
+		t.Fatal("a cell record admitted an uncached page")
 	}
 	// Page images for new pages are admitted.
-	applied, err = f.ApplyIfCached(&wal.Record{LSN: 12, Kind: wal.KindPageImage,
+	applyAsSecondary(t, f, &wal.Record{LSN: 12, Kind: wal.KindPageImage,
 		Page: 5, PageType: page.TypeLeaf, Value: nil})
-	if err != nil || !applied {
-		t.Fatalf("image admit: %v %v", applied, err)
+	if lsn, ok := f.Cache().GetLSN(5); !ok || lsn != 12 {
+		t.Fatalf("image admit: cached LSN = %d %v", lsn, ok)
 	}
 	// Now the page is cached: later records apply.
-	applied, err = f.ApplyIfCached(&wal.Record{LSN: 13, Kind: wal.KindPageImage,
+	applyAsSecondary(t, f, &wal.Record{LSN: 13, Kind: wal.KindPageImage,
 		Page: 5, PageType: page.TypeLeaf, Value: nil})
-	if err != nil || !applied {
-		t.Fatalf("cached apply: %v %v", applied, err)
-	}
 	if lsn, ok := f.Cache().GetLSN(5); !ok || lsn != 13 {
 		t.Fatalf("cached LSN = %d %v", lsn, ok)
 	}

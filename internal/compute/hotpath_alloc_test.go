@@ -5,6 +5,7 @@ import (
 
 	"socrates/internal/btree"
 	"socrates/internal/page"
+	"socrates/internal/recovery"
 	"socrates/internal/testutil"
 	"socrates/internal/wal"
 )
@@ -45,20 +46,20 @@ func TestCommitAppendAllocs(t *testing.T) {
 	}
 }
 
-// TestSecondaryApplyAllocs is the allocation contract for
-// Secondary.applyRecord, run once per record of a secondary's apply feed. A
-// record for a page the secondary does not cache is ignored (§4.5) and
-// allocates nothing; one for a cached page costs btree redo — the spliced
-// payload and the new page around it — and nothing of its own.
+// TestSecondaryApplyAllocs is the allocation contract for a secondary's
+// apply feed: the redo cursor under the recovery.Cached policy, run once per
+// record. A record for a page the secondary does not cache is ignored (§4.5)
+// and allocates nothing; one for a cached page costs btree redo — the
+// spliced payload and the new page around it — and nothing of its own.
 func TestSecondaryApplyAllocs(t *testing.T) {
 	testutil.SkipIfRace(t)
 
 	f := newRemoteFile(t, &pageServerStub{lsn: 1}, 1)
-	s := &Secondary{pages: f}
+	redo := recovery.NewReplayer(&recovery.Cached{Pending: f, Cache: f.Cache()}, 1, nil)
 	const cached, uncached = 5, 6
-	if applied, err := f.ApplyIfCached(&wal.Record{LSN: 2, Kind: wal.KindPageImage,
-		Page: cached, PageType: page.TypeLeaf, Value: btree.EmptyNodePayload()}); err != nil || !applied {
-		t.Fatalf("admitting the cached page: %v %v", applied, err)
+	if err := redo.ApplyRecord(&wal.Record{LSN: 2, Kind: wal.KindPageImage,
+		Page: cached, PageType: page.TypeLeaf, Value: btree.EmptyNodePayload()}, 0); err != nil || !f.Cache().Contains(cached) {
+		t.Fatalf("admitting the cached page: %v", err)
 	}
 
 	const runs = 200
@@ -79,7 +80,9 @@ func TestSecondaryApplyAllocs(t *testing.T) {
 		}
 		i := 0
 		avg := testing.AllocsPerRun(runs, func() {
-			s.applyRecord(recs[i])
+			if err := redo.ApplyRecord(recs[i], 0); err != nil {
+				t.Fatal(err)
+			}
 			i++
 		})
 		t.Logf("secondary apply, %s page: %.1f allocs/op (budget %.0f)", c.name, avg, c.budget)
@@ -87,8 +90,9 @@ func TestSecondaryApplyAllocs(t *testing.T) {
 			t.Errorf("secondary apply, %s page: %.1f allocs/op, budget %.0f", c.name, avg, c.budget)
 		}
 	}
-	if s.appliedRecs.Load() != runs+1 || s.ignored.Load() != runs+1 {
-		t.Fatalf("applied %d, ignored %d records; want %d of each",
-			s.appliedRecs.Load(), s.ignored.Load(), runs+1)
+	// Every run went the way its case says: the cached page took each record,
+	// the other page was never admitted.
+	if got, _ := f.Cache().GetLSN(cached); got != lsn || f.Cache().Contains(uncached) {
+		t.Fatalf("cached page at LSN %d (want %d), uncached page admitted %v", got, lsn, f.Cache().Contains(uncached))
 	}
 }

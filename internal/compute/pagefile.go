@@ -8,13 +8,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"socrates/internal/btree"
 	"socrates/internal/fcb"
 	"socrates/internal/obs"
 	"socrates/internal/page"
 	"socrates/internal/pageserver"
 	"socrates/internal/rbio"
 	"socrates/internal/rbpex"
+	"socrates/internal/recovery"
 	"socrates/internal/socerr"
 	"socrates/internal/wal"
 )
@@ -380,21 +380,11 @@ func (f *RemotePageFile) receive(reg *registration, pg *page.Page) (*page.Page, 
 	queued := reg.queued
 	reg.queued = nil
 	f.mu.Unlock()
-	pg, err := applyAll(pg, queued)
+	pg, err := recovery.Redo(pg, queued)
 	if err != nil {
 		return nil, err
 	}
 	reg.publish(pg)
-	return pg, nil
-}
-
-func applyAll(pg *page.Page, recs []*wal.Record) (*page.Page, error) {
-	for _, rec := range recs {
-		var err error
-		if pg, _, err = btree.Apply(pg, rec); err != nil {
-			return nil, err
-		}
-	}
 	return pg, nil
 }
 
@@ -435,7 +425,7 @@ func (f *RemotePageFile) install(reg *registration, pg *page.Page) (*page.Page, 
 			put = f.cache.PutHinted
 		}
 		var err error
-		if pg, err = applyAll(pg, queued); err == nil {
+		if pg, err = recovery.Redo(pg, queued); err == nil {
 			_, err = put(pg, f.evictedLSN)
 		}
 		if err != nil {
@@ -453,8 +443,8 @@ func (f *RemotePageFile) Write(pg *page.Page) error {
 
 // --- log-apply integration (secondaries) ---
 
-// QueueIfPending queues a record for a page with an in-flight fetch.
-// Reports whether the record was queued.
+// QueueIfPending queues a record for a page with an in-flight fetch and
+// reports whether it did (§4.5; recovery.Cached asks it first).
 func (f *RemotePageFile) QueueIfPending(rec *wal.Record) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -464,38 +454,6 @@ func (f *RemotePageFile) QueueIfPending(rec *wal.Record) bool {
 	}
 	reg.queued = append(reg.queued, rec)
 	return true
-}
-
-// ApplyIfCached applies a redo record iff the page is cached (the §4.5
-// "ignore log records for uncached pages" policy). Reports whether the
-// record was applied. A page read-ahead parked stays parked, in its new
-// version: log apply is not the reader it is waiting for.
-func (f *RemotePageFile) ApplyIfCached(rec *wal.Record) (bool, error) {
-	pg, parked := f.cache.Parked(rec.Page)
-	ok := parked
-	if !parked {
-		pg, ok = f.cache.Get(rec.Page)
-	}
-	if !ok {
-		if rec.Kind == wal.KindPageImage {
-			// A page being created: cheap to admit (it arrives complete).
-			npg, err := btree.NewFormatted(rec)
-			if err != nil {
-				return false, err
-			}
-			return true, f.cache.Put(npg)
-		}
-		return false, nil
-	}
-	next, applied, err := btree.Apply(pg, rec)
-	if err != nil || !applied {
-		return false, err
-	}
-	if parked {
-		_, err = f.cache.PutHinted(next, nil)
-		return true, err
-	}
-	return true, f.cache.Put(next)
 }
 
 var _ fcb.PageFile = (*RemotePageFile)(nil)

@@ -465,14 +465,12 @@ func TestRedoReachesParkedPageBeforeItsReader(t *testing.T) {
 	})
 	f.Close() // the registration is over when the fetch's goroutine is
 
-	// What Secondary.applyRecord does with a page operation.
+	// What a secondary's apply thread does with a page operation.
 	rec := &wal.Record{LSN: 11, Kind: wal.KindCellPut, Page: 3, Key: []byte("k"), Value: []byte("v")}
 	if f.QueueIfPending(rec) {
 		t.Fatal("the registration outlived the read-ahead's install")
 	}
-	if applied, err := f.ApplyIfCached(rec); err != nil || !applied {
-		t.Fatalf("redo for a parked page: applied %v, err %v; the page is cached", applied, err)
-	}
+	applyAsSecondary(t, f, rec)
 	// Log apply is not the reader the page waits for: it stays parked, in
 	// the new version, and the hint is not counted yet.
 	parked, stillParked := f.Cache().Parked(3)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"socrates/internal/engine"
@@ -13,6 +12,7 @@ import (
 	"socrates/internal/page"
 	"socrates/internal/rbio"
 	"socrates/internal/rbpex"
+	"socrates/internal/recovery"
 	"socrates/internal/simdisk"
 	"socrates/internal/wal"
 )
@@ -36,8 +36,6 @@ type SecondaryConfig struct {
 	StartTS uint64
 	// Meter, if set, is charged the node's simulated CPU.
 	Meter *metrics.CPUMeter
-	// PullBytes bounds one pull batch (default 256 KiB).
-	PullBytes int
 	// ApplyDelay adds latency before each pull — models a geo-replica
 	// consuming the log across a WAN (§6).
 	ApplyDelay time.Duration
@@ -59,7 +57,6 @@ type Secondary struct {
 	Engine *engine.Engine
 	pages  *RemotePageFile
 	name   string
-	xlog   *rbio.Client
 
 	mu      sync.Mutex
 	applied page.LSN
@@ -69,9 +66,7 @@ type Secondary struct {
 	// applied did may not yet.
 	visibleTo page.LSN
 	// fetchFloor is the end of the block being applied, set before its first
-	// record is handled: a fetch that registers mid-block asks the page
-	// server for the whole block, records that went by before it registered
-	// (ignored: the page was not cached) included.
+	// record is handled (applyBlock).
 	fetchFloor page.LSN
 	cond       *sync.Cond
 
@@ -81,11 +76,7 @@ type Secondary struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	ignored     atomic.Int64
-	appliedRecs atomic.Int64
-	queuedRecs  atomic.Int64
-	pullBytes   int
-	applyDelay  time.Duration
+	redo *recovery.Replayer // the apply loop's cursor, under recovery.Cached
 	// holdBeforePublish, set by a test before the feed starts, runs on the
 	// apply thread between a block's applied watermark and its publish.
 	holdBeforePublish func()
@@ -102,21 +93,15 @@ func NewSecondary(cfg SecondaryConfig) (*Secondary, error) {
 	if cfg.CacheMemPages <= 0 {
 		cfg.CacheMemPages = 128
 	}
-	if cfg.PullBytes <= 0 {
-		cfg.PullBytes = 256 << 10
-	}
 	if cfg.StartLSN == 0 {
 		cfg.StartLSN = 1
 	}
 	s := &Secondary{
-		name:       cfg.Name,
-		xlog:       cfg.XLOG,
-		applied:    cfg.StartLSN,
-		visibleTo:  cfg.StartLSN,
-		pullBytes:  cfg.PullBytes,
-		applyDelay: cfg.ApplyDelay,
-		obs:        cfg.Obs,
-		waits:      cfg.Obs.Waits.Tier(obs.TierCompute),
+		name:      cfg.Name,
+		applied:   cfg.StartLSN,
+		visibleTo: cfg.StartLSN,
+		obs:       cfg.Obs,
+		waits:     cfg.Obs.Waits.Tier(obs.TierCompute),
 	}
 	s.cond = sync.NewCond(&s.mu)
 
@@ -130,6 +115,7 @@ func NewSecondary(cfg SecondaryConfig) (*Secondary, error) {
 		return nil, err
 	}
 	s.pages = pages
+	s.redo = recovery.NewReplayer(&recovery.Cached{Pending: pages, Cache: pages.Cache()}, cfg.StartLSN, s.applyBlock)
 
 	eng, err := engine.Open(engine.Config{
 		Pages:    pages,
@@ -151,7 +137,10 @@ func NewSecondary(cfg SecondaryConfig) (*Secondary, error) {
 
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.wg.Add(1)
-	go s.applyLoop()
+	go func() { // the whole log stream (§4.6), until Stop
+		defer s.wg.Done()
+		s.redo.Follow(s.ctx, cfg.XLOG, -1, recovery.PullBytes, cfg.ApplyDelay, s.applyPull)
+	}()
 	return s, nil
 }
 
@@ -178,12 +167,6 @@ func (s *Secondary) floor() page.LSN {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return page.MaxLSN(s.applied, s.fetchFloor).Prev()
-}
-
-// Stats reports records applied, ignored (uncached policy), and queued for
-// in-flight fetches.
-func (s *Secondary) Stats() (applied, ignored, queued int64) {
-	return s.appliedRecs.Load(), s.ignored.Load(), s.queuedRecs.Load()
 }
 
 // WaitApplied blocks until the node has applied the log below lsn and made
@@ -217,100 +200,37 @@ func (s *Secondary) Stop() {
 	s.pages.Close()
 }
 
-// pullRetry spaces the apply loop's pulls while they fail (XLOG down, or
-// answering errors), so an outage does not spin a core. An empty answer is
-// pulled again at once: XLOG answers a pull only once the log passes it, or
-// at its own cap.
-const pullRetry = 300 * time.Microsecond
-
-func (s *Secondary) applyLoop() {
-	defer s.wg.Done()
-	for s.ctx.Err() == nil {
-		if s.applyDelay > 0 {
-			//socrates:sleep-ok applyDelay models a geo-replica's WAN propagation lag; the delay IS the semantics, not a poll
-			time.Sleep(s.applyDelay)
-		}
-		if err := s.pullOnce(); err != nil {
-			retry := time.NewTimer(pullRetry)
-			//socrates:wait-ok failed-pull back-off in the apply loop; nobody waits on it
-			select {
-			case <-s.ctx.Done():
-			case <-retry.C:
-			}
-			retry.Stop()
-		}
-	}
-}
-
-// pullTimeout bounds one secondary pull round against the XLOG service.
-const pullTimeout = 10 * time.Second
-
-// pullOnce pulls one batch from XLOG and applies it. An empty answer is no
-// error — XLOG has already waited for the log — but a failed pull is.
-func (s *Secondary) pullOnce() error {
-	s.mu.Lock()
-	from := s.applied
-	s.mu.Unlock()
-
-	// Bounded: a stalled XLOG costs one timed-out round instead of a wedged
-	// consumer goroutine.
-	ctx, cancel := context.WithTimeout(s.ctx, pullTimeout)
-	defer cancel()
-	resp, err := s.xlog.Call(ctx, &rbio.Request{
-		Type:      rbio.MsgPullBlocks,
-		LSN:       from,
-		Partition: -1, // secondaries consume the whole stream (§4.6)
-		MaxBytes:  int32(s.pullBytes),
-	})
-	if err == nil {
-		err = resp.Err()
-	}
-	if err != nil {
+// applyPull applies one pull's answer, block by block (applyBlock), then
+// moves the watermarks to its end.
+func (s *Secondary) applyPull(_, next page.LSN, payload []byte) error {
+	if err := s.redo.ApplyBlocks(payload, 0); err != nil {
 		return err
 	}
-	payload := resp.Payload
-	for len(payload) > 0 {
-		b, n, err := wal.DecodeBlock(payload)
-		if err != nil {
-			return err
-		}
-		payload = payload[n:]
-		s.applyBlock(b)
-	}
-	if resp.LSN == from {
-		return nil
-	}
-	s.advance(&s.applied, resp.LSN)
-	s.advance(&s.visibleTo, resp.LSN) // the blocks below published theirs; the rest of the range holds none
-	s.obs.Watermarks.Watermark(obs.WMSecondary, s.name).Publish(uint64(resp.LSN))
-	s.obs.Flight.Record(obs.TierCompute, "sec.apply", uint64(resp.LSN), 0,
+	s.advance(&s.applied, next)
+	s.advance(&s.visibleTo, next) // the blocks below published theirs; the rest of the range holds none
+	s.obs.Watermarks.Watermark(obs.WMSecondary, s.name).Publish(uint64(next))
+	s.obs.Flight.Record(obs.TierCompute, "sec.apply", uint64(next), 0,
 		s.name+": batch applied")
 	return nil
 }
 
-// applyBlock applies one log block in four steps whose order is the node's
-// read contract: the page operations, then the applied watermark, then the
-// block's commit timestamps, then the visible watermark WaitApplied waits on.
-// A snapshot can therefore never show a commit whose LSN is at or above
-// AppliedLSN — and a fetch by a reader who sees the commit asks the page
-// server (floor) for at least the block that holds it — while a caller told
-// the block is applied never begins a snapshot that misses its commits.
-// Publishing as the records went by, with the watermark moving once per
-// pull, let a snapshot taken mid-pull read ahead of the watermark — the
-// chaos oracle's "read from the future". Before any of it the fetch floor
-// moves to the block's end: a page fetched while the block is being applied
-// comes with all of the block, whichever of its records had gone by already.
-func (s *Secondary) applyBlock(b *wal.Block) {
-	s.mu.Lock()
-	s.fetchFloor = b.End
-	s.mu.Unlock()
-	var visible uint64 // highest commit timestamp in the block; they rise in log order
-	for _, rec := range b.Records {
-		if rec.Kind == wal.KindTxnCommit {
-			visible = max(visible, rec.CommitTS())
-			continue
-		}
-		s.applyRecord(rec)
+// applyBlock is the cursor's block hook. Before a block's first record the
+// fetch floor moves to its end: a page fetched while the block is applied
+// comes with all of it, records that went by ignored included. Then four
+// steps, whose order is the node's read contract: the page operations, the
+// applied watermark, the block's commit timestamps, the visible watermark
+// WaitApplied waits on. A snapshot never shows a commit at or above
+// AppliedLSN (a reader who sees one fetches at least its block), and a
+// caller told the block is applied never begins a snapshot that misses its
+// commits. Publishing as the records went by, with the watermark moving once
+// per pull, let a mid-pull snapshot read ahead of the watermark: the chaos
+// oracle's "read from the future".
+func (s *Secondary) applyBlock(b *wal.Block, done bool, visible uint64) {
+	if !done {
+		s.mu.Lock()
+		s.fetchFloor = b.End
+		s.mu.Unlock()
+		return
 	}
 	s.advance(&s.applied, b.End)
 	if s.holdBeforePublish != nil {
@@ -330,27 +250,4 @@ func (s *Secondary) advance(mark *page.LSN, lsn page.LSN) {
 		s.cond.Broadcast()
 	}
 	s.mu.Unlock()
-}
-
-// applyRecord applies one redo page operation from the log feed; other
-// records pass through.
-//
-//socrates:hotpath runs once per record in the secondary's apply feed; budget enforced by TestSecondaryApplyAllocs
-func (s *Secondary) applyRecord(rec *wal.Record) {
-	if !rec.IsPageOp() {
-		return
-	}
-	if s.pages.QueueIfPending(rec) {
-		s.queuedRecs.Add(1)
-		return
-	}
-	applied, err := s.pages.ApplyIfCached(rec)
-	if err != nil {
-		return
-	}
-	if applied {
-		s.appliedRecs.Add(1)
-	} else {
-		s.ignored.Add(1)
-	}
 }

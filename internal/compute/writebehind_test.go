@@ -126,8 +126,11 @@ func TestSecondaryFetchFloorCoversTheBlockInFlight(t *testing.T) {
 	until(t, "the apply thread to fill the write-behind backlog mid-block", func() bool {
 		return cache.WriteBehind().BlockedPuts == 1
 	})
-	if _, ignored, queued := sec.Stats(); ignored != 1 || queued != 0 || sec.AppliedLSN() != start {
-		t.Fatalf("mid-block: %d records ignored, %d queued, applied %d; want the first record gone by and nothing else", ignored, queued, sec.AppliedLSN())
+	sec.pages.mu.Lock()
+	pending := len(sec.pages.pending)
+	sec.pages.mu.Unlock()
+	if cache.Contains(p) || pending != 0 || sec.AppliedLSN() != start {
+		t.Fatalf("mid-block: page %d cached %v, %d fetches pending, applied %d; want the first record gone by ignored and nothing else", p, cache.Contains(p), pending, sec.AppliedLSN())
 	}
 
 	// The reader misses, registers, fetches — and waits for room in the

@@ -33,13 +33,12 @@ import (
 	"sync"
 	"time"
 
-	"socrates/internal/btree"
 	"socrates/internal/engine"
-	"socrates/internal/fcb"
 	"socrates/internal/metrics"
 	"socrates/internal/obs"
 	"socrates/internal/page"
 	"socrates/internal/rbio"
+	"socrates/internal/recovery"
 	"socrates/internal/simdisk"
 	"socrates/internal/wal"
 	"socrates/internal/xstore"
@@ -294,8 +293,10 @@ func (n *Node) newTerm(primary bool) {
 	n.mu.Unlock()
 }
 
-// startApply runs the secondary apply loop.
+// startApply runs the secondary apply loop: the redo cursor under
+// recovery.Replica, over blocks that leave the queue in LSN order.
 func (n *Node) startApply() {
+	redo := recovery.NewReplayer(recovery.Replica{Pages: n.pages}, 0, n.blockApplied)
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
@@ -315,46 +316,26 @@ func (n *Node) startApply() {
 			n.queue = nil
 			n.mu.Unlock()
 			for _, b := range batch {
-				n.applyBlock(b)
+				_ = redo.ApplyBlock(b, 0) // Replica drops what it cannot apply: no block fails
 			}
 		}
 	}()
 }
 
-// applyBlock applies every record of the block to the local full copy. In
-// HADR every node has every page, so nothing is ever skipped. Blocks come
-// off the queue in LSN order, so a page's records reach it in log order.
-func (n *Node) applyBlock(b *wal.Block) {
-	for _, rec := range b.Records {
-		switch {
-		case rec.Kind == wal.KindTxnCommit:
-			ts := rec.CommitTS()
-			n.mu.Lock()
-			if ts > n.maxTS {
-				n.maxTS = ts
-			}
-			eng := n.engine
-			n.mu.Unlock()
-			if eng != nil {
-				eng.Clock().Publish(ts)
-			}
-		case rec.IsPageOp():
-			pg, err := n.pages.Read(rec.Page)
-			if errors.Is(err, fcb.ErrNotFound) {
-				pg = page.New(rec.Page, rec.PageType)
-			} else if err != nil {
-				continue
-			}
-			if next, applied, err := btree.Apply(pg, rec); err == nil && applied {
-				//socrates:ignore-err bufferedFile.Write is an in-memory install that cannot fail; disk write-back errors are retried by its flusher
-				_ = n.pages.Write(next)
-			}
-		}
+// blockApplied is the cursor's block hook: a block's commits are published
+// before the watermark passes it, so WaitApplied's callers read them.
+func (n *Node) blockApplied(b *wal.Block, done bool, visible uint64) {
+	if !done {
+		return
 	}
 	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.maxTS = max(n.maxTS, visible)
+	if n.engine != nil {
+		n.engine.Clock().Publish(visible)
+	}
 	n.applied = b.End // the queue is the prefix in LSN order
 	n.cond.Broadcast()
-	n.mu.Unlock()
 }
 
 // WaitApplied blocks until the node applied through lsn.

@@ -70,13 +70,14 @@ func TestGetPageAllocs(t *testing.T) {
 }
 
 // TestApplyFeedAllocs is the allocation contract for the apply feed: the
-// per-record redo path, and one pull of the batch loop. For redo, the
-// touched map and target page are warm — exactly the state of a batch
-// coalescing many records onto one hot page — so the measured cost is btree
-// redo itself (the spliced payload and the new page around it), not batch
-// bookkeeping. The pull runs on the stopped server, under its cancelled
-// context: its cost is building the request and giving it up. A pull on a
-// live, caught-up feed now waits at XLOG for log and measures nothing.
+// per-record redo path (the cursor under the recovery.Owned policy), and one
+// pull of the online loop. For redo, the batch and target page are warm —
+// exactly the state of a pull coalescing many records onto one hot page — so
+// the measured cost is btree redo itself (the spliced payload and the new
+// page around it), not batch bookkeeping. The pull runs on the stopped
+// server, under its cancelled context: its cost is building the request and
+// giving it up. A pull on a live, caught-up feed waits at XLOG for log and
+// measures nothing.
 func TestApplyFeedAllocs(t *testing.T) {
 	testutil.SkipIfRace(t)
 
@@ -96,7 +97,7 @@ func TestApplyFeedAllocs(t *testing.T) {
 	if !ok {
 		t.Fatalf("page %d not cached after apply", target)
 	}
-	touched := map[page.ID]*page.Page{pg.ID: pg}
+	srv.batch[pg.ID] = pg
 
 	// Pre-build the records so record construction is not measured; each
 	// carries the next LSN so redo actually mutates the page every run.
@@ -110,7 +111,7 @@ func TestApplyFeedAllocs(t *testing.T) {
 	}
 	i := 0
 	avg := testing.AllocsPerRun(runs, func() {
-		if err := srv.applyRecordTo(touched, recs[i]); err != nil {
+		if err := srv.redo.ApplyRecord(recs[i], 0); err != nil {
 			t.Fatal(err)
 		}
 		i++
@@ -123,7 +124,8 @@ func TestApplyFeedAllocs(t *testing.T) {
 
 	applied := srv.AppliedLSN()
 	avg = testing.AllocsPerRun(runs, func() {
-		if err := srv.pullOnce(); !errors.Is(err, context.Canceled) {
+		err := srv.redo.Pull(srv.ctx, srv.cfg.XLOG, int32(srv.cfg.Partition), srv.cfg.PullBytes, srv.applyPull)
+		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("pull on a stopped server: %v, want context.Canceled", err)
 		}
 	})

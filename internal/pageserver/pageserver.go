@@ -28,15 +28,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	"socrates/internal/btree"
 	"socrates/internal/metrics"
 	"socrates/internal/obs"
 	"socrates/internal/page"
 	"socrates/internal/rbio"
 	"socrates/internal/rbpex"
+	"socrates/internal/recovery"
 	"socrates/internal/simdisk"
 	"socrates/internal/socerr"
-	"socrates/internal/wal"
 	"socrates/internal/xstore"
 )
 
@@ -73,7 +72,7 @@ type Config struct {
 	MemPages int
 	// StartLSN is where log apply begins for a brand-new database (1).
 	StartLSN page.LSN
-	// PullBytes bounds one pull batch (default 256 KiB).
+	// PullBytes bounds one pull batch (default recovery.PullBytes).
 	PullBytes int
 	// Meter, if set, is charged simulated CPU for page-server work.
 	Meter *metrics.CPUMeter
@@ -123,12 +122,10 @@ type Server struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	// applyScratch is pullOnce's reusable touched-page set; only the
-	// apply loop touches it, so no lock guards it.
-	applyScratch map[page.ID]*page.Page
-	// retryWait, when a test sets it before the first pull fails, stands in
-	// for the failed-pull back-off.
-	retryWait func(ctx context.Context)
+	// The apply loop's cursor, under recovery.Owned with batch; only the
+	// apply loop touches either.
+	redo  *recovery.Replayer
+	batch map[page.ID]*page.Page
 
 	// waitRec is cfg.Obs.Waits.Tier(obs.TierPageServer), resolved once.
 	waitRec *obs.WaitRecorder
@@ -150,7 +147,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.MemPages = 64
 	}
 	if cfg.PullBytes <= 0 {
-		cfg.PullBytes = 256 << 10
+		cfg.PullBytes = recovery.PullBytes
 	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 50 * time.Millisecond
@@ -185,6 +182,7 @@ func New(cfg Config) (*Server, error) {
 		dirty:   make(map[page.ID]page.LSN),
 		clean:   make(chan struct{}),
 		kick:    make(chan struct{}, 1),
+		batch:   make(map[page.ID]*page.Page, 64),
 	}
 	close(s.clean)
 	s.appliedCond = sync.NewCond(&s.mu)
@@ -201,13 +199,18 @@ func New(cfg Config) (*Server, error) {
 		// idempotent, so resuming from the checkpoint LSN is safe and the
 		// recovered cache saves the refetch (§3.3).
 	}
+	s.redo = recovery.NewReplayer(&recovery.Owned{Lo: lo, Hi: hi, Cache: cache,
+		Fetch: s.fetchFromStore, Meter: cfg.Meter, Batch: s.batch}, s.applied, nil)
 	if cfg.Seed {
 		s.seeding = true
 		s.wg.Add(1)
 		go s.seedLoop()
 	}
 	s.wg.Add(2)
-	go s.applyLoop()
+	go func() {
+		defer s.wg.Done()
+		s.redo.Follow(s.ctx, cfg.XLOG, int32(cfg.Partition), cfg.PullBytes, 0, s.applyPull)
+	}()
 	go s.checkpointLoop()
 	return s, nil
 }
@@ -268,12 +271,6 @@ func (s *Server) Stats() (served, waits, applies int64) {
 	return s.served.Load(), s.waits.Load(), s.applies.Load()
 }
 
-func (s *Server) charge(d time.Duration) {
-	if s.cfg.Meter != nil {
-		s.cfg.Meter.Charge(d)
-	}
-}
-
 // --- blob naming ---
 
 func (s *Server) pageBlob(id page.ID) string {
@@ -297,87 +294,18 @@ func (s *Server) readMeta() (page.LSN, error) {
 
 // --- log apply ---
 
-// pullRetry spaces the apply loop's pulls while they fail (XLOG down, or
-// answering errors), so an outage does not spin a core. An empty answer is
-// pulled again at once: XLOG answers a pull only once the log passes it, or
-// at its own cap.
-const pullRetry = 500 * time.Microsecond
-
-func (s *Server) applyLoop() {
-	defer s.wg.Done()
-	for s.ctx.Err() == nil {
-		if err := s.pullOnce(); err != nil {
-			s.backOff()
-		}
-	}
-}
-
-// backOff waits out pullRetry after a failed pull, or until Stop.
-func (s *Server) backOff() {
-	if s.retryWait != nil {
-		s.retryWait(s.ctx)
-		return
-	}
-	retry := time.NewTimer(pullRetry)
-	defer retry.Stop()
-	//socrates:wait-ok failed-pull back-off in the apply loop; nobody waits on it
-	select {
-	case <-s.ctx.Done():
-	case <-retry.C:
-	}
-}
-
-// pullOnce pulls one batch from XLOG and applies it. An empty answer is no
-// error — XLOG has already waited for the log — but a failed pull or apply
-// is. The apply loop is server-initiated, so each batch starts its own
-// trace rather than joining a caller's.
+// applyPull applies one pull's answer, installs the batch recovery.Owned
+// coalesced and publishes the watermark. A failed redo or install fails the
+// pull, which is pulled again. Each batch starts its own trace.
 //
-//socrates:hotpath the apply feed's batch loop; TestApplyFeedAllocs (a pull under a cancelled context)
-func (s *Server) pullOnce() error {
-	//socrates:wait-ok watermark latch held for one read; readers blocked on apply lag are charged page.miss at GetPage@LSN
-	s.mu.Lock()
-	from := s.applied
-	s.mu.Unlock()
-
-	resp, err := s.cfg.XLOG.Call(s.ctx, &rbio.Request{
-		Type:      rbio.MsgPullBlocks,
-		LSN:       from,
-		Partition: int32(s.cfg.Partition),
-		MaxBytes:  int32(s.cfg.PullBytes),
-	})
-	if err == nil {
-		err = resp.Err()
-	}
-	if err != nil {
+//socrates:hotpath the apply feed's batch loop; TestApplyFeedAllocs
+func (s *Server) applyPull(from, next page.LSN, payload []byte) error {
+	start := time.Now() // after the pull: XLOG's wait for the log is no part of applying it
+	clear(s.batch)
+	if err := s.redo.ApplyBlocks(payload, 0); err != nil {
 		return err
 	}
-	start := time.Now() // after the pull: XLOG's wait for the log is no part of applying it
-	next := resp.LSN
-	payload := resp.Payload
-	// Coalesce the batch: a page touched by many records in one pull is
-	// read once, mutated in memory, and written through once — without
-	// this, a write burst outruns the apply loop and GetPage@LSN waits
-	// pile up behind the lag. The set is a reused scratch map (the apply
-	// loop is the only writer), so a steady feed allocates no map per
-	// batch.
-	if s.applyScratch == nil {
-		s.applyScratch = make(map[page.ID]*page.Page, 64)
-	}
-	touched := s.applyScratch
-	clear(touched)
-	for len(payload) > 0 {
-		b, n, err := wal.DecodeBlock(payload)
-		if err != nil {
-			return err
-		}
-		payload = payload[n:]
-		for _, rec := range b.Records {
-			if err := s.applyRecordTo(touched, rec); err != nil {
-				return err
-			}
-		}
-	}
-	for _, pg := range touched {
+	for _, pg := range s.batch {
 		s.applies.Add(1)
 		s.cfg.Obs.Metrics.Counter("pageserver.apply.pages").Inc()
 		s.markDirty(pg)
@@ -387,9 +315,6 @@ func (s *Server) pullOnce() error {
 				s.cfg.Name+": cache put: "+err.Error())
 			return err
 		}
-	}
-	if next == from {
-		return nil
 	}
 	s.cfg.Obs.Metrics.Histogram("pageserver.apply.latency").Since(start)
 	// The ladder rung first: a checkpoint sweep publishes the s.applied it
@@ -401,46 +326,8 @@ func (s *Server) pullOnce() error {
 	s.appliedCond.Broadcast()
 	s.mu.Unlock()
 	s.cfg.Obs.Flight.Record(obs.TierPageServer, "ps.apply", uint64(next),
-		time.Since(start), fmt.Sprintf("%s: pages=%d", s.cfg.Name, len(touched)))
+		time.Since(start), fmt.Sprintf("%s: pages=%d", s.cfg.Name, len(s.batch)))
 	return nil
-}
-
-// applyRecordTo applies one redo record into the batch's touched-page set;
-// pages are looked up (cache, then XStore for seeding gaps) at most once
-// per batch.
-//
-//socrates:hotpath runs once per redo record in the apply feed; budget enforced by TestApplyFeedAllocs
-func (s *Server) applyRecordTo(touched map[page.ID]*page.Page, rec *wal.Record) error {
-	if !rec.IsPageOp() || !s.Owns(rec.Page) {
-		return nil
-	}
-	s.charge(4 * time.Microsecond)
-	pg, ok := touched[rec.Page]
-	if !ok {
-		pg, ok = s.cache.Get(rec.Page)
-		if !ok {
-			// Not cached: either a freshly allocated page (image record)
-			// or a page whose checkpoint copy is in XStore (seeding).
-			if rec.Kind == wal.KindPageImage {
-				npg, err := btree.NewFormatted(rec)
-				if err != nil {
-					return err
-				}
-				touched[npg.ID] = npg
-				return nil
-			}
-			fetched, err := s.fetchFromStore(rec.Page)
-			if err != nil {
-				return fmt.Errorf("pageserver: page %d needed for redo: %w", rec.Page, err)
-			}
-			pg = fetched
-		}
-	}
-	// Redo never edits pg — a GetPage@LSN reader may hold it — but yields
-	// the next version, which replaces it in the batch.
-	next, _, err := btree.Apply(pg, rec)
-	touched[rec.Page] = next
-	return err
 }
 
 // markDirty records that pg's version still has to reach XStore.
@@ -479,29 +366,15 @@ func (s *Server) seedLoop() {
 	defer s.wg.Done()
 	prefix := s.cfg.BlobPrefix + "page/"
 	for _, name := range s.cfg.Store.List(prefix) {
-		select {
-		case <-s.ctx.Done():
+		if s.ctx.Err() != nil {
 			return
-		default:
 		}
-		idStr := name[len(prefix):]
-		id, err := strconv.ParseUint(idStr, 10, 64)
-		if err != nil || !s.Owns(page.ID(id)) {
-			continue
-		}
-		if s.cache.Contains(page.ID(id)) {
-			continue // already fetched on demand or applied from log
-		}
-		buf, err := s.cfg.Store.Get(name)
-		if err != nil {
-			continue // transient; on-demand fetch covers the gap
-		}
-		pg, err := page.Decode(buf)
-		if err != nil {
-			continue
+		id, err := strconv.ParseUint(name[len(prefix):], 10, 64)
+		if err != nil || !s.Owns(page.ID(id)) || s.cache.Contains(page.ID(id)) {
+			continue // not ours, or already fetched on demand or applied from log
 		}
 		//socrates:ignore-err a failed background seed is recovered by the on-demand fetchFromStore path; seeding is purely a warm-up (§4.6)
-		_ = s.cache.Seed(pg)
+		_, _ = s.fetchFromStore(page.ID(id))
 	}
 	s.mu.Lock()
 	s.seeding = false
@@ -797,7 +670,9 @@ func (s *Server) GetPage(ctx context.Context, id page.ID, minLSN page.LSN) (*pag
 				uint64(minLSN), wait, s.cfg.Name+": waited for apply")
 		}
 	}
-	s.charge(6 * time.Microsecond)
+	if s.cfg.Meter != nil {
+		s.cfg.Meter.Charge(6 * time.Microsecond)
+	}
 	if pg, ok := s.cache.Get(id); ok {
 		s.served.Add(1)
 		return pg, nil

@@ -1,85 +1,86 @@
-// Package recovery implements the log-replay half of the ADR-style recovery
-// story (§3.2): because uncommitted changes never reach data pages
-// (commit-time apply), restart recovery is analysis + redo only — there is
-// no undo phase, and the replay cost is bounded by the log range replayed,
-// never by the oldest active transaction or the database size.
-//
-// The Replayer is the single redo cursor used by every offline consumer of
-// the log: point-in-time restore (snapshot + log range → consistent image)
-// and scratch replicas in tests. Online consumers (page servers,
-// secondaries) use the same btree.Apply redo under their own policies.
+// Package recovery is the one redo cursor (DESIGN §21). Page servers,
+// compute secondaries, HADR replicas and point-in-time restore all apply the
+// log through a Replayer: it decodes blocks in LSN order, dispatches each
+// record, cuts at a stop LSN, redoes page operations (a missing page's image
+// record makes it), hands commit timestamps to a block hook and keeps the
+// applied watermark. Each consumer supplies where a record's page is, as a
+// Pages policy. Follow tails the log as it is written; Walk reads a finished
+// range. Redo is all there is (§3.2): uncommitted changes never reach data
+// pages, so replay costs the log range, never the database size.
 package recovery
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"sync/atomic"
+	"time"
 
 	"socrates/internal/btree"
-	"socrates/internal/fcb"
 	"socrates/internal/page"
+	"socrates/internal/rbio"
 	"socrates/internal/wal"
 )
 
-// Replayer applies a log stream to a page file in LSN order, materializing
-// missing pages from their image records and tracking the visibility
-// watermark (highest replayed commit timestamp).
+// Answer is a policy's answer for one page record.
+type Answer uint8
+
+const (
+	Resident  Answer = iota // the page is here: redo the record onto the version returned
+	Missing                 // the page is not here: its image record creates it, any other record is ignored
+	Elsewhere               // not the cursor's to apply: not this consumer's page, or queued behind a fetch
+)
+
+// Pages is one consumer's redo policy: the one place redo asks for pages.
+type Pages interface {
+	// Page answers for a page record. An error ends the walk.
+	Page(rec *wal.Record) (*page.Page, Answer, error)
+	// Put takes redo's next version, or its error and a nil page; never a
+	// record the page already reflects. An error it returns ends the walk,
+	// nil after a redo error drops the record: the consumer's error rule.
+	Put(next *page.Page, err error) error
+}
+
+// BlockHook is called before a block's first record (done false) and after
+// its last (done true), with the highest commit timestamp replayed so far.
+type BlockHook func(b *wal.Block, done bool, visible uint64)
+
+// Replayer is the redo cursor, driven by one goroutine.
 type Replayer struct {
-	pages   fcb.PageFile
+	pages   Pages
+	block   BlockHook
 	applied page.LSN
 	visible uint64
-	records int64
 }
 
-// NewReplayer builds a replayer over the page file. Pages already present
-// are respected: redo is idempotent, so overlapping ranges are safe.
-func NewReplayer(pages fcb.PageFile) *Replayer {
-	return &Replayer{pages: pages}
+// NewReplayer builds a cursor over a policy, its watermark at from; block
+// may be nil. Redo is idempotent: overlapping ranges are safe.
+func NewReplayer(pages Pages, from page.LSN, block BlockHook) *Replayer {
+	if block == nil {
+		block = func(*wal.Block, bool, uint64) {}
+	}
+	return &Replayer{pages: pages, block: block, applied: from}
 }
 
-// Applied reports the LSN after the last applied record.
+// Applied reports the LSN after the last record applied or pulled past.
 func (r *Replayer) Applied() page.LSN { return r.applied }
 
-// Visible reports the highest commit timestamp replayed — the snapshot a
-// restored engine should publish.
+// Visible reports the highest commit timestamp replayed.
 func (r *Replayer) Visible() uint64 { return r.visible }
 
-// Records reports how many records were applied (replay cost accounting).
-func (r *Replayer) Records() int64 { return r.records }
-
-// ApplyRecord applies one record. Records at or beyond stopLSN (nonzero)
-// are skipped — the point-in-time cut.
-func (r *Replayer) ApplyRecord(rec *wal.Record, stopLSN page.LSN) error {
-	if stopLSN != 0 && rec.LSN.AtLeast(stopLSN) {
+// ApplyRecord applies one record. One at or after stop (nonzero) is cut: the
+// point-in-time cut applies nothing and leaves the watermark.
+//
+//socrates:hotpath runs once per record of every consumer's feed; TestApplyFeedAllocs (page server), TestSecondaryApplyAllocs (secondary)
+func (r *Replayer) ApplyRecord(rec *wal.Record, stop page.LSN) error {
+	if stop != 0 && rec.LSN.AtLeast(stop) {
 		return nil
 	}
 	switch {
 	case rec.Kind == wal.KindTxnCommit:
-		if ts := rec.CommitTS(); ts > r.visible {
-			r.visible = ts
-		}
+		r.visible = max(r.visible, rec.CommitTS())
 	case rec.IsPageOp():
-		pg, err := r.pages.Read(rec.Page)
-		if errors.Is(err, fcb.ErrNotFound) {
-			pg = page.New(rec.Page, rec.PageType)
-			if rec.Kind != wal.KindPageImage {
-				// Replaying a partial range can start at a cell op for a
-				// page whose image lies before the range; materialize an
-				// empty node to redo onto.
-				pg.Data = btree.EmptyNodePayload()
-			}
-		} else if err != nil {
+		if err := r.redo(rec); err != nil {
 			return err
-		}
-		next, applied, err := btree.Apply(pg, rec)
-		if err != nil {
-			return fmt.Errorf("recovery: redo at LSN %d: %w", rec.LSN, err)
-		}
-		if applied {
-			r.records++
-			if err := r.pages.Write(next); err != nil {
-				return err
-			}
 		}
 	}
 	if rec.LSN.AtLeast(r.applied) {
@@ -88,50 +89,181 @@ func (r *Replayer) ApplyRecord(rec *wal.Record, stopLSN page.LSN) error {
 	return nil
 }
 
-// ApplyBlocks decodes a concatenation of encoded blocks (as returned by an
-// XLOG pull) and applies every record below stopLSN.
-func (r *Replayer) ApplyBlocks(payload []byte, stopLSN page.LSN) error {
-	for len(payload) > 0 {
-		b, n, err := wal.DecodeBlock(payload)
-		if err != nil {
-			return fmt.Errorf("recovery: decoding block: %w", err)
-		}
-		payload = payload[n:]
-		for _, rec := range b.Records {
-			if err := r.ApplyRecord(rec, stopLSN); err != nil {
-				return err
-			}
+// redo asks the policy for a page operation's page and redoes it there.
+func (r *Replayer) redo(rec *wal.Record) error {
+	pg, answer, err := r.pages.Page(rec)
+	if err != nil || answer == Elsewhere || (answer == Missing && rec.Kind != wal.KindPageImage) {
+		return err
+	}
+	next, applied := pg, true
+	if answer == Missing {
+		next, err = btree.NewFormatted(rec)
+	} else {
+		next, applied, err = btree.Apply(pg, rec)
+	}
+	if err != nil {
+		return r.pages.Put(nil, fmt.Errorf("recovery: redo at LSN %d: %w", rec.LSN, err))
+	}
+	if !applied {
+		return nil // the page already reflects the record
+	}
+	return r.pages.Put(next, nil)
+}
+
+// ApplyBlock applies one decoded block's records below stop, between the
+// two calls of the block hook.
+func (r *Replayer) ApplyBlock(b *wal.Block, stop page.LSN) error {
+	r.block(b, false, r.visible)
+	for _, rec := range b.Records {
+		if err := r.ApplyRecord(rec, stop); err != nil {
+			return err
 		}
 	}
+	r.block(b, true, r.visible)
 	return nil
 }
 
-// Puller abstracts a log source serving [from, …) as encoded blocks; the
-// XLOG service's Pull method satisfies it.
+// ApplyBlocks decodes a pull's answer and applies its records below stop.
+// They alias payload (DESIGN §16.8), which nobody may write again.
+func (r *Replayer) ApplyBlocks(payload []byte, stop page.LSN) error {
+	_, err := eachBlock(payload, func(b *wal.Block) (bool, error) {
+		return true, r.ApplyBlock(b, stop)
+	})
+	return err
+}
+
+// eachBlock decodes payload and hands each block to visit in order. It
+// stops at the first block visit refuses or fails on, and returns it.
+func eachBlock(payload []byte, visit func(*wal.Block) (bool, error)) (*wal.Block, error) {
+	for len(payload) > 0 {
+		b, n, err := wal.DecodeBlock(payload)
+		if err != nil {
+			return nil, fmt.Errorf("recovery: decoding block: %w", err)
+		}
+		payload = payload[n:]
+		if more, err := visit(b); err != nil || !more {
+			return b, err
+		}
+	}
+	return nil, nil
+}
+
+// Redo applies a queue of records to one page in order: a compute node's
+// fetch and the redo queued meanwhile (§4.5). It returns the last version.
+func Redo(pg *page.Page, recs []*wal.Record) (*page.Page, error) {
+	for _, rec := range recs {
+		var err error
+		if pg, _, err = btree.Apply(pg, rec); err != nil {
+			return nil, err
+		}
+	}
+	return pg, nil
+}
+
+// Puller is a log source serving [from, …) as encoded blocks; the XLOG
+// service's Pull method satisfies it.
 type Puller interface {
 	Pull(ctx context.Context, from page.LSN, partition int32, maxBytes int) ([]byte, page.LSN, error)
 }
 
-// ReplayRange pulls and applies the log range [from, stopLSN) (stopLSN 0 =
-// everything available) from the source. Returns the LSN reached. The
-// context bounds the pulls and carries the restore workflow's trace.
-func (r *Replayer) ReplayRange(ctx context.Context, src Puller, from, stopLSN page.LSN) (page.LSN, error) {
-	cursor := from
-	for stopLSN == 0 || cursor.Before(stopLSN) {
+// Walk is the bounded range walk: it pulls [from, stop) from src (stop 0:
+// all src has), checking ctx between pulls, and hands visit each block in
+// LSN order. It returns the LSN reached, or the start of the block a visit
+// refused (false) as the point to resume from; an error ends it too.
+func Walk(ctx context.Context, src Puller, from, stop page.LSN, visit func(*wal.Block) (bool, error)) (page.LSN, error) {
+	for stop == 0 || from.Before(stop) {
 		if err := ctx.Err(); err != nil {
-			return cursor, err
+			return from, err
 		}
-		payload, next, err := src.Pull(ctx, cursor, -1, 1<<20)
-		if err != nil {
-			return cursor, err
+		payload, next, err := src.Pull(ctx, from, -1, PullBytes)
+		if err != nil || next == from {
+			return from, err // failed, or caught up with the available log
 		}
-		if next == cursor {
-			break // caught up with the available log
+		switch b, err := eachBlock(payload, visit); {
+		case err != nil:
+			return from, err
+		case b != nil:
+			return b.Start, nil
 		}
-		if err := r.ApplyBlocks(payload, stopLSN); err != nil {
-			return cursor, err
-		}
-		cursor = next
+		from = next
 	}
-	return cursor, nil
+	return from, nil
+}
+
+// ReplayRange applies the log from the watermark to stop (0: all src has).
+func (r *Replayer) ReplayRange(ctx context.Context, src Puller, stop page.LSN) (page.LSN, error) {
+	return Walk(ctx, src, r.applied, stop, func(b *wal.Block) (bool, error) {
+		return true, r.ApplyBlock(b, stop)
+	})
+}
+
+const (
+	PullBytes = 256 << 10 // a secondary's and a range walk's pull; a page server has its own
+	// pullTimeout bounds one pull: a stalled XLOG costs a timed-out round,
+	// not a wedged consumer. XLOG answers an idle long poll well before it.
+	pullTimeout = 10 * time.Second
+	// pullRetry spaces failed pulls, so an outage does not spin a core. An
+	// empty answer is pulled again at once: XLOG answers only once the log
+	// passes the pull, or at its own cap.
+	pullRetry = 500 * time.Microsecond
+)
+
+// retryWait, when a test stores one, stands in for the failed-pull back-off.
+var retryWait atomic.Pointer[func(context.Context)]
+
+// Follow is the online loop of a page server (partition: its own) or a
+// secondary (-1: the whole stream). It pulls until ctx ends, sleeping delay
+// before each pull (a geo-replica's WAN, §6), and backs off after a failed
+// one.
+func (r *Replayer) Follow(ctx context.Context, xlog *rbio.Client, partition int32, maxBytes int, delay time.Duration, apply func(from, next page.LSN, payload []byte) error) {
+	for ctx.Err() == nil {
+		if delay > 0 {
+			//socrates:sleep-ok the delay models a geo-replica's WAN propagation lag; it is the semantics, not a poll
+			time.Sleep(delay)
+		}
+		if err := r.Pull(ctx, xlog, partition, maxBytes, apply); err != nil {
+			backOff(ctx)
+		}
+	}
+}
+
+// Pull is one round of Follow, a long poll at XLOG from the watermark. apply
+// takes a nonempty answer: it applies the payload (ApplyBlocks) and
+// publishes the consumer's watermarks. The watermark then moves to the
+// answer's end, past blocks XLOG filtered out; after a failure it stays.
+//
+//socrates:hotpath the online loop's pull; TestApplyFeedAllocs (a pull under a cancelled context)
+func (r *Replayer) Pull(ctx context.Context, xlog *rbio.Client, partition int32, maxBytes int, apply func(from, next page.LSN, payload []byte) error) error {
+	from := r.applied
+	ctx, cancel := context.WithTimeout(ctx, pullTimeout)
+	defer cancel()
+	resp, err := xlog.Call(ctx, &rbio.Request{Type: rbio.MsgPullBlocks, LSN: from,
+		Partition: partition, MaxBytes: int32(maxBytes)})
+	if err == nil {
+		err = resp.Err()
+	}
+	if err != nil || resp.LSN == from {
+		return err
+	}
+	if err := apply(from, resp.LSN, resp.Payload); err != nil {
+		r.applied = from
+		return err
+	}
+	r.applied = page.MaxLSN(r.applied, resp.LSN)
+	return nil
+}
+
+// backOff waits out pullRetry after a failed pull, or until ctx ends.
+func backOff(ctx context.Context) {
+	if wait := retryWait.Load(); wait != nil {
+		(*wait)(ctx)
+		return
+	}
+	retry := time.NewTimer(pullRetry)
+	defer retry.Stop()
+	//socrates:wait-ok failed-pull back-off in the online loop; nobody waits on it
+	select {
+	case <-ctx.Done():
+	case <-retry.C:
+	}
 }

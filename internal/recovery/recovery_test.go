@@ -82,14 +82,15 @@ func TestFullReplayMatchesSource(t *testing.T) {
 	_ = srcPages
 
 	replayPages := fcb.NewMemFile()
-	r := NewReplayer(replayPages)
-	if _, err := r.ReplayRange(context.Background(), newMemPuller(pipe), 1, 0); err != nil {
+	counted := &counting{Pages: Restore{Pages: replayPages}}
+	r := NewReplayer(counted, 1, nil)
+	if _, err := r.ReplayRange(context.Background(), newMemPuller(pipe), 0); err != nil {
 		t.Fatal(err)
 	}
 	if r.Visible() != src.Clock().Visible() {
 		t.Fatalf("visible = %d, want %d", r.Visible(), src.Clock().Visible())
 	}
-	if r.Records() == 0 {
+	if counted.puts == 0 {
 		t.Fatal("nothing replayed")
 	}
 
@@ -131,8 +132,8 @@ func TestStopLSNCutsHistory(t *testing.T) {
 	}
 
 	pages := fcb.NewMemFile()
-	r := NewReplayer(pages)
-	if _, err := r.ReplayRange(context.Background(), puller, 1, cut); err != nil {
+	r := NewReplayer(Restore{Pages: pages}, 1, nil)
+	if _, err := r.ReplayRange(context.Background(), puller, cut); err != nil {
 		t.Fatal(err)
 	}
 	eng, err := engine.Open(engine.Config{Pages: pages, ReadOnly: true})
@@ -154,23 +155,22 @@ func TestReplayIsIdempotent(t *testing.T) {
 	_, pipe, _ := buildHistory(t, 40)
 	puller := newMemPuller(pipe)
 	pages := fcb.NewMemFile()
-	r := NewReplayer(pages)
-	if _, err := r.ReplayRange(context.Background(), puller, 1, 0); err != nil {
+	first := &counting{Pages: Restore{Pages: pages}}
+	if _, err := NewReplayer(first, 1, nil).ReplayRange(context.Background(), puller, 0); err != nil {
 		t.Fatal(err)
 	}
-	first := r.Records()
 	// Replaying the same range again applies nothing (LSN guard).
-	r2 := NewReplayer(pages)
-	if _, err := r2.ReplayRange(context.Background(), puller, 1, 0); err != nil {
+	second := &counting{Pages: Restore{Pages: pages}}
+	if _, err := NewReplayer(second, 1, nil).ReplayRange(context.Background(), puller, 0); err != nil {
 		t.Fatal(err)
 	}
-	if r2.Records() != 0 {
-		t.Fatalf("second replay applied %d records (first applied %d)", r2.Records(), first)
+	if second.puts != 0 {
+		t.Fatalf("second replay applied %d records (first applied %d)", second.puts, first.puts)
 	}
 }
 
 func TestReplayRejectsGarbage(t *testing.T) {
-	r := NewReplayer(fcb.NewMemFile())
+	r := NewReplayer(Restore{Pages: fcb.NewMemFile()}, 1, nil)
 	if err := r.ApplyBlocks([]byte("not a block"), 0); err == nil {
 		t.Fatal("garbage accepted")
 	}
@@ -178,7 +178,7 @@ func TestReplayRejectsGarbage(t *testing.T) {
 
 func TestApplyRecordErrorsSurface(t *testing.T) {
 	pages := fcb.NewMemFile()
-	r := NewReplayer(pages)
+	r := NewReplayer(Restore{Pages: pages}, 1, nil)
 	// A cell-put against a page that never got an image record: the page
 	// materializes empty and the put applies — no error. But a corrupt
 	// payload must surface.
@@ -202,15 +202,28 @@ func TestApplyRecordErrorsSurface(t *testing.T) {
 }
 
 func TestPullerErrorPropagates(t *testing.T) {
-	r := NewReplayer(fcb.NewMemFile())
+	r := NewReplayer(Restore{Pages: fcb.NewMemFile()}, 1, nil)
 	boom := errors.New("source gone")
-	_, err := r.ReplayRange(context.Background(), errPuller{boom}, 1, 0)
+	_, err := r.ReplayRange(context.Background(), errPuller{boom}, 0)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 type errPuller struct{ err error }
+
+// counting counts the versions redo hands its policy: the records applied.
+type counting struct {
+	Pages
+	puts int
+}
+
+func (c *counting) Put(next *page.Page, err error) error {
+	if err == nil {
+		c.puts++
+	}
+	return c.Pages.Put(next, err)
+}
 
 func (p errPuller) Pull(context.Context, page.LSN, int32, int) ([]byte, page.LSN, error) {
 	return nil, 0, p.err
