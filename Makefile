@@ -11,7 +11,7 @@ GO ?= go
 # and one pass sees one interleaving. The policy's own tests —
 # TestReplayAdmissionPolicies (the offline replay the 3/4 split comes from)
 # and TestScanDoesNotEvictHotSet — are pure and fast, and run with `make test`.
-RACE_PKGS := ./internal/compute ./internal/hadr ./internal/simdisk \
+RACE_PKGS := ./internal/logwriter ./internal/compute ./internal/hadr ./internal/simdisk \
              ./internal/cluster ./internal/xlog ./internal/pageserver \
              ./internal/obs ./internal/netmux ./internal/rbio \
              ./internal/btree ./internal/fcb \
@@ -84,7 +84,7 @@ repl-stress:
 # //socrates:hotpath function is reached by one, and its directive names
 # which.
 allocs:
-	$(GO) test -count=1 -run 'Allocs$$' ./internal/wal ./internal/btree ./internal/versionstore ./internal/engine ./internal/pageserver ./internal/compute ./internal/netmux ./internal/rbpex
+	$(GO) test -count=1 -run 'Allocs$$' ./internal/wal ./internal/btree ./internal/versionstore ./internal/engine ./internal/pageserver ./internal/logwriter ./internal/compute ./internal/netmux ./internal/rbpex
 	$(GO) test -run '^$$' -fuzz=FuzzNodeView -fuzztime=10s ./internal/btree
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeBlock -fuzztime=10s ./internal/wal
 
@@ -102,7 +102,7 @@ bench-probes:
 # engine, the log codec and the redo cursor (mirrors the CI cover job):
 # future changes there cannot land untested.
 cover:
-	$(GO) test -cover ./internal/compute ./internal/hadr ./internal/xlog ./internal/pageserver ./internal/xstore ./internal/engine ./internal/wal ./internal/recovery
+	$(GO) test -cover ./internal/logwriter ./internal/compute ./internal/hadr ./internal/xlog ./internal/pageserver ./internal/xstore ./internal/engine ./internal/wal ./internal/recovery
 
 clean:
 	$(GO) clean ./...

@@ -54,6 +54,7 @@ func DefaultCtxLint() *CtxLint {
 	return &CtxLint{InterTierPkgs: []string{
 		"socrates/internal/rbio",
 		"socrates/internal/compute",
+		"socrates/internal/logwriter",
 		"socrates/internal/pageserver",
 		"socrates/internal/xlog",
 		"socrates/internal/recovery",

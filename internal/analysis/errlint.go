@@ -28,11 +28,13 @@ type Errlint struct {
 
 // DefaultErrlint returns errlint configured for the Socrates tree: every
 // tier that sits on the durability or availability path, including the
-// compute node that holds the commit's own durability wait
-// (LogWriter.WaitHarden) and the engine above it.
+// log writer that holds the commit's own durability wait
+// (LogWriter.WaitHarden), the compute node around it and the engine above
+// it.
 func DefaultErrlint() *Errlint {
 	return &Errlint{CriticalPkgs: []string{
 		"socrates/internal/compute",
+		"socrates/internal/logwriter",
 		"socrates/internal/engine",
 		"socrates/internal/wal",
 		"socrates/internal/xlog",

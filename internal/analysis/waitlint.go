@@ -58,6 +58,7 @@ func NewWaitLint() *WaitLint {
 		"socrates/internal/compute",
 		"socrates/internal/engine",
 		"socrates/internal/hadr",
+		"socrates/internal/logwriter",
 		"socrates/internal/netmux",
 		"socrates/internal/pageserver",
 		"socrates/internal/recovery",

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"socrates/internal/btree"
+	"socrates/internal/logwriter"
 	"socrates/internal/obs"
 	"socrates/internal/page"
 	"socrates/internal/rbio"
@@ -26,9 +27,14 @@ func newLZ(t *testing.T) *xlog.LandingZone {
 	return lz
 }
 
+// newLZWriter is the primary's log writer over lz, with no XLOG feed.
+func newLZWriter(lz *xlog.LandingZone, opts ...logwriter.Option) *logwriter.LogWriter {
+	return logwriter.New(&lzSink{lz: lz}, 1, opts...)
+}
+
 func TestLogWriterFlushesAtTxnBoundaries(t *testing.T) {
 	lz := newLZ(t)
-	w := NewLogWriter(lz, nil, page.Partitioning{}, 1)
+	w := newLZWriter(lz)
 	defer w.Close()
 
 	// Page records without a commit are never flushed alone: a waiter on
@@ -60,7 +66,7 @@ func TestLogWriterFlushesAtTxnBoundaries(t *testing.T) {
 
 func TestLogWriterGroupCommit(t *testing.T) {
 	lz := newLZ(t)
-	w := NewLogWriter(lz, nil, page.Partitioning{}, 1)
+	w := newLZWriter(lz)
 	defer w.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -96,7 +102,7 @@ func TestLogWriterFeedsXLOG(t *testing.T) {
 		}
 		return rbio.Ok()
 	})
-	w := NewLogWriter(lz, rbio.NewClient(net.Dial("xlog")), page.Partitioning{}, 1)
+	w, _ := newLogWriter(lz, rbio.NewClient(net.Dial("xlog")), page.Partitioning{}, 1, 0, obs.Plane{})
 	lsn := w.Append(wal.NewCommit(1, 1))
 	if err := w.WaitHarden(context.Background(), lsn); err != nil {
 		t.Fatal(err)
@@ -120,7 +126,7 @@ func TestLogWriterFeedsXLOG(t *testing.T) {
 
 func TestWaitHardenAfterClose(t *testing.T) {
 	lz := newLZ(t)
-	w := NewLogWriter(lz, nil, page.Partitioning{}, 1)
+	w := newLZWriter(lz)
 	w.Close()
 	if err := w.WaitHarden(context.Background(), 99); err == nil {
 		t.Fatal("WaitHarden on closed writer should fail")

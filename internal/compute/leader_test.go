@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"slices"
-	"sync"
 	"testing"
 
 	"socrates/internal/page"
@@ -14,30 +12,24 @@ import (
 	"socrates/internal/xlog"
 )
 
-// ---- leader-written group commit, in exact steps ----
+// ---- leader-written group commit on the landing zone, in exact steps ----
 //
-// No flusher runs: the committers write the log (WaitHarden). These tests
-// hold the landing zone's device writes and step the leaders one at a time.
+// No flusher runs: the committers write the log (WaitHarden). The writer's
+// own exact-step tests hold a fake sink (internal/logwriter); these hold the
+// landing zone's device writes.
 
 // gatedVolume holds every landing-zone entry write until the test releases
-// it, and records the peak number held at once and, per ring offset, the
-// block the entry carries. The ring header (offset 0) passes straight
-// through.
+// it. The ring header (offset 0) passes straight through.
 type gatedVolume struct {
 	*simdisk.Device
 	entered chan page.LSN // the held entry's block start
 	release chan struct{} // one token lets one held write through; close lets all
-
-	mu        sync.Mutex
-	cur, peak int
-	blocks    map[int64]*wal.Block
 }
 
 func newGatedLZ(t *testing.T) (*xlog.LandingZone, *gatedVolume) {
 	t.Helper()
 	v := &gatedVolume{Device: simdisk.New(simdisk.Instant),
-		entered: make(chan page.LSN, 64), release: make(chan struct{}),
-		blocks: map[int64]*wal.Block{}}
+		entered: make(chan page.LSN, 64), release: make(chan struct{})}
 	lz, err := xlog.NewLandingZone(v, 4<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -54,26 +46,14 @@ func (v *gatedVolume) WriteAt(p []byte, off int64) error {
 	if err != nil {
 		return err
 	}
-	v.mu.Lock()
-	v.cur++
-	if v.cur > v.peak {
-		v.peak = v.cur
-	}
-	v.blocks[off] = b
-	v.mu.Unlock()
 	v.entered <- b.Start
 	<-v.release
-	defer func() {
-		v.mu.Lock()
-		v.cur--
-		v.mu.Unlock()
-	}()
 	return v.Device.WriteAt(p, off)
 }
 
 func TestAppendAloneWritesNothingAndTheFirstWaiterWrites(t *testing.T) {
 	lz := newLZ(t)
-	w := NewLogWriter(lz, nil, page.Partitioning{}, 1)
+	w := newLZWriter(lz)
 	defer w.Close()
 
 	w.Append(&wal.Record{Kind: wal.KindCellPut, Page: 1, Key: []byte("a")})
@@ -107,7 +87,7 @@ func TestAppendAloneWritesNothingAndTheFirstWaiterWrites(t *testing.T) {
 
 func TestCloseWritesAGroupNobodyWaitsFor(t *testing.T) {
 	lz := newLZ(t)
-	w := NewLogWriter(lz, nil, page.Partitioning{}, 1)
+	w := newLZWriter(lz)
 	w.Append(&wal.Record{Kind: wal.KindCellPut, Page: 1, Key: []byte("a")})
 	lsn := w.Append(wal.NewCommit(1, 1))
 	w.Append(&wal.Record{Kind: wal.KindCellPut, Page: 1, Key: []byte("b")}) // no boundary: stays
@@ -117,72 +97,12 @@ func TestCloseWritesAGroupNobodyWaitsFor(t *testing.T) {
 	}
 }
 
-// Sixteen committers on a landing zone whose writes the test holds: eight
-// leaders fill the pipeline, one write each; the other eight follow, and no
-// ninth write starts until one of the eight lands. Reserve stays in LSN
-// order, so ring offsets and block starts chain the same way.
-func TestSixteenCommittersKeepEightWritesInFlight(t *testing.T) {
-	lz, vol := newGatedLZ(t)
-	w := NewLogWriter(lz, nil, page.Partitioning{}, 1)
-	defer w.Close()
-
-	var wg sync.WaitGroup
-	commit := func(n int) {
-		defer wg.Done()
-		w.Append(&wal.Record{Kind: wal.KindCellPut, Page: page.ID(n + 1), Txn: uint64(n + 1), Key: []byte("k")})
-		lsn := w.Append(wal.NewCommit(uint64(n+1), uint64(n+1)))
-		if err := w.WaitHarden(context.Background(), lsn); err != nil {
-			t.Errorf("committer %d: %v", n, err)
-		}
-	}
-	wg.Add(16)
-	for n := 0; n < maxInflight; n++ {
-		go commit(n)
-		<-vol.entered // its leader's write is held: the next commit is its own group
-	}
-	for n := maxInflight; n < 16; n++ {
-		go commit(n)
-	}
-	w.mu.Lock()
-	if w.inflightCnt != maxInflight {
-		t.Errorf("inflightCnt = %d with %d writes held, want %d", w.inflightCnt, maxInflight, maxInflight)
-	}
-	w.mu.Unlock()
-	vol.release <- struct{}{} // one write lands: one slot frees
-	<-vol.entered             // a follower leads what was appended meanwhile
-	close(vol.release)
-	wg.Wait()
-
-	vol.mu.Lock()
-	defer vol.mu.Unlock()
-	if vol.peak != maxInflight {
-		t.Fatalf("peak writes in flight = %d, want %d", vol.peak, maxInflight)
-	}
-	if want := page.LSN(1).Add(32); lz.HardenedEnd() != want {
-		t.Fatalf("LZ hardened end %d, want %d", lz.HardenedEnd(), want)
-	}
-	// Ring offsets in write order carry contiguous blocks in LSN order.
-	var offs []int64
-	for off := range vol.blocks {
-		offs = append(offs, off)
-	}
-	slices.Sort(offs)
-	next := page.LSN(1)
-	for _, off := range offs {
-		b := vol.blocks[off]
-		if b.Start != next {
-			t.Fatalf("entry at offset %d starts at LSN %d, want %d: Reserve left LSN order", off, b.Start, next)
-		}
-		next = b.End
-	}
-}
-
 // A follower's cancelled ctx returns at once while the leader is mid-write;
 // the leader, whose ctx is cancelled with it, returns when its device write
 // does — and with the outcome of that write.
 func TestFollowerCancelsWhileLeaderWrites(t *testing.T) {
 	lz, vol := newGatedLZ(t)
-	w := NewLogWriter(lz, nil, page.Partitioning{}, 1)
+	w := newLZWriter(lz)
 	defer w.Close()
 
 	lsn := w.Append(wal.NewCommit(1, 1))

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"socrates/internal/engine"
+	"socrates/internal/logwriter"
 	"socrates/internal/metrics"
 	"socrates/internal/obs"
 	"socrates/internal/page"
@@ -56,7 +57,8 @@ type PrimaryConfig struct {
 // engine underneath does not know storage is remote.
 type Primary struct {
 	Engine *engine.Engine
-	writer *LogWriter
+	writer *logwriter.LogWriter
+	sink   *lzSink
 	pages  *RemotePageFile
 	meter  *metrics.CPUMeter
 }
@@ -75,8 +77,7 @@ func NewPrimary(cfg PrimaryConfig) (*Primary, error) {
 	}
 
 	startLSN := cfg.LZ.HardenedEnd()
-	writer := NewLogWriter(cfg.LZ, cfg.XLOG, cfg.Partitioning, startLSN,
-		WithObservability(cfg.Obs), WithEpoch(cfg.Epoch))
+	writer, sink := newLogWriter(cfg.LZ, cfg.XLOG, cfg.Partitioning, startLSN, cfg.Epoch, cfg.Obs)
 
 	// The GetPage@LSN floor for pages this node has never seen: everything
 	// in the database is at most as new as the hardened end at attach time.
@@ -106,9 +107,10 @@ func NewPrimary(cfg PrimaryConfig) (*Primary, error) {
 	if err != nil {
 		pages.Close()
 		writer.Close()
+		sink.wg.Wait()
 		return nil, err
 	}
-	p := &Primary{Engine: eng, writer: writer, pages: pages, meter: cfg.Meter}
+	p := &Primary{Engine: eng, writer: writer, sink: sink, pages: pages, meter: cfg.Meter}
 	if !cfg.Bootstrap && cfg.XLOG != nil {
 		if err := p.recoverVisibility(cfg.XLOG); err != nil {
 			p.Crash()
@@ -137,7 +139,7 @@ func (p *Primary) recoverVisibility(xlogClient *rbio.Client) error {
 }
 
 // Writer exposes the log pipeline (throughput stats in benches).
-func (p *Primary) Writer() *LogWriter { return p.writer }
+func (p *Primary) Writer() *logwriter.LogWriter { return p.writer }
 
 // Pages exposes the cache-fronted page file (hit-rate stats).
 func (p *Primary) Pages() *RemotePageFile { return p.pages }
@@ -150,12 +152,12 @@ func (p *Primary) HardenedEnd() page.LSN { return p.writer.HardenedEnd() }
 func (p *Primary) Close() {
 	//socrates:ignore-err compute is stateless (§4.2); the cache flush is a best-effort warm-restart aid, and a failed destage only costs refetches
 	_ = p.pages.Cache().FlushAll()
-	p.pages.Close()
-	p.writer.Close()
+	p.Crash()
 }
 
 // Crash abandons the node without flushing anything — for failover tests.
 func (p *Primary) Crash() {
 	p.pages.Close()
 	p.writer.Close()
+	p.sink.wg.Wait()
 }

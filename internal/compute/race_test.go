@@ -16,7 +16,7 @@ import (
 // the hardened watermark out of order.
 func TestLogWriterConcurrentAppendAndWatermarks(t *testing.T) {
 	lz := newLZ(t)
-	w := NewLogWriter(lz, nil, page.Partitioning{}, 1)
+	w := newLZWriter(lz)
 	defer w.Close()
 
 	const committers = 8
@@ -24,7 +24,7 @@ func TestLogWriterConcurrentAppendAndWatermarks(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
-	// Watermark readers: HardenedEnd / NextLSN / Stats race the leaders.
+	// Watermark readers: HardenedEnd / Stats race the leaders.
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
@@ -42,7 +42,6 @@ func TestLogWriterConcurrentAppendAndWatermarks(t *testing.T) {
 					return
 				}
 				last = h
-				_ = w.NextLSN()
 				_, _ = w.Stats()
 			}
 		}()

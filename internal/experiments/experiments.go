@@ -443,11 +443,12 @@ func measureTable5(o Options) (h, s logRun, err error) {
 	}
 	// HADR: the capped log backup is the ceiling.
 	err = withHADR("t5-hadr", 16, 3, table5LagBudget, o.SF/2, func(c *hadr.Cluster, w *cdb.Workload) error {
-		_, before, throttlesBefore := c.Writer().Stats()
+		_, before := c.Writer().Stats()
+		throttlesBefore := c.Throttles()
 		m := driveCDB(c.Primary().Engine(), w, cdb.MaxLogMix, 16, c.PrimaryMeter, work)
-		_, after, throttlesAfter := c.Writer().Stats()
+		_, after := c.Writer().Stats()
 		h = logRun{logMBps: mbps(after-before, m.Elapsed), cpuPct: c.PrimaryMeter.Utilization(),
-			commits: m.WriteTxns, logBytes: after - before, throttles: throttlesAfter - throttlesBefore}
+			commits: m.WriteTxns, logBytes: after - before, throttles: c.Throttles() - throttlesBefore}
 		return nil
 	})
 	if err != nil {

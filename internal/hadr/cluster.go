@@ -10,9 +10,9 @@ import (
 	"time"
 
 	"socrates/internal/engine"
+	"socrates/internal/logwriter"
 	"socrates/internal/metrics"
 	"socrates/internal/netmux"
-	"socrates/internal/obs"
 	"socrates/internal/page"
 	"socrates/internal/rbio"
 	"socrates/internal/wal"
@@ -30,7 +30,8 @@ type Cluster struct {
 	mu          sync.Mutex
 	primary     *Node
 	secondaries []*Node
-	writer      *writer
+	writer      *logwriter.LogWriter
+	repl        *replicator // the writer's sink
 }
 
 // New builds, bootstraps, and starts an HADR deployment.
@@ -51,7 +52,6 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	prim.waits = cfg.Waits
 	prim.primary = true
 	c.primary = prim
 	for i := 1; i < cfg.Replicas; i++ {
@@ -59,13 +59,12 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		sec.waits = cfg.Waits
 		sec.startApply()
 		c.Net.Serve(sec.name, sec.handler())
 		c.secondaries = append(c.secondaries, sec)
 	}
 
-	c.writer = newWriter(c, prim, c.secondaries)
+	c.writer, c.repl = c.newLog(prim, c.secondaries)
 	eng, err := engine.Create(engine.Config{
 		Pages: c.primary.pages,
 		Log:   c.writer,
@@ -104,21 +103,28 @@ func (c *Cluster) Secondaries() []*Node {
 }
 
 // Writer exposes the primary's log pipeline (throughput stats).
-func (c *Cluster) Writer() *writer {
+func (c *Cluster) Writer() *logwriter.LogWriter {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.writer
 }
 
+// Throttles counts the backup-lag stalls (§7.4) of the log in office.
+func (c *Cluster) Throttles() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.repl.throttles.Load()
+}
+
 // Close stops every node.
 func (c *Cluster) Close() {
 	c.mu.Lock()
-	w := c.writer
+	w, r := c.writer, c.repl
 	secs := append([]*Node(nil), c.secondaries...)
 	prim := c.primary
 	c.mu.Unlock()
 	if w != nil {
-		w.Close()
+		closeLog(w, r)
 	}
 	for _, s := range secs {
 		s.stop()
@@ -171,14 +177,14 @@ func (c *Cluster) evict(name string) {
 func (c *Cluster) Failover() (*Node, time.Duration, error) {
 	start := time.Now()
 	c.mu.Lock()
-	oldWriter := c.writer
+	oldWriter, oldRepl := c.writer, c.repl
 	old := c.primary
 	candidates := len(c.secondaries)
 	c.mu.Unlock()
 	if candidates == 0 {
 		return nil, 0, fmt.Errorf("hadr: no secondary to promote")
 	}
-	oldWriter.Close() // its last ships land, its last stragglers leave
+	closeLog(oldWriter, oldRepl) // its last ships land, its last stragglers leave
 	old.stop()
 	hardened := oldWriter.HardenedEnd()
 
@@ -216,14 +222,14 @@ func (c *Cluster) Failover() (*Node, time.Duration, error) {
 		s.newTerm(false)
 	}
 
-	// Construct the writer (it spawns flush/backup loops that reach the
-	// fabric) before taking the lock: deadlocklint, and a failover that
+	// Construct the log (its sink spawns a backup loop that reaches the
+	// store) before taking the lock: deadlocklint, and a failover that
 	// cannot convoy behind a slow dial.
-	w := newWriter(c, best, rest)
+	w, r := c.newLog(best, rest)
 	c.mu.Lock()
 	c.primary = best
 	c.secondaries = rest
-	c.writer = w
+	c.writer, c.repl = w, r
 	c.mu.Unlock()
 
 	visible := uint64(0)
@@ -288,53 +294,43 @@ func (c *Cluster) SeedNewReplica(name string) (*Node, int64, time.Duration, erro
 	}
 	c.mu.Lock()
 	c.secondaries = append(c.secondaries, sec)
-	w := c.writer
+	r := c.repl
 	c.mu.Unlock()
-	w.join(name, prefix)
+	r.join(name, prefix)
 	return sec, copied, time.Since(start), nil
 }
 
-// writer is the HADR primary's log pipeline: it cuts the log into blocks,
-// extends the primary node's prefix with each, ships it to every secondary,
-// and reports a commit hardened once a quorum of prefixes covers it. It
-// throttles on backup lag.
-type writer struct {
+// replicator is the HADR primary's log sink (§2): Reserve is the backup-lag
+// throttle (§7.4) and the encode; Complete extends the primary node's prefix
+// with the block, ships it to every secondary and returns the flexible
+// quorum's watermark once it covers the block. The log writer above it is
+// the one Socrates' primary runs.
+type replicator struct {
 	c    *Cluster
-	node *Node // the primary; its prefix is the writer's local durability
+	node *Node // the primary; its prefix is the log's local durability
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	pending  []*wal.Record
-	boundary int
-	nextLSN  page.LSN
+	mu   sync.Mutex
+	cond *sync.Cond
+	// hardened is the quorum watermark: the highest LSN covered by the
+	// primary's prefix and the prefixes of any Quorum-1 secondaries — a
+	// flexible quorum with no designated ack set.
 	hardened page.LSN
-	// lostTo is the end of the highest block whose quorum round failed. Its
-	// committers are told ErrNoQuorum; the block stays in the primary's
-	// prefix and hardens with a later one if the replicas come back.
-	lostTo page.LSN
-	err    error
-	closed bool
+	reserved page.LSN // the end of the last block Reserved
+	closed   bool
 
 	// Backup bookkeeping: unbackedLen bytes of log are not yet in XStore,
 	// capped by BackupLagBudget; toBackup of them await the next backup run.
 	unbackedLen int64
 	toBackup    int64
 
-	// peers is what the writer knows of each secondary. The hardened
-	// watermark is the highest LSN covered by the primary's prefix and the
-	// prefixes of any Quorum-1 secondaries — a flexible quorum with no
-	// designated ack set.
+	// peers is what the primary knows of each secondary.
 	peers map[string]*peer
 
-	wg            sync.WaitGroup
-	ioWG          sync.WaitGroup
-	inflight      chan struct{}
-	bytesFlushed  atomic.Int64
-	blocksFlushed atomic.Int64
-	throttles     atomic.Int64
+	ioWG      sync.WaitGroup // ships, feeds and the backup loop
+	throttles atomic.Int64
 }
 
-// peer is one secondary as the writer sees it.
+// peer is one secondary as the primary sees it.
 type peer struct {
 	name string
 	// client is netmux-pooled: replication reuses warm multiplexed
@@ -356,69 +352,86 @@ func (p *peer) stalled(end page.LSN) bool {
 	return p.acked.Before(end) && p.acked.Before(p.needTo) && !p.catching && p.out == 0
 }
 
-// newWriter continues the log at the end of node's prefix. A secondary
-// whose prefix is shorter starts out needing the difference from the tail.
-func newWriter(c *Cluster, node *Node, secs []*Node) *writer {
+// newLog continues the log at the end of node's prefix: the sink and the
+// log writer over it. A secondary whose prefix is shorter starts out
+// needing the difference from the tail.
+func (c *Cluster) newLog(node *Node, secs []*Node) (*logwriter.LogWriter, *replicator) {
 	start := node.HardenedTo()
-	w := &writer{
+	r := &replicator{
 		c:        c,
 		node:     node,
-		nextLSN:  start,
 		hardened: start,
+		reserved: start,
 		peers:    make(map[string]*peer),
-		inflight: make(chan struct{}, 8),
 	}
 	for _, s := range secs {
-		w.peers[s.name] = w.newPeer(s.name, s.HardenedTo(), start)
+		r.peers[s.name] = r.newPeer(s.name, s.HardenedTo(), start)
 	}
-	w.cond = sync.NewCond(&w.mu)
-	w.wg.Add(2)
-	go w.flushLoop()
-	go w.backupLoop()
-	return w
+	r.cond = sync.NewCond(&r.mu)
+	r.ioWG.Add(1)
+	go r.backupLoop()
+	return logwriter.New(r, start), r
+}
+
+// closeLog stops the log. The sink closes first, so a leader held in the
+// backup throttle gives up its group and the writer's Close, which waits for
+// its leaders, returns; then the sink's ships, feeds and backup loop end.
+func closeLog(w *logwriter.LogWriter, r *replicator) {
+	r.mu.Lock()
+	r.closed = true
+	r.cond.Broadcast()
+	r.mu.Unlock()
+	w.Close()
+	r.ioWG.Wait()
+	r.mu.Lock()
+	for _, p := range r.peers {
+		//socrates:ignore-err teardown of replication clients on log close; the pools own no durable state
+		_ = p.client.Close()
+	}
+	r.mu.Unlock()
 }
 
 // join admits a freshly seeded secondary whose copy stands for the log below
-// prefix. Blocks cut before this moment were not addressed to it; it gets
-// them from the tail.
-func (w *writer) join(name string, prefix page.LSN) {
-	p := w.newPeer(name, prefix, 0)
-	w.mu.Lock()
-	p.needTo = w.nextLSN
-	w.peers[name] = p
-	w.advanceLocked()
-	w.mu.Unlock()
+// prefix. Blocks reserved before this moment may not be addressed to it; it
+// gets them from the tail.
+func (r *replicator) join(name string, prefix page.LSN) {
+	p := r.newPeer(name, prefix, 0)
+	r.mu.Lock()
+	p.needTo = r.reserved
+	r.peers[name] = p
+	r.advanceLocked()
+	r.mu.Unlock()
 }
 
-func (w *writer) newPeer(name string, acked, needTo page.LSN) *peer {
+func (r *replicator) newPeer(name string, acked, needTo page.LSN) *peer {
 	pool := netmux.NewPool(name,
-		func(a string) (rbio.Conn, error) { return w.c.Net.Dial(a), nil },
+		func(a string) (rbio.Conn, error) { return r.c.Net.Dial(a), nil },
 		netmux.Options{})
 	return &peer{name: name, client: rbio.NewClient(pool), acked: acked, needTo: needTo}
 }
 
 // ackLocked merges a secondary's reported prefix and re-derives the quorum
 // watermark. Prefixes are monotone; a stale report is a no-op.
-func (w *writer) ackLocked(p *peer, prefix page.LSN) {
+func (r *replicator) ackLocked(p *peer, prefix page.LSN) {
 	if prefix.After(p.acked) {
 		p.acked = prefix
-		w.advanceLocked()
+		r.advanceLocked()
 	}
 }
 
 // advanceLocked recomputes the quorum-hardened watermark: the highest LSN
 // below the primary's prefix and the prefixes of any Quorum-1 secondaries —
 // a flexible quorum in the Taurus style, where any quorum-sized subset of
-// replicas may harden a given block. Caller holds w.mu.
-func (w *writer) advanceLocked() {
-	need := w.c.cfg.Quorum - 1 // the local copy counts toward quorum
-	cand := w.node.HardenedTo()
+// replicas may harden a given block. Caller holds r.mu.
+func (r *replicator) advanceLocked() {
+	need := r.c.cfg.Quorum - 1 // the local copy counts toward quorum
+	cand := r.node.HardenedTo()
 	if need > 0 {
-		if len(w.peers) < need {
+		if len(r.peers) < need {
 			return
 		}
-		acks := make([]page.LSN, 0, len(w.peers))
-		for _, p := range w.peers {
+		acks := make([]page.LSN, 0, len(r.peers))
+		for _, p := range r.peers {
 			acks = append(acks, p.acked)
 		}
 		sort.Slice(acks, func(i, j int) bool { return acks[i].After(acks[j]) })
@@ -426,201 +439,84 @@ func (w *writer) advanceLocked() {
 			cand = acks[need-1]
 		}
 	}
-	if cand.After(w.hardened) {
-		w.hardened = cand
-		w.cond.Broadcast()
+	if cand.After(r.hardened) {
+		r.hardened = cand
+		r.cond.Broadcast()
 	}
 }
 
-// Append stages a record (engine.LogPipeline).
-func (w *writer) Append(rec *wal.Record) page.LSN {
-	w.mu.Lock()
-	rec.LSN = w.nextLSN
-	w.nextLSN = w.nextLSN.Next()
-	w.pending = append(w.pending, rec)
-	switch rec.Kind {
-	case wal.KindTxnCommit, wal.KindTxnAbort, wal.KindCheckpoint, wal.KindNoop:
-		w.boundary = len(w.pending)
-		w.cond.Broadcast()
+// Reserve throttles on backup lag and encodes the block. Log production is
+// "restricted to the level at which the log backup egress can be safely
+// handled" (§7.4): the leader waits, and every committer behind it, until
+// the backup drains below the budget. A leader the log's close finds here
+// gives up its group.
+func (r *replicator) Reserve(b wal.Block) (logwriter.Reservation, error) {
+	r.mu.Lock()
+	if r.unbackedLen > r.c.cfg.BackupLagBudget && !r.closed {
+		r.throttles.Add(1)
+		for r.unbackedLen > r.c.cfg.BackupLagBudget && !r.closed {
+			//socrates:wait-ok the backup-lag throttle, counted per episode in throttles; HADR records no wait classes
+			r.cond.Wait()
+		}
+		if r.closed {
+			r.mu.Unlock()
+			return logwriter.Reservation{}, logwriter.ErrWriterClosed
+		}
 	}
-	lsn := rec.LSN
-	w.mu.Unlock()
-	return lsn
-}
-
-// WaitHarden blocks until quorum hardening reaches lsn or ctx is done.
-func (w *writer) WaitHarden(ctx context.Context, lsn page.LSN) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	// commit.harden: the committer is blocked on quorum replication of its
-	// LSN. Recorded only when it actually blocks.
-	if err := w.c.cfg.Waits.CondWait(ctx, obs.WaitCommitHarden, w.cond, time.Time{}, func() bool {
-		return w.hardened.After(lsn) || lsn.Before(w.lostTo) || w.err != nil || w.closed
-	}); err != nil {
-		return err
-	}
-	if w.err != nil {
-		return w.err
-	}
-	if w.hardened.AtMost(lsn) {
-		return ErrNoQuorum
-	}
-	return nil
-}
-
-// HardenedEnd reports the quorum-hardened watermark.
-func (w *writer) HardenedEnd() page.LSN {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.hardened
-}
-
-// Stats reports blocks and bytes shipped, plus backup throttle events.
-func (w *writer) Stats() (blocks, bytes, throttles int64) {
-	return w.blocksFlushed.Load(), w.bytesFlushed.Load(), w.throttles.Load()
-}
-
-// Close stops the pipeline.
-func (w *writer) Close() {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return
-	}
-	w.closed = true
-	w.cond.Broadcast()
-	w.mu.Unlock()
-	w.wg.Wait()
-	w.ioWG.Wait() // drain in-flight quorum rounds and the ships still out
-	w.mu.Lock()
-	for _, p := range w.peers {
-		//socrates:ignore-err teardown of replication clients on writer close; the pools own no durable state
-		_ = p.client.Close()
-	}
-	w.mu.Unlock()
+	r.reserved = b.End
+	r.mu.Unlock()
+	return logwriter.Reservation{Payload: b.Encode()}, nil
 }
 
 // shipTimeout bounds one replication round trip to a secondary: an
 // unreachable replica must not wedge a quorum round forever.
 const shipTimeout = 10 * time.Second
 
-func (w *writer) flushLoop() {
-	defer w.wg.Done()
-	for {
-		w.mu.Lock()
-		for w.boundary == 0 && !w.closed && w.err == nil {
-			//socrates:wait-ok idle flusher waiting for a commit boundary; not a stall
-			w.cond.Wait()
-		}
-		if w.err != nil || (w.closed && w.boundary == 0) {
-			w.mu.Unlock()
-			return
-		}
-		// Backup-lag throttle: log production is "restricted to the level
-		// at which the log backup egress can be safely handled" (§7.4).
-		// backpressure: this stall serializes the whole log pipeline, so
-		// the blocked time is charged as one running total per episode.
-		if w.unbackedLen > w.c.cfg.BackupLagBudget && !w.closed {
-			w.throttles.Add(1)
-			stallStart := time.Now()
-			for w.unbackedLen > w.c.cfg.BackupLagBudget && !w.closed {
-				//socrates:wait-ok charged below as backpressure via a running total per throttle episode
-				w.cond.Wait()
-			}
-			w.c.cfg.Waits.Observe(nil, obs.WaitBackpressure, time.Since(stallStart))
-		}
-		if w.closed && w.boundary == 0 {
-			w.mu.Unlock()
-			return
-		}
-		recs := append([]*wal.Record(nil), w.pending[:w.boundary]...)
-		w.pending = w.pending[w.boundary:]
-		w.boundary = 0
-		w.mu.Unlock()
-
-		block := &wal.Block{
-			Start:   recs[0].LSN,
-			End:     recs[len(recs)-1].LSN.Next(),
-			Records: recs,
-		}
-		// Pipelined shipping: several quorum rounds in flight, hardened
-		// watermark advanced as a prefix (same discipline as the Socrates
-		// landing zone).
-		w.inflight <- struct{}{}
-		w.ioWG.Add(1)
-		go func(block *wal.Block) {
-			defer w.ioWG.Done()
-			defer func() { <-w.inflight }()
-			size, err := w.ship(block)
-			if err != nil {
-				w.mu.Lock()
-				if errors.Is(err, ErrNoQuorum) {
-					w.lostTo = page.MaxLSN(w.lostTo, block.End)
-				} else if w.err == nil {
-					w.err = err
-				}
-				w.cond.Broadcast()
-				w.mu.Unlock()
-				return
-			}
-			w.blocksFlushed.Add(1)
-			w.bytesFlushed.Add(size)
-
-			w.mu.Lock()
-			w.unbackedLen += size
-			w.toBackup += size
-			w.cond.Broadcast()
-			w.mu.Unlock()
-		}(block)
-	}
-}
-
-// ship extends the primary's prefix with the block, sends it to every
+// Complete extends the primary's prefix with the block, sends it to every
 // secondary as a round trip whose response carries that secondary's prefix,
 // and waits for the flexible quorum to cover it. Ships are pipelined, so a
 // response usually acknowledges less than this block; the ships before it
-// deliver the rest. It returns the block's encoded size.
-func (w *writer) ship(block *wal.Block) (int64, error) {
-	payload := block.Encode()
-	if _, err := w.node.hardenFeed(block, payload); err != nil {
+// deliver the rest. A block the quorum cannot cover is lost (ErrNoQuorum)
+// but stays in the primary's prefix, and hardens with a later block once
+// enough replicas hold it.
+func (r *replicator) Complete(b wal.Block, res logwriter.Reservation) (page.LSN, error) {
+	payload := res.Payload
+	if _, err := r.node.hardenFeed(&b, payload); err != nil {
 		return 0, err
 	}
-	need := w.c.cfg.Quorum - 1 // the primary's prefix already holds it
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.advanceLocked()
-	qstart := time.Now()
-	peers := make([]*peer, 0, len(w.peers))
-	for _, p := range w.peers {
+	need := r.c.cfg.Quorum - 1 // the primary's prefix already holds it
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.advanceLocked()
+	peers := make([]*peer, 0, len(r.peers))
+	for _, p := range r.peers {
 		peers = append(peers, p)
 		p.out++
-		w.ioWG.Add(1)
+		r.ioWG.Add(1)
 		go func() {
-			defer w.ioWG.Done()
-			w.shipTo(p, block.End, payload)
+			defer r.ioWG.Done()
+			r.shipTo(p, b.End, payload)
 		}()
 	}
 
-	// commit.quorum: every ship ends in an acknowledgement or in a hole
-	// recorded on its peer, and both wake this loop.
-	for w.hardened.Before(block.End) && w.err == nil {
+	// Every ship ends in an acknowledgement or in a hole recorded on its
+	// peer, and both wake this loop.
+	for r.hardened.Before(b.End) {
 		able := 0
 		for _, p := range peers {
-			if !p.stalled(block.End) {
+			if !p.stalled(b.End) {
 				able++
 			}
 		}
 		if able < need {
-			return 0, fmt.Errorf("%w: %d of %d secondaries can cover block %d", ErrNoQuorum, able, len(peers), block.Start)
+			return 0, fmt.Errorf("%w: %d of %d secondaries can cover block %d", ErrNoQuorum, able, len(peers), b.Start)
 		}
-		//socrates:wait-ok charged as commit.quorum via the qstart running total once the flexible quorum acks
-		w.cond.Wait()
+		//socrates:wait-ok the quorum round is the sink's Complete, which the log writer times for its batching window; HADR records no wait classes
+		r.cond.Wait()
 	}
-	if w.hardened.Before(block.End) {
-		return 0, w.err
-	}
-	w.c.cfg.Waits.Observe(nil, obs.WaitCommitQuorum, time.Since(qstart))
-	return int64(len(payload)), nil
+	r.unbackedLen += int64(len(payload))
+	r.toBackup += int64(len(payload))
+	return r.hardened, nil
 }
 
 // call delivers one encoded block to a secondary and returns its prefix.
@@ -639,25 +535,25 @@ func (p *peer) call(payload []byte) (page.LSN, error) {
 
 // shipTo sends the block ending at end to one secondary. A failed ship
 // leaves a hole there; the first ship it answers after that feeds it the
-// tail — from the writer in office or from the one a Failover installed.
-func (w *writer) shipTo(p *peer, end page.LSN, payload []byte) {
+// tail — from the log in office or from the one a Failover installed.
+func (r *replicator) shipTo(p *peer, end page.LSN, payload []byte) {
 	prefix, err := p.call(payload)
-	w.mu.Lock()
+	r.mu.Lock()
 	p.out--
 	behind := false
 	if err != nil {
 		p.needTo = page.MaxLSN(p.needTo, end)
 	} else {
-		w.ackLocked(p, prefix)
-		behind = p.acked.Before(p.needTo) && !p.catching && w.peers[p.name] == p
+		r.ackLocked(p, prefix)
+		behind = p.acked.Before(p.needTo) && !p.catching && r.peers[p.name] == p
 		if behind {
 			p.catching = true // one feed per secondary at a time
 		}
 	}
-	w.cond.Broadcast() // the ships waiting on this one look again
-	w.mu.Unlock()
+	r.cond.Broadcast() // the ships waiting on this one look again
+	r.mu.Unlock()
 	if behind {
-		w.feed(p)
+		r.feed(p)
 	}
 }
 
@@ -666,14 +562,14 @@ func (w *writer) shipTo(p *peer, end page.LSN, payload []byte) {
 // prefix or stops answering. It is the only way a secondary that missed a
 // ship gets it. A secondary whose prefix ends before the tail begins cannot
 // be fed and leaves the replica set. The caller has set p.catching.
-func (w *writer) feed(p *peer) {
-	w.mu.Lock()
+func (r *replicator) feed(p *peer) {
+	r.mu.Lock()
 	from := p.acked
-	w.mu.Unlock()
+	r.mu.Unlock()
 	var err error
 	for {
 		var payload []byte
-		if payload, err = w.node.tailAt(from); err != nil || payload == nil {
+		if payload, err = r.node.tailAt(from); err != nil || payload == nil {
 			break // the tail no longer reaches it, or it holds the prefix
 		}
 		var prefix page.LSN
@@ -681,69 +577,67 @@ func (w *writer) feed(p *peer) {
 			break // it stopped answering, or its own ship is writing that block there and will report it
 		}
 		from = prefix
-		w.mu.Lock()
-		w.ackLocked(p, prefix)
-		w.mu.Unlock()
+		r.mu.Lock()
+		r.ackLocked(p, prefix)
+		r.mu.Unlock()
 	}
 
 	gone := errors.Is(err, errTailGone)
 	if gone {
-		w.c.evict(p.name) // before the ships waiting on it learn of it
+		r.c.evict(p.name) // before the ships waiting on it learn of it
 	}
-	w.mu.Lock()
+	r.mu.Lock()
 	p.catching = false
 	if gone {
-		delete(w.peers, p.name)
+		delete(r.peers, p.name)
 		//socrates:ignore-err the secondary has left the replica set; its pool owns no durable state
 		_ = p.client.Close()
 	}
-	w.cond.Broadcast()
-	w.mu.Unlock()
+	r.cond.Broadcast()
+	r.mu.Unlock()
 }
 
 // backupLoop ships the un-backed-up log range to XStore on a cadence. Its
 // egress is capped by the store's ingest limit; a slow backup stalls log
 // production via the lag budget.
-func (w *writer) backupLoop() {
-	defer w.wg.Done()
-	ticker := time.NewTicker(w.c.cfg.LogBackupEvery)
+func (r *replicator) backupLoop() {
+	defer r.ioWG.Done()
+	ticker := time.NewTicker(r.c.cfg.LogBackupEvery)
 	defer ticker.Stop()
 	for {
-		w.mu.Lock()
-		closed := w.closed
-		w.mu.Unlock()
+		r.mu.Lock()
+		closed := r.closed
+		r.mu.Unlock()
 		if closed {
-			w.backupOnce() // final drain
+			r.backupOnce() // final drain
 			return
 		}
 		//socrates:wait-ok log-backup cadence tick, not a stall
 		<-ticker.C
-		w.backupOnce()
+		r.backupOnce()
 	}
 }
 
-func (w *writer) backupOnce() {
-	w.mu.Lock()
-	total := w.toBackup
-	w.toBackup = 0
-	w.mu.Unlock()
+func (r *replicator) backupOnce() {
+	r.mu.Lock()
+	total := r.toBackup
+	r.toBackup = 0
+	r.mu.Unlock()
 	if total == 0 {
 		return
 	}
 
 	// The backup payload is a synthetic run of the same size as the log
 	// range: what matters is the egress it consumes at XStore.
-	err := w.c.Store.Append(w.c.cfg.Name+"/logbackup", make([]byte, total))
-	w.mu.Lock()
+	err := r.c.Store.Append(r.c.cfg.Name+"/logbackup", make([]byte, total))
+	r.mu.Lock()
 	if err != nil {
 		// XStore unavailable: the bytes wait for the next run and the lag
 		// budget keeps throttling.
-		w.toBackup += total
+		r.toBackup += total
 	} else {
-		w.unbackedLen -= total
-		w.cond.Broadcast()
+		r.unbackedLen -= total
+		r.cond.Broadcast()
 	}
-	w.mu.Unlock()
+	r.mu.Unlock()
 }
-
-var _ engine.LogPipeline = (*writer)(nil)

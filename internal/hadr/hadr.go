@@ -6,7 +6,9 @@
 //
 //   - commits harden by achieving quorum across the replica set (the
 //     primary's local log write plus acknowledgements from secondaries),
-//     paying a cross-availability-zone round trip (~3 ms, Table 1);
+//     paying a cross-availability-zone round trip (~3 ms, Table 1); they
+//     go through the log writer Socrates' primary runs (logwriter), and
+//     only its sink, the replicator, is HADR's own;
 //   - the primary must also drive the log backup to XStore itself, every
 //     "five minutes"; when the backup egress cannot keep up, log production
 //     throttles — the bottleneck behind Table 5;
@@ -34,6 +36,7 @@ import (
 	"time"
 
 	"socrates/internal/engine"
+	"socrates/internal/logwriter"
 	"socrates/internal/metrics"
 	"socrates/internal/obs"
 	"socrates/internal/page"
@@ -58,8 +61,10 @@ var AZLink = simdisk.Profile{
 	WriteCPU:   10 * time.Microsecond,
 }
 
-// ErrNoQuorum reports a commit that could not reach enough replicas.
-var ErrNoQuorum = errors.New("hadr: replication quorum lost")
+// ErrNoQuorum reports a group too few replicas could cover: a lost group.
+var ErrNoQuorum = fmt.Errorf("hadr: replication quorum lost: %w", logwriter.ErrGroupLost)
+
+var noWaits *obs.WaitRecorder // HADR's bounded waits record no wait class
 
 // Config describes an HADR deployment.
 type Config struct {
@@ -85,11 +90,6 @@ type Config struct {
 	DiskProfile simdisk.Profile
 	// PrimaryCores sizes the primary's CPU meter (default 8).
 	PrimaryCores int
-	// Waits receives wait-event accounting for the deployment:
-	// commit.harden/commit.quorum on the writer, backpressure on the
-	// backup-lag throttle, xlog.feed when callers block on a secondary's
-	// apply watermark. Nil disables recording.
-	Waits *obs.WaitRecorder
 }
 
 func (c *Config) applyDefaults() {
@@ -148,8 +148,6 @@ type Node struct {
 	applied page.LSN
 	maxTS   uint64         // highest applied commit timestamp
 	engine  *engine.Engine // read-only while secondary; nil until first open
-
-	waits *obs.WaitRecorder
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -343,7 +341,7 @@ func (n *Node) WaitApplied(lsn page.LSN, timeout time.Duration) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	// xlog.feed: the caller is blocked behind this replica's apply progress.
-	return n.waits.CondWait(nil, obs.WaitXLOGFeed, n.cond, time.Now().Add(timeout),
+	return noWaits.CondWait(nil, obs.WaitXLOGFeed, n.cond, time.Now().Add(timeout),
 		func() bool { return n.applied.AtLeast(lsn) }) == nil
 }
 
@@ -354,7 +352,7 @@ func (n *Node) waitApplyProgress(timeout time.Duration) {
 	defer n.mu.Unlock()
 	start := n.applied
 	//socrates:wait-ok reached only via the engine's WaitFresh hook, whose caller (withReadRetry) owns the lock.row accounting
-	_ = n.waits.CondWait(nil, obs.WaitNone, n.cond, time.Now().Add(timeout),
+	_ = noWaits.CondWait(nil, obs.WaitNone, n.cond, time.Now().Add(timeout),
 		func() bool { return n.applied != start })
 }
 

@@ -145,14 +145,17 @@ func TestApplyFollowsLogOrder(t *testing.T) {
 	}
 }
 
-// shipsFailed waits until the writer has recorded a hole on the secondary:
-// a ship to it has failed for good, retries included.
-func shipsFailed(t *testing.T, w *writer, name string) {
+// shipsFailed waits until the primary's log has recorded a hole on the
+// secondary: a ship to it has failed for good, retries included.
+func shipsFailed(t *testing.T, c *Cluster, name string) {
 	t.Helper()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for p := w.peers[name]; !p.acked.Before(p.needTo); {
-		w.cond.Wait() // every failed ship broadcasts
+	c.mu.Lock()
+	r := c.repl
+	c.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for p := r.peers[name]; !p.acked.Before(p.needTo); {
+		r.cond.Wait() // every failed ship broadcasts
 	}
 }
 
@@ -175,7 +178,7 @@ func TestStragglerCatchesUpOrLeaves(t *testing.T) {
 		straggler := c.Secondaries()[2]
 		c.Net.Unserve(straggler.Name())
 		seedRows(t, c, "dark", 50)
-		shipsFailed(t, c.Writer(), straggler.Name())
+		shipsFailed(t, c, straggler.Name())
 		if !straggler.HardenedTo().Before(c.Writer().HardenedEnd()) {
 			t.Fatal("straggler did not fall behind while dark")
 		}
@@ -197,7 +200,7 @@ func TestStragglerCatchesUpOrLeaves(t *testing.T) {
 		straggler := c.Secondaries()[2]
 		c.Net.Unserve(straggler.Name())
 		seedRows(t, c, "dark", 50)
-		shipsFailed(t, c.Writer(), straggler.Name())
+		shipsFailed(t, c, straggler.Name())
 		c.Net.Serve(straggler.Name(), straggler.handler())
 
 		promoted, _, err := c.Failover()
@@ -242,7 +245,7 @@ func TestStragglerCatchesUpOrLeaves(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		shipsFailed(t, c.Writer(), straggler.Name())
+		shipsFailed(t, c, straggler.Name())
 		c.Net.Serve(straggler.Name(), straggler.handler())
 
 		promoted, _, err := c.Failover()

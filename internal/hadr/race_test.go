@@ -41,7 +41,8 @@ func TestClusterConcurrentCommitsAndProbes(t *testing.T) {
 					_ = s.AppliedLSN()
 				}
 				_ = c.TotalDataBytes()
-				_, _, _ = c.Writer().Stats()
+				_, _ = c.Writer().Stats()
+				_ = c.Throttles()
 			}
 		}()
 	}

@@ -14,7 +14,7 @@ import (
 )
 
 // Sentinels. Tier packages wrap these into their own named errors (e.g.
-// compute.ErrWriterClosed wraps ErrClosed) so both the tier-specific and
+// logwriter.ErrWriterClosed wraps ErrClosed) so both the tier-specific and
 // the generic classification succeed under errors.Is.
 var (
 	// ErrTimeout marks an operation that gave up waiting: replication
