@@ -8,7 +8,7 @@ import (
 
 // CtxLint is the "what reaches the wire" pass. End-to-end tracing needs
 // every request that crosses a tier boundary to carry its trace identity in
-// a context.Context, and the netmux fabric needs every request to carry a
+// a context.Context, and the RPC fabric needs every request to carry a
 // way to give up its in-flight slot. A context accepted anywhere but first
 // position (easy to miss at call sites), a manufactured context.TODO() (it
 // silently drops the caller's trace and cancellation), a raw socket, or an
@@ -26,12 +26,12 @@ import (
 //     reach the wire. Background() wrappers delegating to a *Context
 //     variant are recognized and exempt.
 //  4. no-raw-dial: net.Dial* and (*net.Dialer).Dial* outside the fabric
-//     packages. A raw socket bypasses request-ID demux, pooling, health
-//     eviction and the in-flight caps — the failure modes the fabric owns.
+//     packages. A raw socket bypasses request-ID demux, retry and the
+//     in-flight cap — the failure modes the fabric owns.
 //  5. deadline-at-entry: a Call/Send into the fabric whose context argument
 //     is a literal context.Background() has no deadline and no
-//     cancellation: a stalled peer pins the request's slot until the pool
-//     backpressures. A ctx variable passed through is trusted (check 1
+//     cancellation: a stalled peer pins the request's in-flight slot for
+//     as long as it stalls. A ctx variable passed through is trusted (check 1
 //     forces it to be threaded), so what is caught is the root that mints
 //     an unbounded context directly at the wire; a literal TODO is check 2's.
 //
@@ -119,10 +119,10 @@ func checkCall(pkg *Package, call *ast.CallExpr, inFabric bool) string {
 	case path == "context" && name == "TODO":
 		return "context.TODO() drops the caller's trace and cancellation; thread the caller's ctx, or use context.Background() at a genuine root"
 	case path == "net" && strings.HasPrefix(name, "Dial") && !inFabric:
-		return "raw net." + name + " bypasses the netmux fabric (no request-ID demux, pooling, health eviction, or backpressure); dial through internal/netmux or internal/rbio"
+		return "raw net." + name + " bypasses the RPC fabric (no request-ID demux, retry, in-flight cap, or backpressure); dial through internal/netmux or internal/rbio"
 	case (name == "Call" || name == "Send") && containsAny(path, fabricPkgs) &&
 		len(call.Args) > 0 && isBackgroundCall(pkg, call.Args[0]):
-		return "context.Background() at a fabric " + name + " site has no deadline: a stalled peer pins this request's in-flight slot until the pool backpressures; use context.WithTimeout"
+		return "context.Background() at a fabric " + name + " site has no deadline: a stalled peer pins this request's in-flight slot for as long as it stalls, and its queued callers with it; use context.WithTimeout"
 	}
 	return ""
 }

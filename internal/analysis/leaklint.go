@@ -34,7 +34,7 @@ import (
 //     contract is the owner's own leaklint run).
 //
 // Reviewed exceptions — a deliberately process-lifetime goroutine, a
-// conn whose Close lives with a pool — are annotated
+// conn whose Close lives with its client — are annotated
 // //socrates:leak-ok <reason> at the go statement or creation site.
 type LeakLint struct{}
 

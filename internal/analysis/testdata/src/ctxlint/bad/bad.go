@@ -14,7 +14,7 @@ import (
 // Node talks to its peers.
 type Node struct {
 	client *rbio.Client
-	pool   *netmux.Pool
+	mux    *netmux.MuxConn
 }
 
 // Lookup takes its context in second position. // want ctxlint: ctx not first
@@ -46,9 +46,9 @@ func (n *Node) connectTimeout(addr string) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, time.Second)
 }
 
-// pingPool mints an unbounded context at a netmux pool. // want ctxlint: no deadline
-func (n *Node) pingPool() error {
-	_, err := n.pool.Call(context.Background(), &rbio.Request{Type: rbio.MsgPing})
+// pingMux mints an unbounded context at a netmux conn. // want ctxlint: no deadline
+func (n *Node) pingMux() error {
+	_, err := n.mux.Call(context.Background(), &rbio.Request{Type: rbio.MsgPing})
 	return err
 }
 

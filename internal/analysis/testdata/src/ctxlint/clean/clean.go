@@ -13,7 +13,7 @@ import (
 // Node talks to its peers through the fabric.
 type Node struct {
 	client *rbio.Client
-	pool   *netmux.Pool
+	mux    *netmux.MuxConn
 }
 
 // LookupContext is the ctx-first form.
@@ -44,9 +44,9 @@ func (n *Node) ping(ctx context.Context) error {
 	return err
 }
 
-// pingPool threads the caller's (already bounded) context through.
-func (n *Node) pingPool(ctx context.Context) error {
-	_, err := n.pool.Call(ctx, &rbio.Request{Type: rbio.MsgPing})
+// pingMux threads the caller's (already bounded) context through.
+func (n *Node) pingMux(ctx context.Context) error {
+	_, err := n.mux.Call(ctx, &rbio.Request{Type: rbio.MsgPing})
 	return err
 }
 
@@ -58,7 +58,7 @@ func (n *Node) warm() error {
 	return err
 }
 
-// dialer builds a fabric dialer — the transport does the raw dialing.
-func dialer(m *netmux.Metrics) netmux.Dialer {
-	return func(addr string) (rbio.Conn, error) { return netmux.DialTCP(addr, m) }
+// dial opens a fabric conn — the transport does the raw dialing.
+func dial(addr string, m *rbio.Metrics) (rbio.Conn, error) {
+	return netmux.DialTCP(addr, m)
 }

@@ -116,10 +116,10 @@ func TestChaosScheduleGolden(t *testing.T) {
 	}
 }
 
-// TestChaosMuxDisturb is the tier-1 smoke for the netmux fabric: the
-// "mux" scenario (the only one weighting StepMuxDisturb) severs every
-// pooled connection mid-flight over and over; pools must redial, the
-// client layer must retry, and the oracle must stay clean.
+// TestChaosMuxDisturb is the tier-1 smoke for the RPC fabric: the "mux"
+// scenario (the only one weighting StepMuxDisturb) severs the calls in
+// flight over and over; the client layer must retry them, and the oracle
+// must stay clean.
 func TestChaosMuxDisturb(t *testing.T) {
 	steps := 120
 	if testing.Short() {
@@ -132,6 +132,9 @@ func TestChaosMuxDisturb(t *testing.T) {
 	}
 	if res.Faults == 0 {
 		t.Fatal("mux scenario injected no faults — StepMuxDisturb never fired")
+	}
+	if res.Torn == 0 {
+		t.Fatalf("StepMuxDisturb fired but tore no call in %d steps", res.Steps)
 	}
 }
 

@@ -50,6 +50,7 @@ type Result struct {
 	Failed       int         `json:"commits_failed"`
 	ReadErrors   int         `json:"read_errors"`
 	Failovers    int         `json:"failovers"`
+	Torn         int         `json:"calls_torn"` // in-flight RPCs torn by StepMuxDisturb
 	Violations   []Violation `json:"violations"`
 	ElapsedMS    int64       `json:"elapsed_ms"`
 	// Flight is the tail of the cluster's flight-recorder ring, attached
@@ -263,10 +264,9 @@ func (r *runner) execute(st Step) error {
 		r.res.Probes++
 		return r.catchUpProbe()
 	case StepMuxDisturb:
-		// Tear every pooled netmux connection mid-flight; pools must
-		// evict and redial, in-flight calls fail over at the client
-		// layer, and no acked write may be lost.
-		r.c.SeverMuxConns()
+		// Tear every RPC in flight on the fabric; torn calls retry at
+		// the client layer, and no acked write may be lost.
+		r.res.Torn += r.c.SeverMuxConns()
 		r.res.Faults++
 		return nil
 	case StepLZDark:

@@ -59,13 +59,13 @@ const (
 	// consumers to catch up to the hardened end, and audits every key on
 	// the primary and every secondary.
 	StepCatchUpProbe
-	// StepMuxDisturb severs every pooled netmux connection mid-flight —
-	// the chaos move for the multiplexed RPC fabric. In-flight calls fail
-	// with ErrUnavailable, pools evict and lazily redial, and the
-	// workload must carry on with no acked-write loss and no cross-paired
-	// responses. Appended after StepCatchUpProbe (schedule-hash contract:
-	// never renumber) and weighted only in the "mux" scenario so the
-	// pinned fingerprints of older scenarios stay valid.
+	// StepMuxDisturb severs the RPC fabric — every call in flight loses
+	// its response and fails with ErrUnavailable, every send not yet
+	// delivered is dropped. Torn calls go back through the client's retry,
+	// and the workload must carry on with no acked-write loss. Appended
+	// after StepCatchUpProbe (schedule-hash contract: never renumber) and
+	// weighted only in the "mux" scenario so the pinned fingerprints of
+	// older scenarios stay valid.
 	StepMuxDisturb
 	// StepLZDark is a self-contained flexible-quorum probe: one LZ
 	// replica (Key = replica index) goes dark mid commit-burst, commits
@@ -169,9 +169,9 @@ var scenarios = map[string]Spec{
 		StepLZDark: 8, StepFeedLoss: 2, StepFailover: 1,
 		StepCatchUpProbe: 3,
 	}},
-	// mux tortures the netmux RPC fabric: heavy read/write traffic with
-	// frequent mid-flight connection severing, plus the usual fault blend
-	// so pool redials race failovers and churn. New scenario on purpose —
+	// mux tortures the RPC fabric: heavy read/write traffic with frequent
+	// severing of the calls in flight, plus the usual fault blend so torn
+	// calls' retries race failovers and churn. New scenario on purpose —
 	// adding StepMuxDisturb to an existing scenario would shift its
 	// pinned schedule fingerprints.
 	"mux": {Name: "mux", Weights: [numStepKinds]int{
@@ -382,8 +382,8 @@ func (g *generator) Next() Step {
 		g.xstoreOut, g.xsAge = false, 0
 		return Step{Kind: StepCatchUpProbe}
 	case StepMuxDisturb:
-		// Severing is instantaneous (pools lazily redial), so it opens no
-		// fault window in the shadow model.
+		// Severing is instantaneous (the next call rides the same
+		// fabric), so it opens no fault window in the shadow model.
 		return Step{Kind: StepMuxDisturb}
 	case StepLZDark:
 		// Self-contained: the runner darkens the replica, runs the commit

@@ -15,7 +15,6 @@ import (
 
 	"socrates/internal/compute"
 	"socrates/internal/metrics"
-	"socrates/internal/netmux"
 	"socrates/internal/obs"
 	"socrates/internal/page"
 	"socrates/internal/pageserver"
@@ -138,11 +137,8 @@ type Cluster struct {
 	// a deterministic workflow schedule).
 	seedLane atomic.Int64
 
-	// muxMetrics instruments every inter-tier netmux pool of the
-	// deployment; pools tracks them for chaos severing.
-	muxMetrics *netmux.Metrics
-	poolMu     sync.Mutex
-	pools      []*netmux.Pool
+	// rpc instruments every inter-tier client of the deployment.
+	rpc *rbio.Metrics
 
 	mu          sync.Mutex
 	pt          page.Partitioning
@@ -183,12 +179,7 @@ func New(cfg Config) (*Cluster, error) {
 		backups:     make(map[string]backupInfo),
 		pt:          page.Partitioning{PagesPerPartition: cfg.PagesPerPartition},
 	}
-	c.muxMetrics = netmux.NewMetrics(c.Metrics)
-	// The fabric's queue/RTT waits land under their own pseudo-tier: mux
-	// pools are shared by all tiers, so per-tier attribution happens at the
-	// caller (e.g. page.remote), while the fabric itself reports raw
-	// queue-admission and round-trip time here.
-	c.muxMetrics.Waits = c.Waits.Tier("netmux")
+	c.rpc = rbio.NewMetrics(c.Plane)
 	c.Watchdog.Start()
 	if c.Net == nil {
 		c.Net = rbio.NewNetwork()
@@ -271,37 +262,25 @@ func (c *Cluster) dev(p simdisk.Profile, opts ...simdisk.Option) *simdisk.Device
 	return simdisk.New(p, opts...)
 }
 
-// pool builds a netmux pool to addr over the deployment's fabric. Every
-// inter-tier client of the cluster dials through one of these, so the
-// whole deployment gets per-destination in-flight caps, bounded queuing,
-// health-based eviction, and chaos-severable connections for free.
-func (c *Cluster) pool(addr string) *netmux.Pool {
-	p := netmux.NewPool(addr,
-		func(a string) (rbio.Conn, error) { return c.Net.Dial(a), nil },
-		netmux.Options{Metrics: c.muxMetrics, Flight: c.Flight})
-	c.poolMu.Lock()
-	c.pools = append(c.pools, p)
-	c.poolMu.Unlock()
-	return p
+// client builds the inter-tier client to addr over the deployment's
+// fabric: every one gets the per-destination in-flight cap and bounded
+// queue, and all share the deployment's fabric instruments.
+func (c *Cluster) client(addr string) *rbio.Client {
+	return rbio.NewClient(c.Net.Dial(addr), rbio.WithMetrics(c.rpc))
 }
 
-// SeverMuxConns severs every pooled inter-tier connection mid-flight
-// (chaos injection: a fabric-wide partition tearing established
-// streams). In-flight calls fail and retry onto freshly dialed
-// connections; it reports how many conns were severed.
+// SeverMuxConns tears every inter-tier call in flight on the fabric (chaos
+// injection: a fabric-wide partition). Torn calls fail with
+// rbio.ErrUnavailable and go back through the client's retry; it reports
+// how many it tore.
 func (c *Cluster) SeverMuxConns() int {
-	c.poolMu.Lock()
-	pools := append([]*netmux.Pool(nil), c.pools...)
-	c.poolMu.Unlock()
-	n := 0
-	for _, p := range pools {
-		n += p.SeverAll()
-	}
+	n := c.Net.Sever()
+	c.Flight.Record("netmux", "sever", 0, 0, fmt.Sprintf("%d calls torn", n))
 	return n
 }
 
 func (c *Cluster) xlogClient() *rbio.Client {
-	return rbio.NewClient(c.pool(c.addr("xlog")))
+	return c.client(c.addr("xlog"))
 }
 
 // resolve maps a page to the selector of the replica set serving it. When
@@ -391,10 +370,9 @@ func (c *Cluster) startPageServer(part page.PartitionID, rangeLo, rangeHi page.I
 	c.Net.Serve(addr, srv.Handler())
 
 	lo, hi := srv.Range()
-	// Build the client (its pool registration reaches the fabric dial
-	// path) outside the critical section; deadlocklint flags fabric work
-	// under Cluster.mu.
-	client := rbio.NewClient(c.pool(addr))
+	// Build the client (it dials the fabric) outside the critical section;
+	// deadlocklint flags fabric work under Cluster.mu.
+	client := c.client(addr)
 	c.mu.Lock()
 	c.servers = append(c.servers, srv)
 	c.serverAddrs[srv] = addr

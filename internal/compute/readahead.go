@@ -8,8 +8,8 @@ import (
 // rangeFanout bounds how many read-ahead fetches are in flight at once; a
 // hint that finds the window full is dropped. It is the B-tree's read-ahead
 // distance — one scan can fill the window, never overrun it — and sits below
-// the netmux pool's in-flight cap, so read-ahead cannot trip backpressure
-// for the misses somebody is waiting on.
+// the rbio client's per-destination in-flight cap (64), so read-ahead cannot
+// trip backpressure for the misses somebody is waiting on.
 const rangeFanout = btree.ReadAhead
 
 // Prefetch starts fetching, in the background, those of ids that are neither

@@ -12,7 +12,6 @@ import (
 	"socrates/internal/engine"
 	"socrates/internal/logwriter"
 	"socrates/internal/metrics"
-	"socrates/internal/netmux"
 	"socrates/internal/page"
 	"socrates/internal/rbio"
 	"socrates/internal/wal"
@@ -333,8 +332,8 @@ type replicator struct {
 // peer is one secondary as the primary sees it.
 type peer struct {
 	name string
-	// client is netmux-pooled: replication reuses warm multiplexed
-	// connections instead of dialing one per shipped block.
+	// client is one per secondary, kept for the peer's life: ships share
+	// its in-flight cap instead of dialing one per shipped block.
 	client *rbio.Client
 	acked  page.LSN // its prefix, as its last response reported it
 	// needTo is the end of the highest block that did not reach it with its
@@ -385,7 +384,7 @@ func closeLog(w *logwriter.LogWriter, r *replicator) {
 	r.ioWG.Wait()
 	r.mu.Lock()
 	for _, p := range r.peers {
-		//socrates:ignore-err teardown of replication clients on log close; the pools own no durable state
+		//socrates:ignore-err teardown of replication clients on log close; the clients own no durable state
 		_ = p.client.Close()
 	}
 	r.mu.Unlock()
@@ -404,10 +403,7 @@ func (r *replicator) join(name string, prefix page.LSN) {
 }
 
 func (r *replicator) newPeer(name string, acked, needTo page.LSN) *peer {
-	pool := netmux.NewPool(name,
-		func(a string) (rbio.Conn, error) { return r.c.Net.Dial(a), nil },
-		netmux.Options{})
-	return &peer{name: name, client: rbio.NewClient(pool), acked: acked, needTo: needTo}
+	return &peer{name: name, client: rbio.NewClient(r.c.Net.Dial(name)), acked: acked, needTo: needTo}
 }
 
 // ackLocked merges a secondary's reported prefix and re-derives the quorum
@@ -590,7 +586,7 @@ func (r *replicator) feed(p *peer) {
 	p.catching = false
 	if gone {
 		delete(r.peers, p.name)
-		//socrates:ignore-err the secondary has left the replica set; its pool owns no durable state
+		//socrates:ignore-err the secondary has left the replica set; its client owns no durable state
 		_ = p.client.Close()
 	}
 	r.cond.Broadcast()

@@ -30,19 +30,19 @@ type muxResult struct {
 // response frames and delivers each to the waiter registered under its
 // ID. Cancellation deregisters the waiter and returns immediately — the
 // response, when it eventually arrives, finds no waiter and is dropped
-// (counted in Metrics.LateDrops). The connection stays healthy: a late
+// (counted in rbio.Metrics.LateDrops). The connection stays healthy: a late
 // response carries its request ID, so there is nothing it could be
 // mispaired with.
 //
 // The connection dies only on torn framing: a read error, an
 // undecodable response, an unexpected frame kind, or a write that failed
 // after part of a frame reached the stream. Then every parked waiter
-// fails with rbio.ErrUnavailable and future calls fail fast so the pool
-// evicts the conn.
+// fails with rbio.ErrUnavailable, as do future calls.
 type MuxConn struct {
-	conn net.Conn
-	addr string
-	m    *Metrics
+	conn      net.Conn
+	addr      string
+	lateDrops *obs.Counter
+	waits     *obs.WaitRecorder // nil still charges the caller's profile and span
 
 	writeMu sync.Mutex // serializes frames; guards SetWriteDeadline too
 
@@ -54,12 +54,14 @@ type MuxConn struct {
 
 // NewMuxConn wraps an established stream. It takes ownership of conn and
 // starts the demux goroutine. m may be nil.
-func NewMuxConn(conn net.Conn, addr string, m *Metrics) *MuxConn {
+func NewMuxConn(conn net.Conn, addr string, m *rbio.Metrics) *MuxConn {
 	c := &MuxConn{
 		conn:    conn,
 		addr:    addr,
-		m:       m,
 		pending: make(map[uint64]chan muxResult),
+	}
+	if m != nil {
+		c.lateDrops, c.waits = m.LateDrops, m.Waits
 	}
 	go c.demux()
 	return c
@@ -68,8 +70,7 @@ func NewMuxConn(conn net.Conn, addr string, m *Metrics) *MuxConn {
 // Addr identifies the remote endpoint.
 func (c *MuxConn) Addr() string { return c.addr }
 
-// Healthy reports whether the connection can still carry calls. Pools
-// use it to evict dead conns before dispatching onto them.
+// Healthy reports whether the connection can still carry calls.
 func (c *MuxConn) Healthy() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -220,7 +221,7 @@ func (c *MuxConn) Call(ctx context.Context, req *rbio.Request) (*rbio.Response, 
 	}
 	// netmux.rtt: the frame is on the wire; everything until the demux
 	// goroutine delivers the paired response is network round-trip.
-	region := c.m.waits().Begin(ctx, obs.WaitMuxRTT)
+	region := c.waits.Begin(ctx, obs.WaitMuxRTT)
 	select {
 	case res := <-ch:
 		region.End()
@@ -284,9 +285,7 @@ func (c *MuxConn) demux() {
 		if !ok {
 			// Late response for an abandoned call: dropped by ID; the
 			// connection is unharmed.
-			if c.m != nil {
-				c.m.LateDrops.Inc()
-			}
+			c.lateDrops.Inc()
 		}
 	}
 }
@@ -297,7 +296,7 @@ const DialTimeout = 5 * time.Second
 // DialTCP connects to an RBIO endpoint and wraps the socket in a MuxConn.
 // Nothing is exchanged at connect time: every request carries the protocol
 // version and the server answers a mismatch per request. m may be nil.
-func DialTCP(addr string, m *Metrics) (rbio.Conn, error) {
+func DialTCP(addr string, m *rbio.Metrics) (rbio.Conn, error) {
 	raw, err := net.DialTimeout("tcp", addr, DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", rbio.ErrUnavailable, err)

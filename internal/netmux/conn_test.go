@@ -103,7 +103,7 @@ func TestMuxTimeoutDoesNotPoisonConn(t *testing.T) {
 		resp.LSN = req.LSN
 		return resp
 	})
-	m := NewMetrics(obs.NewRegistry())
+	m := rbio.NewMetrics(obs.Plane{Metrics: obs.NewRegistry()})
 	conn, err := DialTCP(addr, m)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestMuxTimeoutDoesNotPoisonConn(t *testing.T) {
 
 // TestMuxTornFrameKillsConn: unlike a timeout, genuinely torn framing
 // must still poison the connection — waiters fail, later calls fail
-// fast so pools evict.
+// fast.
 func TestMuxTornFrameKillsConn(t *testing.T) {
 	addr := startMuxServer(t, func(_ context.Context, _ *rbio.Request) *rbio.Response {
 		return rbio.Ok()
@@ -250,5 +250,69 @@ func TestMuxExpiredCallerLeavesSharedConnAlone(t *testing.T) {
 	}
 	if mc.Pending() != 0 {
 		t.Fatalf("%d waiters leaked", mc.Pending())
+	}
+}
+
+// TestMuxChaosCallsVsCloseVsCancel is the mux-level fault-injection
+// test: hammer one MuxConn while a chaos goroutine closes it mid-flight
+// and a fraction of callers carry aggressive deadlines. Run under -race
+// this exercises demux vs cancellation vs teardown concurrently. Calls may
+// fail with ErrUnavailable (torn mid-flight) or time out — what must NOT
+// happen is a wrong pairing, a hang, a leaked waiter, or a race.
+func TestMuxChaosCallsVsCloseVsCancel(t *testing.T) {
+	addr := startMuxServer(t, func(_ context.Context, req *rbio.Request) *rbio.Response {
+		if req.LSN%3 == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		resp := rbio.Ok()
+		resp.LSN = req.LSN + 1
+		return resp
+	})
+	for round := 0; round < 4; round++ {
+		mc := dialMux(t, addr)
+		var wrongPairings, torn atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 32; i++ {
+					lsn := uint64(g*1000 + i + 1)
+					ctx := context.Background()
+					cancel := context.CancelFunc(func() {})
+					if i%4 == 3 {
+						ctx, cancel = context.WithTimeout(ctx, time.Duration(i%3)*time.Millisecond)
+					}
+					resp, err := mc.Call(ctx, &rbio.Request{Version: rbio.Version, Type: rbio.MsgPing, LSN: page.LSN(lsn)})
+					cancel()
+					switch {
+					case errors.Is(err, rbio.ErrUnavailable):
+						torn.Add(1)
+					case err != nil:
+						// a cancelled caller's loss is expected
+					case uint64(resp.LSN) != lsn+1:
+						wrongPairings.Add(1)
+					}
+				}
+			}(g)
+		}
+		time.Sleep(time.Duration(2+round) * time.Millisecond)
+		_ = mc.Close()
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: callers hung after the conn closed mid-flight", round)
+		}
+		if n := wrongPairings.Load(); n != 0 {
+			t.Fatalf("round %d: %d cross-paired responses under chaos", round, n)
+		}
+		if torn.Load() == 0 {
+			t.Fatalf("round %d: closing the conn failed no call", round)
+		}
+		if mc.Pending() != 0 {
+			t.Fatalf("round %d: %d waiters leaked", round, mc.Pending())
+		}
 	}
 }

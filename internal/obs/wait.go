@@ -74,8 +74,8 @@ const (
 	WaitPageMiss
 	// WaitPageRemote: a GetPage@LSN round trip to a page server.
 	WaitPageRemote
-	// WaitMuxQueue: netmux admission — queued behind the per-destination
-	// in-flight cap.
+	// WaitMuxQueue: RPC admission — queued behind an rbio.Client's
+	// per-destination in-flight cap.
 	WaitMuxQueue
 	// WaitMuxRTT: netmux in-flight — a request written to the wire,
 	// waiting for its response frame.

@@ -15,6 +15,10 @@
 //     per-endpoint latency and a Selector routes each call to the currently
 //     fastest healthy endpoint.
 //
+// Client, one per destination, carries the client side of all of these,
+// and bounds the work it lets onto the wire (an in-flight cap and a bounded
+// wait queue, past which it fails fast with socerr.ErrBackpressure).
+//
 // One message layout rides two transports: an in-process fabric with a
 // simulated network latency profile (single-process clusters and tests,
 // with optional lossy fire-and-forget semantics for the XLOG feed), and TCP

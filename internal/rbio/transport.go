@@ -41,6 +41,18 @@ type Network struct {
 	rng      *rand.Rand
 	loss     float64 // fire-and-forget drop probability
 	maxDelay time.Duration
+
+	// flight is the current generation of calls and sends in flight; Sever
+	// tears it and starts a new one.
+	flightMu sync.Mutex
+	flight   *flightGen
+}
+
+// flightGen counts the calls and undelivered sends that started since the
+// last Sever. Guarded by Network.flightMu.
+type flightGen struct {
+	n    int
+	torn bool
 }
 
 // NewNetwork creates a fabric with the LAN latency profile.
@@ -49,6 +61,7 @@ func NewNetwork() *Network {
 		handlers: make(map[string]Handler),
 		profile:  simdisk.LAN,
 		rng:      rand.New(rand.NewSource(42)),
+		flight:   &flightGen{},
 	}
 }
 
@@ -66,7 +79,7 @@ func NewNetworkWith(p simdisk.Profile) *Network {
 }
 
 // SetLoss sets the drop probability for fire-and-forget sends. Calls are
-// never dropped (they ride a reliable channel).
+// never dropped (they ride a reliable channel; only Sever tears them).
 func (n *Network) SetLoss(p float64) {
 	n.mu.Lock()
 	n.loss = p
@@ -107,6 +120,38 @@ func (n *Network) Unserve(addr string) {
 	n.mu.Lock()
 	delete(n.handlers, addr)
 	n.mu.Unlock()
+}
+
+// Sever tears every call and send in flight at this moment (chaos
+// injection: a fabric-wide partition). A torn call's handler still runs,
+// but its response is lost when it would have arrived and the caller gets
+// ErrUnavailable, which Client retries; a torn send not yet delivered is
+// dropped. It reports how many it tore.
+func (n *Network) Sever() int {
+	n.flightMu.Lock()
+	defer n.flightMu.Unlock()
+	g := n.flight
+	g.torn = true
+	n.flight = &flightGen{}
+	return g.n
+}
+
+// depart registers one call or send in the current flight generation.
+func (n *Network) depart() *flightGen {
+	n.flightMu.Lock()
+	g := n.flight
+	g.n++
+	n.flightMu.Unlock()
+	return g
+}
+
+// arrive retires a registration and reports whether a Sever tore it.
+func (n *Network) arrive(g *flightGen) (torn bool) {
+	n.flightMu.Lock()
+	g.n--
+	torn = g.torn
+	n.flightMu.Unlock()
+	return torn
 }
 
 // latency computes one network hop's delay for a payload of the given size.
@@ -153,12 +198,16 @@ func (c *inprocConn) Call(ctx context.Context, req *Request) (*Response, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, socerr.FromContext(err)
 	}
+	g := c.net.depart()
 	simdisk.SleepPrecise(c.net.latency(len(req.Payload) + 64))
 	// The handler sees cancellation from ctx, but its trace identity is
 	// (re)derived from the frame by the checkVersion wrapper — exactly as
 	// over TCP, where nothing else survives the hop.
 	resp := h(ctx, req)
 	simdisk.SleepPrecise(c.net.latency(len(resp.Payload) + 32))
+	if c.net.arrive(g) {
+		return nil, fmt.Errorf("%w: %s: severed in flight", ErrUnavailable, c.addr)
+	}
 	return resp, nil
 }
 
@@ -178,8 +227,12 @@ func (c *inprocConn) Send(_ context.Context, req *Request) error {
 		return nil // silently lost, as a lossy datagram would be
 	}
 	delay := c.net.latency(len(req.Payload)+64) + extra
+	g := c.net.depart()
 	go func() {
 		simdisk.SleepPrecise(delay)
+		if c.net.arrive(g) {
+			return // severed before delivery
+		}
 		// Detached from the sender's lifetime, as a datagram would be;
 		// the trace header still rides the frame.
 		h(context.Background(), req)

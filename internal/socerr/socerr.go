@@ -28,7 +28,7 @@ var (
 	// replica when none (or no matching one) exists.
 	ErrNoSecondary = errors.New("socrates: no secondary")
 
-	// ErrBackpressure marks a request rejected because a netmux pool's
+	// ErrBackpressure marks a request rejected because an rbio.Client's
 	// in-flight cap and bounded wait queue were both full. It is a
 	// fail-fast signal: the fabric is saturated and queueing more work
 	// would only grow latency, so callers shed load or retry at their
