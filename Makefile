@@ -63,29 +63,31 @@ chaos-stress:
 # and visible (compute.Secondary). What they pin was a 1-in-40 loss of
 # acknowledged writes; run it before merging anything that touches ship,
 # hardenFeed, Failover or a secondary's apply order. Then the waits those
-# consumers sit in: XLOG's long poll, the shared bounded wait and the online
-# loop's failed-pull back-off (page server and secondary), 200 times, and the
-# two deadline stress loops (thousands of waits each) 5 times.
+# consumers sit in: XLOG's long poll, the shared bounded wait and its form on
+# a rung, and the online loop's failed-pull back-off (page server and
+# secondary), 200 times, and the three stress loops (thousands of waits each)
+# 5 times.
 repl-stress:
 	$(GO) test -count=200 -run 'TestApplyFollowsLogOrder|TestFailoverPromotesSecondary|TestSecondariesReplicate|TestStragglerCatchesUpOrLeaves' ./internal/hadr
 	$(GO) test -count=200 -run 'TestSecondaryServesSnapshotReads' ./internal/cluster
 	$(GO) test -count=200 -run 'TestSecondaryWaitAppliedMeansVisible|TestSecondaryAppliedBeforeVisible' ./internal/compute
-	$(GO) test -count=200 -run 'TestLongPoll|TestCondWait(ReadyWakesIt|CancelWakesIt|DeadlineWakesIt|FastPathRecordsNothing|NoneRecordsNothing)$$|TestFailedPullsBackOff' ./internal/xlog ./internal/obs ./internal/recovery
-	$(GO) test -count=5 -run 'TestCondWaitDeadlineStress|TestWaitDestagedMeetsItsDeadline' ./internal/obs ./internal/xlog
+	$(GO) test -count=200 -run 'TestLongPoll|TestCondWait(ReadyWakesIt|CancelWakesIt|DeadlineWakesIt|FastPathRecordsNothing|NoneRecordsNothing)$$|TestAwaitLSN(PublishWakesIt|DropWakesIt)$$|TestFailedPullsBackOff' ./internal/xlog ./internal/obs ./internal/recovery
+	$(GO) test -count=5 -run 'TestCondWaitDeadlineStress|TestAwaitLSNPublishStress|TestWaitDestagedMeetsItsDeadline' ./internal/obs ./internal/xlog
 
 # Hot-path allocation contracts (AllocsPerRun budgets; they skip themselves
 # under -race; rbpex: a memory hit 0 — segment moves included — and an
 # evicting Put <= 9; versionstore: a walk three versions down the chain 0;
 # engine: a point read with a visible head <= 2, a 200-row scan <= 16;
 # wal: encoding a 64-record block exactly 1, decoding it <= 4; rbio: a
-# Selector call no more than the Client call it makes) and short
+# Selector call no more than the Client call it makes; obs: a wait on a
+# rung already at its LSN 0, a Publish nobody waits for 0) and short
 # fuzzes of the B-tree node view against the decoded node it replaced and
 # of the log block decoder (never panics; a decode re-encodes to the bytes
 # it consumed). The contracts are the only allocation gate: every
 # //socrates:hotpath function is reached by one, and its directive names
 # which.
 allocs:
-	$(GO) test -count=1 -run 'Allocs$$' ./internal/wal ./internal/btree ./internal/versionstore ./internal/engine ./internal/pageserver ./internal/logwriter ./internal/compute ./internal/netmux ./internal/rbio ./internal/rbpex
+	$(GO) test -count=1 -run 'Allocs$$' ./internal/wal ./internal/btree ./internal/versionstore ./internal/engine ./internal/pageserver ./internal/logwriter ./internal/compute ./internal/netmux ./internal/rbio ./internal/rbpex ./internal/obs
 	$(GO) test -run '^$$' -fuzz=FuzzNodeView -fuzztime=10s ./internal/btree
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeBlock -fuzztime=10s ./internal/wal
 

@@ -80,10 +80,10 @@ func TestLeakLintFixtures(t *testing.T) {
 
 func TestWaitLintFixtures(t *testing.T) {
 	pass := &analysis.WaitLint{Packages: []string{"fixture/waitlint"}}
-	runFixturePair(t, pass, "waitlint", 8, "WaitPoint region")
+	runFixturePair(t, pass, "waitlint", 9, "WaitPoint region")
 }
 
-// TestWaitLintFindsExactShapes pins the eight wait shapes the bad fixture
+// TestWaitLintFindsExactShapes pins the nine wait shapes the bad fixture
 // plants, including the two region-dataflow ones: a region ended before
 // the wait, and a region opened on only one branch.
 func TestWaitLintFindsExactShapes(t *testing.T) {
@@ -91,11 +91,11 @@ func TestWaitLintFindsExactShapes(t *testing.T) {
 	bad := loadFixture(t, loader, "waitlint/bad")
 	pass := &analysis.WaitLint{Packages: []string{"fixture/waitlint"}}
 	diags := pass.Run(bad)
-	if len(diags) != 8 {
-		t.Fatalf("waitlint on bad fixture: got %d findings, want 8\n%s", len(diags), render(diags))
+	if len(diags) != 9 {
+		t.Fatalf("waitlint on bad fixture: got %d findings, want 9\n%s", len(diags), render(diags))
 	}
 	byFunc := make(map[string]int)
-	for _, fn := range []string{"Pop", "Poll", "Backoff", "Tick", "Push", "Closed", "OneArm", "Unrecorded"} {
+	for _, fn := range []string{"Pop", "Poll", "Backoff", "Tick", "Push", "Closed", "OneArm", "Unrecorded", "UnrecordedRung"} {
 		for _, d := range diags {
 			if strings.Contains(d.Message, " in "+fn+" ") {
 				byFunc[fn]++
@@ -107,21 +107,28 @@ func TestWaitLintFindsExactShapes(t *testing.T) {
 	}
 }
 
-// TestWaitLintSeesTheSharedWait pins the shared bounded wait as a blocking
-// site: the bad fixture's CondWait charged to WaitNone, with no review, is
-// one finding at the call's line; the clean fixture's CondWait with a class
-// (Await) and its reviewed WaitNone one (Idle) are none.
+// TestWaitLintSeesTheSharedWait pins the shared bounded wait, and its form
+// on a rung of the LSN ladder, as blocking sites: the bad fixture's CondWait
+// and AwaitLSN charged to WaitNone, with no review, are one finding each at
+// the call's line; the clean fixture's calls with a class (Await,
+// AwaitRung) and its reviewed WaitNone ones (Idle, IdleRung) are none.
 func TestWaitLintSeesTheSharedWait(t *testing.T) {
 	loader := newLoader(t)
 	pass := &analysis.WaitLint{Packages: []string{"fixture/waitlint"}}
-	var found []analysis.Diagnostic
-	for _, d := range pass.Run(loadFixture(t, loader, "waitlint/bad")) {
-		if strings.Contains(d.Message, "CondWait") {
-			found = append(found, d)
+	diags := pass.Run(loadFixture(t, loader, "waitlint/bad"))
+	for _, want := range []struct {
+		method, fn string
+		line       int
+	}{{"CondWait", "Unrecorded", 115}, {"AwaitLSN", "UnrecordedRung", 122}} {
+		var found []analysis.Diagnostic
+		for _, d := range diags {
+			if strings.Contains(d.Message, want.method+" charged to WaitNone") {
+				found = append(found, d)
+			}
 		}
-	}
-	if len(found) != 1 || !strings.Contains(found[0].Message, " in Unrecorded ") || found[0].Pos.Line != 115 {
-		t.Fatalf("want one CondWait finding in Unrecorded at line 115, got:\n%s", render(found))
+		if len(found) != 1 || !strings.Contains(found[0].Message, " in "+want.fn+" ") || found[0].Pos.Line != want.line {
+			t.Fatalf("want one %s finding in %s at line %d, got:\n%s", want.method, want.fn, want.line, render(found))
+		}
 	}
 	if diags := pass.Run(loadFixture(t, loader, "waitlint/clean")); len(diags) != 0 {
 		t.Fatalf("clean fixture: want no findings, got:\n%s", render(diags))

@@ -114,3 +114,9 @@ func (q *Q) Unrecorded() error {
 	defer q.mu.Unlock()
 	return q.rec.CondWait(WaitNone, q.cond, func() bool { return q.n > 0 })
 }
+
+// AwaitLSN is the stand-in for the shared wait on a rung of the LSN ladder.
+func (r *WaitRecorder) AwaitLSN(class string, lsn uint64) error { return nil }
+
+// UnrecordedRung waits on a rung charged to no class, unreviewed: flagged.
+func (q *Q) UnrecordedRung() error { return q.rec.AwaitLSN(WaitNone, 1) }

@@ -113,3 +113,15 @@ func (q *Q) Guarded() {
 	q.n++
 	q.mu.Unlock()
 }
+
+// AwaitLSN is the stand-in for the shared wait on a rung of the LSN ladder.
+func (r *WaitRecorder) AwaitLSN(class string, lsn uint64) error { return nil }
+
+// AwaitRung waits on a rung, recorded under the class given.
+func (q *Q) AwaitRung() error { return q.rec.AwaitLSN("xlog.feed", 1) }
+
+// IdleRung waits on a rung charged to no class, reviewed.
+func (q *Q) IdleRung() error {
+	//socrates:wait-ok fixture long poll's idle wait on a rung, not a stall
+	return q.rec.AwaitLSN(WaitNone, 1)
+}

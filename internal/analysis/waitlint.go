@@ -27,9 +27,10 @@ import (
 //     exist to expose, so either the acquisition sits behind a TryLock
 //     fast path inside a lock.latch region, or the annotation states why
 //     the lock cannot convoy.
-//  4. WaitRecorder.CondWait calls passing the constant WaitNone. The shared
-//     bounded wait records its blocked time under the class it is given,
-//     so a call with a class is covered; one with WaitNone blocks
+//  4. WaitRecorder.CondWait and WaitRecorder.AwaitLSN calls passing the
+//     constant WaitNone. The shared bounded wait, and its form on a rung of
+//     the LSN ladder, record their blocked time under the class they are
+//     given, so a call with a class is covered; one with WaitNone blocks
 //     unrecorded, exactly like a bare Cond Wait.
 //
 // A site passes when any of these hold:
@@ -212,8 +213,8 @@ func (l *WaitLint) collectSites(pkg *Package, body *ast.BlockStmt, hot bool) []w
 		case *ast.CallExpr:
 			if isCondWait(pkg, x) {
 				sites = append(sites, waitSite{node: x, what: "sync.Cond Wait"})
-			} else if isUnrecordedCondWait(pkg, x) {
-				sites = append(sites, waitSite{node: x, what: "CondWait charged to WaitNone"})
+			} else if m := unrecordedSharedWait(pkg, x); m != "" {
+				sites = append(sites, waitSite{node: x, what: m + " charged to WaitNone"})
 			} else if hot && isMutexAcquire(pkg, x) {
 				sites = append(sites, waitSite{node: x, what: "lock acquisition on a declared hot path"})
 			}
@@ -285,11 +286,12 @@ func isCondWait(pkg *Package, call *ast.CallExpr) bool {
 	return recv != nil && namedIn(recv.Type(), "sync", "Cond")
 }
 
-// isUnrecordedCondWait matches a WaitRecorder.CondWait call that passes the
-// constant WaitNone as its class.
-func isUnrecordedCondWait(pkg *Package, call *ast.CallExpr) bool {
-	if !isWaitRecorderCall(pkg, call, "CondWait") {
-		return false
+// unrecordedSharedWait names the method of a WaitRecorder.CondWait or
+// AwaitLSN call passing the constant WaitNone as its class; "" otherwise.
+func unrecordedSharedWait(pkg *Package, call *ast.CallExpr) string {
+	fn := calleeObject(pkg.Info, call)
+	if fn == nil || (fn.Name() != "CondWait" && fn.Name() != "AwaitLSN") || !isWaitRecorderCall(pkg, call, fn.Name()) {
+		return ""
 	}
 	for _, arg := range call.Args {
 		var id *ast.Ident
@@ -300,10 +302,10 @@ func isUnrecordedCondWait(pkg *Package, call *ast.CallExpr) bool {
 			id = a.Sel
 		}
 		if c, ok := pkg.Info.Uses[id].(*types.Const); ok && c.Name() == "WaitNone" {
-			return true
+			return fn.Name()
 		}
 	}
-	return false
+	return ""
 }
 
 // isMutexAcquire matches sync.Mutex/RWMutex Lock and RLock calls,
@@ -338,7 +340,7 @@ func namedIn(t types.Type, pkgPath, name string) bool {
 }
 
 // isWaitRecorderCall matches calls to a method of a type named
-// WaitRecorder (Begin, Wait or CondWait). Matching by type name rather than by the
+// WaitRecorder (Begin, CondWait or AwaitLSN). Matching by type name rather than by the
 // concrete obs package keeps fixtures self-contained.
 func isWaitRecorderCall(pkg *Package, call *ast.CallExpr, method string) bool {
 	fn, ok := calleeObject(pkg.Info, call).(*types.Func)

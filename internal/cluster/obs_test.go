@@ -80,6 +80,54 @@ func TestClusterWatermarkLadderLive(t *testing.T) {
 			t.Errorf("instrument %q breaks the naming contract %s", name, instrumentName)
 		}
 	}
+
+	// A rung leaves the ladder with its owner: a killed page server and a
+	// removed secondary stop being followers, so while the log moves on
+	// without them neither trips the watchdog nor holds up a lag gauge.
+	if err := c.AddPageServerReplica(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddSecondary("wm-sec"); err != nil {
+		t.Fatal(err)
+	}
+	seedRows(t, c, "t1", 50)
+	if err := c.WaitForCatchUp(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	servers := c.Watermarks.Replicas(obs.WMApplied)
+	if err := c.KillPageServer(c.PageServers()[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RemoveSecondary("wm-sec"); err != nil {
+		t.Fatal(err)
+	}
+	seedRows(t, c, "t2", 200)
+	if err := c.WaitForCatchUp(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.XLOG.WaitDestaged(c.XLOG.HardenedEnd(), 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// Ticked by hand past the default StallTicks; its own loop must not
+	// overlap a hand-driven Tick.
+	c.Watchdog.Stop()
+	for i := 0; i <= 8; i++ {
+		c.Watchdog.Tick()
+	}
+	if got := c.Watermarks.Replicas(obs.WMApplied); len(got) != len(servers)-1 {
+		t.Errorf("page-server rungs after a kill: %v, had %v", got, servers)
+	}
+	if got := c.Watermarks.Replicas(obs.WMSecondary); len(got) != 0 {
+		t.Errorf("secondary rungs after its removal: %v", got)
+	}
+	if n := c.Watchdog.TripCount(); n != 0 {
+		t.Errorf("dead rungs tripped the watchdog %d times: %+v", n, c.Watchdog.Trips())
+	}
+	for _, g := range []string{"pageserver.apply_lag_lsn", "compute.apply_lag_lsn"} {
+		if lag := c.Metrics.Gauge(g).Value(); lag != 0 {
+			t.Errorf("%s = %d with every live follower caught up", g, lag)
+		}
+	}
 }
 
 // instrumentName is the obs naming contract: at least two dot-separated

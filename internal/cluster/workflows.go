@@ -82,9 +82,7 @@ func (c *Cluster) WaitForCatchUp(timeout time.Duration) error {
 	target := c.LZ.HardenedEnd()
 	deadline := time.Now().Add(timeout)
 	for _, srv := range c.PageServers() {
-		// waitApplied waits for applied > lsn, so pass target's predecessor
-		// to observe applied >= target.
-		if !srv.WaitApplied(target.Prev(), time.Until(deadline)) {
+		if !srv.WaitApplied(target, time.Until(deadline)) {
 			return socerr.Timeoutf("cluster: catch-up to %d timed out: page server at %d",
 				target, srv.AppliedLSN())
 		}

@@ -1,9 +1,11 @@
 package compute
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -973,4 +975,47 @@ func TestSecondaryWaitAppliedMeansVisible(t *testing.T) {
 	if vis := clock.Visible(); vis != 102 {
 		t.Fatalf("WaitApplied(%d) returned with visible %d, want 102", b.End, vis)
 	}
+}
+
+// TestSecondaryStopWakesWaitApplied: a caller parked in WaitApplied behind
+// log that never comes returns false as soon as Stop drops the node's rung,
+// not when its own timeout passes.
+func TestSecondaryStopWakesWaitApplied(t *testing.T) {
+	srv := newFakePageServer()
+	srv.buildDatabase(t, engine.NewMemPipeline(), 4)
+	const start = page.LSN(1000)
+	net := rbio.NewInstantNetwork()
+	net.Serve("ps", srv.handler())
+	net.Serve("xlog", xlogOnce(start, start, nil, make(chan struct{}))) // never answers
+	sel := rbio.NewSelector(rbio.NewClient(net.Dial("ps")))
+	sec, err := NewSecondary(SecondaryConfig{
+		Name:     "sec",
+		XLOG:     rbio.NewClient(net.Dial("xlog")),
+		Resolve:  func(page.ID) (*rbio.Selector, error) { return sel, nil },
+		StartLSN: start,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sec.Stop()
+	done := make(chan bool, 1)
+	go func() { done <- sec.WaitApplied(start+100, time.Hour) }()
+	within(t, "WaitApplied to park", func() {
+		buf := make([]byte, 1<<20)
+		for {
+			n := runtime.Stack(buf, true)
+			for _, g := range bytes.Split(buf[:n], []byte("\n\n")) {
+				if bytes.Contains(g, []byte("sync.(*Cond).Wait")) && bytes.Contains(g, []byte("(*Secondary).WaitApplied")) {
+					return
+				}
+			}
+			runtime.Gosched()
+		}
+	})
+	sec.Stop()
+	within(t, "WaitApplied to return across Stop", func() {
+		if <-done {
+			t.Error("WaitApplied reported log applied that never came")
+		}
+	})
 }

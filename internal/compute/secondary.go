@@ -60,15 +60,13 @@ type Secondary struct {
 
 	mu      sync.Mutex
 	applied page.LSN
-	// visibleTo follows applied: it moves once the commit timestamps of
-	// everything below it are published. A snapshot begun after visibleTo
-	// reached an LSN sees every commit below that LSN; one begun after
-	// applied did may not yet.
-	visibleTo page.LSN
 	// fetchFloor is the end of the block being applied, set before its first
 	// record is handled (applyBlock).
 	fetchFloor page.LSN
-	cond       *sync.Cond
+	// visible, the node's rung, follows applied once the commit timestamps
+	// below it are published: a snapshot begun after it reached an LSN sees
+	// every commit below that LSN, one begun after applied did may not.
+	visible *obs.Watermark
 
 	// ctx ends when Stop is called. The apply loop's pulls run under it,
 	// so Stop does not wait out a long poll at XLOG.
@@ -97,13 +95,13 @@ func NewSecondary(cfg SecondaryConfig) (*Secondary, error) {
 		cfg.StartLSN = 1
 	}
 	s := &Secondary{
-		name:      cfg.Name,
-		applied:   cfg.StartLSN,
-		visibleTo: cfg.StartLSN,
-		obs:       cfg.Obs,
-		waits:     cfg.Obs.Waits.Tier(obs.TierCompute),
+		name:    cfg.Name,
+		applied: cfg.StartLSN,
+		visible: cfg.Obs.Watermarks.Own(obs.WMSecondary, cfg.Name),
+		obs:     cfg.Obs,
+		waits:   cfg.Obs.Waits.Tier(obs.TierCompute),
 	}
-	s.cond = sync.NewCond(&s.mu)
+	s.visible.Publish(uint64(cfg.StartLSN))
 
 	pages, err := NewRemotePageFile(rbpex.Config{
 		MemPages: cfg.CacheMemPages,
@@ -125,7 +123,8 @@ func NewSecondary(cfg SecondaryConfig) (*Secondary, error) {
 		WaitFresh: func() {
 			// A traversal raced log apply: pause until the apply thread
 			// makes progress, then retry (§4.5).
-			s.waitApplyProgress(2 * time.Millisecond)
+			//socrates:wait-ok reached only via the engine's WaitFresh hook, whose caller (withReadRetry) records the blocked time as lock.row
+			_ = s.waits.AwaitLSN(nil, obs.WaitNone, s.visible, s.visible.Value()+1, time.Now().Add(2*time.Millisecond))
 		},
 	})
 	if err != nil {
@@ -169,32 +168,21 @@ func (s *Secondary) floor() page.LSN {
 	return page.MaxLSN(s.applied, s.fetchFloor).Prev()
 }
 
-// WaitApplied blocks until the node has applied the log below lsn and made
-// its commits visible: a snapshot begun after it returns true reads every
-// transaction that committed below lsn.
+// WaitApplied blocks until the node has applied the log below the end LSN
+// lsn and made its commits visible: a snapshot begun after it returns true
+// reads every transaction that committed below lsn. Stop wakes it (false).
 func (s *Secondary) WaitApplied(lsn page.LSN, timeout time.Duration) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	// xlog.feed: the caller is blocked behind this node's log-apply progress.
-	return s.waits.CondWait(nil, obs.WaitXLOGFeed, s.cond, time.Now().Add(timeout),
-		func() bool { return s.visibleTo.AtLeast(lsn) }) == nil
+	return s.waits.AwaitLSN(nil, obs.WaitXLOGFeed, s.visible, uint64(lsn), time.Now().Add(timeout)) == nil
 }
 
-// waitApplyProgress blocks until applied advances or the timeout elapses.
-func (s *Secondary) waitApplyProgress(timeout time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	start := s.applied
-	//socrates:wait-ok reached only via the engine's WaitFresh hook, whose caller (withReadRetry) records the blocked time as lock.row
-	_ = s.waits.CondWait(nil, obs.WaitNone, s.cond, time.Now().Add(timeout),
-		func() bool { return s.applied != start })
-}
-
-// Stop halts log consumption; a pull waiting at XLOG ends with it.
+// Stop halts log consumption; a pull waiting at XLOG ends with it, and the
+// rung leaves the ladder.
 func (s *Secondary) Stop() {
 	if s.ctx.Err() != nil {
 		return
 	}
+	s.visible.Drop()
 	s.cancel()
 	s.wg.Wait()
 	s.pages.Close()
@@ -206,9 +194,8 @@ func (s *Secondary) applyPull(_, next page.LSN, payload []byte) error {
 	if err := s.redo.ApplyBlocks(payload, 0); err != nil {
 		return err
 	}
-	s.advance(&s.applied, next)
-	s.advance(&s.visibleTo, next) // the blocks below published theirs; the rest of the range holds none
-	s.obs.Watermarks.Watermark(obs.WMSecondary, s.name).Publish(uint64(next))
+	s.advance(next)
+	s.visible.Publish(uint64(next)) // the blocks below published theirs; the rest of the range holds none
 	s.obs.Flight.Record(obs.TierCompute, "sec.apply", uint64(next), 0,
 		s.name+": batch applied")
 	return nil
@@ -232,22 +219,17 @@ func (s *Secondary) applyBlock(b *wal.Block, done bool, visible uint64) {
 		s.mu.Unlock()
 		return
 	}
-	s.advance(&s.applied, b.End)
+	s.advance(b.End)
 	if s.holdBeforePublish != nil {
 		s.holdBeforePublish()
 	}
 	s.Engine.Clock().Publish(visible)
-	s.advance(&s.visibleTo, b.End)
+	s.visible.Publish(uint64(b.End))
 }
 
-// advance moves one of the node's watermarks — applied, or visibleTo once the
-// commit timestamps below lsn are published — up to lsn and wakes whoever
-// waits on it.
-func (s *Secondary) advance(mark *page.LSN, lsn page.LSN) {
+// advance moves the applied watermark up to lsn.
+func (s *Secondary) advance(lsn page.LSN) {
 	s.mu.Lock()
-	if lsn.After(*mark) {
-		*mark = lsn
-		s.cond.Broadcast()
-	}
+	s.applied = page.MaxLSN(s.applied, lsn)
 	s.mu.Unlock()
 }

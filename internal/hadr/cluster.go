@@ -279,8 +279,8 @@ func (c *Cluster) SeedNewReplica(name string) (*Node, int64, time.Duration, erro
 	// The one place a prefix moves without its blocks: the copy stands for
 	// the log below it. The node holds none of that log, so its own tail
 	// starts here.
+	sec.applied.Publish(uint64(prefix))
 	sec.mu.Lock()
-	sec.applied = prefix
 	sec.hardenedTo = prefix
 	sec.mu.Unlock()
 	sec.startApply()

@@ -64,7 +64,10 @@ var AZLink = simdisk.Profile{
 // ErrNoQuorum reports a group too few replicas could cover: a lost group.
 var ErrNoQuorum = fmt.Errorf("hadr: replication quorum lost: %w", logwriter.ErrGroupLost)
 
-var noWaits *obs.WaitRecorder // HADR's bounded waits record no wait class
+var (
+	noWaits  *obs.WaitRecorder // HADR's bounded waits record no wait class
+	noLadder *obs.WatermarkSet // and its rungs are on no ladder
+)
 
 // Config describes an HADR deployment.
 type Config struct {
@@ -144,8 +147,8 @@ type Node struct {
 	// primary marks the node whose engine writes the pages before the log
 	// hardens: its blocks join the prefix and the tail but are not applied.
 	primary bool
-	queue   []*wal.Block // released from the prefix in LSN order, not yet applied
-	applied page.LSN
+	queue   []*wal.Block   // released from the prefix in LSN order, not yet applied
+	applied *obs.Watermark // standalone: HADR publishes no ladder; stop drops it
 	maxTS   uint64         // highest applied commit timestamp
 	engine  *engine.Engine // read-only while secondary; nil until first open
 
@@ -186,13 +189,14 @@ func newNode(name string, diskProfile simdisk.Profile, meter *metrics.CPUMeter) 
 		pages:      pages,
 		disk:       disk,
 		logDev:     simdisk.New(diskProfile, opts...),
-		applied:    1,
+		applied:    noLadder.Own(obs.WMSecondary, name),
 		hardenedTo: 1,
 		future:     make(map[page.LSN]heldBlock),
 		feeding:    make(map[page.LSN]bool),
 		done:       make(chan struct{}),
 	}
 	n.cond = sync.NewCond(&n.mu)
+	n.applied.Publish(1)
 	return n, nil
 }
 
@@ -200,11 +204,7 @@ func newNode(name string, diskProfile simdisk.Profile, meter *metrics.CPUMeter) 
 func (n *Node) Name() string { return n.name }
 
 // AppliedLSN reports the node's apply watermark.
-func (n *Node) AppliedLSN() page.LSN {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.applied
-}
+func (n *Node) AppliedLSN() page.LSN { return page.LSN(n.applied.Value()) }
 
 // Engine returns the node's engine (read-only on secondaries).
 func (n *Node) Engine() *engine.Engine { return n.engine }
@@ -332,28 +332,13 @@ func (n *Node) blockApplied(b *wal.Block, done bool, visible uint64) {
 	if n.engine != nil {
 		n.engine.Clock().Publish(visible)
 	}
-	n.applied = b.End // the queue is the prefix in LSN order
-	n.cond.Broadcast()
+	n.applied.Publish(uint64(b.End)) // the queue is the prefix in LSN order
 }
 
-// WaitApplied blocks until the node applied through lsn.
+// WaitApplied blocks until the node applied the log below the end LSN lsn.
 func (n *Node) WaitApplied(lsn page.LSN, timeout time.Duration) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	// xlog.feed: the caller is blocked behind this replica's apply progress.
-	return noWaits.CondWait(nil, obs.WaitXLOGFeed, n.cond, time.Now().Add(timeout),
-		func() bool { return n.applied.AtLeast(lsn) }) == nil
-}
-
-// waitApplyProgress blocks until the apply watermark advances or the
-// timeout elapses — the WaitFresh hook for traversals racing log apply.
-func (n *Node) waitApplyProgress(timeout time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	start := n.applied
-	//socrates:wait-ok reached only via the engine's WaitFresh hook, whose caller (withReadRetry) owns the lock.row accounting
-	_ = noWaits.CondWait(nil, obs.WaitNone, n.cond, time.Now().Add(timeout),
-		func() bool { return n.applied != start })
+	return noWaits.AwaitLSN(nil, obs.WaitXLOGFeed, n.applied, uint64(lsn), time.Now().Add(timeout)) == nil
 }
 
 // handler serves replication traffic: a shipped block is hardened to the
@@ -390,6 +375,7 @@ func (n *Node) stop() {
 	close(n.done)
 	n.cond.Broadcast()
 	n.mu.Unlock()
+	n.applied.Drop()
 	n.wg.Wait()
 	n.pages.close()
 }
@@ -409,8 +395,9 @@ func (n *Node) openSecondaryEngine() error {
 		ReadOnly: true,
 		WaitFresh: func() {
 			// A traversal raced log apply: wait for the apply loop to make
-			// progress (signalled via n.cond), then retry.
-			n.waitApplyProgress(2 * time.Millisecond)
+			// progress, then retry.
+			//socrates:wait-ok reached only via the engine's WaitFresh hook, whose caller (withReadRetry) owns the lock.row accounting
+			_ = noWaits.AwaitLSN(nil, obs.WaitNone, n.applied, n.applied.Value()+1, time.Now().Add(2*time.Millisecond))
 		},
 	})
 	if err != nil {

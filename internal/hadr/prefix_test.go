@@ -35,7 +35,7 @@ func deliver(t *testing.T, n *Node, payload []byte) page.LSN {
 		t.Fatal(err)
 	}
 	n.mu.Lock()
-	applied, hardenedTo := n.applied, n.hardenedTo
+	applied, hardenedTo := n.AppliedLSN(), n.hardenedTo
 	n.mu.Unlock()
 	if applied.After(hardenedTo) {
 		t.Fatalf("applied %d is past the prefix %d", applied, hardenedTo)

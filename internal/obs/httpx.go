@@ -28,17 +28,12 @@ func (s *WatermarkSet) LadderLags() map[string]uint64 {
 	out := make(map[string]uint64)
 	for _, edge := range ladder {
 		leader := s.Watermark(edge.leader, "").Value()
-		replicas := []string{""}
-		if edge.perReplica {
-			replicas = s.Replicas(edge.follower)
-		}
-		for _, rep := range replicas {
-			cur := s.Watermark(edge.follower, rep).Value()
+		for _, w := range s.rungs(edge.follower) {
 			var lag uint64
-			if leader > cur {
+			if cur := w.Value(); leader > cur {
 				lag = leader - cur
 			}
-			out[lagName(edge.follower, rep)] = lag
+			out[lagName(edge.follower, w.replica)] = lag
 		}
 	}
 	return out

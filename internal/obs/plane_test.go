@@ -17,7 +17,7 @@ import (
 
 func TestWatermarkMonotonePublish(t *testing.T) {
 	ws := NewWatermarkSet()
-	w := ws.Watermark(WMHardened, "")
+	w := rung(ws, WMHardened, "")
 	w.Publish(10)
 	w.Publish(5) // stale: must not regress
 	if got := w.Value(); got != 10 {
@@ -30,16 +30,16 @@ func TestWatermarkMonotonePublish(t *testing.T) {
 	if w.UpdatedAt().IsZero() {
 		t.Fatal("UpdatedAt should be set after a publish")
 	}
-	if w.Name() != WMHardened || w.Replica() != "" {
-		t.Fatalf("identity = %q/%q", w.Name(), w.Replica())
+	if w.name != WMHardened || w.replica != "" {
+		t.Fatalf("identity = %q/%q", w.name, w.replica)
 	}
 }
 
 func TestWatermarkSetSnapshotAndReplicas(t *testing.T) {
 	ws := NewWatermarkSet()
-	ws.Watermark(WMApplied, "ps-1").Publish(7)
-	ws.Watermark(WMApplied, "ps-0").Publish(9)
-	ws.Watermark(WMCommit, "").Publish(11)
+	rung(ws, WMApplied, "ps-1").Publish(7)
+	rung(ws, WMApplied, "ps-0").Publish(9)
+	rung(ws, WMCommit, "").Publish(11)
 	snap := ws.Snapshot()
 	if len(snap) != 3 {
 		t.Fatalf("snapshot len = %d, want 3", len(snap))
@@ -52,7 +52,7 @@ func TestWatermarkSetSnapshotAndReplicas(t *testing.T) {
 		t.Fatalf("replicas = %v", got)
 	}
 	// Same name+replica resolves to the same watermark.
-	if ws.Watermark(WMApplied, "ps-0") != ws.Watermark(WMApplied, "ps-0") {
+	if rung(ws, WMApplied, "ps-0") != rung(ws, WMApplied, "ps-0") {
 		t.Fatal("watermark lookup not stable")
 	}
 }
@@ -76,10 +76,10 @@ func TestTimeLag(t *testing.T) {
 
 func TestLadderLags(t *testing.T) {
 	ws := NewWatermarkSet()
-	ws.Watermark(WMCommit, "").Publish(100)
-	ws.Watermark(WMHardened, "").Publish(90)
-	ws.Watermark(WMPromoted, "").Publish(80)
-	ws.Watermark(WMApplied, "ps-0").Publish(50)
+	rung(ws, WMCommit, "").Publish(100)
+	rung(ws, WMHardened, "").Publish(90)
+	rung(ws, WMPromoted, "").Publish(80)
+	rung(ws, WMApplied, "ps-0").Publish(50)
 	lags := ws.LadderLags()
 	if lags["lz.harden_lag_lsn"] != 10 {
 		t.Fatalf("harden lag = %d, want 10", lags["lz.harden_lag_lsn"])
@@ -96,10 +96,10 @@ func TestLadderLags(t *testing.T) {
 
 // publishLadder sets every singleton rung to the given values.
 func publishLadder(ws *WatermarkSet, commit, hardened, promoted, destaged uint64) {
-	ws.Watermark(WMCommit, "").Publish(commit)
-	ws.Watermark(WMHardened, "").Publish(hardened)
-	ws.Watermark(WMPromoted, "").Publish(promoted)
-	ws.Watermark(WMDestaged, "").Publish(destaged)
+	rung(ws, WMCommit, "").Publish(commit)
+	rung(ws, WMHardened, "").Publish(hardened)
+	rung(ws, WMPromoted, "").Publish(promoted)
+	rung(ws, WMDestaged, "").Publish(destaged)
 }
 
 func TestWatchdogLagTripEdgeTriggered(t *testing.T) {
@@ -143,7 +143,7 @@ func TestWatchdogStallTrip(t *testing.T) {
 	d := NewWatchdog(ws, nil, nil, WatchdogConfig{MaxLagLSN: -1, StallTicks: 3})
 
 	publishLadder(ws, 500, 500, 500, 500)
-	ws.Watermark(WMApplied, "ps-0").Publish(100) // behind and not moving
+	rung(ws, WMApplied, "ps-0").Publish(100) // behind and not moving
 	for i := 0; i < 2; i++ {
 		d.Tick()
 	}
@@ -161,7 +161,7 @@ func TestWatchdogStallTrip(t *testing.T) {
 	}
 
 	// Progress clears the stall counter; catching up re-arms.
-	ws.Watermark(WMApplied, "ps-0").Publish(500)
+	rung(ws, WMApplied, "ps-0").Publish(500)
 	d.Tick()
 	if d.TripCount() != 1 {
 		t.Fatalf("trips after recovery = %d, want still 1", d.TripCount())
@@ -348,7 +348,7 @@ func TestPlaneNilSafety(t *testing.T) {
 	var f *FlightRecorder
 	var d *Watchdog
 	ws.PublishCommit(1)
-	ws.Watermark("x.y", "").Publish(2)
+	rung(ws, "x.y", "").Publish(2)
 	_ = ws.Snapshot()
 	_ = ws.LadderLags()
 	_ = ws.TimeLag(0, time.Now())
@@ -377,9 +377,9 @@ func TestWritePrometheusGolden(t *testing.T) {
 	h.Observe(3 * time.Microsecond)  // bucket [2µs,4µs) (le 4µs)
 
 	ws := NewWatermarkSet()
-	ws.Watermark(WMCommit, "").Publish(128)
-	ws.Watermark(WMHardened, "").Publish(96)
-	ws.Watermark(WMApplied, "ps-0").Publish(64)
+	rung(ws, WMCommit, "").Publish(128)
+	rung(ws, WMHardened, "").Publish(96)
+	rung(ws, WMApplied, "ps-0").Publish(64)
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -416,8 +416,8 @@ func TestHTTPPlaneEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("engine.commits").Inc()
 	ws := NewWatermarkSet()
-	ws.Watermark(WMCommit, "").Publish(10)
-	ws.Watermark(WMHardened, "").Publish(8)
+	rung(ws, WMCommit, "").Publish(10)
+	rung(ws, WMHardened, "").Publish(8)
 	fr := NewFlightRecorder(16)
 	fr.Record(TierLZ, "lz.flush", 8, time.Millisecond, "records=1")
 	tr := NewTracer()
@@ -506,4 +506,13 @@ func TestServeAndClose(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// rung returns the rung on ws under (name, replica), owning one if there is
+// none: the hand-set ladders below publish where a tier would.
+func rung(ws *WatermarkSet, name, replica string) *Watermark {
+	if w := ws.Watermark(name, replica); w != nil {
+		return w
+	}
+	return ws.Own(name, replica)
 }

@@ -20,7 +20,8 @@ package obs
 // The API is a WaitPoint in two shapes: Begin/End brackets a blocking
 // region; Observe records a pre-measured duration (simulated device
 // latency, queue-wait timestamps). CondWait is the bounded condition wait
-// that records its own blocked time. WaitRegion
+// that records its own blocked time, AwaitLSN the same wait on a rung of
+// the LSN ladder. WaitRegion
 // is a value type and Begin/End do not allocate, so declared hot paths
 // (netmux Call, GetPage@LSN) can afford instrumentation inside their
 // existing allocation budgets.
@@ -329,8 +330,9 @@ func (r *WaitRecorder) Begin(ctx context.Context, class WaitClass) WaitRegion {
 
 // WaitNone is the class of a CondWait charged to no class: the caller's
 // caller records the blocked time (a WaitFresh retry's lock.row), or it is
-// idle time nobody should (a long poll). waitlint treats a CondWait passing
-// it as an unrecorded blocking site, which needs a //socrates:wait-ok.
+// idle time nobody should (a long poll). waitlint treats a CondWait or an
+// AwaitLSN passing it as an unrecorded blocking site, which needs a
+// //socrates:wait-ok.
 const WaitNone WaitClass = 255
 
 // ErrDeadline is what CondWait returns when its deadline passes first. It
@@ -393,6 +395,33 @@ func (r *WaitRecorder) CondWait(ctx context.Context, class WaitClass, c *sync.Co
 		c.Wait()
 	}
 	return nil
+}
+
+// AwaitLSN is the one wait on a rung of the LSN ladder. lsn is an end LSN:
+// AwaitLSN returns nil once w ≥ lsn, ctx's error once ctx ends, ErrDeadline
+// once deadline passes, and an error wrapping socerr.ErrClosed once w's
+// owner drops it short of lsn. It is CondWait on the rung's own cond, so
+// the blocked time lands in class, and WaitNone records nothing. Already
+// there, it is one atomic load.
+//
+//socrates:hotpath every GetPage@LSN waits on its server's applied rung; TestAwaitLSNAllocs, TestGetPageAllocs
+func (r *WaitRecorder) AwaitLSN(ctx context.Context, class WaitClass, w *Watermark, lsn uint64, deadline time.Time) error {
+	if w.Value() >= lsn {
+		return nil
+	}
+	return r.awaitRung(ctx, class, w, lsn, deadline)
+}
+
+func (r *WaitRecorder) awaitRung(ctx context.Context, class WaitClass, w *Watermark, lsn uint64, deadline time.Time) error {
+	w.waiters.Add(1) // before the first read of the rung: see Publish
+	defer w.waiters.Add(-1)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	err := r.CondWait(ctx, class, &w.cond, deadline, func() bool { return w.lsn.Load() >= lsn || w.dropped.Load() })
+	if at := w.lsn.Load(); err == nil && at < lsn {
+		return fmt.Errorf("obs: %s dropped at %d, short of %d: %w", key(w.name, w.replica), at, lsn, socerr.ErrClosed)
+	}
+	return err
 }
 
 // WaitRegion is one open Begin/End bracket.

@@ -343,7 +343,7 @@ func TestWatchdogTripFreezesTopWaits(t *testing.T) {
 		set.Global().Record(WaitCommitHarden, time.Millisecond)
 		set.Global().Record(WaitLockLatch, 100*time.Microsecond)
 	}
-	ws.Watermark(WMApplied, "ps-0").Publish(100) // behind and not moving
+	rung(ws, WMApplied, "ps-0").Publish(100) // behind and not moving
 	for i := 0; i < 3; i++ {
 		d.Tick()
 	}

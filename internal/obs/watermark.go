@@ -47,29 +47,22 @@ const (
 )
 
 // Watermark is one rung of the ladder: a monotone LSN gauge plus the
-// wall-clock instant of its last advance. Publication is a pair of atomic
-// stores — safe from any tier's hot path. All methods are nil-safe.
+// wall-clock instant of its last advance; a tier keeps no other copy, and
+// AwaitLSN waits on it. Publication is a pair of atomic stores, plus a
+// broadcast only while someone waits — safe from any tier's hot path. All
+// methods are nil-safe.
 type Watermark struct {
 	name    string
 	replica string
 	lsn     atomic.Uint64
 	atNanos atomic.Int64
-}
 
-// Name reports the watermark's canonical name.
-func (w *Watermark) Name() string {
-	if w == nil {
-		return ""
-	}
-	return w.name
-}
-
-// Replica reports the replica label ("" for singleton watermarks).
-func (w *Watermark) Replica() string {
-	if w == nil {
-		return ""
-	}
-	return w.replica
+	set     *WatermarkSet // the ladder it is on; nil for a standalone rung
+	waiters atomic.Int32  // callers inside AwaitLSN's slow path
+	dropped atomic.Bool
+	mu      sync.Mutex
+	cond    sync.Cond     // on mu: broadcast by Publish while waiters > 0, and by Drop
+	watch   followerState // the watchdog's memory of this rung, under the watchdog's mu
 }
 
 // Publish advances the watermark to lsn (monotone max) and stamps the
@@ -86,9 +79,39 @@ func (w *Watermark) Publish(lsn uint64) {
 		}
 		if w.lsn.CompareAndSwap(cur, lsn) {
 			w.atNanos.Store(time.Now().UnixNano())
+			// A waiter counts itself before it reads the rung, so either it
+			// sees this LSN or this load sees it.
+			if w.waiters.Load() > 0 {
+				w.wake()
+			}
 			return
 		}
 	}
+}
+
+func (w *Watermark) wake() {
+	w.mu.Lock()
+	w.cond.Broadcast()
+	w.mu.Unlock()
+}
+
+// Drop, the owner's on stop, takes the rung (and the watchdog's memory of
+// it) off its ladder unless a later incarnation replaced it, and wakes its
+// waiters: those short of their LSN get an error wrapping socerr.ErrClosed.
+func (w *Watermark) Drop() {
+	if w == nil {
+		return
+	}
+	w.dropped.Store(true)
+	if s := w.set; s != nil {
+		k := key(w.name, w.replica)
+		s.mu.Lock()
+		if s.wms[k] == w {
+			delete(s.wms, k)
+		}
+		s.mu.Unlock()
+	}
+	w.wake()
 }
 
 // Value reads the watermark LSN.
@@ -125,7 +148,9 @@ type commitStamp struct {
 
 // WatermarkSet is the per-deployment table of watermarks. Lookup is a
 // read-locked map access; hot paths resolve their *Watermark once and
-// publish through the atomic. All methods are nil-safe.
+// publish through the atomic. The set owns the rungs that outlive their
+// publishers (commit, hardened, archived, truncated); a tier owns its own
+// (Own). All methods are nil-safe.
 type WatermarkSet struct {
 	mu  sync.RWMutex
 	wms map[string]*Watermark
@@ -135,9 +160,13 @@ type WatermarkSet struct {
 	stampCount uint64
 }
 
-// NewWatermarkSet builds an empty set.
+// NewWatermarkSet builds a set holding the shared rungs.
 func NewWatermarkSet() *WatermarkSet {
-	return &WatermarkSet{wms: make(map[string]*Watermark)}
+	s := &WatermarkSet{wms: make(map[string]*Watermark)}
+	for _, name := range []string{WMCommit, WMHardened, WMArchived, WMTruncated} {
+		s.Own(name, "")
+	}
+	return s
 }
 
 func key(name, replica string) string {
@@ -147,28 +176,31 @@ func key(name, replica string) string {
 	return name + "/" + replica
 }
 
-// Watermark returns (creating if needed) the named watermark. The replica
-// label distinguishes instances of per-replica rungs (page servers,
-// secondaries); pass "" for singleton rungs.
+// Own hands a tier a fresh rung for (name, replica), replacing whatever a
+// previous incarnation left under that key: a replica re-added under a
+// reused name never inherits its predecessor's LSN. The owner drops it
+// (Drop) on stop. A nil set hands out a standalone rung, which nobody
+// reads as part of a ladder but which AwaitLSN waits on all the same.
+func (s *WatermarkSet) Own(name, replica string) *Watermark {
+	w := &Watermark{set: s, name: name, replica: replica}
+	w.cond.L = &w.mu
+	if s != nil {
+		s.mu.Lock()
+		s.wms[key(name, replica)] = w
+		s.mu.Unlock()
+	}
+	return w
+}
+
+// Watermark returns the rung on the ladder under (name, replica), nil if
+// there is none. Reading the ladder never creates a rung.
 func (s *WatermarkSet) Watermark(name, replica string) *Watermark {
 	if s == nil {
 		return nil
 	}
-	k := key(name, replica)
 	s.mu.RLock()
-	w, ok := s.wms[k]
-	s.mu.RUnlock()
-	if ok {
-		return w
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if w, ok = s.wms[k]; ok {
-		return w
-	}
-	w = &Watermark{name: name, replica: replica}
-	s.wms[k] = w
-	return w
+	defer s.mu.RUnlock()
+	return s.wms[key(name, replica)]
 }
 
 // PublishCommit advances the commit watermark and records an LSN →
@@ -224,7 +256,8 @@ type WatermarkState struct {
 	UpdatedAt time.Time `json:"updated_at"`
 }
 
-// Snapshot exports every watermark, sorted by name then replica.
+// Snapshot exports every watermark published so far, sorted by name then
+// replica.
 func (s *WatermarkSet) Snapshot() []WatermarkState {
 	if s == nil {
 		return nil
@@ -232,6 +265,9 @@ func (s *WatermarkSet) Snapshot() []WatermarkState {
 	s.mu.RLock()
 	out := make([]WatermarkState, 0, len(s.wms))
 	for _, w := range s.wms {
+		if w.atNanos.Load() == 0 {
+			continue // a rung nobody has published yet
+		}
 		out = append(out, WatermarkState{
 			Name: w.name, Replica: w.replica,
 			LSN: w.Value(), UpdatedAt: w.UpdatedAt(),
@@ -247,21 +283,31 @@ func (s *WatermarkSet) Snapshot() []WatermarkState {
 	return out
 }
 
-// Replicas lists the replica labels registered under a per-replica
+// Replicas lists the replica labels on the ladder under a per-replica
 // watermark name, sorted.
 func (s *WatermarkSet) Replicas(name string) []string {
+	var out []string
+	for _, w := range s.rungs(name) {
+		out = append(out, w.replica)
+	}
+	return out
+}
+
+// rungs lists the rungs on the ladder under name — a singleton's one, or
+// none — sorted by replica.
+func (s *WatermarkSet) rungs(name string) []*Watermark {
 	if s == nil {
 		return nil
 	}
 	s.mu.RLock()
-	var out []string
+	var out []*Watermark
 	for _, w := range s.wms {
 		if w.name == name {
-			out = append(out, w.replica)
+			out = append(out, w)
 		}
 	}
 	s.mu.RUnlock()
-	sort.Strings(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].replica < out[j].replica })
 	return out
 }
 
@@ -319,24 +365,25 @@ func (c *WatchdogConfig) defaults() {
 }
 
 // ladderEdge is one leader→follower relation the watchdog monitors. The
-// Socrates ladder is fixed by the architecture; per-replica followers
-// (page servers, secondaries) are discovered dynamically each tick.
+// Socrates ladder is fixed by the architecture; the followers under a name
+// (one per page server or secondary) are the rungs on the ladder each tick.
 type ladderEdge struct {
-	leader     string
-	follower   string
-	perReplica bool
+	leader   string
+	follower string
 }
 
 var ladder = []ladderEdge{
 	{leader: WMCommit, follower: WMHardened},
 	{leader: WMHardened, follower: WMPromoted},
 	{leader: WMPromoted, follower: WMDestaged},
-	{leader: WMPromoted, follower: WMApplied, perReplica: true},
-	{leader: WMPromoted, follower: WMSecondary, perReplica: true},
+	{leader: WMPromoted, follower: WMApplied},
+	{leader: WMPromoted, follower: WMSecondary},
 }
 
-// followerState is the watchdog's per-follower edge-trigger memory.
+// followerState is the watchdog's per-follower edge-trigger memory. It
+// lives on the rung, so a dropped rung takes it along.
 type followerState struct {
+	seen       bool
 	lastLSN    uint64
 	stallTicks int
 	tripped    bool
@@ -352,7 +399,6 @@ type Watchdog struct {
 	cfg WatchdogConfig
 
 	mu        sync.Mutex
-	state     map[string]*followerState
 	trips     []Trip
 	callbacks []func(Trip)
 
@@ -382,8 +428,7 @@ func NewWatchdog(ws *WatermarkSet, reg *Registry, waits *WaitSet, cfg WatchdogCo
 	cfg.defaults()
 	return &Watchdog{
 		ws: ws, reg: reg, waits: waits, cfg: cfg,
-		state: make(map[string]*followerState),
-		done:  make(chan struct{}),
+		done: make(chan struct{}),
 	}
 }
 
@@ -534,13 +579,8 @@ func (d *Watchdog) Tick() {
 	var maxApplyLagLSN, maxSecLagLSN uint64
 	var maxApplyLagTime time.Duration
 	for _, edge := range ladder {
-		replicas := []string{""}
-		if edge.perReplica {
-			replicas = d.ws.Replicas(edge.follower)
-		}
 		leader := d.ws.Watermark(edge.leader, "").Value()
-		for _, rep := range replicas {
-			follower := d.ws.Watermark(edge.follower, rep)
+		for _, follower := range d.ws.rungs(edge.follower) {
 			cur := follower.Value()
 			var lag uint64
 			if leader > cur {
@@ -559,7 +599,7 @@ func (d *Watchdog) Tick() {
 					maxSecLagLSN = lag
 				}
 			}
-			d.evaluate(edge, rep, cur, leader, lag, now)
+			d.evaluate(edge, follower, cur, leader, lag, now)
 		}
 	}
 	if d.reg != nil {
@@ -585,13 +625,12 @@ func clampLag(leader, follower uint64) int64 {
 }
 
 // evaluate applies the edge-triggered lag/stall rules to one follower.
-func (d *Watchdog) evaluate(edge ladderEdge, replica string, cur, leader, lag uint64, now time.Time) {
-	k := key(edge.follower, replica)
+func (d *Watchdog) evaluate(edge ladderEdge, w *Watermark, cur, leader, lag uint64, now time.Time) {
+	k := key(w.name, w.replica)
 	d.mu.Lock()
-	st, ok := d.state[k]
-	if !ok {
-		st = &followerState{lastLSN: cur}
-		d.state[k] = st
+	st := &w.watch
+	if !st.seen {
+		st.seen, st.lastLSN = true, cur
 	}
 	advanced := cur > st.lastLSN
 	st.lastLSN = cur

@@ -88,7 +88,7 @@ func TestApplyFeedAllocs(t *testing.T) {
 	imgRecs := buildLeafRecords(t, 1)
 	target := imgRecs[0].Page
 	end := r.emit(t, append(imgRecs, wal.NewCommit(1, 1))...)
-	if !srv.WaitApplied(end.Prev(), 5*time.Second) {
+	if !srv.WaitApplied(end, 5*time.Second) {
 		t.Fatal("apply watermark never reached the emitted batch")
 	}
 	srv.Stop() // quiesce background loops

@@ -100,15 +100,18 @@ type Server struct {
 	lo    page.ID // partition page range [lo, hi)
 	hi    page.ID
 
-	mu          sync.Mutex
-	applied     page.LSN // next LSN to pull (everything below is applied)
-	appliedCond *sync.Cond
-	dirty       map[page.ID]page.LSN // newest un-checkpointed version per page
-	clean       chan struct{}        // closed while dirty is empty
-	drains      int                  // callers waiting for dirty to empty
-	seeding     bool
-	ckptLSN     page.LSN // resume LSN persisted with the last checkpoint
-	ckptErr     error    // the last sweep's failure (an XStore outage: checkpointing deferred), nil if it landed
+	// The server's rungs, dropped by Stop: applied is the next LSN to pull
+	// (everything below it applied and marked dirty), ckpt the resume LSN
+	// persisted with the last checkpoint.
+	applied, ckpt *obs.Watermark
+
+	mu      sync.Mutex
+	dirty   map[page.ID]page.LSN // newest un-checkpointed version per page
+	clean   chan struct{}        // closed while dirty is empty
+	drains  int                  // callers waiting for dirty to empty
+	seeding bool
+	ckptLSN page.LSN // resume LSN persisted with the last checkpoint
+	ckptErr error    // the last sweep's failure (an XStore outage: checkpointing deferred), nil if it landed
 
 	// kick wakes the checkpoint loop between ticks. Only that loop sweeps
 	// (and Stop, once the loop has exited): a slow sweep finishing after a
@@ -185,22 +188,22 @@ func New(cfg Config) (*Server, error) {
 		batch:   make(map[page.ID]*page.Page, 64),
 	}
 	close(s.clean)
-	s.appliedCond = sync.NewCond(&s.mu)
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 
 	// Decide the apply resume point: persisted checkpoint meta (if any),
 	// else the configured start.
-	s.applied = cfg.StartLSN
 	s.ckptLSN = cfg.StartLSN
 	if meta, err := s.readMeta(); err == nil {
-		s.applied = meta
 		s.ckptLSN = meta
 		// RBPEX may hold pages newer than the checkpoint; redo is
 		// idempotent, so resuming from the checkpoint LSN is safe and the
 		// recovered cache saves the refetch (§3.3).
 	}
+	s.applied = cfg.Obs.Watermarks.Own(obs.WMApplied, cfg.Name)
+	s.applied.Publish(uint64(s.ckptLSN))
+	s.ckpt = cfg.Obs.Watermarks.Own(obs.WMCheckpoint, cfg.Name)
 	s.redo = recovery.NewReplayer(&recovery.Owned{Lo: lo, Hi: hi, Cache: cache,
-		Fetch: s.fetchFromStore, Meter: cfg.Meter, Batch: s.batch}, s.applied, nil)
+		Fetch: s.fetchFromStore, Meter: cfg.Meter, Batch: s.batch}, s.ckptLSN, nil)
 	if cfg.Seed {
 		s.seeding = true
 		s.wg.Add(1)
@@ -215,11 +218,14 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Stop halts background work (final checkpoint attempt included).
+// Stop halts background work (final checkpoint attempt included). Its rungs
+// leave the ladder first, so a GetPage waiting on one returns at once.
 func (s *Server) Stop() {
 	if s.ctx.Err() != nil {
 		return
 	}
+	s.ckpt.Drop()
+	s.applied.Drop()
 	s.cancel()
 	s.wg.Wait()
 	//socrates:ignore-err the shutdown checkpoint is best-effort; the dirty set is re-derivable by redo from the persisted resume LSN
@@ -236,16 +242,12 @@ func (s *Server) Range() (page.ID, page.ID) { return s.lo, s.hi }
 func (s *Server) Owns(id page.ID) bool { return id >= s.lo && id < s.hi }
 
 // AppliedLSN reports the apply watermark (next LSN to pull).
-func (s *Server) AppliedLSN() page.LSN {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applied
-}
+func (s *Server) AppliedLSN() page.LSN { return page.LSN(s.applied.Value()) }
 
-// WaitApplied blocks until the apply watermark passes lsn (applied > lsn,
-// i.e. the record at lsn has been applied) or the timeout elapses; it
-// reports whether the watermark got there. Cluster workflows use it to wait
-// for catch-up on the apply signal instead of polling.
+// WaitApplied blocks until the apply watermark reaches the end LSN lsn
+// (every record below it applied) or the timeout elapses; it reports
+// whether the watermark got there. Cluster workflows use it to wait for
+// catch-up on the apply signal instead of polling.
 func (s *Server) WaitApplied(lsn page.LSN, timeout time.Duration) bool {
 	return s.waitApplied(context.Background(), lsn, timeout) == nil
 }
@@ -317,14 +319,7 @@ func (s *Server) applyPull(from, next page.LSN, payload []byte) error {
 		}
 	}
 	s.cfg.Obs.Metrics.Histogram("pageserver.apply.latency").Since(start)
-	// The ladder rung first: a checkpoint sweep publishes the s.applied it
-	// reads as its own rung, which must never show above this one.
-	s.cfg.Obs.Watermarks.Watermark(obs.WMApplied, s.cfg.Name).Publish(uint64(next))
-	//socrates:wait-ok watermark-publish latch; GetPage@LSN waiters account their own blocked time as page.miss
-	s.mu.Lock()
-	s.applied = next
-	s.appliedCond.Broadcast()
-	s.mu.Unlock()
+	s.applied.Publish(uint64(next)) // every page below next is marked dirty: a sweep may resume here
 	s.cfg.Obs.Flight.Record(obs.TierPageServer, "ps.apply", uint64(next),
 		time.Since(start), fmt.Sprintf("%s: pages=%d", s.cfg.Name, len(s.batch)))
 	return nil
@@ -444,7 +439,7 @@ func (s *Server) sweepDue(quiet bool) bool {
 	s.cfg.Obs.Metrics.Gauge(key("pageserver.rbpex.pages", s.cfg.Name)).Set(int64(s.cache.Len()))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	redo := s.applied.Distance(s.ckptLSN)
+	redo := s.AppliedLSN().Distance(s.ckptLSN)
 	s.cfg.Obs.Metrics.Gauge(key("pageserver.redo_distance_lsn", s.cfg.Name)).Set(int64(redo))
 	s.cfg.Obs.Metrics.Gauge(key("pageserver.dirty_pages", s.cfg.Name)).Set(int64(len(s.dirty)))
 	if redo >= redoBudgetLSN {
@@ -464,8 +459,9 @@ func (s *Server) sweepDue(quiet bool) bool {
 func (s *Server) sweep() (int, error) {
 	s.mu.Lock()
 	// Everything below the apply watermark is in the cache and, if not yet
-	// in XStore, in the dirty set this sweep takes whole: redo can resume here.
-	resume := s.applied
+	// in XStore, in the dirty set this sweep takes whole (the apply loop
+	// marks a pull's pages before the rung passes them): redo can resume here.
+	resume := s.AppliedLSN()
 	if len(s.dirty) == 0 && resume == s.ckptLSN {
 		s.mu.Unlock()
 		return 0, nil // nothing a checkpoint would change
@@ -523,7 +519,7 @@ func (s *Server) sweep() (int, error) {
 		return 0, err
 	}
 	s.cfg.Obs.Metrics.Histogram("pageserver.ckpt.sweep_pages").ObserveCount(wrote)
-	s.cfg.Obs.Watermarks.Watermark(obs.WMCheckpoint, s.cfg.Name).Publish(uint64(resume))
+	s.ckpt.Publish(uint64(resume))
 	s.cfg.Obs.Flight.Record(obs.TierPageServer, "ps.checkpoint", uint64(resume),
 		time.Since(ckptStart), fmt.Sprintf("%s: pages=%d", s.cfg.Name, wrote))
 	return wrote, nil
@@ -621,24 +617,21 @@ func (s *Server) FlushForBackup() (page.LSN, error) {
 
 // --- GetPage@LSN ---
 
-// waitApplied blocks until the apply watermark passes lsn (applied > lsn
-// means the record at lsn has been applied). It gives up with
-// socerr.ErrTimeout once timeout has elapsed, and with ctx's error once ctx
-// ends — a GetPage whose caller has gone stops waiting.
+// waitApplied blocks until the applied rung reaches the end LSN lsn. It
+// gives up with socerr.ErrTimeout once timeout has elapsed, with ctx's error
+// once ctx ends — a GetPage whose caller has gone stops waiting — and with
+// an error wrapping socerr.ErrClosed once Stop drops the rung.
 func (s *Server) waitApplied(ctx context.Context, lsn page.LSN, timeout time.Duration) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.applied.After(lsn) {
+	if s.AppliedLSN().AtLeast(lsn) {
 		return nil
 	}
 	s.waits.Add(1)
 	// xlog.feed: a reader blocked behind apply lag is waiting on the log
 	// feed pipeline (XLOG pull → redo); ctx attributes the wait to the
 	// GetPage span.
-	err := s.waitRec.CondWait(ctx, obs.WaitXLOGFeed, s.appliedCond, time.Now().Add(timeout),
-		func() bool { return s.applied.After(lsn) })
+	err := s.waitRec.AwaitLSN(ctx, obs.WaitXLOGFeed, s.applied, uint64(lsn), time.Now().Add(timeout))
 	if errors.Is(err, obs.ErrDeadline) {
-		return socerr.Timeoutf("pageserver: apply lag: applied %d, need > %d", s.applied, lsn)
+		return socerr.Timeoutf("pageserver: apply lag: applied %d, need %d", s.AppliedLSN(), lsn)
 	}
 	return err
 }
@@ -658,7 +651,7 @@ func (s *Server) GetPage(ctx context.Context, id page.ID, minLSN page.LSN) (*pag
 		return nil, fmt.Errorf("pageserver: page %d outside partition [%d,%d)", id, s.lo, s.hi)
 	}
 	waitStart := time.Now()
-	if err := s.waitApplied(ctx, minLSN, 5*time.Second); err != nil {
+	if err := s.waitApplied(ctx, minLSN.Next(), 5*time.Second); err != nil {
 		return nil, err
 	}
 	if wait := time.Since(waitStart); wait > 0 {

@@ -113,6 +113,35 @@ func TestApplyAndGetPage(t *testing.T) {
 	}
 }
 
+// TestStopWakesGetPage: a GetPage parked on the applied rung behind log that
+// never comes returns as soon as Stop drops the rung, with an error wrapping
+// socerr.ErrClosed — not the apply-lag timeout five seconds later.
+func TestStopWakesGetPage(t *testing.T) {
+	r := newRig(t, page.Partitioning{})
+	srv := r.server(t, Config{})
+	end := r.emit(t, imageRec(5, 'a'), wal.NewCommit(1, 1))
+	if _, err := srv.GetPage(context.Background(), 5, end-1); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := srv.GetPage(context.Background(), 5, end+100)
+		done <- err
+	}()
+	for _, waits, _ := srv.Stats(); waits == 0; _, waits, _ = srv.Stats() {
+		time.Sleep(50 * time.Microsecond) // poll for the reader to reach the wait
+	}
+	srv.Stop()
+	select {
+	case err := <-done:
+		if !errors.Is(err, socerr.ErrClosed) {
+			t.Fatalf("GetPage across Stop: %v, want an error wrapping socerr.ErrClosed", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("GetPage never returned across Stop")
+	}
+}
+
 func TestGetPageWaitsForApply(t *testing.T) {
 	r := newRig(t, page.Partitioning{})
 	srv := r.server(t, Config{})
@@ -267,7 +296,7 @@ func TestOutageMidSweepKeepsTheWholeBatchDirty(t *testing.T) {
 	r := newRig(t, page.Partitioning{})
 	srv := r.server(t, Config{BlobPrefix: "db/", CheckpointEvery: time.Hour}) // sweeps only when called
 	end := r.emit(t, imageRec(1, 'a'), imageRec(2, 'a'), imageRec(3, 'a'), wal.NewCommit(1, 1))
-	if !srv.WaitApplied(end.Prev(), 5*time.Second) {
+	if !srv.WaitApplied(end, 5*time.Second) {
 		t.Fatal("apply watermark never reached the emitted batch")
 	}
 	before := srv.checkpointLSN()
@@ -287,7 +316,7 @@ func TestOutageMidSweepKeepsTheWholeBatchDirty(t *testing.T) {
 
 	// Two of the pages move on before the next sweep.
 	end = r.emit(t, imageRec(1, 'b'), imageRec(2, 'b'), wal.NewCommit(2, 2))
-	if !srv.WaitApplied(end.Prev(), 5*time.Second) {
+	if !srv.WaitApplied(end, 5*time.Second) {
 		t.Fatal("apply watermark never reached the second batch")
 	}
 	if wrote, err := srv.sweep(); err != nil || wrote != 3 {
@@ -315,7 +344,7 @@ func TestPageRedirtiedDuringSweepStaysDirty(t *testing.T) {
 	r := newRig(t, page.Partitioning{})
 	srv := r.server(t, Config{CheckpointEvery: time.Hour}) // sweeps only when called
 	end := r.emit(t, imageRec(5, 'a'), imageRec(6, 'a'), wal.NewCommit(1, 1))
-	if !srv.WaitApplied(end.Prev(), 5*time.Second) {
+	if !srv.WaitApplied(end, 5*time.Second) {
 		t.Fatal("apply watermark never reached the emitted batch")
 	}
 	v1, _ := srv.cache.Get(5)
@@ -337,7 +366,7 @@ func TestPageRedirtiedDuringSweepStaysDirty(t *testing.T) {
 		time.Sleep(50 * time.Microsecond) // deadline-bounded poll for the sweep goroutine to reach the held device
 	}
 	end = r.emit(t, imageRec(5, 'b'), wal.NewCommit(2, 2))
-	if !srv.WaitApplied(end.Prev(), 5*time.Second) {
+	if !srv.WaitApplied(end, 5*time.Second) {
 		t.Fatal("apply watermark never reached the second batch")
 	}
 	v2, _ := srv.cache.Get(5)
@@ -366,7 +395,7 @@ func TestQuietServerDrainsOnItsOwn(t *testing.T) {
 	r := newRig(t, page.Partitioning{})
 	srv := r.server(t, Config{BlobPrefix: "db/", CheckpointEvery: time.Millisecond})
 	end := r.emit(t, imageRec(4, 'z'), wal.NewCommit(1, 1))
-	if !srv.WaitApplied(end.Prev(), 5*time.Second) {
+	if !srv.WaitApplied(end, 5*time.Second) {
 		t.Fatal("apply watermark never reached the emitted batch")
 	}
 	srv.mu.Lock()
@@ -402,7 +431,7 @@ func TestRestartReplaysAtMostTheRedoBudget(t *testing.T) {
 			recs[i] = imageRec(page.ID(1+(b*perBlock+i)%pages), byte(b))
 		}
 		end = r.emit(t, recs...)
-		if !srv.WaitApplied(end.Prev(), 10*time.Second) {
+		if !srv.WaitApplied(end, 10*time.Second) {
 			t.Fatalf("block %d never applied", b)
 		}
 		if srv.sweepDue(false) {
@@ -568,7 +597,7 @@ func TestCheckpointKeepsNewerDirtyMark(t *testing.T) {
 	r := newRig(t, page.Partitioning{})
 	srv := r.server(t, Config{CheckpointEvery: time.Hour}) // sweeps only when called
 	end := r.emit(t, imageRec(5, 'a'), wal.NewCommit(1, 1))
-	if !srv.WaitApplied(end.Prev(), 5*time.Second) {
+	if !srv.WaitApplied(end, 5*time.Second) {
 		t.Fatal("apply watermark never reached the emitted batch")
 	}
 	v1, ok := srv.cache.Get(5)

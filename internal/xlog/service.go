@@ -49,17 +49,13 @@ type Service struct {
 	pending     map[page.LSN]entry // by Start; not yet hardened
 	broker      []entry            // sequence map, sorted by Start
 	brokerBytes int
-	budget      int      // sequence-map memory budget in bytes
-	promoted    page.LSN // end LSN of the last promoted block
-	destaged    page.LSN // end LSN of the last destaged block
-	// destagedCond (on mu) is broadcast whenever destaged advances, so
-	// WaitDestaged blocks on a signal instead of polling; promotedCond
-	// whenever promoted advances or the service closes, which answers the
-	// pulls waiting for log.
-	destagedCond *sync.Cond
-	promotedCond *sync.Cond
-	maxCommitTS  uint64 // highest commit timestamp in promoted log
-	closed       bool
+	budget      int // sequence-map memory budget in bytes
+	// The promoted and destaged rungs of the ladder are the service's
+	// watermarks: the end LSN of the last promoted block (moved only by
+	// promoteTo, under mu) and of the last destaged one. Pulls and
+	// WaitDestaged wait on them; Close drops both.
+	promoted, destaged *obs.Watermark
+	maxCommitTS        uint64 // highest commit timestamp in promoted log
 
 	// producerEpoch identifies the current log producer. A primary crash
 	// can leave speculative (fed-but-never-hardened) blocks in the pending
@@ -70,8 +66,9 @@ type Service struct {
 	// accepted epoch on failover and purges the dead producer's tail.
 	producerEpoch uint64
 
-	done chan struct{}
-	wg   sync.WaitGroup
+	done      chan struct{}
+	wg        sync.WaitGroup
+	closeOnce sync.Once
 
 	feedReceived, feedStale, gapFills int
 }
@@ -113,8 +110,8 @@ func New(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.promoted = cfg.LZ.HardenedEnd()
-	s.destaged = s.promoted
+	s.promoted.Publish(uint64(cfg.LZ.HardenedEnd()))
+	s.destaged.Publish(s.promoted.Value())
 	s.start()
 	return s, nil
 }
@@ -130,11 +127,8 @@ func Recover(cfg Config) (*Service, error) {
 	if err := s.lt.recover(); err != nil {
 		return nil, err
 	}
-	s.destaged = s.lt.end()
-	if s.destaged == 0 {
-		s.destaged = 1
-	}
-	s.promoted = s.destaged
+	s.destaged.Publish(max(uint64(s.lt.end()), 1))
+	s.promoted.Publish(s.destaged.Value())
 	s.maxCommitTS = s.lt.maxCommitTS()
 	// Re-promote anything hardened in the LZ but not yet destaged.
 	s.promoteTo(s.lz.HardenedEnd())
@@ -161,8 +155,8 @@ func build(cfg Config) (*Service, error) {
 		budget:  cfg.BrokerBytes,
 		done:    make(chan struct{}),
 	}
-	s.destagedCond = sync.NewCond(&s.mu)
-	s.promotedCond = sync.NewCond(&s.mu)
+	s.promoted = cfg.Obs.Watermarks.Own(obs.WMPromoted, "")
+	s.destaged = cfg.Obs.Watermarks.Own(obs.WMDestaged, "")
 	cfg.LZ.mu.Lock()
 	cfg.LZ.waits = s.waits
 	cfg.LZ.mu.Unlock()
@@ -177,19 +171,15 @@ func (s *Service) start() {
 	go s.destageLoop()
 }
 
-// Close stops the destager after a final pass and answers the pulls waiting
-// for log. Idempotent.
+// Close answers the pulls waiting for log, stops the destager after a final
+// pass and drops the service's rungs. Idempotent.
 func (s *Service) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.promotedCond.Broadcast()
-	s.mu.Unlock()
-	close(s.done)
-	s.wg.Wait()
+	s.closeOnce.Do(func() {
+		s.promoted.Drop()
+		close(s.done)
+		s.wg.Wait()
+		s.destaged.Drop()
+	})
 }
 
 // --- ingest side ---
@@ -232,7 +222,7 @@ func (s *Service) FeedEncodedFrom(ctx context.Context, epoch uint64, b *wal.Bloc
 		sp.SetAttr("wrong_epoch", "true")
 		return
 	}
-	if b.End.AtMost(s.promoted) {
+	if b.End.AtMost(s.HardenedEnd()) {
 		s.feedStale++
 		s.obs.Metrics.Counter("xlog.feed.stale").Inc()
 		s.mu.Unlock()
@@ -263,7 +253,7 @@ func (s *Service) BeginEpoch(ctx context.Context, hardenedEnd page.LSN) uint64 {
 	epoch := s.producerEpoch
 	purged := 0
 	for start, e := range s.pending {
-		if e.b.End.After(s.promoted) {
+		if e.b.End.After(s.HardenedEnd()) {
 			delete(s.pending, start)
 			purged++
 		}
@@ -288,30 +278,25 @@ func (s *Service) ReportHardened(ctx context.Context, lsn page.LSN) {
 }
 
 // promoteTo moves hardened blocks from the pending area into the broker in
-// LSN order, reading the LZ to fill gaps left by the lossy feed.
-//
-// A block is pullable the moment it is in the broker, so the promoted rung
-// of the ladder is published in the critical section that advanced it —
-// before every unlock, on every way out: a consumer must never be able to
-// apply, and publish its own rung, above a rung XLOG has not published.
+// LSN order, reading the LZ to fill gaps left by the lossy feed. A block
+// joins the broker before the promoted rung passes it, so a pull never
+// reads a rung ahead of the blocks it can serve.
 func (s *Service) promoteTo(lsn page.LSN) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.publishPromotedLocked()
-	for s.promoted.Before(lsn) {
-		e, ok := s.pending[s.promoted]
+	for s.HardenedEnd().Before(lsn) {
+		e, ok := s.pending[s.HardenedEnd()]
 		if !ok {
 			// Gap: the feed lost or reordered this block; the LZ has it.
 			// Snapshot the watermark before dropping the lock for the LZ
 			// read — harden reports arrive concurrently (one per
 			// in-flight LZ write), so another promoteTo may run while we
 			// are off the lock.
-			at := s.promoted
-			s.publishPromotedLocked()
+			at := s.HardenedEnd()
 			s.mu.Unlock()
 			lb, enc, found, err := s.lz.Read(at)
 			s.mu.Lock()
-			if s.promoted != at {
+			if s.HardenedEnd() != at {
 				// A concurrent report already promoted this block (or
 				// past it) while we read the LZ; appending our copy would
 				// duplicate it in the broker. Checked before the read's
@@ -328,7 +313,7 @@ func (s *Service) promoteTo(lsn page.LSN) {
 				"feed lost block; filled from LZ")
 			e = entry{b: lb, enc: enc}
 		} else {
-			delete(s.pending, s.promoted)
+			delete(s.pending, e.b.Start)
 		}
 		if e.b.End.After(lsn) {
 			// Hardened watermark splits this block (should not happen:
@@ -338,7 +323,6 @@ func (s *Service) promoteTo(lsn page.LSN) {
 		}
 		s.broker = append(s.broker, e)
 		s.brokerBytes += len(e.enc)
-		s.promoted = e.b.End
 		for _, rec := range e.b.Records {
 			if rec.Kind == wal.KindTxnCommit {
 				if ts := rec.CommitTS(); ts > s.maxCommitTS {
@@ -346,20 +330,14 @@ func (s *Service) promoteTo(lsn page.LSN) {
 				}
 			}
 		}
+		s.promoted.Publish(uint64(e.b.End))
 	}
 	// Drop stale pending blocks the promotion passed over.
 	for start, e := range s.pending {
-		if e.b.End.AtMost(s.promoted) {
+		if e.b.End.AtMost(s.HardenedEnd()) {
 			delete(s.pending, start)
 		}
 	}
-}
-
-// publishPromotedLocked publishes the promoted rung and wakes the pulls
-// waiting for it; caller holds s.mu.
-func (s *Service) publishPromotedLocked() {
-	s.obs.Watermarks.Watermark(obs.WMPromoted, "").Publish(uint64(s.promoted))
-	s.promotedCond.Broadcast()
 }
 
 // --- destaging pipeline ---
@@ -386,7 +364,7 @@ func (s *Service) destageLoop() {
 // undestaged suffix is found by binary search, as lookup does.
 func (s *Service) destageOnce() {
 	s.mu.Lock()
-	i := sort.Search(len(s.broker), func(i int) bool { return s.broker[i].b.Start.AtLeast(s.destaged) })
+	i := sort.Search(len(s.broker), func(i int) bool { return s.broker[i].b.Start.AtLeast(s.DestagedEnd()) })
 	batch := append([]entry(nil), s.broker[i:]...)
 	s.mu.Unlock()
 	if len(batch) == 0 {
@@ -411,13 +389,7 @@ func (s *Service) destageOnce() {
 		return
 	}
 	end := batch[len(batch)-1].b.End
-	s.mu.Lock()
-	if end.After(s.destaged) {
-		s.destaged = end
-		s.destagedCond.Broadcast()
-	}
-	s.mu.Unlock()
-	s.obs.Watermarks.Watermark(obs.WMDestaged, "").Publish(uint64(end))
+	s.destaged.Publish(uint64(end))
 	s.obs.Watermarks.Watermark(obs.WMArchived, "").Publish(uint64(end))
 	s.lz.ReleaseUpTo(end)
 	s.obs.Watermarks.Watermark(obs.WMTruncated, "").Publish(uint64(end))
@@ -434,7 +406,7 @@ func (s *Service) trimBroker() {
 	s.mu.Lock()
 	for s.brokerBytes > s.budget && len(s.broker) > 0 {
 		e := s.broker[0]
-		if e.b.End.After(s.destaged) {
+		if e.b.End.After(s.DestagedEnd()) {
 			break // never evict blocks that exist nowhere else
 		}
 		s.broker = s.broker[1:]
@@ -447,11 +419,7 @@ func (s *Service) trimBroker() {
 
 // HardenedEnd reports the dissemination watermark: consumers may read up to
 // (not including) this LSN.
-func (s *Service) HardenedEnd() page.LSN {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.promoted
-}
+func (s *Service) HardenedEnd() page.LSN { return page.LSN(s.promoted.Value()) }
 
 // Pull returns encoded blocks starting exactly at fromLSN, at most
 // maxBytes' worth, filtered to the given partition (negative = all blocks,
@@ -476,10 +444,7 @@ func (s *Service) Pull(ctx context.Context, fromLSN page.LSN, partition int32, m
 	size := 0
 	next := fromLSN
 	for size < maxBytes {
-		s.mu.Lock()
-		promoted := s.promoted
-		s.mu.Unlock()
-		if next.AtLeast(promoted) {
+		if next.AtLeast(s.HardenedEnd()) {
 			break
 		}
 		e, err := s.lookup(next)
@@ -543,19 +508,13 @@ func (s *Service) lookup(start page.LSN) (entry, error) {
 const pullWaitMax = time.Second
 
 // awaitLog is the long poll in front of a pull over RBIO. It returns once
-// the promoted watermark passes from, ctx ends, pullWaitMax passes (nil:
-// the pull answers with nothing) or the service closes. The wait is idle
+// the promoted rung passes from, ctx ends, pullWaitMax passes (nil: the
+// pull answers with nothing) or Close drops the rung. The wait is idle
 // time, charged to no class: a caught-up consumer is not stalled.
 func (s *Service) awaitLog(ctx context.Context, from page.LSN) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	//socrates:wait-ok a caught-up consumer's idle long poll; one behind the log is answered at once
-	err := s.waits.CondWait(ctx, obs.WaitNone, s.promotedCond, time.Now().Add(pullWaitMax),
-		func() bool { return s.promoted.After(from) || s.closed })
-	switch {
-	case s.closed:
-		return fmt.Errorf("xlog: %w", socerr.ErrClosed)
-	case errors.Is(err, obs.ErrDeadline):
+	err := s.waits.AwaitLSN(ctx, obs.WaitNone, s.promoted, uint64(from.Next()), time.Now().Add(pullWaitMax))
+	if errors.Is(err, obs.ErrDeadline) {
 		return nil
 	}
 	return err
@@ -578,23 +537,16 @@ func (s *Service) MaxCommitTS() uint64 {
 }
 
 // DestagedEnd reports the destaging watermark.
-func (s *Service) DestagedEnd() page.LSN {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.destaged
-}
+func (s *Service) DestagedEnd() page.LSN { return page.LSN(s.destaged.Value()) }
 
 // WaitDestaged blocks until destaging reaches lsn or the timeout elapses.
 func (s *Service) WaitDestaged(lsn page.LSN, timeout time.Duration) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	// xlog.feed: the caller is blocked behind the destaging pipeline (log
 	// produced but not yet drained to SSD/LT). Aggregate-only —
 	// WaitDestaged has no request context.
-	err := s.waits.CondWait(nil, obs.WaitXLOGFeed, s.destagedCond, time.Now().Add(timeout),
-		func() bool { return s.destaged.AtLeast(lsn) })
+	err := s.waits.AwaitLSN(nil, obs.WaitXLOGFeed, s.destaged, uint64(lsn), time.Now().Add(timeout))
 	if errors.Is(err, obs.ErrDeadline) {
-		return socerr.Timeoutf("xlog: destaging did not reach %d (at %d)", lsn, s.destaged)
+		return socerr.Timeoutf("xlog: destaging did not reach %d (at %d)", lsn, s.DestagedEnd())
 	}
 	return err
 }

@@ -297,9 +297,9 @@ func TestGapFillFromLZ(t *testing.T) {
 	}
 }
 
-// TestPromotedRungPublishedWithTheBlocks: blocks are pullable the moment
-// promotion appends them to the broker, so the promoted rung must be
-// published before promoteTo gives up the lock — also when it leaves early.
+// TestPromotedRungPublishedWithTheBlocks: the promoted rung is the service's
+// promotion watermark, so what consumers can pull and what the ladder shows
+// are one value — also when promotion leaves early.
 // Exact step: two fed blocks, then a gap the landing zone cannot fill yet.
 // Promotion stops at the gap; what it promoted is published.
 func TestPromotedRungPublishedWithTheBlocks(t *testing.T) {
@@ -722,8 +722,8 @@ func TestPullServesTheBytesItRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(svc.Close)
-	svc.promoted = lz.HardenedEnd()
-	svc.destaged = svc.promoted
+	svc.promoted.Publish(uint64(lz.HardenedEnd()))
+	svc.destaged.Publish(svc.promoted.Value())
 
 	blocks := mkBlocks(4, func(i int) page.ID { return page.ID(i) }, page.Partitioning{})
 	var want []byte
