@@ -10,8 +10,10 @@
 //
 // One seed (-seed) replays one schedule byte-for-byte — paste the seed
 // from a failing CI run to reproduce it locally. A matrix (-seeds N)
-// sweeps seeds 1..N. Exit status: 0 all runs clean, 1 violations found,
-// 2 infrastructure error or bad usage.
+// sweeps seeds 1..N; a seed whose run errors prints "seed N ERROR: err"
+// (with -json, an object with an "error" field) and the sweep goes on.
+// Exit status: 0 all runs clean, 1 a seed found violations or errored,
+// 2 bad usage.
 package main
 
 import (
@@ -41,6 +43,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if _, err := chaos.Scenario(*scenario); err != nil {
+		fmt.Fprintf(os.Stderr, "socrates-chaos: %v\n", err)
+		os.Exit(2)
+	}
 
 	var list []int64
 	if *seed != 0 {
@@ -52,7 +58,13 @@ func main() {
 	}
 
 	enc := json.NewEncoder(os.Stdout)
-	failed := false
+	emit := func(v any) {
+		if err := enc.Encode(v); err != nil {
+			fmt.Fprintf(os.Stderr, "socrates-chaos: %v\n", err)
+			os.Exit(2)
+		}
+	}
+	failed := 0
 	for _, s := range list {
 		cfg := chaos.Config{Seed: s, Scenario: *scenario, Steps: *steps, Duration: *duration}
 		if *verbose {
@@ -61,16 +73,18 @@ func main() {
 			}
 		}
 		res, err := chaos.Run(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "socrates-chaos: seed %d: %v\n", s, err)
-			os.Exit(2)
-		}
-		if *asJSON {
-			if err := enc.Encode(res); err != nil {
-				fmt.Fprintf(os.Stderr, "socrates-chaos: %v\n", err)
-				os.Exit(2)
-			}
-		} else {
+		switch {
+		case err != nil && *asJSON:
+			emit(struct {
+				Seed     int64  `json:"seed"`
+				Scenario string `json:"scenario"`
+				Error    string `json:"error"`
+			}{s, *scenario, err.Error()})
+		case err != nil:
+			fmt.Printf("seed %d ERROR: %v\n", s, err)
+		case *asJSON:
+			emit(res)
+		default:
 			status := "ok"
 			if !res.Ok() {
 				status = fmt.Sprintf("FAIL (%d violations)", len(res.Violations))
@@ -83,12 +97,12 @@ func main() {
 				fmt.Printf("  violation: %s\n", v)
 			}
 		}
-		if !res.Ok() {
-			failed = true
+		if err != nil || !res.Ok() {
+			failed++
 		}
 	}
-	if failed {
-		fmt.Fprintf(os.Stderr, "socrates-chaos: violations found — replay any seed above with -seed\n")
+	if failed > 0 {
+		fmt.Fprintf(os.Stderr, "socrates-chaos: %d of %d seeds failed — replay any seed above with -seed\n", failed, len(list))
 		os.Exit(1)
 	}
 }

@@ -23,9 +23,6 @@ func DefaultSleeplint() *Sleeplint {
 	return &Sleeplint{ExemptPkgs: []string{"socrates/internal/simdisk"}}
 }
 
-// NewSleeplint returns sleeplint with the given exemptions (fixtures).
-func NewSleeplint(exempt []string) *Sleeplint { return &Sleeplint{ExemptPkgs: exempt} }
-
 // Name implements Pass.
 func (s *Sleeplint) Name() string { return "sleeplint" }
 

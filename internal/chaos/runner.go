@@ -486,7 +486,7 @@ func (r *runner) quorumLoss(key int) error {
 // probe for adaptive group commit. Commits must keep acking on the
 // remaining 2-of-3 quorum, and two invariants are judged within the step:
 // every byte hardened while the replica was dark must sit on at least
-// LZQuorum replicas at harden time (an ack backed by fewer copies is the
+// two replicas at harden time (an ack backed by fewer copies is the
 // exact bug the chaosfault build plants), and the straggler must be fully
 // reconciled — zero missed bytes — before it serves reads again.
 func (r *runner) lzDark(key int) error {

@@ -70,7 +70,7 @@ const (
 	// StepLZDark is a self-contained flexible-quorum probe: one LZ
 	// replica (Key = replica index) goes dark mid commit-burst, commits
 	// must keep acking on the remaining 2-of-3 quorum, and the oracle
-	// checks that every acked commit's bytes are on at least LZQuorum
+	// checks that every acked commit's bytes are on at least two
 	// replicas at harden time and that the straggler is reconciled (zero
 	// missed bytes) before it serves reads again. Appended after
 	// StepMuxDisturb (schedule-hash contract: never renumber) and

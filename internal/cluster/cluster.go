@@ -24,6 +24,10 @@ import (
 	"socrates/internal/xstore"
 )
 
+// lzDevices and lzQuorum fix landing-zone replication: three devices, a
+// write durable on two.
+const lzDevices, lzQuorum = 3, 2
+
 // Config describes a deployment.
 type Config struct {
 	// Name is the database name; it prefixes blob names and RBIO addresses.
@@ -38,17 +42,14 @@ type Config struct {
 	PagesPerPartition uint64
 	// LZProfile is the landing-zone device class (default simdisk.XIO; the
 	// Appendix A experiments swap in simdisk.DirectDrive — no code change).
+	// All lzDevices (3) replicas are of this class; a write needs lzQuorum (2).
 	LZProfile simdisk.Profile
-	// LZReplicas / LZQuorum configure landing-zone replication (3 / 2).
-	LZReplicas, LZQuorum int
 	// LZCapacity bounds the landing-zone ring (default 8 MiB).
 	LZCapacity int64
 	// XStore overrides the simulated XStore account configuration.
 	XStore xstore.Config
 	// Net is the RBIO fabric (default: a fresh LAN-latency network).
 	Net *rbio.Network
-	// FeedLoss drops this fraction of primary→XLOG feed messages.
-	FeedLoss float64
 	// ComputeMemPages / ComputeSSDPages size compute-node caches.
 	ComputeMemPages, ComputeSSDPages int
 	// PSMemPages sizes page-server memory tiers.
@@ -80,12 +81,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.LZProfile.Name == "" {
 		c.LZProfile = simdisk.XIO
-	}
-	if c.LZReplicas == 0 {
-		c.LZReplicas = 3
-	}
-	if c.LZQuorum == 0 {
-		c.LZQuorum = 2
 	}
 	if c.LZCapacity == 0 {
 		c.LZCapacity = 8 << 20
@@ -184,9 +179,6 @@ func New(cfg Config) (*Cluster, error) {
 	if c.Net == nil {
 		c.Net = rbio.NewNetwork()
 	}
-	if cfg.FeedLoss > 0 {
-		c.Net.SetLoss(cfg.FeedLoss)
-	}
 	if cfg.Seed != 0 {
 		// One root seed pins the whole deployment: the fabric's jitter
 		// stream plus every device lane below.
@@ -205,7 +197,7 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Seed != 0 {
 		lzSeed = simdisk.MixSeed(cfg.Seed, -3)
 	}
-	lzVol, err := simdisk.NewReplicatedSeeded(cfg.LZProfile, cfg.LZReplicas, cfg.LZQuorum,
+	lzVol, err := simdisk.NewReplicatedSeeded(cfg.LZProfile, lzDevices, lzQuorum,
 		lzSeed, simdisk.WithCPU(c.PrimaryMeter), simdisk.WithWaits(c.Waits.Tier(obs.TierXLOG)))
 	if err != nil {
 		return nil, err

@@ -244,7 +244,7 @@ func TestFailoverIsConstantTimeInDataSize(t *testing.T) {
 
 func TestLossyFeedStillConverges(t *testing.T) {
 	cfg := fastConfig("lossy")
-	cfg.FeedLoss = 0.5
+	cfg.Net.SetLoss(0.5)
 	cfg.Secondaries = 1
 	c := newFastCluster(t, cfg)
 	seedRows(t, c, "t", 400)

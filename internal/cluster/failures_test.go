@@ -84,7 +84,7 @@ func TestSnapshotTooOldSurfaces(t *testing.T) {
 	mustExec(t, e, func(tx *engine.Tx) error {
 		return tx.Put("t", []byte("k"), []byte("v1"))
 	})
-	old := e.BeginAt(e.Clock().Visible()) // pinned ancient snapshot
+	old := e.BeginRO() // pinned ancient snapshot
 	for i := 0; i < 5; i++ {
 		mustExec(t, e, func(tx *engine.Tx) error {
 			return tx.Put("t", []byte("k"), []byte(fmt.Sprintf("v%d", i+2)))

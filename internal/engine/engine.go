@@ -427,12 +427,6 @@ func (e *Engine) Tables() ([]string, error) {
 	return names, err
 }
 
-// HasTable reports whether the table exists.
-func (e *Engine) HasTable(name string) bool {
-	_, err := e.tableTree(name)
-	return err == nil
-}
-
 // AllocatedPages reports how many pages the database has allocated — the
 // database's physical size in pages.
 func (e *Engine) AllocatedPages() int {

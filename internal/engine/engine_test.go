@@ -81,9 +81,6 @@ func TestTablesListing(t *testing.T) {
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Fatalf("tables = %v", names)
 	}
-	if !e.HasTable("a") || e.HasTable("zz") {
-		t.Fatal("HasTable wrong")
-	}
 }
 
 func TestSnapshotIsolationReaders(t *testing.T) {

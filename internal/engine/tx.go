@@ -82,14 +82,6 @@ func (e *Engine) BeginROContext(ctx context.Context) *Tx {
 	return tx
 }
 
-// BeginAt starts a read-only transaction at an explicit snapshot timestamp
-// (time travel; used by PITR verification and tests).
-func (e *Engine) BeginAt(snapshot uint64) *Tx {
-	tx := e.BeginRO()
-	tx.snapshot = snapshot
-	return tx
-}
-
 // Snapshot reports the transaction's snapshot timestamp.
 func (tx *Tx) Snapshot() uint64 { return tx.snapshot }
 

@@ -53,7 +53,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	prim.primary = true
 	c.primary = prim
-	for i := 1; i < cfg.Replicas; i++ {
+	for i := 1; i < replicas; i++ {
 		sec, err := newNode(fmt.Sprintf("%s-%d", cfg.Name, i), cfg.DiskProfile, nil)
 		if err != nil {
 			return nil, err
@@ -311,7 +311,7 @@ type replicator struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	// hardened is the quorum watermark: the highest LSN covered by the
-	// primary's prefix and the prefixes of any Quorum-1 secondaries — a
+	// primary's prefix and the prefixes of any quorum-1 secondaries — a
 	// flexible quorum with no designated ack set.
 	hardened page.LSN
 	reserved page.LSN // the end of the last block Reserved
@@ -416,24 +416,22 @@ func (r *replicator) ackLocked(p *peer, prefix page.LSN) {
 }
 
 // advanceLocked recomputes the quorum-hardened watermark: the highest LSN
-// below the primary's prefix and the prefixes of any Quorum-1 secondaries —
+// below the primary's prefix and the prefixes of any quorum-1 secondaries —
 // a flexible quorum in the Taurus style, where any quorum-sized subset of
 // replicas may harden a given block. Caller holds r.mu.
 func (r *replicator) advanceLocked() {
-	need := r.c.cfg.Quorum - 1 // the local copy counts toward quorum
+	const need = quorum - 1 // the local copy counts toward quorum
+	if len(r.peers) < need {
+		return
+	}
+	acks := make([]page.LSN, 0, len(r.peers))
+	for _, p := range r.peers {
+		acks = append(acks, p.acked)
+	}
+	sort.Slice(acks, func(i, j int) bool { return acks[i].After(acks[j]) })
 	cand := r.node.HardenedTo()
-	if need > 0 {
-		if len(r.peers) < need {
-			return
-		}
-		acks := make([]page.LSN, 0, len(r.peers))
-		for _, p := range r.peers {
-			acks = append(acks, p.acked)
-		}
-		sort.Slice(acks, func(i, j int) bool { return acks[i].After(acks[j]) })
-		if acks[need-1].Before(cand) {
-			cand = acks[need-1]
-		}
+	if acks[need-1].Before(cand) {
+		cand = acks[need-1]
 	}
 	if cand.After(r.hardened) {
 		r.hardened = cand
@@ -480,7 +478,7 @@ func (r *replicator) Complete(b wal.Block, res logwriter.Reservation) (page.LSN,
 	if _, err := r.node.hardenFeed(&b, payload); err != nil {
 		return 0, err
 	}
-	need := r.c.cfg.Quorum - 1 // the primary's prefix already holds it
+	const need = quorum - 1 // the primary's prefix already holds it
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.advanceLocked()

@@ -69,15 +69,16 @@ var (
 	noLadder *obs.WatermarkSet // and its rungs are on no ladder
 )
 
-// Config describes an HADR deployment.
+// replicas and quorum fix the replica set (§2): four nodes, the primary
+// included, and a block commits once three of them, the primary's own copy
+// among them, harden it.
+const replicas, quorum = 4, 3
+
+// Config describes an HADR deployment. Its size and commit quorum are the
+// constants replicas (4) and quorum (3).
 type Config struct {
 	// Name prefixes node addresses and backup blobs.
 	Name string
-	// Replicas is the node count including the primary (default 4).
-	Replicas int
-	// Quorum is the number of nodes (including the primary) that must
-	// harden a block before commit (default 3).
-	Quorum int
 	// Net is the replication fabric (default: an AZLink-latency network).
 	Net *rbio.Network
 	// Store is the XStore account receiving log/full backups.
@@ -98,12 +99,6 @@ type Config struct {
 func (c *Config) applyDefaults() {
 	if c.Name == "" {
 		c.Name = "hadr"
-	}
-	if c.Replicas == 0 {
-		c.Replicas = 4
-	}
-	if c.Quorum == 0 {
-		c.Quorum = 3
 	}
 	if c.LogBackupEvery == 0 {
 		c.LogBackupEvery = 25 * time.Millisecond

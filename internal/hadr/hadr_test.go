@@ -112,7 +112,7 @@ func TestQuorumToleratesOneSecondaryDown(t *testing.T) {
 		t.Fatalf("rows = %d", got)
 	}
 	// The flexible quorum's invariant: what the writer calls hardened is
-	// held by the primary and by at least Quorum-1 secondaries.
+	// held by the primary and by at least quorum-1 secondaries.
 	end := c.Writer().HardenedEnd()
 	if c.Primary().HardenedTo().Before(end) {
 		t.Fatalf("hardened end %d past the primary's prefix %d", end, c.Primary().HardenedTo())
@@ -123,7 +123,7 @@ func TestQuorumToleratesOneSecondaryDown(t *testing.T) {
 			covered++
 		}
 	}
-	if need := c.cfg.Quorum - 1; covered < need {
+	if need := quorum - 1; covered < need {
 		t.Fatalf("hardened end %d covered by %d secondaries, need %d", end, covered, need)
 	}
 }

@@ -288,13 +288,15 @@ func TestStragglerCatchesUpOrLeaves(t *testing.T) {
 // A failover may promote only a node that holds every acknowledged commit. If
 // none does, it says so at once rather than wait for blocks nobody will send.
 func TestFailoverNeedsTheHardenedLog(t *testing.T) {
-	cfg := fastConfig("h-short")
-	cfg.Quorum = 1 // the primary's own log hardens a commit
-	c := newFast(t, cfg)
-	for _, s := range c.Secondaries() {
-		c.Net.Unserve(s.Name())
-	}
+	c := newFast(t, fastConfig("h-short"))
+	secs := c.Secondaries()
+	c.Net.Unserve(secs[0].Name()) // it misses every ship
 	seedRows(t, c, "t", 10)
+	// The two that hold the log leave the replica set, as a secondary the
+	// primary's tail no longer reaches does.
+	for _, s := range secs[1:] {
+		c.evict(s.Name())
+	}
 	start := time.Now()
 	_, _, err := c.Failover()
 	if !errors.Is(err, ErrNoQuorum) {

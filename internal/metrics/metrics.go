@@ -41,9 +41,6 @@ func NewCPUMeter(cores int) *CPUMeter {
 	return m
 }
 
-// Cores reports the simulated core count.
-func (m *CPUMeter) Cores() int { return m.cores }
-
 // Charge adds d of simulated CPU busy time.
 func (m *CPUMeter) Charge(d time.Duration) {
 	if d > 0 {

@@ -10,8 +10,8 @@ import (
 
 func TestCPUMeterChargeAndBusy(t *testing.T) {
 	m := NewCPUMeter(4)
-	if m.Cores() != 4 {
-		t.Fatalf("cores = %d, want 4", m.Cores())
+	if m.cores != 4 {
+		t.Fatalf("cores = %d, want 4", m.cores)
 	}
 	m.Charge(10 * time.Millisecond)
 	m.Charge(5 * time.Millisecond)
@@ -59,8 +59,8 @@ func TestCPUMeterReset(t *testing.T) {
 
 func TestCPUMeterZeroCoresDefaultsToOne(t *testing.T) {
 	m := NewCPUMeter(0)
-	if m.Cores() != 1 {
-		t.Fatalf("cores = %d, want 1", m.Cores())
+	if m.cores != 1 {
+		t.Fatalf("cores = %d, want 1", m.cores)
 	}
 }
 

@@ -235,25 +235,15 @@ type Tracer struct {
 	rng       func() uint64
 }
 
-// TracerOption configures a Tracer.
-type TracerOption func(*Tracer)
-
-// WithMaxTraces bounds how many distinct traces are retained (oldest
-// evicted first). Default 256.
-func WithMaxTraces(n int) TracerOption { return func(t *Tracer) { t.maxTraces = n } }
-
-// NewTracer builds an empty tracer.
-func NewTracer(opts ...TracerOption) *Tracer {
-	t := &Tracer{
+// NewTracer builds an empty tracer that keeps the 256 newest traces (the
+// oldest is evicted first) and up to 512 spans of each.
+func NewTracer() *Tracer {
+	return &Tracer{
 		traces:    make(map[TraceID][]*Span),
 		maxTraces: 256,
 		maxSpans:  512,
 		rng:       rand.Uint64,
 	}
-	for _, o := range opts {
-		o(t)
-	}
-	return t
 }
 
 func (t *Tracer) newSpanID() SpanID {

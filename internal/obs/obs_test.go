@@ -59,7 +59,8 @@ func TestRemoteSpanJoinsTrace(t *testing.T) {
 }
 
 func TestTracerEviction(t *testing.T) {
-	tr := NewTracer(WithMaxTraces(2))
+	tr := NewTracer()
+	tr.maxTraces = 2
 	var ids []TraceID
 	for i := 0; i < 3; i++ {
 		_, s := tr.StartSpan(context.Background(), TierCompute, "op")

@@ -95,14 +95,6 @@ func MaxLSN(a, b LSN) LSN {
 	return a
 }
 
-// MinLSN returns the earlier of a and b.
-func MinLSN(a, b LSN) LSN {
-	if a.Before(b) {
-		return a
-	}
-	return b
-}
-
 // Type tags what a page stores.
 type Type uint8
 

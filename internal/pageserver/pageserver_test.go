@@ -84,7 +84,7 @@ func (r *rig) emit(t *testing.T, recs ...*wal.Record) page.LSN {
 	if err := r.lz.Write(b); err != nil {
 		t.Fatal(err)
 	}
-	r.svc.Feed(context.Background(), b)
+	r.svc.FeedEncodedFrom(context.Background(), r.svc.Epoch(), b, nil)
 	r.svc.ReportHardened(context.Background(), r.lz.HardenedEnd())
 	return b.End
 }

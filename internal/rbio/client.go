@@ -71,9 +71,8 @@ type Client struct {
 	waiters atomic.Int64  // callers queued for a slot
 	closed  atomic.Bool
 
-	mu       sync.Mutex
-	ewma     float64 // nanoseconds; 0 = no samples yet
-	failures int     // consecutive failures (reset on success)
+	mu   sync.Mutex
+	ewma float64 // nanoseconds; 0 = no samples yet
 }
 
 // ClientOption configures a Client.
@@ -187,14 +186,12 @@ func (c *Client) observe(d time.Duration, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if ok {
-		c.failures = 0
 		if c.ewma == 0 {
 			c.ewma = float64(d)
 		} else {
 			c.ewma = ewmaAlpha*float64(d) + (1-ewmaAlpha)*c.ewma
 		}
 	} else {
-		c.failures++
 		// Penalize the endpoint so the selector steers around it.
 		if c.ewma == 0 {
 			c.ewma = float64(time.Second)
@@ -209,13 +206,6 @@ func (c *Client) EWMA() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return time.Duration(c.ewma)
-}
-
-// Failures reports the consecutive-failure count.
-func (c *Client) Failures() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.failures
 }
 
 // Call issues the request, retrying transport errors and StatusRetry
@@ -334,10 +324,8 @@ func (s *Selector) snapshot() []*Client {
 	return s.clients
 }
 
-// Best returns the endpoint with the lowest smoothed latency, preferring
+// best returns the endpoint with the lowest smoothed latency, preferring
 // unsampled endpoints over sampled ones so every replica gets probed.
-func (s *Selector) Best() *Client { return best(s.snapshot()) }
-
 func best(clients []*Client) *Client {
 	var b *Client
 	var bestLat time.Duration

@@ -156,15 +156,9 @@ func (n *Network) arrive(g *flightGen) (torn bool) {
 
 // latency computes one network hop's delay for a payload of the given size.
 func (n *Network) latency(bytes int) time.Duration {
-	p := n.profile
-	lat := p.ReadBase + time.Duration(float64(p.PerKB)*float64(bytes)/1024)
 	n.mu.Lock()
-	if p.JitterFrac > 0 {
-		lat = time.Duration(float64(lat) * (1 + p.JitterFrac*(2*n.rng.Float64()-1)))
-	}
-	if p.TailProb > 0 && n.rng.Float64() < p.TailProb {
-		lat = time.Duration(float64(lat) * p.TailFactor)
-	}
+	//socrates:lock-ok Profile.Latency is arithmetic on the rng n.mu guards; it does no I/O
+	lat := n.profile.Latency(n.profile.ReadBase, bytes, n.rng)
 	n.mu.Unlock()
 	return lat
 }

@@ -153,14 +153,19 @@ var (
 	Instant = Profile{Name: "instant"}
 )
 
-// Scaled returns a copy of the profile with all latencies multiplied by f.
-// Experiments use this to compress wall-clock time while preserving ratios.
-func (p Profile) Scaled(f float64) Profile {
-	q := p
-	q.ReadBase = time.Duration(float64(p.ReadBase) * f)
-	q.WriteBase = time.Duration(float64(p.WriteBase) * f)
-	q.PerKB = time.Duration(float64(p.PerKB) * f)
-	return q
+// Latency draws one call's latency for n bytes: base plus PerKB per KiB,
+// scaled by one jitter draw from rng and then, with probability TailProb, by
+// TailFactor. Devices and the RBIO fabric share it; each passes its own rng
+// under the lock that guards it.
+func (p *Profile) Latency(base time.Duration, n int, rng *rand.Rand) time.Duration {
+	lat := base + time.Duration(float64(p.PerKB)*float64(n)/1024)
+	if p.JitterFrac > 0 {
+		lat = time.Duration(float64(lat) * (1 + p.JitterFrac*(2*rng.Float64()-1)))
+	}
+	if p.TailProb > 0 && rng.Float64() < p.TailProb {
+		lat = time.Duration(float64(lat) * p.TailFactor)
+	}
+	return lat
 }
 
 // Device is a simulated byte-addressable volume. All methods are safe for
@@ -326,15 +331,8 @@ func (d *Device) checkFailure(write bool) error {
 
 // latency computes and consumes the simulated latency for a call of n bytes.
 func (d *Device) latency(base time.Duration, n int) time.Duration {
-	lat := base + time.Duration(float64(d.profile.PerKB)*float64(n)/1024)
 	d.mu.Lock()
-	if d.profile.JitterFrac > 0 {
-		j := 1 + d.profile.JitterFrac*(2*d.rng.Float64()-1)
-		lat = time.Duration(float64(lat) * j)
-	}
-	if d.profile.TailProb > 0 && d.rng.Float64() < d.profile.TailProb {
-		lat = time.Duration(float64(lat) * d.profile.TailFactor)
-	}
+	lat := d.profile.Latency(base, n, d.rng)
 	d.mu.Unlock()
 	return lat
 }

@@ -168,16 +168,6 @@ func TestStatsCounting(t *testing.T) {
 	}
 }
 
-func TestScaledProfile(t *testing.T) {
-	p := XIO.Scaled(0.5)
-	if p.WriteBase != XIO.WriteBase/2 || p.ReadBase != XIO.ReadBase/2 {
-		t.Fatalf("scaled bases wrong: %v %v", p.ReadBase, p.WriteBase)
-	}
-	if p.WriteCPU != XIO.WriteCPU {
-		t.Fatal("scaling must not change CPU cost")
-	}
-}
-
 func TestThroughputCap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")

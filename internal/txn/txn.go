@@ -90,15 +90,6 @@ func (lt *LockTable) Acquire(key string, txnID uint64) error {
 	return nil
 }
 
-// Release drops one lock if txnID holds it.
-func (lt *LockTable) Release(key string, txnID uint64) {
-	lt.mu.Lock()
-	if lt.locks[key] == txnID {
-		delete(lt.locks, key)
-	}
-	lt.mu.Unlock()
-}
-
 // ReleaseAll drops every given lock held by txnID.
 func (lt *LockTable) ReleaseAll(keys []string, txnID uint64) {
 	lt.mu.Lock()
@@ -108,13 +99,6 @@ func (lt *LockTable) ReleaseAll(keys []string, txnID uint64) {
 		}
 	}
 	lt.mu.Unlock()
-}
-
-// Held reports the number of locks currently held (diagnostics).
-func (lt *LockTable) Held() int {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	return len(lt.locks)
 }
 
 // IDSource allocates transaction IDs.

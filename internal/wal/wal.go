@@ -327,7 +327,6 @@ type Builder struct {
 	records []*Record
 	next    page.LSN
 	start   page.LSN
-	bytes   int
 }
 
 // NewBuilder creates a builder that assigns LSNs starting at next and
@@ -341,15 +340,8 @@ func (bld *Builder) Append(r *Record) page.LSN {
 	r.LSN = bld.next
 	bld.next = bld.next.Next()
 	bld.records = append(bld.records, r)
-	bld.bytes += r.encodedSize()
 	return r.LSN
 }
-
-// PendingBytes reports the encoded size of the pending records.
-func (bld *Builder) PendingBytes() int { return bld.bytes }
-
-// PendingCount reports the number of pending records.
-func (bld *Builder) PendingCount() int { return len(bld.records) }
 
 // NextLSN reports the LSN the next appended record will receive.
 func (bld *Builder) NextLSN() page.LSN { return bld.next }
@@ -367,7 +359,6 @@ func (bld *Builder) Flush() *Block {
 		Records:    bld.records,
 	}
 	bld.records = nil
-	bld.bytes = 0
 	bld.start = bld.next
 	return b
 }

@@ -184,29 +184,14 @@ func (s *Service) Close() {
 
 // --- ingest side ---
 
-// Feed receives one block from the lossy primary feed into the pending
-// area. Blocks below the promoted watermark are stale duplicates. The
-// encoded form is retained alongside so dissemination never re-encodes;
-// pass nil to have it computed. The context carries the originating
-// commit's span identity when the block arrived over RBIO.
-func (s *Service) Feed(ctx context.Context, b *wal.Block) { s.FeedEncoded(ctx, b, nil) }
-
-// FeedEncoded is Feed with the block's already-encoded bytes. It accepts
-// the block as the current producer's (direct in-process callers are by
-// definition the live producer); the RBIO handler instead routes through
-// FeedEncodedFrom with the epoch stamped on the frame.
-func (s *Service) FeedEncoded(ctx context.Context, b *wal.Block, enc []byte) {
-	s.mu.Lock()
-	epoch := s.producerEpoch
-	s.mu.Unlock()
-	s.FeedEncodedFrom(ctx, epoch, b, enc)
-}
-
-// FeedEncodedFrom ingests a fed block from the producer identified by
-// epoch. Blocks from a superseded producer are dropped: their LSNs may
-// have been reissued by the current primary, and promoting a dead
-// producer's speculative bytes would disseminate transactions that are
-// not in the durable log (the feed is only a hint; the LZ is the truth).
+// FeedEncodedFrom receives one block from the lossy primary feed into the
+// pending area, fed by the producer identified by epoch. Blocks below the
+// promoted watermark are stale duplicates and are dropped. enc is the
+// block's encoded form, retained so dissemination never re-encodes; nil has
+// it computed. Blocks from a superseded producer are dropped too: their LSNs
+// may have been reissued by the current primary, and promoting a dead
+// producer's speculative bytes would disseminate transactions that are not
+// in the durable log (the feed is only a hint; the LZ is the truth).
 func (s *Service) FeedEncodedFrom(ctx context.Context, epoch uint64, b *wal.Block, enc []byte) {
 	_, sp := s.obs.Tracer.JoinSpan(ctx, obs.TierXLOG, "xlog.feed")
 	defer sp.End()

@@ -213,7 +213,7 @@ func (r *testRig) publish(t *testing.T, blocks []*wal.Block, feed bool) {
 			t.Fatal(err)
 		}
 		if feed {
-			r.svc.Feed(context.Background(), b)
+			r.svc.FeedEncodedFrom(context.Background(), r.svc.Epoch(), b, nil)
 		}
 	}
 	r.svc.ReportHardened(context.Background(), r.lz.HardenedEnd())
@@ -257,7 +257,7 @@ func TestSpeculativeBlocksInvisibleUntilHardened(t *testing.T) {
 	blocks := mkBlocks(3, func(i int) page.ID { return 1 }, page.Partitioning{})
 	// Feed only: nothing hardened yet.
 	for _, b := range blocks {
-		r.svc.Feed(context.Background(), b)
+		r.svc.FeedEncodedFrom(context.Background(), r.svc.Epoch(), b, nil)
 	}
 	payload, next, err := r.svc.Pull(context.Background(), 1, -1, 0)
 	if err != nil || len(payload) != 0 || next != 1 {
@@ -280,7 +280,7 @@ func TestGapFillFromLZ(t *testing.T) {
 	for i, b := range blocks {
 		_ = r.lz.Write(b)
 		if i%2 == 0 { // half the feed messages are lost
-			r.svc.Feed(context.Background(), b)
+			r.svc.FeedEncodedFrom(context.Background(), r.svc.Epoch(), b, nil)
 		}
 	}
 	r.svc.ReportHardened(context.Background(), r.lz.HardenedEnd())
@@ -312,8 +312,8 @@ func TestPromotedRungPublishedWithTheBlocks(t *testing.T) {
 	}
 	t.Cleanup(svc.Close)
 	blocks := mkBlocks(4, func(int) page.ID { return 1 }, page.Partitioning{})
-	svc.Feed(context.Background(), blocks[0])
-	svc.Feed(context.Background(), blocks[1])
+	svc.FeedEncodedFrom(context.Background(), svc.Epoch(), blocks[0], nil)
+	svc.FeedEncodedFrom(context.Background(), svc.Epoch(), blocks[1], nil)
 	// The harden report runs ahead of what XLOG can see: block 2 was neither
 	// fed nor, as far as a read of the landing zone can tell, written.
 	svc.promoteTo(blocks[3].End)
@@ -348,7 +348,7 @@ func TestPromoteFillsPastABlockReleasedDuringItsRead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r.svc.Feed(context.Background(), blocks[0]) // blocks 1 and 2: feed lost
+	r.svc.FeedEncodedFrom(context.Background(), r.svc.Epoch(), blocks[0], nil) // blocks 1 and 2: feed lost
 
 	r.lz.mu.Lock()
 	reported := make(chan struct{})
@@ -364,7 +364,7 @@ func TestPromoteFillsPastABlockReleasedDuringItsRead(t *testing.T) {
 	// Meanwhile block 1 arrives late on the feed and a second report
 	// promotes it; the destager archives blocks 0-1 and releases them from
 	// the LZ (what ReleaseUpTo does, under the lock the test holds).
-	r.svc.Feed(context.Background(), blocks[1])
+	r.svc.FeedEncodedFrom(context.Background(), r.svc.Epoch(), blocks[1], nil)
 	r.svc.promoteTo(blocks[1].End)
 	for _, b := range blocks[:2] {
 		delete(r.lz.index, b.Start)
@@ -386,7 +386,7 @@ func TestOutOfOrderFeed(t *testing.T) {
 	}
 	// Feed arrives reversed.
 	for i := len(blocks) - 1; i >= 0; i-- {
-		r.svc.Feed(context.Background(), blocks[i])
+		r.svc.FeedEncodedFrom(context.Background(), r.svc.Epoch(), blocks[i], nil)
 	}
 	r.svc.ReportHardened(context.Background(), r.lz.HardenedEnd())
 	payload, _, _ := r.svc.Pull(context.Background(), 1, -1, 0)
@@ -511,7 +511,7 @@ func TestServiceRecovery(t *testing.T) {
 	blocks := mkBlocks(12, func(i int) page.ID { return 1 }, page.Partitioning{})
 	for _, b := range blocks {
 		_ = lz.Write(b)
-		svc.Feed(context.Background(), b)
+		svc.FeedEncodedFrom(context.Background(), svc.Epoch(), b, nil)
 	}
 	svc.ReportHardened(context.Background(), lz.HardenedEnd())
 	if err := svc.WaitDestaged(blocks[11].End, 2*time.Second); err != nil {
@@ -542,7 +542,7 @@ func TestStaleFeedDropped(t *testing.T) {
 	r := newRig(t, 1<<20)
 	blocks := mkBlocks(3, func(i int) page.ID { return 1 }, page.Partitioning{})
 	r.publish(t, blocks, true)
-	r.svc.Feed(context.Background(), blocks[0]) // duplicate of an already promoted block
+	r.svc.FeedEncodedFrom(context.Background(), r.svc.Epoch(), blocks[0], nil) // duplicate of an already promoted block
 	_, stale, _ := r.svc.Stats()
 	if stale != 1 {
 		t.Fatalf("stale = %d", stale)

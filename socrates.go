@@ -117,8 +117,6 @@ type Config struct {
 	LZ LZService
 	// CacheMemPages / CacheSSDPages size each compute node's RBPEX tiers.
 	CacheMemPages, CacheSSDPages int
-	// Cores sizes the primary's simulated CPU meter.
-	Cores int
 	// Fast replaces every simulated device with zero-latency variants —
 	// full protocol fidelity without wall-clock cost (for tests/examples).
 	Fast bool
@@ -141,7 +139,6 @@ func Open(cfg Config) (*DB, error) {
 		PagesPerPartition: cfg.PagesPerPartition,
 		ComputeMemPages:   cfg.CacheMemPages,
 		ComputeSSDPages:   cfg.CacheSSDPages,
-		PrimaryCores:      cfg.Cores,
 	}
 	switch cfg.LZ {
 	case XIO:

@@ -58,6 +58,54 @@ func TestSQLSurvivesFailover(t *testing.T) {
 	}
 }
 
+// The observability accessors README documents, read through the public
+// surface: the hardened rung on the ladder, a healthy watchdog, and the
+// failover's two flight-recorder events.
+func TestObservabilityAccessors(t *testing.T) {
+	db := openFast(t, Config{Name: "api-obs"})
+	if _, err := db.Exec(`CREATE TABLE t (id INT PRIMARY KEY, v INT)`); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := db.Exec(fmt.Sprintf(`INSERT INTO t VALUES (%d, %d)`, i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.WaitForReplication(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// The landing zone publishes its rung before the log writer's hardened
+	// end moves, so the rung read after is at least the end read before.
+	hardened := db.Cluster().Primary().HardenedEnd().Uint64()
+	var rung *WatermarkState
+	wms := db.Watermarks()
+	for i := range wms {
+		if wms[i].Name == "lz.hardened_lsn" && wms[i].Replica == "" {
+			rung = &wms[i]
+		}
+	}
+	if rung == nil {
+		t.Fatalf("no lz.hardened_lsn rung in %+v", wms)
+	}
+	if rung.LSN < hardened {
+		t.Fatalf("lz.hardened_lsn = %d, below the primary's hardened end %d", rung.LSN, hardened)
+	}
+	if trips := db.WatchdogTrips(); len(trips) != 0 {
+		t.Fatalf("healthy deployment tripped the watchdog: %+v", trips)
+	}
+
+	if _, err := db.Failover(); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, ev := range db.FlightEvents() {
+		seen[ev.Kind] = true
+	}
+	if !seen["failover.start"] || !seen["failover.done"] {
+		t.Fatalf("flight events after a failover lack failover.start/done: %v", seen)
+	}
+}
+
 func TestReadSessionOnSecondary(t *testing.T) {
 	db := openFast(t, Config{Name: "api3", Secondaries: 1})
 	if _, err := db.Exec(`CREATE TABLE t (id INT PRIMARY KEY)`); err != nil {
