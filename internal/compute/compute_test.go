@@ -2,6 +2,7 @@ package compute
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -134,11 +135,13 @@ func TestWaitHardenAfterClose(t *testing.T) {
 }
 
 // pageServerStub answers GetPage with a canned page and records the
-// requested min LSN.
+// requested min LSN. With tear set, it flips one payload byte of the image
+// it sends.
 type pageServerStub struct {
 	mu      sync.Mutex
 	minLSNs []page.LSN
 	lsn     page.LSN
+	tear    bool
 }
 
 func (s *pageServerStub) handler() rbio.Handler {
@@ -151,6 +154,9 @@ func (s *pageServerStub) handler() rbio.Handler {
 		s.mu.Unlock()
 		pg := &page.Page{ID: req.Page, LSN: s.lsn, Type: page.TypeLeaf, Data: []byte{1}}
 		buf, _ := pg.Encode()
+		if s.tear {
+			buf[page.HeaderSize] ^= 0xFF
+		}
 		resp := rbio.Ok()
 		resp.Payload = buf
 		return resp
@@ -210,6 +216,16 @@ func TestRemoteFileUsesEvictedLSN(t *testing.T) {
 	}
 	if stub.minLSNs[1] != 60 {
 		t.Fatalf("post-evict fetch min LSN = %d, want 60 (evicted-LSN map)", stub.minLSNs[1])
+	}
+}
+
+// A page image torn on the wire fails the read with the page codec's
+// checksum error itself, not a message that only quotes it.
+func TestTornGetPageIsErrChecksum(t *testing.T) {
+	f := newRemoteFile(t, &pageServerStub{lsn: 5, tear: true}, 1)
+	_, err := f.Read(7)
+	if !errors.Is(err, page.ErrChecksum) {
+		t.Fatalf("read of a torn image: %v, want page.ErrChecksum", err)
 	}
 }
 

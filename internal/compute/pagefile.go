@@ -365,11 +365,7 @@ func decodePage(resp *rbio.Response) (*page.Page, error) {
 	if err := resp.Err(); err != nil {
 		return nil, err
 	}
-	pages, err := pageserver.DecodePages(resp.Payload)
-	if err != nil || len(pages) != 1 {
-		return nil, fmt.Errorf("bad payload (%d pages, %v)", len(pages), err)
-	}
-	return pages[0], nil
+	return pageserver.DecodePage(resp.Payload)
 }
 
 // receive makes the owner's page out of the image its request got: the redo

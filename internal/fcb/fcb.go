@@ -133,7 +133,8 @@ func (f *DiskFile) Read(id page.ID) (*page.Page, error) {
 	return page.Decode(buf)
 }
 
-// Write encodes and persists the page.
+// Write persists the page's image: the one it was read from if it was read
+// (the device copies it), a fresh encoding if it was built in memory.
 func (f *DiskFile) Write(pg *page.Page) error {
 	buf, err := pg.Encode()
 	if err != nil {

@@ -151,11 +151,18 @@ func checksum(buf []byte, n int) uint32 {
 // writer installs its successor; whoever changes a page builds a new Page
 // around a new payload. Only a page its creator has not yet published may
 // be filled in field by field.
+//
+// A page Decode returned also keeps the verified image it was read from
+// (DESIGN §16.9), and every encode of it writes that image as is: a page
+// read off a device or the wire is served, spilled and checkpointed without
+// being encoded again. A page built in memory has none and is encoded.
 type Page struct {
 	ID   ID
 	LSN  LSN
 	Type Type
 	Data []byte // payload, at most MaxData bytes
+
+	image *[Size]byte // the image Decode verified; nil for a page built in memory
 }
 
 // New returns an empty page of the given type.
@@ -164,14 +171,15 @@ func New(id ID, t Type) *Page {
 }
 
 // Clone returns a deep copy, for the rare caller that wants a page it may
-// edit; the page path itself never clones.
+// edit; the page path itself never clones. The copy has no image: edited,
+// it encodes as what it then holds, never as its source.
 func (p *Page) Clone() *Page {
-	c := *p
-	c.Data = append([]byte(nil), p.Data...)
-	return &c
+	return &Page{ID: p.ID, LSN: p.LSN, Type: p.Type, Data: append([]byte(nil), p.Data...)}
 }
 
-// Encode serializes the page into a fresh Size-byte image with checksum.
+// Encode returns the page's Size-byte image with checksum: the image Decode
+// read the page from, as is — shared, so the caller must not write it —
+// or, for a page built in memory, a fresh encoding.
 //
 // Layout (little endian):
 //
@@ -179,13 +187,25 @@ func (p *Page) Clone() *Page {
 //	[4:12)  page ID
 //	[12:20) page LSN
 //	[20:21) type
-//	[21:22) reserved
+//	[21:22) reserved, zero
 //	[22:24) payload length
 //	[24:28) checksum (crc32c over bytes [0:24) with this field zeroed, plus payload)
-//	[28:32) reserved
+//	[28:32) reserved, zero
 //	[32:..) payload
 func (p *Page) Encode() ([]byte, error) {
+	if p.image != nil {
+		return p.image[:], nil
+	}
 	return p.AppendEncode(make([]byte, 0, Size))
+}
+
+// Image returns the verified image Decode read the page from, or nil for a
+// page built in memory. Nobody writes it.
+func (p *Page) Image() []byte {
+	if p.image == nil {
+		return nil
+	}
+	return p.image[:]
 }
 
 // zeroImage is the blank page image AppendEncode extends dst with before
@@ -194,12 +214,16 @@ func (p *Page) Encode() ([]byte, error) {
 var zeroImage [Size]byte
 
 // AppendEncode appends the page's Size-byte image to dst and returns the
-// extended slice — the allocation-free form of Encode for callers
-// assembling payloads (a GetPage response, a checkpoint batch) into one
-// buffer of their own.
+// extended slice — the form of Encode for callers assembling payloads (a
+// checkpoint batch, an RBPEX spill) into one buffer of their own. A page
+// with an image appends a copy of it; one built in memory is encoded in
+// place.
 //
-//socrates:hotpath one call per page served, into the caller's payload buffer; TestGetPageAllocs (Handler)
+//socrates:hotpath one call per page served that redo built in memory; TestGetPageAllocs (Handler)
 func (p *Page) AppendEncode(dst []byte) ([]byte, error) {
+	if p.image != nil {
+		return append(dst, p.image[:]...), nil
+	}
 	if len(p.Data) > MaxData {
 		return dst, fmt.Errorf("%w: %d bytes on page %d", ErrTooLarge, len(p.Data), p.ID)
 	}
@@ -217,8 +241,12 @@ func (p *Page) AppendEncode(dst []byte) ([]byte, error) {
 }
 
 // Decode parses and verifies a page image produced by Encode. The page's
-// payload aliases buf — one buffer from the device or the wire to the
-// reader — so the caller gives buf up: it must not be written again.
+// payload aliases buf, and the page keeps buf as its image — one buffer
+// from the device or the wire to the reader, and on to the next device or
+// wire — so the caller gives buf up: it must not be written again.
+//
+// Decode accepts only the images Encode writes: with the reserved header
+// bytes zero, a page it returns re-encodes to buf's header and payload.
 func Decode(buf []byte) (*Page, error) {
 	if len(buf) != Size {
 		return nil, fmt.Errorf("page: image is %d bytes, want %d", len(buf), Size)
@@ -235,11 +263,15 @@ func Decode(buf []byte) (*Page, error) {
 		return nil, fmt.Errorf("%w on page %d", ErrChecksum,
 			binary.LittleEndian.Uint64(buf[4:12]))
 	}
+	if buf[21] != 0 || binary.LittleEndian.Uint32(buf[28:32]) != 0 {
+		return nil, fmt.Errorf("%w: reserved header bytes set", ErrBadMagic)
+	}
 	p := &Page{
-		ID:   ID(binary.LittleEndian.Uint64(buf[4:12])),
-		LSN:  LSN(binary.LittleEndian.Uint64(buf[12:20])),
-		Type: Type(buf[20]),
-		Data: buf[HeaderSize : HeaderSize+n : HeaderSize+n],
+		ID:    ID(binary.LittleEndian.Uint64(buf[4:12])),
+		LSN:   LSN(binary.LittleEndian.Uint64(buf[12:20])),
+		Type:  Type(buf[20]),
+		Data:  buf[HeaderSize : HeaderSize+n : HeaderSize+n],
+		image: (*[Size]byte)(buf),
 	}
 	return p, nil
 }

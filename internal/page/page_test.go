@@ -2,7 +2,11 @@ package page
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -112,6 +116,128 @@ func TestClone(t *testing.T) {
 	if p.Data[0] != 's' || p.LSN != 2 {
 		t.Fatal("clone is not deep")
 	}
+
+	// A clone of a decoded page has no image: edited, it encodes as what it
+	// holds, never as the image its source was read from.
+	buf, err := p.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := Decode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c = src.Clone()
+	c.LSN = 77
+	c.Data = append(c.Data, '!')
+	c.Data[0] = 'Y'
+	enc, err := c.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.LSN != 77 || string(got.Data) != "Yhared?!" {
+		t.Fatalf("edited clone decodes as LSN %d %q, want 77 %q", got.LSN, got.Data, "Yhared?!")
+	}
+	if src.LSN != 2 || string(src.Data) != "shared?" {
+		t.Fatalf("editing the clone changed its source: LSN %d %q", src.LSN, src.Data)
+	}
+}
+
+// A page built in memory encodes byte for byte as it always has: the image
+// below is pinned, header, checksum and the zeroed tail included.
+func TestEncodeGolden(t *testing.T) {
+	p := &Page{ID: 0x0102030405, LSN: 0xABCDEF, Type: TypeLeaf, Data: []byte("golden payload")}
+	buf, err := p.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const head = "e5a7c7500504030201000000efcdab000000000003000e004a8ecf0000000000676f6c64656e207061796c6f6164"
+	if got := hex.EncodeToString(buf[:HeaderSize+len(p.Data)]); got != head {
+		t.Fatalf("header and payload\n got %s\nwant %s", got, head)
+	}
+	const sum = "5e4b96793593f177360386e220f586c24280ca47159acc610f6d90b98eeb1cfa"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf)); got != sum {
+		t.Fatalf("image sha256 %s, want %s", got, sum)
+	}
+}
+
+// A decoded page encodes as the image it was read from: Encode returns that
+// image itself, and AppendEncode appends a copy of it.
+func TestDecodedPageEncodesItsImage(t *testing.T) {
+	p := &Page{ID: 9, LSN: 5, Type: TypeLeaf, Data: []byte("abcdef")}
+	buf, err := p.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Image() != nil {
+		t.Fatal("a page built in memory has an image")
+	}
+	dec, err := Decode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img := dec.Image(); len(img) != Size || &img[0] != &buf[0] {
+		t.Fatal("a decoded page does not keep the buffer it was decoded from")
+	}
+	enc, err := dec.Encode()
+	if err != nil || &enc[0] != &buf[0] {
+		t.Fatalf("Encode of a decoded page is not its image (err %v)", err)
+	}
+	app, err := dec.AppendEncode([]byte{0xAA})
+	if err != nil || app[0] != 0xAA || !bytes.Equal(app[1:], buf) || &app[1] == &buf[0] {
+		t.Fatalf("AppendEncode of a decoded page is not a copy of its image (err %v)", err)
+	}
+}
+
+// Decode accepts only what Encode writes: a reserved header byte set under a
+// valid checksum is refused.
+func TestDecodeRejectsReservedBytes(t *testing.T) {
+	for _, off := range []int{21, 28, 31} {
+		p := &Page{ID: 4, LSN: 8, Type: TypeLeaf, Data: []byte("r")}
+		buf, _ := p.Encode()
+		buf[off] = 1
+		binary.LittleEndian.PutUint32(buf[24:28], checksum(buf, len(p.Data)))
+		if _, err := Decode(buf); !errors.Is(err, ErrBadMagic) {
+			t.Fatalf("reserved byte %d set: err = %v, want ErrBadMagic", off, err)
+		}
+	}
+}
+
+// FuzzPageDecode: Decode never panics, and any buffer it accepts re-encodes
+// byte for byte over the header and the declared payload — by a fresh
+// encoding of the decoded fields, not by handing back the image.
+func FuzzPageDecode(f *testing.F) {
+	for _, p := range []*Page{
+		{ID: 1, LSN: 2, Type: TypeLeaf, Data: []byte("seed")},
+		{ID: 7, Type: TypeMeta},
+		{ID: 1 << 40, LSN: 1 << 50, Type: TypeVersion, Data: bytes.Repeat([]byte{0xC3}, MaxData)},
+	} {
+		buf, err := p.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
+	}
+	f.Add(make([]byte, Size))
+	f.Add([]byte{1, 2, 3})
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		pg, err := Decode(buf)
+		if err != nil {
+			return
+		}
+		fresh, err := (&Page{ID: pg.ID, LSN: pg.LSN, Type: pg.Type, Data: pg.Data}).Encode()
+		if err != nil {
+			t.Fatalf("accepted image does not re-encode: %v", err)
+		}
+		n := HeaderSize + len(pg.Data)
+		if !bytes.Equal(fresh[:n], buf[:n]) {
+			t.Fatalf("re-encoding differs over header and payload:\n got %x\nwant %x", fresh[:HeaderSize], buf[:HeaderSize])
+		}
+	})
 }
 
 func TestTypeString(t *testing.T) {

@@ -16,8 +16,9 @@ import (
 )
 
 // TestGetPageAllocs is the allocation contract for the warm-cache
-// GetPage@LSN path — the paper's defining latency path — in its two forms:
-// one page, and one page served over RBIO. The server is stopped before
+// GetPage@LSN path — the paper's defining latency path — in its three forms:
+// one page, one page redo built served over RBIO, and one page the server
+// read off a device served over RBIO. The servers are stopped before
 // measuring so the background pull and checkpoint loops cannot pollute the
 // global allocation counter; a stopped server still serves cached pages (the
 // apply watermark is already past minLSN).
@@ -33,10 +34,40 @@ func TestGetPageAllocs(t *testing.T) {
 	if _, err := srv.GetPage(ctx, 5, minLSN); err != nil {
 		t.Fatal(err)
 	}
+	resume, err := srv.FlushForBackup()
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv.Stop() // quiesce background loops; the cache stays warm
 
-	handle := srv.Handler()
+	// A second server seeded from the checkpoint holds page 5 as the image
+	// it read from XStore.
+	seeded := r.server(t, Config{Name: "seeded", StartLSN: resume, Seed: true})
+	if _, err := seeded.GetPage(ctx, 5, minLSN); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); seeded.Seeding(); {
+		if time.Now().After(deadline) {
+			t.Fatal("seeding never finished")
+		}
+		time.Sleep(time.Millisecond) // deadline-bounded poll; the seed loop reads one blob
+	}
+	seeded.Stop()
+	cached, ok := seeded.cache.Get(5)
+	if !ok || cached.Image() == nil {
+		t.Fatalf("seeded page 5: cached=%v, want the image read from XStore", ok)
+	}
+
 	req := &rbio.Request{Type: rbio.MsgGetPage, Page: 5, LSN: minLSN}
+	serve := func(s *Server) func() error {
+		handle := s.Handler()
+		return func() error {
+			if resp := handle(ctx, req); resp.Status != rbio.StatusOK {
+				return errors.New(resp.Error)
+			}
+			return nil
+		}
+	}
 	for _, c := range []struct {
 		name   string
 		budget float64
@@ -48,14 +79,12 @@ func TestGetPageAllocs(t *testing.T) {
 			_, err := srv.GetPage(ctx, 5, minLSN)
 			return err
 		}},
-		// The response and the payload buffer the page image is encoded
-		// into.
-		{"Handler", 2, func() error {
-			if resp := handle(ctx, req); resp.Status != rbio.StatusOK {
-				return errors.New(resp.Error)
-			}
-			return nil
-		}},
+		// A page redo built: the response and the payload buffer its image
+		// is encoded into.
+		{"Handler", 2, serve(srv)},
+		// A page read off a device: the response only — the payload is the
+		// image the page was read from.
+		{"Handler/device-read", 1, serve(seeded)},
 	} {
 		avg := testing.AllocsPerRun(200, func() {
 			if err := c.op(); err != nil {
@@ -66,6 +95,14 @@ func TestGetPageAllocs(t *testing.T) {
 		if avg > c.budget {
 			t.Errorf("warm %s: %.1f allocs/op, budget %.0f", c.name, avg, c.budget)
 		}
+	}
+
+	resp := seeded.Handler()(ctx, req)
+	if resp.Status != rbio.StatusOK {
+		t.Fatal(resp.Error)
+	}
+	if &resp.Payload[0] != &cached.Image()[0] {
+		t.Fatal("device-read page: the response payload is a copy, not the cached image")
 	}
 }
 

@@ -700,7 +700,7 @@ func (s *Server) Handler() rbio.Handler {
 			if err != nil {
 				return rbio.Retryf("get-page: %v", err)
 			}
-			return pagesResponse([]*page.Page{pg})
+			return pageResponse(pg)
 		case rbio.MsgReadState:
 			resp := rbio.Ok()
 			resp.LSN = s.AppliedLSN()
@@ -711,39 +711,31 @@ func (s *Server) Handler() rbio.Handler {
 	}
 }
 
-// pagesResponse assembles a MsgGetPage response: every page image is
-// encoded directly into the single payload buffer (one allocation per
-// response, not one per page plus a copy).
+// pageResponse builds a MsgGetPage response. Its payload is the page's
+// image (page.Encode): the very bytes the server read it from when it came
+// off a device, so serving it allocates only the response; a page redo
+// built in memory is encoded into a payload of its own. Nothing writes a
+// response payload, so sharing the cached page's image with the wire is
+// safe; the receiver verifies it again (DecodePage).
 //
-//socrates:hotpath runs once per GetPage served; TestGetPageAllocs (Handler)
-func pagesResponse(pages []*page.Page) *rbio.Response {
-	payload := make([]byte, 0, len(pages)*page.Size)
-	var err error
-	for _, pg := range pages {
-		if payload, err = pg.AppendEncode(payload); err != nil {
-			return rbio.Errorf("encode: %v", err)
-		}
+//socrates:hotpath runs once per GetPage served; TestGetPageAllocs (Handler, Handler/device-read)
+func pageResponse(pg *page.Page) *rbio.Response {
+	payload, err := pg.Encode()
+	if err != nil {
+		return rbio.Errorf("encode: %v", err)
 	}
 	resp := rbio.Ok()
 	resp.Payload = payload
-	if len(pages) > 0 {
-		resp.LSN = pages[len(pages)-1].LSN
-	}
+	resp.LSN = pg.LSN
 	return resp
 }
 
-// DecodePages parses a MsgGetPage response payload.
-func DecodePages(payload []byte) ([]*page.Page, error) {
-	if len(payload)%page.Size != 0 {
-		return nil, fmt.Errorf("pageserver: payload of %d bytes is not page-aligned", len(payload))
+// DecodePage parses a MsgGetPage response payload: exactly one page image,
+// verified — the wire is a trust boundary.
+func DecodePage(payload []byte) (*page.Page, error) {
+	pg, err := page.Decode(payload)
+	if err != nil {
+		return nil, fmt.Errorf("pageserver: GetPage payload: %w", err)
 	}
-	pages := make([]*page.Page, 0, len(payload)/page.Size)
-	for off := 0; off < len(payload); off += page.Size {
-		pg, err := page.Decode(payload[off : off+page.Size])
-		if err != nil {
-			return nil, err
-		}
-		pages = append(pages, pg)
-	}
-	return pages, nil
+	return pg, nil
 }

@@ -550,9 +550,9 @@ func TestHandlerGetPageAndRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pages, err := DecodePages(resp.Payload)
-	if err != nil || len(pages) != 1 || pages[0].Data[0] != 'a' {
-		t.Fatalf("single: %v %v", pages, err)
+	pg, err := DecodePage(resp.Payload)
+	if err != nil || pg.Data[0] != 'a' {
+		t.Fatalf("single: %v %v", pg, err)
 	}
 
 	resp, err = c.Call(context.Background(), &rbio.Request{Type: rbio.MsgReadState})
@@ -561,9 +561,21 @@ func TestHandlerGetPageAndRange(t *testing.T) {
 	}
 }
 
+// A GetPage payload is exactly one page image: a short one, and two images
+// back to back, are refused.
 func TestDecodePagesRejectsMisaligned(t *testing.T) {
-	if _, err := DecodePages(make([]byte, 100)); err == nil {
+	if _, err := DecodePage(make([]byte, 100)); err == nil {
 		t.Fatal("misaligned payload accepted")
+	}
+	img, err := (&page.Page{ID: 1, LSN: 2, Type: page.TypeLeaf, Data: []byte("x")}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodePage(append(append([]byte(nil), img...), img...)); err == nil {
+		t.Fatal("two-page payload accepted")
+	}
+	if _, err := DecodePage(img); err != nil {
+		t.Fatalf("one page image refused: %v", err)
 	}
 }
 

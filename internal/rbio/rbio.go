@@ -139,7 +139,7 @@ type Response struct {
 	Status  Status
 	Error   string   // human-readable cause when Status != StatusOK
 	LSN     page.LSN // context-dependent: applied LSN, next pull LSN, ...
-	Payload []byte   // page image(s) or encoded blocks
+	Payload []byte   // a page image or encoded blocks
 }
 
 // Ok builds a success response.

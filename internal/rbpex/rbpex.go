@@ -151,7 +151,8 @@ func (w *wbCounter) inc() {
 }
 
 // slotWriter is the working space of one run of the batch routine
-// (carry): the batch, its encoded images and its metadata changes.
+// (carry): the batch, the images of its pages built in memory, the image
+// each page is written as, and its metadata changes.
 type slotWriter struct {
 	batch  []demotion
 	images []byte
@@ -851,15 +852,28 @@ func (c *Cache) writeSlots(w *slotWriter) error {
 	if need := 16 * len(w.batch); cap(w.vals) < need {
 		w.vals = make([]byte, need)
 	}
+	// Sized for the whole batch, so the images encoded into it never move.
+	if need := page.Size * len(w.batch); cap(w.images) < need {
+		w.images = make([]byte, 0, need)
+	}
 	for i := range w.batch {
 		d := &w.batch[i]
 		if d.skip {
 			continue
 		}
-		var err error
-		if w.images, err = d.pg.AppendEncode(w.images); err != nil {
-			return err
+		// A page read off a device or the wire goes to the SSD as the image
+		// it was read from (the device copies on write); only one built in
+		// memory is encoded.
+		img := d.pg.Image()
+		if img == nil {
+			off := len(w.images)
+			var err error
+			if w.images, err = d.pg.AppendEncode(w.images); err != nil {
+				return err
+			}
+			img = w.images[off:]
 		}
+		w.bufs = append(w.bufs, img)
 		w.offs = append(w.offs, int64(d.slot)*page.Size)
 		if d.hasVictim {
 			w.ops = append(w.ops, hekaton.Op{Key: metaKey(d.victim), Delete: true})
@@ -875,9 +889,6 @@ func (c *Cache) writeSlots(w *slotWriter) error {
 			binary.LittleEndian.PutUint64(val[8:16], d.lsn.Uint64())
 			w.ops = append(w.ops, hekaton.Op{Key: metaKey(d.id), Val: val})
 		}
-	}
-	for i := range w.offs {
-		w.bufs = append(w.bufs, w.images[i*page.Size:(i+1)*page.Size])
 	}
 	if err := c.cfg.SSD.WriteVec(w.bufs, w.offs); err != nil {
 		return err

@@ -242,6 +242,62 @@ func TestMemEvictionToSSD(t *testing.T) {
 	}
 }
 
+// A page read off a device or the wire is spilled to the SSD as the image it
+// was read from, and a page built in memory as its encoding, whatever their
+// order in a batch. The decoded pages' images carry a marker past the
+// payload, where the checksum does not look and an encoding writes zeros:
+// finding it in a slot shows the image went to the device as it was read,
+// not encoded again. The SSD holds the drainer's first write, so the
+// demotions behind it queue up and go out as one batch of both kinds.
+func TestSpillWritesDecodedImages(t *testing.T) {
+	c, cfg := sparseCache(t, 2, 8)
+	release := cfg.SSD.HoldWrites()
+	want := make(map[page.ID][]byte)
+	for i := 1; i <= 6; i++ {
+		pg := mkPage(page.ID(i), page.LSN(i), byte(i))
+		img, err := pg.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 1 {
+			img[page.Size-1] = 0x5A
+			if pg, err = page.Decode(img); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want[pg.ID] = img
+		if err := c.Put(pg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	release()
+	c.Sync()
+	if ws := c.WriteBehind(); ws.Batches >= ws.Written {
+		t.Fatalf("%d pages in %d batches: no batch held more than one page", ws.Written, ws.Batches)
+	}
+	spilled := make(map[page.ID]bool)
+	for off := int64(0); off < cfg.SSD.Size(); off += page.Size {
+		slot := make([]byte, page.Size)
+		if err := cfg.SSD.ReadAt(slot, off); err != nil {
+			t.Fatal(err)
+		}
+		pg, err := page.Decode(slot)
+		if err != nil {
+			continue // a slot nothing was written to
+		}
+		if !bytes.Equal(slot, want[pg.ID]) {
+			t.Fatalf("page %d: the SSD slot differs from the image it was put with", pg.ID)
+		}
+		if spilled[pg.ID] {
+			t.Fatalf("page %d is in two slots", pg.ID)
+		}
+		spilled[pg.ID] = true
+	}
+	if len(spilled) != 4 {
+		t.Fatalf("pages %v spilled, want 4 (6 put into a 2-page memory tier)", spilled)
+	}
+}
+
 func TestEvictionWithoutSSDFiresHook(t *testing.T) {
 	var mu sync.Mutex
 	evicted := map[page.ID]page.LSN{}
