@@ -80,8 +80,9 @@ repl-stress:
 # engine: a point read with a visible head <= 2, a 200-row scan <= 16;
 # wal: encoding a 64-record block exactly 1, decoding it <= 4; pageserver:
 # a served page redo built 2, one read off a device 1; rbio: a Selector
-# call no more than the Client call it makes; obs: a wait on a rung already
-# at its LSN 0, a Publish nobody waits for 0) and short fuzzes of the B-tree
+# call no more than the Client call it makes, an untraced request's hop 0;
+# obs: a wait on a rung already at its LSN 0, a Publish nobody waits for 0,
+# a child span under a live span <= 2) and short fuzzes of the B-tree
 # node view against the decoded node it replaced, of the log block decoder
 # (never panics; a decode re-encodes to the bytes it consumed) and of the
 # page decoder (never panics; an accepted image re-encodes to its header

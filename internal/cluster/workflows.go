@@ -279,20 +279,29 @@ func (c *Cluster) retireRanges(part page.PartitionID, lo, hi, mid page.ID) {
 // resumes from the start of the log (redo over the checkpoint is
 // idempotent).
 func (c *Cluster) flushPartition(part page.PartitionID) (page.LSN, error) {
-	resume, found := page.LSN(1), false
+	resume, found, err := c.flushServers(func(srv *pageserver.Server) bool { return srv.Partition() == part })
+	if err == nil && !found {
+		resume = 1
+	}
+	return resume, err
+}
+
+// flushServers forces a full checkpoint on each page server flush picks and
+// returns the lowest checkpoint LSN; found is false when it picked none.
+func (c *Cluster) flushServers(flush func(*pageserver.Server) bool) (lowest page.LSN, found bool, err error) {
 	for _, srv := range c.PageServers() {
-		if srv.Partition() != part {
+		if !flush(srv) {
 			continue
 		}
 		lsn, err := srv.FlushForBackup()
 		if err != nil {
-			return 0, err
+			return 0, false, err
 		}
-		if !found || lsn.Before(resume) {
-			resume, found = lsn, true
+		if !found || lsn.Before(lowest) {
+			lowest, found = lsn, true
 		}
 	}
-	return resume, nil
+	return lowest, found, nil
 }
 
 // Backup takes a named, constant-time backup: every page server flushes its
@@ -301,16 +310,9 @@ func (c *Cluster) flushPartition(part page.PartitionID) (page.LSN, error) {
 // position and visibility timestamp at the moment of the snapshot are
 // recorded for restore.
 func (c *Cluster) Backup(name string) error {
-	var resume page.LSN
-	first := true
-	for _, srv := range c.PageServers() {
-		lsn, err := srv.FlushForBackup()
-		if err != nil {
-			return err
-		}
-		if first || lsn.Before(resume) {
-			resume, first = lsn, false
-		}
+	resume, _, err := c.flushServers(func(*pageserver.Server) bool { return true })
+	if err != nil {
+		return err
 	}
 	if err := c.Store.Snapshot(c.cfg.Name + "/" + name); err != nil {
 		return err

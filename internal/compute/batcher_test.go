@@ -29,8 +29,8 @@ import (
 //  3. batch boundaries never split a log record: every appended record
 //     appears in exactly one hardened block, blocks chain contiguously,
 //     and every block ends on a transaction-boundary record;
-//  4. per-request WaitProfile commit.harden attribution sums to the tier
-//     sketch's commit.harden total.
+//  4. per-request commit.harden attribution (each committer's span) sums
+//     to the tier sketch's commit.harden total.
 //
 // Replay a failure with -run 'TestBatcherProperty/seed=N'.
 
@@ -58,18 +58,20 @@ func runBatcherProperty(t *testing.T, seed int64) {
 	const committers = 8
 	const commitsPer = 20
 
-	profiles := make([]*obs.WaitProfile, committers)
+	tr := obs.NewTracer()
+	spans := make([]*obs.Span, committers)
 	acks := make([][]ackSample, committers)
 	var appended sync.Map // LSN -> struct{} for every record we appended
 	var wg sync.WaitGroup
 	for c := 0; c < committers; c++ {
 		c := c
-		profiles[c] = obs.NewWaitProfile()
+		var ctx context.Context
+		ctx, spans[c] = tr.StartSpan(context.Background(), obs.TierCompute, "committer")
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer spans[c].End()
 			rng := rand.New(rand.NewSource(simdisk.MixSeed(seed, int64(c+1))))
-			ctx := obs.ContextWithWaitProfile(context.Background(), profiles[c])
 			for i := 0; i < commitsPer; i++ {
 				txn := uint64(c*commitsPer + i + 1)
 				for j := 0; j < 1+rng.Intn(3); j++ {
@@ -164,11 +166,11 @@ func runBatcherProperty(t *testing.T, seed int64) {
 
 	// Invariant 4: per-request commit.harden attribution sums to the tier
 	// sketch total (nothing lost, nothing double-counted).
-	var profSum uint64
-	for _, p := range profiles {
-		for _, st := range p.Breakdown() {
+	var spanSum uint64
+	for _, sp := range spans {
+		for _, st := range sp.WaitBreakdown() {
 			if st.Class == obs.WaitCommitHarden.String() {
-				profSum += st.TotalNS
+				spanSum += st.TotalNS
 			}
 		}
 	}
@@ -178,9 +180,9 @@ func runBatcherProperty(t *testing.T, seed int64) {
 			tierSum = st.TotalNS
 		}
 	}
-	if profSum != tierSum {
-		t.Fatalf("commit.harden attribution: profiles sum %d ns, tier sketch %d ns",
-			profSum, tierSum)
+	if spanSum != tierSum {
+		t.Fatalf("commit.harden attribution: spans sum %d ns, tier sketch %d ns",
+			spanSum, tierSum)
 	}
 }
 

@@ -59,27 +59,23 @@ type SpanContext struct {
 // Valid reports whether the context names a real trace.
 func (sc SpanContext) Valid() bool { return sc.TraceID != 0 }
 
-type ctxKey struct{}
+// spanKey is the one context key of a request's observability. Its value
+// is the innermost live *Span started in-process, or — past a wire hop —
+// the bare SpanContext read from the frame, which shadows whatever span
+// the caller's context held: a remote tier never sees a foreign
+// process's span.
+type spanKey struct{}
 
-// spanPtrKey carries the innermost live *Span (set by StartSpan) so
-// WaitPoints can attach waits to the span that blocked. It rides beside
-// the identity key: wire boundaries propagate only the identity, so a
-// remote tier never sees a foreign process's pointer.
-type spanPtrKey struct{}
-
-// ContextWithSpan returns ctx carrying sc.
+// ContextWithSpan returns ctx carrying sc as its span, shadowing any span
+// ctx already held. An invalid sc on a context holding no span returns
+// ctx unchanged, so an untraced request crosses a hop without allocating.
+//
+//socrates:hotpath the wire hop on every served request; TestUntracedHopAllocs
 func ContextWithSpan(ctx context.Context, sc SpanContext) context.Context {
-	return context.WithValue(ctx, ctxKey{}, sc)
-}
-
-// activeSpan extracts the innermost live span started in-process (nil if
-// the context carries only a wire identity, or nothing).
-func activeSpan(ctx context.Context) *Span {
-	if ctx == nil {
-		return nil
+	if !sc.Valid() && ctx.Value(spanKey{}) == nil {
+		return ctx
 	}
-	s, _ := ctx.Value(spanPtrKey{}).(*Span)
-	return s
+	return context.WithValue(ctx, spanKey{}, sc)
 }
 
 // SpanFromContext extracts the span identity from ctx (zero if absent).
@@ -87,8 +83,13 @@ func SpanFromContext(ctx context.Context) SpanContext {
 	if ctx == nil {
 		return SpanContext{}
 	}
-	sc, _ := ctx.Value(ctxKey{}).(SpanContext)
-	return sc
+	switch v := ctx.Value(spanKey{}).(type) {
+	case *Span:
+		return v.Context()
+	case SpanContext:
+		return v
+	}
+	return SpanContext{}
 }
 
 // Span is one recorded interval. Fields are written only by the owning
@@ -106,11 +107,16 @@ type Span struct {
 	Duration time.Duration
 	Attrs    map[string]string
 
+	// parent is the in-process parent span; nil at a root and past a
+	// wire hop. RecordWait walks it so a span's waits are inclusive.
+	parent *Span
+
 	mu    sync.Mutex
 	ended bool
 
 	// Wait attribution: accumulated under mu until End, immutable after.
-	// Fixed arrays keep RecordWait allocation-free on hot paths.
+	// Fixed arrays keep RecordWait allocation-free on hot paths. Like
+	// Duration, the waits include those of in-process descendants.
 	waitCounts [numWaitClasses]uint32
 	waitNS     [numWaitClasses]uint64
 	hasWaits   bool
@@ -139,29 +145,34 @@ func (s *Span) SetAttr(key, value string) {
 	s.mu.Unlock()
 }
 
-// RecordWait attributes one wait of class c to the span. WaitPoints call
-// it through the context's active span; waits arriving after End are
-// dropped (the span is already immutable in the tracer).
+// RecordWait attributes one wait of class c to the span and to each of
+// its in-process ancestors, so a span's waits are inclusive like its
+// Duration. WaitPoints call it through the context's live span; a span
+// that has ended takes no more waits (it is already immutable in the
+// tracer).
 //
 //socrates:hotpath runs under every WaitPoint on a traced path; TestMuxCallAllocs (traced Call)
 func (s *Span) RecordWait(c WaitClass, d time.Duration) {
-	if s == nil || int(c) >= numWaitClasses {
+	if int(c) >= numWaitClasses {
 		return
 	}
 	if d < 0 {
 		d = 0
 	}
-	s.mu.Lock()
-	if !s.ended {
-		s.waitCounts[c]++
-		s.waitNS[c] += uint64(d)
-		s.hasWaits = true
+	for ; s != nil; s = s.parent {
+		s.mu.Lock()
+		if !s.ended {
+			s.waitCounts[c]++
+			s.waitNS[c] += uint64(d)
+			s.hasWaits = true
+		}
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
 }
 
-// WaitBreakdown exports the span's own (non-child) waits sorted by
-// descending total. Valid once the span has ended.
+// WaitBreakdown exports the span's waits, its in-process descendants'
+// included, sorted by descending total. Safe at any time; final once
+// the span has ended.
 func (s *Span) WaitBreakdown() []WaitClassStat {
 	if s == nil {
 		return nil
@@ -253,7 +264,9 @@ func (t *Tracer) newSpanID() SpanID {
 // StartSpan begins a span named name in the given tier. If ctx already
 // carries a span identity the new span becomes its child and shares the
 // trace; otherwise a fresh trace is started. The returned context
-// carries the new span's identity.
+// carries the new span, one context node on top of ctx.
+//
+//socrates:hotpath every traced statement, commit and GetPage starts one; TestStartSpanAllocs
 func (t *Tracer) StartSpan(ctx context.Context, tier, name string) (context.Context, *Span) {
 	if t == nil {
 		return ctx, nil
@@ -261,13 +274,19 @@ func (t *Tracer) StartSpan(ctx context.Context, tier, name string) (context.Cont
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	parent := SpanFromContext(ctx)
 	s := &Span{
 		tracer: t,
 		Name:   name,
 		Tier:   tier,
 		Start:  time.Now(),
 		ID:     t.newSpanID(),
+	}
+	var parent SpanContext
+	switch v := ctx.Value(spanKey{}).(type) {
+	case *Span:
+		s.parent, parent = v, v.Context()
+	case SpanContext:
+		parent = v
 	}
 	if parent.Valid() {
 		s.Trace = parent.TraceID
@@ -279,8 +298,7 @@ func (t *Tracer) StartSpan(ctx context.Context, tier, name string) (context.Cont
 		}
 		s.Trace = TraceID(id)
 	}
-	ctx = ContextWithSpan(ctx, s.Context())
-	return context.WithValue(ctx, spanPtrKey{}, s), s
+	return context.WithValue(ctx, spanKey{}, s), s
 }
 
 // JoinSpan starts a span only when ctx already carries trace identity;
@@ -355,23 +373,18 @@ type SpanNode struct {
 	Children []*SpanNode       `json:"children,omitempty"`
 }
 
-// WaitTotals sums the wait time by class over the subtree rooted at n —
-// the per-request wait breakdown of a whole traced operation.
+// WaitTotals returns the node's wait time by class. A span's waits are
+// inclusive of its in-process descendants, so this is the per-request
+// wait breakdown of a whole traced operation; a span past a wire hop
+// keeps its own.
 func (n *SpanNode) WaitTotals() map[string]time.Duration {
 	out := map[string]time.Duration{}
-	var walk func(*SpanNode)
-	walk = func(m *SpanNode) {
-		if m == nil {
-			return
-		}
-		for _, w := range m.Waits {
-			out[w.Class] += time.Duration(w.TotalNS)
-		}
-		for _, c := range m.Children {
-			walk(c)
-		}
+	if n == nil {
+		return out
 	}
-	walk(n)
+	for _, w := range n.Waits {
+		out[w.Class] += time.Duration(w.TotalNS)
+	}
 	return out
 }
 

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"socrates/internal/testutil"
 )
 
 func TestSpanTreeAcrossTiers(t *testing.T) {
@@ -55,6 +57,59 @@ func TestRemoteSpanJoinsTrace(t *testing.T) {
 	tree := tr.Trace(root.Trace)
 	if len(tree.Children) != 1 || tree.Children[0].Tier != TierPageServer {
 		t.Fatalf("remote span not parented: %s", Format(tree))
+	}
+}
+
+// TestSpanWaitsAreInclusive pins per-request attribution: a wait under a
+// child span lands on the child and on its root, each once, and a wait
+// under a context rebuilt with ContextWithSpan — what a wire hop hands
+// its handler — reaches neither, even though the context it was built
+// from held the child.
+func TestSpanWaitsAreInclusive(t *testing.T) {
+	tr := NewTracer()
+	rec := NewWaitSet().Tier(TierCompute)
+	ctx, root := tr.StartSpan(context.Background(), TierCompute, "sql.exec")
+	cctx, child := tr.StartSpan(ctx, TierCompute, "engine.commit")
+	rec.Observe(cctx, WaitCommitHarden, 3*time.Millisecond)
+	hop := ContextWithSpan(cctx, child.Context())
+	rec.Observe(hop, WaitXLOGFeed, 5*time.Millisecond)
+	if got := SpanFromContext(hop); got != child.Context() {
+		t.Fatalf("hop context names %+v, want %+v", got, child.Context())
+	}
+	child.End()
+	rec.Observe(cctx, WaitLockRow, time.Millisecond) // after End: root only
+	root.End()
+
+	tree := tr.Trace(root.Trace)
+	for _, tc := range []struct {
+		node *SpanNode
+		want map[string]time.Duration
+	}{
+		{tree.FindSpan("engine.commit"), map[string]time.Duration{"commit.harden": 3 * time.Millisecond}},
+		{tree, map[string]time.Duration{"commit.harden": 3 * time.Millisecond, "lock.row": time.Millisecond}},
+	} {
+		got := tc.node.WaitTotals()
+		if len(got) != len(tc.want) {
+			t.Fatalf("%s waits = %v, want %v", tc.node.Name, got, tc.want)
+		}
+		for class, d := range tc.want {
+			if got[class] != d {
+				t.Fatalf("%s waits = %v, want %v", tc.node.Name, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestStartSpanAllocs is the allocation contract for a child span under
+// a live span: the span itself and one context node.
+func TestStartSpanAllocs(t *testing.T) {
+	testutil.SkipIfRace(t)
+	tr := NewTracer()
+	ctx, root := tr.StartSpan(context.Background(), TierCompute, "root")
+	defer root.End()
+	avg := testing.AllocsPerRun(200, func() { tr.StartSpan(ctx, TierCompute, "child") })
+	if avg > 2 {
+		t.Fatalf("StartSpan under a live span: %.1f allocs, budget 2", avg)
 	}
 }
 

@@ -6,16 +6,16 @@ package obs
 // does commit time go" questions), and the taxonomy below spans all four
 // tiers plus the netmux fabric between them.
 //
-// Three levels of aggregation, all fed by the same record call:
+// Two levels of aggregation, both fed by the same record call:
 //
 //   - global and per-tier sketches (count / total-ns / exact max-ns per
 //     class, lock-free atomics — WaitSet);
-//   - per-request attribution: a WaitProfile threaded through the trace
-//     context so a traced DB.ExecContext commit carries its own wait
-//     breakdown (an EXPLAIN-ANALYZE of waits);
-//   - per-span attribution: each wait attaches to the innermost open span
-//     in the context, so span trees render "commit.harden 612µs" on the
-//     exact span that blocked.
+//   - per-request attribution: each wait attaches to the innermost live
+//     span in the context and to its in-process ancestors, so span trees
+//     render "commit.harden 612µs" on the exact span that blocked, and a
+//     traced DB.ExecContext statement's own span carries its breakdown
+//     (an EXPLAIN-ANALYZE of waits). A wire hop replaces the span with
+//     the frame's identity, so a remote tier's waits stay on its side.
 //
 // The API is a WaitPoint in two shapes: Begin/End brackets a blocking
 // region; Observe records a pre-measured duration (simulated device
@@ -27,8 +27,8 @@ package obs
 // existing allocation budgets.
 //
 // All types are nil-safe like the rest of the package: a nil
-// *WaitRecorder still attributes to the context's profile and span, so
-// request-scoped breakdowns work even where no sketch is wired.
+// *WaitRecorder still attributes to the context's span, so request-scoped
+// breakdowns work even where no sketch is wired.
 
 import (
 	"bufio"
@@ -289,9 +289,9 @@ func sortByTotal(stats []WaitClassStat) []WaitClassStat {
 }
 
 // WaitRecorder records waits for one tier into its tier sketch, the
-// global sketch, and whatever per-request profile and span the context
-// carries. A nil recorder still performs the context attribution, so
-// unwired paths keep request-scoped breakdowns.
+// global sketch, and whatever live span the context carries. A nil
+// recorder still performs the context attribution, so unwired paths keep
+// request-scoped breakdowns.
 type WaitRecorder struct {
 	set  *WaitSet
 	tier *WaitStats
@@ -312,10 +312,7 @@ func (r *WaitRecorder) Observe(ctx context.Context, class WaitClass, d time.Dura
 	if ctx == nil {
 		return
 	}
-	if p := WaitProfileFromContext(ctx); p != nil {
-		p.add(class, d)
-	}
-	if sp := activeSpan(ctx); sp != nil {
+	if sp, ok := ctx.Value(spanKey{}).(*Span); ok {
 		sp.RecordWait(class, d)
 	}
 }
@@ -450,81 +447,6 @@ func (w WaitRegion) EndIf(waited bool) {
 	if waited {
 		w.End()
 	}
-}
-
-// --- per-request attribution ---
-
-// WaitProfile accumulates one request's waits by class. It travels in
-// the context (ContextWithWaitProfile) across every tier the request
-// touches in-process; concurrent recorders (fan-out page reads, a
-// group-commit leader) share it safely through atomics.
-type WaitProfile struct {
-	counts [numWaitClasses]atomic.Uint64
-	totals [numWaitClasses]atomic.Uint64
-}
-
-// NewWaitProfile builds an empty profile.
-func NewWaitProfile() *WaitProfile { return &WaitProfile{} }
-
-func (p *WaitProfile) add(class WaitClass, d time.Duration) {
-	if p == nil || int(class) >= numWaitClasses {
-		return
-	}
-	p.counts[class].Add(1)
-	p.totals[class].Add(uint64(d))
-}
-
-// Breakdown exports the profile's nonzero classes sorted by descending
-// total — the per-request EXPLAIN-ANALYZE of waits.
-func (p *WaitProfile) Breakdown() []WaitClassStat {
-	if p == nil {
-		return nil
-	}
-	out := make([]WaitClassStat, 0, numWaitClasses)
-	for i := range p.counts {
-		n := p.counts[i].Load()
-		if n == 0 {
-			continue
-		}
-		out = append(out, WaitClassStat{
-			Class:   WaitClass(i).String(),
-			Count:   n,
-			TotalNS: p.totals[i].Load(),
-		})
-	}
-	return sortByTotal(out)
-}
-
-// Total sums the profile's wait time across classes.
-func (p *WaitProfile) Total() time.Duration {
-	if p == nil {
-		return 0
-	}
-	var ns uint64
-	for i := range p.totals {
-		ns += p.totals[i].Load()
-	}
-	return time.Duration(ns)
-}
-
-type waitProfileKey struct{}
-
-// ContextWithWaitProfile returns ctx carrying p; every WaitPoint the
-// request passes through adds its wait to p.
-func ContextWithWaitProfile(ctx context.Context, p *WaitProfile) context.Context {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return context.WithValue(ctx, waitProfileKey{}, p)
-}
-
-// WaitProfileFromContext extracts the request's profile (nil if none).
-func WaitProfileFromContext(ctx context.Context) *WaitProfile {
-	if ctx == nil {
-		return nil
-	}
-	p, _ := ctx.Value(waitProfileKey{}).(*WaitProfile)
-	return p
 }
 
 // --- Prometheus exposition ---

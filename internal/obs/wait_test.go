@@ -60,12 +60,11 @@ func TestWaitStatsExactMaxConcurrent(t *testing.T) {
 // TestWaitRegionSemantics pins the WaitPoint contract: End on a zero
 // region is a no-op, EndIf(false) records nothing, End/EndIf(true) record
 // exactly one wait into the tier sketch, the global sketch, and the
-// context's profile.
+// context's span.
 func TestWaitRegionSemantics(t *testing.T) {
 	set := NewWaitSet()
 	rec := set.Tier("compute")
-	prof := NewWaitProfile()
-	ctx := ContextWithWaitProfile(context.Background(), prof)
+	ctx, span := NewTracer().StartSpan(context.Background(), TierCompute, "req")
 
 	var zero WaitRegion
 	zero.End() // must not panic or record
@@ -91,44 +90,46 @@ func TestWaitRegionSemantics(t *testing.T) {
 	if len(rep.Tiers["compute"]) != 2 {
 		t.Fatalf("compute tier: got %+v, want 2 classes", rep.Tiers["compute"])
 	}
-	bd := prof.Breakdown()
+	span.End()
+	bd := span.WaitBreakdown()
 	if len(bd) != 2 {
-		t.Fatalf("profile breakdown: got %+v, want 2 classes", bd)
+		t.Fatalf("span breakdown: got %+v, want 2 classes", bd)
 	}
 }
 
 // TestPackageWaitAttributesWithoutRecorder pins the nil-recorder path: a
-// nil *WaitRecorder's Begin/End on a context carrying a profile attributes
-// the region's duration to the profile even though no sketch is wired.
+// nil *WaitRecorder's Begin/End on a context carrying a span attributes
+// the region's duration to the span even though no sketch is wired.
 func TestPackageWaitAttributesWithoutRecorder(t *testing.T) {
-	prof := NewWaitProfile()
-	ctx := ContextWithWaitProfile(context.Background(), prof)
+	ctx, span := NewTracer().StartSpan(context.Background(), TierCompute, "req")
 	var nilRec *WaitRecorder
 	region := nilRec.Begin(ctx, WaitPageRemote)
 	time.Sleep(time.Millisecond)
 	region.End()
+	span.End()
 
-	bd := prof.Breakdown()
+	bd := span.WaitBreakdown()
 	if len(bd) != 1 || bd[0].Class != "page.remote" {
 		t.Fatalf("breakdown = %+v, want one page.remote entry", bd)
 	}
-	if prof.Total() < time.Millisecond {
-		t.Fatalf("total = %v, want >= the 1ms sleep", prof.Total())
+	if got := time.Duration(bd[0].TotalNS); got < time.Millisecond {
+		t.Fatalf("total = %v, want >= the 1ms sleep", got)
 	}
 
 	// A nil context must be safe too (background loops).
 	nilRec.Observe(nil, WaitDiskRead, time.Millisecond)
 }
 
-// TestWaitProfileBreakdownOrder pins the per-request report shape:
-// classes sorted by descending total, and Total summing across classes.
-func TestWaitProfileBreakdownOrder(t *testing.T) {
-	p := NewWaitProfile()
-	p.add(WaitPageMiss, 1*time.Millisecond)
-	p.add(WaitCommitHarden, 5*time.Millisecond)
-	p.add(WaitLockLatch, 3*time.Millisecond)
+// TestSpanWaitBreakdownOrder pins the per-request report shape: classes
+// sorted by descending total, summing to every wait recorded.
+func TestSpanWaitBreakdownOrder(t *testing.T) {
+	_, p := NewTracer().StartSpan(context.Background(), TierCompute, "req")
+	p.RecordWait(WaitPageMiss, 1*time.Millisecond)
+	p.RecordWait(WaitCommitHarden, 5*time.Millisecond)
+	p.RecordWait(WaitLockLatch, 3*time.Millisecond)
+	p.End()
 
-	bd := p.Breakdown()
+	bd := p.WaitBreakdown()
 	want := []string{"commit.harden", "lock.latch", "page.miss"}
 	if len(bd) != len(want) {
 		t.Fatalf("breakdown = %+v, want %d classes", bd, len(want))
@@ -138,8 +139,12 @@ func TestWaitProfileBreakdownOrder(t *testing.T) {
 			t.Fatalf("breakdown[%d] = %s, want %s (descending total order)", i, bd[i].Class, cls)
 		}
 	}
-	if got := p.Total(); got != 9*time.Millisecond {
-		t.Fatalf("Total = %v, want 9ms", got)
+	var total time.Duration
+	for _, st := range bd {
+		total += time.Duration(st.TotalNS)
+	}
+	if total != 9*time.Millisecond {
+		t.Fatalf("total = %v, want 9ms", total)
 	}
 }
 
@@ -158,8 +163,8 @@ func TestWaitSetConcurrentRecordAndReport(t *testing.T) {
 		go func(i int, tier string) {
 			defer wg.Done()
 			rec := set.Tier(tier)
-			prof := NewWaitProfile()
-			ctx := ContextWithWaitProfile(context.Background(), prof)
+			ctx, span := NewTracer().StartSpan(context.Background(), tier, "req")
+			defer span.End()
 			for n := 0; ; n++ {
 				select {
 				case <-stop:

@@ -256,3 +256,18 @@ func TestSelectorCallAllocs(t *testing.T) {
 		t.Fatalf("Selector.Call %.1f allocs/op, more than Client.Call's %.1f", selector, client)
 	}
 }
+
+// TestUntracedHopAllocs is the allocation contract for the wire hop of an
+// untraced request: checkVersion hands the handler the caller's context
+// as it is, adding nothing.
+func TestUntracedHopAllocs(t *testing.T) {
+	testutil.SkipIfRace(t)
+	ok := Ok()
+	h := checkVersion(func(context.Context, *Request) *Response { return ok })
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := &Request{Version: Version, Type: MsgGetPage}
+	if avg := testing.AllocsPerRun(200, func() { h(ctx, req) }); avg != 0 {
+		t.Fatalf("untraced hop: %.1f allocs/op, budget 0", avg)
+	}
+}

@@ -231,6 +231,37 @@ func TestHandlerSeesFrameTraceNotCallerValues(t *testing.T) {
 	}
 }
 
+// TestHopKeepsServerWaitsOnTheServer is transport parity for waits: a
+// handler's waits, whether recorded under the span it joined from the
+// frame or under its raw context, stay on the server side of the hop on
+// the in-process fabric exactly as over TCP, where nothing else crosses.
+func TestHopKeepsServerWaitsOnTheServer(t *testing.T) {
+	tr := obs.NewTracer()
+	rec := obs.NewWaitSet().Tier(obs.TierXLOG)
+	net := NewInstantNetwork()
+	net.Serve("ps", func(ctx context.Context, _ *Request) *Response {
+		jctx, sp := tr.JoinSpan(ctx, obs.TierPageServer, "pageserver.getpage")
+		defer sp.End()
+		rec.Observe(jctx, obs.WaitXLOGFeed, 3*time.Millisecond)
+		rec.Observe(ctx, obs.WaitXLOGFeed, 3*time.Millisecond)
+		return Ok()
+	})
+	c := NewClient(net.Dial("ps"))
+	ctx, caller := tr.StartSpan(context.Background(), obs.TierCompute, "getpage")
+	if _, err := c.Call(ctx, &Request{Type: MsgGetPage}); err != nil {
+		t.Fatal(err)
+	}
+	caller.End()
+	tree := tr.Trace(caller.Trace)
+	if got := tree.WaitTotals()["xlog.feed"]; got != 0 {
+		t.Fatalf("caller span took %v of the handler's xlog.feed:\n%s", got, tree.Format())
+	}
+	server := tree.FindSpan("pageserver.getpage")
+	if got := server.WaitTotals()["xlog.feed"]; got != 3*time.Millisecond {
+		t.Fatalf("joined span xlog.feed = %v, want 3ms:\n%s", got, tree.Format())
+	}
+}
+
 func TestCallHonorsCancelledContext(t *testing.T) {
 	net := NewInstantNetwork()
 	net.Serve("s", func(context.Context, *Request) *Response { return Ok() })

@@ -49,11 +49,12 @@ type Result struct {
 	Columns  []string
 	Rows     [][]Value
 	Affected int
-	// Waits is the statement's per-request wait breakdown: every blocked
-	// interval the request hit across tiers (commit hardening, page
-	// misses, fabric round trips, ...), by class, sorted by total — the
+	// Waits is the statement's per-request wait breakdown, the waits of
+	// its "sql.exec" span: every blocked interval the request hit in
+	// this process (commit hardening, page misses, fabric round trips,
+	// ...), each counted once, by class, sorted by total — the
 	// EXPLAIN-ANALYZE of where the statement's latency went. Empty when
-	// nothing blocked.
+	// nothing blocked, or with observability off (no tracer).
 	Waits []obs.WaitClassStat
 	// WaitTotal sums Waits across classes.
 	WaitTotal time.Duration
@@ -107,15 +108,6 @@ func (s *Session) RunContext(ctx context.Context, stmt Statement) (*Result, erro
 	ctx, span := eng.Tracer().StartSpan(ctx, obs.TierCompute, "sql.exec")
 	defer span.End()
 	span.SetAttr("stmt", stmtName(stmt))
-	// Per-request wait attribution: every WaitPoint the statement passes
-	// through (in any tier, including the group-commit leader writing on
-	// its behalf) adds to this profile, and the Result carries the
-	// breakdown.
-	prof := obs.WaitProfileFromContext(ctx)
-	if prof == nil {
-		prof = obs.NewWaitProfile()
-		ctx = obs.ContextWithWaitProfile(ctx, prof)
-	}
 	res, err := s.runStmt(ctx, stmt)
 	span.SetError(err)
 	if err == nil {
@@ -123,8 +115,13 @@ func (s *Session) RunContext(ctx context.Context, stmt Statement) (*Result, erro
 		eng.Metrics().Counter("compute.sql.statements").Inc()
 	}
 	if res != nil {
-		res.Waits = prof.Breakdown()
-		res.WaitTotal = prof.Total()
+		// Every WaitPoint the statement passed through in-process adds
+		// to span and its ancestors, so the span's waits are the
+		// statement's.
+		res.Waits = span.WaitBreakdown()
+		for _, w := range res.Waits {
+			res.WaitTotal += time.Duration(w.TotalNS)
+		}
 	}
 	return res, err
 }
@@ -506,33 +503,33 @@ func (db *DB) scanMatching(tx *engine.Tx, name string, sc *schema, where Expr,
 }
 
 // pkEquality detects `pk = literal` (possibly under ANDs) for point plans.
+// Like pkBounds, it takes only a literal whose encoded key is the stored
+// key of every row equal to it (keyExact); any other equality is left to
+// the bounded or full scan and the residual filter.
 func pkEquality(e Expr, sc *schema) (Value, bool) {
-	switch ex := e.(type) {
-	case *BinaryExpr:
-		if ex.Op == "=" {
-			if col, ok := ex.L.(*ColumnRef); ok {
-				if idx, found := sc.colIndex(col.Name); found && idx == sc.pkIdx {
-					if lit, ok := ex.R.(*Literal); ok {
-						return lit.Val, true
-					}
-				}
-			}
-			if col, ok := ex.R.(*ColumnRef); ok {
-				if idx, found := sc.colIndex(col.Name); found && idx == sc.pkIdx {
-					if lit, ok := ex.L.(*Literal); ok {
-						return lit.Val, true
-					}
-				}
-			}
-		}
-		if ex.Op == "AND" {
-			if v, ok := pkEquality(ex.L, sc); ok {
-				return v, true
-			}
-			return pkEquality(ex.R, sc)
-		}
+	ex, ok := e.(*BinaryExpr)
+	if !ok {
+		return Value{}, false
 	}
-	return Value{}, false
+	if ex.Op == "AND" {
+		if v, ok := pkEquality(ex.L, sc); ok {
+			return v, true
+		}
+		return pkEquality(ex.R, sc)
+	}
+	col, lit := ex.L, ex.R
+	if _, isCol := col.(*ColumnRef); !isCol {
+		col, lit = lit, col
+	}
+	ref, isCol := col.(*ColumnRef)
+	l, isLit := lit.(*Literal)
+	if ex.Op != "=" || !isCol || !isLit || !keyExact(l.Val, sc) {
+		return Value{}, false
+	}
+	if idx, found := sc.colIndex(ref.Name); !found || idx != sc.pkIdx {
+		return Value{}, false
+	}
+	return l.Val, true
 }
 
 // pkBounds derives the key range [lo, hi) that the top-level AND conjuncts
@@ -580,11 +577,8 @@ func pkBounds(e Expr, sc *schema) (lo, hi []byte) {
 		return nil, nil
 	}
 	v, err := evalExpr(lit, nil) // constants only: a column reference errors
-	if err != nil || !kindMatches(v.Kind, sc.Columns[sc.pkIdx].Type) {
+	if err != nil || !keyExact(v, sc) {
 		return nil, nil
-	}
-	if v.Kind == KindFloat && v.F == 0 {
-		return nil, nil // 0.0 and -0.0 compare equal but encode apart
 	}
 	key, err := encodeKey(v)
 	if err != nil {
@@ -602,6 +596,14 @@ func pkBounds(e Expr, sc *schema) (lo, hi []byte) {
 		return nil, append(key, 0)
 	}
 	return nil, nil
+}
+
+// keyExact reports whether constant v encodes to exactly the stored key of
+// every row whose primary key equals it: v has the key column's own type
+// (an INT key holding 1 is not found under the FLOAT 1.0's encoding), and
+// is not a float zero (0.0 and -0.0 compare equal but encode apart).
+func keyExact(v Value, sc *schema) bool {
+	return kindMatches(v.Kind, sc.Columns[sc.pkIdx].Type) && !(v.Kind == KindFloat && v.F == 0)
 }
 
 // kindMatches reports whether a value of kind k is stored as-is (without

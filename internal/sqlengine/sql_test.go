@@ -623,6 +623,37 @@ func TestPKRangeBounds(t *testing.T) {
 	}
 }
 
+// TestPKEqualityRespectsKeyType: an equality on the primary key whose
+// literal does not encode to the stored key — another type than the key's,
+// or a float zero of the other sign — still finds its row through the scan
+// and the residual filter, in SELECT, UPDATE and DELETE alike.
+func TestPKEqualityRespectsKeyType(t *testing.T) {
+	for _, c := range []struct{ keyType, stored, where string }{
+		{"INT", "1", "id = 1.0"},
+		{"INT", "1", "1.0 = id AND v = 'a'"},
+		{"FLOAT", "-0.0", "id = 0.0"},
+		{"FLOAT", "0.0", "id = -0.0"},
+	} {
+		for _, stmt := range []string{"SELECT", "UPDATE", "DELETE"} {
+			db := newDB(t)
+			mustExec(t, db, `CREATE TABLE t (id `+c.keyType+` PRIMARY KEY, v TEXT)`)
+			mustExec(t, db, `INSERT INTO t VALUES (`+c.stored+`, 'a')`)
+			var got int
+			switch stmt {
+			case "SELECT":
+				got = len(mustExec(t, db, `SELECT * FROM t WHERE `+c.where).Rows)
+			case "UPDATE":
+				got = mustExec(t, db, `UPDATE t SET v = 'b' WHERE `+c.where).Affected
+			case "DELETE":
+				got = mustExec(t, db, `DELETE FROM t WHERE `+c.where).Affected
+			}
+			if got != 1 {
+				t.Errorf("%s key %s, %s WHERE %s: %d rows, want 1", c.keyType, c.stored, stmt, c.where, got)
+			}
+		}
+	}
+}
+
 // TestPKRangeReadsOnlyItsPages: a 20-row range over a many-leaf table reads
 // a root-to-leaf path, not every leaf.
 func TestPKRangeReadsOnlyItsPages(t *testing.T) {
