@@ -79,11 +79,15 @@ repl-stress:
 # evicting Put <= 9; versionstore: a walk three versions down the chain 0;
 # engine: a point read with a visible head <= 2, a 200-row scan <= 16;
 # wal: encoding a 64-record block exactly 1, decoding it <= 4; pageserver:
-# a served page redo built 2, one read off a device 1; rbio: a Selector
+# a served page redo built 2, one read off a device 1, redo of a pull's
+# first record for a cached page 2, of each later record for that page 0
+# while its payload has room; rbio: a Selector
 # call no more than the Client call it makes, an untraced request's hop 0;
 # obs: a wait on a rung already at its LSN 0, a Publish nobody waits for 0,
 # a child span under a live span <= 2) and short fuzzes of the B-tree
-# node view against the decoded node it replaced, of the log block decoder
+# node view against the decoded node it replaced, of in-place redo against
+# copy-on-write redo (identical payloads, LSNs and errors; a failed edit
+# leaves the page as it was), of the log block decoder
 # (never panics; a decode re-encodes to the bytes it consumed) and of the
 # page decoder (never panics; an accepted image re-encodes to its header
 # and payload). The contracts are the only allocation gate: every
@@ -92,6 +96,7 @@ repl-stress:
 allocs:
 	$(GO) test -count=1 -run 'Allocs$$' ./internal/wal ./internal/btree ./internal/versionstore ./internal/engine ./internal/pageserver ./internal/logwriter ./internal/compute ./internal/netmux ./internal/rbio ./internal/rbpex ./internal/obs
 	$(GO) test -run '^$$' -fuzz=FuzzNodeView -fuzztime=10s ./internal/btree
+	$(GO) test -run '^$$' -fuzz=FuzzRedoInPlace -fuzztime=10s ./internal/btree
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeBlock -fuzztime=10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz=FuzzPageDecode -fuzztime=10s ./internal/page
 

@@ -216,7 +216,7 @@ func (t *Tree) putRec(txn uint64, id page.ID, key, value []byte) (*splitResult, 
 		// Install the separator for the new right sibling.
 		key, value = split.key, encodeChild(split.right)
 	}
-	data, err := v.put(key, value)
+	data, err := v.put(key, value, false)
 	if err == nil {
 		return nil, t.writeCellPut(txn, pg, data, key, value)
 	}
@@ -307,7 +307,7 @@ func (t *Tree) Delete(txn uint64, key []byte) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	data, found, err := v.remove(key)
+	data, found, err := v.remove(key, false)
 	if err != nil || !found {
 		return false, err
 	}

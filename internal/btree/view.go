@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"socrates/internal/page"
 )
@@ -19,7 +20,8 @@ var errOverflow = errors.New("btree: node exceeds page capacity")
 // iteration walk the cells in place and allocate nothing, so every slice a
 // view hands out aliases the payload — which is immutable, like the page it
 // belongs to. Edits (put, remove) build the new payload in one allocation as
-// prefix + cell + suffix.
+// prefix + cell + suffix, or — for a payload redo owns (Edit) — make the
+// same edit in place.
 //
 // Cells are bounds-checked as they are walked: a truncated or corrupt
 // payload yields ErrCorrupt, never a panic.
@@ -184,21 +186,20 @@ func appendCell(buf, key, value []byte) []byte {
 	return append(buf, value...)
 }
 
-// put returns the payload with key→value upserted, or errOverflow when that
-// payload would not fit a page.
-func (v *view) put(key, value []byte) ([]byte, error) {
+// put returns the payload with key→value upserted, or errOverflow — before
+// anything is written — when that payload would not fit a page. In place
+// (own) it edits v's payload, which the caller must own (Edit).
+func (v *view) put(key, value []byte, own bool) ([]byte, error) {
 	_, start, end, found, err := v.find(key)
 	if err != nil {
 		return nil, err
 	}
-	size := len(v.data) - (end - start) + CellOverhead + len(key) + len(value)
-	if size > page.MaxData {
+	cell := CellOverhead + len(key) + len(value)
+	if len(v.data)-(end-start)+cell > page.MaxData {
 		return nil, errOverflow
 	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, v.data[:start]...)
-	buf = appendCell(buf, key, value)
-	buf = append(buf, v.data[end:]...)
+	buf := v.splice(start, end, cell, own)
+	appendCell(buf[start:start], key, value)
 	if !found {
 		binary.LittleEndian.PutUint16(buf[v.first-2:], uint16(v.count+1))
 	}
@@ -207,14 +208,33 @@ func (v *view) put(key, value []byte) ([]byte, error) {
 
 // remove returns the payload without key's cell, reporting whether the key
 // was present (the payload is unchanged, and shared, when it was not).
-func (v *view) remove(key []byte) ([]byte, bool, error) {
+func (v *view) remove(key []byte, own bool) ([]byte, bool, error) {
 	_, start, end, found, err := v.find(key)
 	if err != nil || !found {
 		return v.data, false, err
 	}
-	buf := make([]byte, 0, len(v.data)-(end-start))
-	buf = append(buf, v.data[:start]...)
-	buf = append(buf, v.data[end:]...)
+	buf := v.splice(start, end, 0, own)
 	binary.LittleEndian.PutUint16(buf[v.first-2:], uint16(v.count-1))
 	return buf, true, nil
+}
+
+// splice returns the payload with its bytes [start, end) replaced by a gap
+// of n bytes for the caller to fill. Copy-on-write it is a new buffer of
+// exactly the new size, prefix and suffix copied in; in place (own) it is
+// v's own buffer with the suffix moved by copy, grown append-style — so a
+// page that keeps growing reallocates rarely — only when it lacks capacity.
+func (v *view) splice(start, end, n int, own bool) []byte {
+	size := len(v.data) - (end - start) + n
+	var buf []byte
+	switch {
+	case !own:
+		buf = make([]byte, size)
+		copy(buf, v.data[:start])
+	case cap(v.data) < size:
+		buf = slices.Grow(v.data, size-len(v.data))[:size]
+	default:
+		buf = v.data[:size]
+	}
+	copy(buf[start+n:], v.data[end:])
+	return buf
 }

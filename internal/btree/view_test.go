@@ -127,7 +127,7 @@ func checkViewAgainstOracle(t *testing.T, data []byte, internal bool, probes [][
 		value := bytes.Repeat([]byte{'v'}, len(key)*3)
 		edited, _ := decodeNode(data)
 		edited.put(key, value)
-		got, err := v.put(key, value)
+		got, err := v.put(key, value, false)
 		if edited.encodedSize() > page.MaxData {
 			if !errors.Is(err, errOverflow) {
 				t.Fatalf("put(%q) on a full node: err %v, want overflow", key, err)
@@ -142,7 +142,7 @@ func checkViewAgainstOracle(t *testing.T, data []byte, internal bool, probes [][
 		edited, _ = decodeNode(data)
 		wantFound := edited.remove(key)
 		wantData, _ := edited.encode()
-		gotData, gotFound, err := v.remove(key)
+		gotData, gotFound, err := v.remove(key, false)
 		if err != nil || gotFound != wantFound || !bytes.Equal(gotData, wantData) {
 			t.Fatalf("remove(%q): found %v err %v, oracle found %v; payloads equal: %v",
 				key, gotFound, err, wantFound, bytes.Equal(gotData, wantData))
@@ -196,10 +196,10 @@ func exerciseCorrupt(t *testing.T, data []byte, probes [][]byte) {
 		if _, err := v.childFor(key); !isCorrupt(err) {
 			t.Fatalf("childFor(%q): %v", key, err)
 		}
-		if _, err := v.put(key, key); !isCorrupt(err) && !errors.Is(err, errOverflow) {
+		if _, err := v.put(key, key, false); !isCorrupt(err) && !errors.Is(err, errOverflow) {
 			t.Fatalf("put(%q): %v", key, err)
 		}
-		if _, _, err := v.remove(key); !isCorrupt(err) {
+		if _, _, err := v.remove(key, false); !isCorrupt(err) {
 			t.Fatalf("remove(%q): %v", key, err)
 		}
 	}

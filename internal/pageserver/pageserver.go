@@ -125,10 +125,10 @@ type Server struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	// The apply loop's cursor, under recovery.Owned with batch; only the
-	// apply loop touches either.
+	// The apply loop's cursor and its policy, whose batch applyPull flushes;
+	// only the apply loop touches either.
 	redo  *recovery.Replayer
-	batch map[page.ID]*page.Page
+	owned *recovery.Owned
 
 	// waitRec is cfg.Obs.Waits.Tier(obs.TierPageServer), resolved once.
 	waitRec *obs.WaitRecorder
@@ -185,7 +185,6 @@ func New(cfg Config) (*Server, error) {
 		dirty:   make(map[page.ID]page.LSN),
 		clean:   make(chan struct{}),
 		kick:    make(chan struct{}, 1),
-		batch:   make(map[page.ID]*page.Page, 64),
 	}
 	close(s.clean)
 	s.ctx, s.cancel = context.WithCancel(context.Background())
@@ -202,8 +201,9 @@ func New(cfg Config) (*Server, error) {
 	s.applied = cfg.Obs.Watermarks.Own(obs.WMApplied, cfg.Name)
 	s.applied.Publish(uint64(s.ckptLSN))
 	s.ckpt = cfg.Obs.Watermarks.Own(obs.WMCheckpoint, cfg.Name)
-	s.redo = recovery.NewReplayer(&recovery.Owned{Lo: lo, Hi: hi, Cache: cache,
-		Fetch: s.fetchFromStore, Meter: cfg.Meter, Batch: s.batch}, s.ckptLSN, nil)
+	s.owned = &recovery.Owned{Lo: lo, Hi: hi, Cache: cache, Fetch: s.fetchFromStore,
+		Meter: cfg.Meter, Batch: make(map[page.ID]recovery.Batched, 64)}
+	s.redo = recovery.NewReplayer(s.owned, s.ckptLSN, nil)
 	if cfg.Seed {
 		s.seeding = true
 		s.wg.Add(1)
@@ -268,7 +268,7 @@ func (s *Server) Cache() *rbpex.Cache { return s.cache }
 func (s *Server) CacheDevice() *simdisk.Device { return s.cfg.CacheSSD }
 
 // Stats reports pages served, waits for the apply watermark that blocked, and
-// records applied.
+// page versions apply installed (one per page a pull touched).
 func (s *Server) Stats() (served, waits, applies int64) {
 	return s.served.Load(), s.waits.Load(), s.applies.Load()
 }
@@ -297,21 +297,24 @@ func (s *Server) readMeta() (page.LSN, error) {
 // --- log apply ---
 
 // applyPull applies one pull's answer, installs the batch recovery.Owned
-// coalesced and publishes the watermark. A failed redo or install fails the
-// pull, which is pulled again. Each batch starts its own trace.
+// coalesced and publishes the watermark. The batch starts empty, so no
+// version a reader may hold is redo's to edit; the versions redo builds
+// during the pull stay its own until the flush publishes them. A failed
+// redo or install fails the pull, which is pulled again. Each batch starts
+// its own trace.
 //
 //socrates:hotpath the apply feed's batch loop; TestApplyFeedAllocs
 func (s *Server) applyPull(from, next page.LSN, payload []byte) error {
 	start := time.Now() // after the pull: XLOG's wait for the log is no part of applying it
-	clear(s.batch)
+	s.owned.Reset()
 	if err := s.redo.ApplyBlocks(payload, 0); err != nil {
 		return err
 	}
-	for _, pg := range s.batch {
+	for _, b := range s.owned.Batch {
 		s.applies.Add(1)
 		s.cfg.Obs.Metrics.Counter("pageserver.apply.pages").Inc()
-		s.markDirty(pg)
-		if err := s.cache.Put(pg); err != nil {
+		s.markDirty(b.Page)
+		if err := s.cache.Put(b.Page); err != nil {
 			s.cfg.Obs.Flight.Record(obs.TierPageServer, "ps.apply_error",
 				uint64(from), time.Since(start),
 				s.cfg.Name+": cache put: "+err.Error())
@@ -320,8 +323,8 @@ func (s *Server) applyPull(from, next page.LSN, payload []byte) error {
 	}
 	s.cfg.Obs.Metrics.Histogram("pageserver.apply.latency").Since(start)
 	s.applied.Publish(uint64(next)) // every page below next is marked dirty: a sweep may resume here
-	s.cfg.Obs.Flight.Record(obs.TierPageServer, "ps.apply", uint64(next),
-		time.Since(start), fmt.Sprintf("%s: pages=%d", s.cfg.Name, len(s.batch)))
+	s.cfg.Obs.Flight.Record(obs.TierPageServer, "ps.apply", uint64(next), time.Since(start),
+		fmt.Sprintf("%s: pages=%d records=%d", s.cfg.Name, len(s.owned.Batch), s.owned.Redone))
 	return nil
 }
 

@@ -5,9 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"socrates/internal/btree"
+	"socrates/internal/obs"
 	"socrates/internal/page"
 	"socrates/internal/rbio"
 	"socrates/internal/simdisk"
@@ -638,5 +641,109 @@ func TestCheckpointKeepsNewerDirtyMark(t *testing.T) {
 	if stored() != v2.LSN || srv.DirtyPages() != 0 {
 		t.Fatalf("after the second sweep: stored lsn %d (want %d), dirty %d (want 0)",
 			stored(), v2.LSN, srv.DirtyPages())
+	}
+}
+
+// TestFailedPullLeavesPublishedVersions: within a pull redo edits the
+// versions it built in place, so a pull that fails midway must let none of
+// them out and must not have written a version anyone holds. After pull N
+// the test holds the cached version of page P and a GetPage response for
+// it, while a reader keeps reading both (the race detector sees any write
+// into them). Pull N+1 carries three records for P — the third overflows the
+// page — and one for page Q; it fails, and P and Q are still pull N's
+// versions. A clean re-pull, the third record fixed, leaves P as
+// copy-on-write redo would, and its ps.apply event counts both pages and
+// all four records.
+func TestFailedPullLeavesPublishedVersions(t *testing.T) {
+	r := newRig(t, page.Partitioning{})
+	flight := obs.NewFlightRecorder(64)
+	srv := r.server(t, Config{Obs: obs.Plane{Flight: flight}})
+	leaf := buildLeafRecords(t, 3)
+	p := leaf[0].Page
+	q := &wal.Record{Kind: wal.KindPageImage, Page: p + 100, PageType: page.TypeLeaf, Value: btree.EmptyNodePayload()}
+	end := r.emit(t, append(leaf, q, wal.NewCommit(1, 1))...)
+	if !srv.WaitApplied(end, 5*time.Second) {
+		t.Fatal("pull N never applied")
+	}
+	srv.Stop() // the test drives applyPull itself from here
+	held, ok := srv.cache.Get(p)
+	heldQ, okQ := srv.cache.Get(q.Page)
+	if !ok || !okQ {
+		t.Fatal("pull N's pages are not cached")
+	}
+	want := held.Clone()
+	resp := srv.Handler()(context.Background(), &rbio.Request{Type: rbio.MsgGetPage, Page: p, LSN: end - 1})
+	if resp.Status != rbio.StatusOK {
+		t.Fatal(resp.Error)
+	}
+	wantResp := bytes.Clone(resp.Payload)
+
+	stop := make(chan struct{})
+	read := make(chan int)
+	go func() { // a reader of the held version and the response, as GetPage's callers are
+		sum := 0
+		for {
+			select {
+			case <-stop:
+				read <- sum
+				return
+			default:
+			}
+			for _, b := range held.Data {
+				sum += int(b)
+			}
+			for _, b := range resp.Payload {
+				sum += int(b)
+			}
+		}
+	}()
+
+	// pull applies pull N+1 and returns its records for P.
+	pull := func(third []byte) ([]*wal.Record, error) {
+		bld := wal.NewBuilder(end, page.Partitioning{})
+		var recs []*wal.Record
+		for i, v := range [][]byte{[]byte("first"), []byte("second"), third} {
+			rec := &wal.Record{Kind: wal.KindCellPut, Page: p, PageType: page.TypeLeaf,
+				Key: []byte(fmt.Sprintf("k%05d", i)), Value: v}
+			bld.Append(rec)
+			recs = append(recs, rec)
+		}
+		bld.Append(&wal.Record{Kind: wal.KindCellPut, Page: q.Page, PageType: page.TypeLeaf,
+			Key: []byte("q"), Value: []byte("q")})
+		b := bld.Flush()
+		return recs, srv.applyPull(end, b.End, b.Encode())
+	}
+	if _, err := pull(make([]byte, page.MaxData)); err == nil {
+		t.Fatal("a pull whose third record overflows its page applied")
+	}
+	if got, _ := srv.cache.Get(p); got != held {
+		t.Fatal("the failed pull published a version of P")
+	}
+	if got, _ := srv.cache.Get(q.Page); got != heldQ {
+		t.Fatal("the failed pull published a version of Q")
+	}
+	recs, err := pull([]byte("third"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	<-read
+	if held.LSN != want.LSN || !bytes.Equal(held.Data, want.Data) || !bytes.Equal(resp.Payload, wantResp) {
+		t.Fatal("redo wrote into a version a reader holds")
+	}
+	ref := held
+	for _, rec := range recs {
+		if ref, _, err = btree.Apply(ref, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	events := flight.Events()
+	if last := events[len(events)-1]; last.Kind != "ps.apply" || !strings.HasSuffix(last.Detail, "pages=2 records=4") {
+		t.Fatalf("the re-pull's flight event: %s %q", last.Kind, last.Detail)
+	}
+	got, _ := srv.cache.Get(p)
+	if got.LSN != ref.LSN || !bytes.Equal(got.Data, ref.Data) {
+		t.Fatalf("after the re-pull P is at LSN %d, %d bytes; copy-on-write redo gives LSN %d, %d bytes",
+			got.LSN, len(got.Data), ref.LSN, len(ref.Data))
 	}
 }

@@ -21,13 +21,30 @@ import (
 // its XStore checkpoint (seeding), unless an image record creates it. The
 // batch, which the server flushes after each pull, coalesces it: without
 // that a write burst outruns the apply loop and GetPage@LSN waits pile up
-// behind the lag. Any error ends the pull.
+// behind the lag. Nothing but the apply loop sees the batch before the
+// flush, so a version redo built this pull is answered Private and edited
+// in place: a page is copied once per pull, not once per record. Any error
+// ends the pull.
 type Owned struct {
 	Lo, Hi page.ID
 	Cache  *rbpex.Cache
 	Fetch  func(page.ID) (*page.Page, error) // a page's checkpoint copy, seeded into Cache
 	Meter  *metrics.CPUMeter                 // if set, charged applyCPU per record of the range
-	Batch  map[page.ID]*page.Page            // the pull's touched pages, newest version each
+	Batch  map[page.ID]Batched               // the pull's touched pages, newest version each
+	Redone int                               // records redone into Batch since Reset
+}
+
+// Batched is a page's newest version in a pull's batch.
+type Batched struct {
+	Page  *page.Page
+	Built bool // redo built it this pull: nobody else holds it until the flush
+}
+
+// Reset empties the batch for the next pull. The versions it held are
+// published (or, after a failed pull, dropped), so none is redo's to edit.
+func (o *Owned) Reset() {
+	clear(o.Batch)
+	o.Redone = 0
 }
 
 // applyCPU is the simulated CPU a page server spends on one owned record.
@@ -43,8 +60,11 @@ func (o *Owned) Page(rec *wal.Record) (*page.Page, Answer, error) {
 	if o.Meter != nil {
 		o.Meter.Charge(applyCPU)
 	}
-	if pg, ok := o.Batch[rec.Page]; ok {
-		return pg, Resident, nil
+	if b, ok := o.Batch[rec.Page]; ok {
+		if b.Built {
+			return b.Page, Private, nil
+		}
+		return b.Page, Resident, nil
 	}
 	pg, ok := o.Cache.Get(rec.Page)
 	if !ok && rec.Kind == wal.KindPageImage {
@@ -58,14 +78,15 @@ func (o *Owned) Page(rec *wal.Record) (*page.Page, Answer, error) {
 	}
 	// In the batch even if redo leaves it: after a restart the cache can hold
 	// versions newer than the resume LSN, and the flush marks them dirty.
-	o.Batch[rec.Page] = pg
+	o.Batch[rec.Page] = Batched{Page: pg}
 	return pg, Resident, nil
 }
 
-// Put takes redo's version into the batch.
+// Put takes redo's version into the batch, as one redo built.
 func (o *Owned) Put(next *page.Page, err error) error {
 	if err == nil {
-		o.Batch[next.ID] = next
+		o.Batch[next.ID] = Batched{Page: next, Built: true}
+		o.Redone++
 	}
 	return err
 }

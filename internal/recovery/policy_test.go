@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"bytes"
 	"testing"
 
 	"socrates/internal/btree"
@@ -104,7 +105,7 @@ func TestPolicyTable(t *testing.T) {
 		make func(t *testing.T) Pages
 	}{
 		{"page server", func(t *testing.T) Pages {
-			return &Owned{Lo: 0, Hi: 10, Cache: cache(t), Batch: map[page.ID]*page.Page{},
+			return &Owned{Lo: 0, Hi: 10, Cache: cache(t), Batch: map[page.ID]Batched{},
 				Fetch: func(id page.ID) (*page.Page, error) {
 					if id == 3 {
 						return leaf(3), nil
@@ -180,5 +181,123 @@ func TestPolicyTable(t *testing.T) {
 				t.Errorf("%s, %s: visible %d, want %d", c.name, p.name, r.Visible(), wantVisible)
 			}
 		}
+	}
+}
+
+// cellRecs returns n alternating cell puts and deletes for page id from
+// LSN from on: values that grow, then a delete of a key put before.
+func cellRecs(id page.ID, from page.LSN, n int) []*wal.Record {
+	recs := make([]*wal.Record, n)
+	for i := range recs {
+		recs[i] = &wal.Record{LSN: from.Add(uint64(i)), Kind: wal.KindCellPut, Page: id,
+			PageType: page.TypeLeaf, Key: []byte{'k', byte(i % 3)}, Value: bytes.Repeat([]byte{'v'}, 10*i)}
+		if i%4 == 3 {
+			recs[i].Kind, recs[i].Value = wal.KindCellDelete, nil
+		}
+	}
+	return recs
+}
+
+// copyOnWrite is the reference: every record through btree.Apply.
+func copyOnWrite(t *testing.T, pg *page.Page, recs []*wal.Record) *page.Page {
+	t.Helper()
+	for _, rec := range recs {
+		var err error
+		if pg, _, err = btree.Apply(pg, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return pg
+}
+
+func samePage(a, b *page.Page) bool {
+	return a.ID == b.ID && a.LSN == b.LSN && a.Type == b.Type && bytes.Equal(a.Data, b.Data)
+}
+
+// TestRedoCopiesTheFetchedPageOnce: a fetch's queued redo (§4.5) copies the
+// page it got — whose bytes alias the GetPage response's image — on the
+// first record that applies and edits that copy after; the result is what
+// copy-on-write redo gives, and the fetched page and its image are as they
+// were.
+func TestRedoCopiesTheFetchedPageOnce(t *testing.T) {
+	img, err := (&page.Page{ID: 7, LSN: 10, Type: page.TypeLeaf, Data: btree.EmptyNodePayload()}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetched, err := page.Decode(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantImg, wantPage := bytes.Clone(img), fetched.Clone()
+	// The first record is one the page already reflects: the copy waits for
+	// the first that applies.
+	recs := append([]*wal.Record{{LSN: 9, Kind: wal.KindCellPut, Page: 7, Key: []byte("old")}},
+		cellRecs(7, 11, 12)...)
+	got, err := Redo(fetched, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := copyOnWrite(t, fetched, recs); !samePage(got, want) {
+		t.Fatalf("in-place redo gave LSN %d, %d bytes; copy-on-write LSN %d, %d bytes",
+			got.LSN, len(got.Data), want.LSN, len(want.Data))
+	}
+	if !bytes.Equal(img, wantImg) || !bytes.Equal(fetched.Image(), wantImg) || !samePage(fetched, wantPage) {
+		t.Fatal("redo wrote into the fetched page or its image")
+	}
+	if got.Image() != nil {
+		t.Fatal("the redone version kept the fetched page's image")
+	}
+}
+
+// TestOwnedEditsTheVersionItBuilt: within a pull a page server copies a
+// cached page on its first record that applies and answers Private for the
+// version redo built, which later records edit in place; Reset ends that
+// ownership.
+func TestOwnedEditsTheVersionItBuilt(t *testing.T) {
+	cached := &page.Page{ID: 1, LSN: 5, Type: page.TypeLeaf, Data: btree.EmptyNodePayload()}
+	c, err := rbpex.Open(rbpex.Config{MemPages: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(cached); err != nil {
+		t.Fatal(err)
+	}
+	want := cached.Clone()
+	owned := &Owned{Lo: 0, Hi: 10, Cache: c, Batch: map[page.ID]Batched{}}
+	rec := &recorder{Pages: owned}
+	r := NewReplayer(rec, 1, nil)
+	// The first record is one the cached version already reflects, as after
+	// a restart: the batch holds that version, which is still not redo's.
+	recs := append([]*wal.Record{{LSN: 5, Kind: wal.KindCellPut, Page: 1, Key: []byte("old")}},
+		cellRecs(1, 6, 8)...)
+	for i, rc := range recs {
+		if err := r.ApplyRecord(rc, 0); err != nil {
+			t.Fatal(err)
+		}
+		wantAnswer := Private
+		if i <= 1 {
+			wantAnswer = Resident
+		}
+		if rec.answer != wantAnswer {
+			t.Fatalf("record %d answered %d, want %d", i, rec.answer, wantAnswer)
+		}
+	}
+	built := owned.Batch[1]
+	if !built.Built || !samePage(built.Page, copyOnWrite(t, cached, recs)) {
+		t.Fatal("the pull's version is not what copy-on-write redo gives")
+	}
+	if owned.Redone != len(recs)-1 {
+		t.Fatalf("redone %d, want %d", owned.Redone, len(recs)-1)
+	}
+	if got, _ := c.Get(1); got != cached || !samePage(cached, want) {
+		t.Fatal("redo changed the cached version")
+	}
+	// The flush publishes the version; the next pull copies it again.
+	if err := c.Put(built.Page); err != nil {
+		t.Fatal(err)
+	}
+	owned.Reset()
+	if err := r.ApplyRecord(cellRecs(1, 20, 1)[0], 0); err != nil || rec.answer != Resident || owned.Redone != 1 {
+		t.Fatalf("after Reset: answer %d, redone %d, err %v", rec.answer, owned.Redone, err)
 	}
 }

@@ -28,6 +28,7 @@ const (
 	Resident  Answer = iota // the page is here: redo the record onto the version returned
 	Missing                 // the page is not here: its image record creates it, any other record is ignored
 	Elsewhere               // not the cursor's to apply: not this consumer's page, or queued behind a fetch
+	Private                 // the version returned is one redo built and nobody else sees yet: redo edits it in place
 )
 
 // Pages is one consumer's redo policy: the one place redo asks for pages.
@@ -35,7 +36,9 @@ type Pages interface {
 	// Page answers for a page record. An error ends the walk.
 	Page(rec *wal.Record) (*page.Page, Answer, error)
 	// Put takes redo's next version, or its error and a nil page; never a
-	// record the page already reflects. An error it returns ends the walk,
+	// record the page already reflects. A version redo built is private
+	// until the policy publishes it; after an in-place edit of a Private
+	// answer it is the same pointer. An error Put returns ends the walk,
 	// nil after a redo error drops the record: the consumer's error rule.
 	Put(next *page.Page, err error) error
 }
@@ -96,9 +99,12 @@ func (r *Replayer) redo(rec *wal.Record) error {
 		return err
 	}
 	next, applied := pg, true
-	if answer == Missing {
+	switch answer {
+	case Missing:
 		next, err = btree.NewFormatted(rec)
-	} else {
+	case Private:
+		applied, err = btree.Edit(pg, rec)
+	default:
 		next, applied, err = btree.Apply(pg, rec)
 	}
 	if err != nil {
@@ -150,10 +156,19 @@ func eachBlock(payload []byte, visit func(*wal.Block) (bool, error)) (*wal.Block
 
 // Redo applies a queue of records to one page in order: a compute node's
 // fetch and the redo queued meanwhile (§4.5). It returns the last version.
+// The first record that applies copies pg (its bytes may alias a GetPage
+// response's image); that copy is private until the caller installs it, so
+// every later record edits it in place.
 func Redo(pg *page.Page, recs []*wal.Record) (*page.Page, error) {
+	own := false
 	for _, rec := range recs {
 		var err error
-		if pg, _, err = btree.Apply(pg, rec); err != nil {
+		if own {
+			_, err = btree.Edit(pg, rec)
+		} else {
+			pg, own, err = btree.Apply(pg, rec)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
