@@ -62,7 +62,9 @@ chaos-stress:
 # log prefix in LSN order (hadr: DESIGN §14.3) and WaitApplied means applied
 # and visible (compute.Secondary). What they pin was a 1-in-40 loss of
 # acknowledged writes; run it before merging anything that touches ship,
-# hardenFeed, Failover or a secondary's apply order. Then the waits those
+# hardenFeed, Failover or a secondary's apply order; with them, evictions
+# racing misses on a compute node's page file, the one place its lock is
+# held while the cache's is taken. Then the waits those
 # consumers sit in: XLOG's long poll, the shared bounded wait and its form on
 # a rung, and the online loop's failed-pull back-off (page server and
 # secondary), 200 times, and the three stress loops (thousands of waits each)
@@ -70,7 +72,7 @@ chaos-stress:
 repl-stress:
 	$(GO) test -count=200 -run 'TestApplyFollowsLogOrder|TestFailoverPromotesSecondary|TestSecondariesReplicate|TestStragglerCatchesUpOrLeaves' ./internal/hadr
 	$(GO) test -count=200 -run 'TestSecondaryServesSnapshotReads' ./internal/cluster
-	$(GO) test -count=200 -run 'TestSecondaryWaitAppliedMeansVisible|TestSecondaryAppliedBeforeVisible' ./internal/compute
+	$(GO) test -count=200 -run 'TestSecondaryWaitAppliedMeansVisible|TestSecondaryAppliedBeforeVisible|TestRemotePageFileConcurrentEvictTracking' ./internal/compute
 	$(GO) test -count=200 -run 'TestLongPoll|TestCondWait(ReadyWakesIt|CancelWakesIt|DeadlineWakesIt|FastPathRecordsNothing|NoneRecordsNothing)$$|TestAwaitLSN(PublishWakesIt|DropWakesIt)$$|TestFailedPullsBackOff' ./internal/xlog ./internal/obs ./internal/recovery
 	$(GO) test -count=5 -run 'TestCondWaitDeadlineStress|TestAwaitLSNPublishStress|TestWaitDestagedMeetsItsDeadline' ./internal/obs ./internal/xlog
 

@@ -123,7 +123,7 @@ type Cluster struct {
 	// shared by every node: the tracer, the metrics registry, the LSN
 	// ladder, the flight recorder, the wait-event accounting table and
 	// the watchdog, whose
-	// first trip freezes the flight dump TripDump returns.
+	// first trip freezes the flight dump Watchdog.TripDump returns.
 	obs.Plane
 
 	// seedLane hands out device seed lanes when cfg.Seed != 0, so every

@@ -159,24 +159,22 @@ func TestWatchdogStallTripFreezesFlightDump(t *testing.T) {
 
 	// The trip this test is about is the one on the rung it stalls. On a busy
 	// host another rung (the landing zone's, say) can stall three 2 ms ticks
-	// first, so "whichever trip comes first" is not it: catch the applied
-	// rung's own trip, with the flight ring as it stood at that moment.
+	// first, so "whichever trip comes first" is not it: watch for the applied
+	// rung's own trip, and take the flight ring as soon as it is there.
 	type stalled struct {
 		trip obs.Trip
 		ring []byte
 	}
-	applyStall := make(chan stalled, 1)
-	c.Watchdog.OnTrip(func(tr obs.Trip) {
-		if tr.Kind != obs.TripStall || !strings.HasPrefix(tr.Follower, obs.WMApplied) {
-			return
+	applyStall := func() (stalled, bool) {
+		for _, tr := range c.Watchdog.Trips() {
+			if tr.Kind == obs.TripStall && strings.HasPrefix(tr.Follower, obs.WMApplied) {
+				var buf bytes.Buffer
+				_ = c.Flight.Dump(&buf)
+				return stalled{tr, buf.Bytes()}, true
+			}
 		}
-		var buf bytes.Buffer
-		_ = c.Flight.Dump(&buf)
-		select {
-		case applyStall <- stalled{tr, buf.Bytes()}:
-		default: // only the first
-		}
-	})
+		return stalled{}, false
+	}
 
 	for _, srv := range c.PageServers() {
 		srv.CacheDevice().SetOutage(true)
@@ -185,10 +183,14 @@ func TestWatchdogStallTripFreezesFlightDump(t *testing.T) {
 	seedRows(t, c, "t2", 100)
 
 	var stall stalled
-	select {
-	case stall = <-applyStall:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("watchdog never tripped on the stalled page server: %+v", c.Watchdog.Trips())
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		var ok bool
+		if stall, ok = applyStall(); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("watchdog never tripped on the stalled page server: %+v", c.Watchdog.Trips())
+		}
 	}
 	if stall.trip.Leader != obs.WMPromoted || stall.trip.LagLSN == 0 {
 		t.Fatalf("stall trip shape wrong: %+v", stall.trip)
@@ -210,7 +212,7 @@ func TestWatchdogStallTripFreezesFlightDump(t *testing.T) {
 	if !sawApplyError {
 		t.Fatalf("flight ring at the stall trip has no ps.apply_error events:\n%s", stall.ring)
 	}
-	if len(c.TripDump()) == 0 {
+	if len(c.Watchdog.TripDump()) == 0 {
 		t.Fatal("the first trip did not freeze a flight dump")
 	}
 

@@ -24,9 +24,9 @@ import (
 type Resolver func(id page.ID) (*rbio.Selector, error)
 
 // RemotePageFile is the compute node's FCB: a sparse RBPEX cache in front
-// of the page servers. Reads miss into GetPage@LSN (§4.4); the evicted-LSN
-// map supplies the per-page minimum LSN ("the Primary builds a hash map
-// which stores the highest LSN for every page evicted").
+// of the page servers. Reads miss into GetPage@LSN (§4.4); the cache's
+// eviction record supplies the per-page minimum LSN ("the Primary builds a
+// hash map which stores the highest LSN for every page evicted").
 //
 // For secondaries it also implements the §4.5 race protocol: a miss
 // registers the page as pending before the remote call, so the log-apply
@@ -43,7 +43,6 @@ type RemotePageFile struct {
 	floor func() page.LSN
 
 	mu      sync.Mutex
-	evicted map[page.ID]page.LSN
 	pending map[page.ID]*registration // §4.5: pages with a fetch in flight
 	closed  bool
 
@@ -132,21 +131,19 @@ func NewRemotePageFile(cfg rbpex.Config, resolve Resolver, floor func() page.LSN
 	f := &RemotePageFile{
 		resolve: resolve,
 		floor:   floor,
-		evicted: make(map[page.ID]page.LSN),
 		pending: make(map[page.ID]*registration),
 		window:  make(chan struct{}, rangeFanout),
 		obs:     o,
 		waits:   o.Waits.Tier(obs.TierCompute),
 	}
 	f.ahead, f.stopAhead = context.WithCancel(context.Background())
-	cfg.OnEvict = f.noteEvicted
 	cfg.Waits = f.waits
 	cache, err := rbpex.Open(cfg)
 	if err != nil {
 		f.stopAhead()
 		return nil, err
 	}
-	cache.Instrument(o.Metrics, "compute.rbpex", o.Metrics.Counter("compute.readahead.joined"))
+	cache.Instrument(o, "compute.rbpex", o.Metrics.Counter("compute.readahead.joined"))
 	f.cache = cache
 	return f, nil
 }
@@ -169,35 +166,18 @@ func (f *RemotePageFile) Cache() *rbpex.Cache { return f.cache }
 // page server, however many readers and hints shared the request.
 func (f *RemotePageFile) Fetches() int64 { return f.fetches.Load() }
 
-func (f *RemotePageFile) noteEvicted(id page.ID, lsn page.LSN) {
-	f.mu.Lock()
-	if lsn.After(f.evicted[id]) {
-		f.evicted[id] = lsn
-	}
-	f.mu.Unlock()
-	f.obs.Flight.Record(obs.TierCompute, "compute.evict", uint64(lsn), 0,
-		"page "+strconv.FormatUint(uint64(id), 10))
-}
-
-// evictedLSN reports the newest version of the page known to have left the
-// cache, zero if none. The cache calls it under its lock (rbpex.PutFetched).
-func (f *RemotePageFile) evictedLSN(id page.ID) page.LSN {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.evicted[id]
-}
-
 // minLSN computes the GetPage@LSN argument for a page: its evicted LSN if
-// known, else the node's floor.
+// the cache has one, else the node's floor.
 func (f *RemotePageFile) minLSN(id page.ID) page.LSN {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.minLSNLocked(id)
 }
 
-// minLSNLocked is minLSN with f.mu held.
+// minLSNLocked is minLSN with f.mu held. f.mu is taken before the cache's
+// lock, never after it.
 func (f *RemotePageFile) minLSNLocked(id page.ID) page.LSN {
-	if lsn, ok := f.evicted[id]; ok {
+	if lsn := f.cache.EvictedLSN(id); lsn != 0 {
 		return lsn
 	}
 	return f.floor()
@@ -422,7 +402,7 @@ func (f *RemotePageFile) install(reg *registration, pg *page.Page) (*page.Page, 
 		}
 		var err error
 		if pg, err = recovery.Redo(pg, queued); err == nil {
-			_, err = put(pg, f.evictedLSN)
+			_, err = put(pg)
 		}
 		if err != nil {
 			return nil, err

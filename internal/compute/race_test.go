@@ -5,7 +5,10 @@ import (
 	"sync"
 	"testing"
 
+	"socrates/internal/btree"
+	"socrates/internal/obs"
 	"socrates/internal/page"
+	"socrates/internal/rbpex"
 	"socrates/internal/wal"
 )
 
@@ -74,36 +77,74 @@ func TestLogWriterConcurrentAppendAndWatermarks(t *testing.T) {
 	}
 }
 
-// TestRemotePageFileConcurrentEvictTracking races eviction notes against
-// minLSN lookups — the bookkeeping behind GetPage@LSN's "highest LSN for
-// every page evicted" requirement (§4.4).
+// TestRemotePageFileConcurrentEvictTracking races evictions against misses —
+// the bookkeeping behind GetPage@LSN's "highest LSN for every page evicted"
+// requirement (§4.4). Writers evict through real Puts into a one-page cache
+// (the record is written under the cache's lock); readers register misses and
+// read the minimum LSN (under the page file's lock, then the cache's). A page's
+// minimum LSN never falls, and is the highest LSN it was evicted at.
 func TestRemotePageFileConcurrentEvictTracking(t *testing.T) {
-	f := &RemotePageFile{
-		evicted: make(map[page.ID]page.LSN),
-		pending: make(map[page.ID]*registration),
-		floor:   func() page.LSN { return 7 },
+	f, err := NewRemotePageFile(rbpex.Config{MemPages: 1}, nil, func() page.LSN { return 7 }, obs.Plane{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	const pages, writers, readers, puts = 16, 4, 4, 400
+	leaf := func(id page.ID, lsn page.LSN) *page.Page {
+		return &page.Page{ID: id, LSN: lsn, Type: page.TypeLeaf, Data: btree.EmptyNodePayload()}
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 1; i <= 200; i++ {
-				id := page.ID(i%16 + 1)
-				f.noteEvicted(id, page.LSN(i))
-				got := f.minLSN(id)
-				if got.Before(page.LSN(1)) {
-					t.Errorf("minLSN(%d) = %d", id, got)
+			for i := 1; i <= puts; i++ {
+				// LSNs above the floor, distinct across writers.
+				if err := f.Write(leaf(page.ID(i%pages+1), page.LSN(8+i*writers+w))); err != nil {
+					t.Error(err)
 					return
 				}
 			}
 		}(w)
 	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var seen [pages + 1]page.LSN
+			for i := 0; i < puts; i++ {
+				id := page.ID(i%pages + 1)
+				reg, owner := f.register(id)
+				if owner {
+					f.mu.Lock()
+					delete(f.pending, id)
+					f.mu.Unlock()
+				}
+				lsn := f.minLSN(id)
+				if reg != nil && lsn.Before(reg.lsn) {
+					t.Errorf("page %d: minimum LSN %d after a registration at %d", id, lsn, reg.lsn)
+					return
+				}
+				if lsn.Before(seen[id]) || lsn.Before(7) {
+					t.Errorf("page %d: minimum LSN fell from %d to %d", id, seen[id], lsn)
+					return
+				}
+				seen[id] = lsn
+			}
+		}()
+	}
 	wg.Wait()
-	// The note is monotone: the highest LSN wins for every page.
-	for id := page.ID(1); id <= 16; id++ {
-		if f.minLSN(id).Before(f.minLSN(id)) {
-			t.Fatalf("unstable minLSN for page %d", id)
+	// Then one at a time, each page at a version newer than any before it:
+	// in a one-page cache every put evicts the page before, and the record
+	// keeps the highest LSN.
+	for id := page.ID(1); id <= pages+1; id++ {
+		if err := f.Write(leaf(id, page.LSN(100000+id))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := page.ID(1); id <= pages; id++ {
+		if got, want := f.minLSN(id), page.LSN(100000+id); got != want {
+			t.Fatalf("page %d: minimum LSN %d, want its last eviction %d", id, got, want)
 		}
 	}
 	if got := f.minLSN(page.ID(999)); got != 7 {

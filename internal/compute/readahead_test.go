@@ -643,18 +643,32 @@ func TestFetchedImageNeverMovesCachedPageBackwards(t *testing.T) {
 	}
 
 	// The same rule covers a version that has left the cache altogether: the
-	// evicted-LSN map remembers it, and an older image may not take its place.
-	older := &page.Page{ID: 900, LSN: 40, Type: page.TypeLeaf, Data: btree.EmptyNodePayload()}
-	f.noteEvicted(900, 50)
-	reg, _ := f.register(900)
-	if pg, err := f.install(reg, older); err != nil || pg != older {
+	// cache's eviction record remembers it, and an older image may not take
+	// its place. In a one-page cache, a second write pushes the first out.
+	small, _, _ := srv.remoteFile(t, 1, nil)
+	leafPage := func(id page.ID, lsn page.LSN) *page.Page {
+		return &page.Page{ID: id, LSN: lsn, Type: page.TypeLeaf, Data: btree.EmptyNodePayload()}
+	}
+	if err := small.Write(leafPage(900, 50)); err != nil {
+		t.Fatal(err)
+	}
+	if err := small.Write(leafPage(901, 51)); err != nil {
+		t.Fatal(err)
+	}
+	if small.Cache().Contains(900) || small.minLSN(900) != 50 {
+		t.Fatalf("page 900 after the write that evicts it: cached %v, minimum LSN %d; want gone, 50",
+			small.Cache().Contains(900), small.minLSN(900))
+	}
+	older := leafPage(900, 40)
+	reg, _ := small.register(900)
+	if pg, err := small.install(reg, older); err != nil || pg != older {
 		t.Fatalf("install of a superseded image: %+v %v, want it handed back", pg, err)
 	}
-	if f.Cache().Contains(900) {
+	if small.Cache().Contains(900) {
 		t.Fatal("an image older than the page's evicted version was cached")
 	}
-	reg, _ = f.register(900)
-	if _, err := f.install(reg, &page.Page{ID: 900, LSN: 50, Type: page.TypeLeaf, Data: btree.EmptyNodePayload()}); err != nil || !f.Cache().Contains(900) {
+	reg, _ = small.register(900)
+	if _, err := small.install(reg, leafPage(900, 50)); err != nil || !small.Cache().Contains(900) {
 		t.Fatalf("the evicted version itself was not cached: %v", err)
 	}
 }

@@ -57,7 +57,7 @@ type readResult struct {
 func TestRegistrationJoinerTakesOwnersPage(t *testing.T) {
 	srv := newFakePageServer()
 	_ = srv.store.Write(leafAt(10))
-	f, reg, _ := srv.remoteFile(t, 16, nil)
+	f, reg, _ := srv.remoteFile(t, 1, nil)
 
 	arrived := srv.hold(3)
 	owner := readOn(f)
@@ -107,7 +107,7 @@ func TestRegistrationJoinerTakesOwnersPage(t *testing.T) {
 func TestRegistrationNewerReaderAsksForItself(t *testing.T) {
 	srv := newFakePageServer()
 	_ = srv.store.Write(leafAt(10))
-	f, reg, _ := srv.remoteFile(t, 16, nil)
+	f, reg, _ := srv.remoteFile(t, 1, nil)
 
 	arrived := srv.hold(3)
 	owner := readOn(f)
@@ -118,7 +118,14 @@ func TestRegistrationNewerReaderAsksForItself(t *testing.T) {
 	f.mu.Unlock()
 
 	_ = srv.store.Write(leafAt(20)) // the page server has applied the commit
-	f.noteEvicted(3, 20)
+	// The commit's version enters the one-page cache and the next write
+	// pushes it out.
+	if err := f.Write(leafAt(20)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Write(&page.Page{ID: 4, LSN: 21, Type: page.TypeLeaf, Data: btree.EmptyNodePayload()}); err != nil {
+		t.Fatal(err)
+	}
 	var newer readResult
 	within(t, "the newer reader (waiting for the owner?)", func() { newer = <-readOn(f) })
 	if newer.err != nil || newer.pg.LSN != 20 {

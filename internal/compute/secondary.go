@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"socrates/internal/engine"
-	"socrates/internal/metrics"
 	"socrates/internal/obs"
 	"socrates/internal/page"
 	"socrates/internal/rbio"
@@ -34,8 +33,6 @@ type SecondaryConfig struct {
 	StartLSN page.LSN
 	// StartTS seeds visibility for a later-added secondary.
 	StartTS uint64
-	// Meter, if set, is charged the node's simulated CPU.
-	Meter *metrics.CPUMeter
 	// ApplyDelay adds latency before each pull — models a geo-replica
 	// consuming the log across a WAN (§6).
 	ApplyDelay time.Duration
@@ -116,16 +113,10 @@ func NewSecondary(cfg SecondaryConfig) (*Secondary, error) {
 	s.redo = recovery.NewReplayer(&recovery.Cached{Pending: pages, Cache: pages.Cache()}, cfg.StartLSN, s.applyBlock)
 
 	eng, err := engine.Open(engine.Config{
-		Pages:    pages,
-		ReadOnly: true,
-		Meter:    cfg.Meter,
-		Obs:      cfg.Obs,
-		WaitFresh: func() {
-			// A traversal raced log apply: pause until the apply thread
-			// makes progress, then retry (§4.5).
-			//socrates:wait-ok reached only via the engine's WaitFresh hook, whose caller (withReadRetry) records the blocked time as lock.row
-			_ = s.waits.AwaitLSN(nil, obs.WaitNone, s.visible, s.visible.Value()+1, time.Now().Add(2*time.Millisecond))
-		},
+		Pages:     pages,
+		ReadOnly:  true,
+		ApplyRung: s.visible,
+		Obs:       cfg.Obs,
 	})
 	if err != nil {
 		pages.Close()

@@ -93,10 +93,11 @@ type Config struct {
 	Log LogPipeline
 	// ReadOnly marks secondary engines: all write paths fail.
 	ReadOnly bool
-	// WaitFresh, if set, is invoked when a read races log apply
-	// (btree.ErrInconsistent) before the read retries. Secondaries use it
-	// to wait for the apply thread to advance (§4.5).
-	WaitFresh func()
+	// ApplyRung, if set, is the rung log apply advances on a read-only node
+	// (a secondary's visible rung, a HADR node's applied rung). A read that
+	// races log apply (btree.ErrInconsistent) waits for it to move before
+	// the read retries (§4.5); without one the read backs off 50 µs.
+	ApplyRung *obs.Watermark
 	// Meter, if set, is charged the simulated CPU cost of operations.
 	Meter *metrics.CPUMeter
 	// Obs wires the engine into the observability plane: commit-path spans
@@ -124,6 +125,10 @@ type Engine struct {
 	failCause error  // what poisoned the engine
 
 	vs *versionstore.Store
+	// vsPage is the version store's append page as the catalog names it
+	// (under commitMu): an append that lands elsewhere has opened a new page,
+	// and the commit writes it to the catalog.
+	vsPage page.ID
 
 	// pager is the engine as its B-trees see it: the engine itself, or —
 	// over a page file that takes read-ahead hints — the engine plus the
@@ -171,8 +176,7 @@ func Create(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.vs = vs
-	vs.OnNewPage = e.persistVSPage
+	e.vs = vs // the catalog names no version page yet: vsPage is InvalidID
 
 	// Delimit bootstrap as a hardened group.
 	commitLSN := cfg.Log.Append(wal.NewCommit(0, 0))
@@ -212,8 +216,7 @@ func Open(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.vs = vs
-	vs.OnNewPage = e.persistVSPage
+	e.vs, e.vsPage = vs, vscur
 	return e, nil
 }
 
@@ -279,14 +282,6 @@ func (e *Engine) Allocate(t page.Type) (*page.Page, error) {
 		return nil, err
 	}
 	return page.New(id, t), nil
-}
-
-// persistVSPage records the version store's new append page in the catalog.
-func (e *Engine) persistVSPage(id page.ID) {
-	// Called from vs.Append, which runs under commitMu.
-	if err := e.metaPutLocked(metaVSKey, uint64(id)); err != nil {
-		e.failed = true
-	}
 }
 
 // metaPutLocked upserts a catalog cell (caller holds commitMu or is
@@ -459,10 +454,11 @@ func (e *Engine) withReadRetry(f func() error) error {
 		// of a row-lock wait (the row's consistent image is not yet
 		// available at this node). Aggregate-only: reads do not thread ctx.
 		region := e.waits.Begin(nil, obs.WaitLockRow)
-		if e.cfg.WaitFresh != nil {
-			e.cfg.WaitFresh()
+		if w := e.cfg.ApplyRung; w != nil {
+			// Until apply moves the rung, or 2 ms; any outcome retries.
+			_ = e.waits.AwaitLSN(nil, obs.WaitNone, w, w.Value()+1, time.Now().Add(2*time.Millisecond))
 		} else {
-			//socrates:sleep-ok bounded micro-backoff for read/apply races when no WaitFresh signal hook is configured; nodes with an apply loop install one
+			//socrates:sleep-ok bounded micro-backoff for read/apply races on a node with no apply rung (the primary)
 			time.Sleep(50 * time.Microsecond)
 		}
 		region.End()

@@ -650,3 +650,130 @@ func TestConcurrentReadersDuringWrites(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// updateUntilVersionPages updates one row in commits of its own, each
+// moving a 1 KB head into the version store, until the store has opened
+// pages version pages in this incarnation.
+func updateUntilVersionPages(t *testing.T, e *Engine, key []byte, pages int) {
+	t.Helper()
+	val := make([]byte, 1024)
+	for i := 0; e.vs.PagesAllocated() < pages; i++ {
+		if i == 100 {
+			t.Fatalf("100 updates opened %d version pages, want %d", e.vs.PagesAllocated(), pages)
+		}
+		val[0] = byte(i)
+		tx := e.Begin()
+		if err := tx.Put("t", key, val); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestVersionPageSurvivesReopen: a commit whose version append opens a new
+// page names that page in the catalog, so an engine opened on the same
+// pages appends where the last one left off instead of opening another.
+func TestVersionPageSurvivesReopen(t *testing.T) {
+	e, pages, pipe := newTestEngine(t)
+	if err := e.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	key := []byte("k")
+	updateUntilVersionPages(t, e, key, 2)
+	cur := e.vs.CurrentPage()
+
+	meta, err := pages.Read(MetaPage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if named, found, err := lookupU64(meta, metaVSKey); err != nil || !found || page.ID(named) != cur {
+		t.Fatalf("catalog names version page %d (%v %v), the store appends to %d", named, found, err, cur)
+	}
+
+	e2, err := Open(Config{Pages: pages, Log: pipe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2.Clock().Publish(e.Clock().Visible())
+	tx := e2.Begin()
+	if err := tx.Put("t", key, []byte("after reopen")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e2.vs.CurrentPage(); got != cur || e2.vs.PagesAllocated() != 0 {
+		t.Fatalf("reopened engine appends to page %d having opened %d; want page %d, none opened", got, e2.vs.PagesAllocated(), cur)
+	}
+	rowIs(t, e2, key, "after reopen")
+}
+
+// catalogFault is a MemFile whose catalog page fails to read once: at the
+// first read after the version store formats its second page — the read of
+// the catalog write that names that page.
+type catalogFault struct {
+	*fcb.MemFile
+	err     error
+	version map[page.ID]bool // version pages written so far
+	armed   bool
+}
+
+func (f *catalogFault) Write(pg *page.Page) error {
+	if pg.Type == page.TypeVersion && !f.version[pg.ID] {
+		f.version[pg.ID] = true
+		f.armed = len(f.version) == 2
+	}
+	return f.MemFile.Write(pg)
+}
+
+func (f *catalogFault) Read(id page.ID) (*page.Page, error) {
+	if id == MetaPage && f.armed {
+		f.armed = false
+		return nil, f.err
+	}
+	return f.MemFile.Read(id)
+}
+
+// TestFailedVersionPageCatalogWriteFailsTheCommit: the catalog write that
+// names a new version page can fail (on a compute node its read of the
+// catalog is a GetPage a severed link fails). The commit that opened the
+// page then fails as any apply error fails it: the engine is poisoned, with
+// the cause, and the commit is not acknowledged.
+func TestFailedVersionPageCatalogWriteFailsTheCommit(t *testing.T) {
+	injected := errors.New("injected catalog read failure")
+	pages := &catalogFault{MemFile: fcb.NewMemFile(), err: injected, version: map[page.ID]bool{}}
+	e, err := Create(Config{Pages: pages, Log: NewMemPipeline()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	key, val := []byte("k"), make([]byte, 1024)
+	var commitErr error
+	for i := 0; i < 100 && commitErr == nil && len(pages.version) < 2; i++ {
+		tx := e.Begin()
+		if err := tx.Put("t", key, val); err != nil {
+			t.Fatal(err)
+		}
+		commitErr = tx.Commit()
+	}
+	if len(pages.version) < 2 {
+		t.Fatalf("100 updates opened %d version pages, want 2", len(pages.version))
+	}
+	if !errors.Is(commitErr, ErrEngineFailed) {
+		t.Fatalf("the commit whose catalog write failed returned %v, want %v", commitErr, ErrEngineFailed)
+	}
+	if failed, cause := e.Failed(); !failed || !errors.Is(cause, injected) {
+		t.Fatalf("Failed() = %v, %v; want true and the catalog read's error", failed, cause)
+	}
+	tx := e.Begin()
+	if err := tx.Put("t", key, []byte("later")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); !errors.Is(err, ErrEngineFailed) {
+		t.Fatalf("a later commit returned %v, want %v", err, ErrEngineFailed)
+	}
+}

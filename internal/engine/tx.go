@@ -516,6 +516,14 @@ func (e *Engine) applyWriteLocked(txnID, ts uint64, op writeOp) error {
 		if err != nil {
 			return err
 		}
+		if ptr.Page != e.vsPage {
+			// The append opened a new version page: the catalog names it,
+			// so the next incarnation appends where this one left off.
+			if err := e.metaPutLocked(metaVSKey, uint64(ptr.Page)); err != nil {
+				return err
+			}
+			e.vsPage = ptr.Page
+		}
 		prev = ptr
 	}
 	newHead := &versionstore.Version{

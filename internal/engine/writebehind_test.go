@@ -16,6 +16,9 @@ import (
 type cachedFile struct {
 	cache  *rbpex.Cache
 	remote *fcb.MemFile
+	// queued, if set, is called after every put that queued a page for the
+	// SSD tier: one that pushed a page out of the memory tier.
+	queued func()
 }
 
 func (f *cachedFile) Read(id page.ID) (*page.Page, error) {
@@ -26,7 +29,7 @@ func (f *cachedFile) Read(id page.ID) (*page.Page, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, err = f.cache.PutFetched(pg, nil)
+	err = f.put(func() error { _, err := f.cache.PutFetched(pg); return err })
 	return pg, err
 }
 
@@ -34,7 +37,16 @@ func (f *cachedFile) Write(pg *page.Page) error {
 	if err := f.remote.Write(pg); err != nil {
 		return err
 	}
-	return f.cache.Put(pg)
+	return f.put(func() error { return f.cache.Put(pg) })
+}
+
+func (f *cachedFile) put(install func() error) error {
+	before := f.cache.WriteBehind().Queued
+	err := install()
+	if f.queued != nil && f.cache.WriteBehind().Queued != before {
+		f.queued()
+	}
+	return err
 }
 
 // TestCommitLatchCoversNoDeviceWrite: a commit whose page writes push pages
@@ -45,22 +57,22 @@ func (f *cachedFile) Write(pg *page.Page) error {
 func TestCommitLatchCoversNoDeviceWrite(t *testing.T) {
 	ssd, meta := simdisk.New(simdisk.Instant), simdisk.New(simdisk.Instant)
 	var e *Engine
-	var underLatch atomic.Int64 // memory-tier evictions that found the commit latch held
-	cache, err := rbpex.Open(rbpex.Config{MemPages: 6, SSDPages: 256, SSD: ssd, Meta: meta,
-		OnEvict: func(page.ID, page.LSN) {
-			if e == nil {
-				return
-			}
-			if e.commitMu.TryLock() {
-				e.commitMu.Unlock()
-			} else {
-				underLatch.Add(1)
-			}
-		}})
+	var underLatch atomic.Int64 // puts that evicted from the memory tier with the commit latch held
+	cache, err := rbpex.Open(rbpex.Config{MemPages: 6, SSDPages: 256, SSD: ssd, Meta: meta})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err = Create(Config{Pages: &cachedFile{cache: cache, remote: fcb.NewMemFile()}, Log: NewMemPipeline()})
+	file := &cachedFile{cache: cache, remote: fcb.NewMemFile(), queued: func() {
+		if e == nil {
+			return
+		}
+		if e.commitMu.TryLock() {
+			e.commitMu.Unlock()
+		} else {
+			underLatch.Add(1)
+		}
+	}}
+	e, err = Create(Config{Pages: file, Log: NewMemPipeline()})
 	if err != nil {
 		t.Fatal(err)
 	}

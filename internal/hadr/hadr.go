@@ -386,14 +386,9 @@ func (n *Node) DataBytes() int64 {
 // openSecondaryEngine attaches a read-only engine once the catalog exists.
 func (n *Node) openSecondaryEngine() error {
 	eng, err := engine.Open(engine.Config{
-		Pages:    n.pages,
-		ReadOnly: true,
-		WaitFresh: func() {
-			// A traversal raced log apply: wait for the apply loop to make
-			// progress, then retry.
-			//socrates:wait-ok reached only via the engine's WaitFresh hook, whose caller (withReadRetry) owns the lock.row accounting
-			_ = noWaits.AwaitLSN(nil, obs.WaitNone, n.applied, n.applied.Value()+1, time.Now().Add(2*time.Millisecond))
-		},
+		Pages:     n.pages,
+		ReadOnly:  true,
+		ApplyRung: n.applied,
 	})
 	if err != nil {
 		return err

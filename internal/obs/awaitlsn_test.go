@@ -143,7 +143,7 @@ func TestOwnedRungs(t *testing.T) {
 func TestWatchdogForgetsDroppedRungs(t *testing.T) {
 	ws := NewWatermarkSet()
 	reg := NewRegistry()
-	d := NewWatchdog(ws, reg, nil, WatchdogConfig{MaxLagLSN: -1, StallTicks: 3})
+	d := NewWatchdog(ws, reg, nil, nil, WatchdogConfig{MaxLagLSN: -1, StallTicks: 3})
 	publishLadder(ws, 500, 500, 500, 500)
 	live, dead := ws.Own(WMApplied, "ps-0"), ws.Own(WMApplied, "ps-1")
 	live.Publish(500)

@@ -105,9 +105,7 @@ func publishLadder(ws *WatermarkSet, commit, hardened, promoted, destaged uint64
 func TestWatchdogLagTripEdgeTriggered(t *testing.T) {
 	ws := NewWatermarkSet()
 	reg := NewRegistry()
-	d := NewWatchdog(ws, reg, nil, WatchdogConfig{MaxLagLSN: 100, StallTicks: 1000})
-	var fired []Trip
-	d.OnTrip(func(tr Trip) { fired = append(fired, tr) })
+	d := NewWatchdog(ws, reg, nil, nil, WatchdogConfig{MaxLagLSN: 100, StallTicks: 1000})
 
 	publishLadder(ws, 1000, 10, 10, 10) // hardened 990 behind commit
 	d.Tick()
@@ -118,9 +116,9 @@ func TestWatchdogLagTripEdgeTriggered(t *testing.T) {
 	if d.TripCount() != 1 {
 		t.Fatalf("trips after second tick = %d, want 1 (edge-triggered)", d.TripCount())
 	}
-	if len(fired) != 1 || fired[0].Kind != TripLag ||
+	if fired := d.Trips(); len(fired) != 1 || fired[0].Kind != TripLag ||
 		fired[0].Follower != WMHardened || fired[0].LagLSN != 990 {
-		t.Fatalf("trip = %+v", fired)
+		t.Fatalf("trip = %+v", d.Trips())
 	}
 
 	publishLadder(ws, 1000, 1000, 1000, 1000) // caught up: re-arms
@@ -140,7 +138,7 @@ func TestWatchdogLagTripEdgeTriggered(t *testing.T) {
 
 func TestWatchdogStallTrip(t *testing.T) {
 	ws := NewWatermarkSet()
-	d := NewWatchdog(ws, nil, nil, WatchdogConfig{MaxLagLSN: -1, StallTicks: 3})
+	d := NewWatchdog(ws, nil, nil, nil, WatchdogConfig{MaxLagLSN: -1, StallTicks: 3})
 
 	publishLadder(ws, 500, 500, 500, 500)
 	rung(ws, WMApplied, "ps-0").Publish(100) // behind and not moving
@@ -170,14 +168,14 @@ func TestWatchdogStallTrip(t *testing.T) {
 
 // TestNewPlaneFreezesTheFirstTripDump drives a NewPlane's watchdog tick by
 // tick on a hand-set ladder: every trip lands in the flight ring as a
-// watchdog.trip event, and TripDump keeps the ring as it stood at the first.
+// watchdog.trip event, and Watchdog.TripDump keeps the ring as it stood at the first.
 func TestNewPlaneFreezesTheFirstTripDump(t *testing.T) {
 	p := NewPlane(WatchdogConfig{MaxLagLSN: 100, StallTicks: 1000})
 	if p.Tracer == nil || p.Metrics == nil || p.Watermarks == nil ||
 		p.Flight == nil || p.Waits == nil || p.Watchdog == nil {
 		t.Fatalf("NewPlane left a handle nil: %+v", p)
 	}
-	if p.TripDump() != nil {
+	if p.Watchdog.TripDump() != nil {
 		t.Fatal("a plane whose watchdog never fired has a trip dump")
 	}
 	tripEvents := func(jsonl []byte) int {
@@ -196,7 +194,7 @@ func TestNewPlaneFreezesTheFirstTripDump(t *testing.T) {
 
 	publishLadder(p.Watermarks, 1000, 10, 10, 10) // hardened 990 behind commit
 	p.Watchdog.Tick()
-	first := p.TripDump()
+	first := p.Watchdog.TripDump()
 	if p.Watchdog.TripCount() != 1 || tripEvents(first) != 1 {
 		t.Fatalf("after the first trip: trips=%d, frozen dump:\n%s", p.Watchdog.TripCount(), first)
 	}
@@ -215,14 +213,14 @@ func TestNewPlaneFreezesTheFirstTripDump(t *testing.T) {
 	if n := tripEvents(ring.Bytes()); n != 2 {
 		t.Fatalf("flight ring holds %d watchdog.trip events, want 2:\n%s", n, ring.Bytes())
 	}
-	if got := p.TripDump(); !bytes.Equal(got, first) {
+	if got := p.Watchdog.TripDump(); !bytes.Equal(got, first) {
 		t.Fatalf("the frozen dump moved at the second trip:\n--- first ---\n%s--- now ---\n%s", first, got)
 	}
 }
 
 func TestWatchdogStartStop(t *testing.T) {
 	ws := NewWatermarkSet()
-	d := NewWatchdog(ws, nil, nil, WatchdogConfig{Interval: time.Millisecond})
+	d := NewWatchdog(ws, nil, nil, nil, WatchdogConfig{Interval: time.Millisecond})
 	d.Start()
 	d.Start() // idempotent
 	time.Sleep(5 * time.Millisecond)
@@ -359,9 +357,8 @@ func TestPlaneNilSafety(t *testing.T) {
 	d.Start()
 	d.Stop()
 	_ = d.Trips()
-	d.OnTrip(func(Trip) {})
 	var p Plane
-	if p.TripDump() != nil {
+	if p.Watchdog.TripDump() != nil {
 		t.Fatal("the zero plane has a trip dump")
 	}
 }
@@ -421,7 +418,7 @@ func TestHTTPPlaneEndpoints(t *testing.T) {
 	fr := NewFlightRecorder(16)
 	fr.Record(TierLZ, "lz.flush", 8, time.Millisecond, "records=1")
 	tr := NewTracer()
-	d := NewWatchdog(ws, reg, nil, WatchdogConfig{})
+	d := NewWatchdog(ws, reg, nil, nil, WatchdogConfig{})
 
 	srv := httptest.NewServer(NewHTTPHandler(Plane{
 		Metrics: reg, Watermarks: ws, Flight: fr, Tracer: tr, Watchdog: d,

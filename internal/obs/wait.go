@@ -325,11 +325,11 @@ func (r *WaitRecorder) Begin(ctx context.Context, class WaitClass) WaitRegion {
 	return WaitRegion{rec: r, ctx: ctx, class: class, start: time.Now()}
 }
 
-// WaitNone is the class of a CondWait charged to no class: the caller's
-// caller records the blocked time (a WaitFresh retry's lock.row), or it is
-// idle time nobody should (a long poll). waitlint treats a CondWait or an
-// AwaitLSN passing it as an unrecorded blocking site, which needs a
-// //socrates:wait-ok.
+// WaitNone is the class of a CondWait charged to no class: a region the
+// caller has open records the blocked time (an engine read's retry on its
+// apply rung, as lock.row), or it is idle time nobody should (a long poll).
+// waitlint treats a CondWait or an AwaitLSN passing it as an unrecorded
+// blocking site, which needs an open region or a //socrates:wait-ok.
 const WaitNone WaitClass = 255
 
 // ErrDeadline is what CondWait returns when its deadline passes first. It

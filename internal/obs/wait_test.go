@@ -333,7 +333,7 @@ func TestWatchdogTripFreezesTopWaits(t *testing.T) {
 	// Pre-window history that must NOT appear in the trip's window delta.
 	set.Global().Record(WaitDiskRead, time.Hour)
 
-	d := NewWatchdog(ws, nil, set, WatchdogConfig{MaxLagLSN: -1, StallTicks: 3})
+	d := NewWatchdog(ws, nil, set, nil, WatchdogConfig{MaxLagLSN: -1, StallTicks: 3})
 
 	publishLadder(ws, 500, 500, 500, 500)
 	// Cycle the snapshot ring until every retained snapshot already

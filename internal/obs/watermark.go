@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -390,17 +391,20 @@ type followerState struct {
 }
 
 // Watchdog periodically derives lag gauges from the watermark ladder and
-// fires registered callbacks when a follower exceeds the lag threshold or
-// stops advancing (stall detection). Trips are edge-triggered: a follower
-// fires once per excursion and re-arms when it catches up.
+// trips when a follower exceeds the lag threshold or stops advancing (stall
+// detection). Trips are edge-triggered: a follower fires once per excursion
+// and re-arms when it catches up. Every trip lands in the flight ring as a
+// "watchdog.trip" event, and the first one freezes a copy of the ring
+// (TripDump): a postmortem wants the ring near the stall, not at Close.
 type Watchdog struct {
-	ws  *WatermarkSet
-	reg *Registry
-	cfg WatchdogConfig
+	ws     *WatermarkSet
+	reg    *Registry
+	flight *FlightRecorder
+	cfg    WatchdogConfig
 
-	mu        sync.Mutex
-	trips     []Trip
-	callbacks []func(Trip)
+	mu    sync.Mutex
+	trips []Trip
+	dump  []byte // the flight ring as it stood at the first trip
 
 	// Wait-freeze machinery: waits is the deployment's wait-accounting
 	// table (nil: trips carry no TopWaits); waitRing holds the last
@@ -422,12 +426,13 @@ type waitSnap struct {
 }
 
 // NewWatchdog builds a watchdog over the given watermark set, publishing
-// derived lag gauges into reg (nil disables gauge publication) and freezing
-// the top wait classes of waits over each trip's window (nil: none).
-func NewWatchdog(ws *WatermarkSet, reg *Registry, waits *WaitSet, cfg WatchdogConfig) *Watchdog {
+// derived lag gauges into reg (nil disables gauge publication), freezing
+// the top wait classes of waits over each trip's window (nil: none), and
+// recording its trips in flight (nil: no events, no TripDump).
+func NewWatchdog(ws *WatermarkSet, reg *Registry, waits *WaitSet, flight *FlightRecorder, cfg WatchdogConfig) *Watchdog {
 	cfg.defaults()
 	return &Watchdog{
-		ws: ws, reg: reg, waits: waits, cfg: cfg,
+		ws: ws, reg: reg, waits: waits, flight: flight, cfg: cfg,
 		done: make(chan struct{}),
 	}
 }
@@ -491,17 +496,6 @@ func (d *Watchdog) pushWaitSnap() {
 	}
 }
 
-// OnTrip registers a callback fired (from the watchdog goroutine) on every
-// trip. Register before Start, or accept missing early trips.
-func (d *Watchdog) OnTrip(fn func(Trip)) {
-	if d == nil || fn == nil {
-		return
-	}
-	d.mu.Lock()
-	d.callbacks = append(d.callbacks, fn)
-	d.mu.Unlock()
-}
-
 // Start launches the watchdog goroutine. Idempotent.
 func (d *Watchdog) Start() {
 	if d == nil {
@@ -553,6 +547,17 @@ func (d *Watchdog) Trips() []Trip {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return append([]Trip(nil), d.trips...)
+}
+
+// TripDump returns the flight-recorder JSONL frozen at the first trip (nil
+// if there was none yet, or the watchdog has no flight recorder).
+func (d *Watchdog) TripDump() []byte {
+	if d == nil {
+		return nil
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append([]byte(nil), d.dump...)
 }
 
 func (d *Watchdog) loop() {
@@ -654,7 +659,6 @@ func (d *Watchdog) evaluate(edge ladderEdge, w *Watermark, cur, leader, lag uint
 	case st.stallTicks >= d.cfg.StallTicks:
 		trip = &Trip{Kind: TripStall}
 	}
-	var callbacks []func(Trip)
 	if trip != nil {
 		st.tripped = true
 		trip.At = now
@@ -665,14 +669,23 @@ func (d *Watchdog) evaluate(edge ladderEdge, w *Watermark, cur, leader, lag uint
 		trip.Detail = "watermark " + k + " behind " + edge.leader
 		trip.TopWaits = d.topWaits()
 		d.trips = append(d.trips, *trip)
-		callbacks = append([]func(Trip){}, d.callbacks...)
 	}
+	frozen := d.dump != nil
 	d.mu.Unlock()
 	if trip != nil {
-		// Callbacks first: whoever sees the count move also sees what the
-		// callbacks did (the frozen flight dump, for one).
-		for _, fn := range callbacks {
-			fn(*trip)
+		// The event and the first trip's dump before the count moves:
+		// whoever sees the count move also sees both.
+		d.flight.Record("obs", "watchdog.trip", 0, trip.LagTime, string(trip.Kind)+": "+trip.Detail)
+		if !frozen && d.flight != nil {
+			var buf bytes.Buffer
+			// Dumping to a bytes.Buffer cannot fail: the encoder only errors
+			// on unmarshalable values, and FlightEvent is plain data.
+			_ = d.flight.Dump(&buf)
+			d.mu.Lock()
+			if d.dump == nil {
+				d.dump = buf.Bytes()
+			}
+			d.mu.Unlock()
 		}
 		d.tripCount.Add(1)
 		d.reg.Counter("obs.watchdog.trips").Inc()

@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"socrates/internal/metrics"
 	"socrates/internal/obs"
 	"socrates/internal/page"
 	"socrates/internal/rbio"
@@ -74,8 +73,6 @@ type Config struct {
 	StartLSN page.LSN
 	// PullBytes bounds one pull batch (default recovery.PullBytes).
 	PullBytes int
-	// Meter, if set, is charged simulated CPU for page-server work.
-	Meter *metrics.CPUMeter
 	// CheckpointEvery is how often the checkpoint policy is evaluated
 	// (default 50 ms) — not how often a checkpoint is taken; see
 	// checkpointLoop.
@@ -202,7 +199,7 @@ func New(cfg Config) (*Server, error) {
 	s.applied.Publish(uint64(s.ckptLSN))
 	s.ckpt = cfg.Obs.Watermarks.Own(obs.WMCheckpoint, cfg.Name)
 	s.owned = &recovery.Owned{Lo: lo, Hi: hi, Cache: cache, Fetch: s.fetchFromStore,
-		Meter: cfg.Meter, Batch: make(map[page.ID]recovery.Batched, 64)}
+		Batch: make(map[page.ID]recovery.Batched, 64)}
 	s.redo = recovery.NewReplayer(s.owned, s.ckptLSN, nil)
 	if cfg.Seed {
 		s.seeding = true
@@ -665,9 +662,6 @@ func (s *Server) GetPage(ctx context.Context, id page.ID, minLSN page.LSN) (*pag
 			s.cfg.Obs.Flight.Record(obs.TierPageServer, "ps.getpage_wait",
 				uint64(minLSN), wait, s.cfg.Name+": waited for apply")
 		}
-	}
-	if s.cfg.Meter != nil {
-		s.cfg.Meter.Charge(6 * time.Microsecond)
 	}
 	if pg, ok := s.cache.Get(id); ok {
 		s.served.Add(1)

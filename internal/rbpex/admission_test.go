@@ -254,12 +254,11 @@ func TestScanDoesNotEvictHotSet(t *testing.T) {
 // TestAheadArea is the ahead area's contract (DESIGN §20.1): in the cache for
 // every lookup, outside it for every eviction.
 func TestAheadArea(t *testing.T) {
-	c, evictions := observedCache(t, 2, 8)
+	c, _ := sparseCache(t, 2, 8)
 	cfg := c.cfg
-	evictedLSN := func(id page.ID) page.LSN { return newestEvicted(*evictions)[id] }
 	hint := func(id page.ID, lsn page.LSN) bool {
 		t.Helper()
-		installed, err := c.PutHinted(version(id, lsn), evictedLSN)
+		installed, err := c.PutHinted(version(id, lsn))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,17 +287,17 @@ func TestAheadArea(t *testing.T) {
 			t.Fatalf("parked page %d: Contains %v, GetLSN %d %v, in the memory tier %v", id, c.Contains(id), lsn, ok, resident(id))
 		}
 	}
-	if !resident(100) || !resident(101) || len(*evictions) != 0 || ssdWrites() != 0 || c.Len() != 2+aheadPages {
-		t.Fatalf("a full area: memory tier keeps 100 %v 101 %v, %d evictions, %d SSD writes, Len %d",
-			resident(100), resident(101), len(*evictions), ssdWrites(), c.Len())
+	if !resident(100) || !resident(101) || len(evictedOf(c)) != 0 || ssdWrites() != 0 || c.Len() != 2+aheadPages {
+		t.Fatalf("a full area: memory tier keeps 100 %v 101 %v, evictions %v, %d SSD writes, Len %d",
+			resident(100), resident(101), evictedOf(c), ssdWrites(), c.Len())
 	}
 
-	// One more displaces the oldest: gone from the cache, recorded once,
-	// written nowhere.
+	// One more displaces the oldest: gone from the cache, recorded at its
+	// LSN, written nowhere.
 	hint(aheadPages+1, 5)
 	c.Sync()
-	if c.Contains(1) || !reflect.DeepEqual(*evictions, []evictRec{{1, 5}}) || ssdWrites() != 0 || c.WriteBehind().Queued != 0 {
-		t.Fatalf("one hint more: page 1 cached %v, evictions %v, %d SSD writes, %+v", c.Contains(1), *evictions, ssdWrites(), c.WriteBehind())
+	if c.Contains(1) || !reflect.DeepEqual(evictedOf(c), map[page.ID]page.LSN{1: 5}) || ssdWrites() != 0 || c.WriteBehind().Queued != 0 {
+		t.Fatalf("one hint more: page 1 cached %v, evictions %v, %d SSD writes, %+v", c.Contains(1), evictedOf(c), ssdWrites(), c.WriteBehind())
 	}
 	if got, want := c.aheadCounts(), (aheadCounts{Parked: aheadPages + 1, Displaced: 1}); got != want {
 		t.Fatalf("ahead area: %+v, want %+v", got, want)
@@ -321,7 +320,7 @@ func TestAheadArea(t *testing.T) {
 	if hint(3, 4) || hint(100, 2) || hint(1, 4) {
 		t.Fatal("a hinted image older than the cached or evicted version was installed")
 	}
-	if installed, _ := c.PutFetched(version(3, 4), evictedLSN); installed {
+	if installed, _ := c.PutFetched(version(3, 4)); installed {
 		t.Fatal("a fetched image older than the parked one was installed")
 	}
 	// Log apply looks at a parked page without reading it (Parked), and the
@@ -345,12 +344,11 @@ func TestAheadArea(t *testing.T) {
 
 	// Fetched for a reader, the parked version moves into the memory tier: it
 	// has been read, though not from here.
-	if installed, _ := c.PutFetched(version(5, 5), evictedLSN); !installed || !resident(5) || c.aheadCounts().Read != 1 {
+	if installed, _ := c.PutFetched(version(5, 5)); !installed || !resident(5) || c.aheadCounts().Read != 1 {
 		t.Fatalf("PutFetched of the parked version: installed %v, in the memory tier %v, %+v", installed, resident(5), c.aheadCounts())
 	}
 
 	// A Put of a parked page supersedes it: no eviction, no first read.
-	before := len(*evictions)
 	_ = c.Put(version(4, 9))
 	if lsn, _ := c.GetLSN(4); lsn != 9 || !resident(4) {
 		t.Fatalf("page 4 after its Put: LSN %d, in the memory tier %v", lsn, resident(4))
@@ -358,10 +356,8 @@ func TestAheadArea(t *testing.T) {
 	c.mu.Lock()
 	stillParked := c.aheadIndexLocked(4) >= 0
 	c.mu.Unlock()
-	for _, e := range (*evictions)[before:] {
-		if e.ID == 4 {
-			t.Fatalf("the Put of a parked page recorded its eviction: %v", e)
-		}
+	if lsn := c.EvictedLSN(4); lsn != 0 {
+		t.Fatalf("the Put of a parked page recorded its eviction at LSN %d", lsn)
 	}
 	if stillParked || c.aheadCounts().Read != 1 {
 		t.Fatalf("page 4 after its Put: still parked %v, %+v", stillParked, c.aheadCounts())

@@ -4,8 +4,9 @@
 // it; only the policy differs:
 //
 //   - sparse (compute nodes): the cache holds the hottest pages; both tiers
-//     evict from a segmented LRU, and a page falling out entirely triggers the
-//     OnEvict hook (which feeds the primary's evicted-LSN map for GetPage@LSN).
+//     evict from a segmented LRU, and the cache keeps the highest LSN of every
+//     page it evicted (EvictedLSN): the minimum LSN of the node's
+//     GetPage@LSN, and the floor below which no fetched image is installed.
 //   - covering (page servers): the SSD tier holds every page of the
 //     partition at a fixed slot — slot k holds page base+k — written
 //     through on every put, so it never evicts and a restart recovers the
@@ -33,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -65,13 +67,6 @@ type Config struct {
 	// slot read), and a backpressure wait for every put that found the
 	// write-behind backlog full. Nil disables recording.
 	Waits *obs.WaitRecorder
-	// OnEvict, if set, is called when a page leaves the cache entirely,
-	// with the page's last cached LSN. It runs atomically with the
-	// removal (under the cache lock): a concurrent Get that misses is
-	// guaranteed to observe the eviction record — the primary's
-	// evicted-LSN map depends on this (§4.4). The hook must not call back
-	// into the cache.
-	OnEvict func(id page.ID, lsn page.LSN)
 }
 
 type memEntry struct {
@@ -221,6 +216,13 @@ type Cache struct {
 	// put of the page superseded them.
 	parked, aheadRead, displaced wbCounter
 	firstRead                    *obs.Counter // see Instrument
+	flight                       *obs.FlightRecorder
+
+	// evicted is "the highest LSN for every page evicted" (§4.4), recorded
+	// in the critical section that takes the page out of a tier, so a miss
+	// that finds the page gone finds its LSN here. Sparse caches only: a
+	// covering cache keeps every page and nobody asks it.
+	evicted map[page.ID]page.LSN
 
 	memHits atomic.Int64
 	ssdHits atomic.Int64
@@ -243,6 +245,9 @@ func Open(cfg Config) (*Cache, error) {
 		demoting: make(map[page.ID]demotion),
 		queue:    make([]demotion, 0, backlogPages),
 		ssd:      make(map[page.ID]*ssdEntry),
+	}
+	if !cfg.Covering {
+		c.evicted = make(map[page.ID]page.LSN)
 	}
 	c.memLRU.init(cfg.MemPages)
 	c.ssdLRU.init(cfg.SSDPages)
@@ -384,7 +389,7 @@ func (c *Cache) readSlot(id page.ID, slot int) (*page.Page, bool) {
 	}
 	c.ssdHits.Add(1)
 	//socrates:ignore-err promotion only refreshes the memory tier; the SSD copy just read remains authoritative, so a failed promote costs one re-read
-	_, _ = c.put(pg, promoted, nil)
+	_, _ = c.put(pg, promoted)
 	return pg, true
 }
 
@@ -421,7 +426,7 @@ func (c *Cache) parkLocked(pg *page.Page) {
 		old := c.ahead[0]
 		c.ahead = slices.Delete(c.ahead, 0, 1)
 		c.displaced.inc()
-		c.notifyEvictLocked(old.ID, old.LSN)
+		c.evictedLocked(old.ID, old.LSN)
 	}
 	c.ahead = append(c.ahead, pg)
 	c.parked.inc()
@@ -484,7 +489,7 @@ func (c *Cache) tieredLocked(id page.ID) bool {
 // to the cached one; an image that was read somewhere else a while ago goes
 // through PutFetched.
 func (c *Cache) Put(pg *page.Page) error {
-	_, err := c.put(pg, written, nil)
+	_, err := c.put(pg, written)
 	return err
 }
 
@@ -492,13 +497,11 @@ func (c *Cache) Put(pg *page.Page) error {
 // (GetPage@LSN) while this cache stayed in use: it must never move a page
 // backwards. The image is dropped — installed reports false, and the caller
 // keeps pg for the reader that asked for it — when the cache already holds a
-// version at least as new (supersededLocked), or when evictedLSN, the
-// caller's record of the newest version of each page that has left the cache
-// entirely (Config.OnEvict), names a newer one. evictedLSN runs under the
-// cache lock like OnEvict, so the answer cannot go stale before the install,
-// and like OnEvict it must not call back into the cache.
-func (c *Cache) PutFetched(pg *page.Page, evictedLSN func(page.ID) page.LSN) (installed bool, err error) {
-	return c.put(pg, fetched, evictedLSN)
+// version at least as new (supersededLocked), or when a newer version has
+// left the cache (EvictedLSN). Both are read in the critical section that
+// installs, so neither answer can go stale before the install.
+func (c *Cache) PutFetched(pg *page.Page) (installed bool, err error) {
+	return c.put(pg, fetched)
 }
 
 // PutHinted is PutFetched for an image nobody is waiting for: read-ahead
@@ -508,8 +511,18 @@ func (c *Cache) PutFetched(pg *page.Page, evictedLSN func(page.ID) page.LSN) (in
 // version's place, as PutFetched would have it. (A PutFetched of a parked page,
 // in the parked version or a newer one, takes it out of the area: a reader
 // has it now.)
-func (c *Cache) PutHinted(pg *page.Page, evictedLSN func(page.ID) page.LSN) (installed bool, err error) {
-	return c.put(pg, hinted, evictedLSN)
+func (c *Cache) PutHinted(pg *page.Page) (installed bool, err error) {
+	return c.put(pg, hinted)
+}
+
+// EvictedLSN reports the highest LSN at which the page left the cache, zero
+// if it never did (or the cache is covering). The record outlives the page's
+// return: it is the newest version known to exist outside, which a
+// GetPage@LSN for the page must ask for at least.
+func (c *Cache) EvictedLSN(id page.ID) page.LSN {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.evicted[id]
 }
 
 // origin says where the image handed to put comes from.
@@ -549,7 +562,7 @@ func (c *Cache) supersededLocked(pg *page.Page, from origin) bool {
 // the memory tier otherwise. An image that was read without the lock (every
 // origin but written) and lost the race to a newer version is dropped — the
 // reader keeps its older, consistent image and the cache keeps the newer one.
-func (c *Cache) put(pg *page.Page, from origin, evictedLSN func(page.ID) page.LSN) (installed bool, err error) {
+func (c *Cache) put(pg *page.Page, from origin) (installed bool, err error) {
 	// Covering caches are dense: the SSD tier holds every page at all
 	// times (recovery depends on it), so puts write through. demote skips the I/O when the SSD copy is already current.
 	if c.cfg.Covering {
@@ -559,7 +572,9 @@ func (c *Cache) put(pg *page.Page, from origin, evictedLSN func(page.ID) page.LS
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if from != written && (c.supersededLocked(pg, from) || (evictedLSN != nil && evictedLSN(pg.ID).After(pg.LSN))) {
+	// A promotion reads back the cache's own copy; only an image from
+	// elsewhere answers to the eviction record.
+	if from != written && (c.supersededLocked(pg, from) || (from != promoted && c.evicted[pg.ID].After(pg.LSN))) {
 		return false, nil
 	}
 	if e, ok := c.mem[pg.ID]; ok {
@@ -622,7 +637,7 @@ func (c *Cache) evictLocked() bool {
 	// tier — even when the page is headed for the SSD tier, because a
 	// failed demotion write drops it from the cache and a later miss must
 	// still learn its LSN ("the highest LSN for every page evicted", §4.4).
-	c.notifyEvictLocked(id, lsn)
+	c.evictedLocked(id, lsn)
 	if !queue {
 		return true
 	}
@@ -836,7 +851,7 @@ func (c *Cache) chooseSlotsLocked(batch []demotion) int {
 			c.ssdLRU.remove(v)
 			delete(c.ssd, v.id)
 			d.slot, d.victim, d.hasVictim = ve.slot, v.id, true
-			c.notifyEvictLocked(v.id, ve.lsn)
+			c.evictedLocked(v.id, ve.lsn)
 		}
 		c.claimed++
 		onProbation = onProbation || !d.hot
@@ -998,10 +1013,18 @@ func (c *Cache) abandonLocked(batch []demotion, rowsGone bool) {
 	}
 }
 
-// notifyEvictLocked fires the eviction hook; caller holds c.mu.
-func (c *Cache) notifyEvictLocked(id page.ID, lsn page.LSN) {
-	if c.cfg.OnEvict != nil {
-		c.cfg.OnEvict(id, lsn)
+// evictedLocked records that the page left a tier at lsn, in the eviction
+// record and as a compute.evict flight event. Caller holds c.mu.
+func (c *Cache) evictedLocked(id page.ID, lsn page.LSN) {
+	if c.cfg.Covering {
+		return
+	}
+	if lsn.After(c.evicted[id]) {
+		c.evicted[id] = lsn
+	}
+	if c.flight != nil {
+		c.flight.Record(obs.TierCompute, "compute.evict", uint64(lsn), 0,
+			"page "+strconv.FormatUint(uint64(id), 10))
 	}
 }
 
@@ -1092,16 +1115,19 @@ func (c *Cache) WriteBehind() WriteBehindStats {
 	}
 }
 
-// Instrument mirrors the cache's counters, from now on, onto counters of r:
-// the write-behind queue's under prefix + ".writebehind" (".queued",
-// ".written", ".superseded", ".dropped", ".batches", ".blocked_puts"), the
-// ahead area's under prefix + ".ahead" (".parked", ".read", ".displaced").
-// Caches instrumented under one prefix add up. firstRead, if not nil, counts
-// with ".ahead.read": the reads that found their page because read-ahead had
-// parked it.
-func (c *Cache) Instrument(r *obs.Registry, prefix string, firstRead *obs.Counter) {
+// Instrument mirrors the cache's counters, from now on, onto counters of
+// o.Metrics: the write-behind queue's under prefix + ".writebehind"
+// (".queued", ".written", ".superseded", ".dropped", ".batches",
+// ".blocked_puts"), the ahead area's under prefix + ".ahead" (".parked",
+// ".read", ".displaced"). Caches instrumented under one prefix add up.
+// firstRead, if not nil, counts with ".ahead.read": the reads that found
+// their page because read-ahead had parked it. Every eviction a sparse cache
+// records becomes a compute.evict event in o.Flight.
+func (c *Cache) Instrument(o obs.Plane, prefix string, firstRead *obs.Counter) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	r := o.Metrics
+	c.flight = o.Flight
 	c.queued.reg = r.Counter(prefix + ".writebehind.queued")
 	c.written.reg = r.Counter(prefix + ".writebehind.written")
 	c.superseded.reg = r.Counter(prefix + ".writebehind.superseded")

@@ -3,10 +3,12 @@ package rbpex
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
 	"socrates/internal/btree"
+	"socrates/internal/obs"
 	"socrates/internal/page"
 	"socrates/internal/simdisk"
 	"socrates/internal/wal"
@@ -153,7 +155,7 @@ func TestCachePagesImmutable(t *testing.T) {
 func TestPromoteKeepsNewerResident(t *testing.T) {
 	c, _ := sparseCache(t, 4, 8)
 	_ = c.Put(mkPage(1, 20, 'n'))
-	_, _ = c.put(mkPage(1, 10, 'o'), promoted, nil)
+	_, _ = c.put(mkPage(1, 10, 'o'), promoted)
 	if pg, _ := c.Get(1); pg.LSN != 20 || pg.Data[0] != 'n' {
 		t.Fatalf("promotion displaced the resident page: %+v", pg)
 	}
@@ -162,13 +164,12 @@ func TestPromoteKeepsNewerResident(t *testing.T) {
 // TestPutFetchedNeverMovesPageBackwards: an image fetched from another copy
 // of the database is installed only if the cache knows of no newer version —
 // resident, on its way to the SSD tier, on it, or gone from the cache
-// altogether and remembered by the caller's evicted-LSN record.
+// altogether and remembered by its eviction record.
 func TestPutFetchedNeverMovesPageBackwards(t *testing.T) {
 	c, _ := sparseCache(t, 2, 8)
-	evicted := map[page.ID]page.LSN{}
 	put := func(pg *page.Page) bool {
 		t.Helper()
-		installed, err := c.PutFetched(pg, func(id page.ID) page.LSN { return evicted[id] })
+		installed, err := c.PutFetched(pg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,8 +211,10 @@ func TestPutFetchedNeverMovesPageBackwards(t *testing.T) {
 	}
 	holds(7, 40, 'd')
 
-	// Gone from the cache: only the caller's record knows.
-	evicted[9] = 50
+	// Gone from the cache: only the eviction record knows.
+	c.mu.Lock()
+	c.evicted[9] = 50
+	c.mu.Unlock()
 	if put(mkPage(9, 45, 'o')) || c.Contains(9) {
 		t.Fatal("a fetched image older than the page's evicted version was installed")
 	}
@@ -298,61 +301,64 @@ func TestSpillWritesDecodedImages(t *testing.T) {
 	}
 }
 
-func TestEvictionWithoutSSDFiresHook(t *testing.T) {
-	var mu sync.Mutex
-	evicted := map[page.ID]page.LSN{}
-	cfg := Config{
-		MemPages: 2,
-		OnEvict: func(id page.ID, lsn page.LSN) {
-			mu.Lock()
-			evicted[id] = lsn
-			mu.Unlock()
-		},
-	}
-	c, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestEvictionWithoutSSDRecordsLSN(t *testing.T) {
+	c, _ := sparseCache(t, 2, 0)
+	flight := obs.NewFlightRecorder(0)
+	c.Instrument(obs.Plane{Flight: flight}, "compute.rbpex", nil)
 	_ = c.Put(mkPage(1, 11, 'a'))
 	_ = c.Put(mkPage(2, 12, 'b'))
 	_ = c.Put(mkPage(3, 13, 'c'))
-	mu.Lock()
-	defer mu.Unlock()
-	if lsn, ok := evicted[1]; !ok || lsn != 11 {
-		t.Fatalf("evicted = %v", evicted)
+	if evicted := evictedOf(c); !reflect.DeepEqual(evicted, map[page.ID]page.LSN{1: 11}) {
+		t.Fatalf("evicted = %v, want page 1 at LSN 11", evicted)
 	}
-	if len(evicted) != 1 {
-		t.Fatalf("evicted = %v", evicted)
+	if ev := flight.Events(); len(ev) != 1 || ev[0].Tier != obs.TierCompute || ev[0].Kind != "compute.evict" ||
+		ev[0].LSN != 11 || ev[0].Detail != "page 1" {
+		t.Fatalf("flight events %+v, want one compute.evict of page 1 at LSN 11", ev)
+	}
+	// The record outlives the page's return, and an image older than it is
+	// not installed.
+	if installed, _ := c.PutFetched(mkPage(1, 10, 'x')); installed || c.Contains(1) {
+		t.Fatal("a fetched image older than the evicted version was installed")
+	}
+	if installed, _ := c.PutFetched(mkPage(1, 11, 'a')); !installed || c.EvictedLSN(1) != 11 {
+		t.Fatalf("the evicted version itself: installed %v, EvictedLSN %d", installed, c.EvictedLSN(1))
 	}
 }
 
-func TestSSDEvictionFiresHookWithLSN(t *testing.T) {
-	var mu sync.Mutex
-	evicted := map[page.ID]page.LSN{}
-	cfg := Config{
-		MemPages: 1,
-		SSDPages: 2,
-		SSD:      simdisk.New(simdisk.Instant),
-		Meta:     simdisk.New(simdisk.Instant),
-		OnEvict: func(id page.ID, lsn page.LSN) {
-			mu.Lock()
-			evicted[id] = lsn
-			mu.Unlock()
-		},
-	}
-	c, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestSSDEvictionRecordsLSN(t *testing.T) {
+	c, _ := sparseCache(t, 1, 2)
 	// Fill: mem holds 1 page, SSD holds 2; the 4th insert pushes the
 	// oldest page out of the cache entirely.
 	for i := 1; i <= 4; i++ {
 		_ = c.Put(mkPage(page.ID(i), page.LSN(i*10), byte(i)))
+		c.Sync()
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if lsn, ok := evicted[1]; !ok || lsn != 10 {
-		t.Fatalf("evicted = %v, want page 1 at LSN 10", evicted)
+	if c.Contains(1) || c.EvictedLSN(1) != 10 {
+		t.Fatalf("page 1: cached %v, evicted at LSN %d; want gone, at LSN 10", c.Contains(1), c.EvictedLSN(1))
+	}
+}
+
+// TestCoveringCacheRecordsNoEviction: a page server's cache evicts from its
+// memory tier like any other, but nobody asks it what left: it records
+// nothing.
+func TestCoveringCacheRecordsNoEviction(t *testing.T) {
+	c, err := Open(Config{MemPages: 1, SSDPages: 4, Covering: true, Base: 1,
+		SSD: simdisk.New(simdisk.Instant), Meta: simdisk.New(simdisk.Instant)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 4; i++ {
+		if err := c.Put(mkPage(page.ID(i), page.LSN(i*10), byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := page.ID(1); id <= 4; id++ {
+		if lsn := c.EvictedLSN(id); lsn != 0 {
+			t.Fatalf("covering cache recorded page %d evicted at LSN %d", id, lsn)
+		}
+	}
+	if evicted := evictedOf(c); evicted != nil {
+		t.Fatalf("covering cache keeps an eviction record: %v", evicted)
 	}
 }
 

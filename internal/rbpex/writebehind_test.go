@@ -3,6 +3,7 @@ package rbpex
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -145,8 +146,7 @@ type refCache struct {
 
 	memHits, ssdHits, misses int64
 	parked, read, displaced  int64
-	evictions                []evictRec
-	evicted                  map[page.ID]page.LSN // newestEvicted(evictions)
+	evicted                  map[page.ID]page.LSN // the highest LSN of every page evicted
 }
 
 func newRefCache(memPages, ssdPages int) *refCache {
@@ -165,8 +165,7 @@ func newRefPolicy(memPages, ssdPages, protShare int, noAhead bool) *refCache {
 	}
 }
 
-func (r *refCache) notifyEvict(id page.ID, lsn page.LSN) {
-	r.evictions = append(r.evictions, evictRec{id, lsn})
+func (r *refCache) evict(id page.ID, lsn page.LSN) {
 	r.evicted[id] = page.MaxLSN(r.evicted[id], lsn)
 }
 
@@ -235,7 +234,7 @@ func (r *refCache) put(pg *page.Page, from origin) bool {
 	case from == hinted && !onSSD:
 		if len(r.ahead) == aheadPages {
 			r.displaced++
-			r.notifyEvict(r.ahead[0].ID, r.ahead[0].LSN)
+			r.evict(r.ahead[0].ID, r.ahead[0].LSN)
 			r.ahead = slices.Delete(r.ahead, 0, 1)
 		}
 		r.ahead = append(r.ahead, pg)
@@ -256,7 +255,7 @@ func (r *refCache) admit(pg *page.Page, protected bool) {
 		r.memLRU.remove(id)
 		delete(r.mem, id)
 		delete(r.memHot, id)
-		r.notifyEvict(id, v.LSN)
+		r.evict(id, v.LSN)
 		if r.ssdPages > 0 {
 			r.demote(v, hot)
 		}
@@ -291,7 +290,7 @@ func (r *refCache) demote(pg *page.Page, hot bool) {
 		r.ssdLRU.remove(vid)
 		delete(r.ssd, vid)
 		slot = ve.slot
-		r.notifyEvict(vid, ve.lsn)
+		r.evict(vid, ve.lsn)
 		delete(r.rows, vid)
 	}
 	r.slots[slot] = pg
@@ -312,7 +311,7 @@ type cacheState struct {
 	Rows                               map[page.ID]refRow // durable metadata
 	MemHits, SSDHits, Misses           int64
 	Parked                             aheadCounts
-	Evictions                          []evictRec
+	Evicted                            map[page.ID]page.LSN
 }
 
 // aheadCounts is what became of the pages PutHinted parked.
@@ -338,8 +337,8 @@ func (r *refCache) state() cacheState {
 		MemLSN: map[page.ID]page.LSN{}, MemHot: map[page.ID]bool{}, Ahead: aheadOf(r.ahead), SSD: map[page.ID]refRow{},
 		Free: append([]int{}, r.free...), Next: r.next, Rows: map[page.ID]refRow{},
 		MemHits: r.memHits, SSDHits: r.ssdHits, Misses: r.misses,
-		Parked:    aheadCounts{Parked: r.parked, Read: r.read, Displaced: r.displaced},
-		Evictions: append([]evictRec{}, r.evictions...)}
+		Parked:  aheadCounts{Parked: r.parked, Read: r.read, Displaced: r.displaced},
+		Evicted: maps.Clone(r.evicted)}
 	for id, pg := range r.mem {
 		s.MemLSN[id] = pg.LSN
 		s.MemHot[id] = r.memHot[id]
@@ -382,7 +381,7 @@ func segments(t *testing.T, l *segLRU) (prot, prob []page.ID) {
 // stateOf reads the same out of a drained cache, and checks on the way that
 // the backlog is empty and that every SSD entry's slot holds that page at
 // that LSN.
-func stateOf(t *testing.T, c *Cache, evictions []evictRec) cacheState {
+func stateOf(t *testing.T, c *Cache) cacheState {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -392,8 +391,8 @@ func stateOf(t *testing.T, c *Cache, evictions []evictRec) cacheState {
 	}
 	s := cacheState{MemLSN: map[page.ID]page.LSN{}, MemHot: map[page.ID]bool{}, Ahead: aheadOf(c.ahead),
 		SSD: map[page.ID]refRow{}, Free: append([]int{}, c.free...), Next: c.nextSlot, Rows: map[page.ID]refRow{},
-		Parked:    aheadCounts{Parked: c.parked.n, Read: c.aheadRead.n, Displaced: c.displaced.n},
-		Evictions: append([]evictRec{}, evictions...)}
+		Parked:  aheadCounts{Parked: c.parked.n, Read: c.aheadRead.n, Displaced: c.displaced.n},
+		Evicted: maps.Clone(c.evicted)}
 	s.MemProt, s.MemProb = segments(t, &c.memLRU)
 	s.SSDProt, s.SSDProb = segments(t, &c.ssdLRU)
 	s.MemHits, s.SSDHits, s.Misses = c.Stats()
@@ -423,26 +422,19 @@ func stateOf(t *testing.T, c *Cache, evictions []evictRec) cacheState {
 	return s
 }
 
-// observedCache opens a sparse cache on Instant devices that logs its
-// evictions.
-func observedCache(t *testing.T, memPages, ssdPages int) (*Cache, *[]evictRec) {
-	t.Helper()
-	evictions := &[]evictRec{}
-	c, err := Open(Config{MemPages: memPages, SSDPages: ssdPages,
-		SSD: simdisk.New(simdisk.Instant), Meta: simdisk.New(simdisk.Instant),
-		OnEvict: func(id page.ID, lsn page.LSN) { *evictions = append(*evictions, evictRec{id, lsn}) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c, evictions
+// evictedOf copies the cache's eviction record.
+func evictedOf(c *Cache) map[page.ID]page.LSN {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return maps.Clone(c.evicted)
 }
 
 // TestWriteBehindMatchesInlineModel: random Get/Put/PutFetched/PutHinted
 // traces, the backlog drained after every operation — the cache is then,
 // operation for operation, the sequential model: same hits and misses, same
 // pages in the same order in both segments of both tiers and in the ahead
-// area, same slots, same free list, same durable rows, same evictions in the
-// same order.
+// area, same slots, same free list, same durable rows, the same highest LSN
+// recorded for every page evicted.
 func TestWriteBehindMatchesInlineModel(t *testing.T) {
 	ops := 1500
 	if testing.Short() || testutil.RaceEnabled {
@@ -452,7 +444,7 @@ func TestWriteBehindMatchesInlineModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		memPages, ssdPages := 1+rng.Intn(8), 1+rng.Intn(24)
 		universe := 1 + rng.Intn(2*(memPages+ssdPages)+4)
-		c, evictions := observedCache(t, memPages, ssdPages)
+		c, _ := sparseCache(t, memPages, ssdPages)
 		ref := newRefCache(memPages, ssdPages)
 		latest := map[page.ID]page.LSN{}
 		var clock page.LSN
@@ -497,9 +489,7 @@ func TestWriteBehindMatchesInlineModel(t *testing.T) {
 					lsn = 1 + page.LSN(rng.Intn(int(lsn)))
 				}
 				what = fmt.Sprintf("put(%d@%d, origin %d)", id, lsn, from)
-				installed, err := install(version(id, lsn), func(id page.ID) page.LSN {
-					return newestEvicted(*evictions)[id]
-				})
+				installed, err := install(version(id, lsn))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -508,7 +498,7 @@ func TestWriteBehindMatchesInlineModel(t *testing.T) {
 				}
 			}
 			within(t, "Sync", c.Sync)
-			if got, want := stateOf(t, c, *evictions), ref.state(); !reflect.DeepEqual(got, want) {
+			if got, want := stateOf(t, c), ref.state(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d (%d+%d pages) after op %d %s:\nwrite-behind %+v\ninline model %+v",
 					seed, memPages, ssdPages, i, what, got, want)
 			}
@@ -557,7 +547,7 @@ func TestNothingWaitsForTheDevice(t *testing.T) {
 			if err := c.Put(version(id, lsn)); err != nil {
 				t.Error(err)
 			}
-		} else if installed, err := c.PutFetched(version(id, lsn), nil); err != nil || !installed {
+		} else if installed, err := c.PutFetched(version(id, lsn)); err != nil || !installed {
 			t.Errorf("PutFetched(%d@%d) = %v, %v", id, lsn, installed, err)
 		}
 	}
@@ -690,8 +680,8 @@ func TestChooseSlotsOneSlotOneWriter(t *testing.T) {
 // so that real multi-page batches form — in-place rewrites, fresh victims,
 // versions overtaking each other, victims running out on 1+1 and 1+3 caches.
 // Drained, the cache holds what the inline model holds after the same puts:
-// same pages, versions and LRU order in both tiers, same evictions per tier
-// in the same order. (Which slot a page sits in may differ: a skipped
+// same pages, versions and LRU order in both tiers, the same highest LSN
+// recorded for every page evicted. (Which slot a page sits in may differ: a skipped
 // version takes none.) stateOf checks that every slot holds its page.
 func TestBatchesMatchInlineModel(t *testing.T) {
 	shapes := [][2]int{{1, 1}, {1, 3}, {2, 5}, {4, 24}}
@@ -707,7 +697,7 @@ func TestBatchesMatchInlineModel(t *testing.T) {
 		shape, skewed := shapes[si%len(shapes)], si >= len(shapes)
 		memPages, ssdPages := shape[0], shape[1]
 		rng := rand.New(rand.NewSource(int64(100 + si)))
-		c, evictions := observedCache(t, memPages, ssdPages)
+		c, _ := sparseCache(t, memPages, ssdPages)
 		ref := newRefCache(memPages, ssdPages)
 		universe := memPages + ssdPages + 3
 		var clock page.LSN
@@ -733,7 +723,7 @@ func TestBatchesMatchInlineModel(t *testing.T) {
 			release()
 			within(t, "Sync", c.Sync)
 
-			got, want := stateOf(t, c, nil), ref.state()
+			got, want := stateOf(t, c), ref.state()
 			slotsOf := func(s cacheState) (lsns map[page.ID]page.LSN, slots []int) {
 				lsns = map[page.ID]page.LSN{}
 				for id, e := range s.SSD {
@@ -762,20 +752,17 @@ func TestBatchesMatchInlineModel(t *testing.T) {
 			if len(gotSlots) != got.Next || got.Next > ssdPages {
 				t.Fatalf("%d+%d pages, round %d: %d slots accounted for, %d handed out", memPages, ssdPages, round, len(gotSlots), got.Next)
 			}
-			// The memory tier's evictions happen at the puts, the SSD tier's
-			// when the drainer chooses slots: interleaved differently, but
-			// each tier's in the inline order. A version that was overtaken
-			// in the queue never reached the SSD tier, where the inline model
-			// wrote it: the model may evict an SSD copy this cache kept
-			// pinned for the newer version, or evict a page at a newer LSN
-			// than this cache ever wrote. So the SSD tier's evictions are, by
-			// page, a subsequence of the model's — and the newest evicted
-			// version of every page, which is all that GetPage@LSN asks of
-			// the record, is the same.
-			g, w := byTier(*evictions), byTier(ref.evictions)
-			if !reflect.DeepEqual(g[0], w[0]) || !subsequence(g[1], w[1]) || !reflect.DeepEqual(newestEvicted(*evictions), newestEvicted(ref.evictions)) {
-				t.Fatalf("%d+%d pages, round %d: evictions (memory tier, then SSD tier)\nwrite-behind %v\ninline model %v",
-					memPages, ssdPages, round, g, w)
+			// The memory tier records its evictions at the puts, the SSD
+			// tier when the drainer chooses slots. A version that was
+			// overtaken in the queue never reached the SSD tier, where the
+			// inline model wrote it: the model may evict an SSD copy this
+			// cache kept pinned for the newer version, or evict a page at a
+			// newer LSN than this cache ever wrote. The newest evicted
+			// version of every page, which is all GetPage@LSN asks of the
+			// record, is the same.
+			if !reflect.DeepEqual(got.Evicted, want.Evicted) {
+				t.Fatalf("%d+%d pages, round %d: eviction record\nwrite-behind %v\ninline model %v",
+					memPages, ssdPages, round, got.Evicted, want.Evicted)
 			}
 		}
 		wb := c.WriteBehind()
@@ -787,44 +774,6 @@ func TestBatchesMatchInlineModel(t *testing.T) {
 			t.Fatalf("%d+%d pages: %+v; the bursts were meant to form multi-page batches with overtaken versions", memPages, ssdPages, wb)
 		}
 	}
-}
-
-// byTier splits an eviction log into the memory tier's evictions and the SSD
-// tier's, each in order. Where every put makes a new version, a version
-// leaves the memory tier once and the SSD tier later or never: the first
-// occurrence of a (page, LSN) pair is the memory tier's, a second one the SSD
-// tier's.
-func byTier(log []evictRec) [2][]evictRec {
-	var out [2][]evictRec
-	seen := map[evictRec]bool{}
-	for _, e := range log {
-		tier := 0
-		if seen[e] {
-			tier = 1
-		}
-		seen[e] = true
-		out[tier] = append(out[tier], e)
-	}
-	return out
-}
-
-// subsequence reports whether the pages of sub occur, in order, among those
-// of of.
-func subsequence(sub, of []evictRec) bool {
-	for _, e := range of {
-		if len(sub) > 0 && sub[0].ID == e.ID {
-			sub = sub[1:]
-		}
-	}
-	return len(sub) == 0
-}
-
-func newestEvicted(log []evictRec) map[page.ID]page.LSN {
-	out := map[page.ID]page.LSN{}
-	for _, e := range log {
-		out[e.ID] = page.MaxLSN(out[e.ID], e.LSN)
-	}
-	return out
 }
 
 // cloneDevice copies a device's bytes, cut off at size, onto a fresh one: the
@@ -852,7 +801,6 @@ func cloneDevice(t *testing.T, d *simdisk.Device, size int64) *simdisk.Device {
 // floor says — the newest version the crashed cache had published.
 func checkReopened(t *testing.T, what string, cfg Config, floor map[page.ID]page.LSN) {
 	t.Helper()
-	cfg.OnEvict = nil
 	re, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("%s: reopening: %v", what, err)
@@ -992,7 +940,7 @@ func TestCrashAtEveryPointOfABatch(t *testing.T) {
 // accounting stays whole, in the running cache and in one reopened on the
 // same devices.
 func TestDeviceFailureDropsTheBatch(t *testing.T) {
-	c, evictions := observedCache(t, 1, 3)
+	c, _ := sparseCache(t, 1, 3)
 	cfg := c.cfg
 	put := func(id page.ID, lsn page.LSN) {
 		t.Helper()
@@ -1009,7 +957,7 @@ func TestDeviceFailureDropsTheBatch(t *testing.T) {
 		if pg, ok := c.Get(id); ok {
 			t.Fatalf("%s: page %d reads back as %+v after version %d of it was lost", when, id, pg, lost)
 		}
-		if got := newestEvicted(*evictions)[id]; got != lost {
+		if got := c.EvictedLSN(id); got != lost {
 			t.Fatalf("%s: page %d's eviction is recorded at LSN %d, want %d", when, id, got, lost)
 		}
 	}
@@ -1051,7 +999,7 @@ func TestDeviceFailureDropsTheBatch(t *testing.T) {
 		put(page.ID(20+i%6), page.LSN(100+i))
 	}
 	within(t, "Sync", c.Sync)
-	stateOf(t, c, nil)
+	stateOf(t, c)
 	checkReopened(t, "after the failures", cfg, publishedLSNs(c))
 }
 

@@ -3,11 +3,9 @@ package recovery
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"socrates/internal/btree"
 	"socrates/internal/fcb"
-	"socrates/internal/metrics"
 	"socrates/internal/page"
 	"socrates/internal/rbpex"
 	"socrates/internal/wal"
@@ -29,7 +27,6 @@ type Owned struct {
 	Lo, Hi page.ID
 	Cache  *rbpex.Cache
 	Fetch  func(page.ID) (*page.Page, error) // a page's checkpoint copy, seeded into Cache
-	Meter  *metrics.CPUMeter                 // if set, charged applyCPU per record of the range
 	Batch  map[page.ID]Batched               // the pull's touched pages, newest version each
 	Redone int                               // records redone into Batch since Reset
 }
@@ -47,18 +44,12 @@ func (o *Owned) Reset() {
 	o.Redone = 0
 }
 
-// applyCPU is the simulated CPU a page server spends on one owned record.
-const applyCPU = 4 * time.Microsecond
-
 // Page answers for a page server.
 //
 //socrates:hotpath runs once per page record of a page server's feed; TestApplyFeedAllocs
 func (o *Owned) Page(rec *wal.Record) (*page.Page, Answer, error) {
 	if rec.Page < o.Lo || rec.Page >= o.Hi {
 		return nil, Elsewhere, nil
-	}
-	if o.Meter != nil {
-		o.Meter.Charge(applyCPU)
 	}
 	if b, ok := o.Batch[rec.Page]; ok {
 		if b.Built {
@@ -125,7 +116,7 @@ func (c *Cached) Page(rec *wal.Record) (*page.Page, Answer, error) {
 func (c *Cached) Put(next *page.Page, err error) error {
 	if err == nil && c.parked {
 		//socrates:ignore-err a secondary's error rule drops a record it cannot install (DESIGN §21 lists the rule as a finding)
-		_, _ = c.Cache.PutHinted(next, nil)
+		_, _ = c.Cache.PutHinted(next)
 	} else if err == nil {
 		//socrates:ignore-err the secondary's error rule, as above
 		_ = c.Cache.Put(next)

@@ -115,10 +115,6 @@ type Store struct {
 	curSize   int
 	watermark uint64
 	pages     int // version pages allocated by this incarnation
-
-	// OnNewPage, if set, is called after a fresh version page becomes
-	// current, so the engine can persist the pointer in its catalog.
-	OnNewPage func(id page.ID)
 }
 
 // New creates a store handle. cur is the current append page recorded in
@@ -214,9 +210,6 @@ func (s *Store) newPageLocked(txn uint64) error {
 	s.curSlots = 0
 	s.curSize = len(payload)
 	s.pages++
-	if s.OnNewPage != nil {
-		s.OnNewPage(pg.ID)
-	}
 	return nil
 }
 

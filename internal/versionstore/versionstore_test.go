@@ -202,16 +202,6 @@ func TestPageRollover(t *testing.T) {
 	_ = pager
 }
 
-func TestOnNewPageCallback(t *testing.T) {
-	s, _, _ := newStore(t)
-	var pages []page.ID
-	s.OnNewPage = func(id page.ID) { pages = append(pages, id) }
-	_, _ = s.Append(1, &Version{CommitTS: 1, Payload: []byte("x")})
-	if len(pages) != 1 || pages[0] != s.CurrentPage() {
-		t.Fatalf("callback pages = %v, current = %d", pages, s.CurrentPage())
-	}
-}
-
 func TestRecoverAppendStateFromPage(t *testing.T) {
 	s, pager, log := newStore(t)
 	for i := 0; i < 5; i++ {
