@@ -69,7 +69,7 @@ func render(diags []analysis.Diagnostic) string {
 }
 
 func TestErrlintFixtures(t *testing.T) {
-	pass := analysis.NewErrlint([]string{"fixture/errlint"})
+	pass := &analysis.Errlint{CriticalPkgs: []string{"fixture/errlint"}}
 	runFixturePair(t, pass, "errlint", 3, "durability-critical")
 }
 
@@ -82,7 +82,7 @@ func TestSleeplintFixtures(t *testing.T) {
 }
 
 func TestCtxLintFixtures(t *testing.T) {
-	pass := analysis.NewCtxLint([]string{"fixture/ctxlint"})
+	pass := &analysis.CtxLint{InterTierPkgs: []string{"fixture/ctxlint"}}
 	runFixturePair(t, pass, "ctxlint", 9, "//socrates:ctx-ok")
 }
 
@@ -91,7 +91,7 @@ func TestCtxLintFixtures(t *testing.T) {
 func TestCtxLintFindsExactSites(t *testing.T) {
 	loader := newLoader(t)
 	bad := loadFixture(t, loader, "ctxlint/bad")
-	diags := analysis.NewCtxLint([]string{"fixture/ctxlint"}).Run(bad)
+	diags := (&analysis.CtxLint{InterTierPkgs: []string{"fixture/ctxlint"}}).Run(bad)
 	var notFirst, todo, noCtx, rawDial, noDeadline int
 	for _, d := range diags {
 		switch {
@@ -121,7 +121,7 @@ func TestCtxLintFindsExactSites(t *testing.T) {
 // stale-waiver check proves warm's ctx-ok is what suppresses check 5 there.
 func TestMuxLintFixtures(t *testing.T) {
 	loader := newLoader(t)
-	pass := analysis.NewCtxLint([]string{"fixture/ctxlint"})
+	pass := &analysis.CtxLint{InterTierPkgs: []string{"fixture/ctxlint"}}
 	var fabric []analysis.Diagnostic
 	for _, d := range pass.Run(loadFixture(t, loader, "ctxlint/bad")) {
 		if strings.Contains(d.Message, "fabric") {
@@ -143,7 +143,7 @@ func TestMuxLintFixtures(t *testing.T) {
 func TestMuxLintFindsExactSites(t *testing.T) {
 	bad := loadFixture(t, newLoader(t), "ctxlint/bad")
 	got := make(map[int][]string)
-	for _, d := range analysis.NewCtxLint([]string{"fixture/ctxlint"}).Run(bad) {
+	for _, d := range (&analysis.CtxLint{InterTierPkgs: []string{"fixture/ctxlint"}}).Run(bad) {
 		got[d.Pos.Line] = append(got[d.Pos.Line], d.Message)
 	}
 	want := map[int]string{

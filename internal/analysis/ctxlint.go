@@ -61,9 +61,6 @@ func DefaultCtxLint() *CtxLint {
 	}}
 }
 
-// NewCtxLint returns ctxlint with the given inter-tier set (fixtures).
-func NewCtxLint(interTier []string) *CtxLint { return &CtxLint{InterTierPkgs: interTier} }
-
 // Name implements Pass.
 func (c *CtxLint) Name() string { return "ctxlint" }
 

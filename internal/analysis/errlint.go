@@ -48,12 +48,6 @@ func DefaultErrlint() *Errlint {
 	}}
 }
 
-// NewErrlint returns errlint over the given critical package substrings
-// (used by fixture tests).
-func NewErrlint(criticalPkgs []string) *Errlint {
-	return &Errlint{CriticalPkgs: criticalPkgs}
-}
-
 // Name implements Pass.
 func (e *Errlint) Name() string { return "errlint" }
 

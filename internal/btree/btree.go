@@ -374,13 +374,3 @@ func (t *Tree) scanRec(id page.ID, lo, hi []byte, fn func(k, v []byte) bool) (bo
 		}
 	}
 }
-
-// Count returns the number of entries (a full scan).
-func (t *Tree) Count() (int, error) {
-	count := 0
-	err := t.Scan(nil, nil, func([]byte, []byte) bool {
-		count++
-		return true
-	})
-	return count, err
-}

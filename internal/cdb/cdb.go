@@ -279,14 +279,9 @@ func (c *Client) Pick(mix Mix) TxnType { return mix.pick(c.rng) }
 // CPUCost reports the simulated query-processing CPU of a class.
 func (t TxnType) CPUCost() time.Duration { return t.cpuCost() }
 
-// Run executes one transaction of the mix against the engine, charging the
-// meter for query-processing CPU. Write conflicts abort and are reported,
-// as in any OLTP harness.
-func (c *Client) Run(e *engine.Engine, mix Mix, meter *metrics.CPUMeter) (TxnStats, error) {
-	return c.RunType(e, c.Pick(mix), meter)
-}
-
-// RunType executes one transaction of the given class.
+// RunType executes one transaction of the given class against the engine,
+// charging the meter for query-processing CPU. Write conflicts abort and
+// are reported, as in any OLTP harness.
 func (c *Client) RunType(e *engine.Engine, t TxnType, meter *metrics.CPUMeter) (TxnStats, error) {
 	start := time.Now()
 	if meter != nil {

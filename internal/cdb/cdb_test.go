@@ -88,7 +88,7 @@ func TestAllTxnTypesExecute(t *testing.T) {
 	meter := metrics.NewCPUMeter(1)
 	seen := map[TxnType]bool{}
 	for i := 0; i < 300 && len(seen) < int(numTxnTypes); i++ {
-		stats, err := c.Run(e, DefaultMix, meter)
+		stats, err := c.RunType(e, c.Pick(DefaultMix), meter)
 		if err != nil {
 			t.Fatalf("%v: %v", stats.Type, err)
 		}
@@ -144,7 +144,7 @@ func TestDriveCollectsMetrics(t *testing.T) {
 	if ratio < 1.5 || ratio > 6 {
 		t.Fatalf("read:write = %.1f, want ~3", ratio)
 	}
-	if m.WriteLatency.Count() == 0 {
+	if m.WriteLatency.Summarize().Count == 0 {
 		t.Fatal("no write latencies recorded")
 	}
 	if m.CPUPercent <= 0 {

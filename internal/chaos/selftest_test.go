@@ -3,9 +3,12 @@
 package chaos
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
+
+	"socrates/internal/obs"
 )
 
 // This file validates the oracle itself. The chaosfault build tag plants
@@ -37,7 +40,9 @@ func TestOracleCatchesPlantedBug(t *testing.T) {
 	// block still reaches the landing zone — XLOG destages it — with only
 	// the plant's own wait on the writer.
 	r.put(keyName(0))
-	if err := r.c.XLOG.WaitDestaged(r.lastAcked.Next(), 5*time.Second); err != nil {
+	destaged := r.c.Watermarks.Watermark(obs.WMDestaged, "")
+	deadline := time.Now().Add(5 * time.Second)
+	if err := r.c.Waits.Tier(obs.TierXLOG).AwaitLSN(context.Background(), obs.WaitXLOGFeed, destaged, r.lastAcked.Next().Uint64(), deadline); err != nil {
 		t.Fatalf("planted commit's block never reached the landing zone: %v", err)
 	}
 	ackedBefore := r.res.Acked

@@ -67,7 +67,7 @@ func TestReorderedFeedConverges(t *testing.T) {
 	c.Net.SetReorderWindow(2 * time.Millisecond)
 	seedRows(t, c, "t", 300)
 	sec, _ := c.Secondary("sec-0")
-	if !sec.WaitApplied(c.Primary().HardenedEnd(), 10*time.Second) {
+	if !sec.WaitApplied(c.Primary().Writer().HardenedEnd(), 10*time.Second) {
 		t.Fatal("secondary stuck behind reordered feed")
 	}
 	verifyRows(t, sec.Engine, "t", 300, "secondary after reordered feed")

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"regexp"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"socrates/internal/obs"
+	"socrates/internal/page"
 	"socrates/internal/simdisk"
 )
 
@@ -60,18 +62,28 @@ func TestClusterWatermarkLadderLive(t *testing.T) {
 	}
 
 	// The flight recorder saw the traffic (flush + destage + apply events).
-	if c.Flight.Recorded() == 0 {
+	if len(c.Flight.Events()) == 0 {
 		t.Fatal("flight recorder recorded nothing during a live workload")
 	}
 	// And no watchdog trips: a healthy run must not cry wolf.
-	if n := c.Watchdog.TripCount(); n != 0 {
+	if n := len(c.Watchdog.Trips()); n != 0 {
 		t.Fatalf("healthy cluster tripped the watchdog %d times: %+v", n, c.Watchdog.Trips())
 	}
 
 	// Every name the live cluster registered keeps the naming contract that
 	// /metrics and the watchdog's ladder edges key on, the dynamically built
 	// ones included (a per-replica key checks its part before the "/").
-	names := c.Metrics.Snapshot().Names()
+	snap := c.Metrics.Snapshot()
+	var names []string
+	for name := range snap.Counters {
+		names = append(names, name)
+	}
+	for name := range snap.Gauges {
+		names = append(names, name)
+	}
+	for name := range snap.Histograms {
+		names = append(names, name)
+	}
 	for _, st := range c.Watermarks.Snapshot() {
 		names = append(names, st.Name)
 	}
@@ -105,7 +117,7 @@ func TestClusterWatermarkLadderLive(t *testing.T) {
 	if err := c.WaitForCatchUp(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.XLOG.WaitDestaged(c.XLOG.HardenedEnd(), 5*time.Second); err != nil {
+	if err := waitDestaged(c, c.XLOG.HardenedEnd(), 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// Ticked by hand past the default StallTicks; its own loop must not
@@ -120,7 +132,7 @@ func TestClusterWatermarkLadderLive(t *testing.T) {
 	if got := c.Watermarks.Replicas(obs.WMSecondary); len(got) != 0 {
 		t.Errorf("secondary rungs after its removal: %v", got)
 	}
-	if n := c.Watchdog.TripCount(); n != 0 {
+	if n := len(c.Watchdog.Trips()); n != 0 {
 		t.Errorf("dead rungs tripped the watchdog %d times: %+v", n, c.Watchdog.Trips())
 	}
 	for _, g := range []string{"pageserver.apply_lag_lsn", "compute.apply_lag_lsn"} {
@@ -138,13 +150,17 @@ var instrumentName = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$`)
 // SSD (apply batches fail, the applied watermark freezes while promotion
 // keeps moving) and asserts the watchdog detects the stall on that rung with
 // the apply errors in the flight ring, and that a trip freezes a non-empty
-// JSONL flight dump for the postmortem.
+// JSONL flight dump for the postmortem. The test ticks the watchdog itself,
+// once apply has failed: on a loaded host a background ticker can see the
+// applied rung stand still for three ticks before the page server has even
+// pulled the blocks the outage fails, and that trip, edge-triggered, is the
+// only one the rung gets.
 func TestWatchdogStallTripFreezesFlightDump(t *testing.T) {
 	cfg := fastConfig("wm-stall")
-	// Tight ticks so the stall is detected quickly; lag trips disabled so
-	// the test isolates the stall rule.
+	// No background ticks; lag trips disabled so the test isolates the
+	// stall rule.
 	cfg.Watchdog = obs.WatchdogConfig{
-		Interval:   2 * time.Millisecond,
+		Interval:   time.Hour,
 		MaxLagLSN:  -1,
 		StallTicks: 3,
 	}
@@ -157,10 +173,10 @@ func TestWatchdogStallTripFreezesFlightDump(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The trip this test is about is the one on the rung it stalls. On a busy
-	// host another rung (the landing zone's, say) can stall three 2 ms ticks
-	// first, so "whichever trip comes first" is not it: watch for the applied
-	// rung's own trip, and take the flight ring as soon as it is there.
+	// The trip this test is about is the one on the rung it stalls. Another
+	// rung (the destager's, say) can stall over the same ticks, so "whichever
+	// trip comes first" is not it: watch for the applied rung's own trip,
+	// and take the flight ring as soon as it is there.
 	type stalled struct {
 		trip obs.Trip
 		ring []byte
@@ -182,15 +198,29 @@ func TestWatchdogStallTripFreezesFlightDump(t *testing.T) {
 	// Keep committing: promotion advances while apply is wedged.
 	seedRows(t, c, "t2", 100)
 
+	applyFailed := func() bool {
+		for _, e := range c.Flight.Events() {
+			if e.Kind == "ps.apply_error" {
+				return true
+			}
+		}
+		return false
+	}
+	for deadline := time.Now().Add(5 * time.Second); !applyFailed(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no page server failed an apply on its wedged cache")
+		}
+	}
 	var stall stalled
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+	for tick := 0; ; tick++ {
 		var ok bool
 		if stall, ok = applyStall(); ok {
 			break
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("watchdog never tripped on the stalled page server: %+v", c.Watchdog.Trips())
+		if tick == 10 {
+			t.Fatalf("watchdog never tripped on the stalled page server in %d ticks: %+v", tick, c.Watchdog.Trips())
 		}
+		c.Watchdog.Tick()
 	}
 	if stall.trip.Leader != obs.WMPromoted || stall.trip.LagLSN == 0 {
 		t.Fatalf("stall trip shape wrong: %+v", stall.trip)
@@ -257,8 +287,8 @@ func TestCheckpointInstrumentsOnMetrics(t *testing.T) {
 	if h := snap.Histograms["pageserver.ckpt.sweep_pages"]; h.Count == 0 || h.Max < time.Microsecond {
 		t.Errorf("pageserver.ckpt.sweep_pages after a drain: %+v", h)
 	}
-	if snap.Gauges["xstore.footprint_bytes"] != c.Store.FootprintBytes() {
-		t.Errorf("xstore.footprint_bytes = %d, store says %d", snap.Gauges["xstore.footprint_bytes"], c.Store.FootprintBytes())
+	if live, foot := c.Store.LiveBytes(), snap.Gauges["xstore.footprint_bytes"]; foot < live || live == 0 {
+		t.Errorf("xstore.footprint_bytes = %d with %d live bytes", foot, live)
 	}
 }
 
@@ -421,4 +451,11 @@ func TestQuorumDegradedTripFreezesCommitWaits(t *testing.T) {
 	reps[0].SetOutage(false)
 	waitFor("the ladder to converge after healing", converged)
 	verifyRows(t, e, "t", 100+(serial+committers)*25, "after the degraded-quorum window")
+}
+
+// waitDestaged waits on the ladder's destaged rung until XLOG has destaged
+// the log below lsn.
+func waitDestaged(c *Cluster, lsn page.LSN, timeout time.Duration) error {
+	return c.Waits.Tier(obs.TierXLOG).AwaitLSN(context.Background(), obs.WaitXLOGFeed,
+		c.Watermarks.Watermark(obs.WMDestaged, ""), uint64(lsn), time.Now().Add(timeout))
 }

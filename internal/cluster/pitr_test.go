@@ -24,18 +24,15 @@ import (
 func TestRestoreBeforeBackupIsRefused(t *testing.T) {
 	c := newFastCluster(t, fastConfig("pitrlow"))
 	seedRows(t, c, "t", 60)
-	early := c.Primary().HardenedEnd() // strictly below the backup to come
-	seedRows(t, c, "t", 120)           // advance the log past `early`
+	early := c.Primary().Writer().HardenedEnd() // strictly below the backup to come
+	seedRows(t, c, "t", 120)                    // advance the log past `early`
 	if err := c.WaitForCatchUp(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Backup("b"); err != nil {
 		t.Fatal(err)
 	}
-	blsn, ok := c.BackupLSN("b")
-	if !ok {
-		t.Fatal("backup LSN not recorded")
-	}
+	blsn := backupLSN(t, c, "b")
 	if !early.Before(blsn) {
 		t.Fatalf("precondition: early %d not below backup snapshot %d", early, blsn)
 	}
@@ -58,10 +55,7 @@ func TestRestoreExactlyAtBackupLSN(t *testing.T) {
 	if err := c.Backup("b"); err != nil {
 		t.Fatal(err)
 	}
-	blsn, ok := c.BackupLSN("b")
-	if !ok {
-		t.Fatal("backup LSN not recorded")
-	}
+	blsn := backupLSN(t, c, "b")
 	seedRows(t, c, "after", 50) // post-backup writes must NOT appear
 
 	eng, _, err := c.PointInTimeRestore(context.Background(), "b", blsn)
@@ -120,7 +114,7 @@ func TestBackupSurvivesReclamation(t *testing.T) {
 	if err := c.Backup("b"); err != nil {
 		t.Fatal(err)
 	}
-	blsn, _ := c.BackupLSN("b")
+	blsn := backupLSN(t, c, "b")
 
 	e := c.Primary().Engine
 	for round := 0; round < 10; round++ {
@@ -143,8 +137,9 @@ func TestBackupSurvivesReclamation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if foot, log := c.Store.FootprintBytes(), c.Store.LogBytes(); foot >= log {
-		t.Fatalf("ten checkpoint generations over the backup and no segment went back: footprint %d of %d", foot, log)
+	if snap := c.Metrics.Snapshot(); snap.Counters["xstore.reclaimed.bytes"] == 0 {
+		t.Fatalf("ten checkpoint generations over the backup and no segment went back: footprint %d",
+			snap.Gauges["xstore.footprint_bytes"])
 	}
 
 	check := func(what, name string, buf []byte, err error) {
@@ -162,15 +157,13 @@ func TestBackupSurvivesReclamation(t *testing.T) {
 		buf, err := c.Store.Get(name)
 		check("live blob", name, buf, err)
 	}
-	for _, snap := range c.Store.Snapshots() {
-		names, err := c.Store.ListFromSnapshot(snap, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range names {
-			buf, err := c.Store.GetFromSnapshot(snap, name)
-			check("snapshot "+snap, name, buf, err)
-		}
+	// The backup's versions, read as a restore reads them.
+	if err := c.Store.Restore(cfg.Name+"/b", "check/"); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range c.Store.List("check/") {
+		buf, err := c.Store.Get(name)
+		check("backup blob", name, buf, err)
 	}
 
 	eng, _, err := c.PointInTimeRestore(context.Background(), "b", blsn)
@@ -293,4 +286,17 @@ func TestRestoreUnderLoadTwice(t *testing.T) {
 			mustHave(fmt.Sprintf("%s/w%06d", tables[i%2], i))
 		}
 	}
+}
+
+// backupLSN is the snapshot LSN recorded for a named backup: the log
+// position its restore replays from.
+func backupLSN(t *testing.T, c *Cluster, name string) page.LSN {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	info, ok := c.backups[name]
+	if !ok {
+		t.Fatalf("backup %q not recorded", name)
+	}
+	return info.lsn
 }

@@ -31,16 +31,6 @@ var ErrRestoreBeforeBackup = errors.New("cluster: restore target below backup sn
 // hardened log position. The operation is O(1): no data is copied — the
 // node's cache fills lazily via GetPage@LSN (§4.1.2).
 func (c *Cluster) AddSecondary(name string) (*compute.Secondary, error) {
-	return c.addSecondary(name, 0)
-}
-
-// AddGeoSecondary starts a secondary whose log consumption pays a WAN
-// round-trip per pull, modelling a replica in another region (§6).
-func (c *Cluster) AddGeoSecondary(name string, wanDelay time.Duration) (*compute.Secondary, error) {
-	return c.addSecondary(name, wanDelay)
-}
-
-func (c *Cluster) addSecondary(name string, delay time.Duration) (*compute.Secondary, error) {
 	c.mu.Lock()
 	if _, dup := c.secondaries[name]; dup {
 		c.mu.Unlock()
@@ -62,7 +52,6 @@ func (c *Cluster) addSecondary(name string, delay time.Duration) (*compute.Secon
 		CacheMeta:     c.dev(c.cfg.LocalSSD),
 		StartLSN:      c.XLOG.HardenedEnd(),
 		StartTS:       c.XLOG.MaxCommitTS(),
-		ApplyDelay:    delay,
 		Obs:           c.Plane,
 	})
 	if err != nil {
@@ -325,16 +314,6 @@ func (c *Cluster) Backup(name string) error {
 	c.backups[name] = backupInfo{lsn: resume, ts: ts}
 	c.mu.Unlock()
 	return nil
-}
-
-// BackupLSN reports the snapshot LSN of a named backup — the log position
-// replay resumes from during a restore. It is the lowest target
-// PointInTimeRestore accepts for that backup.
-func (c *Cluster) BackupLSN(name string) (page.LSN, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	info, ok := c.backups[name]
-	return info.lsn, ok
 }
 
 // PointInTimeRestore materializes the database as of targetLSN from a named

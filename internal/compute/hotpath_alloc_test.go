@@ -56,7 +56,7 @@ func TestSecondaryApplyAllocs(t *testing.T) {
 	}
 	// Every run went the way its case says: the cached page took each record,
 	// the other page was never admitted.
-	if got, _ := f.Cache().GetLSN(cached); got != lsn || f.Cache().Contains(uncached) {
+	if got, _ := cachedLSN(f.Cache(), cached); got != lsn || f.Cache().Contains(uncached) {
 		t.Fatalf("cached page at LSN %d (want %d), uncached page admitted %v", got, lsn, f.Cache().Contains(uncached))
 	}
 }

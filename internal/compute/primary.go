@@ -144,9 +144,6 @@ func (p *Primary) Writer() *logwriter.LogWriter { return p.writer }
 // Pages exposes the cache-fronted page file (hit-rate stats).
 func (p *Primary) Pages() *RemotePageFile { return p.pages }
 
-// HardenedEnd reports the primary's durable log watermark.
-func (p *Primary) HardenedEnd() page.LSN { return p.writer.HardenedEnd() }
-
 // Close stops the log pipeline. The node holds no durable state (§4.2):
 // dropping it loses nothing.
 func (p *Primary) Close() {

@@ -71,7 +71,7 @@ func TestLogWriterConcurrentAppendAndWatermarks(t *testing.T) {
 	wg.Wait()
 
 	// Every appended record (2 per commit) must be hardened.
-	want := page.LSN(1).Add(uint64(2 * committers * perWorker))
+	want := page.LSN(1 + 2*committers*perWorker)
 	if got := w.HardenedEnd(); got != want {
 		t.Fatalf("hardened end = %d, want %d", got, want)
 	}

@@ -364,7 +364,7 @@ func TestReadAheadQueuedRedoReachesJoinerAndCache(t *testing.T) {
 		t.Fatalf("joined read lacks the queued cell: %q %v %v", v, found, err)
 	}
 	f.Close()
-	if lsn, ok := f.Cache().GetLSN(3); !ok || lsn != 11 {
+	if lsn, ok := cachedLSN(f.Cache(), 3); !ok || lsn != 11 {
 		t.Fatalf("cached LSN = %d %v, want 11", lsn, ok)
 	}
 	if f.QueueIfPending(&wal.Record{LSN: 12, Kind: wal.KindCellPut, Page: 3, Key: []byte("k")}) {
@@ -623,7 +623,7 @@ func TestFetchedImageNeverMovesCachedPageBackwards(t *testing.T) {
 			t.Errorf("commit: %v", err)
 		}
 	})
-	committed, ok := f.Cache().GetLSN(leaf)
+	committed, ok := cachedLSN(f.Cache(), leaf)
 	if !ok {
 		t.Fatal("the commit did not leave its page in the cache")
 	}

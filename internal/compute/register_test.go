@@ -94,7 +94,7 @@ func TestRegistrationJoinerTakesOwnersPage(t *testing.T) {
 	if hits, misses := reg.Counter("netmux.coalesce.hits").Value(), reg.Counter("netmux.coalesce.misses").Value(); hits != joiners || misses != 1 {
 		t.Fatalf("hits %d misses %d, want %d and 1", hits, misses, joiners)
 	}
-	if lsn, ok := f.Cache().GetLSN(3); !ok || lsn != 11 {
+	if lsn, ok := cachedLSN(f.Cache(), 3); !ok || lsn != 11 {
 		t.Fatalf("cached LSN = %d %v, want 11", lsn, ok)
 	}
 }
@@ -145,7 +145,7 @@ func TestRegistrationNewerReaderAsksForItself(t *testing.T) {
 	if own.err != nil {
 		t.Fatal(own.err)
 	}
-	if lsn, ok := f.Cache().GetLSN(3); !ok || lsn != 20 {
+	if lsn, ok := cachedLSN(f.Cache(), 3); !ok || lsn != 20 {
 		t.Fatalf("cached LSN = %d %v, want the evicted version 20", lsn, ok)
 	}
 	if hits, misses := reg.Counter("netmux.coalesce.hits").Value(), reg.Counter("netmux.coalesce.misses").Value(); hits != 0 || misses != 2 {

@@ -33,9 +33,6 @@ type SecondaryConfig struct {
 	StartLSN page.LSN
 	// StartTS seeds visibility for a later-added secondary.
 	StartTS uint64
-	// ApplyDelay adds latency before each pull — models a geo-replica
-	// consuming the log across a WAN (§6).
-	ApplyDelay time.Duration
 	// Obs wires the node into the observability plane: GetPage@LSN spans
 	// and cache-miss latency histograms; this node's compute.applied_lsn
 	// rung, labeled by Name; apply-batch flight events; and the compute
@@ -129,16 +126,13 @@ func NewSecondary(cfg SecondaryConfig) (*Secondary, error) {
 	s.wg.Add(1)
 	go func() { // the whole log stream (§4.6), until Stop
 		defer s.wg.Done()
-		s.redo.Follow(s.ctx, cfg.XLOG, -1, recovery.PullBytes, cfg.ApplyDelay, s.applyPull)
+		s.redo.Follow(s.ctx, cfg.XLOG, -1, recovery.PullBytes, s.applyPull)
 	}()
 	return s, nil
 }
 
 // Name reports the node's consumer identity.
 func (s *Secondary) Name() string { return s.name }
-
-// Pages exposes the cache-fronted page file.
-func (s *Secondary) Pages() *RemotePageFile { return s.pages }
 
 // AppliedLSN reports the log-apply watermark.
 func (s *Secondary) AppliedLSN() page.LSN {

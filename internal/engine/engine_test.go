@@ -278,12 +278,12 @@ func TestReadOnlyTxRejectsWrites(t *testing.T) {
 func TestEmptyCommitIsFree(t *testing.T) {
 	e, _, pipe := newTestEngine(t)
 	_ = e.CreateTable("t")
-	before := len(pipe.Records())
+	before := len(pipe.Since(0))
 	tx := e.Begin()
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(pipe.Records()); got != before {
+	if got := len(pipe.Since(0)); got != before {
 		t.Fatalf("empty commit logged %d records", got-before)
 	}
 }
@@ -466,7 +466,7 @@ func TestReplicaConvergence(t *testing.T) {
 
 	replicaPages := fcb.NewMemFile()
 	var visible uint64
-	for _, rec := range pipe.Records() {
+	for _, rec := range pipe.Since(0) {
 		switch {
 		case rec.IsPageOp():
 			pg, err := replicaPages.Read(rec.Page)
@@ -653,13 +653,14 @@ func TestConcurrentReadersDuringWrites(t *testing.T) {
 
 // updateUntilVersionPages updates one row in commits of its own, each
 // moving a 1 KB head into the version store, until the store has opened
-// pages version pages in this incarnation.
+// pages version pages in this incarnation: the engine's catalog entry for
+// the append page has moved that many times.
 func updateUntilVersionPages(t *testing.T, e *Engine, key []byte, pages int) {
 	t.Helper()
 	val := make([]byte, 1024)
-	for i := 0; e.vs.PagesAllocated() < pages; i++ {
+	for i, opened, last := 0, 0, e.vsPage; opened < pages; i++ {
 		if i == 100 {
-			t.Fatalf("100 updates opened %d version pages, want %d", e.vs.PagesAllocated(), pages)
+			t.Fatalf("100 updates opened %d version pages, want %d", opened, pages)
 		}
 		val[0] = byte(i)
 		tx := e.Begin()
@@ -668,6 +669,9 @@ func updateUntilVersionPages(t *testing.T, e *Engine, key []byte, pages int) {
 		}
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
+		}
+		if e.vsPage != last {
+			opened, last = opened+1, e.vsPage
 		}
 	}
 }
@@ -682,7 +686,7 @@ func TestVersionPageSurvivesReopen(t *testing.T) {
 	}
 	key := []byte("k")
 	updateUntilVersionPages(t, e, key, 2)
-	cur := e.vs.CurrentPage()
+	cur := e.vsPage
 
 	meta, err := pages.Read(MetaPage)
 	if err != nil {
@@ -704,8 +708,8 @@ func TestVersionPageSurvivesReopen(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := e2.vs.CurrentPage(); got != cur || e2.vs.PagesAllocated() != 0 {
-		t.Fatalf("reopened engine appends to page %d having opened %d; want page %d, none opened", got, e2.vs.PagesAllocated(), cur)
+	if got := e2.vsPage; got != cur {
+		t.Fatalf("reopened engine appends to page %d; want page %d, none opened", got, cur)
 	}
 	rowIs(t, e2, key, "after reopen")
 }

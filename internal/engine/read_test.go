@@ -45,7 +45,7 @@ func commitGen(t *testing.T, e *Engine, lo, hi int, gen string) {
 func TestReadVisibleAllocs(t *testing.T) {
 	testutil.SkipIfRace(t)
 	e := newReadEngine(t, 2000)
-	snap := e.BeginRO().Snapshot()
+	snap := e.BeginRO().snapshot
 	keys := make([][]byte, 2000)
 	for i := range keys {
 		keys[i] = readKey(i)
@@ -71,7 +71,7 @@ func TestReadVisibleAllocs(t *testing.T) {
 func TestScanVisibleAllocs(t *testing.T) {
 	testutil.SkipIfRace(t)
 	e := newReadEngine(t, 2000)
-	snap := e.BeginRO().Snapshot()
+	snap := e.BeginRO().snapshot
 	lo, hi := readKey(700), readKey(900)
 	avg := testing.AllocsPerRun(200, func() {
 		rows, err := e.scanVisible("t", lo, hi, snap)

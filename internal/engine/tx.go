@@ -82,12 +82,6 @@ func (e *Engine) BeginROContext(ctx context.Context) *Tx {
 	return tx
 }
 
-// Snapshot reports the transaction's snapshot timestamp.
-func (tx *Tx) Snapshot() uint64 { return tx.snapshot }
-
-// ID reports the transaction ID.
-func (tx *Tx) ID() uint64 { return tx.id }
-
 // CommitLSN reports the LSN of this transaction's commit record: zero
 // before Commit, after Abort, or when the write set was empty or rejected
 // before reaching the log. Non-zero even when Commit returned an

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"socrates/internal/fcb"
+	"socrates/internal/obs"
 	"socrates/internal/page"
 	"socrates/internal/rbpex"
 	"socrates/internal/simdisk"
@@ -17,8 +18,10 @@ type cachedFile struct {
 	cache  *rbpex.Cache
 	remote *fcb.MemFile
 	// queued, if set, is called after every put that queued a page for the
-	// SSD tier: one that pushed a page out of the memory tier.
-	queued func()
+	// SSD tier: one that pushed a page out of the memory tier, as the
+	// cache's writebehind.queued counter tells.
+	queued      func()
+	queuedPages *obs.Counter
 }
 
 func (f *cachedFile) Read(id page.ID) (*page.Page, error) {
@@ -41,9 +44,9 @@ func (f *cachedFile) Write(pg *page.Page) error {
 }
 
 func (f *cachedFile) put(install func() error) error {
-	before := f.cache.WriteBehind().Queued
+	before := f.queuedPages.Value()
 	err := install()
-	if f.queued != nil && f.cache.WriteBehind().Queued != before {
+	if f.queued != nil && f.queuedPages.Value() != before {
 		f.queued()
 	}
 	return err
@@ -62,7 +65,10 @@ func TestCommitLatchCoversNoDeviceWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	file := &cachedFile{cache: cache, remote: fcb.NewMemFile(), queued: func() {
+	reg := obs.NewRegistry()
+	cache.Instrument(obs.Plane{Metrics: reg}, "rbpex", nil)
+	wb := func(name string) uint64 { return reg.Counter("rbpex.writebehind." + name).Value() }
+	file := &cachedFile{cache: cache, remote: fcb.NewMemFile(), queuedPages: reg.Counter("rbpex.writebehind.queued"), queued: func() {
 		if e == nil {
 			return
 		}
@@ -90,7 +96,7 @@ func TestCommitLatchCoversNoDeviceWrite(t *testing.T) {
 		}
 	}
 	cache.Sync()
-	before := cache.WriteBehind()
+	queuedBefore, writtenBefore, blockedBefore := wb("queued"), wb("written"), wb("blocked_puts")
 	underLatch.Store(0)
 
 	releaseSSD, releaseMeta := ssd.HoldWrites(), meta.HoldWrites()
@@ -101,13 +107,13 @@ func TestCommitLatchCoversNoDeviceWrite(t *testing.T) {
 	if err := commitRows(t, e, [][]byte{keys[10], keys[500]}, "held"); err != nil {
 		t.Fatal(err)
 	}
-	during := cache.WriteBehind()
-	if during.Queued == before.Queued || underLatch.Load() == 0 {
+	if wb("queued") == queuedBefore || underLatch.Load() == 0 {
 		t.Fatalf("the commit queued %d pages, %d of them evicted under the latch; the test needs a commit whose writes evict",
-			during.Queued-before.Queued, underLatch.Load())
+			wb("queued")-queuedBefore, underLatch.Load())
 	}
-	if during.Written != before.Written || during.BlockedPuts != before.BlockedPuts {
-		t.Fatalf("write-behind during the commit: %+v (before: %+v); the devices were held and the backlog had room", during, before)
+	if wb("written") != writtenBefore || wb("blocked_puts") != blockedBefore {
+		t.Fatalf("write-behind during the commit: %d written, %d blocked puts (before: %d, %d); the devices were held and the backlog had room",
+			wb("written"), wb("blocked_puts"), writtenBefore, blockedBefore)
 	}
 	if !e.commitMu.TryLock() {
 		t.Fatal("the commit latch is still held after Commit returned")

@@ -69,13 +69,6 @@ func (f *MemFile) Write(pg *page.Page) error {
 	return nil
 }
 
-// Len reports the number of stored pages.
-func (f *MemFile) Len() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return len(f.pages)
-}
-
 // Range calls fn for every page until fn returns false.
 func (f *MemFile) Range(fn func(*page.Page) bool) {
 	f.mu.RLock()
@@ -147,13 +140,6 @@ func (f *DiskFile) Write(pg *page.Page) error {
 	f.written[pg.ID] = true
 	f.mu.Unlock()
 	return nil
-}
-
-// Len reports the number of pages present.
-func (f *DiskFile) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.written)
 }
 
 // Range calls fn for every stored page until fn returns false. Iteration

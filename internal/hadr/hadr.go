@@ -195,9 +195,6 @@ func newNode(name string, diskProfile simdisk.Profile, meter *metrics.CPUMeter) 
 	return n, nil
 }
 
-// Name reports the node name.
-func (n *Node) Name() string { return n.name }
-
 // AppliedLSN reports the node's apply watermark.
 func (n *Node) AppliedLSN() page.LSN { return page.LSN(n.applied.Value()) }
 

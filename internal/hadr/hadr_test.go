@@ -94,10 +94,10 @@ func TestSecondariesReplicate(t *testing.T) {
 	end := c.Writer().HardenedEnd()
 	for _, sec := range c.Secondaries() {
 		if !sec.WaitApplied(end, 5*time.Second) {
-			t.Fatalf("%s lagging", sec.Name())
+			t.Fatalf("%s lagging", sec.name)
 		}
 		if got := countRows(t, sec.Engine(), "t"); got != 300 {
-			t.Fatalf("%s has %d rows", sec.Name(), got)
+			t.Fatalf("%s has %d rows", sec.name, got)
 		}
 	}
 }
@@ -106,7 +106,7 @@ func TestQuorumToleratesOneSecondaryDown(t *testing.T) {
 	c := newFast(t, fastConfig("h3"))
 	seedRows(t, c, "t", 50)
 	// One secondary vanishes: quorum is 3 of 4, still reachable.
-	c.Net.Unserve(c.Secondaries()[0].Name())
+	c.Net.Unserve(c.Secondaries()[0].name)
 	seedRows(t, c, "t2", 50)
 	if got := countRows(t, c.Primary().Engine(), "t2"); got != 50 {
 		t.Fatalf("rows = %d", got)
@@ -132,8 +132,8 @@ func TestQuorumLossBlocksCommits(t *testing.T) {
 	c := newFast(t, fastConfig("h4"))
 	seedRows(t, c, "t", 10)
 	// Two secondaries down: 2 of 4 nodes < quorum 3.
-	c.Net.Unserve(c.Secondaries()[0].Name())
-	c.Net.Unserve(c.Secondaries()[1].Name())
+	c.Net.Unserve(c.Secondaries()[0].name)
+	c.Net.Unserve(c.Secondaries()[1].name)
 	e := c.Primary().Engine()
 	tx := e.Begin()
 	if err := tx.Put("t", []byte("x"), []byte("y")); err != nil {

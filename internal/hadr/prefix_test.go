@@ -176,13 +176,13 @@ func TestStragglerCatchesUpOrLeaves(t *testing.T) {
 		c := newFast(t, fastConfig("h-lag1"))
 		seedRows(t, c, "t", 50)
 		straggler := c.Secondaries()[2]
-		c.Net.Unserve(straggler.Name())
+		c.Net.Unserve(straggler.name)
 		seedRows(t, c, "dark", 50)
-		shipsFailed(t, c, straggler.Name())
+		shipsFailed(t, c, straggler.name)
 		if !straggler.HardenedTo().Before(c.Writer().HardenedEnd()) {
 			t.Fatal("straggler did not fall behind while dark")
 		}
-		c.Net.Serve(straggler.Name(), straggler.handler())
+		c.Net.Serve(straggler.name, straggler.handler())
 		// The first ship it answers brings the tail with it.
 		seedRows(t, c, "after", 1)
 		end := c.Writer().HardenedEnd()
@@ -198,10 +198,10 @@ func TestStragglerCatchesUpOrLeaves(t *testing.T) {
 		c := newFast(t, fastConfig("h-lag2"))
 		seedRows(t, c, "t", 50)
 		straggler := c.Secondaries()[2]
-		c.Net.Unserve(straggler.Name())
+		c.Net.Unserve(straggler.name)
 		seedRows(t, c, "dark", 50)
-		shipsFailed(t, c, straggler.Name())
-		c.Net.Serve(straggler.Name(), straggler.handler())
+		shipsFailed(t, c, straggler.name)
+		c.Net.Serve(straggler.name, straggler.handler())
 
 		promoted, _, err := c.Failover()
 		if err != nil {
@@ -219,14 +219,14 @@ func TestStragglerCatchesUpOrLeaves(t *testing.T) {
 		}
 		for _, s := range secs {
 			if s.HardenedTo().Before(end) {
-				t.Fatalf("%s counted in a 3-of-3 quorum through %d holding %d", s.Name(), end, s.HardenedTo())
+				t.Fatalf("%s counted in a 3-of-3 quorum through %d holding %d", s.name, end, s.HardenedTo())
 			}
 			if !s.WaitApplied(end, 5*time.Second) {
-				t.Fatalf("%s applied %d, want %d", s.Name(), s.AppliedLSN(), end)
+				t.Fatalf("%s applied %d, want %d", s.name, s.AppliedLSN(), end)
 			}
 			for table, want := range map[string]int{"t": 50, "dark": 50, "after": 50} {
 				if got := countRows(t, s.Engine(), table); got != want {
-					t.Fatalf("%s has %d of %d rows of %q", s.Name(), got, want, table)
+					t.Fatalf("%s has %d of %d rows of %q", s.name, got, want, table)
 				}
 			}
 		}
@@ -239,14 +239,14 @@ func TestStragglerCatchesUpOrLeaves(t *testing.T) {
 			t.Fatal(err)
 		}
 		straggler := c.Secondaries()[2]
-		c.Net.Unserve(straggler.Name())
+		c.Net.Unserve(straggler.name)
 		for i := 0; i < tailMax+8; i++ { // one block each
 			if err := commitOne(e, "t", fmt.Sprintf("k%04d", i)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		shipsFailed(t, c, straggler.Name())
-		c.Net.Serve(straggler.Name(), straggler.handler())
+		shipsFailed(t, c, straggler.name)
+		c.Net.Serve(straggler.name, straggler.handler())
 
 		promoted, _, err := c.Failover()
 		if err != nil {
@@ -274,12 +274,12 @@ func TestStragglerCatchesUpOrLeaves(t *testing.T) {
 		end := c.Writer().HardenedEnd()
 		for _, s := range c.Secondaries() {
 			if !s.WaitApplied(end, 5*time.Second) {
-				t.Fatalf("%s applied %d, want %d", s.Name(), s.AppliedLSN(), end)
+				t.Fatalf("%s applied %d, want %d", s.name, s.AppliedLSN(), end)
 			}
 			// Every acknowledged row, and the one whose commit was refused:
 			// its block stayed in the log and hardened with the next.
 			if got := countRows(t, s.Engine(), "t"); got != tailMax+8+2 {
-				t.Fatalf("%s has %d rows, want %d", s.Name(), got, tailMax+8+2)
+				t.Fatalf("%s has %d rows, want %d", s.name, got, tailMax+8+2)
 			}
 		}
 	})
@@ -290,12 +290,12 @@ func TestStragglerCatchesUpOrLeaves(t *testing.T) {
 func TestFailoverNeedsTheHardenedLog(t *testing.T) {
 	c := newFast(t, fastConfig("h-short"))
 	secs := c.Secondaries()
-	c.Net.Unserve(secs[0].Name()) // it misses every ship
+	c.Net.Unserve(secs[0].name) // it misses every ship
 	seedRows(t, c, "t", 10)
 	// The two that hold the log leave the replica set, as a secondary the
 	// primary's tail no longer reaches does.
 	for _, s := range secs[1:] {
-		c.evict(s.Name())
+		c.evict(s.name)
 	}
 	start := time.Now()
 	_, _, err := c.Failover()

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"socrates/internal/engine"
+	"socrates/internal/page"
 )
 
 // TestClusterConcurrentCommitsAndProbes commits from several writers while
@@ -75,7 +76,7 @@ func TestClusterConcurrentCommitsAndProbes(t *testing.T) {
 	end := c.Writer().HardenedEnd()
 	for _, s := range c.Secondaries() {
 		if !s.WaitApplied(end, 5*time.Second) {
-			t.Fatalf("%s stuck at %d, want %d", s.Name(), s.AppliedLSN(), end)
+			t.Fatalf("%s stuck at %d, want %d", s.name, s.AppliedLSN(), end)
 		}
 	}
 	want := writers * perWriter
@@ -104,10 +105,10 @@ func TestNodeWaitAppliedRacesApply(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			// Each waiter targets a different intermediate watermark.
-			target := c.Writer().HardenedEnd().Add(uint64(i))
+			target := c.Writer().HardenedEnd() + page.LSN(i)
 			for _, s := range secs {
 				if !s.WaitApplied(target, 5*time.Second) {
-					t.Errorf("waiter %d: %s never reached %d", i, s.Name(), target)
+					t.Errorf("waiter %d: %s never reached %d", i, s.name, target)
 					return
 				}
 			}

@@ -170,22 +170,11 @@ type Op struct {
 	Delete bool
 }
 
-// Put durably stores key→val.
-func (t *Table) Put(key string, val []byte) error {
-	return t.Apply([]Op{{Key: key, Val: val}})
-}
-
-// Delete durably removes key. Deleting an absent key is a no-op.
-func (t *Table) Delete(key string) error {
-	return t.Apply([]Op{{Key: key, Delete: true}})
-}
-
 // Apply makes the changes durable with one append to the log — one device
 // write however many there are — and then applies them to the table, in
-// order: the result is that of calling Put or Delete for each. Every change
-// is its own checksummed log entry, so a crash that tears the append
-// recovers some prefix of the batch. A Delete of a key that is absent at
-// that point of the batch logs nothing.
+// order. Every change is its own checksummed log entry, so a crash that
+// tears the append recovers some prefix of the batch. A Delete of a key
+// that is absent at that point of the batch logs nothing.
 //
 //socrates:lock-ok the durable log append is intentionally serialized under the table lock: per-key entry order in the log must match the in-memory apply order
 func (t *Table) Apply(ops []Op) error {
@@ -230,24 +219,6 @@ func (t *Table) Apply(ops []Op) error {
 	return nil
 }
 
-// Get returns the value for key. The read is memory-speed: no device I/O.
-func (t *Table) Get(key string) ([]byte, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	v, ok := t.rows[key]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), v...), true
-}
-
-// Len reports the number of live rows.
-func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.rows)
-}
-
 // Range calls fn for every row until fn returns false. The iteration order
 // is unspecified. fn must not call back into the table.
 func (t *Table) Range(fn func(key string, val []byte) bool) {
@@ -286,12 +257,4 @@ func (t *Table) Checkpoint() error {
 	}
 	t.logEnd = headerSize + int64(len(snap))
 	return nil
-}
-
-// LogBytes reports the durable log size (snapshot + appends), a proxy for
-// recovery cost.
-func (t *Table) LogBytes() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.logEnd
 }

@@ -17,32 +17,31 @@ func TestPutGetDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Put("a", []byte("1")); err != nil {
+	if err := put(tb, "a", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := tb.Get("a")
+	v, ok := get(tb, "a")
 	if !ok || string(v) != "1" {
 		t.Fatalf("get = %q %v", v, ok)
 	}
-	if err := tb.Delete("a"); err != nil {
+	if err := del(tb, "a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tb.Get("a"); ok {
+	if _, ok := get(tb, "a"); ok {
 		t.Fatal("deleted key still visible")
 	}
-	if err := tb.Delete("never-existed"); err != nil {
+	if err := del(tb, "never-existed"); err != nil {
 		t.Fatal("deleting absent key should be a no-op")
 	}
 }
 
-func TestGetReturnsCopy(t *testing.T) {
+func TestApplyCopiesValue(t *testing.T) {
 	tb, _ := Open(newDev())
-	_ = tb.Put("k", []byte("orig"))
-	v, _ := tb.Get("k")
+	v := []byte("orig")
+	_ = put(tb, "k", v)
 	v[0] = 'X'
-	v2, _ := tb.Get("k")
-	if string(v2) != "orig" {
-		t.Fatal("Get leaked internal buffer")
+	if got, _ := get(tb, "k"); string(got) != "orig" {
+		t.Fatal("Apply kept the caller's buffer")
 	}
 }
 
@@ -50,23 +49,23 @@ func TestRecoveryAfterRestart(t *testing.T) {
 	dev := newDev()
 	tb, _ := Open(dev)
 	for i := 0; i < 50; i++ {
-		_ = tb.Put(fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i)))
+		_ = put(tb, fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i)))
 	}
-	_ = tb.Delete("k10")
-	_ = tb.Put("k20", []byte("updated"))
+	_ = del(tb, "k10")
+	_ = put(tb, "k20", []byte("updated"))
 
 	// "Crash": reopen from the same device.
 	tb2, err := Open(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb2.Len() != 49 {
-		t.Fatalf("recovered %d rows, want 49", tb2.Len())
+	if len(rowsOf(tb2)) != 49 {
+		t.Fatalf("recovered %d rows, want 49", len(rowsOf(tb2)))
 	}
-	if _, ok := tb2.Get("k10"); ok {
+	if _, ok := get(tb2, "k10"); ok {
 		t.Fatal("deleted key resurrected")
 	}
-	if v, _ := tb2.Get("k20"); string(v) != "updated" {
+	if v, _ := get(tb2, "k20"); string(v) != "updated" {
 		t.Fatalf("k20 = %q", v)
 	}
 }
@@ -74,9 +73,9 @@ func TestRecoveryAfterRestart(t *testing.T) {
 func TestRecoveryStopsAtTornTail(t *testing.T) {
 	dev := newDev()
 	tb, _ := Open(dev)
-	_ = tb.Put("safe", []byte("durable"))
+	_ = put(tb, "safe", []byte("durable"))
 	// Simulate a torn write: append garbage that looks like a partial entry.
-	end := tb.LogBytes()
+	end := tb.logEnd
 	if err := dev.WriteAt([]byte{opPut, 5, 0}, end); err != nil {
 		t.Fatal(err)
 	}
@@ -84,18 +83,18 @@ func TestRecoveryStopsAtTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := tb2.Get("safe"); !ok || string(v) != "durable" {
+	if v, ok := get(tb2, "safe"); !ok || string(v) != "durable" {
 		t.Fatal("durable prefix lost")
 	}
-	if tb2.Len() != 1 {
-		t.Fatalf("rows = %d, want 1", tb2.Len())
+	if len(rowsOf(tb2)) != 1 {
+		t.Fatalf("rows = %d, want 1", len(rowsOf(tb2)))
 	}
 	// The table remains writable after recovering past a tear.
-	if err := tb2.Put("after", []byte("x")); err != nil {
+	if err := put(tb2, "after", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	tb3, _ := Open(dev)
-	if _, ok := tb3.Get("after"); !ok {
+	if _, ok := get(tb3, "after"); !ok {
 		t.Fatal("post-tear write lost")
 	}
 }
@@ -112,28 +111,28 @@ func TestCheckpointCompactsAndRecovers(t *testing.T) {
 	dev := newDev()
 	tb, _ := Open(dev)
 	for i := 0; i < 100; i++ {
-		_ = tb.Put("hot", []byte(fmt.Sprintf("gen%d", i)))
+		_ = put(tb, "hot", []byte(fmt.Sprintf("gen%d", i)))
 	}
-	before := tb.LogBytes()
+	before := tb.logEnd
 	if err := tb.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	after := tb.LogBytes()
+	after := tb.logEnd
 	if after >= before {
 		t.Fatalf("checkpoint did not compact: %d -> %d", before, after)
 	}
 	// Post-checkpoint mutations land in the append region.
-	_ = tb.Put("hot", []byte("post-ckpt"))
-	_ = tb.Put("new", []byte("row"))
+	_ = put(tb, "hot", []byte("post-ckpt"))
+	_ = put(tb, "new", []byte("row"))
 
 	tb2, err := Open(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := tb2.Get("hot"); string(v) != "post-ckpt" {
+	if v, _ := get(tb2, "hot"); string(v) != "post-ckpt" {
 		t.Fatalf("hot = %q", v)
 	}
-	if v, _ := tb2.Get("new"); string(v) != "row" {
+	if v, _ := get(tb2, "new"); string(v) != "row" {
 		t.Fatalf("new = %q", v)
 	}
 }
@@ -141,8 +140,8 @@ func TestCheckpointCompactsAndRecovers(t *testing.T) {
 func TestCheckpointEmptyTable(t *testing.T) {
 	dev := newDev()
 	tb, _ := Open(dev)
-	_ = tb.Put("x", []byte("y"))
-	_ = tb.Delete("x")
+	_ = put(tb, "x", []byte("y"))
+	_ = del(tb, "x")
 	if err := tb.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +149,8 @@ func TestCheckpointEmptyTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb2.Len() != 0 {
-		t.Fatalf("rows = %d", tb2.Len())
+	if len(rowsOf(tb2)) != 0 {
+		t.Fatalf("rows = %d", len(rowsOf(tb2)))
 	}
 }
 
@@ -159,7 +158,7 @@ func TestRange(t *testing.T) {
 	tb, _ := Open(newDev())
 	want := map[string]string{"a": "1", "b": "2", "c": "3"}
 	for k, v := range want {
-		_ = tb.Put(k, []byte(v))
+		_ = put(tb, k, []byte(v))
 	}
 	got := map[string]string{}
 	tb.Range(func(k string, v []byte) bool {
@@ -187,7 +186,7 @@ func TestConcurrentWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
 				key := fmt.Sprintf("w%d-k%d", w, i)
-				if err := tb.Put(key, []byte(key)); err != nil {
+				if err := put(tb, key, []byte(key)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -195,15 +194,15 @@ func TestConcurrentWriters(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if tb.Len() != 240 {
-		t.Fatalf("rows = %d, want 240", tb.Len())
+	if len(rowsOf(tb)) != 240 {
+		t.Fatalf("rows = %d, want 240", len(rowsOf(tb)))
 	}
 	tb2, err := Open(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb2.Len() != 240 {
-		t.Fatalf("recovered rows = %d, want 240", tb2.Len())
+	if len(rowsOf(tb2)) != 240 {
+		t.Fatalf("recovered rows = %d, want 240", len(rowsOf(tb2)))
 	}
 }
 
@@ -244,14 +243,14 @@ func TestRecoveryModelEquivalence(t *testing.T) {
 			case o.Delete:
 				if o.Batch {
 					batch = append(batch, Op{Key: key, Delete: true})
-				} else if tb.Delete(key) != nil {
+				} else if del(tb, key) != nil {
 					return false
 				}
 				delete(model, key)
 			default:
 				if o.Batch {
 					batch = append(batch, Op{Key: key, Val: o.Val})
-				} else if tb.Put(key, o.Val) != nil {
+				} else if put(tb, key, o.Val) != nil {
 					return false
 				}
 				model[key] = append([]byte(nil), o.Val...)
@@ -261,11 +260,11 @@ func TestRecoveryModelEquivalence(t *testing.T) {
 			return false
 		}
 		for _, table := range []*Table{tb, reopen(t, dev)} {
-			if table.Len() != len(model) {
+			if len(rowsOf(table)) != len(model) {
 				return false
 			}
 			for k, want := range model {
-				got, ok := table.Get(k)
+				got, ok := get(table, k)
 				if !ok || !bytes.Equal(got, want) {
 					return false
 				}
@@ -285,6 +284,21 @@ func reopen(t *testing.T, dev *simdisk.Device) *Table {
 		t.Fatal(err)
 	}
 	return tb
+}
+
+// put, del and get are one-op Apply calls and a Range lookup.
+func put(tb *Table, key string, val []byte) error { return tb.Apply([]Op{{Key: key, Val: val}}) }
+
+func del(tb *Table, key string) error { return tb.Apply([]Op{{Key: key, Delete: true}}) }
+
+func get(tb *Table, key string) (val []byte, ok bool) {
+	tb.Range(func(k string, v []byte) bool {
+		if k == key {
+			val, ok = bytes.Clone(v), true
+		}
+		return !ok
+	})
+	return val, ok
 }
 
 func rowsOf(tb *Table) map[string]string {
@@ -310,15 +324,15 @@ func TestApplyIsOneDeviceWrite(t *testing.T) {
 	if _, after, _, _ := dev.Stats(); after-before != 1 {
 		t.Fatalf("a batch of %d changes took %d device writes, want 1", len(ops), after-before)
 	}
-	if tb.Len() != 15 {
-		t.Fatalf("rows = %d, want 15", tb.Len())
+	if len(rowsOf(tb)) != 15 {
+		t.Fatalf("rows = %d, want 15", len(rowsOf(tb)))
 	}
 	_, before, _, _ = dev.Stats()
-	end := tb.LogBytes()
+	end := tb.logEnd
 	if err := tb.Apply([]Op{{Key: "absent", Delete: true}, {Key: "k03", Delete: true}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, after, _, _ := dev.Stats(); after != before || tb.LogBytes() != end {
+	if _, after, _, _ := dev.Stats(); after != before || tb.logEnd != end {
 		t.Fatal("deleting absent keys wrote to the log")
 	}
 	if err := tb.Apply(nil); err != nil {
@@ -331,8 +345,8 @@ func TestApplyIsOneDeviceWrite(t *testing.T) {
 func TestApplySameKeyTwice(t *testing.T) {
 	dev := newDev()
 	tb := reopen(t, dev)
-	_ = tb.Put("kept", []byte("old"))
-	_ = tb.Put("gone", []byte("old"))
+	_ = put(tb, "kept", []byte("old"))
+	_ = put(tb, "gone", []byte("old"))
 	err := tb.Apply([]Op{
 		{Key: "kept", Delete: true}, {Key: "kept", Val: []byte("new")}, // delete, then put
 		{Key: "gone", Val: []byte("new")}, {Key: "gone", Delete: true}, // put, then delete
@@ -356,8 +370,8 @@ func TestApplySameKeyTwice(t *testing.T) {
 func TestApplyTornBatchRecoversPrefix(t *testing.T) {
 	dev := newDev()
 	tb := reopen(t, dev)
-	_ = tb.Put("victim", []byte("v"))
-	start := tb.LogBytes()
+	_ = put(tb, "victim", []byte("v"))
+	start := tb.logEnd
 	batch := []Op{
 		{Key: "victim", Delete: true},
 		{Key: "a", Val: []byte("1")},
@@ -367,7 +381,7 @@ func TestApplyTornBatchRecoversPrefix(t *testing.T) {
 	if err := tb.Apply(batch); err != nil {
 		t.Fatal(err)
 	}
-	end := tb.LogBytes()
+	end := tb.logEnd
 	image := make([]byte, end)
 	if err := dev.ReadAt(image, 0); err != nil {
 		t.Fatal(err)

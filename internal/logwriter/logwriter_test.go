@@ -172,7 +172,7 @@ func TestSixteenCommittersKeepEightWritesInFlight(t *testing.T) {
 	if sink.peak != maxInflight {
 		t.Fatalf("peak writes in flight = %d, want %d", sink.peak, maxInflight)
 	}
-	if want := page.LSN(1).Add(32); sink.durable != want {
+	if want := page.LSN(1 + 32); sink.durable != want {
 		t.Fatalf("durable end %d, want %d", sink.durable, want)
 	}
 	next := page.LSN(1)

@@ -99,10 +99,11 @@ const reservoirCap = 1 << 16
 
 // Histogram collects duration samples and reports order statistics.
 //
-// Count, Min, Max, Mean, and Stdev are always exact: they are maintained as
-// running aggregates over every observation. Median and Quantile are exact
-// until reservoirCap samples have been observed, after which they are
-// computed over a uniform reservoir of reservoirCap samples (Algorithm R).
+// Summarize's Count, Min, Max, Mean and Stdev are always exact: they are
+// maintained as running aggregates over every observation. Median and
+// Quantile are exact until reservoirCap samples have been observed, after
+// which they are computed over a uniform reservoir of reservoirCap samples
+// (Algorithm R).
 // Experiment windows are far shorter than the cap, so the paper's tables are
 // unaffected.
 type Histogram struct {
@@ -155,46 +156,11 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.mu.Unlock()
 }
 
-// Count reports the number of samples observed (not the retained reservoir
-// size, which is capped).
-func (h *Histogram) Count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return int(h.total)
-}
-
-// Reset discards all samples and running aggregates.
-func (h *Histogram) Reset() {
-	h.mu.Lock()
-	h.samples = h.samples[:0]
-	h.sorted = false
-	h.total = 0
-	h.sum, h.sumSq = 0, 0
-	h.min, h.max = 0, 0
-	h.mu.Unlock()
-}
-
 func (h *Histogram) sortLocked() {
 	if !h.sorted {
 		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
 		h.sorted = true
 	}
-}
-
-// Min reports the smallest sample ever observed, or 0 if empty. Exact even
-// when the reservoir has sampled.
-func (h *Histogram) Min() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
-}
-
-// Max reports the largest sample ever observed, or 0 if empty. Exact even
-// when the reservoir has sampled.
-func (h *Histogram) Max() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
 }
 
 // Median reports the middle sample: the upper of the two middle samples
@@ -246,23 +212,6 @@ func (h *Histogram) stdevLocked() time.Duration {
 		variance = 0
 	}
 	return time.Duration(math.Sqrt(variance))
-}
-
-// Mean reports the arithmetic mean over all observations, or 0 if empty.
-// Exact even when the reservoir has sampled.
-func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.meanLocked()
-}
-
-// Stdev reports the population standard deviation over all observations, or
-// 0 if fewer than two samples were observed. Exact even when the reservoir
-// has sampled.
-func (h *Histogram) Stdev() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.stdevLocked()
 }
 
 // Summary holds the statistics the paper's latency tables report.

@@ -84,13 +84,8 @@ func TestCPUMeterConcurrentCharge(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.Count() != 0 || h.Min() != 0 || h.Max() != 0 || h.Median() != 0 ||
-		h.Mean() != 0 || h.Stdev() != 0 {
-		t.Fatal("empty histogram should report zeros")
-	}
-	s := h.Summarize()
-	if s.Count != 0 {
-		t.Fatalf("summary count = %d, want 0", s.Count)
+	if s := h.Summarize(); s != (Summary{}) || h.Median() != 0 {
+		t.Fatalf("empty histogram should report zeros, got %+v", s)
 	}
 }
 
@@ -99,16 +94,16 @@ func TestHistogramOrderStatistics(t *testing.T) {
 	for _, v := range []time.Duration{5, 1, 4, 2, 3} {
 		h.Observe(v * time.Millisecond)
 	}
-	if got := h.Min(); got != time.Millisecond {
+	if got := h.Summarize().Min; got != time.Millisecond {
 		t.Errorf("min = %v, want 1ms", got)
 	}
-	if got := h.Max(); got != 5*time.Millisecond {
+	if got := h.Summarize().Max; got != 5*time.Millisecond {
 		t.Errorf("max = %v, want 5ms", got)
 	}
 	if got := h.Median(); got != 3*time.Millisecond {
 		t.Errorf("median = %v, want 3ms", got)
 	}
-	if got := h.Mean(); got != 3*time.Millisecond {
+	if got := h.Summarize().Mean; got != 3*time.Millisecond {
 		t.Errorf("mean = %v, want 3ms", got)
 	}
 
@@ -147,7 +142,7 @@ func TestHistogramStdev(t *testing.T) {
 	// Samples 2 and 4: mean 3, population stdev 1.
 	h.Observe(2)
 	h.Observe(4)
-	if got := h.Stdev(); got != 1 {
+	if got := h.Summarize().Stdev; got != 1 {
 		t.Fatalf("stdev = %v, want 1", got)
 	}
 }
@@ -155,17 +150,8 @@ func TestHistogramStdev(t *testing.T) {
 func TestHistogramStdevSingleSampleIsZero(t *testing.T) {
 	h := NewHistogram()
 	h.Observe(42)
-	if got := h.Stdev(); got != 0 {
+	if got := h.Summarize().Stdev; got != 0 {
 		t.Fatalf("stdev of one sample = %v, want 0", got)
-	}
-}
-
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram()
-	h.Observe(time.Second)
-	h.Reset()
-	if h.Count() != 0 {
-		t.Fatalf("count after reset = %d, want 0", h.Count())
 	}
 }
 
@@ -176,8 +162,7 @@ func TestHistogramSummarizeMatchesIndividualStats(t *testing.T) {
 		h.Observe(time.Duration(r.Intn(1_000_000)))
 	}
 	s := h.Summarize()
-	if s.Min != h.Min() || s.Max != h.Max() || s.Median != h.Median() ||
-		s.Mean != h.Mean() || s.Stdev != h.Stdev() || s.Count != h.Count() {
+	if s.Min != h.Quantile(0) || s.Max != h.Quantile(1) || s.Median != h.Median() || s.Count != 257 {
 		t.Fatalf("summary %+v disagrees with individual statistics", s)
 	}
 }
@@ -224,8 +209,8 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if h.Count() != 4000 {
-		t.Fatalf("count = %d, want 4000", h.Count())
+	if h.Summarize().Count != 4000 {
+		t.Fatalf("count = %d, want 4000", h.Summarize().Count)
 	}
 }
 
@@ -238,7 +223,7 @@ func TestHistogramReservoirBoundsMemory(t *testing.T) {
 	if got := len(h.samples); got > reservoirCap {
 		t.Fatalf("retained %d samples, want <= %d", got, reservoirCap)
 	}
-	if got := h.Count(); got != n {
+	if got := h.Summarize().Count; got != n {
 		t.Fatalf("count = %d, want %d (true observation count)", got, n)
 	}
 }
@@ -249,21 +234,14 @@ func TestHistogramReservoirExactAggregates(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		h.Observe(time.Duration(i))
 	}
-	// Min/Max/Mean are exact regardless of sampling.
-	if got := h.Min(); got != 1 {
-		t.Errorf("min = %v, want 1", got)
-	}
-	if got := h.Max(); got != n {
-		t.Errorf("max = %v, want %d", got, n)
+	// Count/Min/Max/Mean are exact regardless of sampling.
+	s := h.Summarize()
+	if s.Count != n || s.Min != 1 || s.Max != n || s.Median != h.Median() {
+		t.Errorf("summary %+v: want count %d, min 1, max %d, median %v", s, n, n, h.Median())
 	}
 	wantMean := time.Duration((n + 1) / 2)
-	if got := h.Mean(); got < wantMean-1 || got > wantMean+1 {
-		t.Errorf("mean = %v, want ~%v", got, wantMean)
-	}
-	s := h.Summarize()
-	if s.Count != n || s.Min != h.Min() || s.Max != h.Max() ||
-		s.Mean != h.Mean() || s.Stdev != h.Stdev() || s.Median != h.Median() {
-		t.Errorf("summary %+v disagrees with individual statistics", s)
+	if s.Mean < wantMean-1 || s.Mean > wantMean+1 {
+		t.Errorf("mean = %v, want ~%v", s.Mean, wantMean)
 	}
 }
 
@@ -294,17 +272,14 @@ func TestHistogramExactMaxConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got, want := h.Count(), writers*each; got != want {
+	if got, want := h.Summarize().Count, writers*each; got != want {
 		t.Errorf("count = %d, want %d", got, want)
 	}
-	if got := h.Max(); got != time.Hour {
+	if got := h.Summarize().Max; got != time.Hour {
 		t.Errorf("max = %v, want %v (exact running max, not a reservoir survivor)", got, time.Hour)
 	}
 	if got := h.Quantile(1); got != time.Hour {
 		t.Errorf("Quantile(1) = %v, want %v (must be the exact max, never a sampled quantile)", got, time.Hour)
-	}
-	if got := h.Summarize().Max; got != time.Hour {
-		t.Errorf("Summarize().Max = %v, want %v", got, time.Hour)
 	}
 }
 
@@ -329,22 +304,5 @@ func TestHistogramReservoirQuantilesStayFaithful(t *testing.T) {
 	// Extremes remain exact.
 	if h.Quantile(0) != 1 || h.Quantile(1) != n {
 		t.Errorf("extreme quantiles (%v, %v) not exact", h.Quantile(0), h.Quantile(1))
-	}
-}
-
-func TestHistogramResetClearsAggregates(t *testing.T) {
-	h := NewHistogram()
-	for i := 0; i < reservoirCap+10; i++ {
-		h.Observe(time.Hour)
-	}
-	h.Reset()
-	if h.Count() != 0 || h.Min() != 0 || h.Max() != 0 || h.Mean() != 0 || h.Stdev() != 0 {
-		t.Fatal("reset histogram should report zeros")
-	}
-	h.Observe(2)
-	h.Observe(4)
-	if h.Mean() != 3 || h.Stdev() != 1 || h.Min() != 2 || h.Max() != 4 {
-		t.Fatalf("post-reset stats wrong: mean=%v stdev=%v min=%v max=%v",
-			h.Mean(), h.Stdev(), h.Min(), h.Max())
 	}
 }

@@ -39,9 +39,6 @@ type FlightEvent struct {
 	Detail string  `json:"detail,omitempty"`
 }
 
-// Time reports the event's wall-clock instant.
-func (e FlightEvent) Time() time.Time { return time.Unix(0, e.TS) }
-
 // DefaultFlightSlots is the default ring capacity.
 const DefaultFlightSlots = 4096
 
@@ -79,26 +76,6 @@ func (f *FlightRecorder) RecordTrace(tier, kind string, lsn uint64, trace TraceI
 	}
 	i := f.cursor.Add(1) - 1
 	f.slots[i&f.mask].Store(e)
-}
-
-// Len reports how many events are currently retained (≤ capacity).
-func (f *FlightRecorder) Len() int {
-	if f == nil {
-		return 0
-	}
-	n := f.cursor.Load()
-	if n > uint64(len(f.slots)) {
-		return len(f.slots)
-	}
-	return int(n)
-}
-
-// Recorded reports the total events ever recorded (including overwritten).
-func (f *FlightRecorder) Recorded() uint64 {
-	if f == nil {
-		return 0
-	}
-	return f.cursor.Load()
 }
 
 // Events returns a time-ordered copy of the retained ring contents.

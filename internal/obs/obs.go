@@ -373,38 +373,6 @@ type SpanNode struct {
 	Children []*SpanNode       `json:"children,omitempty"`
 }
 
-// WaitTotals returns the node's wait time by class. A span's waits are
-// inclusive of its in-process descendants, so this is the per-request
-// wait breakdown of a whole traced operation; a span past a wire hop
-// keeps its own.
-func (n *SpanNode) WaitTotals() map[string]time.Duration {
-	out := map[string]time.Duration{}
-	if n == nil {
-		return out
-	}
-	for _, w := range n.Waits {
-		out[w.Class] += time.Duration(w.TotalNS)
-	}
-	return out
-}
-
-// FindSpan returns the first node named name in a pre-order walk of the
-// subtree (nil if absent).
-func (n *SpanNode) FindSpan(name string) *SpanNode {
-	if n == nil {
-		return nil
-	}
-	if n.Name == name {
-		return n
-	}
-	for _, c := range n.Children {
-		if m := c.FindSpan(name); m != nil {
-			return m
-		}
-	}
-	return nil
-}
-
 // Tiers returns the distinct tier labels present in the subtree rooted
 // at n, sorted.
 func (n *SpanNode) Tiers() []string {

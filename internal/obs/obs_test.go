@@ -81,14 +81,20 @@ func TestSpanWaitsAreInclusive(t *testing.T) {
 	root.End()
 
 	tree := tr.Trace(root.Trace)
+	if len(tree.Children) != 1 || tree.Children[0].Name != "engine.commit" {
+		t.Fatalf("want one engine.commit child:\n%s", Format(tree))
+	}
 	for _, tc := range []struct {
 		node *SpanNode
 		want map[string]time.Duration
 	}{
-		{tree.FindSpan("engine.commit"), map[string]time.Duration{"commit.harden": 3 * time.Millisecond}},
+		{tree.Children[0], map[string]time.Duration{"commit.harden": 3 * time.Millisecond}},
 		{tree, map[string]time.Duration{"commit.harden": 3 * time.Millisecond, "lock.row": time.Millisecond}},
 	} {
-		got := tc.node.WaitTotals()
+		got := map[string]time.Duration{}
+		for _, w := range tc.node.Waits {
+			got[w.Class] += time.Duration(w.TotalNS)
+		}
 		if len(got) != len(tc.want) {
 			t.Fatalf("%s waits = %v, want %v", tc.node.Name, got, tc.want)
 		}
@@ -143,8 +149,8 @@ func TestNilSafety(t *testing.T) {
 	r.Counter("c").Inc()
 	r.Gauge("g").Set(1)
 	r.Histogram("h").Observe(time.Millisecond)
-	if n := len(r.Snapshot().Names()); n != 0 {
-		t.Fatalf("nil registry snapshot has %d names", n)
+	if s := r.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
+		t.Fatalf("nil registry snapshot has instruments: %+v", s)
 	}
 }
 
@@ -179,9 +185,8 @@ func TestRegistryHistogram(t *testing.T) {
 	if !strings.Contains(snap.JSON(), "pageserver.getpage.latency") {
 		t.Fatal("JSON export missing histogram")
 	}
-	names := snap.Names()
-	if len(names) != 3 {
-		t.Fatalf("names = %v", names)
+	if n := len(snap.Counters) + len(snap.Gauges) + len(snap.Histograms); n != 3 {
+		t.Fatalf("%d instruments, want 3: %s", n, snap.JSON())
 	}
 }
 

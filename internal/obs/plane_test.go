@@ -109,12 +109,12 @@ func TestWatchdogLagTripEdgeTriggered(t *testing.T) {
 
 	publishLadder(ws, 1000, 10, 10, 10) // hardened 990 behind commit
 	d.Tick()
-	if d.TripCount() != 1 {
-		t.Fatalf("trips = %d, want 1", d.TripCount())
+	if len(d.Trips()) != 1 {
+		t.Fatalf("trips = %d, want 1", len(d.Trips()))
 	}
 	d.Tick() // same excursion: edge-triggered, no re-fire
-	if d.TripCount() != 1 {
-		t.Fatalf("trips after second tick = %d, want 1 (edge-triggered)", d.TripCount())
+	if len(d.Trips()) != 1 {
+		t.Fatalf("trips after second tick = %d, want 1 (edge-triggered)", len(d.Trips()))
 	}
 	if fired := d.Trips(); len(fired) != 1 || fired[0].Kind != TripLag ||
 		fired[0].Follower != WMHardened || fired[0].LagLSN != 990 {
@@ -125,8 +125,8 @@ func TestWatchdogLagTripEdgeTriggered(t *testing.T) {
 	d.Tick()
 	publishLadder(ws, 2000, 1000, 1000, 1000) // new excursion
 	d.Tick()
-	if d.TripCount() != 2 {
-		t.Fatalf("trips after re-arm = %d, want 2", d.TripCount())
+	if len(d.Trips()) != 2 {
+		t.Fatalf("trips after re-arm = %d, want 2", len(d.Trips()))
 	}
 	if got := reg.Gauge("lz.harden_lag_lsn").Value(); got != 1000 {
 		t.Fatalf("harden lag gauge = %d, want 1000", got)
@@ -145,12 +145,12 @@ func TestWatchdogStallTrip(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		d.Tick()
 	}
-	if d.TripCount() != 0 {
+	if len(d.Trips()) != 0 {
 		t.Fatalf("tripped after %d ticks, want none before StallTicks", 2)
 	}
 	d.Tick() // third consecutive stalled tick
-	if d.TripCount() != 1 {
-		t.Fatalf("trips = %d, want 1 stall trip", d.TripCount())
+	if len(d.Trips()) != 1 {
+		t.Fatalf("trips = %d, want 1 stall trip", len(d.Trips()))
 	}
 	trips := d.Trips()
 	if len(trips) != 1 || trips[0].Kind != TripStall ||
@@ -161,8 +161,8 @@ func TestWatchdogStallTrip(t *testing.T) {
 	// Progress clears the stall counter; catching up re-arms.
 	rung(ws, WMApplied, "ps-0").Publish(500)
 	d.Tick()
-	if d.TripCount() != 1 {
-		t.Fatalf("trips after recovery = %d, want still 1", d.TripCount())
+	if len(d.Trips()) != 1 {
+		t.Fatalf("trips after recovery = %d, want still 1", len(d.Trips()))
 	}
 }
 
@@ -195,16 +195,16 @@ func TestNewPlaneFreezesTheFirstTripDump(t *testing.T) {
 	publishLadder(p.Watermarks, 1000, 10, 10, 10) // hardened 990 behind commit
 	p.Watchdog.Tick()
 	first := p.Watchdog.TripDump()
-	if p.Watchdog.TripCount() != 1 || tripEvents(first) != 1 {
-		t.Fatalf("after the first trip: trips=%d, frozen dump:\n%s", p.Watchdog.TripCount(), first)
+	if len(p.Watchdog.Trips()) != 1 || tripEvents(first) != 1 {
+		t.Fatalf("after the first trip: trips=%d, frozen dump:\n%s", len(p.Watchdog.Trips()), first)
 	}
 
 	publishLadder(p.Watermarks, 1000, 1000, 1000, 1000) // caught up: re-arms
 	p.Watchdog.Tick()
 	publishLadder(p.Watermarks, 2000, 1000, 1000, 1000) // second excursion
 	p.Watchdog.Tick()
-	if p.Watchdog.TripCount() != 2 {
-		t.Fatalf("trips = %d, want 2", p.Watchdog.TripCount())
+	if len(p.Watchdog.Trips()) != 2 {
+		t.Fatalf("trips = %d, want 2", len(p.Watchdog.Trips()))
 	}
 	var ring bytes.Buffer
 	if err := p.Flight.Dump(&ring); err != nil {
@@ -228,6 +228,39 @@ func TestWatchdogStartStop(t *testing.T) {
 	d.Stop() // idempotent
 }
 
+// TestTripIsPublishedAfterItsDump: Trips never shows a trip before its
+// flight event and the first trip's dump exist (DESIGN §16.6). The window
+// it guards is as wide as one dump of the ring, so the test opens it 2,000
+// times: a fresh plane with 200 events in its ring, a ladder far behind,
+// Tick in a goroutine, and the test polling Trips until it shows the trip.
+func TestTripIsPublishedAfterItsDump(t *testing.T) {
+	for i := 0; i < 2000; i++ {
+		p := NewPlane(WatchdogConfig{MaxLagLSN: 100, StallTicks: 1000})
+		for e := 0; e < 200; e++ {
+			p.Flight.Record(TierCompute, "test", uint64(e), 0, "")
+		}
+		publishLadder(p.Watermarks, 1000, 10, 10, 10)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			p.Watchdog.Tick()
+		}()
+		for len(p.Watchdog.Trips()) == 0 {
+			select {
+			case <-done:
+				if len(p.Watchdog.Trips()) == 0 {
+					t.Fatal("Tick returned without a trip")
+				}
+			default:
+			}
+		}
+		if p.Watchdog.TripDump() == nil {
+			t.Fatalf("iteration %d: Trips shows a trip and TripDump is nil", i)
+		}
+		<-done
+	}
+}
+
 // --- flight recorder ---
 
 func TestFlightRingWraparound(t *testing.T) {
@@ -235,11 +268,8 @@ func TestFlightRingWraparound(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		f.Record(TierCompute, "test", uint64(i), 0, fmt.Sprintf("e%d", i))
 	}
-	if f.Recorded() != 20 {
-		t.Fatalf("recorded = %d, want 20", f.Recorded())
-	}
-	if f.Len() != 8 {
-		t.Fatalf("len = %d, want ring capacity 8", f.Len())
+	if n := f.cursor.Load(); n != 20 {
+		t.Fatalf("recorded = %d, want 20", n)
 	}
 	events := f.Events()
 	if len(events) != 8 {
@@ -315,17 +345,10 @@ func TestFlightConcurrentWritersAndDumper(t *testing.T) {
 			_ = f.Dump(io.Discard)
 		}
 	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 16000; i++ {
-			_ = f.Len()
-		}
-	}()
 	// Wait for the writers, then stop the dumper.
 	done := make(chan struct{})
 	go func() {
-		for f.Recorded() < 16000 {
+		for f.cursor.Load() < 16000 {
 			time.Sleep(time.Millisecond) // test polling for writer completion
 		}
 		close(stop)
@@ -333,11 +356,11 @@ func TestFlightConcurrentWritersAndDumper(t *testing.T) {
 	}()
 	<-done
 	wg.Wait()
-	if f.Recorded() != 16000 {
-		t.Fatalf("recorded = %d, want 16000", f.Recorded())
+	if n := f.cursor.Load(); n != 16000 {
+		t.Fatalf("recorded = %d, want 16000", n)
 	}
-	if f.Len() != 64 {
-		t.Fatalf("len = %d, want 64", f.Len())
+	if n := len(f.Events()); n != 64 {
+		t.Fatalf("len = %d, want 64", n)
 	}
 }
 
@@ -352,7 +375,6 @@ func TestPlaneNilSafety(t *testing.T) {
 	_ = ws.TimeLag(0, time.Now())
 	f.Record(TierLZ, "k", 1, 0, "")
 	_ = f.Events()
-	_ = f.Len()
 	d.Tick()
 	d.Start()
 	d.Stop()

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -313,24 +312,4 @@ func (s Snapshot) JSON() string {
 		return "{}"
 	}
 	return string(b)
-}
-
-// Names returns the sorted union of instrument names in the snapshot.
-func (s Snapshot) Names() []string {
-	set := map[string]bool{}
-	for k := range s.Counters {
-		set[k] = true
-	}
-	for k := range s.Gauges {
-		set[k] = true
-	}
-	for k := range s.Histograms {
-		set[k] = true
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

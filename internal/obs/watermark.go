@@ -413,10 +413,9 @@ type Watchdog struct {
 	waits    *WaitSet
 	waitRing []waitSnap
 
-	tripCount atomic.Uint64
-	done      chan struct{}
-	wg        sync.WaitGroup
-	started   bool
+	done    chan struct{}
+	wg      sync.WaitGroup
+	started bool
 }
 
 // waitSnap is one tick's copy of the global wait sketch.
@@ -529,14 +528,6 @@ func (d *Watchdog) Stop() {
 	if started {
 		d.wg.Wait()
 	}
-}
-
-// TripCount reports how many times the watchdog has fired.
-func (d *Watchdog) TripCount() uint64 {
-	if d == nil {
-		return 0
-	}
-	return d.tripCount.Load()
 }
 
 // Trips returns the recorded trips, oldest first.
@@ -668,26 +659,29 @@ func (d *Watchdog) evaluate(edge ladderEdge, w *Watermark, cur, leader, lag uint
 		trip.LagTime = d.ws.TimeLag(cur, now)
 		trip.Detail = "watermark " + k + " behind " + edge.leader
 		trip.TopWaits = d.topWaits()
-		d.trips = append(d.trips, *trip)
 	}
 	frozen := d.dump != nil
 	d.mu.Unlock()
-	if trip != nil {
-		// The event and the first trip's dump before the count moves:
-		// whoever sees the count move also sees both.
-		d.flight.Record("obs", "watchdog.trip", 0, trip.LagTime, string(trip.Kind)+": "+trip.Detail)
-		if !frozen && d.flight != nil {
-			var buf bytes.Buffer
-			// Dumping to a bytes.Buffer cannot fail: the encoder only errors
-			// on unmarshalable values, and FlightEvent is plain data.
-			_ = d.flight.Dump(&buf)
-			d.mu.Lock()
-			if d.dump == nil {
-				d.dump = buf.Bytes()
-			}
-			d.mu.Unlock()
-		}
-		d.tripCount.Add(1)
-		d.reg.Counter("obs.watchdog.trips").Inc()
+	if trip == nil {
+		return
 	}
+	// A trip is published last: its event is in the ring and the first
+	// trip's dump is frozen before Trips shows it, so whoever sees the trip
+	// also sees both.
+	d.flight.Record("obs", "watchdog.trip", 0, trip.LagTime, string(trip.Kind)+": "+trip.Detail)
+	var dump []byte
+	if !frozen && d.flight != nil {
+		var buf bytes.Buffer
+		// Dumping to a bytes.Buffer cannot fail: the encoder only errors on
+		// unmarshalable values, and FlightEvent is plain data.
+		_ = d.flight.Dump(&buf)
+		dump = buf.Bytes()
+	}
+	d.mu.Lock()
+	if d.dump == nil {
+		d.dump = dump
+	}
+	d.trips = append(d.trips, *trip)
+	d.mu.Unlock()
+	d.reg.Counter("obs.watchdog.trips").Inc()
 }

@@ -63,9 +63,6 @@ func (l LSN) Prev() LSN {
 	return l - 1
 }
 
-// Add advances l by n slots.
-func (l LSN) Add(n uint64) LSN { return l + LSN(n) }
-
 // Before reports l < o.
 func (l LSN) Before(o LSN) bool { return l < o }
 
@@ -276,17 +273,6 @@ func Decode(buf []byte) (*Page, error) {
 	return p, nil
 }
 
-// PeekLSN extracts the LSN from an encoded image without full decoding.
-func PeekLSN(buf []byte) (LSN, error) {
-	if len(buf) < 20 {
-		return 0, fmt.Errorf("page: image too short")
-	}
-	if binary.LittleEndian.Uint32(buf[0:4]) != magic {
-		return 0, ErrBadMagic
-	}
-	return LSN(binary.LittleEndian.Uint64(buf[12:20])), nil
-}
-
 // PartitionID identifies a page-server partition.
 type PartitionID uint32
 
@@ -311,12 +297,4 @@ func (pt Partitioning) Range(part PartitionID) (lo, hi ID) {
 	lo = ID(uint64(part) * pt.PagesPerPartition)
 	hi = lo + ID(pt.PagesPerPartition)
 	return lo, hi
-}
-
-// Partitions reports how many partitions cover pages [0, maxPage].
-func (pt Partitioning) Partitions(maxPage ID) int {
-	if pt.PagesPerPartition == 0 {
-		return 1
-	}
-	return int(uint64(maxPage)/pt.PagesPerPartition) + 1
 }

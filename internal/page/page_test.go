@@ -92,22 +92,6 @@ func TestDecodeRejectsOversizedDeclaredLength(t *testing.T) {
 	}
 }
 
-func TestPeekLSN(t *testing.T) {
-	p := &Page{ID: 3, LSN: 77, Type: TypeLeaf}
-	buf, _ := p.Encode()
-	lsn, err := PeekLSN(buf)
-	if err != nil || lsn != 77 {
-		t.Fatalf("peek = %d, %v", lsn, err)
-	}
-	if _, err := PeekLSN([]byte{1, 2}); err == nil {
-		t.Fatal("short peek should fail")
-	}
-	buf[0] = 0
-	if _, err := PeekLSN(buf); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestClone(t *testing.T) {
 	p := &Page{ID: 1, LSN: 2, Type: TypeLeaf, Data: []byte("shared?")}
 	c := p.Clone()
@@ -303,21 +287,12 @@ func TestPartitioning(t *testing.T) {
 	if lo != 200 || hi != 300 {
 		t.Fatalf("range(2) = [%d,%d)", lo, hi)
 	}
-	if n := pt.Partitions(250); n != 3 {
-		t.Fatalf("partitions(250) = %d, want 3", n)
-	}
-	if n := pt.Partitions(0); n != 1 {
-		t.Fatalf("partitions(0) = %d, want 1", n)
-	}
 }
 
 func TestPartitioningZeroIsSinglePartition(t *testing.T) {
 	pt := Partitioning{}
 	if pt.PartitionOf(12345) != 0 {
 		t.Fatal("zero partitioning should map everything to partition 0")
-	}
-	if pt.Partitions(12345) != 1 {
-		t.Fatal("zero partitioning should report one partition")
 	}
 }
 

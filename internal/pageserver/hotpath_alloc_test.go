@@ -48,12 +48,7 @@ func TestGetPageAllocs(t *testing.T) {
 	if _, err := seeded.GetPage(ctx, 5, minLSN); err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(2 * time.Second); seeded.Seeding(); {
-		if time.Now().After(deadline) {
-			t.Fatal("seeding never finished")
-		}
-		time.Sleep(time.Millisecond) // deadline-bounded poll; the seed loop reads one blob
-	}
+	waitSeeded(t, seeded)
 	seeded.Stop()
 	cached, ok := seeded.cache.Get(5)
 	if !ok || cached.Image() == nil {
@@ -210,7 +205,7 @@ func buildLeafRecords(t *testing.T, rows int) []*wal.Record {
 			t.Fatal(err)
 		}
 	}
-	return log.Records()
+	return log.Since(0)
 }
 
 type scratchPager struct {

@@ -106,9 +106,8 @@ type Server struct {
 	dirty   map[page.ID]page.LSN // newest un-checkpointed version per page
 	clean   chan struct{}        // closed while dirty is empty
 	drains  int                  // callers waiting for dirty to empty
-	seeding bool
-	ckptLSN page.LSN // resume LSN persisted with the last checkpoint
-	ckptErr error    // the last sweep's failure (an XStore outage: checkpointing deferred), nil if it landed
+	ckptLSN page.LSN             // resume LSN persisted with the last checkpoint
+	ckptErr error                // the last sweep's failure (an XStore outage: checkpointing deferred), nil if it landed
 
 	// kick wakes the checkpoint loop between ticks. Only that loop sweeps
 	// (and Stop, once the loop has exited): a slow sweep finishing after a
@@ -202,14 +201,13 @@ func New(cfg Config) (*Server, error) {
 		Batch: make(map[page.ID]recovery.Batched, 64)}
 	s.redo = recovery.NewReplayer(s.owned, s.ckptLSN, nil)
 	if cfg.Seed {
-		s.seeding = true
 		s.wg.Add(1)
 		go s.seedLoop()
 	}
 	s.wg.Add(2)
 	go func() {
 		defer s.wg.Done()
-		s.redo.Follow(s.ctx, cfg.XLOG, int32(cfg.Partition), cfg.PullBytes, 0, s.applyPull)
+		s.redo.Follow(s.ctx, cfg.XLOG, int32(cfg.Partition), cfg.PullBytes, s.applyPull)
 	}()
 	go s.checkpointLoop()
 	return s, nil
@@ -247,13 +245,6 @@ func (s *Server) AppliedLSN() page.LSN { return page.LSN(s.applied.Value()) }
 // catch-up on the apply signal instead of polling.
 func (s *Server) WaitApplied(lsn page.LSN, timeout time.Duration) bool {
 	return s.waitApplied(context.Background(), lsn, timeout) == nil
-}
-
-// Seeding reports whether background seeding is still running.
-func (s *Server) Seeding() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seeding
 }
 
 // Cache exposes the covering RBPEX (stats for experiments).
@@ -371,9 +362,6 @@ func (s *Server) seedLoop() {
 		//socrates:ignore-err a failed background seed is recovered by the on-demand fetchFromStore path; seeding is purely a warm-up (§4.6)
 		_, _ = s.fetchFromStore(page.ID(id))
 	}
-	s.mu.Lock()
-	s.seeding = false
-	s.mu.Unlock()
 }
 
 // --- checkpointing ---
@@ -556,13 +544,6 @@ func (s *Server) XStoreDown() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.ckptErr != nil
-}
-
-// DirtyPages reports the size of the un-checkpointed dirty set.
-func (s *Server) DirtyPages() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.dirty)
 }
 
 // WaitCheckpointDrain asks the checkpoint loop for sweeps until the dirty

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -25,6 +26,7 @@ type rig struct {
 	lz    *xlog.LandingZone
 	svc   *xlog.Service
 	store *xstore.Store
+	reg   *obs.Registry // the store's metrics
 	net   *rbio.Network
 	bld   *wal.Builder
 	pt    page.Partitioning
@@ -37,7 +39,8 @@ func newRig(t *testing.T, pt page.Partitioning) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := xstore.New(xstore.Config{Profile: simdisk.Instant})
+	reg := obs.NewRegistry()
+	store := xstore.New(xstore.Config{Profile: simdisk.Instant, Obs: obs.Plane{Metrics: reg}})
 	svc, err := xlog.New(xlog.Config{
 		LZ: lz, LT: store, LTBlob: "lt",
 		CacheDevice: simdisk.New(simdisk.Instant),
@@ -48,7 +51,7 @@ func newRig(t *testing.T, pt page.Partitioning) *rig {
 	t.Cleanup(svc.Close)
 	net := rbio.NewInstantNetwork()
 	net.Serve("xlog", svc.Handler())
-	return &rig{lz: lz, svc: svc, store: store, net: net,
+	return &rig{lz: lz, svc: svc, store: store, reg: reg, net: net,
 		bld: wal.NewBuilder(1, pt), pt: pt}
 }
 
@@ -87,7 +90,7 @@ func (r *rig) emit(t *testing.T, recs ...*wal.Record) page.LSN {
 	if err := r.lz.Write(b); err != nil {
 		t.Fatal(err)
 	}
-	r.svc.FeedEncodedFrom(context.Background(), r.svc.Epoch(), b, nil)
+	r.svc.FeedEncodedFrom(context.Background(), 0, b, nil) // the first producer's epoch
 	r.svc.ReportHardened(context.Background(), r.lz.HardenedEnd())
 	return b.End
 }
@@ -148,10 +151,10 @@ func TestStopWakesGetPage(t *testing.T) {
 func TestGetPageWaitsForApply(t *testing.T) {
 	r := newRig(t, page.Partitioning{})
 	srv := r.server(t, Config{})
-	r.emit(t, imageRec(7, 'x'), wal.NewCommit(1, 1))
+	end := r.emit(t, imageRec(7, 'x'), wal.NewCommit(1, 1))
 
 	// Ask for an LSN that does not exist yet; publish it shortly after.
-	target := r.bld.NextLSN() + 1 // the commit record of the next block
+	target := end + 1 // the commit record of the next block
 	done := make(chan error, 1)
 	go func() {
 		pg, err := srv.GetPage(context.Background(), 7, target)
@@ -235,8 +238,8 @@ func TestCheckpointPersistsToXStore(t *testing.T) {
 	if !r.store.Exists("db/page/4") {
 		t.Fatal("checkpoint blob missing")
 	}
-	if srv.DirtyPages() != 0 {
-		t.Fatalf("dirty = %d after flush", srv.DirtyPages())
+	if dirtyPages(srv) != 0 {
+		t.Fatalf("dirty = %d after flush", dirtyPages(srv))
 	}
 }
 
@@ -256,16 +259,16 @@ func TestXStoreOutageInsulation(t *testing.T) {
 	if err := srv.WaitCheckpointDrain(20 * time.Millisecond); !errors.Is(err, simdisk.ErrOutage) {
 		t.Fatalf("drain during the outage: %v, want the outage", err)
 	}
-	if srv.DirtyPages() == 0 || !srv.XStoreDown() {
-		t.Fatalf("after a failed drain: dirty %d, xstoreDown %v", srv.DirtyPages(), srv.XStoreDown())
+	if dirtyPages(srv) == 0 || !srv.XStoreDown() {
+		t.Fatalf("after a failed drain: dirty %d, xstoreDown %v", dirtyPages(srv), srv.XStoreDown())
 	}
 	// Outage clears: checkpointing resumes and catches up.
 	r.store.SetOutage(false)
 	if err := srv.WaitCheckpointDrain(5 * time.Second); err != nil {
 		t.Fatalf("checkpoint did not resume after outage: %v", err)
 	}
-	if srv.DirtyPages() != 0 || srv.XStoreDown() {
-		t.Fatalf("after the drain: dirty %d, xstoreDown %v", srv.DirtyPages(), srv.XStoreDown())
+	if dirtyPages(srv) != 0 || srv.XStoreDown() {
+		t.Fatalf("after the drain: dirty %d, xstoreDown %v", dirtyPages(srv), srv.XStoreDown())
 	}
 	if !r.store.Exists("db/page/9") {
 		t.Fatal("page never reached XStore")
@@ -279,11 +282,11 @@ func storedLSN(t *testing.T, r *rig, srv *Server, id page.ID) page.LSN {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsn, err := page.PeekLSN(buf)
+	pg, err := page.Decode(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return lsn
+	return pg.LSN
 }
 
 func (s *Server) checkpointLSN() page.LSN {
@@ -309,9 +312,9 @@ func TestOutageMidSweepKeepsTheWholeBatchDirty(t *testing.T) {
 		t.Fatalf("sweep into an outage: wrote %d, err %v", wrote, err)
 	}
 	r.store.SetOutage(false)
-	if srv.DirtyPages() != 3 || srv.checkpointLSN() != before || !srv.XStoreDown() {
+	if dirtyPages(srv) != 3 || srv.checkpointLSN() != before || !srv.XStoreDown() {
 		t.Fatalf("after the failed sweep: dirty %d (want 3), ckptLSN %d (want %d), xstoreDown %v",
-			srv.DirtyPages(), srv.checkpointLSN(), before, srv.XStoreDown())
+			dirtyPages(srv), srv.checkpointLSN(), before, srv.XStoreDown())
 	}
 	if blobs := r.store.List("db/"); len(blobs) != 0 {
 		t.Fatalf("the failed sweep left %v in XStore", blobs)
@@ -331,9 +334,9 @@ func TestOutageMidSweepKeepsTheWholeBatchDirty(t *testing.T) {
 			t.Fatalf("page %d stored at lsn %d, newest is %d", id, got, pg.LSN)
 		}
 	}
-	if srv.DirtyPages() != 0 || srv.checkpointLSN() != end || srv.XStoreDown() {
+	if dirtyPages(srv) != 0 || srv.checkpointLSN() != end || srv.XStoreDown() {
 		t.Fatalf("after the good sweep: dirty %d, ckptLSN %d (want %d), xstoreDown %v",
-			srv.DirtyPages(), srv.checkpointLSN(), end, srv.XStoreDown())
+			dirtyPages(srv), srv.checkpointLSN(), end, srv.XStoreDown())
 	}
 	if resume, err := srv.readMeta(); err != nil || resume != end {
 		t.Fatalf("persisted resume LSN %d (%v), want %d", resume, err, end)
@@ -353,7 +356,8 @@ func TestPageRedirtiedDuringSweepStaysDirty(t *testing.T) {
 	v1, _ := srv.cache.Get(5)
 
 	release := r.store.HoldWrites()
-	logBefore := r.store.LogBytes()
+	footprint := r.reg.Gauge("xstore.footprint_bytes")
+	before := footprint.Value()
 	swept := make(chan error, 1)
 	go func() {
 		_, err := srv.sweep()
@@ -362,7 +366,7 @@ func TestPageRedirtiedDuringSweepStaysDirty(t *testing.T) {
 	// The batch is encoded and has its place in the log (the log archive's
 	// few bytes cannot add up to it); its write waits at the device.
 	deadline := time.Now().Add(5 * time.Second)
-	for r.store.LogBytes() < logBefore+2*page.Size {
+	for footprint.Value() < before+2*page.Size {
 		if time.Now().After(deadline) {
 			t.Fatal("the sweep never reached the device")
 		}
@@ -377,9 +381,9 @@ func TestPageRedirtiedDuringSweepStaysDirty(t *testing.T) {
 	if err := <-swept; err != nil {
 		t.Fatal(err)
 	}
-	if got := storedLSN(t, r, srv, 5); got != v1.LSN || srv.DirtyPages() != 1 {
+	if got := storedLSN(t, r, srv, 5); got != v1.LSN || dirtyPages(srv) != 1 {
 		t.Fatalf("after the sweep in flight: stored lsn %d (want %d), dirty %d (want 1: page 5 again)",
-			got, v1.LSN, srv.DirtyPages())
+			got, v1.LSN, dirtyPages(srv))
 	}
 	if resume := srv.checkpointLSN(); resume.After(v2.LSN) {
 		t.Fatalf("resume LSN %d moved past the version (lsn %d) XStore does not have", resume, v2.LSN)
@@ -387,8 +391,8 @@ func TestPageRedirtiedDuringSweepStaysDirty(t *testing.T) {
 	if _, err := srv.sweep(); err != nil {
 		t.Fatal(err)
 	}
-	if got := storedLSN(t, r, srv, 5); got != v2.LSN || srv.DirtyPages() != 0 {
-		t.Fatalf("after the next sweep: stored lsn %d (want %d), dirty %d (want 0)", got, v2.LSN, srv.DirtyPages())
+	if got := storedLSN(t, r, srv, 5); got != v2.LSN || dirtyPages(srv) != 0 {
+		t.Fatalf("after the next sweep: stored lsn %d (want %d), dirty %d (want 0)", got, v2.LSN, dirtyPages(srv))
 	}
 }
 
@@ -526,18 +530,12 @@ func TestColdStartSeedsFromXStore(t *testing.T) {
 	// serves everything.
 	srv2 := r.server(t, Config{BlobPrefix: "db/", Name: "gen2",
 		StartLSN: resume, Seed: true})
+	waitSeeded(t, srv2)
 	for i, want := range []byte{'a', 'b', 'c'} {
 		pg, err := srv2.GetPage(context.Background(), page.ID(i+1), end-1)
 		if err != nil || pg.Data[0] != want {
 			t.Fatalf("page %d after reseed: %+v %v", i+1, pg, err)
 		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for srv2.Seeding() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if srv2.Seeding() {
-		t.Fatal("seeding never finished")
 	}
 }
 
@@ -622,14 +620,14 @@ func TestCheckpointKeepsNewerDirtyMark(t *testing.T) {
 	stored := func() page.LSN { return storedLSN(t, r, srv, 5) }
 
 	// The next version is marked, its Put still in flight: the sweep sees v1.
-	v2 := &page.Page{ID: 5, LSN: v1.LSN.Add(10), Type: page.TypeLeaf, Data: []byte{'b'}}
+	v2 := &page.Page{ID: 5, LSN: v1.LSN + 10, Type: page.TypeLeaf, Data: []byte{'b'}}
 	srv.markDirty(v2)
 	if _, err := srv.sweep(); err != nil {
 		t.Fatal(err)
 	}
-	if stored() != v1.LSN || srv.DirtyPages() != 1 {
+	if stored() != v1.LSN || dirtyPages(srv) != 1 {
 		t.Fatalf("after the early sweep: stored lsn %d (want %d), dirty %d (want 1)",
-			stored(), v1.LSN, srv.DirtyPages())
+			stored(), v1.LSN, dirtyPages(srv))
 	}
 	// The Put lands; the next sweep persists v2 and only then clears the mark.
 	if err := srv.cache.Put(v2); err != nil {
@@ -638,9 +636,9 @@ func TestCheckpointKeepsNewerDirtyMark(t *testing.T) {
 	if _, err := srv.sweep(); err != nil {
 		t.Fatal(err)
 	}
-	if stored() != v2.LSN || srv.DirtyPages() != 0 {
+	if stored() != v2.LSN || dirtyPages(srv) != 0 {
 		t.Fatalf("after the second sweep: stored lsn %d (want %d), dirty %d (want 0)",
-			stored(), v2.LSN, srv.DirtyPages())
+			stored(), v2.LSN, dirtyPages(srv))
 	}
 }
 
@@ -746,4 +744,33 @@ func TestFailedPullLeavesPublishedVersions(t *testing.T) {
 		t.Fatalf("after the re-pull P is at LSN %d, %d bytes; copy-on-write redo gives LSN %d, %d bytes",
 			got.LSN, len(got.Data), ref.LSN, len(ref.Data))
 	}
+}
+
+// waitSeeded waits until srv's cache holds every page blob of its
+// partition in XStore, which is what a finished seed loop leaves.
+func waitSeeded(t *testing.T, srv *Server) {
+	t.Helper()
+	prefix := srv.cfg.BlobPrefix + "page/"
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		seeded := true
+		for _, name := range srv.cfg.Store.List(prefix) {
+			id, err := strconv.ParseUint(name[len(prefix):], 10, 64)
+			if err == nil && srv.Owns(page.ID(id)) && !srv.Cache().Contains(page.ID(id)) {
+				seeded = false
+			}
+		}
+		if seeded {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("seeding never finished")
+		}
+	}
+}
+
+// dirtyPages is the size of srv's un-checkpointed dirty set.
+func dirtyPages(srv *Server) int {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	return len(srv.dirty)
 }

@@ -293,13 +293,6 @@ func (s *Selector) Add(c *Client) {
 	s.mu.Unlock()
 }
 
-// Len reports the endpoint count.
-func (s *Selector) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.clients)
-}
-
 // Remove drops every endpoint whose address matches addr, reporting how
 // many were removed. Cluster workflows use it when a page-server replica
 // is retired or killed, so the selector stops burning failover attempts

@@ -12,6 +12,7 @@ import (
 
 	"socrates/internal/obs"
 	"socrates/internal/page"
+	"socrates/internal/testutil/spans"
 )
 
 func TestRequestCodecRoundTrip(t *testing.T) {
@@ -253,11 +254,11 @@ func TestHopKeepsServerWaitsOnTheServer(t *testing.T) {
 	}
 	caller.End()
 	tree := tr.Trace(caller.Trace)
-	if got := tree.WaitTotals()["xlog.feed"]; got != 0 {
+	if got := spans.WaitTotals(tree)["xlog.feed"]; got != 0 {
 		t.Fatalf("caller span took %v of the handler's xlog.feed:\n%s", got, tree.Format())
 	}
-	server := tree.FindSpan("pageserver.getpage")
-	if got := server.WaitTotals()["xlog.feed"]; got != 3*time.Millisecond {
+	server := spans.Find(tree, "pageserver.getpage")
+	if got := spans.WaitTotals(server)["xlog.feed"]; got != 3*time.Millisecond {
 		t.Fatalf("joined span xlog.feed = %v, want 3ms:\n%s", got, tree.Format())
 	}
 }
@@ -439,9 +440,11 @@ func TestSelectorEmpty(t *testing.T) {
 	if _, err := sel.Call(context.Background(), &Request{Type: MsgPing}); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("err = %v", err)
 	}
-	sel.Add(NewClient(NewInstantNetwork().Dial("x")))
-	if sel.Len() != 1 {
-		t.Fatal("Add failed")
+	net := NewInstantNetwork()
+	net.Serve("x", func(context.Context, *Request) *Response { return Ok() })
+	sel.Add(NewClient(net.Dial("x")))
+	if _, err := sel.Call(context.Background(), &Request{Type: MsgPing}); err != nil {
+		t.Fatalf("Add failed: %v", err)
 	}
 }
 

@@ -283,7 +283,7 @@ func TestAheadArea(t *testing.T) {
 	}
 	c.Sync()
 	for id := page.ID(1); id <= aheadPages; id++ {
-		if lsn, ok := c.GetLSN(id); !c.Contains(id) || !ok || lsn != 5 || resident(id) {
+		if lsn, ok := cachedLSN(c, id); !c.Contains(id) || !ok || lsn != 5 || resident(id) {
 			t.Fatalf("parked page %d: Contains %v, GetLSN %d %v, in the memory tier %v", id, c.Contains(id), lsn, ok, resident(id))
 		}
 	}
@@ -296,8 +296,8 @@ func TestAheadArea(t *testing.T) {
 	// LSN, written nowhere.
 	hint(aheadPages+1, 5)
 	c.Sync()
-	if c.Contains(1) || !reflect.DeepEqual(evictedOf(c), map[page.ID]page.LSN{1: 5}) || ssdWrites() != 0 || c.WriteBehind().Queued != 0 {
-		t.Fatalf("one hint more: page 1 cached %v, evictions %v, %d SSD writes, %+v", c.Contains(1), evictedOf(c), ssdWrites(), c.WriteBehind())
+	if c.Contains(1) || !reflect.DeepEqual(evictedOf(c), map[page.ID]page.LSN{1: 5}) || ssdWrites() != 0 || writeBehind(c).Queued != 0 {
+		t.Fatalf("one hint more: page 1 cached %v, evictions %v, %d SSD writes, %+v", c.Contains(1), evictedOf(c), ssdWrites(), writeBehind(c))
 	}
 	if got, want := c.aheadCounts(), (aheadCounts{Parked: aheadPages + 1, Displaced: 1}); got != want {
 		t.Fatalf("ahead area: %+v, want %+v", got, want)
@@ -335,7 +335,7 @@ func TestAheadArea(t *testing.T) {
 	if !hint(3, 6) || c.aheadCounts() != (aheadCounts{Parked: aheadPages + 1, Read: 1, Displaced: 1}) {
 		t.Fatalf("a newer image of a parked page: %+v", c.aheadCounts())
 	}
-	if lsn, _ := c.GetLSN(3); lsn != 6 || resident(3) {
+	if lsn, _ := cachedLSN(c, 3); lsn != 6 || resident(3) {
 		t.Fatalf("parked page 3 at LSN %d, in the memory tier %v; want 6, still parked", lsn, resident(3))
 	}
 	if mem, ssd, misses := c.Stats(); mem != mem0 || ssd != ssd0 || misses != misses0 {
@@ -350,7 +350,7 @@ func TestAheadArea(t *testing.T) {
 
 	// A Put of a parked page supersedes it: no eviction, no first read.
 	_ = c.Put(version(4, 9))
-	if lsn, _ := c.GetLSN(4); lsn != 9 || !resident(4) {
+	if lsn, _ := cachedLSN(c, 4); lsn != 9 || !resident(4) {
 		t.Fatalf("page 4 after its Put: LSN %d, in the memory tier %v", lsn, resident(4))
 	}
 	c.mu.Lock()

@@ -123,18 +123,9 @@ type demotion struct {
 	victim    page.ID
 }
 
-// WriteBehindStats counts the work of the write-behind queue since Open.
-type WriteBehindStats struct {
-	Queued      int64 // pages queued for the drainer
-	Written     int64 // of those, written to the SSD tier
-	Superseded  int64 // skipped: a newer version of the page was queued behind, or the SSD copy had caught up
-	Dropped     int64 // lost from the cache because a device write failed
-	Batches     int64 // drainer rounds: one vectored slot write and at most one metadata append each
-	BlockedPuts int64 // puts that found the backlog full and waited for the drainer
-}
-
-// wbCounter is one WriteBehindStats field or ahead-area count (under
-// Cache.mu), mirrored onto a registry counter when the cache is instrumented.
+// wbCounter is one count of the write-behind queue or the ahead area since
+// Open (under Cache.mu), mirrored onto a registry counter when the cache is
+// instrumented (Instrument names each).
 type wbCounter struct {
 	n   int64
 	reg *obs.Counter
@@ -445,26 +436,6 @@ func (c *Cache) Parked(id page.ID) (*page.Page, bool) {
 	return nil, false
 }
 
-// GetLSN reports the LSN of the cached copy — the one Get would return —
-// if any, without reading data.
-func (c *Cache) GetLSN(id page.ID) (page.LSN, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.mem[id]; ok {
-		return e.pg.LSN, true
-	}
-	if i := c.aheadIndexLocked(id); i >= 0 {
-		return c.ahead[i].LSN, true
-	}
-	if d, ok := c.demoting[id]; ok {
-		return d.lsn, true
-	}
-	if e, ok := c.ssd[id]; ok {
-		return e.lsn, true
-	}
-	return 0, false
-}
-
 // Contains reports whether the page is cached: in either tier, on its way
 // from one to the other, or in the ahead area. Unlike Get it reads nothing,
 // moves nothing and counts nothing.
@@ -717,7 +688,7 @@ func (c *Cache) drain() {
 			return
 		}
 		c.mu.Unlock()
-		//socrates:ignore-err write-behind has no caller to tell; carry has already dropped the batch's pages from the cache and counted them (WriteBehindStats.Dropped), and their evictions were recorded when they left the memory tier
+		//socrates:ignore-err write-behind has no caller to tell; carry has already dropped the batch's pages from the cache and counted them (the dropped count), and their evictions were recorded when they left the memory tier
 		_ = c.carry(w, true)
 	}
 }
@@ -1099,20 +1070,6 @@ func (c *Cache) Len() int {
 		}
 	}
 	return n + len(c.ahead)
-}
-
-// WriteBehind reports the write-behind queue's counters.
-func (c *Cache) WriteBehind() WriteBehindStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return WriteBehindStats{
-		Queued:      c.queued.n,
-		Written:     c.written.n,
-		Superseded:  c.superseded.n,
-		Dropped:     c.dropped.n,
-		Batches:     c.batches.n,
-		BlockedPuts: c.blockedPuts.n,
-	}
 }
 
 // Instrument mirrors the cache's counters, from now on, onto counters of

@@ -275,7 +275,7 @@ func TestSpillWritesDecodedImages(t *testing.T) {
 	}
 	release()
 	c.Sync()
-	if ws := c.WriteBehind(); ws.Batches >= ws.Written {
+	if ws := writeBehind(c); ws.Batches >= ws.Written {
 		t.Fatalf("%d pages in %d batches: no batch held more than one page", ws.Written, ws.Batches)
 	}
 	spilled := make(map[page.ID]bool)
@@ -394,21 +394,21 @@ func TestUpdateRefreshesVersion(t *testing.T) {
 func TestGetLSNAndContains(t *testing.T) {
 	c, _ := sparseCache(t, 1, 4)
 	_ = c.Put(mkPage(1, 7, 'a'))
-	if lsn, ok := c.GetLSN(1); !ok || lsn != 7 {
+	if lsn, ok := cachedLSN(c, 1); !ok || lsn != 7 {
 		t.Fatalf("mem lsn = %d %v", lsn, ok)
 	}
 	_ = c.Put(mkPage(2, 8, 'b')) // demotes 1 to SSD
-	if lsn, ok := c.GetLSN(1); !ok || lsn != 7 {
+	if lsn, ok := cachedLSN(c, 1); !ok || lsn != 7 {
 		t.Fatalf("lsn on the way to SSD = %d %v", lsn, ok)
 	}
 	c.Sync()
-	if lsn, ok := c.GetLSN(1); !ok || lsn != 7 {
+	if lsn, ok := cachedLSN(c, 1); !ok || lsn != 7 {
 		t.Fatalf("ssd lsn = %d %v", lsn, ok)
 	}
 	if !c.Contains(1) || !c.Contains(2) || c.Contains(3) {
 		t.Fatal("Contains wrong")
 	}
-	if _, ok := c.GetLSN(3); ok {
+	if _, ok := cachedLSN(c, 3); ok {
 		t.Fatal("phantom LSN")
 	}
 }
@@ -614,4 +614,24 @@ func TestManyPagesStress(t *testing.T) {
 	if c.Len() > 40 {
 		t.Fatalf("cache len %d exceeds capacity", c.Len())
 	}
+}
+
+// cachedLSN is the LSN of the copy Get would return for id, found without
+// reading it or touching the tiers' order.
+func cachedLSN(c *Cache, id page.ID) (page.LSN, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.mem[id]; ok {
+		return e.pg.LSN, true
+	}
+	if i := c.aheadIndexLocked(id); i >= 0 {
+		return c.ahead[i].LSN, true
+	}
+	if d, ok := c.demoting[id]; ok {
+		return d.lsn, true
+	}
+	if e, ok := c.ssd[id]; ok {
+		return e.lsn, true
+	}
+	return 0, false
 }

@@ -314,6 +314,18 @@ type cacheState struct {
 	Evicted                            map[page.ID]page.LSN
 }
 
+// wbStats is what the write-behind queue did since Open: pages queued for
+// the drainer; of those, written to the SSD tier; skipped because a newer
+// version was queued behind or the SSD copy had caught up; lost to a failed
+// device write; drainer rounds; and puts that found the backlog full.
+type wbStats struct{ Queued, Written, Superseded, Dropped, Batches, BlockedPuts int64 }
+
+func writeBehind(c *Cache) wbStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return wbStats{c.queued.n, c.written.n, c.superseded.n, c.dropped.n, c.batches.n, c.blockedPuts.n}
+}
+
 // aheadCounts is what became of the pages PutHinted parked.
 type aheadCounts struct{ Parked, Read, Displaced int64 }
 
@@ -525,7 +537,7 @@ func TestNothingWaitsForTheDevice(t *testing.T) {
 	}
 	within(t, "Sync on working devices", c.Sync)
 	c.ResetStats()
-	base := c.WriteBehind()
+	base := writeBehind(c)
 
 	releaseSSD, releaseMeta := holdDevices(c)
 	released := false
@@ -580,13 +592,13 @@ func TestNothingWaitsForTheDevice(t *testing.T) {
 	if _, ssdHits, _ := c.Stats(); ssdHits == 0 {
 		t.Fatal("the trace was meant to include SSD hits")
 	}
-	if wb := c.WriteBehind(); wb.Written != base.Written || wb.BlockedPuts != 0 || wb.Queued != base.Queued+backlogPages {
+	if wb := writeBehind(c); wb.Written != base.Written || wb.BlockedPuts != 0 || wb.Queued != base.Queued+backlogPages {
 		t.Fatalf("with the backlog just full: %+v (before the hold: %+v)", wb, base)
 	}
 	readBack := func(when string) {
 		t.Helper()
 		for id, want := range newest {
-			if got, ok := c.GetLSN(id); !ok || got != want || !c.Contains(id) {
+			if got, ok := cachedLSN(c, id); !ok || got != want || !c.Contains(id) {
 				t.Fatalf("%s page %d: GetLSN %d %v, Contains %v; want LSN %d", when, id, got, ok, c.Contains(id), want)
 			}
 		}
@@ -604,7 +616,7 @@ func TestNothingWaitsForTheDevice(t *testing.T) {
 	// The next eviction has to wait.
 	blocked := make(chan struct{})
 	go func() { defer close(blocked); put(301, false) }()
-	until(t, "the put that finds the backlog full to wait", func() bool { return c.WriteBehind().BlockedPuts == 1 })
+	until(t, "the put that finds the backlog full to wait", func() bool { return writeBehind(c).BlockedPuts == 1 })
 	select {
 	case <-blocked:
 		t.Fatal("a put went through a full backlog")
@@ -617,7 +629,7 @@ func TestNothingWaitsForTheDevice(t *testing.T) {
 		t.Fatal("hang: the waiting put after the devices wrote again")
 	}
 	within(t, "Sync after release", c.Sync)
-	wb := c.WriteBehind()
+	wb := writeBehind(c)
 	if wb.Queued != wb.Written+wb.Superseded || wb.Dropped != 0 || wb.Superseded == 0 || wb.BlockedPuts != 1 {
 		t.Fatalf("after the drain: %+v; want every queued page written or overtaken, some overtaken", wb)
 	}
@@ -765,7 +777,7 @@ func TestBatchesMatchInlineModel(t *testing.T) {
 					memPages, ssdPages, round, got.Evicted, want.Evicted)
 			}
 		}
-		wb := c.WriteBehind()
+		wb := writeBehind(c)
 		if skewed {
 			continue
 		}
@@ -873,7 +885,7 @@ func TestCrashAtEveryPointOfABatch(t *testing.T) {
 			}
 		}
 	}
-	batches := func() int64 { return c.WriteBehind().Batches }
+	batches := func() int64 { return writeBehind(c).Batches }
 	ssdWrites := func() int64 { _, w, _, _ := cfg.SSD.Stats(); return w }
 
 	// Fill the SSD tier and rewrite two of its pages, so that their recorded
@@ -951,7 +963,7 @@ func TestDeviceFailureDropsTheBatch(t *testing.T) {
 	gone := func(when string, id page.ID, lost page.LSN, dropped int64) {
 		t.Helper()
 		within(t, "Sync", c.Sync)
-		if wb := c.WriteBehind(); wb.Dropped != dropped {
+		if wb := writeBehind(c); wb.Dropped != dropped {
 			t.Fatalf("%s: %+v, want %d dropped", when, wb, dropped)
 		}
 		if pg, ok := c.Get(id); ok {

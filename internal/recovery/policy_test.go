@@ -170,8 +170,8 @@ func TestPolicyTable(t *testing.T) {
 			if err != nil || c.rec.LSN == stop {
 				wantApplied = 1
 			}
-			if r.Applied() != wantApplied {
-				t.Errorf("%s, %s: watermark %d, want %d", c.name, p.name, r.Applied(), wantApplied)
+			if r.applied != wantApplied {
+				t.Errorf("%s, %s: watermark %d, want %d", c.name, p.name, r.applied, wantApplied)
 			}
 			wantVisible := uint64(0)
 			if c.rec == commit {
@@ -189,7 +189,7 @@ func TestPolicyTable(t *testing.T) {
 func cellRecs(id page.ID, from page.LSN, n int) []*wal.Record {
 	recs := make([]*wal.Record, n)
 	for i := range recs {
-		recs[i] = &wal.Record{LSN: from.Add(uint64(i)), Kind: wal.KindCellPut, Page: id,
+		recs[i] = &wal.Record{LSN: from + page.LSN(i), Kind: wal.KindCellPut, Page: id,
 			PageType: page.TypeLeaf, Key: []byte{'k', byte(i % 3)}, Value: bytes.Repeat([]byte{'v'}, 10*i)}
 		if i%4 == 3 {
 			recs[i].Kind, recs[i].Value = wal.KindCellDelete, nil

@@ -64,9 +64,6 @@ func NewReplayer(pages Pages, from page.LSN, block BlockHook) *Replayer {
 	return &Replayer{pages: pages, block: block, applied: from}
 }
 
-// Applied reports the LSN after the last record applied or pulled past.
-func (r *Replayer) Applied() page.LSN { return r.applied }
-
 // Visible reports the highest commit timestamp replayed.
 func (r *Replayer) Visible() uint64 { return r.visible }
 
@@ -132,26 +129,17 @@ func (r *Replayer) ApplyBlock(b *wal.Block, stop page.LSN) error {
 // ApplyBlocks decodes a pull's answer and applies its records below stop.
 // They alias payload (DESIGN §16.8), which nobody may write again.
 func (r *Replayer) ApplyBlocks(payload []byte, stop page.LSN) error {
-	_, err := eachBlock(payload, func(b *wal.Block) (bool, error) {
-		return true, r.ApplyBlock(b, stop)
-	})
-	return err
-}
-
-// eachBlock decodes payload and hands each block to visit in order. It
-// stops at the first block visit refuses or fails on, and returns it.
-func eachBlock(payload []byte, visit func(*wal.Block) (bool, error)) (*wal.Block, error) {
 	for len(payload) > 0 {
 		b, n, err := wal.DecodeBlock(payload)
 		if err != nil {
-			return nil, fmt.Errorf("recovery: decoding block: %w", err)
+			return fmt.Errorf("recovery: decoding block: %w", err)
 		}
 		payload = payload[n:]
-		if more, err := visit(b); err != nil || !more {
-			return b, err
+		if err := r.ApplyBlock(b, stop); err != nil {
+			return err
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // Redo applies a queue of records to one page in order: a compute node's
@@ -181,11 +169,12 @@ type Puller interface {
 	Pull(ctx context.Context, from page.LSN, partition int32, maxBytes int) ([]byte, page.LSN, error)
 }
 
-// Walk is the bounded range walk: it pulls [from, stop) from src (stop 0:
-// all src has), checking ctx between pulls, and hands visit each block in
-// LSN order. It returns the LSN reached, or the start of the block a visit
-// refused (false) as the point to resume from; an error ends it too.
-func Walk(ctx context.Context, src Puller, from, stop page.LSN, visit func(*wal.Block) (bool, error)) (page.LSN, error) {
+// ReplayRange is the bounded range walk of a restore: it pulls the log from
+// the watermark to stop (0: all src has), checking ctx between pulls, and
+// applies each block in LSN order. It returns the LSN reached; an error
+// ends it too.
+func (r *Replayer) ReplayRange(ctx context.Context, src Puller, stop page.LSN) (page.LSN, error) {
+	from := r.applied
 	for stop == 0 || from.Before(stop) {
 		if err := ctx.Err(); err != nil {
 			return from, err
@@ -194,22 +183,12 @@ func Walk(ctx context.Context, src Puller, from, stop page.LSN, visit func(*wal.
 		if err != nil || next == from {
 			return from, err // failed, or caught up with the available log
 		}
-		switch b, err := eachBlock(payload, visit); {
-		case err != nil:
+		if err := r.ApplyBlocks(payload, stop); err != nil {
 			return from, err
-		case b != nil:
-			return b.Start, nil
 		}
 		from = next
 	}
 	return from, nil
-}
-
-// ReplayRange applies the log from the watermark to stop (0: all src has).
-func (r *Replayer) ReplayRange(ctx context.Context, src Puller, stop page.LSN) (page.LSN, error) {
-	return Walk(ctx, src, r.applied, stop, func(b *wal.Block) (bool, error) {
-		return true, r.ApplyBlock(b, stop)
-	})
 }
 
 const (
@@ -227,15 +206,10 @@ const (
 var retryWait atomic.Pointer[func(context.Context)]
 
 // Follow is the online loop of a page server (partition: its own) or a
-// secondary (-1: the whole stream). It pulls until ctx ends, sleeping delay
-// before each pull (a geo-replica's WAN, §6), and backs off after a failed
-// one.
-func (r *Replayer) Follow(ctx context.Context, xlog *rbio.Client, partition int32, maxBytes int, delay time.Duration, apply func(from, next page.LSN, payload []byte) error) {
+// secondary (-1: the whole stream). It pulls until ctx ends and backs off
+// after a failed pull.
+func (r *Replayer) Follow(ctx context.Context, xlog *rbio.Client, partition int32, maxBytes int, apply func(from, next page.LSN, payload []byte) error) {
 	for ctx.Err() == nil {
-		if delay > 0 {
-			//socrates:sleep-ok the delay models a geo-replica's WAN propagation lag; it is the semantics, not a poll
-			time.Sleep(delay)
-		}
 		if err := r.Pull(ctx, xlog, partition, maxBytes, apply); err != nil {
 			backOff(ctx)
 		}

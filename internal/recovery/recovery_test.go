@@ -46,7 +46,7 @@ func newMemPuller(pipe engine.MemPipeline) *memPuller {
 	// Cut one block per record run delimited at commit boundaries.
 	bld := wal.NewBuilder(1, page.Partitioning{})
 	var blocks []*wal.Block
-	for _, rec := range pipe.Records() {
+	for _, rec := range pipe.Since(0) {
 		// Re-append to preserve LSNs: the builder assigns the same dense
 		// sequence the MemLog did.
 		bld.Append(&wal.Record{Txn: rec.Txn, Kind: rec.Kind, Page: rec.Page,
@@ -118,7 +118,7 @@ func TestStopLSNCutsHistory(t *testing.T) {
 	// Find the LSN after the 10th commit.
 	commits := 0
 	var cut page.LSN
-	for _, rec := range pipe.Records() {
+	for _, rec := range pipe.Since(0) {
 		if rec.Kind == wal.KindTxnCommit {
 			commits++
 			if commits == 11 { // bootstrap + DDL + 9 row commits

@@ -255,9 +255,6 @@ func New(p Profile, opts ...Option) *Device {
 	return d
 }
 
-// Profile reports the device's performance profile.
-func (d *Device) Profile() Profile { return d.profile }
-
 // SetOutage toggles a sticky outage: while set, every call fails with
 // ErrOutage. Models the transient XStore outages §4.6 describes.
 func (d *Device) SetOutage(on bool) {

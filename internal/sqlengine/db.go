@@ -41,9 +41,6 @@ func New(eng *engine.Engine) *DB {
 // phys maps a SQL-visible table name to its physical engine table name.
 func (db *DB) phys(table string) string { return strings.ToLower(table) }
 
-// Engine exposes the underlying storage engine.
-func (db *DB) Engine() *engine.Engine { return db.eng }
-
 // Result is the outcome of one statement.
 type Result struct {
 	Columns  []string
@@ -93,11 +90,6 @@ func (s *Session) ExecContext(ctx context.Context, sql string) (*Result, error) 
 		return nil, err
 	}
 	return s.RunContext(ctx, stmt)
-}
-
-// Run executes a parsed statement.
-func (s *Session) Run(stmt Statement) (*Result, error) {
-	return s.RunContext(context.Background(), stmt)
 }
 
 // RunContext executes a parsed statement bounded by (and traced through)

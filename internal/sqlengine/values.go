@@ -203,35 +203,6 @@ func encodeKey(v Value) ([]byte, error) {
 	}
 }
 
-// decodeKey reverses encodeKey.
-func decodeKey(buf []byte) (Value, error) {
-	if len(buf) < 1 {
-		return Value{}, ErrRowCodec
-	}
-	switch buf[0] {
-	case 1:
-		if len(buf) != 9 {
-			return Value{}, ErrRowCodec
-		}
-		return IntValue(int64(binary.BigEndian.Uint64(buf[1:]) ^ (1 << 63))), nil
-	case 2:
-		if len(buf) != 9 {
-			return Value{}, ErrRowCodec
-		}
-		bits := binary.BigEndian.Uint64(buf[1:])
-		if bits&(1<<63) != 0 {
-			bits ^= 1 << 63
-		} else {
-			bits = ^bits
-		}
-		return FloatValue(math.Float64frombits(bits)), nil
-	case 3:
-		return TextValue(string(buf[1:])), nil
-	default:
-		return Value{}, ErrRowCodec
-	}
-}
-
 // --- schema encoding (stored in the __schema system table) ---
 
 type schema struct {

@@ -114,7 +114,6 @@ type Store struct {
 	curSlots  uint32
 	curSize   int
 	watermark uint64
-	pages     int // version pages allocated by this incarnation
 }
 
 // New creates a store handle. cur is the current append page recorded in
@@ -139,20 +138,6 @@ func New(pager btree.Pager, log wal.Logger, cur page.ID) (*Store, error) {
 		s.curSize = size
 	}
 	return s, nil
-}
-
-// CurrentPage reports the current append page (for catalog persistence).
-func (s *Store) CurrentPage() page.ID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cur
-}
-
-// PagesAllocated reports how many version pages this incarnation allocated.
-func (s *Store) PagesAllocated() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pages
 }
 
 // Append durably adds a version entry (primary only; caller holds the
@@ -209,7 +194,6 @@ func (s *Store) newPageLocked(txn uint64) error {
 	s.cur = pg.ID
 	s.curSlots = 0
 	s.curSize = len(payload)
-	s.pages++
 	return nil
 }
 

@@ -190,8 +190,8 @@ func TestPageRollover(t *testing.T) {
 		}
 		ptrs = append(ptrs, ptr)
 	}
-	if s.PagesAllocated() < 4 {
-		t.Fatalf("pages = %d, want rollover", s.PagesAllocated())
+	if first, last := ptrs[0].Page, ptrs[len(ptrs)-1].Page; last-first < 3 {
+		t.Fatalf("versions went to pages %d..%d, want rollover", first, last)
 	}
 	for i, ptr := range ptrs {
 		v, err := s.Get(ptr)
@@ -207,7 +207,7 @@ func TestRecoverAppendStateFromPage(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		_, _ = s.Append(1, &Version{CommitTS: uint64(i), Payload: []byte("x")})
 	}
-	cur := s.CurrentPage()
+	cur := s.cur
 	// New incarnation (e.g. failover) resumes from the catalog pointer.
 	s2, err := New(pager, log, cur)
 	if err != nil {
@@ -252,7 +252,7 @@ func TestReplicationThroughLog(t *testing.T) {
 
 	// Replica applies the log into its own page file.
 	replicaPages := newTestPager()
-	for _, rec := range log.Records() {
+	for _, rec := range log.Since(0) {
 		if !rec.IsPageOp() {
 			continue
 		}
@@ -268,7 +268,7 @@ func TestReplicationThroughLog(t *testing.T) {
 		}
 		_ = replicaPages.Write(pg)
 	}
-	rs, err := New(replicaPages, wal.NewMemLog(), s.CurrentPage())
+	rs, err := New(replicaPages, wal.NewMemLog(), s.cur)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,13 +42,6 @@ func (l *MemLog) NextLSN() page.LSN {
 	return l.next
 }
 
-// Records returns a snapshot of all records in LSN order.
-func (l *MemLog) Records() []*Record {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]*Record(nil), l.recs...)
-}
-
 // Since returns records with LSN >= from, in order.
 func (l *MemLog) Since(from page.LSN) []*Record {
 	l.mu.Lock()

@@ -343,9 +343,6 @@ func (bld *Builder) Append(r *Record) page.LSN {
 	return r.LSN
 }
 
-// NextLSN reports the LSN the next appended record will receive.
-func (bld *Builder) NextLSN() page.LSN { return bld.next }
-
 // Flush cuts a block containing all pending records and resets the builder
 // for the following block. Flushing with no pending records returns nil.
 func (bld *Builder) Flush() *Block {

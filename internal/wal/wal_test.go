@@ -95,9 +95,6 @@ func TestBuilderAssignsConsecutiveLSNs(t *testing.T) {
 			t.Fatalf("record %d got LSN %d", i, lsn)
 		}
 	}
-	if bld.NextLSN() != 55 {
-		t.Fatalf("next = %d", bld.NextLSN())
-	}
 	b := bld.Flush()
 	if b.Start != 50 || b.End != 55 || len(b.Records) != 5 {
 		t.Fatalf("block [%d,%d) with %d records", b.Start, b.End, len(b.Records))

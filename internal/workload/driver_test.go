@@ -58,7 +58,7 @@ func TestDriveCounts(t *testing.T) {
 	if m.Elapsed < 50*time.Millisecond {
 		t.Fatalf("elapsed = %v", m.Elapsed)
 	}
-	if m.WriteLatency.Count() == 0 {
+	if m.WriteLatency.Summarize().Count == 0 {
 		t.Fatal("write latencies not recorded")
 	}
 	if calls.Load() == 0 {

@@ -9,9 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"socrates/internal/obs"
 	"socrates/internal/page"
 	"socrates/internal/rbio"
-	"socrates/internal/socerr"
 )
 
 // liveness bounds how long a test waits for something that must happen.
@@ -136,8 +136,8 @@ func TestLongPollFilteredPullMovesPastOtherPartitions(t *testing.T) {
 // TestWaitDestagedMeetsItsDeadline is the lost wake-up the old deadline
 // waker allowed: it broadcast without the lock, so one landing between the
 // deadline check and Wait left the caller asleep until the next destage —
-// which an LT outage never brings. With LT down, every wait, 0–50 µs long,
-// must come back with ErrTimeout.
+// which an LT outage never brings. With LT down, every wait on the
+// destaged rung, 0–50 µs long, must come back with obs.ErrDeadline.
 func TestWaitDestagedMeetsItsDeadline(t *testing.T) {
 	r := newRig(t, 1<<20)
 	r.st.SetOutage(true)
@@ -147,15 +147,15 @@ func TestWaitDestagedMeetsItsDeadline(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		timeout := time.Duration(rng.Int63n(int64(50*time.Microsecond) + 1))
 		out := make(chan error, 1)
-		go func() { out <- r.svc.WaitDestaged(blocks[0].End, timeout) }()
+		go func() { out <- waitDestaged(r.svc, blocks[0].End, timeout) }()
 		guard := time.NewTimer(liveness)
 		select {
 		case err := <-out:
-			if !errors.Is(err, socerr.ErrTimeout) {
-				t.Fatalf("wait %d: WaitDestaged = %v, want ErrTimeout", i, err)
+			if !errors.Is(err, obs.ErrDeadline) {
+				t.Fatalf("wait %d: the destaged rung's wait = %v, want obs.ErrDeadline", i, err)
 			}
 		case <-guard.C:
-			t.Fatalf("wait %d: WaitDestaged(%v) still waiting after %v", i, timeout, liveness)
+			t.Fatalf("wait %d: the destaged rung's wait (%v) still waiting after %v", i, timeout, liveness)
 		}
 		guard.Stop()
 	}

@@ -359,10 +359,3 @@ func (lz *LandingZone) Stalls() int {
 	defer lz.mu.Unlock()
 	return lz.stalls
 }
-
-// Retained reports the number of blocks currently held in the ring.
-func (lz *LandingZone) Retained() int {
-	lz.mu.Lock()
-	defer lz.mu.Unlock()
-	return len(lz.order)
-}

@@ -14,7 +14,6 @@ import (
 	"socrates/internal/page"
 	"socrates/internal/rbio"
 	"socrates/internal/simdisk"
-	"socrates/internal/socerr"
 	"socrates/internal/wal"
 	"socrates/internal/xstore"
 )
@@ -52,8 +51,8 @@ type Service struct {
 	budget      int // sequence-map memory budget in bytes
 	// The promoted and destaged rungs of the ladder are the service's
 	// watermarks: the end LSN of the last promoted block (moved only by
-	// promoteTo, under mu) and of the last destaged one. Pulls and
-	// WaitDestaged wait on them; Close drops both.
+	// promoteTo, under mu) and of the last destaged one. Pulls wait on
+	// them; Close drops both.
 	promoted, destaged *obs.Watermark
 	maxCommitTS        uint64 // highest commit timestamp in promoted log
 
@@ -216,13 +215,6 @@ func (s *Service) FeedEncodedFrom(ctx context.Context, epoch uint64, b *wal.Bloc
 	}
 	s.pending[b.Start] = entry{b: b, enc: enc}
 	s.mu.Unlock()
-}
-
-// Epoch reports the currently accepted producer epoch.
-func (s *Service) Epoch() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.producerEpoch
 }
 
 // BeginEpoch installs a new log producer: the dead producer's speculative
@@ -523,18 +515,6 @@ func (s *Service) MaxCommitTS() uint64 {
 
 // DestagedEnd reports the destaging watermark.
 func (s *Service) DestagedEnd() page.LSN { return page.LSN(s.destaged.Value()) }
-
-// WaitDestaged blocks until destaging reaches lsn or the timeout elapses.
-func (s *Service) WaitDestaged(lsn page.LSN, timeout time.Duration) error {
-	// xlog.feed: the caller is blocked behind the destaging pipeline (log
-	// produced but not yet drained to SSD/LT). Aggregate-only —
-	// WaitDestaged has no request context.
-	err := s.waits.AwaitLSN(nil, obs.WaitXLOGFeed, s.destaged, uint64(lsn), time.Now().Add(timeout))
-	if errors.Is(err, obs.ErrDeadline) {
-		return socerr.Timeoutf("xlog: destaging did not reach %d (at %d)", lsn, s.DestagedEnd())
-	}
-	return err
-}
 
 // Handler exposes the service over RBIO. The transport hands it a context
 // carrying the span identity decoded from the frame header, so XLOG-tier

@@ -211,10 +211,3 @@ func (c *blockCache) get(start page.LSN) ([]byte, bool) {
 	}
 	return buf, true
 }
-
-// stats reports cached entries and bytes.
-func (c *blockCache) stats() (entries int, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.index), c.used
-}

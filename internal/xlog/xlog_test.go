@@ -72,12 +72,12 @@ func TestLZReleaseFreesSpace(t *testing.T) {
 	for _, b := range blocks {
 		_ = lz.Write(b)
 	}
-	if lz.Retained() != 10 {
-		t.Fatalf("retained = %d", lz.Retained())
+	if retained(lz) != 10 {
+		t.Fatalf("retained = %d", retained(lz))
 	}
 	lz.ReleaseUpTo(blocks[4].End)
-	if lz.Retained() != 5 {
-		t.Fatalf("retained after release = %d", lz.Retained())
+	if retained(lz) != 5 {
+		t.Fatalf("retained after release = %d", retained(lz))
 	}
 	if _, _, found, _ := lz.Read(blocks[2].Start); found {
 		t.Fatal("released block still readable")
@@ -213,7 +213,7 @@ func (r *testRig) publish(t *testing.T, blocks []*wal.Block, feed bool) {
 			t.Fatal(err)
 		}
 		if feed {
-			r.svc.FeedEncodedFrom(context.Background(), r.svc.Epoch(), b, nil)
+			r.svc.FeedEncodedFrom(context.Background(), epochOf(r.svc), b, nil)
 		}
 	}
 	r.svc.ReportHardened(context.Background(), r.lz.HardenedEnd())
@@ -257,7 +257,7 @@ func TestSpeculativeBlocksInvisibleUntilHardened(t *testing.T) {
 	blocks := mkBlocks(3, func(i int) page.ID { return 1 }, page.Partitioning{})
 	// Feed only: nothing hardened yet.
 	for _, b := range blocks {
-		r.svc.FeedEncodedFrom(context.Background(), r.svc.Epoch(), b, nil)
+		r.svc.FeedEncodedFrom(context.Background(), epochOf(r.svc), b, nil)
 	}
 	payload, next, err := r.svc.Pull(context.Background(), 1, -1, 0)
 	if err != nil || len(payload) != 0 || next != 1 {
@@ -280,7 +280,7 @@ func TestGapFillFromLZ(t *testing.T) {
 	for i, b := range blocks {
 		_ = r.lz.Write(b)
 		if i%2 == 0 { // half the feed messages are lost
-			r.svc.FeedEncodedFrom(context.Background(), r.svc.Epoch(), b, nil)
+			r.svc.FeedEncodedFrom(context.Background(), epochOf(r.svc), b, nil)
 		}
 	}
 	r.svc.ReportHardened(context.Background(), r.lz.HardenedEnd())
@@ -312,8 +312,8 @@ func TestPromotedRungPublishedWithTheBlocks(t *testing.T) {
 	}
 	t.Cleanup(svc.Close)
 	blocks := mkBlocks(4, func(int) page.ID { return 1 }, page.Partitioning{})
-	svc.FeedEncodedFrom(context.Background(), svc.Epoch(), blocks[0], nil)
-	svc.FeedEncodedFrom(context.Background(), svc.Epoch(), blocks[1], nil)
+	svc.FeedEncodedFrom(context.Background(), epochOf(svc), blocks[0], nil)
+	svc.FeedEncodedFrom(context.Background(), epochOf(svc), blocks[1], nil)
 	// The harden report runs ahead of what XLOG can see: block 2 was neither
 	// fed nor, as far as a read of the landing zone can tell, written.
 	svc.promoteTo(blocks[3].End)
@@ -348,7 +348,7 @@ func TestPromoteFillsPastABlockReleasedDuringItsRead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r.svc.FeedEncodedFrom(context.Background(), r.svc.Epoch(), blocks[0], nil) // blocks 1 and 2: feed lost
+	r.svc.FeedEncodedFrom(context.Background(), epochOf(r.svc), blocks[0], nil) // blocks 1 and 2: feed lost
 
 	r.lz.mu.Lock()
 	reported := make(chan struct{})
@@ -364,7 +364,7 @@ func TestPromoteFillsPastABlockReleasedDuringItsRead(t *testing.T) {
 	// Meanwhile block 1 arrives late on the feed and a second report
 	// promotes it; the destager archives blocks 0-1 and releases them from
 	// the LZ (what ReleaseUpTo does, under the lock the test holds).
-	r.svc.FeedEncodedFrom(context.Background(), r.svc.Epoch(), blocks[1], nil)
+	r.svc.FeedEncodedFrom(context.Background(), epochOf(r.svc), blocks[1], nil)
 	r.svc.promoteTo(blocks[1].End)
 	for _, b := range blocks[:2] {
 		delete(r.lz.index, b.Start)
@@ -386,7 +386,7 @@ func TestOutOfOrderFeed(t *testing.T) {
 	}
 	// Feed arrives reversed.
 	for i := len(blocks) - 1; i >= 0; i-- {
-		r.svc.FeedEncodedFrom(context.Background(), r.svc.Epoch(), blocks[i], nil)
+		r.svc.FeedEncodedFrom(context.Background(), epochOf(r.svc), blocks[i], nil)
 	}
 	r.svc.ReportHardened(context.Background(), r.lz.HardenedEnd())
 	payload, _, _ := r.svc.Pull(context.Background(), 1, -1, 0)
@@ -454,13 +454,13 @@ func TestDestagingReleasesLZAndServesFromLowerTiers(t *testing.T) {
 	r := newRig(t, 256)
 	blocks := mkBlocks(30, func(i int) page.ID { return 1 }, page.Partitioning{})
 	r.publish(t, blocks, true)
-	if err := r.svc.WaitDestaged(blocks[29].End, 2*time.Second); err != nil {
+	if err := waitDestaged(r.svc, blocks[29].End, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// Give the destager a beat to trim and release.
 	time.Sleep(20 * time.Millisecond)
-	if r.lz.Retained() != 0 {
-		t.Fatalf("LZ retains %d blocks after destaging", r.lz.Retained())
+	if retained(r.lz) != 0 {
+		t.Fatalf("LZ retains %d blocks after destaging", retained(r.lz))
 	}
 	// All blocks still served (from SSD cache or LT).
 	payload, next, err := r.svc.Pull(context.Background(), 1, -1, 1<<20)
@@ -485,7 +485,7 @@ func TestXStoreOutageDefersDestaging(t *testing.T) {
 	if r.svc.DestagedEnd() >= blocks[4].End {
 		t.Fatal("destaging advanced during XStore outage")
 	}
-	if r.lz.Retained() != 5 {
+	if retained(r.lz) != 5 {
 		t.Fatal("LZ released blocks that were never archived")
 	}
 	// Consumers are unaffected: the broker serves everything.
@@ -494,7 +494,7 @@ func TestXStoreOutageDefersDestaging(t *testing.T) {
 		t.Fatal("pull failed during outage")
 	}
 	r.st.SetOutage(false)
-	if err := r.svc.WaitDestaged(blocks[4].End, 2*time.Second); err != nil {
+	if err := waitDestaged(r.svc, blocks[4].End, 2*time.Second); err != nil {
 		t.Fatal("destaging did not resume after outage")
 	}
 }
@@ -511,10 +511,10 @@ func TestServiceRecovery(t *testing.T) {
 	blocks := mkBlocks(12, func(i int) page.ID { return 1 }, page.Partitioning{})
 	for _, b := range blocks {
 		_ = lz.Write(b)
-		svc.FeedEncodedFrom(context.Background(), svc.Epoch(), b, nil)
+		svc.FeedEncodedFrom(context.Background(), epochOf(svc), b, nil)
 	}
 	svc.ReportHardened(context.Background(), lz.HardenedEnd())
-	if err := svc.WaitDestaged(blocks[11].End, 2*time.Second); err != nil {
+	if err := waitDestaged(svc, blocks[11].End, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	svc.Close()
@@ -542,7 +542,7 @@ func TestStaleFeedDropped(t *testing.T) {
 	r := newRig(t, 1<<20)
 	blocks := mkBlocks(3, func(i int) page.ID { return 1 }, page.Partitioning{})
 	r.publish(t, blocks, true)
-	r.svc.FeedEncodedFrom(context.Background(), r.svc.Epoch(), blocks[0], nil) // duplicate of an already promoted block
+	r.svc.FeedEncodedFrom(context.Background(), epochOf(r.svc), blocks[0], nil) // duplicate of an already promoted block
 	_, stale, _ := r.svc.Stats()
 	if stale != 1 {
 		t.Fatalf("stale = %d", stale)
@@ -586,7 +586,9 @@ func TestBlockCacheEviction(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.put(page.LSN(i*10+1), make([]byte, 300))
 	}
-	entries, bytes := c.stats()
+	c.mu.Lock()
+	entries, bytes := len(c.index), c.used
+	c.mu.Unlock()
 	if bytes > 1000 {
 		t.Fatalf("cache over budget: %d bytes", bytes)
 	}
@@ -752,8 +754,8 @@ func TestPullServesTheBytesItRead(t *testing.T) {
 	}
 
 	svc.destageOnce()
-	if lz.Retained() != 0 || len(svc.broker) != 0 {
-		t.Fatalf("after destaging: LZ retains %d blocks, broker %d", lz.Retained(), len(svc.broker))
+	if retained(lz) != 0 || len(svc.broker) != 0 {
+		t.Fatalf("after destaging: LZ retains %d blocks, broker %d", retained(lz), len(svc.broker))
 	}
 	for _, b := range blocks {
 		e, err := svc.lookup(b.Start)
@@ -765,4 +767,24 @@ func TestPullServesTheBytesItRead(t *testing.T) {
 	if err != nil || next != blocks[3].End || !bytes.Equal(got, want) {
 		t.Fatalf("pull answered from the LT: next=%d err=%v, bytes equal %v", next, err, bytes.Equal(got, want))
 	}
+}
+
+// epochOf is the producer epoch svc accepts feeds from.
+func epochOf(svc *Service) uint64 {
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
+	return svc.producerEpoch
+}
+
+// retained is the number of blocks lz's ring holds.
+func retained(lz *LandingZone) int {
+	lz.mu.Lock()
+	defer lz.mu.Unlock()
+	return len(lz.order)
+}
+
+// waitDestaged waits on svc's destaged rung until it reaches lsn, as every
+// wait on a rung does: obs.ErrDeadline once the timeout passes.
+func waitDestaged(svc *Service, lsn page.LSN, timeout time.Duration) error {
+	return svc.waits.AwaitLSN(nil, obs.WaitXLOGFeed, svc.destaged, uint64(lsn), time.Now().Add(timeout))
 }

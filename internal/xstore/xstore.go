@@ -67,14 +67,6 @@ type extent struct {
 type blobMeta struct {
 	extents []*extent
 	size    int64
-	modSeq  uint64 // logical time of last modification
-}
-
-// snapshot is a frozen view of the blob namespace at a logical time.
-type snapshot struct {
-	seq   uint64
-	taken time.Time
-	blobs map[string]*blobMeta
 }
 
 // Config tunes a Store.
@@ -104,9 +96,8 @@ type Store struct {
 	reclaimedBytes               *obs.Counter
 
 	mu        sync.Mutex
-	seq       uint64
 	blobs     map[string]*blobMeta
-	snapshots map[string]*snapshot
+	snapshots map[string]map[string]*blobMeta // name -> the frozen namespace
 	// Segment i covers log addresses [i*segSize, (i+1)*segSize).
 	segs              []segment
 	versions, archive stream
@@ -142,7 +133,7 @@ func New(cfg Config) *Store {
 		garbageBytes:   r.Gauge("xstore.garbage_bytes"),
 		reclaimedBytes: r.Counter("xstore.reclaimed.bytes"),
 		blobs:          make(map[string]*blobMeta),
-		snapshots:      make(map[string]*snapshot),
+		snapshots:      make(map[string]map[string]*blobMeta),
 	}
 	if cfg.IngestMBps > 0 {
 		s.ingest = simdisk.NewTokenBucket(cfg.IngestMBps * 1024 * 1024)
@@ -158,13 +149,6 @@ func (s *Store) SetOutage(on bool) { s.dev.SetOutage(on) }
 // release is called (simdisk.Device.HoldWrites): the write in flight, for
 // tests that pin down what a checkpoint does while one is.
 func (s *Store) HoldWrites() (release func()) { return s.dev.HoldWrites() }
-
-// Seq reports the store's logical clock (advances on every mutation).
-func (s *Store) Seq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
 
 // Stats reports cumulative device reads, writes, bytes read, bytes written.
 func (s *Store) Stats() (reads, writes, bytesRead, bytesWritten int64) {
@@ -250,7 +234,7 @@ func (s *Store) addLive(off, n int64) {
 // hold returns a second listing of b's extents — a snapshot's copy, a
 // restored blob, the pin of a read in flight. Caller holds s.mu.
 func (s *Store) hold(b *blobMeta) *blobMeta {
-	c := &blobMeta{size: b.size, modSeq: b.modSeq}
+	c := &blobMeta{size: b.size}
 	c.extents = append([]*extent(nil), b.extents...)
 	for _, e := range c.extents {
 		e.refs++
@@ -338,20 +322,14 @@ func (s *Store) PutBatch(buf []byte, blobs []BatchBlob) error {
 	lists := make([]*extent, len(blobs))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.seq++
 	for i, b := range blobs {
 		exts[i] = extent{off: off, length: int64(b.Len), refs: 1}
 		lists[i] = &exts[i]
-		metas[i] = blobMeta{extents: lists[i : i+1 : i+1], size: int64(b.Len), modSeq: s.seq}
+		metas[i] = blobMeta{extents: lists[i : i+1 : i+1], size: int64(b.Len)}
 		s.install(b.Name, &metas[i])
 		off += int64(b.Len)
 	}
 	return nil
-}
-
-// Put stores data as a complete new version of the named blob.
-func (s *Store) Put(name string, data []byte) error {
-	return s.PutBatch(data, []BatchBlob{{Name: name, Len: len(data)}})
 }
 
 // Append adds data to the end of the named blob, creating it if absent.
@@ -363,7 +341,6 @@ func (s *Store) Append(name string, data []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.seq++
 	b := s.blobs[name]
 	if b == nil {
 		b = &blobMeta{}
@@ -371,15 +348,14 @@ func (s *Store) Append(name string, data []byte) error {
 	}
 	b.extents = append(b.extents, &extent{off: off, length: int64(len(data)), refs: 1})
 	b.size += int64(len(data))
-	b.modSeq = s.seq
 	return nil
 }
 
-// pin looks a blob version up and holds its extents for the length of a
+// pin looks a live blob up and holds its extents for the length of a
 // read, so that an overwrite or the cleaner cannot give its segments back
 // under the device reads; unpin lets go.
-func (s *Store) pin(blobs map[string]*blobMeta, name string) (*blobMeta, bool) {
-	b, ok := blobs[name]
+func (s *Store) pin(name string) (*blobMeta, bool) {
+	b, ok := s.blobs[name]
 	if !ok {
 		return nil, false
 	}
@@ -395,7 +371,7 @@ func (s *Store) unpin(b *blobMeta) {
 // Get returns the full contents of the named blob.
 func (s *Store) Get(name string) ([]byte, error) {
 	s.mu.Lock()
-	meta, ok := s.pin(s.blobs, name)
+	meta, ok := s.pin(name)
 	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: blob %q", ErrNotFound, name)
@@ -407,7 +383,7 @@ func (s *Store) Get(name string) ([]byte, error) {
 // ReadAt reads length bytes from the blob starting at off.
 func (s *Store) ReadAt(name string, off, length int64) ([]byte, error) {
 	s.mu.Lock()
-	meta, ok := s.pin(s.blobs, name)
+	meta, ok := s.pin(name)
 	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: blob %q", ErrNotFound, name)
@@ -472,21 +448,6 @@ func (s *Store) Size(name string) (int64, error) {
 	return b.size, nil
 }
 
-// Delete removes the named blob. Snapshots referencing it are unaffected:
-// the extents they list stay in the log.
-func (s *Store) Delete(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.blobs[name]
-	if !ok {
-		return fmt.Errorf("%w: blob %q", ErrNotFound, name)
-	}
-	s.seq++
-	delete(s.blobs, name)
-	s.drop(b)
-	return nil
-}
-
 // Exists reports whether the named blob exists.
 func (s *Store) Exists(name string) bool {
 	s.mu.Lock()
@@ -515,39 +476,13 @@ func (s *Store) List(prefix string) []string {
 func (s *Store) Snapshot(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.seq++
-	snap := &snapshot{seq: s.seq, taken: time.Now(), blobs: make(map[string]*blobMeta, len(s.blobs))}
+	snap := make(map[string]*blobMeta, len(s.blobs))
 	for n, b := range s.blobs {
-		snap.blobs[n] = s.hold(b)
+		snap[n] = s.hold(b)
 	}
 	s.snapshots[name] = snap
 	s.reg.Counter("xstore.snapshot.count").Inc()
 	return nil
-}
-
-// SnapshotInfo reports a snapshot's logical sequence and wall-clock time.
-func (s *Store) SnapshotInfo(name string) (seq uint64, taken time.Time, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	snap, ok := s.snapshots[name]
-	if !ok {
-		return 0, time.Time{}, fmt.Errorf("%w: snapshot %q", ErrNotFound, name)
-	}
-	return snap.seq, snap.taken, nil
-}
-
-// Snapshots lists snapshot names sorted by logical time.
-func (s *Store) Snapshots() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.snapshots))
-	for n := range s.snapshots {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		return s.snapshots[names[i]].seq < s.snapshots[names[j]].seq
-	})
-	return names
 }
 
 // DeleteSnapshot removes a snapshot; segments only it was keeping go back
@@ -560,7 +495,7 @@ func (s *Store) DeleteSnapshot(name string) error {
 		return fmt.Errorf("%w: snapshot %q", ErrNotFound, name)
 	}
 	delete(s.snapshots, name)
-	for _, b := range snap.blobs {
+	for _, b := range snap {
 		s.drop(b)
 	}
 	return nil
@@ -577,48 +512,11 @@ func (s *Store) Restore(snapName, dstPrefix string) error {
 	if !ok {
 		return fmt.Errorf("%w: snapshot %q", ErrNotFound, snapName)
 	}
-	s.seq++
-	for n, b := range snap.blobs {
+	for n, b := range snap {
 		nb := s.hold(b)
-		nb.modSeq = s.seq
 		s.install(dstPrefix+n, nb)
 	}
 	return nil
-}
-
-// GetFromSnapshot reads a blob's contents as of the snapshot.
-func (s *Store) GetFromSnapshot(snapName, blobName string) ([]byte, error) {
-	s.mu.Lock()
-	snap, ok := s.snapshots[snapName]
-	if !ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: snapshot %q", ErrNotFound, snapName)
-	}
-	meta, ok := s.pin(snap.blobs, blobName)
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: blob %q in snapshot %q", ErrNotFound, blobName, snapName)
-	}
-	defer s.unpin(meta)
-	return s.readMeta(meta, 0, meta.size)
-}
-
-// ListFromSnapshot lists blob names in a snapshot with the prefix, sorted.
-func (s *Store) ListFromSnapshot(snapName, prefix string) ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	snap, ok := s.snapshots[snapName]
-	if !ok {
-		return nil, fmt.Errorf("%w: snapshot %q", ErrNotFound, snapName)
-	}
-	var names []string
-	for n := range snap.blobs {
-		if strings.HasPrefix(n, prefix) {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names, nil
 }
 
 // LiveBytes reports bytes reachable from live blobs (not snapshots).
@@ -632,22 +530,6 @@ func (s *Store) LiveBytes() int64 {
 	return total
 }
 
-// LogBytes reports how many bytes the log has taken, garbage and segments
-// since given back included.
-func (s *Store) LogBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.written
-}
-
-// FootprintBytes reports the log bytes the device still holds: LogBytes
-// less what was in the segments given back.
-func (s *Store) FootprintBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.written - s.reclaimed
-}
-
 // eachVersion visits every blob version the store keeps: the live blobs and
 // each snapshot's. Caller holds s.mu.
 func (s *Store) eachVersion(visit func(*blobMeta)) {
@@ -655,7 +537,7 @@ func (s *Store) eachVersion(visit func(*blobMeta)) {
 		visit(b)
 	}
 	for _, snap := range s.snapshots {
-		for _, b := range snap.blobs {
+		for _, b := range snap {
 			visit(b)
 		}
 	}

@@ -76,7 +76,7 @@ func TestObservabilityAccessors(t *testing.T) {
 	}
 	// The landing zone publishes its rung before the log writer's hardened
 	// end moves, so the rung read after is at least the end read before.
-	hardened := db.Cluster().Primary().HardenedEnd().Uint64()
+	hardened := db.Cluster().Primary().Writer().HardenedEnd().Uint64()
 	var rung *WatermarkState
 	wms := db.Watermarks()
 	for i := range wms {

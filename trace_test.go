@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"socrates/internal/obs"
+	"socrates/internal/testutil/spans"
 )
 
 // waitForTrace polls the tracer until some retained trace satisfies ok, or
@@ -109,7 +112,9 @@ func TestGetPageSpanAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// XStore's writes are the XLOG destager's LT appends, made on its tick.
-	if err := db.cluster.XLOG.WaitDestaged(db.cluster.LZ.HardenedEnd(), 5*time.Second); err != nil {
+	destaged := db.cluster.Watermarks.Watermark(obs.WMDestaged, "")
+	deadline := time.Now().Add(5 * time.Second)
+	if err := db.cluster.Waits.Tier(obs.TierXLOG).AwaitLSN(ctx, obs.WaitXLOGFeed, destaged, db.cluster.LZ.HardenedEnd().Uint64(), deadline); err != nil {
 		t.Fatal(err)
 	}
 
@@ -201,10 +206,10 @@ func TestPerRequestWaitAttribution(t *testing.T) {
 	// The same wait must land on the commit subtree of the traced tree:
 	// "commit.harden 612µs" on the span that blocked, not a global bucket.
 	tree := waitForTrace(t, db, func(n *SpanNode) bool {
-		commit := n.FindSpan("engine.commit")
-		return commit != nil && commit.WaitTotals()["commit.harden"] > 0
+		commit := spans.Find(n, "engine.commit")
+		return commit != nil && spans.WaitTotals(commit)["commit.harden"] > 0
 	})
-	totals := tree.FindSpan("engine.commit").WaitTotals()
+	totals := spans.WaitTotals(spans.Find(tree, "engine.commit"))
 	t.Logf("engine.commit subtree waits: %v", totals)
 
 	// And the deployment-wide sketch saw the class too, attributed to the
