@@ -71,7 +71,7 @@ chaos-stress:
 # 5 times.
 repl-stress:
 	$(GO) test -count=200 -run 'TestApplyFollowsLogOrder|TestFailoverPromotesSecondary|TestSecondariesReplicate|TestStragglerCatchesUpOrLeaves' ./internal/hadr
-	$(GO) test -count=200 -run 'TestSecondaryServesSnapshotReads' ./internal/cluster
+	$(GO) test -count=200 -run 'TestSecondaryServesSnapshotReads|TestSecondaryScanRacesSplits' ./internal/cluster
 	$(GO) test -count=200 -run 'TestSecondaryWaitAppliedMeansVisible|TestSecondaryAppliedBeforeVisible|TestRemotePageFileConcurrentEvictTracking' ./internal/compute
 	$(GO) test -count=200 -run 'TestLongPoll|TestCondWait(ReadyWakesIt|CancelWakesIt|DeadlineWakesIt|FastPathRecordsNothing|NoneRecordsNothing)$$|TestAwaitLSN(PublishWakesIt|DropWakesIt)$$|TestFailedPullsBackOff|TestTripIsPublishedAfterItsDump' ./internal/xlog ./internal/obs ./internal/recovery
 	$(GO) test -count=5 -run 'TestCondWaitDeadlineStress|TestAwaitLSNPublishStress|TestWaitDestagedMeetsItsDeadline' ./internal/obs ./internal/xlog
@@ -79,7 +79,8 @@ repl-stress:
 # Hot-path allocation contracts (AllocsPerRun budgets; they skip themselves
 # under -race; rbpex: a memory hit 0 — segment moves included — and an
 # evicting Put <= 9; versionstore: a walk three versions down the chain 0;
-# engine: a point read with a visible head <= 2, a 200-row scan <= 16;
+# engine: a point read with a visible head <= 2, a 200-row scan 0, a
+# read-only Tx.Scan of 200 rows no more than one of 20;
 # wal: encoding a 64-record block exactly 1, decoding it <= 4; pageserver:
 # a served page redo built 2, one read off a device 1, redo of a pull's
 # first record for a cached page 2, of each later record for that page 0

@@ -322,7 +322,7 @@ func (t *Tree) Delete(txn uint64, key []byte) (bool, error) {
 // keeps the next ReadAhead in-range children hinted while it reads the
 // current one (readahead.go).
 func (t *Tree) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
-	_, err := t.scanRec(t.root, lo, hi, fn)
+	_, err := t.scanRec(t.root, nil, nil, lo, hi, fn)
 	return err
 }
 
@@ -332,11 +332,12 @@ func errScanFence(id page.ID) error {
 	return fmt.Errorf("%w: page %d fence violation in scan", ErrInconsistent, id)
 }
 
-// scanRec scans the subtree under id and reports whether the scan goes on
+// scanRec scans the subtree under id, to which its parent routes the keys
+// [from, to) (the root: all of them), and reports whether the scan goes on
 // after it: false once fn declined a row or a key at or beyond hi was seen.
 //
 //socrates:hotpath once per page of every range scan; TestTreeScanAllocs
-func (t *Tree) scanRec(id page.ID, lo, hi []byte, fn func(k, v []byte) bool) (bool, error) {
+func (t *Tree) scanRec(id page.ID, from, to, lo, hi []byte, fn func(k, v []byte) bool) (bool, error) {
 	pg, err := t.pager.Read(id)
 	if err != nil {
 		return false, err
@@ -345,13 +346,11 @@ func (t *Tree) scanRec(id page.ID, lo, hi []byte, fn func(k, v []byte) bool) (bo
 	if err != nil {
 		return false, err
 	}
-	// Fence validation: the node must be able to contain the start of the
-	// requested range (clipped to the node's own lo).
-	start := lo
-	if bytes.Compare(v.lo, start) > 0 {
-		start = v.lo
-	}
-	if len(start) > 0 && !v.covers(start) {
+	// Fence validation: the node must cover exactly what its parent routes
+	// to it. A node split after its parent was read covers less, and the
+	// scan would skip the keys it gave away; a node read from before a split
+	// its parent already shows covers more, and those keys would come twice.
+	if !bytes.Equal(v.lo, from) || !bytes.Equal(v.hi, to) {
 		return false, errScanFence(id)
 	}
 	if pg.Type == page.TypeInternal {

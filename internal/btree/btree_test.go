@@ -189,6 +189,51 @@ func TestScanEarlyStop(t *testing.T) {
 	}
 }
 
+// TestScanViewsAreCapped: the key and value a scan hands out end at their
+// own last byte, so an append to either copies and leaves the page — here
+// every page of the tree, encoded before and after — as it was.
+func TestScanViewsAreCapped(t *testing.T) {
+	tree, pager, _ := newTree(t)
+	for i := 0; i < 500; i++ {
+		_ = tree.Put(1, key(i), val(i))
+	}
+	encodeAll := func() map[page.ID][]byte {
+		images := map[page.ID][]byte{}
+		pager.Range(func(pg *page.Page) bool {
+			b, err := pg.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			images[pg.ID] = bytes.Clone(b)
+			return true
+		})
+		return images
+	}
+	before := encodeAll()
+	rows := 0
+	err := tree.Scan(nil, nil, func(k, v []byte) bool {
+		if cap(k) != len(k) || cap(v) != len(v) {
+			t.Fatalf("row %q: key cap %d len %d, value cap %d len %d", k, cap(k), len(k), cap(v), len(v))
+		}
+		_ = append(k, 0xff, 0xff, 0xff, 0xff)
+		_ = append(v, 0xff, 0xff, 0xff, 0xff)
+		rows++
+		return true
+	})
+	if err != nil || rows != 500 {
+		t.Fatalf("scan: %d rows, %v", rows, err)
+	}
+	after := encodeAll()
+	if len(after) != len(before) {
+		t.Fatalf("%d pages after the scan, %d before", len(after), len(before))
+	}
+	for id, img := range before {
+		if !bytes.Equal(after[id], img) {
+			t.Fatalf("page %d changed under appends to scan views", id)
+		}
+	}
+}
+
 func TestRootIDStableAcrossSplits(t *testing.T) {
 	tree, _, _ := newTree(t)
 	root := tree.Root()
@@ -404,6 +449,54 @@ func TestFenceViolationDetected(t *testing.T) {
 	_, _, err := tree.Get(probe)
 	if !errors.Is(err, ErrInconsistent) {
 		t.Fatalf("err = %v, want ErrInconsistent", err)
+	}
+}
+
+// TestScanFenceViolationDetected: a scan meets a leaf whose fences differ
+// from what its parent routes to it — split after the parent was read (it
+// covers less) or read from before a split the parent shows (it covers
+// more) — and fails with ErrInconsistent instead of skipping the keys the
+// leaf gave away or handing out twice the keys it still holds.
+func TestScanFenceViolationDetected(t *testing.T) {
+	for _, grow := range []bool{false, true} {
+		tree, pager, _ := newTree(t)
+		for i := 0; i < 2000; i++ {
+			_ = tree.Put(1, key(i), val(i))
+		}
+		var victim, next *page.Page
+		pager.MemFile.Range(func(pg *page.Page) bool {
+			if pg.Type != page.TypeLeaf {
+				return true
+			}
+			if n, _ := decodeNode(pg.Data); len(n.cells) > 2 && len(n.hi) > 0 {
+				victim = pg
+				return false
+			}
+			return true
+		})
+		n, _ := decodeNode(victim.Data)
+		if grow { // take in the first cells of the leaf to the right
+			pager.MemFile.Range(func(pg *page.Page) bool {
+				if m, _ := decodeNode(pg.Data); pg.Type == page.TypeLeaf && bytes.Equal(m.lo, n.hi) {
+					next = pg
+					return false
+				}
+				return true
+			})
+			m, _ := decodeNode(next.Data)
+			n.cells = append(n.cells, m.cells[:2]...)
+			n.hi = m.cells[2].key
+		} else { // give away the upper half of the leaf
+			n.hi = n.cells[len(n.cells)/2].key
+			n.cells = n.cells[:len(n.cells)/2]
+		}
+		data, _ := n.encode()
+		_ = pager.Write(&page.Page{ID: victim.ID, LSN: victim.LSN, Type: victim.Type, Data: data})
+
+		err := tree.Scan(nil, nil, func(_, _ []byte) bool { return true })
+		if !errors.Is(err, ErrInconsistent) {
+			t.Fatalf("grow %v: scan err = %v, want ErrInconsistent", grow, err)
+		}
 	}
 }
 

@@ -35,15 +35,17 @@ func (v *view) children(lo, hi []byte) (childIter, error) {
 	return ci, err
 }
 
-// next returns the next in-range child; ok is false once there is none.
+// next returns the next in-range child and the keys [from, to) the node
+// routes to it, which the child's fences must equal; ok is false once there
+// is none.
 //
 //socrates:hotpath once per child of every internal node a scan crosses, twice with read-ahead; TestTreeScanAllocs
-func (ci *childIter) next() (id page.ID, ok bool, err error) {
+func (ci *childIter) next() (id page.ID, from, to []byte, ok bool, err error) {
 	for ci.ok {
 		k, c := ci.k, ci.c
 		if ci.k, ci.c, ci.ok, err = ci.it.next(); err != nil {
 			ci.ok = false
-			return page.InvalidID, false, err
+			return page.InvalidID, nil, nil, false, err
 		}
 		// The child under k covers [k, upper): upper is the following
 		// cell's key, or the node's own hi fence for the last cell.
@@ -53,14 +55,17 @@ func (ci *childIter) next() (id page.ID, ok bool, err error) {
 		}
 		if ci.hi != nil && len(k) > 0 && bytes.Compare(k, ci.hi) >= 0 {
 			ci.ok, ci.pastHi = false, true
-			return page.InvalidID, false, nil
+			return page.InvalidID, nil, nil, false, nil
 		}
 		if ci.lo == nil || len(upper) == 0 || bytes.Compare(upper, ci.lo) > 0 {
+			if len(k) == 0 { // the first cell's child starts where the node does
+				k = ci.it.v.lo
+			}
 			id, err = decodeChild(c)
-			return id, err == nil, err
+			return id, k, upper, err == nil, err
 		}
 	}
-	return page.InvalidID, false, nil
+	return page.InvalidID, nil, nil, false, nil
 }
 
 // windowPool holds the buffers hints are handed over in. An argument to an
@@ -86,7 +91,7 @@ func (t *Tree) scanChildren(v *view, lo, hi []byte, fn func(k, v []byte) bool) (
 	// The hinting walk runs ahead of the reading one. Its errors end the
 	// hints and nothing else: the reading walk meets the same cell later.
 	ahead := cur
-	_, _, _ = ahead.next() // the scan reads its first child itself
+	_, _, _, _, _ = ahead.next() // the scan reads its first child itself
 	win := windowPool.Get().(*[ReadAhead]page.ID)
 	t.hintFrom(&ahead, win[:])
 	cont, err := t.descend(&cur, &ahead, win, fn)
@@ -100,14 +105,14 @@ func (t *Tree) scanChildren(v *view, lo, hi []byte, fn func(k, v []byte) bool) (
 //socrates:hotpath the loop of scanChildren; TestTreeScanAllocs
 func (t *Tree) descend(cur, ahead *childIter, win *[ReadAhead]page.ID, fn func(k, v []byte) bool) (bool, error) {
 	for {
-		id, ok, err := cur.next()
+		id, from, to, ok, err := cur.next()
 		if err != nil {
 			return false, err
 		}
 		if !ok {
 			return !cur.pastHi, nil
 		}
-		cont, err := t.scanRec(id, cur.lo, cur.hi, fn)
+		cont, err := t.scanRec(id, from, to, cur.lo, cur.hi, fn)
 		if err != nil || !cont {
 			return false, err
 		}
@@ -122,7 +127,7 @@ func (t *Tree) descend(cur, ahead *childIter, win *[ReadAhead]page.ID, fn func(k
 func (t *Tree) hintFrom(ahead *childIter, buf []page.ID) {
 	n := 0
 	for n < len(buf) {
-		id, ok, _ := ahead.next()
+		id, _, _, ok, _ := ahead.next()
 		if !ok {
 			break
 		}

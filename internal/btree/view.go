@@ -72,7 +72,8 @@ func (v *view) covers(key []byte) bool {
 }
 
 // cellAt decodes the cell starting at off and returns the offset just past
-// it.
+// it. Key and value are capacity-capped, so an append to either copies and
+// never writes into the payload.
 //
 //socrates:hotpath once per cell walked; TestTreeGetAllocs, TestTreeScanAllocs
 func (v *view) cellAt(off int) (key, value []byte, next int, err error) {
@@ -85,14 +86,14 @@ func (v *view) cellAt(off int) (key, value []byte, next int, err error) {
 	if len(d) < off+klen+4 {
 		return nil, nil, 0, corrupt("truncated cell key")
 	}
-	key = d[off : off+klen]
+	key = d[off : off+klen : off+klen]
 	off += klen
 	vlen := int(binary.LittleEndian.Uint32(d[off:]))
 	off += 4
 	if vlen > len(d)-off {
 		return nil, nil, 0, corrupt("truncated cell value")
 	}
-	return key, d[off : off+vlen], off + vlen, nil
+	return key, d[off : off+vlen : off+vlen], off + vlen, nil
 }
 
 // end checks that the walk that consumed every cell stopped exactly at the

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -190,6 +191,86 @@ func TestSecondaryLagsButStaysConsistent(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// TestSecondaryScanRacesSplits: a secondary scans a table in a loop while the
+// primary commits 50-row batches whose keys land across the whole table, so
+// the secondary's apply splits leaves under the scans. Every scan sees keys
+// in strictly increasing order and whole batches only.
+func TestSecondaryScanRacesSplits(t *testing.T) {
+	const batch, batches = 50, 40
+	cfg := fastConfig("scan-splits")
+	cfg.Secondaries = 1
+	c := newFastCluster(t, cfg)
+	e := c.Primary().Engine
+	if err := e.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	pad := make([]byte, 200)
+	insert := func(b int) error {
+		tx := e.Begin()
+		for j := 0; j < batch; j++ { // one row in each of 50 stretches of the key space
+			if err := tx.Put("t", []byte(fmt.Sprintf("k%03d-%04d", j, b)), pad); err != nil {
+				tx.Abort()
+				return err
+			}
+		}
+		return tx.Commit()
+	}
+	if err := insert(0); err != nil {
+		t.Fatal(err)
+	}
+	sec, _ := c.Secondary("sec-0")
+	if !sec.WaitApplied(c.Primary().Writer().HardenedEnd(), 5*time.Second) {
+		t.Fatal("secondary did not catch up")
+	}
+	scan := func() int {
+		t.Helper()
+		var prev []byte
+		rows := 0
+		err := sec.Engine.BeginRO().Scan("t", nil, nil, func(k, _ []byte) bool {
+			if prev != nil && bytes.Compare(prev, k) >= 0 {
+				t.Fatalf("scan handed out %q after %q", k, prev)
+			}
+			prev = append(prev[:0], k...)
+			rows++
+			return true
+		})
+		if err != nil {
+			t.Fatalf("scan: %v", err)
+		}
+		if rows%batch != 0 {
+			t.Fatalf("scan saw %d rows, not whole batches of %d", rows, batch)
+		}
+		return rows
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for b := 1; b < batches; b++ {
+			if err := insert(b); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		scan()
+	}
+	if t.Failed() {
+		return
+	}
+	if !sec.WaitApplied(c.Primary().Writer().HardenedEnd(), 5*time.Second) {
+		t.Fatal("secondary did not catch up")
+	}
+	if rows := scan(); rows != batch*batches {
+		t.Fatalf("final scan: %d rows, want %d", rows, batch*batches)
+	}
 }
 
 func TestFailoverPreservesCommittedData(t *testing.T) {

@@ -65,24 +65,49 @@ func TestReadVisibleAllocs(t *testing.T) {
 	}
 }
 
-// TestScanVisibleAllocs is the allocation contract of a range scan: rows
-// alias their pages while the scan runs and are copied once at the end, so a
-// 200-row scan pays for its row slice and one arena, not for every row.
+// TestScanVisibleAllocs is the allocation contract of a range scan: each
+// row goes to the callback as a view of its page while the walk stands on
+// it, so a 200-row scan allocates nothing.
 func TestScanVisibleAllocs(t *testing.T) {
 	testutil.SkipIfRace(t)
 	e := newReadEngine(t, 2000)
 	snap := e.BeginRO().snapshot
 	lo, hi := readKey(700), readKey(900)
 	avg := testing.AllocsPerRun(200, func() {
-		rows, err := e.scanVisible("t", lo, hi, snap)
-		if err != nil || len(rows) != 200 {
+		rows := 0
+		err := e.scanVisible("t", lo, hi, snap, func(_, _ []byte) bool { rows++; return true })
+		if err != nil || rows != 200 {
 			t.Fatal("scan lost rows")
 		}
 	})
-	const budget = 16
+	const budget = 0
 	t.Logf("scanVisible, 200 rows: %.1f allocs/op (budget %d)", avg, budget)
 	if avg > budget {
 		t.Fatalf("scanVisible, 200 rows: %.1f allocs/op, budget %d", avg, budget)
+	}
+}
+
+// TestTxScanAllocs: what a read-only Tx.Scan allocates does not grow with
+// the rows it hands out.
+func TestTxScanAllocs(t *testing.T) {
+	testutil.SkipIfRace(t)
+	e := newReadEngine(t, 2000)
+	tx := e.BeginRO()
+	defer tx.Abort()
+	measure := func(n int) float64 {
+		lo, hi := readKey(700), readKey(700+n)
+		return testing.AllocsPerRun(200, func() {
+			rows := 0
+			err := tx.Scan("t", lo, hi, func(_, _ []byte) bool { rows++; return true })
+			if err != nil || rows != n {
+				t.Fatalf("scan of %d rows: %d rows, %v", n, rows, err)
+			}
+		})
+	}
+	small, large := measure(20), measure(200)
+	t.Logf("Tx.Scan: %.1f allocs/op for 20 rows, %.1f for 200", small, large)
+	if large > small {
+		t.Fatalf("Tx.Scan: %.1f allocs/op for 200 rows, %.1f for 20", large, small)
 	}
 }
 
@@ -182,11 +207,12 @@ func TestScanOverlayMerge(t *testing.T) {
 	}
 }
 
-// TestScanRowsOwnedByCaller: the rows a scan and a Get hand out are the
-// caller's. Overwriting or appending to them changes nothing another read
-// sees, and rows kept across later commits — leaf splits, version-page
-// appends — keep their bytes.
-func TestScanRowsOwnedByCaller(t *testing.T) {
+// TestScanViewsStayPut: the rows a scan hands out are views of pages nobody
+// edits. Kept past the call, across later commits — leaf splits,
+// version-page appends — they keep their bytes, and an append to one
+// reaches neither the next row nor the page. A Get's value is the caller's
+// own: overwriting it changes nothing another read sees.
+func TestScanViewsStayPut(t *testing.T) {
 	const n = 400
 	e := newReadEngine(t, n)
 	old := e.BeginRO() // sees v1 everywhere
@@ -242,18 +268,16 @@ func TestScanRowsOwnedByCaller(t *testing.T) {
 	check("old snapshot", kept, v1)
 	check("new snapshot", keptNew, v2)
 
-	// Scribble over one read's rows: appends must not reach the next row,
-	// overwrites must not reach the pages.
+	// Appends to every row must not reach the next row or the page;
+	// overwrites of a Get's value must not reach the page.
 	scribbled := read(old)
 	for _, r := range scribbled {
 		_ = append(r.k, '!')
 		_ = append(r.v, '!')
 	}
 	check("after appends", scribbled, v1)
-	for _, r := range scribbled {
-		for i := range r.k {
-			r.k[i] = 0xff
-		}
+	check("old snapshot after appends", read(old), v1)
+	for _, r := range scribbled[n:] {
 		for i := range r.v {
 			r.v[i] = 0xff
 		}

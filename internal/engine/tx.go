@@ -183,37 +183,49 @@ func (tx *Tx) write(op writeOp) error {
 }
 
 // Scan streams rows of table with lo <= key < hi (nil hi = unbounded) at
-// the transaction's snapshot, overlaid with its own writes, in key order.
-// The rows are the caller's to keep and to modify.
+// the transaction's snapshot, overlaid with its own writes, in key order,
+// until fn returns false. The key and value passed to fn are read-only
+// views, valid during the call: a committed row aliases its page, an own
+// write the transaction's buffer. Copy what outlives the call.
 func (tx *Tx) Scan(table string, lo, hi []byte, fn func(key, value []byte) bool) error {
 	if tx.done {
 		return ErrTxDone
 	}
-	rows, err := tx.e.scanVisible(table, lo, hi, tx.snapshot)
-	if err != nil {
-		return err
+	stopped := false
+	emit := func(k, v []byte) bool {
+		tx.e.charge(cpuScanRow)
+		stopped = !fn(k, v)
+		return !stopped
 	}
-	// Both lists are in key order: merge them, the transaction's own write
-	// replacing (or, for a delete, removing) a committed row of its key.
+	// The committed rows and own come in key order: each own write goes out
+	// ahead of the committed rows above it, and replaces (or, for a delete,
+	// removes) the committed row of its key. A retry of the committed scan
+	// resumes after the last row it handed out, so own is a cursor that
+	// never steps back.
 	own := tx.writesInRange(table, lo, hi)
-	for len(rows) > 0 || len(own) > 0 {
-		var r kv
-		if len(own) == 0 || len(rows) > 0 && bytes.Compare(rows[0].key, own[0].key) < 0 {
-			r, rows = rows[0], rows[1:]
-		} else {
+	err := tx.e.scanVisible(table, lo, hi, tx.snapshot, func(k, v []byte) bool {
+		for len(own) > 0 {
+			c := bytes.Compare(own[0].key, k)
+			if c > 0 {
+				break
+			}
 			op := own[0]
 			own = own[1:]
-			if len(rows) > 0 && bytes.Equal(rows[0].key, op.key) {
-				rows = rows[1:]
+			if c == 0 {
+				return op.delete || emit(op.key, op.value)
 			}
-			if op.delete {
-				continue
+			if !op.delete && !emit(op.key, op.value) {
+				return false
 			}
-			r = kv{key: bytes.Clone(op.key), value: bytes.Clone(op.value)}
 		}
-		tx.e.charge(cpuScanRow)
-		if !fn(r.key, r.value) {
-			return nil
+		return emit(k, v)
+	})
+	if err != nil || stopped {
+		return err
+	}
+	for _, op := range own {
+		if !op.delete && !emit(op.key, op.value) {
+			break
 		}
 	}
 	return nil
@@ -236,31 +248,27 @@ func (tx *Tx) writesInRange(table string, lo, hi []byte) []writeOp {
 	return ops
 }
 
-type kv struct {
-	key   []byte
-	value []byte
-}
-
-// scanVisible collects committed rows visible at the snapshot. It buffers
-// the result so a mid-scan inconsistency (racing log apply) restarts the
-// scan without re-emitting rows to the caller. While the scan runs, the
-// buffered rows alias their pages, which nothing edits (DESIGN §16), so a
-// restart just drops them; at the end one arena of exactly their size takes
-// a copy of every key and value, each capacity-capped, and the caller owns
-// the rows.
+// scanVisible hands fn each committed row visible at the snapshot, in key
+// order, while the walk stands on its cell, until fn returns false. Key and
+// value alias their pages, which nothing edits (DESIGN §16). A mid-scan
+// inconsistency (racing log apply) retries strictly after the last key
+// handed out: the snapshot is fixed, so the rows past it are the ones a
+// restart would produce, and no row reaches fn twice.
 //
 //socrates:hotpath every range scan; TestScanVisibleAllocs
-func (e *Engine) scanVisible(table string, lo, hi []byte, snapshot uint64) ([]kv, error) {
+func (e *Engine) scanVisible(table string, lo, hi []byte, snapshot uint64, fn func(key, value []byte) bool) error {
 	tree, err := e.tableTree(table)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var rows []kv
-	size := 0
-	err = e.withReadRetry(func() error {
-		rows, size = rows[:0], 0
+	var last []byte
+	return e.withReadRetry(func() error {
+		from := lo
+		if last != nil {
+			from = append(last[:len(last):len(last)], 0) // the least key above last
+		}
 		var inner error
-		err := tree.Scan(lo, hi, func(k, raw []byte) bool {
+		err := tree.Scan(from, hi, func(k, raw []byte) bool {
 			head, err := versionstore.Decode(raw)
 			if err != nil {
 				inner = err
@@ -271,34 +279,17 @@ func (e *Engine) scanVisible(table string, lo, hi []byte, snapshot uint64) ([]kv
 				inner = err
 				return false
 			}
-			if ok {
-				rows = append(rows, kv{key: k, value: v.Payload})
-				size += len(k) + len(v.Payload)
+			if !ok {
+				return true
 			}
-			return true
+			last = k
+			return fn(k, v.Payload)
 		})
 		if inner != nil {
 			return inner
 		}
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	arena := make([]byte, 0, size)
-	for i := range rows {
-		rows[i].key, arena = carve(arena, rows[i].key)
-		rows[i].value, arena = carve(arena, rows[i].value)
-	}
-	return rows, nil
-}
-
-// carve copies b onto the end of arena, which has room for it, and returns
-// the copy capacity-capped together with the grown arena.
-func carve(arena, b []byte) (cp, rest []byte) {
-	n := len(arena)
-	arena = append(arena, b...)
-	return arena[n:len(arena):len(arena)], arena
 }
 
 // Commit applies the write set to pages, logs it as one group ending in the

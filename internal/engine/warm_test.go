@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -30,7 +32,8 @@ type simRemote struct {
 	barrier int
 	open    chan struct{}
 	// failing: how many more fetches of a page fail. imageOnce: what the
-	// next fetch of a page returns instead of the page.
+	// next Read that fetches a page returns instead of the page; a prefetch
+	// leaves it for that Read and caches nothing.
 	failing   map[page.ID]int
 	imageOnce map[page.ID]*page.Page
 }
@@ -79,7 +82,7 @@ func (s *simRemote) Prefetch(ids []page.ID) {
 		// the hint must find the fetch already under way.
 		done := s.startLocked(id)
 		s.mu.Unlock()
-		go func(id page.ID) { _, _ = s.finish(id, done) }(id)
+		go func(id page.ID) { _, _ = s.finish(id, done, false) }(id)
 	}
 }
 
@@ -92,7 +95,7 @@ func (s *simRemote) fetch(id page.ID) (*page.Page, error) {
 	}
 	done := s.startLocked(id)
 	s.mu.Unlock()
-	return s.finish(id, done)
+	return s.finish(id, done, true)
 }
 
 func (s *simRemote) startLocked(id page.ID) chan struct{} {
@@ -112,7 +115,7 @@ func (s *simRemote) startLocked(id page.ID) chan struct{} {
 	return done
 }
 
-func (s *simRemote) finish(id page.ID, done chan struct{}) (*page.Page, error) {
+func (s *simRemote) finish(id page.ID, done chan struct{}, read bool) (*page.Page, error) {
 	s.mu.Lock()
 	open := s.open
 	s.mu.Unlock()
@@ -126,12 +129,14 @@ func (s *simRemote) finish(id page.ID, done chan struct{}) (*page.Page, error) {
 		err = errPageServer
 	}
 	image := s.imageOnce[id]
-	delete(s.imageOnce, id)
+	if read {
+		delete(s.imageOnce, id)
+	}
 	s.cached[id] = err == nil && image == nil
 	delete(s.inflight, id)
 	s.mu.Unlock()
 	close(done)
-	if err != nil || image != nil {
+	if err != nil || read && image != nil {
 		return image, err
 	}
 	return s.MemFile.Read(id)
@@ -388,5 +393,92 @@ func TestCommitWarmAllocs(t *testing.T) {
 	t.Logf("one-row commit: %.1f allocs/op plain, %.1f over a hinting page file", plain, hinting)
 	if hinting > plain {
 		t.Fatalf("one-row commit: %.1f allocs/op over a hinting page file, %.1f over a plain one", hinting, plain)
+	}
+}
+
+// TestScanResumesAfterLastRow: a scan whose walk meets an inconsistent page —
+// its third leaf is served once as a page whose range lies below the scan's
+// — retries, and still hands fn each row exactly once, in key order, with
+// the transaction's own inserts, updates and deletes merged in; also when fn
+// stops the scan early, before or after the retry.
+func TestScanResumesAfterLastRow(t *testing.T) {
+	e, sim, keys, leaves := newWarmEngine(t)
+	pad := string(make([]byte, 300))
+	model := map[string]string{}
+	for i := 0; i < 600; i++ {
+		model[string(warmKey(i))] = "v1" + pad
+	}
+	tx := e.Begin()
+	defer tx.Abort()
+	put := func(k []byte, v string) {
+		if err := tx.Put("t", k, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		model[string(k)] = v
+	}
+	del := func(k []byte) {
+		if err := tx.Delete("t", k); err != nil {
+			t.Fatal(err)
+		}
+		delete(model, string(k))
+	}
+	put(append(bytes.Clone(keys[1]), "-own"...), "inserted before the retry")
+	put(keys[2], "updated before the retry")
+	del(append(bytes.Clone(keys[2]), "-never"...)) // a delete of a row that never was
+	del(keys[3])
+	put(append(bytes.Clone(keys[4]), "-own"...), "inserted after the retry")
+	put(keys[5], "updated after the retry")
+	del(keys[6])
+	put(warmKey(99999), "inserted past the last row")
+
+	// The scan starts on the second leaf; the stray is the first leaf's
+	// contents, so its fences do not cover where the scan stands.
+	var inRange []string
+	for k := range model {
+		if k >= string(keys[1]) {
+			inRange = append(inRange, k)
+		}
+	}
+	sort.Strings(inRange)
+	want := make([]string, len(inRange))
+	for i, k := range inRange {
+		want[i] = k + "=" + model[k]
+	}
+	first, err := sim.MemFile.Read(leaves[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	third := 0 // rows before the third leaf
+	for third < len(want) && want[third] < string(keys[3]) {
+		third++
+	}
+	for _, stop := range []int{0, third - 1, third + 3, len(want) - 1} {
+		sim.evict(leaves[3])
+		sim.mu.Lock()
+		sim.imageOnce[leaves[3]] = &page.Page{ID: leaves[3], LSN: first.LSN, Type: first.Type, Data: first.Data}
+		sim.mu.Unlock()
+		var got []string
+		err := tx.Scan("t", keys[1], nil, func(k, v []byte) bool {
+			got = append(got, string(k)+"="+string(v))
+			return len(got) != stop
+		})
+		if err != nil {
+			t.Fatalf("stop %d: %v", stop, err)
+		}
+		n := len(want)
+		if stop > 0 {
+			n = stop
+		}
+		for i := 0; i < len(got) || i < n; i++ {
+			if i >= len(got) || i >= n || got[i] != want[i] {
+				t.Fatalf("stop %d: %d rows, want %d; they part at row %d", stop, len(got), n, i)
+			}
+		}
+		sim.mu.Lock()
+		served := sim.imageOnce[leaves[3]] == nil
+		sim.mu.Unlock()
+		if reached := stop == 0 || stop > third; reached && !served {
+			t.Fatalf("stop %d: the scan never read the stray", stop)
+		}
 	}
 }

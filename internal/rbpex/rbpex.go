@@ -123,19 +123,6 @@ type demotion struct {
 	victim    page.ID
 }
 
-// wbCounter is one count of the write-behind queue or the ahead area since
-// Open (under Cache.mu), mirrored onto a registry counter when the cache is
-// instrumented (Instrument names each).
-type wbCounter struct {
-	n   int64
-	reg *obs.Counter
-}
-
-func (w *wbCounter) inc() {
-	w.n++
-	w.reg.Inc()
-}
-
 // slotWriter is the working space of one run of the batch routine
 // (carry): the batch, the images of its pages built in memory, the image
 // each page is written as, and its metadata changes.
@@ -200,14 +187,16 @@ type Cache struct {
 	// published yet: they fill the tier like entries do.
 	claimed int
 
-	queued, written, superseded, dropped, batches, blockedPuts wbCounter
-	// What became of the pages PutHinted put in the ahead area (parked): read
-	// there — moved into the memory tier by their first Get — or displaced,
-	// pushed out unread by newer read-ahead. The rest are still parked, or a
-	// put of the page superseded them.
-	parked, aheadRead, displaced wbCounter
-	firstRead                    *obs.Counter // see Instrument
-	flight                       *obs.FlightRecorder
+	// The counts of the write-behind queue and the ahead area, nil until
+	// Instrument registers them. What became of the pages PutHinted put in
+	// the ahead area (parked): read there — moved into the memory tier by
+	// their first Get — or displaced, pushed out unread by newer read-ahead.
+	// The rest are still parked, or a put of the page superseded them.
+	queued, written, superseded, dropped, batches, blockedPuts *obs.Counter
+	parked, aheadRead, displaced                               *obs.Counter
+
+	firstRead *obs.Counter // see Instrument
+	flight    *obs.FlightRecorder
 
 	// evicted is "the highest LSN for every page evicted" (§4.4), recorded
 	// in the critical section that takes the page out of a tier, so a miss
@@ -331,7 +320,7 @@ func (c *Cache) Get(id page.ID) (*page.Page, bool) {
 		return pg, true
 	}
 	if pg := c.unparkLocked(id); pg != nil {
-		c.aheadRead.inc()
+		c.aheadRead.Inc()
 		c.firstRead.Inc()
 		//socrates:lock-ok evictLocked starts the drainer, it does not run it: round is taken on the drainer's own goroutine, and nothing takes round while holding mu
 		c.admitLocked(id, pg, false)
@@ -416,11 +405,11 @@ func (c *Cache) parkLocked(pg *page.Page) {
 	if len(c.ahead) == aheadPages {
 		old := c.ahead[0]
 		c.ahead = slices.Delete(c.ahead, 0, 1)
-		c.displaced.inc()
+		c.displaced.Inc()
 		c.evictedLocked(old.ID, old.LSN)
 	}
 	c.ahead = append(c.ahead, pg)
-	c.parked.inc()
+	c.parked.Inc()
 }
 
 // Parked returns the page if it is waiting in the ahead area, and leaves it
@@ -618,7 +607,7 @@ func (c *Cache) evictLocked() bool {
 	// The queue's backing array has room for the whole backlog from Open on.
 	c.queue = append(c.queue, d)
 	c.backlog++
-	c.queued.inc()
+	c.queued.Inc()
 	if !c.draining {
 		c.draining = true
 		// The drainer ends itself when it finds the queue empty; a cache
@@ -656,7 +645,7 @@ func (c *Cache) redemotedLocked(e *ssdEntry, hot bool) {
 // awaitDrainerLocked blocks a put that must evict while the backlog is full
 // until the drainer has made room. Caller holds c.mu.
 func (c *Cache) awaitDrainerLocked() {
-	c.blockedPuts.inc()
+	c.blockedPuts.Inc()
 	region := c.cfg.Waits.Begin(nil, obs.WaitBackpressure)
 	for c.backlog >= backlogPages {
 		c.wake.Wait()
@@ -726,7 +715,7 @@ func (c *Cache) carry(w *slotWriter, fromQueue bool) error {
 		rest := copy(c.queue, c.queue[n:])
 		clear(c.queue[rest:]) // the queue must not keep written pages alive
 		c.queue = c.queue[:rest]
-		c.batches.inc()
+		c.batches.Inc()
 	}
 	w.batch = w.batch[:n]
 	c.mu.Unlock()
@@ -911,20 +900,20 @@ func (c *Cache) publishLocked(batch []demotion) {
 			}
 			c.ssd[d.id] = e
 		}
-		c.releaseLocked(d, &c.written)
+		c.releaseLocked(d, c.written)
 	}
 }
 
 // releaseLocked ends a queued demotion's stay in the backlog, counting it
 // under outcome unless it was skipped. Caller holds c.mu.
-func (c *Cache) releaseLocked(d *demotion, outcome *wbCounter) {
+func (c *Cache) releaseLocked(d *demotion, outcome *obs.Counter) {
 	if d.seq == 0 {
 		return // synchronous: never queued
 	}
 	if d.skip {
-		outcome = &c.superseded
+		outcome = c.superseded
 	}
-	outcome.inc()
+	outcome.Inc()
 	if c.demoting[d.id].seq == d.seq {
 		delete(c.demoting, d.id)
 	}
@@ -980,7 +969,7 @@ func (c *Cache) abandonLocked(batch []demotion, rowsGone bool) {
 		if !d.skip && !c.cfg.Covering && !rowNamesSlot {
 			c.free = append(c.free, d.slot)
 		}
-		c.releaseLocked(d, &c.dropped)
+		c.releaseLocked(d, c.dropped)
 	}
 }
 
@@ -1072,7 +1061,7 @@ func (c *Cache) Len() int {
 	return n + len(c.ahead)
 }
 
-// Instrument mirrors the cache's counters, from now on, onto counters of
+// Instrument keeps the cache's counts, from now on, on counters of
 // o.Metrics: the write-behind queue's under prefix + ".writebehind"
 // (".queued", ".written", ".superseded", ".dropped", ".batches",
 // ".blocked_puts"), the ahead area's under prefix + ".ahead" (".parked",
@@ -1085,15 +1074,15 @@ func (c *Cache) Instrument(o obs.Plane, prefix string, firstRead *obs.Counter) {
 	defer c.mu.Unlock()
 	r := o.Metrics
 	c.flight = o.Flight
-	c.queued.reg = r.Counter(prefix + ".writebehind.queued")
-	c.written.reg = r.Counter(prefix + ".writebehind.written")
-	c.superseded.reg = r.Counter(prefix + ".writebehind.superseded")
-	c.dropped.reg = r.Counter(prefix + ".writebehind.dropped")
-	c.batches.reg = r.Counter(prefix + ".writebehind.batches")
-	c.blockedPuts.reg = r.Counter(prefix + ".writebehind.blocked_puts")
-	c.parked.reg = r.Counter(prefix + ".ahead.parked")
-	c.aheadRead.reg = r.Counter(prefix + ".ahead.read")
-	c.displaced.reg = r.Counter(prefix + ".ahead.displaced")
+	c.queued = r.Counter(prefix + ".writebehind.queued")
+	c.written = r.Counter(prefix + ".writebehind.written")
+	c.superseded = r.Counter(prefix + ".writebehind.superseded")
+	c.dropped = r.Counter(prefix + ".writebehind.dropped")
+	c.batches = r.Counter(prefix + ".writebehind.batches")
+	c.blockedPuts = r.Counter(prefix + ".writebehind.blocked_puts")
+	c.parked = r.Counter(prefix + ".ahead.parked")
+	c.aheadRead = r.Counter(prefix + ".ahead.read")
+	c.displaced = r.Counter(prefix + ".ahead.displaced")
 	c.firstRead = firstRead
 }
 

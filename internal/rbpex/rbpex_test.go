@@ -33,6 +33,7 @@ func sparseCache(t *testing.T, memPages, ssdPages int) (*Cache, Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Instrument(obs.Plane{Metrics: obs.NewRegistry()}, "rbpex", nil) // the counts the tests read
 	return c, cfg
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"socrates/internal/obs"
 	"socrates/internal/page"
 	"socrates/internal/simdisk"
 	"socrates/internal/testutil"
@@ -320,10 +321,13 @@ type cacheState struct {
 // device write; drainer rounds; and puts that found the backlog full.
 type wbStats struct{ Queued, Written, Superseded, Dropped, Batches, BlockedPuts int64 }
 
+// writeBehind reads the counts off the registry sparseCache instruments the
+// cache with.
 func writeBehind(c *Cache) wbStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return wbStats{c.queued.n, c.written.n, c.superseded.n, c.dropped.n, c.batches.n, c.blockedPuts.n}
+	n := func(ctr *obs.Counter) int64 { return int64(ctr.Value()) }
+	return wbStats{n(c.queued), n(c.written), n(c.superseded), n(c.dropped), n(c.batches), n(c.blockedPuts)}
 }
 
 // aheadCounts is what became of the pages PutHinted parked.
@@ -332,7 +336,12 @@ type aheadCounts struct{ Parked, Read, Displaced int64 }
 func (c *Cache) aheadCounts() aheadCounts {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return aheadCounts{Parked: c.parked.n, Read: c.aheadRead.n, Displaced: c.displaced.n}
+	return c.aheadCountsLocked()
+}
+
+func (c *Cache) aheadCountsLocked() aheadCounts {
+	return aheadCounts{Parked: int64(c.parked.Value()), Read: int64(c.aheadRead.Value()),
+		Displaced: int64(c.displaced.Value())}
 }
 
 func aheadOf(pages []*page.Page) []evictRec {
@@ -403,7 +412,7 @@ func stateOf(t *testing.T, c *Cache) cacheState {
 	}
 	s := cacheState{MemLSN: map[page.ID]page.LSN{}, MemHot: map[page.ID]bool{}, Ahead: aheadOf(c.ahead),
 		SSD: map[page.ID]refRow{}, Free: append([]int{}, c.free...), Next: c.nextSlot, Rows: map[page.ID]refRow{},
-		Parked:  aheadCounts{Parked: c.parked.n, Read: c.aheadRead.n, Displaced: c.displaced.n},
+		Parked:  c.aheadCountsLocked(),
 		Evicted: maps.Clone(c.evicted)}
 	s.MemProt, s.MemProb = segments(t, &c.memLRU)
 	s.SSDProt, s.SSDProb = segments(t, &c.ssdLRU)
