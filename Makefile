@@ -90,7 +90,10 @@ repl-stress:
 # a child span under a live span <= 2) and short fuzzes of the B-tree
 # node view against the decoded node it replaced, of in-place redo against
 # copy-on-write redo (identical payloads, LSNs and errors; a failed edit
-# leaves the page as it was), of the log block decoder
+# leaves the page as it was), of random multi-row commits against
+# copy-on-write redo of their log from an empty store (identical pages and
+# LSNs; no record changes after its append, so no page a logged image
+# aliases is edited in place), of the log block decoder
 # (never panics; a decode re-encodes to the bytes it consumed) and of the
 # page decoder (never panics; an accepted image re-encodes to its header
 # and payload). The contracts are the only allocation gate: every
@@ -100,6 +103,7 @@ allocs:
 	$(GO) test -count=1 -run 'Allocs$$' ./internal/wal ./internal/btree ./internal/versionstore ./internal/engine ./internal/pageserver ./internal/logwriter ./internal/compute ./internal/netmux ./internal/rbio ./internal/rbpex ./internal/obs
 	$(GO) test -run '^$$' -fuzz=FuzzNodeView -fuzztime=10s ./internal/btree
 	$(GO) test -run '^$$' -fuzz=FuzzRedoInPlace -fuzztime=10s ./internal/btree
+	$(GO) test -run '^$$' -fuzz=FuzzCommitMatchesRedo -fuzztime=10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeBlock -fuzztime=10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz=FuzzPageDecode -fuzztime=10s ./internal/page
 

@@ -49,9 +49,12 @@ const ReadAhead = 16
 // All mutating methods must be externally serialized (the engine's commit
 // path holds a single writer lock); reads may run concurrently with log
 // apply on replicas and report ErrInconsistent when they race a split.
+// Opened over a writer's PageSet, a tree's changes stay in the set until
+// its writer installs them, and it sees them itself.
 type Tree struct {
 	pager Pager
 	hint  Prefetcher // pager's read-ahead side; nil when it has none
+	set   *PageSet   // the pager, when it is a writer's page set; else nil
 	log   wal.Logger
 	root  page.ID
 }
@@ -73,25 +76,20 @@ func Create(pager Pager, log wal.Logger, txn uint64) (*Tree, error) {
 // Open attaches to an existing tree rooted at root.
 func Open(pager Pager, log wal.Logger, root page.ID) *Tree {
 	hint, _ := pager.(Prefetcher)
-	return &Tree{pager: pager, hint: hint, log: log, root: root}
+	set, _ := pager.(*PageSet)
+	return &Tree{pager: pager, hint: hint, set: set, log: log, root: root}
 }
 
 // Root reports the root page ID.
 func (t *Tree) Root() page.ID { return t.root }
 
-// install hands the pager the next version of a page. Pages are immutable
-// once read or written (DESIGN §16), so every change is a fresh Page around
-// the new payload, never an edit of the one the tree read.
-func (t *Tree) install(id page.ID, ty page.Type, lsn page.LSN, data []byte) error {
-	return t.pager.Write(&page.Page{ID: id, LSN: lsn, Type: ty, Data: data})
-}
-
-// writeImage logs a whole-page image and installs it.
+// writeImage logs a whole-page image and installs it. The record aliases
+// the payload, so a page set it goes to does not own it (PageSet.Write).
 func (t *Tree) writeImage(txn uint64, id page.ID, ty page.Type, data []byte) error {
 	lsn := t.log.Append(&wal.Record{
 		Txn: txn, Kind: wal.KindPageImage, Page: id, PageType: ty, Value: data,
 	})
-	return t.install(id, ty, lsn, data)
+	return t.pager.Write(&page.Page{ID: id, LSN: lsn, Type: ty, Data: data})
 }
 
 // writeNode encodes a decoded node and logs and installs it as a page image.
@@ -103,23 +101,24 @@ func (t *Tree) writeNode(txn uint64, id page.ID, ty page.Type, n *node) error {
 	return t.writeImage(txn, id, ty, data)
 }
 
-// writeCellPut logs a single cell upsert and installs data, the payload
-// that already reflects it.
-func (t *Tree) writeCellPut(txn uint64, pg *page.Page, data, key, value []byte) error {
-	lsn := t.log.Append(&wal.Record{
-		Txn: txn, Kind: wal.KindCellPut, Page: pg.ID, PageType: pg.Type,
-		Key: key, Value: value,
-	})
-	return t.install(pg.ID, pg.Type, lsn, data)
-}
-
-// writeCellDelete logs a cell removal and installs data, the payload that
-// already reflects it.
-func (t *Tree) writeCellDelete(txn uint64, pg *page.Page, data, key []byte) error {
-	lsn := t.log.Append(&wal.Record{
-		Txn: txn, Kind: wal.KindCellDelete, Page: pg.ID, PageType: pg.Type, Key: key,
-	})
-	return t.install(pg.ID, pg.Type, lsn, data)
+// writeCell logs rec, a cell edit of pg, and makes data — the payload that
+// already reflects it — the page's next version. Pages are immutable once
+// read or written (DESIGN §16), so that is a new page around data, a fresh
+// payload nobody shares, for the pager — or for the writer's page set, which
+// then owns it. The one exception is a version the set owns (own): data is
+// pg's own buffer, edited in place, and pg takes the LSN.
+func (t *Tree) writeCell(pg *page.Page, own bool, data []byte, rec *wal.Record) error {
+	lsn := t.log.Append(rec)
+	if own {
+		pg.Data, pg.LSN = data, lsn
+		return nil
+	}
+	next := &page.Page{ID: pg.ID, LSN: lsn, Type: pg.Type, Data: data}
+	if t.set != nil {
+		t.set.stage(next, true)
+		return nil
+	}
+	return t.pager.Write(next)
 }
 
 // errNotCovered is the fence violation of a point traversal. Outlined so
@@ -216,9 +215,13 @@ func (t *Tree) putRec(txn uint64, id page.ID, key, value []byte) (*splitResult, 
 		// Install the separator for the new right sibling.
 		key, value = split.key, encodeChild(split.right)
 	}
-	data, err := v.put(key, value, false)
+	own := t.set.owns(pg)
+	data, err := v.put(key, value, own)
 	if err == nil {
-		return nil, t.writeCellPut(txn, pg, data, key, value)
+		return nil, t.writeCell(pg, own, data, &wal.Record{
+			Txn: txn, Kind: wal.KindCellPut, Page: pg.ID, PageType: pg.Type,
+			Key: key, Value: value,
+		})
 	}
 	if !errors.Is(err, errOverflow) {
 		return nil, err
@@ -307,11 +310,14 @@ func (t *Tree) Delete(txn uint64, key []byte) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	data, found, err := v.remove(key, false)
+	own := t.set.owns(pg)
+	data, found, err := v.remove(key, own)
 	if err != nil || !found {
 		return false, err
 	}
-	return true, t.writeCellDelete(txn, pg, data, key)
+	return true, t.writeCell(pg, own, data, &wal.Record{
+		Txn: txn, Kind: wal.KindCellDelete, Page: pg.ID, PageType: pg.Type, Key: key,
+	})
 }
 
 // Scan streams entries with lo <= key < hi (nil hi = unbounded) in key

@@ -124,6 +124,13 @@ type Engine struct {
 	failed    bool   // a commit failed mid-apply; the node must restart
 	failCause error  // what poisoned the engine
 
+	// set is the commit's page set (under commitMu): every page version a
+	// commit, DDL or allocation builds goes here, and the set is installed
+	// into cfg.Pages, once per page, before the commit record is appended.
+	// Readers never see it. writers are the tables' trees over it.
+	set     *btree.PageSet
+	writers map[string]*btree.Tree
+
 	vs *versionstore.Store
 	// vsPage is the version store's append page as the catalog names it
 	// (under commitMu): an append that lands elsewhere has opened a new page,
@@ -161,15 +168,16 @@ func Create(cfg Config) (*Engine, error) {
 	e.next = uint64(MetaPage) + 1
 
 	// Format the catalog page.
-	payload := btree.EmptyNodePayload()
 	rec := &wal.Record{Kind: wal.KindPageImage, Page: MetaPage,
-		PageType: page.TypeMeta, Value: payload}
-	lsn := cfg.Log.Append(rec)
-	meta := &page.Page{ID: MetaPage, LSN: lsn, Type: page.TypeMeta, Data: payload}
-	if err := cfg.Pages.Write(meta); err != nil {
+		PageType: page.TypeMeta, Value: btree.EmptyNodePayload()}
+	cfg.Log.Append(rec)
+	if err := e.set.Apply(page.New(MetaPage, page.TypeMeta), rec); err != nil {
 		return nil, err
 	}
 	if err := e.metaPutLocked(metaNextKey, e.next); err != nil {
+		return nil, err
+	}
+	if err := e.set.Install(); err != nil {
 		return nil, err
 	}
 	vs, err := versionstore.New(e, cfg.Log, page.InvalidID)
@@ -222,12 +230,14 @@ func Open(cfg Config) (*Engine, error) {
 
 func newEngine(cfg Config) *Engine {
 	e := &Engine{
-		cfg:    cfg,
-		waits:  cfg.Obs.Waits.Tier(obs.TierCompute),
-		clock:  txn.NewClock(),
-		locks:  txn.NewLockTable(),
-		tables: make(map[string]*btree.Tree),
+		cfg:     cfg,
+		waits:   cfg.Obs.Waits.Tier(obs.TierCompute),
+		clock:   txn.NewClock(),
+		locks:   txn.NewLockTable(),
+		tables:  make(map[string]*btree.Tree),
+		writers: make(map[string]*btree.Tree),
 	}
+	e.set = btree.NewPageSet(e)
 	e.pager = e
 	if hint, ok := cfg.Pages.(btree.Prefetcher); ok {
 		e.pager = hintingPager{e, hint}
@@ -266,12 +276,13 @@ func (e *Engine) charge(d time.Duration) {
 // Read fetches a page through the FCB layer.
 func (e *Engine) Read(id page.ID) (*page.Page, error) { return e.cfg.Pages.Read(id) }
 
-// Write installs a page through the FCB layer.
+// Write installs a page through the FCB layer: the commit's page set
+// publishing what it staged.
 func (e *Engine) Write(pg *page.Page) error { return e.cfg.Pages.Write(pg) }
 
-// Allocate hands out a fresh page ID and durably advances the allocator
-// cursor in the catalog. Callers hold commitMu (all allocation happens on
-// commit/DDL paths).
+// Allocate hands out a fresh page ID and advances the allocator cursor in
+// the catalog, through the commit's page set, which asks for it. Callers
+// hold commitMu (all allocation happens on commit/DDL paths).
 func (e *Engine) Allocate(t page.Type) (*page.Page, error) {
 	if e.cfg.ReadOnly {
 		return nil, ErrReadOnly
@@ -284,10 +295,10 @@ func (e *Engine) Allocate(t page.Type) (*page.Page, error) {
 	return page.New(id, t), nil
 }
 
-// metaPutLocked upserts a catalog cell (caller holds commitMu or is
-// bootstrapping single-threaded).
+// metaPutLocked upserts a catalog cell in the commit's page set (caller
+// holds commitMu or is bootstrapping single-threaded).
 func (e *Engine) metaPutLocked(key string, val uint64) error {
-	meta, err := e.cfg.Pages.Read(MetaPage)
+	meta, err := e.set.Read(MetaPage)
 	if err != nil {
 		return err
 	}
@@ -296,11 +307,17 @@ func (e *Engine) metaPutLocked(key string, val uint64) error {
 	rec := &wal.Record{Kind: wal.KindCellPut, Page: MetaPage,
 		PageType: page.TypeMeta, Key: []byte(key), Value: buf[:]}
 	e.cfg.Log.Append(rec)
-	next, _, err := btree.Apply(meta, rec)
-	if err != nil {
-		return err
-	}
-	return e.cfg.Pages.Write(next)
+	return e.set.Apply(meta, rec)
+}
+
+// failLocked poisons the engine after a failed apply or install (caller
+// holds commitMu): the log holds records whose pages were not all
+// published, so the node must restart (crash-equivalent; the unhardened
+// tail is discarded by every consumer). The commit's page set is dropped.
+func (e *Engine) failLocked(err error) error {
+	e.set.Drop()
+	e.failed, e.failCause = true, err
+	return fmt.Errorf("%w: %v", ErrEngineFailed, err)
 }
 
 func lookupU64(meta *page.Page, key string) (uint64, bool, error) {
@@ -331,47 +348,56 @@ func (e *Engine) CreateTableContext(ctx context.Context, name string) error {
 		return errors.New("engine: invalid table name")
 	}
 	e.commitMu.Lock()
-	if e.failed {
-		e.commitMu.Unlock()
-		return ErrEngineFailed
-	}
-	meta, err := e.cfg.Pages.Read(MetaPage)
-	if err != nil {
-		e.commitMu.Unlock()
-		return err
-	}
-	if _, exists, err := lookupU64(meta, tablePrefix+name); err != nil {
-		e.commitMu.Unlock()
-		return err
-	} else if exists {
-		e.commitMu.Unlock()
-		return fmt.Errorf("%w: %q", ErrTableExists, name)
-	}
-	tree, err := btree.Create(e.pager, e.cfg.Log, 0)
-	if err != nil {
-		e.commitMu.Unlock()
-		return err
-	}
-	if err := e.metaPutLocked(tablePrefix+name, uint64(tree.Root())); err != nil {
-		e.commitMu.Unlock()
-		return err
-	}
-	ts := e.clock.AllocateCommit()
-	rec := wal.NewCommit(0, ts)
-	if sc := obs.SpanFromContext(ctx); sc.Valid() {
-		rec.TraceID, rec.SpanID = uint64(sc.TraceID), uint64(sc.SpanID)
-	}
-	commitLSN := e.cfg.Log.Append(rec)
+	tree, commitLSN, ts, err := e.createTableLocked(ctx, name)
 	e.commitMu.Unlock()
+	if err != nil {
+		return err
+	}
 
 	if err := e.cfg.Log.WaitHarden(ctx, commitLSN); err != nil {
 		return err
 	}
 	e.clock.Publish(ts)
 	e.mu.Lock()
-	e.tables[name] = tree
+	e.tables[name] = btree.Open(e.pager, e.cfg.Log, tree.Root())
 	e.mu.Unlock()
 	return nil
+}
+
+// createTableLocked creates the table's tree and catalog cell in the
+// commit's page set, installs it and appends the DDL's commit record
+// (caller holds commitMu). A failure after the first page change poisons
+// the engine, as a failed commit does.
+func (e *Engine) createTableLocked(ctx context.Context, name string) (*btree.Tree, page.LSN, uint64, error) {
+	if e.failed {
+		return nil, 0, 0, ErrEngineFailed
+	}
+	meta, err := e.set.Read(MetaPage)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	if _, exists, err := lookupU64(meta, tablePrefix+name); err != nil {
+		return nil, 0, 0, err
+	} else if exists {
+		return nil, 0, 0, fmt.Errorf("%w: %q", ErrTableExists, name)
+	}
+	tree, err := btree.Create(e.set, e.cfg.Log, 0)
+	if err == nil {
+		err = e.metaPutLocked(tablePrefix+name, uint64(tree.Root()))
+	}
+	if err == nil {
+		err = e.set.Install()
+	}
+	if err != nil {
+		return nil, 0, 0, e.failLocked(err)
+	}
+	e.writers[name] = tree
+	ts := e.clock.AllocateCommit()
+	rec := wal.NewCommit(0, ts)
+	if sc := obs.SpanFromContext(ctx); sc.Valid() {
+		rec.TraceID, rec.SpanID = uint64(sc.TraceID), uint64(sc.SpanID)
+	}
+	return tree, e.cfg.Log.Append(rec), ts, nil
 }
 
 // tableTree resolves a table's B-tree, consulting the catalog page on miss
@@ -404,6 +430,21 @@ func (e *Engine) tableTree(name string) (*btree.Tree, error) {
 	e.tables[name] = t
 	e.mu.Unlock()
 	return t, nil
+}
+
+// writerTree is a table's tree as the commit sees it: over the commit's page
+// set, so it reads the commit's own changes (caller holds commitMu).
+func (e *Engine) writerTree(name string) (*btree.Tree, error) {
+	if t, ok := e.writers[name]; ok {
+		return t, nil
+	}
+	t, err := e.tableTree(name)
+	if err != nil {
+		return nil, err
+	}
+	w := btree.Open(e.set, e.cfg.Log, t.Root())
+	e.writers[name] = w
+	return w, nil
 }
 
 // Tables lists table names in the catalog, sorted.

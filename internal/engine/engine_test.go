@@ -715,26 +715,29 @@ func TestVersionPageSurvivesReopen(t *testing.T) {
 }
 
 // catalogFault is a MemFile whose catalog page fails to read once: at the
-// first read after the version store formats its second page — the read of
-// the catalog write that names that page.
+// first read after the version store's first page is installed. Commits that
+// append to that page do not read the catalog; the next one to read it is
+// the commit that opens the second version page, whose allocation advances
+// the allocator cursor and whose catalog write names the page.
 type catalogFault struct {
 	*fcb.MemFile
 	err     error
 	version map[page.ID]bool // version pages written so far
 	armed   bool
+	fired   bool
 }
 
 func (f *catalogFault) Write(pg *page.Page) error {
 	if pg.Type == page.TypeVersion && !f.version[pg.ID] {
 		f.version[pg.ID] = true
-		f.armed = len(f.version) == 2
+		f.armed = len(f.version) == 1
 	}
 	return f.MemFile.Write(pg)
 }
 
 func (f *catalogFault) Read(id page.ID) (*page.Page, error) {
 	if id == MetaPage && f.armed {
-		f.armed = false
+		f.armed, f.fired = false, true
 		return nil, f.err
 	}
 	return f.MemFile.Read(id)
@@ -757,15 +760,16 @@ func TestFailedVersionPageCatalogWriteFailsTheCommit(t *testing.T) {
 	}
 	key, val := []byte("k"), make([]byte, 1024)
 	var commitErr error
-	for i := 0; i < 100 && commitErr == nil && len(pages.version) < 2; i++ {
+	for i := 0; i < 100 && commitErr == nil; i++ {
 		tx := e.Begin()
 		if err := tx.Put("t", key, val); err != nil {
 			t.Fatal(err)
 		}
 		commitErr = tx.Commit()
 	}
-	if len(pages.version) < 2 {
-		t.Fatalf("100 updates opened %d version pages, want 2", len(pages.version))
+	if !pages.fired || len(pages.version) != 1 {
+		t.Fatalf("100 updates: catalog fault fired %v with %d version pages installed; want it to fire in the commit that opens the second",
+			pages.fired, len(pages.version))
 	}
 	if !errors.Is(commitErr, ErrEngineFailed) {
 		t.Fatalf("the commit whose catalog write failed returned %v, want %v", commitErr, ErrEngineFailed)

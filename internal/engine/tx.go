@@ -361,17 +361,23 @@ func (tx *Tx) Commit() error {
 	}
 	ts := e.clock.AllocateCommit()
 	e.cfg.Log.Append(&wal.Record{Txn: tx.id, Kind: wal.KindTxnBegin})
+	// The write set's pages are built in the commit's page set — a page is
+	// copied on its first change and edited in place after it, and the
+	// commit reads the pages it changed from the set, never back from the
+	// page file — and published once each, after the last apply.
+	var err error
 	for _, i := range order {
-		op := tx.writes[i]
-		if err := e.applyWriteLocked(tx.id, ts, op); err != nil {
-			// Pages may hold a partial transaction: poison the engine so
-			// the node restarts (crash-equivalent; the unhardened tail is
-			// discarded by every consumer).
-			e.failed = true
-			e.failCause = err
-			e.commitMu.Unlock()
-			return fmt.Errorf("%w: %v", ErrEngineFailed, err)
+		if err = e.applyWriteLocked(tx.id, ts, tx.writes[i]); err != nil {
+			break
 		}
+	}
+	if err == nil {
+		err = e.set.Install()
+	}
+	if err != nil {
+		err = e.failLocked(err)
+		e.commitMu.Unlock()
+		return err
 	}
 	commitRec := wal.NewCommit(tx.id, ts)
 	if sc := obs.SpanFromContext(ctx); sc.Valid() {
@@ -457,7 +463,7 @@ func sortedWriteIndexes(tx *Tx) []int {
 // validateWriteLocked rejects a write whose row changed after the
 // transaction's snapshot (first-updater-wins).
 func (e *Engine) validateWriteLocked(snapshot uint64, op writeOp) error {
-	tree, err := e.tableTree(op.table)
+	tree, err := e.writerTree(op.table)
 	if err != nil {
 		return err
 	}
@@ -479,11 +485,12 @@ func (e *Engine) validateWriteLocked(snapshot uint64, op writeOp) error {
 	return nil
 }
 
-// applyWriteLocked installs one committed write: the old row head (if any)
-// moves into the version store, and the new head lands in the B-tree leaf.
+// applyWriteLocked applies one committed write to the commit's page set: the
+// old row head (if any) moves into the version store, and the new head lands
+// in the B-tree leaf.
 func (e *Engine) applyWriteLocked(txnID, ts uint64, op writeOp) error {
 	e.charge(cpuApply)
-	tree, err := e.tableTree(op.table)
+	tree, err := e.writerTree(op.table)
 	if err != nil {
 		return err
 	}
@@ -497,7 +504,7 @@ func (e *Engine) applyWriteLocked(txnID, ts uint64, op writeOp) error {
 		if err != nil {
 			return err
 		}
-		ptr, err := e.vs.Append(txnID, &oldHead)
+		ptr, err := e.vs.Append(e.set, txnID, &oldHead)
 		if err != nil {
 			return err
 		}

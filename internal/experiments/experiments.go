@@ -12,7 +12,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -306,20 +305,6 @@ type cacheRun struct {
 	workload              string
 	dataPages, cachePages int
 	hitPct                float64
-	stalled               error
-}
-
-// settle takes a poisoned engine out of the error path. With a cache of a
-// few pages a drive can run into the open eviction-mid-commit stall (ROADMAP
-// item 2c: a page the committing transaction dirtied is evicted, and
-// refetched at an LSN its own commit has yet to harden), which poisons the
-// engine; the hit rate over the part of the window before it is still the
-// cache's, so the tables report it under a warning.
-func (c *cacheRun) settle(err error) error {
-	if errors.Is(err, engine.ErrEngineFailed) {
-		c.stalled, err = err, nil
-	}
-	return err
 }
 
 // report lays out one row of the cache-hit tables; the hit rate must land in
@@ -332,9 +317,6 @@ func (c cacheRun) report(paper string, minRatio, maxRatio, minHit, maxHit float6
 	rep.value("cache-ratio%", ratio*100)
 	rep.value("data-pages", float64(c.dataPages))
 	rep.notef("(paper: %s)", paper)
-	if c.stalled != nil {
-		rep.notef("WARNING: hit rate is of a shortened window: %v", c.stalled)
-	}
 	switch {
 	case ratio < minRatio || ratio > maxRatio:
 		rep.Shape = fmt.Errorf("cache ratio = %.3f, want %.2f..%.2f", ratio, minRatio, maxRatio)
@@ -361,7 +343,7 @@ func table3(o Options) (Report, error) {
 		run.hitPct = 100 * cache.HitRate()
 		return nil
 	})
-	if err = run.settle(err); err != nil {
+	if err != nil {
 		return Report{}, err
 	}
 	// Shape: well above the cache ratio, below perfect.
@@ -389,7 +371,7 @@ func table4(o Options) (Report, error) {
 	}
 	defer s.Close()
 	run.hitPct, err = tpceHitPct(s, customers, o)
-	if err = run.settle(err); err != nil {
+	if err != nil {
 		return Report{}, err
 	}
 	// Shape: far above the cache fraction.

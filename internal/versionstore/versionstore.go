@@ -140,15 +140,16 @@ func New(pager btree.Pager, log wal.Logger, cur page.ID) (*Store, error) {
 	return s, nil
 }
 
-// Append durably adds a version entry (primary only; caller holds the
-// engine's single-writer lock) and returns its pointer.
-func (s *Store) Append(txn uint64, v *Version) (Ptr, error) {
+// Append adds a version entry into w, the commit's page set (primary only;
+// caller holds the engine's single-writer lock), and returns its pointer.
+// The entry is published when w is installed.
+func (s *Store) Append(w *btree.PageSet, txn uint64, v *Version) (Ptr, error) {
 	enc := v.Encode()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	need := btree.CellOverhead + 4 + len(enc)
 	if s.cur == page.InvalidID || s.curSize+need > page.MaxData {
-		if err := s.newPageLocked(txn); err != nil {
+		if err := s.newPageLocked(w, txn); err != nil {
 			return Ptr{}, err
 		}
 	}
@@ -159,15 +160,11 @@ func (s *Store) Append(txn uint64, v *Version) (Ptr, error) {
 		PageType: page.TypeVersion, Key: key[:], Value: enc,
 	}
 	s.log.Append(rec)
-	pg, err := s.pager.Read(s.cur)
+	pg, err := w.Read(s.cur)
 	if err != nil {
 		return Ptr{}, err
 	}
-	next, _, err := btree.Apply(pg, rec)
-	if err != nil {
-		return Ptr{}, err
-	}
-	if err := s.pager.Write(next); err != nil {
+	if err := w.Apply(pg, rec); err != nil {
 		return Ptr{}, err
 	}
 	s.curSlots++
@@ -175,25 +172,23 @@ func (s *Store) Append(txn uint64, v *Version) (Ptr, error) {
 	return Ptr{Page: s.cur, Slot: slot}, nil
 }
 
-// newPageLocked allocates and formats a fresh version page.
-func (s *Store) newPageLocked(txn uint64) error {
-	pg, err := s.pager.Allocate(page.TypeVersion)
+// newPageLocked allocates and formats a fresh version page in w.
+func (s *Store) newPageLocked(w *btree.PageSet, txn uint64) error {
+	pg, err := w.Allocate(page.TypeVersion)
 	if err != nil {
 		return err
 	}
-	payload := btree.EmptyNodePayload()
 	rec := &wal.Record{
 		Txn: txn, Kind: wal.KindPageImage, Page: pg.ID,
-		PageType: page.TypeVersion, Value: payload,
+		PageType: page.TypeVersion, Value: btree.EmptyNodePayload(),
 	}
-	lsn := s.log.Append(rec)
-	err = s.pager.Write(&page.Page{ID: pg.ID, LSN: lsn, Type: page.TypeVersion, Data: payload})
-	if err != nil {
+	s.log.Append(rec)
+	if err := w.Apply(pg, rec); err != nil {
 		return err
 	}
 	s.cur = pg.ID
 	s.curSlots = 0
-	s.curSize = len(payload)
+	s.curSize = len(rec.Value)
 	return nil
 }
 

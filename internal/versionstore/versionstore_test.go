@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"socrates/internal/btree"
 	"socrates/internal/fcb"
 	"socrates/internal/page"
 	"socrates/internal/testutil"
@@ -38,6 +39,17 @@ func newStore(t *testing.T) (*Store, *testPager, *wal.MemLog) {
 		t.Fatal(err)
 	}
 	return s, pager, log
+}
+
+// appendOne appends v as a commit of its own would: into a page set over the
+// store's pager, installed at once.
+func appendOne(s *Store, txn uint64, v *Version) (Ptr, error) {
+	w := btree.NewPageSet(s.pager)
+	ptr, err := s.Append(w, txn, v)
+	if err != nil {
+		return Ptr{}, err
+	}
+	return ptr, w.Install()
 }
 
 func TestVersionCodecRoundTrip(t *testing.T) {
@@ -80,7 +92,7 @@ func TestDecodeRejectsShortBlob(t *testing.T) {
 
 func TestAppendAndGet(t *testing.T) {
 	s, _, _ := newStore(t)
-	ptr, err := s.Append(1, &Version{CommitTS: 10, Payload: []byte("v1")})
+	ptr, err := appendOne(s, 1, &Version{CommitTS: 10, Payload: []byte("v1")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +110,7 @@ func TestGetNilAndDanglingPtr(t *testing.T) {
 	if _, err := s.Get(Ptr{}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("nil ptr err = %v", err)
 	}
-	ptr, _ := s.Append(1, &Version{CommitTS: 1})
+	ptr, _ := appendOne(s, 1, &Version{CommitTS: 1})
 	if _, err := s.Get(Ptr{Page: ptr.Page, Slot: 999}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("dangling slot err = %v", err)
 	}
@@ -107,8 +119,8 @@ func TestGetNilAndDanglingPtr(t *testing.T) {
 func TestChainWalkVisibility(t *testing.T) {
 	s, _, _ := newStore(t)
 	// Build a chain: v@10 -> v@20 -> v@30 (newest at head).
-	p10, _ := s.Append(1, &Version{CommitTS: 10, Payload: []byte("ten")})
-	p20, _ := s.Append(1, &Version{CommitTS: 20, Prev: p10, Payload: []byte("twenty")})
+	p10, _ := appendOne(s, 1, &Version{CommitTS: 10, Payload: []byte("ten")})
+	p20, _ := appendOne(s, 1, &Version{CommitTS: 20, Prev: p10, Payload: []byte("twenty")})
 	head := Version{CommitTS: 30, Prev: p20, Payload: []byte("thirty")}
 
 	cases := []struct {
@@ -147,9 +159,9 @@ func TestChainWalkVisibility(t *testing.T) {
 func TestVisibleChainAllocs(t *testing.T) {
 	testutil.SkipIfRace(t)
 	s, _, _ := newStore(t)
-	p10, _ := s.Append(1, &Version{CommitTS: 10, Payload: []byte("ten")})
-	p20, _ := s.Append(1, &Version{CommitTS: 20, Prev: p10, Payload: []byte("twenty")})
-	p30, _ := s.Append(1, &Version{CommitTS: 30, Prev: p20, Payload: []byte("thirty")})
+	p10, _ := appendOne(s, 1, &Version{CommitTS: 10, Payload: []byte("ten")})
+	p20, _ := appendOne(s, 1, &Version{CommitTS: 20, Prev: p10, Payload: []byte("twenty")})
+	p30, _ := appendOne(s, 1, &Version{CommitTS: 30, Prev: p20, Payload: []byte("thirty")})
 	head := Version{CommitTS: 40, Prev: p30, Payload: []byte("forty")}
 	avg := testing.AllocsPerRun(1000, func() {
 		v, ok, err := s.Visible(head, 15)
@@ -165,7 +177,7 @@ func TestVisibleChainAllocs(t *testing.T) {
 
 func TestTombstoneVisibility(t *testing.T) {
 	s, _, _ := newStore(t)
-	p10, _ := s.Append(1, &Version{CommitTS: 10, Payload: []byte("alive")})
+	p10, _ := appendOne(s, 1, &Version{CommitTS: 10, Payload: []byte("alive")})
 	head := Version{CommitTS: 20, Prev: p10, Tombstone: true}
 	// At ts 25 the row is deleted.
 	got, ok, err := s.Visible(head, 25)
@@ -184,7 +196,7 @@ func TestPageRollover(t *testing.T) {
 	payload := bytes.Repeat([]byte{9}, 1000)
 	var ptrs []Ptr
 	for i := 0; i < 40; i++ { // ~40 KB of versions: needs several pages
-		ptr, err := s.Append(1, &Version{CommitTS: uint64(i + 1), Payload: payload})
+		ptr, err := appendOne(s, 1, &Version{CommitTS: uint64(i + 1), Payload: payload})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +217,7 @@ func TestPageRollover(t *testing.T) {
 func TestRecoverAppendStateFromPage(t *testing.T) {
 	s, pager, log := newStore(t)
 	for i := 0; i < 5; i++ {
-		_, _ = s.Append(1, &Version{CommitTS: uint64(i), Payload: []byte("x")})
+		_, _ = appendOne(s, 1, &Version{CommitTS: uint64(i), Payload: []byte("x")})
 	}
 	cur := s.cur
 	// New incarnation (e.g. failover) resumes from the catalog pointer.
@@ -213,7 +225,7 @@ func TestRecoverAppendStateFromPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ptr, err := s2.Append(9, &Version{CommitTS: 99, Payload: []byte("post")})
+	ptr, err := appendOne(s2, 9, &Version{CommitTS: 99, Payload: []byte("post")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +236,7 @@ func TestRecoverAppendStateFromPage(t *testing.T) {
 
 func TestWatermarkBlocksAncientSnapshots(t *testing.T) {
 	s, _, _ := newStore(t)
-	p1, _ := s.Append(1, &Version{CommitTS: 10, Payload: []byte("old")})
+	p1, _ := appendOne(s, 1, &Version{CommitTS: 10, Payload: []byte("old")})
 	head := Version{CommitTS: 50, Prev: p1, Payload: []byte("new")}
 	s.SetWatermark(40)
 	// Snapshot 20 < watermark and needs the chain: must fail loudly.
@@ -247,8 +259,8 @@ func TestWatermarkBlocksAncientSnapshots(t *testing.T) {
 // ordinary redo, which is the §3.1 requirement (shared version store).
 func TestReplicationThroughLog(t *testing.T) {
 	s, _, log := newStore(t)
-	p1, _ := s.Append(1, &Version{CommitTS: 10, Payload: []byte("gen1")})
-	_, _ = s.Append(1, &Version{CommitTS: 20, Prev: p1, Payload: []byte("gen2")})
+	p1, _ := appendOne(s, 1, &Version{CommitTS: 10, Payload: []byte("gen1")})
+	_, _ = appendOne(s, 1, &Version{CommitTS: 20, Prev: p1, Payload: []byte("gen2")})
 
 	// Replica applies the log into its own page file.
 	replicaPages := newTestPager()
@@ -282,7 +294,7 @@ func TestManyVersionsStress(t *testing.T) {
 	s, _, _ := newStore(t)
 	prev := Ptr{}
 	for i := 1; i <= 2000; i++ {
-		ptr, err := s.Append(1, &Version{
+		ptr, err := appendOne(s, 1, &Version{
 			CommitTS: uint64(i), Prev: prev,
 			Payload: []byte(fmt.Sprintf("gen-%d", i)),
 		})
