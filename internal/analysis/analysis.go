@@ -62,7 +62,6 @@ type ProgramPass interface {
 // Package is one type-checked package ready for analysis.
 type Package struct {
 	Path  string // import path ("socrates/internal/xlog")
-	Dir   string // directory on disk
 	Fset  *token.FileSet
 	Files []*ast.File
 	Pkg   *types.Package

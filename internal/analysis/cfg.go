@@ -26,16 +26,12 @@ import (
 
 // CFGBlock is one basic block.
 type CFGBlock struct {
-	Index int
 	// Nodes are the straight-line AST parts executed in this block, in
 	// order: plain statements, condition expressions of enclosing control
 	// statements, range/select/type-switch headers.
 	Nodes []ast.Node
 	Succs []*CFGBlock
 	Preds []*CFGBlock
-	// Kind labels the block's origin for debugging ("entry", "if.then",
-	// "for.body", "select.case", ...).
-	Kind string
 }
 
 // CFG is the control-flow graph of one function body.
@@ -98,8 +94,8 @@ func BuildCFG(body *ast.BlockStmt) *CFG {
 		cfg:    &CFG{},
 		labels: make(map[string]*CFGBlock),
 	}
-	b.cfg.Entry = b.newBlock("entry")
-	b.cfg.Exit = b.newBlock("exit")
+	b.cfg.Entry = b.newBlock()
+	b.cfg.Exit = b.newBlock()
 	b.cur = b.cfg.Entry
 	b.stmts(body.List)
 	// Falling off the end of the body returns.
@@ -113,8 +109,8 @@ func BuildCFG(body *ast.BlockStmt) *CFG {
 	return b.cfg
 }
 
-func (b *cfgBuilder) newBlock(kind string) *CFGBlock {
-	blk := &CFGBlock{Index: len(b.cfg.Blocks), Kind: kind}
+func (b *cfgBuilder) newBlock() *CFGBlock {
+	blk := &CFGBlock{}
 	b.cfg.Blocks = append(b.cfg.Blocks, blk)
 	return blk
 }
@@ -171,14 +167,14 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 	case *ast.ReturnStmt:
 		b.cur.Nodes = append(b.cur.Nodes, st)
 		b.link(b.cur, b.cfg.Exit)
-		b.cur = b.newBlock("unreachable")
+		b.cur = b.newBlock()
 
 	case *ast.BranchStmt:
 		b.branch(st)
 
 	case *ast.LabeledStmt:
 		// The labeled statement gets its own block so gotos land on it.
-		target := b.newBlock("label." + st.Label.Name)
+		target := b.newBlock()
 		b.link(b.cur, target)
 		b.cur = target
 		b.labels[st.Label.Name] = target
@@ -203,14 +199,14 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		}
 		b.cur.Nodes = append(b.cur.Nodes, st.Cond)
 		cond := b.cur
-		then := b.newBlock("if.then")
-		after := b.newBlock("if.after")
+		then := b.newBlock()
+		after := b.newBlock()
 		b.link(cond, then)
 		b.cur = then
 		b.stmts(st.Body.List)
 		b.link(b.cur, after)
 		if st.Else != nil {
-			els := b.newBlock("if.else")
+			els := b.newBlock()
 			b.link(cond, els)
 			b.cur = els
 			b.stmt(st.Else)
@@ -248,7 +244,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			// exit so deferred cleanups are still "reached", matching how
 			// leaklint treats a deliberate crash as an exit path.
 			b.link(b.cur, b.cfg.Exit)
-			b.cur = b.newBlock("unreachable")
+			b.cur = b.newBlock()
 		}
 	}
 }
@@ -284,19 +280,19 @@ func (b *cfgBuilder) branch(st *ast.BranchStmt) {
 	case token.FALLTHROUGH:
 		b.link(b.cur, b.fallthroughTo)
 	}
-	b.cur = b.newBlock("unreachable")
+	b.cur = b.newBlock()
 }
 
 func (b *cfgBuilder) forStmt(st *ast.ForStmt, label string) {
 	if st.Init != nil {
 		b.stmt(st.Init)
 	}
-	head := b.newBlock("for.head")
-	body := b.newBlock("for.body")
-	after := b.newBlock("for.after")
+	head := b.newBlock()
+	body := b.newBlock()
+	after := b.newBlock()
 	post := head
 	if st.Post != nil {
-		post = b.newBlock("for.post")
+		post = b.newBlock()
 	}
 	b.link(b.cur, head)
 	if st.Cond != nil {
@@ -321,10 +317,10 @@ func (b *cfgBuilder) forStmt(st *ast.ForStmt, label string) {
 }
 
 func (b *cfgBuilder) rangeStmt(st *ast.RangeStmt, label string) {
-	head := b.newBlock("range.head")
+	head := b.newBlock()
 	head.Nodes = append(head.Nodes, st) // the header: X evaluation + iteration
-	body := b.newBlock("range.body")
-	after := b.newBlock("range.after")
+	body := b.newBlock()
+	after := b.newBlock()
 	b.link(b.cur, head)
 	b.link(head, body)
 	b.link(head, after) // ranges terminate (a closed channel, an exhausted seq)
@@ -364,12 +360,12 @@ func (b *cfgBuilder) typeSwitchStmt(st *ast.TypeSwitchStmt, label string) {
 // dispatch→after edge.
 func (b *cfgBuilder) caseClauses(list []ast.Stmt, label string, header func(*ast.CaseClause, *CFGBlock)) {
 	dispatch := b.cur
-	after := b.newBlock("switch.after")
+	after := b.newBlock()
 	// Pre-create case blocks so fallthrough can target the next one.
 	blocks := make([]*CFGBlock, len(list))
 	hasDefault := false
 	for i, c := range list {
-		blocks[i] = b.newBlock("switch.case")
+		blocks[i] = b.newBlock()
 		if cc, ok := c.(*ast.CaseClause); ok && cc.List == nil {
 			hasDefault = true
 		}
@@ -401,14 +397,14 @@ func (b *cfgBuilder) caseClauses(list []ast.Stmt, label string, header func(*ast
 
 func (b *cfgBuilder) selectStmt(st *ast.SelectStmt, label string) {
 	dispatch := b.cur
-	after := b.newBlock("select.after")
+	after := b.newBlock()
 	b.loops = append(b.loops, cfgLoop{breakTo: after, label: label})
 	for _, c := range st.Body.List {
 		cc, ok := c.(*ast.CommClause)
 		if !ok {
 			continue
 		}
-		blk := b.newBlock("select.case")
+		blk := b.newBlock()
 		b.link(dispatch, blk)
 		b.cur = blk
 		if cc.Comm != nil {

@@ -129,7 +129,6 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	}
 	pkg := &Package{
 		Path:  importPath,
-		Dir:   dir,
 		Fset:  l.Fset,
 		Files: files,
 		Pkg:   tpkg,

@@ -1,5 +1,6 @@
 // Package main is the fixture of TestTestOnlySurfaceRules: one case per
-// rule by which the test-only scan counts a function or method as reached.
+// rule by which the test-only scan counts a function or method as reached,
+// or a field or package-level variable as read.
 package main
 
 import "fmt"
@@ -51,10 +52,40 @@ func countdown(n int) int {
 // decodeKey is called only from reach_test.go: the scan lists it.
 func decodeKey(b []byte) string { return string(b) }
 
+// Stats has one field per rule by which the scan counts a field as read.
+type Stats struct {
+	Hits   int   // read by a selector
+	Misses int   // only assigned and incremented: the scan lists it
+	Keyed  int   // only the key of a composite literal: the scan lists it
+	Addr   int   // read by &
+	Inner  Rec   // read as the base of a selector whose field is assigned
+	Via    *Rec  // assigned, and read by a method call through it
+	Slots  []int // read as the base of an index expression that is assigned
+	Tagged int   `json:"tagged"` // read by encoding/json
+	tested int   // read only by reach_test.go: the scan lists it
+}
+
+var (
+	limit     = 3 // read
+	lastSeen  int // only assigned: the scan lists it
+	testedVar int // read only by reach_test.go: the scan lists it
+)
+
 func main() {
 	Direct()
 	value := (&Rec{}).Value
 	o := Outer{&Rec{}}
 	o.Promoted()
 	fmt.Println(value(), size(o.Rec), Rec{}, Box[int]{v: 1}.Get(), o.Applied)
+
+	s := Stats{Keyed: 1, Via: &Rec{}, Slots: make([]int, 1)}
+	s.Misses = 1
+	s.Misses++
+	s.Inner.Applied = 2
+	s.Via.Promoted()
+	s.Slots[0] = 3
+	lastSeen = limit
+	for _, lastSeen = range []int{4} {
+	}
+	fmt.Println(s.Hits, &s.Addr)
 }

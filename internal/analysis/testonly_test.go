@@ -2,6 +2,7 @@ package analysis_test
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
@@ -13,13 +14,14 @@ import (
 )
 
 // TestTestOnlySurface lists every function and method, exported or not,
-// that no non-test file of the module reaches, and holds that list to
-// testdata/testonly.golden. Reach is resolved by type (see reachable), so
-// a name shared with a field, a variable or another type's method hides
-// nothing. Each golden line carries, after a "#", the reason the name
-// stays (goldenTag). Wiring or deleting a listed function drops its line;
-// a new function that only tests call adds one. Either way, edit the
-// golden in the same change.
+// that no non-test file of the module reaches, and every struct field and
+// package-level variable that no non-test file reads, and holds that list
+// to testdata/testonly.golden. Uses are resolved by type (see reachable
+// and readVars), so a name shared with a field, a variable or another
+// type's method hides nothing. Each golden line carries, after a "#", the
+// reason the name stays (goldenTag). Wiring or deleting a listed name
+// drops its line; a new one that only tests use adds one. Either way, edit
+// the golden in the same change.
 func TestTestOnlySurface(t *testing.T) {
 	got := testOnlySurface(t, moduleRoot(t))
 	raw, err := os.ReadFile(filepath.Join("testdata", "testonly.golden"))
@@ -60,7 +62,7 @@ func TestTestOnlySurface(t *testing.T) {
 	for _, name := range drop {
 		b.WriteString("\n  drop: " + name)
 	}
-	t.Fatalf("testdata/testonly.golden is out of date (%d names now have no non-test caller):%s",
+	t.Fatalf("testdata/testonly.golden is out of date (%d names now have no non-test use):%s",
 		len(got), b.String())
 }
 
@@ -81,9 +83,14 @@ func goldenTag(reason string) bool {
 func TestTestOnlySurfaceRules(t *testing.T) {
 	got := testOnlySurface(t, filepath.Join("testdata", "reach"))
 	want := []string{
-		". Applied",   // a field elsewhere shares the name; nothing reaches the function
-		". countdown", // only its own body calls it
-		". decodeKey", // only reach_test.go calls it
+		". Applied",      // a field elsewhere shares the name; nothing reaches the function
+		". Stats.Keyed",  // only a composite literal's key names it
+		". Stats.Misses", // only assigned and incremented
+		". Stats.tested", // only reach_test.go reads it
+		". countdown",    // only its own body calls it
+		". decodeKey",    // only reach_test.go calls it
+		". lastSeen",     // only assigned, directly and by a range clause
+		". testedVar",    // only reach_test.go reads it
 	}
 	var names []string
 	for name := range got {
@@ -127,7 +134,9 @@ var implicitMethods = map[string]bool{
 // testOnlySurface type-checks every non-test package of the module rooted
 // at root (testdata and hidden directories excluded) and returns
 // "dir Func" or "dir Type.Method" for each function or method that
-// nothing reaches.
+// nothing reaches, and "dir Var" or "dir Type.Field" for each
+// package-level variable or field of a package-level struct type that
+// nothing reads.
 func testOnlySurface(t *testing.T, root string) map[string]bool {
 	t.Helper()
 	loader, err := analysis.NewLoader(root)
@@ -151,31 +160,115 @@ func testOnlySurface(t *testing.T, root string) map[string]bool {
 		pkgs = append(pkgs, pkg)
 	}
 	used := reachable(pkgs)
+	read := readVars(pkgs)
 	out := map[string]bool{}
-	for _, pkg := range pkgs {
-		rel, err := filepath.Rel(loader.Root, pkg.Dir)
+	for i, pkg := range pkgs {
+		rel, err := filepath.Rel(loader.Root, dirs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
+		list := func(key string) { out[filepath.ToSlash(rel)+" "+key] = true }
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Recv == nil && (fn.Name.Name == "main" || fn.Name.Name == "init") || fn.Name.Name == "_" {
-					continue
+				switch decl := decl.(type) {
+				case *ast.FuncDecl:
+					if decl.Recv == nil && (decl.Name.Name == "main" || decl.Name.Name == "init") || decl.Name.Name == "_" {
+						continue
+					}
+					if used[pkg.Info.Defs[decl.Name].(*types.Func)] {
+						continue
+					}
+					key := decl.Name.Name
+					if decl.Recv != nil {
+						key = recvName(decl.Recv.List[0].Type) + "." + key
+					}
+					list(key)
+				case *ast.GenDecl:
+					listUnread(decl, pkg.Info, read, list)
 				}
-				obj := pkg.Info.Defs[fn.Name].(*types.Func)
-				if used[obj] {
-					continue
-				}
-				key := fn.Name.Name
-				if fn.Recv != nil {
-					key = recvName(fn.Recv.List[0].Type) + "." + key
-				}
-				out[filepath.ToSlash(rel)+" "+key] = true
 			}
 		}
 	}
 	return out
+}
+
+// listUnread lists "Var" for each variable decl declares and "Type.Field"
+// for each named field of a struct type it declares that read lacks. A
+// field with a struct tag counts as read: encoding/json reads it.
+func listUnread(decl *ast.GenDecl, info *types.Info, read map[*types.Var]bool, list func(string)) {
+	unread := func(name *ast.Ident) bool { return name.Name != "_" && !read[info.Defs[name].(*types.Var)] }
+	for _, spec := range decl.Specs {
+		switch spec := spec.(type) {
+		case *ast.ValueSpec:
+			for _, name := range spec.Names {
+				if decl.Tok == token.VAR && unread(name) {
+					list(name.Name)
+				}
+			}
+		case *ast.TypeSpec:
+			st, ok := spec.Type.(*ast.StructType)
+			if !ok {
+				continue
+			}
+			for _, field := range st.Fields.List {
+				for _, name := range field.Names {
+					if field.Tag == nil && unread(name) {
+						list(spec.Name.Name + "." + name.Name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// readVars returns the struct fields and package-level variables of pkgs
+// that some non-test file reads. Every use of one is a read but a write:
+// the whole target of an assignment, an increment or a range clause, or
+// the key of a struct literal. So x.f.g = v reads f and writes g, and
+// &x.f, x.f.M() and x.f[i] = v read f.
+func readVars(pkgs []*analysis.Package) map[*types.Var]bool {
+	read := map[*types.Var]bool{}
+	for _, pkg := range pkgs {
+		written := map[*ast.Ident]bool{}
+		target := func(e ast.Expr) {
+			switch e := ast.Unparen(e).(type) {
+			case *ast.Ident:
+				written[e] = true
+			case *ast.SelectorExpr:
+				written[e.Sel] = true
+			}
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						target(lhs)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.RangeStmt:
+					if n.Tok == token.ASSIGN {
+						target(n.Key)
+						target(n.Value)
+					}
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						if v, ok := pkg.Info.Uses[id].(*types.Var); ok && v.IsField() {
+							written[id] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range pkg.Info.Uses {
+			if v, ok := obj.(*types.Var); ok && !written[id] {
+				read[v.Origin()] = true
+			}
+		}
+	}
+	return read
 }
 
 // reachable returns the functions and methods of pkgs that a program

@@ -77,16 +77,7 @@ func redo(pg *page.Page, rec *wal.Record, own bool) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("btree: redo %v on page %d: %w", rec.Kind, pg.ID, err)
 	}
-	var data []byte
-	if rec.Kind == wal.KindCellPut {
-		data, err = v.put(rec.Key, rec.Value, own)
-	} else {
-		var found bool
-		data, found, err = v.remove(rec.Key, own)
-		if err == nil && !found && !own {
-			data = bytes.Clone(data) // an absent key: the next version still gets a payload of its own
-		}
-	}
+	data, err := v.put(rec.Key, rec.Value, own)
 	if err != nil {
 		return nil, false, fmt.Errorf("btree: redo %v on page %d: %w", rec.Kind, pg.ID, err)
 	}

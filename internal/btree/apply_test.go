@@ -11,7 +11,7 @@ import (
 )
 
 // redoKey is the fuzz programs' key k of 16; the page starts with the even
-// ones, so deletes hit and miss.
+// ones, so puts both replace and insert.
 func redoKey(k byte) []byte { return []byte{'k', k % 16} }
 
 // redoProgram decodes a fuzz program into page-1 records, three bytes each:
@@ -31,8 +31,6 @@ func redoProgram(r *rand.Rand, prog []byte) []*wal.Record {
 		rec := &wal.Record{LSN: lsn, Kind: wal.KindCellPut, Page: 1, PageType: page.TypeLeaf,
 			Key: redoKey(k), Value: bytes.Repeat([]byte{op ^ k}, size)}
 		switch op {
-		case 4, 5:
-			rec.Kind, rec.Value = wal.KindCellDelete, nil
 		case 6:
 			img, err := randomNode(r, false).encode()
 			if err != nil {
@@ -95,14 +93,14 @@ func checkRedoInPlace(t *testing.T, base *page.Page, recs []*wal.Record, slack i
 
 // FuzzRedoInPlace holds in-place redo (Edit, the page server's and a fetch's
 // redo onto a version they own) to copy-on-write redo (Apply) over random
-// runs of puts and deletes: growing and shrinking values, absent-key
-// deletes, overflows, page images, stale records and rejected records.
+// runs of puts: growing and shrinking values, inserts and replacements,
+// overflows, page images, stale records and rejected records.
 func FuzzRedoInPlace(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 10, 1, 1, 40, 2, 1, 2, 3, 1, 80})                                                  // one cell grows, shrinks, grows
-	f.Add(int64(2), []byte{0, 2, 5, 4, 3, 0, 5, 2, 0, 4, 2, 0})                                                     // absent and present deletes
+	f.Add(int64(2), []byte{0, 2, 5, 4, 3, 0, 5, 2, 0, 4, 2, 0})                                                     // empty values on absent and present keys
 	f.Add(int64(3), []byte{0, 1, 30, 0, 3, 255, 0, 5, 254, 0, 7, 254, 0, 9, 254, 0, 11, 254, 0, 0, 254, 0, 13, 10}) // an overflow on the owned page
 	f.Add(int64(4), []byte{6, 0, 0, 0, 5, 20, 6, 0, 0, 0, 6, 9})                                                    // page images before and after cells
-	f.Add(int64(5), []byte{4, 9, 0, 4, 2, 0, 0, 1, 3, 7, 1, 3, 8, 1, 1, 9, 1, 1})                                   // a first record that deletes nothing, then edits, stale and rejected records
+	f.Add(int64(5), []byte{4, 9, 0, 4, 2, 0, 0, 1, 3, 7, 1, 3, 8, 1, 1, 9, 1, 1})                                   // a first record that inserts an empty value, then edits, stale and rejected records
 	f.Fuzz(func(t *testing.T, seed int64, prog []byte) {
 		r := rand.New(rand.NewSource(seed))
 		n := randomNode(r, false)

@@ -130,7 +130,7 @@ func errNotCovered(id page.ID) error {
 // leafFor descends from the root to the leaf covering key, validating
 // fences on the way, and returns the leaf with its view.
 //
-//socrates:hotpath the descent of every Get and Delete; TestTreeGetAllocs
+//socrates:hotpath the descent of every Get; TestTreeGetAllocs
 func (t *Tree) leafFor(key []byte) (*page.Page, view, error) {
 	id := t.root
 	for {
@@ -301,23 +301,6 @@ func (t *Tree) growRoot(txn uint64, split *splitResult) error {
 		},
 	}
 	return t.writeNode(txn, t.root, page.TypeInternal, newRoot)
-}
-
-// Delete removes key, reporting whether it was present. Underfull nodes are
-// not merged; space is reclaimed when pages are rewritten by later splits.
-func (t *Tree) Delete(txn uint64, key []byte) (bool, error) {
-	pg, v, err := t.leafFor(key)
-	if err != nil {
-		return false, err
-	}
-	own := t.set.owns(pg)
-	data, found, err := v.remove(key, own)
-	if err != nil || !found {
-		return false, err
-	}
-	return true, t.writeCell(pg, own, data, &wal.Record{
-		Txn: txn, Kind: wal.KindCellDelete, Page: pg.ID, PageType: pg.Type, Key: key,
-	})
 }
 
 // Scan streams entries with lo <= key < hi (nil hi = unbounded) in key

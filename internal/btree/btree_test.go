@@ -90,22 +90,6 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	tree, _, _ := newTree(t)
-	_ = tree.Put(1, []byte("a"), []byte("1"))
-	found, err := tree.Delete(1, []byte("a"))
-	if err != nil || !found {
-		t.Fatalf("delete = %v %v", found, err)
-	}
-	if _, ok, _ := tree.Get([]byte("a")); ok {
-		t.Fatal("deleted key visible")
-	}
-	found, err = tree.Delete(1, []byte("a"))
-	if err != nil || found {
-		t.Fatalf("double delete = %v %v", found, err)
-	}
-}
-
 func key(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
 func val(i int) []byte { return []byte(fmt.Sprintf("value-%d-%s", i, bytes.Repeat([]byte{'x'}, 64))) }
 
@@ -245,28 +229,6 @@ func TestRootIDStableAcrossSplits(t *testing.T) {
 	}
 }
 
-func TestDeleteAfterSplits(t *testing.T) {
-	tree, _, _ := newTree(t)
-	for i := 0; i < 1000; i++ {
-		_ = tree.Put(1, key(i), val(i))
-	}
-	for i := 0; i < 1000; i += 2 {
-		found, err := tree.Delete(1, key(i))
-		if err != nil || !found {
-			t.Fatalf("delete %d: %v %v", i, found, err)
-		}
-	}
-	for i := 0; i < 1000; i++ {
-		_, found, err := tree.Get(key(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if found != (i%2 == 1) {
-			t.Fatalf("key %d found=%v", i, found)
-		}
-	}
-}
-
 // TestReplicaConvergesViaApply is the core redo test: replaying the primary's
 // log records against an empty page set reproduces the identical tree.
 func TestReplicaConvergesViaApply(t *testing.T) {
@@ -275,13 +237,8 @@ func TestReplicaConvergesViaApply(t *testing.T) {
 	live := map[string]string{}
 	for i := 0; i < 3000; i++ {
 		k, v := key(r.Intn(800)), val(i)
-		if r.Intn(4) == 0 {
-			_, _ = tree.Delete(1, k)
-			delete(live, string(k))
-		} else {
-			_ = tree.Put(1, k, v)
-			live[string(k)] = string(v)
-		}
+		_ = tree.Put(1, k, v)
+		live[string(k)] = string(v)
 	}
 
 	// Replica: apply every page record in LSN order.
@@ -548,11 +505,10 @@ func TestNodeCodecProperty(t *testing.T) {
 	}
 }
 
-// Property: the tree matches a sorted map under random put/delete/get.
+// Property: the tree matches a sorted map under random puts.
 func TestTreeModelEquivalenceProperty(t *testing.T) {
 	type op struct {
 		Key    uint16
-		Del    bool
 		ValSeq uint8
 	}
 	f := func(ops []op) bool {
@@ -565,23 +521,11 @@ func TestTreeModelEquivalenceProperty(t *testing.T) {
 		model := map[string][]byte{}
 		for _, o := range ops {
 			k := []byte(fmt.Sprintf("k%05d", o.Key%512))
-			if o.Del {
-				found, err := tree.Delete(0, k)
-				if err != nil {
-					return false
-				}
-				_, want := model[string(k)]
-				if found != want {
-					return false
-				}
-				delete(model, string(k))
-			} else {
-				v := bytes.Repeat([]byte{o.ValSeq}, 32)
-				if tree.Put(0, k, v) != nil {
-					return false
-				}
-				model[string(k)] = v
+			v := bytes.Repeat([]byte{o.ValSeq}, 32)
+			if tree.Put(0, k, v) != nil {
+				return false
 			}
+			model[string(k)] = v
 		}
 		// Full comparison via scan.
 		var keys []string

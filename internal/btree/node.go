@@ -1,8 +1,8 @@
 // Package btree implements the page-oriented B-tree that stores every table
 // (and the version store) in the Socrates reproduction. All mutations are
-// physiologically logged: row-level changes emit cell-put/cell-delete
-// records and structural changes (formats, splits) emit whole-page images,
-// all through a wal.Logger. Apply is the single redo entry point — page
+// physiologically logged: row-level changes emit cell-put records and
+// structural changes (formats, splits) emit whole-page images, all through
+// a wal.Logger. Apply is the single redo entry point — page
 // servers, secondaries, and restart recovery all converge page state by
 // replaying the same records the primary emitted.
 //

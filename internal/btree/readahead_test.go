@@ -50,7 +50,7 @@ func (p *hintPager) take() []pagerEvent {
 
 // randomTree builds a tree of random shape over pager: long keys keep the
 // fan-out of internal nodes small, so a few hundred keys reach three levels.
-// It returns the keys still present, sorted.
+// It returns the keys, sorted.
 func randomTree(t *testing.T, r *rand.Rand, pager Pager) (*Tree, [][]byte) {
 	t.Helper()
 	tree, err := Create(pager, wal.NewMemLog(), 0)
@@ -67,16 +67,6 @@ func randomTree(t *testing.T, r *rand.Rand, pager Pager) (*Tree, [][]byte) {
 			t.Fatal(err)
 		}
 		keys = append(keys, k)
-	}
-	// Delete a stretch: leaves in range with few cells or none.
-	if len(keys) > 40 {
-		at := r.Intn(len(keys) - 30)
-		for _, k := range keys[at : at+30] {
-			if _, err := tree.Delete(1, k); err != nil {
-				t.Fatal(err)
-			}
-		}
-		keys = append(keys[:at:at], keys[at+30:]...)
 	}
 	return tree, keys
 }

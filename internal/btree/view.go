@@ -207,18 +207,6 @@ func (v *view) put(key, value []byte, own bool) ([]byte, error) {
 	return buf, nil
 }
 
-// remove returns the payload without key's cell, reporting whether the key
-// was present (the payload is unchanged, and shared, when it was not).
-func (v *view) remove(key []byte, own bool) ([]byte, bool, error) {
-	_, start, end, found, err := v.find(key)
-	if err != nil || !found {
-		return v.data, false, err
-	}
-	buf := v.splice(start, end, 0, own)
-	binary.LittleEndian.PutUint16(buf[v.first-2:], uint16(v.count-1))
-	return buf, true, nil
-}
-
 // splice returns the payload with its bytes [start, end) replaced by a gap
 // of n bytes for the caller to fill. Copy-on-write it is a new buffer of
 // exactly the new size, prefix and suffix copied in; in place (own) it is

@@ -23,15 +23,6 @@ func (n *node) covers(key []byte) bool {
 	return len(n.hi) == 0 || bytes.Compare(key, n.hi) < 0
 }
 
-func (n *node) remove(key []byte) bool {
-	i, found := n.find(key)
-	if !found {
-		return false
-	}
-	n.cells = append(n.cells[:i], n.cells[i+1:]...)
-	return true
-}
-
 func (n *node) childFor(key []byte) (page.ID, error) {
 	i := sort.Search(len(n.cells), func(i int) bool {
 		return bytes.Compare(n.cells[i].key, key) > 0
@@ -138,15 +129,6 @@ func checkViewAgainstOracle(t *testing.T, data []byte, internal bool, probes [][
 				t.Fatalf("put(%q): view payload differs from oracle (err %v)", key, err)
 			}
 		}
-		// remove likewise.
-		edited, _ = decodeNode(data)
-		wantFound := edited.remove(key)
-		wantData, _ := edited.encode()
-		gotData, gotFound, err := v.remove(key, false)
-		if err != nil || gotFound != wantFound || !bytes.Equal(gotData, wantData) {
-			t.Fatalf("remove(%q): found %v err %v, oracle found %v; payloads equal: %v",
-				key, gotFound, err, wantFound, bytes.Equal(gotData, wantData))
-		}
 	}
 	if !bytes.Equal(data, mustEncode(t, oracle)) {
 		t.Fatal("an edit modified the payload it read")
@@ -198,9 +180,6 @@ func exerciseCorrupt(t *testing.T, data []byte, probes [][]byte) {
 		}
 		if _, err := v.put(key, key, false); !isCorrupt(err) && !errors.Is(err, errOverflow) {
 			t.Fatalf("put(%q): %v", key, err)
-		}
-		if _, _, err := v.remove(key, false); !isCorrupt(err) {
-			t.Fatalf("remove(%q): %v", key, err)
 		}
 	}
 }

@@ -100,7 +100,6 @@ func (t TxnType) cpuCost() time.Duration {
 
 // Mix is a distribution over transaction classes (weights sum to 100).
 type Mix struct {
-	Name    string
 	Weights [numTxnTypes]int
 }
 
@@ -109,7 +108,6 @@ var (
 	// DefaultMix "executes all transaction types of the benchmark" with a
 	// roughly 3:1 read:write transaction ratio (Table 2).
 	DefaultMix = Mix{
-		Name: "default",
 		Weights: [numTxnTypes]int{
 			PointLookup: 40, RangeScan: 20, CPUHeavy: 15,
 			UpdateLite: 10, UpdateHeavy: 5, BulkInsert: 10,
@@ -117,7 +115,6 @@ var (
 	}
 	// MaxLogMix "produces the maximum amount of log data" (Table 5).
 	MaxLogMix = Mix{
-		Name: "max-log",
 		Weights: [numTxnTypes]int{
 			UpdateHeavy: 60, BulkInsert: 30, UpdateLite: 10,
 		},
@@ -125,12 +122,10 @@ var (
 	// UpdateLiteMix is "mostly small updates and no read transactions"
 	// (Appendix A).
 	UpdateLiteMix = Mix{
-		Name:    "update-lite",
 		Weights: [numTxnTypes]int{UpdateLite: 100},
 	}
 	// ReadOnlyMix tests read scale-out on secondaries.
 	ReadOnlyMix = Mix{
-		Name: "read-only",
 		Weights: [numTxnTypes]int{
 			PointLookup: 60, RangeScan: 25, CPUHeavy: 15,
 		},
@@ -267,10 +262,9 @@ func (c *Client) readTarget() (string, int) {
 
 // TxnStats describes one executed transaction.
 type TxnStats struct {
-	Type     TxnType
-	Latency  time.Duration
-	Aborted  bool
-	RowsRead int
+	Type    TxnType
+	Latency time.Duration
+	Aborted bool
 }
 
 // Pick draws the next transaction class from the mix.
@@ -288,14 +282,13 @@ func (c *Client) RunType(e *engine.Engine, t TxnType, meter *metrics.CPUMeter) (
 		meter.Charge(t.cpuCost())
 	}
 	var err error
-	var rows int
 	switch t {
 	case PointLookup:
-		rows, err = c.pointLookup(e)
+		err = c.pointLookup(e)
 	case RangeScan:
-		rows, err = c.rangeScan(e, 50)
+		err = c.rangeScan(e, 50)
 	case CPUHeavy:
-		rows, err = c.rangeScan(e, 200)
+		err = c.rangeScan(e, 200)
 	case UpdateLite:
 		err = c.updateRows(e, TableScaledUpdate, 1, 80)
 	case UpdateHeavy:
@@ -303,37 +296,26 @@ func (c *Client) RunType(e *engine.Engine, t TxnType, meter *metrics.CPUMeter) (
 	case BulkInsert:
 		err = c.bulkInsert(e, 20)
 	}
-	stats := TxnStats{Type: t, Latency: time.Since(start), RowsRead: rows}
+	stats := TxnStats{Type: t, Latency: time.Since(start)}
 	if err != nil {
 		stats.Aborted = true
 	}
 	return stats, err
 }
 
-func (c *Client) pointLookup(e *engine.Engine) (int, error) {
+func (c *Client) pointLookup(e *engine.Engine) error {
 	tx := e.BeginRO()
 	defer tx.Abort()
 	table, row := c.readTarget()
-	_, found, err := tx.Get(table, key(row))
-	if err != nil {
-		return 0, err
-	}
-	if found {
-		return 1, nil
-	}
-	return 0, nil
+	_, _, err := tx.Get(table, key(row))
+	return err
 }
 
-func (c *Client) rangeScan(e *engine.Engine, span int) (int, error) {
+func (c *Client) rangeScan(e *engine.Engine, span int) error {
 	tx := e.BeginRO()
 	defer tx.Abort()
 	table, lo := c.readTarget()
-	count := 0
-	err := tx.Scan(table, key(lo), key(lo+span), func(k, v []byte) bool {
-		count++
-		return true
-	})
-	return count, err
+	return tx.Scan(table, key(lo), key(lo+span), func(k, v []byte) bool { return true })
 }
 
 func (c *Client) updateRows(e *engine.Engine, table string, n, size int) error {

@@ -2,6 +2,7 @@ package cdb
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -158,13 +159,28 @@ func TestDriveWriteConflictsCountAsAborts(t *testing.T) {
 	if err := w.Setup(e); err != nil {
 		t.Fatal(err)
 	}
+	var aborts atomic.Int64
 	m := workload.Drive(func(id int) workload.Runner {
-		return Runner{C: w.NewClient(id), E: e, Mix: UpdateLiteMix}
+		return abortCounter{Runner{C: w.NewClient(id), E: e, Mix: UpdateLiteMix}, &aborts}
 	}, workload.Config{Threads: 8, Duration: 100 * time.Millisecond})
-	if m.Aborts == 0 {
+	if aborts.Load() == 0 {
 		t.Skip("no conflicts this run (timing dependent)")
 	}
 	if m.WriteTxns == 0 {
 		t.Fatal("no commits despite running")
 	}
+}
+
+// abortCounter counts the aborted outcomes of the runner it wraps.
+type abortCounter struct {
+	workload.Runner
+	n *atomic.Int64
+}
+
+func (c abortCounter) Run() (workload.Outcome, error) {
+	out, err := c.Runner.Run()
+	if out.Aborted {
+		c.n.Add(1)
+	}
+	return out, err
 }

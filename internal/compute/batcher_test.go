@@ -133,7 +133,7 @@ func runBatcherProperty(t *testing.T, seed int64) {
 			t.Fatalf("empty block at %d", b.Start)
 		}
 		switch b.Records[len(b.Records)-1].Kind {
-		case wal.KindTxnCommit, wal.KindTxnAbort, wal.KindCheckpoint, wal.KindNoop:
+		case wal.KindTxnCommit, wal.KindNoop:
 		default:
 			t.Fatalf("block [%d,%d) ends on %v, not a transaction boundary",
 				b.Start, b.End, b.Records[len(b.Records)-1].Kind)

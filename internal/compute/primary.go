@@ -60,7 +60,6 @@ type Primary struct {
 	writer *logwriter.LogWriter
 	sink   *lzSink
 	pages  *RemotePageFile
-	meter  *metrics.CPUMeter
 }
 
 // NewPrimary builds a primary. With cfg.Bootstrap it creates the database;
@@ -110,7 +109,7 @@ func NewPrimary(cfg PrimaryConfig) (*Primary, error) {
 		sink.wg.Wait()
 		return nil, err
 	}
-	p := &Primary{Engine: eng, writer: writer, sink: sink, pages: pages, meter: cfg.Meter}
+	p := &Primary{Engine: eng, writer: writer, sink: sink, pages: pages}
 	if !cfg.Bootstrap && cfg.XLOG != nil {
 		if err := p.recoverVisibility(cfg.XLOG); err != nil {
 			p.Crash()

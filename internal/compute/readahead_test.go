@@ -867,7 +867,7 @@ func TestSecondaryAppliedBeforeVisible(t *testing.T) {
 	// Block 2: a page operation, then a commit (timestamp 102).
 	const start = page.LSN(1000)
 	bld := wal.NewBuilder(start, page.Partitioning{})
-	bld.Append(&wal.Record{Txn: 7, Kind: wal.KindTxnBegin})
+	bld.Append(&wal.Record{Txn: 7, Kind: wal.KindNoop})
 	commit1 := bld.Append(wal.NewCommit(7, 101))
 	b1 := bld.Flush()
 	bld.Append(&wal.Record{Txn: 8, Kind: wal.KindCellPut, Page: 2, PageType: page.TypeLeaf,

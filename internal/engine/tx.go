@@ -360,7 +360,6 @@ func (tx *Tx) Commit() error {
 		}
 	}
 	ts := e.clock.AllocateCommit()
-	e.cfg.Log.Append(&wal.Record{Txn: tx.id, Kind: wal.KindTxnBegin})
 	// The write set's pages are built in the commit's page set — a page is
 	// copied on its first change and edited in place after it, and the
 	// commit reads the pages it changed from the set, never back from the

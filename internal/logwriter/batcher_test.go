@@ -159,7 +159,7 @@ func TestCoalesceBatchSquashesSameTxnOverwrites(t *testing.T) {
 		rec(1, 1, wal.KindCellPut, "k", "v1"),
 		rec(2, 2, wal.KindCellPut, "k", "other-txn"), // different txn: kept
 		rec(3, 1, wal.KindCellPut, "k", "v2"),
-		rec(4, 1, wal.KindCellDelete, "k", ""), // delete: never coalesced
+		rec(4, 1, wal.KindPageImage, "", "img"), // page image: never coalesced
 		rec(5, 1, wal.KindCellPut, "k", "v3"),
 		rec(6, 1, wal.KindTxnCommit, "", ""),
 	}

@@ -176,10 +176,10 @@ func New(sink Sink, startLSN page.LSN, opts ...Option) *LogWriter {
 	return w
 }
 
-// Append stages a record, assigning its LSN. Transaction-boundary records
-// (commit, abort, checkpoint) make the pending prefix flushable. Append
-// writes nothing: a boundary record is written by the first caller that
-// waits on it (WaitHarden), or by Close.
+// Append stages a record, assigning its LSN. A boundary record (a commit,
+// or a noop) makes the pending prefix flushable. Append writes nothing: a
+// boundary record is written by the first caller that waits on it
+// (WaitHarden), or by Close.
 //
 //socrates:hotpath the commit path stages every record here; budget enforced by TestCommitAppendAllocs
 func (w *LogWriter) Append(rec *wal.Record) page.LSN {
@@ -189,7 +189,7 @@ func (w *LogWriter) Append(rec *wal.Record) page.LSN {
 	w.nextLSN = w.nextLSN.Next()
 	w.pending = append(w.pending, rec)
 	switch rec.Kind {
-	case wal.KindTxnCommit, wal.KindTxnAbort, wal.KindCheckpoint, wal.KindNoop:
+	case wal.KindTxnCommit, wal.KindNoop:
 		w.boundary = len(w.pending)
 		// Feed the arrival-gap EWMA the batcher's window policy reads:
 		// boundary records are what group commit batches, so their spacing
@@ -365,9 +365,9 @@ func (w *LogWriter) batchPlan() (wait time.Duration, target int) {
 // one transaction puts the same (page, key) cell several times within a
 // single batch, only the last image is ever readable — the intermediate
 // versions would share the final one's commit timestamp, so no snapshot can
-// observe them. Only KindCellPut records coalesce; boundary records, page
-// images, and deletes are never touched, so a batch boundary can never
-// split or lose a transaction's outcome. Surviving records keep their LSNs:
+// observe them. Only KindCellPut records coalesce; boundary records and page
+// images are never touched, so a batch boundary can never split or lose a
+// transaction's outcome. Surviving records keep their LSNs:
 // the block still covers the same [Start, End) range with holes, which the
 // explicitly-counted encoding represents exactly and LSN-idempotent redo
 // replays obliviously. Reports how many records were squashed.

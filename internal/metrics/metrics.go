@@ -99,7 +99,7 @@ const reservoirCap = 1 << 16
 
 // Histogram collects duration samples and reports order statistics.
 //
-// Summarize's Count, Min, Max, Mean and Stdev are always exact: they are
+// Summarize's Count, Min, Max and Stdev are always exact: they are
 // maintained as running aggregates over every observation. Median and
 // Quantile are exact until reservoirCap samples have been observed, after
 // which they are computed over a uniform reservoir of reservoirCap samples
@@ -192,14 +192,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return h.samples[idx]
 }
 
-// meanLocked reports the exact running mean; caller holds h.mu.
-func (h *Histogram) meanLocked() time.Duration {
-	if h.total == 0 {
-		return 0
-	}
-	return time.Duration(h.sum / float64(h.total))
-}
-
 // stdevLocked reports the exact population standard deviation from the
 // running moments; caller holds h.mu.
 func (h *Histogram) stdevLocked() time.Duration {
@@ -219,13 +211,12 @@ type Summary struct {
 	Count  int
 	Min    time.Duration
 	Median time.Duration
-	Mean   time.Duration
 	Max    time.Duration
 	Stdev  time.Duration
 }
 
-// Summarize reports all statistics at once. Count, Min, Max, Mean, and
-// Stdev come from the exact running aggregates; Median comes from the
+// Summarize reports all statistics at once. Count, Min, Max and Stdev
+// come from the exact running aggregates; Median comes from the
 // retained samples (exact below reservoirCap).
 func (h *Histogram) Summarize() Summary {
 	h.mu.Lock()
@@ -239,7 +230,6 @@ func (h *Histogram) Summarize() Summary {
 		Count:  int(h.total),
 		Min:    h.min,
 		Median: h.samples[n/2],
-		Mean:   h.meanLocked(),
 		Max:    h.max,
 		Stdev:  h.stdevLocked(),
 	}

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -103,8 +104,8 @@ func TestHistogramOrderStatistics(t *testing.T) {
 	if got := h.Median(); got != 3*time.Millisecond {
 		t.Errorf("median = %v, want 3ms", got)
 	}
-	if got := h.Summarize().Mean; got != 3*time.Millisecond {
-		t.Errorf("mean = %v, want 3ms", got)
+	if got, want := h.Summarize().Stdev, time.Duration(math.Sqrt(2)*float64(time.Millisecond)); got < want-1 || got > want+1 {
+		t.Errorf("stdev = %v, want ~%v", got, want)
 	}
 
 	// An even count reports the upper of the two middle samples, in
@@ -177,7 +178,7 @@ func TestHistogramSummaryString(t *testing.T) {
 	}
 }
 
-// Property: min <= median <= max and min <= mean <= max for any sample set.
+// Property: min <= median <= max for any sample set.
 func TestHistogramOrderingProperty(t *testing.T) {
 	f := func(raw []uint32) bool {
 		if len(raw) == 0 {
@@ -188,8 +189,7 @@ func TestHistogramOrderingProperty(t *testing.T) {
 			h.Observe(time.Duration(v))
 		}
 		s := h.Summarize()
-		return s.Min <= s.Median && s.Median <= s.Max &&
-			s.Min <= s.Mean && s.Mean <= s.Max
+		return s.Min <= s.Median && s.Median <= s.Max
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -234,14 +234,14 @@ func TestHistogramReservoirExactAggregates(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		h.Observe(time.Duration(i))
 	}
-	// Count/Min/Max/Mean are exact regardless of sampling.
+	// Count/Min/Max/Stdev are exact regardless of sampling.
 	s := h.Summarize()
 	if s.Count != n || s.Min != 1 || s.Max != n || s.Median != h.Median() {
 		t.Errorf("summary %+v: want count %d, min 1, max %d, median %v", s, n, n, h.Median())
 	}
-	wantMean := time.Duration((n + 1) / 2)
-	if s.Mean < wantMean-1 || s.Mean > wantMean+1 {
-		t.Errorf("mean = %v, want ~%v", s.Mean, wantMean)
+	wantStdev := time.Duration(math.Sqrt((float64(n)*float64(n) - 1) / 12)) // of 1..n
+	if s.Stdev < wantStdev-1 || s.Stdev > wantStdev+1 {
+		t.Errorf("stdev = %v, want ~%v", s.Stdev, wantStdev)
 	}
 }
 

@@ -259,8 +259,6 @@ type TCPServer struct {
 	ln      net.Listener
 	handler Handler
 	wg      sync.WaitGroup
-	mu      sync.Mutex
-	closed  bool
 }
 
 // ServeTCP starts a server on addr (e.g. "127.0.0.1:0").
@@ -280,9 +278,6 @@ func (s *TCPServer) Addr() string { return s.ln.Addr().String() }
 
 // Close stops accepting and waits for active connections to drain.
 func (s *TCPServer) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
 	err := s.ln.Close()
 	s.wg.Wait()
 	return err

@@ -154,7 +154,7 @@ func TestPolicyTable(t *testing.T) {
 			[4]outcome{failed, dropped, dropped, failed}},
 		{"commit record", commit,
 			[4]outcome{passed, passed, passed, passed}},
-		{"not a page record", &wal.Record{LSN: lsn, Kind: wal.KindTxnBegin, Txn: 7},
+		{"not a page record", &wal.Record{LSN: lsn, Kind: wal.KindNoop, Txn: 7},
 			[4]outcome{passed, passed, passed, passed}},
 		{"at the stop LSN", cellAt(stop, 1),
 			[4]outcome{passed, passed, passed, passed}},
@@ -184,16 +184,13 @@ func TestPolicyTable(t *testing.T) {
 	}
 }
 
-// cellRecs returns n alternating cell puts and deletes for page id from
-// LSN from on: values that grow, then a delete of a key put before.
+// cellRecs returns n cell puts for page id from LSN from on, over three
+// keys: values that grow, each key put again over its last value.
 func cellRecs(id page.ID, from page.LSN, n int) []*wal.Record {
 	recs := make([]*wal.Record, n)
 	for i := range recs {
 		recs[i] = &wal.Record{LSN: from + page.LSN(i), Kind: wal.KindCellPut, Page: id,
 			PageType: page.TypeLeaf, Key: []byte{'k', byte(i % 3)}, Value: bytes.Repeat([]byte{'v'}, 10*i)}
-		if i%4 == 3 {
-			recs[i].Kind, recs[i].Value = wal.KindCellDelete, nil
-		}
 	}
 	return recs
 }

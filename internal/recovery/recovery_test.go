@@ -51,7 +51,7 @@ func newMemPuller(pipe engine.MemPipeline) *memPuller {
 		// sequence the MemLog did.
 		bld.Append(&wal.Record{Txn: rec.Txn, Kind: rec.Kind, Page: rec.Page,
 			PageType: rec.PageType, Key: rec.Key, Value: rec.Value})
-		if rec.Kind == wal.KindTxnCommit || rec.Kind == wal.KindCheckpoint {
+		if rec.Kind == wal.KindTxnCommit {
 			blocks = append(blocks, bld.Flush())
 		}
 	}

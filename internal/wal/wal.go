@@ -2,9 +2,11 @@
 // binary codec, and the block builder the primary uses to assemble log
 // blocks for the landing zone and the XLOG feed.
 //
-// The log is physiological: records describe page-level mutations (put or
-// delete a cell on a page, install a whole page image) plus transaction
-// control records. Redo is idempotent — a record applies to a page only if
+// The log is physiological: records describe page-level mutations (put a
+// cell on a page, install a whole page image) plus the commit records that
+// order them. There is no undo: a commit builds its pages privately and
+// publishes them after its last record, so nothing uncommitted is logged
+// to be taken back. Redo is idempotent — a record applies to a page only if
 // the record's LSN is newer than the page's LSN — which is what makes the
 // GetPage@LSN protocol and multi-consumer log apply safe.
 //
@@ -28,36 +30,30 @@ import (
 // Kind discriminates log record types.
 type Kind uint8
 
-// Record kinds.
+// Record kinds. The log holds only what its readers read: page operations
+// and the commit that orders them. Retired numbers stay reserved, so no
+// live kind's byte moves; one decodes as a non-page kind(n) that redo skips.
 const (
-	KindNoop       Kind = iota // padding / testing
-	KindTxnBegin               // transaction started
-	KindTxnCommit              // transaction committed; Value = commit timestamp (8 bytes)
-	KindTxnAbort               // transaction aborted
-	KindPageImage              // full after-image of a page (structural ops)
-	KindCellPut                // put Key→Value into a page's cell area
-	KindCellDelete             // delete Key from a page's cell area
-	KindCheckpoint             // checkpoint marker (bookkeeping)
+	KindNoop      Kind = iota // padding / testing
+	_                         // retired: transaction begin
+	KindTxnCommit             // transaction committed; Value = commit timestamp (8 bytes)
+	_                         // retired: transaction abort
+	KindPageImage             // full after-image of a page (structural ops)
+	KindCellPut               // put Key→Value into a page's cell area
+	_                         // retired: cell delete
+	_                         // retired: checkpoint marker
 )
 
 func (k Kind) String() string {
 	switch k {
 	case KindNoop:
 		return "noop"
-	case KindTxnBegin:
-		return "begin"
 	case KindTxnCommit:
 		return "commit"
-	case KindTxnAbort:
-		return "abort"
 	case KindPageImage:
 		return "page-image"
 	case KindCellPut:
 		return "cell-put"
-	case KindCellDelete:
-		return "cell-delete"
-	case KindCheckpoint:
-		return "checkpoint"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -87,7 +83,7 @@ type Record struct {
 // IsPageOp reports whether the record mutates a page.
 func (r *Record) IsPageOp() bool {
 	switch r.Kind {
-	case KindPageImage, KindCellPut, KindCellDelete:
+	case KindPageImage, KindCellPut:
 		return true
 	}
 	return false

@@ -12,10 +12,10 @@ import (
 
 func sampleRecords() []*Record {
 	return []*Record{
-		{Kind: KindTxnBegin, Txn: 1},
+		{Kind: KindNoop, Txn: 1},
 		{Kind: KindCellPut, Txn: 1, Page: 10, PageType: page.TypeLeaf,
 			Key: []byte("k1"), Value: []byte("v1")},
-		{Kind: KindCellDelete, Txn: 1, Page: 250, PageType: page.TypeLeaf,
+		{Kind: KindCellPut, Txn: 1, Page: 250, PageType: page.TypeLeaf,
 			Key: []byte("k2")},
 		NewCommit(1, 99),
 		{Kind: KindPageImage, Txn: 0, Page: 10, PageType: page.TypeLeaf,
@@ -60,29 +60,40 @@ func TestCommitTS(t *testing.T) {
 	if r.CommitTS() != 777 || r.Txn != 5 {
 		t.Fatalf("commit record %+v", r)
 	}
-	other := &Record{Kind: KindTxnBegin}
+	other := &Record{Kind: KindNoop}
 	if other.CommitTS() != 0 {
 		t.Fatal("non-commit record should report 0 commit TS")
 	}
 }
 
+// TestIsPageOp pins the log's vocabulary: each live kind's byte on the
+// wire and whether redo applies it. The retired numbers 1, 3, 6 and 7
+// (begin, abort, cell delete, checkpoint) stay reserved and are not page
+// ops.
 func TestIsPageOp(t *testing.T) {
-	pageOps := map[Kind]bool{
-		KindNoop: false, KindTxnBegin: false, KindTxnCommit: false,
-		KindTxnAbort: false, KindPageImage: true, KindCellPut: true,
-		KindCellDelete: true, KindCheckpoint: false,
-	}
-	for k, want := range pageOps {
-		r := &Record{Kind: k}
-		if r.IsPageOp() != want {
-			t.Errorf("IsPageOp(%v) = %v, want %v", k, !want, want)
+	for _, c := range []struct {
+		kind   Kind
+		b      byte
+		pageOp bool
+	}{
+		{KindNoop, 0, false}, {1, 1, false}, {KindTxnCommit, 2, false}, {3, 3, false},
+		{KindPageImage, 4, true}, {KindCellPut, 5, true}, {6, 6, false}, {7, 7, false},
+	} {
+		r := &Record{Kind: c.kind}
+		if byte(c.kind) != c.b || r.IsPageOp() != c.pageOp {
+			t.Errorf("%v: byte %d, page op %v; want %d, %v", c.kind, byte(c.kind), r.IsPageOp(), c.b, c.pageOp)
 		}
 	}
 }
 
 func TestKindString(t *testing.T) {
-	if KindCellPut.String() != "cell-put" || Kind(200).String() != "kind(200)" {
-		t.Fatal("Kind.String broken")
+	for k, want := range map[Kind]string{
+		KindNoop: "noop", KindTxnCommit: "commit", KindPageImage: "page-image", KindCellPut: "cell-put",
+		1: "kind(1)", 3: "kind(3)", 6: "kind(6)", 7: "kind(7)", 200: "kind(200)",
+	} {
+		if k.String() != want {
+			t.Errorf("Kind(%d).String() = %q, want %q", uint8(k), k.String(), want)
+		}
 	}
 }
 
@@ -202,9 +213,9 @@ func TestBlockCorruptionDetected(t *testing.T) {
 func TestComputePartitionsIgnoresNonPageOps(t *testing.T) {
 	pt := page.Partitioning{PagesPerPartition: 10}
 	recs := []*Record{
-		{Kind: KindTxnBegin, Txn: 1},
+		{Kind: KindNoop, Txn: 1},
 		NewCommit(1, 5),
-		{Kind: KindCheckpoint},
+		{Kind: Kind(7)},
 	}
 	if got := ComputePartitions(recs, pt); len(got) != 0 {
 		t.Fatalf("partitions = %v, want empty", got)

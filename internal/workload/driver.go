@@ -60,8 +60,6 @@ type Config struct {
 type Metrics struct {
 	ReadTxns  int64
 	WriteTxns int64
-	Aborts    int64
-	Errors    int64
 	Elapsed   time.Duration
 	// WriteLatency collects commit latencies of write transactions —
 	// the paper's Table 6 statistics.
@@ -156,20 +154,15 @@ func runPhase(runners []Runner, d time.Duration, count int64, m *Metrics) {
 					}
 					out, err := r.Run()
 					ok := err == nil && !out.Aborted
-					if m != nil {
+					if m != nil && ok {
 						mu.Lock()
-						switch {
-						case err != nil:
-							m.Errors++
-						case out.Aborted:
-							m.Aborts++
-						case out.Kind == Write:
+						if out.Kind == Write {
 							m.WriteTxns++
-						default:
+						} else {
 							m.ReadTxns++
 						}
 						mu.Unlock()
-						if ok && out.Kind == Write {
+						if out.Kind == Write {
 							m.WriteLatency.Observe(out.Latency)
 						}
 					}
