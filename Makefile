@@ -93,7 +93,10 @@ repl-stress:
 # leaves the page as it was), of random multi-row commits against
 # copy-on-write redo of their log from an empty store (identical pages and
 # LSNs; no record changes after its append, so no page a logged image
-# aliases is edited in place), of the log block decoder
+# aliases is edited in place), of a page server's pulls against
+# copy-on-write redo of their records (identical pages; a pull a redo
+# failure drops publishes nothing, and no published version changes), of
+# the log block decoder
 # (never panics; a decode re-encodes to the bytes it consumed) and of the
 # page decoder (never panics; an accepted image re-encodes to its header
 # and payload). The contracts are the only allocation gate: every
@@ -104,6 +107,7 @@ allocs:
 	$(GO) test -run '^$$' -fuzz=FuzzNodeView -fuzztime=10s ./internal/btree
 	$(GO) test -run '^$$' -fuzz=FuzzRedoInPlace -fuzztime=10s ./internal/btree
 	$(GO) test -run '^$$' -fuzz=FuzzCommitMatchesRedo -fuzztime=10s ./internal/engine
+	$(GO) test -run '^$$' -fuzz=FuzzPullMatchesRedo -fuzztime=10s ./internal/recovery
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeBlock -fuzztime=10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz=FuzzPageDecode -fuzztime=10s ./internal/page
 

@@ -115,7 +115,7 @@ func (t *Tree) writeCell(pg *page.Page, own bool, data []byte, rec *wal.Record) 
 	}
 	next := &page.Page{ID: pg.ID, LSN: lsn, Type: pg.Type, Data: data}
 	if t.set != nil {
-		t.set.stage(next, true)
+		t.set.Stage(next, true)
 		return nil
 	}
 	return t.pager.Write(next)
@@ -215,7 +215,7 @@ func (t *Tree) putRec(txn uint64, id page.ID, key, value []byte) (*splitResult, 
 		// Install the separator for the new right sibling.
 		key, value = split.key, encodeChild(split.right)
 	}
-	own := t.set.owns(pg)
+	own := t.set.Owns(pg)
 	data, err := v.put(key, value, own)
 	if err == nil {
 		return nil, t.writeCell(pg, own, data, &wal.Record{

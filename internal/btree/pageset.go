@@ -6,16 +6,16 @@ import (
 )
 
 // PageSet holds the page versions one writer builds until it installs them:
-// a commit's pages (DESIGN §16.2). Nobody but the writer sees them — the
-// pager underneath holds the published versions, and readers read those —
-// until Install hands each page to the pager, once. The first change to a
-// page copies it, as writing a new version does; every later change edits
-// that copy in place, as Edit does for redo's own versions.
+// a commit's pages, or a page server's pull (DESIGN §16.2). Nobody but the
+// writer sees them — the pager underneath holds the published versions, and
+// readers read those — until Install hands each page to the pager, once.
+// The first change to a page copies it, as writing a new version does; every
+// later change edits that copy in place, as Edit does for redo's own versions.
 //
 // A PageSet is its writer's Pager: a Tree opened over it reads its own
 // writes, and a page it does not hold is read from the pager. Its writer is
-// serialized (the engine's commit latch); a PageSet is not safe for
-// concurrent use.
+// serialized (the engine's commit latch, a page server's apply loop); a
+// PageSet is not safe for concurrent use.
 type PageSet struct {
 	pager  Pager
 	index  map[page.ID]int // page → its entry in staged
@@ -46,7 +46,7 @@ func (s *PageSet) Read(id page.ID) (*page.Page, error) {
 // pg's payload — a page image it logged aliases it until the log encodes the
 // record — so the set does not own it, and the page's next change copies.
 func (s *PageSet) Write(pg *page.Page) error {
-	s.stage(pg, false)
+	s.Stage(pg, false)
 	return nil
 }
 
@@ -66,20 +66,20 @@ func (s *PageSet) Allocate(t page.Type) (*page.Page, error) {
 // else onto a copy (Apply) that the set then owns. The result is byte for
 // byte what redo of the same record builds.
 func (s *PageSet) Apply(pg *page.Page, rec *wal.Record) error {
-	if s.owns(pg) {
+	if s.Owns(pg) {
 		_, err := Edit(pg, rec)
 		return err
 	}
 	next, applied, err := Apply(pg, rec)
 	if applied {
-		s.stage(next, true)
+		s.Stage(next, true)
 	}
 	return err
 }
 
-// owns reports whether pg is the set's current version of its page and its
+// Owns reports whether pg is the set's current version of its page and its
 // payload is the set's alone. A nil set owns nothing.
-func (s *PageSet) owns(pg *page.Page) bool {
+func (s *PageSet) Owns(pg *page.Page) bool {
 	if s == nil {
 		return false
 	}
@@ -87,9 +87,9 @@ func (s *PageSet) owns(pg *page.Page) bool {
 	return ok && s.staged[i].pg == pg && s.staged[i].own
 }
 
-// stage makes pg its page's next version; own says whether its payload is
+// Stage makes pg its page's next version; own says whether its payload is
 // the set's alone.
-func (s *PageSet) stage(pg *page.Page, own bool) {
+func (s *PageSet) Stage(pg *page.Page, own bool) {
 	e := s.entry(pg.ID)
 	e.pg, e.own = pg, own
 }

@@ -15,6 +15,7 @@ package cdb
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -22,6 +23,7 @@ import (
 	"socrates/internal/engine"
 	"socrates/internal/metrics"
 	"socrates/internal/simdisk"
+	"socrates/internal/txn"
 	"socrates/internal/workload"
 )
 
@@ -274,8 +276,8 @@ func (c *Client) Pick(mix Mix) TxnType { return mix.pick(c.rng) }
 func (t TxnType) CPUCost() time.Duration { return t.cpuCost() }
 
 // RunType executes one transaction of the given class against the engine,
-// charging the meter for query-processing CPU. Write conflicts abort and
-// are reported, as in any OLTP harness.
+// charging the meter for query-processing CPU. Only a write conflict is
+// Aborted, as in any OLTP harness; any other error is a failure.
 func (c *Client) RunType(e *engine.Engine, t TxnType, meter *metrics.CPUMeter) (TxnStats, error) {
 	start := time.Now()
 	if meter != nil {
@@ -296,11 +298,7 @@ func (c *Client) RunType(e *engine.Engine, t TxnType, meter *metrics.CPUMeter) (
 	case BulkInsert:
 		err = c.bulkInsert(e, 20)
 	}
-	stats := TxnStats{Type: t, Latency: time.Since(start)}
-	if err != nil {
-		stats.Aborted = true
-	}
-	return stats, err
+	return TxnStats{Type: t, Latency: time.Since(start), Aborted: errors.Is(err, txn.ErrWriteConflict)}, err
 }
 
 func (c *Client) pointLookup(e *engine.Engine) error {

@@ -153,34 +153,51 @@ func TestDriveCollectsMetrics(t *testing.T) {
 	}
 }
 
+// TestDriveWriteConflictsCountAsAborts: two transactions update one row.
+// The first holds the row's lock; the second, the CDB client's, conflicts
+// at its update, and the drive counts that attempt as an abort, not a
+// failure. Once the first has aborted, the retry commits.
 func TestDriveWriteConflictsCountAsAborts(t *testing.T) {
 	e := newEngine(t)
-	w := New(4) // tiny table: heavy write contention
+	w := New(1) // one row per scaled table: every update targets row 0
 	if err := w.Setup(e); err != nil {
+		t.Fatal(err)
+	}
+	first := e.Begin()
+	if err := first.Put(TableScaledUpdate, key(0), []byte("first")); err != nil {
 		t.Fatal(err)
 	}
 	var aborts atomic.Int64
 	m := workload.Drive(func(id int) workload.Runner {
-		return abortCounter{Runner{C: w.NewClient(id), E: e, Mix: UpdateLiteMix}, &aborts}
-	}, workload.Config{Threads: 8, Duration: 100 * time.Millisecond})
-	if aborts.Load() == 0 {
-		t.Skip("no conflicts this run (timing dependent)")
-	}
-	if m.WriteTxns == 0 {
-		t.Fatal("no commits despite running")
+		return abortCounter{Runner{C: w.NewClient(id), E: e, Mix: UpdateLiteMix}, &aborts, first}
+	}, workload.Config{Threads: 1, Count: 1, Duration: 10 * time.Second})
+	if aborts.Load() != 1 || m.WriteTxns != 1 || m.Failed != 0 {
+		t.Fatalf("aborts %d, commits %d, failures %d; want 1, 1, 0", aborts.Load(), m.WriteTxns, m.Failed)
 	}
 }
 
-// abortCounter counts the aborted outcomes of the runner it wraps.
+// TestRunTypeFailureIsNotAnAbort: an error other than a write conflict —
+// here, tables that were never created — is a failure, not an abort.
+func TestRunTypeFailureIsNotAnAbort(t *testing.T) {
+	c := New(1).NewClient(0)
+	stats, err := c.RunType(newEngine(t), UpdateLite, nil)
+	if err == nil || stats.Aborted {
+		t.Fatalf("update of a missing table: err %v, aborted %v; want an error, not an abort", err, stats.Aborted)
+	}
+}
+
+// abortCounter counts the aborted outcomes of the runner it wraps and,
+// after the first, aborts the transaction it conflicted with.
 type abortCounter struct {
 	workload.Runner
-	n *atomic.Int64
+	n     *atomic.Int64
+	first *engine.Tx
 }
 
 func (c abortCounter) Run() (workload.Outcome, error) {
 	out, err := c.Runner.Run()
-	if out.Aborted {
-		c.n.Add(1)
+	if out.Aborted && c.n.Add(1) == 1 {
+		c.first.Abort()
 	}
 	return out, err
 }

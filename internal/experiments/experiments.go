@@ -282,8 +282,10 @@ func table2(o Options) (Report, error) {
 	switch {
 	case h.TotalTPS() <= 0 || s.TotalTPS() <= 0:
 		rep.Shape = fmt.Errorf("zero throughput: HADR %.0f, Socrates %.0f", h.TotalTPS(), s.TotalTPS())
-	// Both systems commit writes (a zero write rate would mean a poisoned
-	// engine), and reads dominate writes on both (default mix).
+	// No transaction fails, both systems commit writes (a zero write rate
+	// would mean a poisoned engine), and reads dominate writes (default mix).
+	case h.Failed > 0 || s.Failed > 0:
+		rep.Shape = fmt.Errorf("failed transactions: HADR %d, Socrates %d", h.Failed, s.Failed)
 	case h.WriteTxns == 0 || s.WriteTxns == 0:
 		rep.Shape = fmt.Errorf("no writes: HADR %d, Socrates %d", h.WriteTxns, s.WriteTxns)
 	case h.ReadTxns < h.WriteTxns || s.ReadTxns < s.WriteTxns:
@@ -517,6 +519,9 @@ func updateLite(name string, lz simdisk.Profile, threads int, o Options) (m work
 		m = driveCDB(s.Primary().Engine, w, cdb.UpdateLiteMix, 0, s.PrimaryMeter, o.window(threads))
 		_, after := s.Primary().Writer().Stats()
 		logBytes, cpuPct = after-before, s.PrimaryMeter.Utilization()
+		if m.Failed > 0 {
+			return fmt.Errorf("%s: %d transactions failed", name, m.Failed)
+		}
 		return nil
 	})
 	return m, logBytes, cpuPct, err

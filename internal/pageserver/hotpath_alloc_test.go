@@ -12,7 +12,6 @@ import (
 	"socrates/internal/fcb"
 	"socrates/internal/page"
 	"socrates/internal/rbio"
-	"socrates/internal/recovery"
 	"socrates/internal/testutil"
 	"socrates/internal/wal"
 )
@@ -105,10 +104,10 @@ func TestGetPageAllocs(t *testing.T) {
 
 // TestApplyFeedAllocs is the allocation contract for the apply feed: the
 // per-record redo path (the cursor under the recovery.Owned policy) in both
-// of its forms, and one pull of the online loop. For redo, the batch and
-// target page are warm — exactly the state of a pull coalescing many records
-// onto one hot page — so the measured cost is btree redo itself, not batch
-// bookkeeping. The first record of a pull for a cached page copies it: the
+// of its forms, and one pull of the online loop. For redo, the pull's page
+// set and target page are warm — exactly the state of a pull coalescing many
+// records onto one hot page — so the measured cost is btree redo itself, not
+// the set's bookkeeping. The first record of a pull for a cached page copies it: the
 // spliced payload and the new page around it, 2. Every later record of the
 // same pull edits that version in place: 0 while its payload has room. The
 // pull runs on the stopped server, under its cancelled context: its cost is
@@ -154,11 +153,11 @@ func TestApplyFeedAllocs(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name   string
-		before func() // the batch as the pull has it when the record comes
+		before func() // the set as the pull has it when the record comes
 		budget float64
 	}{
-		// The cache's version, as Owned.Page leaves it in the batch.
-		{"first redo of a cached page", func() { srv.owned.Batch[target] = recovery.Batched{Page: pg} }, 2},
+		// The cache's version, as Owned.Page stages it in the set: not owned.
+		{"first redo of a cached page", func() { srv.owned.Set.Stage(pg, false) }, 2},
 		// The version the previous run built, still the pull's own.
 		{"redo onto the pull's own version", func() {}, 0},
 	} {

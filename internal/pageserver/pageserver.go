@@ -28,6 +28,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"socrates/internal/btree"
+	"socrates/internal/fcb"
 	"socrates/internal/obs"
 	"socrates/internal/page"
 	"socrates/internal/rbio"
@@ -121,8 +123,8 @@ type Server struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	// The apply loop's cursor and its policy, whose batch applyPull flushes;
-	// only the apply loop touches either.
+	// The apply loop's cursor and its policy, whose page set applyPull
+	// installs; only the apply loop touches either.
 	redo  *recovery.Replayer
 	owned *recovery.Owned
 
@@ -197,8 +199,7 @@ func New(cfg Config) (*Server, error) {
 	s.applied = cfg.Obs.Watermarks.Own(obs.WMApplied, cfg.Name)
 	s.applied.Publish(uint64(s.ckptLSN))
 	s.ckpt = cfg.Obs.Watermarks.Own(obs.WMCheckpoint, cfg.Name)
-	s.owned = &recovery.Owned{Lo: lo, Hi: hi, Cache: cache, Fetch: s.fetchFromStore,
-		Batch: make(map[page.ID]recovery.Batched, 64)}
+	s.owned = &recovery.Owned{Lo: lo, Hi: hi, Set: btree.NewPageSet(applyPager{s}), Fetch: s.fetchFromStore}
 	s.redo = recovery.NewReplayer(s.owned, s.ckptLSN, nil)
 	if cfg.Seed {
 		s.wg.Add(1)
@@ -284,36 +285,55 @@ func (s *Server) readMeta() (page.LSN, error) {
 
 // --- log apply ---
 
-// applyPull applies one pull's answer, installs the batch recovery.Owned
-// coalesced and publishes the watermark. The batch starts empty, so no
+// applyPull applies one pull's answer, installs the page set recovery.Owned
+// staged it in and publishes the watermark. The set starts empty, so no
 // version a reader may hold is redo's to edit; the versions redo builds
-// during the pull stay its own until the flush publishes them. A failed
-// redo or install fails the pull, which is pulled again. Each batch starts
+// during the pull stay the set's own until Install publishes them. A failed
+// redo or install fails the pull, which is pulled again. Each pull starts
 // its own trace.
 //
 //socrates:hotpath the apply feed's batch loop; TestApplyFeedAllocs
 func (s *Server) applyPull(from, next page.LSN, payload []byte) error {
 	start := time.Now() // after the pull: XLOG's wait for the log is no part of applying it
-	s.owned.Reset()
+	s.owned.Set.Drop()  // what a failed pull left, unpublished
+	installed, redone := s.applies.Load(), s.owned.Redone
 	if err := s.redo.ApplyBlocks(payload, 0); err != nil {
 		return err
 	}
-	for _, b := range s.owned.Batch {
-		s.applies.Add(1)
-		s.cfg.Obs.Metrics.Counter("pageserver.apply.pages").Inc()
-		s.markDirty(b.Page)
-		if err := s.cache.Put(b.Page); err != nil {
-			s.cfg.Obs.Flight.Record(obs.TierPageServer, "ps.apply_error",
-				uint64(from), time.Since(start),
-				s.cfg.Name+": cache put: "+err.Error())
-			return err
-		}
+	if err := s.owned.Set.Install(); err != nil {
+		s.cfg.Obs.Flight.Record(obs.TierPageServer, "ps.apply_error", uint64(from), time.Since(start),
+			s.cfg.Name+": cache put: "+err.Error())
+		return err
 	}
 	s.cfg.Obs.Metrics.Histogram("pageserver.apply.latency").Since(start)
 	s.applied.Publish(uint64(next)) // every page below next is marked dirty: a sweep may resume here
 	s.cfg.Obs.Flight.Record(obs.TierPageServer, "ps.apply", uint64(next), time.Since(start),
-		fmt.Sprintf("%s: pages=%d records=%d", s.cfg.Name, len(s.owned.Batch), s.owned.Redone))
+		fmt.Sprintf("%s: pages=%d records=%d", s.cfg.Name, s.applies.Load()-installed, s.owned.Redone-redone))
 	return nil
+}
+
+// applyPager is the pull's page set's pager. Read is the covering cache;
+// Write installs a page of the pull: counted, marked dirty and then cached
+// (a sweep relies on a page being marked before the cache has it).
+type applyPager struct{ *Server }
+
+func (p applyPager) Read(id page.ID) (*page.Page, error) {
+	if pg, ok := p.cache.Get(id); ok {
+		return pg, nil
+	}
+	return nil, fcb.ErrNotFound
+}
+
+func (p applyPager) Write(pg *page.Page) error {
+	p.applies.Add(1)
+	p.cfg.Obs.Metrics.Counter("pageserver.apply.pages").Inc()
+	p.markDirty(pg)
+	return p.cache.Put(pg)
+}
+
+// Allocate fails: redo allocates nothing, an image record makes a new page.
+func (applyPager) Allocate(page.Type) (*page.Page, error) {
+	return nil, errors.New("pageserver: apply allocates no pages")
 }
 
 // markDirty records that pg's version still has to reach XStore.

@@ -774,3 +774,37 @@ func dirtyPages(srv *Server) int {
 	defer srv.mu.Unlock()
 	return len(srv.dirty)
 }
+
+// TestPullInstallsInFirstTouchOrder: a pull's pages go into the cache in the
+// order the pull first touched them, so on a server whose memory tier holds
+// fewer pages than one pull touches, the pages left resident are the last
+// ones touched, on every run.
+func TestPullInstallsInFirstTouchOrder(t *testing.T) {
+	const mem = 4
+	r := newRig(t, page.Partitioning{})
+	srv := r.server(t, Config{MemPages: mem, CheckpointEvery: time.Hour})
+	srv.Stop() // the test drives applyPull itself from here
+	touched := []page.ID{12, 3, 7, 1, 10, 5, 8, 2, 11, 4, 9, 6}
+	bld := wal.NewBuilder(1, page.Partitioning{})
+	for i, id := range touched {
+		bld.Append(imageRec(id, byte(i)))
+	}
+	b := bld.Flush()
+	if err := srv.applyPull(1, b.End, b.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	// A memory hit moves nothing, so the probes leave residency as it is.
+	var evicted []page.ID
+	for _, id := range touched[len(touched)-mem:] {
+		before, _, _ := srv.cache.Stats()
+		if _, ok := srv.cache.Get(id); !ok {
+			t.Fatalf("page %d is not cached", id)
+		}
+		if after, _, _ := srv.cache.Stats(); after == before {
+			evicted = append(evicted, id)
+		}
+	}
+	if len(evicted) > 0 {
+		t.Fatalf("pages %v, among the last %d the pull touched, are not in the memory tier", evicted, mem)
+	}
+}

@@ -15,33 +15,18 @@ import (
 // pins them.
 
 // Owned is a page server's policy (§4.6): only [Lo, Hi) is redone. A page is
-// looked up in the pull's batch, then the covering cache, then fetched from
-// its XStore checkpoint (seeding), unless an image record creates it. The
-// batch, which the server flushes after each pull, coalesces it: without
-// that a write burst outruns the apply loop and GetPage@LSN waits pile up
-// behind the lag. Nothing but the apply loop sees the batch before the
-// flush, so a version redo built this pull is answered Private and edited
-// in place: a page is copied once per pull, not once per record. Any error
-// ends the pull.
+// looked up in the pull's page set, then the covering cache (the set's
+// pager), then fetched from its XStore checkpoint (seeding), unless an image
+// record creates it. The set coalesces a pull's versions — else a write burst
+// outruns the apply loop and GetPage@LSN waits pile up behind the lag — and
+// only the apply loop sees it before its install, so a version the set owns
+// is answered Private and edited in place: a page is copied once per pull.
+// Any error ends the pull.
 type Owned struct {
 	Lo, Hi page.ID
-	Cache  *rbpex.Cache
-	Fetch  func(page.ID) (*page.Page, error) // a page's checkpoint copy, seeded into Cache
-	Batch  map[page.ID]Batched               // the pull's touched pages, newest version each
-	Redone int                               // records redone into Batch since Reset
-}
-
-// Batched is a page's newest version in a pull's batch.
-type Batched struct {
-	Page  *page.Page
-	Built bool // redo built it this pull: nobody else holds it until the flush
-}
-
-// Reset empties the batch for the next pull. The versions it held are
-// published (or, after a failed pull, dropped), so none is redo's to edit.
-func (o *Owned) Reset() {
-	clear(o.Batch)
-	o.Redone = 0
+	Set    *btree.PageSet                    // the pull's versions; its pager reads the covering cache, an error being a miss
+	Fetch  func(page.ID) (*page.Page, error) // a page's checkpoint copy, seeded into the cache
+	Redone int                               // records redone into Set, a running count
 }
 
 // Page answers for a page server.
@@ -51,32 +36,27 @@ func (o *Owned) Page(rec *wal.Record) (*page.Page, Answer, error) {
 	if rec.Page < o.Lo || rec.Page >= o.Hi {
 		return nil, Elsewhere, nil
 	}
-	if b, ok := o.Batch[rec.Page]; ok {
-		if b.Built {
-			return b.Page, Private, nil
-		}
-		return b.Page, Resident, nil
-	}
-	pg, ok := o.Cache.Get(rec.Page)
-	if !ok && rec.Kind == wal.KindPageImage {
+	pg, err := o.Set.Read(rec.Page)
+	switch {
+	case err == nil && o.Set.Owns(pg):
+		return pg, Private, nil
+	case err != nil && rec.Kind == wal.KindPageImage:
 		return nil, Missing, nil // a freshly allocated page
-	}
-	if !ok {
-		var err error
+	case err != nil:
 		if pg, err = o.Fetch(rec.Page); err != nil {
 			return nil, Missing, fmt.Errorf("pageserver: page %d needed for redo: %w", rec.Page, err)
 		}
 	}
-	// In the batch even if redo leaves it: after a restart the cache can hold
-	// versions newer than the resume LSN, and the flush marks them dirty.
-	o.Batch[rec.Page] = Batched{Page: pg}
+	// Staged, unowned, even if redo leaves it: after a restart the cache can
+	// hold versions newer than the resume LSN, and the install marks them dirty.
+	o.Set.Stage(pg, false)
 	return pg, Resident, nil
 }
 
-// Put takes redo's version into the batch, as one redo built.
+// Put stages redo's version in the set, which owns it.
 func (o *Owned) Put(next *page.Page, err error) error {
 	if err == nil {
-		o.Batch[next.ID] = Batched{Page: next, Built: true}
+		o.Set.Stage(next, true)
 		o.Redone++
 	}
 	return err

@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"socrates/internal/btree"
@@ -15,6 +16,23 @@ import (
 type pendingSet map[page.ID]bool
 
 func (p pendingSet) QueueIfPending(rec *wal.Record) bool { return p[rec.Page] }
+
+// cachePager is a page server's pager in small: it reads the cache (a miss
+// is an error) and installs into it.
+type cachePager struct{ *rbpex.Cache }
+
+func (p cachePager) Read(id page.ID) (*page.Page, error) {
+	if pg, ok := p.Get(id); ok {
+		return pg, nil
+	}
+	return nil, fcb.ErrNotFound
+}
+
+func (p cachePager) Write(pg *page.Page) error { return p.Put(pg) }
+
+func (cachePager) Allocate(page.Type) (*page.Page, error) {
+	return nil, errors.New("redo allocates no pages")
+}
 
 // outcome is what the cursor did with one record, as seen from its policy.
 type outcome string
@@ -105,7 +123,7 @@ func TestPolicyTable(t *testing.T) {
 		make func(t *testing.T) Pages
 	}{
 		{"page server", func(t *testing.T) Pages {
-			return &Owned{Lo: 0, Hi: 10, Cache: cache(t), Batch: map[page.ID]Batched{},
+			return &Owned{Lo: 0, Hi: 10, Set: btree.NewPageSet(cachePager{cache(t)}),
 				Fetch: func(id page.ID) (*page.Page, error) {
 					if id == 3 {
 						return leaf(3), nil
@@ -248,8 +266,8 @@ func TestRedoCopiesTheFetchedPageOnce(t *testing.T) {
 
 // TestOwnedEditsTheVersionItBuilt: within a pull a page server copies a
 // cached page on its first record that applies and answers Private for the
-// version redo built, which later records edit in place; Reset ends that
-// ownership.
+// version redo built — the one the pull's page set owns — which later
+// records edit in place; Install publishes it, which ends that ownership.
 func TestOwnedEditsTheVersionItBuilt(t *testing.T) {
 	cached := &page.Page{ID: 1, LSN: 5, Type: page.TypeLeaf, Data: btree.EmptyNodePayload()}
 	c, err := rbpex.Open(rbpex.Config{MemPages: 4})
@@ -260,11 +278,11 @@ func TestOwnedEditsTheVersionItBuilt(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := cached.Clone()
-	owned := &Owned{Lo: 0, Hi: 10, Cache: c, Batch: map[page.ID]Batched{}}
+	owned := &Owned{Lo: 0, Hi: 10, Set: btree.NewPageSet(cachePager{c})}
 	rec := &recorder{Pages: owned}
 	r := NewReplayer(rec, 1, nil)
 	// The first record is one the cached version already reflects, as after
-	// a restart: the batch holds that version, which is still not redo's.
+	// a restart: the set holds that version, which is still not redo's.
 	recs := append([]*wal.Record{{LSN: 5, Kind: wal.KindCellPut, Page: 1, Key: []byte("old")}},
 		cellRecs(1, 6, 8)...)
 	for i, rc := range recs {
@@ -279,22 +297,25 @@ func TestOwnedEditsTheVersionItBuilt(t *testing.T) {
 			t.Fatalf("record %d answered %d, want %d", i, rec.answer, wantAnswer)
 		}
 	}
-	built := owned.Batch[1]
-	if !built.Built || !samePage(built.Page, copyOnWrite(t, cached, recs)) {
-		t.Fatal("the pull's version is not what copy-on-write redo gives")
+	built, err := owned.Set.Read(1)
+	if err != nil || !owned.Set.Owns(built) || !samePage(built, copyOnWrite(t, cached, recs)) {
+		t.Fatal("the pull's version is not the set's own, or not what copy-on-write redo gives")
 	}
-	if owned.Redone != len(recs)-1 {
-		t.Fatalf("redone %d, want %d", owned.Redone, len(recs)-1)
+	redone := len(recs) - 1
+	if owned.Redone != redone {
+		t.Fatalf("redone %d, want %d", owned.Redone, redone)
 	}
 	if got, _ := c.Get(1); got != cached || !samePage(cached, want) {
 		t.Fatal("redo changed the cached version")
 	}
-	// The flush publishes the version; the next pull copies it again.
-	if err := c.Put(built.Page); err != nil {
+	// Install publishes the version; the next pull copies it again.
+	if err := owned.Set.Install(); err != nil {
 		t.Fatal(err)
 	}
-	owned.Reset()
-	if err := r.ApplyRecord(cellRecs(1, 20, 1)[0], 0); err != nil || rec.answer != Resident || owned.Redone != 1 {
-		t.Fatalf("after Reset: answer %d, redone %d, err %v", rec.answer, owned.Redone, err)
+	if got, _ := c.Get(1); got != built {
+		t.Fatal("Install did not publish the pull's version")
+	}
+	if err := r.ApplyRecord(cellRecs(1, 20, 1)[0], 0); err != nil || rec.answer != Resident || owned.Redone != redone+1 {
+		t.Fatalf("after Install: answer %d, redone %d, err %v", rec.answer, owned.Redone, err)
 	}
 }

@@ -28,7 +28,7 @@ const (
 	Resident  Answer = iota // the page is here: redo the record onto the version returned
 	Missing                 // the page is not here: its image record creates it, any other record is ignored
 	Elsewhere               // not the cursor's to apply: not this consumer's page, or queued behind a fetch
-	Private                 // the version returned is one redo built and nobody else sees yet: redo edits it in place
+	Private                 // the version returned is the policy's own (a pull's page set owns it: redo built it and nobody else sees it yet): redo edits it in place
 )
 
 // Pages is one consumer's redo policy: the one place redo asks for pages.

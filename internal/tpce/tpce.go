@@ -11,12 +11,14 @@ package tpce
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
 
 	"socrates/internal/engine"
 	"socrates/internal/metrics"
+	"socrates/internal/txn"
 	"socrates/internal/workload"
 )
 
@@ -131,11 +133,8 @@ func (c *Client) Run() (workload.Outcome, error) {
 		c.charge(900 * time.Microsecond)
 		err = c.tradeOrder()
 	}
-	out := workload.Outcome{Kind: kind, Latency: time.Since(start)}
-	if err != nil {
-		out.Aborted = true
-	}
-	return out, err
+	return workload.Outcome{Kind: kind, Latency: time.Since(start),
+		Aborted: errors.Is(err, txn.ErrWriteConflict)}, err
 }
 
 func (c *Client) charge(d time.Duration) {

@@ -26,7 +26,7 @@ const (
 type Outcome struct {
 	Kind    Kind
 	Latency time.Duration
-	Aborted bool
+	Aborted bool // a write conflict aborted it; any other error is a failure
 }
 
 // Runner issues one transaction per call. Each driver thread owns one
@@ -60,6 +60,7 @@ type Config struct {
 type Metrics struct {
 	ReadTxns  int64
 	WriteTxns int64
+	Failed    int64 // attempts that returned an error and did not abort
 	Elapsed   time.Duration
 	// WriteLatency collects commit latencies of write transactions —
 	// the paper's Table 6 statistics.
@@ -69,27 +70,20 @@ type Metrics struct {
 }
 
 // TotalTPS reports total committed transactions per second.
-func (m Metrics) TotalTPS() float64 {
-	if m.Elapsed <= 0 {
-		return 0
-	}
-	return float64(m.ReadTxns+m.WriteTxns) / m.Elapsed.Seconds()
-}
+func (m Metrics) TotalTPS() float64 { return m.perSecond(m.ReadTxns + m.WriteTxns) }
 
 // ReadTPS reports read transactions per second.
-func (m Metrics) ReadTPS() float64 {
-	if m.Elapsed <= 0 {
-		return 0
-	}
-	return float64(m.ReadTxns) / m.Elapsed.Seconds()
-}
+func (m Metrics) ReadTPS() float64 { return m.perSecond(m.ReadTxns) }
 
 // WriteTPS reports write transactions per second.
-func (m Metrics) WriteTPS() float64 {
+func (m Metrics) WriteTPS() float64 { return m.perSecond(m.WriteTxns) }
+
+// perSecond is n over the window, 0 for an empty window.
+func (m Metrics) perSecond(n int64) float64 {
 	if m.Elapsed <= 0 {
 		return 0
 	}
-	return float64(m.WriteTxns) / m.Elapsed.Seconds()
+	return float64(n) / m.Elapsed.Seconds()
 }
 
 // Drive runs cfg.Threads runners until the window closes and aggregates
@@ -154,15 +148,18 @@ func runPhase(runners []Runner, d time.Duration, count int64, m *Metrics) {
 					}
 					out, err := r.Run()
 					ok := err == nil && !out.Aborted
-					if m != nil && ok {
+					if m != nil && !out.Aborted {
 						mu.Lock()
-						if out.Kind == Write {
+						switch {
+						case err != nil:
+							m.Failed++
+						case out.Kind == Write:
 							m.WriteTxns++
-						} else {
+						default:
 							m.ReadTxns++
 						}
 						mu.Unlock()
-						if out.Kind == Write {
+						if ok && out.Kind == Write {
 							m.WriteLatency.Observe(out.Latency)
 						}
 					}

@@ -58,6 +58,11 @@ func TestDriveCounts(t *testing.T) {
 		t.Fatalf("reads=%d writes=%d over %d attempts: an aborted or failed attempt was counted",
 			m.ReadTxns, m.WriteTxns, calls.Load())
 	}
+	// Every attempt after each runner's first three errors: those, and not
+	// the aborted one, are the failures.
+	if m.Failed != calls.Load()-2*3 {
+		t.Fatalf("%d failures over %d attempts, want all but each runner's first three", m.Failed, calls.Load())
+	}
 	if m.Elapsed < 50*time.Millisecond {
 		t.Fatalf("elapsed = %v", m.Elapsed)
 	}
@@ -126,6 +131,26 @@ func TestDriveFixedWorkSafetyBound(t *testing.T) {
 	}
 	if got := m.ReadTxns + m.WriteTxns; got != 0 {
 		t.Fatalf("%d transactions committed by an always-aborting runner", got)
+	}
+}
+
+// TestDriveCountsFailures: a runner whose every attempt errors without
+// aborting commits nothing, and the drive counts each attempt as a failure
+// instead of reading only as zero throughput.
+func TestDriveCountsFailures(t *testing.T) {
+	var calls atomic.Int64
+	m := Drive(func(id int) Runner {
+		return &scriptedRunner{
+			outcomes: []Outcome{{Kind: Write}},
+			errs:     []error{errors.New("boom")},
+			calls:    &calls,
+		}
+	}, Config{Threads: 2, Duration: 30 * time.Millisecond})
+	if m.ReadTxns+m.WriteTxns != 0 {
+		t.Fatalf("reads=%d writes=%d from a runner that always errors", m.ReadTxns, m.WriteTxns)
+	}
+	if m.Failed == 0 || m.Failed != calls.Load() {
+		t.Fatalf("%d failures counted over %d attempts", m.Failed, calls.Load())
 	}
 }
 
