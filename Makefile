@@ -72,7 +72,7 @@ chaos-stress:
 repl-stress:
 	$(GO) test -count=200 -run 'TestApplyFollowsLogOrder|TestFailoverPromotesSecondary|TestSecondariesReplicate|TestStragglerCatchesUpOrLeaves' ./internal/hadr
 	$(GO) test -count=200 -run 'TestSecondaryServesSnapshotReads|TestSecondaryScanRacesSplits' ./internal/cluster
-	$(GO) test -count=200 -run 'TestSecondaryWaitAppliedMeansVisible|TestSecondaryAppliedBeforeVisible|TestRemotePageFileConcurrentEvictTracking' ./internal/compute
+	$(GO) test -count=200 -run 'TestSecondaryWaitAppliedMeansVisible|TestSecondaryAppliedBeforeVisible|TestSecondaryFetchFloorCoversThePullInFlight|TestRemotePageFileConcurrentEvictTracking' ./internal/compute
 	$(GO) test -count=200 -run 'TestLongPoll|TestCondWait(ReadyWakesIt|CancelWakesIt|DeadlineWakesIt|FastPathRecordsNothing|NoneRecordsNothing)$$|TestAwaitLSN(PublishWakesIt|DropWakesIt)$$|TestFailedPullsBackOff|TestTripIsPublishedAfterItsDump' ./internal/xlog ./internal/obs ./internal/recovery
 	$(GO) test -count=5 -run 'TestCondWaitDeadlineStress|TestAwaitLSNPublishStress|TestWaitDestagedMeetsItsDeadline' ./internal/obs ./internal/xlog
 

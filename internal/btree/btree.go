@@ -215,7 +215,7 @@ func (t *Tree) putRec(txn uint64, id page.ID, key, value []byte) (*splitResult, 
 		// Install the separator for the new right sibling.
 		key, value = split.key, encodeChild(split.right)
 	}
-	own := t.set.Owns(pg)
+	own := t.set.Owned(pg.ID) == pg
 	data, err := v.put(key, value, own)
 	if err == nil {
 		return nil, t.writeCell(pg, own, data, &wal.Record{

@@ -6,15 +6,16 @@ import (
 )
 
 // PageSet holds the page versions one writer builds until it installs them:
-// a commit's pages, or a page server's pull (DESIGN §16.2). Nobody but the
-// writer sees them — the pager underneath holds the published versions, and
-// readers read those — until Install hands each page to the pager, once.
+// a commit's pages, or what the redo cursor builds from a pull (DESIGN
+// §16.2). Nobody but the writer sees them — the pager underneath holds the
+// published versions, and readers read those — until Install hands each page
+// to the pager, once.
 // The first change to a page copies it, as writing a new version does; every
 // later change edits that copy in place, as Edit does for redo's own versions.
 //
 // A PageSet is its writer's Pager: a Tree opened over it reads its own
 // writes, and a page it does not hold is read from the pager. Its writer is
-// serialized (the engine's commit latch, a page server's apply loop); a
+// serialized (the engine's commit latch, a consumer's apply loop); a
 // PageSet is not safe for concurrent use.
 type PageSet struct {
 	pager  Pager
@@ -66,7 +67,7 @@ func (s *PageSet) Allocate(t page.Type) (*page.Page, error) {
 // else onto a copy (Apply) that the set then owns. The result is byte for
 // byte what redo of the same record builds.
 func (s *PageSet) Apply(pg *page.Page, rec *wal.Record) error {
-	if s.Owns(pg) {
+	if s.Owned(pg.ID) == pg {
 		_, err := Edit(pg, rec)
 		return err
 	}
@@ -77,14 +78,16 @@ func (s *PageSet) Apply(pg *page.Page, rec *wal.Record) error {
 	return err
 }
 
-// Owns reports whether pg is the set's current version of its page and its
-// payload is the set's alone. A nil set owns nothing.
-func (s *PageSet) Owns(pg *page.Page) bool {
+// Owned returns the set's current version of the page if its payload is the
+// set's alone, else nil. A nil set owns nothing.
+func (s *PageSet) Owned(id page.ID) *page.Page {
 	if s == nil {
-		return false
+		return nil
 	}
-	i, ok := s.index[pg.ID]
-	return ok && s.staged[i].pg == pg && s.staged[i].own
+	if i, ok := s.index[id]; ok && s.staged[i].own {
+		return s.staged[i].pg
+	}
+	return nil
 }
 
 // Stage makes pg its page's next version; own says whether its payload is

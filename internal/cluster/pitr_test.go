@@ -92,6 +92,31 @@ func TestRestoreWithEmptyLogTail(t *testing.T) {
 	verifyRows(t, eng, "t", 80, "restore with empty log tail")
 }
 
+// TestRestorePastTheLogEndFails: a target past the end of the hardened log
+// cannot be reached — the replay runs out of log first — and the restore
+// fails, naming the LSN it reached and the target, instead of handing back
+// the database as of wherever the log ended.
+func TestRestorePastTheLogEndFails(t *testing.T) {
+	c := newFastCluster(t, fastConfig("pitrpast"))
+	seedRows(t, c, "t", 60)
+	if err := c.WaitForCatchUp(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Backup("b"); err != nil {
+		t.Fatal(err)
+	}
+	seedRows(t, c, "after", 20)
+	end := c.Primary().Writer().HardenedEnd()
+	target := end + 1000
+	eng, _, err := c.PointInTimeRestore(context.Background(), "b", target)
+	if err == nil {
+		t.Fatalf("restore to LSN %d, past the log's end %d, succeeded (visible %d)", target, end, eng.Clock().Visible())
+	}
+	if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("LSN %d,", end)) || !strings.Contains(msg, fmt.Sprintf("target %d", target)) {
+		t.Fatalf("restore past the log's end: %v; want it to name LSN %d reached and target %d", err, end, target)
+	}
+}
+
 // TestBackupSurvivesReclamation: a backup's snapshot pins the page images it
 // lists while XStore gives dead segments back around them. Every page is
 // rewritten and checkpointed ten times over after the backup; segments of

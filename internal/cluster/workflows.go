@@ -322,7 +322,7 @@ func (c *Cluster) Backup(name string) error {
 // top — the §4.7 PITR workflow. targetLSN of zero means "end of log". It
 // returns a read-only engine over the restored image and the visibility
 // timestamp it was restored to. A cancelled ctx aborts the log replay
-// between blocks.
+// between pulls; a target beyond what XLOG can serve fails the restore.
 func (c *Cluster) PointInTimeRestore(ctx context.Context, backup string, targetLSN page.LSN) (*engine.Engine, uint64, error) {
 	c.mu.Lock()
 	info, ok := c.backups[backup]
@@ -369,9 +369,13 @@ func (c *Cluster) PointInTimeRestore(ctx context.Context, backup string, targetL
 	if targetLSN == 0 {
 		targetLSN = c.XLOG.HardenedEnd()
 	}
-	replayer := recovery.NewReplayer(recovery.Restore{Pages: pages}, info.lsn, nil)
-	if _, err := replayer.ReplayRange(ctx, c.XLOG, targetLSN); err != nil {
+	replayer := recovery.NewReplayer(recovery.Restore{PageFile: pages}, info.lsn)
+	reached, err := replayer.ReplayRange(ctx, c.XLOG, targetLSN)
+	if err != nil {
 		return nil, 0, err
+	}
+	if reached.Before(targetLSN) {
+		return nil, 0, fmt.Errorf("cluster: restore replayed the log to LSN %d, short of target %d", reached, targetLSN)
 	}
 
 	eng, err := engine.Open(engine.Config{Pages: pages, ReadOnly: true})

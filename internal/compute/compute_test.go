@@ -177,13 +177,17 @@ func newRemoteFile(t *testing.T, stub *pageServerStub, floor page.LSN) *RemotePa
 	return f
 }
 
-// applyAsSecondary does with rec what a secondary's apply thread does: the
-// redo cursor under the node's recovery.Cached policy.
+// applyAsSecondary does with rec what a secondary's apply thread does with a
+// pull of one record: the redo cursor under the node's recovery.Cached
+// policy, then the cursor's install.
 func applyAsSecondary(t *testing.T, f *RemotePageFile, rec *wal.Record) {
 	t.Helper()
-	policy := &recovery.Cached{Pending: f, Cache: f.Cache()}
-	if err := recovery.NewReplayer(policy, 0, nil).ApplyRecord(rec, 0); err != nil {
+	redo := recovery.NewReplayer(&recovery.Cached{Pending: f, Cache: f.Cache()}, 0)
+	if err := redo.ApplyRecord(rec, 0); err != nil {
 		t.Fatalf("secondary apply of %v: %v", rec.Kind, err)
+	}
+	if err := redo.PageSet().Install(); err != nil {
+		t.Fatalf("secondary install: %v", err)
 	}
 }
 
@@ -216,6 +220,24 @@ func TestRemoteFileUsesEvictedLSN(t *testing.T) {
 	}
 	if stub.minLSNs[1] != 60 {
 		t.Fatalf("post-evict fetch min LSN = %d, want 60 (evicted-LSN map)", stub.minLSNs[1])
+	}
+
+	// A floor above the evicted LSN wins: on a secondary, records for the
+	// page went by ignored after it left the cache.
+	high := &pageServerStub{lsn: 60}
+	f = newRemoteFile(t, high, 80)
+	_ = f.Write(&page.Page{ID: 7, LSN: 60, Type: page.TypeLeaf, Data: []byte{2}})
+	for id := page.ID(8); id < 20 && f.Cache().Contains(7); id++ {
+		_ = f.Write(&page.Page{ID: id, LSN: 61, Type: page.TypeLeaf})
+		_ = f.Write(&page.Page{ID: id, LSN: 62, Type: page.TypeLeaf})
+	}
+	if _, err := f.Read(7); err != nil {
+		t.Fatal(err)
+	}
+	high.mu.Lock()
+	defer high.mu.Unlock()
+	if len(high.minLSNs) != 1 || high.minLSNs[0] != 80 {
+		t.Fatalf("fetch of a page evicted at 60 under floor 80: min LSNs %v, want [80]", high.minLSNs)
 	}
 }
 
@@ -317,6 +339,139 @@ func TestFetchInstallOwnership(t *testing.T) {
 	}
 	if fetched.LSN != 10 || len(fetched.Data) != len(btree.EmptyNodePayload()) {
 		t.Fatal("receive or install edited the fetched page")
+	}
+}
+
+// TestSecondaryInstallKeepsEveryRecord is DESIGN §21.3's rules (ii) and
+// (iii) as exact schedules, each with a reader's fetch of page P in flight
+// while a pull applies records for P.
+//
+// In the first, the pull stages P from the cache on r1, and the fetch's
+// owner then finds P cached — an earlier fetch put it there after the
+// reader missed — and installs that version, which lacks r1, with the redo
+// queued behind it. The staged version must take r2 (rule ii): queued, with
+// the staged version dropped, the cache ends without r1; queued, with it
+// kept, without r2.
+//
+// In the second, P was registered before the pull that made it installed
+// it: the fetch is in flight and P is cached. The next pull's r2 must go to
+// the cached page, not the queue (rule ii): queued, it is missing from the
+// cache from the pull's publish until the fetch ends, for every reader that
+// hits the cache.
+//
+// In the third, P has left the cache and the page server answers with P as
+// of a record r4 beyond the pull. The pull's install must not put its older
+// version over that image (rule iii): the cache would lose r4.
+func TestSecondaryInstallKeepsEveryRecord(t *testing.T) {
+	const p = page.ID(3)
+	leaf := func(id page.ID, lsn page.LSN) *page.Page {
+		return &page.Page{ID: id, LSN: lsn, Type: page.TypeLeaf, Data: btree.EmptyNodePayload()}
+	}
+	cellPut := func(lsn page.LSN, key string) *wal.Record {
+		return &wal.Record{LSN: lsn, Kind: wal.KindCellPut, Page: p, PageType: page.TypeLeaf, Key: []byte(key), Value: []byte("v")}
+	}
+	r1, r2, r3, r4 := cellPut(11, "r1"), cellPut(12, "r2"), cellPut(13, "r3"), cellPut(14, "r4")
+	// start caches P at LSN 10 and stages it, on r1, in a new cursor.
+	start := func(t *testing.T) (*RemotePageFile, *recovery.Replayer) {
+		f := newRemoteFile(t, &pageServerStub{lsn: 10}, 1)
+		if err := f.Cache().Put(leaf(p, 10)); err != nil {
+			t.Fatal(err)
+		}
+		redo := recovery.NewReplayer(&recovery.Cached{Pending: f, Cache: f.Cache()}, 11)
+		apply(t, redo, r1)
+		return f, redo
+	}
+	holds := func(t *testing.T, f *RemotePageFile, recs ...*wal.Record) {
+		t.Helper()
+		got, ok := f.Cache().Get(p)
+		if !ok {
+			t.Fatalf("page %d is not cached", p)
+		}
+		for _, rec := range recs {
+			if _, found, err := btree.LookupCell(got, rec.Key); err != nil || !found {
+				t.Errorf("the cached page %d (LSN %d) lacks %s: found %v, err %v", p, got.LSN, rec.Key, found, err)
+			}
+		}
+	}
+
+	t.Run("the fetch takes the cached page", func(t *testing.T) {
+		f, redo := start(t)
+		reg, owner := f.register(p)
+		if !owner {
+			t.Fatal("the reader does not own its registration")
+		}
+		apply(t, redo, r2)
+		if _, err := f.fetch(context.Background(), p, reg, true); err != nil {
+			t.Fatal(err)
+		}
+		apply(t, redo, r3)
+		if err := redo.PageSet().Install(); err != nil {
+			t.Fatal(err)
+		}
+		holds(t, f, r1, r2, r3)
+	})
+
+	t.Run("the page is cached while its fetch is in flight", func(t *testing.T) {
+		f := newRemoteFile(t, &pageServerStub{lsn: 10}, 1)
+		reg, _ := f.register(p)
+		if err := f.Cache().Put(leaf(p, 10)); err != nil { // the pull that made P installs it
+			t.Fatal(err)
+		}
+		redo := recovery.NewReplayer(&recovery.Cached{Pending: f, Cache: f.Cache()}, 11)
+		apply(t, redo, r2)
+		if err := redo.PageSet().Install(); err != nil {
+			t.Fatal(err)
+		}
+		holds(t, f, r2)
+		pg, err := f.receive(reg, leaf(p, 10))
+		if err == nil {
+			_, err = f.install(reg, pg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		holds(t, f, r2)
+	})
+
+	t.Run("the fetch brings a newer image", func(t *testing.T) {
+		f, redo := start(t)
+		for id := p + 1; id <= p+8 && f.Cache().Contains(p); id++ { // P leaves the cache
+			if err := f.Cache().Put(leaf(id, 1)); err != nil {
+				t.Fatal(err)
+			}
+			f.Cache().Get(id) // referenced twice, as P was
+		}
+		if f.Cache().Contains(p) {
+			t.Fatalf("page %d is still cached", p)
+		}
+		reg, _ := f.register(p)
+		img := leaf(p, 10)
+		for _, rec := range []*wal.Record{r1, r2, r3, r4} {
+			var err error
+			if img, _, err = btree.Apply(img, rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pg, err := f.receive(reg, img)
+		if err == nil {
+			_, err = f.install(reg, pg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		apply(t, redo, r2)
+		apply(t, redo, r3)
+		if err := redo.PageSet().Install(); err != nil {
+			t.Fatal(err)
+		}
+		holds(t, f, r1, r2, r3, r4)
+	})
+}
+
+func apply(t *testing.T, redo *recovery.Replayer, rec *wal.Record) {
+	t.Helper()
+	if err := redo.ApplyRecord(rec, 0); err != nil {
+		t.Fatalf("redo at LSN %d: %v", rec.LSN, err)
 	}
 }
 

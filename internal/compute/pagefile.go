@@ -38,8 +38,9 @@ type Resolver func(id page.ID) (*rbio.Selector, error)
 type RemotePageFile struct {
 	cache   *rbpex.Cache
 	resolve Resolver
-	// floor supplies the minimum LSN for pages with no evicted-LSN entry:
-	// the recovery LSN on a primary, the applied watermark on a secondary.
+	// floor supplies the minimum LSN for every page (an evicted page's
+	// evicted LSN may raise it): the recovery LSN on a primary, the applied
+	// watermark on a secondary.
 	floor func() page.LSN
 
 	mu      sync.Mutex
@@ -166,8 +167,10 @@ func (f *RemotePageFile) Cache() *rbpex.Cache { return f.cache }
 // page server, however many readers and hints shared the request.
 func (f *RemotePageFile) Fetches() int64 { return f.fetches.Load() }
 
-// minLSN computes the GetPage@LSN argument for a page: its evicted LSN if
-// the cache has one, else the node's floor.
+// minLSN computes the GetPage@LSN argument for a page: its evicted LSN or
+// the node's floor, whichever is higher. On a secondary the records for a
+// page it does not hold go by ignored after the page leaves the cache, so
+// its evicted LSN alone may miss them.
 func (f *RemotePageFile) minLSN(id page.ID) page.LSN {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -177,10 +180,7 @@ func (f *RemotePageFile) minLSN(id page.ID) page.LSN {
 // minLSNLocked is minLSN with f.mu held. f.mu is taken before the cache's
 // lock, never after it.
 func (f *RemotePageFile) minLSNLocked(id page.ID) page.LSN {
-	if lsn := f.cache.EvictedLSN(id); lsn != 0 {
-		return lsn
-	}
-	return f.floor()
+	return page.MaxLSN(f.cache.EvictedLSN(id), f.floor())
 }
 
 // Read returns the page from cache, or fetches it via GetPage@LSN. Either

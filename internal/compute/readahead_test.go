@@ -19,6 +19,7 @@ import (
 	"socrates/internal/page"
 	"socrates/internal/rbio"
 	"socrates/internal/rbpex"
+	"socrates/internal/simdisk"
 	"socrates/internal/wal"
 )
 
@@ -854,23 +855,27 @@ func TestCommitLeavesItsWriteSetProtected(t *testing.T) {
 }
 
 // TestSecondaryAppliedBeforeVisible feeds a secondary one pull of two blocks
-// and stops its apply thread inside the second. What the node shows at that
-// instant must be consistent: Clock().Visible() covers no commit whose LSN
-// is at or above AppliedLSN(). Advancing the watermark once per pull left
-// the first block's commit visible with the watermark still at the start of
-// the pull — the chaos oracle's "read from the future".
+// and stops its apply thread inside the second, after the first block's
+// commit has gone through the cursor. Nothing of the pull may show at that
+// instant: the visible timestamp and AppliedLSN stay at the pull's start, so
+// no snapshot reads a commit at or above the watermark. Publishing a block's
+// commits at the block's end showed the first block's commit before the
+// pull's pages were installed; advancing the watermark once per pull after
+// publishing record by record let a snapshot read ahead of the watermark —
+// the chaos oracle's "read from the future".
 func TestSecondaryAppliedBeforeVisible(t *testing.T) {
 	srv := newFakePageServer()
 	srv.buildDatabase(t, engine.NewMemPipeline(), 4)
 
 	// Block 1: a commit (timestamp 101) with no page operation before it.
-	// Block 2: a page operation, then a commit (timestamp 102).
-	const start = page.LSN(1000)
+	// Block 2: a page operation on page q, where stallAt stops the apply
+	// thread, then a commit (timestamp 102).
+	const start, q = page.LSN(1000), page.ID(5000)
 	bld := wal.NewBuilder(start, page.Partitioning{})
 	bld.Append(&wal.Record{Txn: 7, Kind: wal.KindNoop})
 	commit1 := bld.Append(wal.NewCommit(7, 101))
 	b1 := bld.Flush()
-	bld.Append(&wal.Record{Txn: 8, Kind: wal.KindCellPut, Page: 2, PageType: page.TypeLeaf,
+	bld.Append(&wal.Record{Txn: 8, Kind: wal.KindCellPut, Page: q, PageType: page.TypeLeaf,
 		Key: []byte("k"), Value: []byte("v")})
 	commit2 := bld.Append(wal.NewCommit(8, 102))
 	b2 := bld.Flush()
@@ -881,49 +886,43 @@ func TestSecondaryAppliedBeforeVisible(t *testing.T) {
 	net.Serve("ps", srv.handler())
 	net.Serve("xlog", xlogOnce(start, b2.End, feed, serve))
 	sel := rbio.NewSelector(rbio.NewClient(net.Dial("ps")))
+	ssd, meta := simdisk.New(simdisk.Instant), simdisk.New(simdisk.Instant)
+	reg := obs.NewRegistry()
+	blockedPuts := reg.Counter("compute.rbpex.writebehind.blocked_puts")
 	sec, err := NewSecondary(SecondaryConfig{
-		Name:     "sec",
-		XLOG:     rbio.NewClient(net.Dial("xlog")),
-		Resolve:  func(page.ID) (*rbio.Selector, error) { return sel, nil },
-		StartLSN: start,
-		StartTS:  100,
+		Name:          "sec",
+		XLOG:          rbio.NewClient(net.Dial("xlog")),
+		Resolve:       func(page.ID) (*rbio.Selector, error) { return sel, nil },
+		StartLSN:      start,
+		StartTS:       100,
+		CacheMemPages: 1, CacheSSDPages: 64, CacheSSD: ssd, CacheMeta: meta,
+		Obs: obs.Plane{Metrics: reg},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sec.Stop()
 	clock := sec.Engine.Clock()
+	release := stallAt(t, sec.pages.Cache(), ssd, meta, q)
+	defer release()
 
-	// Every page operation the apply thread handles takes the page file's
-	// lock first; holding it stops the thread at block 2's first record,
-	// with block 1 behind it.
-	sec.pages.mu.Lock()
 	close(serve)
-	locked := true
-	defer func() {
-		if locked {
-			sec.pages.mu.Unlock()
-		}
-	}()
-	within(t, "the first block's commit to become visible", func() {
-		for clock.Visible() < 101 {
-			time.Sleep(50 * time.Microsecond) // deadline-bounded poll for the apply thread to reach the held lock
-		}
+	until(t, "the apply thread to stop at block 2's page operation", func() bool {
+		return blockedPuts.Value() == 1
 	})
-	if vis, applied := clock.Visible(), sec.AppliedLSN(); vis != 101 || !applied.After(commit1) || applied.After(commit2) {
-		t.Fatalf("mid-pull: visible %d, applied %d; want 101 visible, its commit (LSN %d) below the watermark, block 2's (LSN %d) not",
-			vis, applied, commit1, commit2)
+	if vis, applied := clock.Visible(), sec.AppliedLSN(); vis != 100 || applied != start {
+		t.Fatalf("mid-pull: visible %d, applied %d; want 100 and %d, the pull's start, with block 1's commit (LSN %d) past the cursor",
+			vis, applied, start, commit1)
 	}
-	sec.pages.mu.Unlock()
-	locked = false
+	release()
 
 	if !sec.WaitApplied(b2.End, hangGuard) {
 		t.Fatalf("applied = %d, want %d", sec.AppliedLSN(), b2.End)
 	}
 	// Visible is published after the applied watermark and before
 	// WaitApplied's own.
-	if vis := clock.Visible(); vis != 102 {
-		t.Fatalf("WaitApplied(%d) returned with visible %d, want 102", b2.End, vis)
+	if vis := clock.Visible(); vis != 102 || !sec.AppliedLSN().After(commit2) {
+		t.Fatalf("WaitApplied(%d) returned with visible %d, applied %d; want 102, past LSN %d", b2.End, vis, sec.AppliedLSN(), commit2)
 	}
 }
 

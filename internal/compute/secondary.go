@@ -13,7 +13,6 @@ import (
 	"socrates/internal/rbpex"
 	"socrates/internal/recovery"
 	"socrates/internal/simdisk"
-	"socrates/internal/wal"
 )
 
 // SecondaryConfig assembles a secondary compute node.
@@ -54,8 +53,8 @@ type Secondary struct {
 
 	mu      sync.Mutex
 	applied page.LSN
-	// fetchFloor is the end of the block being applied, set before its first
-	// record is handled (applyBlock).
+	// fetchFloor is the end of the pull being applied, set before its first
+	// record is handled (applyPull).
 	fetchFloor page.LSN
 	// visible, the node's rung, follows applied once the commit timestamps
 	// below it are published: a snapshot begun after it reached an LSN sees
@@ -70,7 +69,7 @@ type Secondary struct {
 
 	redo *recovery.Replayer // the apply loop's cursor, under recovery.Cached
 	// holdBeforePublish, set by a test before the feed starts, runs on the
-	// apply thread between a block's applied watermark and its publish.
+	// apply thread between a pull's applied watermark and its publish.
 	holdBeforePublish func()
 
 	obs   obs.Plane
@@ -107,7 +106,7 @@ func NewSecondary(cfg SecondaryConfig) (*Secondary, error) {
 		return nil, err
 	}
 	s.pages = pages
-	s.redo = recovery.NewReplayer(&recovery.Cached{Pending: pages, Cache: pages.Cache()}, cfg.StartLSN, s.applyBlock)
+	s.redo = recovery.NewReplayer(&recovery.Cached{Pending: pages, Cache: pages.Cache()}, cfg.StartLSN)
 
 	eng, err := engine.Open(engine.Config{
 		Pages:     pages,
@@ -142,7 +141,7 @@ func (s *Secondary) AppliedLSN() page.LSN {
 }
 
 // floor is the freshness floor for pages this node does not hold: every
-// record below the applied watermark, and every record of the block being
+// record below the applied watermark, and every record of the pull being
 // applied, may have touched the page and gone by ignored — so the page server
 // must have applied up to the LSN before the higher of the two. Redo queued
 // for the fetch meanwhile (§4.5) may then repeat what the image has; it is
@@ -173,48 +172,34 @@ func (s *Secondary) Stop() {
 	s.pages.Close()
 }
 
-// applyPull applies one pull's answer, block by block (applyBlock), then
-// moves the watermarks to its end.
+// applyPull applies one pull's answer in an order that is the node's read
+// contract. Before the first record the fetch floor moves to the pull's end:
+// a page fetched while the pull is applied comes with all of it, records
+// that went by ignored included. Then the page operations, staged in the
+// cursor's set; the set's install, each page once; the applied watermark;
+// the pull's commit timestamps; and the visible watermark WaitApplied waits
+// on. A snapshot never shows a commit at or above AppliedLSN (a reader who
+// sees one fetches at least its pull), and a caller told the pull is applied
+// never begins a snapshot that misses its commits.
 func (s *Secondary) applyPull(_, next page.LSN, payload []byte) error {
+	s.mu.Lock()
+	s.fetchFloor = next
+	s.mu.Unlock()
 	if err := s.redo.ApplyBlocks(payload, 0); err != nil {
 		return err
 	}
-	s.advance(next)
-	s.visible.Publish(uint64(next)) // the blocks below published theirs; the rest of the range holds none
-	s.obs.Flight.Record(obs.TierCompute, "sec.apply", uint64(next), 0,
-		s.name+": batch applied")
-	return nil
-}
-
-// applyBlock is the cursor's block hook. Before a block's first record the
-// fetch floor moves to its end: a page fetched while the block is applied
-// comes with all of it, records that went by ignored included. Then four
-// steps, whose order is the node's read contract: the page operations, the
-// applied watermark, the block's commit timestamps, the visible watermark
-// WaitApplied waits on. A snapshot never shows a commit at or above
-// AppliedLSN (a reader who sees one fetches at least its block), and a
-// caller told the block is applied never begins a snapshot that misses its
-// commits. Publishing as the records went by, with the watermark moving once
-// per pull, let a mid-pull snapshot read ahead of the watermark: the chaos
-// oracle's "read from the future".
-func (s *Secondary) applyBlock(b *wal.Block, done bool, visible uint64) {
-	if !done {
-		s.mu.Lock()
-		s.fetchFloor = b.End
-		s.mu.Unlock()
-		return
+	if err := s.redo.PageSet().Install(); err != nil {
+		return err
 	}
-	s.advance(b.End)
+	s.mu.Lock()
+	s.applied = page.MaxLSN(s.applied, next)
+	s.mu.Unlock()
 	if s.holdBeforePublish != nil {
 		s.holdBeforePublish()
 	}
-	s.Engine.Clock().Publish(visible)
-	s.visible.Publish(uint64(b.End))
-}
-
-// advance moves the applied watermark up to lsn.
-func (s *Secondary) advance(lsn page.LSN) {
-	s.mu.Lock()
-	s.applied = page.MaxLSN(s.applied, lsn)
-	s.mu.Unlock()
+	s.Engine.Clock().Publish(s.redo.Visible())
+	s.visible.Publish(uint64(next))
+	s.obs.Flight.Record(obs.TierCompute, "sec.apply", uint64(next), 0,
+		s.name+": batch applied")
+	return nil
 }

@@ -30,24 +30,57 @@ func until(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestSecondaryFetchFloorCoversTheBlockInFlight is the stale read a fetch
-// floor of applied−1 allowed, as an exact schedule. A block carries two
+// stallAt readies a secondary's cache so that its apply thread stops at the
+// pull's first record for page q: q waits on the SSD tier, the memory tier
+// holds one page the SSD tier lacks, the write-behind backlog is full and
+// the cache devices are held. Reading q promotes it, which must evict, which
+// waits for room in the backlog: the cache's blocked_puts counter then reads
+// one more. The secondary's feed must not have started; release lets the
+// devices go.
+func stallAt(t *testing.T, cache *rbpex.Cache, ssd, meta *simdisk.Device, q page.ID) (release func()) {
+	t.Helper()
+	put := func(id page.ID) {
+		if err := cache.Put(&page.Page{ID: id, LSN: 500, Type: page.TypeLeaf, Data: btree.EmptyNodePayload()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(q)
+	put(q + 1) // q to the SSD tier
+	cache.Sync()
+	releaseSSD, releaseMeta := ssd.HoldWrites(), meta.HoldWrites()
+	for id := q + 2; id < q+2+16; id++ { // each evicts the one before: sixteen in the backlog
+		put(id)
+	}
+	released := false
+	return func() {
+		if !released {
+			released = true
+			releaseSSD()
+			releaseMeta()
+		}
+	}
+}
+
+// TestSecondaryFetchFloorCoversThePullInFlight is the stale read a fetch
+// floor of applied−1 allowed, as an exact schedule. A pull carries two
 // records for a page P the secondary does not hold. The first goes by,
 // ignored; then a reader misses on P and registers its fetch; then the
-// second arrives and is queued for it. applied still stands at the block's
+// second arrives and is queued for it. applied still stands at the pull's
 // start, so a floor of applied−1 asks the page server for P as of before the
-// block — and the reader caches P with the second record and without the
-// first. With the floor raised to the block's end before its records are
-// handled, the request carries at least the block's last LSN and the cached
+// pull — and the reader caches P with the second record and without the
+// first. With the floor raised to the pull's end before its records are
+// handled, the request carries at least the pull's last LSN and the cached
 // page shows both.
 //
-// What stops the apply thread mid-block is the node's own cache: between the
-// two records the block creates more pages than fit in the write-behind
-// backlog, and the cache devices are held.
-func TestSecondaryFetchFloorCoversTheBlockInFlight(t *testing.T) {
+// What stops the apply thread between the two records is the node's own
+// cache (stallAt): a record between them reads a page that must be promoted
+// from the SSD tier while the write-behind backlog is full and the cache
+// devices are held.
+func TestSecondaryFetchFloorCoversThePullInFlight(t *testing.T) {
 	const (
 		start = page.LSN(1000)
 		p     = page.ID(5000) // beyond the pages of the database the node attaches to
+		q     = p + 1
 	)
 	srv := newFakePageServer()
 	srv.buildDatabase(t, engine.NewMemPipeline(), 4)
@@ -57,15 +90,13 @@ func TestSecondaryFetchFloorCoversTheBlockInFlight(t *testing.T) {
 	first := &wal.Record{Txn: 9, Kind: wal.KindCellPut, Page: p, PageType: page.TypeLeaf, Key: []byte("first"), Value: []byte("1")}
 	second := &wal.Record{Txn: 9, Kind: wal.KindCellPut, Page: p, PageType: page.TypeLeaf, Key: []byte("second"), Value: []byte("2")}
 	bld.Append(first)
-	for n := p + 1; n <= p+40; n++ {
-		bld.Append(&wal.Record{Txn: 9, Kind: wal.KindPageImage, Page: n, PageType: page.TypeLeaf, Value: btree.EmptyNodePayload()})
-	}
+	bld.Append(&wal.Record{Txn: 9, Kind: wal.KindCellPut, Page: q, PageType: page.TypeLeaf, Key: []byte("q"), Value: []byte("q")})
 	bld.Append(second)
 	bld.Append(wal.NewCommit(9, 101))
 	blk := bld.Flush()
 
 	// A page server that honours GetPage@LSN for P: the base image with the
-	// block's records up to the requested LSN applied.
+	// pull's records up to the requested LSN applied.
 	var mu sync.Mutex
 	var asked []page.LSN
 	serve := make(chan struct{})
@@ -114,26 +145,18 @@ func TestSecondaryFetchFloorCoversTheBlockInFlight(t *testing.T) {
 	}
 	defer sec.Stop()
 	cache := sec.pages.Cache()
-
-	releaseSSD, releaseMeta := ssd.HoldWrites(), meta.HoldWrites()
-	released := false
-	release := func() {
-		if !released {
-			released = true
-			releaseSSD()
-			releaseMeta()
-		}
-	}
+	release := stallAt(t, cache, ssd, meta, q)
 	defer release()
+
 	close(serve)
-	until(t, "the apply thread to fill the write-behind backlog mid-block", func() bool {
+	until(t, "the apply thread to stop at the record between P's two", func() bool {
 		return blockedPuts.Value() == 1
 	})
 	sec.pages.mu.Lock()
 	pending := len(sec.pages.pending)
 	sec.pages.mu.Unlock()
 	if cache.Contains(p) || pending != 0 || sec.AppliedLSN() != start {
-		t.Fatalf("mid-block: page %d cached %v, %d fetches pending, applied %d; want the first record gone by ignored and nothing else", p, cache.Contains(p), pending, sec.AppliedLSN())
+		t.Fatalf("mid-pull: page %d cached %v, %d fetches pending, applied %d; want the first record gone by ignored and nothing else", p, cache.Contains(p), pending, sec.AppliedLSN())
 	}
 
 	// The reader misses, registers, fetches — and waits for room in the
@@ -163,7 +186,7 @@ func TestSecondaryFetchFloorCoversTheBlockInFlight(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if len(asked) != 1 || asked[0].Before(blk.End.Prev()) {
-		t.Fatalf("GetPage asked for LSN %v; want one request at %d or above, the last LSN of the block being applied", asked, blk.End.Prev())
+		t.Fatalf("GetPage asked for LSN %v; want one request at %d or above, the last LSN of the pull being applied", asked, blk.End.Prev())
 	}
 	// The reader may hold the image as fetched, before the queued redo; the
 	// cache holds the page with it.

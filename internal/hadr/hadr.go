@@ -284,9 +284,11 @@ func (n *Node) newTerm(primary bool) {
 }
 
 // startApply runs the secondary apply loop: the redo cursor under
-// recovery.Replica, over blocks that leave the queue in LSN order.
+// recovery.Replica, over blocks that leave the queue in LSN order. Each
+// batch taken off the queue is installed, then its commits are published,
+// then the watermark passes it, so WaitApplied's callers read them.
 func (n *Node) startApply() {
-	redo := recovery.NewReplayer(recovery.Replica{Pages: n.pages}, 0, n.blockApplied)
+	redo := recovery.NewReplayer(recovery.Replica{PageFile: n.pages}, 0)
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
@@ -306,25 +308,20 @@ func (n *Node) startApply() {
 			n.queue = nil
 			n.mu.Unlock()
 			for _, b := range batch {
-				_ = redo.ApplyBlock(b, 0) // Replica drops what it cannot apply: no block fails
+				for _, rec := range b.Records {
+					_ = redo.ApplyRecord(rec, 0) // Replica drops what it cannot apply: no record fails
+				}
 			}
+			_ = redo.PageSet().Install() // a bufferedFile's Write is an in-memory install that cannot fail; its flusher retries write-back errors
+			n.mu.Lock()
+			n.maxTS = max(n.maxTS, redo.Visible())
+			if n.engine != nil {
+				n.engine.Clock().Publish(redo.Visible())
+			}
+			n.applied.Publish(uint64(batch[len(batch)-1].End)) // the queue is the prefix in LSN order
+			n.mu.Unlock()
 		}
 	}()
-}
-
-// blockApplied is the cursor's block hook: a block's commits are published
-// before the watermark passes it, so WaitApplied's callers read them.
-func (n *Node) blockApplied(b *wal.Block, done bool, visible uint64) {
-	if !done {
-		return
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.maxTS = max(n.maxTS, visible)
-	if n.engine != nil {
-		n.engine.Clock().Publish(visible)
-	}
-	n.applied.Publish(uint64(b.End)) // the queue is the prefix in LSN order
 }
 
 // WaitApplied blocks until the node applied the log below the end LSN lsn.

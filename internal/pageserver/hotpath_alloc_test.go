@@ -157,7 +157,7 @@ func TestApplyFeedAllocs(t *testing.T) {
 		budget float64
 	}{
 		// The cache's version, as Owned.Page stages it in the set: not owned.
-		{"first redo of a cached page", func() { srv.owned.Set.Stage(pg, false) }, 2},
+		{"first redo of a cached page", func() { srv.redo.PageSet().Stage(pg, false) }, 2},
 		// The version the previous run built, still the pull's own.
 		{"redo onto the pull's own version", func() {}, 0},
 	} {

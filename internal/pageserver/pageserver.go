@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"socrates/internal/btree"
 	"socrates/internal/fcb"
 	"socrates/internal/obs"
 	"socrates/internal/page"
@@ -123,10 +122,9 @@ type Server struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	// The apply loop's cursor and its policy, whose page set applyPull
-	// installs; only the apply loop touches either.
-	redo  *recovery.Replayer
-	owned *recovery.Owned
+	// The apply loop's cursor, whose page set applyPull installs; only the
+	// apply loop touches it.
+	redo *recovery.Replayer
 
 	// waitRec is cfg.Obs.Waits.Tier(obs.TierPageServer), resolved once.
 	waitRec *obs.WaitRecorder
@@ -199,8 +197,7 @@ func New(cfg Config) (*Server, error) {
 	s.applied = cfg.Obs.Watermarks.Own(obs.WMApplied, cfg.Name)
 	s.applied.Publish(uint64(s.ckptLSN))
 	s.ckpt = cfg.Obs.Watermarks.Own(obs.WMCheckpoint, cfg.Name)
-	s.owned = &recovery.Owned{Lo: lo, Hi: hi, Set: btree.NewPageSet(applyPager{s}), Fetch: s.fetchFromStore}
-	s.redo = recovery.NewReplayer(s.owned, s.ckptLSN, nil)
+	s.redo = recovery.NewReplayer(&recovery.Owned{PageFile: applyPager{s}, Lo: lo, Hi: hi, Fetch: s.fetchFromStore}, s.ckptLSN)
 	if cfg.Seed {
 		s.wg.Add(1)
 		go s.seedLoop()
@@ -285,22 +282,20 @@ func (s *Server) readMeta() (page.LSN, error) {
 
 // --- log apply ---
 
-// applyPull applies one pull's answer, installs the page set recovery.Owned
-// staged it in and publishes the watermark. The set starts empty, so no
-// version a reader may hold is redo's to edit; the versions redo builds
-// during the pull stay the set's own until Install publishes them. A failed
-// redo or install fails the pull, which is pulled again. Each pull starts
-// its own trace.
+// applyPull applies one pull's answer, installs the cursor's page set and
+// publishes the watermark. The set starts empty, so no version a reader may
+// hold is redo's to edit; the versions redo builds during the pull stay the
+// set's own until Install publishes them. A failed redo or install fails the
+// pull, which is pulled again. Each pull starts its own trace.
 //
 //socrates:hotpath the apply feed's batch loop; TestApplyFeedAllocs
 func (s *Server) applyPull(from, next page.LSN, payload []byte) error {
 	start := time.Now() // after the pull: XLOG's wait for the log is no part of applying it
-	s.owned.Set.Drop()  // what a failed pull left, unpublished
-	installed, redone := s.applies.Load(), s.owned.Redone
+	installed, redone := s.applies.Load(), s.redo.Redone()
 	if err := s.redo.ApplyBlocks(payload, 0); err != nil {
 		return err
 	}
-	if err := s.owned.Set.Install(); err != nil {
+	if err := s.redo.PageSet().Install(); err != nil {
 		s.cfg.Obs.Flight.Record(obs.TierPageServer, "ps.apply_error", uint64(from), time.Since(start),
 			s.cfg.Name+": cache put: "+err.Error())
 		return err
@@ -308,7 +303,7 @@ func (s *Server) applyPull(from, next page.LSN, payload []byte) error {
 	s.cfg.Obs.Metrics.Histogram("pageserver.apply.latency").Since(start)
 	s.applied.Publish(uint64(next)) // every page below next is marked dirty: a sweep may resume here
 	s.cfg.Obs.Flight.Record(obs.TierPageServer, "ps.apply", uint64(next), time.Since(start),
-		fmt.Sprintf("%s: pages=%d records=%d", s.cfg.Name, s.applies.Load()-installed, s.owned.Redone-redone))
+		fmt.Sprintf("%s: pages=%d records=%d", s.cfg.Name, s.applies.Load()-installed, s.redo.Redone()-redone))
 	return nil
 }
 
@@ -329,11 +324,6 @@ func (p applyPager) Write(pg *page.Page) error {
 	p.cfg.Obs.Metrics.Counter("pageserver.apply.pages").Inc()
 	p.markDirty(pg)
 	return p.cache.Put(pg)
-}
-
-// Allocate fails: redo allocates nothing, an image record makes a new page.
-func (applyPager) Allocate(page.Type) (*page.Page, error) {
-	return nil, errors.New("pageserver: apply allocates no pages")
 }
 
 // markDirty records that pg's version still has to reach XStore.

@@ -15,31 +15,27 @@ import (
 // pins them.
 
 // Owned is a page server's policy (§4.6): only [Lo, Hi) is redone. A page is
-// looked up in the pull's page set, then the covering cache (the set's
-// pager), then fetched from its XStore checkpoint (seeding), unless an image
-// record creates it. The set coalesces a pull's versions — else a write burst
-// outruns the apply loop and GetPage@LSN waits pile up behind the lag — and
-// only the apply loop sees it before its install, so a version the set owns
-// is answered Private and edited in place: a page is copied once per pull.
-// Any error ends the pull.
+// looked up in the cursor's set, where Page stages every version it reads,
+// then the covering cache (PageFile, where a miss is an error and Write
+// installs), then fetched from its XStore checkpoint (seeding), unless an
+// image record creates it. The set coalesces a pull's versions — else a
+// write burst outruns the apply loop and GetPage@LSN waits pile up behind
+// the lag — so a page is copied once per pull. Any error ends the pull.
 type Owned struct {
+	fcb.PageFile
 	Lo, Hi page.ID
-	Set    *btree.PageSet                    // the pull's versions; its pager reads the covering cache, an error being a miss
 	Fetch  func(page.ID) (*page.Page, error) // a page's checkpoint copy, seeded into the cache
-	Redone int                               // records redone into Set, a running count
 }
 
 // Page answers for a page server.
 //
 //socrates:hotpath runs once per page record of a page server's feed; TestApplyFeedAllocs
-func (o *Owned) Page(rec *wal.Record) (*page.Page, Answer, error) {
+func (o *Owned) Page(rec *wal.Record, set *btree.PageSet) (*page.Page, Answer, error) {
 	if rec.Page < o.Lo || rec.Page >= o.Hi {
 		return nil, Elsewhere, nil
 	}
-	pg, err := o.Set.Read(rec.Page)
+	pg, err := set.Read(rec.Page) // a version staged unowned, else the cache's
 	switch {
-	case err == nil && o.Set.Owns(pg):
-		return pg, Private, nil
 	case err != nil && rec.Kind == wal.KindPageImage:
 		return nil, Missing, nil // a freshly allocated page
 	case err != nil:
@@ -49,69 +45,81 @@ func (o *Owned) Page(rec *wal.Record) (*page.Page, Answer, error) {
 	}
 	// Staged, unowned, even if redo leaves it: after a restart the cache can
 	// hold versions newer than the resume LSN, and the install marks them dirty.
-	o.Set.Stage(pg, false)
+	set.Stage(pg, false)
 	return pg, Resident, nil
 }
 
-// Put stages redo's version in the set, which owns it.
-func (o *Owned) Put(next *page.Page, err error) error {
-	if err == nil {
-		o.Set.Stage(next, true)
-		o.Redone++
-	}
-	return err
-}
+// Failed ends the pull.
+func (*Owned) Failed(err error) error { return err }
 
 // Cached is a compute secondary's policy (§4.5): records for a page being
-// fetched are queued behind the fetch, and "log records that involve pages
-// that are not cached are simply ignored". A cached or read-ahead parked
-// page (DESIGN §20.1) is redone where it is. Any failure drops the record.
+// fetched and not cached are queued behind the fetch, and "log records that
+// involve pages that are not cached are simply ignored". A cached or
+// read-ahead parked page (DESIGN §20.1) is redone in the cursor's set and
+// installed where it is. Any failure drops the record.
 type Cached struct {
 	Pending interface{ QueueIfPending(*wal.Record) bool }
 	Cache   *rbpex.Cache
-	parked  bool // the page Page last answered for is parked
 }
 
-// Page answers for a secondary.
+// Page answers for a secondary. A page it holds takes the record, fetch or
+// no fetch; only a page it does not hold, which no reader finds in the
+// cache either, has its records queued behind its fetch (DESIGN §21.3).
 //
 //socrates:hotpath runs once per page record of a secondary's feed; TestSecondaryApplyAllocs
-func (c *Cached) Page(rec *wal.Record) (*page.Page, Answer, error) {
-	if c.Pending.QueueIfPending(rec) {
+func (c *Cached) Page(rec *wal.Record, _ *btree.PageSet) (*page.Page, Answer, error) {
+	pg, err := c.Read(rec.Page)
+	switch {
+	case err == nil:
+	case c.Pending.QueueIfPending(rec):
 		return nil, Elsewhere, nil
-	}
-	pg, ok := c.Cache.Parked(rec.Page)
-	if c.parked = ok; !ok {
-		pg, ok = c.Cache.Get(rec.Page)
-	}
-	if !ok {
+	case !c.Cache.Contains(rec.Page):
 		return nil, Missing, nil
+	default: // its fetch installed it, and ended, between the two looks
+		if pg, err = c.Read(rec.Page); err != nil {
+			return nil, Missing, nil
+		}
 	}
 	return pg, Resident, nil
 }
 
-// Put installs redo's version where the page was (log apply is not the
-// reader a parked page waits for).
-//
-//socrates:hotpath runs once per record a secondary applies; TestSecondaryApplyAllocs
-func (c *Cached) Put(next *page.Page, err error) error {
-	if err == nil && c.parked {
-		//socrates:ignore-err a secondary's error rule drops a record it cannot install (DESIGN §21 lists the rule as a finding)
-		_, _ = c.Cache.PutHinted(next)
-	} else if err == nil {
-		//socrates:ignore-err the secondary's error rule, as above
-		_ = c.Cache.Put(next)
+// Read returns the cached version, parked or not: log apply is not the
+// reader a parked page waits for.
+func (c *Cached) Read(id page.ID) (*page.Page, error) {
+	pg, ok := c.Cache.Parked(id)
+	if !ok {
+		pg, ok = c.Cache.Get(id)
 	}
+	if !ok {
+		return nil, fcb.ErrNotFound
+	}
+	return pg, nil
+}
+
+// Write installs a version of the pull where the page is, never moving it
+// backwards: a fetch may have installed a newer image meanwhile.
+//
+//socrates:hotpath runs once per page a secondary's pull installs; TestSecondaryApplyAllocs
+func (c *Cached) Write(pg *page.Page) error {
+	put := c.Cache.PutFetched
+	if _, parked := c.Cache.Parked(pg.ID); parked {
+		put = c.Cache.PutHinted
+	}
+	_, _ = put(pg) // the error rule drops a version the cache cannot take (DESIGN §21 lists it as a finding)
 	return nil
 }
+
+// Failed drops the record.
+func (*Cached) Failed(error) error { return nil }
 
 // Replica is an HADR replica's policy (§2): every node holds every page, so
 // a missing one is made new. An unreadable page or a failed redo drops the
 // record.
-type Replica struct{ Pages fcb.PageFile }
+type Replica struct{ fcb.PageFile }
 
 // Page answers for an HADR replica.
-func (p Replica) Page(rec *wal.Record) (*page.Page, Answer, error) {
-	pg, err := p.Pages.Read(rec.Page)
+func (p Replica) Page(rec *wal.Record, _ *btree.PageSet) (*page.Page, Answer, error) {
+	pg, err := p.Read(rec.Page)
 	switch {
 	case errors.Is(err, fcb.ErrNotFound):
 		return page.New(rec.Page, rec.PageType), Resident, nil
@@ -121,23 +129,17 @@ func (p Replica) Page(rec *wal.Record) (*page.Page, Answer, error) {
 	return pg, Resident, nil
 }
 
-// Put writes redo's version to the replica's copy.
-func (p Replica) Put(next *page.Page, err error) error {
-	if err == nil {
-		//socrates:ignore-err a replica's page file is a bufferedFile, whose Write is an in-memory install that cannot fail; disk write-back errors are retried by its flusher
-		_ = p.Pages.Write(next)
-	}
-	return nil
-}
+// Failed drops the record.
+func (Replica) Failed(error) error { return nil }
 
 // Restore is point-in-time restore's policy (§4.7) over the restored
 // checkpoint. A range can begin at a cell operation for a page whose image
 // lies before it: an empty node is made to redo onto. Any error ends it.
-type Restore struct{ Pages fcb.PageFile }
+type Restore struct{ fcb.PageFile }
 
 // Page answers for a restore.
-func (p Restore) Page(rec *wal.Record) (*page.Page, Answer, error) {
-	pg, err := p.Pages.Read(rec.Page)
+func (p Restore) Page(rec *wal.Record, _ *btree.PageSet) (*page.Page, Answer, error) {
+	pg, err := p.Read(rec.Page)
 	switch {
 	case errors.Is(err, fcb.ErrNotFound) && rec.Kind == wal.KindPageImage:
 		return nil, Missing, nil
@@ -149,10 +151,5 @@ func (p Restore) Page(rec *wal.Record) (*page.Page, Answer, error) {
 	return pg, Resident, nil
 }
 
-// Put writes redo's version to the restored image.
-func (p Restore) Put(next *page.Page, err error) error {
-	if err != nil {
-		return err
-	}
-	return p.Pages.Write(next)
-}
+// Failed ends the restore.
+func (Restore) Failed(err error) error { return err }

@@ -2,7 +2,7 @@ package recovery
 
 import (
 	"bytes"
-	"errors"
+	"slices"
 	"testing"
 
 	"socrates/internal/btree"
@@ -30,44 +30,52 @@ func (p cachePager) Read(id page.ID) (*page.Page, error) {
 
 func (p cachePager) Write(pg *page.Page) error { return p.Put(pg) }
 
-func (cachePager) Allocate(page.Type) (*page.Page, error) {
-	return nil, errors.New("redo allocates no pages")
-}
-
 // outcome is what the cursor did with one record, as seen from its policy.
 type outcome string
 
 const (
 	passed   outcome = "passed"   // the policy was not asked (no page op, or cut)
-	applied  outcome = "applied"  // redo's version was put
-	current  outcome = "current"  // the page already reflected the record
-	ignored  outcome = "ignored"  // missing page, not its image
+	applied  outcome = "applied"  // redo staged the page's next version (answered Resident)
+	created  outcome = "created"  // the image record made the page (answered Missing)
+	current  outcome = "current"  // the page already reflected the record (answered Resident)
+	ignored  outcome = "ignored"  // answered Missing, and not an image record
 	deferred outcome = "deferred" // answered Elsewhere
-	dropped  outcome = "dropped"  // redo failed and Put dropped the record
+	dropped  outcome = "dropped"  // redo failed and Failed dropped the record
 	failed   outcome = "failed"   // the walk ended with an error
 )
 
-// recorder watches a policy's answers.
+// recorder watches a policy: its answer, the redo it failed, and what its
+// pager was handed to publish.
 type recorder struct {
 	Pages
-	asked   bool
-	answer  Answer
-	put     bool
-	redoErr bool
+	asked     bool
+	answer    Answer
+	redoErr   bool
+	published []*page.Page
 }
 
-func (r *recorder) Page(rec *wal.Record) (*page.Page, Answer, error) {
-	pg, a, err := r.Pages.Page(rec)
+func (r *recorder) Page(rec *wal.Record, set *btree.PageSet) (*page.Page, Answer, error) {
+	pg, a, err := r.Pages.Page(rec, set)
 	r.asked, r.answer = true, a
 	return pg, a, err
 }
 
-func (r *recorder) Put(next *page.Page, err error) error {
-	r.put, r.redoErr = true, err != nil
-	return r.Pages.Put(next, err)
+func (r *recorder) Failed(err error) error {
+	r.redoErr = true
+	return r.Pages.Failed(err)
 }
 
-func (r *recorder) outcome(err error) outcome {
+func (r *recorder) Write(pg *page.Page) error {
+	r.published = append(r.published, pg)
+	return r.Pages.Write(pg)
+}
+
+// outcome reads what the cursor did with rec off the recorder and the set.
+func (r *recorder) outcome(err error, set *btree.PageSet, rec *wal.Record) outcome {
+	staged := false
+	if pg, err := set.Read(rec.Page); err == nil && set.Owned(pg.ID) == pg && pg.LSN == rec.LSN {
+		staged = true
+	}
 	switch {
 	case err != nil:
 		return failed
@@ -75,34 +83,42 @@ func (r *recorder) outcome(err error) outcome {
 		return passed
 	case r.answer == Elsewhere:
 		return deferred
-	case r.redoErr:
-		return dropped
-	case r.put:
-		return applied
+	case r.answer == Missing && staged:
+		return created
 	case r.answer == Missing:
 		return ignored
+	case r.redoErr:
+		return dropped
+	case staged:
+		return applied
 	}
 	return current
 }
 
 // TestPolicyTable pins every consumer's rule in one place (DESIGN §21): each
 // case runs one record through a fresh cursor under each of the four
-// policies and checks what the cursor did with it, the watermark, and the
-// visibility it replayed. Every consumer holds pages 1, 4, 6 (corrupt) and
-// 20 at LSN 5; page 3 is only in the page server's XStore checkpoint; page 4
-// has a fetch in flight at the secondary; the page server owns [0, 10).
+// policies and checks the policy's answer, what the cursor did with the
+// record, the watermark, and the visibility it replayed. No pager sees a
+// version before the cursor's set is installed; then it sees the one redo
+// built. Every consumer holds pages 1, 4, 6 (corrupt), 7 and 20 at LSN 5,
+// but for the secondary, which lacks page 4; page 3 is only in the page
+// server's XStore checkpoint; pages 4 and 7 have a fetch in flight at the
+// secondary; the page server owns [0, 10).
 func TestPolicyTable(t *testing.T) {
 	leaf := func(id page.ID) *page.Page {
 		return &page.Page{ID: id, LSN: 5, Type: page.TypeLeaf, Data: btree.EmptyNodePayload()}
 	}
-	held := []*page.Page{leaf(1), leaf(4), leaf(20),
+	held := []*page.Page{leaf(1), leaf(4), leaf(7), leaf(20),
 		{ID: 6, LSN: 5, Type: page.TypeLeaf, Data: []byte{0xFF}}}
-	cache := func(t *testing.T) *rbpex.Cache {
+	cache := func(t *testing.T, lacks page.ID) *rbpex.Cache {
 		c, err := rbpex.Open(rbpex.Config{MemPages: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, pg := range held {
+			if pg.ID == lacks {
+				continue
+			}
 			if err := c.Put(pg); err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +139,7 @@ func TestPolicyTable(t *testing.T) {
 		make func(t *testing.T) Pages
 	}{
 		{"page server", func(t *testing.T) Pages {
-			return &Owned{Lo: 0, Hi: 10, Set: btree.NewPageSet(cachePager{cache(t)}),
+			return &Owned{PageFile: cachePager{cache(t, 0)}, Lo: 0, Hi: 10,
 				Fetch: func(id page.ID) (*page.Page, error) {
 					if id == 3 {
 						return leaf(3), nil
@@ -132,10 +148,10 @@ func TestPolicyTable(t *testing.T) {
 				}}
 		}},
 		{"secondary", func(t *testing.T) Pages {
-			return &Cached{Pending: pendingSet{4: true}, Cache: cache(t)}
+			return &Cached{Pending: pendingSet{4: true, 7: true}, Cache: cache(t, 4)}
 		}},
-		{"hadr", func(t *testing.T) Pages { return Replica{Pages: file(t)} }},
-		{"pitr", func(t *testing.T) Pages { return Restore{Pages: file(t)} }},
+		{"hadr", func(t *testing.T) Pages { return Replica{file(t)} }},
+		{"pitr", func(t *testing.T) Pages { return Restore{file(t)} }},
 	}
 
 	const lsn, stop = page.LSN(10), page.LSN(100)
@@ -154,9 +170,10 @@ func TestPolicyTable(t *testing.T) {
 			[4]outcome{applied, applied, applied, applied}},
 		{"resident page, record already reflected", cellAt(5, 1),
 			[4]outcome{current, current, current, current}},
+		// HADR makes every page it lacks and redoes the image onto it.
 		{"missing page, image record", &wal.Record{LSN: lsn, Kind: wal.KindPageImage, Page: 2,
 			PageType: page.TypeLeaf, Value: btree.EmptyNodePayload()},
-			[4]outcome{applied, applied, applied, applied}},
+			[4]outcome{created, created, applied, created}},
 		// The page server fetches the checkpoint copy; HADR redoes onto a
 		// new page with no node in it, and drops the record; PITR makes an
 		// empty node.
@@ -164,6 +181,10 @@ func TestPolicyTable(t *testing.T) {
 			[4]outcome{applied, ignored, dropped, applied}},
 		{"page not owned", cellAt(lsn, 20),
 			[4]outcome{deferred, applied, applied, applied}},
+		// The secondary queues a record behind a fetch only for a page it
+		// does not hold: one it holds takes the record.
+		{"cached page with a fetch in flight", cellAt(lsn, 7),
+			[4]outcome{applied, applied, applied, applied}},
 		{"page pending a fetch", cellAt(lsn, 4),
 			[4]outcome{applied, deferred, applied, applied}},
 		// The error rule: the page server and PITR end the walk, the
@@ -179,10 +200,21 @@ func TestPolicyTable(t *testing.T) {
 	} {
 		for i, p := range policies {
 			rec := &recorder{Pages: p.make(t)}
-			r := NewReplayer(rec, 1, nil)
+			r := NewReplayer(rec, 1)
 			err := r.ApplyRecord(c.rec, stop)
-			if got := rec.outcome(err); got != c.want[i] {
+			got := rec.outcome(err, r.PageSet(), c.rec)
+			if got != c.want[i] {
 				t.Errorf("%s, %s: %s (err %v), want %s", c.name, p.name, got, err, c.want[i])
+			}
+			if len(rec.published) != 0 {
+				t.Errorf("%s, %s: the pager saw a version before the install", c.name, p.name)
+			}
+			if err := r.PageSet().Install(); err != nil {
+				t.Fatalf("%s, %s: install: %v", c.name, p.name, err)
+			}
+			if made := got == applied || got == created; made && !slices.ContainsFunc(rec.published,
+				func(pg *page.Page) bool { return pg.ID == c.rec.Page && pg.LSN == c.rec.LSN }) {
+				t.Errorf("%s, %s: the install did not publish redo's version", c.name, p.name)
 			}
 			wantApplied := c.rec.LSN.Next()
 			if err != nil || c.rec.LSN == stop {
@@ -265,9 +297,9 @@ func TestRedoCopiesTheFetchedPageOnce(t *testing.T) {
 }
 
 // TestOwnedEditsTheVersionItBuilt: within a pull a page server copies a
-// cached page on its first record that applies and answers Private for the
-// version redo built — the one the pull's page set owns — which later
-// records edit in place; Install publishes it, which ends that ownership.
+// cached page on its first record that applies, into the cursor's set, and
+// later records edit that version in place; Install publishes it, which ends
+// the set's ownership, and the next pull copies it again.
 func TestOwnedEditsTheVersionItBuilt(t *testing.T) {
 	cached := &page.Page{ID: 1, LSN: 5, Type: page.TypeLeaf, Data: btree.EmptyNodePayload()}
 	c, err := rbpex.Open(rbpex.Config{MemPages: 4})
@@ -278,44 +310,52 @@ func TestOwnedEditsTheVersionItBuilt(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := cached.Clone()
-	owned := &Owned{Lo: 0, Hi: 10, Set: btree.NewPageSet(cachePager{c})}
-	rec := &recorder{Pages: owned}
-	r := NewReplayer(rec, 1, nil)
+	r := NewReplayer(&Owned{PageFile: cachePager{c}, Lo: 0, Hi: 10}, 1)
+	set := r.PageSet()
 	// The first record is one the cached version already reflects, as after
 	// a restart: the set holds that version, which is still not redo's.
 	recs := append([]*wal.Record{{LSN: 5, Kind: wal.KindCellPut, Page: 1, Key: []byte("old")}},
 		cellRecs(1, 6, 8)...)
+	var first *page.Page // the version the first record that applies built
 	for i, rc := range recs {
 		if err := r.ApplyRecord(rc, 0); err != nil {
 			t.Fatal(err)
 		}
-		wantAnswer := Private
-		if i <= 1 {
-			wantAnswer = Resident
+		pg, err := set.Read(1)
+		switch {
+		case err != nil:
+			t.Fatal(err)
+		case i == 0 && (pg != cached || set.Owned(pg.ID) == pg):
+			t.Fatal("the reflected record left the set other than holding the cached version, unowned")
+		case i == 1:
+			first = pg
 		}
-		if rec.answer != wantAnswer {
-			t.Fatalf("record %d answered %d, want %d", i, rec.answer, wantAnswer)
+		if i >= 1 && (pg != first || set.Owned(pg.ID) != pg) {
+			t.Fatalf("record %d: the set's version is not the one the first record built, or not the set's own", i)
 		}
 	}
-	built, err := owned.Set.Read(1)
-	if err != nil || !owned.Set.Owns(built) || !samePage(built, copyOnWrite(t, cached, recs)) {
-		t.Fatal("the pull's version is not the set's own, or not what copy-on-write redo gives")
+	if !samePage(first, copyOnWrite(t, cached, recs)) {
+		t.Fatal("the pull's version is not what copy-on-write redo gives")
 	}
 	redone := len(recs) - 1
-	if owned.Redone != redone {
-		t.Fatalf("redone %d, want %d", owned.Redone, redone)
+	if r.Redone() != redone {
+		t.Fatalf("redone %d, want %d", r.Redone(), redone)
 	}
 	if got, _ := c.Get(1); got != cached || !samePage(cached, want) {
 		t.Fatal("redo changed the cached version")
 	}
 	// Install publishes the version; the next pull copies it again.
-	if err := owned.Set.Install(); err != nil {
+	if err := set.Install(); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := c.Get(1); got != built {
+	if got, _ := c.Get(1); got != first {
 		t.Fatal("Install did not publish the pull's version")
 	}
-	if err := r.ApplyRecord(cellRecs(1, 20, 1)[0], 0); err != nil || rec.answer != Resident || owned.Redone != redone+1 {
-		t.Fatalf("after Install: answer %d, redone %d, err %v", rec.answer, owned.Redone, err)
+	built := first.Clone()
+	if err := r.ApplyRecord(cellRecs(1, 20, 1)[0], 0); err != nil || r.Redone() != redone+1 {
+		t.Fatalf("after Install: redone %d, err %v", r.Redone(), err)
+	}
+	if pg, _ := set.Read(1); pg == first || set.Owned(pg.ID) != pg || !samePage(first, built) {
+		t.Fatal("the next pull edited the installed version, or did not copy it into the set")
 	}
 }

@@ -1,21 +1,24 @@
 // Package recovery is the one redo cursor (DESIGN §21). Page servers,
 // compute secondaries, HADR replicas and point-in-time restore all apply the
 // log through a Replayer: it decodes blocks in LSN order, dispatches each
-// record, cuts at a stop LSN, redoes page operations (a missing page's image
-// record makes it), hands commit timestamps to a block hook and keeps the
-// applied watermark. Each consumer supplies where a record's page is, as a
-// Pages policy. Follow tails the log as it is written; Walk reads a finished
+// record, cuts at a stop LSN, redoes page operations into its page set (a
+// missing page's image record makes it), raises the visible commit
+// timestamp and keeps the applied watermark. Each consumer supplies where a
+// record's page is, as a Pages policy, and installs the set at its publish
+// point. Follow tails the log as it is written; ReplayRange reads a finished
 // range. Redo is all there is (§3.2): uncommitted changes never reach data
 // pages, so replay costs the log range, never the database size.
 package recovery
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
 
 	"socrates/internal/btree"
+	"socrates/internal/fcb"
 	"socrates/internal/page"
 	"socrates/internal/rbio"
 	"socrates/internal/wal"
@@ -25,44 +28,54 @@ import (
 type Answer uint8
 
 const (
-	Resident  Answer = iota // the page is here: redo the record onto the version returned
+	Resident  Answer = iota // the page is here: redo the record onto the version returned, in the cursor's set
 	Missing                 // the page is not here: its image record creates it, any other record is ignored
 	Elsewhere               // not the cursor's to apply: not this consumer's page, or queued behind a fetch
-	Private                 // the version returned is the policy's own (a pull's page set owns it: redo built it and nobody else sees it yet): redo edits it in place
 )
 
 // Pages is one consumer's redo policy: the one place redo asks for pages.
+// Its Read and Write are the pager of the cursor's page set: the version the
+// consumer has published (fcb.ErrNotFound if none), and its install.
 type Pages interface {
-	// Page answers for a page record. An error ends the walk.
-	Page(rec *wal.Record) (*page.Page, Answer, error)
-	// Put takes redo's next version, or its error and a nil page; never a
-	// record the page already reflects. A version redo built is private
-	// until the policy publishes it; after an in-place edit of a Private
-	// answer it is the same pointer. An error Put returns ends the walk,
-	// nil after a redo error drops the record: the consumer's error rule.
-	Put(next *page.Page, err error) error
+	fcb.PageFile
+	// Page answers for a record whose page the cursor's set does not own
+	// (the set may hold the policy's own staging). An error ends the walk.
+	Page(rec *wal.Record, set *btree.PageSet) (*page.Page, Answer, error)
+	// Failed is the error rule for a failed redo: err ends the walk, nil
+	// drops the record.
+	Failed(err error) error
 }
 
-// BlockHook is called before a block's first record (done false) and after
-// its last (done true), with the highest commit timestamp replayed so far.
-type BlockHook func(b *wal.Block, done bool, visible uint64)
-
-// Replayer is the redo cursor, driven by one goroutine.
+// Replayer is the redo cursor, driven by one goroutine. The versions redo
+// builds stay in its page set, each page copied on its first record and
+// edited in place after, until the consumer installs the set.
 type Replayer struct {
 	pages   Pages
-	block   BlockHook
+	set     *btree.PageSet
 	applied page.LSN
 	visible uint64
+	redone  int
 }
 
-// NewReplayer builds a cursor over a policy, its watermark at from; block
-// may be nil. Redo is idempotent: overlapping ranges are safe.
-func NewReplayer(pages Pages, from page.LSN, block BlockHook) *Replayer {
-	if block == nil {
-		block = func(*wal.Block, bool, uint64) {}
-	}
-	return &Replayer{pages: pages, block: block, applied: from}
+// NewReplayer builds a cursor over a policy, its watermark at from. Redo is
+// idempotent: overlapping ranges are safe.
+func NewReplayer(pages Pages, from page.LSN) *Replayer {
+	return &Replayer{pages: pages, set: btree.NewPageSet(pager{pages}), applied: from}
 }
+
+// pager is the set's: redo allocates nothing, an image record makes a page.
+type pager struct{ Pages }
+
+func (pager) Allocate(page.Type) (*page.Page, error) {
+	return nil, errors.New("recovery: redo allocates no pages")
+}
+
+// PageSet is the cursor's set: the versions redo built and nobody else sees
+// until Install publishes them through the policy.
+func (r *Replayer) PageSet() *btree.PageSet { return r.set }
+
+// Redone counts the records redone into the set, a running count.
+func (r *Replayer) Redone() int { return r.redone }
 
 // Visible reports the highest commit timestamp replayed.
 func (r *Replayer) Visible() uint64 { return r.visible }
@@ -89,55 +102,52 @@ func (r *Replayer) ApplyRecord(rec *wal.Record, stop page.LSN) error {
 	return nil
 }
 
-// redo asks the policy for a page operation's page and redoes it there.
+// redo redoes a page operation in the set: onto the set's own version of the
+// page if it has one — a page staged this pull takes all of the pull's
+// records, fetch or no fetch (DESIGN §21.3) — else onto the one the policy
+// answers with.
 func (r *Replayer) redo(rec *wal.Record) error {
-	pg, answer, err := r.pages.Page(rec)
+	pg, answer, err := r.set.Owned(rec.Page), Resident, error(nil)
+	if pg == nil {
+		pg, answer, err = r.pages.Page(rec, r.set)
+	}
 	if err != nil || answer == Elsewhere || (answer == Missing && rec.Kind != wal.KindPageImage) {
 		return err
 	}
-	next, applied := pg, true
-	switch answer {
-	case Missing:
-		next, err = btree.NewFormatted(rec)
-	case Private:
-		applied, err = btree.Edit(pg, rec)
+	switch {
+	case answer == Missing:
+		if pg, err = btree.NewFormatted(rec); err == nil {
+			r.set.Stage(pg, true)
+		}
+	case rec.LSN.AtMost(pg.LSN):
+		return nil // the page already reflects the record
 	default:
-		next, applied, err = btree.Apply(pg, rec)
+		err = r.set.Apply(pg, rec)
 	}
 	if err != nil {
-		return r.pages.Put(nil, fmt.Errorf("recovery: redo at LSN %d: %w", rec.LSN, err))
+		return r.pages.Failed(fmt.Errorf("recovery: redo at LSN %d: %w", rec.LSN, err))
 	}
-	if !applied {
-		return nil // the page already reflects the record
-	}
-	return r.pages.Put(next, nil)
-}
-
-// ApplyBlock applies one decoded block's records below stop, between the
-// two calls of the block hook.
-func (r *Replayer) ApplyBlock(b *wal.Block, stop page.LSN) error {
-	r.block(b, false, r.visible)
-	for _, rec := range b.Records {
-		if err := r.ApplyRecord(rec, stop); err != nil {
-			return err
-		}
-	}
-	r.block(b, true, r.visible)
+	r.redone++
 	return nil
 }
 
 // ApplyBlocks decodes a pull's answer and applies its records below stop.
-// They alias payload (DESIGN §16.8), which nobody may write again.
+// They alias payload (DESIGN §16.8), which nobody may write again. A failure
+// drops what the set staged, unpublished: the pull is pulled again.
 func (r *Replayer) ApplyBlocks(payload []byte, stop page.LSN) error {
 	for len(payload) > 0 {
 		b, n, err := wal.DecodeBlock(payload)
 		if err != nil {
+			r.set.Drop()
 			return fmt.Errorf("recovery: decoding block: %w", err)
 		}
-		payload = payload[n:]
-		if err := r.ApplyBlock(b, stop); err != nil {
-			return err
+		for _, rec := range b.Records {
+			if err := r.ApplyRecord(rec, stop); err != nil {
+				r.set.Drop()
+				return err
+			}
 		}
+		payload = payload[n:]
 	}
 	return nil
 }
@@ -170,8 +180,9 @@ type Puller interface {
 }
 
 // ReplayRange is the bounded range walk of a restore: it pulls the log from
-// the watermark to stop (0: all src has), checking ctx between pulls, and
-// applies each block in LSN order. It returns the LSN reached; an error
+// the watermark to stop (0: all src has), checking ctx between pulls,
+// applies each block in LSN order and installs the set after each pull. It
+// returns the LSN reached, short of stop when src ran out first; an error
 // ends it too.
 func (r *Replayer) ReplayRange(ctx context.Context, src Puller, stop page.LSN) (page.LSN, error) {
 	from := r.applied
@@ -184,6 +195,9 @@ func (r *Replayer) ReplayRange(ctx context.Context, src Puller, stop page.LSN) (
 			return from, err // failed, or caught up with the available log
 		}
 		if err := r.ApplyBlocks(payload, stop); err != nil {
+			return from, err
+		}
+		if err := r.set.Install(); err != nil {
 			return from, err
 		}
 		from = next
@@ -217,9 +231,10 @@ func (r *Replayer) Follow(ctx context.Context, xlog *rbio.Client, partition int3
 }
 
 // Pull is one round of Follow, a long poll at XLOG from the watermark. apply
-// takes a nonempty answer: it applies the payload (ApplyBlocks) and
-// publishes the consumer's watermarks. The watermark then moves to the
-// answer's end, past blocks XLOG filtered out; after a failure it stays.
+// takes a nonempty answer: it applies the payload (ApplyBlocks), installs
+// the set and publishes the consumer's watermarks. The watermark then moves
+// to the answer's end, past blocks XLOG filtered out; after a failure it
+// stays.
 //
 //socrates:hotpath the online loop's pull; TestApplyFeedAllocs (a pull under a cancelled context)
 func (r *Replayer) Pull(ctx context.Context, xlog *rbio.Client, partition int32, maxBytes int, apply func(from, next page.LSN, payload []byte) error) error {

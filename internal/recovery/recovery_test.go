@@ -82,15 +82,14 @@ func TestFullReplayMatchesSource(t *testing.T) {
 	_ = srcPages
 
 	replayPages := fcb.NewMemFile()
-	counted := &counting{Pages: Restore{Pages: replayPages}}
-	r := NewReplayer(counted, 1, nil)
+	r := NewReplayer(Restore{replayPages}, 1)
 	if _, err := r.ReplayRange(context.Background(), newMemPuller(pipe), 0); err != nil {
 		t.Fatal(err)
 	}
 	if r.Visible() != src.Clock().Visible() {
 		t.Fatalf("visible = %d, want %d", r.Visible(), src.Clock().Visible())
 	}
-	if counted.puts == 0 {
+	if r.Redone() == 0 {
 		t.Fatal("nothing replayed")
 	}
 
@@ -132,7 +131,7 @@ func TestStopLSNCutsHistory(t *testing.T) {
 	}
 
 	pages := fcb.NewMemFile()
-	r := NewReplayer(Restore{Pages: pages}, 1, nil)
+	r := NewReplayer(Restore{pages}, 1)
 	if _, err := r.ReplayRange(context.Background(), puller, cut); err != nil {
 		t.Fatal(err)
 	}
@@ -155,22 +154,22 @@ func TestReplayIsIdempotent(t *testing.T) {
 	_, pipe, _ := buildHistory(t, 40)
 	puller := newMemPuller(pipe)
 	pages := fcb.NewMemFile()
-	first := &counting{Pages: Restore{Pages: pages}}
-	if _, err := NewReplayer(first, 1, nil).ReplayRange(context.Background(), puller, 0); err != nil {
+	first := NewReplayer(Restore{pages}, 1)
+	if _, err := first.ReplayRange(context.Background(), puller, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Replaying the same range again applies nothing (LSN guard).
-	second := &counting{Pages: Restore{Pages: pages}}
-	if _, err := NewReplayer(second, 1, nil).ReplayRange(context.Background(), puller, 0); err != nil {
+	second := NewReplayer(Restore{pages}, 1)
+	if _, err := second.ReplayRange(context.Background(), puller, 0); err != nil {
 		t.Fatal(err)
 	}
-	if second.puts != 0 {
-		t.Fatalf("second replay applied %d records (first applied %d)", second.puts, first.puts)
+	if second.Redone() != 0 {
+		t.Fatalf("second replay applied %d records (first applied %d)", second.Redone(), first.Redone())
 	}
 }
 
 func TestReplayRejectsGarbage(t *testing.T) {
-	r := NewReplayer(Restore{Pages: fcb.NewMemFile()}, 1, nil)
+	r := NewReplayer(Restore{fcb.NewMemFile()}, 1)
 	if err := r.ApplyBlocks([]byte("not a block"), 0); err == nil {
 		t.Fatal("garbage accepted")
 	}
@@ -178,7 +177,7 @@ func TestReplayRejectsGarbage(t *testing.T) {
 
 func TestApplyRecordErrorsSurface(t *testing.T) {
 	pages := fcb.NewMemFile()
-	r := NewReplayer(Restore{Pages: pages}, 1, nil)
+	r := NewReplayer(Restore{pages}, 1)
 	// A cell-put against a page that never got an image record: the page
 	// materializes empty and the put applies — no error. But a corrupt
 	// payload must surface.
@@ -186,6 +185,9 @@ func TestApplyRecordErrorsSurface(t *testing.T) {
 		PageType: page.TypeLeaf, Key: []byte("k"), Value: []byte("v")}
 	if err := r.ApplyRecord(rec, 0); err != nil {
 		t.Fatalf("fresh-page cell put: %v", err)
+	}
+	if err := r.PageSet().Install(); err != nil {
+		t.Fatal(err)
 	}
 	// Now corrupt the page and watch redo fail loudly.
 	pg, err := pages.Read(9)
@@ -202,7 +204,7 @@ func TestApplyRecordErrorsSurface(t *testing.T) {
 }
 
 func TestPullerErrorPropagates(t *testing.T) {
-	r := NewReplayer(Restore{Pages: fcb.NewMemFile()}, 1, nil)
+	r := NewReplayer(Restore{fcb.NewMemFile()}, 1)
 	boom := errors.New("source gone")
 	_, err := r.ReplayRange(context.Background(), errPuller{boom}, 0)
 	if !errors.Is(err, boom) {
@@ -211,19 +213,6 @@ func TestPullerErrorPropagates(t *testing.T) {
 }
 
 type errPuller struct{ err error }
-
-// counting counts the versions redo hands its policy: the records applied.
-type counting struct {
-	Pages
-	puts int
-}
-
-func (c *counting) Put(next *page.Page, err error) error {
-	if err == nil {
-		c.puts++
-	}
-	return c.Pages.Put(next, err)
-}
 
 func (p errPuller) Pull(context.Context, page.LSN, int32, int) ([]byte, page.LSN, error) {
 	return nil, 0, p.err

@@ -291,7 +291,7 @@ func (r *RestoredDB) Exec(sql string) (*Result, error) { return r.sql.Exec(sql) 
 
 // PointInTimeRestore materializes the database as of targetLSN (0 = end of
 // log) from a named backup: constant-time snapshot restore plus a bounded
-// log-range replay (§4.7).
+// log-range replay (§4.7). A target past the end of the log is an error.
 func (db *DB) PointInTimeRestore(backup string, targetLSN uint64) (*RestoredDB, error) {
 	eng, _, err := db.cluster.PointInTimeRestore(context.Background(), backup, page.LSN(targetLSN))
 	if err != nil {
