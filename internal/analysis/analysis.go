@@ -12,7 +12,7 @@
 // wait-accounted or reviewed) — build on the package's CFG (cfg.go),
 // generic forward dataflow solver (dataflow.go), and static call graph
 // (callgraph.go). Everything is pure stdlib — go/ast + go/types — and
-// runs over type-checked packages produced by the Loader.
+// runs over type-checked packages produced by the loader.
 //
 // Intentional violations are annotated in source with directives of the form
 //
@@ -34,38 +34,38 @@ import (
 	"strings"
 )
 
-// Diagnostic is one finding from one pass.
-type Diagnostic struct {
+// diagnostic is one finding from one pass.
+type diagnostic struct {
 	Pos     token.Position
 	Pass    string
 	Message string
 }
 
-func (d Diagnostic) String() string {
+func (d diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Pass, d.Message)
 }
 
-// Pass is one analyzer.
-type Pass interface {
+// lintPass is one analyzer.
+type lintPass interface {
 	Name() string
-	Run(pkg *Package) []Diagnostic
+	Run(pkg *Package) []diagnostic
 }
 
-// ProgramPass is a pass that needs the whole package set at once (e.g.
+// programPass is a pass that needs the whole package set at once (e.g.
 // deadlocklint's cross-package lock-ordering graph). Run applies it to
 // the full set in one call instead of per package.
-type ProgramPass interface {
-	Pass
-	RunProgram(pkgs []*Package) []Diagnostic
+type programPass interface {
+	lintPass
+	RunProgram(pkgs []*Package) []diagnostic
 }
 
 // Package is one type-checked package ready for analysis.
 type Package struct {
-	Path  string // import path ("socrates/internal/xlog")
-	Fset  *token.FileSet
-	Files []*ast.File
-	Pkg   *types.Package
-	Info  *types.Info
+	path  string // import path ("socrates/internal/xlog")
+	fset  *token.FileSet
+	files []*ast.File
+	pkg   *types.Package
+	info  *types.Info
 
 	directives map[*ast.File]map[int]directive // line -> directive, per file
 	used       map[token.Pos]bool              // directives a lookup has matched
@@ -107,7 +107,7 @@ func (p *Package) fileDirectives(f *ast.File) map[int]directive {
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			if d, ok := parseDirective(c); ok {
-				m[p.Fset.Position(c.Pos()).Line] = d
+				m[p.fset.Position(c.Pos()).Line] = d
 			}
 		}
 	}
@@ -117,7 +117,7 @@ func (p *Package) fileDirectives(f *ast.File) map[int]directive {
 
 // fileOf returns the *ast.File containing pos.
 func (p *Package) fileOf(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
+	for _, f := range p.files {
 		if f.FileStart <= pos && pos < f.FileEnd {
 			return f
 		}
@@ -125,7 +125,7 @@ func (p *Package) fileOf(pos token.Pos) *ast.File {
 	return nil
 }
 
-// DirectiveAt reports whether a //socrates:<name> directive covers the node:
+// directiveAt reports whether a //socrates:<name> directive covers the node:
 // on the node's line, on the line above it, on the first line of (or the
 // line above) any enclosing statement, or in the doc comment of the
 // enclosing function declaration. A pass asks only where it would
@@ -137,7 +137,7 @@ func (p *Package) fileOf(pos token.Pos) *ast.File {
 // literal or chained call whose position is several lines below the
 // statement's first line, and the directive naturally sits above the
 // statement, not above the buried subexpression.
-func (p *Package) DirectiveAt(name string, node ast.Node) bool {
+func (p *Package) directiveAt(name string, node ast.Node) bool {
 	f := p.fileOf(node.Pos())
 	if f == nil {
 		return false
@@ -161,7 +161,7 @@ func (p *Package) DirectiveAt(name string, node ast.Node) bool {
 			}
 		}
 	}
-	if covers(p.Fset.Position(node.Pos()).Line) {
+	if covers(p.fset.Position(node.Pos()).Line) {
 		return true
 	}
 	for _, line := range p.enclosingStmtLines(f, node.Pos()) {
@@ -170,7 +170,7 @@ func (p *Package) DirectiveAt(name string, node ast.Node) bool {
 		}
 	}
 	if fn := p.enclosingFunc(f, node.Pos()); fn != nil {
-		return p.FuncDirective(fn, name)
+		return p.funcDirective(fn, name)
 	}
 	return false
 }
@@ -197,7 +197,7 @@ func (p *Package) enclosingStmtLines(f *ast.File, pos token.Pos) []int {
 			return false // pos not inside; skip subtree
 		}
 		if _, ok := n.(ast.Stmt); ok {
-			if line := p.Fset.Position(n.Pos()).Line; !seen[line] {
+			if line := p.fset.Position(n.Pos()).Line; !seen[line] {
 				seen[line] = true
 				lines = append(lines, line)
 			}
@@ -207,10 +207,10 @@ func (p *Package) enclosingStmtLines(f *ast.File, pos token.Pos) []int {
 	return lines
 }
 
-// FuncDirective reports whether the package's function declaration fn
+// funcDirective reports whether the package's function declaration fn
 // carries the named directive in its doc comment, recording a match as
 // used like DirectiveAt does.
-func (p *Package) FuncDirective(fn *ast.FuncDecl, name string) bool {
+func (p *Package) funcDirective(fn *ast.FuncDecl, name string) bool {
 	if fn.Doc == nil {
 		return false
 	}
@@ -232,10 +232,10 @@ func (p *Package) enclosingFunc(f *ast.File, pos token.Pos) *ast.FuncDecl {
 	return nil
 }
 
-// diag builds a Diagnostic at the node's position.
-func (p *Package) diag(pass string, node ast.Node, format string, args ...any) Diagnostic {
-	return Diagnostic{
-		Pos:     p.Fset.Position(node.Pos()),
+// diag builds a diagnostic at the node's position.
+func (p *Package) diag(pass string, node ast.Node, format string, args ...any) diagnostic {
+	return diagnostic{
+		Pos:     p.fset.Position(node.Pos()),
 		Pass:    pass,
 		Message: fmt.Sprintf(format, args...),
 	}
@@ -259,16 +259,16 @@ var knownDirectives = map[string]string{
 // matched although its pass ran: it suppresses nothing, so it has outlived
 // the code it was written for. hotpath is exempt — it opts a function in
 // rather than waiving a finding.
-func (p *Package) unusedDirectives(ran map[string]bool) []Diagnostic {
-	var out []Diagnostic
-	for _, f := range p.Files {
+func (p *Package) unusedDirectives(ran map[string]bool) []diagnostic {
+	var out []diagnostic
+	for _, f := range p.files {
 		for _, d := range p.fileDirectives(f) {
 			pass := knownDirectives[d.name]
 			if d.name == "hotpath" || !ran[pass] || p.used[d.pos] {
 				continue
 			}
-			out = append(out, Diagnostic{
-				Pos:     p.Fset.Position(d.pos),
+			out = append(out, diagnostic{
+				Pos:     p.fset.Position(d.pos),
 				Pass:    "directive",
 				Message: fmt.Sprintf("//socrates:%s suppresses no %s finding; delete it", d.name, pass),
 			})
@@ -277,12 +277,12 @@ func (p *Package) unusedDirectives(ran map[string]bool) []Diagnostic {
 	return out
 }
 
-// CheckDirectives validates every //socrates: annotation in the package:
+// checkDirectives validates every //socrates: annotation in the package:
 // unknown names and missing reasons are diagnostics, so the allowlist
 // itself stays auditable.
-func CheckDirectives(pkg *Package) []Diagnostic {
-	var out []Diagnostic
-	for _, f := range pkg.Files {
+func checkDirectives(pkg *Package) []diagnostic {
+	var out []diagnostic
+	for _, f := range pkg.files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				d, ok := parseDirective(c)
@@ -290,16 +290,16 @@ func CheckDirectives(pkg *Package) []Diagnostic {
 					continue
 				}
 				if knownDirectives[d.name] == "" {
-					out = append(out, Diagnostic{
-						Pos:     pkg.Fset.Position(d.pos),
+					out = append(out, diagnostic{
+						Pos:     pkg.fset.Position(d.pos),
 						Pass:    "directive",
 						Message: fmt.Sprintf("unknown directive //socrates:%s", d.name),
 					})
 					continue
 				}
 				if d.reason == "" {
-					out = append(out, Diagnostic{
-						Pos:     pkg.Fset.Position(d.pos),
+					out = append(out, diagnostic{
+						Pos:     pkg.fset.Position(d.pos),
 						Pass:    "directive",
 						Message: fmt.Sprintf("//socrates:%s needs a reason", d.name),
 					})
@@ -311,15 +311,15 @@ func CheckDirectives(pkg *Package) []Diagnostic {
 }
 
 // AllPasses returns the full suite in its default (repo) configuration.
-func AllPasses() []Pass {
-	return []Pass{
-		DefaultErrlint(),
-		NewLSNLint(),
-		DefaultSleeplint(),
-		DefaultCtxLint(),
-		NewDeadlockLint(),
-		NewLeakLint(),
-		NewWaitLint(),
+func AllPasses() []lintPass {
+	return []lintPass{
+		defaultErrlint(),
+		newLSNLint(),
+		defaultSleeplint(),
+		defaultCtxLint(),
+		newDeadlockLint(),
+		newLeakLint(),
+		newWaitLint(),
 	}
 }
 
@@ -328,15 +328,15 @@ func AllPasses() []Pass {
 // whole package set in one call; ordinary passes run per package. Once
 // they have run, every waiver of a pass that ran and suppressed nothing is
 // a finding too.
-func Run(pkgs []*Package, passes []Pass) []Diagnostic {
-	var out []Diagnostic
+func Run(pkgs []*Package, passes []lintPass) []diagnostic {
+	var out []diagnostic
 	for _, pkg := range pkgs {
-		out = append(out, CheckDirectives(pkg)...)
+		out = append(out, checkDirectives(pkg)...)
 	}
 	ran := make(map[string]bool)
 	for _, pass := range passes {
 		ran[pass.Name()] = true
-		if pp, ok := pass.(ProgramPass); ok {
+		if pp, ok := pass.(programPass); ok {
 			out = append(out, pp.RunProgram(pkgs)...)
 			continue
 		}

@@ -1,15 +1,13 @@
-package analysis_test
+package analysis
 
 import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"socrates/internal/analysis"
 )
 
 // loadFixture type-checks one fixture package under testdata/src.
-func loadFixture(t *testing.T, loader *analysis.Loader, rel string) *analysis.Package {
+func loadFixture(t *testing.T, loader *loader, rel string) *Package {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", filepath.FromSlash(rel))
 	pkg, err := loader.LoadDir(dir, "fixture/"+rel)
@@ -19,9 +17,9 @@ func loadFixture(t *testing.T, loader *analysis.Loader, rel string) *analysis.Pa
 	return pkg
 }
 
-func newLoader(t *testing.T) *analysis.Loader {
+func newLoader(t *testing.T) *loader {
 	t.Helper()
-	loader, err := analysis.NewLoader(".")
+	loader, err := NewLoader(".")
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
@@ -32,7 +30,7 @@ func newLoader(t *testing.T) *analysis.Loader {
 // wantBad findings, each containing wantSubstr) and stays silent on the
 // clean one — including directive validation, so the clean fixture's
 // annotations must carry reasons.
-func runFixturePair(t *testing.T, pass analysis.Pass, name string, wantBad int, wantSubstr string) {
+func runFixturePair(t *testing.T, pass lintPass, name string, wantBad int, wantSubstr string) {
 	t.Helper()
 	loader := newLoader(t)
 
@@ -52,14 +50,14 @@ func runFixturePair(t *testing.T, pass analysis.Pass, name string, wantBad int, 
 	}
 
 	clean := loadFixture(t, loader, name+"/clean")
-	cleanDiags := append(pass.Run(clean), analysis.CheckDirectives(clean)...)
+	cleanDiags := append(pass.Run(clean), checkDirectives(clean)...)
 	if len(cleanDiags) != 0 {
 		t.Fatalf("%s on clean fixture: want 0 findings, got:\n%s",
 			pass.Name(), render(cleanDiags))
 	}
 }
 
-func render(diags []analysis.Diagnostic) string {
+func render(diags []diagnostic) string {
 	var b strings.Builder
 	for _, d := range diags {
 		b.WriteString(d.String())
@@ -69,20 +67,20 @@ func render(diags []analysis.Diagnostic) string {
 }
 
 func TestErrlintFixtures(t *testing.T) {
-	pass := &analysis.Errlint{CriticalPkgs: []string{"fixture/errlint"}}
+	pass := &errlint{criticalPkgs: []string{"fixture/errlint"}}
 	runFixturePair(t, pass, "errlint", 3, "durability-critical")
 }
 
 func TestLSNLintFixtures(t *testing.T) {
-	runFixturePair(t, analysis.NewLSNLint(), "lsnlint", 4, "raw LSN")
+	runFixturePair(t, newLSNLint(), "lsnlint", 4, "raw LSN")
 }
 
 func TestSleeplintFixtures(t *testing.T) {
-	runFixturePair(t, analysis.DefaultSleeplint(), "sleeplint", 1, "time.Sleep")
+	runFixturePair(t, defaultSleeplint(), "sleeplint", 1, "time.Sleep")
 }
 
 func TestCtxLintFixtures(t *testing.T) {
-	pass := &analysis.CtxLint{InterTierPkgs: []string{"fixture/ctxlint"}}
+	pass := &ctxLint{interTierPkgs: []string{"fixture/ctxlint"}}
 	runFixturePair(t, pass, "ctxlint", 9, "//socrates:ctx-ok")
 }
 
@@ -91,7 +89,7 @@ func TestCtxLintFixtures(t *testing.T) {
 func TestCtxLintFindsExactSites(t *testing.T) {
 	loader := newLoader(t)
 	bad := loadFixture(t, loader, "ctxlint/bad")
-	diags := (&analysis.CtxLint{InterTierPkgs: []string{"fixture/ctxlint"}}).Run(bad)
+	diags := (&ctxLint{interTierPkgs: []string{"fixture/ctxlint"}}).Run(bad)
 	var notFirst, todo, noCtx, rawDial, noDeadline int
 	for _, d := range diags {
 		switch {
@@ -121,8 +119,8 @@ func TestCtxLintFindsExactSites(t *testing.T) {
 // stale-waiver check proves warm's ctx-ok is what suppresses check 5 there.
 func TestMuxLintFixtures(t *testing.T) {
 	loader := newLoader(t)
-	pass := &analysis.CtxLint{InterTierPkgs: []string{"fixture/ctxlint"}}
-	var fabric []analysis.Diagnostic
+	pass := &ctxLint{interTierPkgs: []string{"fixture/ctxlint"}}
+	var fabric []diagnostic
 	for _, d := range pass.Run(loadFixture(t, loader, "ctxlint/bad")) {
 		if strings.Contains(d.Message, "fabric") {
 			fabric = append(fabric, d)
@@ -132,7 +130,7 @@ func TestMuxLintFixtures(t *testing.T) {
 		t.Fatalf("fabric checks on bad fixture: got %d findings, want 5:\n%s", len(fabric), render(fabric))
 	}
 	clean := loadFixture(t, loader, "ctxlint/clean")
-	if diags := analysis.Run([]*analysis.Package{clean}, []analysis.Pass{pass}); len(diags) != 0 {
+	if diags := Run([]*Package{clean}, []lintPass{pass}); len(diags) != 0 {
 		t.Fatalf("ctxlint on clean fixture: want 0 findings, got:\n%s", render(diags))
 	}
 }
@@ -143,7 +141,7 @@ func TestMuxLintFixtures(t *testing.T) {
 func TestMuxLintFindsExactSites(t *testing.T) {
 	bad := loadFixture(t, newLoader(t), "ctxlint/bad")
 	got := make(map[int][]string)
-	for _, d := range (&analysis.CtxLint{InterTierPkgs: []string{"fixture/ctxlint"}}).Run(bad) {
+	for _, d := range (&ctxLint{interTierPkgs: []string{"fixture/ctxlint"}}).Run(bad) {
 		got[d.Pos.Line] = append(got[d.Pos.Line], d.Message)
 	}
 	want := map[int]string{
@@ -166,7 +164,7 @@ func TestMuxLintFindsExactSites(t *testing.T) {
 func TestDirectiveValidation(t *testing.T) {
 	loader := newLoader(t)
 	pkg := loadFixture(t, loader, "directives/bad")
-	diags := analysis.CheckDirectives(pkg)
+	diags := checkDirectives(pkg)
 	var unknown, missing int
 	for _, d := range diags {
 		switch {
@@ -186,11 +184,11 @@ func TestDirectiveValidation(t *testing.T) {
 // every waiver of the clean fixture — on a statement, at the end of a line,
 // in a doc comment — is used.
 func TestUnusedDirectives(t *testing.T) {
-	run := func(rel string, passes []analysis.Pass) []analysis.Diagnostic {
-		return analysis.Run([]*analysis.Package{loadFixture(t, newLoader(t), rel)}, passes)
+	run := func(rel string, passes []lintPass) []diagnostic {
+		return Run([]*Package{loadFixture(t, newLoader(t), rel)}, passes)
 	}
-	var unused []analysis.Diagnostic
-	for _, d := range run("directives/bad", analysis.AllPasses()) {
+	var unused []diagnostic
+	for _, d := range run("directives/bad", AllPasses()) {
 		if strings.Contains(d.Message, "suppresses no") {
 			unused = append(unused, d)
 		}
@@ -198,12 +196,12 @@ func TestUnusedDirectives(t *testing.T) {
 	if len(unused) != 1 || unused[0].Pos.Line != 18 || !strings.Contains(unused[0].Message, "sleep-ok suppresses no sleeplint finding") {
 		t.Fatalf("want the one stale sleep-ok in Stale reported:\n%s", render(unused))
 	}
-	for _, d := range run("directives/bad", []analysis.Pass{analysis.NewLSNLint()}) {
+	for _, d := range run("directives/bad", []lintPass{newLSNLint()}) {
 		if strings.Contains(d.Message, "suppresses no") {
 			t.Fatalf("reported a waiver whose pass did not run: %s", d)
 		}
 	}
-	if diags := run("directives/clean", analysis.AllPasses()); len(diags) != 0 {
+	if diags := run("directives/clean", AllPasses()); len(diags) != 0 {
 		t.Fatalf("clean directive fixture: want 0 findings, got:\n%s", render(diags))
 	}
 }
@@ -212,7 +210,7 @@ func TestUnusedDirectives(t *testing.T) {
 func TestRunOrdersFindings(t *testing.T) {
 	loader := newLoader(t)
 	bad := loadFixture(t, loader, "lsnlint/bad")
-	diags := analysis.Run([]*analysis.Package{bad}, []analysis.Pass{analysis.NewLSNLint()})
+	diags := Run([]*Package{bad}, []lintPass{newLSNLint()})
 	for i := 1; i < len(diags); i++ {
 		if diags[i].Pos.Filename == diags[i-1].Pos.Filename && diags[i].Pos.Line < diags[i-1].Pos.Line {
 			t.Fatalf("findings out of order:\n%s", render(diags))
@@ -227,12 +225,12 @@ func TestRunOrdersFindings(t *testing.T) {
 // real cross-importing package of this repo.
 func TestLoaderLoadsRepoPackage(t *testing.T) {
 	loader := newLoader(t)
-	dir := filepath.Join(loader.Root, "internal", "pageserver")
-	pkg, err := loader.LoadDir(dir, loader.Module+"/internal/pageserver")
+	dir := filepath.Join(loader.root, "internal", "pageserver")
+	pkg, err := loader.LoadDir(dir, loader.module+"/internal/pageserver")
 	if err != nil {
 		t.Fatalf("loading internal/pageserver: %v", err)
 	}
-	if pkg.Pkg.Name() != "pageserver" {
-		t.Fatalf("got package %q", pkg.Pkg.Name())
+	if pkg.pkg.Name() != "pageserver" {
+		t.Fatalf("got package %q", pkg.pkg.Name())
 	}
 }

@@ -15,7 +15,7 @@ package analysis
 //     therefore produce false negatives, not false positives — the right
 //     failure mode for a lint gate.
 //
-// Because the Loader memoizes packages by import path, a function object
+// Because the loader memoizes packages by import path, a function object
 // seen from its defining package and from an importer are the same
 // *types.Func, so edges line up across package boundaries without any
 // name-based stitching.
@@ -25,38 +25,38 @@ import (
 	"go/types"
 )
 
-// CallGraph maps each function in the analyzed package set to its body,
+// callGraph maps each function in the analyzed package set to its body,
 // package, and static callees.
-type CallGraph struct {
-	// Decls maps a function object to its declaration (body available).
-	Decls map[*types.Func]*ast.FuncDecl
-	// DeclPkg maps a function object to the Package holding its body.
-	DeclPkg map[*types.Func]*Package
-	// Callees maps caller → statically resolved callees (deduplicated).
-	Callees map[*types.Func][]*types.Func
+type callGraph struct {
+	// decls maps a function object to its declaration (body available).
+	decls map[*types.Func]*ast.FuncDecl
+	// declPkg maps a function object to the Package holding its body.
+	declPkg map[*types.Func]*Package
+	// callees maps caller → statically resolved callees (deduplicated).
+	callees map[*types.Func][]*types.Func
 }
 
-// BuildCallGraph constructs the approximation over a package set.
-func BuildCallGraph(pkgs []*Package) *CallGraph {
-	g := &CallGraph{
-		Decls:   make(map[*types.Func]*ast.FuncDecl),
-		DeclPkg: make(map[*types.Func]*Package),
-		Callees: make(map[*types.Func][]*types.Func),
+// buildCallGraph constructs the approximation over a package set.
+func buildCallGraph(pkgs []*Package) *callGraph {
+	g := &callGraph{
+		decls:   make(map[*types.Func]*ast.FuncDecl),
+		declPkg: make(map[*types.Func]*Package),
+		callees: make(map[*types.Func][]*types.Func),
 	}
 	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
+		for _, f := range pkg.files {
 			for _, decl := range f.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
 				if !ok || fn.Body == nil {
 					continue
 				}
-				obj, ok := pkg.Info.Defs[fn.Name].(*types.Func)
+				obj, ok := pkg.info.Defs[fn.Name].(*types.Func)
 				if !ok {
 					continue
 				}
-				g.Decls[obj] = fn
-				g.DeclPkg[obj] = pkg
-				g.Callees[obj] = collectCallees(pkg, fn.Body)
+				g.decls[obj] = fn
+				g.declPkg[obj] = pkg
+				g.callees[obj] = collectCallees(pkg, fn.Body)
 			}
 		}
 	}
@@ -77,7 +77,7 @@ func collectCallees(pkg *Package, body ast.Node) []*types.Func {
 		if !ok {
 			return true
 		}
-		if obj, ok := calleeObject(pkg.Info, call).(*types.Func); ok && !seen[obj] {
+		if obj, ok := calleeObject(pkg.info, call).(*types.Func); ok && !seen[obj] {
 			seen[obj] = true
 			out = append(out, obj)
 		}
@@ -86,20 +86,20 @@ func collectCallees(pkg *Package, body ast.Node) []*types.Func {
 	return out
 }
 
-// Reaches computes the set of functions from which a function matching
+// reaches computes the set of functions from which a function matching
 // pred is transitively reachable — i.e. result[f] is true when f may
 // (statically) end up calling a pred function. pred is consulted for
 // every callee, including ones without bodies in the package set (stdlib
 // and other leaves), which is how "calls into package X" predicates see
 // through the module boundary.
-func (g *CallGraph) Reaches(pred func(*types.Func) bool) map[*types.Func]bool {
+func (g *callGraph) reaches(pred func(*types.Func) bool) map[*types.Func]bool {
 	reaches := make(map[*types.Func]bool)
 	// Fixpoint: iterate until no caller flips. The graph is small (one
 	// module), so the naive loop is fine and avoids building a reverse
 	// index.
 	for changed := true; changed; {
 		changed = false
-		for caller, callees := range g.Callees {
+		for caller, callees := range g.callees {
 			if reaches[caller] {
 				continue
 			}

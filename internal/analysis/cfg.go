@@ -6,7 +6,7 @@ package analysis
 //
 // The model follows golang.org/x/tools/go/cfg in spirit but stays inside
 // this package's pure-stdlib charter: a CFG is a set of basic blocks whose
-// Nodes slices hold the straight-line work of the function in execution
+// nodes slices hold the straight-line work of the function in execution
 // order. Control statements contribute their *evaluated parts* to the
 // block in which they execute — an IfStmt contributes its Cond expression,
 // a SwitchStmt its Tag, a RangeStmt itself (as the header) — while their
@@ -16,7 +16,7 @@ package analysis
 //
 // Panics and runtime.Goexit are not modeled: an exit path in this CFG is a
 // return or falling off the end of the function. Deferred calls are
-// collected in CFG.Defers (they run on every exit path, in reverse order)
+// collected in cfg.defers (they run on every exit path, in reverse order)
 // and additionally appear as DeferStmt nodes in their registration block.
 
 import (
@@ -24,82 +24,82 @@ import (
 	"go/token"
 )
 
-// CFGBlock is one basic block.
-type CFGBlock struct {
-	// Nodes are the straight-line AST parts executed in this block, in
+// cfgBlock is one basic block.
+type cfgBlock struct {
+	// nodes are the straight-line AST parts executed in this block, in
 	// order: plain statements, condition expressions of enclosing control
 	// statements, range/select/type-switch headers.
-	Nodes []ast.Node
-	Succs []*CFGBlock
-	Preds []*CFGBlock
+	nodes []ast.Node
+	succs []*cfgBlock
+	preds []*cfgBlock
 }
 
-// CFG is the control-flow graph of one function body.
-type CFG struct {
-	Entry  *CFGBlock
-	Exit   *CFGBlock // synthetic: every return and fall-off-the-end leads here
-	Blocks []*CFGBlock
-	// Defers are the DeferStmts of the function in registration order;
+// cfg is the control-flow graph of one function body.
+type cfg struct {
+	entry  *cfgBlock
+	exit   *cfgBlock // synthetic: every return and fall-off-the-end leads here
+	blocks []*cfgBlock
+	// defers are the DeferStmts of the function in registration order;
 	// they execute on every exit path in reverse order.
-	Defers []*ast.DeferStmt
+	defers []*ast.DeferStmt
 }
 
-// ReachesExit reports whether any path from the entry reaches the exit
+// reachesExit reports whether any path from the entry reaches the exit
 // block — false for bodies that provably loop forever. This is a real
 // reachability walk, not a predecessor count: dead-code blocks (after a
 // `for {}`, after a return) are linked to the exit for navigability but
 // are themselves unreachable from the entry.
-func (c *CFG) ReachesExit() bool {
-	seen := make(map[*CFGBlock]bool, len(c.Blocks))
-	stack := []*CFGBlock{c.Entry}
+func (c *cfg) reachesExit() bool {
+	seen := make(map[*cfgBlock]bool, len(c.blocks))
+	stack := []*cfgBlock{c.entry}
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if b == c.Exit {
+		if b == c.exit {
 			return true
 		}
 		if seen[b] {
 			continue
 		}
 		seen[b] = true
-		stack = append(stack, b.Succs...)
+		stack = append(stack, b.succs...)
 	}
 	return false
 }
 
 type cfgLoop struct {
-	breakTo    *CFGBlock
-	continueTo *CFGBlock
+	breakTo    *cfgBlock
+	continueTo *cfgBlock
 	label      string
 }
 
 type cfgBuilder struct {
-	cfg    *CFG
-	cur    *CFGBlock
+	cfg    *cfg
+	cur    *cfgBlock
 	loops  []cfgLoop // innermost last; also covers switch/select break targets (continueTo nil)
-	labels map[string]*CFGBlock
+	labels map[string]*cfgBlock
 	gotos  []struct {
-		from  *CFGBlock
+		from  *cfgBlock
 		label string
 	}
 	// fallthroughTo is the next case block while building a switch body.
-	fallthroughTo *CFGBlock
+	fallthroughTo *cfgBlock
 }
 
-// BuildCFG constructs the CFG of a function body. The body may come from a
+// buildCFG constructs the CFG of a function body. The body may come from a
 // FuncDecl or a FuncLit; nested function literals are NOT descended into
 // (their bodies execute on their own schedule and get their own CFGs).
-func BuildCFG(body *ast.BlockStmt) *CFG {
+func buildCFG(body *ast.BlockStmt) *cfg {
 	b := &cfgBuilder{
-		cfg:    &CFG{},
-		labels: make(map[string]*CFGBlock),
+		cfg:    &cfg{},
+		labels: make(map[string]*cfgBlock),
 	}
-	b.cfg.Entry = b.newBlock()
-	b.cfg.Exit = b.newBlock()
-	b.cur = b.cfg.Entry
+	b.cfg.entry = b.newBlock()
+	b.cfg.exit = b.newBlock()
+	b.cur = b.cfg.entry
 	b.stmts(body.List)
 	// Falling off the end of the body returns.
-	b.link(b.cur, b.cfg.Exit)
+	b.link(b.cur, b.cfg.exit)
 	// Resolve pending gotos now that every label has a block.
 	for _, g := range b.gotos {
 		if target, ok := b.labels[g.label]; ok {
@@ -109,21 +109,21 @@ func BuildCFG(body *ast.BlockStmt) *CFG {
 	return b.cfg
 }
 
-func (b *cfgBuilder) newBlock() *CFGBlock {
-	blk := &CFGBlock{}
-	b.cfg.Blocks = append(b.cfg.Blocks, blk)
+func (b *cfgBuilder) newBlock() *cfgBlock {
+	blk := &cfgBlock{}
+	b.cfg.blocks = append(b.cfg.blocks, blk)
 	return blk
 }
 
 // link adds an edge a→z. Edges out of a detached (dead-code) block are
 // still recorded so the block structure stays navigable, but a nil source
 // is ignored.
-func (b *cfgBuilder) link(a, z *CFGBlock) {
+func (b *cfgBuilder) link(a, z *cfgBlock) {
 	if a == nil || z == nil {
 		return
 	}
-	a.Succs = append(a.Succs, z)
-	z.Preds = append(z.Preds, a)
+	a.succs = append(a.succs, z)
+	z.preds = append(z.preds, a)
 }
 
 func (b *cfgBuilder) stmts(list []ast.Stmt) {
@@ -165,8 +165,8 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.stmts(st.List)
 
 	case *ast.ReturnStmt:
-		b.cur.Nodes = append(b.cur.Nodes, st)
-		b.link(b.cur, b.cfg.Exit)
+		b.cur.nodes = append(b.cur.nodes, st)
+		b.link(b.cur, b.cfg.exit)
 		b.cur = b.newBlock()
 
 	case *ast.BranchStmt:
@@ -197,7 +197,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		if st.Init != nil {
 			b.stmt(st.Init)
 		}
-		b.cur.Nodes = append(b.cur.Nodes, st.Cond)
+		b.cur.nodes = append(b.cur.nodes, st.Cond)
 		cond := b.cur
 		then := b.newBlock()
 		after := b.newBlock()
@@ -232,25 +232,25 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.selectStmt(st, "")
 
 	case *ast.DeferStmt:
-		b.cfg.Defers = append(b.cfg.Defers, st)
-		b.cur.Nodes = append(b.cur.Nodes, st)
+		b.cfg.defers = append(b.cfg.defers, st)
+		b.cur.nodes = append(b.cur.nodes, st)
 
 	default:
 		// Straight-line statement (incl. ExprStmt, AssignStmt, GoStmt,
 		// SendStmt, IncDecStmt, DeclStmt, EmptyStmt).
-		b.cur.Nodes = append(b.cur.Nodes, s)
+		b.cur.nodes = append(b.cur.nodes, s)
 		if isPanicCall(s) {
 			// Terminates the function; successors are dead code. We link to
 			// exit so deferred cleanups are still "reached", matching how
 			// leaklint treats a deliberate crash as an exit path.
-			b.link(b.cur, b.cfg.Exit)
+			b.link(b.cur, b.cfg.exit)
 			b.cur = b.newBlock()
 		}
 	}
 }
 
 func (b *cfgBuilder) branch(st *ast.BranchStmt) {
-	b.cur.Nodes = append(b.cur.Nodes, st)
+	b.cur.nodes = append(b.cur.nodes, st)
 	label := ""
 	if st.Label != nil {
 		label = st.Label.Name
@@ -274,7 +274,7 @@ func (b *cfgBuilder) branch(st *ast.BranchStmt) {
 		}
 	case token.GOTO:
 		b.gotos = append(b.gotos, struct {
-			from  *CFGBlock
+			from  *cfgBlock
 			label string
 		}{b.cur, label})
 	case token.FALLTHROUGH:
@@ -296,7 +296,7 @@ func (b *cfgBuilder) forStmt(st *ast.ForStmt, label string) {
 	}
 	b.link(b.cur, head)
 	if st.Cond != nil {
-		head.Nodes = append(head.Nodes, st.Cond)
+		head.nodes = append(head.nodes, st.Cond)
 		b.link(head, body)
 		b.link(head, after)
 	} else {
@@ -318,7 +318,7 @@ func (b *cfgBuilder) forStmt(st *ast.ForStmt, label string) {
 
 func (b *cfgBuilder) rangeStmt(st *ast.RangeStmt, label string) {
 	head := b.newBlock()
-	head.Nodes = append(head.Nodes, st) // the header: X evaluation + iteration
+	head.nodes = append(head.nodes, st) // the header: X evaluation + iteration
 	body := b.newBlock()
 	after := b.newBlock()
 	b.link(b.cur, head)
@@ -337,11 +337,11 @@ func (b *cfgBuilder) switchStmt(st *ast.SwitchStmt, label string) {
 		b.stmt(st.Init)
 	}
 	if st.Tag != nil {
-		b.cur.Nodes = append(b.cur.Nodes, st.Tag)
+		b.cur.nodes = append(b.cur.nodes, st.Tag)
 	}
-	b.caseClauses(st.Body.List, label, func(cc *ast.CaseClause, blk *CFGBlock) {
+	b.caseClauses(st.Body.List, label, func(cc *ast.CaseClause, blk *cfgBlock) {
 		for _, e := range cc.List {
-			blk.Nodes = append(blk.Nodes, e)
+			blk.nodes = append(blk.nodes, e)
 		}
 	})
 }
@@ -350,19 +350,19 @@ func (b *cfgBuilder) typeSwitchStmt(st *ast.TypeSwitchStmt, label string) {
 	if st.Init != nil {
 		b.stmt(st.Init)
 	}
-	b.cur.Nodes = append(b.cur.Nodes, st.Assign)
-	b.caseClauses(st.Body.List, label, func(cc *ast.CaseClause, blk *CFGBlock) {})
+	b.cur.nodes = append(b.cur.nodes, st.Assign)
+	b.caseClauses(st.Body.List, label, func(cc *ast.CaseClause, blk *cfgBlock) {})
 }
 
 // caseClauses builds the shared switch/type-switch shape: the dispatch
 // block fans out to one block per case; each case flows to after (or to
 // the next case via fallthrough). A missing default adds a direct
 // dispatch→after edge.
-func (b *cfgBuilder) caseClauses(list []ast.Stmt, label string, header func(*ast.CaseClause, *CFGBlock)) {
+func (b *cfgBuilder) caseClauses(list []ast.Stmt, label string, header func(*ast.CaseClause, *cfgBlock)) {
 	dispatch := b.cur
 	after := b.newBlock()
 	// Pre-create case blocks so fallthrough can target the next one.
-	blocks := make([]*CFGBlock, len(list))
+	blocks := make([]*cfgBlock, len(list))
 	hasDefault := false
 	for i, c := range list {
 		blocks[i] = b.newBlock()

@@ -42,8 +42,8 @@ func TestCFGReachesExit(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := BuildCFG(parseBody(t, tc.body))
-			if got := cfg.ReachesExit(); got != tc.want {
+			cfg := buildCFG(parseBody(t, tc.body))
+			if got := cfg.reachesExit(); got != tc.want {
 				t.Fatalf("ReachesExit = %v, want %v", got, tc.want)
 			}
 		})
@@ -51,9 +51,9 @@ func TestCFGReachesExit(t *testing.T) {
 }
 
 func TestCFGCollectsDefers(t *testing.T) {
-	cfg := BuildCFG(parseBody(t, "defer println(1)\nif true {\ndefer println(2)\n}"))
-	if len(cfg.Defers) != 2 {
-		t.Fatalf("got %d defers, want 2", len(cfg.Defers))
+	cfg := buildCFG(parseBody(t, "defer println(1)\nif true {\ndefer println(2)\n}"))
+	if len(cfg.defers) != 2 {
+		t.Fatalf("got %d defers, want 2", len(cfg.defers))
 	}
 }
 
@@ -61,9 +61,9 @@ func TestCFGCollectsDefers(t *testing.T) {
 // so far, joined by union.
 type assignedVars struct{}
 
-func (assignedVars) Entry() Fact { return map[string]bool{} }
+func (assignedVars) Entry() fact { return map[string]bool{} }
 
-func (assignedVars) Transfer(n ast.Node, f Fact) Fact {
+func (assignedVars) Transfer(n ast.Node, f fact) fact {
 	set := f.(map[string]bool)
 	as, ok := n.(*ast.AssignStmt)
 	if !ok {
@@ -81,7 +81,7 @@ func (assignedVars) Transfer(n ast.Node, f Fact) Fact {
 	return out
 }
 
-func (assignedVars) Join(a, b Fact) Fact {
+func (assignedVars) Join(a, b fact) fact {
 	as, bs := a.(map[string]bool), b.(map[string]bool)
 	out := make(map[string]bool, len(as)+len(bs))
 	for k := range as {
@@ -93,7 +93,7 @@ func (assignedVars) Join(a, b Fact) Fact {
 	return out
 }
 
-func (assignedVars) Equal(a, b Fact) bool {
+func (assignedVars) Equal(a, b fact) bool {
 	as, bs := a.(map[string]bool), b.(map[string]bool)
 	if len(as) != len(bs) {
 		return false
@@ -117,9 +117,9 @@ if x > 0 {
 	_ = z
 }
 `)
-	cfg := BuildCFG(body)
-	out := SolveForward(cfg, assignedVars{})
-	exit := ExitFact(cfg, assignedVars{}, out)
+	cfg := buildCFG(body)
+	out := solveForward(cfg, assignedVars{})
+	exit := exitFact(cfg, assignedVars{}, out)
 	if exit == nil {
 		t.Fatal("exit unreachable")
 	}
@@ -140,9 +140,9 @@ for i < 10 {
 	i = i + 1
 }
 `)
-	cfg := BuildCFG(body)
-	out := SolveForward(cfg, assignedVars{})
-	exit := ExitFact(cfg, assignedVars{}, out)
+	cfg := buildCFG(body)
+	out := solveForward(cfg, assignedVars{})
+	exit := exitFact(cfg, assignedVars{}, out)
 	got := exit.(map[string]bool)
 	if !got["i"] || !got["j"] {
 		t.Fatalf("loop facts did not converge: %v", got)
@@ -150,9 +150,9 @@ for i < 10 {
 }
 
 func TestSolveForwardForeverLoopHasNilExit(t *testing.T) {
-	cfg := BuildCFG(parseBody(t, "x := 1\nfor {\n_ = x\n}"))
-	out := SolveForward(cfg, assignedVars{})
-	if exit := ExitFact(cfg, assignedVars{}, out); exit != nil {
+	cfg := buildCFG(parseBody(t, "x := 1\nfor {\n_ = x\n}"))
+	out := solveForward(cfg, assignedVars{})
+	if exit := exitFact(cfg, assignedVars{}, out); exit != nil {
 		t.Fatalf("want nil exit fact for forever loop, got %v", exit)
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// CtxLint is the "what reaches the wire" pass. End-to-end tracing needs
+// ctxLint is the "what reaches the wire" pass. End-to-end tracing needs
 // every request that crosses a tier boundary to carry its trace identity in
 // a context.Context, and the RPC fabric needs every request to carry a
 // way to give up its in-flight slot. A context accepted anywhere but first
@@ -37,10 +37,10 @@ import (
 //
 // Reviewed exceptions are annotated //socrates:ctx-ok <reason> on the
 // line, the line above, or the function's doc comment.
-type CtxLint struct {
-	// InterTierPkgs are import-path substrings whose exported surface is
+type ctxLint struct {
+	// interTierPkgs are import-path substrings whose exported surface is
 	// held to check 3. The other checks apply everywhere.
-	InterTierPkgs []string
+	interTierPkgs []string
 }
 
 // fabricPkgs are the transport: the only packages that may open raw
@@ -48,10 +48,10 @@ type CtxLint struct {
 // entry (check 5).
 var fabricPkgs = []string{"socrates/internal/netmux", "socrates/internal/rbio"}
 
-// DefaultCtxLint returns ctxlint configured for the Socrates tree: the
+// defaultCtxLint returns ctxlint configured for the Socrates tree: the
 // packages whose exported functions sit on a tier boundary.
-func DefaultCtxLint() *CtxLint {
-	return &CtxLint{InterTierPkgs: []string{
+func defaultCtxLint() *ctxLint {
+	return &ctxLint{interTierPkgs: []string{
 		"socrates/internal/rbio",
 		"socrates/internal/compute",
 		"socrates/internal/logwriter",
@@ -61,8 +61,8 @@ func DefaultCtxLint() *CtxLint {
 	}}
 }
 
-// Name implements Pass.
-func (c *CtxLint) Name() string { return "ctxlint" }
+// Name implements lintPass.
+func (c *ctxLint) Name() string { return "ctxlint" }
 
 // isContextType reports whether t is context.Context.
 func isContextType(t types.Type) bool {
@@ -74,12 +74,12 @@ func isContextType(t types.Type) bool {
 	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }
 
-// Run implements Pass.
-func (c *CtxLint) Run(pkg *Package) []Diagnostic {
-	var out []Diagnostic
-	interTier := containsAny(pkg.Path, c.InterTierPkgs)
-	inFabric := containsAny(pkg.Path, fabricPkgs)
-	for _, f := range pkg.Files {
+// Run implements lintPass.
+func (c *ctxLint) Run(pkg *Package) []diagnostic {
+	var out []diagnostic
+	interTier := containsAny(pkg.path, c.interTierPkgs)
+	inFabric := containsAny(pkg.path, fabricPkgs)
+	for _, f := range pkg.files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok {
@@ -95,7 +95,7 @@ func (c *CtxLint) Run(pkg *Package) []Diagnostic {
 			if !ok {
 				return true
 			}
-			if msg := checkCall(pkg, call, inFabric); msg != "" && !pkg.DirectiveAt("ctx-ok", call) {
+			if msg := checkCall(pkg, call, inFabric); msg != "" && !pkg.directiveAt("ctx-ok", call) {
 				out = append(out, pkg.diag("ctxlint", call, "%s, or annotate //socrates:ctx-ok <reason>", msg))
 			}
 			return true
@@ -107,7 +107,7 @@ func (c *CtxLint) Run(pkg *Package) []Diagnostic {
 // checkCall applies checks 2, 4 and 5 to one call and returns the
 // finding, or "" when the call is fine.
 func checkCall(pkg *Package, call *ast.CallExpr, inFabric bool) string {
-	obj := calleeObject(pkg.Info, call)
+	obj := calleeObject(pkg.info, call)
 	if obj == nil || obj.Pkg() == nil {
 		return ""
 	}
@@ -130,24 +130,24 @@ func isBackgroundCall(pkg *Package, expr ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	obj := calleeObject(pkg.Info, call)
+	obj := calleeObject(pkg.info, call)
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Background"
 }
 
 // checkCtxFirst flags context.Context parameters in non-first position.
-func (c *CtxLint) checkCtxFirst(pkg *Package, fn *ast.FuncDecl) []Diagnostic {
+func (c *ctxLint) checkCtxFirst(pkg *Package, fn *ast.FuncDecl) []diagnostic {
 	if fn.Type.Params == nil {
 		return nil
 	}
-	var out []Diagnostic
+	var out []diagnostic
 	pos := 0 // parameter index, counting each name in a grouped field
 	for fi, field := range fn.Type.Params.List {
 		n := len(field.Names)
 		if n == 0 {
 			n = 1
 		}
-		t := pkg.Info.TypeOf(field.Type)
-		if t != nil && isContextType(t) && !(fi == 0 && pos == 0) && !pkg.DirectiveAt("ctx-ok", fn) {
+		t := pkg.info.TypeOf(field.Type)
+		if t != nil && isContextType(t) && !(fi == 0 && pos == 0) && !pkg.directiveAt("ctx-ok", fn) {
 			out = append(out, pkg.diag("ctxlint", field,
 				"context.Context must be the first parameter of %s (found at position %d); callers scan position 0 for the request context, or annotate //socrates:ctx-ok <reason>",
 				fn.Name.Name, pos))
@@ -159,14 +159,14 @@ func (c *CtxLint) checkCtxFirst(pkg *Package, fn *ast.FuncDecl) []Diagnostic {
 
 // checkInterTier flags exported functions in inter-tier packages that
 // issue RBIO calls without accepting a context.
-func (c *CtxLint) checkInterTier(pkg *Package, fn *ast.FuncDecl) []Diagnostic {
+func (c *ctxLint) checkInterTier(pkg *Package, fn *ast.FuncDecl) []diagnostic {
 	if !fn.Name.IsExported() || fn.Body == nil {
 		return nil
 	}
 	// Already context-aware?
 	if fn.Type.Params != nil {
 		for _, field := range fn.Type.Params.List {
-			if t := pkg.Info.TypeOf(field.Type); t != nil && isContextType(t) {
+			if t := pkg.info.TypeOf(field.Type); t != nil && isContextType(t) {
 				return nil
 			}
 		}
@@ -188,7 +188,7 @@ func (c *CtxLint) checkInterTier(pkg *Package, fn *ast.FuncDecl) []Diagnostic {
 		if !ok {
 			return true
 		}
-		obj := calleeObject(pkg.Info, call)
+		obj := calleeObject(pkg.info, call)
 		if obj == nil || obj.Pkg() == nil {
 			return true
 		}
@@ -202,10 +202,10 @@ func (c *CtxLint) checkInterTier(pkg *Package, fn *ast.FuncDecl) []Diagnostic {
 	if hit == nil {
 		return nil
 	}
-	if pkg.DirectiveAt("ctx-ok", fn) || pkg.DirectiveAt("ctx-ok", hit) {
+	if pkg.directiveAt("ctx-ok", fn) || pkg.directiveAt("ctx-ok", hit) {
 		return nil
 	}
-	return []Diagnostic{pkg.diag("ctxlint", fn,
+	return []diagnostic{pkg.diag("ctxlint", fn,
 		"exported %s issues an RBIO call but accepts no context.Context; the trace identity cannot reach the wire — add a ctx-first variant or annotate //socrates:ctx-ok <reason>",
 		fn.Name.Name)}
 }
@@ -224,7 +224,7 @@ func delegatesToContextVariant(pkg *Package, fn *ast.FuncDecl) bool {
 		if !ok {
 			return true
 		}
-		if obj := calleeObject(pkg.Info, call); obj != nil && obj.Name() == want {
+		if obj := calleeObject(pkg.info, call); obj != nil && obj.Name() == want {
 			found = true
 			return false
 		}

@@ -4,7 +4,7 @@ package analysis
 // leaklint's resource tracking and available for any pass that needs
 // "what is true at this program point on every/any path" answers.
 //
-// The framework is the textbook worklist algorithm. A FlowProblem supplies
+// The framework is the textbook worklist algorithm. A flowProblem supplies
 // the lattice (Join/Equal), the entry fact, and a per-node transfer
 // function; Solve iterates to the fixpoint. Facts are opaque to the
 // solver; problems choose their own representation (typically a small map
@@ -13,58 +13,58 @@ package analysis
 
 import "go/ast"
 
-// Fact is one dataflow fact. The solver never inspects it.
-type Fact any
+// fact is one dataflow fact. The solver never inspects it.
+type fact any
 
-// FlowProblem defines one forward dataflow analysis.
-type FlowProblem interface {
+// flowProblem defines one forward dataflow analysis.
+type flowProblem interface {
 	// Entry is the fact at function entry.
-	Entry() Fact
+	Entry() fact
 	// Transfer applies one straight-line node to the incoming fact. It
 	// must not mutate the incoming fact.
-	Transfer(n ast.Node, f Fact) Fact
+	Transfer(n ast.Node, f fact) fact
 	// Join merges facts at a control-flow merge point. It must not mutate
 	// its arguments. Joining with nil (an unvisited predecessor) must
 	// return the other fact unchanged — the solver guarantees nil means
 	// "no information yet", not "empty".
-	Join(a, b Fact) Fact
+	Join(a, b fact) fact
 	// Equal reports whether two facts carry the same information
 	// (fixpoint detection).
-	Equal(a, b Fact) bool
+	Equal(a, b fact) bool
 }
 
-// SolveForward runs the worklist algorithm and returns the fact at the
+// solveForward runs the worklist algorithm and returns the fact at the
 // *end* of each block (after its last node). The fact flowing into
 // cfg.Exit — the join over its predecessors' out-facts — describes every
 // return/fall-off exit path; deferred calls (cfg.Defers) are NOT applied
 // by the solver, since their semantics are problem-specific.
-func SolveForward(cfg *CFG, p FlowProblem) map[*CFGBlock]Fact {
-	out := make(map[*CFGBlock]Fact, len(cfg.Blocks))
-	in := make(map[*CFGBlock]Fact, len(cfg.Blocks))
+func solveForward(cfg *cfg, p flowProblem) map[*cfgBlock]fact {
+	out := make(map[*cfgBlock]fact, len(cfg.blocks))
+	in := make(map[*cfgBlock]fact, len(cfg.blocks))
 
 	// Seed: entry gets the boundary fact; everything else starts nil
 	// ("unvisited"). Worklist starts with every block so detached blocks
 	// still stabilize (with nil facts).
-	work := make([]*CFGBlock, 0, len(cfg.Blocks))
-	inWork := make(map[*CFGBlock]bool, len(cfg.Blocks))
-	push := func(b *CFGBlock) {
+	work := make([]*cfgBlock, 0, len(cfg.blocks))
+	inWork := make(map[*cfgBlock]bool, len(cfg.blocks))
+	push := func(b *cfgBlock) {
 		if !inWork[b] {
 			inWork[b] = true
 			work = append(work, b)
 		}
 	}
-	push(cfg.Entry)
+	push(cfg.entry)
 
 	for len(work) > 0 {
 		b := work[0]
 		work = work[1:]
 		inWork[b] = false
 
-		var inFact Fact
-		if b == cfg.Entry {
+		var inFact fact
+		if b == cfg.entry {
 			inFact = p.Entry()
 		}
-		for _, pred := range b.Preds {
+		for _, pred := range b.preds {
 			if o, ok := out[pred]; ok {
 				if inFact == nil {
 					inFact = o
@@ -73,7 +73,7 @@ func SolveForward(cfg *CFG, p FlowProblem) map[*CFGBlock]Fact {
 				}
 			}
 		}
-		if inFact == nil && b != cfg.Entry {
+		if inFact == nil && b != cfg.entry {
 			// No predecessor has produced a fact yet; revisit later via
 			// their pushes.
 			in[b] = nil
@@ -82,12 +82,12 @@ func SolveForward(cfg *CFG, p FlowProblem) map[*CFGBlock]Fact {
 		in[b] = inFact
 
 		f := inFact
-		for _, n := range b.Nodes {
+		for _, n := range b.nodes {
 			f = p.Transfer(n, f)
 		}
 		if old, ok := out[b]; !ok || !p.Equal(old, f) {
 			out[b] = f
-			for _, s := range b.Succs {
+			for _, s := range b.succs {
 				push(s)
 			}
 		}
@@ -95,12 +95,12 @@ func SolveForward(cfg *CFG, p FlowProblem) map[*CFGBlock]Fact {
 	return out
 }
 
-// ExitFact joins the out-facts of the exit block's predecessors: the
+// exitFact joins the out-facts of the exit block's predecessors: the
 // merged state over all exit paths. Returns nil when the exit is
 // unreachable (the body provably loops forever).
-func ExitFact(cfg *CFG, p FlowProblem, out map[*CFGBlock]Fact) Fact {
-	var f Fact
-	for _, pred := range cfg.Exit.Preds {
+func exitFact(cfg *cfg, p flowProblem, out map[*cfgBlock]fact) fact {
+	var f fact
+	for _, pred := range cfg.exit.preds {
 		o, ok := out[pred]
 		if !ok {
 			continue

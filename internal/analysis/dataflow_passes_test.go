@@ -1,18 +1,16 @@
-package analysis_test
+package analysis
 
 import (
 	"go/ast"
 	"go/types"
 	"strings"
 	"testing"
-
-	"socrates/internal/analysis"
 )
 
 // fixtureDeadlockLint is deadlocklint configured for its fixtures: the
 // fixture package is the fabric, os the I/O package.
-func fixtureDeadlockLint() *analysis.DeadlockLint {
-	return &analysis.DeadlockLint{FabricPkgs: []string{"fixture/deadlocklint"}, IOPkgs: []string{"os"}}
+func fixtureDeadlockLint() *deadlockLint {
+	return &deadlockLint{fabricPkgs: []string{"fixture/deadlocklint"}, ioPkgs: []string{"os"}}
 }
 
 func TestDeadlockLintFixtures(t *testing.T) {
@@ -75,11 +73,11 @@ func TestDeadlockLintFindsLockDisciplineSites(t *testing.T) {
 }
 
 func TestLeakLintFixtures(t *testing.T) {
-	runFixturePair(t, analysis.NewLeakLint(), "leaklint", 3, "leak-ok")
+	runFixturePair(t, newLeakLint(), "leaklint", 3, "leak-ok")
 }
 
 func TestWaitLintFixtures(t *testing.T) {
-	pass := &analysis.WaitLint{Packages: []string{"fixture/waitlint"}}
+	pass := &waitLint{packages: []string{"fixture/waitlint"}}
 	runFixturePair(t, pass, "waitlint", 9, "WaitPoint region")
 }
 
@@ -89,7 +87,7 @@ func TestWaitLintFixtures(t *testing.T) {
 func TestWaitLintFindsExactShapes(t *testing.T) {
 	loader := newLoader(t)
 	bad := loadFixture(t, loader, "waitlint/bad")
-	pass := &analysis.WaitLint{Packages: []string{"fixture/waitlint"}}
+	pass := &waitLint{packages: []string{"fixture/waitlint"}}
 	diags := pass.Run(bad)
 	if len(diags) != 9 {
 		t.Fatalf("waitlint on bad fixture: got %d findings, want 9\n%s", len(diags), render(diags))
@@ -114,13 +112,13 @@ func TestWaitLintFindsExactShapes(t *testing.T) {
 // AwaitRung) and its reviewed WaitNone ones (Idle, IdleRung) are none.
 func TestWaitLintSeesTheSharedWait(t *testing.T) {
 	loader := newLoader(t)
-	pass := &analysis.WaitLint{Packages: []string{"fixture/waitlint"}}
+	pass := &waitLint{packages: []string{"fixture/waitlint"}}
 	diags := pass.Run(loadFixture(t, loader, "waitlint/bad"))
 	for _, want := range []struct {
 		method, fn string
 		line       int
 	}{{"CondWait", "Unrecorded", 115}, {"AwaitLSN", "UnrecordedRung", 122}} {
-		var found []analysis.Diagnostic
+		var found []diagnostic
 		for _, d := range diags {
 			if strings.Contains(d.Message, want.method+" charged to WaitNone") {
 				found = append(found, d)
@@ -140,7 +138,7 @@ func TestWaitLintSeesTheSharedWait(t *testing.T) {
 func TestLeakLintFindsExactShapes(t *testing.T) {
 	loader := newLoader(t)
 	bad := loadFixture(t, loader, "leaklint/bad")
-	diags := analysis.NewLeakLint().Run(bad)
+	diags := newLeakLint().Run(bad)
 	var stopPath, ticker int
 	for _, d := range diags {
 		switch {
@@ -164,7 +162,7 @@ func TestDirectiveMultilineStatement(t *testing.T) {
 	pkg := loadFixture(t, loader, "directives/multiline")
 
 	var calls []*ast.CallExpr
-	for _, f := range pkg.Files {
+	for _, f := range pkg.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
 				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Sprintf" {
@@ -177,13 +175,13 @@ func TestDirectiveMultilineStatement(t *testing.T) {
 	if len(calls) != 3 {
 		t.Fatalf("fixture should contain 3 Sprintf calls, found %d", len(calls))
 	}
-	if !pkg.DirectiveAt("sleep-ok", calls[0]) {
+	if !pkg.directiveAt("sleep-ok", calls[0]) {
 		t.Error("directive above multi-line statement does not cover its continuation-line call")
 	}
-	if !pkg.DirectiveAt("sleep-ok", calls[1]) || !pkg.DirectiveAt("ignore-err", calls[1]) {
+	if !pkg.directiveAt("sleep-ok", calls[1]) || !pkg.directiveAt("ignore-err", calls[1]) {
 		t.Error("stacked directives do not both bind to the statement below them")
 	}
-	if pkg.DirectiveAt("sleep-ok", calls[2]) {
+	if pkg.directiveAt("sleep-ok", calls[2]) {
 		t.Error("directive leaked into the unannotated function")
 	}
 }
@@ -193,10 +191,10 @@ func TestDirectiveMultilineStatement(t *testing.T) {
 func TestCallGraph(t *testing.T) {
 	loader := newLoader(t)
 	pkg := loadFixture(t, loader, "callgraph/pkg")
-	g := analysis.BuildCallGraph([]*analysis.Package{pkg})
+	g := buildCallGraph([]*Package{pkg})
 
 	fn := func(name string) *types.Func {
-		obj := pkg.Pkg.Scope().Lookup(name)
+		obj := pkg.pkg.Scope().Lookup(name)
 		if obj == nil {
 			t.Fatalf("fixture missing func %s", name)
 		}
@@ -205,7 +203,7 @@ func TestCallGraph(t *testing.T) {
 	top, mid, leaf, solo, closure := fn("Top"), fn("Mid"), fn("Leaf"), fn("Solo"), fn("Closure")
 
 	hasEdge := func(from, to *types.Func) bool {
-		for _, c := range g.Callees[from] {
+		for _, c := range g.callees[from] {
 			if c == to {
 				return true
 			}
@@ -219,7 +217,7 @@ func TestCallGraph(t *testing.T) {
 		t.Fatal("call inside a function literal not attributed to the enclosing function")
 	}
 
-	reaches := g.Reaches(func(f *types.Func) bool { return f == leaf })
+	reaches := g.reaches(func(f *types.Func) bool { return f == leaf })
 	if !reaches[top] || !reaches[mid] || !reaches[closure] {
 		t.Fatalf("reachability incomplete: %v", reaches)
 	}
@@ -231,7 +229,7 @@ func TestCallGraph(t *testing.T) {
 // TestAllPassesCount pins the suite size: four AST passes plus the three
 // dataflow-aware ones.
 func TestAllPassesCount(t *testing.T) {
-	passes := analysis.AllPasses()
+	passes := AllPasses()
 	if len(passes) != 7 {
 		t.Fatalf("AllPasses: got %d, want 7", len(passes))
 	}

@@ -9,7 +9,7 @@ import (
 	"strings"
 )
 
-// DeadlockLint is the lock-discipline pass. It builds the program-wide
+// deadlockLint is the lock-discipline pass. It builds the program-wide
 // lock-ordering graph and reports the two deadlock shapes a four-tier
 // system grows by accretion:
 //
@@ -53,28 +53,28 @@ import (
 // so the pass errs toward false negatives, never noise. Reviewed
 // exceptions are annotated //socrates:lock-ok <reason> on the acquisition
 // or call site.
-type DeadlockLint struct {
-	// FabricPkgs are import-path substrings whose Call/Send entry points
+type deadlockLint struct {
+	// fabricPkgs are import-path substrings whose Call/Send entry points
 	// count as remote I/O for check 2.
-	FabricPkgs []string
-	// IOPkgs are import-path substrings whose functions count as I/O for
+	fabricPkgs []string
+	// ioPkgs are import-path substrings whose functions count as I/O for
 	// check 5.
-	IOPkgs []string
+	ioPkgs []string
 }
 
-// NewDeadlockLint returns the pass configured for the Socrates tree.
-func NewDeadlockLint() *DeadlockLint {
-	return &DeadlockLint{
-		FabricPkgs: []string{"socrates/internal/rbio", "socrates/internal/netmux"},
-		IOPkgs:     []string{"socrates/internal/simdisk", "socrates/internal/xstore"},
+// newDeadlockLint returns the pass configured for the Socrates tree.
+func newDeadlockLint() *deadlockLint {
+	return &deadlockLint{
+		fabricPkgs: []string{"socrates/internal/rbio", "socrates/internal/netmux"},
+		ioPkgs:     []string{"socrates/internal/simdisk", "socrates/internal/xstore"},
 	}
 }
 
-// Name implements Pass.
-func (l *DeadlockLint) Name() string { return "deadlocklint" }
+// Name implements lintPass.
+func (l *deadlockLint) Name() string { return "deadlocklint" }
 
-// Run implements Pass (single-package convenience; fixtures use this).
-func (l *DeadlockLint) Run(pkg *Package) []Diagnostic {
+// Run implements lintPass (single-package convenience; fixtures use this).
+func (l *deadlockLint) Run(pkg *Package) []diagnostic {
 	return l.RunProgram([]*Package{pkg})
 }
 
@@ -93,7 +93,7 @@ type lockFacts struct {
 	// callee → (held set snapshot, site).
 	calls []heldCall
 	// diags are the function's own findings (checks 3-5).
-	diags []Diagnostic
+	diags []diagnostic
 }
 
 type heldCall struct {
@@ -103,21 +103,21 @@ type heldCall struct {
 	pkg    *Package
 }
 
-// RunProgram implements ProgramPass.
-func (l *DeadlockLint) RunProgram(pkgs []*Package) []Diagnostic {
-	g := BuildCallGraph(pkgs)
+// RunProgram implements programPass.
+func (l *deadlockLint) RunProgram(pkgs []*Package) []diagnostic {
+	g := buildCallGraph(pkgs)
 	labels := make(map[*types.Var]string)
 	facts := make(map[*types.Func]*lockFacts)
-	var out []Diagnostic
+	var out []diagnostic
 
 	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
+		for _, f := range pkg.files {
 			for _, decl := range f.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
 				if !ok || fn.Body == nil {
 					continue
 				}
-				obj, ok := pkg.Info.Defs[fn.Name].(*types.Func)
+				obj, ok := pkg.info.Defs[fn.Name].(*types.Func)
 				if !ok {
 					continue
 				}
@@ -140,7 +140,7 @@ func (l *DeadlockLint) RunProgram(pkgs []*Package) []Diagnostic {
 	for changed := true; changed; {
 		changed = false
 		for fn := range facts {
-			for _, callee := range g.Callees[fn] {
+			for _, callee := range g.callees[fn] {
 				for v := range trans[callee] {
 					if !trans[fn][v] {
 						trans[fn][v] = true
@@ -153,7 +153,7 @@ func (l *DeadlockLint) RunProgram(pkgs []*Package) []Diagnostic {
 
 	// Fabric reachability: functions that transitively issue an RBIO or
 	// netmux call.
-	fabric := g.Reaches(l.isFabricCall)
+	fabric := g.reaches(l.isFabricCall)
 
 	edges := make(map[*types.Var]map[*types.Var]lockEdge)
 	addEdge := func(e lockEdge) {
@@ -176,18 +176,18 @@ func (l *DeadlockLint) RunProgram(pkgs []*Package) []Diagnostic {
 			// unless the call site is a reviewed exception (a callee that
 			// only starts the goroutine which takes the lock, say).
 			for v := range trans[c.callee] {
-				if c.pkg.DirectiveAt("lock-ok", c.node) {
+				if c.pkg.directiveAt("lock-ok", c.node) {
 					break
 				}
 				for _, h := range c.held {
 					addEdge(lockEdge{from: h, to: v,
-						pos: c.pkg.Fset.Position(c.node.Pos()),
+						pos: c.pkg.fset.Position(c.node.Pos()),
 						via: c.callee.Name()})
 				}
 			}
 			// Fabric call under a lock.
 			if l.isFabricCall(c.callee) || fabric[c.callee] {
-				if c.pkg.DirectiveAt("lock-ok", c.node) {
+				if c.pkg.directiveAt("lock-ok", c.node) {
 					continue
 				}
 				out = append(out, c.pkg.diag("deadlocklint", c.node,
@@ -202,15 +202,15 @@ func (l *DeadlockLint) RunProgram(pkgs []*Package) []Diagnostic {
 }
 
 // analyzeFunc runs the held-set dataflow over one function's CFG.
-func (l *DeadlockLint) analyzeFunc(pkg *Package, fn *ast.FuncDecl, labels map[*types.Var]string) *lockFacts {
+func (l *deadlockLint) analyzeFunc(pkg *Package, fn *ast.FuncDecl, labels map[*types.Var]string) *lockFacts {
 	ff := &lockFacts{acquires: make(map[*types.Var]bool)}
-	cfg := BuildCFG(fn.Body)
+	cfg := buildCFG(fn.Body)
 	seenEdge := make(map[string]bool)
 	seenSite := make(map[ast.Node]bool)
 	acquired := make(map[ast.Node]*types.Var) // check 3: acquisition sites
 	released := make(map[*types.Var]bool)
 	flag := func(node ast.Node, format string, args ...any) {
-		if !pkg.DirectiveAt("lock-ok", node) {
+		if !pkg.directiveAt("lock-ok", node) {
 			ff.diags = append(ff.diags, pkg.diag("deadlocklint", node, format, args...))
 		}
 	}
@@ -220,7 +220,7 @@ func (l *DeadlockLint) analyzeFunc(pkg *Package, fn *ast.FuncDecl, labels map[*t
 		onAcquire: func(v *types.Var, held map[*types.Var]bool, node ast.Node) {
 			ff.acquires[v] = true
 			acquired[node] = v
-			if len(held) == 0 || pkg.DirectiveAt("lock-ok", node) {
+			if len(held) == 0 || pkg.directiveAt("lock-ok", node) {
 				return
 			}
 			for h := range held {
@@ -228,7 +228,7 @@ func (l *DeadlockLint) analyzeFunc(pkg *Package, fn *ast.FuncDecl, labels map[*t
 				if !seenEdge[key] {
 					seenEdge[key] = true
 					ff.edges = append(ff.edges, lockEdge{
-						from: h, to: v, pos: pkg.Fset.Position(node.Pos())})
+						from: h, to: v, pos: pkg.fset.Position(node.Pos())})
 				}
 			}
 		},
@@ -245,7 +245,7 @@ func (l *DeadlockLint) analyzeFunc(pkg *Package, fn *ast.FuncDecl, labels map[*t
 				return
 			}
 			seenSite[node] = true
-			if callee.Pkg() != nil && callee.Pkg().Path() != pkg.Path && l.isIOPkg(callee.Pkg().Path()) {
+			if callee.Pkg() != nil && callee.Pkg().Path() != pkg.path && l.isIOPkg(callee.Pkg().Path()) {
 				flag(node, "I/O call into %s while %s is held; release the lock first or annotate //socrates:lock-ok <reason>",
 					callee.Pkg().Path(), heldLabel(held, labels))
 			}
@@ -259,9 +259,9 @@ func (l *DeadlockLint) analyzeFunc(pkg *Package, fn *ast.FuncDecl, labels map[*t
 			ff.calls = append(ff.calls, heldCall{callee: callee, held: snapshot, node: node, pkg: pkg})
 		},
 	}
-	SolveForward(cfg, prob)
+	solveForward(cfg, prob)
 	// Deferred unlocks run on every exit path: they release too.
-	for _, d := range cfg.Defers {
+	for _, d := range cfg.defers {
 		ast.Inspect(d.Call, func(x ast.Node) bool {
 			if call, ok := x.(*ast.CallExpr); ok {
 				if v, method, ok := prob.lockVar(call); ok && (method == "Unlock" || method == "RUnlock") {
@@ -321,9 +321,9 @@ type heldLocksProblem struct {
 	onCall    func(callee *types.Func, held map[*types.Var]bool, node ast.Node)
 }
 
-func (p *heldLocksProblem) Entry() Fact { return map[*types.Var]bool{} }
+func (p *heldLocksProblem) Entry() fact { return map[*types.Var]bool{} }
 
-func (p *heldLocksProblem) Join(a, b Fact) Fact {
+func (p *heldLocksProblem) Join(a, b fact) fact {
 	as, bs := a.(map[*types.Var]bool), b.(map[*types.Var]bool)
 	if len(bs) == 0 {
 		return as
@@ -341,7 +341,7 @@ func (p *heldLocksProblem) Join(a, b Fact) Fact {
 	return u
 }
 
-func (p *heldLocksProblem) Equal(a, b Fact) bool {
+func (p *heldLocksProblem) Equal(a, b fact) bool {
 	as, bs := a.(map[*types.Var]bool), b.(map[*types.Var]bool)
 	if len(as) != len(bs) {
 		return false
@@ -354,7 +354,7 @@ func (p *heldLocksProblem) Equal(a, b Fact) bool {
 	return true
 }
 
-func (p *heldLocksProblem) Transfer(n ast.Node, f Fact) Fact {
+func (p *heldLocksProblem) Transfer(n ast.Node, f fact) fact {
 	held := f.(map[*types.Var]bool)
 	// Deferred unlocks keep the lock held; deferred *locks* (pathological)
 	// are ignored too.
@@ -398,7 +398,7 @@ func (p *heldLocksProblem) Transfer(n ast.Node, f Fact) Fact {
 				}
 				return true
 			}
-			if callee, ok := calleeObject(p.pkg.Info, e).(*types.Func); ok {
+			if callee, ok := calleeObject(p.pkg.info, e).(*types.Func); ok {
 				p.onCall(callee, held, e)
 			}
 		}
@@ -414,7 +414,7 @@ func (p *heldLocksProblem) lockVar(call *ast.CallExpr) (*types.Var, string, bool
 	if !ok {
 		return nil, "", false
 	}
-	obj := p.pkg.Info.Uses[sel.Sel]
+	obj := p.pkg.info.Uses[sel.Sel]
 	if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
 		return nil, "", false
 	}
@@ -438,14 +438,14 @@ func (p *heldLocksProblem) lockVar(call *ast.CallExpr) (*types.Var, string, bool
 func (p *heldLocksProblem) resolveLockObject(expr ast.Expr) *types.Var {
 	switch e := ast.Unparen(expr).(type) {
 	case *ast.Ident:
-		if v, ok := p.pkg.Info.Uses[e].(*types.Var); ok {
+		if v, ok := p.pkg.info.Uses[e].(*types.Var); ok {
 			return v
 		}
-		if v, ok := p.pkg.Info.Defs[e].(*types.Var); ok {
+		if v, ok := p.pkg.info.Defs[e].(*types.Var); ok {
 			return v
 		}
 	case *ast.SelectorExpr:
-		if v, ok := p.pkg.Info.Uses[e.Sel].(*types.Var); ok {
+		if v, ok := p.pkg.info.Uses[e.Sel].(*types.Var); ok {
 			return v
 		}
 	case *ast.StarExpr:
@@ -458,7 +458,7 @@ func (p *heldLocksProblem) resolveLockObject(expr ast.Expr) *types.Var {
 // "pkg.var" otherwise.
 func (p *heldLocksProblem) lockLabel(expr ast.Expr, v *types.Var) string {
 	if sel, ok := ast.Unparen(expr).(*ast.SelectorExpr); ok {
-		if tv, ok := p.pkg.Info.Types[sel.X]; ok {
+		if tv, ok := p.pkg.info.Types[sel.X]; ok {
 			t := tv.Type
 			if ptr, ok := t.(*types.Pointer); ok {
 				t = ptr.Elem()
@@ -475,12 +475,12 @@ func (p *heldLocksProblem) lockLabel(expr ast.Expr, v *types.Var) string {
 }
 
 // isIOPkg reports whether the import path is one of the I/O packages.
-func (l *DeadlockLint) isIOPkg(path string) bool { return containsAny(path, l.IOPkgs) }
+func (l *deadlockLint) isIOPkg(path string) bool { return containsAny(path, l.ioPkgs) }
 
 // isFabricCall reports whether the function is an RBIO/netmux fabric
 // entry point: a Call/Send/Dial in one of the fabric packages.
-func (l *DeadlockLint) isFabricCall(fn *types.Func) bool {
-	if fn.Pkg() == nil || !containsAny(fn.Pkg().Path(), l.FabricPkgs) {
+func (l *deadlockLint) isFabricCall(fn *types.Func) bool {
+	if fn.Pkg() == nil || !containsAny(fn.Pkg().Path(), l.fabricPkgs) {
 		return false
 	}
 	switch fn.Name() {
@@ -504,7 +504,7 @@ func containsAny(path string, patterns []string) bool {
 // reportCycles finds strongly connected components of the lock graph and
 // reports each cycle once, naming the participating locks and one closing
 // acquisition site.
-func (l *DeadlockLint) reportCycles(edges map[*types.Var]map[*types.Var]lockEdge, labels map[*types.Var]string) []Diagnostic {
+func (l *deadlockLint) reportCycles(edges map[*types.Var]map[*types.Var]lockEdge, labels map[*types.Var]string) []diagnostic {
 	// Tarjan SCC.
 	index := make(map[*types.Var]int)
 	low := make(map[*types.Var]int)
@@ -557,7 +557,7 @@ func (l *DeadlockLint) reportCycles(edges map[*types.Var]map[*types.Var]lockEdge
 		}
 	}
 
-	var out []Diagnostic
+	var out []diagnostic
 	for _, scc := range sccs {
 		sort.Slice(scc, func(i, j int) bool { return labels[scc[i]] < labels[scc[j]] })
 		inSCC := make(map[*types.Var]bool, len(scc))
@@ -590,7 +590,7 @@ func (l *DeadlockLint) reportCycles(edges map[*types.Var]map[*types.Var]lockEdge
 			}
 		}
 		sort.Strings(sites)
-		out = append(out, Diagnostic{
+		out = append(out, diagnostic{
 			Pos:  anchor.pos,
 			Pass: "deadlocklint",
 			Message: fmt.Sprintf("lock-order cycle among {%s}: %s; acquire these locks in one global order or annotate the reviewed site //socrates:lock-ok <reason>",

@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// Errlint flags discarded errors from durability-critical callees. In
+// errlint flags discarded errors from durability-critical callees. In
 // Socrates the durability contract is "never acknowledge a commit that is
 // not hardened" (§4.3); an error swallowed on the WAL/XLOG/simdisk/XStore
 // path breaks that contract silently — the system keeps running and
@@ -20,19 +20,19 @@ import (
 //
 // Intentional drops (lossy feed sends, best-effort progress reports) are
 // annotated //socrates:ignore-err <reason>.
-type Errlint struct {
-	// CriticalPkgs are import-path substrings of durability-critical
+type errlint struct {
+	// criticalPkgs are import-path substrings of durability-critical
 	// packages; a callee defined in any of them is in scope.
-	CriticalPkgs []string
+	criticalPkgs []string
 }
 
-// DefaultErrlint returns errlint configured for the Socrates tree: every
+// defaultErrlint returns errlint configured for the Socrates tree: every
 // tier that sits on the durability or availability path, including the
 // log writer that holds the commit's own durability wait
 // (LogWriter.WaitHarden), the compute node around it and the engine above
 // it.
-func DefaultErrlint() *Errlint {
-	return &Errlint{CriticalPkgs: []string{
+func defaultErrlint() *errlint {
+	return &errlint{criticalPkgs: []string{
 		"socrates/internal/compute",
 		"socrates/internal/logwriter",
 		"socrates/internal/engine",
@@ -48,10 +48,10 @@ func DefaultErrlint() *Errlint {
 	}}
 }
 
-// Name implements Pass.
-func (e *Errlint) Name() string { return "errlint" }
+// Name implements lintPass.
+func (e *errlint) Name() string { return "errlint" }
 
-func (e *Errlint) critical(path string) bool { return containsAny(path, e.CriticalPkgs) }
+func (e *errlint) critical(path string) bool { return containsAny(path, e.criticalPkgs) }
 
 // errResultIndexes reports which result positions of the call are typed
 // error.
@@ -77,22 +77,22 @@ func errResultIndexes(info *types.Info, call *ast.CallExpr) []int {
 	return nil
 }
 
-// Run implements Pass.
-func (e *Errlint) Run(pkg *Package) []Diagnostic {
-	var out []Diagnostic
+// Run implements lintPass.
+func (e *errlint) Run(pkg *Package) []diagnostic {
+	var out []diagnostic
 	flag := func(node ast.Node, call *ast.CallExpr) {
-		if pkg.DirectiveAt("ignore-err", node) {
+		if pkg.directiveAt("ignore-err", node) {
 			return
 		}
 		name := "function"
-		if obj := calleeObject(pkg.Info, call); obj != nil {
+		if obj := calleeObject(pkg.info, call); obj != nil {
 			name = obj.Name()
 		}
 		out = append(out, pkg.diag("errlint", node,
 			"error from durability-critical call %s (%s) is discarded; propagate it or annotate //socrates:ignore-err <reason>",
-			name, calleePkgPath(pkg.Info, call)))
+			name, calleePkgPath(pkg.info, call)))
 	}
-	for _, f := range pkg.Files {
+	for _, f := range pkg.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch st := n.(type) {
 			case *ast.ExprStmt:
@@ -100,20 +100,20 @@ func (e *Errlint) Run(pkg *Package) []Diagnostic {
 				if !ok {
 					return true
 				}
-				if !e.critical(calleePkgPath(pkg.Info, call)) {
+				if !e.critical(calleePkgPath(pkg.info, call)) {
 					return true
 				}
-				if len(errResultIndexes(pkg.Info, call)) > 0 {
+				if len(errResultIndexes(pkg.info, call)) > 0 {
 					flag(st, call)
 				}
 			case *ast.AssignStmt:
 				// Single multi-value call: a, _ := f().
 				if len(st.Rhs) == 1 && len(st.Lhs) > 1 {
 					call, ok := ast.Unparen(st.Rhs[0]).(*ast.CallExpr)
-					if !ok || !e.critical(calleePkgPath(pkg.Info, call)) {
+					if !ok || !e.critical(calleePkgPath(pkg.info, call)) {
 						return true
 					}
-					for _, i := range errResultIndexes(pkg.Info, call) {
+					for _, i := range errResultIndexes(pkg.info, call) {
 						if i < len(st.Lhs) && isBlank(st.Lhs[i]) {
 							flag(st, call)
 							break
@@ -127,10 +127,10 @@ func (e *Errlint) Run(pkg *Package) []Diagnostic {
 						continue
 					}
 					call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-					if !ok || !e.critical(calleePkgPath(pkg.Info, call)) {
+					if !ok || !e.critical(calleePkgPath(pkg.info, call)) {
 						continue
 					}
-					if idx := errResultIndexes(pkg.Info, call); len(idx) == 1 && idx[0] == 0 {
+					if idx := errResultIndexes(pkg.info, call); len(idx) == 1 && idx[0] == 0 {
 						flag(st, call)
 					}
 				}

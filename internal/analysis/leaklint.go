@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// LeakLint enforces the lifetime discipline a long-running four-tier
+// leakLint enforces the lifetime discipline a long-running four-tier
 // service needs: nothing that schedules work or pins an fd may outlive
 // its owner silently.
 //
@@ -36,13 +36,13 @@ import (
 // Reviewed exceptions — a deliberately process-lifetime goroutine, a
 // conn whose Close lives with its client — are annotated
 // //socrates:leak-ok <reason> at the go statement or creation site.
-type LeakLint struct{}
+type leakLint struct{}
 
-// NewLeakLint returns the pass.
-func NewLeakLint() *LeakLint { return &LeakLint{} }
+// newLeakLint returns the pass.
+func newLeakLint() *leakLint { return &leakLint{} }
 
-// Name implements Pass.
-func (l *LeakLint) Name() string { return "leaklint" }
+// Name implements lintPass.
+func (l *leakLint) Name() string { return "leaklint" }
 
 // resourceCtor describes a constructor whose result must be released.
 type resourceCtor struct {
@@ -69,11 +69,11 @@ var resourceCtors = map[string]map[string]resourceCtor{
 	},
 }
 
-// Run implements Pass.
-func (l *LeakLint) Run(pkg *Package) []Diagnostic {
-	var out []Diagnostic
+// Run implements lintPass.
+func (l *leakLint) Run(pkg *Package) []diagnostic {
+	var out []diagnostic
 	decls := packageDecls(pkg)
-	for _, f := range pkg.Files {
+	for _, f := range pkg.files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
@@ -98,10 +98,10 @@ func (l *LeakLint) Run(pkg *Package) []Diagnostic {
 // (for resolving `go s.loop()` to loop's body).
 func packageDecls(pkg *Package) map[*types.Func]*ast.FuncDecl {
 	m := make(map[*types.Func]*ast.FuncDecl)
-	for _, f := range pkg.Files {
+	for _, f := range pkg.files {
 		for _, decl := range f.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
-				if obj, ok := pkg.Info.Defs[fn.Name].(*types.Func); ok {
+				if obj, ok := pkg.info.Defs[fn.Name].(*types.Func); ok {
 					m[obj] = fn
 				}
 			}
@@ -112,8 +112,8 @@ func packageDecls(pkg *Package) map[*types.Func]*ast.FuncDecl {
 
 // checkGoroutines flags `go` statements whose body provably never
 // reaches its exit.
-func (l *LeakLint) checkGoroutines(pkg *Package, fn *ast.FuncDecl, decls map[*types.Func]*ast.FuncDecl) []Diagnostic {
-	var out []Diagnostic
+func (l *leakLint) checkGoroutines(pkg *Package, fn *ast.FuncDecl, decls map[*types.Func]*ast.FuncDecl) []diagnostic {
+	var out []diagnostic
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		g, ok := n.(*ast.GoStmt)
 		if !ok {
@@ -126,7 +126,7 @@ func (l *LeakLint) checkGoroutines(pkg *Package, fn *ast.FuncDecl, decls map[*ty
 		case *ast.FuncLit:
 			body, what = callee.Body, "goroutine"
 		default:
-			obj, ok := calleeObject(pkg.Info, g.Call).(*types.Func)
+			obj, ok := calleeObject(pkg.info, g.Call).(*types.Func)
 			if !ok {
 				return true
 			}
@@ -135,8 +135,8 @@ func (l *LeakLint) checkGoroutines(pkg *Package, fn *ast.FuncDecl, decls map[*ty
 			}
 			body, what = decl.Body, "goroutine "+obj.Name()
 		}
-		if body == nil || BuildCFG(body).ReachesExit() || pkg.DirectiveAt("leak-ok", g) ||
-			(decl != nil && pkg.FuncDirective(decl, "leak-ok")) {
+		if body == nil || buildCFG(body).reachesExit() || pkg.directiveAt("leak-ok", g) ||
+			(decl != nil && pkg.funcDirective(decl, "leak-ok")) {
 			return true
 		}
 		out = append(out, pkg.diag("leaklint", g,
@@ -156,7 +156,7 @@ type openResource struct {
 
 // checkResources runs the open-set dataflow over one function body (a
 // declaration's or a function literal's).
-func (l *LeakLint) checkResources(pkg *Package, name string, body *ast.BlockStmt) []Diagnostic {
+func (l *leakLint) checkResources(pkg *Package, name string, body *ast.BlockStmt) []diagnostic {
 	resources := l.collectResources(pkg, body)
 	if len(resources) == 0 {
 		return nil
@@ -166,10 +166,10 @@ func (l *LeakLint) checkResources(pkg *Package, name string, body *ast.BlockStmt
 		byObj[resources[i].obj] = &resources[i]
 	}
 
-	cfg := BuildCFG(body)
+	cfg := buildCFG(body)
 	prob := &openSetProblem{pkg: pkg, byObj: byObj}
-	out := SolveForward(cfg, prob)
-	exit := ExitFact(cfg, prob, out)
+	out := solveForward(cfg, prob)
+	exit := exitFact(cfg, prob, out)
 	if exit == nil {
 		return nil // exit unreachable: a forever server loop owns its resources
 	}
@@ -177,7 +177,7 @@ func (l *LeakLint) checkResources(pkg *Package, name string, body *ast.BlockStmt
 	// Deferred closers cover every exit path.
 	open := exit.(map[*types.Var]bool)
 	closedByDefer := make(map[*types.Var]bool)
-	for _, d := range cfg.Defers {
+	for _, d := range cfg.defers {
 		ast.Inspect(d, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
 				if v, ok := prob.closerCall(call); ok {
@@ -188,13 +188,13 @@ func (l *LeakLint) checkResources(pkg *Package, name string, body *ast.BlockStmt
 		})
 	}
 
-	var diags []Diagnostic
+	var diags []diagnostic
 	for v := range open {
 		if closedByDefer[v] {
 			continue
 		}
 		r := byObj[v]
-		if pkg.DirectiveAt("leak-ok", r.node) {
+		if pkg.directiveAt("leak-ok", r.node) {
 			continue
 		}
 		closer := "Close"
@@ -211,7 +211,7 @@ func (l *LeakLint) checkResources(pkg *Package, name string, body *ast.BlockStmt
 // collectResources finds `x := pkg.Ctor(...)` creation sites for tracked
 // constructors where x is a plain local identifier. Nested function
 // literals are excluded: each body is analyzed on its own.
-func (l *LeakLint) collectResources(pkg *Package, body *ast.BlockStmt) []openResource {
+func (l *leakLint) collectResources(pkg *Package, body *ast.BlockStmt) []openResource {
 	var out []openResource
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, isLit := n.(*ast.FuncLit); isLit {
@@ -225,11 +225,11 @@ func (l *LeakLint) collectResources(pkg *Package, body *ast.BlockStmt) []openRes
 		if !ok {
 			return true
 		}
-		v, ok := pkg.Info.Defs[id].(*types.Var)
+		v, ok := pkg.info.Defs[id].(*types.Var)
 		if !ok {
 			// Plain `=` reassignment still creates an obligation, but the
 			// variable's object comes from Uses.
-			if v, ok = pkg.Info.Uses[id].(*types.Var); !ok {
+			if v, ok = pkg.info.Uses[id].(*types.Var); !ok {
 				return true
 			}
 		}
@@ -237,7 +237,7 @@ func (l *LeakLint) collectResources(pkg *Package, body *ast.BlockStmt) []openRes
 		if !ok {
 			return true
 		}
-		obj := calleeObject(pkg.Info, call)
+		obj := calleeObject(pkg.info, call)
 		if obj == nil || obj.Pkg() == nil {
 			return true
 		}
@@ -258,9 +258,9 @@ type openSetProblem struct {
 	byObj map[*types.Var]*openResource
 }
 
-func (p *openSetProblem) Entry() Fact { return map[*types.Var]bool{} }
+func (p *openSetProblem) Entry() fact { return map[*types.Var]bool{} }
 
-func (p *openSetProblem) Join(a, b Fact) Fact {
+func (p *openSetProblem) Join(a, b fact) fact {
 	as, bs := a.(map[*types.Var]bool), b.(map[*types.Var]bool)
 	if len(bs) == 0 {
 		return as
@@ -278,7 +278,7 @@ func (p *openSetProblem) Join(a, b Fact) Fact {
 	return u
 }
 
-func (p *openSetProblem) Equal(a, b Fact) bool {
+func (p *openSetProblem) Equal(a, b fact) bool {
 	as, bs := a.(map[*types.Var]bool), b.(map[*types.Var]bool)
 	if len(as) != len(bs) {
 		return false
@@ -291,7 +291,7 @@ func (p *openSetProblem) Equal(a, b Fact) bool {
 	return true
 }
 
-func (p *openSetProblem) Transfer(n ast.Node, f Fact) Fact {
+func (p *openSetProblem) Transfer(n ast.Node, f fact) fact {
 	set := f.(map[*types.Var]bool)
 	mutated := false
 	mutate := func() map[*types.Var]bool {
@@ -382,17 +382,17 @@ func (p *openSetProblem) Transfer(n ast.Node, f Fact) Fact {
 }
 
 func (p *openSetProblem) identVar(id *ast.Ident) *types.Var {
-	if v, ok := p.pkg.Info.Defs[id].(*types.Var); ok {
+	if v, ok := p.pkg.info.Defs[id].(*types.Var); ok {
 		return v
 	}
-	if v, ok := p.pkg.Info.Uses[id].(*types.Var); ok {
+	if v, ok := p.pkg.info.Uses[id].(*types.Var); ok {
 		return v
 	}
 	return nil
 }
 
 func (p *openSetProblem) isCtor(call *ast.CallExpr) bool {
-	obj := calleeObject(p.pkg.Info, call)
+	obj := calleeObject(p.pkg.info, call)
 	if obj == nil || obj.Pkg() == nil {
 		return false
 	}

@@ -15,30 +15,30 @@ import (
 	"strings"
 )
 
-// Loader parses and type-checks packages of one Go module without any
+// loader parses and type-checks packages of one Go module without any
 // third-party machinery: module-local imports are resolved by recursively
 // loading the corresponding directory, everything else (the stdlib) is
 // delegated to go/importer.
-type Loader struct {
-	Fset   *token.FileSet
-	Module string // module path from go.mod
-	Root   string // module root directory
+type loader struct {
+	fset   *token.FileSet
+	module string // module path from go.mod
+	root   string // module root directory
 
 	std        types.Importer
 	cache      map[string]*Package
 	inProgress map[string]bool
 }
 
-// NewLoader builds a Loader rooted at the module containing dir.
-func NewLoader(dir string) (*Loader, error) {
+// NewLoader builds a loader rooted at the module containing dir.
+func NewLoader(dir string) (*loader, error) {
 	root, module, err := findModule(dir)
 	if err != nil {
 		return nil, err
 	}
-	return &Loader{
-		Fset:       token.NewFileSet(),
-		Module:     module,
-		Root:       root,
+	return &loader{
+		fset:       token.NewFileSet(),
+		module:     module,
+		root:       root,
 		std:        importer.Default(),
 		cache:      make(map[string]*Package),
 		inProgress: make(map[string]bool),
@@ -72,21 +72,21 @@ func findModule(dir string) (root, module string, err error) {
 
 // Import implements types.Importer: module-local paths load from disk,
 // everything else goes to the stdlib importer.
-func (l *Loader) Import(path string) (*types.Package, error) {
-	if path == l.Module || strings.HasPrefix(path, l.Module+"/") {
-		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.Module), "/")
-		pkg, err := l.LoadDir(filepath.Join(l.Root, filepath.FromSlash(rel)), path)
+func (l *loader) Import(path string) (*types.Package, error) {
+	if path == l.module || strings.HasPrefix(path, l.module+"/") {
+		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.module), "/")
+		pkg, err := l.LoadDir(filepath.Join(l.root, filepath.FromSlash(rel)), path)
 		if err != nil {
 			return nil, err
 		}
-		return pkg.Pkg, nil
+		return pkg.pkg, nil
 	}
 	return l.std.Import(path)
 }
 
 // LoadDir parses and type-checks the non-test Go files in dir under the
 // given import path. Results are memoized by import path.
-func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
+func (l *loader) LoadDir(dir, importPath string) (*Package, error) {
 	if pkg, ok := l.cache[importPath]; ok {
 		return pkg, nil
 	}
@@ -105,7 +105,7 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	}
 	var files []*ast.File
 	for _, name := range names {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
@@ -123,16 +123,16 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	tpkg, _ := conf.Check(importPath, l.Fset, files, info)
+	tpkg, _ := conf.Check(importPath, l.fset, files, info)
 	if len(typeErrs) > 0 {
 		return nil, fmt.Errorf("analysis: type-checking %s: %v", importPath, typeErrs[0])
 	}
 	pkg := &Package{
-		Path:  importPath,
-		Fset:  l.Fset,
-		Files: files,
-		Pkg:   tpkg,
-		Info:  info,
+		path:  importPath,
+		fset:  l.fset,
+		files: files,
+		pkg:   tpkg,
+		info:  info,
 	}
 	l.cache[importPath] = pkg
 	return pkg, nil
@@ -202,7 +202,7 @@ func buildIgnored(path string) (bool, error) {
 // walks the subtree; anything else names a single directory. Directories
 // without buildable Go files, testdata trees, and hidden directories are
 // skipped.
-func (l *Loader) Expand(patterns []string) ([]string, error) {
+func (l *loader) Expand(patterns []string) ([]string, error) {
 	seen := make(map[string]bool)
 	var dirs []string
 	add := func(dir string) {
@@ -214,7 +214,7 @@ func (l *Loader) Expand(patterns []string) ([]string, error) {
 	for _, pat := range patterns {
 		if base, ok := strings.CutSuffix(pat, "/..."); ok {
 			if base == "." || base == "" {
-				base = l.Root
+				base = l.root
 			}
 			err := filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
 				if err != nil {
@@ -247,20 +247,20 @@ func (l *Loader) Expand(patterns []string) ([]string, error) {
 }
 
 // ImportPathFor maps a directory to its module import path.
-func (l *Loader) ImportPathFor(dir string) (string, error) {
+func (l *loader) ImportPathFor(dir string) (string, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return "", err
 	}
-	rel, err := filepath.Rel(l.Root, abs)
+	rel, err := filepath.Rel(l.root, abs)
 	if err != nil {
 		return "", err
 	}
 	if rel == "." {
-		return l.Module, nil
+		return l.module, nil
 	}
 	if strings.HasPrefix(rel, "..") {
-		return "", fmt.Errorf("analysis: %s is outside module %s", dir, l.Module)
+		return "", fmt.Errorf("analysis: %s is outside module %s", dir, l.module)
 	}
-	return l.Module + "/" + filepath.ToSlash(rel), nil
+	return l.module + "/" + filepath.ToSlash(rel), nil
 }

@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// LSNLint flags raw arithmetic and ordering comparisons on LSN-typed values
+// lsnLint flags raw arithmetic and ordering comparisons on LSN-typed values
 // outside approved helpers. The log tier's core invariant is that LSNs form
 // one monotonic space managed by the primary (§4.3-§4.4): watermarks only
 // advance, redo applies a record only when record.LSN > page.LSN, and a
@@ -23,20 +23,20 @@ import (
 //   - a single expression annotated //socrates:lsn-ok <reason>.
 //
 // Equality (== / !=) is always allowed: it carries no ordering assumption.
-type LSNLint struct {
-	// TypeName is the named type to protect (default "LSN").
-	TypeName string
+type lsnLint struct {
+	// typeName is the named type to protect (default "LSN").
+	typeName string
 }
 
-// NewLSNLint returns the pass with the default LSN type name.
-func NewLSNLint() *LSNLint { return &LSNLint{TypeName: "LSN"} }
+// newLSNLint returns the pass with the default LSN type name.
+func newLSNLint() *lsnLint { return &lsnLint{typeName: "LSN"} }
 
-// Name implements Pass.
-func (l *LSNLint) Name() string { return "lsnlint" }
+// Name implements lintPass.
+func (l *lsnLint) Name() string { return "lsnlint" }
 
 // isLSN reports whether t (or its pointer-elem) is a named type called
-// TypeName with an integer underlying type.
-func (l *LSNLint) isLSN(t types.Type) bool {
+// typeName with an integer underlying type.
+func (l *lsnLint) isLSN(t types.Type) bool {
 	if t == nil {
 		return false
 	}
@@ -44,14 +44,14 @@ func (l *LSNLint) isLSN(t types.Type) bool {
 	if !ok {
 		return false
 	}
-	if named.Obj().Name() != l.TypeName {
+	if named.Obj().Name() != l.typeName {
 		return false
 	}
 	basic, ok := named.Underlying().(*types.Basic)
 	return ok && basic.Info()&types.IsInteger != 0
 }
 
-func (l *LSNLint) exprIsLSN(info *types.Info, e ast.Expr) bool {
+func (l *lsnLint) exprIsLSN(info *types.Info, e ast.Expr) bool {
 	tv, ok := info.Types[e]
 	return ok && l.isLSN(tv.Type)
 }
@@ -68,11 +68,11 @@ var lsnOrderOps = map[token.Token]bool{
 
 // lsnMethod reports whether fn is a method on the LSN type: those ARE the
 // helpers.
-func (l *LSNLint) lsnMethod(pkg *Package, fn *ast.FuncDecl) bool {
+func (l *lsnLint) lsnMethod(pkg *Package, fn *ast.FuncDecl) bool {
 	if fn.Recv == nil || len(fn.Recv.List) == 0 {
 		return false
 	}
-	tv, ok := pkg.Info.Types[fn.Recv.List[0].Type]
+	tv, ok := pkg.info.Types[fn.Recv.List[0].Type]
 	if !ok {
 		return false
 	}
@@ -83,17 +83,17 @@ func (l *LSNLint) lsnMethod(pkg *Package, fn *ast.FuncDecl) bool {
 	return l.isLSN(t)
 }
 
-// Run implements Pass.
-func (l *LSNLint) Run(pkg *Package) []Diagnostic {
-	var out []Diagnostic
-	for _, f := range pkg.Files {
+// Run implements lintPass.
+func (l *lsnLint) Run(pkg *Package) []diagnostic {
+	var out []diagnostic
+	for _, f := range pkg.files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil || l.lsnMethod(pkg, fn) {
 				continue
 			}
 			flag := func(node ast.Node, what, op string) {
-				if pkg.FuncDirective(fn, "lsn-helper") || pkg.DirectiveAt("lsn-ok", node) {
+				if pkg.funcDirective(fn, "lsn-helper") || pkg.directiveAt("lsn-ok", node) {
 					return
 				}
 				out = append(out, pkg.diag("lsnlint", node,
@@ -103,7 +103,7 @@ func (l *LSNLint) Run(pkg *Package) []Diagnostic {
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				switch e := n.(type) {
 				case *ast.BinaryExpr:
-					if !l.exprIsLSN(pkg.Info, e.X) && !l.exprIsLSN(pkg.Info, e.Y) {
+					if !l.exprIsLSN(pkg.info, e.X) && !l.exprIsLSN(pkg.info, e.Y) {
 						return true
 					}
 					if lsnArithOps[e.Op] {
@@ -112,11 +112,11 @@ func (l *LSNLint) Run(pkg *Package) []Diagnostic {
 						flag(e, "ordering comparison", e.Op.String())
 					}
 				case *ast.AssignStmt:
-					if lsnArithOps[e.Tok] && len(e.Lhs) == 1 && l.exprIsLSN(pkg.Info, e.Lhs[0]) {
+					if lsnArithOps[e.Tok] && len(e.Lhs) == 1 && l.exprIsLSN(pkg.info, e.Lhs[0]) {
 						flag(e, "arithmetic", e.Tok.String())
 					}
 				case *ast.IncDecStmt:
-					if l.exprIsLSN(pkg.Info, e.X) {
+					if l.exprIsLSN(pkg.info, e.X) {
 						flag(e, "arithmetic", e.Tok.String())
 					}
 				}

@@ -2,7 +2,7 @@ package analysis
 
 import "go/ast"
 
-// Sleeplint flags time.Sleep in non-test code. A sleep-poll loop either
+// sleeplint flags time.Sleep in non-test code. A sleep-poll loop either
 // wastes a full tick of latency per wakeup (page-server catch-up waits
 // stack those ticks directly onto GetPage@LSN tail latency) or burns CPU
 // re-checking state that a sync.Cond broadcast or channel close would
@@ -13,36 +13,36 @@ import "go/ast"
 // package's whole purpose), token-bucket pacing, retry backoff — and are
 // either in an exempt package or annotated //socrates:sleep-ok <reason>
 // (on the line or in the function's doc comment).
-type Sleeplint struct {
-	// ExemptPkgs are import-path substrings where sleeping is the point.
-	ExemptPkgs []string
+type sleeplint struct {
+	// exemptPkgs are import-path substrings where sleeping is the point.
+	exemptPkgs []string
 }
 
-// DefaultSleeplint returns sleeplint configured for the Socrates tree.
-func DefaultSleeplint() *Sleeplint {
-	return &Sleeplint{ExemptPkgs: []string{"socrates/internal/simdisk"}}
+// defaultSleeplint returns sleeplint configured for the Socrates tree.
+func defaultSleeplint() *sleeplint {
+	return &sleeplint{exemptPkgs: []string{"socrates/internal/simdisk"}}
 }
 
-// Name implements Pass.
-func (s *Sleeplint) Name() string { return "sleeplint" }
+// Name implements lintPass.
+func (s *sleeplint) Name() string { return "sleeplint" }
 
-// Run implements Pass.
-func (s *Sleeplint) Run(pkg *Package) []Diagnostic {
-	if containsAny(pkg.Path, s.ExemptPkgs) {
+// Run implements lintPass.
+func (s *sleeplint) Run(pkg *Package) []diagnostic {
+	if containsAny(pkg.path, s.exemptPkgs) {
 		return nil
 	}
-	var out []Diagnostic
-	for _, f := range pkg.Files {
+	var out []diagnostic
+	for _, f := range pkg.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			obj := calleeObject(pkg.Info, call)
+			obj := calleeObject(pkg.info, call)
 			if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "time" || obj.Name() != "Sleep" {
 				return true
 			}
-			if pkg.DirectiveAt("sleep-ok", call) {
+			if pkg.directiveAt("sleep-ok", call) {
 				return true
 			}
 			out = append(out, pkg.diag("sleeplint", call,

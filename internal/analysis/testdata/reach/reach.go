@@ -1,9 +1,14 @@
 // Package main is the fixture of TestTestOnlySurfaceRules: one case per
 // rule by which the test-only scan counts a function or method as reached,
-// or a field or package-level variable as read.
+// or a field or package-level variable as read. Its uses of package lib
+// are the outside uses of TestOwnPackageSurfaceRules.
 package main
 
-import "fmt"
+import (
+	"fmt"
+
+	"reach/lib"
+)
 
 // Direct is reached by a call.
 func Direct() {}
@@ -30,6 +35,9 @@ type Outer struct{ *Rec }
 type Sizer interface{ Sized() int }
 
 func size(s Sizer) int { return s.Sized() }
+
+// Row re-exports lib.Row.
+type Row = lib.Row
 
 // Box is generic; Get is reached through an instantiation.
 type Box[T any] struct{ v T }
@@ -87,5 +95,5 @@ func main() {
 	lastSeen = limit
 	for _, lastSeen = range []int{4} {
 	}
-	fmt.Println(s.Hits, &s.Addr)
+	fmt.Println(s.Hits, &s.Addr, size(lib.Used()), lib.Counter{}.Hits)
 }

@@ -1,9 +1,13 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"reach/lib"
+)
 
 func TestDecodeKey(t *testing.T) {
-	if decodeKey([]byte("k")) != "k" || (Stats{}).tested != 0 || testedVar != 0 {
+	if decodeKey([]byte("k")) != "k" || (Stats{}).tested != 0 || testedVar != 0 || lib.TestedOnly != 1 {
 		t.Fatal("decodeKey")
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// WaitLint enforces the wait-accounting discipline the wait-stats plane
+// waitLint enforces the wait-accounting discipline the wait-stats plane
 // depends on: in the instrumented tier packages, every site that can block
 // a request must either be covered by a WaitPoint region — so the blocked
 // time lands in a wait class — or carry a reviewed //socrates:wait-ok
@@ -46,16 +46,16 @@ import (
 // WaitPoint calls are recognized by type name — methods on obs.WaitRecorder
 // and obs.WaitRegion — so fixture packages can declare structural stand-ins
 // without importing the real obs package.
-type WaitLint struct {
-	// Packages is the instrumented set: a package is checked when its
+type waitLint struct {
+	// packages is the instrumented set: a package is checked when its
 	// import path equals an entry or lives under one (prefix + "/").
-	Packages []string
+	packages []string
 }
 
-// NewWaitLint returns the pass in its repo configuration: the tier
+// newWaitLint returns the pass in its repo configuration: the tier
 // packages whose blocking sites feed the wait-stats plane.
-func NewWaitLint() *WaitLint {
-	return &WaitLint{Packages: []string{
+func newWaitLint() *waitLint {
+	return &waitLint{packages: []string{
 		"socrates/internal/compute",
 		"socrates/internal/engine",
 		"socrates/internal/hadr",
@@ -68,12 +68,12 @@ func NewWaitLint() *WaitLint {
 	}}
 }
 
-// Name implements Pass.
-func (l *WaitLint) Name() string { return "waitlint" }
+// Name implements lintPass.
+func (l *waitLint) Name() string { return "waitlint" }
 
 // instrumented reports whether the package is in the checked set.
-func (l *WaitLint) instrumented(path string) bool {
-	for _, p := range l.Packages {
+func (l *waitLint) instrumented(path string) bool {
+	for _, p := range l.packages {
 		if path == p || strings.HasPrefix(path, p+"/") {
 			return true
 		}
@@ -81,19 +81,19 @@ func (l *WaitLint) instrumented(path string) bool {
 	return false
 }
 
-// Run implements Pass.
-func (l *WaitLint) Run(pkg *Package) []Diagnostic {
-	if !l.instrumented(pkg.Path) {
+// Run implements lintPass.
+func (l *waitLint) Run(pkg *Package) []diagnostic {
+	if !l.instrumented(pkg.path) {
 		return nil
 	}
-	var out []Diagnostic
-	for _, f := range pkg.Files {
+	var out []diagnostic
+	for _, f := range pkg.files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
 				continue
 			}
-			hot := pkg.FuncDirective(fn, "hotpath")
+			hot := pkg.funcDirective(fn, "hotpath")
 			out = append(out, l.checkBody(pkg, f, fn.Name.Name, fn.Body, hot)...)
 			// Function literals run on their own schedule (goroutines,
 			// AfterFunc callbacks): a region opened by the enclosing
@@ -118,17 +118,17 @@ type waitSite struct {
 
 // checkBody collects the body's wait sites and judges each against the
 // must-in-region dataflow.
-func (l *WaitLint) checkBody(pkg *Package, file *ast.File, name string, body *ast.BlockStmt, hot bool) []Diagnostic {
+func (l *waitLint) checkBody(pkg *Package, file *ast.File, name string, body *ast.BlockStmt, hot bool) []diagnostic {
 	sites := l.collectSites(pkg, body, hot)
 	if len(sites) == 0 {
 		return nil
 	}
 
-	cfg := BuildCFG(body)
+	cfg := buildCFG(body)
 	prob := &regionProblem{pkg: pkg}
-	out := SolveForward(cfg, prob)
+	out := solveForward(cfg, prob)
 
-	// Fact at a site: replay each block from its in-fact; a site inside
+	// fact at a site: replay each block from its in-fact; a site inside
 	// block node i sees the fact before node i's transfer (the Begin that
 	// guards a wait is always a preceding statement). A SelectStmt site
 	// never appears in a block itself — its comm statements do — so a
@@ -137,12 +137,12 @@ func (l *WaitLint) checkBody(pkg *Package, file *ast.File, name string, body *as
 	// select's entry fact) decides, hence first-assignment-wins.
 	factAt := make(map[ast.Node]bool)
 	decided := make(map[ast.Node]bool)
-	for _, b := range cfg.Blocks {
-		var in Fact
-		if b == cfg.Entry {
+	for _, b := range cfg.blocks {
+		var in fact
+		if b == cfg.entry {
 			in = prob.Entry()
 		}
-		for _, pred := range b.Preds {
+		for _, pred := range b.preds {
 			if o, ok := out[pred]; ok {
 				if in == nil {
 					in = o
@@ -155,7 +155,7 @@ func (l *WaitLint) checkBody(pkg *Package, file *ast.File, name string, body *as
 			continue // unreachable block
 		}
 		f := in
-		for _, n := range b.Nodes {
+		for _, n := range b.nodes {
 			for _, s := range sites {
 				contains := n.Pos() <= s.node.Pos() && s.node.End() <= n.End()
 				within := s.node.Pos() <= n.Pos() && n.End() <= s.node.End()
@@ -168,12 +168,12 @@ func (l *WaitLint) checkBody(pkg *Package, file *ast.File, name string, body *as
 		}
 	}
 
-	var diags []Diagnostic
+	var diags []diagnostic
 	for _, s := range sites {
 		if factAt[s.node] {
 			continue // region provably open on every path
 		}
-		if pkg.DirectiveAt("wait-ok", s.node) {
+		if pkg.directiveAt("wait-ok", s.node) {
 			continue
 		}
 		diags = append(diags, pkg.diag("waitlint", s.node,
@@ -185,7 +185,7 @@ func (l *WaitLint) checkBody(pkg *Package, file *ast.File, name string, body *as
 
 // collectSites finds the body's blocking sites, excluding nested function
 // literals (they are analyzed as their own bodies).
-func (l *WaitLint) collectSites(pkg *Package, body *ast.BlockStmt, hot bool) []waitSite {
+func (l *waitLint) collectSites(pkg *Package, body *ast.BlockStmt, hot bool) []waitSite {
 	var sites []waitSite
 	flaggedSelect := make(map[*ast.SelectStmt]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -264,13 +264,13 @@ func isTimerRecv(pkg *Package, u *ast.UnaryExpr) bool {
 	}
 	switch x := ast.Unparen(u.X).(type) {
 	case *ast.CallExpr:
-		obj := calleeObject(pkg.Info, x)
+		obj := calleeObject(pkg.info, x)
 		return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "time" && obj.Name() == "After"
 	case *ast.SelectorExpr:
 		if x.Sel.Name != "C" {
 			return false
 		}
-		t := pkg.Info.TypeOf(x.X)
+		t := pkg.info.TypeOf(x.X)
 		return namedIn(t, "time", "Ticker") || namedIn(t, "time", "Timer")
 	}
 	return false
@@ -278,7 +278,7 @@ func isTimerRecv(pkg *Package, u *ast.UnaryExpr) bool {
 
 // isCondWait matches (*sync.Cond).Wait calls.
 func isCondWait(pkg *Package, call *ast.CallExpr) bool {
-	fn, ok := calleeObject(pkg.Info, call).(*types.Func)
+	fn, ok := calleeObject(pkg.info, call).(*types.Func)
 	if !ok || fn.Name() != "Wait" || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return false
 	}
@@ -289,7 +289,7 @@ func isCondWait(pkg *Package, call *ast.CallExpr) bool {
 // unrecordedSharedWait names the method of a WaitRecorder.CondWait or
 // AwaitLSN call passing the constant WaitNone as its class; "" otherwise.
 func unrecordedSharedWait(pkg *Package, call *ast.CallExpr) string {
-	fn := calleeObject(pkg.Info, call)
+	fn := calleeObject(pkg.info, call)
 	if fn == nil || (fn.Name() != "CondWait" && fn.Name() != "AwaitLSN") || !isWaitRecorderCall(pkg, call, fn.Name()) {
 		return ""
 	}
@@ -301,7 +301,7 @@ func unrecordedSharedWait(pkg *Package, call *ast.CallExpr) string {
 		case *ast.SelectorExpr:
 			id = a.Sel
 		}
-		if c, ok := pkg.Info.Uses[id].(*types.Const); ok && c.Name() == "WaitNone" {
+		if c, ok := pkg.info.Uses[id].(*types.Const); ok && c.Name() == "WaitNone" {
 			return fn.Name()
 		}
 	}
@@ -313,7 +313,7 @@ func unrecordedSharedWait(pkg *Package, call *ast.CallExpr) string {
 // not a site: it never blocks, and the TryLock-then-Begin-then-Lock shape
 // is the approved way to record latch contention.
 func isMutexAcquire(pkg *Package, call *ast.CallExpr) bool {
-	fn, ok := calleeObject(pkg.Info, call).(*types.Func)
+	fn, ok := calleeObject(pkg.info, call).(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return false
 	}
@@ -343,7 +343,7 @@ func namedIn(t types.Type, pkgPath, name string) bool {
 // WaitRecorder (Begin, CondWait or AwaitLSN). Matching by type name rather than by the
 // concrete obs package keeps fixtures self-contained.
 func isWaitRecorderCall(pkg *Package, call *ast.CallExpr, method string) bool {
-	fn, ok := calleeObject(pkg.Info, call).(*types.Func)
+	fn, ok := calleeObject(pkg.info, call).(*types.Func)
 	if !ok || fn.Name() != method {
 		return false
 	}
@@ -361,7 +361,7 @@ func isWaitRecorderCall(pkg *Package, call *ast.CallExpr, method string) bool {
 
 // isRegionEnd matches direct End/EndIf calls on a type named WaitRegion.
 func isRegionEnd(pkg *Package, call *ast.CallExpr) bool {
-	fn, ok := calleeObject(pkg.Info, call).(*types.Func)
+	fn, ok := calleeObject(pkg.info, call).(*types.Func)
 	if !ok || (fn.Name() != "End" && fn.Name() != "EndIf") {
 		return false
 	}
@@ -386,13 +386,13 @@ type regionProblem struct {
 	pkg *Package
 }
 
-func (p *regionProblem) Entry() Fact { return false }
+func (p *regionProblem) Entry() fact { return false }
 
-func (p *regionProblem) Join(a, b Fact) Fact { return a.(bool) && b.(bool) }
+func (p *regionProblem) Join(a, b fact) fact { return a.(bool) && b.(bool) }
 
-func (p *regionProblem) Equal(a, b Fact) bool { return a.(bool) == b.(bool) }
+func (p *regionProblem) Equal(a, b fact) bool { return a.(bool) == b.(bool) }
 
-func (p *regionProblem) Transfer(n ast.Node, f Fact) Fact {
+func (p *regionProblem) Transfer(n ast.Node, f fact) fact {
 	if _, ok := n.(*ast.DeferStmt); ok {
 		// A deferred End runs at function exit, not here; a deferred
 		// Begin would be nonsense. Either way the fact is unchanged.

@@ -9,11 +9,11 @@ import (
 	"socrates/internal/wal"
 )
 
-// MaxCell bounds a single key+value entry so that a split always succeeds.
-const MaxCell = 2048
+// maxCell bounds a single key+value entry so that a split always succeeds.
+const maxCell = 2048
 
-// ErrTooLarge reports a key+value pair exceeding MaxCell.
-var ErrTooLarge = errors.New("btree: entry exceeds MaxCell")
+// errTooLarge reports a key+value pair exceeding maxCell.
+var errTooLarge = errors.New("btree: entry exceeds MaxCell")
 
 // Pager is the tree's view of page storage plus allocation. On the primary
 // it is backed by the buffer pool and space manager; log apply and replicas
@@ -178,8 +178,8 @@ type splitResult struct {
 
 // Put upserts key→value.
 func (t *Tree) Put(txn uint64, key, value []byte) error {
-	if len(key)+len(value) > MaxCell {
-		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(key)+len(value))
+	if len(key)+len(value) > maxCell {
+		return fmt.Errorf("%w: %d bytes", errTooLarge, len(key)+len(value))
 	}
 	if len(key) == 0 {
 		return errors.New("btree: empty key")

@@ -84,8 +84,8 @@ func TestValidation(t *testing.T) {
 	if err := tree.Put(1, nil, []byte("v")); err == nil {
 		t.Fatal("empty key accepted")
 	}
-	big := make([]byte, MaxCell+1)
-	if err := tree.Put(1, []byte("k"), big); !errors.Is(err, ErrTooLarge) {
+	big := make([]byte, maxCell+1)
+	if err := tree.Put(1, []byte("k"), big); !errors.Is(err, errTooLarge) {
 		t.Fatalf("oversized entry: %v", err)
 	}
 }
@@ -551,7 +551,7 @@ func TestTreeModelEquivalenceProperty(t *testing.T) {
 
 func TestLargeValuesNearCellLimit(t *testing.T) {
 	tree, _, _ := newTree(t)
-	v := bytes.Repeat([]byte{7}, MaxCell-20)
+	v := bytes.Repeat([]byte{7}, maxCell-20)
 	for i := 0; i < 40; i++ {
 		if err := tree.Put(1, key(i), v); err != nil {
 			t.Fatalf("put %d: %v", i, err)

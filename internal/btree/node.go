@@ -27,8 +27,8 @@ import (
 // points in log time (fence-key violation). Retry after log apply advances.
 var ErrInconsistent = errors.New("btree: inconsistent traversal, retry after log apply")
 
-// ErrCorrupt reports an undecodable node payload.
-var ErrCorrupt = errors.New("btree: corrupt node")
+// errCorrupt reports an undecodable node payload.
+var errCorrupt = errors.New("btree: corrupt node")
 
 // cell is one key→value entry in a node. In leaves the value is the row
 // payload; in internal nodes it is the 8-byte child page ID.
@@ -80,13 +80,13 @@ func (n *node) encode() ([]byte, error) {
 func decodeNode(data []byte) (*node, error) {
 	n := &node{}
 	if len(data) < 2 {
-		return nil, fmt.Errorf("%w: short payload", ErrCorrupt)
+		return nil, fmt.Errorf("%w: short payload", errCorrupt)
 	}
 	pos := 0
 	loLen := int(binary.LittleEndian.Uint16(data[pos : pos+2]))
 	pos += 2
 	if len(data) < pos+loLen+2 {
-		return nil, fmt.Errorf("%w: truncated lo fence", ErrCorrupt)
+		return nil, fmt.Errorf("%w: truncated lo fence", errCorrupt)
 	}
 	if loLen > 0 {
 		n.lo = append([]byte(nil), data[pos:pos+loLen]...)
@@ -95,7 +95,7 @@ func decodeNode(data []byte) (*node, error) {
 	hiLen := int(binary.LittleEndian.Uint16(data[pos : pos+2]))
 	pos += 2
 	if len(data) < pos+hiLen+2 {
-		return nil, fmt.Errorf("%w: truncated hi fence", ErrCorrupt)
+		return nil, fmt.Errorf("%w: truncated hi fence", errCorrupt)
 	}
 	if hiLen > 0 {
 		n.hi = append([]byte(nil), data[pos:pos+hiLen]...)
@@ -106,19 +106,19 @@ func decodeNode(data []byte) (*node, error) {
 	n.cells = make([]cell, 0, count)
 	for i := 0; i < count; i++ {
 		if len(data) < pos+2 {
-			return nil, fmt.Errorf("%w: truncated cell %d", ErrCorrupt, i)
+			return nil, fmt.Errorf("%w: truncated cell %d", errCorrupt, i)
 		}
 		klen := int(binary.LittleEndian.Uint16(data[pos : pos+2]))
 		pos += 2
 		if len(data) < pos+klen+4 {
-			return nil, fmt.Errorf("%w: truncated cell key %d", ErrCorrupt, i)
+			return nil, fmt.Errorf("%w: truncated cell key %d", errCorrupt, i)
 		}
 		key := append([]byte(nil), data[pos:pos+klen]...)
 		pos += klen
 		vlen := int(binary.LittleEndian.Uint32(data[pos : pos+4]))
 		pos += 4
 		if len(data) < pos+vlen {
-			return nil, fmt.Errorf("%w: truncated cell value %d", ErrCorrupt, i)
+			return nil, fmt.Errorf("%w: truncated cell value %d", errCorrupt, i)
 		}
 		var val []byte
 		if vlen > 0 {
@@ -128,7 +128,7 @@ func decodeNode(data []byte) (*node, error) {
 		n.cells = append(n.cells, cell{key: key, value: val})
 	}
 	if pos != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-pos)
+		return nil, fmt.Errorf("%w: %d trailing bytes", errCorrupt, len(data)-pos)
 	}
 	return n, nil
 }
@@ -164,7 +164,7 @@ func encodeChild(id page.ID) []byte {
 
 func decodeChild(v []byte) (page.ID, error) {
 	if len(v) != 8 {
-		return page.InvalidID, fmt.Errorf("%w: child pointer of %d bytes", ErrCorrupt, len(v))
+		return page.InvalidID, fmt.Errorf("%w: child pointer of %d bytes", errCorrupt, len(v))
 	}
 	return page.ID(binary.LittleEndian.Uint64(v)), nil
 }

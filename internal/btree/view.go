@@ -24,7 +24,7 @@ var errOverflow = errors.New("btree: node exceeds page capacity")
 // same edit in place.
 //
 // Cells are bounds-checked as they are walked: a truncated or corrupt
-// payload yields ErrCorrupt, never a panic.
+// payload yields errCorrupt, never a panic.
 type view struct {
 	data   []byte // the whole payload
 	lo, hi []byte // fence keys: node covers [lo, hi); empty hi = +infinity
@@ -32,9 +32,9 @@ type view struct {
 	first  int    // offset of the first cell; the u16 count sits just before it
 }
 
-// corrupt builds the ErrCorrupt for a payload defect. Outlined so the walks
+// corrupt builds the errCorrupt for a payload defect. Outlined so the walks
 // below stay allocation-free on their hot (error-free) paths.
-func corrupt(what string) error { return fmt.Errorf("%w: %s", ErrCorrupt, what) }
+func corrupt(what string) error { return fmt.Errorf("%w: %s", errCorrupt, what) }
 
 // parseView reads the header and fences of a node payload.
 //

@@ -28,7 +28,7 @@ func (n *node) childFor(key []byte) (page.ID, error) {
 		return bytes.Compare(n.cells[i].key, key) > 0
 	})
 	if i == 0 {
-		return page.InvalidID, ErrCorrupt
+		return page.InvalidID, errCorrupt
 	}
 	return decodeChild(n.cells[i-1].value)
 }
@@ -110,7 +110,7 @@ func checkViewAgainstOracle(t *testing.T, data []byte, internal bool, probes [][
 			if (gerr != nil) != (werr != nil) || got != wantID {
 				t.Fatalf("childFor(%q) = %d %v, oracle %d %v", key, got, gerr, wantID, werr)
 			}
-			if gerr != nil && !errors.Is(gerr, ErrCorrupt) {
+			if gerr != nil && !errors.Is(gerr, errCorrupt) {
 				t.Fatalf("childFor(%q) error %v is not ErrCorrupt", key, gerr)
 			}
 		}
@@ -145,16 +145,16 @@ func mustEncode(t *testing.T, n *node) []byte {
 }
 
 // exerciseCorrupt runs every view operation over a payload that may be
-// arbitrarily damaged: nothing may panic, every error must be ErrCorrupt
+// arbitrarily damaged: nothing may panic, every error must be errCorrupt
 // (or overflow from put), and a full walk must fail whenever the oracle
 // does.
 func exerciseCorrupt(t *testing.T, data []byte, probes [][]byte) {
 	t.Helper()
-	isCorrupt := func(err error) bool { return err == nil || errors.Is(err, ErrCorrupt) }
+	isCorrupt := func(err error) bool { return err == nil || errors.Is(err, errCorrupt) }
 	_, oracleErr := decodeNode(data)
 	v, err := parseView(data)
 	if err != nil {
-		if !errors.Is(err, ErrCorrupt) || oracleErr == nil {
+		if !errors.Is(err, errCorrupt) || oracleErr == nil {
 			t.Fatalf("parseView: %v (oracle: %v)", err, oracleErr)
 		}
 		return
@@ -232,7 +232,7 @@ func TestViewCorruptPayloads(t *testing.T) {
 
 // FuzzNodeView feeds arbitrary payloads to the view. Valid ones must agree
 // with the decoded-node oracle on every operation; invalid ones must yield
-// ErrCorrupt, never a panic or an out-of-range slice.
+// errCorrupt, never a panic or an out-of-range slice.
 func FuzzNodeView(f *testing.F) {
 	r := rand.New(rand.NewSource(18))
 	for i := 0; i < 8; i++ {

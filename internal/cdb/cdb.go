@@ -29,11 +29,11 @@ import (
 
 // Table names: two fixed-size reference tables and four SF-scaled tables.
 const (
-	TableFixedSmall   = "cdb_fixed_small"   // 100 rows, reference data
+	tableFixedSmall   = "cdb_fixed_small"   // 100 rows, reference data
 	TableFixedLarge   = "cdb_fixed_large"   // 1000 rows, reference data
-	TableScaledLean   = "cdb_scaled_lean"   // SF rows, narrow
-	TableScaledUpdate = "cdb_scaled_update" // SF rows, update targets
-	TableScaledFat    = "cdb_scaled_fat"    // SF/4 rows, wide payloads
+	TableScaledLean   = "cdb_scaled_lean"   // sf rows, narrow
+	TableScaledUpdate = "cdb_scaled_update" // sf rows, update targets
+	TableScaledFat    = "cdb_scaled_fat"    // sf/4 rows, wide payloads
 	TableScaledInsert = "cdb_scaled_insert" // append-only inserts
 )
 
@@ -70,8 +70,8 @@ func (t TxnType) String() string {
 	}
 }
 
-// IsWrite reports whether the class commits changes.
-func (t TxnType) IsWrite() bool {
+// isWrite reports whether the class commits changes.
+func (t TxnType) isWrite() bool {
 	switch t {
 	case UpdateLite, UpdateHeavy, BulkInsert:
 		return true
@@ -79,9 +79,9 @@ func (t TxnType) IsWrite() bool {
 	return false
 }
 
-// cpuCost is the simulated query-processing CPU per transaction class,
+// CPUCost is the simulated query-processing CPU per transaction class,
 // charged to the node's meter (drives the paper's CPU% columns).
-func (t TxnType) cpuCost() time.Duration {
+func (t TxnType) CPUCost() time.Duration {
 	switch t {
 	case PointLookup:
 		return 350 * time.Microsecond
@@ -152,8 +152,8 @@ func (m Mix) pick(r *rand.Rand) TxnType {
 
 // Workload is one CDB database instance's generator state.
 type Workload struct {
-	SF       int // rows in each scaled table
-	RowBytes int // payload bytes per row (lean rows)
+	sf       int // rows in each scaled table
+	rowBytes int // payload bytes per row (lean rows)
 	zipfS    float64
 }
 
@@ -161,7 +161,7 @@ type Workload struct {
 // 96 (narrow OLTP rows); zipf skew defaults to 1.07, calibrated so the
 // default mix reproduces Table 3's cache-hit shape.
 func New(sf int) *Workload {
-	return &Workload{SF: sf, RowBytes: 96, zipfS: 1.03}
+	return &Workload{sf: sf, rowBytes: 96, zipfS: 1.03}
 }
 
 func key(i int) []byte {
@@ -184,11 +184,11 @@ func (w *Workload) Setup(e *engine.Engine) error {
 		rows int
 		size int
 	}{
-		{TableFixedSmall, 100, 64},
+		{tableFixedSmall, 100, 64},
 		{TableFixedLarge, 1000, 64},
-		{TableScaledLean, w.SF, w.RowBytes},
-		{TableScaledUpdate, w.SF, w.RowBytes},
-		{TableScaledFat, w.SF, 512},
+		{TableScaledLean, w.sf, w.rowBytes},
+		{TableScaledUpdate, w.sf, w.rowBytes},
+		{TableScaledFat, w.sf, 512},
 	}
 	for _, tbl := range tables {
 		if err := e.CreateTable(tbl.name); err != nil {
@@ -217,8 +217,8 @@ func (w *Workload) Setup(e *engine.Engine) error {
 	return nil
 }
 
-// Client is one workload driver thread (its own RNG and zipf stream).
-type Client struct {
+// client is one workload driver thread (its own RNG and zipf stream).
+type client struct {
 	w        *Workload
 	rng      *rand.Rand
 	zipf     *rand.Zipf
@@ -227,13 +227,13 @@ type Client struct {
 }
 
 // NewClient creates client number id with a deterministic RNG.
-func (w *Workload) NewClient(id int) *Client {
+func (w *Workload) NewClient(id int) *client {
 	r := rand.New(rand.NewSource(int64(id)*7919 + 13))
-	max := uint64(w.SF - 1)
-	if w.SF <= 1 {
+	max := uint64(w.sf - 1)
+	if w.sf <= 1 {
 		max = 1
 	}
-	return &Client{
+	return &client{
 		w:        w,
 		rng:      r,
 		zipf:     rand.NewZipf(r, w.zipfS, 8, max),
@@ -242,13 +242,13 @@ func (w *Workload) NewClient(id int) *Client {
 }
 
 // hotRow draws a zipf-skewed row index.
-func (c *Client) hotRow() int { return int(c.zipf.Uint64()) }
+func (c *client) hotRow() int { return int(c.zipf.Uint64()) }
 
 // readTarget picks the table and row a read touches. The default mix
 // "randomly touches pages scattered across the entire database" (§7.3):
 // reads spread over all four scaled/fixed tables, zipf-skewed within each,
 // which is what yields a useful-but-not-perfect cache hit rate.
-func (c *Client) readTarget() (string, int) {
+func (c *client) readTarget() (string, int) {
 	row := c.hotRow()
 	switch c.rng.Intn(10) {
 	case 0, 1, 2, 3:
@@ -262,26 +262,20 @@ func (c *Client) readTarget() (string, int) {
 	}
 }
 
-// TxnStats describes one executed transaction.
-type TxnStats struct {
-	Type    TxnType
-	Latency time.Duration
-	Aborted bool
+// txnStats describes one executed transaction.
+type txnStats struct {
+	typ     TxnType
+	latency time.Duration
+	aborted bool
 }
 
-// Pick draws the next transaction class from the mix.
-func (c *Client) Pick(mix Mix) TxnType { return mix.pick(c.rng) }
-
-// CPUCost reports the simulated query-processing CPU of a class.
-func (t TxnType) CPUCost() time.Duration { return t.cpuCost() }
-
-// RunType executes one transaction of the given class against the engine,
+// runType executes one transaction of the given class against the engine,
 // charging the meter for query-processing CPU. Only a write conflict is
-// Aborted, as in any OLTP harness; any other error is a failure.
-func (c *Client) RunType(e *engine.Engine, t TxnType, meter *metrics.CPUMeter) (TxnStats, error) {
+// aborted, as in any OLTP harness; any other error is a failure.
+func (c *client) runType(e *engine.Engine, t TxnType, meter *metrics.CPUMeter) (txnStats, error) {
 	start := time.Now()
 	if meter != nil {
-		meter.Charge(t.cpuCost())
+		meter.Charge(t.CPUCost())
 	}
 	var err error
 	switch t {
@@ -298,10 +292,10 @@ func (c *Client) RunType(e *engine.Engine, t TxnType, meter *metrics.CPUMeter) (
 	case BulkInsert:
 		err = c.bulkInsert(e, 20)
 	}
-	return TxnStats{Type: t, Latency: time.Since(start), Aborted: errors.Is(err, txn.ErrWriteConflict)}, err
+	return txnStats{typ: t, latency: time.Since(start), aborted: errors.Is(err, txn.ErrWriteConflict)}, err
 }
 
-func (c *Client) pointLookup(e *engine.Engine) error {
+func (c *client) pointLookup(e *engine.Engine) error {
 	tx := e.BeginRO()
 	defer tx.Abort()
 	table, row := c.readTarget()
@@ -309,21 +303,21 @@ func (c *Client) pointLookup(e *engine.Engine) error {
 	return err
 }
 
-func (c *Client) rangeScan(e *engine.Engine, span int) error {
+func (c *client) rangeScan(e *engine.Engine, span int) error {
 	tx := e.BeginRO()
 	defer tx.Abort()
 	table, lo := c.readTarget()
 	return tx.Scan(table, key(lo), key(lo+span), func(k, v []byte) bool { return true })
 }
 
-func (c *Client) updateRows(e *engine.Engine, table string, n, size int) error {
+func (c *client) updateRows(e *engine.Engine, table string, n, size int) error {
 	tx := e.Begin()
 	for i := 0; i < n; i++ {
 		// Updates spread uniformly: CDB's write classes touch the whole
 		// table (zipf locality applies to the read classes). A zipf-hot
 		// write target would turn the benchmark into a lock-conflict
 		// storm under first-updater-wins.
-		row := c.rng.Intn(c.w.SF)
+		row := c.rng.Intn(c.w.sf)
 		if err := tx.Put(table, key(row), c.w.payload(c.rng, size)); err != nil {
 			tx.Abort()
 			return err
@@ -339,7 +333,7 @@ func (c *Client) updateRows(e *engine.Engine, table string, n, size int) error {
 // the simulated core count — the regime of the paper's Table 2, where both
 // systems run near 100% CPU and I/O waits shave throughput.
 type Runner struct {
-	C     *Client
+	C     *client
 	E     *engine.Engine
 	Mix   Mix
 	Meter *metrics.CPUMeter
@@ -348,26 +342,26 @@ type Runner struct {
 
 // Run implements workload.Runner.
 func (r Runner) Run() (workload.Outcome, error) {
-	t := r.C.Pick(r.Mix)
+	t := r.Mix.pick(r.C.rng)
 	if r.Gate != nil {
 		r.Gate <- struct{}{}
-		simdisk.SleepPrecise(t.cpuCost())
+		simdisk.SleepPrecise(t.CPUCost())
 		<-r.Gate
 	}
-	stats, err := r.C.RunType(r.E, t, r.Meter)
+	stats, err := r.C.runType(r.E, t, r.Meter)
 	kind := workload.Read
-	if stats.Type.IsWrite() {
+	if stats.typ.isWrite() {
 		kind = workload.Write
 	}
-	return workload.Outcome{Kind: kind, Latency: stats.Latency, Aborted: stats.Aborted}, err
+	return workload.Outcome{Kind: kind, Latency: stats.latency, Aborted: stats.aborted}, err
 }
 
-func (c *Client) bulkInsert(e *engine.Engine, n int) error {
+func (c *client) bulkInsert(e *engine.Engine, n int) error {
 	tx := e.Begin()
 	for i := 0; i < n; i++ {
 		id := c.clientID*1_000_000_000 + c.insertID
 		c.insertID++
-		if err := tx.Put(TableScaledInsert, key(id), c.w.payload(c.rng, c.w.RowBytes)); err != nil {
+		if err := tx.Put(TableScaledInsert, key(id), c.w.payload(c.rng, c.w.rowBytes)); err != nil {
 			tx.Abort()
 			return err
 		}

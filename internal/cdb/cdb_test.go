@@ -73,8 +73,8 @@ func TestMixDistribution(t *testing.T) {
 func TestReadWriteClassification(t *testing.T) {
 	writes := map[TxnType]bool{UpdateLite: true, UpdateHeavy: true, BulkInsert: true}
 	for ty := TxnType(0); ty < numTxnTypes; ty++ {
-		if ty.IsWrite() != writes[ty] {
-			t.Errorf("%v IsWrite = %v", ty, ty.IsWrite())
+		if ty.isWrite() != writes[ty] {
+			t.Errorf("%v IsWrite = %v", ty, ty.isWrite())
 		}
 	}
 }
@@ -89,11 +89,11 @@ func TestAllTxnTypesExecute(t *testing.T) {
 	meter := metrics.NewCPUMeter(1)
 	seen := map[TxnType]bool{}
 	for i := 0; i < 300 && len(seen) < int(numTxnTypes); i++ {
-		stats, err := c.RunType(e, c.Pick(DefaultMix), meter)
+		stats, err := c.runType(e, DefaultMix.pick(c.rng), meter)
 		if err != nil {
-			t.Fatalf("%v: %v", stats.Type, err)
+			t.Fatalf("%v: %v", stats.typ, err)
 		}
-		seen[stats.Type] = true
+		seen[stats.typ] = true
 	}
 	if len(seen) != int(numTxnTypes) {
 		t.Fatalf("only %d txn types executed: %v", len(seen), seen)
@@ -180,9 +180,9 @@ func TestDriveWriteConflictsCountAsAborts(t *testing.T) {
 // here, tables that were never created — is a failure, not an abort.
 func TestRunTypeFailureIsNotAnAbort(t *testing.T) {
 	c := New(1).NewClient(0)
-	stats, err := c.RunType(newEngine(t), UpdateLite, nil)
-	if err == nil || stats.Aborted {
-		t.Fatalf("update of a missing table: err %v, aborted %v; want an error, not an abort", err, stats.Aborted)
+	stats, err := c.runType(newEngine(t), UpdateLite, nil)
+	if err == nil || stats.aborted {
+		t.Fatalf("update of a missing table: err %v, aborted %v; want an error, not an abort", err, stats.aborted)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 // requireClean fails the test on any infrastructure error or oracle
 // violation, printing every violation so a failing seed is actionable.
-func requireClean(t *testing.T, res *Result, err error) {
+func requireClean(t *testing.T, res *result, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatalf("chaos run: %v", err)
@@ -42,28 +42,28 @@ func TestChaosQuick(t *testing.T) {
 // an executed run's fingerprint matches the precomputed one, and a
 // different seed diverges.
 func TestChaosScheduleDeterministic(t *testing.T) {
-	h1, err := ScheduleHash(42, "mixed", 300)
+	h1, err := scheduleHash(42, "mixed", 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := ScheduleHash(42, "mixed", 300)
+	h2, err := scheduleHash(42, "mixed", 300)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h1 != h2 {
 		t.Fatalf("same seed hashed differently: %016x vs %016x", h1, h2)
 	}
-	if h3, _ := ScheduleHash(43, "mixed", 300); h3 == h1 {
+	if h3, _ := scheduleHash(43, "mixed", 300); h3 == h1 {
 		t.Fatalf("seeds 42 and 43 produced the same schedule hash %016x", h1)
 	}
-	if h4, _ := ScheduleHash(42, "faults", 300); h4 == h1 {
+	if h4, _ := scheduleHash(42, "faults", 300); h4 == h1 {
 		t.Fatalf("scenarios mixed and faults produced the same schedule hash %016x", h1)
 	}
 
 	const steps = 40
 	res, err := Run(Config{Seed: 42, Steps: steps})
 	requireClean(t, res, err)
-	want, err := ScheduleHash(42, "mixed", steps)
+	want, err := scheduleHash(42, "mixed", steps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestChaosScheduleGolden(t *testing.T) {
 		t.Errorf("%d scenarios registered, %d pinned: pin the new one here", got, want)
 	}
 	for _, g := range golden {
-		h, err := ScheduleHash(g.seed, g.scenario, 300)
+		h, err := scheduleHash(g.seed, g.scenario, 300)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestChaosScheduleGolden(t *testing.T) {
 }
 
 // TestChaosMuxDisturb is the tier-1 smoke for the RPC fabric: the "mux"
-// scenario (the only one weighting StepMuxDisturb) severs the calls in
+// scenario (the only one weighting stepMuxDisturb) severs the calls in
 // flight over and over; the client layer must retry them, and the oracle
 // must stay clean.
 func TestChaosMuxDisturb(t *testing.T) {
@@ -140,7 +140,7 @@ func TestChaosMuxDisturb(t *testing.T) {
 
 // TestChaosCommitQuorum is the tier-1 smoke for adaptive group commit
 // under flexible quorums: the "commit" scenario (the only one weighting
-// StepLZDark) darkens single LZ replicas mid commit-burst over and over.
+// stepLZDark) darkens single LZ replicas mid commit-burst over and over.
 // Commits must keep acking on the surviving 2-of-3 quorum, every acked
 // byte must sit on at least quorum replicas at harden time, and each
 // straggler must reconcile to zero missed bytes — all judged by the

@@ -7,10 +7,10 @@ import (
 	"socrates/internal/page"
 )
 
-// Violation is one invariant breach found by the oracle. Any violation is
+// violation is one invariant breach found by the oracle. Any violation is
 // a bug: either in the system under test or in the oracle itself — both
 // demand investigation, neither is noise.
-type Violation struct {
+type violation struct {
 	// Step is the schedule index at which the breach was observed.
 	Step int `json:"step"`
 	// Kind classifies the invariant: "durability", "monotonicity",
@@ -21,7 +21,7 @@ type Violation struct {
 	Detail string `json:"detail"`
 }
 
-func (v Violation) String() string {
+func (v violation) String() string {
 	return fmt.Sprintf("step %d [%s] %s", v.Step, v.Kind, v.Detail)
 }
 
@@ -45,7 +45,7 @@ type history struct {
 	lastAcked int            // index of the newest acked entry, -1 = none
 }
 
-// Oracle is the harness's judge: it records every write the workload
+// oracle is the harness's judge: it records every write the workload
 // makes and every value any tier ever shows back, and checks three
 // invariant families — durability (no acked write is ever lost),
 // watermark monotonicity and ladder ordering, and snapshot consistency
@@ -54,7 +54,7 @@ type history struct {
 // The oracle is not safe for concurrent use; the runner serializes all
 // calls (background tier activity is still concurrent — the oracle only
 // observes through reads, which are linearization points it controls).
-type Oracle struct {
+type oracle struct {
 	keys map[string]*history
 	// secView tracks, per secondary and key, the newest history index the
 	// secondary has shown — secondary visibility must never move backwards.
@@ -70,14 +70,14 @@ type Oracle struct {
 	// primary crash, while the LZ itself cannot.
 	lzHardened func() page.LSN
 
-	step       int
-	violations []Violation
+	step       int // the schedule index of the evidence coming in
+	violations []violation
 }
 
-// NewOracle builds an oracle over the deployment's watermark set and the
+// newOracle builds an oracle over the deployment's watermark set and the
 // landing zone's hardened-end reader.
-func NewOracle(wms *obs.WatermarkSet, lzHardened func() page.LSN) *Oracle {
-	return &Oracle{
+func newOracle(wms *obs.WatermarkSet, lzHardened func() page.LSN) *oracle {
+	return &oracle{
 		keys:       make(map[string]*history),
 		secView:    make(map[string]map[string]int),
 		prevWM:     make(map[string]uint64),
@@ -86,27 +86,20 @@ func NewOracle(wms *obs.WatermarkSet, lzHardened func() page.LSN) *Oracle {
 	}
 }
 
-// SetStep tells the oracle which schedule index subsequent evidence
-// belongs to.
-func (o *Oracle) SetStep(i int) { o.step = i }
-
-// Violations returns every breach found so far.
-func (o *Oracle) Violations() []Violation { return o.violations }
-
-func (o *Oracle) flag(kind, format string, args ...any) {
-	o.violations = append(o.violations, Violation{
+func (o *oracle) flag(kind, format string, args ...any) {
+	o.violations = append(o.violations, violation{
 		Step: o.step, Kind: kind, Detail: fmt.Sprintf(format, args...),
 	})
 }
 
-// Report files a violation found by the runner itself (catch-up stalls,
+// report files a violation found by the runner itself (catch-up stalls,
 // restore infrastructure failures) so it lands in the same evidence
 // stream as the oracle's own findings.
-func (o *Oracle) Report(kind, detail string) {
-	o.violations = append(o.violations, Violation{Step: o.step, Kind: kind, Detail: detail})
+func (o *oracle) report(kind, detail string) {
+	o.violations = append(o.violations, violation{Step: o.step, Kind: kind, Detail: detail})
 }
 
-func (o *Oracle) hist(key string) *history {
+func (o *oracle) hist(key string) *history {
 	h, ok := o.keys[key]
 	if !ok {
 		h = &history{byValue: make(map[string]int), lastAcked: -1}
@@ -115,10 +108,10 @@ func (o *Oracle) hist(key string) *history {
 	return h
 }
 
-// RecordWrite logs the outcome of one commit attempt for key. ts is the
+// recordWrite logs the outcome of one commit attempt for key. ts is the
 // commit timestamp (the primary's visible timestamp right after the ack);
 // 0 for writes that never committed.
-func (o *Oracle) RecordWrite(key, value string, seq int, lsn page.LSN, ts uint64, acked bool) {
+func (o *oracle) recordWrite(key, value string, seq int, lsn page.LSN, ts uint64, acked bool) {
 	h := o.hist(key)
 	h.entries = append(h.entries, entry{
 		seq: seq, value: value, lsn: lsn, ts: ts, acked: acked, appended: lsn != 0,
@@ -129,15 +122,11 @@ func (o *Oracle) RecordWrite(key, value string, seq int, lsn page.LSN, ts uint64
 	}
 }
 
-// DropSecondary forgets the per-secondary visibility floor (the name may
-// be reused by a future secondary, which starts fresh).
-func (o *Oracle) DropSecondary(name string) { delete(o.secView, name) }
-
-// ObservePrimary judges one read on the primary: the value must be a
+// observePrimary judges one read on the primary: the value must be a
 // write the workload actually made, at least as new as the newest acked
 // write, and must have reached the log (a value that failed before its
 // commit record was appended can never legitimately surface).
-func (o *Oracle) ObservePrimary(key, value string, found bool) {
+func (o *oracle) observePrimary(key, value string, found bool) {
 	h, ok := o.keys[key]
 	if !ok || len(h.entries) == 0 {
 		if found {
@@ -170,7 +159,7 @@ func (o *Oracle) ObservePrimary(key, value string, found bool) {
 	}
 }
 
-// ObserveSecondary judges one read on a secondary. visBefore is the
+// observeSecondary judges one read on a secondary. visBefore is the
 // secondary's published visible commit timestamp sampled before the read;
 // appliedAfter is its applied LSN sampled after. The secondary must show
 // every committed write whose timestamp is at or below visBefore
@@ -179,7 +168,7 @@ func (o *Oracle) ObservePrimary(key, value string, found bool) {
 // log it has not applied), and must never show an older value than it
 // previously showed for the key (per-key visibility is monotone on one
 // node).
-func (o *Oracle) ObserveSecondary(sec, key, value string, found bool, visBefore uint64, appliedAfter page.LSN) {
+func (o *oracle) observeSecondary(sec, key, value string, found bool, visBefore uint64, appliedAfter page.LSN) {
 	h, ok := o.keys[key]
 	if !ok || len(h.entries) == 0 {
 		if found {
@@ -239,11 +228,11 @@ func (o *Oracle) ObserveSecondary(sec, key, value string, found bool, visBefore 
 	}
 }
 
-// ObservePair judges one paired read (both halves read in a single
+// observePair judges one paired read (both halves read in a single
 // snapshot transaction): if both halves are present their sequence
 // numbers must match — the two are written only together, in one
 // transaction, so a mismatch is a torn snapshot.
-func (o *Oracle) ObservePair(node string, aSeq, bSeq int, aFound, bFound bool) {
+func (o *oracle) observePair(node string, aSeq, bSeq int, aFound, bFound bool) {
 	if aFound != bFound {
 		o.flag("torn", "%s: pair half missing (a=%v b=%v) — halves are only ever written together",
 			node, aFound, bFound)
@@ -254,12 +243,12 @@ func (o *Oracle) ObservePair(node string, aSeq, bSeq int, aFound, bFound bool) {
 	}
 }
 
-// ObserveRestored judges one read on a point-in-time-restored engine.
+// observeRestored judges one read on a point-in-time-restored engine.
 // target is the restore's exclusive LSN bound (0 = end of log). The
 // image must contain, for each key, a value at least as new as the
 // newest acked write strictly below target, and nothing at or above
 // target.
-func (o *Oracle) ObserveRestored(key, value string, found bool, target page.LSN) {
+func (o *oracle) observeRestored(key, value string, found bool, target page.LSN) {
 	h, ok := o.keys[key]
 	if !ok || len(h.entries) == 0 {
 		if found {
@@ -304,7 +293,7 @@ func (o *Oracle) ObserveRestored(key, value string, found bool, target page.LSN)
 	}
 }
 
-// CheckLadder audits the watermark ladder: every watermark must be
+// checkLadder audits the watermark ladder: every watermark must be
 // monotone over time, and the rungs must stay ordered —
 //
 //	truncated ≤ destaged ≤ promoted ≤ LZ hardened end
@@ -317,7 +306,7 @@ func (o *Oracle) ObserveRestored(key, value string, found bool, target page.LSN)
 // torn read of two independently-advancing atomics never reports a false
 // violation (all rungs are monotone, so "still violated after re-read"
 // is proof).
-func (o *Oracle) CheckLadder() {
+func (o *oracle) checkLadder() {
 	for _, st := range o.wms.Snapshot() {
 		k := st.Name
 		if st.Replica != "" {

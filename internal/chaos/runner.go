@@ -36,8 +36,8 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Result is the outcome of one run.
-type Result struct {
+// result is the outcome of one run.
+type result struct {
 	Seed         int64       `json:"seed"`
 	Scenario     string      `json:"scenario"`
 	ScheduleHash string      `json:"schedule_hash"`
@@ -50,8 +50,8 @@ type Result struct {
 	Failed       int         `json:"commits_failed"`
 	ReadErrors   int         `json:"read_errors"`
 	Failovers    int         `json:"failovers"`
-	Torn         int         `json:"calls_torn"` // in-flight RPCs torn by StepMuxDisturb
-	Violations   []Violation `json:"violations"`
+	Torn         int         `json:"calls_torn"` // in-flight RPCs torn by stepMuxDisturb
+	Violations   []violation `json:"violations"`
 	ElapsedMS    int64       `json:"elapsed_ms"`
 	// Flight is the tail of the cluster's flight-recorder ring, attached
 	// only when the run found violations — the incident context that
@@ -60,7 +60,7 @@ type Result struct {
 }
 
 // Ok reports whether the run finished with zero violations.
-func (r *Result) Ok() bool { return len(r.Violations) == 0 }
+func (r *result) Ok() bool { return len(r.Violations) == 0 }
 
 const (
 	workTable    = "chaos"
@@ -75,10 +75,10 @@ func pairBName(i int) string { return fmt.Sprintf("pb%02d", i) }
 type runner struct {
 	cfg    Config
 	c      *cluster.Cluster
-	oracle *Oracle
+	oracle *oracle
 	gen    *generator
 	hash   *scheduleHasher
-	res    *Result
+	res    *result
 
 	seq       int      // global write sequence (value payloads embed it)
 	lastAcked page.LSN // highest acked commit LSN
@@ -87,8 +87,8 @@ type runner struct {
 // Run executes one chaos run and reports what the oracle saw. The error
 // return is for harness-infrastructure failures (cluster would not boot,
 // topology drifted from the shadow model); invariant breaches are NOT
-// errors — they land in Result.Violations.
-func Run(cfg Config) (*Result, error) {
+// errors — they land in result.Violations.
+func Run(cfg Config) (*result, error) {
 	r, err := newRunner(cfg)
 	if err != nil {
 		return nil, err
@@ -135,10 +135,10 @@ func newRunner(cfg Config) (*runner, error) {
 	r := &runner{
 		cfg:    cfg,
 		c:      c,
-		oracle: NewOracle(c.Watermarks, c.LZ.HardenedEnd),
+		oracle: newOracle(c.Watermarks, c.LZ.HardenedEnd),
 		gen:    newGenerator(cfg.Seed, spec),
 		hash:   newScheduleHasher(),
-		res:    &Result{Seed: cfg.Seed, Scenario: spec.Name},
+		res:    &result{Seed: cfg.Seed, Scenario: spec.name},
 	}
 	if err := c.Primary().Engine.CreateTable(workTable); err != nil {
 		c.Close()
@@ -148,7 +148,7 @@ func newRunner(cfg Config) (*runner, error) {
 }
 
 // run executes the schedule and the final audit.
-func (r *runner) run() (*Result, error) {
+func (r *runner) run() (*result, error) {
 	cfg := r.cfg
 	start := time.Now()
 	deadline := time.Time{}
@@ -159,31 +159,31 @@ func (r *runner) run() (*Result, error) {
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
 			break
 		}
-		st := r.gen.Next()
+		st := r.gen.next()
 		r.hash.fold(st)
-		r.oracle.SetStep(i)
-		cfg.Logf("step %4d %-16s key=%d aux=%d name=%s", i, st.Kind, st.Key, st.Aux, st.Name)
+		r.oracle.step = i
+		cfg.Logf("step %4d %-16s key=%d aux=%d name=%s", i, st.kind, st.key, st.aux, st.name)
 		if err := r.execute(st); err != nil {
-			return nil, fmt.Errorf("chaos: step %d (%s): %w", i, st.Kind, err)
+			return nil, fmt.Errorf("chaos: step %d (%s): %w", i, st.kind, err)
 		}
-		r.oracle.CheckLadder()
+		r.oracle.checkLadder()
 		r.res.Steps++
 	}
 
 	// Final audit: heal every fault, let the whole deployment catch up,
 	// verify every key on every tier, then restore to end-of-log and
 	// verify the restored image too.
-	r.oracle.SetStep(r.res.Steps)
+	r.oracle.step = r.res.Steps
 	if err := r.catchUpProbe(); err != nil {
 		return nil, err
 	}
 	if err := r.backupAndVerify("final"); err != nil {
 		return nil, err
 	}
-	r.oracle.CheckLadder()
+	r.oracle.checkLadder()
 
 	r.res.ScheduleHash = fmt.Sprintf("%016x", r.hash.h)
-	r.res.Violations = r.oracle.Violations()
+	r.res.Violations = r.oracle.violations
 	r.res.ElapsedMS = time.Since(start).Milliseconds()
 	if len(r.res.Violations) > 0 {
 		// Attach the flight-recorder tail: the last thing every tier did
@@ -198,82 +198,83 @@ func (r *runner) run() (*Result, error) {
 	return r.res, nil
 }
 
-func (r *runner) execute(st Step) error {
-	switch st.Kind {
-	case StepPut:
-		r.put(keyName(st.Key))
+func (r *runner) execute(st step) error {
+	switch st.kind {
+	case stepPut:
+		r.put(keyName(st.key))
 		return nil
-	case StepPair:
-		r.putPair(st.Aux)
+	case stepPair:
+		r.putPair(st.aux)
 		return nil
-	case StepReadPrimary:
-		r.readPrimary(keyName(st.Key))
+	case stepReadPrimary:
+		r.readPrimary(keyName(st.key))
 		return nil
-	case StepReadSecondary:
-		return r.readSecondary(st.Name, st.Key, st.Aux)
-	case StepLZOutage:
+	case stepReadSecondary:
+		return r.readSecondary(st.name, st.key, st.aux)
+	case stepLZOutage:
 		reps := r.c.LZReplicas()
-		if st.Key >= len(reps) {
-			return fmt.Errorf("LZ replica %d out of range", st.Key)
+		if st.key >= len(reps) {
+			return fmt.Errorf("LZ replica %d out of range", st.key)
 		}
-		reps[st.Key].SetOutage(st.Aux == 1)
+		reps[st.key].SetOutage(st.aux == 1)
 		r.res.Faults++
 		return nil
-	case StepQuorumLoss:
-		return r.quorumLoss(st.Key)
-	case StepFeedLoss:
-		if st.Aux == 1 {
+	case stepQuorumLoss:
+		return r.quorumLoss(st.key)
+	case stepFeedLoss:
+		if st.aux == 1 {
 			r.c.Net.SetLoss(0.35)
 		} else {
 			r.c.Net.SetLoss(0)
 		}
 		r.res.Faults++
 		return nil
-	case StepFailover:
+	case stepFailover:
 		r.res.Faults++
 		return r.failover()
-	case StepAddSecondary:
-		_, err := r.c.AddSecondary(st.Name)
+	case stepAddSecondary:
+		_, err := r.c.AddSecondary(st.name)
 		r.res.Faults++
 		return err
-	case StepRemoveSecondary:
-		r.oracle.DropSecondary(st.Name)
+	case stepRemoveSecondary:
+		// The name may come back as a new secondary, which starts fresh.
+		delete(r.oracle.secView, st.name)
 		r.res.Faults++
-		return r.c.RemoveSecondary(st.Name)
-	case StepPSChurn:
+		return r.c.RemoveSecondary(st.name)
+	case stepPSChurn:
 		r.res.Faults++
 		return r.psChurn()
-	case StepSplit:
+	case stepSplit:
 		r.res.Faults++
 		return r.c.SplitPageServer(0)
-	case StepXStoreOutage:
-		r.c.Store.SetOutage(st.Aux == 1)
+	case stepXStoreOutage:
+		r.c.Store.SetOutage(st.aux == 1)
 		r.res.Faults++
 		return nil
-	case StepBackup:
+	case stepBackup:
 		r.res.Probes++
-		if err := r.c.Backup(st.Name); err != nil {
-			r.oracle.Report("restore", fmt.Sprintf("backup %q failed: %v", st.Name, err))
+		if err := r.c.Backup(st.name); err != nil {
+			r.oracle.report("restore", fmt.Sprintf("backup %q failed: %v", st.name, err))
 		}
 		return nil
-	case StepRestoreProbe:
+	case stepRestoreProbe:
 		r.res.Probes++
-		r.restoreProbe(st.Name, st.Aux)
+		r.restoreProbe(st.name, st.aux)
 		return nil
-	case StepCatchUpProbe:
+	case stepCatchUpProbe:
 		r.res.Probes++
 		return r.catchUpProbe()
-	case StepMuxDisturb:
+	case stepMuxDisturb:
 		// Tear every RPC in flight on the fabric; torn calls retry at
 		// the client layer, and no acked write may be lost.
 		r.res.Torn += r.c.SeverMuxConns()
 		r.res.Faults++
 		return nil
-	case StepLZDark:
+	case stepLZDark:
 		r.res.Faults++
-		return r.lzDark(st.Key)
+		return r.lzDark(st.key)
 	}
-	return fmt.Errorf("unknown step kind %v", st.Kind)
+	return fmt.Errorf("unknown step kind %v", st.kind)
 }
 
 // put commits one write to key and records the outcome. Failed commits
@@ -332,7 +333,7 @@ func (r *runner) putPair(i int) {
 func (r *runner) recordAcked(tx *engine.Tx, key, val string) {
 	lsn := tx.CommitLSN()
 	ts := r.c.Primary().Engine.Clock().Visible()
-	r.oracle.RecordWrite(key, val, r.seq, lsn, ts, true)
+	r.oracle.recordWrite(key, val, r.seq, lsn, ts, true)
 	r.res.Acked++
 	if lsn.After(r.lastAcked) {
 		r.lastAcked = lsn
@@ -345,7 +346,7 @@ func (r *runner) recordAcked(tx *engine.Tx, key, val string) {
 // retries, so an unacked write in this harness is genuinely unreachable;
 // the oracle flags it if it ever appears anywhere.)
 func (r *runner) recordFailed(key, val string) {
-	r.oracle.RecordWrite(key, val, r.seq, 0, 0, false)
+	r.oracle.recordWrite(key, val, r.seq, 0, 0, false)
 	r.res.Failed++
 }
 
@@ -386,7 +387,7 @@ func (r *runner) readPrimary(key string) {
 		r.res.ReadErrors++
 		return
 	}
-	r.oracle.ObservePrimary(key, string(v), found)
+	r.oracle.observePrimary(key, string(v), found)
 }
 
 // readSecondary reads one workload key and one pair on the named
@@ -408,10 +409,10 @@ func (r *runner) readSecondary(name string, key, pair int) error {
 		r.res.ReadErrors++
 		return nil
 	}
-	r.oracle.ObserveSecondary(name, keyName(key), string(v), found, visBefore, appliedAfter)
-	r.oracle.ObserveSecondary(name, pairAName(pair), string(va), fa, visBefore, appliedAfter)
-	r.oracle.ObserveSecondary(name, pairBName(pair), string(vb), fb, visBefore, appliedAfter)
-	r.oracle.ObservePair(name, pairSeq(va), pairSeq(vb), fa, fb)
+	r.oracle.observeSecondary(name, keyName(key), string(v), found, visBefore, appliedAfter)
+	r.oracle.observeSecondary(name, pairAName(pair), string(va), fa, visBefore, appliedAfter)
+	r.oracle.observeSecondary(name, pairBName(pair), string(vb), fb, visBefore, appliedAfter)
+	r.oracle.observePair(name, pairSeq(va), pairSeq(vb), fa, fb)
 	return nil
 }
 
@@ -516,18 +517,18 @@ func (r *runner) lzDark(key int) error {
 	endOff := vol.Size()
 	if ackedDuring > 0 && endOff > startOff {
 		if got := vol.AckedCopies(startOff, endOff-startOff); got < vol.Quorum() {
-			r.oracle.Report("replication", fmt.Sprintf(
+			r.oracle.report("replication", fmt.Sprintf(
 				"lz-dark window [%d,%d): %d commits acked with %d replica copies, quorum is %d",
 				startOff, endOff, ackedDuring, got, vol.Quorum()))
 		}
 	}
 	reps[idx].SetOutage(false)
 	if _, err := vol.Reconcile(); err != nil {
-		r.oracle.Report("replication", fmt.Sprintf("lz-dark reconcile: %v", err))
+		r.oracle.report("replication", fmt.Sprintf("lz-dark reconcile: %v", err))
 		return nil
 	}
 	if miss := vol.MissedBytes(idx); miss != 0 {
-		r.oracle.Report("replication", fmt.Sprintf(
+		r.oracle.report("replication", fmt.Sprintf(
 			"lz-dark: replica %d still missing %d bytes after reconcile", idx, miss))
 	}
 	return nil
@@ -583,7 +584,7 @@ func (r *runner) restoreProbe(backup string, aux int) {
 		return
 	}
 	if err != nil {
-		r.oracle.Report("restore", fmt.Sprintf("restore %q@%d failed: %v", backup, target, err))
+		r.oracle.report("restore", fmt.Sprintf("restore %q@%d failed: %v", backup, target, err))
 		return
 	}
 	r.auditRestored(eng, target)
@@ -593,22 +594,22 @@ func (r *runner) auditRestored(eng *engine.Engine, target page.LSN) {
 	for i := 0; i < numKeys; i++ {
 		v, found, err := eng.BeginRO().Get(workTable, []byte(keyName(i)))
 		if err != nil {
-			r.oracle.Report("restore", fmt.Sprintf("restored read %s: %v", keyName(i), err))
+			r.oracle.report("restore", fmt.Sprintf("restored read %s: %v", keyName(i), err))
 			continue
 		}
-		r.oracle.ObserveRestored(keyName(i), string(v), found, target)
+		r.oracle.observeRestored(keyName(i), string(v), found, target)
 	}
 	for i := 0; i < numPairs; i++ {
 		tx := eng.BeginRO()
 		va, fa, errA := tx.Get(workTable, []byte(pairAName(i)))
 		vb, fb, errB := tx.Get(workTable, []byte(pairBName(i)))
 		if errA != nil || errB != nil {
-			r.oracle.Report("restore", fmt.Sprintf("restored pair read %d: %v/%v", i, errA, errB))
+			r.oracle.report("restore", fmt.Sprintf("restored pair read %d: %v/%v", i, errA, errB))
 			continue
 		}
-		r.oracle.ObserveRestored(pairAName(i), string(va), fa, target)
-		r.oracle.ObserveRestored(pairBName(i), string(vb), fb, target)
-		r.oracle.ObservePair("restore", pairSeq(va), pairSeq(vb), fa, fb)
+		r.oracle.observeRestored(pairAName(i), string(va), fa, target)
+		r.oracle.observeRestored(pairBName(i), string(vb), fb, target)
+		r.oracle.observePair("restore", pairSeq(va), pairSeq(vb), fa, fb)
 	}
 }
 
@@ -626,7 +627,7 @@ func (r *runner) catchUpProbe() error {
 	// end before consumers can.
 	r.c.XLOG.ReportHardened(context.Background(), r.c.LZ.HardenedEnd())
 	if err := r.c.WaitForCatchUp(20 * time.Second); err != nil {
-		r.oracle.Report("stall", fmt.Sprintf("catch-up after healing all faults: %v", err))
+		r.oracle.report("stall", fmt.Sprintf("catch-up after healing all faults: %v", err))
 		return nil
 	}
 	for i := 0; i < numKeys; i++ {
@@ -641,9 +642,9 @@ func (r *runner) catchUpProbe() error {
 			r.res.ReadErrors++
 			continue
 		}
-		r.oracle.ObservePrimary(pairAName(i), string(va), fa)
-		r.oracle.ObservePrimary(pairBName(i), string(vb), fb)
-		r.oracle.ObservePair("primary", pairSeq(va), pairSeq(vb), fa, fb)
+		r.oracle.observePrimary(pairAName(i), string(va), fa)
+		r.oracle.observePrimary(pairBName(i), string(vb), fb)
+		r.oracle.observePair("primary", pairSeq(va), pairSeq(vb), fa, fb)
 	}
 	for _, name := range r.c.Secondaries() {
 		for i := 0; i < numKeys; i++ {
@@ -659,7 +660,7 @@ func (r *runner) catchUpProbe() error {
 // from it — the final "is the whole log really replayable" probe.
 func (r *runner) backupAndVerify(name string) error {
 	if err := r.c.Backup(name); err != nil {
-		r.oracle.Report("restore", fmt.Sprintf("final backup: %v", err))
+		r.oracle.report("restore", fmt.Sprintf("final backup: %v", err))
 		return nil
 	}
 	r.restoreProbe(name, 0)

@@ -35,7 +35,7 @@ func TestOracleCatchesPlantedBug(t *testing.T) {
 	}
 	defer r.c.Close()
 
-	r.oracle.SetStep(0)
+	r.oracle.step = 0
 	// The plant acks before the write, not instead of it: a planted commit's
 	// block still reaches the landing zone — XLOG destages it — with only
 	// the plant's own wait on the writer.
@@ -52,13 +52,13 @@ func TestOracleCatchesPlantedBug(t *testing.T) {
 	if r.res.Acked == ackedBefore {
 		t.Fatalf("planted bug did not bite: no commit was acked during the quorum-loss window")
 	}
-	r.oracle.SetStep(1)
+	r.oracle.step = 1
 	if err := r.catchUpProbe(); err != nil {
 		t.Fatalf("catch-up probe: %v", err)
 	}
 
 	durability := 0
-	for _, v := range r.oracle.Violations() {
+	for _, v := range r.oracle.violations {
 		t.Logf("oracle: %s", v)
 		if v.Kind == "durability" {
 			durability++
@@ -88,7 +88,7 @@ func TestOracleCatchesQuorumPlant(t *testing.T) {
 
 	reps := r.c.LZVolume().Replicas()
 	reps[1].SetOutage(true)
-	r.oracle.SetStep(0)
+	r.oracle.step = 0
 	if err := r.lzDark(0); err != nil {
 		t.Fatalf("lz-dark step: %v", err)
 	}
@@ -98,7 +98,7 @@ func TestOracleCatchesQuorumPlant(t *testing.T) {
 	}
 
 	caught := false
-	for _, v := range r.oracle.Violations() {
+	for _, v := range r.oracle.violations {
 		t.Logf("oracle: %s", v)
 		if v.Kind == "replication" && strings.Contains(v.Detail, "acked with") {
 			caught = true

@@ -64,9 +64,9 @@ type Config struct {
 	// LocalSSD is the device class for node-local caches (default
 	// simdisk.LocalSSD; tests use simdisk.Instant).
 	LocalSSD simdisk.Profile
-	// Watchdog tunes the lag/stall watchdog (zero values take the obs
+	// watchdog tunes the lag/stall watchdog (zero values take the obs
 	// defaults: 25ms ticks, 50k-LSN lag threshold, 8-tick stall window).
-	Watchdog obs.WatchdogConfig
+	watchdog obs.WatchdogConfig
 	// Seed, when nonzero, makes the entire deployment reproducible from
 	// one integer: every simdisk device (LZ replicas, node-local caches,
 	// the XStore media) gets an independent jitter stream derived from it
@@ -167,7 +167,7 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:         cfg,
 		Net:         cfg.Net,
-		Plane:       obs.NewPlane(cfg.Watchdog),
+		Plane:       obs.NewPlane(cfg.watchdog),
 		secondaries: make(map[string]*compute.Secondary),
 		serverAddrs: make(map[*pageserver.Server]string),
 		selectors:   make(map[string]*rbio.Selector),

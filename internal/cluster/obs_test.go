@@ -159,7 +159,7 @@ func TestWatchdogStallTripFreezesFlightDump(t *testing.T) {
 	cfg := fastConfig("wm-stall")
 	// No background ticks; lag trips disabled so the test isolates the
 	// stall rule.
-	cfg.Watchdog = obs.WatchdogConfig{
+	cfg.watchdog = obs.WatchdogConfig{
 		Interval:   time.Hour,
 		MaxLagLSN:  -1,
 		StallTicks: 3,
@@ -273,7 +273,8 @@ func TestCheckpointInstrumentsOnMetrics(t *testing.T) {
 	}
 	for _, family := range []string{
 		"socrates_pageserver_redo_distance_lsn_ps_1_p0 ",
-		"socrates_pageserver_ckpt_sweep_pages_seconds_count ",
+		"socrates_pageserver_ckpt_sweeps ",
+		"socrates_pageserver_ckpt_pages ",
 		"socrates_xstore_footprint_bytes ",
 		"socrates_xstore_garbage_bytes ",
 		"socrates_xstore_reclaimed_bytes ",
@@ -284,8 +285,8 @@ func TestCheckpointInstrumentsOnMetrics(t *testing.T) {
 		}
 	}
 	snap := c.Metrics.Snapshot()
-	if h := snap.Histograms["pageserver.ckpt.sweep_pages"]; h.Count == 0 || h.Max < time.Microsecond {
-		t.Errorf("pageserver.ckpt.sweep_pages after a drain: %+v", h)
+	if sweeps, pages := snap.Counters["pageserver.ckpt.sweeps"], snap.Counters["pageserver.ckpt.pages"]; sweeps == 0 || pages == 0 {
+		t.Errorf("after a drain: pageserver.ckpt.sweeps = %d, pageserver.ckpt.pages = %d", sweeps, pages)
 	}
 	if live, foot := c.Store.LiveBytes(), snap.Gauges["xstore.footprint_bytes"]; foot < live || live == 0 {
 		t.Errorf("xstore.footprint_bytes = %d with %d live bytes", foot, live)
@@ -318,7 +319,7 @@ func TestQuorumDegradedTripFreezesCommitWaits(t *testing.T) {
 	// Tight ticks. The lag threshold sits above one 25-row transaction in
 	// flight (~55 LSNs) and below three. The trip window (StallTicks ticks)
 	// reaches back over the serial commits of phase 1.
-	cfg.Watchdog = obs.WatchdogConfig{
+	cfg.watchdog = obs.WatchdogConfig{
 		Interval:   2 * time.Millisecond,
 		MaxLagLSN:  120,
 		StallTicks: int(4 * lzHold / (2 * time.Millisecond)),

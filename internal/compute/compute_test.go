@@ -163,12 +163,12 @@ func (s *pageServerStub) handler() rbio.Handler {
 	}
 }
 
-func newRemoteFile(t *testing.T, stub *pageServerStub, floor page.LSN) *RemotePageFile {
+func newRemoteFile(t *testing.T, stub *pageServerStub, floor page.LSN) *remotePageFile {
 	t.Helper()
 	net := rbio.NewInstantNetwork()
 	net.Serve("ps", stub.handler())
 	sel := rbio.NewSelector(rbio.NewClient(net.Dial("ps")))
-	f, err := NewRemotePageFile(rbpex.Config{MemPages: 2},
+	f, err := newRemotePageFile(rbpex.Config{MemPages: 2},
 		func(page.ID) (*rbio.Selector, error) { return sel, nil },
 		func() page.LSN { return floor }, obs.Plane{})
 	if err != nil {
@@ -180,7 +180,7 @@ func newRemoteFile(t *testing.T, stub *pageServerStub, floor page.LSN) *RemotePa
 // applyAsSecondary does with rec what a secondary's apply thread does with a
 // pull of one record: the redo cursor under the node's recovery.Cached
 // policy, then the cursor's install.
-func applyAsSecondary(t *testing.T, f *RemotePageFile, rec *wal.Record) {
+func applyAsSecondary(t *testing.T, f *remotePageFile, rec *wal.Record) {
 	t.Helper()
 	redo := recovery.NewReplayer(&recovery.Cached{Pending: f, Cache: f.Cache()}, 0)
 	if err := redo.ApplyRecord(rec, 0); err != nil {
@@ -372,7 +372,7 @@ func TestSecondaryInstallKeepsEveryRecord(t *testing.T) {
 	}
 	r1, r2, r3, r4 := cellPut(11, "r1"), cellPut(12, "r2"), cellPut(13, "r3"), cellPut(14, "r4")
 	// start caches P at LSN 10 and stages it, on r1, in a new cursor.
-	start := func(t *testing.T) (*RemotePageFile, *recovery.Replayer) {
+	start := func(t *testing.T) (*remotePageFile, *recovery.Replayer) {
 		f := newRemoteFile(t, &pageServerStub{lsn: 10}, 1)
 		if err := f.Cache().Put(leaf(p, 10)); err != nil {
 			t.Fatal(err)
@@ -381,7 +381,7 @@ func TestSecondaryInstallKeepsEveryRecord(t *testing.T) {
 		apply(t, redo, r1)
 		return f, redo
 	}
-	holds := func(t *testing.T, f *RemotePageFile, recs ...*wal.Record) {
+	holds := func(t *testing.T, f *remotePageFile, recs ...*wal.Record) {
 		t.Helper()
 		got, ok := f.Cache().Get(p)
 		if !ok {

@@ -19,11 +19,11 @@ import (
 	"socrates/internal/wal"
 )
 
-// Resolver maps a page to the RBIO selector of the page-server replica set
+// resolver maps a page to the RBIO selector of the page-server replica set
 // owning its partition.
-type Resolver func(id page.ID) (*rbio.Selector, error)
+type resolver func(id page.ID) (*rbio.Selector, error)
 
-// RemotePageFile is the compute node's FCB: a sparse RBPEX cache in front
+// remotePageFile is the compute node's FCB: a sparse RBPEX cache in front
 // of the page servers. Reads miss into GetPage@LSN (§4.4); the cache's
 // eviction record supplies the per-page minimum LSN ("the Primary builds a
 // hash map which stores the highest LSN for every page evicted").
@@ -35,9 +35,9 @@ type Resolver func(id page.ID) (*rbio.Selector, error)
 //
 // Prefetch starts the same fetch in the background for pages a scan or a
 // commit is about to read, so that their round trips overlap (DESIGN §17).
-type RemotePageFile struct {
+type remotePageFile struct {
 	cache   *rbpex.Cache
-	resolve Resolver
+	resolve resolver
 	// floor supplies the minimum LSN for every page (an evicted page's
 	// evicted LSN may raise it): the recovery LSN on a primary, the applied
 	// watermark on a secondary.
@@ -69,16 +69,16 @@ type RemotePageFile struct {
 // which).
 type registration struct {
 	// lsn is the minimum LSN the owner asks for, recorded when it registered
-	// (under RemotePageFile.mu). Every redo record the apply thread handles
+	// (under remotePageFile.mu). Every redo record the apply thread handles
 	// from then on is queued here, so the owner's page with that redo applied
 	// is current for any reader whose minimum LSN is at or below lsn.
 	lsn page.LSN
 	// queued is the redo that arrived for the page meanwhile (under
-	// RemotePageFile.mu); the owner applies it before the page is cached.
+	// remotePageFile.mu); the owner applies it before the page is cached.
 	queued []*wal.Record
 	// readahead marks a registration made by Prefetch: nobody is blocked
 	// on its fetch unless a reader joins it — joined, under
-	// RemotePageFile.mu, says one has.
+	// remotePageFile.mu, says one has.
 	readahead, joined bool
 	// got is closed once the owner has its page, or has failed: pg is then
 	// that page — the image fetched, with the redo queued during the flight
@@ -113,7 +113,7 @@ func (r *registration) await(ctx context.Context) (*page.Page, error) {
 	}
 }
 
-// NewRemotePageFile builds the cache-fronted page file over an RBPEX cache
+// newRemotePageFile builds the cache-fronted page file over an RBPEX cache
 // (whose Waits it sets to the compute wait tier). Close releases it.
 //
 // o wires it into the observability plane. A remote GetPage@LSN miss under
@@ -128,8 +128,8 @@ func (r *registration) await(ctx context.Context) (*page.Page, error) {
 // the page's first read. The time a reader is blocked on a miss (its own
 // request, or the rest of the flight it joined) records under page.remote; a
 // read-ahead fetch blocks nobody and records nothing.
-func NewRemotePageFile(cfg rbpex.Config, resolve Resolver, floor func() page.LSN, o obs.Plane) (*RemotePageFile, error) {
-	f := &RemotePageFile{
+func newRemotePageFile(cfg rbpex.Config, resolve resolver, floor func() page.LSN, o obs.Plane) (*remotePageFile, error) {
+	f := &remotePageFile{
 		resolve: resolve,
 		floor:   floor,
 		pending: make(map[page.ID]*registration),
@@ -152,7 +152,7 @@ func NewRemotePageFile(cfg rbpex.Config, resolve Resolver, floor func() page.LSN
 // Close ends read-ahead: fetches in flight are cancelled and waited for, and
 // later hints are ignored. Reads and writes keep working — a node's page
 // file outlives the node's shutdown in the hands of its last transactions.
-func (f *RemotePageFile) Close() {
+func (f *remotePageFile) Close() {
 	f.mu.Lock()
 	f.closed = true
 	f.mu.Unlock()
@@ -161,17 +161,17 @@ func (f *RemotePageFile) Close() {
 }
 
 // Cache exposes the underlying RBPEX (hit-rate experiments).
-func (f *RemotePageFile) Cache() *rbpex.Cache { return f.cache }
+func (f *remotePageFile) Cache() *rbpex.Cache { return f.cache }
 
 // Fetches reports remote GetPage calls issued: one per page requested from a
 // page server, however many readers and hints shared the request.
-func (f *RemotePageFile) Fetches() int64 { return f.fetches.Load() }
+func (f *remotePageFile) Fetches() int64 { return f.fetches.Load() }
 
 // minLSN computes the GetPage@LSN argument for a page: its evicted LSN or
 // the node's floor, whichever is higher. On a secondary the records for a
 // page it does not hold go by ignored after the page leaves the cache, so
 // its evicted LSN alone may miss them.
-func (f *RemotePageFile) minLSN(id page.ID) page.LSN {
+func (f *remotePageFile) minLSN(id page.ID) page.LSN {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.minLSNLocked(id)
@@ -179,18 +179,18 @@ func (f *RemotePageFile) minLSN(id page.ID) page.LSN {
 
 // minLSNLocked is minLSN with f.mu held. f.mu is taken before the cache's
 // lock, never after it.
-func (f *RemotePageFile) minLSNLocked(id page.ID) page.LSN {
+func (f *remotePageFile) minLSNLocked(id page.ID) page.LSN {
 	return page.MaxLSN(f.cache.EvictedLSN(id), f.floor())
 }
 
 // Read returns the page from cache, or fetches it via GetPage@LSN. Either
 // way the page is the cache's own: shared and immutable (DESIGN §16).
-func (f *RemotePageFile) Read(id page.ID) (*page.Page, error) {
+func (f *remotePageFile) Read(id page.ID) (*page.Page, error) {
 	return f.ReadContext(context.Background(), id)
 }
 
 // ReadContext is Read bounded by (and traced through) ctx.
-func (f *RemotePageFile) ReadContext(ctx context.Context, id page.ID) (*page.Page, error) {
+func (f *remotePageFile) ReadContext(ctx context.Context, id page.ID) (*page.Page, error) {
 	if pg, ok := f.cache.Get(id); ok {
 		return pg, nil
 	}
@@ -213,7 +213,7 @@ func (f *RemotePageFile) ReadContext(ctx context.Context, id page.ID) (*page.Pag
 // the registration: every record the apply thread handles before it is below
 // the floor, every one after it is queued. f.mu is therefore taken before a
 // secondary's watermark lock, never after it.
-func (f *RemotePageFile) register(id page.ID) (reg *registration, owner bool) {
+func (f *remotePageFile) register(id page.ID) (reg *registration, owner bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	minLSN := f.minLSNLocked(id)
@@ -238,7 +238,7 @@ func (f *RemotePageFile) register(id page.ID) (reg *registration, owner bool) {
 // reader — told by register to ask for itself, or whose owner failed or was
 // cancelled — asks the page server at its own minimum LSN and installs
 // nothing: the cache is the owner's to fill.
-func (f *RemotePageFile) fetch(ctx context.Context, id page.ID, reg *registration, owner bool) (*page.Page, error) {
+func (f *remotePageFile) fetch(ctx context.Context, id page.ID, reg *registration, owner bool) (*page.Page, error) {
 	if owner {
 		defer func() {
 			// install ended the registration if it got that far (by now a
@@ -325,7 +325,7 @@ func (f *RemotePageFile) fetch(ctx context.Context, id page.ID, reg *registratio
 
 // request asks the page server for the page at minLSN or newer: one request
 // on the wire, counted by Fetches.
-func (f *RemotePageFile) request(ctx context.Context, id page.ID, minLSN page.LSN) (*page.Page, error) {
+func (f *remotePageFile) request(ctx context.Context, id page.ID, minLSN page.LSN) (*page.Page, error) {
 	sel, err := f.resolve(id)
 	if err != nil {
 		return nil, err
@@ -351,7 +351,7 @@ func decodePage(resp *rbio.Response) (*page.Page, error) {
 // receive makes the owner's page out of the image its request got: the redo
 // queued so far applied, and published to the readers who joined the
 // registration — they go on from here, while the owner goes on to install.
-func (f *RemotePageFile) receive(reg *registration, pg *page.Page) (*page.Page, error) {
+func (f *remotePageFile) receive(reg *registration, pg *page.Page) (*page.Page, error) {
 	f.mu.Lock()
 	queued := reg.queued
 	reg.queued = nil
@@ -382,7 +382,7 @@ func (f *RemotePageFile) receive(reg *registration, pg *page.Page) (*page.Page, 
 // update. It is handed to its reader — who began before that commit did —
 // and not cached. On a secondary nothing else can put a page that is
 // registered here, and the rule never fires.
-func (f *RemotePageFile) install(reg *registration, pg *page.Page) (*page.Page, error) {
+func (f *remotePageFile) install(reg *registration, pg *page.Page) (*page.Page, error) {
 	id := pg.ID
 	installed, parked := false, false
 	for {
@@ -413,7 +413,7 @@ func (f *RemotePageFile) install(reg *registration, pg *page.Page) (*page.Page, 
 
 // Write installs a page version in the local cache, which takes ownership
 // of it (the durable copy is the log; page servers converge by applying it).
-func (f *RemotePageFile) Write(pg *page.Page) error {
+func (f *remotePageFile) Write(pg *page.Page) error {
 	return f.cache.Put(pg)
 }
 
@@ -421,7 +421,7 @@ func (f *RemotePageFile) Write(pg *page.Page) error {
 
 // QueueIfPending queues a record for a page with an in-flight fetch and
 // reports whether it did (§4.5; recovery.Cached asks it first).
-func (f *RemotePageFile) QueueIfPending(rec *wal.Record) bool {
+func (f *remotePageFile) QueueIfPending(rec *wal.Record) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	reg, ok := f.pending[rec.Page]
@@ -432,4 +432,4 @@ func (f *RemotePageFile) QueueIfPending(rec *wal.Record) bool {
 	return true
 }
 
-var _ fcb.PageFile = (*RemotePageFile)(nil)
+var _ fcb.PageFile = (*remotePageFile)(nil)

@@ -27,7 +27,7 @@ type PrimaryConfig struct {
 	// recovery state reads).
 	XLOG *rbio.Client
 	// Resolve maps pages to page-server selectors.
-	Resolve Resolver
+	Resolve resolver
 	// Partitioning is the cluster's page partitioning.
 	Partitioning page.Partitioning
 	// CacheMemPages / CacheSSDPages size the sparse RBPEX.
@@ -59,7 +59,7 @@ type Primary struct {
 	Engine *engine.Engine
 	writer *logwriter.LogWriter
 	sink   *lzSink
-	pages  *RemotePageFile
+	pages  *remotePageFile
 }
 
 // NewPrimary builds a primary. With cfg.Bootstrap it creates the database;
@@ -86,7 +86,7 @@ func NewPrimary(cfg PrimaryConfig) (*Primary, error) {
 	}
 	floor := func() page.LSN { return floorLSN }
 
-	pages, err := NewRemotePageFile(rbpex.Config{
+	pages, err := newRemotePageFile(rbpex.Config{
 		MemPages: cfg.CacheMemPages,
 		SSDPages: cfg.CacheSSDPages,
 		SSD:      cfg.CacheSSD,
@@ -141,7 +141,7 @@ func (p *Primary) recoverVisibility(xlogClient *rbio.Client) error {
 func (p *Primary) Writer() *logwriter.LogWriter { return p.writer }
 
 // Pages exposes the cache-fronted page file (hit-rate stats).
-func (p *Primary) Pages() *RemotePageFile { return p.pages }
+func (p *Primary) Pages() *remotePageFile { return p.pages }
 
 // Close stops the log pipeline. The node holds no durable state (§4.2):
 // dropping it loses nothing.

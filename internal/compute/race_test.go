@@ -84,7 +84,7 @@ func TestLogWriterConcurrentAppendAndWatermarks(t *testing.T) {
 // read the minimum LSN (under the page file's lock, then the cache's). A page's
 // minimum LSN never falls, and is the highest LSN it was evicted at.
 func TestRemotePageFileConcurrentEvictTracking(t *testing.T) {
-	f, err := NewRemotePageFile(rbpex.Config{MemPages: 1}, nil, func() page.LSN { return 7 }, obs.Plane{})
+	f, err := newRemotePageFile(rbpex.Config{MemPages: 1}, nil, func() page.LSN { return 7 }, obs.Plane{})
 	if err != nil {
 		t.Fatal(err)
 	}

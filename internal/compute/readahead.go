@@ -18,7 +18,7 @@ const rangeFanout = btree.ReadAhead
 // Read that follows finds the page cached or joins its registration. It
 // never blocks: with rangeFanout fetches in flight the hint is dropped, and
 // the Read fetches for itself as it always did.
-func (f *RemotePageFile) Prefetch(ids []page.ID) {
+func (f *remotePageFile) Prefetch(ids []page.ID) {
 	for _, id := range ids {
 		if f.cache.Contains(id) {
 			continue
@@ -39,7 +39,7 @@ func (f *RemotePageFile) Prefetch(ids []page.ID) {
 // the window and of aheadWG for it. It returns nil when there is nothing to
 // start: the page is being fetched already, the file is closed, or the
 // window is full (dropped).
-func (f *RemotePageFile) registerAhead(id page.ID) (reg *registration, dropped bool) {
+func (f *remotePageFile) registerAhead(id page.ID) (reg *registration, dropped bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if _, inFlight := f.pending[id]; inFlight || f.closed {
@@ -57,7 +57,7 @@ func (f *RemotePageFile) registerAhead(id page.ID) (reg *registration, dropped b
 }
 
 // readAhead is the body of one background fetch.
-func (f *RemotePageFile) readAhead(id page.ID, reg *registration) {
+func (f *remotePageFile) readAhead(id page.ID, reg *registration) {
 	defer f.aheadWG.Done()
 	defer func() { <-f.window }()
 	//socrates:ignore-err a failed hint costs nothing: the Read it was for fetches for itself and reports the error, if there still is one, to somebody who asked

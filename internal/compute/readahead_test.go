@@ -134,9 +134,9 @@ func (s *fakePageServer) handler() rbio.Handler {
 	}
 }
 
-// remoteFile builds a RemotePageFile on the server with a registry to read
+// remoteFile builds a remotePageFile on the server with a registry to read
 // its counters from and a wait set to read page.remote from.
-func (s *fakePageServer) remoteFile(t *testing.T, memPages int, floor func() page.LSN) (*RemotePageFile, *obs.Registry, *obs.WaitSet) {
+func (s *fakePageServer) remoteFile(t *testing.T, memPages int, floor func() page.LSN) (*remotePageFile, *obs.Registry, *obs.WaitSet) {
 	t.Helper()
 	net := rbio.NewInstantNetwork()
 	net.Serve("ps", s.handler())
@@ -145,7 +145,7 @@ func (s *fakePageServer) remoteFile(t *testing.T, memPages int, floor func() pag
 		floor = func() page.LSN { return 1 }
 	}
 	reg, waits := obs.NewRegistry(), obs.NewWaitSet()
-	f, err := NewRemotePageFile(rbpex.Config{MemPages: memPages},
+	f, err := newRemotePageFile(rbpex.Config{MemPages: memPages},
 		func(page.ID) (*rbio.Selector, error) { return sel, nil }, floor,
 		obs.Plane{Metrics: reg, Waits: waits})
 	if err != nil {
@@ -165,7 +165,7 @@ func pageRemoteWaits(ws *obs.WaitSet) uint64 {
 }
 
 // pagerOver makes a page file a btree.Pager; nothing here allocates.
-type pagerOver struct{ *RemotePageFile }
+type pagerOver struct{ *remotePageFile }
 
 func (pagerOver) Allocate(page.Type) (*page.Page, error) {
 	return nil, errors.New("read-only pager")
@@ -694,7 +694,7 @@ func TestCommitWarmsWriteSetTogether(t *testing.T) {
 		t.Fatalf("only %d leaves", len(keys))
 	}
 
-	open := func() (*engine.Engine, *RemotePageFile) {
+	open := func() (*engine.Engine, *remotePageFile) {
 		f, _, _ := srv.remoteFile(t, 1024, nil)
 		e, err := engine.Open(engine.Config{Pages: f, Log: log})
 		if err != nil {

@@ -21,7 +21,7 @@ func leafAt(lsn page.LSN) *page.Page {
 }
 
 // readOn runs f.Read(3) on a goroutine; the channel yields its result.
-func readOn(f *RemotePageFile) <-chan readResult {
+func readOn(f *remotePageFile) <-chan readResult {
 	out := make(chan readResult, 1)
 	go func() {
 		pg, err := f.Read(3)
@@ -32,7 +32,7 @@ func readOn(f *RemotePageFile) <-chan readResult {
 
 // joinOn registers a reader of page 3, which must join the registration in
 // flight, and runs its fetch on a goroutine under ctx.
-func joinOn(t *testing.T, ctx context.Context, f *RemotePageFile) <-chan readResult {
+func joinOn(t *testing.T, ctx context.Context, f *remotePageFile) <-chan readResult {
 	t.Helper()
 	reg, owner := f.register(3)
 	if reg == nil || owner {

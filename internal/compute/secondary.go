@@ -22,7 +22,7 @@ type SecondaryConfig struct {
 	// XLOG is the client to the XLOG service.
 	XLOG *rbio.Client
 	// Resolve maps pages to page-server selectors.
-	Resolve Resolver
+	Resolve resolver
 	// CacheMemPages / CacheSSDPages size the sparse RBPEX.
 	CacheMemPages, CacheSSDPages int
 	// CacheSSD / CacheMeta are local cache devices.
@@ -48,7 +48,7 @@ type SecondaryConfig struct {
 // snapshot reads that transparently fetch missing pages via GetPage@LSN.
 type Secondary struct {
 	Engine *engine.Engine
-	pages  *RemotePageFile
+	pages  *remotePageFile
 	name   string
 
 	mu      sync.Mutex
@@ -96,7 +96,7 @@ func NewSecondary(cfg SecondaryConfig) (*Secondary, error) {
 	}
 	s.visible.Publish(uint64(cfg.StartLSN))
 
-	pages, err := NewRemotePageFile(rbpex.Config{
+	pages, err := newRemotePageFile(rbpex.Config{
 		MemPages: cfg.CacheMemPages,
 		SSDPages: cfg.CacheSSDPages,
 		SSD:      cfg.CacheSSD,

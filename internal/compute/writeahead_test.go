@@ -21,7 +21,7 @@ import (
 // nobody has hardened: a real page server waits for it, and so does the
 // commit. The stub records the request and fails it at once instead.
 type servedFile struct {
-	*RemotePageFile
+	*remotePageFile
 	served *fcb.MemFile
 
 	mu    sync.Mutex
@@ -32,14 +32,14 @@ type servedFile struct {
 // is a function of the reads and writes alone.
 func (f *servedFile) Read(id page.ID) (*page.Page, error) {
 	f.Cache().Sync()
-	return f.RemotePageFile.Read(id)
+	return f.remotePageFile.Read(id)
 }
 
 func (f *servedFile) Write(pg *page.Page) error {
 	if err := f.served.Write(pg); err != nil {
 		return err
 	}
-	return f.RemotePageFile.Write(pg)
+	return f.remotePageFile.Write(pg)
 }
 
 func (f *servedFile) handler(hardened func() page.LSN) rbio.Handler {
@@ -139,13 +139,13 @@ func TestCommitFetchesNothingAboveTheHardenedLSN(t *testing.T) {
 	net.Serve("ps", file.handler(w.HardenedEnd))
 	sel := rbio.NewSelector(rbio.NewClient(net.Dial("ps")))
 	cfg := rbpex.Config{MemPages: 1, SSDPages: 1, SSD: simdisk.New(simdisk.Instant), Meta: simdisk.New(simdisk.Instant)}
-	remote, err := NewRemotePageFile(cfg, func(page.ID) (*rbio.Selector, error) { return sel, nil },
+	remote, err := newRemotePageFile(cfg, func(page.ID) (*rbio.Selector, error) { return sel, nil },
 		func() page.LSN { return 1 }, obs.Plane{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer remote.Close()
-	file.RemotePageFile = remote
+	file.remotePageFile = remote
 	e, err := engine.Open(engine.Config{Pages: file, Log: w})
 	if err != nil {
 		t.Fatal(err)

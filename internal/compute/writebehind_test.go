@@ -228,7 +228,7 @@ func TestScansRacingEvictionsReturnTheSameRows(t *testing.T) {
 	net.Serve("ps", srv.handler())
 	sel := rbio.NewSelector(rbio.NewClient(net.Dial("ps")))
 	reg := obs.NewRegistry()
-	f, err := NewRemotePageFile(rbpex.Config{MemPages: 4, SSDPages: 12,
+	f, err := newRemotePageFile(rbpex.Config{MemPages: 4, SSDPages: 12,
 		SSD: simdisk.New(simdisk.Instant), Meta: simdisk.New(simdisk.Instant)},
 		func(page.ID) (*rbio.Selector, error) { return sel, nil }, func() page.LSN { return 1 },
 		obs.Plane{Metrics: reg})

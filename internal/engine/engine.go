@@ -61,9 +61,9 @@ var (
 	ErrReadOnly        = errors.New("engine: read-only node")
 	ErrNoTable         = errors.New("engine: table does not exist")
 	ErrTableExists     = errors.New("engine: table already exists")
-	ErrTxDone          = errors.New("engine: transaction already finished")
+	errTxDone          = errors.New("engine: transaction already finished")
 	ErrEngineFailed    = errors.New("engine: engine failed mid-commit; node must restart")
-	ErrNotBootstrapped = errors.New("engine: database not bootstrapped")
+	errNotBootstrapped = errors.New("engine: database not bootstrapped")
 )
 
 // LogPipeline is the engine's handle to the durable log: Append stages a
@@ -200,14 +200,14 @@ func Open(cfg Config) (*Engine, error) {
 	e := newEngine(cfg)
 	meta, err := cfg.Pages.Read(MetaPage)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotBootstrapped, err)
+		return nil, fmt.Errorf("%w: %v", errNotBootstrapped, err)
 	}
 	next, found, err := lookupU64(meta, metaNextKey)
 	if err != nil {
 		return nil, err
 	}
 	if !found {
-		return nil, fmt.Errorf("%w: catalog missing allocator cursor", ErrNotBootstrapped)
+		return nil, fmt.Errorf("%w: catalog missing allocator cursor", errNotBootstrapped)
 	}
 	e.next = next
 	vscur := page.InvalidID

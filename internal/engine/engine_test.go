@@ -254,10 +254,10 @@ func TestCommitAfterAbortAndDoubleFinish(t *testing.T) {
 	_ = e.CreateTable("t")
 	tx := e.Begin()
 	tx.Abort()
-	if err := tx.Commit(); !errors.Is(err, ErrTxDone) {
+	if err := tx.Commit(); !errors.Is(err, errTxDone) {
 		t.Fatalf("commit after abort: %v", err)
 	}
-	if err := tx.Put("t", []byte("k"), nil); !errors.Is(err, ErrTxDone) {
+	if err := tx.Put("t", []byte("k"), nil); !errors.Is(err, errTxDone) {
 		t.Fatalf("put after abort: %v", err)
 	}
 	tx.Abort() // double abort is a no-op

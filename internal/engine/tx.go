@@ -92,7 +92,7 @@ func (tx *Tx) CommitLSN() page.LSN { return tx.commitLSN }
 // including its own uncommitted writes.
 func (tx *Tx) Get(table string, key []byte) ([]byte, bool, error) {
 	if tx.done {
-		return nil, false, ErrTxDone
+		return nil, false, errTxDone
 	}
 	if i, ok := tx.writeIdx[lockKey(table, key)]; ok {
 		op := tx.writes[i]
@@ -154,7 +154,7 @@ func (tx *Tx) Delete(table string, key []byte) error {
 
 func (tx *Tx) write(op writeOp) error {
 	if tx.done {
-		return ErrTxDone
+		return errTxDone
 	}
 	if tx.readOnly {
 		return ErrReadOnly
@@ -189,7 +189,7 @@ func (tx *Tx) write(op writeOp) error {
 // write the transaction's buffer. Copy what outlives the call.
 func (tx *Tx) Scan(table string, lo, hi []byte, fn func(key, value []byte) bool) error {
 	if tx.done {
-		return ErrTxDone
+		return errTxDone
 	}
 	stopped := false
 	emit := func(k, v []byte) bool {
@@ -307,7 +307,7 @@ func (e *Engine) scanVisible(table string, lo, hi []byte, snapshot uint64, fn fu
 // for a later unrelated commit to publish a higher one.
 func (tx *Tx) Commit() error {
 	if tx.done {
-		return ErrTxDone
+		return errTxDone
 	}
 	tx.done = true
 	defer tx.releaseLocks()

@@ -28,14 +28,14 @@ import (
 	"socrates/internal/xstore"
 )
 
-// Experiment is one entry of the evaluation.
-type Experiment struct {
+// experiment is one entry of the evaluation.
+type experiment struct {
 	Name string
-	Run  func(Options) (Report, error)
+	Run  func(Options) (report, error)
 }
 
 // All lists every experiment, in the order the paper presents them.
-var All = []Experiment{
+var All = []experiment{
 	{"table1", table1},
 	{"table2", table2},
 	{"table3", table3},
@@ -46,57 +46,57 @@ var All = []Experiment{
 	{"table7", table7},
 }
 
-// Report is one run of an experiment, in every form a driver needs.
-type Report struct {
-	// Header and Rows are the table in the paper's layout, cells formatted.
-	Header []string
-	Rows   [][]string
+// report is one run of an experiment, in every form a driver needs.
+type report struct {
+	// header and Rows are the table in the paper's layout, cells formatted.
+	header []string
+	rows   [][]string
 	// Values are the numbers behind the rows, named: what `go test -bench`
 	// reports as metrics and socrates-bench -json writes.
-	Values []Value
-	// Notes are printed under the table: the paper's number beside the
+	Values []value
+	// notes are printed under the table: the paper's number beside the
 	// measured one, and warnings for targets that depend on the host (a
 	// latency ratio) — those never fail a run.
-	Notes []string
+	notes []string
 	// Shape is nil when the run shows the paper's shape. It checks only
 	// what holds on any host at any load: orderings, work accounting, that
 	// the mechanism under test engaged.
 	Shape error
 }
 
-// Value is one named number of a Report.
-type Value struct {
+// value is one named number of a report.
+type value struct {
 	Name string
 	V    float64
 }
 
-func (r *Report) rowf(format string, args ...any) {
-	r.Rows = append(r.Rows, strings.Split(fmt.Sprintf(format, args...), "\t"))
+func (r *report) rowf(format string, args ...any) {
+	r.rows = append(r.rows, strings.Split(fmt.Sprintf(format, args...), "\t"))
 }
 
 // value records a named number. A ratio over a rate that measured zero is
 // no number (and JSON has no spelling for it): it is left out, and the
 // experiment's Shape says what went wrong.
-func (r *Report) value(name string, v float64) {
+func (r *report) value(name string, v float64) {
 	if !math.IsNaN(v) && !math.IsInf(v, 0) {
-		r.Values = append(r.Values, Value{name, v})
+		r.Values = append(r.Values, value{name, v})
 	}
 }
 
-func (r *Report) notef(format string, args ...any) {
-	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
+func (r *report) notef(format string, args ...any) {
+	r.notes = append(r.notes, fmt.Sprintf(format, args...))
 }
 
 // String renders the table, column-aligned, and the notes under it.
-func (r Report) String() string {
+func (r report) String() string {
 	var b strings.Builder
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, strings.Join(r.Header, "\t"))
-	for _, row := range r.Rows {
+	fmt.Fprintln(w, strings.Join(r.header, "\t"))
+	for _, row := range r.rows {
 		fmt.Fprintln(w, strings.Join(row, "\t"))
 	}
 	w.Flush()
-	for _, n := range r.Notes {
+	for _, n := range r.notes {
 		b.WriteString(n + "\n")
 	}
 	return b.String()
@@ -114,7 +114,7 @@ type Options struct {
 	Threads int
 }
 
-// Defaults fills unset options.
+// defaults fills unset options.
 func (o Options) defaults() Options {
 	if o.Measure == 0 {
 		o.Measure = 1500 * time.Millisecond
@@ -245,7 +245,7 @@ func driveCDB(e *engine.Engine, w *cdb.Workload, mix cdb.Mix, cores int,
 
 // table2 runs the CDB default mix on both architectures at equal scale
 // (paper: 8 cores, 64 client threads, 1 TB database).
-func table2(o Options) (Report, error) {
+func table2(o Options) (report, error) {
 	o = o.defaults()
 	var h, s workload.Metrics
 	err := withHADR("t2-hadr", 8, 0, hadrLagBudget, o.SF, func(c *hadr.Cluster, w *cdb.Workload) error {
@@ -253,7 +253,7 @@ func table2(o Options) (Report, error) {
 		return nil
 	})
 	if err != nil {
-		return Report{}, err
+		return report{}, err
 	}
 	// Socrates: cache sized to ~15% of the database (Table 3 config).
 	err = withSocrates("t2-soc", simdisk.XIO, 8, 48, 144, o.SF, func(c *cluster.Cluster, w *cdb.Workload) error {
@@ -261,10 +261,10 @@ func table2(o Options) (Report, error) {
 		return nil
 	})
 	if err != nil {
-		return Report{}, err
+		return report{}, err
 	}
 
-	rep := Report{Header: []string{"System", "CPU %", "Write TPS", "Read TPS", "Total TPS"}}
+	rep := report{header: []string{"System", "CPU %", "Write TPS", "Read TPS", "Total TPS"}}
 	for _, r := range []struct {
 		system string
 		m      workload.Metrics
@@ -311,9 +311,9 @@ type cacheRun struct {
 
 // report lays out one row of the cache-hit tables; the hit rate must land in
 // [minHit, maxHit] percent and the cache in [minRatio, maxRatio] of the data.
-func (c cacheRun) report(paper string, minRatio, maxRatio, minHit, maxHit float64) Report {
+func (c cacheRun) report(paper string, minRatio, maxRatio, minHit, maxHit float64) report {
 	ratio := float64(c.cachePages) / float64(c.dataPages)
-	rep := Report{Header: []string{"Workload", "Data pages", "Cache pages", "Cache ratio", "Local hit %"}}
+	rep := report{header: []string{"Workload", "Data pages", "Cache pages", "Cache ratio", "Local hit %"}}
 	rep.rowf("%s\t%d\t%d\t%.1f%%\t%.1f%%", c.workload, c.dataPages, c.cachePages, ratio*100, c.hitPct)
 	rep.value("hit%", c.hitPct)
 	rep.value("cache-ratio%", ratio*100)
@@ -331,7 +331,7 @@ func (c cacheRun) report(paper string, minRatio, maxRatio, minHit, maxHit float6
 
 // table3 measures the Socrates primary's local cache hit rate under the
 // CDB default mix with a cache ≈ 15% of the database (paper: 52%).
-func table3(o Options) (Report, error) {
+func table3(o Options) (report, error) {
 	o = o.defaults()
 	// Estimate data pages from a scouting engine, then size the cache.
 	run := cacheRun{workload: "CDB default", dataPages: estimateCDBDataPages(o.SF)}
@@ -346,7 +346,7 @@ func table3(o Options) (Report, error) {
 		return nil
 	})
 	if err != nil {
-		return Report{}, err
+		return report{}, err
 	}
 	// Shape: well above the cache ratio, below perfect.
 	return run.report("52% at 15% cache", 0.10, 0.20, 25, 98), nil
@@ -354,7 +354,7 @@ func table3(o Options) (Report, error) {
 
 // table4 measures the hit rate under the TPC-E-flavoured workload with a
 // cache ≈ 1% of the database (paper: 32%).
-func table4(o Options) (Report, error) {
+func table4(o Options) (report, error) {
 	o = o.defaults()
 	customers := o.SF * 3
 	run := cacheRun{workload: "TPC-E", dataPages: estimateTPCEDataPages(customers)}
@@ -369,12 +369,12 @@ func table4(o Options) (Report, error) {
 
 	s, err := newSocrates("t4-soc", simdisk.XIO, 8, mem, run.cachePages-mem)
 	if err != nil {
-		return Report{}, err
+		return report{}, err
 	}
 	defer s.Close()
 	run.hitPct, err = tpceHitPct(s, customers, o)
 	if err != nil {
-		return Report{}, err
+		return report{}, err
 	}
 	// Shape: far above the cache fraction.
 	return run.report("32% at ~1% cache", 0, 0.05, 10, 100), nil
@@ -459,13 +459,13 @@ func measureTable5(o Options) (h, s logRun, err error) {
 //     backups (snapshot backups; no throttle exists on its path).
 //   - Both systems produce comparable log volume for identical work, so
 //     the rates the table reports are measuring the same bytes.
-func table5(o Options) (Report, error) {
+func table5(o Options) (report, error) {
 	o = o.defaults()
 	h, s, err := measureTable5(o)
 	if err != nil {
-		return Report{}, err
+		return report{}, err
 	}
-	rep := Report{Header: []string{"System", "Log MB/s", "CPU %"}}
+	rep := report{header: []string{"System", "Log MB/s", "CPU %"}}
 	rep.rowf("HADR\t%.2f\t%.1f", h.logMBps, h.cpuPct)
 	rep.rowf("Socrates\t%.2f\t%.1f", s.logMBps, s.cpuPct)
 	rep.value("hadr-MB/s", h.logMBps)
@@ -542,12 +542,12 @@ func measureTable6(o Options) ([]metrics.Summary, error) {
 	return stats, nil
 }
 
-func table6(o Options) (Report, error) {
+func table6(o Options) (report, error) {
 	stats, err := measureTable6(o.defaults())
 	if err != nil {
-		return Report{}, err
+		return report{}, err
 	}
-	rep := Report{Header: []string{"Service", "STDEV (us)", "Min (us)", "Median (us)", "Max (us)"}}
+	rep := report{header: []string{"Service", "STDEV (us)", "Min (us)", "Median (us)", "Max (us)"}}
 	for i, s := range stats {
 		name := lzServices[i].name
 		rep.rowf("%s\t%d\t%d\t%d\t%d", name, s.Stdev.Microseconds(), s.Min.Microseconds(),
@@ -575,15 +575,15 @@ func table6(o Options) (Report, error) {
 
 // figure4 sweeps UpdateLite throughput over client thread counts, up to
 // o.Threads, for both landing-zone services.
-func figure4(o Options) (Report, error) {
+func figure4(o Options) (report, error) {
 	o = o.defaults()
-	rep := Report{Header: []string{"Service", "Threads", "UpdateLite TPS"}}
+	rep := report{header: []string{"Service", "Threads", "UpdateLite TPS"}}
 	var first, last [2]float64 // TPS at 1 and at o.Threads clients, in lzServices order
 	for i, svc := range lzServices {
 		for _, threads := range ladder(o.Threads) {
 			m, _, _, err := updateLite(fmt.Sprintf("f4-%s-%d", svc.name, threads), svc.profile, threads, o)
 			if err != nil {
-				return Report{}, err
+				return report{}, err
 			}
 			rep.rowf("%s\t%d\t%.0f", svc.name, threads, m.TotalTPS())
 			rep.value(fmt.Sprintf("%s-%dthread-tps", strings.ToLower(svc.name), threads), m.TotalTPS())
@@ -612,10 +612,10 @@ func figure4(o Options) (Report, error) {
 // needs 8x the threads and ~3x the CPU of DD for the same 70 MB/s). The
 // target is the paper's 70 MB/s scaled to the client budget — 2 MB/s at the
 // default 64 threads — and the search climbs to twice that budget.
-func table7(o Options) (Report, error) {
+func table7(o Options) (report, error) {
 	o = o.defaults()
 	target := float64(o.Threads) / 32
-	rep := Report{Header: []string{"Service", "Threads", "Log MB/s", "CPU %"}}
+	rep := report{header: []string{"Service", "Threads", "Log MB/s", "CPU %"}}
 	var reached [2]int
 	var cpuPerMB [2]float64
 	for i, svc := range lzServices {
@@ -623,7 +623,7 @@ func table7(o Options) (Report, error) {
 		for _, threads := range ladder(2 * o.Threads) {
 			_, logBytes, cpu, err := updateLite(fmt.Sprintf("t7-%s-%d", svc.name, threads), svc.profile, threads, o)
 			if err != nil {
-				return Report{}, err
+				return report{}, err
 			}
 			reached[i], rate, cpuPct = threads, mbps(logBytes, o.Measure+o.WarmUp), cpu
 			if rate >= target {

@@ -28,12 +28,12 @@ func TestShapes(t *testing.T) {
 			if rep.Shape != nil {
 				t.Fatalf("shape lost: %v", rep.Shape)
 			}
-			if len(rep.Rows) == 0 || len(rep.Values) == 0 {
-				t.Fatalf("empty report: %d rows, %d values", len(rep.Rows), len(rep.Values))
+			if len(rep.rows) == 0 || len(rep.Values) == 0 {
+				t.Fatalf("empty report: %d rows, %d values", len(rep.rows), len(rep.Values))
 			}
-			for _, row := range rep.Rows {
-				if len(row) != len(rep.Header) {
-					t.Fatalf("row %q has %d cells under a %d-column header", row, len(row), len(rep.Header))
+			for _, row := range rep.rows {
+				if len(row) != len(rep.header) {
+					t.Fatalf("row %q has %d cells under a %d-column header", row, len(row), len(rep.header))
 				}
 			}
 		})

@@ -15,13 +15,13 @@ import (
 // ("Today" = HADR): up/downsize cost scaling, storage copies, recovery
 // time, commit latency, and log throughput. (Max DB size and availability
 // are design properties, reported from configuration.)
-func table1(o Options) (Report, error) {
+func table1(o Options) (report, error) {
 	o = o.defaults()
 	short := o
 	if short.Measure > time.Second {
 		short.Measure = time.Second
 	}
-	rep := Report{Header: []string{"Metric", "Today (HADR)", "Socrates"}}
+	rep := report{header: []string{"Metric", "Today (HADR)", "Socrates"}}
 
 	// --- Up/downsize: O(data) reseed vs O(1) reattach ---
 	sizes := []int{o.SF / 4, o.SF}
@@ -29,10 +29,10 @@ func table1(o Options) (Report, error) {
 	for i, sf := range sizes {
 		var err error
 		if seed[i], err = hadrReseedCost(i, sf); err != nil {
-			return Report{}, err
+			return report{}, err
 		}
 		if scale[i], err = socratesScaleCost(i, sf); err != nil {
-			return Report{}, err
+			return report{}, err
 		}
 	}
 	rep.rowf("Upsize/downsize\tO(data): %.0fms @%d rows -> %.0fms @%d rows\tO(1): %.0fms @%d rows -> %.0fms @%d rows",
@@ -45,7 +45,7 @@ func table1(o Options) (Report, error) {
 	// --- Storage impact: copies of the database ---
 	hadrCopies, socCopies, err := storageCopies(o.SF / 2)
 	if err != nil {
-		return Report{}, err
+		return report{}, err
 	}
 	rep.rowf("Storage impact\t%.1fx copies (+log backup)\t%.1fx copies (+snapshots)", hadrCopies, socCopies)
 	rep.value("hadr-copies", hadrCopies)
@@ -59,11 +59,11 @@ func table1(o Options) (Report, error) {
 		return nil
 	})
 	if err != nil {
-		return Report{}, err
+		return report{}, err
 	}
 	lz, err := measureTable6(short)
 	if err != nil {
-		return Report{}, err
+		return report{}, err
 	}
 	rep.rowf("Commit latency\t%.2fms (AZ quorum)\t%.2fms on DD (%.2fms on XIO)",
 		ms(hadrLat), ms(lz[1].Median), ms(lz[0].Median))
@@ -74,7 +74,7 @@ func table1(o Options) (Report, error) {
 	// --- Log throughput (the Table 5 result, summarized) ---
 	hadrLog, socLog, err := measureTable5(short)
 	if err != nil {
-		return Report{}, err
+		return report{}, err
 	}
 	rep.rowf("Log throughput\t%.1f MB/s (backup-throttled)\t%.1f MB/s", hadrLog.logMBps, socLog.logMBps)
 	rep.value("hadr-MB/s", hadrLog.logMBps)
@@ -83,7 +83,7 @@ func table1(o Options) (Report, error) {
 	// --- Recovery: failover to availability ---
 	hadrRec, socRec, err := recoveryTimes(o.SF / 2)
 	if err != nil {
-		return Report{}, err
+		return report{}, err
 	}
 	rep.rowf("Recovery\tO(1): %.0fms\tO(1): %.0fms", ms(hadrRec), ms(socRec))
 	rep.value("hadr-recovery-ms", ms(hadrRec))

@@ -122,9 +122,9 @@ func (f *bufferedFile) flushOnce() error {
 	return firstErr
 }
 
-// Range iterates the durable on-disk copy (after draining dirty pages) —
+// forEach iterates the durable on-disk copy (after draining dirty pages) —
 // the O(size-of-data) path used by replica seeding.
-func (f *bufferedFile) Range(fn func(*page.Page) bool) {
+func (f *bufferedFile) forEach(fn func(*page.Page) bool) {
 	//socrates:ignore-err pages that failed the drain stay dirty and reach the replica through log apply instead of the seed copy
 	_ = f.flushOnce()
 	f.disk.Range(fn)

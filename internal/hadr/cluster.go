@@ -22,13 +22,13 @@ import (
 type Cluster struct {
 	cfg Config
 
-	Net          *rbio.Network
-	Store        *xstore.Store
+	net          *rbio.Network
+	store        *xstore.Store
 	PrimaryMeter *metrics.CPUMeter
 
 	mu          sync.Mutex
-	primary     *Node
-	secondaries []*Node
+	primary     *node
+	secondaries []*node
 	writer      *logwriter.LogWriter
 	repl        *replicator // the writer's sink
 }
@@ -36,30 +36,30 @@ type Cluster struct {
 // New builds, bootstraps, and starts an HADR deployment.
 func New(cfg Config) (*Cluster, error) {
 	cfg.applyDefaults()
-	c := &Cluster{cfg: cfg, Net: cfg.Net}
-	if c.Net == nil {
-		c.Net = rbio.NewNetworkWith(AZLink)
+	c := &Cluster{cfg: cfg, net: cfg.net}
+	if c.net == nil {
+		c.net = rbio.NewNetworkWith(azLink)
 	}
-	c.Store = cfg.Store
-	if c.Store == nil {
-		c.Store = xstore.New(xstore.Config{})
+	c.store = cfg.Store
+	if c.store == nil {
+		c.store = xstore.New(xstore.Config{})
 	}
 	c.PrimaryMeter = metrics.NewCPUMeter(cfg.PrimaryCores)
 
 	// Primary node plus secondaries, each a full replica.
-	prim, err := newNode(cfg.Name+"-0", cfg.DiskProfile, c.PrimaryMeter)
+	prim, err := newNode(cfg.Name+"-0", cfg.diskProfile, c.PrimaryMeter)
 	if err != nil {
 		return nil, err
 	}
 	prim.primary = true
 	c.primary = prim
 	for i := 1; i < replicas; i++ {
-		sec, err := newNode(fmt.Sprintf("%s-%d", cfg.Name, i), cfg.DiskProfile, nil)
+		sec, err := newNode(fmt.Sprintf("%s-%d", cfg.Name, i), cfg.diskProfile, nil)
 		if err != nil {
 			return nil, err
 		}
 		sec.startApply()
-		c.Net.Serve(sec.name, sec.handler())
+		c.net.Serve(sec.name, sec.handler())
 		c.secondaries = append(c.secondaries, sec)
 	}
 
@@ -88,17 +88,17 @@ func New(cfg Config) (*Cluster, error) {
 }
 
 // Primary returns the current primary node.
-func (c *Cluster) Primary() *Node {
+func (c *Cluster) Primary() *node {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.primary
 }
 
 // Secondaries returns the current secondary nodes.
-func (c *Cluster) Secondaries() []*Node {
+func (c *Cluster) Secondaries() []*node {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]*Node(nil), c.secondaries...)
+	return append([]*node(nil), c.secondaries...)
 }
 
 // Writer exposes the primary's log pipeline (throughput stats).
@@ -119,7 +119,7 @@ func (c *Cluster) Throttles() int64 {
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	w, r := c.writer, c.repl
-	secs := append([]*Node(nil), c.secondaries...)
+	secs := append([]*node(nil), c.secondaries...)
 	prim := c.primary
 	c.mu.Unlock()
 	if w != nil {
@@ -149,8 +149,8 @@ func (c *Cluster) TotalDataBytes() int64 {
 // extends it. Restoring the replica count is SeedNewReplica's full copy.
 func (c *Cluster) evict(name string) {
 	c.mu.Lock()
-	var gone *Node
-	kept := make([]*Node, 0, len(c.secondaries))
+	var gone *node
+	kept := make([]*node, 0, len(c.secondaries))
 	for _, s := range c.secondaries {
 		if s.name == name {
 			gone = s
@@ -161,7 +161,7 @@ func (c *Cluster) evict(name string) {
 	c.secondaries = kept
 	c.mu.Unlock()
 	if gone != nil {
-		c.Net.Unserve(name)
+		c.net.Unserve(name)
 		gone.stop()
 	}
 }
@@ -173,7 +173,7 @@ func (c *Cluster) evict(name string) {
 // continues the log at the promoted node's prefix; a remaining secondary
 // that holds less is fed the rest from the promoted node's tail when it
 // answers its first ship, or leaves the replica set if the tail is too short.
-func (c *Cluster) Failover() (*Node, time.Duration, error) {
+func (c *Cluster) Failover() (*node, time.Duration, error) {
 	start := time.Now()
 	c.mu.Lock()
 	oldWriter, oldRepl := c.writer, c.repl
@@ -191,18 +191,18 @@ func (c *Cluster) Failover() (*Node, time.Duration, error) {
 	// prefix becomes the log. Every acknowledged commit lies below the old
 	// writer's hardened end, so a prefix short of it would lose one.
 	secs := c.Secondaries()
-	var best *Node
+	var best *node
 	var prefix page.LSN
 	for _, s := range secs {
-		if p := s.HardenedTo(); p.After(prefix) {
+		if p := s.hardenedLSN(); p.After(prefix) {
 			best, prefix = s, p
 		}
 	}
 	if prefix.Before(hardened) {
 		return nil, 0, fmt.Errorf("%w: no secondary holds the log through %d (longest prefix %d)",
-			ErrNoQuorum, hardened, prefix)
+			errNoQuorum, hardened, prefix)
 	}
-	rest := make([]*Node, 0, len(secs)-1)
+	rest := make([]*node, 0, len(secs)-1)
 	for _, s := range secs {
 		if s != best {
 			rest = append(rest, s)
@@ -213,9 +213,9 @@ func (c *Cluster) Failover() (*Node, time.Duration, error) {
 	// already there, in order.
 	if !best.WaitApplied(prefix, 10*time.Second) {
 		return nil, 0, fmt.Errorf("hadr: promoted node stuck at %d, need %d",
-			best.AppliedLSN(), prefix)
+			best.appliedLSN(), prefix)
 	}
-	c.Net.Unserve(best.name)
+	c.net.Unserve(best.name)
 	best.newTerm(true)
 	for _, s := range rest {
 		s.newTerm(false)
@@ -251,10 +251,10 @@ func (c *Cluster) Failover() (*Node, time.Duration, error) {
 // SeedNewReplica adds a secondary by copying the full database from the
 // primary — the O(size-of-data) operation Socrates eliminates (§4.1.2).
 // It returns the new node, the bytes copied, and the elapsed time.
-func (c *Cluster) SeedNewReplica(name string) (*Node, int64, time.Duration, error) {
+func (c *Cluster) SeedNewReplica(name string) (*node, int64, time.Duration, error) {
 	start := time.Now()
 	prim := c.Primary()
-	sec, err := newNode(name, c.cfg.DiskProfile, nil)
+	sec, err := newNode(name, c.cfg.diskProfile, nil)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -262,10 +262,10 @@ func (c *Cluster) SeedNewReplica(name string) (*Node, int64, time.Duration, erro
 	// Read the primary's prefix before the copy: the engine writes a page
 	// before its record hardens, so every page copied from here on reflects
 	// at least the log below it, and replaying from it is idempotent.
-	prefix := prim.HardenedTo()
+	prefix := prim.hardenedLSN()
 	var copied int64
 	var copyErr error
-	prim.pages.Range(func(pg *page.Page) bool {
+	prim.pages.forEach(func(pg *page.Page) bool {
 		if err := sec.pages.Write(pg); err != nil {
 			copyErr = err
 			return false
@@ -284,7 +284,7 @@ func (c *Cluster) SeedNewReplica(name string) (*Node, int64, time.Duration, erro
 	sec.hardenedTo = prefix
 	sec.mu.Unlock()
 	sec.startApply()
-	c.Net.Serve(sec.name, sec.handler())
+	c.net.Serve(sec.name, sec.handler())
 	if err := sec.openSecondaryEngine(); err != nil {
 		return nil, 0, 0, err
 	}
@@ -306,7 +306,7 @@ func (c *Cluster) SeedNewReplica(name string) (*Node, int64, time.Duration, erro
 // the one Socrates' primary runs.
 type replicator struct {
 	c    *Cluster
-	node *Node // the primary; its prefix is the log's local durability
+	node *node // the primary; its prefix is the log's local durability
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -354,8 +354,8 @@ func (p *peer) stalled(end page.LSN) bool {
 // newLog continues the log at the end of node's prefix: the sink and the
 // log writer over it. A secondary whose prefix is shorter starts out
 // needing the difference from the tail.
-func (c *Cluster) newLog(node *Node, secs []*Node) (*logwriter.LogWriter, *replicator) {
-	start := node.HardenedTo()
+func (c *Cluster) newLog(node *node, secs []*node) (*logwriter.LogWriter, *replicator) {
+	start := node.hardenedLSN()
 	r := &replicator{
 		c:        c,
 		node:     node,
@@ -364,7 +364,7 @@ func (c *Cluster) newLog(node *Node, secs []*Node) (*logwriter.LogWriter, *repli
 		peers:    make(map[string]*peer),
 	}
 	for _, s := range secs {
-		r.peers[s.name] = r.newPeer(s.name, s.HardenedTo(), start)
+		r.peers[s.name] = r.newPeer(s.name, s.hardenedLSN(), start)
 	}
 	r.cond = sync.NewCond(&r.mu)
 	r.ioWG.Add(1)
@@ -403,7 +403,7 @@ func (r *replicator) join(name string, prefix page.LSN) {
 }
 
 func (r *replicator) newPeer(name string, acked, needTo page.LSN) *peer {
-	return &peer{name: name, client: rbio.NewClient(r.c.Net.Dial(name)), acked: acked, needTo: needTo}
+	return &peer{name: name, client: rbio.NewClient(r.c.net.Dial(name)), acked: acked, needTo: needTo}
 }
 
 // ackLocked merges a secondary's reported prefix and re-derives the quorum
@@ -429,7 +429,7 @@ func (r *replicator) advanceLocked() {
 		acks = append(acks, p.acked)
 	}
 	sort.Slice(acks, func(i, j int) bool { return acks[i].After(acks[j]) })
-	cand := r.node.HardenedTo()
+	cand := r.node.hardenedLSN()
 	if acks[need-1].Before(cand) {
 		cand = acks[need-1]
 	}
@@ -470,7 +470,7 @@ const shipTimeout = 10 * time.Second
 // secondary as a round trip whose response carries that secondary's prefix,
 // and waits for the flexible quorum to cover it. Ships are pipelined, so a
 // response usually acknowledges less than this block; the ships before it
-// deliver the rest. A block the quorum cannot cover is lost (ErrNoQuorum)
+// deliver the rest. A block the quorum cannot cover is lost (errNoQuorum)
 // but stays in the primary's prefix, and hardens with a later block once
 // enough replicas hold it.
 func (r *replicator) Complete(b wal.Block, res logwriter.Reservation) (page.LSN, error) {
@@ -503,7 +503,7 @@ func (r *replicator) Complete(b wal.Block, res logwriter.Reservation) (page.LSN,
 			}
 		}
 		if able < need {
-			return 0, fmt.Errorf("%w: %d of %d secondaries can cover block %d", ErrNoQuorum, able, len(peers), b.Start)
+			return 0, fmt.Errorf("%w: %d of %d secondaries can cover block %d", errNoQuorum, able, len(peers), b.Start)
 		}
 		//socrates:wait-ok the quorum round is the sink's Complete, which the log writer times for its batching window; HADR records no wait classes
 		r.cond.Wait()
@@ -623,7 +623,7 @@ func (r *replicator) backupOnce() {
 
 	// The backup payload is a synthetic run of the same size as the log
 	// range: what matters is the egress it consumes at XStore.
-	err := r.c.Store.Append(r.c.cfg.Name+"/logbackup", make([]byte, total))
+	err := r.c.store.Append(r.c.cfg.Name+"/logbackup", make([]byte, total))
 	r.mu.Lock()
 	if err != nil {
 		// XStore unavailable: the bytes wait for the next run and the lag

@@ -19,7 +19,7 @@
 // node durably holds the blocks of [1, hardenedTo), applies them in LSN
 // order (applied <= hardenedTo), and acknowledges exactly hardenedTo. A
 // prefix moves in two ways only: the node received the blocks
-// (Node.hardenFeed), or the node was seeded from a full copy of the database
+// (node.hardenFeed), or the node was seeded from a full copy of the database
 // (Cluster.SeedNewReplica). A node that missed a block is fed it again from
 // the primary's recent log, or leaves the replica set; it is never declared
 // whole. Redo is idempotent only when records reach a page in log order
@@ -47,9 +47,9 @@ import (
 	"socrates/internal/xstore"
 )
 
-// AZLink models one cross-availability-zone network hop, the latency HADR
+// azLink models one cross-availability-zone network hop, the latency HADR
 // pays on every quorum commit.
-var AZLink = simdisk.Profile{
+var azLink = simdisk.Profile{
 	Name:       "az-link",
 	ReadBase:   1300 * time.Microsecond,
 	WriteBase:  1300 * time.Microsecond,
@@ -61,8 +61,8 @@ var AZLink = simdisk.Profile{
 	WriteCPU:   10 * time.Microsecond,
 }
 
-// ErrNoQuorum reports a group too few replicas could cover: a lost group.
-var ErrNoQuorum = fmt.Errorf("hadr: replication quorum lost: %w", logwriter.ErrGroupLost)
+// errNoQuorum reports a group too few replicas could cover: a lost group.
+var errNoQuorum = fmt.Errorf("hadr: replication quorum lost: %w", logwriter.ErrGroupLost)
 
 var (
 	noWaits  *obs.WaitRecorder // HADR's bounded waits record no wait class
@@ -79,8 +79,8 @@ const replicas, quorum = 4, 3
 type Config struct {
 	// Name prefixes node addresses and backup blobs.
 	Name string
-	// Net is the replication fabric (default: an AZLink-latency network).
-	Net *rbio.Network
+	// net is the replication fabric (default: an azLink-latency network).
+	net *rbio.Network
 	// Store is the XStore account receiving log/full backups.
 	Store *xstore.Store
 	// LogBackupEvery is the log backup cadence — the paper's five minutes,
@@ -90,8 +90,8 @@ type Config struct {
 	// before log production throttles (the local log cannot be truncated
 	// past the backup point; default 1 MiB).
 	BackupLagBudget int64
-	// DiskProfile is the node-local storage class (default LocalSSD).
-	DiskProfile simdisk.Profile
+	// diskProfile is the node-local storage class (default LocalSSD).
+	diskProfile simdisk.Profile
 	// PrimaryCores sizes the primary's CPU meter (default 8).
 	PrimaryCores int
 }
@@ -106,16 +106,16 @@ func (c *Config) applyDefaults() {
 	if c.BackupLagBudget == 0 {
 		c.BackupLagBudget = 1 << 20
 	}
-	if c.DiskProfile.Name == "" {
-		c.DiskProfile = simdisk.LocalSSD
+	if c.diskProfile.Name == "" {
+		c.diskProfile = simdisk.LocalSSD
 	}
 	if c.PrimaryCores == 0 {
 		c.PrimaryCores = 8
 	}
 }
 
-// Node is one HADR replica: a full local database copy plus a local log.
-type Node struct {
+// node is one HADR replica: a full local database copy plus a local log.
+type node struct {
 	name   string
 	pages  *bufferedFile
 	disk   *simdisk.Device
@@ -151,7 +151,7 @@ type Node struct {
 	wg   sync.WaitGroup
 }
 
-// heldBlock is a block hardened above the prefix, waiting in Node.future.
+// heldBlock is a block hardened above the prefix, waiting in node.future.
 type heldBlock struct {
 	block   *wal.Block
 	payload []byte
@@ -169,7 +169,7 @@ const tailMax = 512
 
 var errTailGone = errors.New("hadr: prefix older than the primary's retained log")
 
-func newNode(name string, diskProfile simdisk.Profile, meter *metrics.CPUMeter) (*Node, error) {
+func newNode(name string, diskProfile simdisk.Profile, meter *metrics.CPUMeter) (*node, error) {
 	var opts []simdisk.Option
 	if meter != nil {
 		opts = append(opts, simdisk.WithCPU(meter))
@@ -179,7 +179,7 @@ func newNode(name string, diskProfile simdisk.Profile, meter *metrics.CPUMeter) 
 	if err != nil {
 		return nil, fmt.Errorf("hadr: opening %s page store: %w", name, err)
 	}
-	n := &Node{
+	n := &node{
 		name:       name,
 		pages:      pages,
 		disk:       disk,
@@ -195,15 +195,15 @@ func newNode(name string, diskProfile simdisk.Profile, meter *metrics.CPUMeter) 
 	return n, nil
 }
 
-// AppliedLSN reports the node's apply watermark.
-func (n *Node) AppliedLSN() page.LSN { return page.LSN(n.applied.Value()) }
+// appliedLSN reports the node's apply watermark.
+func (n *node) appliedLSN() page.LSN { return page.LSN(n.applied.Value()) }
 
 // Engine returns the node's engine (read-only on secondaries).
-func (n *Node) Engine() *engine.Engine { return n.engine }
+func (n *node) Engine() *engine.Engine { return n.engine }
 
-// HardenedTo reports the end of the node's prefix: every block below it is
+// hardenedLSN reports the end of the node's prefix: every block below it is
 // in the local log. It is what the node acknowledges.
-func (n *Node) HardenedTo() page.LSN {
+func (n *node) hardenedLSN() page.LSN {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.hardenedTo
@@ -216,7 +216,7 @@ func (n *Node) HardenedTo() page.LSN {
 // and, on a secondary, onto the apply queue. It returns the prefix, which is
 // the acknowledgement: it covers every block below it. The primary hardens
 // its own blocks here too; its prefix is its local durability.
-func (n *Node) hardenFeed(b *wal.Block, payload []byte) (page.LSN, error) {
+func (n *node) hardenFeed(b *wal.Block, payload []byte) (page.LSN, error) {
 	n.mu.Lock()
 	if _, held := n.future[b.Start]; held || n.feeding[b.Start] || !b.End.After(n.hardenedTo) {
 		prefix := n.hardenedTo
@@ -259,7 +259,7 @@ func (n *Node) hardenFeed(b *wal.Block, payload []byte) (page.LSN, error) {
 // tailAt returns the encoded block of the node's prefix that starts at lsn:
 // nil when lsn is the end of the prefix (nothing to feed), errTailGone when
 // the block has left the tail.
-func (n *Node) tailAt(lsn page.LSN) ([]byte, error) {
+func (n *node) tailAt(lsn page.LSN) ([]byte, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if !lsn.Before(n.hardenedTo) {
@@ -276,7 +276,7 @@ func (n *Node) tailAt(lsn page.LSN) ([]byte, error) {
 // buffer came from the writer that is gone: those above the promoted prefix
 // would pass for what the new writer cuts at the same LSNs, those below it
 // come again from the promoted node's tail. Dropping them moves no prefix.
-func (n *Node) newTerm(primary bool) {
+func (n *node) newTerm(primary bool) {
 	n.mu.Lock()
 	clear(n.future)
 	n.primary = primary
@@ -287,7 +287,7 @@ func (n *Node) newTerm(primary bool) {
 // recovery.Replica, over blocks that leave the queue in LSN order. Each
 // batch taken off the queue is installed, then its commits are published,
 // then the watermark passes it, so WaitApplied's callers read them.
-func (n *Node) startApply() {
+func (n *node) startApply() {
 	redo := recovery.NewReplayer(recovery.Replica{PageFile: n.pages}, 0)
 	n.wg.Add(1)
 	go func() {
@@ -325,14 +325,14 @@ func (n *Node) startApply() {
 }
 
 // WaitApplied blocks until the node applied the log below the end LSN lsn.
-func (n *Node) WaitApplied(lsn page.LSN, timeout time.Duration) bool {
+func (n *node) WaitApplied(lsn page.LSN, timeout time.Duration) bool {
 	// xlog.feed: the caller is blocked behind this replica's apply progress.
 	return noWaits.AwaitLSN(nil, obs.WaitXLOGFeed, n.applied, uint64(lsn), time.Now().Add(timeout)) == nil
 }
 
 // handler serves replication traffic: a shipped block is hardened to the
 // local log and answered with the node's prefix.
-func (n *Node) handler() rbio.Handler {
+func (n *node) handler() rbio.Handler {
 	return func(_ context.Context, req *rbio.Request) *rbio.Response {
 		if req.Type != rbio.MsgFeedBlock {
 			return rbio.Errorf("hadr: unsupported message %v", req.Type)
@@ -352,7 +352,7 @@ func (n *Node) handler() rbio.Handler {
 }
 
 // stop halts the apply loop and the page flusher.
-func (n *Node) stop() {
+func (n *node) stop() {
 	select {
 	case <-n.done:
 		return
@@ -371,14 +371,14 @@ func (n *Node) stop() {
 
 // DataBytes reports the bytes of the node's full local copy (after
 // draining the write-back queue so the disk shadow is complete).
-func (n *Node) DataBytes() int64 {
+func (n *node) DataBytes() int64 {
 	//socrates:ignore-err this is a size probe; an incomplete drain undercounts the shadow but corrupts nothing
 	_ = n.pages.flushOnce()
 	return n.disk.Size()
 }
 
 // openSecondaryEngine attaches a read-only engine once the catalog exists.
-func (n *Node) openSecondaryEngine() error {
+func (n *node) openSecondaryEngine() error {
 	eng, err := engine.Open(engine.Config{
 		Pages:     n.pages,
 		ReadOnly:  true,

@@ -14,9 +14,9 @@ import (
 func fastConfig(name string) Config {
 	return Config{
 		Name:           name,
-		Net:            rbio.NewInstantNetwork(),
+		net:            rbio.NewInstantNetwork(),
 		Store:          xstore.New(xstore.Config{Profile: simdisk.Instant}),
-		DiskProfile:    simdisk.Instant,
+		diskProfile:    simdisk.Instant,
 		LogBackupEvery: 5 * time.Millisecond,
 	}
 }
@@ -106,7 +106,7 @@ func TestQuorumToleratesOneSecondaryDown(t *testing.T) {
 	c := newFast(t, fastConfig("h3"))
 	seedRows(t, c, "t", 50)
 	// One secondary vanishes: quorum is 3 of 4, still reachable.
-	c.Net.Unserve(c.Secondaries()[0].name)
+	c.net.Unserve(c.Secondaries()[0].name)
 	seedRows(t, c, "t2", 50)
 	if got := countRows(t, c.Primary().Engine(), "t2"); got != 50 {
 		t.Fatalf("rows = %d", got)
@@ -114,12 +114,12 @@ func TestQuorumToleratesOneSecondaryDown(t *testing.T) {
 	// The flexible quorum's invariant: what the writer calls hardened is
 	// held by the primary and by at least quorum-1 secondaries.
 	end := c.Writer().HardenedEnd()
-	if c.Primary().HardenedTo().Before(end) {
-		t.Fatalf("hardened end %d past the primary's prefix %d", end, c.Primary().HardenedTo())
+	if c.Primary().hardenedLSN().Before(end) {
+		t.Fatalf("hardened end %d past the primary's prefix %d", end, c.Primary().hardenedLSN())
 	}
 	covered := 0
 	for _, sec := range c.Secondaries() {
-		if !sec.HardenedTo().Before(end) {
+		if !sec.hardenedLSN().Before(end) {
 			covered++
 		}
 	}
@@ -132,8 +132,8 @@ func TestQuorumLossBlocksCommits(t *testing.T) {
 	c := newFast(t, fastConfig("h4"))
 	seedRows(t, c, "t", 10)
 	// Two secondaries down: 2 of 4 nodes < quorum 3.
-	c.Net.Unserve(c.Secondaries()[0].name)
-	c.Net.Unserve(c.Secondaries()[1].name)
+	c.net.Unserve(c.Secondaries()[0].name)
+	c.net.Unserve(c.Secondaries()[1].name)
 	e := c.Primary().Engine()
 	tx := e.Begin()
 	if err := tx.Put("t", []byte("x"), []byte("y")); err != nil {
@@ -247,7 +247,7 @@ func TestBackupKeepsUpWithRoomyBudget(t *testing.T) {
 	// Backup blob actually accumulates bytes.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if size, err := c.Store.Size("h9/logbackup"); err == nil && size > 0 {
+		if size, err := c.store.Size("h9/logbackup"); err == nil && size > 0 {
 			return
 		}
 		time.Sleep(time.Millisecond)
@@ -292,7 +292,7 @@ func TestCommitLatencyRealistic(t *testing.T) {
 	cfg := Config{
 		Name:        "lat",
 		Store:       xstore.New(xstore.Config{Profile: simdisk.Instant}),
-		DiskProfile: simdisk.Instant,
+		diskProfile: simdisk.Instant,
 	}
 	c := newFast(t, cfg)
 	e := c.Primary().Engine()
@@ -345,7 +345,7 @@ func TestCloseReleasesAThrottledLog(t *testing.T) {
 			if err := e.CreateTable("t"); err != nil {
 				t.Fatal(err)
 			}
-			c.Store.SetOutage(true)
+			c.store.SetOutage(true)
 			const committers = 4
 			errs := make(chan error, committers)
 			payload := make([]byte, 1024)

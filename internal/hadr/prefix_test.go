@@ -24,7 +24,7 @@ func testBlock(start, end page.LSN) *wal.Block {
 
 // deliver hands the node one block as the wire would: its encoding, decoded
 // afresh, so no two nodes share records.
-func deliver(t *testing.T, n *Node, payload []byte) page.LSN {
+func deliver(t *testing.T, n *node, payload []byte) page.LSN {
 	t.Helper()
 	b, size, err := wal.DecodeBlock(payload)
 	if err != nil {
@@ -35,7 +35,7 @@ func deliver(t *testing.T, n *Node, payload []byte) page.LSN {
 		t.Fatal(err)
 	}
 	n.mu.Lock()
-	applied, hardenedTo := n.AppliedLSN(), n.hardenedTo
+	applied, hardenedTo := n.appliedLSN(), n.hardenedTo
 	n.mu.Unlock()
 	if applied.After(hardenedTo) {
 		t.Fatalf("applied %d is past the prefix %d", applied, hardenedTo)
@@ -47,10 +47,10 @@ func deliver(t *testing.T, n *Node, payload []byte) page.LSN {
 }
 
 // pagesOf returns the encoded pages of a node's full copy.
-func pagesOf(t *testing.T, n *Node) map[page.ID][]byte {
+func pagesOf(t *testing.T, n *node) map[page.ID][]byte {
 	t.Helper()
 	out := make(map[page.ID][]byte)
-	n.pages.Range(func(pg *page.Page) bool {
+	n.pages.forEach(func(pg *page.Page) bool {
 		enc, err := pg.Encode()
 		if err != nil {
 			t.Fatal(err)
@@ -70,7 +70,7 @@ func TestApplyFollowsLogOrder(t *testing.T) {
 	c := newFast(t, fastConfig("h-order"))
 	seedRows(t, c, "t", 200)
 	prim := c.Primary()
-	end := prim.HardenedTo()
+	end := prim.hardenedLSN()
 	if end != c.Writer().HardenedEnd() {
 		t.Fatalf("primary prefix %d, quorum %d", end, c.Writer().HardenedEnd())
 	}
@@ -117,11 +117,11 @@ func TestApplyFollowsLogOrder(t *testing.T) {
 			for _, i := range order {
 				deliver(t, n, log[i])
 			}
-			if got := n.HardenedTo(); got != end {
+			if got := n.hardenedLSN(); got != end {
 				t.Fatalf("prefix %d after every block, want %d", got, end)
 			}
 			if !n.WaitApplied(end, 5*time.Second) {
-				t.Fatalf("applied %d, want %d", n.AppliedLSN(), end)
+				t.Fatalf("applied %d, want %d", n.appliedLSN(), end)
 			}
 			if size := n.logDev.Size(); size != prim.logDev.Size() {
 				t.Fatalf("local log holds %d bytes, the primary's %d: a block was appended twice or not at all", size, prim.logDev.Size())
@@ -176,18 +176,18 @@ func TestStragglerCatchesUpOrLeaves(t *testing.T) {
 		c := newFast(t, fastConfig("h-lag1"))
 		seedRows(t, c, "t", 50)
 		straggler := c.Secondaries()[2]
-		c.Net.Unserve(straggler.name)
+		c.net.Unserve(straggler.name)
 		seedRows(t, c, "dark", 50)
 		shipsFailed(t, c, straggler.name)
-		if !straggler.HardenedTo().Before(c.Writer().HardenedEnd()) {
+		if !straggler.hardenedLSN().Before(c.Writer().HardenedEnd()) {
 			t.Fatal("straggler did not fall behind while dark")
 		}
-		c.Net.Serve(straggler.name, straggler.handler())
+		c.net.Serve(straggler.name, straggler.handler())
 		// The first ship it answers brings the tail with it.
 		seedRows(t, c, "after", 1)
 		end := c.Writer().HardenedEnd()
 		if !straggler.WaitApplied(end, 5*time.Second) {
-			t.Fatalf("straggler at %d (prefix %d), cluster at %d", straggler.AppliedLSN(), straggler.HardenedTo(), end)
+			t.Fatalf("straggler at %d (prefix %d), cluster at %d", straggler.appliedLSN(), straggler.hardenedLSN(), end)
 		}
 		if got := countRows(t, straggler.Engine(), "dark"); got != 50 {
 			t.Fatalf("straggler has %d of the 50 rows written while it was dark", got)
@@ -198,10 +198,10 @@ func TestStragglerCatchesUpOrLeaves(t *testing.T) {
 		c := newFast(t, fastConfig("h-lag2"))
 		seedRows(t, c, "t", 50)
 		straggler := c.Secondaries()[2]
-		c.Net.Unserve(straggler.name)
+		c.net.Unserve(straggler.name)
 		seedRows(t, c, "dark", 50)
 		shipsFailed(t, c, straggler.name)
-		c.Net.Serve(straggler.name, straggler.handler())
+		c.net.Serve(straggler.name, straggler.handler())
 
 		promoted, _, err := c.Failover()
 		if err != nil {
@@ -218,11 +218,11 @@ func TestStragglerCatchesUpOrLeaves(t *testing.T) {
 			t.Fatalf("%d secondaries after failover, want 2", len(secs))
 		}
 		for _, s := range secs {
-			if s.HardenedTo().Before(end) {
-				t.Fatalf("%s counted in a 3-of-3 quorum through %d holding %d", s.name, end, s.HardenedTo())
+			if s.hardenedLSN().Before(end) {
+				t.Fatalf("%s counted in a 3-of-3 quorum through %d holding %d", s.name, end, s.hardenedLSN())
 			}
 			if !s.WaitApplied(end, 5*time.Second) {
-				t.Fatalf("%s applied %d, want %d", s.name, s.AppliedLSN(), end)
+				t.Fatalf("%s applied %d, want %d", s.name, s.appliedLSN(), end)
 			}
 			for table, want := range map[string]int{"t": 50, "dark": 50, "after": 50} {
 				if got := countRows(t, s.Engine(), table); got != want {
@@ -239,14 +239,14 @@ func TestStragglerCatchesUpOrLeaves(t *testing.T) {
 			t.Fatal(err)
 		}
 		straggler := c.Secondaries()[2]
-		c.Net.Unserve(straggler.name)
+		c.net.Unserve(straggler.name)
 		for i := 0; i < tailMax+8; i++ { // one block each
 			if err := commitOne(e, "t", fmt.Sprintf("k%04d", i)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		shipsFailed(t, c, straggler.name)
-		c.Net.Serve(straggler.name, straggler.handler())
+		c.net.Serve(straggler.name, straggler.handler())
 
 		promoted, _, err := c.Failover()
 		if err != nil {
@@ -256,13 +256,13 @@ func TestStragglerCatchesUpOrLeaves(t *testing.T) {
 		// begins after its prefix ends: it leaves, and the primary plus one
 		// secondary cannot make a quorum of 3.
 		e = promoted.Engine()
-		if err := commitOne(e, "t", "short"); !errors.Is(err, ErrNoQuorum) {
+		if err := commitOne(e, "t", "short"); !errors.Is(err, errNoQuorum) {
 			t.Fatalf("commit with 2 of 3 nodes: %v, want ErrNoQuorum", err)
 		}
 		for _, s := range c.Secondaries() {
 			if s == straggler {
 				t.Fatalf("straggler at %d still a secondary; the promoted node's log begins at %d",
-					straggler.HardenedTo(), promoted.tail[0].start)
+					straggler.hardenedLSN(), promoted.tail[0].start)
 			}
 		}
 		if _, _, _, err := c.SeedNewReplica("h-lag3-new"); err != nil {
@@ -274,7 +274,7 @@ func TestStragglerCatchesUpOrLeaves(t *testing.T) {
 		end := c.Writer().HardenedEnd()
 		for _, s := range c.Secondaries() {
 			if !s.WaitApplied(end, 5*time.Second) {
-				t.Fatalf("%s applied %d, want %d", s.name, s.AppliedLSN(), end)
+				t.Fatalf("%s applied %d, want %d", s.name, s.appliedLSN(), end)
 			}
 			// Every acknowledged row, and the one whose commit was refused:
 			// its block stayed in the log and hardened with the next.
@@ -290,7 +290,7 @@ func TestStragglerCatchesUpOrLeaves(t *testing.T) {
 func TestFailoverNeedsTheHardenedLog(t *testing.T) {
 	c := newFast(t, fastConfig("h-short"))
 	secs := c.Secondaries()
-	c.Net.Unserve(secs[0].name) // it misses every ship
+	c.net.Unserve(secs[0].name) // it misses every ship
 	seedRows(t, c, "t", 10)
 	// The two that hold the log leave the replica set, as a secondary the
 	// primary's tail no longer reaches does.
@@ -299,7 +299,7 @@ func TestFailoverNeedsTheHardenedLog(t *testing.T) {
 	}
 	start := time.Now()
 	_, _, err := c.Failover()
-	if !errors.Is(err, ErrNoQuorum) {
+	if !errors.Is(err, errNoQuorum) {
 		t.Fatalf("failover onto secondaries that lack acknowledged commits: %v, want ErrNoQuorum", err)
 	}
 	if took := time.Since(start); took > 5*time.Second {

@@ -39,7 +39,7 @@ func TestClusterConcurrentCommitsAndProbes(t *testing.T) {
 				default:
 				}
 				for _, s := range c.Secondaries() {
-					_ = s.AppliedLSN()
+					_ = s.appliedLSN()
 				}
 				_ = c.TotalDataBytes()
 				_, _ = c.Writer().Stats()
@@ -76,7 +76,7 @@ func TestClusterConcurrentCommitsAndProbes(t *testing.T) {
 	end := c.Writer().HardenedEnd()
 	for _, s := range c.Secondaries() {
 		if !s.WaitApplied(end, 5*time.Second) {
-			t.Fatalf("%s stuck at %d, want %d", s.name, s.AppliedLSN(), end)
+			t.Fatalf("%s stuck at %d, want %d", s.name, s.appliedLSN(), end)
 		}
 	}
 	want := writers * perWriter
@@ -85,7 +85,7 @@ func TestClusterConcurrentCommitsAndProbes(t *testing.T) {
 	}
 }
 
-// TestNodeWaitAppliedRacesApply pins the Node condition-variable protocol:
+// TestNodeWaitAppliedRacesApply pins the node condition-variable protocol:
 // many waiters block on WaitApplied while the apply loop drains blocks, and
 // every waiter must wake exactly when its watermark is reached.
 func TestNodeWaitAppliedRacesApply(t *testing.T) {

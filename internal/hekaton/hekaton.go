@@ -31,8 +31,8 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrCorrupt reports a log that is damaged beyond the usual torn tail.
-var ErrCorrupt = errors.New("hekaton: corrupt log")
+// errCorrupt reports a log that is damaged beyond the usual torn tail.
+var errCorrupt = errors.New("hekaton: corrupt log")
 
 // Table is a durable in-memory key/value table. All methods are safe for
 // concurrent use; writes are durable when the method returns.
@@ -76,11 +76,11 @@ func Open(dev *simdisk.Device) (*Table, error) {
 		return nil, fmt.Errorf("hekaton: reading header: %w", err)
 	}
 	if binary.LittleEndian.Uint32(head[0:4]) != tableMagic {
-		return nil, fmt.Errorf("%w: bad table magic", ErrCorrupt)
+		return nil, fmt.Errorf("%w: bad table magic", errCorrupt)
 	}
 	snapLen := int64(binary.LittleEndian.Uint64(head[4:12]))
 	if headerSize+snapLen > size {
-		return nil, fmt.Errorf("%w: snapshot length %d exceeds device", ErrCorrupt, snapLen)
+		return nil, fmt.Errorf("%w: snapshot length %d exceeds device", errCorrupt, snapLen)
 	}
 	body := make([]byte, size-headerSize)
 	if err := dev.ReadAt(body, headerSize); err != nil {
@@ -91,10 +91,10 @@ func Open(dev *simdisk.Device) (*Table, error) {
 	for pos < snapLen {
 		n, op, key, val, err := decodeEntry(body[pos:])
 		if err != nil {
-			return nil, fmt.Errorf("%w: snapshot entry at %d: %v", ErrCorrupt, pos, err)
+			return nil, fmt.Errorf("%w: snapshot entry at %d: %v", errCorrupt, pos, err)
 		}
 		if op != opPut {
-			return nil, fmt.Errorf("%w: non-put op %d in snapshot", ErrCorrupt, op)
+			return nil, fmt.Errorf("%w: non-put op %d in snapshot", errCorrupt, op)
 		}
 		t.rows[string(key)] = val
 		pos += int64(n)

@@ -1,6 +1,6 @@
 // Package logwriter is the group-commit log writer both systems' primaries
 // run. As in the paper, only where a hardened block goes differs: that is the
-// Sink — the landing zone and XLOG (compute, §4.3), or the local log and a
+// sink — the landing zone and XLOG (compute, §4.3), or the local log and a
 // quorum of replicas (hadr, §2).
 package logwriter
 
@@ -29,9 +29,9 @@ var ErrWriterClosed = fmt.Errorf("logwriter: log writer closed: %w", socerr.ErrC
 // passes them. Any other Complete error poisons the writer.
 var ErrGroupLost = errors.New("logwriter: group lost")
 
-// A Sink makes cut groups durable, in two steps. The block comes by value,
+// A sink makes cut groups durable, in two steps. The block comes by value,
 // so it stays on the leader's stack unless the sink keeps it.
-type Sink interface {
+type sink interface {
 	// Reserve takes the group a leader has just cut. Leaders call it one at
 	// a time, in LSN order, so whatever it orders (ring space, a throttle)
 	// stays in LSN order. An error poisons the writer.
@@ -49,12 +49,12 @@ type Reservation struct {
 	Ticket  any
 }
 
-// Clock abstracts the batcher's two time dependencies — reading the clock
+// clock abstracts the batcher's two time dependencies — reading the clock
 // and arming a one-shot timer — so deterministic tests drive the adaptive
 // batching window without wall-clock sleeps (testutil.FakeClock satisfies
 // it structurally). AfterFunc returns a stop function in place of a
 // *time.Timer so fakes need no timer type of their own.
-type Clock interface {
+type clock interface {
 	Now() time.Time
 	AfterFunc(d time.Duration, f func()) (stop func() bool)
 }
@@ -98,8 +98,8 @@ const (
 // (WaitHarden), one sink write per group, up to maxInflight groups in
 // flight, with no goroutine hand-off between a commit and its write.
 type LogWriter struct {
-	sink  Sink
-	clock Clock
+	sink  sink
+	clock clock
 
 	mu       sync.Mutex
 	cond     *sync.Cond // followers: hardened, err, closed, a lost group, a free slot
@@ -155,13 +155,13 @@ func WithObservability(p obs.Plane) Option {
 
 // WithClock substitutes the batcher's clock — deterministic tests install a
 // testutil.FakeClock and drive the adaptive window by hand.
-func WithClock(c Clock) Option {
+func WithClock(c clock) Option {
 	return func(w *LogWriter) { w.clock = c }
 }
 
 // New returns a writer over sink whose next record receives startLSN. It
 // starts no goroutine: the committers write the log (see WaitHarden).
-func New(sink Sink, startLSN page.LSN, opts ...Option) *LogWriter {
+func New(sink sink, startLSN page.LSN, opts ...Option) *LogWriter {
 	w := &LogWriter{
 		sink:    sink,
 		nextLSN: startLSN, hardened: startLSN,

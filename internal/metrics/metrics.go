@@ -101,7 +101,7 @@ const reservoirCap = 1 << 16
 //
 // Summarize's Count, Min, Max and Stdev are always exact: they are
 // maintained as running aggregates over every observation. Median and
-// Quantile are exact until reservoirCap samples have been observed, after
+// quantile are exact until reservoirCap samples have been observed, after
 // which they are computed over a uniform reservoir of reservoirCap samples
 // (Algorithm R).
 // Experiment windows are far shorter than the cap, so the paper's tables are
@@ -165,13 +165,13 @@ func (h *Histogram) sortLocked() {
 
 // Median reports the middle sample: the upper of the two middle samples
 // for even counts, the same order statistic Summarize reports.
-func (h *Histogram) Median() time.Duration { return h.Quantile(0.5) }
+func (h *Histogram) Median() time.Duration { return h.quantile(0.5) }
 
-// Quantile reports the q-th quantile (0 <= q <= 1) by nearest-rank over the
+// quantile reports the q-th quantile (0 <= q <= 1) by nearest-rank over the
 // retained samples — exact below reservoirCap observations, estimated from
 // the uniform reservoir above it. The extremes (q<=0, q>=1) are always
 // exact.
-func (h *Histogram) Quantile(q float64) time.Duration {
+func (h *Histogram) quantile(q float64) time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	n := len(h.samples)

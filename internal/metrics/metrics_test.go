@@ -127,13 +127,13 @@ func TestHistogramQuantileBounds(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		h.Observe(time.Duration(i))
 	}
-	if got := h.Quantile(0); got != 1 {
+	if got := h.quantile(0); got != 1 {
 		t.Errorf("q0 = %v, want 1", got)
 	}
-	if got := h.Quantile(1); got != 100 {
+	if got := h.quantile(1); got != 100 {
 		t.Errorf("q1 = %v, want 100", got)
 	}
-	if got := h.Quantile(0.99); got < 95 || got > 100 {
+	if got := h.quantile(0.99); got < 95 || got > 100 {
 		t.Errorf("q99 = %v, want near 100", got)
 	}
 }
@@ -163,7 +163,7 @@ func TestHistogramSummarizeMatchesIndividualStats(t *testing.T) {
 		h.Observe(time.Duration(r.Intn(1_000_000)))
 	}
 	s := h.Summarize()
-	if s.Min != h.Quantile(0) || s.Max != h.Quantile(1) || s.Median != h.Median() || s.Count != 257 {
+	if s.Min != h.quantile(0) || s.Max != h.quantile(1) || s.Median != h.Median() || s.Count != 257 {
 		t.Fatalf("summary %+v disagrees with individual statistics", s)
 	}
 }
@@ -278,7 +278,7 @@ func TestHistogramExactMaxConcurrent(t *testing.T) {
 	if got := h.Summarize().Max; got != time.Hour {
 		t.Errorf("max = %v, want %v (exact running max, not a reservoir survivor)", got, time.Hour)
 	}
-	if got := h.Quantile(1); got != time.Hour {
+	if got := h.quantile(1); got != time.Hour {
 		t.Errorf("Quantile(1) = %v, want %v (must be the exact max, never a sampled quantile)", got, time.Hour)
 	}
 }
@@ -295,14 +295,14 @@ func TestHistogramReservoirQuantilesStayFaithful(t *testing.T) {
 		q    float64
 		want time.Duration
 	}{{0.5, n / 2}, {0.9, 9 * n / 10}, {0.99, 99 * n / 100}} {
-		got := h.Quantile(tc.q)
+		got := h.quantile(tc.q)
 		tol := time.Duration(n * 3 / 100)
 		if got < tc.want-tol || got > tc.want+tol {
 			t.Errorf("q%.2f = %v, want %v +/- %v", tc.q, got, tc.want, tol)
 		}
 	}
 	// Extremes remain exact.
-	if h.Quantile(0) != 1 || h.Quantile(1) != n {
-		t.Errorf("extreme quantiles (%v, %v) not exact", h.Quantile(0), h.Quantile(1))
+	if h.quantile(0) != 1 || h.quantile(1) != n {
+		t.Errorf("extreme quantiles (%v, %v) not exact", h.quantile(0), h.quantile(1))
 	}
 }

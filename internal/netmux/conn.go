@@ -52,9 +52,9 @@ type MuxConn struct {
 	err     error                     // first fatal error, set once
 }
 
-// NewMuxConn wraps an established stream. It takes ownership of conn and
+// newMuxConn wraps an established stream. It takes ownership of conn and
 // starts the demux goroutine. m may be nil.
-func NewMuxConn(conn net.Conn, addr string, m *rbio.Metrics) *MuxConn {
+func newMuxConn(conn net.Conn, addr string, m *rbio.Metrics) *MuxConn {
 	c := &MuxConn{
 		conn:    conn,
 		addr:    addr,
@@ -290,16 +290,16 @@ func (c *MuxConn) demux() {
 	}
 }
 
-// DialTimeout bounds the TCP connect in DialTCP.
-const DialTimeout = 5 * time.Second
+// dialTimeout bounds the TCP connect in DialTCP.
+const dialTimeout = 5 * time.Second
 
 // DialTCP connects to an RBIO endpoint and wraps the socket in a MuxConn.
 // Nothing is exchanged at connect time: every request carries the protocol
 // version and the server answers a mismatch per request. m may be nil.
 func DialTCP(addr string, m *rbio.Metrics) (rbio.Conn, error) {
-	raw, err := net.DialTimeout("tcp", addr, DialTimeout)
+	raw, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", rbio.ErrUnavailable, err)
 	}
-	return NewMuxConn(raw, addr, m), nil
+	return newMuxConn(raw, addr, m), nil
 }

@@ -30,7 +30,7 @@ func TestMuxCallAllocs(t *testing.T) {
 
 	client, sink := net.Pipe()
 	go func() { _, _ = io.Copy(io.Discard, sink) }()
-	oneway := NewMuxConn(client, "sink", nil)
+	oneway := newMuxConn(client, "sink", nil)
 	t.Cleanup(func() { _ = oneway.Close() })
 
 	ctx := context.Background()

@@ -13,7 +13,7 @@ import (
 // parkOn starts an AwaitLSN for lsn on its own goroutine and returns once
 // the waiter has counted itself on the rung: from then on a Publish or Drop
 // must reach it, whether it is parked yet or still on its way.
-func parkOn(rec *WaitRecorder, class WaitClass, w *Watermark, lsn uint64, deadline time.Time) <-chan error {
+func parkOn(rec *WaitRecorder, class waitClass, w *Watermark, lsn uint64, deadline time.Time) <-chan error {
 	out := make(chan error, 1)
 	go func() { out <- rec.AwaitLSN(context.Background(), class, w, lsn, deadline) }()
 	for w.waiters.Load() == 0 {
@@ -44,7 +44,7 @@ func TestAwaitLSNAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() { lsn++; w.Publish(lsn) }); avg != 0 {
 		t.Fatalf("Publish with no waiter: %.1f allocs/op, want 0", avg)
 	}
-	if got := set.Global().Snapshot(); len(got) != 0 {
+	if got := set.globalStats().snapshot(); len(got) != 0 {
 		t.Fatalf("the fast path recorded %+v", got)
 	}
 }
@@ -68,7 +68,7 @@ func TestAwaitLSNPublishWakesIt(t *testing.T) {
 	if err := returned(t, out); err != nil {
 		t.Fatalf("AwaitLSN = %v, want nil", err)
 	}
-	if n := set.Global().Snapshot(); len(n) != 1 || n[0].Class != WaitXLOGFeed.String() || n[0].Count != 1 {
+	if n := set.globalStats().snapshot(); len(n) != 1 || n[0].Class != WaitXLOGFeed.String() || n[0].Count != 1 {
 		t.Fatalf("recorded %+v, want one xlog.feed wait", n)
 	}
 	if err := rec.AwaitLSN(nil, WaitXLOGFeed, w, 8, time.Now().Add(time.Millisecond)); !errors.Is(err, ErrDeadline) {
@@ -143,7 +143,7 @@ func TestOwnedRungs(t *testing.T) {
 func TestWatchdogForgetsDroppedRungs(t *testing.T) {
 	ws := NewWatermarkSet()
 	reg := NewRegistry()
-	d := NewWatchdog(ws, reg, nil, nil, WatchdogConfig{MaxLagLSN: -1, StallTicks: 3})
+	d := newWatchdog(ws, reg, nil, nil, WatchdogConfig{MaxLagLSN: -1, StallTicks: 3})
 	publishLadder(ws, 500, 500, 500, 500)
 	live, dead := ws.Own(WMApplied, "ps-0"), ws.Own(WMApplied, "ps-1")
 	live.Publish(500)
@@ -159,7 +159,7 @@ func TestWatchdogForgetsDroppedRungs(t *testing.T) {
 	if lag := reg.Gauge("pageserver.apply_lag_lsn").Value(); lag != 0 {
 		t.Fatalf("apply lag gauge = %d with the only live follower caught up", lag)
 	}
-	if _, ok := ws.LadderLags()["pageserver.apply_lag_lsn/ps-1"]; ok {
+	if _, ok := ws.ladderLags()["pageserver.apply_lag_lsn/ps-1"]; ok {
 		t.Fatal("LadderLags still lists the dropped rung")
 	}
 }

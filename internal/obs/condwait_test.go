@@ -44,7 +44,7 @@ func (r *condRig) ready() bool {
 // is parked in Wait: ready's first call runs under r.mu, and the waiter
 // lets go of r.mu only inside Wait (or on its way out), so the test taking
 // r.mu after that call means the waiter got there.
-func (r *condRig) park(ctx context.Context, class WaitClass, deadline time.Time) <-chan error {
+func (r *condRig) park(ctx context.Context, class waitClass, deadline time.Time) <-chan error {
 	out := make(chan error, 1)
 	go func() {
 		r.mu.Lock()
@@ -67,8 +67,8 @@ func (r *condRig) setReady() {
 }
 
 // recorded reports how many waits of class the rig's recorder holds.
-func (r *condRig) recorded(class WaitClass) uint64 {
-	for _, st := range r.set.Global().Snapshot() {
+func (r *condRig) recorded(class waitClass) uint64 {
+	for _, st := range r.set.globalStats().snapshot() {
 		if st.Class == class.String() {
 			return st.Count
 		}
@@ -141,7 +141,7 @@ func TestCondWaitFastPathRecordsNothing(t *testing.T) {
 	if err := r.rec.CondWait(ctx, WaitXLOGFeed, r.c, deadline, r.ready); err != nil {
 		t.Fatalf("CondWait = %v, want nil", err)
 	}
-	if got := r.set.Global().Snapshot(); len(got) != 0 {
+	if got := r.set.globalStats().snapshot(); len(got) != 0 {
 		t.Fatalf("the fast path recorded %+v", got)
 	}
 	if testutil.RaceEnabled {
@@ -165,7 +165,7 @@ func TestCondWaitNoneRecordsNothing(t *testing.T) {
 	if err := returned(t, out); err != nil {
 		t.Fatalf("CondWait = %v, want nil", err)
 	}
-	if got := r.set.Global().Snapshot(); len(got) != 0 {
+	if got := r.set.globalStats().snapshot(); len(got) != 0 {
 		t.Fatalf("WaitNone recorded %+v", got)
 	}
 }

@@ -39,14 +39,14 @@ type FlightEvent struct {
 	Detail string  `json:"detail,omitempty"`
 }
 
-// DefaultFlightSlots is the default ring capacity.
-const DefaultFlightSlots = 4096
+// defaultFlightSlots is the default ring capacity.
+const defaultFlightSlots = 4096
 
 // NewFlightRecorder builds a recorder with the given capacity (rounded up
-// to a power of two; <= 0 uses DefaultFlightSlots).
+// to a power of two; <= 0 uses defaultFlightSlots).
 func NewFlightRecorder(size int) *FlightRecorder {
 	if size <= 0 {
-		size = DefaultFlightSlots
+		size = defaultFlightSlots
 	}
 	n := 1
 	for n < size {

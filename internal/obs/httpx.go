@@ -10,18 +10,18 @@ import (
 	"time"
 )
 
-// WatermarkReport is the /watermarks JSON document: the LSN ladder, the
+// watermarkReport is the /watermarks JSON document: the LSN ladder, the
 // derived lags, and any watchdog trips so far.
-type WatermarkReport struct {
+type watermarkReport struct {
 	Taken      time.Time         `json:"taken"`
 	Watermarks []WatermarkState  `json:"watermarks"`
 	Lags       map[string]uint64 `json:"lags,omitempty"`
 	Trips      []Trip            `json:"trips,omitempty"`
 }
 
-// LadderLags derives the standard lag view from the current watermark
+// ladderLags derives the standard lag view from the current watermark
 // values: singleton rungs by name, per-replica rungs keyed name/replica.
-func (s *WatermarkSet) LadderLags() map[string]uint64 {
+func (s *WatermarkSet) ladderLags() map[string]uint64 {
 	if s == nil {
 		return nil
 	}
@@ -75,14 +75,14 @@ func NewHTTPHandler(o Plane) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		// A write error means the scraper hung up: nothing to recover.
 		_ = o.Metrics.WritePrometheus(w)
-		_ = WritePrometheusWatermarks(w, o.Watermarks)
-		_ = WritePrometheusWaits(w, o.Waits)
+		_ = writePrometheusWatermarks(w, o.Watermarks)
+		_ = writePrometheusWaits(w, o.Waits)
 	})
 
 	mux.HandleFunc("/waits", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Get("format") == "prom" {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			_ = WritePrometheusWaits(w, o.Waits)
+			_ = writePrometheusWaits(w, o.Waits)
 			return
 		}
 		writeJSON(w, o.Waits.Report())
@@ -93,10 +93,10 @@ func NewHTTPHandler(o Plane) http.Handler {
 	})
 
 	mux.HandleFunc("/watermarks", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, WatermarkReport{
+		writeJSON(w, watermarkReport{
 			Taken:      time.Now(),
 			Watermarks: o.Watermarks.Snapshot(),
-			Lags:       o.Watermarks.LadderLags(),
+			Lags:       o.Watermarks.ladderLags(),
 			Trips:      o.Watchdog.Trips(),
 		})
 	})

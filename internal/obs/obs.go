@@ -98,14 +98,14 @@ func SpanFromContext(ctx context.Context) SpanContext {
 type Span struct {
 	tracer *Tracer
 
-	Trace    TraceID
-	ID       SpanID
-	Parent   SpanID
-	Name     string
-	Tier     string
-	Start    time.Time
-	Duration time.Duration
-	Attrs    map[string]string
+	trace    TraceID
+	id       SpanID
+	parentID SpanID
+	name     string
+	tier     string
+	start    time.Time
+	duration time.Duration
+	attrs    map[string]string
 
 	// parent is the in-process parent span; nil at a root and past a
 	// wire hop. RecordWait walks it so a span's waits are inclusive.
@@ -116,7 +116,7 @@ type Span struct {
 
 	// Wait attribution: accumulated under mu until End, immutable after.
 	// Fixed arrays keep RecordWait allocation-free on hot paths. Like
-	// Duration, the waits include those of in-process descendants.
+	// duration, the waits include those of in-process descendants.
 	waitCounts [numWaitClasses]uint32
 	waitNS     [numWaitClasses]uint64
 	hasWaits   bool
@@ -127,7 +127,7 @@ func (s *Span) Context() SpanContext {
 	if s == nil {
 		return SpanContext{}
 	}
-	return SpanContext{TraceID: s.Trace, SpanID: s.ID}
+	return SpanContext{TraceID: s.trace, SpanID: s.id}
 }
 
 // SetAttr attaches a key/value attribute to the span.
@@ -137,22 +137,22 @@ func (s *Span) SetAttr(key, value string) {
 	}
 	s.mu.Lock()
 	if !s.ended {
-		if s.Attrs == nil {
-			s.Attrs = make(map[string]string, 4)
+		if s.attrs == nil {
+			s.attrs = make(map[string]string, 4)
 		}
-		s.Attrs[key] = value
+		s.attrs[key] = value
 	}
 	s.mu.Unlock()
 }
 
-// RecordWait attributes one wait of class c to the span and to each of
+// recordWait attributes one wait of class c to the span and to each of
 // its in-process ancestors, so a span's waits are inclusive like its
-// Duration. WaitPoints call it through the context's live span; a span
+// duration. WaitPoints call it through the context's live span; a span
 // that has ended takes no more waits (it is already immutable in the
 // tracer).
 //
 //socrates:hotpath runs under every WaitPoint on a traced path; TestMuxCallAllocs (traced Call)
-func (s *Span) RecordWait(c WaitClass, d time.Duration) {
+func (s *Span) recordWait(c waitClass, d time.Duration) {
 	if int(c) >= numWaitClasses {
 		return
 	}
@@ -188,7 +188,7 @@ func (s *Span) WaitBreakdown() []WaitClassStat {
 			continue
 		}
 		out = append(out, WaitClassStat{
-			Class:   WaitClass(i).String(),
+			Class:   waitClass(i).String(),
 			Count:   uint64(n),
 			TotalNS: s.waitNS[i],
 		})
@@ -210,12 +210,12 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.EndWith(time.Since(s.Start))
+	s.endWith(time.Since(s.start))
 }
 
-// EndWith finishes the span attributing the given duration — used when
+// endWith finishes the span attributing the given duration — used when
 // the interesting time is simulated-device time rather than wall clock.
-func (s *Span) EndWith(d time.Duration) {
+func (s *Span) endWith(d time.Duration) {
 	if s == nil || s.tracer == nil {
 		return
 	}
@@ -228,7 +228,7 @@ func (s *Span) EndWith(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	s.Duration = d
+	s.duration = d
 	s.mu.Unlock()
 	s.tracer.record(s)
 }
@@ -276,10 +276,10 @@ func (t *Tracer) StartSpan(ctx context.Context, tier, name string) (context.Cont
 	}
 	s := &Span{
 		tracer: t,
-		Name:   name,
-		Tier:   tier,
-		Start:  time.Now(),
-		ID:     t.newSpanID(),
+		name:   name,
+		tier:   tier,
+		start:  time.Now(),
+		id:     t.newSpanID(),
 	}
 	var parent SpanContext
 	switch v := ctx.Value(spanKey{}).(type) {
@@ -289,14 +289,14 @@ func (t *Tracer) StartSpan(ctx context.Context, tier, name string) (context.Cont
 		parent = v
 	}
 	if parent.Valid() {
-		s.Trace = parent.TraceID
-		s.Parent = parent.SpanID
+		s.trace = parent.TraceID
+		s.parentID = parent.SpanID
 	} else {
 		id := t.rng()
 		if id == 0 {
 			id = 1
 		}
-		s.Trace = TraceID(id)
+		s.trace = TraceID(id)
 	}
 	return context.WithValue(ctx, spanKey{}, s), s
 }
@@ -326,24 +326,24 @@ func (t *Tracer) StartRemoteSpan(parent SpanContext, tier, name string) (context
 func (t *Tracer) record(s *Span) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	spans, ok := t.traces[s.Trace]
+	spans, ok := t.traces[s.trace]
 	if !ok {
 		if len(t.order) >= t.maxTraces {
 			evict := t.order[0]
 			t.order = t.order[1:]
 			delete(t.traces, evict)
 		}
-		t.order = append(t.order, s.Trace)
+		t.order = append(t.order, s.trace)
 	}
 	if len(spans) < t.maxSpans {
-		t.traces[s.Trace] = append(spans, s)
+		t.traces[s.trace] = append(spans, s)
 	} else {
-		t.traces[s.Trace] = spans // trace over budget: drop span
+		t.traces[s.trace] = spans // trace over budget: drop span
 	}
 }
 
-// Spans returns the finished spans of a trace in completion order.
-func (t *Tracer) Spans(id TraceID) []*Span {
+// spans returns the finished spans of a trace in completion order.
+func (t *Tracer) spans(id TraceID) []*Span {
 	if t == nil {
 		return nil
 	}
@@ -398,28 +398,28 @@ func (n *SpanNode) Tiers() []string {
 	return out
 }
 
-// Trace assembles the span tree for a trace ID. Spans whose parent was
+// trace assembles the span tree for a trace ID. Spans whose parent was
 // not retained (evicted, or still running) surface as additional roots;
 // when a trace has several roots they are joined under a synthetic
 // "trace" node so callers always get one tree.
 func (t *Tracer) Trace(id TraceID) *SpanNode {
-	spans := t.Spans(id)
+	spans := t.spans(id)
 	if len(spans) == 0 {
 		return nil
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
+	sort.Slice(spans, func(i, j int) bool { return spans[i].start.Before(spans[j].start) })
 	nodes := make(map[SpanID]*SpanNode, len(spans))
 	for _, s := range spans {
-		nodes[s.ID] = &SpanNode{
-			Name: s.Name, Tier: s.Tier, Start: s.Start,
-			Duration: s.Duration, Attrs: s.Attrs,
+		nodes[s.id] = &SpanNode{
+			Name: s.name, Tier: s.tier, Start: s.start,
+			Duration: s.duration, Attrs: s.attrs,
 			Waits: s.WaitBreakdown(),
 		}
 	}
 	var roots []*SpanNode
 	for _, s := range spans {
-		n := nodes[s.ID]
-		if p, ok := nodes[s.Parent]; ok && s.Parent != s.ID {
+		n := nodes[s.id]
+		if p, ok := nodes[s.parentID]; ok && s.parentID != s.id {
 			p.Children = append(p.Children, n)
 		} else {
 			roots = append(roots, n)
@@ -431,15 +431,12 @@ func (t *Tracer) Trace(id TraceID) *SpanNode {
 	return &SpanNode{Name: "trace", Start: roots[0].Start, Children: roots}
 }
 
-// Format renders the subtree rooted at n as indented text; see Format.
-// It is nil-safe and returns "" for a nil node.
-func (n *SpanNode) Format() string { return Format(n) }
-
-// Format renders a span tree as indented text, one span per line:
+// Format renders the subtree rooted at n as indented text, one span per
+// line, and "" for a nil node:
 //
 //	commit.exec [compute] 1.2ms
 //	  lz.write [lz] 600µs
-func Format(n *SpanNode) string {
+func (n *SpanNode) Format() string {
 	var b strings.Builder
 	var walk func(*SpanNode, int)
 	walk = func(m *SpanNode, depth int) {

@@ -14,16 +14,16 @@ func TestSpanTreeAcrossTiers(t *testing.T) {
 	tr := NewTracer()
 	ctx, root := tr.StartSpan(context.Background(), TierCompute, "commit.exec")
 	ctx2, child := tr.StartSpan(ctx, TierLZ, "lz.write")
-	if SpanFromContext(ctx2).TraceID != root.Trace {
+	if SpanFromContext(ctx2).TraceID != root.trace {
 		t.Fatalf("child context lost trace id")
 	}
 	_, grand := tr.StartSpan(ctx2, TierXLOG, "xlog.feed")
 	grand.SetAttr("blocks", "3")
-	grand.EndWith(5 * time.Millisecond)
+	grand.endWith(5 * time.Millisecond)
 	child.End()
 	root.End()
 
-	tree := tr.Trace(root.Trace)
+	tree := tr.Trace(root.trace)
 	if tree == nil {
 		t.Fatal("no tree")
 	}
@@ -40,7 +40,7 @@ func TestSpanTreeAcrossTiers(t *testing.T) {
 			t.Fatalf("tiers = %v, want %v", tiers, want)
 		}
 	}
-	text := Format(tree)
+	text := tree.Format()
 	if !strings.Contains(text, "xlog.feed [xlog] 5ms blocks=3") {
 		t.Fatalf("format missing attributed span:\n%s", text)
 	}
@@ -52,11 +52,11 @@ func TestRemoteSpanJoinsTrace(t *testing.T) {
 	// Simulate a wire hop: only the SpanContext crosses.
 	wire := SpanFromContext(ctx)
 	_, remote := tr.StartRemoteSpan(wire, TierPageServer, "pageserver.getpage")
-	remote.EndWith(time.Millisecond)
+	remote.endWith(time.Millisecond)
 	root.End()
-	tree := tr.Trace(root.Trace)
+	tree := tr.Trace(root.trace)
 	if len(tree.Children) != 1 || tree.Children[0].Tier != TierPageServer {
-		t.Fatalf("remote span not parented: %s", Format(tree))
+		t.Fatalf("remote span not parented: %s", tree.Format())
 	}
 }
 
@@ -80,9 +80,9 @@ func TestSpanWaitsAreInclusive(t *testing.T) {
 	rec.Observe(cctx, WaitLockRow, time.Millisecond) // after End: root only
 	root.End()
 
-	tree := tr.Trace(root.Trace)
+	tree := tr.Trace(root.trace)
 	if len(tree.Children) != 1 || tree.Children[0].Name != "engine.commit" {
-		t.Fatalf("want one engine.commit child:\n%s", Format(tree))
+		t.Fatalf("want one engine.commit child:\n%s", tree.Format())
 	}
 	for _, tc := range []struct {
 		node *SpanNode
@@ -126,7 +126,7 @@ func TestTracerEviction(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		_, s := tr.StartSpan(context.Background(), TierCompute, "op")
 		s.End()
-		ids = append(ids, s.Trace)
+		ids = append(ids, s.trace)
 	}
 	if got := tr.Trace(ids[0]); got != nil {
 		t.Fatal("oldest trace should be evicted")
@@ -160,7 +160,7 @@ func TestRegistryHistogram(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Observe(time.Duration(i+1) * 100 * time.Microsecond) // 100µs..10ms
 	}
-	s := h.Summary()
+	s := h.summary()
 	if s.Count != 100 {
 		t.Fatalf("count = %d", s.Count)
 	}
@@ -199,8 +199,8 @@ func TestMultiRootTrace(t *testing.T) {
 	orphanParent := SpanContext{TraceID: SpanFromContext(ctx).TraceID, SpanID: 9999}
 	_, b := tr.StartRemoteSpan(orphanParent, TierPageServer, "apply")
 	b.End()
-	tree := tr.Trace(a.Trace)
+	tree := tr.Trace(a.trace)
 	if tree.Name != "trace" || len(tree.Children) != 2 {
-		t.Fatalf("expected synthetic root with 2 children:\n%s", Format(tree))
+		t.Fatalf("expected synthetic root with 2 children:\n%s", tree.Format())
 	}
 }

@@ -14,7 +14,7 @@ type Plane struct {
 	Watermarks *WatermarkSet
 	Flight     *FlightRecorder
 	Waits      *WaitSet
-	Watchdog   *Watchdog
+	Watchdog   *watchdog
 }
 
 // NewPlane builds a full plane: every handle, with the watchdog watching
@@ -29,6 +29,6 @@ func NewPlane(cfg WatchdogConfig) Plane {
 		Flight:     NewFlightRecorder(0),
 		Waits:      NewWaitSet(),
 	}
-	p.Watchdog = NewWatchdog(p.Watermarks, p.Metrics, p.Waits, p.Flight, cfg)
+	p.Watchdog = newWatchdog(p.Watermarks, p.Metrics, p.Waits, p.Flight, cfg)
 	return p
 }

@@ -27,7 +27,7 @@ func TestWatermarkMonotonePublish(t *testing.T) {
 	if got := w.Value(); got != 20 {
 		t.Fatalf("value = %d, want 20", got)
 	}
-	if w.UpdatedAt().IsZero() {
+	if w.updatedAt().IsZero() {
 		t.Fatal("UpdatedAt should be set after a publish")
 	}
 	if w.name != WMHardened || w.replica != "" {
@@ -65,11 +65,11 @@ func TestTimeLag(t *testing.T) {
 	now := time.Now().Add(50 * time.Millisecond)
 	// A follower at LSN 0 is missing every stamped commit; its time lag is
 	// at least the age of the oldest stamp.
-	if lag := ws.TimeLag(0, now); lag < 50*time.Millisecond || lag > time.Minute {
+	if lag := ws.timeLag(0, now); lag < 50*time.Millisecond || lag > time.Minute {
 		t.Fatalf("lag = %v, want >= 50ms", lag)
 	}
 	// A follower that applied everything has no lag.
-	if lag := ws.TimeLag(5, now); lag != 0 {
+	if lag := ws.timeLag(5, now); lag != 0 {
 		t.Fatalf("caught-up lag = %v, want 0", lag)
 	}
 }
@@ -80,7 +80,7 @@ func TestLadderLags(t *testing.T) {
 	rung(ws, WMHardened, "").Publish(90)
 	rung(ws, WMPromoted, "").Publish(80)
 	rung(ws, WMApplied, "ps-0").Publish(50)
-	lags := ws.LadderLags()
+	lags := ws.ladderLags()
 	if lags["lz.harden_lag_lsn"] != 10 {
 		t.Fatalf("harden lag = %d, want 10", lags["lz.harden_lag_lsn"])
 	}
@@ -105,7 +105,7 @@ func publishLadder(ws *WatermarkSet, commit, hardened, promoted, destaged uint64
 func TestWatchdogLagTripEdgeTriggered(t *testing.T) {
 	ws := NewWatermarkSet()
 	reg := NewRegistry()
-	d := NewWatchdog(ws, reg, nil, nil, WatchdogConfig{MaxLagLSN: 100, StallTicks: 1000})
+	d := newWatchdog(ws, reg, nil, nil, WatchdogConfig{MaxLagLSN: 100, StallTicks: 1000})
 
 	publishLadder(ws, 1000, 10, 10, 10) // hardened 990 behind commit
 	d.Tick()
@@ -138,7 +138,7 @@ func TestWatchdogLagTripEdgeTriggered(t *testing.T) {
 
 func TestWatchdogStallTrip(t *testing.T) {
 	ws := NewWatermarkSet()
-	d := NewWatchdog(ws, nil, nil, nil, WatchdogConfig{MaxLagLSN: -1, StallTicks: 3})
+	d := newWatchdog(ws, nil, nil, nil, WatchdogConfig{MaxLagLSN: -1, StallTicks: 3})
 
 	publishLadder(ws, 500, 500, 500, 500)
 	rung(ws, WMApplied, "ps-0").Publish(100) // behind and not moving
@@ -168,7 +168,7 @@ func TestWatchdogStallTrip(t *testing.T) {
 
 // TestNewPlaneFreezesTheFirstTripDump drives a NewPlane's watchdog tick by
 // tick on a hand-set ladder: every trip lands in the flight ring as a
-// watchdog.trip event, and Watchdog.TripDump keeps the ring as it stood at the first.
+// watchdog.trip event, and watchdog.TripDump keeps the ring as it stood at the first.
 func TestNewPlaneFreezesTheFirstTripDump(t *testing.T) {
 	p := NewPlane(WatchdogConfig{MaxLagLSN: 100, StallTicks: 1000})
 	if p.Tracer == nil || p.Metrics == nil || p.Watermarks == nil ||
@@ -220,7 +220,7 @@ func TestNewPlaneFreezesTheFirstTripDump(t *testing.T) {
 
 func TestWatchdogStartStop(t *testing.T) {
 	ws := NewWatermarkSet()
-	d := NewWatchdog(ws, nil, nil, nil, WatchdogConfig{Interval: time.Millisecond})
+	d := newWatchdog(ws, nil, nil, nil, WatchdogConfig{Interval: time.Millisecond})
 	d.Start()
 	d.Start() // idempotent
 	time.Sleep(5 * time.Millisecond)
@@ -367,12 +367,12 @@ func TestFlightConcurrentWritersAndDumper(t *testing.T) {
 func TestPlaneNilSafety(t *testing.T) {
 	var ws *WatermarkSet
 	var f *FlightRecorder
-	var d *Watchdog
+	var d *watchdog
 	ws.PublishCommit(1)
 	rung(ws, "x.y", "").Publish(2)
 	_ = ws.Snapshot()
-	_ = ws.LadderLags()
-	_ = ws.TimeLag(0, time.Now())
+	_ = ws.ladderLags()
+	_ = ws.timeLag(0, time.Now())
 	f.Record(TierLZ, "k", 1, 0, "")
 	_ = f.Events()
 	d.Tick()
@@ -404,7 +404,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := WritePrometheusWatermarks(&buf, ws); err != nil {
+	if err := writePrometheusWatermarks(&buf, ws); err != nil {
 		t.Fatal(err)
 	}
 
@@ -440,7 +440,7 @@ func TestHTTPPlaneEndpoints(t *testing.T) {
 	fr := NewFlightRecorder(16)
 	fr.Record(TierLZ, "lz.flush", 8, time.Millisecond, "records=1")
 	tr := NewTracer()
-	d := NewWatchdog(ws, reg, nil, nil, WatchdogConfig{})
+	d := newWatchdog(ws, reg, nil, nil, WatchdogConfig{})
 
 	srv := httptest.NewServer(NewHTTPHandler(Plane{
 		Metrics: reg, Watermarks: ws, Flight: fr, Tracer: tr, Watchdog: d,
@@ -467,7 +467,7 @@ func TestHTTPPlaneEndpoints(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("/watermarks = %d", code)
 	}
-	var report WatermarkReport
+	var report watermarkReport
 	if err := json.Unmarshal([]byte(body), &report); err != nil {
 		t.Fatalf("/watermarks not JSON: %v", err)
 	}

@@ -77,18 +77,18 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				fmt.Fprintf(bw, "%s_bucket{le=%q} %d\n", pn, promFloat(up.Seconds()), b.Cumulative[i])
 			}
 			fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"} %d\n", pn, b.Count)
-			fmt.Fprintf(bw, "%s_sum %s\n", pn, promFloat(b.Sum.Seconds()))
+			fmt.Fprintf(bw, "%s_sum %s\n", pn, promFloat(b.sum.Seconds()))
 			fmt.Fprintf(bw, "%s_count %d\n", pn, b.Count)
 		}
 	}
 	return bw.Flush()
 }
 
-// WritePrometheusWatermarks renders the LSN ladder as one gauge family,
+// writePrometheusWatermarks renders the LSN ladder as one gauge family,
 // labeled by watermark name and replica:
 //
 //	socrates_watermark_lsn{name="lz.hardened_lsn",replica=""} 4127
-func WritePrometheusWatermarks(w io.Writer, ws *WatermarkSet) error {
+func writePrometheusWatermarks(w io.Writer, ws *WatermarkSet) error {
 	bw := bufio.NewWriter(w)
 	if ws != nil {
 		states := ws.Snapshot()

@@ -174,12 +174,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.mu.Unlock()
 }
 
-// ObserveCount records a size — pages in a sweep, records in a batch — in
-// the same power-of-two buckets, one unit to the microsecond: a summary's
-// P50 of 300µs reads as 300, and the Prometheus family, named _seconds like
-// every histogram here, carries it scaled by 1e-6.
-func (h *Histogram) ObserveCount(n int) { h.Observe(time.Duration(n) * time.Microsecond) }
-
 // Since is shorthand for Observe(time.Since(start)).
 func (h *Histogram) Since(start time.Time) { h.Observe(time.Since(start)) }
 
@@ -202,8 +196,8 @@ func bucketUpper(i int) time.Duration {
 	return time.Duration(1<<uint(i)) * time.Microsecond
 }
 
-// Summary exports count/sum/min/max and bucket-interpolated percentiles.
-func (h *Histogram) Summary() HistSummary {
+// summary exports count/sum/min/max and bucket-interpolated percentiles.
+func (h *Histogram) summary() HistSummary {
 	if h == nil {
 		return HistSummary{}
 	}
@@ -244,7 +238,7 @@ type HistBuckets struct {
 	Uppers     []time.Duration
 	Cumulative []uint64
 	Count      uint64
-	Sum        time.Duration
+	sum        time.Duration
 }
 
 // Buckets exports the histogram's cumulative buckets, skipping trailing
@@ -262,7 +256,7 @@ func (h *Histogram) Buckets() HistBuckets {
 			last = i
 		}
 	}
-	out := HistBuckets{Count: h.count, Sum: h.sum}
+	out := HistBuckets{Count: h.count, sum: h.sum}
 	var cum uint64
 	for i := 0; i <= last; i++ {
 		cum += h.buckets[i]
@@ -300,7 +294,7 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Gauges[name] = g.Value()
 	}
 	for name, h := range r.hists {
-		snap.Histograms[name] = h.Summary()
+		snap.Histograms[name] = h.summary()
 	}
 	return snap
 }

@@ -44,11 +44,11 @@ import (
 	"socrates/internal/socerr"
 )
 
-// WaitClass names one cause of blocking. The taxonomy is fixed — a small
+// waitClass names one cause of blocking. The taxonomy is fixed — a small
 // closed set keeps the sketches allocation-free arrays and forces every
 // new blocking site to say which existing operational question it
 // belongs to.
-type WaitClass uint8
+type waitClass uint8
 
 // The wait-class taxonomy, spanning all four tiers.
 const (
@@ -56,7 +56,7 @@ const (
 	// snapshot becomes visible (secondary apply catch-up, read retry).
 	// The lock table itself is NO-WAIT first-writer-wins, so classic
 	// blocked-on-row-lock time also lands here on the retry path.
-	WaitLockRow WaitClass = iota
+	WaitLockRow waitClass = iota
 	// WaitLockLatch: short-term structure latches — the engine's
 	// single-writer commit latch, cache shard latches.
 	WaitLockLatch
@@ -94,7 +94,7 @@ const (
 	numWaitClasses = int(WaitCkptDrain) + 1
 )
 
-// waitClassNames maps WaitClass to its canonical dotted name.
+// waitClassNames maps waitClass to its canonical dotted name.
 var waitClassNames = [numWaitClasses]string{
 	WaitLockRow:      "lock.row",
 	WaitLockLatch:    "lock.latch",
@@ -112,7 +112,7 @@ var waitClassNames = [numWaitClasses]string{
 }
 
 // String returns the canonical class name ("commit.harden").
-func (c WaitClass) String() string {
+func (c waitClass) String() string {
 	if int(c) < numWaitClasses {
 		return waitClassNames[c]
 	}
@@ -120,10 +120,10 @@ func (c WaitClass) String() string {
 }
 
 // WaitClasses lists every class in taxonomy order.
-func WaitClasses() []WaitClass {
-	out := make([]WaitClass, numWaitClasses)
+func WaitClasses() []waitClass {
+	out := make([]waitClass, numWaitClasses)
 	for i := range out {
-		out[i] = WaitClass(i)
+		out[i] = waitClass(i)
 	}
 	return out
 }
@@ -147,14 +147,14 @@ func (s *waitSlot) record(ns uint64) {
 	}
 }
 
-// WaitStats is one sketch: a fixed array of per-class slots. The zero
+// waitStats is one sketch: a fixed array of per-class slots. The zero
 // value is ready to use; recording is lock-free and snapshot-safe.
-type WaitStats struct {
+type waitStats struct {
 	slots [numWaitClasses]waitSlot
 }
 
-// Record adds one wait of duration d to the class sketch.
-func (w *WaitStats) Record(class WaitClass, d time.Duration) {
+// record adds one wait of duration d to the class sketch.
+func (w *waitStats) record(class waitClass, d time.Duration) {
 	if w == nil || int(class) >= numWaitClasses {
 		return
 	}
@@ -172,8 +172,8 @@ type WaitClassStat struct {
 	MaxNS   uint64 `json:"max_ns"`
 }
 
-// Snapshot exports the nonzero classes of the sketch in taxonomy order.
-func (w *WaitStats) Snapshot() []WaitClassStat {
+// snapshot exports the nonzero classes of the sketch in taxonomy order.
+func (w *waitStats) snapshot() []WaitClassStat {
 	if w == nil {
 		return nil
 	}
@@ -185,7 +185,7 @@ func (w *WaitStats) Snapshot() []WaitClassStat {
 			continue
 		}
 		out = append(out, WaitClassStat{
-			Class:   WaitClass(i).String(),
+			Class:   waitClass(i).String(),
 			Count:   n,
 			TotalNS: s.total.Load(),
 			MaxNS:   s.max.Load(),
@@ -198,23 +198,23 @@ func (w *WaitStats) Snapshot() []WaitClassStat {
 // sketch plus one per tier, shared by every node the way the Registry
 // and WatermarkSet are. All methods are nil-safe.
 type WaitSet struct {
-	global WaitStats
+	global waitStats
 
 	mu    sync.RWMutex
-	tiers map[string]*WaitStats
+	tiers map[string]*waitStats
 	recs  map[string]*WaitRecorder
 }
 
 // NewWaitSet builds an empty wait-accounting table.
 func NewWaitSet() *WaitSet {
 	return &WaitSet{
-		tiers: make(map[string]*WaitStats),
+		tiers: make(map[string]*waitStats),
 		recs:  make(map[string]*WaitRecorder),
 	}
 }
 
-// Global exposes the deployment-wide sketch.
-func (s *WaitSet) Global() *WaitStats {
+// globalStats exposes the deployment-wide sketch.
+func (s *WaitSet) globalStats() *waitStats {
 	if s == nil {
 		return nil
 	}
@@ -239,7 +239,7 @@ func (s *WaitSet) Tier(tier string) *WaitRecorder {
 	if r, ok = s.recs[tier]; ok {
 		return r
 	}
-	st := &WaitStats{}
+	st := &waitStats{}
 	s.tiers[tier] = st
 	r = &WaitRecorder{set: s, tier: st}
 	s.recs[tier] = r
@@ -260,9 +260,9 @@ func (s *WaitSet) Report() WaitReport {
 	if s == nil {
 		return rep
 	}
-	rep.Global = sortByTotal(s.global.Snapshot())
+	rep.Global = sortByTotal(s.global.snapshot())
 	s.mu.RLock()
-	tiers := make(map[string]*WaitStats, len(s.tiers))
+	tiers := make(map[string]*waitStats, len(s.tiers))
 	for name, st := range s.tiers {
 		tiers[name] = st
 	}
@@ -270,7 +270,7 @@ func (s *WaitSet) Report() WaitReport {
 	if len(tiers) > 0 {
 		rep.Tiers = make(map[string][]WaitClassStat, len(tiers))
 		for name, st := range tiers {
-			if snap := sortByTotal(st.Snapshot()); len(snap) > 0 {
+			if snap := sortByTotal(st.snapshot()); len(snap) > 0 {
 				rep.Tiers[name] = snap
 			}
 		}
@@ -294,26 +294,26 @@ func sortByTotal(stats []WaitClassStat) []WaitClassStat {
 // request-scoped breakdowns.
 type WaitRecorder struct {
 	set  *WaitSet
-	tier *WaitStats
+	tier *waitStats
 }
 
 // Observe records one pre-measured wait. ctx may be nil (background
 // loops, device lanes without request context).
 //
 //socrates:hotpath the universal record path under every WaitPoint; TestMuxCallAllocs
-func (r *WaitRecorder) Observe(ctx context.Context, class WaitClass, d time.Duration) {
+func (r *WaitRecorder) Observe(ctx context.Context, class waitClass, d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
 	if r != nil {
-		r.tier.Record(class, d)
-		r.set.global.Record(class, d)
+		r.tier.record(class, d)
+		r.set.global.record(class, d)
 	}
 	if ctx == nil {
 		return
 	}
 	if sp, ok := ctx.Value(spanKey{}).(*Span); ok {
-		sp.RecordWait(class, d)
+		sp.recordWait(class, d)
 	}
 }
 
@@ -321,7 +321,7 @@ func (r *WaitRecorder) Observe(ctx context.Context, class WaitClass, d time.Dura
 // Begin/End on a hot path allocates nothing.
 //
 //socrates:hotpath region entry on every netmux call and GetPage; TestMuxCallAllocs, TestGetPageAllocs
-func (r *WaitRecorder) Begin(ctx context.Context, class WaitClass) WaitRegion {
+func (r *WaitRecorder) Begin(ctx context.Context, class waitClass) WaitRegion {
 	return WaitRegion{rec: r, ctx: ctx, class: class, start: time.Now()}
 }
 
@@ -330,7 +330,7 @@ func (r *WaitRecorder) Begin(ctx context.Context, class WaitClass) WaitRegion {
 // apply rung, as lock.row), or it is idle time nobody should (a long poll).
 // waitlint treats a CondWait or an AwaitLSN passing it as an unrecorded
 // blocking site, which needs an open region or a //socrates:wait-ok.
-const WaitNone WaitClass = 255
+const WaitNone waitClass = 255
 
 // ErrDeadline is what CondWait returns when its deadline passes first. It
 // is ErrTimeout-classified; callers that want their state in the message
@@ -348,7 +348,7 @@ var ErrDeadline = socerr.Timeoutf("wait deadline passed")
 //
 // The wait is recorded as one wait of class — only if it blocked; WaitNone
 // records nothing. Already ready, CondWait allocates nothing.
-func (r *WaitRecorder) CondWait(ctx context.Context, class WaitClass, c *sync.Cond, deadline time.Time, ready func() bool) error {
+func (r *WaitRecorder) CondWait(ctx context.Context, class waitClass, c *sync.Cond, deadline time.Time, ready func() bool) error {
 	if ready() {
 		return nil
 	}
@@ -402,14 +402,14 @@ func (r *WaitRecorder) CondWait(ctx context.Context, class WaitClass, c *sync.Co
 // there, it is one atomic load.
 //
 //socrates:hotpath every GetPage@LSN waits on its server's applied rung; TestAwaitLSNAllocs, TestGetPageAllocs
-func (r *WaitRecorder) AwaitLSN(ctx context.Context, class WaitClass, w *Watermark, lsn uint64, deadline time.Time) error {
+func (r *WaitRecorder) AwaitLSN(ctx context.Context, class waitClass, w *Watermark, lsn uint64, deadline time.Time) error {
 	if w.Value() >= lsn {
 		return nil
 	}
 	return r.awaitRung(ctx, class, w, lsn, deadline)
 }
 
-func (r *WaitRecorder) awaitRung(ctx context.Context, class WaitClass, w *Watermark, lsn uint64, deadline time.Time) error {
+func (r *WaitRecorder) awaitRung(ctx context.Context, class waitClass, w *Watermark, lsn uint64, deadline time.Time) error {
 	w.waiters.Add(1) // before the first read of the rung: see Publish
 	defer w.waiters.Add(-1)
 	w.mu.Lock()
@@ -425,7 +425,7 @@ func (r *WaitRecorder) awaitRung(ctx context.Context, class WaitClass, w *Waterm
 type WaitRegion struct {
 	rec   *WaitRecorder
 	ctx   context.Context
-	class WaitClass
+	class waitClass
 	start time.Time
 }
 
@@ -451,12 +451,12 @@ func (w WaitRegion) EndIf(waited bool) {
 
 // --- Prometheus exposition ---
 
-// WritePrometheusWaits renders the wait sketches as three families
+// writePrometheusWaits renders the wait sketches as three families
 // labeled by tier ("" = global) and class:
 //
 //	socrates_wait_seconds_total{tier="compute",class="commit.harden"} 0.61
 //	socrates_wait_count_total{...}  socrates_wait_max_seconds{...}
-func WritePrometheusWaits(w io.Writer, s *WaitSet) error {
+func writePrometheusWaits(w io.Writer, s *WaitSet) error {
 	bw := bufio.NewWriter(w)
 	if s != nil {
 		rep := s.Report()

@@ -18,7 +18,7 @@ import (
 // guarantee: under concurrent recording the count and total are exact
 // sums and the max is the true maximum (CAS max, not a sampled quantile).
 func TestWaitStatsExactMaxConcurrent(t *testing.T) {
-	var ws WaitStats
+	var ws waitStats
 	const goroutines = 8
 	const perG = 500
 	var wg sync.WaitGroup
@@ -32,13 +32,13 @@ func TestWaitStatsExactMaxConcurrent(t *testing.T) {
 				if g == 0 && i == perG/2 {
 					d = time.Hour
 				}
-				ws.Record(WaitCommitHarden, d)
+				ws.record(WaitCommitHarden, d)
 			}
 		}(g)
 	}
 	wg.Wait()
 
-	snap := ws.Snapshot()
+	snap := ws.snapshot()
 	if len(snap) != 1 {
 		t.Fatalf("Snapshot: got %d classes, want 1: %+v", len(snap), snap)
 	}
@@ -70,14 +70,14 @@ func TestWaitRegionSemantics(t *testing.T) {
 	zero.End() // must not panic or record
 
 	rec.Begin(ctx, WaitLockRow).EndIf(false)
-	if got := set.Global().Snapshot(); len(got) != 0 {
+	if got := set.globalStats().snapshot(); len(got) != 0 {
 		t.Fatalf("EndIf(false) recorded: %+v", got)
 	}
 
 	rec.Begin(ctx, WaitLockRow).EndIf(true)
 	rec.Begin(ctx, WaitCommitHarden).End()
 
-	global := set.Global().Snapshot()
+	global := set.globalStats().snapshot()
 	if len(global) != 2 {
 		t.Fatalf("global sketch: got %d classes, want 2: %+v", len(global), global)
 	}
@@ -124,9 +124,9 @@ func TestPackageWaitAttributesWithoutRecorder(t *testing.T) {
 // sorted by descending total, summing to every wait recorded.
 func TestSpanWaitBreakdownOrder(t *testing.T) {
 	_, p := NewTracer().StartSpan(context.Background(), TierCompute, "req")
-	p.RecordWait(WaitPageMiss, 1*time.Millisecond)
-	p.RecordWait(WaitCommitHarden, 5*time.Millisecond)
-	p.RecordWait(WaitLockLatch, 3*time.Millisecond)
+	p.recordWait(WaitPageMiss, 1*time.Millisecond)
+	p.recordWait(WaitCommitHarden, 5*time.Millisecond)
+	p.recordWait(WaitLockLatch, 3*time.Millisecond)
 	p.End()
 
 	bd := p.WaitBreakdown()
@@ -171,7 +171,7 @@ func TestWaitSetConcurrentRecordAndReport(t *testing.T) {
 					return
 				default:
 				}
-				class := WaitClass((n + i) % numWaitClasses)
+				class := waitClass((n + i) % numWaitClasses)
 				rec.Observe(ctx, class, time.Duration(n%1000)*time.Microsecond)
 				rec.Begin(ctx, class).End()
 			}
@@ -194,7 +194,7 @@ func TestWaitSetConcurrentRecordAndReport(t *testing.T) {
 						_ = st
 					}
 				}
-				if err := WritePrometheusWaits(io.Discard, set); err != nil {
+				if err := writePrometheusWaits(io.Discard, set); err != nil {
 					t.Errorf("WritePrometheusWaits: %v", err)
 					return
 				}
@@ -226,7 +226,7 @@ func TestWritePrometheusWaitsGolden(t *testing.T) {
 	set.Tier("xlog").Observe(nil, WaitDiskWrite, 3*time.Millisecond)
 
 	var buf bytes.Buffer
-	if err := WritePrometheusWaits(&buf, set); err != nil {
+	if err := writePrometheusWaits(&buf, set); err != nil {
 		t.Fatalf("WritePrometheusWaits: %v", err)
 	}
 	want := `# TYPE socrates_wait_seconds_total counter
@@ -251,10 +251,10 @@ socrates_wait_max_seconds{tier="xlog",class="disk.write"} 0.003
 
 	// Empty and nil sets must render nothing (no headerless families).
 	buf.Reset()
-	if err := WritePrometheusWaits(&buf, NewWaitSet()); err != nil || buf.Len() != 0 {
+	if err := writePrometheusWaits(&buf, NewWaitSet()); err != nil || buf.Len() != 0 {
 		t.Fatalf("empty set: err=%v output=%q", err, buf.String())
 	}
-	if err := WritePrometheusWaits(&buf, nil); err != nil || buf.Len() != 0 {
+	if err := writePrometheusWaits(&buf, nil); err != nil || buf.Len() != 0 {
 		t.Fatalf("nil set: err=%v output=%q", err, buf.String())
 	}
 }
@@ -331,9 +331,9 @@ func TestWatchdogTripFreezesTopWaits(t *testing.T) {
 	ws := NewWatermarkSet()
 	set := NewWaitSet()
 	// Pre-window history that must NOT appear in the trip's window delta.
-	set.Global().Record(WaitDiskRead, time.Hour)
+	set.globalStats().record(WaitDiskRead, time.Hour)
 
-	d := NewWatchdog(ws, nil, set, nil, WatchdogConfig{MaxLagLSN: -1, StallTicks: 3})
+	d := newWatchdog(ws, nil, set, nil, WatchdogConfig{MaxLagLSN: -1, StallTicks: 3})
 
 	publishLadder(ws, 500, 500, 500, 500)
 	// Cycle the snapshot ring until every retained snapshot already
@@ -344,9 +344,9 @@ func TestWatchdogTripFreezesTopWaits(t *testing.T) {
 	// The window's signature: a quorum-loss window is dominated by
 	// commit.quorum, with some harden and latch time underneath.
 	for i := 0; i < 10; i++ {
-		set.Global().Record(WaitCommitQuorum, 10*time.Millisecond)
-		set.Global().Record(WaitCommitHarden, time.Millisecond)
-		set.Global().Record(WaitLockLatch, 100*time.Microsecond)
+		set.globalStats().record(WaitCommitQuorum, 10*time.Millisecond)
+		set.globalStats().record(WaitCommitHarden, time.Millisecond)
+		set.globalStats().record(WaitLockLatch, 100*time.Microsecond)
 	}
 	rung(ws, WMApplied, "ps-0").Publish(100) // behind and not moving
 	for i := 0; i < 3; i++ {

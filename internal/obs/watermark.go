@@ -123,8 +123,8 @@ func (w *Watermark) Value() uint64 {
 	return w.lsn.Load()
 }
 
-// UpdatedAt reports when the watermark last advanced (zero time if never).
-func (w *Watermark) UpdatedAt() time.Time {
+// updatedAt reports when the watermark last advanced (zero time if never).
+func (w *Watermark) updatedAt() time.Time {
 	if w == nil {
 		return time.Time{}
 	}
@@ -218,11 +218,11 @@ func (s *WatermarkSet) PublishCommit(lsn uint64) {
 	s.stampMu.Unlock()
 }
 
-// TimeLag reports how long ago the oldest commit above appliedLSN was
+// timeLag reports how long ago the oldest commit above appliedLSN was
 // stamped — the time-domain replication lag of a follower whose watermark
 // sits at appliedLSN. Zero when the follower has applied every stamped
 // commit (or no commits are stamped yet).
-func (s *WatermarkSet) TimeLag(appliedLSN uint64, now time.Time) time.Duration {
+func (s *WatermarkSet) timeLag(appliedLSN uint64, now time.Time) time.Duration {
 	if s == nil {
 		return 0
 	}
@@ -271,7 +271,7 @@ func (s *WatermarkSet) Snapshot() []WatermarkState {
 		}
 		out = append(out, WatermarkState{
 			Name: w.name, Replica: w.replica,
-			LSN: w.Value(), UpdatedAt: w.UpdatedAt(),
+			LSN: w.Value(), UpdatedAt: w.updatedAt(),
 		})
 	}
 	s.mu.RUnlock()
@@ -314,20 +314,20 @@ func (s *WatermarkSet) rungs(name string) []*Watermark {
 
 // --- watchdog ---
 
-// TripKind classifies a watchdog firing.
-type TripKind string
+// tripKind classifies a watchdog firing.
+type tripKind string
 
 // Trip kinds: a follower too far behind its leader, or a follower that
 // stopped advancing entirely while the leader kept moving.
 const (
-	TripLag   TripKind = "lag"
-	TripStall TripKind = "stall"
+	TripLag   tripKind = "lag"
+	TripStall tripKind = "stall"
 )
 
 // Trip is one watchdog firing.
 type Trip struct {
 	At       time.Time     `json:"at"`
-	Kind     TripKind      `json:"kind"`
+	Kind     tripKind      `json:"kind"`
 	Follower string        `json:"follower"` // name[/replica]
 	Leader   string        `json:"leader"`
 	LagLSN   uint64        `json:"lag_lsn"`
@@ -390,13 +390,13 @@ type followerState struct {
 	tripped    bool
 }
 
-// Watchdog periodically derives lag gauges from the watermark ladder and
+// watchdog periodically derives lag gauges from the watermark ladder and
 // trips when a follower exceeds the lag threshold or stops advancing (stall
 // detection). Trips are edge-triggered: a follower fires once per excursion
 // and re-arms when it catches up. Every trip lands in the flight ring as a
 // "watchdog.trip" event, and the first one freezes a copy of the ring
 // (TripDump): a postmortem wants the ring near the stall, not at Close.
-type Watchdog struct {
+type watchdog struct {
 	ws     *WatermarkSet
 	reg    *Registry
 	flight *FlightRecorder
@@ -424,22 +424,22 @@ type waitSnap struct {
 	totals [numWaitClasses]uint64
 }
 
-// NewWatchdog builds a watchdog over the given watermark set, publishing
+// newWatchdog builds a watchdog over the given watermark set, publishing
 // derived lag gauges into reg (nil disables gauge publication), freezing
 // the top wait classes of waits over each trip's window (nil: none), and
 // recording its trips in flight (nil: no events, no TripDump).
-func NewWatchdog(ws *WatermarkSet, reg *Registry, waits *WaitSet, flight *FlightRecorder, cfg WatchdogConfig) *Watchdog {
+func newWatchdog(ws *WatermarkSet, reg *Registry, waits *WaitSet, flight *FlightRecorder, cfg WatchdogConfig) *watchdog {
 	cfg.defaults()
-	return &Watchdog{
+	return &watchdog{
 		ws: ws, reg: reg, waits: waits, flight: flight, cfg: cfg,
 		done: make(chan struct{}),
 	}
 }
 
 // captureWaitSnap copies the global wait sketch.
-func (d *Watchdog) captureWaitSnap() waitSnap {
+func (d *watchdog) captureWaitSnap() waitSnap {
 	var snap waitSnap
-	g := d.waits.Global()
+	g := d.waits.globalStats()
 	if g == nil {
 		return snap
 	}
@@ -452,7 +452,7 @@ func (d *Watchdog) captureWaitSnap() waitSnap {
 
 // topWaits computes the top-3 wait classes by total time accumulated
 // between the oldest retained tick snapshot and now.
-func (d *Watchdog) topWaits() []WaitClassStat {
+func (d *watchdog) topWaits() []WaitClassStat {
 	if d.waits == nil {
 		return nil
 	}
@@ -461,7 +461,7 @@ func (d *Watchdog) topWaits() []WaitClassStat {
 	if len(d.waitRing) > 0 {
 		base = d.waitRing[0]
 	}
-	g := d.waits.Global()
+	g := d.waits.globalStats()
 	out := make([]WaitClassStat, 0, numWaitClasses)
 	for i := range now.totals {
 		dt := now.totals[i] - base.totals[i]
@@ -470,7 +470,7 @@ func (d *Watchdog) topWaits() []WaitClassStat {
 			continue
 		}
 		out = append(out, WaitClassStat{
-			Class:   WaitClass(i).String(),
+			Class:   waitClass(i).String(),
 			Count:   dc,
 			TotalNS: dt,
 			MaxNS:   g.slots[i].max.Load(),
@@ -485,7 +485,7 @@ func (d *Watchdog) topWaits() []WaitClassStat {
 
 // pushWaitSnap appends this tick's snapshot, keeping StallTicks of
 // history — the trip window.
-func (d *Watchdog) pushWaitSnap() {
+func (d *watchdog) pushWaitSnap() {
 	if d.waits == nil {
 		return
 	}
@@ -496,7 +496,7 @@ func (d *Watchdog) pushWaitSnap() {
 }
 
 // Start launches the watchdog goroutine. Idempotent.
-func (d *Watchdog) Start() {
+func (d *watchdog) Start() {
 	if d == nil {
 		return
 	}
@@ -512,7 +512,7 @@ func (d *Watchdog) Start() {
 }
 
 // Stop halts the watchdog. Idempotent.
-func (d *Watchdog) Stop() {
+func (d *watchdog) Stop() {
 	if d == nil {
 		return
 	}
@@ -531,7 +531,7 @@ func (d *Watchdog) Stop() {
 }
 
 // Trips returns the recorded trips, oldest first.
-func (d *Watchdog) Trips() []Trip {
+func (d *watchdog) Trips() []Trip {
 	if d == nil {
 		return nil
 	}
@@ -542,7 +542,7 @@ func (d *Watchdog) Trips() []Trip {
 
 // TripDump returns the flight-recorder JSONL frozen at the first trip (nil
 // if there was none yet, or the watchdog has no flight recorder).
-func (d *Watchdog) TripDump() []byte {
+func (d *watchdog) TripDump() []byte {
 	if d == nil {
 		return nil
 	}
@@ -551,7 +551,7 @@ func (d *Watchdog) TripDump() []byte {
 	return append([]byte(nil), d.dump...)
 }
 
-func (d *Watchdog) loop() {
+func (d *watchdog) loop() {
 	defer d.wg.Done()
 	ticker := time.NewTicker(d.cfg.Interval)
 	defer ticker.Stop()
@@ -567,7 +567,7 @@ func (d *Watchdog) loop() {
 
 // Tick runs one watchdog evaluation (exported for deterministic tests; the
 // background loop calls it on every interval).
-func (d *Watchdog) Tick() {
+func (d *watchdog) Tick() {
 	if d == nil || d.ws == nil {
 		return
 	}
@@ -587,7 +587,7 @@ func (d *Watchdog) Tick() {
 				if lag > maxApplyLagLSN {
 					maxApplyLagLSN = lag
 				}
-				if t := d.ws.TimeLag(cur, now); t > maxApplyLagTime {
+				if t := d.ws.timeLag(cur, now); t > maxApplyLagTime {
 					maxApplyLagTime = t
 				}
 			case WMSecondary:
@@ -621,7 +621,7 @@ func clampLag(leader, follower uint64) int64 {
 }
 
 // evaluate applies the edge-triggered lag/stall rules to one follower.
-func (d *Watchdog) evaluate(edge ladderEdge, w *Watermark, cur, leader, lag uint64, now time.Time) {
+func (d *watchdog) evaluate(edge ladderEdge, w *Watermark, cur, leader, lag uint64, now time.Time) {
 	k := key(w.name, w.replica)
 	d.mu.Lock()
 	st := &w.watch
@@ -656,7 +656,7 @@ func (d *Watchdog) evaluate(edge ladderEdge, w *Watermark, cur, leader, lag uint
 		trip.Follower = k
 		trip.Leader = edge.leader
 		trip.LagLSN = lag
-		trip.LagTime = d.ws.TimeLag(cur, now)
+		trip.LagTime = d.ws.timeLag(cur, now)
 		trip.Detail = "watermark " + k + " behind " + edge.leader
 		trip.TopWaits = d.topWaits()
 	}

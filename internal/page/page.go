@@ -97,7 +97,7 @@ type Type uint8
 
 // Page types.
 const (
-	TypeFree     Type = iota // unallocated
+	typeFree     Type = iota // unallocated
 	TypeMeta                 // database/system catalog page
 	TypeInternal             // B-tree interior node
 	TypeLeaf                 // B-tree leaf node
@@ -106,7 +106,7 @@ const (
 
 func (t Type) String() string {
 	switch t {
-	case TypeFree:
+	case typeFree:
 		return "free"
 	case TypeMeta:
 		return "meta"
@@ -124,11 +124,11 @@ func (t Type) String() string {
 // ErrChecksum reports a torn or corrupted page image.
 var ErrChecksum = errors.New("page: checksum mismatch")
 
-// ErrBadMagic reports a buffer that is not a page image.
-var ErrBadMagic = errors.New("page: bad magic")
+// errBadMagic reports a buffer that is not a page image.
+var errBadMagic = errors.New("page: bad magic")
 
-// ErrTooLarge reports a payload exceeding MaxData.
-var ErrTooLarge = errors.New("page: payload too large")
+// errTooLarge reports a payload exceeding MaxData.
+var errTooLarge = errors.New("page: payload too large")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -222,7 +222,7 @@ func (p *Page) AppendEncode(dst []byte) ([]byte, error) {
 		return append(dst, p.image[:]...), nil
 	}
 	if len(p.Data) > MaxData {
-		return dst, fmt.Errorf("%w: %d bytes on page %d", ErrTooLarge, len(p.Data), p.ID)
+		return dst, fmt.Errorf("%w: %d bytes on page %d", errTooLarge, len(p.Data), p.ID)
 	}
 	off := len(dst)
 	dst = append(dst, zeroImage[:]...)
@@ -249,11 +249,11 @@ func Decode(buf []byte) (*Page, error) {
 		return nil, fmt.Errorf("page: image is %d bytes, want %d", len(buf), Size)
 	}
 	if binary.LittleEndian.Uint32(buf[0:4]) != magic {
-		return nil, ErrBadMagic
+		return nil, errBadMagic
 	}
 	n := int(binary.LittleEndian.Uint16(buf[22:24]))
 	if n > MaxData {
-		return nil, fmt.Errorf("%w: declared payload %d", ErrTooLarge, n)
+		return nil, fmt.Errorf("%w: declared payload %d", errTooLarge, n)
 	}
 	want := binary.LittleEndian.Uint32(buf[24:28])
 	if checksum(buf, n) != want {
@@ -261,7 +261,7 @@ func Decode(buf []byte) (*Page, error) {
 			binary.LittleEndian.Uint64(buf[4:12]))
 	}
 	if buf[21] != 0 || binary.LittleEndian.Uint32(buf[28:32]) != 0 {
-		return nil, fmt.Errorf("%w: reserved header bytes set", ErrBadMagic)
+		return nil, fmt.Errorf("%w: reserved header bytes set", errBadMagic)
 	}
 	p := &Page{
 		ID:    ID(binary.LittleEndian.Uint64(buf[4:12])),

@@ -50,7 +50,7 @@ func TestEncodeMaxPayload(t *testing.T) {
 		t.Fatalf("max payload should encode: %v", err)
 	}
 	p.Data = make([]byte, MaxData+1)
-	if _, err := p.Encode(); !errors.Is(err, ErrTooLarge) {
+	if _, err := p.Encode(); !errors.Is(err, errTooLarge) {
 		t.Fatal("oversized payload should fail")
 	}
 }
@@ -73,7 +73,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 
 	flipped = append([]byte(nil), buf...)
 	flipped[0] = 0 // break magic
-	if _, err := Decode(flipped); !errors.Is(err, ErrBadMagic) {
+	if _, err := Decode(flipped); !errors.Is(err, errBadMagic) {
 		t.Fatalf("bad magic: err = %v, want ErrBadMagic", err)
 	}
 
@@ -87,7 +87,7 @@ func TestDecodeRejectsOversizedDeclaredLength(t *testing.T) {
 	buf, _ := p.Encode()
 	buf[22] = 0xFF
 	buf[23] = 0xFF // declared length 65535 > MaxData
-	if _, err := Decode(buf); !errors.Is(err, ErrTooLarge) {
+	if _, err := Decode(buf); !errors.Is(err, errTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 }
@@ -185,7 +185,7 @@ func TestDecodeRejectsReservedBytes(t *testing.T) {
 		buf, _ := p.Encode()
 		buf[off] = 1
 		binary.LittleEndian.PutUint32(buf[24:28], checksum(buf, len(p.Data)))
-		if _, err := Decode(buf); !errors.Is(err, ErrBadMagic) {
+		if _, err := Decode(buf); !errors.Is(err, errBadMagic) {
 			t.Fatalf("reserved byte %d set: err = %v, want ErrBadMagic", off, err)
 		}
 	}
@@ -226,7 +226,7 @@ func FuzzPageDecode(f *testing.F) {
 
 func TestTypeString(t *testing.T) {
 	cases := map[Type]string{
-		TypeFree: "free", TypeMeta: "meta", TypeInternal: "internal",
+		typeFree: "free", TypeMeta: "meta", TypeInternal: "internal",
 		TypeLeaf: "leaf", TypeVersion: "version", Type(99): "type(99)",
 	}
 	for ty, want := range cases {

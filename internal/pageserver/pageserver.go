@@ -39,9 +39,9 @@ import (
 	"socrates/internal/xstore"
 )
 
-// ErrStopped reports an operation on a stopped server. It wraps
+// errStopped reports an operation on a stopped server. It wraps
 // socerr.ErrClosed so errors.Is(err, socerr.ErrClosed) classifies it.
-var ErrStopped = fmt.Errorf("pageserver: stopped: %w", socerr.ErrClosed)
+var errStopped = fmt.Errorf("pageserver: stopped: %w", socerr.ErrClosed)
 
 // Config assembles a page server.
 type Config struct {
@@ -231,8 +231,8 @@ func (s *Server) Partition() page.PartitionID { return s.cfg.Partition }
 // Range reports the owned page range [lo, hi).
 func (s *Server) Range() (page.ID, page.ID) { return s.lo, s.hi }
 
-// Owns reports whether the server owns the page.
-func (s *Server) Owns(id page.ID) bool { return id >= s.lo && id < s.hi }
+// owns reports whether the server owns the page.
+func (s *Server) owns(id page.ID) bool { return id >= s.lo && id < s.hi }
 
 // AppliedLSN reports the apply watermark (next LSN to pull).
 func (s *Server) AppliedLSN() page.LSN { return page.LSN(s.applied.Value()) }
@@ -366,7 +366,7 @@ func (s *Server) seedLoop() {
 			return
 		}
 		id, err := strconv.ParseUint(name[len(prefix):], 10, 64)
-		if err != nil || !s.Owns(page.ID(id)) || s.cache.Contains(page.ID(id)) {
+		if err != nil || !s.owns(page.ID(id)) || s.cache.Contains(page.ID(id)) {
 			continue // not ours, or already fetched on demand or applied from log
 		}
 		//socrates:ignore-err a failed background seed is recovered by the on-demand fetchFromStore path; seeding is purely a warm-up (§4.6)
@@ -503,23 +503,25 @@ func (s *Server) sweep() (int, error) {
 	buf = binary.LittleEndian.AppendUint64(buf, resume.Uint64())
 	blobs = append(blobs, xstore.BatchBlob{Name: s.metaBlob(), Len: 8})
 	err := s.cfg.Store.PutBatch(buf, blobs)
-
-	s.mu.Lock()
-	s.ckptErr = err
-	if err == nil {
-		s.ckptLSN = resume
-		s.clearDirty(ids[:wrote], lsns)
-	}
-	s.mu.Unlock()
 	if err != nil {
+		s.mu.Lock()
+		s.ckptErr = err
+		s.mu.Unlock()
 		s.cfg.Obs.Flight.Record(obs.TierXStore, "xstore.outage", uint64(resume),
 			time.Since(ckptStart), s.cfg.Name+": checkpoint batch: "+err.Error())
 		return 0, err
 	}
-	s.cfg.Obs.Metrics.Histogram("pageserver.ckpt.sweep_pages").ObserveCount(wrote)
+	// Counted, published and recorded before the dirty marks clear: a
+	// WaitCheckpointDrain that returns has this sweep on every plane.
+	s.cfg.Obs.Metrics.Counter("pageserver.ckpt.sweeps").Inc()
+	s.cfg.Obs.Metrics.Counter("pageserver.ckpt.pages").Add(uint64(wrote))
 	s.ckpt.Publish(uint64(resume))
 	s.cfg.Obs.Flight.Record(obs.TierPageServer, "ps.checkpoint", uint64(resume),
 		time.Since(ckptStart), fmt.Sprintf("%s: pages=%d", s.cfg.Name, wrote))
+	s.mu.Lock()
+	s.ckptErr, s.ckptLSN = nil, resume
+	s.clearDirty(ids[:wrote], lsns)
+	s.mu.Unlock()
 	return wrote, nil
 }
 
@@ -584,7 +586,7 @@ func (s *Server) WaitCheckpointDrain(timeout time.Duration) error {
 	case <-clean:
 		return nil
 	case <-s.ctx.Done():
-		return ErrStopped
+		return errStopped
 	case <-timer.C:
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -638,7 +640,7 @@ func (s *Server) GetPage(ctx context.Context, id page.ID, minLSN page.LSN) (*pag
 	defer sp.End()
 	start := time.Now()
 	defer s.cfg.Obs.Metrics.Histogram("pageserver.getpage.latency").Since(start)
-	if !s.Owns(id) {
+	if !s.owns(id) {
 		return nil, fmt.Errorf("pageserver: page %d outside partition [%d,%d)", id, s.lo, s.hi)
 	}
 	waitStart := time.Now()

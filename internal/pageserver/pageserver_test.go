@@ -275,6 +275,42 @@ func TestXStoreOutageInsulation(t *testing.T) {
 	}
 }
 
+// TestDrainSeesItsSweepOnEveryPlane: once WaitCheckpointDrain returns, the
+// sweep that drained the dirty set is counted, its rung is published and its
+// flight event is in the ring. The sweep used to clear the dirty marks
+// first, so a drain could return before any of the three.
+func TestDrainSeesItsSweepOnEveryPlane(t *testing.T) {
+	r := newRig(t, page.Partitioning{})
+	reg, flight, wms := obs.NewRegistry(), obs.NewFlightRecorder(256), obs.NewWatermarkSet()
+	srv := r.server(t, Config{CheckpointEvery: time.Hour,
+		Obs: obs.Plane{Metrics: reg, Flight: flight, Watermarks: wms}})
+	sweeps := reg.Counter("pageserver.ckpt.sweeps")
+	for i := 0; i < 20; i++ {
+		before := sweeps.Value()
+		end := r.emit(t, imageRec(page.ID(4+i%3), byte('a'+i)), wal.NewCommit(uint64(i+1), 1))
+		if !srv.WaitApplied(end, 5*time.Second) {
+			t.Fatalf("round %d: never applied", i)
+		}
+		ckpt, err := srv.FlushForBackup()
+		if err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		if sweeps.Value() == before {
+			t.Fatalf("round %d: the drain returned before its sweep was counted", i)
+		}
+		if rung := wms.Watermark(obs.WMCheckpoint, "ps-test").Value(); rung < ckpt.Uint64() {
+			t.Fatalf("round %d: ckpt rung %d below the checkpoint %d", i, rung, ckpt)
+		}
+		recorded := false
+		for _, ev := range flight.Events() {
+			recorded = recorded || ev.Kind == "ps.checkpoint" && ev.LSN == ckpt.Uint64()
+		}
+		if !recorded {
+			t.Fatalf("round %d: no ps.checkpoint event at %d in the flight ring", i, ckpt)
+		}
+	}
+}
+
 // storedLSN reads the LSN of a page's checkpoint image in XStore.
 func storedLSN(t *testing.T, r *rig, srv *Server, id page.ID) page.LSN {
 	t.Helper()
@@ -755,7 +791,7 @@ func waitSeeded(t *testing.T, srv *Server) {
 		seeded := true
 		for _, name := range srv.cfg.Store.List(prefix) {
 			id, err := strconv.ParseUint(name[len(prefix):], 10, 64)
-			if err == nil && srv.Owns(page.ID(id)) && !srv.Cache().Contains(page.ID(id)) {
+			if err == nil && srv.owns(page.ID(id)) && !srv.Cache().Contains(page.ID(id)) {
 				seeded = false
 			}
 		}

@@ -26,18 +26,18 @@ const (
 // profile and span). The registry names keep their netmux prefix: they
 // describe the inter-tier fabric, whichever package counts.
 type Metrics struct {
-	Inflight     *obs.Gauge     // calls admitted and not yet returned
-	QueueDepth   *obs.Gauge     // callers waiting for an in-flight slot
-	QueueWait    *obs.Histogram // time spent waiting for a slot
-	Backpressure *obs.Counter   // fail-fast rejections (queue bound hit)
+	inflight     *obs.Gauge     // calls admitted and not yet returned
+	queueDepth   *obs.Gauge     // callers waiting for an in-flight slot
+	queueWait    *obs.Histogram // time spent waiting for a slot
+	backpressure *obs.Counter   // fail-fast rejections (queue bound hit)
 	LateDrops    *obs.Counter   // mux responses dropped by ID after abandonment
 
 	// Waits receives wait-event accounting: netmux.queue while a caller
 	// waits for an in-flight slot, netmux.rtt while a mux call is on the
 	// wire.
 	Waits *obs.WaitRecorder
-	// Flight receives backpressure trips.
-	Flight *obs.FlightRecorder
+	// flight receives backpressure trips.
+	flight *obs.FlightRecorder
 }
 
 // NewMetrics registers the fabric's instruments on p's registry, charges
@@ -47,13 +47,13 @@ type Metrics struct {
 func NewMetrics(p obs.Plane) *Metrics {
 	r := p.Metrics
 	return &Metrics{
-		Inflight:     r.Gauge("netmux.inflight"),
-		QueueDepth:   r.Gauge("netmux.queue.depth"),
-		QueueWait:    r.Histogram("netmux.queue.wait"),
-		Backpressure: r.Counter("netmux.backpressure.trips"),
+		inflight:     r.Gauge("netmux.inflight"),
+		queueDepth:   r.Gauge("netmux.queue.depth"),
+		queueWait:    r.Histogram("netmux.queue.wait"),
+		backpressure: r.Counter("netmux.backpressure.trips"),
 		LateDrops:    r.Counter("netmux.late.drops"),
 		Waits:        p.Waits.Tier("netmux"),
-		Flight:       p.Flight,
+		flight:       p.Flight,
 	}
 }
 
@@ -75,22 +75,22 @@ type Client struct {
 	ewma float64 // nanoseconds; 0 = no samples yet
 }
 
-// ClientOption configures a Client.
-type ClientOption func(*Client)
+// clientOption configures a Client.
+type clientOption func(*Client)
 
-// WithRetries sets the number of attempts for retryable failures; a client
+// withRetries sets the number of attempts for retryable failures; a client
 // always makes at least one.
-func WithRetries(n int) ClientOption { return func(c *Client) { c.retries = n } }
+func withRetries(n int) clientOption { return func(c *Client) { c.retries = n } }
 
-// WithBackoff sets the base backoff between retries (linear).
-func WithBackoff(d time.Duration) ClientOption { return func(c *Client) { c.backoff = d } }
+// withBackoff sets the base backoff between retries (linear).
+func withBackoff(d time.Duration) clientOption { return func(c *Client) { c.backoff = d } }
 
 // WithMetrics instruments the client's admission (and nothing else: the
 // conn under it carries its own).
-func WithMetrics(m *Metrics) ClientOption { return func(c *Client) { c.m = m } }
+func WithMetrics(m *Metrics) clientOption { return func(c *Client) { c.m = m } }
 
 // NewClient wraps conn.
-func NewClient(conn Conn, opts ...ClientOption) *Client {
+func NewClient(conn Conn, opts ...clientOption) *Client {
 	c := &Client{
 		conn:    conn,
 		retries: 5,
@@ -110,8 +110,8 @@ func NewClient(conn Conn, opts ...ClientOption) *Client {
 // stamp prepares req for the wire: the protocol version and the span
 // identity from ctx.
 func stamp(ctx context.Context, req *Request) {
-	req.Version = Version
-	req.StampTrace(ctx)
+	sc := obs.SpanFromContext(ctx)
+	req.Version, req.traceID, req.spanID = Version, uint64(sc.TraceID), uint64(sc.SpanID)
 }
 
 // Addr reports the remote endpoint.
@@ -134,31 +134,31 @@ func (c *Client) admit(ctx context.Context) error {
 	m := c.m
 	select {
 	case c.sem <- struct{}{}:
-		m.Inflight.Add(1)
+		m.inflight.Add(1)
 		return nil
 	default:
 	}
 	if w := c.waiters.Add(1); w > maxQueue {
 		c.waiters.Add(-1)
-		m.Backpressure.Inc()
+		m.backpressure.Inc()
 		err := fmt.Errorf("%w: %s: %d in flight and %d queued",
 			socerr.ErrBackpressure, c.conn.Addr(), maxInflight, maxQueue)
-		m.Flight.Record("netmux", "backpressure", 0, 0, err.Error())
+		m.flight.Record("netmux", "backpressure", 0, 0, err.Error())
 		return err
 	}
 	start := time.Now()
-	m.QueueDepth.Add(1)
+	m.queueDepth.Add(1)
 	defer func() {
 		c.waiters.Add(-1)
-		m.QueueDepth.Add(-1)
-		m.QueueWait.Since(start)
+		m.queueDepth.Add(-1)
+		m.queueWait.Since(start)
 		// netmux.queue: admission wait behind the in-flight cap (recorded
 		// whether the slot arrived or ctx expired — blocked time either way).
 		m.Waits.Observe(ctx, obs.WaitMuxQueue, time.Since(start))
 	}()
 	select {
 	case c.sem <- struct{}{}:
-		m.Inflight.Add(1)
+		m.inflight.Add(1)
 		return nil
 	case <-ctx.Done():
 		return socerr.FromContext(ctx.Err())
@@ -168,7 +168,7 @@ func (c *Client) admit(ctx context.Context) error {
 // release returns an in-flight slot taken by admit.
 func (c *Client) release() {
 	<-c.sem
-	c.m.Inflight.Add(-1)
+	c.m.inflight.Add(-1)
 }
 
 // do is one admitted attempt on the conn.
@@ -201,14 +201,14 @@ func (c *Client) observe(d time.Duration, ok bool) {
 	}
 }
 
-// EWMA reports the smoothed call latency (0 before the first sample).
-func (c *Client) EWMA() time.Duration {
+// ewmaLatency reports the smoothed call latency (0 before the first sample).
+func (c *Client) ewmaLatency() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return time.Duration(c.ewma)
 }
 
-// Call issues the request, retrying transport errors and StatusRetry
+// Call issues the request, retrying transport errors and statusRetry
 // responses with linear backoff. Every other status — StatusVersion
 // included — is terminal and returns after one attempt, as are
 // socerr.ErrBackpressure (retrying would feed the overload) and
@@ -237,7 +237,7 @@ func (c *Client) Call(ctx context.Context, req *Request) (*Response, error) {
 			return nil, err
 		}
 		c.observe(time.Since(start), true)
-		if resp.Status != StatusRetry {
+		if resp.Status != statusRetry {
 			return resp, nil
 		}
 		lastErr = resp.Err()
@@ -323,7 +323,7 @@ func best(clients []*Client) *Client {
 	var b *Client
 	var bestLat time.Duration
 	for _, c := range clients {
-		lat := c.EWMA()
+		lat := c.ewmaLatency()
 		if lat == 0 {
 			return c // unprobed: try it
 		}

@@ -59,7 +59,7 @@ func TestClientBackpressureFailFast(t *testing.T) {
 		wg.Add(1)
 		go call()
 	}
-	waitFor(t, func() bool { return m.Inflight.Value() == maxInflight && served.Load() == maxInflight }, "the in-flight cap filled")
+	waitFor(t, func() bool { return m.inflight.Value() == maxInflight && served.Load() == maxInflight }, "the in-flight cap filled")
 	for i := 0; i < maxQueue; i++ {
 		wg.Add(1)
 		go call()
@@ -82,10 +82,10 @@ func TestClientBackpressureFailFast(t *testing.T) {
 	if err := c.Send(context.Background(), &Request{Type: MsgFeedBlock}); !errors.Is(err, socerr.ErrBackpressure) {
 		t.Fatalf("Send err = %v, want socerr.ErrBackpressure", err)
 	}
-	if got := m.Backpressure.Value(); got != 2 {
+	if got := m.backpressure.Value(); got != 2 {
 		t.Fatalf("backpressure trips = %d, want 2", got)
 	}
-	if got := m.QueueDepth.Value(); got != maxQueue {
+	if got := m.queueDepth.Value(); got != maxQueue {
 		t.Fatalf("queue depth gauge = %d, want %d", got, maxQueue)
 	}
 	close(release)
@@ -93,8 +93,8 @@ func TestClientBackpressureFailFast(t *testing.T) {
 	if got := served.Load(); got != maxInflight+maxQueue {
 		t.Fatalf("handler served %d calls, want %d (one per admitted caller)", got, maxInflight+maxQueue)
 	}
-	if m.Inflight.Value() != 0 || m.QueueDepth.Value() != 0 {
-		t.Fatalf("gauges after drain: inflight %d, queued %d", m.Inflight.Value(), m.QueueDepth.Value())
+	if m.inflight.Value() != 0 || m.queueDepth.Value() != 0 {
+		t.Fatalf("gauges after drain: inflight %d, queued %d", m.inflight.Value(), m.queueDepth.Value())
 	}
 }
 
@@ -154,7 +154,7 @@ func TestClientAlwaysTriesOnce(t *testing.T) {
 	net := NewInstantNetwork()
 	net.Serve("s", func(context.Context, *Request) *Response { return Ok() })
 	for _, n := range []int{0, -1} {
-		c := NewClient(net.Dial("s"), WithRetries(n))
+		c := NewClient(net.Dial("s"), withRetries(n))
 		resp, err := c.Call(context.Background(), &Request{Type: MsgPing})
 		if err != nil || resp == nil || resp.Status != StatusOK {
 			t.Fatalf("WithRetries(%d): resp=%v err=%v, want an OK response", n, resp, err)
@@ -168,10 +168,10 @@ func TestClientAlwaysTriesOnce(t *testing.T) {
 func TestSeverTearsCallsInFlight(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		opts    []ClientOption
+		opts    []clientOption
 		wantErr bool
 	}{
-		{"one attempt", []ClientOption{WithRetries(1)}, true},
+		{"one attempt", []clientOption{withRetries(1)}, true},
 		{"default retries", nil, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -41,12 +41,12 @@ import (
 // (see checkVersion); there is no negotiation.
 const Version uint16 = 3
 
-// MsgType identifies an RBIO operation.
-type MsgType uint8
+// msgType identifies an RBIO operation.
+type msgType uint8
 
 // RBIO operations. A retired number is held by a blank and never reassigned.
 const (
-	MsgPing         MsgType = iota // liveness / RTT probe
+	MsgPing         msgType = iota // liveness / RTT probe
 	MsgGetPage                     // GetPage@LSN: Page, LSN → page image
 	MsgPullBlocks                  // log consumer pull: LSN, Partition, MaxBytes → blocks
 	_                              // retired: report-applied
@@ -57,7 +57,7 @@ const (
 	_                              // retired: scan-cells
 )
 
-func (m MsgType) String() string {
+func (m msgType) String() string {
 	switch m {
 	case MsgPing:
 		return "ping"
@@ -76,28 +76,28 @@ func (m MsgType) String() string {
 	}
 }
 
-// Status is the outcome of a request.
-type Status uint8
+// status is the outcome of a request.
+type status uint8
 
-// Statuses. StatusRetry marks transient conditions the client should retry
-// (e.g. a page server still seeding); StatusError is terminal. A retired
+// Statuses. statusRetry marks transient conditions the client should retry
+// (e.g. a page server still seeding); statusError is terminal. A retired
 // number is held by a blank and never reassigned.
 const (
-	StatusOK Status = iota
-	StatusRetry
-	StatusError
+	StatusOK status = iota
+	statusRetry
+	statusError
 	StatusVersion // protocol version mismatch
 	_             // retired: not-found
 	_             // retired: partial
 )
 
-func (s Status) String() string {
+func (s status) String() string {
 	switch s {
 	case StatusOK:
 		return "ok"
-	case StatusRetry:
+	case statusRetry:
 		return "retry"
-	case StatusError:
+	case statusError:
 		return "error"
 	case StatusVersion:
 		return "version-mismatch"
@@ -110,9 +110,9 @@ func (s Status) String() string {
 // are zero.
 type Request struct {
 	Version   uint16
-	Type      MsgType
-	TraceID   uint64   // trace header: request-tree identity (0 = untraced)
-	SpanID    uint64   // trace header: caller's span (0 = untraced)
+	Type      msgType
+	traceID   uint64   // trace header: request-tree identity (0 = untraced)
+	spanID    uint64   // trace header: caller's span (0 = untraced)
 	Page      page.ID  // MsgGetPage
 	LSN       page.LSN // MsgGetPage (min LSN), MsgPullBlocks (from), reports
 	Partition int32    // MsgPullBlocks filter; -1 = unfiltered (secondaries)
@@ -121,77 +121,65 @@ type Request struct {
 	Payload   []byte   // MsgFeedBlock
 }
 
-// SpanContext reads the trace header.
-func (r *Request) SpanContext() obs.SpanContext {
-	return obs.SpanContext{TraceID: obs.TraceID(r.TraceID), SpanID: obs.SpanID(r.SpanID)}
-}
-
-// StampTrace copies the span identity carried by ctx into the trace
-// header.
-func (r *Request) StampTrace(ctx context.Context) {
-	sc := obs.SpanFromContext(ctx)
-	r.TraceID, r.SpanID = uint64(sc.TraceID), uint64(sc.SpanID)
-}
-
 // Response is an RBIO response.
 type Response struct {
-	Version uint16
-	Status  Status
+	version uint16
+	Status  status
 	Error   string   // human-readable cause when Status != StatusOK
 	LSN     page.LSN // context-dependent: applied LSN, next pull LSN, ...
 	Payload []byte   // a page image or encoded blocks
 }
 
 // Ok builds a success response.
-func Ok() *Response { return &Response{Version: Version, Status: StatusOK} }
+func Ok() *Response { return &Response{version: Version, Status: StatusOK} }
 
 // Errorf builds a terminal error response.
 func Errorf(format string, args ...any) *Response {
-	return &Response{Version: Version, Status: StatusError, Error: fmt.Sprintf(format, args...)}
+	return &Response{version: Version, Status: statusError, Error: fmt.Sprintf(format, args...)}
 }
 
 // Retryf builds a retryable response.
 func Retryf(format string, args ...any) *Response {
-	return &Response{Version: Version, Status: StatusRetry, Error: fmt.Sprintf(format, args...)}
+	return &Response{version: Version, Status: statusRetry, Error: fmt.Sprintf(format, args...)}
 }
 
 // Err converts a non-OK response into a Go error (nil for StatusOK). The
-// returned error is a *ResponseError, so callers can classify with
-// errors.As, and it unwraps to the matching sentinel (ErrRetryable,
-// ErrVersion) so existing errors.Is checks keep working.
+// returned error is a *responseError, so callers can classify with
+// errors.As, and it unwraps to the matching sentinel (errRetryable,
+// errVersion) so existing errors.Is checks keep working.
 func (r *Response) Err() error {
 	if r.Status == StatusOK {
 		return nil
 	}
-	return &ResponseError{Status: r.Status, Msg: r.Error}
+	return &responseError{status: r.Status, msg: r.Error}
 }
 
-// ResponseError is the typed form of a non-OK RBIO response.
-type ResponseError struct {
-	Status Status
-	Msg    string
+// responseError is the typed form of a non-OK RBIO response.
+type responseError struct {
+	status status
+	msg    string
 }
 
-func (e *ResponseError) Error() string {
+func (e *responseError) Error() string {
 	sentinel := e.Unwrap()
 	if sentinel == nil {
-		if e.Msg == "" {
-			return "rbio: " + e.Status.String()
+		if e.msg == "" {
+			return "rbio: " + e.status.String()
 		}
-		return e.Msg
+		return e.msg
 	}
-	return fmt.Sprintf("%v: %s", sentinel, e.Msg)
+	return fmt.Sprintf("%v: %s", sentinel, e.msg)
 }
 
 // Unwrap maps the status to its sentinel (nil for the terminal
-// StatusError status, whose only classification is errors.As with a
-// *ResponseError target).
-func (e *ResponseError) Unwrap() error {
-	switch e.Status {
-	case StatusRetry:
-		return ErrRetryable
+// statusError status, whose only classification is errors.As with a
+// *responseError target).
+func (e *responseError) Unwrap() error {
+	switch e.status {
+	case statusRetry:
+		return errRetryable
 	case StatusVersion:
-		return ErrVersion
+		return errVersion
 	default:
 		return nil
 	}
@@ -199,8 +187,8 @@ func (e *ResponseError) Unwrap() error {
 
 // Sentinel errors surfaced by Response.Err and the client.
 var (
-	ErrRetryable   = errors.New("rbio: retryable")
-	ErrVersion     = errors.New("rbio: protocol version mismatch")
+	errRetryable   = errors.New("rbio: retryable")
+	errVersion     = errors.New("rbio: protocol version mismatch")
 	ErrUnavailable = errors.New("rbio: endpoint unavailable")
 )
 
@@ -233,8 +221,8 @@ func AppendRequest(dst []byte, r *Request) []byte {
 	buf := dst
 	buf = binary.LittleEndian.AppendUint16(buf, r.Version)
 	buf = append(buf, byte(r.Type))
-	buf = binary.LittleEndian.AppendUint64(buf, r.TraceID)
-	buf = binary.LittleEndian.AppendUint64(buf, r.SpanID)
+	buf = binary.LittleEndian.AppendUint64(buf, r.traceID)
+	buf = binary.LittleEndian.AppendUint64(buf, r.spanID)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Page))
 	buf = binary.LittleEndian.AppendUint64(buf, r.LSN.Uint64())
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Partition))
@@ -252,9 +240,9 @@ func DecodeRequest(buf []byte) (*Request, error) {
 	}
 	r := &Request{
 		Version:   binary.LittleEndian.Uint16(buf[0:2]),
-		Type:      MsgType(buf[2]),
-		TraceID:   binary.LittleEndian.Uint64(buf[3:11]),
-		SpanID:    binary.LittleEndian.Uint64(buf[11:19]),
+		Type:      msgType(buf[2]),
+		traceID:   binary.LittleEndian.Uint64(buf[3:11]),
+		spanID:    binary.LittleEndian.Uint64(buf[11:19]),
 		Page:      page.ID(binary.LittleEndian.Uint64(buf[19:27])),
 		LSN:       page.LSN(binary.LittleEndian.Uint64(buf[27:35])),
 		Partition: int32(binary.LittleEndian.Uint32(buf[35:39])),
@@ -286,7 +274,7 @@ func DecodeRequest(buf []byte) (*Request, error) {
 //socrates:hotpath per-RPC encode on every inter-tier response; TestMuxCallAllocs
 func AppendResponse(dst []byte, r *Response) []byte {
 	buf := dst
-	buf = binary.LittleEndian.AppendUint16(buf, r.Version)
+	buf = binary.LittleEndian.AppendUint16(buf, r.version)
 	buf = append(buf, byte(r.Status))
 	buf = binary.LittleEndian.AppendUint64(buf, r.LSN.Uint64())
 	buf = appendString(buf, r.Error)
@@ -301,8 +289,8 @@ func DecodeResponse(buf []byte) (*Response, error) {
 		return nil, errors.New("rbio: short response frame")
 	}
 	r := &Response{
-		Version: binary.LittleEndian.Uint16(buf[0:2]),
-		Status:  Status(buf[2]),
+		version: binary.LittleEndian.Uint16(buf[0:2]),
+		Status:  status(buf[2]),
 		LSN:     page.LSN(binary.LittleEndian.Uint64(buf[3:11])),
 	}
 	pos := 11
@@ -333,14 +321,15 @@ func DecodeResponse(buf []byte) (*Response, error) {
 func checkVersion(h Handler) Handler {
 	return func(ctx context.Context, req *Request) *Response {
 		if req.Version != Version {
-			return &Response{Version: Version, Status: StatusVersion,
+			return &Response{version: Version, Status: StatusVersion,
 				Error: fmt.Sprintf("server speaks v%d, caller sent v%d", Version, req.Version)}
 		}
-		resp := h(obs.ContextWithSpan(ctx, req.SpanContext()), req)
+		sc := obs.SpanContext{TraceID: obs.TraceID(req.traceID), SpanID: obs.SpanID(req.spanID)}
+		resp := h(obs.ContextWithSpan(ctx, sc), req)
 		if resp == nil {
 			resp = Errorf("nil response from handler for %v", req.Type)
 		}
-		resp.Version = Version
+		resp.version = Version
 		return resp
 	}
 }

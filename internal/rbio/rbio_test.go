@@ -31,7 +31,7 @@ func TestRequestCodecRoundTrip(t *testing.T) {
 }
 
 func TestResponseCodecRoundTrip(t *testing.T) {
-	r := &Response{Version: Version, Status: StatusRetry, Error: "seeding",
+	r := &Response{version: Version, Status: statusRetry, Error: "seeding",
 		LSN: 1234, Payload: []byte("blockdata")}
 	got, err := DecodeResponse(AppendResponse(nil, r))
 	if err != nil {
@@ -63,7 +63,7 @@ func TestRequestCodecProperty(t *testing.T) {
 		if len(consumer) > 1000 {
 			consumer = consumer[:1000]
 		}
-		r := &Request{Version: Version, Type: MsgType(ty), Page: page.ID(pg),
+		r := &Request{Version: Version, Type: msgType(ty), Page: page.ID(pg),
 			LSN: page.LSN(lsn), Partition: part, MaxBytes: mb, Consumer: consumer}
 		if len(payload) > 0 {
 			r.Payload = payload
@@ -77,7 +77,7 @@ func TestRequestCodecProperty(t *testing.T) {
 }
 
 func TestCodecCarriesTraceHeader(t *testing.T) {
-	r := &Request{Version: Version, Type: MsgGetPage, TraceID: 0xdeadbeef, SpanID: 42,
+	r := &Request{Version: Version, Type: MsgGetPage, traceID: 0xdeadbeef, spanID: 42,
 		Page: 9, LSN: 100, Consumer: "sec", Payload: []byte("p")}
 	got, err := DecodeRequest(AppendRequest(nil, r))
 	if err != nil {
@@ -92,7 +92,7 @@ func TestCodecCarriesTraceHeader(t *testing.T) {
 // v3 encoder produced at commit e145259, so a change to either encoder
 // that moves a byte fails here.
 func TestWireLayoutGolden(t *testing.T) {
-	req := &Request{Version: 3, Type: MsgGetPage, TraceID: 0x1122334455667788, SpanID: 0x99aabbccddeeff00,
+	req := &Request{Version: 3, Type: MsgGetPage, traceID: 0x1122334455667788, spanID: 0x99aabbccddeeff00,
 		Page: 4711, LSN: 123456, Partition: -1, MaxBytes: 1 << 20, Consumer: "secondary-1",
 		Payload: []byte{0xde, 0xad, 0xbe, 0xef}}
 	const wantReq = "030001887766554433221100ffeeddccbbaa99671200000000000040e2010000000000" +
@@ -101,7 +101,7 @@ func TestWireLayoutGolden(t *testing.T) {
 		t.Fatalf("request layout moved:\n got %s\nwant %s", got, wantReq)
 	}
 	// Status 5 is a retired number: the codec carries the byte whatever it is.
-	resp := &Response{Version: 3, Status: 5, Error: "page 81 behind", LSN: 900,
+	resp := &Response{version: 3, Status: 5, Error: "page 81 behind", LSN: 900,
 		Payload: []byte("prefix")}
 	const wantResp = "03000584030000000000000e007061676520383120626568696e6406000000707265666978"
 	if got := hex.EncodeToString(AppendResponse(nil, resp)); got != wantResp {
@@ -113,11 +113,11 @@ func TestResponseErr(t *testing.T) {
 	if Ok().Err() != nil {
 		t.Fatal("OK should map to nil error")
 	}
-	if !errors.Is(Retryf("x").Err(), ErrRetryable) {
+	if !errors.Is(Retryf("x").Err(), errRetryable) {
 		t.Fatal("retry should map to ErrRetryable")
 	}
 	vr := &Response{Status: StatusVersion}
-	if !errors.Is(vr.Err(), ErrVersion) {
+	if !errors.Is(vr.Err(), errVersion) {
 		t.Fatal("version should map to ErrVersion")
 	}
 	if Errorf("boom").Err() == nil {
@@ -126,15 +126,15 @@ func TestResponseErr(t *testing.T) {
 }
 
 func TestResponseErrorTyped(t *testing.T) {
-	resp := &Response{Status: StatusRetry, Error: "page 9 seeding"}
-	var re *ResponseError
+	resp := &Response{Status: statusRetry, Error: "page 9 seeding"}
+	var re *responseError
 	if !errors.As(resp.Err(), &re) {
 		t.Fatal("Err() should be a *ResponseError")
 	}
-	if re.Status != StatusRetry || re.Msg != "page 9 seeding" {
+	if re.status != statusRetry || re.msg != "page 9 seeding" {
 		t.Fatalf("re = %+v", re)
 	}
-	if !errors.Is(resp.Err(), ErrRetryable) {
+	if !errors.Is(resp.Err(), errRetryable) {
 		t.Fatal("typed error should still match the sentinel")
 	}
 }
@@ -173,9 +173,9 @@ func TestInprocVersionEnforcement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.Status != StatusVersion || resp.Version != Version {
+		if resp.Status != StatusVersion || resp.version != Version {
 			t.Fatalf("v%d caller: status = %v from v%d, want version mismatch from v%d",
-				v, resp.Status, resp.Version, Version)
+				v, resp.Status, resp.version, Version)
 		}
 	}
 	if served.Load() != 0 {
@@ -201,7 +201,7 @@ func (c *flakyConn) Call(_ context.Context, req *Request) (*Response, error) {
 // A failed first contact changes nothing about what goes out next.
 func TestRetriedRequestKeepsVersionAndTrace(t *testing.T) {
 	conn := &flakyConn{}
-	c := NewClient(conn, WithRetries(3), WithBackoff(0))
+	c := NewClient(conn, withRetries(3), withBackoff(0))
 	ctx := obs.ContextWithSpan(context.Background(), obs.SpanContext{TraceID: 7, SpanID: 8})
 	if _, err := c.Call(ctx, &Request{Type: MsgGetPage}); err != nil {
 		t.Fatal(err)
@@ -209,8 +209,8 @@ func TestRetriedRequestKeepsVersionAndTrace(t *testing.T) {
 	if len(conn.seen) != 2 {
 		t.Fatalf("%d wire attempts, want 2", len(conn.seen))
 	}
-	if r := conn.seen[1]; r.Version != Version || r.TraceID != 7 || r.SpanID != 8 {
-		t.Fatalf("retry went out as v%d trace %d/%d, want v%d trace 7/8", r.Version, r.TraceID, r.SpanID, Version)
+	if r := conn.seen[1]; r.Version != Version || r.traceID != 7 || r.spanID != 8 {
+		t.Fatalf("retry went out as v%d trace %d/%d, want v%d trace 7/8", r.Version, r.traceID, r.spanID, Version)
 	}
 }
 
@@ -253,7 +253,7 @@ func TestHopKeepsServerWaitsOnTheServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	caller.End()
-	tree := tr.Trace(caller.Trace)
+	tree := tr.Trace(caller.Context().TraceID)
 	if got := spans.WaitTotals(tree)["xlog.feed"]; got != 0 {
 		t.Fatalf("caller span took %v of the handler's xlog.feed:\n%s", got, tree.Format())
 	}
@@ -276,7 +276,7 @@ func TestCallHonorsCancelledContext(t *testing.T) {
 
 func TestInprocUnavailableAndRecovery(t *testing.T) {
 	net := NewInstantNetwork()
-	c := NewClient(net.Dial("ghost"), WithRetries(2), WithBackoff(0))
+	c := NewClient(net.Dial("ghost"), withRetries(2), withBackoff(0))
 	if _, err := c.Call(context.Background(), &Request{Type: MsgPing}); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
 	}
@@ -296,7 +296,7 @@ func TestClientRetriesRetryableStatus(t *testing.T) {
 		}
 		return Ok()
 	})
-	c := NewClient(net.Dial("s"), WithRetries(5), WithBackoff(0))
+	c := NewClient(net.Dial("s"), withRetries(5), withBackoff(0))
 	resp, err := c.Call(context.Background(), &Request{Type: MsgPing})
 	if err != nil || resp.Status != StatusOK {
 		t.Fatalf("resp=%+v err=%v", resp, err)
@@ -309,9 +309,9 @@ func TestClientRetriesRetryableStatus(t *testing.T) {
 func TestClientExhaustsRetries(t *testing.T) {
 	net := NewInstantNetwork()
 	net.Serve("s", func(context.Context, *Request) *Response { return Retryf("never ready") })
-	c := NewClient(net.Dial("s"), WithRetries(3), WithBackoff(0))
+	c := NewClient(net.Dial("s"), withRetries(3), withBackoff(0))
 	_, err := c.Call(context.Background(), &Request{Type: MsgPing})
-	if !errors.Is(err, ErrRetryable) {
+	if !errors.Is(err, errRetryable) {
 		t.Fatalf("err = %v, want ErrRetryable", err)
 	}
 }
@@ -326,7 +326,7 @@ func TestClientDoesNotRetryTerminalError(t *testing.T) {
 			calls.Add(1)
 			return terminal
 		})
-		c := NewClient(net.Dial("s"), WithRetries(5), WithBackoff(0))
+		c := NewClient(net.Dial("s"), withRetries(5), withBackoff(0))
 		resp, err := c.Call(context.Background(), &Request{Type: MsgPing})
 		if err != nil {
 			t.Fatal(err)
@@ -334,7 +334,7 @@ func TestClientDoesNotRetryTerminalError(t *testing.T) {
 		if resp.Status != terminal.Status || calls.Load() != 1 {
 			t.Fatalf("status=%v calls=%d, want %v after 1 call", resp.Status, calls.Load(), terminal.Status)
 		}
-		if terminal.Status == StatusVersion && !errors.Is(resp.Err(), ErrVersion) {
+		if terminal.Status == StatusVersion && !errors.Is(resp.Err(), errVersion) {
 			t.Fatalf("resp.Err() = %v, want ErrVersion", resp.Err())
 		}
 	}
@@ -379,7 +379,7 @@ func TestSendToUnknownAddrFails(t *testing.T) {
 func TestUnserveSimulatesCrash(t *testing.T) {
 	net := NewInstantNetwork()
 	net.Serve("n", func(context.Context, *Request) *Response { return Ok() })
-	c := NewClient(net.Dial("n"), WithRetries(1), WithBackoff(0))
+	c := NewClient(net.Dial("n"), withRetries(1), withBackoff(0))
 	if _, err := c.Call(context.Background(), &Request{Type: MsgPing}); err != nil {
 		t.Fatal(err)
 	}
@@ -426,8 +426,8 @@ func TestSelectorPrefersFasterEndpoint(t *testing.T) {
 func TestSelectorFailsOver(t *testing.T) {
 	net := NewInstantNetwork()
 	net.Serve("up", func(context.Context, *Request) *Response { return Ok() })
-	dead := NewClient(net.Dial("down"), WithRetries(1), WithBackoff(0))
-	up := NewClient(net.Dial("up"), WithRetries(1), WithBackoff(0))
+	dead := NewClient(net.Dial("down"), withRetries(1), withBackoff(0))
+	up := NewClient(net.Dial("up"), withRetries(1), withBackoff(0))
 	sel := NewSelector(dead, up)
 	resp, err := sel.Call(context.Background(), &Request{Type: MsgPing})
 	if err != nil || resp.Status != StatusOK {
@@ -450,9 +450,9 @@ func TestSelectorEmpty(t *testing.T) {
 
 func TestEWMAPenalizesFailures(t *testing.T) {
 	net := NewInstantNetwork()
-	c := NewClient(net.Dial("gone"), WithRetries(1), WithBackoff(0))
+	c := NewClient(net.Dial("gone"), withRetries(1), withBackoff(0))
 	_, _ = c.Call(context.Background(), &Request{Type: MsgPing})
-	if c.EWMA() < 100*time.Millisecond {
-		t.Fatalf("failed endpoint EWMA = %v, want heavy penalty", c.EWMA())
+	if c.ewmaLatency() < 100*time.Millisecond {
+		t.Fatalf("failed endpoint EWMA = %v, want heavy penalty", c.ewmaLatency())
 	}
 }

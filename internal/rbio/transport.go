@@ -250,40 +250,40 @@ const (
 	FrameMuxOneway = 4 // [8-byte id][request]: no response, id ignored
 )
 
-// MaxFrame is the largest payload ReadFrame accepts; a longer length prefix
+// maxFrame is the largest payload ReadFrame accepts; a longer length prefix
 // is an error, so a corrupt one cannot ask for the allocation.
-const MaxFrame = 64 << 20
+const maxFrame = 64 << 20
 
-// TCPServer serves RBIO over TCP with length-prefixed binary frames.
-type TCPServer struct {
+// tcpServer serves RBIO over TCP with length-prefixed binary frames.
+type tcpServer struct {
 	ln      net.Listener
 	handler Handler
 	wg      sync.WaitGroup
 }
 
 // ServeTCP starts a server on addr (e.g. "127.0.0.1:0").
-func ServeTCP(addr string, h Handler) (*TCPServer, error) {
+func ServeTCP(addr string, h Handler) (*tcpServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s := &TCPServer{ln: ln, handler: checkVersion(h)}
+	s := &tcpServer{ln: ln, handler: checkVersion(h)}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
 }
 
 // Addr reports the bound address.
-func (s *TCPServer) Addr() string { return s.ln.Addr().String() }
+func (s *tcpServer) Addr() string { return s.ln.Addr().String() }
 
 // Close stops accepting and waits for active connections to drain.
-func (s *TCPServer) Close() error {
+func (s *tcpServer) Close() error {
 	err := s.ln.Close()
 	s.wg.Wait()
 	return err
 }
 
-func (s *TCPServer) acceptLoop() {
+func (s *tcpServer) acceptLoop() {
 	defer s.wg.Done()
 	for {
 		conn, err := s.ln.Accept()
@@ -301,7 +301,7 @@ func (s *TCPServer) acceptLoop() {
 // cancels in-flight handlers when the peer goes away, so an abandoned
 // GetPage does not hold server resources. A frame that cannot be decoded,
 // or whose kind is not a request kind, drops the connection.
-func (s *TCPServer) serveConn(conn net.Conn) {
+func (s *tcpServer) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -377,7 +377,7 @@ func WriteFrame(w io.Writer, kind byte, payload []byte) (int, error) {
 }
 
 // ReadFrame reads one frame written by WriteFrame. An error — a short
-// read, or a length prefix beyond MaxFrame — leaves the stream at an
+// read, or a length prefix beyond maxFrame — leaves the stream at an
 // unknown offset, so the caller must drop the connection.
 func ReadFrame(r io.Reader) (kind byte, payload []byte, err error) {
 	head := make([]byte, 5)
@@ -385,7 +385,7 @@ func ReadFrame(r io.Reader) (kind byte, payload []byte, err error) {
 		return 0, nil, err
 	}
 	n := binary.LittleEndian.Uint32(head)
-	if n > MaxFrame {
+	if n > maxFrame {
 		return 0, nil, fmt.Errorf("rbio: frame of %d bytes exceeds limit", n)
 	}
 	payload = make([]byte, n)

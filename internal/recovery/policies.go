@@ -30,23 +30,23 @@ type Owned struct {
 // Page answers for a page server.
 //
 //socrates:hotpath runs once per page record of a page server's feed; TestApplyFeedAllocs
-func (o *Owned) Page(rec *wal.Record, set *btree.PageSet) (*page.Page, Answer, error) {
+func (o *Owned) Page(rec *wal.Record, set *btree.PageSet) (*page.Page, answer, error) {
 	if rec.Page < o.Lo || rec.Page >= o.Hi {
-		return nil, Elsewhere, nil
+		return nil, elsewhere, nil
 	}
 	pg, err := set.Read(rec.Page) // a version staged unowned, else the cache's
 	switch {
 	case err != nil && rec.Kind == wal.KindPageImage:
-		return nil, Missing, nil // a freshly allocated page
+		return nil, missing, nil // a freshly allocated page
 	case err != nil:
 		if pg, err = o.Fetch(rec.Page); err != nil {
-			return nil, Missing, fmt.Errorf("pageserver: page %d needed for redo: %w", rec.Page, err)
+			return nil, missing, fmt.Errorf("pageserver: page %d needed for redo: %w", rec.Page, err)
 		}
 	}
 	// Staged, unowned, even if redo leaves it: after a restart the cache can
 	// hold versions newer than the resume LSN, and the install marks them dirty.
 	set.Stage(pg, false)
-	return pg, Resident, nil
+	return pg, resident, nil
 }
 
 // Failed ends the pull.
@@ -67,20 +67,20 @@ type Cached struct {
 // cache either, has its records queued behind its fetch (DESIGN §21.3).
 //
 //socrates:hotpath runs once per page record of a secondary's feed; TestSecondaryApplyAllocs
-func (c *Cached) Page(rec *wal.Record, _ *btree.PageSet) (*page.Page, Answer, error) {
+func (c *Cached) Page(rec *wal.Record, _ *btree.PageSet) (*page.Page, answer, error) {
 	pg, err := c.Read(rec.Page)
 	switch {
 	case err == nil:
 	case c.Pending.QueueIfPending(rec):
-		return nil, Elsewhere, nil
+		return nil, elsewhere, nil
 	case !c.Cache.Contains(rec.Page):
-		return nil, Missing, nil
+		return nil, missing, nil
 	default: // its fetch installed it, and ended, between the two looks
 		if pg, err = c.Read(rec.Page); err != nil {
-			return nil, Missing, nil
+			return nil, missing, nil
 		}
 	}
-	return pg, Resident, nil
+	return pg, resident, nil
 }
 
 // Read returns the cached version, parked or not: log apply is not the
@@ -118,15 +118,15 @@ func (*Cached) Failed(error) error { return nil }
 type Replica struct{ fcb.PageFile }
 
 // Page answers for an HADR replica.
-func (p Replica) Page(rec *wal.Record, _ *btree.PageSet) (*page.Page, Answer, error) {
+func (p Replica) Page(rec *wal.Record, _ *btree.PageSet) (*page.Page, answer, error) {
 	pg, err := p.Read(rec.Page)
 	switch {
 	case errors.Is(err, fcb.ErrNotFound):
-		return page.New(rec.Page, rec.PageType), Resident, nil
+		return page.New(rec.Page, rec.PageType), resident, nil
 	case err != nil:
-		return nil, Elsewhere, nil
+		return nil, elsewhere, nil
 	}
-	return pg, Resident, nil
+	return pg, resident, nil
 }
 
 // Failed drops the record.
@@ -138,17 +138,17 @@ func (Replica) Failed(error) error { return nil }
 type Restore struct{ fcb.PageFile }
 
 // Page answers for a restore.
-func (p Restore) Page(rec *wal.Record, _ *btree.PageSet) (*page.Page, Answer, error) {
+func (p Restore) Page(rec *wal.Record, _ *btree.PageSet) (*page.Page, answer, error) {
 	pg, err := p.Read(rec.Page)
 	switch {
 	case errors.Is(err, fcb.ErrNotFound) && rec.Kind == wal.KindPageImage:
-		return nil, Missing, nil
+		return nil, missing, nil
 	case errors.Is(err, fcb.ErrNotFound):
 		pg = &page.Page{ID: rec.Page, Type: rec.PageType, Data: btree.EmptyNodePayload()}
 	case err != nil:
-		return nil, Missing, err
+		return nil, missing, err
 	}
-	return pg, Resident, nil
+	return pg, resident, nil
 }
 
 // Failed ends the restore.

@@ -35,11 +35,11 @@ type outcome string
 
 const (
 	passed   outcome = "passed"   // the policy was not asked (no page op, or cut)
-	applied  outcome = "applied"  // redo staged the page's next version (answered Resident)
-	created  outcome = "created"  // the image record made the page (answered Missing)
-	current  outcome = "current"  // the page already reflected the record (answered Resident)
-	ignored  outcome = "ignored"  // answered Missing, and not an image record
-	deferred outcome = "deferred" // answered Elsewhere
+	applied  outcome = "applied"  // redo staged the page's next version (answered resident)
+	created  outcome = "created"  // the image record made the page (answered missing)
+	current  outcome = "current"  // the page already reflected the record (answered resident)
+	ignored  outcome = "ignored"  // answered missing, and not an image record
+	deferred outcome = "deferred" // answered elsewhere
 	dropped  outcome = "dropped"  // redo failed and Failed dropped the record
 	failed   outcome = "failed"   // the walk ended with an error
 )
@@ -47,27 +47,27 @@ const (
 // recorder watches a policy: its answer, the redo it failed, and what its
 // pager was handed to publish.
 type recorder struct {
-	Pages
+	pages
 	asked     bool
-	answer    Answer
+	answer    answer
 	redoErr   bool
 	published []*page.Page
 }
 
-func (r *recorder) Page(rec *wal.Record, set *btree.PageSet) (*page.Page, Answer, error) {
-	pg, a, err := r.Pages.Page(rec, set)
+func (r *recorder) Page(rec *wal.Record, set *btree.PageSet) (*page.Page, answer, error) {
+	pg, a, err := r.pages.Page(rec, set)
 	r.asked, r.answer = true, a
 	return pg, a, err
 }
 
 func (r *recorder) Failed(err error) error {
 	r.redoErr = true
-	return r.Pages.Failed(err)
+	return r.pages.Failed(err)
 }
 
 func (r *recorder) Write(pg *page.Page) error {
 	r.published = append(r.published, pg)
-	return r.Pages.Write(pg)
+	return r.pages.Write(pg)
 }
 
 // outcome reads what the cursor did with rec off the recorder and the set.
@@ -81,11 +81,11 @@ func (r *recorder) outcome(err error, set *btree.PageSet, rec *wal.Record) outco
 		return failed
 	case !r.asked:
 		return passed
-	case r.answer == Elsewhere:
+	case r.answer == elsewhere:
 		return deferred
-	case r.answer == Missing && staged:
+	case r.answer == missing && staged:
 		return created
-	case r.answer == Missing:
+	case r.answer == missing:
 		return ignored
 	case r.redoErr:
 		return dropped
@@ -136,9 +136,9 @@ func TestPolicyTable(t *testing.T) {
 	}
 	policies := []struct {
 		name string
-		make func(t *testing.T) Pages
+		make func(t *testing.T) pages
 	}{
-		{"page server", func(t *testing.T) Pages {
+		{"page server", func(t *testing.T) pages {
 			return &Owned{PageFile: cachePager{cache(t, 0)}, Lo: 0, Hi: 10,
 				Fetch: func(id page.ID) (*page.Page, error) {
 					if id == 3 {
@@ -147,11 +147,11 @@ func TestPolicyTable(t *testing.T) {
 					return nil, fcb.ErrNotFound
 				}}
 		}},
-		{"secondary", func(t *testing.T) Pages {
+		{"secondary", func(t *testing.T) pages {
 			return &Cached{Pending: pendingSet{4: true, 7: true}, Cache: cache(t, 4)}
 		}},
-		{"hadr", func(t *testing.T) Pages { return Replica{file(t)} }},
-		{"pitr", func(t *testing.T) Pages { return Restore{file(t)} }},
+		{"hadr", func(t *testing.T) pages { return Replica{file(t)} }},
+		{"pitr", func(t *testing.T) pages { return Restore{file(t)} }},
 	}
 
 	const lsn, stop = page.LSN(10), page.LSN(100)
@@ -199,7 +199,7 @@ func TestPolicyTable(t *testing.T) {
 			[4]outcome{passed, passed, passed, passed}},
 	} {
 		for i, p := range policies {
-			rec := &recorder{Pages: p.make(t)}
+			rec := &recorder{pages: p.make(t)}
 			r := NewReplayer(rec, 1)
 			err := r.ApplyRecord(c.rec, stop)
 			got := rec.outcome(err, r.PageSet(), c.rec)

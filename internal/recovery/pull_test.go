@@ -16,7 +16,7 @@ import (
 // publish, and keeps it with a copy: no published version may change after,
 // as a reader may hold it.
 type publisher struct {
-	Pages
+	pages
 	t         *testing.T
 	check     func(*page.Page)
 	published []*page.Page
@@ -26,7 +26,7 @@ type publisher struct {
 func (p *publisher) Write(pg *page.Page) error {
 	p.check(pg)
 	p.hold(pg)
-	return p.Pages.Write(pg)
+	return p.pages.Write(pg)
 }
 
 func (p *publisher) hold(pg *page.Page) {
@@ -112,11 +112,11 @@ func FuzzPullMatchesRedo(f *testing.F) {
 
 		for _, c := range []struct {
 			name     string
-			make     func(p *publisher) (Pages, func(page.ID) (*page.Page, bool))
+			make     func(p *publisher) (pages, func(page.ID) (*page.Page, bool))
 			ends     bool // a failed redo ends the pull
 			perBlock bool // installs after each block
 		}{
-			{"page server", func(p *publisher) (Pages, func(page.ID) (*page.Page, bool)) {
+			{"page server", func(p *publisher) (pages, func(page.ID) (*page.Page, bool)) {
 				cache := heldCache(t, p, leaf, 1, 2, 3)
 				p.hold(corrupt())
 				_ = cache.Put(p.published[len(p.published)-1])
@@ -134,17 +134,17 @@ func FuzzPullMatchesRedo(f *testing.F) {
 						return pg, ok
 					}
 			}, true, false},
-			{"secondary", func(p *publisher) (Pages, func(page.ID) (*page.Page, bool)) {
+			{"secondary", func(p *publisher) (pages, func(page.ID) (*page.Page, bool)) {
 				cache := heldCache(t, p, leaf, 1, 2, 3)
 				p.hold(corrupt())
 				_ = cache.Put(p.published[len(p.published)-1])
 				return &Cached{Pending: pendingSet{}, Cache: cache}, cache.Get
 			}, false, false},
-			{"hadr", func(p *publisher) (Pages, func(page.ID) (*page.Page, bool)) {
+			{"hadr", func(p *publisher) (pages, func(page.ID) (*page.Page, bool)) {
 				file := heldFile(p, leaf(1), leaf(2), leaf(3), leaf(4), leaf(5), corrupt())
 				return Replica{file}, fileGet(file)
 			}, false, true},
-			{"pitr", func(p *publisher) (Pages, func(page.ID) (*page.Page, bool)) {
+			{"pitr", func(p *publisher) (pages, func(page.ID) (*page.Page, bool)) {
 				file := heldFile(p, leaf(1), leaf(2), leaf(3), leaf(4), leaf(5), corrupt())
 				return Restore{file}, fileGet(file)
 			}, true, false},
@@ -157,7 +157,7 @@ func FuzzPullMatchesRedo(f *testing.F) {
 				}
 			}}
 			var final func(page.ID) (*page.Page, bool)
-			p.Pages, final = c.make(p)
+			p.pages, final = c.make(p)
 			replay := NewReplayer(p, 1)
 			apply := func(blocks [][]*wal.Record) error {
 				for _, b := range blocks {

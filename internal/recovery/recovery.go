@@ -4,7 +4,7 @@
 // record, cuts at a stop LSN, redoes page operations into its page set (a
 // missing page's image record makes it), raises the visible commit
 // timestamp and keeps the applied watermark. Each consumer supplies where a
-// record's page is, as a Pages policy, and installs the set at its publish
+// record's page is, as a pages policy, and installs the set at its publish
 // point. Follow tails the log as it is written; ReplayRange reads a finished
 // range. Redo is all there is (§3.2): uncommitted changes never reach data
 // pages, so replay costs the log range, never the database size.
@@ -24,23 +24,23 @@ import (
 	"socrates/internal/wal"
 )
 
-// Answer is a policy's answer for one page record.
-type Answer uint8
+// answer is a policy's answer for one page record.
+type answer uint8
 
 const (
-	Resident  Answer = iota // the page is here: redo the record onto the version returned, in the cursor's set
-	Missing                 // the page is not here: its image record creates it, any other record is ignored
-	Elsewhere               // not the cursor's to apply: not this consumer's page, or queued behind a fetch
+	resident  answer = iota // the page is here: redo the record onto the version returned, in the cursor's set
+	missing                 // the page is not here: its image record creates it, any other record is ignored
+	elsewhere               // not the cursor's to apply: not this consumer's page, or queued behind a fetch
 )
 
-// Pages is one consumer's redo policy: the one place redo asks for pages.
+// pages is one consumer's redo policy: the one place redo asks for pages.
 // Its Read and Write are the pager of the cursor's page set: the version the
 // consumer has published (fcb.ErrNotFound if none), and its install.
-type Pages interface {
+type pages interface {
 	fcb.PageFile
 	// Page answers for a record whose page the cursor's set does not own
 	// (the set may hold the policy's own staging). An error ends the walk.
-	Page(rec *wal.Record, set *btree.PageSet) (*page.Page, Answer, error)
+	Page(rec *wal.Record, set *btree.PageSet) (*page.Page, answer, error)
 	// Failed is the error rule for a failed redo: err ends the walk, nil
 	// drops the record.
 	Failed(err error) error
@@ -50,7 +50,7 @@ type Pages interface {
 // builds stay in its page set, each page copied on its first record and
 // edited in place after, until the consumer installs the set.
 type Replayer struct {
-	pages   Pages
+	pages   pages
 	set     *btree.PageSet
 	applied page.LSN
 	visible uint64
@@ -59,12 +59,12 @@ type Replayer struct {
 
 // NewReplayer builds a cursor over a policy, its watermark at from. Redo is
 // idempotent: overlapping ranges are safe.
-func NewReplayer(pages Pages, from page.LSN) *Replayer {
+func NewReplayer(pages pages, from page.LSN) *Replayer {
 	return &Replayer{pages: pages, set: btree.NewPageSet(pager{pages}), applied: from}
 }
 
 // pager is the set's: redo allocates nothing, an image record makes a page.
-type pager struct{ Pages }
+type pager struct{ pages }
 
 func (pager) Allocate(page.Type) (*page.Page, error) {
 	return nil, errors.New("recovery: redo allocates no pages")
@@ -107,15 +107,15 @@ func (r *Replayer) ApplyRecord(rec *wal.Record, stop page.LSN) error {
 // records, fetch or no fetch (DESIGN §21.3) — else onto the one the policy
 // answers with.
 func (r *Replayer) redo(rec *wal.Record) error {
-	pg, answer, err := r.set.Owned(rec.Page), Resident, error(nil)
+	pg, answer, err := r.set.Owned(rec.Page), resident, error(nil)
 	if pg == nil {
 		pg, answer, err = r.pages.Page(rec, r.set)
 	}
-	if err != nil || answer == Elsewhere || (answer == Missing && rec.Kind != wal.KindPageImage) {
+	if err != nil || answer == elsewhere || (answer == missing && rec.Kind != wal.KindPageImage) {
 		return err
 	}
 	switch {
-	case answer == Missing:
+	case answer == missing:
 		if pg, err = btree.NewFormatted(rec); err == nil {
 			r.set.Stage(pg, true)
 		}
@@ -173,9 +173,9 @@ func Redo(pg *page.Page, recs []*wal.Record) (*page.Page, error) {
 	return pg, nil
 }
 
-// Puller is a log source serving [from, …) as encoded blocks; the XLOG
+// puller is a log source serving [from, …) as encoded blocks; the XLOG
 // service's Pull method satisfies it.
-type Puller interface {
+type puller interface {
 	Pull(ctx context.Context, from page.LSN, partition int32, maxBytes int) ([]byte, page.LSN, error)
 }
 
@@ -184,7 +184,7 @@ type Puller interface {
 // applies each block in LSN order and installs the set after each pull. It
 // returns the LSN reached, short of stop when src ran out first; an error
 // ends it too.
-func (r *Replayer) ReplayRange(ctx context.Context, src Puller, stop page.LSN) (page.LSN, error) {
+func (r *Replayer) ReplayRange(ctx context.Context, src puller, stop page.LSN) (page.LSN, error) {
 	from := r.applied
 	for stop == 0 || from.Before(stop) {
 		if err := ctx.Err(); err != nil {

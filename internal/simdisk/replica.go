@@ -10,8 +10,8 @@ import (
 	"socrates/internal/obs"
 )
 
-// ErrQuorumLost is returned when a quorum write cannot reach enough replicas.
-var ErrQuorumLost = errors.New("simdisk: write quorum lost")
+// errQuorumLost is returned when a quorum write cannot reach enough replicas.
+var errQuorumLost = errors.New("simdisk: write quorum lost")
 
 // extent is a half-open byte range [off, end) on a replica.
 type extent struct{ off, end int64 }
@@ -155,7 +155,7 @@ func (r *Replicated) WriteAt(p []byte, off int64) error {
 	q := r.effectiveQuorum()
 	if len(lats) < q {
 		return fmt.Errorf("%w: %d/%d replicas failed: %v",
-			ErrQuorumLost, fails, len(r.replicas), lastErr)
+			errQuorumLost, fails, len(r.replicas), lastErr)
 	}
 	end := off + int64(len(p))
 	r.mu.Lock()
@@ -202,7 +202,7 @@ func (r *Replicated) ReadAt(p []byte, off int64) error {
 		if firstErr == nil {
 			firstErr = err
 		}
-		if errors.Is(err, ErrOutOfRange) {
+		if errors.Is(err, errOutOfRange) {
 			// Replicas that did not miss a write in this range have the
 			// full quorum-acked extent; out-of-range will not be cured by
 			// another clean replica.
@@ -297,7 +297,7 @@ func (r *Replicated) Reconcile() (repaired int64, err error) {
 			if src < 0 {
 				if err == nil {
 					err = fmt.Errorf("%w: no clean source for replica %d range [%d,%d)",
-						ErrQuorumLost, i, e.off, e.end)
+						errQuorumLost, i, e.off, e.end)
 				}
 				continue
 			}

@@ -35,12 +35,12 @@ import (
 // ErrOutage is returned while a device is in an injected outage.
 var ErrOutage = errors.New("simdisk: device outage")
 
-// ErrOutOfRange is returned for reads beyond the written extent.
-var ErrOutOfRange = errors.New("simdisk: read out of range")
+// errOutOfRange is returned for reads beyond the written extent.
+var errOutOfRange = errors.New("simdisk: read out of range")
 
-// ErrDiscarded is returned for reads that touch a range given back with
+// errDiscarded is returned for reads that touch a range given back with
 // Discard.
-var ErrDiscarded = errors.New("simdisk: read of a discarded range")
+var errDiscarded = errors.New("simdisk: read of a discarded range")
 
 // Profile describes the performance model of a device class.
 type Profile struct {
@@ -68,9 +68,9 @@ type Profile struct {
 	ReadCPU  time.Duration
 	WriteCPU time.Duration
 
-	// ThroughputMBps caps sustained bandwidth through a token bucket.
+	// throughputMBps caps sustained bandwidth through a token bucket.
 	// Zero means uncapped.
-	ThroughputMBps float64
+	throughputMBps float64
 }
 
 // Canonical device profiles, calibrated against the paper's numbers
@@ -102,7 +102,7 @@ var (
 		TailFactor:     12,
 		ReadCPU:        90 * time.Microsecond,
 		WriteCPU:       150 * time.Microsecond,
-		ThroughputMBps: 400,
+		throughputMBps: 400,
 	}
 
 	// DirectDrive models the RDMA-based service from Appendix A: ~4x lower
@@ -117,7 +117,7 @@ var (
 		TailFactor:     50,
 		ReadCPU:        18 * time.Microsecond,
 		WriteCPU:       30 * time.Microsecond,
-		ThroughputMBps: 900,
+		throughputMBps: 900,
 	}
 
 	// HDD models the spindles under XStore: cheap, slow, bandwidth-capped.
@@ -131,7 +131,7 @@ var (
 		TailFactor:     6,
 		ReadCPU:        8 * time.Microsecond,
 		WriteCPU:       10 * time.Microsecond,
-		ThroughputMBps: 200,
+		throughputMBps: 200,
 	}
 
 	// LAN models one intra-datacenter network hop (used by RBIO's
@@ -246,8 +246,8 @@ func New(p Profile, opts ...Option) *Device {
 		profile: p,
 		rng:     rand.New(rand.NewSource(1)),
 	}
-	if p.ThroughputMBps > 0 {
-		d.bucket = NewTokenBucket(p.ThroughputMBps * 1024 * 1024)
+	if p.throughputMBps > 0 {
+		d.bucket = NewTokenBucket(p.throughputMBps * 1024 * 1024)
 	}
 	for _, o := range opts {
 		o(d)
@@ -341,7 +341,7 @@ func (d *Device) charge(cpu time.Duration) {
 }
 
 // ReadAt fills p from offset off. Reading past the written extent returns
-// ErrOutOfRange; short reads do not occur.
+// errOutOfRange; short reads do not occur.
 func (d *Device) ReadAt(p []byte, off int64) error {
 	if err := d.checkFailure(false); err != nil {
 		return err
@@ -357,11 +357,11 @@ func (d *Device) ReadAt(p []byte, off int64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if off < 0 || off+int64(len(p)) > d.size {
-		return fmt.Errorf("%w: off=%d len=%d size=%d", ErrOutOfRange, off, len(p), d.size)
+		return fmt.Errorf("%w: off=%d len=%d size=%d", errOutOfRange, off, len(p), d.size)
 	}
 	for ci := off / chunkSize; ci*chunkSize < off+int64(len(p)); ci++ {
 		if d.chunks[ci] == discarded {
-			return fmt.Errorf("%w: off=%d len=%d", ErrDiscarded, off, len(p))
+			return fmt.Errorf("%w: off=%d len=%d", errDiscarded, off, len(p))
 		}
 	}
 	d.copyOut(p, off)
@@ -488,7 +488,7 @@ func (d *Device) Truncate(n int64) {
 // Discard gives back the storage of every whole chunk inside [off, off+n) —
 // the volume's TRIM, a metadata operation like Truncate. The volume keeps
 // its size. A later read that touches a discarded chunk fails with
-// ErrDiscarded rather than inventing zeros; a write into one brings it back.
+// errDiscarded rather than inventing zeros; a write into one brings it back.
 // A chunk the range covers only in part keeps its bytes.
 func (d *Device) Discard(off, n int64) {
 	d.mu.Lock()

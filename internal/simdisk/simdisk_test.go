@@ -36,7 +36,7 @@ func TestReadBeyondExtentFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := d.ReadAt(make([]byte, 10), 0)
-	if !errors.Is(err, ErrOutOfRange) {
+	if !errors.Is(err, errOutOfRange) {
 		t.Fatalf("err = %v, want ErrOutOfRange", err)
 	}
 }
@@ -46,7 +46,7 @@ func TestNegativeOffsetRejected(t *testing.T) {
 	if err := d.WriteAt([]byte("x"), -1); err == nil {
 		t.Fatal("negative-offset write should fail")
 	}
-	if err := d.ReadAt(make([]byte, 1), -1); !errors.Is(err, ErrOutOfRange) {
+	if err := d.ReadAt(make([]byte, 1), -1); !errors.Is(err, errOutOfRange) {
 		t.Fatalf("negative-offset read err = %v, want ErrOutOfRange", err)
 	}
 }
@@ -169,7 +169,7 @@ func TestThroughputCap(t *testing.T) {
 		t.Skip("timing test")
 	}
 	p := Instant
-	p.ThroughputMBps = 1 // 1 MiB/s
+	p.throughputMBps = 1 // 1 MiB/s
 	d := New(p)
 	// Drain the initial burst allowance, then time a capped transfer.
 	_ = d.WriteAt(make([]byte, 1<<20), 0)
@@ -294,7 +294,7 @@ func TestReplicatedLosesQuorum(t *testing.T) {
 	r.Replicas()[0].SetOutage(true)
 	r.Replicas()[1].SetOutage(true)
 	err = r.WriteAt([]byte("x"), 0)
-	if !errors.Is(err, ErrQuorumLost) {
+	if !errors.Is(err, errQuorumLost) {
 		t.Fatalf("err = %v, want ErrQuorumLost", err)
 	}
 }
@@ -391,7 +391,7 @@ func TestChunkedStoreMatchesSliceModel(t *testing.T) {
 			t.Fatalf("op %d: device image differs from the slice model", i)
 		}
 	}
-	if err := d.ReadAt(make([]byte, 1), d.Size()); !errors.Is(err, ErrOutOfRange) {
+	if err := d.ReadAt(make([]byte, 1), d.Size()); !errors.Is(err, errOutOfRange) {
 		t.Fatalf("read past the extent: %v", err)
 	}
 }
@@ -486,7 +486,7 @@ func TestDiscard(t *testing.T) {
 		}
 	}
 	for _, off := range []int64{chunkSize, 2 * chunkSize, chunkSize - 1, 3*chunkSize - 1} {
-		if err := d.ReadAt(got[:2], off); !errors.Is(err, ErrDiscarded) {
+		if err := d.ReadAt(got[:2], off); !errors.Is(err, errDiscarded) {
 			t.Fatalf("read at %d touching a discarded chunk: err = %v, want ErrDiscarded", off, err)
 		}
 	}
@@ -496,11 +496,11 @@ func TestDiscard(t *testing.T) {
 	if err := d.ReadAt(got[:4], chunkSize+10); err != nil || string(got[:4]) != "back" {
 		t.Fatalf("rewritten chunk reads %q, %v", got[:4], err)
 	}
-	if err := d.ReadAt(got[:4], 2*chunkSize); !errors.Is(err, ErrDiscarded) {
+	if err := d.ReadAt(got[:4], 2*chunkSize); !errors.Is(err, errDiscarded) {
 		t.Fatalf("the other discarded chunk came back too: %v", err)
 	}
 	d.Discard(-5, 1<<40) // clamps to the volume
-	if err := d.ReadAt(got[:1], 0); !errors.Is(err, ErrDiscarded) {
+	if err := d.ReadAt(got[:1], 0); !errors.Is(err, errDiscarded) {
 		t.Fatalf("whole-volume discard: err = %v", err)
 	}
 }

@@ -2,128 +2,128 @@ package sqlengine
 
 import "fmt"
 
-// ColType is a column's declared type.
-type ColType int
+// colType is a column's declared type.
+type colType int
 
 // Column types.
 const (
-	TypeInt ColType = iota
-	TypeFloat
-	TypeText
+	typeInt colType = iota
+	typeFloat
+	typeText
 )
 
-func (t ColType) String() string {
+func (t colType) String() string {
 	switch t {
-	case TypeInt:
+	case typeInt:
 		return "INT"
-	case TypeFloat:
+	case typeFloat:
 		return "FLOAT"
-	case TypeText:
+	case typeText:
 		return "TEXT"
 	default:
 		return fmt.Sprintf("type(%d)", int(t))
 	}
 }
 
-// Column is one column definition.
-type Column struct {
-	Name string
-	Type ColType
-	PK   bool
+// column is one column definition.
+type column struct {
+	name string
+	typ  colType
+	pk   bool
 }
 
-// Statement is any parsed SQL statement.
-type Statement interface{ stmt() }
+// statement is any parsed SQL statement.
+type statement interface{ stmt() }
 
-// CreateTableStmt creates a table.
-type CreateTableStmt struct {
-	Table   string
-	Columns []Column
+// createTableStmt creates a table.
+type createTableStmt struct {
+	table   string
+	columns []column
 }
 
-// DropTableStmt drops a table.
-type DropTableStmt struct{ Table string }
+// dropTableStmt drops a table.
+type dropTableStmt struct{ table string }
 
-// InsertStmt inserts rows.
-type InsertStmt struct {
-	Table   string
-	Columns []string // empty = declared order
-	Rows    [][]Expr
+// insertStmt inserts rows.
+type insertStmt struct {
+	table   string
+	columns []string // empty = declared order
+	rows    [][]expr
 }
 
-// SelectStmt queries rows.
-type SelectStmt struct {
-	Table   string
-	Items   []SelectItem // empty + Star for SELECT *
-	Star    bool
-	Where   Expr // nil = all rows
-	OrderBy string
-	Desc    bool
-	Limit   int // -1 = unlimited
+// selectStmt queries rows.
+type selectStmt struct {
+	table   string
+	items   []selectItem // empty + Star for SELECT *
+	star    bool
+	where   expr // nil = all rows
+	orderBy string
+	desc    bool
+	limit   int // -1 = unlimited
 }
 
-// SelectItem is one projection: a column or an aggregate.
-type SelectItem struct {
-	Expr  Expr
-	Alias string
-	Agg   string // "", COUNT, SUM, AVG, MIN, MAX
-	Star  bool   // COUNT(*)
+// selectItem is one projection: a column or an aggregate.
+type selectItem struct {
+	expr  expr
+	alias string
+	agg   string // "", COUNT, SUM, AVG, MIN, MAX
+	star  bool   // COUNT(*)
 }
 
-// UpdateStmt updates rows.
-type UpdateStmt struct {
-	Table string
-	Set   map[string]Expr
-	Where Expr
+// updateStmt updates rows.
+type updateStmt struct {
+	table string
+	set   map[string]expr
+	where expr
 }
 
-// DeleteStmt deletes rows.
-type DeleteStmt struct {
-	Table string
-	Where Expr
+// deleteStmt deletes rows.
+type deleteStmt struct {
+	table string
+	where expr
 }
 
 // Transaction control and introspection statements.
 type (
-	BeginStmt      struct{}
-	CommitStmt     struct{}
-	RollbackStmt   struct{}
-	ShowTablesStmt struct{}
+	beginStmt      struct{}
+	commitStmt     struct{}
+	rollbackStmt   struct{}
+	showTablesStmt struct{}
 )
 
-func (*CreateTableStmt) stmt() {}
-func (*DropTableStmt) stmt()   {}
-func (*InsertStmt) stmt()      {}
-func (*SelectStmt) stmt()      {}
-func (*UpdateStmt) stmt()      {}
-func (*DeleteStmt) stmt()      {}
-func (*BeginStmt) stmt()       {}
-func (*CommitStmt) stmt()      {}
-func (*RollbackStmt) stmt()    {}
-func (*ShowTablesStmt) stmt()  {}
+func (*createTableStmt) stmt() {}
+func (*dropTableStmt) stmt()   {}
+func (*insertStmt) stmt()      {}
+func (*selectStmt) stmt()      {}
+func (*updateStmt) stmt()      {}
+func (*deleteStmt) stmt()      {}
+func (*beginStmt) stmt()       {}
+func (*commitStmt) stmt()      {}
+func (*rollbackStmt) stmt()    {}
+func (*showTablesStmt) stmt()  {}
 
-// Expr is an expression tree node.
-type Expr interface{ expr() }
+// expr is an expression tree node.
+type expr interface{ expr() }
 
-// ColumnRef references a column by name.
-type ColumnRef struct{ Name string }
+// columnRef references a column by name.
+type columnRef struct{ name string }
 
-// Literal is a constant value.
-type Literal struct{ Val Value }
+// literal is a constant value.
+type literal struct{ val Value }
 
-// BinaryExpr applies an operator to two operands.
-type BinaryExpr struct {
-	Op   string // = != < <= > >= AND OR + - * /
-	L, R Expr
+// binaryExpr applies an operator to two operands.
+type binaryExpr struct {
+	op   string // = != < <= > >= AND OR + - * /
+	l, r expr
 }
 
-// UnaryExpr applies NOT or unary minus.
-type UnaryExpr struct {
-	Op string // NOT, -
-	E  Expr
+// unaryExpr applies NOT or unary minus.
+type unaryExpr struct {
+	op string // NOT, -
+	e  expr
 }
 
-func (*ColumnRef) expr()  {}
-func (*Literal) expr()    {}
-func (*BinaryExpr) expr() {}
-func (*UnaryExpr) expr()  {}
+func (*columnRef) expr()  {}
+func (*literal) expr()    {}
+func (*binaryExpr) expr() {}
+func (*unaryExpr) expr()  {}

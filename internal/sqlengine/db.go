@@ -19,10 +19,10 @@ const schemaTable = "__schema"
 
 // Errors.
 var (
-	ErrNoSuchTable  = errors.New("sql: no such table")
-	ErrDuplicateKey = errors.New("sql: duplicate primary key")
-	ErrNoTx         = errors.New("sql: no open transaction")
-	ErrTxOpen       = errors.New("sql: transaction already open")
+	errNoSuchTable  = errors.New("sql: no such table")
+	errDuplicateKey = errors.New("sql: duplicate primary key")
+	errNoTx         = errors.New("sql: no open transaction")
+	errTxOpen       = errors.New("sql: transaction already open")
 )
 
 // DB compiles SQL onto a storage engine.
@@ -94,7 +94,7 @@ func (s *Session) ExecContext(ctx context.Context, sql string) (*Result, error) 
 
 // RunContext executes a parsed statement bounded by (and traced through)
 // ctx.
-func (s *Session) RunContext(ctx context.Context, stmt Statement) (*Result, error) {
+func (s *Session) RunContext(ctx context.Context, stmt statement) (*Result, error) {
 	eng := s.db.eng
 	start := time.Now()
 	ctx, span := eng.Tracer().StartSpan(ctx, obs.TierCompute, "sql.exec")
@@ -119,60 +119,60 @@ func (s *Session) RunContext(ctx context.Context, stmt Statement) (*Result, erro
 }
 
 // stmtName labels a statement for spans and metrics.
-func stmtName(stmt Statement) string {
+func stmtName(stmt statement) string {
 	switch stmt.(type) {
-	case *BeginStmt:
+	case *beginStmt:
 		return "begin"
-	case *CommitStmt:
+	case *commitStmt:
 		return "commit"
-	case *RollbackStmt:
+	case *rollbackStmt:
 		return "rollback"
-	case *ShowTablesStmt:
+	case *showTablesStmt:
 		return "show-tables"
-	case *CreateTableStmt:
+	case *createTableStmt:
 		return "create-table"
-	case *DropTableStmt:
+	case *dropTableStmt:
 		return "drop-table"
-	case *InsertStmt:
+	case *insertStmt:
 		return "insert"
-	case *SelectStmt:
+	case *selectStmt:
 		return "select"
-	case *UpdateStmt:
+	case *updateStmt:
 		return "update"
-	case *DeleteStmt:
+	case *deleteStmt:
 		return "delete"
 	default:
 		return fmt.Sprintf("%T", stmt)
 	}
 }
 
-func (s *Session) runStmt(ctx context.Context, stmt Statement) (*Result, error) {
+func (s *Session) runStmt(ctx context.Context, stmt statement) (*Result, error) {
 	switch st := stmt.(type) {
-	case *BeginStmt:
+	case *beginStmt:
 		if s.tx != nil {
-			return nil, ErrTxOpen
+			return nil, errTxOpen
 		}
 		s.tx = s.db.eng.BeginContext(ctx)
 		return &Result{}, nil
-	case *CommitStmt:
+	case *commitStmt:
 		if s.tx == nil {
-			return nil, ErrNoTx
+			return nil, errNoTx
 		}
 		err := s.tx.Commit()
 		s.tx = nil
 		return &Result{}, err
-	case *RollbackStmt:
+	case *rollbackStmt:
 		if s.tx == nil {
-			return nil, ErrNoTx
+			return nil, errNoTx
 		}
 		s.tx.Abort()
 		s.tx = nil
 		return &Result{}, nil
-	case *ShowTablesStmt:
+	case *showTablesStmt:
 		return s.showTables()
-	case *CreateTableStmt:
+	case *createTableStmt:
 		return s.db.createTable(ctx, st)
-	case *DropTableStmt:
+	case *dropTableStmt:
 		return s.db.dropTable(ctx, st)
 	}
 
@@ -180,7 +180,7 @@ func (s *Session) runStmt(ctx context.Context, stmt Statement) (*Result, error) 
 	tx := s.tx
 	auto := tx == nil
 	if auto {
-		if _, ok := stmt.(*SelectStmt); ok {
+		if _, ok := stmt.(*selectStmt); ok {
 			tx = s.db.eng.BeginROContext(ctx)
 		} else {
 			tx = s.db.eng.BeginContext(ctx)
@@ -209,33 +209,33 @@ func (s *Session) showTables() (*Result, error) {
 		if n == schemaTable {
 			continue
 		}
-		res.Rows = append(res.Rows, []Value{TextValue(n)})
+		res.Rows = append(res.Rows, []Value{textValue(n)})
 	}
 	return res, nil
 }
 
 // --- DDL ---
 
-func (db *DB) createTable(ctx context.Context, st *CreateTableStmt) (*Result, error) {
-	if len(st.Columns) == 0 {
+func (db *DB) createTable(ctx context.Context, st *createTableStmt) (*Result, error) {
+	if len(st.columns) == 0 {
 		return nil, errors.New("sql: table needs at least one column")
 	}
 	pkCount := 0
 	seen := map[string]bool{}
-	for _, c := range st.Columns {
-		lc := strings.ToLower(c.Name)
+	for _, c := range st.columns {
+		lc := strings.ToLower(c.name)
 		if seen[lc] {
-			return nil, fmt.Errorf("sql: duplicate column %q", c.Name)
+			return nil, fmt.Errorf("sql: duplicate column %q", c.name)
 		}
 		seen[lc] = true
-		if c.PK {
+		if c.pk {
 			pkCount++
 		}
 	}
 	if pkCount != 1 {
 		return nil, fmt.Errorf("sql: table must have exactly one PRIMARY KEY column, got %d", pkCount)
 	}
-	name := db.phys(st.Table)
+	name := db.phys(st.table)
 	if name == schemaTable {
 		return nil, errors.New("sql: reserved table name")
 	}
@@ -249,7 +249,7 @@ func (db *DB) createTable(ctx context.Context, st *CreateTableStmt) (*Result, er
 		return nil, err
 	}
 	tx := db.eng.BeginContext(ctx)
-	if err := tx.Put(schemaTable, []byte(name), encodeSchema(st.Columns)); err != nil {
+	if err := tx.Put(schemaTable, []byte(name), encodeSchema(st.columns)); err != nil {
 		tx.Abort()
 		return nil, err
 	}
@@ -259,8 +259,8 @@ func (db *DB) createTable(ctx context.Context, st *CreateTableStmt) (*Result, er
 	return &Result{}, nil
 }
 
-func (db *DB) dropTable(ctx context.Context, st *DropTableStmt) (*Result, error) {
-	name := db.phys(st.Table)
+func (db *DB) dropTable(ctx context.Context, st *dropTableStmt) (*Result, error) {
+	name := db.phys(st.table)
 	if _, err := db.schema(name); err != nil {
 		return nil, err
 	}
@@ -302,12 +302,12 @@ func (db *DB) schema(name string) (*schema, error) {
 	raw, found, err := tx.Get(schemaTable, []byte(name))
 	if err != nil {
 		if errors.Is(err, engine.ErrNoTable) {
-			return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, name)
+			return nil, fmt.Errorf("%w: %q", errNoSuchTable, name)
 		}
 		return nil, err
 	}
 	if !found {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, name)
+		return nil, fmt.Errorf("%w: %q", errNoSuchTable, name)
 	}
 	sc, err = decodeSchema(raw)
 	if err != nil {
@@ -321,15 +321,15 @@ func (db *DB) schema(name string) (*schema, error) {
 
 // --- DML / queries ---
 
-func (db *DB) runRowStmt(tx *engine.Tx, stmt Statement) (*Result, error) {
+func (db *DB) runRowStmt(tx *engine.Tx, stmt statement) (*Result, error) {
 	switch st := stmt.(type) {
-	case *InsertStmt:
+	case *insertStmt:
 		return db.runInsert(tx, st)
-	case *SelectStmt:
+	case *selectStmt:
 		return db.runSelect(tx, st)
-	case *UpdateStmt:
+	case *updateStmt:
 		return db.runUpdate(tx, st)
-	case *DeleteStmt:
+	case *deleteStmt:
 		return db.runDelete(tx, st)
 	default:
 		return nil, fmt.Errorf("sql: unsupported statement %T", stmt)
@@ -337,44 +337,44 @@ func (db *DB) runRowStmt(tx *engine.Tx, stmt Statement) (*Result, error) {
 }
 
 // coerce adapts a value to the column type.
-func coerce(v Value, t ColType) (Value, error) {
+func coerce(v Value, t colType) (Value, error) {
 	if v.IsNull() {
 		return v, nil
 	}
 	switch t {
-	case TypeInt:
-		if v.Kind == KindInt {
+	case typeInt:
+		if v.Kind == kindInt {
 			return v, nil
 		}
-	case TypeFloat:
-		if v.Kind == KindFloat {
+	case typeFloat:
+		if v.Kind == kindFloat {
 			return v, nil
 		}
-		if v.Kind == KindInt {
-			return FloatValue(float64(v.I)), nil
+		if v.Kind == kindInt {
+			return floatValue(float64(v.I)), nil
 		}
-	case TypeText:
-		if v.Kind == KindText {
+	case typeText:
+		if v.Kind == kindText {
 			return v, nil
 		}
 	}
 	return Value{}, fmt.Errorf("sql: cannot store %v value in %v column", v.Kind, t)
 }
 
-func (db *DB) runInsert(tx *engine.Tx, st *InsertStmt) (*Result, error) {
-	name := db.phys(st.Table)
+func (db *DB) runInsert(tx *engine.Tx, st *insertStmt) (*Result, error) {
+	name := db.phys(st.table)
 	sc, err := db.schema(name)
 	if err != nil {
 		return nil, err
 	}
-	// Column order mapping.
-	order := make([]int, 0, len(sc.Columns))
-	if len(st.Columns) == 0 {
-		for i := range sc.Columns {
+	// column order mapping.
+	order := make([]int, 0, len(sc.columns))
+	if len(st.columns) == 0 {
+		for i := range sc.columns {
 			order = append(order, i)
 		}
 	} else {
-		for _, cn := range st.Columns {
+		for _, cn := range st.columns {
 			idx, ok := sc.colIndex(cn)
 			if !ok {
 				return nil, fmt.Errorf("sql: unknown column %q", cn)
@@ -383,22 +383,22 @@ func (db *DB) runInsert(tx *engine.Tx, st *InsertStmt) (*Result, error) {
 		}
 	}
 	affected := 0
-	for _, row := range st.Rows {
+	for _, row := range st.rows {
 		if len(row) != len(order) {
 			return nil, fmt.Errorf("sql: %d values for %d columns", len(row), len(order))
 		}
-		vals := make([]Value, len(sc.Columns))
+		vals := make([]Value, len(sc.columns))
 		for i := range vals {
-			vals[i] = NullValue()
+			vals[i] = nullValue()
 		}
 		for i, e := range row {
 			v, err := evalExpr(e, nil)
 			if err != nil {
 				return nil, err
 			}
-			v, err = coerce(v, sc.Columns[order[i]].Type)
+			v, err = coerce(v, sc.columns[order[i]].typ)
 			if err != nil {
-				return nil, fmt.Errorf("sql: column %q: %w", sc.Columns[order[i]].Name, err)
+				return nil, fmt.Errorf("sql: column %q: %w", sc.columns[order[i]].name, err)
 			}
 			vals[order[i]] = v
 		}
@@ -413,7 +413,7 @@ func (db *DB) runInsert(tx *engine.Tx, st *InsertStmt) (*Result, error) {
 		if _, exists, err := tx.Get(name, key); err != nil {
 			return nil, err
 		} else if exists {
-			return nil, fmt.Errorf("%w: %s", ErrDuplicateKey, pk)
+			return nil, fmt.Errorf("%w: %s", errDuplicateKey, pk)
 		}
 		if err := tx.Put(name, key, encodeRow(vals)); err != nil {
 			return nil, err
@@ -437,7 +437,7 @@ func rowEnv(sc *schema, vals []Value) func(string) (Value, error) {
 // scanMatching streams decoded rows matching the WHERE clause, using a
 // point lookup when the predicate pins the primary key and a bounded scan
 // when it only confines it.
-func (db *DB) scanMatching(tx *engine.Tx, name string, sc *schema, where Expr,
+func (db *DB) scanMatching(tx *engine.Tx, name string, sc *schema, where expr,
 	fn func(key []byte, vals []Value) (bool, error)) error {
 	// Plan: PK equality → point lookup.
 	if pkVal, ok := pkEquality(where, sc); ok {
@@ -449,7 +449,7 @@ func (db *DB) scanMatching(tx *engine.Tx, name string, sc *schema, where Expr,
 		if err != nil || !found {
 			return err
 		}
-		vals, err := decodeRow(raw, len(sc.Columns))
+		vals, err := decodeRow(raw, len(sc.columns))
 		if err != nil {
 			return err
 		}
@@ -466,7 +466,7 @@ func (db *DB) scanMatching(tx *engine.Tx, name string, sc *schema, where Expr,
 	lo, hi := pkBounds(where, sc)
 	var inner error
 	err := tx.Scan(name, lo, hi, func(k, raw []byte) bool {
-		vals, err := decodeRow(raw, len(sc.Columns))
+		vals, err := decodeRow(raw, len(sc.columns))
 		if err != nil {
 			inner = err
 			return false
@@ -498,30 +498,30 @@ func (db *DB) scanMatching(tx *engine.Tx, name string, sc *schema, where Expr,
 // Like pkBounds, it takes only a literal whose encoded key is the stored
 // key of every row equal to it (keyExact); any other equality is left to
 // the bounded or full scan and the residual filter.
-func pkEquality(e Expr, sc *schema) (Value, bool) {
-	ex, ok := e.(*BinaryExpr)
+func pkEquality(e expr, sc *schema) (Value, bool) {
+	ex, ok := e.(*binaryExpr)
 	if !ok {
 		return Value{}, false
 	}
-	if ex.Op == "AND" {
-		if v, ok := pkEquality(ex.L, sc); ok {
+	if ex.op == "AND" {
+		if v, ok := pkEquality(ex.l, sc); ok {
 			return v, true
 		}
-		return pkEquality(ex.R, sc)
+		return pkEquality(ex.r, sc)
 	}
-	col, lit := ex.L, ex.R
-	if _, isCol := col.(*ColumnRef); !isCol {
+	col, lit := ex.l, ex.r
+	if _, isCol := col.(*columnRef); !isCol {
 		col, lit = lit, col
 	}
-	ref, isCol := col.(*ColumnRef)
-	l, isLit := lit.(*Literal)
-	if ex.Op != "=" || !isCol || !isLit || !keyExact(l.Val, sc) {
+	ref, isCol := col.(*columnRef)
+	l, isLit := lit.(*literal)
+	if ex.op != "=" || !isCol || !isLit || !keyExact(l.val, sc) {
 		return Value{}, false
 	}
-	if idx, found := sc.colIndex(ref.Name); !found || idx != sc.pkIdx {
+	if idx, found := sc.colIndex(ref.name); !found || idx != sc.pkIdx {
 		return Value{}, false
 	}
-	return l.Val, true
+	return l.val, true
 }
 
 // pkBounds derives the key range [lo, hi) that the top-level AND conjuncts
@@ -530,14 +530,14 @@ func pkEquality(e Expr, sc *schema) (Value, bool) {
 // type contribute, because only then does encodeKey order the constant
 // among the stored keys; any other conjunct — a mixed-type constant, an OR,
 // an expression over the key — is simply left to the residual filter.
-func pkBounds(e Expr, sc *schema) (lo, hi []byte) {
-	ex, ok := e.(*BinaryExpr)
+func pkBounds(e expr, sc *schema) (lo, hi []byte) {
+	ex, ok := e.(*binaryExpr)
 	if !ok {
 		return nil, nil
 	}
-	if ex.Op == "AND" {
-		llo, lhi := pkBounds(ex.L, sc)
-		rlo, rhi := pkBounds(ex.R, sc)
+	if ex.op == "AND" {
+		llo, lhi := pkBounds(ex.l, sc)
+		rlo, rhi := pkBounds(ex.r, sc)
 		if bytes.Compare(rlo, llo) > 0 {
 			llo = rlo
 		}
@@ -546,8 +546,8 @@ func pkBounds(e Expr, sc *schema) (lo, hi []byte) {
 		}
 		return llo, lhi
 	}
-	op, col, lit := ex.Op, ex.L, ex.R
-	if _, isCol := col.(*ColumnRef); !isCol {
+	op, col, lit := ex.op, ex.l, ex.r
+	if _, isCol := col.(*columnRef); !isCol {
 		// literal <op> pk: mirror the comparison.
 		col, lit = lit, col
 		switch op {
@@ -561,11 +561,11 @@ func pkBounds(e Expr, sc *schema) (lo, hi []byte) {
 			op = "<="
 		}
 	}
-	ref, isCol := col.(*ColumnRef)
+	ref, isCol := col.(*columnRef)
 	if !isCol {
 		return nil, nil
 	}
-	if idx, found := sc.colIndex(ref.Name); !found || idx != sc.pkIdx {
+	if idx, found := sc.colIndex(ref.name); !found || idx != sc.pkIdx {
 		return nil, nil
 	}
 	v, err := evalExpr(lit, nil) // constants only: a column reference errors
@@ -595,18 +595,18 @@ func pkBounds(e Expr, sc *schema) (lo, hi []byte) {
 // (an INT key holding 1 is not found under the FLOAT 1.0's encoding), and
 // is not a float zero (0.0 and -0.0 compare equal but encode apart).
 func keyExact(v Value, sc *schema) bool {
-	return kindMatches(v.Kind, sc.Columns[sc.pkIdx].Type) && !(v.Kind == KindFloat && v.F == 0)
+	return kindMatches(v.Kind, sc.columns[sc.pkIdx].typ) && !(v.Kind == kindFloat && v.F == 0)
 }
 
 // kindMatches reports whether a value of kind k is stored as-is (without
 // coercion) in a column of type t.
-func kindMatches(k ValueKind, t ColType) bool {
-	return (k == KindInt && t == TypeInt) || (k == KindFloat && t == TypeFloat) ||
-		(k == KindText && t == TypeText)
+func kindMatches(k valueKind, t colType) bool {
+	return (k == kindInt && t == typeInt) || (k == kindFloat && t == typeFloat) ||
+		(k == kindText && t == typeText)
 }
 
-func (db *DB) runSelect(tx *engine.Tx, st *SelectStmt) (*Result, error) {
-	name := db.phys(st.Table)
+func (db *DB) runSelect(tx *engine.Tx, st *selectStmt) (*Result, error) {
+	name := db.phys(st.table)
 	sc, err := db.schema(name)
 	if err != nil {
 		return nil, err
@@ -618,28 +618,28 @@ func (db *DB) runSelect(tx *engine.Tx, st *SelectStmt) (*Result, error) {
 	// Projection setup.
 	var cols []string
 	var project func(vals []Value) ([]Value, error)
-	if st.Star {
-		for _, c := range sc.Columns {
-			cols = append(cols, c.Name)
+	if st.star {
+		for _, c := range sc.columns {
+			cols = append(cols, c.name)
 		}
 		project = func(vals []Value) ([]Value, error) { return vals, nil }
 	} else {
-		for _, item := range st.Items {
-			colName := item.Alias
+		for _, item := range st.items {
+			colName := item.alias
 			if colName == "" {
-				if ref, ok := item.Expr.(*ColumnRef); ok {
-					colName = ref.Name
+				if ref, ok := item.expr.(*columnRef); ok {
+					colName = ref.name
 				} else {
 					colName = "expr"
 				}
 			}
 			cols = append(cols, colName)
 		}
-		items := st.Items
+		items := st.items
 		project = func(vals []Value) ([]Value, error) {
 			out := make([]Value, len(items))
 			for i, item := range items {
-				v, err := evalExpr(item.Expr, rowEnv(sc, vals))
+				v, err := evalExpr(item.expr, rowEnv(sc, vals))
 				if err != nil {
 					return nil, err
 				}
@@ -651,10 +651,10 @@ func (db *DB) runSelect(tx *engine.Tx, st *SelectStmt) (*Result, error) {
 
 	res := &Result{Columns: cols}
 	orderIdx := -1
-	if st.OrderBy != "" {
-		idx, ok := sc.colIndex(st.OrderBy)
+	if st.orderBy != "" {
+		idx, ok := sc.colIndex(st.orderBy)
 		if !ok {
-			return nil, fmt.Errorf("sql: unknown ORDER BY column %q", st.OrderBy)
+			return nil, fmt.Errorf("sql: unknown ORDER BY column %q", st.orderBy)
 		}
 		orderIdx = idx
 	}
@@ -663,7 +663,7 @@ func (db *DB) runSelect(tx *engine.Tx, st *SelectStmt) (*Result, error) {
 		key Value
 	}
 	var rows []sortableRow
-	err = db.scanMatching(tx, name, sc, st.Where, func(_ []byte, vals []Value) (bool, error) {
+	err = db.scanMatching(tx, name, sc, st.where, func(_ []byte, vals []Value) (bool, error) {
 		out, err := project(vals)
 		if err != nil {
 			return false, err
@@ -674,7 +674,7 @@ func (db *DB) runSelect(tx *engine.Tx, st *SelectStmt) (*Result, error) {
 		}
 		rows = append(rows, row)
 		// Early cut only valid without ORDER BY (PK order is scan order).
-		if orderIdx < 0 && st.Limit >= 0 && len(rows) >= st.Limit {
+		if orderIdx < 0 && st.limit >= 0 && len(rows) >= st.limit {
 			return false, nil
 		}
 		return true, nil
@@ -685,11 +685,11 @@ func (db *DB) runSelect(tx *engine.Tx, st *SelectStmt) (*Result, error) {
 	if orderIdx >= 0 {
 		var sortErr error
 		sort.SliceStable(rows, func(i, j int) bool {
-			c, err := Compare(rows[i].key, rows[j].key)
+			c, err := compare(rows[i].key, rows[j].key)
 			if err != nil {
 				sortErr = err
 			}
-			if st.Desc {
+			if st.desc {
 				return c > 0
 			}
 			return c < 0
@@ -697,8 +697,8 @@ func (db *DB) runSelect(tx *engine.Tx, st *SelectStmt) (*Result, error) {
 		if sortErr != nil {
 			return nil, sortErr
 		}
-		if st.Limit >= 0 && len(rows) > st.Limit {
-			rows = rows[:st.Limit]
+		if st.limit >= 0 && len(rows) > st.limit {
+			rows = rows[:st.limit]
 		}
 	}
 	for _, r := range rows {
@@ -707,16 +707,16 @@ func (db *DB) runSelect(tx *engine.Tx, st *SelectStmt) (*Result, error) {
 	return res, nil
 }
 
-func hasAggregates(st *SelectStmt) bool {
-	for _, item := range st.Items {
-		if item.Agg != "" {
+func hasAggregates(st *selectStmt) bool {
+	for _, item := range st.items {
+		if item.agg != "" {
 			return true
 		}
 	}
 	return false
 }
 
-func (db *DB) runAggregate(tx *engine.Tx, st *SelectStmt, name string, sc *schema) (*Result, error) {
+func (db *DB) runAggregate(tx *engine.Tx, st *selectStmt, name string, sc *schema) (*Result, error) {
 	type aggState struct {
 		count int64
 		sum   float64
@@ -724,21 +724,21 @@ func (db *DB) runAggregate(tx *engine.Tx, st *SelectStmt, name string, sc *schem
 		max   Value
 		any   bool
 	}
-	states := make([]aggState, len(st.Items))
-	for _, item := range st.Items {
-		if item.Agg == "" {
+	states := make([]aggState, len(st.items))
+	for _, item := range st.items {
+		if item.agg == "" {
 			return nil, errors.New("sql: cannot mix aggregates and plain columns")
 		}
 	}
-	err := db.scanMatching(tx, name, sc, st.Where, func(_ []byte, vals []Value) (bool, error) {
+	err := db.scanMatching(tx, name, sc, st.where, func(_ []byte, vals []Value) (bool, error) {
 		env := rowEnv(sc, vals)
-		for i, item := range st.Items {
+		for i, item := range st.items {
 			stt := &states[i]
-			if item.Star {
+			if item.star {
 				stt.count++
 				continue
 			}
-			v, err := evalExpr(item.Expr, env)
+			v, err := evalExpr(item.expr, env)
 			if err != nil {
 				return false, err
 			}
@@ -752,10 +752,10 @@ func (db *DB) runAggregate(tx *engine.Tx, st *SelectStmt, name string, sc *schem
 			if !stt.any {
 				stt.min, stt.max, stt.any = v, v, true
 			} else {
-				if c, err := Compare(v, stt.min); err == nil && c < 0 {
+				if c, err := compare(v, stt.min); err == nil && c < 0 {
 					stt.min = v
 				}
-				if c, err := Compare(v, stt.max); err == nil && c > 0 {
+				if c, err := compare(v, stt.max); err == nil && c > 0 {
 					stt.max = v
 				}
 			}
@@ -766,38 +766,38 @@ func (db *DB) runAggregate(tx *engine.Tx, st *SelectStmt, name string, sc *schem
 		return nil, err
 	}
 	res := &Result{}
-	row := make([]Value, len(st.Items))
-	for i, item := range st.Items {
-		colName := item.Alias
+	row := make([]Value, len(st.items))
+	for i, item := range st.items {
+		colName := item.alias
 		if colName == "" {
-			colName = strings.ToLower(item.Agg)
+			colName = strings.ToLower(item.agg)
 		}
 		res.Columns = append(res.Columns, colName)
 		stt := states[i]
-		switch item.Agg {
+		switch item.agg {
 		case "COUNT":
-			row[i] = IntValue(stt.count)
+			row[i] = intValue(stt.count)
 		case "SUM":
 			if stt.count == 0 {
-				row[i] = NullValue()
+				row[i] = nullValue()
 			} else {
-				row[i] = FloatValue(stt.sum)
+				row[i] = floatValue(stt.sum)
 			}
 		case "AVG":
 			if stt.count == 0 {
-				row[i] = NullValue()
+				row[i] = nullValue()
 			} else {
-				row[i] = FloatValue(stt.sum / float64(stt.count))
+				row[i] = floatValue(stt.sum / float64(stt.count))
 			}
 		case "MIN":
 			if !stt.any {
-				row[i] = NullValue()
+				row[i] = nullValue()
 			} else {
 				row[i] = stt.min
 			}
 		case "MAX":
 			if !stt.any {
-				row[i] = NullValue()
+				row[i] = nullValue()
 			} else {
 				row[i] = stt.max
 			}
@@ -807,8 +807,8 @@ func (db *DB) runAggregate(tx *engine.Tx, st *SelectStmt, name string, sc *schem
 	return res, nil
 }
 
-func (db *DB) runUpdate(tx *engine.Tx, st *UpdateStmt) (*Result, error) {
-	name := db.phys(st.Table)
+func (db *DB) runUpdate(tx *engine.Tx, st *updateStmt) (*Result, error) {
+	name := db.phys(st.table)
 	sc, err := db.schema(name)
 	if err != nil {
 		return nil, err
@@ -819,10 +819,10 @@ func (db *DB) runUpdate(tx *engine.Tx, st *UpdateStmt) (*Result, error) {
 		row    []byte
 	}
 	var changes []change
-	err = db.scanMatching(tx, name, sc, st.Where, func(key []byte, vals []Value) (bool, error) {
+	err = db.scanMatching(tx, name, sc, st.where, func(key []byte, vals []Value) (bool, error) {
 		newVals := append([]Value(nil), vals...)
 		env := rowEnv(sc, vals)
-		for col, e := range st.Set {
+		for col, e := range st.set {
 			idx, ok := sc.colIndex(col)
 			if !ok {
 				return false, fmt.Errorf("sql: unknown column %q", col)
@@ -831,7 +831,7 @@ func (db *DB) runUpdate(tx *engine.Tx, st *UpdateStmt) (*Result, error) {
 			if err != nil {
 				return false, err
 			}
-			v, err = coerce(v, sc.Columns[idx].Type)
+			v, err = coerce(v, sc.columns[idx].typ)
 			if err != nil {
 				return false, fmt.Errorf("sql: column %q: %w", col, err)
 			}
@@ -853,7 +853,7 @@ func (db *DB) runUpdate(tx *engine.Tx, st *UpdateStmt) (*Result, error) {
 			if _, exists, err := tx.Get(name, ch.newKey); err != nil {
 				return nil, err
 			} else if exists {
-				return nil, ErrDuplicateKey
+				return nil, errDuplicateKey
 			}
 			if err := tx.Delete(name, ch.oldKey); err != nil {
 				return nil, err
@@ -866,14 +866,14 @@ func (db *DB) runUpdate(tx *engine.Tx, st *UpdateStmt) (*Result, error) {
 	return &Result{Affected: len(changes)}, nil
 }
 
-func (db *DB) runDelete(tx *engine.Tx, st *DeleteStmt) (*Result, error) {
-	name := db.phys(st.Table)
+func (db *DB) runDelete(tx *engine.Tx, st *deleteStmt) (*Result, error) {
+	name := db.phys(st.table)
 	sc, err := db.schema(name)
 	if err != nil {
 		return nil, err
 	}
 	var keys [][]byte
-	err = db.scanMatching(tx, name, sc, st.Where, func(key []byte, _ []Value) (bool, error) {
+	err = db.scanMatching(tx, name, sc, st.where, func(key []byte, _ []Value) (bool, error) {
 		keys = append(keys, append([]byte(nil), key...))
 		return true, nil
 	})
@@ -890,7 +890,7 @@ func (db *DB) runDelete(tx *engine.Tx, st *DeleteStmt) (*Result, error) {
 
 // --- expression evaluation ---
 
-func evalBool(e Expr, env func(string) (Value, error)) (bool, error) {
+func evalBool(e expr, env func(string) (Value, error)) (bool, error) {
 	if e == nil {
 		return true, nil
 	}
@@ -899,157 +899,157 @@ func evalBool(e Expr, env func(string) (Value, error)) (bool, error) {
 		return false, err
 	}
 	switch v.Kind {
-	case KindBool:
+	case kindBool:
 		return v.B, nil
-	case KindNull:
+	case kindNull:
 		return false, nil
 	default:
 		return false, fmt.Errorf("sql: WHERE clause is not boolean (%v)", v.Kind)
 	}
 }
 
-func evalExpr(e Expr, env func(string) (Value, error)) (Value, error) {
+func evalExpr(e expr, env func(string) (Value, error)) (Value, error) {
 	switch ex := e.(type) {
-	case *Literal:
-		return ex.Val, nil
-	case *ColumnRef:
+	case *literal:
+		return ex.val, nil
+	case *columnRef:
 		if env == nil {
-			return Value{}, fmt.Errorf("sql: column %q not allowed here", ex.Name)
+			return Value{}, fmt.Errorf("sql: column %q not allowed here", ex.name)
 		}
-		return env(ex.Name)
-	case *UnaryExpr:
-		v, err := evalExpr(ex.E, env)
+		return env(ex.name)
+	case *unaryExpr:
+		v, err := evalExpr(ex.e, env)
 		if err != nil {
 			return Value{}, err
 		}
-		switch ex.Op {
+		switch ex.op {
 		case "NOT":
-			if v.Kind == KindNull {
-				return NullValue(), nil
+			if v.Kind == kindNull {
+				return nullValue(), nil
 			}
-			if v.Kind != KindBool {
+			if v.Kind != kindBool {
 				return Value{}, errors.New("sql: NOT of non-boolean")
 			}
-			return BoolValue(!v.B), nil
+			return boolValue(!v.B), nil
 		case "-":
 			switch v.Kind {
-			case KindInt:
-				return IntValue(-v.I), nil
-			case KindFloat:
-				return FloatValue(-v.F), nil
-			case KindNull:
-				return NullValue(), nil
+			case kindInt:
+				return intValue(-v.I), nil
+			case kindFloat:
+				return floatValue(-v.F), nil
+			case kindNull:
+				return nullValue(), nil
 			}
 			return Value{}, errors.New("sql: unary minus of non-numeric")
 		}
-		return Value{}, fmt.Errorf("sql: unknown unary op %q", ex.Op)
-	case *BinaryExpr:
+		return Value{}, fmt.Errorf("sql: unknown unary op %q", ex.op)
+	case *binaryExpr:
 		return evalBinary(ex, env)
 	}
 	return Value{}, fmt.Errorf("sql: unknown expression %T", e)
 }
 
-func evalBinary(ex *BinaryExpr, env func(string) (Value, error)) (Value, error) {
+func evalBinary(ex *binaryExpr, env func(string) (Value, error)) (Value, error) {
 	// AND/OR short-circuit.
-	if ex.Op == "AND" || ex.Op == "OR" {
-		l, err := evalExpr(ex.L, env)
+	if ex.op == "AND" || ex.op == "OR" {
+		l, err := evalExpr(ex.l, env)
 		if err != nil {
 			return Value{}, err
 		}
-		lb := l.Kind == KindBool && l.B
-		if ex.Op == "AND" && l.Kind == KindBool && !l.B {
-			return BoolValue(false), nil
+		lb := l.Kind == kindBool && l.B
+		if ex.op == "AND" && l.Kind == kindBool && !l.B {
+			return boolValue(false), nil
 		}
-		if ex.Op == "OR" && lb {
-			return BoolValue(true), nil
+		if ex.op == "OR" && lb {
+			return boolValue(true), nil
 		}
-		r, err := evalExpr(ex.R, env)
+		r, err := evalExpr(ex.r, env)
 		if err != nil {
 			return Value{}, err
 		}
-		if l.Kind == KindNull || r.Kind == KindNull {
-			return NullValue(), nil
+		if l.Kind == kindNull || r.Kind == kindNull {
+			return nullValue(), nil
 		}
-		if l.Kind != KindBool || r.Kind != KindBool {
-			return Value{}, fmt.Errorf("sql: %s of non-boolean", ex.Op)
+		if l.Kind != kindBool || r.Kind != kindBool {
+			return Value{}, fmt.Errorf("sql: %s of non-boolean", ex.op)
 		}
-		if ex.Op == "AND" {
-			return BoolValue(l.B && r.B), nil
+		if ex.op == "AND" {
+			return boolValue(l.B && r.B), nil
 		}
-		return BoolValue(l.B || r.B), nil
+		return boolValue(l.B || r.B), nil
 	}
 
-	l, err := evalExpr(ex.L, env)
+	l, err := evalExpr(ex.l, env)
 	if err != nil {
 		return Value{}, err
 	}
-	r, err := evalExpr(ex.R, env)
+	r, err := evalExpr(ex.r, env)
 	if err != nil {
 		return Value{}, err
 	}
-	switch ex.Op {
+	switch ex.op {
 	case "=", "!=", "<", "<=", ">", ">=":
 		if l.IsNull() || r.IsNull() {
-			return NullValue(), nil // SQL three-valued logic
+			return nullValue(), nil // SQL three-valued logic
 		}
-		c, err := Compare(l, r)
+		c, err := compare(l, r)
 		if err != nil {
 			return Value{}, err
 		}
-		switch ex.Op {
+		switch ex.op {
 		case "=":
-			return BoolValue(c == 0), nil
+			return boolValue(c == 0), nil
 		case "!=":
-			return BoolValue(c != 0), nil
+			return boolValue(c != 0), nil
 		case "<":
-			return BoolValue(c < 0), nil
+			return boolValue(c < 0), nil
 		case "<=":
-			return BoolValue(c <= 0), nil
+			return boolValue(c <= 0), nil
 		case ">":
-			return BoolValue(c > 0), nil
+			return boolValue(c > 0), nil
 		case ">=":
-			return BoolValue(c >= 0), nil
+			return boolValue(c >= 0), nil
 		}
 	case "+", "-", "*", "/":
 		if l.IsNull() || r.IsNull() {
-			return NullValue(), nil
+			return nullValue(), nil
 		}
-		if l.Kind == KindText || r.Kind == KindText {
-			if ex.Op == "+" && l.Kind == KindText && r.Kind == KindText {
-				return TextValue(l.S + r.S), nil
+		if l.Kind == kindText || r.Kind == kindText {
+			if ex.op == "+" && l.Kind == kindText && r.Kind == kindText {
+				return textValue(l.S + r.S), nil
 			}
 			return Value{}, fmt.Errorf("sql: arithmetic on text")
 		}
-		if l.Kind == KindInt && r.Kind == KindInt {
-			switch ex.Op {
+		if l.Kind == kindInt && r.Kind == kindInt {
+			switch ex.op {
 			case "+":
-				return IntValue(l.I + r.I), nil
+				return intValue(l.I + r.I), nil
 			case "-":
-				return IntValue(l.I - r.I), nil
+				return intValue(l.I - r.I), nil
 			case "*":
-				return IntValue(l.I * r.I), nil
+				return intValue(l.I * r.I), nil
 			case "/":
 				if r.I == 0 {
 					return Value{}, errors.New("sql: division by zero")
 				}
-				return IntValue(l.I / r.I), nil
+				return intValue(l.I / r.I), nil
 			}
 		}
 		lf, _ := l.asFloat()
 		rf, _ := r.asFloat()
-		switch ex.Op {
+		switch ex.op {
 		case "+":
-			return FloatValue(lf + rf), nil
+			return floatValue(lf + rf), nil
 		case "-":
-			return FloatValue(lf - rf), nil
+			return floatValue(lf - rf), nil
 		case "*":
-			return FloatValue(lf * rf), nil
+			return floatValue(lf * rf), nil
 		case "/":
 			if rf == 0 {
 				return Value{}, errors.New("sql: division by zero")
 			}
-			return FloatValue(lf / rf), nil
+			return floatValue(lf / rf), nil
 		}
 	}
-	return Value{}, fmt.Errorf("sql: unknown operator %q", ex.Op)
+	return Value{}, fmt.Errorf("sql: unknown operator %q", ex.op)
 }

@@ -8,7 +8,7 @@ import (
 
 // Parse compiles one SQL statement (an optional trailing semicolon is
 // allowed).
-func Parse(src string) (Statement, error) {
+func Parse(src string) (statement, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
@@ -72,7 +72,7 @@ func (p *parser) ident() (string, error) {
 	return t.text, nil
 }
 
-func (p *parser) statement() (Statement, error) {
+func (p *parser) statement() (statement, error) {
 	t := p.peek()
 	if t.kind != tkKeyword {
 		return nil, fmt.Errorf("sql: expected statement, got %q", t.text)
@@ -92,25 +92,25 @@ func (p *parser) statement() (Statement, error) {
 		return p.delete()
 	case "BEGIN":
 		p.advance()
-		return &BeginStmt{}, nil
+		return &beginStmt{}, nil
 	case "COMMIT":
 		p.advance()
-		return &CommitStmt{}, nil
+		return &commitStmt{}, nil
 	case "ROLLBACK":
 		p.advance()
-		return &RollbackStmt{}, nil
+		return &rollbackStmt{}, nil
 	case "SHOW":
 		p.advance()
 		if _, err := p.expect(tkKeyword, "TABLES"); err != nil {
 			return nil, err
 		}
-		return &ShowTablesStmt{}, nil
+		return &showTablesStmt{}, nil
 	default:
 		return nil, fmt.Errorf("sql: unsupported statement %q", t.text)
 	}
 }
 
-func (p *parser) createTable() (Statement, error) {
+func (p *parser) createTable() (statement, error) {
 	p.advance() // CREATE
 	if _, err := p.expect(tkKeyword, "TABLE"); err != nil {
 		return nil, err
@@ -122,7 +122,7 @@ func (p *parser) createTable() (Statement, error) {
 	if _, err := p.expect(tkSymbol, "("); err != nil {
 		return nil, err
 	}
-	stmt := &CreateTableStmt{Table: name}
+	stmt := &createTableStmt{table: name}
 	for {
 		col, err := p.ident()
 		if err != nil {
@@ -132,25 +132,25 @@ func (p *parser) createTable() (Statement, error) {
 		if ty.kind != tkKeyword {
 			return nil, fmt.Errorf("sql: expected column type, got %q", ty.text)
 		}
-		var ct ColType
+		var ct colType
 		switch ty.text {
 		case "INT":
-			ct = TypeInt
+			ct = typeInt
 		case "FLOAT":
-			ct = TypeFloat
+			ct = typeFloat
 		case "TEXT":
-			ct = TypeText
+			ct = typeText
 		default:
 			return nil, fmt.Errorf("sql: unknown type %q", ty.text)
 		}
-		c := Column{Name: col, Type: ct}
+		c := column{name: col, typ: ct}
 		if p.keyword("PRIMARY") {
 			if _, err := p.expect(tkKeyword, "KEY"); err != nil {
 				return nil, err
 			}
-			c.PK = true
+			c.pk = true
 		}
-		stmt.Columns = append(stmt.Columns, c)
+		stmt.columns = append(stmt.columns, c)
 		if p.accept(tkSymbol, ",") {
 			continue
 		}
@@ -162,7 +162,7 @@ func (p *parser) createTable() (Statement, error) {
 	return stmt, nil
 }
 
-func (p *parser) dropTable() (Statement, error) {
+func (p *parser) dropTable() (statement, error) {
 	p.advance() // DROP
 	if _, err := p.expect(tkKeyword, "TABLE"); err != nil {
 		return nil, err
@@ -171,10 +171,10 @@ func (p *parser) dropTable() (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DropTableStmt{Table: name}, nil
+	return &dropTableStmt{table: name}, nil
 }
 
-func (p *parser) insert() (Statement, error) {
+func (p *parser) insert() (statement, error) {
 	p.advance() // INSERT
 	if _, err := p.expect(tkKeyword, "INTO"); err != nil {
 		return nil, err
@@ -183,14 +183,14 @@ func (p *parser) insert() (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	stmt := &InsertStmt{Table: name}
+	stmt := &insertStmt{table: name}
 	if p.accept(tkSymbol, "(") {
 		for {
 			col, err := p.ident()
 			if err != nil {
 				return nil, err
 			}
-			stmt.Columns = append(stmt.Columns, col)
+			stmt.columns = append(stmt.columns, col)
 			if p.accept(tkSymbol, ",") {
 				continue
 			}
@@ -207,7 +207,7 @@ func (p *parser) insert() (Statement, error) {
 		if _, err := p.expect(tkSymbol, "("); err != nil {
 			return nil, err
 		}
-		var row []Expr
+		var row []expr
 		for {
 			e, err := p.expression()
 			if err != nil {
@@ -222,7 +222,7 @@ func (p *parser) insert() (Statement, error) {
 			}
 			break
 		}
-		stmt.Rows = append(stmt.Rows, row)
+		stmt.rows = append(stmt.rows, row)
 		if !p.accept(tkSymbol, ",") {
 			break
 		}
@@ -230,18 +230,18 @@ func (p *parser) insert() (Statement, error) {
 	return stmt, nil
 }
 
-func (p *parser) selectStmt() (Statement, error) {
+func (p *parser) selectStmt() (statement, error) {
 	p.advance() // SELECT
-	stmt := &SelectStmt{Limit: -1}
+	stmt := &selectStmt{limit: -1}
 	if p.accept(tkSymbol, "*") {
-		stmt.Star = true
+		stmt.star = true
 	} else {
 		for {
 			item, err := p.selectItem()
 			if err != nil {
 				return nil, err
 			}
-			stmt.Items = append(stmt.Items, item)
+			stmt.items = append(stmt.items, item)
 			if !p.accept(tkSymbol, ",") {
 				break
 			}
@@ -254,13 +254,13 @@ func (p *parser) selectStmt() (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	stmt.Table = name
+	stmt.table = name
 	if p.keyword("WHERE") {
 		e, err := p.expression()
 		if err != nil {
 			return nil, err
 		}
-		stmt.Where = e
+		stmt.where = e
 	}
 	if p.keyword("ORDER") {
 		if _, err := p.expect(tkKeyword, "BY"); err != nil {
@@ -270,9 +270,9 @@ func (p *parser) selectStmt() (Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		stmt.OrderBy = col
+		stmt.orderBy = col
 		if p.keyword("DESC") {
-			stmt.Desc = true
+			stmt.desc = true
 		} else {
 			p.keyword("ASC")
 		}
@@ -286,18 +286,18 @@ func (p *parser) selectStmt() (Statement, error) {
 		if err != nil || n < 0 {
 			return nil, fmt.Errorf("sql: bad LIMIT %q", t.text)
 		}
-		stmt.Limit = n
+		stmt.limit = n
 	}
 	return stmt, nil
 }
 
 var aggregates = map[string]bool{"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true}
 
-func (p *parser) selectItem() (SelectItem, error) {
+func (p *parser) selectItem() (selectItem, error) {
 	t := p.peek()
 	if t.kind == tkKeyword && aggregates[t.text] {
 		p.advance()
-		item := SelectItem{Agg: t.text}
+		item := selectItem{agg: t.text}
 		if _, err := p.expect(tkSymbol, "("); err != nil {
 			return item, err
 		}
@@ -305,13 +305,13 @@ func (p *parser) selectItem() (SelectItem, error) {
 			if t.text != "COUNT" {
 				return item, fmt.Errorf("sql: %s(*) is not valid", t.text)
 			}
-			item.Star = true
+			item.star = true
 		} else {
 			e, err := p.expression()
 			if err != nil {
 				return item, err
 			}
-			item.Expr = e
+			item.expr = e
 		}
 		if _, err := p.expect(tkSymbol, ")"); err != nil {
 			return item, err
@@ -321,26 +321,26 @@ func (p *parser) selectItem() (SelectItem, error) {
 			if err != nil {
 				return item, err
 			}
-			item.Alias = alias
+			item.alias = alias
 		}
 		return item, nil
 	}
 	e, err := p.expression()
 	if err != nil {
-		return SelectItem{}, err
+		return selectItem{}, err
 	}
-	item := SelectItem{Expr: e}
+	item := selectItem{expr: e}
 	if p.keyword("AS") {
 		alias, err := p.ident()
 		if err != nil {
 			return item, err
 		}
-		item.Alias = alias
+		item.alias = alias
 	}
 	return item, nil
 }
 
-func (p *parser) update() (Statement, error) {
+func (p *parser) update() (statement, error) {
 	p.advance() // UPDATE
 	name, err := p.ident()
 	if err != nil {
@@ -349,7 +349,7 @@ func (p *parser) update() (Statement, error) {
 	if _, err := p.expect(tkKeyword, "SET"); err != nil {
 		return nil, err
 	}
-	stmt := &UpdateStmt{Table: name, Set: map[string]Expr{}}
+	stmt := &updateStmt{table: name, set: map[string]expr{}}
 	for {
 		col, err := p.ident()
 		if err != nil {
@@ -362,7 +362,7 @@ func (p *parser) update() (Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		stmt.Set[col] = e
+		stmt.set[col] = e
 		if !p.accept(tkSymbol, ",") {
 			break
 		}
@@ -372,12 +372,12 @@ func (p *parser) update() (Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		stmt.Where = e
+		stmt.where = e
 	}
 	return stmt, nil
 }
 
-func (p *parser) delete() (Statement, error) {
+func (p *parser) delete() (statement, error) {
 	p.advance() // DELETE
 	if _, err := p.expect(tkKeyword, "FROM"); err != nil {
 		return nil, err
@@ -386,21 +386,21 @@ func (p *parser) delete() (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	stmt := &DeleteStmt{Table: name}
+	stmt := &deleteStmt{table: name}
 	if p.keyword("WHERE") {
 		e, err := p.expression()
 		if err != nil {
 			return nil, err
 		}
-		stmt.Where = e
+		stmt.where = e
 	}
 	return stmt, nil
 }
 
 // expression parses with precedence: OR < AND < NOT < comparison < add < mul.
-func (p *parser) expression() (Expr, error) { return p.orExpr() }
+func (p *parser) expression() (expr, error) { return p.orExpr() }
 
-func (p *parser) orExpr() (Expr, error) {
+func (p *parser) orExpr() (expr, error) {
 	l, err := p.andExpr()
 	if err != nil {
 		return nil, err
@@ -410,12 +410,12 @@ func (p *parser) orExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinaryExpr{Op: "OR", L: l, R: r}
+		l = &binaryExpr{op: "OR", l: l, r: r}
 	}
 	return l, nil
 }
 
-func (p *parser) andExpr() (Expr, error) {
+func (p *parser) andExpr() (expr, error) {
 	l, err := p.notExpr()
 	if err != nil {
 		return nil, err
@@ -425,23 +425,23 @@ func (p *parser) andExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinaryExpr{Op: "AND", L: l, R: r}
+		l = &binaryExpr{op: "AND", l: l, r: r}
 	}
 	return l, nil
 }
 
-func (p *parser) notExpr() (Expr, error) {
+func (p *parser) notExpr() (expr, error) {
 	if p.keyword("NOT") {
 		e, err := p.notExpr()
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{Op: "NOT", E: e}, nil
+		return &unaryExpr{op: "NOT", e: e}, nil
 	}
 	return p.comparison()
 }
 
-func (p *parser) comparison() (Expr, error) {
+func (p *parser) comparison() (expr, error) {
 	l, err := p.addExpr()
 	if err != nil {
 		return nil, err
@@ -460,9 +460,9 @@ func (p *parser) comparison() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &BinaryExpr{Op: "AND",
-			L: &BinaryExpr{Op: ">=", L: l, R: lo},
-			R: &BinaryExpr{Op: "<=", L: l, R: hi}}, nil
+		return &binaryExpr{op: "AND",
+			l: &binaryExpr{op: ">=", l: l, r: lo},
+			r: &binaryExpr{op: "<=", l: l, r: hi}}, nil
 	}
 	t := p.peek()
 	if t.kind == tkSymbol {
@@ -473,13 +473,13 @@ func (p *parser) comparison() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &BinaryExpr{Op: t.text, L: l, R: r}, nil
+			return &binaryExpr{op: t.text, l: l, r: r}, nil
 		}
 	}
 	return l, nil
 }
 
-func (p *parser) addExpr() (Expr, error) {
+func (p *parser) addExpr() (expr, error) {
 	l, err := p.mulExpr()
 	if err != nil {
 		return nil, err
@@ -492,14 +492,14 @@ func (p *parser) addExpr() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			l = &BinaryExpr{Op: t.text, L: l, R: r}
+			l = &binaryExpr{op: t.text, l: l, r: r}
 			continue
 		}
 		return l, nil
 	}
 }
 
-func (p *parser) mulExpr() (Expr, error) {
+func (p *parser) mulExpr() (expr, error) {
 	l, err := p.primary()
 	if err != nil {
 		return nil, err
@@ -512,14 +512,14 @@ func (p *parser) mulExpr() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			l = &BinaryExpr{Op: t.text, L: l, R: r}
+			l = &binaryExpr{op: t.text, l: l, r: r}
 			continue
 		}
 		return l, nil
 	}
 }
 
-func (p *parser) primary() (Expr, error) {
+func (p *parser) primary() (expr, error) {
 	t := p.peek()
 	switch {
 	case t.kind == tkNumber:
@@ -529,25 +529,25 @@ func (p *parser) primary() (Expr, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sql: bad number %q", t.text)
 			}
-			return &Literal{Val: FloatValue(f)}, nil
+			return &literal{val: floatValue(f)}, nil
 		}
 		n, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("sql: bad number %q", t.text)
 		}
-		return &Literal{Val: IntValue(n)}, nil
+		return &literal{val: intValue(n)}, nil
 
 	case t.kind == tkString:
 		p.advance()
-		return &Literal{Val: TextValue(t.text)}, nil
+		return &literal{val: textValue(t.text)}, nil
 
 	case t.kind == tkKeyword && t.text == "NULL":
 		p.advance()
-		return &Literal{Val: NullValue()}, nil
+		return &literal{val: nullValue()}, nil
 
 	case t.kind == tkIdent:
 		p.advance()
-		return &ColumnRef{Name: t.text}, nil
+		return &columnRef{name: t.text}, nil
 
 	case t.kind == tkSymbol && t.text == "(":
 		p.advance()
@@ -566,7 +566,7 @@ func (p *parser) primary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{Op: "-", E: e}, nil
+		return &unaryExpr{op: "-", e: e}, nil
 	}
 	return nil, fmt.Errorf("sql: unexpected token %q at %d", t.text, t.pos)
 }

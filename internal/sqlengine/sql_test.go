@@ -186,7 +186,7 @@ func TestUpdatePrimaryKey(t *testing.T) {
 		t.Fatal("old key still present")
 	}
 	// PK collision on update is rejected.
-	if _, err := db.Exec(`UPDATE users SET id = 2 WHERE id = 3`); !errors.Is(err, ErrDuplicateKey) {
+	if _, err := db.Exec(`UPDATE users SET id = 2 WHERE id = 3`); !errors.Is(err, errDuplicateKey) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -207,7 +207,7 @@ func TestDelete(t *testing.T) {
 func TestDuplicateInsertRejected(t *testing.T) {
 	db := newDB(t)
 	setupUsers(t, db)
-	if _, err := db.Exec(`INSERT INTO users VALUES (1, 'dup', 1, 1.0)`); !errors.Is(err, ErrDuplicateKey) {
+	if _, err := db.Exec(`INSERT INTO users VALUES (1, 'dup', 1, 1.0)`); !errors.Is(err, errDuplicateKey) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -275,16 +275,16 @@ func TestExplicitTransaction(t *testing.T) {
 func TestTransactionErrors(t *testing.T) {
 	db := newDB(t)
 	s := db.Session()
-	if _, err := s.Exec("COMMIT"); !errors.Is(err, ErrNoTx) {
+	if _, err := s.Exec("COMMIT"); !errors.Is(err, errNoTx) {
 		t.Fatalf("commit outside tx: %v", err)
 	}
-	if _, err := s.Exec("ROLLBACK"); !errors.Is(err, ErrNoTx) {
+	if _, err := s.Exec("ROLLBACK"); !errors.Is(err, errNoTx) {
 		t.Fatalf("rollback outside tx: %v", err)
 	}
 	if _, err := s.Exec("BEGIN"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Exec("BEGIN"); !errors.Is(err, ErrTxOpen) {
+	if _, err := s.Exec("BEGIN"); !errors.Is(err, errTxOpen) {
 		t.Fatalf("nested begin: %v", err)
 	}
 }
@@ -298,10 +298,10 @@ func TestShowTablesAndDrop(t *testing.T) {
 		t.Fatalf("tables = %v", got)
 	}
 	mustExec(t, db, `DROP TABLE extra`)
-	if _, err := db.Exec(`SELECT * FROM extra`); !errors.Is(err, ErrNoSuchTable) {
+	if _, err := db.Exec(`SELECT * FROM extra`); !errors.Is(err, errNoSuchTable) {
 		t.Fatalf("select from dropped: %v", err)
 	}
-	if _, err := db.Exec(`DROP TABLE ghost`); !errors.Is(err, ErrNoSuchTable) {
+	if _, err := db.Exec(`DROP TABLE ghost`); !errors.Is(err, errNoSuchTable) {
 		t.Fatalf("drop missing: %v", err)
 	}
 }
@@ -444,8 +444,8 @@ func TestDivisionByZero(t *testing.T) {
 // Property: key encoding preserves INT order.
 func TestKeyEncodingOrderProperty(t *testing.T) {
 	f := func(a, b int64) bool {
-		ka, err1 := encodeKey(IntValue(a))
-		kb, err2 := encodeKey(IntValue(b))
+		ka, err1 := encodeKey(intValue(a))
+		kb, err2 := encodeKey(intValue(b))
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -467,9 +467,9 @@ func TestKeyEncodingOrderProperty(t *testing.T) {
 // Property: row codec round-trips arbitrary values.
 func TestRowCodecProperty(t *testing.T) {
 	f := func(i int64, fl float64, s string, useNull bool) bool {
-		vals := []Value{IntValue(i), FloatValue(fl), TextValue(s)}
+		vals := []Value{intValue(i), floatValue(fl), textValue(s)}
 		if useNull {
-			vals = append(vals, NullValue())
+			vals = append(vals, nullValue())
 		}
 		got, err := decodeRow(encodeRow(vals), len(vals))
 		if err != nil || len(got) != len(vals) {
@@ -480,15 +480,15 @@ func TestRowCodecProperty(t *testing.T) {
 				return false
 			}
 			switch vals[j].Kind {
-			case KindInt:
+			case kindInt:
 				if got[j].I != vals[j].I {
 					return false
 				}
-			case KindFloat:
+			case kindFloat:
 				if got[j].F != vals[j].F && !(vals[j].F != vals[j].F) { // NaN
 					return false
 				}
-			case KindText:
+			case kindText:
 				if got[j].S != vals[j].S {
 					return false
 				}
@@ -505,10 +505,10 @@ func TestRowCodecProperty(t *testing.T) {
 // they are equal.
 func TestKeyCodecRoundTripProperty(t *testing.T) {
 	f := func(i, j int64, s, u string) bool {
-		ki, _ := encodeKey(IntValue(i))
-		kj, _ := encodeKey(IntValue(j))
-		ks, _ := encodeKey(TextValue(s))
-		ku, _ := encodeKey(TextValue(u))
+		ki, _ := encodeKey(intValue(i))
+		kj, _ := encodeKey(intValue(j))
+		ks, _ := encodeKey(textValue(s))
+		ku, _ := encodeKey(textValue(u))
 		return bytes.Equal(ki, kj) == (i == j) && bytes.Equal(ks, ku) == (s == u) && !bytes.Equal(ki, ks)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -605,7 +605,7 @@ func TestPKRangeBounds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.where, err)
 		}
-		lo, hi := pkBounds(st.(*SelectStmt).Where, sc)
+		lo, hi := pkBounds(st.(*selectStmt).where, sc)
 		if got := lo != nil || hi != nil; got != c.bounded {
 			t.Errorf("%s: bounded = %v, want %v", c.where, got, c.bounded)
 		}

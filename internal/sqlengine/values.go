@@ -9,21 +9,21 @@ import (
 	"strings"
 )
 
-// ValueKind discriminates runtime values.
-type ValueKind int
+// valueKind discriminates runtime values.
+type valueKind int
 
 // Value kinds.
 const (
-	KindNull ValueKind = iota
-	KindInt
-	KindFloat
-	KindText
-	KindBool // expression-internal only; not storable
+	kindNull valueKind = iota
+	kindInt
+	kindFloat
+	kindText
+	kindBool // expression-internal only; not storable
 )
 
 // Value is a runtime SQL value.
 type Value struct {
-	Kind ValueKind
+	Kind valueKind
 	I    int64
 	F    float64
 	S    string
@@ -31,27 +31,27 @@ type Value struct {
 }
 
 // Constructors.
-func NullValue() Value           { return Value{Kind: KindNull} }
-func IntValue(i int64) Value     { return Value{Kind: KindInt, I: i} }
-func FloatValue(f float64) Value { return Value{Kind: KindFloat, F: f} }
-func TextValue(s string) Value   { return Value{Kind: KindText, S: s} }
-func BoolValue(b bool) Value     { return Value{Kind: KindBool, B: b} }
+func nullValue() Value           { return Value{Kind: kindNull} }
+func intValue(i int64) Value     { return Value{Kind: kindInt, I: i} }
+func floatValue(f float64) Value { return Value{Kind: kindFloat, F: f} }
+func textValue(s string) Value   { return Value{Kind: kindText, S: s} }
+func boolValue(b bool) Value     { return Value{Kind: kindBool, B: b} }
 
 // IsNull reports whether the value is NULL.
-func (v Value) IsNull() bool { return v.Kind == KindNull }
+func (v Value) IsNull() bool { return v.Kind == kindNull }
 
 // String renders the value for result display.
 func (v Value) String() string {
 	switch v.Kind {
-	case KindNull:
+	case kindNull:
 		return "NULL"
-	case KindInt:
+	case kindInt:
 		return strconv.FormatInt(v.I, 10)
-	case KindFloat:
+	case kindFloat:
 		return strconv.FormatFloat(v.F, 'g', -1, 64)
-	case KindText:
+	case kindText:
 		return v.S
-	case KindBool:
+	case kindBool:
 		if v.B {
 			return "TRUE"
 		}
@@ -64,17 +64,17 @@ func (v Value) String() string {
 // asFloat coerces numerics to float64.
 func (v Value) asFloat() (float64, bool) {
 	switch v.Kind {
-	case KindInt:
+	case kindInt:
 		return float64(v.I), true
-	case KindFloat:
+	case kindFloat:
 		return v.F, true
 	}
 	return 0, false
 }
 
-// Compare orders two values: -1, 0, +1. NULLs sort first; mismatched kinds
+// compare orders two values: -1, 0, +1. NULLs sort first; mismatched kinds
 // coerce numerically when possible.
-func Compare(a, b Value) (int, error) {
+func compare(a, b Value) (int, error) {
 	if a.IsNull() || b.IsNull() {
 		switch {
 		case a.IsNull() && b.IsNull():
@@ -85,7 +85,7 @@ func Compare(a, b Value) (int, error) {
 			return 1, nil
 		}
 	}
-	if a.Kind == KindText && b.Kind == KindText {
+	if a.Kind == kindText && b.Kind == kindText {
 		return strings.Compare(a.S, b.S), nil
 	}
 	af, aok := a.asFloat()
@@ -105,23 +105,23 @@ func Compare(a, b Value) (int, error) {
 
 // --- row and key encoding ---
 
-// ErrRowCodec reports a corrupt row payload.
-var ErrRowCodec = errors.New("sql: corrupt row encoding")
+// errRowCodec reports a corrupt row payload.
+var errRowCodec = errors.New("sql: corrupt row encoding")
 
 // encodeRow serializes values per column: tag byte + payload.
 func encodeRow(vals []Value) []byte {
 	var buf []byte
 	for _, v := range vals {
 		switch v.Kind {
-		case KindNull:
+		case kindNull:
 			buf = append(buf, 0)
-		case KindInt:
+		case kindInt:
 			buf = append(buf, 1)
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I))
-		case KindFloat:
+		case kindFloat:
 			buf = append(buf, 2)
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F))
-		case KindText:
+		case kindText:
 			buf = append(buf, 3)
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.S)))
 			buf = append(buf, v.S...)
@@ -135,42 +135,42 @@ func decodeRow(buf []byte, n int) ([]Value, error) {
 	vals := make([]Value, 0, n)
 	for i := 0; i < n; i++ {
 		if len(buf) < 1 {
-			return nil, ErrRowCodec
+			return nil, errRowCodec
 		}
 		tag := buf[0]
 		buf = buf[1:]
 		switch tag {
 		case 0:
-			vals = append(vals, NullValue())
+			vals = append(vals, nullValue())
 		case 1:
 			if len(buf) < 8 {
-				return nil, ErrRowCodec
+				return nil, errRowCodec
 			}
-			vals = append(vals, IntValue(int64(binary.LittleEndian.Uint64(buf))))
+			vals = append(vals, intValue(int64(binary.LittleEndian.Uint64(buf))))
 			buf = buf[8:]
 		case 2:
 			if len(buf) < 8 {
-				return nil, ErrRowCodec
+				return nil, errRowCodec
 			}
-			vals = append(vals, FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(buf))))
+			vals = append(vals, floatValue(math.Float64frombits(binary.LittleEndian.Uint64(buf))))
 			buf = buf[8:]
 		case 3:
 			if len(buf) < 4 {
-				return nil, ErrRowCodec
+				return nil, errRowCodec
 			}
 			n := int(binary.LittleEndian.Uint32(buf))
 			buf = buf[4:]
 			if len(buf) < n {
-				return nil, ErrRowCodec
+				return nil, errRowCodec
 			}
-			vals = append(vals, TextValue(string(buf[:n])))
+			vals = append(vals, textValue(string(buf[:n])))
 			buf = buf[n:]
 		default:
-			return nil, ErrRowCodec
+			return nil, errRowCodec
 		}
 	}
 	if len(buf) != 0 {
-		return nil, ErrRowCodec
+		return nil, errRowCodec
 	}
 	return vals, nil
 }
@@ -179,13 +179,13 @@ func decodeRow(buf []byte, n int) ([]Value, error) {
 // value: INTs compare numerically, TEXT lexically.
 func encodeKey(v Value) ([]byte, error) {
 	switch v.Kind {
-	case KindInt:
+	case kindInt:
 		var b [9]byte
 		b[0] = 1
 		// Flip the sign bit so two's-complement order becomes byte order.
 		binary.BigEndian.PutUint64(b[1:], uint64(v.I)^(1<<63))
 		return b[:], nil
-	case KindFloat:
+	case kindFloat:
 		var b [9]byte
 		b[0] = 2
 		bits := math.Float64bits(v.F)
@@ -196,7 +196,7 @@ func encodeKey(v Value) ([]byte, error) {
 		}
 		binary.BigEndian.PutUint64(b[1:], bits)
 		return b[:], nil
-	case KindText:
+	case kindText:
 		return append([]byte{3}, v.S...), nil
 	default:
 		return nil, fmt.Errorf("sql: %v is not a valid primary key", v.Kind)
@@ -206,58 +206,58 @@ func encodeKey(v Value) ([]byte, error) {
 // --- schema encoding (stored in the __schema system table) ---
 
 type schema struct {
-	Columns []Column
+	columns []column
 	pkIdx   int
 }
 
 func (s *schema) colIndex(name string) (int, bool) {
-	for i, c := range s.Columns {
-		if strings.EqualFold(c.Name, name) {
+	for i, c := range s.columns {
+		if strings.EqualFold(c.name, name) {
 			return i, true
 		}
 	}
 	return 0, false
 }
 
-func encodeSchema(cols []Column) []byte {
+func encodeSchema(cols []column) []byte {
 	var buf []byte
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(cols)))
 	for _, c := range cols {
-		buf = append(buf, byte(c.Type))
-		if c.PK {
+		buf = append(buf, byte(c.typ))
+		if c.pk {
 			buf = append(buf, 1)
 		} else {
 			buf = append(buf, 0)
 		}
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(c.Name)))
-		buf = append(buf, c.Name...)
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(c.name)))
+		buf = append(buf, c.name...)
 	}
 	return buf
 }
 
 func decodeSchema(buf []byte) (*schema, error) {
 	if len(buf) < 2 {
-		return nil, ErrRowCodec
+		return nil, errRowCodec
 	}
 	n := int(binary.LittleEndian.Uint16(buf))
 	buf = buf[2:]
 	s := &schema{pkIdx: -1}
 	for i := 0; i < n; i++ {
 		if len(buf) < 4 {
-			return nil, ErrRowCodec
+			return nil, errRowCodec
 		}
-		c := Column{Type: ColType(buf[0]), PK: buf[1] == 1}
+		c := column{typ: colType(buf[0]), pk: buf[1] == 1}
 		ln := int(binary.LittleEndian.Uint16(buf[2:4]))
 		buf = buf[4:]
 		if len(buf) < ln {
-			return nil, ErrRowCodec
+			return nil, errRowCodec
 		}
-		c.Name = string(buf[:ln])
+		c.name = string(buf[:ln])
 		buf = buf[ln:]
-		if c.PK {
+		if c.pk {
 			s.pkIdx = i
 		}
-		s.Columns = append(s.Columns, c)
+		s.columns = append(s.columns, c)
 	}
 	if s.pkIdx < 0 {
 		return nil, errors.New("sql: schema lacks a primary key")

@@ -7,7 +7,7 @@ import (
 )
 
 // FakeClock is a manually advanced clock for deterministic timer tests. It
-// structurally satisfies logwriter.Clock (Now + AfterFunc), so the adaptive
+// structurally satisfies logwriter's clock (Now + AfterFunc), so the adaptive
 // group-commit batcher's timeout logic runs without wall-clock sleeps: the
 // test calls Advance and every timer due at the new time fires synchronously
 // before Advance returns.

@@ -24,22 +24,22 @@ import (
 
 // Table names.
 const (
-	TableCustomers = "tpce_customers"
-	TableAccounts  = "tpce_accounts"
-	TableTrades    = "tpce_trades"
+	tableCustomers = "tpce_customers"
+	tableAccounts  = "tpce_accounts"
+	tableTrades    = "tpce_trades"
 )
 
-// Workload holds generator parameters.
-type Workload struct {
-	Customers int
-	// AccountsPer customer and initial TradesPer account.
-	AccountsPer, TradesPer int
+// brokerage holds generator parameters.
+type brokerage struct {
+	customers int
+	// accountsPer customer and initial TradesPer account.
+	accountsPer, tradesPer int
 	zipfS                  float64
 }
 
 // New creates a workload with the given customer count.
-func New(customers int) *Workload {
-	return &Workload{Customers: customers, AccountsPer: 2, TradesPer: 4, zipfS: 1.08}
+func New(customers int) *brokerage {
+	return &brokerage{customers: customers, accountsPer: 2, tradesPer: 4, zipfS: 1.08}
 }
 
 func key(i int) []byte {
@@ -49,8 +49,8 @@ func key(i int) []byte {
 }
 
 // Setup creates and loads the schema.
-func (w *Workload) Setup(e *engine.Engine) error {
-	for _, t := range []string{TableCustomers, TableAccounts, TableTrades} {
+func (w *brokerage) Setup(e *engine.Engine) error {
+	for _, t := range []string{tableCustomers, tableAccounts, tableTrades} {
 		if err := e.CreateTable(t); err != nil {
 			return err
 		}
@@ -74,18 +74,18 @@ func (w *Workload) Setup(e *engine.Engine) error {
 		}
 		return nil
 	}
-	if err := load(TableCustomers, w.Customers, 128); err != nil {
+	if err := load(tableCustomers, w.customers, 128); err != nil {
 		return err
 	}
-	if err := load(TableAccounts, w.Customers*w.AccountsPer, 96); err != nil {
+	if err := load(tableAccounts, w.customers*w.accountsPer, 96); err != nil {
 		return err
 	}
-	return load(TableTrades, w.Customers*w.AccountsPer*w.TradesPer, 160)
+	return load(tableTrades, w.customers*w.accountsPer*w.tradesPer, 160)
 }
 
-// Client is one driver thread.
-type Client struct {
-	w       *Workload
+// client is one driver thread.
+type client struct {
+	w       *brokerage
 	e       *engine.Engine
 	meter   *metrics.CPUMeter
 	rng     *rand.Rand
@@ -95,25 +95,25 @@ type Client struct {
 }
 
 // NewClient builds driver thread id bound to the engine.
-func (w *Workload) NewClient(e *engine.Engine, meter *metrics.CPUMeter, id int) *Client {
+func (w *brokerage) NewClient(e *engine.Engine, meter *metrics.CPUMeter, id int) *client {
 	r := rand.New(rand.NewSource(int64(id)*104729 + 7))
-	max := uint64(w.Customers - 1)
+	max := uint64(w.customers - 1)
 	if max == 0 {
 		max = 1
 	}
-	return &Client{
+	return &client{
 		w: w, e: e, meter: meter, rng: r,
 		zipf: rand.NewZipf(r, w.zipfS, 4, max),
 		id:   id,
 	}
 }
 
-func (c *Client) hotCustomer() int { return int(c.zipf.Uint64()) }
+func (c *client) hotCustomer() int { return int(c.zipf.Uint64()) }
 
 // Run executes one transaction of the TPC-E-flavoured mix:
 // trade-lookup 45%, customer-position 30%, market-watch 10%, trade-order
 // 15% (the write share of TPC-E is ~15-20%).
-func (c *Client) Run() (workload.Outcome, error) {
+func (c *client) Run() (workload.Outcome, error) {
 	x := c.rng.Intn(100)
 	start := time.Now()
 	var err error
@@ -137,20 +137,20 @@ func (c *Client) Run() (workload.Outcome, error) {
 		Aborted: errors.Is(err, txn.ErrWriteConflict)}, err
 }
 
-func (c *Client) charge(d time.Duration) {
+func (c *client) charge(d time.Duration) {
 	if c.meter != nil {
 		c.meter.Charge(d)
 	}
 }
 
 // tradeLookup reads a handful of trades of a hot customer's account.
-func (c *Client) tradeLookup() error {
+func (c *client) tradeLookup() error {
 	tx := c.e.BeginRO()
 	defer tx.Abort()
-	acct := c.hotCustomer()*c.w.AccountsPer + c.rng.Intn(c.w.AccountsPer)
-	base := acct * c.w.TradesPer
+	acct := c.hotCustomer()*c.w.accountsPer + c.rng.Intn(c.w.accountsPer)
+	base := acct * c.w.tradesPer
 	for i := 0; i < 3; i++ {
-		if _, _, err := tx.Get(TableTrades, key(base+c.rng.Intn(c.w.TradesPer))); err != nil {
+		if _, _, err := tx.Get(tableTrades, key(base+c.rng.Intn(c.w.tradesPer))); err != nil {
 			return err
 		}
 	}
@@ -158,15 +158,15 @@ func (c *Client) tradeLookup() error {
 }
 
 // customerPosition reads a customer and all their accounts.
-func (c *Client) customerPosition() error {
+func (c *client) customerPosition() error {
 	tx := c.e.BeginRO()
 	defer tx.Abort()
 	cust := c.hotCustomer()
-	if _, _, err := tx.Get(TableCustomers, key(cust)); err != nil {
+	if _, _, err := tx.Get(tableCustomers, key(cust)); err != nil {
 		return err
 	}
-	for a := 0; a < c.w.AccountsPer; a++ {
-		if _, _, err := tx.Get(TableAccounts, key(cust*c.w.AccountsPer+a)); err != nil {
+	for a := 0; a < c.w.accountsPer; a++ {
+		if _, _, err := tx.Get(tableAccounts, key(cust*c.w.accountsPer+a)); err != nil {
 			return err
 		}
 	}
@@ -174,39 +174,39 @@ func (c *Client) customerPosition() error {
 }
 
 // marketWatch scans a range of trades (analytic-ish read).
-func (c *Client) marketWatch() error {
+func (c *client) marketWatch() error {
 	tx := c.e.BeginRO()
 	defer tx.Abort()
-	lo := c.hotCustomer() * c.w.AccountsPer * c.w.TradesPer
+	lo := c.hotCustomer() * c.w.accountsPer * c.w.tradesPer
 	count := 0
-	return tx.Scan(TableTrades, key(lo), key(lo+64), func(k, v []byte) bool {
+	return tx.Scan(tableTrades, key(lo), key(lo+64), func(k, v []byte) bool {
 		count++
 		return count < 64
 	})
 }
 
 // tradeOrder inserts a trade and updates the account row.
-func (c *Client) tradeOrder() error {
+func (c *client) tradeOrder() error {
 	tx := c.e.Begin()
 	cust := c.hotCustomer()
-	acct := cust*c.w.AccountsPer + c.rng.Intn(c.w.AccountsPer)
+	acct := cust*c.w.accountsPer + c.rng.Intn(c.w.accountsPer)
 	trade := make([]byte, 160)
 	c.rng.Read(trade)
 	id := 1_000_000_000 + c.id*10_000_000 + c.tradeID
 	c.tradeID++
-	if err := tx.Put(TableTrades, key(id), trade); err != nil {
+	if err := tx.Put(tableTrades, key(id), trade); err != nil {
 		tx.Abort()
 		return err
 	}
 	balance := make([]byte, 96)
 	c.rng.Read(balance)
-	if err := tx.Put(TableAccounts, key(acct), balance); err != nil {
+	if err := tx.Put(tableAccounts, key(acct), balance); err != nil {
 		tx.Abort()
 		return err
 	}
 	return tx.Commit()
 }
 
-var _ workload.Runner = (*Client)(nil)
+var _ workload.Runner = (*client)(nil)
 
 var _ = fmt.Sprintf

@@ -32,9 +32,9 @@ func TestSetupLoadsSchema(t *testing.T) {
 		name string
 		want int
 	}{
-		{TableCustomers, 50},
-		{TableAccounts, 100},
-		{TableTrades, 400},
+		{tableCustomers, 50},
+		{tableAccounts, 100},
+		{tableTrades, 400},
 	} {
 		count := 0
 		_ = e.BeginRO().Scan(tbl.name, nil, nil, func(k, v []byte) bool {
@@ -90,7 +90,7 @@ func TestTradeOrderPersists(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	_ = e.BeginRO().Scan(TableTrades, nil, nil, func(k, v []byte) bool {
+	_ = e.BeginRO().Scan(tableTrades, nil, nil, func(k, v []byte) bool {
 		count++
 		return true
 	})

@@ -28,21 +28,21 @@ import (
 	"socrates/internal/wal"
 )
 
-// ErrTruncated reports a read below the truncation watermark: the snapshot
+// errTruncated reports a read below the truncation watermark: the snapshot
 // is too old and the versions it needs may have been reclaimed.
-var ErrTruncated = errors.New("versionstore: version truncated below watermark")
+var errTruncated = errors.New("versionstore: version truncated below watermark")
 
-// ErrNotFound reports a dangling version pointer.
-var ErrNotFound = errors.New("versionstore: version not found")
+// errNotFound reports a dangling version pointer.
+var errNotFound = errors.New("versionstore: version not found")
 
 // Ptr locates one version entry: (version page, slot). The zero Ptr is nil.
 type Ptr struct {
 	Page page.ID
-	Slot uint32
+	slot uint32
 }
 
-// IsNil reports whether the pointer is the nil pointer.
-func (p Ptr) IsNil() bool { return p.Page == page.InvalidID }
+// isNil reports whether the pointer is the nil pointer.
+func (p Ptr) isNil() bool { return p.Page == page.InvalidID }
 
 // Version is one row version: the payload as of CommitTS, with Prev
 // pointing at the next-older version. A tombstone records a deletion.
@@ -66,7 +66,7 @@ func (v *Version) Encode() []byte {
 	buf = append(buf, flags)
 	buf = binary.LittleEndian.AppendUint64(buf, v.CommitTS)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(v.Prev.Page))
-	buf = binary.LittleEndian.AppendUint32(buf, v.Prev.Slot)
+	buf = binary.LittleEndian.AppendUint32(buf, v.Prev.slot)
 	return append(buf, v.Payload...)
 }
 
@@ -85,7 +85,7 @@ func Decode(buf []byte) (Version, error) {
 		CommitTS:  binary.LittleEndian.Uint64(buf[1:9]),
 		Prev: Ptr{
 			Page: page.ID(binary.LittleEndian.Uint64(buf[9:17])),
-			Slot: binary.LittleEndian.Uint32(buf[17:21]),
+			slot: binary.LittleEndian.Uint32(buf[17:21]),
 		},
 	}
 	if len(buf) > 21 {
@@ -169,7 +169,7 @@ func (s *Store) Append(w *btree.PageSet, txn uint64, v *Version) (Ptr, error) {
 	}
 	s.curSlots++
 	s.curSize += need
-	return Ptr{Page: s.cur, Slot: slot}, nil
+	return Ptr{Page: s.cur, slot: slot}, nil
 }
 
 // newPageLocked allocates and formats a fresh version page in w.
@@ -192,25 +192,25 @@ func (s *Store) newPageLocked(w *btree.PageSet, txn uint64) error {
 	return nil
 }
 
-// Get fetches one version entry. Its Payload aliases the version page
+// get fetches one version entry. Its Payload aliases the version page
 // (see Decode).
 //
 //socrates:hotpath once per older version a read walks past; TestVisibleChainAllocs
-func (s *Store) Get(ptr Ptr) (Version, error) {
-	if ptr.IsNil() {
-		return Version{}, fmt.Errorf("%w: nil pointer", ErrNotFound)
+func (s *Store) get(ptr Ptr) (Version, error) {
+	if ptr.isNil() {
+		return Version{}, fmt.Errorf("%w: nil pointer", errNotFound)
 	}
 	pg, err := s.pager.Read(ptr.Page)
 	if err != nil {
 		return Version{}, err
 	}
-	key := slotKey(ptr.Slot)
+	key := slotKey(ptr.slot)
 	val, found, err := btree.LookupCell(pg, key[:])
 	if err != nil {
 		return Version{}, err
 	}
 	if !found {
-		return Version{}, fmt.Errorf("%w: page %d slot %d", ErrNotFound, ptr.Page, ptr.Slot)
+		return Version{}, fmt.Errorf("%w: page %d slot %d", errNotFound, ptr.Page, ptr.slot)
 	}
 	return Decode(val)
 }
@@ -230,13 +230,13 @@ func (s *Store) Visible(head Version, ts uint64) (v Version, ok bool, err error)
 			}
 			return v, true, nil
 		}
-		if v.Prev.IsNil() {
+		if v.Prev.isNil() {
 			return Version{}, false, nil // row did not exist at ts
 		}
-		if wm := s.Watermark(); ts < wm {
-			return Version{}, false, fmt.Errorf("%w: snapshot %d below watermark %d", ErrTruncated, ts, wm)
+		if wm := s.readWatermark(); ts < wm {
+			return Version{}, false, fmt.Errorf("%w: snapshot %d below watermark %d", errTruncated, ts, wm)
 		}
-		if v, err = s.Get(v.Prev); err != nil {
+		if v, err = s.get(v.Prev); err != nil {
 			return Version{}, false, err
 		}
 	}
@@ -252,8 +252,8 @@ func (s *Store) SetWatermark(ts uint64) {
 	s.mu.Unlock()
 }
 
-// Watermark reports the truncation watermark.
-func (s *Store) Watermark() uint64 {
+// readWatermark reports the truncation watermark.
+func (s *Store) readWatermark() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.watermark

@@ -53,7 +53,7 @@ func appendOne(s *Store, txn uint64, v *Version) (Ptr, error) {
 }
 
 func TestVersionCodecRoundTrip(t *testing.T) {
-	v := &Version{CommitTS: 42, Prev: Ptr{Page: 7, Slot: 3},
+	v := &Version{CommitTS: 42, Prev: Ptr{Page: 7, slot: 3},
 		Tombstone: true, Payload: []byte("old row")}
 	got, err := Decode(v.Encode())
 	if err != nil {
@@ -67,7 +67,7 @@ func TestVersionCodecRoundTrip(t *testing.T) {
 
 func TestVersionCodecProperty(t *testing.T) {
 	f := func(ts uint64, pg uint64, slot uint32, tomb bool, payload []byte) bool {
-		v := &Version{CommitTS: ts, Prev: Ptr{Page: page.ID(pg), Slot: slot},
+		v := &Version{CommitTS: ts, Prev: Ptr{Page: page.ID(pg), slot: slot},
 			Tombstone: tomb}
 		if len(payload) > 0 {
 			v.Payload = payload
@@ -96,10 +96,10 @@ func TestAppendAndGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ptr.IsNil() {
+	if ptr.isNil() {
 		t.Fatal("nil pointer returned")
 	}
-	got, err := s.Get(ptr)
+	got, err := s.get(ptr)
 	if err != nil || got.CommitTS != 10 || string(got.Payload) != "v1" {
 		t.Fatalf("get = %+v %v", got, err)
 	}
@@ -107,11 +107,11 @@ func TestAppendAndGet(t *testing.T) {
 
 func TestGetNilAndDanglingPtr(t *testing.T) {
 	s, _, _ := newStore(t)
-	if _, err := s.Get(Ptr{}); !errors.Is(err, ErrNotFound) {
+	if _, err := s.get(Ptr{}); !errors.Is(err, errNotFound) {
 		t.Fatalf("nil ptr err = %v", err)
 	}
 	ptr, _ := appendOne(s, 1, &Version{CommitTS: 1})
-	if _, err := s.Get(Ptr{Page: ptr.Page, Slot: 999}); !errors.Is(err, ErrNotFound) {
+	if _, err := s.get(Ptr{Page: ptr.Page, slot: 999}); !errors.Is(err, errNotFound) {
 		t.Fatalf("dangling slot err = %v", err)
 	}
 }
@@ -206,7 +206,7 @@ func TestPageRollover(t *testing.T) {
 		t.Fatalf("versions went to pages %d..%d, want rollover", first, last)
 	}
 	for i, ptr := range ptrs {
-		v, err := s.Get(ptr)
+		v, err := s.get(ptr)
 		if err != nil || v.CommitTS != uint64(i+1) {
 			t.Fatalf("ptr %d: %+v %v", i, v, err)
 		}
@@ -229,7 +229,7 @@ func TestRecoverAppendStateFromPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ptr.Page != cur || ptr.Slot != 5 {
+	if ptr.Page != cur || ptr.slot != 5 {
 		t.Fatalf("resumed at %+v, want page %d slot 5", ptr, cur)
 	}
 }
@@ -240,7 +240,7 @@ func TestWatermarkBlocksAncientSnapshots(t *testing.T) {
 	head := Version{CommitTS: 50, Prev: p1, Payload: []byte("new")}
 	s.SetWatermark(40)
 	// Snapshot 20 < watermark and needs the chain: must fail loudly.
-	if _, _, err := s.Visible(head, 20); !errors.Is(err, ErrTruncated) {
+	if _, _, err := s.Visible(head, 20); !errors.Is(err, errTruncated) {
 		t.Fatalf("err = %v, want ErrTruncated", err)
 	}
 	// Snapshot 60 resolves at head without touching the chain.
@@ -250,8 +250,8 @@ func TestWatermarkBlocksAncientSnapshots(t *testing.T) {
 	}
 	// Watermark never regresses.
 	s.SetWatermark(5)
-	if s.Watermark() != 40 {
-		t.Fatalf("watermark regressed to %d", s.Watermark())
+	if s.readWatermark() != 40 {
+		t.Fatalf("watermark regressed to %d", s.readWatermark())
 	}
 }
 
@@ -284,7 +284,7 @@ func TestReplicationThroughLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := rs.Get(p1)
+	v, err := rs.get(p1)
 	if err != nil || string(v.Payload) != "gen1" {
 		t.Fatalf("replica get: %+v %v", v, err)
 	}
@@ -303,7 +303,7 @@ func TestManyVersionsStress(t *testing.T) {
 		}
 		prev = ptr
 	}
-	head, err := s.Get(prev)
+	head, err := s.get(prev)
 	if err != nil {
 		t.Fatal(err)
 	}

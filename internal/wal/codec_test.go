@@ -55,7 +55,7 @@ func TestBlockCodecAllocs(t *testing.T) {
 func TestDecodeBlockRejectsImpossibleRecordCount(t *testing.T) {
 	enc := putBlock(8).Encode()
 	enc[20], enc[21], enc[22], enc[23] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, _, err := DecodeBlock(enc); !errors.Is(err, ErrBadBlock) {
+	if _, _, err := DecodeBlock(enc); !errors.Is(err, errBadBlock) {
 		t.Fatalf("nrec 0xFFFFFFFF: err %v, want ErrBadBlock", err)
 	}
 	if testutil.RaceEnabled {
@@ -113,7 +113,7 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, n, err := DecodeBlock(data)
 		if err != nil {
-			if !errors.Is(err, ErrBadBlock) {
+			if !errors.Is(err, errBadBlock) {
 				t.Fatalf("error %v is not ErrBadBlock", err)
 			}
 			return

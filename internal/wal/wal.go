@@ -183,8 +183,8 @@ func (b *Block) Touches(pt page.PartitionID) bool {
 
 const blockMagic = 0xB10C50C7
 
-// ErrBadBlock reports a corrupt or truncated block image.
-var ErrBadBlock = errors.New("wal: bad block")
+// errBadBlock reports a corrupt or truncated block image.
+var errBadBlock = errors.New("wal: bad block")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -234,32 +234,32 @@ func (b *Block) Encode() []byte {
 //socrates:hotpath every hop of a log block decodes it (XLOG feed, page-server and secondary pulls, HADR ships); budget enforced by TestBlockCodecAllocs
 func DecodeBlock(buf []byte) (*Block, int, error) {
 	if len(buf) < blockFixed-8 {
-		return nil, 0, fmt.Errorf("%w: short header", ErrBadBlock)
+		return nil, 0, fmt.Errorf("%w: short header", errBadBlock)
 	}
 	if binary.LittleEndian.Uint32(buf[0:4]) != blockMagic {
-		return nil, 0, fmt.Errorf("%w: bad magic", ErrBadBlock)
+		return nil, 0, fmt.Errorf("%w: bad magic", errBadBlock)
 	}
 	nrec := int(binary.LittleEndian.Uint32(buf[20:24]))
 	npart := int(binary.LittleEndian.Uint16(buf[24:26]))
 	partsAt := blockFixed - 8 // the partition list follows nrec and npart
 	pos := partsAt + 4*npart
 	if len(buf) < pos+8 {
-		return nil, 0, fmt.Errorf("%w: short partition list", ErrBadBlock)
+		return nil, 0, fmt.Errorf("%w: short partition list", errBadBlock)
 	}
 	plen := int(binary.LittleEndian.Uint32(buf[pos : pos+4]))
 	wantCRC := binary.LittleEndian.Uint32(buf[pos+4 : pos+8])
 	pos += 8
 	if len(buf) < pos+plen {
-		return nil, 0, fmt.Errorf("%w: short payload", ErrBadBlock)
+		return nil, 0, fmt.Errorf("%w: short payload", errBadBlock)
 	}
 	// The CRC covers the payload, not nrec: bound the count by what the
 	// payload can hold before sizing anything by it.
 	if nrec > plen/recordFixed {
-		return nil, 0, fmt.Errorf("%w: %d records cannot fit the payload", ErrBadBlock, nrec)
+		return nil, 0, fmt.Errorf("%w: %d records cannot fit the payload", errBadBlock, nrec)
 	}
 	payload := buf[pos : pos+plen]
 	if crc32.Checksum(payload, crcTable) != wantCRC {
-		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrBadBlock)
+		return nil, 0, fmt.Errorf("%w: checksum mismatch", errBadBlock)
 	}
 	b := &Block{
 		Start: page.LSN(binary.LittleEndian.Uint64(buf[4:12])),
@@ -278,14 +278,14 @@ func DecodeBlock(buf []byte) (*Block, int, error) {
 		for i := range recs {
 			n, err := decodeRecord(&recs[i], rest)
 			if err != nil {
-				return nil, 0, fmt.Errorf("%w: record %d: %v", ErrBadBlock, i, err)
+				return nil, 0, fmt.Errorf("%w: record %d: %v", errBadBlock, i, err)
 			}
 			b.Records[i] = &recs[i]
 			rest = rest[n:]
 		}
 	}
 	if len(rest) != 0 {
-		return nil, 0, fmt.Errorf("%w: %d trailing payload bytes", ErrBadBlock, len(rest))
+		return nil, 0, fmt.Errorf("%w: %d trailing payload bytes", errBadBlock, len(rest))
 	}
 	return b, pos + plen, nil
 }

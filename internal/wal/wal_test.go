@@ -192,20 +192,20 @@ func TestBlockCorruptionDetected(t *testing.T) {
 
 	mut := append([]byte(nil), buf...)
 	mut[len(mut)-1] ^= 0xFF
-	if _, _, err := DecodeBlock(mut); !errors.Is(err, ErrBadBlock) {
+	if _, _, err := DecodeBlock(mut); !errors.Is(err, errBadBlock) {
 		t.Fatalf("payload corruption: %v", err)
 	}
 
 	mut = append([]byte(nil), buf...)
 	mut[0] = 0
-	if _, _, err := DecodeBlock(mut); !errors.Is(err, ErrBadBlock) {
+	if _, _, err := DecodeBlock(mut); !errors.Is(err, errBadBlock) {
 		t.Fatalf("magic corruption: %v", err)
 	}
 
-	if _, _, err := DecodeBlock(buf[:10]); !errors.Is(err, ErrBadBlock) {
+	if _, _, err := DecodeBlock(buf[:10]); !errors.Is(err, errBadBlock) {
 		t.Fatal("short buffer undetected")
 	}
-	if _, _, err := DecodeBlock(buf[:len(buf)-3]); !errors.Is(err, ErrBadBlock) {
+	if _, _, err := DecodeBlock(buf[:len(buf)-3]); !errors.Is(err, errBadBlock) {
 		t.Fatal("truncated payload undetected")
 	}
 }

@@ -13,18 +13,18 @@ import (
 	"socrates/internal/metrics"
 )
 
-// Kind classifies one executed transaction.
-type Kind int
+// kind classifies one executed transaction.
+type kind int
 
 // Transaction kinds.
 const (
-	Read Kind = iota
+	Read kind = iota
 	Write
 )
 
 // Outcome describes one executed transaction.
 type Outcome struct {
-	Kind    Kind
+	Kind    kind
 	Latency time.Duration
 	Aborted bool // a write conflict aborted it; any other error is a failure
 }

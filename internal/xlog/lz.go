@@ -19,10 +19,10 @@ import (
 	"socrates/internal/wal"
 )
 
-// ErrLZTimeout reports a landing-zone write that waited too long for
+// errLZTimeout reports a landing-zone write that waited too long for
 // destaging to free space (the §4.3 stall: "Socrates cannot process any
 // update transactions once the LZ is full").
-var ErrLZTimeout = errors.New("xlog: landing zone full (destaging stalled)")
+var errLZTimeout = errors.New("xlog: landing zone full (destaging stalled)")
 
 const (
 	lzHeaderSize = 64 // persisted ring header at offset 0
@@ -202,7 +202,7 @@ func (lz *LandingZone) Reserve(b *wal.Block) (*Reservation, error) {
 		if err := lz.waits.CondWait(nil, obs.WaitBackpressure, lz.cond, time.Now().Add(5*time.Second),
 			func() bool { return lz.freeLocked() >= need+8 }); err != nil {
 			lz.mu.Unlock()
-			return nil, ErrLZTimeout
+			return nil, errLZTimeout
 		}
 	}
 	// Wrap if the entry does not fit before the end of the volume.

@@ -90,10 +90,10 @@ type Config struct {
 	// CacheDevice is the local SSD for the destaging block cache; nil
 	// disables the cache tier.
 	CacheDevice *simdisk.Device
-	// CacheBytes bounds the SSD block cache (default 4 MiB).
-	CacheBytes int64
-	// BrokerBytes bounds the in-memory sequence map (default 1 MiB).
-	BrokerBytes int
+	// cacheBytes bounds the SSD block cache (default 4 MiB).
+	cacheBytes int64
+	// brokerBytes bounds the in-memory sequence map (default 1 MiB).
+	brokerBytes int
 	// Obs wires the service into the observability plane: XLOG-tier spans
 	// and instruments; the promotion/destaging/archive/truncation rungs of
 	// the LSN ladder; flight events for gap fills, destage batches and LT
@@ -139,11 +139,11 @@ func build(cfg Config) (*Service, error) {
 	if cfg.LZ == nil || cfg.LT == nil || cfg.LTBlob == "" {
 		return nil, errors.New("xlog: LZ, LT, and LTBlob are required")
 	}
-	if cfg.BrokerBytes <= 0 {
-		cfg.BrokerBytes = 1 << 20
+	if cfg.brokerBytes <= 0 {
+		cfg.brokerBytes = 1 << 20
 	}
-	if cfg.CacheBytes <= 0 {
-		cfg.CacheBytes = 4 << 20
+	if cfg.cacheBytes <= 0 {
+		cfg.cacheBytes = 4 << 20
 	}
 	s := &Service{
 		lz:      cfg.LZ,
@@ -151,7 +151,7 @@ func build(cfg Config) (*Service, error) {
 		waits:   cfg.Obs.Waits.Tier(obs.TierXLOG),
 		lt:      &lt{store: cfg.LT, blob: cfg.LTBlob},
 		pending: make(map[page.LSN]entry),
-		budget:  cfg.BrokerBytes,
+		budget:  cfg.brokerBytes,
 		done:    make(chan struct{}),
 	}
 	s.promoted = cfg.Obs.Watermarks.Own(obs.WMPromoted, "")
@@ -160,7 +160,7 @@ func build(cfg Config) (*Service, error) {
 	cfg.LZ.waits = s.waits
 	cfg.LZ.mu.Unlock()
 	if cfg.CacheDevice != nil {
-		s.ssd = newBlockCache(cfg.CacheDevice, cfg.CacheBytes)
+		s.ssd = newBlockCache(cfg.CacheDevice, cfg.cacheBytes)
 	}
 	return s, nil
 }
@@ -341,7 +341,7 @@ func (s *Service) destageLoop() {
 // undestaged suffix is found by binary search, as lookup does.
 func (s *Service) destageOnce() {
 	s.mu.Lock()
-	i := sort.Search(len(s.broker), func(i int) bool { return s.broker[i].b.Start.AtLeast(s.DestagedEnd()) })
+	i := sort.Search(len(s.broker), func(i int) bool { return s.broker[i].b.Start.AtLeast(s.destagedEnd()) })
 	batch := append([]entry(nil), s.broker[i:]...)
 	s.mu.Unlock()
 	if len(batch) == 0 {
@@ -383,7 +383,7 @@ func (s *Service) trimBroker() {
 	s.mu.Lock()
 	for s.brokerBytes > s.budget && len(s.broker) > 0 {
 		e := s.broker[0]
-		if e.b.End.After(s.DestagedEnd()) {
+		if e.b.End.After(s.destagedEnd()) {
 			break // never evict blocks that exist nowhere else
 		}
 		s.broker = s.broker[1:]
@@ -513,8 +513,8 @@ func (s *Service) MaxCommitTS() uint64 {
 	return s.maxCommitTS
 }
 
-// DestagedEnd reports the destaging watermark.
-func (s *Service) DestagedEnd() page.LSN { return page.LSN(s.destaged.Value()) }
+// destagedEnd reports the destaging watermark.
+func (s *Service) destagedEnd() page.LSN { return page.LSN(s.destaged.Value()) }
 
 // Handler exposes the service over RBIO. The transport hands it a context
 // carrying the span identity decoded from the frame header, so XLOG-tier
@@ -553,7 +553,7 @@ func (s *Service) Handler() rbio.Handler {
 			resp := rbio.Ok()
 			resp.LSN = s.HardenedEnd()
 			var buf [16]byte
-			binary.LittleEndian.PutUint64(buf[0:8], s.DestagedEnd().Uint64())
+			binary.LittleEndian.PutUint64(buf[0:8], s.destagedEnd().Uint64())
 			binary.LittleEndian.PutUint64(buf[8:16], s.MaxCommitTS())
 			resp.Payload = buf[:]
 			return resp

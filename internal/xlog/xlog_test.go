@@ -99,7 +99,7 @@ func TestLZBackpressureTimesOut(t *testing.T) {
 			break
 		}
 	}
-	if !errors.Is(err, ErrLZTimeout) {
+	if !errors.Is(err, errLZTimeout) {
 		t.Fatalf("err = %v, want ErrLZTimeout", err)
 	}
 	if time.Since(start) < 4*time.Second {
@@ -194,8 +194,8 @@ func newRig(t *testing.T, brokerBytes int) *testRig {
 	svc, err := New(Config{
 		LZ: lz, LT: st, LTBlob: "lt/db1",
 		CacheDevice: simdisk.New(simdisk.Instant),
-		CacheBytes:  64 << 10,
-		BrokerBytes: brokerBytes,
+		cacheBytes:  64 << 10,
+		brokerBytes: brokerBytes,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -482,7 +482,7 @@ func TestXStoreOutageDefersDestaging(t *testing.T) {
 	blocks := mkBlocks(5, func(i int) page.ID { return 1 }, page.Partitioning{})
 	r.publish(t, blocks, true)
 	time.Sleep(30 * time.Millisecond)
-	if r.svc.DestagedEnd() >= blocks[4].End {
+	if r.svc.destagedEnd() >= blocks[4].End {
 		t.Fatal("destaging advanced during XStore outage")
 	}
 	if retained(r.lz) != 5 {
@@ -503,7 +503,7 @@ func TestServiceRecovery(t *testing.T) {
 	lz, _ := newLZ(t, 4<<20)
 	st := xstore.New(xstore.Config{Profile: simdisk.Instant})
 	cfg := Config{LZ: lz, LT: st, LTBlob: "lt/db1",
-		CacheDevice: simdisk.New(simdisk.Instant), CacheBytes: 64 << 10}
+		CacheDevice: simdisk.New(simdisk.Instant), cacheBytes: 64 << 10}
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -718,7 +718,7 @@ func TestPullServesTheBytesItRead(t *testing.T) {
 	// destages by hand.
 	svc, err := build(Config{
 		LZ: lz, LT: xstore.New(xstore.Config{Profile: simdisk.Instant}), LTBlob: "lt/db1",
-		BrokerBytes: 1,
+		brokerBytes: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

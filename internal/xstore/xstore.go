@@ -41,8 +41,8 @@ import (
 	"socrates/internal/simdisk"
 )
 
-// ErrNotFound is returned when a blob or snapshot does not exist.
-var ErrNotFound = errors.New("xstore: not found")
+// errNotFound is returned when a blob or snapshot does not exist.
+var errNotFound = errors.New("xstore: not found")
 
 // segSize is the unit the log is accounted and reclaimed in: four of the
 // device's chunks, so a discarded segment frees exactly the memory it held.
@@ -374,7 +374,7 @@ func (s *Store) Get(name string) ([]byte, error) {
 	meta, ok := s.pin(name)
 	s.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: blob %q", ErrNotFound, name)
+		return nil, fmt.Errorf("%w: blob %q", errNotFound, name)
 	}
 	defer s.unpin(meta)
 	return s.readMeta(meta, 0, meta.size)
@@ -386,7 +386,7 @@ func (s *Store) ReadAt(name string, off, length int64) ([]byte, error) {
 	meta, ok := s.pin(name)
 	s.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: blob %q", ErrNotFound, name)
+		return nil, fmt.Errorf("%w: blob %q", errNotFound, name)
 	}
 	defer s.unpin(meta)
 	if off < 0 || off+length > meta.size {
@@ -443,7 +443,7 @@ func (s *Store) Size(name string) (int64, error) {
 	defer s.mu.Unlock()
 	b, ok := s.blobs[name]
 	if !ok {
-		return 0, fmt.Errorf("%w: blob %q", ErrNotFound, name)
+		return 0, fmt.Errorf("%w: blob %q", errNotFound, name)
 	}
 	return b.size, nil
 }
@@ -492,7 +492,7 @@ func (s *Store) DeleteSnapshot(name string) error {
 	defer s.mu.Unlock()
 	snap, ok := s.snapshots[name]
 	if !ok {
-		return fmt.Errorf("%w: snapshot %q", ErrNotFound, name)
+		return fmt.Errorf("%w: snapshot %q", errNotFound, name)
 	}
 	delete(s.snapshots, name)
 	for _, b := range snap {
@@ -510,7 +510,7 @@ func (s *Store) Restore(snapName, dstPrefix string) error {
 	defer s.mu.Unlock()
 	snap, ok := s.snapshots[snapName]
 	if !ok {
-		return fmt.Errorf("%w: snapshot %q", ErrNotFound, snapName)
+		return fmt.Errorf("%w: snapshot %q", errNotFound, snapName)
 	}
 	for n, b := range snap {
 		nb := s.hold(b)

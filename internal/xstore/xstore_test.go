@@ -31,7 +31,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 func TestGetMissing(t *testing.T) {
 	s := newFast()
-	if _, err := s.Get("nope"); !errors.Is(err, ErrNotFound) {
+	if _, err := s.Get("nope"); !errors.Is(err, errNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 }
@@ -139,7 +139,7 @@ func TestSnapshotIsolatesFromLaterWrites(t *testing.T) {
 	if string(got) != "before" {
 		t.Fatalf("snapshot read %q, want before", got)
 	}
-	if _, err := snapshotGet(s, "snap1", "new"); !errors.Is(err, ErrNotFound) {
+	if _, err := snapshotGet(s, "snap1", "new"); !errors.Is(err, errNotFound) {
 		t.Fatalf("later blob visible in snapshot: %v", err)
 	}
 	// Live view unaffected.
@@ -219,7 +219,7 @@ func TestRestoreCreatesIndependentBlobs(t *testing.T) {
 
 func TestRestoreMissingSnapshot(t *testing.T) {
 	s := newFast()
-	if err := s.Restore("ghost", "x/"); !errors.Is(err, ErrNotFound) {
+	if err := s.Restore("ghost", "x/"); !errors.Is(err, errNotFound) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -230,7 +230,7 @@ func TestDeleteSnapshot(t *testing.T) {
 	if err := s.DeleteSnapshot("s"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.DeleteSnapshot("s"); !errors.Is(err, ErrNotFound) {
+	if err := s.DeleteSnapshot("s"); !errors.Is(err, errNotFound) {
 		t.Fatalf("err = %v", err)
 	}
 }
