@@ -163,7 +163,7 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	val, _, _, found, err := v.find(key)
+	val, found, err := v.find(key)
 	if err != nil || !found {
 		return nil, false, err
 	}
@@ -265,7 +265,7 @@ func splitPoint(n *node) int {
 	total := 0
 	sizes := make([]int, len(n.cells))
 	for i, c := range n.cells {
-		sizes[i] = 2 + len(c.key) + 4 + len(c.value)
+		sizes[i] = CellOverhead + len(c.key) + len(c.value)
 		total += sizes[i]
 	}
 	acc := 0
@@ -346,13 +346,17 @@ func (t *Tree) scanRec(id page.ID, from, to, lo, hi []byte, fn func(k, v []byte)
 		return t.scanChildren(&v, lo, hi, fn)
 	}
 	it := v.iter()
+	if lo != nil {
+		i, off, _, err := v.search(lo)
+		if err != nil {
+			return false, err
+		}
+		it = v.iterAt(i, off)
+	}
 	for {
 		k, val, ok, err := it.next()
 		if err != nil || !ok {
 			return err == nil, err
-		}
-		if lo != nil && bytes.Compare(k, lo) < 0 {
-			continue
 		}
 		if hi != nil && bytes.Compare(k, hi) >= 0 {
 			return false, nil

@@ -17,7 +17,7 @@ func LookupCell(pg *page.Page, key []byte) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	val, _, _, found, err := v.find(key)
+	val, found, err := v.find(key)
 	if err != nil || !found {
 		return nil, false, err
 	}
@@ -43,8 +43,14 @@ func EmptyNodePayload() []byte {
 	return make([]byte, 6) // loLen 0 | hiLen 0 | count 0
 }
 
-// CellOverhead is the per-cell encoding overhead beyond key and value bytes.
-const CellOverhead = 6
+// CellOverhead is the per-cell encoding overhead beyond key and value bytes:
+// the cell's two lengths and its slot.
+const CellOverhead = cellHeader + slotSize
+
+const (
+	cellHeader = 4 // klen u16 | vlen u16
+	slotSize   = 2 // a slot is the u16 offset of its cell
+)
 
 // RangeCells calls fn for each cell in key order until fn returns false.
 // The slices passed to fn alias the page and must not be modified.

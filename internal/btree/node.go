@@ -57,8 +57,12 @@ func (n *node) encodedSize() int {
 
 // encode serializes the node as a page payload.
 //
-// Layout: loLen u16 | lo | hiLen u16 | hi | count u16 | cells...
-// cell:   klen u16 | key | vlen u32 | value
+// Layout: loLen u16 | lo | hiLen u16 | hi | count u16 | cell*count | slot*count
+// cell:   klen u16 | key | vlen u16 | value
+// slot:   u16 offset of cell i in the payload
+//
+// The cells lie in key order, so their slots ascend; a payload is at most
+// page.MaxData bytes, so every offset and length fits a u16.
 func (n *node) encode() ([]byte, error) {
 	size := n.encodedSize()
 	if size > page.MaxData {
@@ -70,8 +74,13 @@ func (n *node) encode() ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(n.hi)))
 	buf = append(buf, n.hi...)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(n.cells)))
+	off := len(buf)
 	for _, c := range n.cells {
 		buf = appendCell(buf, c.key, c.value)
+	}
+	for _, c := range n.cells {
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(off))
+		off += cellHeader + len(c.key) + len(c.value)
 	}
 	return buf, nil
 }
@@ -103,32 +112,40 @@ func decodeNode(data []byte) (*node, error) {
 	pos += hiLen
 	count := int(binary.LittleEndian.Uint16(data[pos : pos+2]))
 	pos += 2
+	slots := len(data) - slotSize*count
+	if slots < pos {
+		return nil, fmt.Errorf("%w: slot array overlaps the header", errCorrupt)
+	}
+	cells := data[:slots]
 	n.cells = make([]cell, 0, count)
 	for i := 0; i < count; i++ {
-		if len(data) < pos+2 {
+		if off := int(binary.LittleEndian.Uint16(data[slots+slotSize*i:])); off != pos {
+			return nil, fmt.Errorf("%w: slot %d points at %d, cell at %d", errCorrupt, i, off, pos)
+		}
+		if len(cells) < pos+2 {
 			return nil, fmt.Errorf("%w: truncated cell %d", errCorrupt, i)
 		}
-		klen := int(binary.LittleEndian.Uint16(data[pos : pos+2]))
+		klen := int(binary.LittleEndian.Uint16(cells[pos : pos+2]))
 		pos += 2
-		if len(data) < pos+klen+4 {
+		if len(cells) < pos+klen+2 {
 			return nil, fmt.Errorf("%w: truncated cell key %d", errCorrupt, i)
 		}
-		key := append([]byte(nil), data[pos:pos+klen]...)
+		key := append([]byte(nil), cells[pos:pos+klen]...)
 		pos += klen
-		vlen := int(binary.LittleEndian.Uint32(data[pos : pos+4]))
-		pos += 4
-		if len(data) < pos+vlen {
+		vlen := int(binary.LittleEndian.Uint16(cells[pos : pos+2]))
+		pos += 2
+		if len(cells) < pos+vlen {
 			return nil, fmt.Errorf("%w: truncated cell value %d", errCorrupt, i)
 		}
 		var val []byte
 		if vlen > 0 {
-			val = append([]byte(nil), data[pos:pos+vlen]...)
+			val = append([]byte(nil), cells[pos:pos+vlen]...)
 		}
 		pos += vlen
 		n.cells = append(n.cells, cell{key: key, value: val})
 	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", errCorrupt, len(data)-pos)
+	if pos != slots {
+		return nil, fmt.Errorf("%w: %d bytes between the cells and the slot array", errCorrupt, slots-pos)
 	}
 	return n, nil
 }

@@ -15,10 +15,11 @@ import (
 // of this runs.
 
 // childIter steps through the children of an internal node whose key ranges
-// intersect [lo, hi), in key order: exactly the pages a scan of [lo, hi)
-// reads below the node. A scan runs two of them over the same cells, the one
-// it descends through and one up to ReadAhead children further on that it
-// hints from. It is a plain value; copying it forks the walk.
+// intersect [lo, hi), in key order from the one a search for lo finds:
+// exactly the pages a scan of [lo, hi) reads below the node. A scan runs two
+// of them over the same cells, the one it descends through and one up to
+// ReadAhead children further on that it hints from. It is a plain value;
+// copying it forks the walk.
 type childIter struct {
 	it     cellIter
 	lo, hi []byte
@@ -27,9 +28,19 @@ type childIter struct {
 	pastHi bool   // the walk ended at a child that starts at or beyond hi
 }
 
-// children starts a walk over the in-range children of an internal node.
+// children starts a walk over the in-range children of an internal node, at
+// the child that covers lo.
 func (v *view) children(lo, hi []byte) (childIter, error) {
 	ci := childIter{it: v.iter(), lo: lo, hi: hi}
+	if lo != nil {
+		i, off, err := v.floor(lo)
+		if err != nil {
+			return ci, err
+		}
+		if i > 0 {
+			ci.it = v.iterAt(i, off)
+		}
+	}
 	var err error
 	ci.k, ci.c, ci.ok, err = ci.it.next()
 	return ci, err
@@ -41,31 +52,29 @@ func (v *view) children(lo, hi []byte) (childIter, error) {
 //
 //socrates:hotpath once per child of every internal node a scan crosses, twice with read-ahead; TestTreeScanAllocs
 func (ci *childIter) next() (id page.ID, from, to []byte, ok bool, err error) {
-	for ci.ok {
-		k, c := ci.k, ci.c
-		if ci.k, ci.c, ci.ok, err = ci.it.next(); err != nil {
-			ci.ok = false
-			return page.InvalidID, nil, nil, false, err
-		}
-		// The child under k covers [k, upper): upper is the following
-		// cell's key, or the node's own hi fence for the last cell.
-		upper := ci.it.v.hi
-		if ci.ok {
-			upper = ci.k
-		}
-		if ci.hi != nil && len(k) > 0 && bytes.Compare(k, ci.hi) >= 0 {
-			ci.ok, ci.pastHi = false, true
-			return page.InvalidID, nil, nil, false, nil
-		}
-		if ci.lo == nil || len(upper) == 0 || bytes.Compare(upper, ci.lo) > 0 {
-			if len(k) == 0 { // the first cell's child starts where the node does
-				k = ci.it.v.lo
-			}
-			id, err = decodeChild(c)
-			return id, k, upper, err == nil, err
-		}
+	if !ci.ok {
+		return page.InvalidID, nil, nil, false, nil
 	}
-	return page.InvalidID, nil, nil, false, nil
+	k, c := ci.k, ci.c
+	if ci.k, ci.c, ci.ok, err = ci.it.next(); err != nil {
+		ci.ok = false
+		return page.InvalidID, nil, nil, false, err
+	}
+	// The child under k covers [k, upper): upper is the following cell's
+	// key, or the node's own hi fence for the last cell.
+	upper := ci.it.v.hi
+	if ci.ok {
+		upper = ci.k
+	}
+	if ci.hi != nil && len(k) > 0 && bytes.Compare(k, ci.hi) >= 0 {
+		ci.ok, ci.pastHi = false, true
+		return page.InvalidID, nil, nil, false, nil
+	}
+	if len(k) == 0 { // the first cell's child starts where the node does
+		k = ci.it.v.lo
+	}
+	id, err = decodeChild(c)
+	return id, k, upper, err == nil, err
 }
 
 // windowPool holds the buffers hints are handed over in. An argument to an

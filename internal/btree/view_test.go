@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -97,12 +98,15 @@ func checkViewAgainstOracle(t *testing.T, data []byte, internal bool, probes [][
 			t.Fatalf("covers(%q) = %v, oracle %v", key, got, want)
 		}
 		i, want := oracle.find(key)
-		val, start, end, found, err := v.find(key)
+		val, found, err := v.find(key)
 		if err != nil || found != want {
 			t.Fatalf("find(%q) = found %v err %v, oracle %v", key, found, err, want)
 		}
-		if found && (!bytes.Equal(val, oracle.cells[i].value) || end <= start) {
-			t.Fatalf("find(%q) value %q [%d,%d), oracle %q", key, val, start, end, oracle.cells[i].value)
+		if found && !bytes.Equal(val, oracle.cells[i].value) {
+			t.Fatalf("find(%q) value %q, oracle %q", key, val, oracle.cells[i].value)
+		}
+		if si, _, _, err := v.search(key); err != nil || si != i {
+			t.Fatalf("search(%q) = %d %v, oracle %d", key, si, err, i)
 		}
 		if internal {
 			got, gerr := v.childFor(key)
@@ -127,6 +131,14 @@ func checkViewAgainstOracle(t *testing.T, data []byte, internal bool, probes [][
 			want, _ := edited.encode()
 			if err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("put(%q): view payload differs from oracle (err %v)", key, err)
+			}
+		}
+		// In place, with and without room to grow: the same bytes.
+		for _, room := range []int{0, 64} {
+			w, _ := parseView(append(make([]byte, 0, len(data)+room), data...))
+			inPlace, ierr := w.put(key, value, true)
+			if (ierr != nil) != (err != nil) || !bytes.Equal(inPlace, got) {
+				t.Fatalf("put(%q) in place (room %d) differs from copy-on-write (err %v, %v)", key, room, ierr, err)
 			}
 		}
 	}
@@ -172,8 +184,31 @@ func exerciseCorrupt(t *testing.T, data []byte, probes [][]byte) {
 	}
 	for _, key := range probes {
 		v.covers(key)
-		if _, _, _, _, err := v.find(key); !isCorrupt(err) {
+		if _, _, err := v.find(key); !isCorrupt(err) {
 			t.Fatalf("find(%q): %v", key, err)
+		}
+		// A scan's walks from where a search for key starts them.
+		if i, off, _, err := v.search(key); !isCorrupt(err) {
+			t.Fatalf("search(%q): %v", key, err)
+		} else if err == nil {
+			for it := v.iterAt(i, off); ; {
+				if _, _, ok, err := it.next(); !isCorrupt(err) {
+					t.Fatalf("walk from %q: %v", key, err)
+				} else if err != nil || !ok {
+					break
+				}
+			}
+		}
+		if ci, err := v.children(key, nil); !isCorrupt(err) {
+			t.Fatalf("children(%q): %v", key, err)
+		} else if err == nil {
+			for {
+				if _, _, _, ok, err := ci.next(); !isCorrupt(err) {
+					t.Fatalf("children from %q: %v", key, err)
+				} else if err != nil || !ok {
+					break
+				}
+			}
 		}
 		if _, err := v.childFor(key); !isCorrupt(err) {
 			t.Fatalf("childFor(%q): %v", key, err)
@@ -181,7 +216,48 @@ func exerciseCorrupt(t *testing.T, data []byte, probes [][]byte) {
 		if _, err := v.put(key, key, false); !isCorrupt(err) && !errors.Is(err, errOverflow) {
 			t.Fatalf("put(%q): %v", key, err)
 		}
+		w, _ := parseView(bytes.Clone(data))
+		if _, err := w.put(key, key, true); !isCorrupt(err) && !errors.Is(err, errOverflow) {
+			t.Fatalf("put(%q) in place: %v", key, err)
+		}
 	}
+}
+
+// slotDamage returns copies of a valid payload with its slot array damaged
+// in each way a walk must catch: a slot outside the cell area, a slot
+// pointing into the middle of its cell, two slots swapped out of key order,
+// and a count whose slots cannot fit.
+func slotDamage(t testing.TB, data []byte) [][]byte {
+	t.Helper()
+	v, err := parseView(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(d []byte, at, x int) []byte {
+		d = bytes.Clone(d)
+		binary.LittleEndian.PutUint16(d[at:], uint16(x))
+		return d
+	}
+	slotAt := func(i int) int { return v.slots + slotSize*i }
+	damaged := [][]byte{
+		put(data, v.first-2, (len(data)-v.first)/slotSize+1), // count too large for its slots
+		put(data, v.first-2, 0xffff),
+	}
+	for i := 0; i < v.count; i++ {
+		off, _ := v.slot(i)
+		damaged = append(damaged,
+			put(data, slotAt(i), v.first-1),   // into the header
+			put(data, slotAt(i), v.slots),     // onto the slot array
+			put(data, slotAt(i), len(data)+7), // past the payload
+			put(data, slotAt(i), off+1),       // mid-cell
+		)
+		if i+1 < v.count {
+			next, _ := v.slot(i + 1)
+			swapped := put(data, slotAt(i), next)
+			damaged = append(damaged, put(swapped, slotAt(i+1), off))
+		}
+	}
+	return damaged
 }
 
 // probesFor returns every key of the node plus random neighbours.
@@ -227,6 +303,12 @@ func TestViewCorruptPayloads(t *testing.T) {
 			exerciseCorrupt(t, flipped, probes)
 		}
 		exerciseCorrupt(t, append(bytes.Clone(data), 0), probes) // trailing byte
+		for _, d := range slotDamage(t, data) {
+			if _, err := decodeNode(d); err == nil {
+				t.Fatalf("decodeNode accepts a damaged slot array")
+			}
+			exerciseCorrupt(t, d, probes)
+		}
 	}
 }
 
@@ -242,6 +324,11 @@ func FuzzNodeView(f *testing.F) {
 		}
 		f.Add(data, []byte("ab"))
 		f.Add(data[:len(data)/2], []byte("c"))
+		if i < 2 {
+			for _, d := range slotDamage(f, data) {
+				f.Add(d, []byte("b"))
+			}
+		}
 	}
 	f.Add([]byte{}, []byte{})
 	f.Fuzz(func(t *testing.T, data, key []byte) {
@@ -346,5 +433,64 @@ func TestTreePutAllocs(t *testing.T) {
 	t.Logf("Tree.Put: %.1f allocs/op (budget %d)", avg, budget)
 	if avg > budget {
 		t.Fatalf("Tree.Put: %.1f allocs/op, budget %d", avg, budget)
+	}
+}
+
+// benchNode encodes a node of cells cells under the even keys 0, 2, 4, …
+// (9 bytes, as the SQL table's), each with an 8-byte value: a leaf, or an
+// internal node whose first key is empty.
+func benchNode(b *testing.B, cells int, internal bool) (view, [][]byte) {
+	b.Helper()
+	n := &node{}
+	for i := 0; i < cells; i++ {
+		k := shapeKey(9, 2*i)
+		if internal && i == 0 {
+			k = nil
+		}
+		n.cells = append(n.cells, cell{key: k, value: encodeChild(page.ID(i + 1))})
+	}
+	data, err := n.encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	v, err := parseView(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	probes := make([][]byte, 2*cells) // every key and every gap
+	for i := range probes {
+		probes[i] = shapeKey(9, i)
+	}
+	return v, probes
+}
+
+// BenchmarkViewFind is the leaf search of a point read, over every key and
+// every gap of the node.
+func BenchmarkViewFind(b *testing.B) {
+	for _, cells := range []int{16, 64, 256} {
+		b.Run(fmt.Sprintf("cells=%d", cells), func(b *testing.B) {
+			v, probes := benchNode(b, cells, false)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := v.find(probes[i%len(probes)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkViewChildFor is one routing step of a descent.
+func BenchmarkViewChildFor(b *testing.B) {
+	for _, cells := range []int{16, 64, 256} {
+		b.Run(fmt.Sprintf("cells=%d", cells), func(b *testing.B) {
+			v, probes := benchNode(b, cells, true)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := v.childFor(probes[i%len(probes)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -214,6 +214,42 @@ func TestPageRollover(t *testing.T) {
 	_ = pager
 }
 
+// TestPageFillsToTheByte fills a version page exactly to page.MaxData under
+// Append's page-full rule (CellOverhead per cell): the cell put that lands on
+// the boundary must fit, and only the next entry rolls over.
+func TestPageFillsToTheByte(t *testing.T) {
+	s, pager, _ := newStore(t)
+	const entry = btree.CellOverhead + 4 + 21 // a cell beyond its payload: slot key, version header
+	payloads := []int{1000, 1000, 1000, 1000, 1000, 1000, 1000}
+	left := page.MaxData - len(btree.EmptyNodePayload()) - len(payloads)*(entry+1000)
+	payloads = append(payloads, left-entry)
+	var ptrs []Ptr
+	for i, n := range payloads {
+		ptr, err := appendOne(s, 1, &Version{CommitTS: uint64(i + 1), Payload: bytes.Repeat([]byte{7}, n)})
+		if err != nil {
+			t.Fatalf("entry %d of %d bytes: %v", i, n, err)
+		}
+		ptrs = append(ptrs, ptr)
+	}
+	pg, err := pager.Read(ptrs[0].Page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ptrs[len(ptrs)-1].Page != ptrs[0].Page || len(pg.Data) != page.MaxData {
+		t.Fatalf("last entry on page %d, first on %d; page holds %d of %d bytes",
+			ptrs[len(ptrs)-1].Page, ptrs[0].Page, len(pg.Data), page.MaxData)
+	}
+	next, err := appendOne(s, 1, &Version{CommitTS: 99})
+	if err != nil || next.Page == ptrs[0].Page {
+		t.Fatalf("the entry past a full page went to page %d (%v), want a new one", next.Page, err)
+	}
+	for i, ptr := range ptrs {
+		if v, err := s.get(ptr); err != nil || v.CommitTS != uint64(i+1) || len(v.Payload) != payloads[i] {
+			t.Fatalf("entry %d: %+v %v", i, v, err)
+		}
+	}
+}
+
 func TestRecoverAppendStateFromPage(t *testing.T) {
 	s, pager, log := newStore(t)
 	for i := 0; i < 5; i++ {
