@@ -87,7 +87,11 @@ repl-stress:
 # while its payload has room; rbio: a Selector
 # call no more than the Client call it makes, an untraced request's hop 0;
 # obs: a wait on a rung already at its LSN 0, a Publish nobody waits for 0,
-# a child span under a live span <= 2) and short fuzzes of the B-tree
+# a child span under a live span <= 2, three attributes on it included;
+# sqlengine: parsing the bench's SELECT <= 6, UPDATE <= 7, INSERT <= 8,
+# where copying every token cost 23, 28 and 32) and short fuzzes of the
+# SQL lexer against the rune lexer it replaced (identical tokens,
+# positions and errors), of the B-tree
 # node view against the decoded node it replaced, of in-place redo against
 # copy-on-write redo (identical payloads, LSNs and errors; a failed edit
 # leaves the page as it was), of random multi-row commits against
@@ -103,7 +107,8 @@ repl-stress:
 # //socrates:hotpath function is reached by one, and its directive names
 # which.
 allocs:
-	$(GO) test -count=1 -run 'Allocs$$' ./internal/wal ./internal/btree ./internal/versionstore ./internal/engine ./internal/pageserver ./internal/logwriter ./internal/compute ./internal/netmux ./internal/rbio ./internal/rbpex ./internal/obs
+	$(GO) test -count=1 -run 'Allocs$$' ./internal/wal ./internal/btree ./internal/versionstore ./internal/engine ./internal/pageserver ./internal/logwriter ./internal/compute ./internal/netmux ./internal/rbio ./internal/rbpex ./internal/obs ./internal/sqlengine
+	$(GO) test -run '^$$' -fuzz=FuzzLex -fuzztime=10s ./internal/sqlengine
 	$(GO) test -run '^$$' -fuzz=FuzzNodeView -fuzztime=10s ./internal/btree
 	$(GO) test -run '^$$' -fuzz=FuzzRedoInPlace -fuzztime=10s ./internal/btree
 	$(GO) test -run '^$$' -fuzz=FuzzCommitMatchesRedo -fuzztime=10s ./internal/engine

@@ -80,7 +80,7 @@ func (s *lzSink) Complete(b wal.Block, r logwriter.Reservation) (page.LSN, error
 		if rec.Kind == wal.KindTxnCommit && rec.TraceID != 0 {
 			c, sp := s.obs.Tracer.StartRemoteSpan(obs.SpanContext{
 				TraceID: obs.TraceID(rec.TraceID), SpanID: obs.SpanID(rec.SpanID)}, obs.TierLZ, "lz.write")
-			sp.SetAttr("records", fmt.Sprint(len(b.Records)))
+			sp.SetAttr("records", strconv.Itoa(len(b.Records)))
 			spans = append(spans, sp)
 			ioCtx, traceID = c, obs.TraceID(rec.TraceID)
 		}

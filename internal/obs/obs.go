@@ -105,7 +105,12 @@ type Span struct {
 	tier     string
 	start    time.Time
 	duration time.Duration
-	attrs    map[string]string
+
+	// attrs holds the attributes in the order first set; it starts on
+	// attrBuf, and only a span given more than len(attrBuf) of them
+	// spills to the heap. Trace exports them as a map.
+	attrs   []attr
+	attrBuf [3]attr
 
 	// parent is the in-process parent span; nil at a root and past a
 	// wire hop. RecordWait walks it so a span's waits are inclusive.
@@ -130,19 +135,43 @@ func (s *Span) Context() SpanContext {
 	return SpanContext{TraceID: s.trace, SpanID: s.id}
 }
 
-// SetAttr attaches a key/value attribute to the span.
+// attr is one key/value attribute of a span.
+type attr struct{ key, value string }
+
+// SetAttr attaches a key/value attribute to the span; a key set again
+// keeps its last value.
 func (s *Span) SetAttr(key, value string) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	if !s.ended {
-		if s.attrs == nil {
-			s.attrs = make(map[string]string, 4)
-		}
-		s.attrs[key] = value
+	defer s.mu.Unlock()
+	if s.ended {
+		return
 	}
-	s.mu.Unlock()
+	for i := range s.attrs {
+		if s.attrs[i].key == key {
+			s.attrs[i].value = value
+			return
+		}
+	}
+	if s.attrs == nil {
+		s.attrs = s.attrBuf[:0]
+	}
+	s.attrs = append(s.attrs, attr{key, value})
+}
+
+// attrMap exports the span's attributes, nil when it has none. Call it
+// only once the span has ended.
+func (s *Span) attrMap() map[string]string {
+	if len(s.attrs) == 0 {
+		return nil
+	}
+	m := make(map[string]string, len(s.attrs))
+	for _, a := range s.attrs {
+		m[a.key] = a.value
+	}
+	return m
 }
 
 // recordWait attributes one wait of class c to the span and to each of
@@ -412,7 +441,7 @@ func (t *Tracer) Trace(id TraceID) *SpanNode {
 	for _, s := range spans {
 		nodes[s.id] = &SpanNode{
 			Name: s.name, Tier: s.tier, Start: s.start,
-			Duration: s.duration, Attrs: s.attrs,
+			Duration: s.duration, Attrs: s.attrMap(),
 			Waits: s.WaitBreakdown(),
 		}
 	}

@@ -107,7 +107,8 @@ func TestSpanWaitsAreInclusive(t *testing.T) {
 }
 
 // TestStartSpanAllocs is the allocation contract for a child span under
-// a live span: the span itself and one context node.
+// a live span: the span itself and one context node. Three attributes
+// add nothing: they sit in the span.
 func TestStartSpanAllocs(t *testing.T) {
 	testutil.SkipIfRace(t)
 	tr := NewTracer()
@@ -116,6 +117,68 @@ func TestStartSpanAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(200, func() { tr.StartSpan(ctx, TierCompute, "child") })
 	if avg > 2 {
 		t.Fatalf("StartSpan under a live span: %.1f allocs, budget 2", avg)
+	}
+	withAttrs := testing.AllocsPerRun(200, func() {
+		_, s := tr.StartSpan(ctx, TierCompute, "child")
+		s.SetAttr("page", "7")
+		s.SetAttr("readahead", "true")
+		s.SetAttr("error", "x")
+	})
+	if withAttrs > avg {
+		t.Fatalf("StartSpan and three SetAttr: %.1f allocs, StartSpan alone %.1f", withAttrs, avg)
+	}
+}
+
+// TestSpanAttrsExport pins what a span's attributes export as: a key set
+// twice keeps its last value, a fourth attribute and an error set after
+// three are kept, one set after End is not, and Trace and Format read
+// them as the map they are exported as.
+func TestSpanAttrsExport(t *testing.T) {
+	tr := NewTracer()
+	ctx, root := tr.StartSpan(context.Background(), TierCompute, "root")
+	_, four := tr.StartSpan(ctx, TierCompute, "four")
+	for _, kv := range [][2]string{{"d", "1"}, {"c", "2"}, {"b", "3"}, {"d", "4"}, {"a", "5"}} {
+		four.SetAttr(kv[0], kv[1])
+	}
+	four.End()
+	four.SetAttr("late", "x")
+	_, failed := tr.StartSpan(ctx, TierCompute, "failed")
+	failed.SetAttr("page", "7")
+	failed.SetAttr("readahead", "true")
+	failed.SetAttr("coalesced", "true")
+	failed.SetError(errors.New("torn"))
+	failed.End()
+	root.End()
+
+	tree := tr.Trace(root.trace)
+	if len(tree.Children) != 2 {
+		t.Fatalf("want two children:\n%s", tree.Format())
+	}
+	if tree.Attrs != nil {
+		t.Fatalf("root attrs = %v, want nil", tree.Attrs)
+	}
+	want := map[string]map[string]string{
+		"four":   {"a": "5", "b": "3", "c": "2", "d": "4"},
+		"failed": {"page": "7", "readahead": "true", "coalesced": "true", "error": "torn"},
+	}
+	for _, c := range tree.Children {
+		if len(c.Attrs) != len(want[c.Name]) {
+			t.Fatalf("%s attrs = %v, want %v", c.Name, c.Attrs, want[c.Name])
+		}
+		for k, v := range want[c.Name] {
+			if c.Attrs[k] != v {
+				t.Fatalf("%s attrs = %v, want %v", c.Name, c.Attrs, want[c.Name])
+			}
+		}
+	}
+	text := tree.Format()
+	for _, line := range []string{
+		" a=5 b=3 c=2 d=4\n",
+		" coalesced=true error=torn page=7 readahead=true\n",
+	} {
+		if !strings.Contains(text, line) {
+			t.Fatalf("format lacks %q:\n%s", line, text)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokenKind int
@@ -25,30 +26,68 @@ const (
 
 type token struct {
 	kind tokenKind
-	text string // keywords upper-cased; identifiers as written
-	pos  int
+	text string // keywords upper-cased; everything else a slice of the source
+	pos  int    // byte offset in the source; runeIndex converts it for messages
 }
 
-// keywords recognized by the dialect.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "INSERT": true, "INTO": true,
-	"VALUES": true, "UPDATE": true, "SET": true, "DELETE": true, "CREATE": true,
-	"DROP": true, "TABLE": true, "PRIMARY": true, "KEY": true, "AND": true,
-	"OR": true, "NOT": true, "ORDER": true, "BY": true, "ASC": true,
-	"DESC": true, "LIMIT": true, "INT": true, "FLOAT": true, "TEXT": true,
-	"BEGIN": true, "COMMIT": true, "ROLLBACK": true, "COUNT": true,
-	"SUM": true, "AVG": true, "MIN": true, "MAX": true, "NULL": true,
-	"AS": true, "SHOW": true, "TABLES": true, "BETWEEN": true,
+// maxKeywordLen is the longest keyword's length: an ASCII word longer than
+// it is never a keyword.
+const maxKeywordLen = 8
+
+// keywords maps each keyword of the dialect to itself, so a keyword token
+// holds the table's string rather than a copy of the word.
+var keywords = func() map[string]string {
+	m := make(map[string]string)
+	for _, kw := range strings.Fields(`
+		SELECT FROM WHERE INSERT INTO VALUES UPDATE SET DELETE CREATE
+		DROP TABLE PRIMARY KEY AND OR NOT ORDER BY ASC DESC LIMIT INT
+		FLOAT TEXT BEGIN COMMIT ROLLBACK COUNT SUM AVG MIN MAX NULL AS
+		SHOW TABLES BETWEEN`) {
+		if len(kw) > maxKeywordLen {
+			panic("sqlengine: keyword " + kw + " is longer than maxKeywordLen")
+		}
+		m[kw] = kw
+	}
+	return m
+}()
+
+// keyword returns the keyword word spells in any case, if it spells one.
+// An ASCII word is upper-cased into a stack buffer; a word with any other
+// byte goes through strings.ToUpper, which also maps 'ſ' to 'S' and 'ı'
+// to 'I'.
+func keyword(word string) (string, bool) {
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if c >= utf8.RuneSelf {
+			kw, ok := keywords[strings.ToUpper(word)]
+			return kw, ok
+		}
+		if i < len(buf) {
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			buf[i] = c
+		}
+	}
+	if len(word) > len(buf) {
+		return "", false
+	}
+	kw, ok := keywords[string(buf[:len(word)])]
+	return kw, ok
 }
 
+// lexer reads the source's bytes. A byte below utf8.RuneSelf is its own
+// rune; anything else is decoded, U+FFFD for each invalid byte, so the
+// unicode classes see the runes []rune(src) would hold.
 type lexer struct {
-	src []rune
+	src string
 	pos int
 }
 
-func lex(src string) ([]token, error) {
-	l := &lexer{src: []rune(src)}
-	var toks []token
+// lex appends src's tokens to toks, tkEOF last.
+func lex(src string, toks []token) ([]token, error) {
+	l := lexer{src: src}
 	for {
 		tok, err := l.next()
 		if err != nil {
@@ -61,67 +100,68 @@ func lex(src string) ([]token, error) {
 	}
 }
 
+// runeIndex converts the byte offset pos of src to the rune index error
+// messages report.
+func runeIndex(src string, pos int) int { return utf8.RuneCountInString(src[:pos]) }
+
+// runeAt decodes the rune at byte offset i and its width in bytes.
+func (l *lexer) runeAt(i int) (rune, int) {
+	if c := l.src[i]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(l.src[i:])
+}
+
+// next lexes the token at l.pos and moves past it.
+//
+//socrates:hotpath every SQL statement lexes through it; TestParseAllocs
 func (l *lexer) next() (token, error) {
-	for l.pos < len(l.src) && unicode.IsSpace(l.src[l.pos]) {
-		l.pos++
+	for l.pos < len(l.src) {
+		r, w := l.runeAt(l.pos)
+		if !unicode.IsSpace(r) {
+			break
+		}
+		l.pos += w
 	}
 	if l.pos >= len(l.src) {
 		return token{kind: tkEOF, pos: l.pos}, nil
 	}
 	start := l.pos
-	ch := l.src[l.pos]
+	ch, w := l.runeAt(start)
 	switch {
 	case unicode.IsLetter(ch) || ch == '_':
-		for l.pos < len(l.src) && (unicode.IsLetter(l.src[l.pos]) ||
-			unicode.IsDigit(l.src[l.pos]) || l.src[l.pos] == '_') {
-			l.pos++
+		for l.pos < len(l.src) {
+			r, w := l.runeAt(l.pos)
+			if !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' {
+				break
+			}
+			l.pos += w
 		}
-		word := string(l.src[start:l.pos])
-		upper := strings.ToUpper(word)
-		if keywords[upper] {
-			return token{kind: tkKeyword, text: upper, pos: start}, nil
+		word := l.src[start:l.pos]
+		if kw, ok := keyword(word); ok {
+			return token{kind: tkKeyword, text: kw, pos: start}, nil
 		}
 		return token{kind: tkIdent, text: word, pos: start}, nil
 
-	case unicode.IsDigit(ch) || (ch == '-' && l.pos+1 < len(l.src) && unicode.IsDigit(l.src[l.pos+1]) && l.numericContext()):
-		if ch == '-' {
-			l.pos++
-		}
+	case unicode.IsDigit(ch):
 		seenDot := false
-		for l.pos < len(l.src) && (unicode.IsDigit(l.src[l.pos]) || (l.src[l.pos] == '.' && !seenDot)) {
-			if l.src[l.pos] == '.' {
+		for l.pos < len(l.src) {
+			r, w := l.runeAt(l.pos)
+			if r == '.' && !seenDot {
 				seenDot = true
+			} else if !unicode.IsDigit(r) {
+				break
 			}
-			l.pos++
+			l.pos += w
 		}
-		return token{kind: tkNumber, text: string(l.src[start:l.pos]), pos: start}, nil
+		return token{kind: tkNumber, text: l.src[start:l.pos], pos: start}, nil
 
 	case ch == '\'':
-		l.pos++
-		var sb strings.Builder
-		for l.pos < len(l.src) {
-			c := l.src[l.pos]
-			if c == '\'' {
-				if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-					sb.WriteRune('\'') // escaped quote
-					l.pos += 2
-					continue
-				}
-				l.pos++
-				return token{kind: tkString, text: sb.String(), pos: start}, nil
-			}
-			sb.WriteRune(c)
-			l.pos++
-		}
-		return token{}, fmt.Errorf("sql: unterminated string at %d", start)
-
-	default:
-		// Multi-char operators first.
-		two := ""
-		if l.pos+1 < len(l.src) {
-			two = string(l.src[l.pos : l.pos+2])
-		}
-		switch two {
+		return l.str(start)
+	}
+	// Multi-char operators first.
+	if start+1 < len(l.src) {
+		switch two := l.src[start : start+2]; two {
 		case "<=", ">=", "!=", "<>":
 			l.pos += 2
 			if two == "<>" {
@@ -129,16 +169,52 @@ func (l *lexer) next() (token, error) {
 			}
 			return token{kind: tkSymbol, text: two, pos: start}, nil
 		}
-		switch ch {
-		case '(', ')', ',', '*', '=', '<', '>', '+', '-', '/', ';', '.':
-			l.pos++
-			return token{kind: tkSymbol, text: string(ch), pos: start}, nil
-		}
-		return token{}, fmt.Errorf("sql: unexpected character %q at %d", ch, start)
 	}
+	switch ch {
+	case '(', ')', ',', '*', '=', '<', '>', '+', '-', '/', ';', '.':
+		l.pos += w
+		return token{kind: tkSymbol, text: l.src[start:l.pos], pos: start}, nil
+	}
+	return token{}, fmt.Errorf("sql: unexpected character %q at %d", ch, runeIndex(l.src, start))
 }
 
-// numericContext reports whether a '-' should bind to a number (crude:
-// always treat as operator; the parser handles unary minus). Kept for
-// clarity — returns false so '-' lexes as a symbol.
-func (l *lexer) numericContext() bool { return false }
+// str lexes the string literal whose quote is at start. Its text is the
+// source between the quotes; only a literal holding a doubled quote or an
+// invalid byte is rebuilt, by strEscaped.
+func (l *lexer) str(start int) (token, error) {
+	for i := start + 1; i < len(l.src); {
+		r, w := l.runeAt(i)
+		switch {
+		case r == '\'' && i+1 < len(l.src) && l.src[i+1] == '\'':
+			return l.strEscaped(start)
+		case r == '\'':
+			l.pos = i + 1
+			return token{kind: tkString, text: l.src[start+1 : i], pos: start}, nil
+		case r == utf8.RuneError && w == 1:
+			return l.strEscaped(start)
+		}
+		i += w
+	}
+	return token{}, fmt.Errorf("sql: unterminated string at %d", runeIndex(l.src, start))
+}
+
+// strEscaped builds the text of the literal whose quote is at start: a
+// doubled quote reads as one, an invalid byte as U+FFFD.
+func (l *lexer) strEscaped(start int) (token, error) {
+	var sb strings.Builder
+	for i := start + 1; i < len(l.src); {
+		r, w := l.runeAt(i)
+		if r == '\'' {
+			if i+1 < len(l.src) && l.src[i+1] == '\'' {
+				sb.WriteByte('\'')
+				i += 2
+				continue
+			}
+			l.pos = i + 1
+			return token{kind: tkString, text: sb.String(), pos: start}, nil
+		}
+		sb.WriteRune(r)
+		i += w
+	}
+	return token{}, fmt.Errorf("sql: unterminated string at %d", runeIndex(l.src, start))
+}

@@ -7,13 +7,17 @@ import (
 )
 
 // Parse compiles one SQL statement (an optional trailing semicolon is
-// allowed).
+// allowed). Its tokens live in an array in this frame; only a statement
+// of more than len(buf)-1 tokens spills them to the heap.
+//
+//socrates:hotpath every SQL statement parses here; TestParseAllocs
 func Parse(src string) (statement, error) {
-	toks, err := lex(src)
+	var buf [32]token
+	toks, err := lex(src, buf[:0])
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p := &parser{src: src, toks: toks}
 	stmt, err := p.statement()
 	if err != nil {
 		return nil, err
@@ -26,9 +30,13 @@ func Parse(src string) (statement, error) {
 }
 
 type parser struct {
+	src  string
 	toks []token
 	pos  int
 }
+
+// at is t's position as error messages give it: a rune index.
+func (p *parser) at(t token) int { return runeIndex(p.src, t.pos) }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
 func (p *parser) atEOF() bool { return p.peek().kind == tkEOF }
@@ -57,7 +65,7 @@ func (p *parser) expect(kind tokenKind, text string) (token, error) {
 		if want == "" {
 			want = fmt.Sprintf("token kind %d", kind)
 		}
-		return token{}, fmt.Errorf("sql: expected %s, got %q at %d", want, t.text, t.pos)
+		return token{}, fmt.Errorf("sql: expected %s, got %q at %d", want, t.text, p.at(t))
 	}
 	return p.advance(), nil
 }
@@ -454,7 +462,7 @@ func (p *parser) comparison() (expr, error) {
 			return nil, err
 		}
 		if !p.keyword("AND") {
-			return nil, fmt.Errorf("sql: BETWEEN needs AND at %d", p.peek().pos)
+			return nil, fmt.Errorf("sql: BETWEEN needs AND at %d", p.at(p.peek()))
 		}
 		hi, err := p.addExpr()
 		if err != nil {
@@ -568,5 +576,5 @@ func (p *parser) primary() (expr, error) {
 		}
 		return &unaryExpr{op: "-", e: e}, nil
 	}
-	return nil, fmt.Errorf("sql: unexpected token %q at %d", t.text, t.pos)
+	return nil, fmt.Errorf("sql: unexpected token %q at %d", t.text, p.at(t))
 }
